@@ -137,7 +137,8 @@ class ExperimentConfig:
     # Scheme seed (stochastic ternary, top-k sampling)
     scheme_seed: int = 0
 
-    # Hardware-substitution time model (calibration in EXPERIMENTS.md).
+    # Hardware-substitution time model (ARCHITECTURE.md, "The nn substrate
+    # and the compute scale").
     # per_message_overhead is charged per wire *frame*: an unfused
     # ResNet-14 step moves a few hundred frames (~= the old flat 2 ms
     # per-step constant), a fused run proportionally fewer.

@@ -57,7 +57,8 @@ class StepTimeModel:
         down to restore the paper's communication-to-computation ratio;
         codec seconds (CPU-bound in both settings) get their own factor.
         Defaults of 1.0 report raw measurements; the harness installs
-        calibrated values recorded in EXPERIMENTS.md.
+        fixed values (ARCHITECTURE.md, "The nn substrate and the compute
+        scale").
     """
 
     overlap: float = 0.9

@@ -1,10 +1,11 @@
 """Pure-NumPy neural-network substrate.
 
 Implements everything the paper's workload needs without TensorFlow:
-convolution (im2col), batch normalization, ReLU, pooling, linear layers,
-identity-mapping residual networks, softmax cross-entropy, momentum SGD
-with weight decay, and cosine/stepwise LR schedules. Each layer carries an
-analytic backward pass; there is no autograd tape.
+convolution (strided-slice im2col + one GEMM), batch normalization, ReLU,
+pooling, linear layers, identity-mapping residual networks, softmax
+cross-entropy, momentum SGD with weight decay, and cosine/stepwise LR
+schedules. Each layer carries an analytic backward pass; there is no
+autograd tape.
 """
 
 from repro.nn.activations import Identity, ReLU

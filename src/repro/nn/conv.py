@@ -1,10 +1,10 @@
-"""2-D convolution layer (im2col lowering, NCHW layout)."""
+"""2-D convolution layer: strided-slice im2col + one GEMM, NCHW in and out."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import col2im, conv_output_size, im2col, im2col_indices
+from repro.nn.functional import check_conv_geometry, col2im, conv_output_size, im2col
 from repro.nn.initializers import he_normal, zeros
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -14,6 +14,12 @@ __all__ = ["Conv2d"]
 
 class Conv2d(Module):
     """Square-kernel 2-D convolution.
+
+    ``forward`` takes ``(N, C, H, W)`` in any memory order and returns
+    ``(N, F, OH, OW)`` as a batch-minor *view* of the GEMM result (memory
+    order ``F, OH, OW, N``); ``backward`` returns a C-contiguous
+    ``(N, C, H, W)`` gradient. Both orders are part of the numerical
+    contract: downstream reductions round by memory order.
 
     Parameters
     ----------
@@ -48,6 +54,7 @@ class Conv2d(Module):
         super().__init__()
         if pad is None:
             pad = kernel // 2  # "same" padding for odd kernels at stride 1
+        check_conv_geometry(kernel, stride, pad)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -67,55 +74,40 @@ class Conv2d(Module):
             if bias
             else None
         )
-        self._indices_cache: dict[tuple[int, int], tuple] = {}
         self._cache: tuple | None = None
-
-    def _indices(self, h: int, w: int) -> tuple:
-        key = (h, w)
-        if key not in self._indices_cache:
-            self._indices_cache[key] = im2col_indices(
-                self.in_channels, h, w, self.kernel, self.stride, self.pad
-            )
-        return self._indices_cache[key]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        indices = self._indices(h, w)
-        cols = im2col(x, self.kernel, self.stride, self.pad, indices)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = w_mat @ cols  # (F, out_h*out_w*N)
         out_h = conv_output_size(h, self.kernel, self.stride, self.pad)
         out_w = conv_output_size(w, self.kernel, self.stride, self.pad)
-        out = out.reshape(self.out_channels, out_h * out_w, n).transpose(2, 0, 1)
-        out = out.reshape(n, self.out_channels, out_h, out_w)
+        cols = im2col(x, self.kernel, self.stride, self.pad)
+        w_mat = self.weight.data.reshape(self.out_channels, -1)
+        # No transposed copy: batch stays innermost in memory, which is also
+        # the order the next conv's im2col reads fastest.
+        out = (w_mat @ cols).reshape(self.out_channels, out_h, out_w, n)
+        out = out.transpose(3, 0, 1, 2)
         if self.bias is not None:
             out = out + self.bias.data.reshape(1, -1, 1, 1)
         if training:
-            self._cache = (x.shape, cols, indices, (out_h, out_w))
+            self._cache = (x.shape, cols)
         return out.astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward before forward(training=True)")
-        x_shape, cols, indices, (out_h, out_w) = self._cache
+        x_shape, cols = self._cache
         self._cache = None
-        n = x_shape[0]
-        # (N, F, OH, OW) -> (F, OH*OW, N) -> (F, OH*OW*N), matching im2col
-        # column order (spatial-major, batch-minor).
-        grad_mat = (
-            grad_output.reshape(n, self.out_channels, out_h * out_w)
-            .transpose(1, 2, 0)
-            .reshape(self.out_channels, -1)
-        )
+        # (N, F, OH, OW) -> (F, OH*OW*N), matching im2col's column order
+        # (spatial-major, batch-minor).
+        grad_mat = grad_output.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         self.weight.accumulate_grad(
             (grad_mat @ cols.T).reshape(self.weight.data.shape)
         )
         if self.bias is not None:
             self.bias.accumulate_grad(grad_mat.sum(axis=1))
-        grad_cols = w_mat.T @ grad_mat
         return col2im(
-            grad_cols, x_shape, self.kernel, self.stride, self.pad, indices
+            w_mat.T @ grad_mat, x_shape, self.kernel, self.stride, self.pad
         ).astype(np.float32, copy=False)

@@ -1,22 +1,44 @@
-"""Vectorized building blocks for convolution: im2col / col2im.
+"""Building blocks for convolution: im2col / col2im by strided slices.
 
-Convolution is implemented as one big matrix product over patch columns —
-the standard im2col lowering that GPU frameworks use — so all FLOPs land in
-BLAS rather than Python loops. ``col2im`` is its adjoint (scatter-add),
-used by the conv backward pass.
+Convolution is one matrix product over patch columns — the standard im2col
+lowering. The columns are built from a channel-major ``(C, H+2p, W+2p, N)``
+copy of the zero-padded input by ``k·k`` basic-slice copies, one per kernel
+offset ``(ki, kj)``, into a ``(C, k, k, OH, OW, N)`` buffer; with the batch
+axis innermost every copy moves contiguous runs, and the buffer *is* the
+``(C·k·k, OH·OW·N)`` GEMM operand. ``col2im`` is the adjoint: ``k·k``
+in-place slice adds into a zeroed channel-major buffer. The only Python
+loop is over the ``k·k`` offsets.
 
-Data layout is NCHW throughout.
+Accumulation order: each input position receives its (up to ``k·k``)
+contributions in ascending ``(ki, kj)`` order onto an initial ``+0.0``.
+That is the per-element order of an unbuffered scatter-add over the
+``(c, ki, kj)``-major patch rows, so results are bit-identical to that
+reference (``tests/nn/lowering_oracle.py``), not merely close.
+
+Arguments and results are ``(N, C, H, W)``-shaped; only the two internal
+buffers are channel-major.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["conv_output_size", "im2col_indices", "im2col", "col2im"]
+__all__ = ["check_conv_geometry", "conv_output_size", "im2col", "col2im"]
+
+
+def check_conv_geometry(kernel: int, stride: int, pad: int) -> None:
+    """Reject geometry the slice lowering would mis-shape or divide by."""
+    if kernel < 1:
+        raise ValueError(f"kernel must be >= 1, got {kernel!r}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride!r}")
+    if pad < 0:
+        raise ValueError(f"pad must be >= 0, got {pad!r}")
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     """Spatial output extent of a convolution along one axis."""
+    check_conv_geometry(kernel, stride, pad)
     out = (size + 2 * pad - kernel) // stride + 1
     if out <= 0:
         raise ValueError(
@@ -26,63 +48,37 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def im2col_indices(
-    channels: int,
-    height: int,
-    width: int,
-    kernel: int,
-    stride: int,
-    pad: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays ``(k, i, j)`` mapping patches to padded-image positions.
-
-    Shapes: ``k`` is ``(C*kh*kw, 1)`` channel indices; ``i``/``j`` are
-    ``(C*kh*kw, out_h*out_w)`` row/column indices. Computed once per layer
-    geometry and cached by the caller.
-    """
-    out_h = conv_output_size(height, kernel, stride, pad)
-    out_w = conv_output_size(width, kernel, stride, pad)
-
-    i0 = np.repeat(np.arange(kernel), kernel)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel), kernel * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kernel * kernel).reshape(-1, 1)
-    return k, i, j
+def _offset_slices(kernel: int, stride: int, out_h: int, out_w: int):
+    """``(ki, kj, rows, cols)`` per kernel offset, ascending ``(ki, kj)``."""
+    for ki in range(kernel):
+        rows = slice(ki, ki + stride * out_h, stride)
+        for kj in range(kernel):
+            yield ki, kj, rows, slice(kj, kj + stride * out_w, stride)
 
 
-def im2col(
-    x: np.ndarray,
-    kernel: int,
-    stride: int,
-    pad: int,
-    indices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
     """Extract sliding patches as columns.
 
     Parameters
     ----------
     x:
         Input of shape ``(N, C, H, W)``.
-    indices:
-        Optional precomputed :func:`im2col_indices` for this geometry.
 
     Returns
     -------
     numpy.ndarray
-        Shape ``(C*kernel*kernel, N*out_h*out_w)``.
+        C-contiguous, shape ``(C*kernel*kernel, out_h*out_w*N)``: rows in
+        ``(c, ki, kj)`` order, columns spatial-major and batch-minor.
     """
     n, c, h, w = x.shape
-    if indices is None:
-        indices = im2col_indices(c, h, w, kernel, stride, pad)
-    k, i, j = indices
-    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = padded[:, k, i, j]  # (N, C*kh*kw, out_h*out_w)
-    return cols.transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
+    out_h = conv_output_size(h, kernel, stride, pad)
+    out_w = conv_output_size(w, kernel, stride, pad)
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    padded[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
+    cols = np.empty((c, kernel, kernel, out_h, out_w, n), dtype=x.dtype)
+    for ki, kj, rows, columns in _offset_slices(kernel, stride, out_h, out_w):
+        cols[:, ki, kj] = padded[:, rows, columns]
+    return cols.reshape(c * kernel * kernel, -1)
 
 
 def col2im(
@@ -91,16 +87,15 @@ def col2im(
     kernel: int,
     stride: int,
     pad: int,
-    indices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back to image shape."""
+    """Adjoint of :func:`im2col`: add columns back into a C-contiguous
+    ``(N, C, H, W)`` image, contributions in ascending ``(ki, kj)`` order."""
     n, c, h, w = x_shape
-    if indices is None:
-        indices = im2col_indices(c, h, w, kernel, stride, pad)
-    k, i, j = indices
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    reshaped = cols.reshape(c * kernel * kernel, -1, n).transpose(2, 0, 1)
-    np.add.at(padded, (slice(None), k, i, j), reshaped)
-    if pad:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
+    out_h = conv_output_size(h, kernel, stride, pad)
+    out_w = conv_output_size(w, kernel, stride, pad)
+    patches = cols.reshape(c, kernel, kernel, out_h, out_w, n)
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
+    for ki, kj, rows, columns in _offset_slices(kernel, stride, out_h, out_w):
+        padded[:, rows, columns] += patches[:, ki, kj]
+    interior = padded[:, pad : pad + h, pad : pad + w]
+    return np.ascontiguousarray(interior.transpose(3, 0, 1, 2))
