@@ -19,7 +19,7 @@ from repro.core.quantization import quantize_3value
 from repro.core.quartic import quartic_encode
 from repro.core.twobit import twobit_encode
 from repro.data import SyntheticImageDataset
-from repro.distributed import Cluster
+from repro.exchange import ExchangeEngine
 
 from benchmarks.conftest import BENCH_CONFIG, emit
 
@@ -30,12 +30,12 @@ def _train(scheme_name_or_compressor, runner, fraction=1.0):
     # A custom compressor: run a one-off cluster at bench scale.
     config = BENCH_CONFIG
     steps = config.steps_for_fraction(fraction)
-    cluster = Cluster(
+    cluster = ExchangeEngine(
         config.model_factory(),
         config.dataset(),
         scheme_name_or_compressor,
         config.schedule(steps),
-        config.cluster_config(),
+        config.engine_config(),
     )
     cluster.train(steps)
     final = cluster.evaluate(test_size=config.eval_size)

@@ -19,13 +19,8 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import (
-    AsyncCluster,
-    AsyncConfig,
-    Cluster,
-    ClusterConfig,
-    StragglerSpec,
-)
+from repro.distributed import StragglerSpec
+from repro.exchange import EngineConfig, ExchangeEngine
 from repro.nn import CosineDecay, build_resnet
 from repro.utils.format import format_table
 
@@ -45,32 +40,34 @@ def _model_factory():
 
 
 def _run_async(scheme_name: str, staleness):
-    cluster = AsyncCluster(
+    cluster = ExchangeEngine(
         _model_factory(),
         _dataset(),
         make_compressor(scheme_name, seed=0),
         CosineDecay(0.05, UPDATES),
-        AsyncConfig(
+        EngineConfig(
             num_workers=WORKERS,
             batch_size=16,
             shard_size=256,
+            sync_mode="async" if staleness is None else "ssp",
             staleness=staleness,
             straggler=STRAGGLER,
             seed=3,
         ),
     )
-    cluster.run_updates(UPDATES)
-    return cluster.evaluate(test_size=500), cluster.max_staleness_observed()
+    cluster.train(UPDATES)
+    accuracy = cluster.evaluate(test_size=500).test_accuracy
+    return accuracy, cluster.max_staleness_observed()
 
 
 def _run_bsp(scheme_name: str):
     # BSP applies one aggregated update per step: UPDATES steps for parity.
-    cluster = Cluster(
+    cluster = ExchangeEngine(
         _model_factory(),
         _dataset(),
         make_compressor(scheme_name, seed=0),
         CosineDecay(0.05, UPDATES),
-        ClusterConfig(
+        EngineConfig(
             num_workers=WORKERS, batch_size=16, shard_size=256, seed=3
         ),
     )

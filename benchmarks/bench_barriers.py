@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from repro.compression import make_compressor
-from repro.distributed import Cluster, ClusterConfig, StragglerSpec
+from repro.distributed import StragglerSpec
+from repro.exchange import EngineConfig, ExchangeEngine
 
 from benchmarks.conftest import BENCH_CONFIG, emit
 
 
 def _run(backup_workers: int, straggler: StragglerSpec | None, steps: int):
     config = BENCH_CONFIG
-    cluster_config = ClusterConfig(
+    engine_config = EngineConfig(
         num_workers=config.num_workers,
         batch_size=config.batch_size,
         shard_size=config.shard_size,
@@ -27,12 +28,12 @@ def _run(backup_workers: int, straggler: StragglerSpec | None, steps: int):
         backup_workers=backup_workers,
         straggler=straggler,
     )
-    cluster = Cluster(
+    cluster = ExchangeEngine(
         config.model_factory(),
         config.dataset(),
         make_compressor("3LC (s=1.00)", seed=0),
         config.schedule(steps),
-        cluster_config,
+        engine_config,
     )
     cluster.train(steps)
     final = cluster.evaluate(test_size=config.eval_size)

@@ -19,7 +19,7 @@ from repro.compression import Compressor, CompressorContext, CompressionResult
 from repro.core.error_feedback import ErrorAccumulationBuffer
 from repro.core.packets import CodecId, WireMessage
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import Cluster, ClusterConfig
+from repro.exchange import EngineConfig, ExchangeEngine
 from repro.nn import CosineDecay, build_resnet, scale_lr_for_workers
 
 
@@ -77,12 +77,12 @@ def main() -> None:
     steps, workers = 60, 4
     dataset = SyntheticImageDataset(DatasetSpec(image_size=16, seed=0))
     for scheme in (SignSGDCompressor(),):
-        cluster = Cluster(
+        cluster = ExchangeEngine(
             lambda: build_resnet(8, base_width=8, seed=42),
             dataset,
             scheme,
             CosineDecay(scale_lr_for_workers(0.02, workers), steps),
-            ClusterConfig(num_workers=workers, batch_size=16, shard_size=256),
+            EngineConfig(num_workers=workers, batch_size=16, shard_size=256),
         )
         cluster.train(steps)
         final = cluster.evaluate(test_size=500)

@@ -13,7 +13,7 @@ import argparse
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import Cluster, ClusterConfig
+from repro.exchange import EngineConfig, ExchangeEngine
 from repro.network import StepTimeModel, link
 from repro.nn import CosineDecay, build_resnet, scale_lr_for_workers
 from repro.utils.format import human_bytes
@@ -21,11 +21,11 @@ from repro.utils.format import human_bytes
 
 def train_once(scheme_name: str, steps: int, workers: int) -> None:
     dataset = SyntheticImageDataset(DatasetSpec(image_size=16, seed=0))
-    config = ClusterConfig(
+    config = EngineConfig(
         num_workers=workers, batch_size=16, shard_size=256, seed=0
     )
     schedule = CosineDecay(scale_lr_for_workers(0.02, workers), steps)
-    cluster = Cluster(
+    cluster = ExchangeEngine(
         lambda: build_resnet(8, base_width=8, seed=42),
         dataset,
         make_compressor(scheme_name, seed=0),

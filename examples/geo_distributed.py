@@ -21,7 +21,7 @@ import argparse
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import Cluster, ClusterConfig
+from repro.exchange import EngineConfig, ExchangeEngine
 from repro.network import Region, WanTopology
 from repro.nn import CosineDecay, build_resnet, scale_lr_for_workers
 from repro.utils.format import format_table, human_bytes
@@ -59,12 +59,12 @@ def measure_per_worker_bytes(scheme_name: str, steps: int) -> tuple[float, float
     """Short real training run; returns mean per-worker (push, pull) bytes."""
     workers = 4
     dataset = SyntheticImageDataset(DatasetSpec(image_size=16, seed=0))
-    cluster = Cluster(
+    cluster = ExchangeEngine(
         lambda: build_resnet(8, base_width=8, seed=42),
         dataset,
         make_compressor(scheme_name, seed=0),
         CosineDecay(scale_lr_for_workers(0.02, workers), steps),
-        ClusterConfig(num_workers=workers, batch_size=16, shard_size=256, seed=0),
+        EngineConfig(num_workers=workers, batch_size=16, shard_size=256, seed=0),
     )
     cluster.train(steps)
     steps_recorded = len(cluster.traffic.steps)

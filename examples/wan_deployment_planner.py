@@ -15,7 +15,7 @@ import argparse
 
 from repro.compression import TABLE1_SCHEMES, make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import Cluster, ClusterConfig
+from repro.exchange import EngineConfig, ExchangeEngine
 from repro.network import LinkSpec, StepTimeModel
 from repro.nn import CosineDecay, build_resnet, scale_lr_for_workers
 from repro.utils.format import format_table, human_bytes
@@ -30,8 +30,8 @@ LINKS = [
 
 def measure_scheme(scheme_name: str, steps: int):
     dataset = SyntheticImageDataset(DatasetSpec(image_size=16, seed=0))
-    config = ClusterConfig(num_workers=4, batch_size=16, shard_size=256, seed=0)
-    cluster = Cluster(
+    config = EngineConfig(num_workers=4, batch_size=16, shard_size=256, seed=0)
+    cluster = ExchangeEngine(
         lambda: build_resnet(8, base_width=8, seed=42),
         dataset,
         make_compressor(scheme_name, seed=0),

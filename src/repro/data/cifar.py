@@ -11,8 +11,8 @@ planar, row-major).
 :func:`load_cifar10` returns float32 NCHW arrays normalized to zero mean
 and unit scale per channel, matching the preprocessing the training stack
 expects. :class:`Cifar10Shards` adapts the arrays to the same shard
-interface as :class:`~repro.data.synthetic.SyntheticImageDataset`, so a
-``Cluster`` can train on real CIFAR-10 without code changes.
+interface as :class:`~repro.data.synthetic.SyntheticImageDataset`, so the
+exchange engine can train on real CIFAR-10 without code changes.
 """
 
 from __future__ import annotations

@@ -1,77 +1,38 @@
-"""Distributed substrate: in-process parameter-server training simulator.
+"""Distributed substrate: the worker / server / barrier primitives the
+exchange engine (:mod:`repro.exchange`) composes into a trainer."""
 
-Exports resolve lazily (PEP 562): the trainer facades in this package are
-built on :mod:`repro.exchange`, whose engine in turn imports the worker /
-server / barrier primitives defined here. Deferring submodule imports until
-first attribute access lets either package be imported first without a
-circular-import failure, and keeps ``import repro.distributed`` cheap.
-"""
+from repro.distributed.allreduce import ReduceResult, RingAllReduce, chunk_bounds
+from repro.distributed.barriers import (
+    BackupWorkerBarrier,
+    BarrierDecision,
+    FullBarrier,
+    StragglerSpec,
+)
+from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
+from repro.distributed.server import ParameterServer, PullBatch
+from repro.distributed.sharding import (
+    ShardedParameterService,
+    ShardLoad,
+    partition_parameters,
+)
+from repro.distributed.worker import GradientBatch, RawGradientBatch, Worker
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-_EXPORTS = {
-    "Cluster": "repro.distributed.cluster",
-    "ClusterConfig": "repro.distributed.cluster",
-    "EvalResult": "repro.distributed.cluster",
-    "ParameterServer": "repro.distributed.server",
-    "PullBatch": "repro.distributed.server",
-    "Worker": "repro.distributed.worker",
-    "GradientBatch": "repro.distributed.worker",
-    "RawGradientBatch": "repro.distributed.worker",
-    "StragglerSpec": "repro.distributed.barriers",
-    "FullBarrier": "repro.distributed.barriers",
-    "BackupWorkerBarrier": "repro.distributed.barriers",
-    "BarrierDecision": "repro.distributed.barriers",
-    "AsyncCluster": "repro.distributed.async_cluster",
-    "AsyncConfig": "repro.distributed.async_cluster",
-    "ShardedParameterService": "repro.distributed.sharding",
-    "ShardLoad": "repro.distributed.sharding",
-    "partition_parameters": "repro.distributed.sharding",
-    "RingAllReduce": "repro.distributed.allreduce",
-    "ReduceResult": "repro.distributed.allreduce",
-    "chunk_bounds": "repro.distributed.allreduce",
-    "SMALL_TENSOR_THRESHOLD": "repro.distributed.defaults",
-    "FUSION_BUCKET_ELEMENTS": "repro.distributed.defaults",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    target = _EXPORTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(target), name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
-
-
-if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.distributed.allreduce import ReduceResult, RingAllReduce, chunk_bounds
-    from repro.distributed.async_cluster import AsyncCluster, AsyncConfig
-    from repro.distributed.barriers import (
-        BackupWorkerBarrier,
-        BarrierDecision,
-        FullBarrier,
-        StragglerSpec,
-    )
-    from repro.distributed.cluster import Cluster, ClusterConfig, EvalResult
-    from repro.distributed.defaults import (
-        FUSION_BUCKET_ELEMENTS,
-        SMALL_TENSOR_THRESHOLD,
-    )
-    from repro.distributed.server import ParameterServer, PullBatch
-    from repro.distributed.sharding import (
-        ShardedParameterService,
-        ShardLoad,
-        partition_parameters,
-    )
-    from repro.distributed.worker import GradientBatch, RawGradientBatch, Worker
+__all__ = [
+    "ParameterServer",
+    "PullBatch",
+    "Worker",
+    "GradientBatch",
+    "RawGradientBatch",
+    "StragglerSpec",
+    "FullBarrier",
+    "BackupWorkerBarrier",
+    "BarrierDecision",
+    "ShardedParameterService",
+    "ShardLoad",
+    "partition_parameters",
+    "RingAllReduce",
+    "ReduceResult",
+    "chunk_bounds",
+    "SMALL_TENSOR_THRESHOLD",
+    "FUSION_BUCKET_ELEMENTS",
+]

@@ -1,7 +1,7 @@
 """Unified gradient/delta exchange: topology × sync mode × fused codec path.
 
-The exchange subsystem separates three concerns the original clusters
-interleaved (the MLSys layering argument — see ARCHITECTURE.md):
+The exchange subsystem separates three concerns (the MLSys layering
+argument — see ARCHITECTURE.md):
 
 * **what travels** — per-tensor compression contexts or fused buckets
   (:mod:`repro.compression.fusion`);
@@ -10,10 +10,9 @@ interleaved (the MLSys layering argument — see ARCHITECTURE.md):
 * **when it travels** — :class:`~repro.exchange.sync.SyncMode`
   (BSP with full/backup barriers, fully async, SSP).
 
-:class:`~repro.exchange.engine.ExchangeEngine` composes the three;
-:class:`~repro.distributed.cluster.Cluster` and
-:class:`~repro.distributed.async_cluster.AsyncCluster` are thin facades
-over it.
+:class:`~repro.exchange.engine.ExchangeEngine` composes the three and is
+the only trainer: one ``train_step`` is one scheduling quantum, finalized
+in one place and accounted through one wire ledger.
 """
 
 from repro.exchange.engine import EngineConfig, EvalResult, ExchangeEngine, StepLog

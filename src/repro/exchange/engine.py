@@ -1,16 +1,22 @@
 """The unified exchange engine: one trainer, any topology × sync mode.
 
-Historically the repository re-implemented the paper's point-to-point
-design three times — the BSP :class:`~repro.distributed.cluster.Cluster`,
-the async/SSP :class:`~repro.distributed.async_cluster.AsyncCluster`, and
-the sharded/all-reduce paths — each with its own worker construction,
-per-tensor compress/decompress fan-out, and traffic accounting.
-:class:`ExchangeEngine` folds them into one engine parameterized by an
+:class:`ExchangeEngine` runs the paper's point-to-point design and its
+alternatives through one loop, parameterized by an
 :class:`~repro.exchange.topology.ExchangeTopology` (where state changes
 travel) and a :class:`~repro.exchange.sync.SyncMode` (when they travel).
-The legacy classes survive as thin facades, and the BSP single-server path
-is op-for-op identical to the seed implementation (the parity tests in
-``tests/exchange`` assert bit-identical loss trajectories and wire bytes).
+The BSP single-server path is op-for-op identical to the seed trainer (the
+parity tests in ``tests/exchange`` assert bit-identical loss trajectories
+and wire bytes).
+
+One call of :meth:`ExchangeEngine.train_step` is one *scheduling quantum*
+— a full BSP step, or one async/SSP update. Five strategies (parameter
+service / ring / hierarchical, each BSP; worker / rack, each event-driven)
+do the exchange and hand back a single quantum value; ``train_step`` alone
+finalizes it (traffic meter, recording, update count, telemetry, step
+log). Inside a strategy every wire message is *posted once* to the
+quantum's ledger, which feeds the ``StepTraffic`` counters and — when
+recording — the ``TransmissionRecord`` stream the simulators replay from
+the same values.
 
 On top of the unified paths sits the **wire-plan layer**
 (``fuse_small_tensors=True``, :mod:`repro.exchange.wireplan`):
@@ -44,14 +50,18 @@ from repro.distributed.barriers import FullBarrier, StragglerSpec
 from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
 from repro.distributed.faults import FaultSpec
 from repro.distributed.worker import Worker
-from repro.exchange.sync import BSPMode, SyncMode, make_sync_mode
+from repro.exchange.sync import SyncMode, make_sync_mode
 from repro.exchange.topology import (
     ExchangeTopology,
     HierarchicalExchangeService,
     make_topology,
 )
 from repro.exchange.wireplan import build_wire_plan, fusion_incompatibility
-from repro.netsim.events import StepTransmissions, TransmissionRecord, UpdateTransmissions
+from repro.netsim.events import (
+    StepTransmissions,
+    TransmissionRecord,
+    UpdateTransmissions,
+)
 from repro.network.traffic import StepTraffic, TrafficMeter
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.nn.loss import SoftmaxCrossEntropy, accuracy
@@ -140,8 +150,6 @@ class EngineConfig:
             raise ValueError("shard_size must be >= batch_size")
         if not (0 <= self.backup_workers < self.num_workers):
             raise ValueError("backup_workers must be in [0, num_workers)")
-        if self.staleness is not None and self.staleness < 0:
-            raise ValueError("staleness must be >= 0 or None")
         if self.bucket_elements < 1:
             raise ValueError("bucket_elements must be >= 1")
         if self.fuse_lossy and not self.fuse_small_tensors:
@@ -163,20 +171,29 @@ class EngineConfig:
                 raise ValueError(reason)
         if self.fixed_compute_seconds is not None and self.fixed_compute_seconds <= 0:
             raise ValueError("fixed_compute_seconds must be > 0 or None")
+        # The registries own the per-knob rules (unknown names, staleness
+        # vs mode, shard count, rack shape); building both here is pure
+        # and makes this the one place a bad combination fails.
+        sync = self.make_sync()
+        topology = self.make_topology()
+        if not topology.supports_event_modes and not sync.synchronous:
+            raise ValueError(
+                f"topology {topology.name!r} is a synchronous collective; "
+                f"it cannot run under sync mode {sync.name!r}"
+            )
+        if topology.wants_raw_gradients and self.backup_workers:
+            raise ValueError(
+                "a ring reduction needs every node's chunk; backup workers "
+                "only apply to parameter-server topologies"
+            )
         if self.topology == "hier":
-            if self.racks < 1:
-                raise ValueError(f"racks must be >= 1, got {self.racks}")
-            if self.rack_size < 2:
-                raise ValueError(
-                    f"a rack ring needs >= 2 workers, got rack_size={self.rack_size}"
-                )
             if self.racks * self.rack_size != self.num_workers:
                 raise ValueError(
                     f"num_workers={self.num_workers} is not divisible into "
                     f"{self.racks} racks of {self.rack_size} "
                     "(racks * rack_size must equal num_workers)"
                 )
-            if self.sync_mode in ("async", "ssp") and self.racks < 2:
+            if not sync.synchronous and self.racks < 2:
                 raise ValueError(
                     "async/SSP hierarchical runs need >= 2 racks; one rack "
                     "has no cross-rack tier to relax"
@@ -222,6 +239,24 @@ class EngineConfig:
                             f"{self.racks} racks"
                         )
 
+    def make_sync(self) -> SyncMode:
+        """The sync mode this configuration selects."""
+        return make_sync_mode(
+            self.sync_mode,
+            backup_workers=self.backup_workers,
+            staleness=self.staleness,
+        )
+
+    def make_topology(self) -> ExchangeTopology:
+        """The exchange topology this configuration selects."""
+        return make_topology(
+            self.topology,
+            num_shards=self.num_shards,
+            racks=self.racks,
+            rack_size=self.rack_size,
+            hier_upper=self.hier_upper,
+        )
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -239,6 +274,105 @@ class StepLog:
     step: int
     train_loss: float
     learning_rate: float
+
+
+class _Ledger:
+    """One quantum's wire ledger.
+
+    Every message is posted once: :meth:`count` adds it to the
+    :class:`~repro.network.traffic.StepTraffic` counters and :meth:`emit`
+    — a no-op unless the run records transmissions — appends the
+    :class:`~repro.netsim.events.TransmissionRecord` the simulators
+    replay, so the meter and the recording cannot drift apart.
+    Collectives are the deliberate exception: the meter takes their
+    all-links totals while their records carry one link's bytes and
+    frames (the links run in parallel).
+    """
+
+    __slots__ = ("traffic", "records")
+
+    def __init__(self, traffic: StepTraffic, recording: bool):
+        self.traffic = traffic
+        self.records: list[TransmissionRecord] | None = [] if recording else None
+
+    def count(self, phase: str, message, main: bool = False) -> None:
+        """Add one compressed message to the push or pull counters."""
+        traffic = self.traffic
+        size, elements = message.wire_size, message.element_count
+        if phase == "pull":
+            traffic.pull_bytes_shared += size
+            traffic.pull_elements += elements
+            traffic.pull_messages += 1
+            if main:
+                traffic.pull_bytes_main += size
+                traffic.pull_elements_main += elements
+        else:
+            traffic.push_bytes += size
+            traffic.push_elements += elements
+            traffic.push_messages += 1
+            if main:
+                traffic.push_bytes_main += size
+                traffic.push_elements_main += elements
+
+    def emit(
+        self, name, params, wire_bytes, elements, route, phase, **routing
+    ) -> None:
+        """Record one transmission (``routing``: worker / copies / frames /
+        depends_on) when recording."""
+        if self.records is not None:
+            self.records.append(
+                TransmissionRecord(
+                    name=name,
+                    params=params,
+                    wire_bytes=wire_bytes,
+                    elements=elements,
+                    route=route,
+                    phase=phase,
+                    **routing,
+                )
+            )
+
+    def post(
+        self, phase, name, params, message, route, *, main=False, **routing
+    ) -> None:
+        """Count one point-to-point message and record it as sent."""
+        self.count(phase, message, main)
+        if self.records is not None:
+            self.emit(
+                name, params, message.wire_size, message.element_count, route,
+                phase, **routing,
+            )
+
+    def close(self, plan, compute_seconds: float, codec: dict[str, float], **header):
+        """Stamp the quantum's critical-path timing on the traffic record
+        and wrap the records in their ``plan`` (``StepTransmissions`` or
+        ``UpdateTransmissions``, whose codec fields ``codec`` names);
+        ``None`` when the run does not record."""
+        self.traffic.compute_seconds = compute_seconds
+        self.traffic.codec_seconds = sum(codec.values())
+        if self.records is None:
+            return None
+        return plan(
+            compute_seconds=compute_seconds,
+            records=tuple(self.records),
+            **codec,
+            **header,
+        )
+
+
+@dataclass
+class _Quantum:
+    """What a strategy hands :meth:`ExchangeEngine.train_step`."""
+
+    #: Global model version the quantum was applied at.
+    step: int
+    loss: float
+    lr: float
+    traffic: StepTraffic
+    #: The recorded plan (``None`` when the run does not record).
+    transmissions: StepTransmissions | UpdateTransmissions | None
+    #: Keyword arguments of the sync family's telemetry emitter.
+    layout: dict
 
 
 class ExchangeEngine:
@@ -282,30 +416,8 @@ class ExchangeEngine:
         # telemetry timeline (async modes reuse the per-unit clocks).
         self._tel_clock = 0.0
 
-        self.sync: SyncMode = make_sync_mode(
-            config.sync_mode,
-            backup_workers=config.backup_workers,
-            staleness=config.staleness,
-        )
-        self.topology: ExchangeTopology = make_topology(
-            config.topology,
-            num_shards=config.num_shards,
-            racks=config.racks,
-            rack_size=config.rack_size,
-            hier_upper=config.hier_upper,
-        )
-        if not self.topology.supports_event_modes and not isinstance(
-            self.sync, BSPMode
-        ):
-            raise ValueError(
-                f"topology {self.topology.name!r} is a synchronous collective; "
-                f"it cannot run under sync mode {self.sync.name!r}"
-            )
-        if self.topology.wants_raw_gradients and config.backup_workers:
-            raise ValueError(
-                "a ring reduction needs every node's chunk; backup workers "
-                "only apply to parameter-server topologies"
-            )
+        self.sync: SyncMode = config.make_sync()
+        self.topology: ExchangeTopology = config.make_topology()
 
         reference_model = model_factory()
         # The wire plan: the topology partitions below-threshold tensors
@@ -366,9 +478,10 @@ class ExchangeEngine:
             fusion_plan=self.fusion_plan,
         )
         self._eval_model = model_factory()
+        self._model_elements = sum(p.size for p in self.service.params.values())
         self.barrier = (
             self.sync.make_barrier(config.num_workers)
-            if isinstance(self.sync, BSPMode)
+            if self.sync.synchronous
             else None
         )
         if (
@@ -389,10 +502,8 @@ class ExchangeEngine:
         #: only when ``record_transmissions`` is on and the mode is
         #: async/SSP).
         self.update_events: list[UpdateTransmissions] = []
-        self._routes: dict[str, str] = (
-            self.topology.transmission_routes(self.service)
-            if config.record_transmissions
-            else {}
+        self._routes: dict[str, str] = self.topology.transmission_routes(
+            self.service
         )
         self.step_logs: list[StepLog] = []
         self._test_cache: tuple[np.ndarray, np.ndarray] | None = None
@@ -417,7 +528,7 @@ class ExchangeEngine:
         self._rack_down_until: dict[int, int] = {}
         self._rack_backlog: dict[int, dict[str, np.ndarray]] = {}
         self._rack_rejoin_delay: dict[int, float] = {}
-        self._fault_counters = {"resync_bytes": 0, "degraded_steps": 0}
+        self._degraded_steps = 0
         if self._fault is not None:
             for crash in self._fault.crashes:
                 if crash.worker not in self._pristine:
@@ -502,9 +613,6 @@ class ExchangeEngine:
     def _is_hierarchical(self) -> bool:
         return isinstance(self.service, HierarchicalExchangeService)
 
-    def _model_elements(self) -> int:
-        return sum(p.size for p in self.service.params.values())
-
     def _rack_workers(self, rack: int) -> list[Worker]:
         """The contiguous worker group forming one rack."""
         size = self.engine_config.rack_size
@@ -513,19 +621,40 @@ class ExchangeEngine:
     # -- training ----------------------------------------------------------
 
     def train_step(self) -> StepLog:
-        """Run one scheduling quantum: a full BSP step, or one async update."""
+        """Run one scheduling quantum: a full BSP step, or one async update.
+
+        The strategy does the exchange; everything that observes a
+        finished quantum happens here, once.
+        """
         if not self.sync.synchronous:
-            log = (
+            quantum = (
                 self._hier_async_update()
                 if self._is_hierarchical
                 else self._async_update()
             )
         elif self._is_hierarchical:
-            log = self._hier_step()
+            quantum = self._hier_step()
         elif self.topology.wants_raw_gradients:
-            log = self._ring_step()
+            quantum = self._ring_step()
         else:
-            log = self._ps_step()
+            quantum = self._ps_step()
+        self.traffic.record(quantum.traffic)
+        if quantum.transmissions is not None:
+            recorded = (
+                self.transmissions if self.sync.synchronous else self.update_events
+            )
+            recorded.append(quantum.transmissions)
+        self.update_count += 1
+        if self.telemetry.enabled:
+            emit = (
+                self._tel_bsp_step
+                if self.sync.synchronous
+                else self._tel_async_update
+            )
+            emit(quantum, **quantum.layout)
+        log = StepLog(
+            step=quantum.step, train_loss=quantum.loss, learning_rate=quantum.lr
+        )
         self.step_logs.append(log)
         return log
 
@@ -537,10 +666,7 @@ class ExchangeEngine:
         for _ in range(steps):
             self.train_step()
             if eval_every and self.global_step % eval_every == 0:
-                # Call the engine's evaluate explicitly: facades may narrow
-                # evaluate()'s return type (AsyncCluster returns a bare
-                # accuracy float), but train() always collects EvalResults.
-                evals.append(ExchangeEngine.evaluate(self, test_size=test_size))
+                evals.append(self.evaluate(test_size=test_size))
         return evals
 
     def _compute_base(self, batch) -> float:
@@ -552,7 +678,9 @@ class ExchangeEngine:
         """Straggler-scaled push-arrival times for the barrier.
 
         Down/departed workers carry a ``None`` batch (fault injection)
-        and never arrive; with no faults every batch is present.
+        and never arrive; with no faults every batch is present. The
+        multipliers are keyed on the service's *pre-exchange* step: call
+        this once per step, before the exchange advances it.
         """
         step = self.service.global_step
         straggler = self.engine_config.straggler
@@ -707,8 +835,8 @@ class ExchangeEngine:
             "departures": counts["departure"],
             "flaps": counts["flap"],
             "rejoins": counts["rejoin"],
-            "resync_bytes": self._fault_counters["resync_bytes"],
-            "degraded_steps": self._fault_counters["degraded_steps"],
+            "resync_bytes": sum(s.resync_bytes for s in self.traffic.steps),
+            "degraded_steps": self._degraded_steps,
             "checkpoint_state": self._fault.checkpoint_state,
         }
 
@@ -716,14 +844,12 @@ class ExchangeEngine:
 
     def _tel_metrics(
         self,
-        record: StepTraffic,
-        *,
+        quantum: _Quantum,
         codec_phases: dict[str, float],
         staleness: int | None = None,
-        loss: float | None = None,
-        lr: float | None = None,
     ) -> None:
-        """Fold one step/update's traffic record into the registry."""
+        """Fold one quantum's traffic record into the registry."""
+        record = quantum.traffic
         reg = self.telemetry.registry
         scheme = getattr(self.scheme, "name", type(self.scheme).__name__)
         reg.counter("wire_bytes", phase="push", scheme=scheme).inc(
@@ -747,34 +873,32 @@ class ExchangeEngine:
                 reg.counter("codec_seconds", phase=phase).inc(seconds)
         if staleness is not None:
             reg.histogram("staleness").observe(staleness)
-        if loss is not None:
-            reg.gauge("train_loss").set(loss)
-        if lr is not None:
-            reg.gauge("learning_rate").set(lr)
+        reg.gauge("train_loss").set(quantum.loss)
+        reg.gauge("learning_rate").set(quantum.lr)
 
     def _tel_bsp_step(
         self,
-        step: int,
+        quantum: _Quantum,
+        *,
         arrivals: dict[int, float],
         compress_by_worker: dict[int, float],
         stages: list[tuple[str, str, float]],
         pull_decompress_seconds: float,
-        record: StepTraffic,
-        loss: float,
-        lr: float,
     ) -> None:
         """Lay one synchronous step on the telemetry virtual clock.
 
         Per-worker tracks carry compute / compress / barrier-wait spans
-        (straggler-scaled arrival times, measured codec costs); the
-        serial middle of the step — server or collective codec work —
-        arrives as ordered ``(track, name, seconds)`` stages, and the
-        parallel pull decode closes the step on every worker track.
+        (the straggler-scaled arrival times the barrier decided on,
+        measured codec costs); the serial middle of the step — server or
+        collective codec work — arrives as ordered ``(track, name,
+        seconds)`` stages, and the parallel pull decode closes the step on
+        every worker track.
         """
         tel = self.telemetry
         tracer = tel.tracer
+        step = quantum.step
         t0 = self._tel_clock
-        barrier = t0 + record.compute_seconds
+        barrier = t0 + quantum.traffic.compute_seconds
         codec_end: dict[int, float] = {}
         top = barrier
         for wid in sorted(arrivals):
@@ -817,63 +941,197 @@ class ExchangeEngine:
         }
         for _, name, seconds in stages:
             codec_phases[name] = codec_phases.get(name, 0.0) + seconds
-        self._tel_metrics(record, codec_phases=codec_phases, loss=loss, lr=lr)
+        self._tel_metrics(quantum, codec_phases)
         tel.snapshot_step(step=step, clock_seconds=cursor)
 
     def _tel_async_update(
         self,
+        quantum: _Quantum,
         *,
-        unit: int,
-        update: int,
-        step: int,
+        track: str,
         t0: float,
-        compute: float,
-        phases: list[tuple[str | None, str, float]],
+        phases: list[tuple[str, str, float]],
         staleness: int,
-        record: StepTraffic,
-        loss: float,
-        lr: float,
-        track_prefix: str = "worker",
     ) -> None:
         """One async/SSP update on the emitting unit's virtual clock.
 
-        ``phases`` are ordered ``(track, name, seconds)`` laid after the
-        compute span; a ``None`` track means the unit's own track.
+        The compute span opens at ``t0`` on the unit's own ``track``;
+        ``phases`` are ordered ``(track, name, seconds)`` laid after it.
         """
         tel = self.telemetry
         tracer = tel.tracer
-        unit_track = f"{track_prefix}{unit}"
+        update = quantum.traffic.step
+        cursor = t0 + quantum.traffic.compute_seconds
         tracer.span(
-            "engine", unit_track, "compute", t0, t0 + compute,
+            "engine", track, "compute", t0, cursor,
             update=update, staleness=staleness,
         )
-        cursor = t0 + compute
         codec_phases: dict[str, float] = {}
         for track, name, seconds in phases:
             if seconds > 0:
                 tracer.span(
-                    "engine",
-                    track if track is not None else unit_track,
-                    name,
-                    cursor,
-                    cursor + seconds,
-                    update=update,
+                    "engine", track, name, cursor, cursor + seconds, update=update
                 )
             cursor += seconds
             codec_phases[name] = codec_phases.get(name, 0.0) + seconds
-        self._tel_metrics(
-            record,
-            codec_phases=codec_phases,
-            staleness=staleness,
-            loss=loss,
-            lr=lr,
-        )
-        tel.snapshot_step(update=update, step=step, clock_seconds=cursor)
+        self._tel_metrics(quantum, codec_phases, staleness)
+        tel.snapshot_step(update=update, step=quantum.step, clock_seconds=cursor)
 
-    def _ps_step(self) -> StepLog:
+    # -- the wire ledger -----------------------------------------------------
+
+    def _open_ledger(
+        self, index: int, *, pull_fanout: int, num_workers: int
+    ) -> _Ledger:
+        """A fresh ledger for quantum ``index`` (a step, or an update)."""
+        return _Ledger(
+            StepTraffic(
+                step=index,
+                pull_fanout=pull_fanout,
+                num_workers=num_workers,
+                model_elements=self._model_elements,
+            ),
+            self.engine_config.record_transmissions,
+        )
+
+    def _frames(self, messages, fused):
+        """``(label, params, message)`` for each transmitted result —
+        per-tensor messages first, then fused buckets. A ``None`` result
+        was deferred by the scheme and put nothing on the wire."""
+        for name, result in messages.items():
+            if result is not None:
+                yield name, (name,), result.message
+        for index, result in fused.items():
+            if result is not None:
+                names = self.fusion_plan.bucket(index).names
+                yield f"bucket:{index}", names, result.message
+
+    def _post_flat(
+        self, ledger: _Ledger, phase: str, items, *, bypassed=None, **routing
+    ) -> None:
+        """Post parameter-service frames on their tensors' routes.
+
+        ``bypassed`` feeds Figure 9's series: given the service's bypass
+        set, frames of the other tensors — the ones that went through the
+        lossy codec — are also counted apart.
+        """
+        routes = self._routes
+        for label, params, message in items:
+            ledger.post(
+                phase,
+                label,
+                params,
+                message,
+                routes[params[0]],
+                main=bypassed is not None and params[0] not in bypassed,
+                **routing,
+            )
+
+    def _post_hier_push(self, ledger: _Ledger, outcome) -> None:
+        """Post one hierarchical exchange's upward traffic.
+
+        Rack rings follow the ring convention — the meter takes the
+        all-links totals, the records one collective per tensor per rack
+        at the busiest link's bytes — then each rack's compressed
+        aggregate crosses its uplink, depending on the rack collectives
+        of the tensors it carries (a fused frame leaves only once every
+        member's collective landed).
+        """
+        rack_size = self.engine_config.rack_size
+        traffic = ledger.traffic
+        traffic.push_bytes += outcome.intra_wire_bytes
+        traffic.push_elements += outcome.intra_elements
+        traffic.push_messages += outcome.ring_frames
+        traffic.intra_rack_bytes += outcome.intra_wire_bytes
+        if ledger.records is not None:
+            for rack, link_bytes in zip(
+                outcome.rack_indices, outcome.per_rack_link_bytes
+            ):
+                for name in self.service.params:
+                    ledger.emit(
+                        f"{name}@rack{rack}",
+                        (name,),
+                        link_bytes.get(name, 0),
+                        outcome.per_tensor_elements.get(name, 0),
+                        f"rack{rack}",
+                        "collective",
+                        worker=rack * rack_size,
+                        frames=2 * (rack_size - 1),
+                    )
+        # Only racks whose uplink is alive have cross-push entries; they
+        # lead ``rack_indices``.
+        for rack, messages, fused in zip(
+            outcome.rack_indices,
+            outcome.cross_push_results,
+            outcome.cross_fused_results,
+        ):
+            for label, params, message in self._frames(messages, fused):
+                traffic.cross_rack_bytes += message.wire_size
+                ledger.post(
+                    "push",
+                    f"{label}@up{rack}",
+                    params,
+                    message,
+                    self._cross_route(params[0], rack),
+                    worker=rack * rack_size,
+                    depends_on=tuple(f"{name}@rack{rack}" for name in params),
+                )
+
+    def _post_hier_pull(
+        self,
+        ledger: _Ledger,
+        items,
+        racks: tuple[int, ...],
+        *,
+        unit: int | None = None,
+    ) -> None:
+        """Post delta frames flowing down to ``racks``.
+
+        Each frame crosses the core tier once per rack, then circulates
+        that rack's ring (``rack_size - 1`` more copies) as a broadcast
+        depending on the crossing. ``unit`` is the rack pulling its own
+        individual (async/SSP) stream. A BSP step's shared pull
+        (``unit=None``) reaches every up rack: behind a single upper
+        server each rack pulls its copy down its own uplink, while a
+        sharded upper's NIC carries all the copies itself.
+        """
+        rack_size = self.engine_config.rack_size
+        traffic = ledger.traffic
+        for label, params, message in items:
+            ledger.count("pull", message)
+            traffic.cross_rack_bytes += message.wire_size * len(racks)
+            traffic.intra_rack_bytes += (
+                message.wire_size * len(racks) * (rack_size - 1)
+            )
+            if ledger.records is None:
+                continue
+            wire = (message.wire_size, message.element_count)
+            route = self._routes[params[0]]
+            if unit is None and route != "cross":
+                ledger.emit(
+                    label, params, *wire, route, "pull",
+                    copies=len(racks), frames=len(racks),
+                )
+                crossing = dict.fromkeys(racks, label)
+            else:
+                crossing = {rack: f"{label}@down{rack}" for rack in racks}
+                for rack in racks:
+                    ledger.emit(
+                        crossing[rack], params, *wire,
+                        self._cross_route(params[0], rack), "pull", worker=unit,
+                    )
+            for rack in racks:
+                ledger.emit(
+                    f"{label}@bcast{rack}", params, *wire, f"rack{rack}", "pull",
+                    worker=unit,
+                    frames=rack_size - 1,
+                    depends_on=(crossing[rack],),
+                )
+
+    # -- synchronous strategies (BSP) ----------------------------------------
+
+    def _ps_step(self) -> _Quantum:
         """One BSP step against a parameter service (single or sharded)."""
         step = self.service.global_step
-        config = self.engine_config
 
         # Fault processing first: crashes due this step take their worker
         # out *before* compute; rejoins resync from the pre-step global
@@ -887,24 +1145,24 @@ class ExchangeEngine:
             else None
             for worker in self.workers
         ]
-        if all(b is None for b in batches):
+        live = [
+            (worker, batch)
+            for worker, batch in zip(self.workers, batches)
+            if batch is not None
+        ]
+        if not live:
             raise RuntimeError(f"step {step}: no live workers remain")
 
         # Barrier: decide whose pushes enter aggregation. Straggler-scaled
         # compute time determines arrival order; dropped pushes were still
         # transmitted (they consumed bandwidth) but are discarded.
-        decision = self._barrier_decide(self._arrivals(batches))
-        accepted_pushes = [batches[i].messages for i in decision.accepted]
-        if self.fusion_plan is not None:
-            pull_batch = self.service.step(
-                accepted_pushes,
-                divisor=len(decision.accepted),
-                fused_pushes=[batches[i].fused for i in decision.accepted],
-            )
-        else:
-            pull_batch = self.service.step(
-                accepted_pushes, divisor=len(decision.accepted)
-            )
+        arrivals = self._arrivals(batches)
+        decision = self._barrier_decide(arrivals)
+        pull_batch = self.service.step(
+            [batches[i].messages for i in decision.accepted],
+            divisor=len(decision.accepted),
+            fused_pushes=[batches[i].fused for i in decision.accepted],
+        )
 
         # Workers pull the *shared* compressed deltas and apply them.
         t0 = time.perf_counter()
@@ -918,313 +1176,153 @@ class ExchangeEngine:
                 continue
             deltas.update(self.service.decompress_fused_pull(index, result.message))
         pull_decompress_seconds = time.perf_counter() - t0
-        for worker, batch in zip(self.workers, batches):
-            if batch is not None:
-                worker.apply_pull(deltas)
+        for worker, _ in live:
+            worker.apply_pull(deltas)
 
-        # -- traffic + timing accounting -------------------------------------
-        n_active = sum(1 for b in batches if b is not None)
-        record = StepTraffic(
-            step=step,
-            pull_fanout=n_active,
-            num_workers=n_active,
-            model_elements=self._model_elements(),
+        ledger = self._open_ledger(
+            step, pull_fanout=len(live), num_workers=len(live)
         )
+        bypassed = self.service.bypassed
+        for worker, batch in live:
+            self._post_flat(
+                ledger,
+                "push",
+                self._frames(batch.messages, batch.fused),
+                bypassed=bypassed,
+                worker=worker.worker_id,
+            )
+        # A shared pull is compressed once but physically transmitted to
+        # every worker: one frame (and one payload copy) per subscriber.
+        self._post_flat(
+            ledger,
+            "pull",
+            self._frames(pull_batch.messages, pull_batch.fused),
+            bypassed=bypassed,
+            copies=len(live),
+            frames=len(live),
+        )
+        traffic = ledger.traffic
         if resynced:
             # Checkpointed rejoin: each restarted worker pulls the full
-            # float32 model once before computing.
-            record.resync_bytes = 4 * record.model_elements * len(resynced)
-            self._fault_counters["resync_bytes"] += record.resync_bytes
-        bypassed = self.service.bypassed
-        for batch in batches:
-            if batch is None:
-                continue
-            for name, result in batch.messages.items():
-                if result is None:
-                    continue
-                record.push_bytes += result.message.wire_size
-                record.push_elements += result.message.element_count
-                record.push_messages += 1
-                if name not in bypassed:
-                    record.push_bytes_main += result.message.wire_size
-                    record.push_elements_main += result.message.element_count
-            for result in batch.fused.values():
-                if result is None:
-                    continue
-                record.push_bytes += result.message.wire_size
-                record.push_elements += result.message.element_count
-                record.push_messages += 1
-        for name, result in pull_batch.messages.items():
-            if result is None:
-                continue
-            record.pull_bytes_shared += result.message.wire_size
-            record.pull_elements += result.message.element_count
-            record.pull_messages += 1
-            if name not in bypassed:
-                record.pull_bytes_main += result.message.wire_size
-                record.pull_elements_main += result.message.element_count
-        for result in pull_batch.fused.values():
-            if result is None:
-                continue
-            record.pull_bytes_shared += result.message.wire_size
-            record.pull_elements += result.message.element_count
-            record.pull_messages += 1
+            # float32 model once before computing — raw records on the
+            # step's pull phase, one per service route.
+            traffic.resync_bytes = 4 * traffic.model_elements * len(resynced)
+            for wid in resynced:
+                for route, elements in sorted(self._resync_route_elements().items()):
+                    ledger.emit(
+                        f"resync:w{wid}:{route}", (), 4 * elements, elements,
+                        route, "pull", worker=wid,
+                    )
+        traffic.dropped_pushes = len(decision.dropped)
         # Workers run in parallel: the barrier charges the slowest worker it
         # actually waited for (straggler-scaled; backup workers excluded).
-        record.compute_seconds = decision.compute_seconds
-        record.dropped_pushes = len(decision.dropped)
         # Codec work on the critical path: slowest worker's push compression,
         # the server's serialized decompress + compress, and one worker's
         # pull decompression (workers decompress in parallel).
-        record.codec_seconds = (
-            max(b.compress_seconds for b in batches if b is not None)
-            + pull_batch.decompress_seconds
-            + pull_batch.compress_seconds
-            + pull_decompress_seconds
+        transmissions = ledger.close(
+            StepTransmissions,
+            decision.compute_seconds,
+            dict(
+                push_compress_seconds=max(b.compress_seconds for _, b in live),
+                server_decompress_seconds=pull_batch.decompress_seconds,
+                server_compress_seconds=pull_batch.compress_seconds,
+                pull_decompress_seconds=pull_decompress_seconds,
+            ),
+            step=step,
         )
-        self.traffic.record(record)
-        if self.engine_config.record_transmissions:
-            self.transmissions.append(
-                self._ps_transmissions(
-                    step,
-                    batches,
-                    pull_batch,
-                    record,
-                    pull_decompress_seconds,
-                    resynced=resynced,
-                )
-            )
-        self.update_count += 1
-
-        loss = float(np.mean([b.loss for b in batches if b is not None]))
-        lr = self.service.schedule(step)
-        if self.telemetry.enabled:
-            self._tel_bsp_step(
-                step,
-                self._arrivals(batches),
-                {
+        return _Quantum(
+            step=step,
+            loss=float(np.mean([batch.loss for _, batch in live])),
+            lr=self.service.schedule(step),
+            traffic=traffic,
+            transmissions=transmissions,
+            layout=dict(
+                arrivals=arrivals,
+                compress_by_worker={
                     worker.worker_id: batch.compress_seconds
-                    for worker, batch in zip(self.workers, batches)
-                    if batch is not None
+                    for worker, batch in live
                 },
-                [
+                stages=[
                     ("server", "decompress", pull_batch.decompress_seconds),
                     ("server", "apply+compress", pull_batch.compress_seconds),
                 ],
-                pull_decompress_seconds,
-                record,
-                loss,
-                lr,
-            )
-        return StepLog(step=step, train_loss=loss, learning_rate=lr)
-
-    def _ps_transmissions(
-        self,
-        step: int,
-        batches,
-        pull_batch,
-        record: StepTraffic,
-        pull_decompress_seconds: float,
-        resynced: tuple[int, ...] | list[int] = (),
-    ) -> StepTransmissions:
-        """Flatten one parameter-service step into simulator events.
-
-        Mirrors the traffic-meter accounting exactly (dropped pushes were
-        still transmitted; deferred messages produce no record; a down
-        worker's ``None`` batch produces nothing), so the simulated
-        serialized schedule reproduces the analytic model's byte and
-        frame totals. Rejoin resyncs ride the step's pull phase as raw
-        float32 records, one per service route per restarted worker.
-        """
-        sends: list[TransmissionRecord] = []
-        fusion_plan = self.fusion_plan
-        for position, batch in enumerate(batches):
-            if batch is None:
-                continue
-            worker_id = self.workers[position].worker_id
-            for name, result in batch.messages.items():
-                if result is None:
-                    continue
-                sends.append(
-                    TransmissionRecord(
-                        name=name,
-                        params=(name,),
-                        wire_bytes=result.message.wire_size,
-                        elements=result.message.element_count,
-                        route=self._routes[name],
-                        worker=worker_id,
-                        phase="push",
-                    )
-                )
-            for index, result in batch.fused.items():
-                if result is None:
-                    continue
-                bucket = fusion_plan.bucket(index)
-                sends.append(
-                    TransmissionRecord(
-                        name=f"bucket:{index}",
-                        params=bucket.names,
-                        wire_bytes=result.message.wire_size,
-                        elements=result.message.element_count,
-                        route=self._routes[bucket.names[0]],
-                        worker=worker_id,
-                        phase="push",
-                    )
-                )
-        # A shared pull is compressed once but physically transmitted to
-        # every worker: one frame (and one payload copy) per subscriber.
-        fanout = record.pull_fanout
-        for name, result in pull_batch.messages.items():
-            if result is None:
-                continue
-            sends.append(
-                TransmissionRecord(
-                    name=name,
-                    params=(name,),
-                    wire_bytes=result.message.wire_size,
-                    elements=result.message.element_count,
-                    route=self._routes[name],
-                    copies=fanout,
-                    phase="pull",
-                    frames=fanout,
-                )
-            )
-        for index, result in pull_batch.fused.items():
-            if result is None:
-                continue
-            bucket = fusion_plan.bucket(index)
-            sends.append(
-                TransmissionRecord(
-                    name=f"bucket:{index}",
-                    params=bucket.names,
-                    wire_bytes=result.message.wire_size,
-                    elements=result.message.element_count,
-                    route=self._routes[bucket.names[0]],
-                    copies=fanout,
-                    phase="pull",
-                    frames=fanout,
-                )
-            )
-        for wid in resynced:
-            for route, elements in sorted(self._resync_route_elements().items()):
-                sends.append(
-                    TransmissionRecord(
-                        name=f"resync:w{wid}:{route}",
-                        params=(),
-                        wire_bytes=4 * elements,
-                        elements=elements,
-                        route=route,
-                        worker=wid,
-                        phase="pull",
-                    )
-                )
-        return StepTransmissions(
-            step=step,
-            compute_seconds=record.compute_seconds,
-            push_compress_seconds=max(
-                b.compress_seconds for b in batches if b is not None
+                pull_decompress_seconds=pull_decompress_seconds,
             ),
-            server_decompress_seconds=pull_batch.decompress_seconds,
-            server_compress_seconds=pull_batch.compress_seconds,
-            pull_decompress_seconds=pull_decompress_seconds,
-            records=tuple(sends),
         )
 
-    def _ring_step(self) -> StepLog:
+    def _ring_step(self) -> _Quantum:
         """One BSP step over the ring: raw gradients, per-hop compression."""
         step = self.service.global_step
-        config = self.engine_config
+        n = self.engine_config.num_workers
 
         batches = [worker.train_step_raw() for worker in self.workers]
-        decision = self.barrier.decide(self._arrivals(batches))
+        arrivals = self._arrivals(batches)
+        decision = self.barrier.decide(arrivals)
         outcome = self.service.exchange([b.grads for b in batches])
         for worker in self.workers:
             worker.apply_pull(outcome.deltas)
 
-        record = StepTraffic(
-            step=step,
-            pull_fanout=0,  # no pull phase: the all-gather already fanned out
-            num_workers=config.num_workers,
-            model_elements=self._model_elements(),
-        )
-        record.push_bytes = outcome.wire_bytes
-        record.push_elements = outcome.elements
+        # No pull phase: the all-gather already fanned out.
+        ledger = self._open_ledger(step, pull_fanout=0, num_workers=n)
+        traffic = ledger.traffic
+        traffic.push_bytes = outcome.wire_bytes
+        traffic.push_elements = outcome.elements
         # Every (node, hop) chunk transmission is one framed message.
-        n = config.num_workers
-        record.push_messages = len(self.service.params) * 2 * (n - 1) * n
-        record.compute_seconds = decision.compute_seconds
-        record.codec_seconds = outcome.codec_seconds
-        self.traffic.record(record)
-        if config.record_transmissions:
-            # One collective record per tensor, accounted *per link*: bytes
-            # are what one hop link carries and frames are one chunk
-            # message per hop (all N links run their 2(N-1) hops in
-            # parallel; the meter's aggregate count stays all-links). The
-            # per-hop codec time rides in the push-compression pipeline.
-            frames_per_tensor = 2 * (n - 1)
-            self.transmissions.append(
-                StepTransmissions(
-                    step=step,
-                    compute_seconds=decision.compute_seconds,
-                    push_compress_seconds=outcome.codec_seconds,
-                    records=tuple(
-                        TransmissionRecord(
-                            name=name,
-                            params=(name,),
-                            wire_bytes=outcome.per_tensor_link_bytes.get(name, 0),
-                            elements=outcome.per_tensor_elements.get(name, 0),
-                            route=self._routes[name],
-                            phase="collective",
-                            frames=frames_per_tensor,
-                        )
-                        for name in self.service.params
-                    ),
-                )
+        traffic.push_messages = len(self.service.params) * 2 * (n - 1) * n
+        # One collective record per tensor, accounted *per link*: bytes are
+        # what one hop link carries and frames are one chunk message per
+        # hop (all N links run their 2(N-1) hops in parallel; the meter's
+        # aggregate count stays all-links). The per-hop codec time rides in
+        # the push-compression pipeline.
+        for name in self.service.params:
+            ledger.emit(
+                name,
+                (name,),
+                outcome.per_tensor_link_bytes.get(name, 0),
+                outcome.per_tensor_elements.get(name, 0),
+                self._routes[name],
+                "collective",
+                frames=2 * (n - 1),
             )
-        self.update_count += 1
+        transmissions = ledger.close(
+            StepTransmissions,
+            decision.compute_seconds,
+            dict(push_compress_seconds=outcome.codec_seconds),
+            step=step,
+        )
+        return _Quantum(
+            step=step,
+            loss=float(np.mean([b.loss for b in batches])),
+            lr=self.service.schedule(step),
+            traffic=traffic,
+            transmissions=transmissions,
+            layout=dict(
+                arrivals=arrivals,
+                compress_by_worker={},
+                stages=[("ring", "allreduce+codec", outcome.codec_seconds)],
+                pull_decompress_seconds=0.0,
+            ),
+        )
 
-        loss = float(np.mean([b.loss for b in batches]))
-        lr = self.service.schedule(step)
-        if self.telemetry.enabled:
-            self._tel_bsp_step(
-                step,
-                self._arrivals(batches),
-                {},
-                [("ring", "allreduce+codec", outcome.codec_seconds)],
-                0.0,
-                record,
-                loss,
-                lr,
-            )
-        return StepLog(step=step, train_loss=loss, learning_rate=lr)
-
-    def _hier_step(self) -> StepLog:
+    def _hier_step(self) -> _Quantum:
         """One BSP step over the two-tier exchange: rack rings, then the
         cross-rack service, then the shared deltas fan back down."""
         step = self.service.global_step
         config = self.engine_config
+        racks, rack_size = config.racks, config.rack_size
 
         down_racks, rejoined = self._apply_rack_faults(step)
-        rejoin_delays = {
-            r: self._rack_rejoin_delay.pop(r, 0.0) for r in rejoined
-        }
 
         batches = [worker.train_step_raw() for worker in self.workers]
-        decision = self._barrier_decide(self._arrivals(batches))
-        if self._fault is not None:
-            outcome = self.service.exchange(
-                [b.grads for b in batches],
-                down_racks=down_racks,
-                catch_up=(
-                    {r: self._rack_backlog[r] for r in rejoined}
-                    if rejoined
-                    else None
-                ),
-            )
-        else:
-            outcome = self.service.exchange([b.grads for b in batches])
+        arrivals = self._arrivals(batches)
+        decision = self._barrier_decide(arrivals)
+        outcome = self.service.exchange(
+            [b.grads for b in batches],
+            down_racks=down_racks,
+            catch_up={r: self._rack_backlog[r] for r in rejoined},
+        )
         lr = self.service.schedule(step)
-        for rack in range(config.racks):
+        for rack in range(racks):
             members = self._rack_workers(rack)
             if rack in down_racks:
                 # Degraded local-only step: the rack ring-reduced its
@@ -1244,7 +1342,7 @@ class ExchangeEngine:
                 for worker in members:
                     worker.apply_pull(outcome.deltas)
         if down_racks:
-            self._fault_counters["degraded_steps"] += 1
+            self._degraded_steps += 1
         if rejoined:
             # The rejoining rack's banked catch-up went up this step; its
             # members now resync their replicas from the post-step global
@@ -1258,492 +1356,107 @@ class ExchangeEngine:
                     {"event": "rejoin", "step": step, "rack": rack}
                 )
 
-        racks, rack_size = config.racks, config.rack_size
-        n_up = racks - len(down_racks)
-        has_cross = racks > 1
-        record = StepTraffic(
-            step=step,
+        up_racks = tuple(r for r in range(racks) if r not in down_racks)
+        ledger = self._open_ledger(
+            step,
             # Every member of an up rack receives one physical copy of
             # each shared cross-rack pull: one copy per up rack crosses
             # the uplink, then rack_size - 1 more circulate the rack ring.
-            pull_fanout=n_up * rack_size if has_cross else 0,
+            pull_fanout=len(up_racks) * rack_size if racks > 1 else 0,
             num_workers=config.num_workers,
-            model_elements=self._model_elements(),
         )
-        record.push_bytes = outcome.intra_wire_bytes + outcome.cross_push_bytes
-        record.push_elements = outcome.intra_elements + outcome.cross_push_elements
-        record.push_messages = outcome.ring_frames + outcome.cross_push_count
-        record.pull_bytes_shared = outcome.cross_pull_bytes
-        record.pull_elements = outcome.cross_pull_elements
-        record.pull_messages = outcome.pull_message_count
-        record.intra_rack_bytes = (
-            outcome.intra_wire_bytes
-            + outcome.cross_pull_bytes * n_up * (rack_size - 1)
+        self._post_hier_push(ledger, outcome)
+        self._post_hier_pull(
+            ledger,
+            self._frames(outcome.pull_messages, outcome.pull_fused),
+            up_racks,
         )
-        record.cross_rack_bytes = (
-            outcome.cross_push_bytes + outcome.cross_pull_bytes * n_up
-        )
+        traffic = ledger.traffic
+        link_down: tuple[tuple[str, float], ...] = ()
         if rejoined:
             # Rejoin resync: one full float32 model per rejoined rack —
             # one copy over the uplink, rack_size - 1 over the rack ring.
-            model_bytes = 4 * record.model_elements
-            record.resync_bytes = model_bytes * rack_size * len(rejoined)
-            record.cross_rack_bytes += model_bytes * len(rejoined)
-            record.intra_rack_bytes += (
+            model_bytes = 4 * traffic.model_elements
+            traffic.resync_bytes = model_bytes * rack_size * len(rejoined)
+            traffic.cross_rack_bytes += model_bytes * len(rejoined)
+            traffic.intra_rack_bytes += (
                 model_bytes * (rack_size - 1) * len(rejoined)
             )
-            self._fault_counters["resync_bytes"] += record.resync_bytes
-        record.compute_seconds = decision.compute_seconds
+            # The rejoining rack's uplink is back but still re-converging:
+            # floor only that rack's cross routes, each with its own
+            # rejoin delay. (Sharded uppers share their NICs across racks,
+            # so those floors still bleed over.)
+            floors: dict[str, float] = {}
+            for rack in rejoined:
+                delay = self._rack_rejoin_delay.pop(rack, 0.0)
+                route_elems = sorted(self._resync_route_elements(rack).items())
+                for route, elements in route_elems:
+                    if delay > 0.0:
+                        floors[route] = max(floors.get(route, 0.0), delay)
+                    ledger.emit(
+                        f"resync:rack{rack}:{route}", (), 4 * elements, elements,
+                        route, "pull",
+                    )
+                ledger.emit(
+                    f"resync:rack{rack}:bcast",
+                    (),
+                    model_bytes,
+                    traffic.model_elements,
+                    f"rack{rack}",
+                    "pull",
+                    frames=rack_size - 1,
+                    depends_on=tuple(
+                        f"resync:rack{rack}:{route}" for route, _ in route_elems
+                    ),
+                )
+            link_down = tuple(sorted(floors.items()))
         # Critical path: the slowest rack's serial (ring + uplink codec)
         # pipeline, the upper service's serialized decompress + compress,
         # and one shared decode of the pulled deltas.
-        record.codec_seconds = (
-            outcome.push_compress_seconds
-            + outcome.server_decompress_seconds
-            + outcome.server_compress_seconds
-            + outcome.pull_decompress_seconds
+        transmissions = ledger.close(
+            StepTransmissions,
+            decision.compute_seconds,
+            dict(
+                push_compress_seconds=outcome.push_compress_seconds,
+                server_decompress_seconds=outcome.server_decompress_seconds,
+                server_compress_seconds=outcome.server_compress_seconds,
+                pull_decompress_seconds=outcome.pull_decompress_seconds,
+            ),
+            step=step,
+            link_down=link_down,
         )
-        self.traffic.record(record)
-        if config.record_transmissions:
-            up_racks = tuple(r for r in range(racks) if r not in down_racks)
-            link_down: tuple[tuple[str, float], ...] = ()
-            extra: list[TransmissionRecord] = []
-            if rejoined:
-                # The rejoining rack's uplink is back but still
-                # re-converging: floor only that rack's cross routes, each
-                # with its own rejoin delay. (Sharded uppers share their
-                # NICs across racks, so those floors still bleed over.)
-                floors: dict[str, float] = {}
-                for rack, delay in rejoin_delays.items():
-                    if delay <= 0.0:
-                        continue
-                    for base in set(self._routes.values()):
-                        route = (
-                            f"cross:rack{rack}" if base == "cross" else base
-                        )
-                        floors[route] = max(floors.get(route, 0.0), delay)
-                link_down = tuple(sorted(floors.items()))
-                for rack in rejoined:
-                    route_elems = self._resync_route_elements(rack)
-                    for route, elements in sorted(route_elems.items()):
-                        extra.append(
-                            TransmissionRecord(
-                                name=f"resync:rack{rack}:{route}",
-                                params=(),
-                                wire_bytes=4 * elements,
-                                elements=elements,
-                                route=route,
-                                phase="pull",
-                            )
-                        )
-                    extra.append(
-                        TransmissionRecord(
-                            name=f"resync:rack{rack}:bcast",
-                            params=(),
-                            wire_bytes=4 * record.model_elements,
-                            elements=record.model_elements,
-                            route=f"rack{rack}",
-                            phase="pull",
-                            frames=rack_size - 1,
-                            depends_on=tuple(
-                                f"resync:rack{rack}:{route}"
-                                for route in sorted(route_elems)
-                            ),
-                        )
-                    )
-            self.transmissions.append(
-                StepTransmissions(
-                    step=step,
-                    compute_seconds=decision.compute_seconds,
-                    push_compress_seconds=outcome.push_compress_seconds,
-                    server_decompress_seconds=outcome.server_decompress_seconds,
-                    server_compress_seconds=outcome.server_compress_seconds,
-                    pull_decompress_seconds=outcome.pull_decompress_seconds,
-                    records=tuple(
-                        self._hier_push_records(outcome)
-                        + self._hier_pull_records(outcome, up_racks=up_racks)
-                        + extra
-                    ),
-                    link_down=link_down,
-                )
-            )
-        self.update_count += 1
-
-        loss = float(np.mean([b.loss for b in batches]))
-        if self.telemetry.enabled:
-            self._tel_bsp_step(
-                step,
-                self._arrivals(batches),
-                {},
-                [
+        return _Quantum(
+            step=step,
+            loss=float(np.mean([b.loss for b in batches])),
+            lr=lr,
+            traffic=traffic,
+            transmissions=transmissions,
+            layout=dict(
+                arrivals=arrivals,
+                compress_by_worker={},
+                stages=[
                     ("racks", "rack-pipeline", outcome.push_compress_seconds),
-                    (
-                        "server",
-                        "decompress",
-                        outcome.server_decompress_seconds,
-                    ),
-                    (
-                        "server",
-                        "apply+compress",
-                        outcome.server_compress_seconds,
-                    ),
+                    ("server", "decompress", outcome.server_decompress_seconds),
+                    ("server", "apply+compress", outcome.server_compress_seconds),
                 ],
-                outcome.pull_decompress_seconds,
-                record,
-                loss,
-                lr,
-            )
-        return StepLog(step=step, train_loss=loss, learning_rate=lr)
+                pull_decompress_seconds=outcome.pull_decompress_seconds,
+            ),
+        )
 
-    def _hier_push_records(
-        self, outcome
-    ) -> list[TransmissionRecord]:
-        """Tier-coupled upward records: per-rack collectives on the fast
-        rack channels, then per-rack compressed aggregates on the cross
-        uplinks, each depending on its rack's collective."""
-        rack_size = self.engine_config.rack_size
-        frames_per_tensor = 2 * (rack_size - 1)
-        records: list[TransmissionRecord] = []
-        for position, rack in enumerate(outcome.rack_indices):
-            leader = rack * rack_size
-            link_bytes = outcome.per_rack_link_bytes[position]
-            for name in self.service.params:
-                records.append(
-                    TransmissionRecord(
-                        name=f"{name}@rack{rack}",
-                        params=(name,),
-                        wire_bytes=link_bytes.get(name, 0),
-                        elements=outcome.per_tensor_elements.get(name, 0),
-                        route=f"rack{rack}",
-                        worker=leader,
-                        phase="collective",
-                        frames=frames_per_tensor,
-                    )
-                )
-        for position, rack in enumerate(outcome.rack_indices):
-            if position >= len(outcome.cross_push_results):
-                break
-            leader = rack * rack_size
-            for name, result in outcome.cross_push_results[position].items():
-                if result is None:
-                    continue
-                records.append(
-                    TransmissionRecord(
-                        name=f"{name}@up{rack}",
-                        params=(name,),
-                        wire_bytes=result.message.wire_size,
-                        elements=result.message.element_count,
-                        route=self._cross_route(name, rack),
-                        worker=leader,
-                        phase="push",
-                        depends_on=(f"{name}@rack{rack}",),
-                    )
-                )
-            if position >= len(outcome.cross_fused_results):
-                continue
-            for index, result in outcome.cross_fused_results[position].items():
-                if result is None:
-                    continue
-                bucket = self.fusion_plan.bucket(index)
-                # A fused uplink frame carries the whole bucket, so it may
-                # leave only once every member's rack collective landed.
-                records.append(
-                    TransmissionRecord(
-                        name=f"bucket:{index}@up{rack}",
-                        params=bucket.names,
-                        wire_bytes=result.message.wire_size,
-                        elements=result.message.element_count,
-                        route=self._cross_route(bucket.names[0], rack),
-                        worker=leader,
-                        phase="push",
-                        depends_on=tuple(
-                            f"{name}@rack{rack}" for name in bucket.names
-                        ),
-                    )
-                )
-        return records
+    # -- event-driven strategies (async / SSP) -------------------------------
 
-    def _hier_pull_records(
-        self, outcome, up_racks: tuple[int, ...] | None = None
-    ) -> list[TransmissionRecord]:
-        """Downward records for a BSP step: one shared pull copy per rack
-        over the cross tier, then an intra-rack pipeline broadcast per
-        rack depending on it. ``up_racks`` (fault injection) restricts the
-        fan-out to racks whose uplink is alive this step."""
-        racks = self.engine_config.racks
-        rack_size = self.engine_config.rack_size
-        if up_racks is None:
-            up_racks = tuple(range(racks))
-        fanout = len(up_racks)
-        records: list[TransmissionRecord] = []
-
-        def shared_pull(name: str, params: tuple[str, ...], message) -> None:
-            per_rack = self._routes[params[0]] == "cross"
-            if per_rack:
-                # Single upper server behind per-rack uplinks: each up
-                # rack pulls its own copy down its own uplink (the
-                # copies ride independent links, not one shared core).
-                for rack in up_racks:
-                    records.append(
-                        TransmissionRecord(
-                            name=f"{name}@down{rack}",
-                            params=params,
-                            wire_bytes=message.wire_size,
-                            elements=message.element_count,
-                            route=f"cross:rack{rack}",
-                            phase="pull",
-                        )
-                    )
-            else:
-                records.append(
-                    TransmissionRecord(
-                        name=name,
-                        params=params,
-                        wire_bytes=message.wire_size,
-                        elements=message.element_count,
-                        route=self._routes[params[0]],
-                        copies=fanout,
-                        phase="pull",
-                        frames=fanout,
-                    )
-                )
-            for rack in up_racks:
-                records.append(
-                    TransmissionRecord(
-                        name=f"{name}@bcast{rack}",
-                        params=params,
-                        wire_bytes=message.wire_size,
-                        elements=message.element_count,
-                        route=f"rack{rack}",
-                        phase="pull",
-                        frames=rack_size - 1,
-                        depends_on=(
-                            (f"{name}@down{rack}",) if per_rack else (name,)
-                        ),
-                    )
-                )
-
-        for name, result in outcome.pull_messages.items():
-            if result is None:
-                continue
-            shared_pull(name, (name,), result.message)
-        for index, result in outcome.pull_fused.items():
-            if result is None:
-                continue
-            bucket = self.fusion_plan.bucket(index)
-            shared_pull(f"bucket:{index}", bucket.names, result.message)
-        return records
-
-    # -- event-driven scheduling (async / SSP) -----------------------------
-
-    def _next_worker(self) -> int:
+    def _next_unit(self) -> int:
         eligible = self.sync.eligible(self._local_steps)
-        return min(eligible, key=lambda wid: (self._clock[wid], wid))
+        return min(eligible, key=lambda unit: (self._clock[unit], unit))
 
-    def run_updates(self, count: int) -> None:
-        """Apply ``count`` asynchronous gradient updates to the global model."""
-        for _ in range(count):
-            self.train_step()
+    def _commit_compute(self, unit: int, workers, batches) -> tuple[int, float, float]:
+        """Advance ``unit``'s virtual clock past this update's compute.
 
-    def _async_update(self) -> StepLog:
-        wid = self._next_worker()
-        worker = self.workers[wid]
-        batch = worker.train_step()
-
-        config = self.engine_config
-        local_step = self._local_steps[wid]
-        multiplier = (
-            config.straggler.multiplier(wid, local_step) if config.straggler else 1.0
-        )
-        compute_seconds = self._compute_base(batch) * multiplier
-        tel_t0 = self._clock[wid]
-        self._clock[wid] += compute_seconds
-        self._local_steps[wid] += 1
-
-        # The service applies this worker's (stale) gradient immediately.
-        step = self.service.global_step
-        staleness = step - self._pull_step[wid]
-        if self.fusion_plan is not None:
-            pull_batch = self.service.step(
-                [batch.messages], divisor=1, fused_pushes=[batch.fused]
-            )
-        else:
-            pull_batch = self.service.step([batch.messages], divisor=1)
-        self.update_count += 1
-
-        # Individual pull: compress (global - worker_view) deltas for this
-        # worker only, via its personal error-feedback contexts.
-        record = StepTraffic(
-            step=self.update_count - 1,
-            pull_fanout=1,
-            num_workers=1,
-            model_elements=self._model_elements(),
-        )
-        pushes: list[TransmissionRecord] = []
-        recording = config.record_transmissions
-        for name, result in batch.messages.items():
-            if result is None:
-                continue
-            record.push_bytes += result.message.wire_size
-            record.push_elements += result.message.element_count
-            record.push_messages += 1
-            if recording:
-                pushes.append(
-                    TransmissionRecord(
-                        name=name,
-                        params=(name,),
-                        wire_bytes=result.message.wire_size,
-                        elements=result.message.element_count,
-                        route=self._routes[name],
-                        worker=wid,
-                        phase="push",
-                    )
-                )
-        for index, result in batch.fused.items():
-            if result is None:
-                continue
-            record.push_bytes += result.message.wire_size
-            record.push_elements += result.message.element_count
-            record.push_messages += 1
-            if recording:
-                bucket = self.fusion_plan.bucket(index)
-                pushes.append(
-                    TransmissionRecord(
-                        name=f"bucket:{index}",
-                        params=bucket.names,
-                        wire_bytes=result.message.wire_size,
-                        elements=result.message.element_count,
-                        route=self._routes[bucket.names[0]],
-                        worker=wid,
-                        phase="push",
-                    )
-                )
-        deltas: dict[str, np.ndarray] = {}
-        pulls: list[TransmissionRecord] = []
-        last = self._last_global[wid]
-        t0 = time.perf_counter()
-        for name, context in self._pull_contexts[wid].items():
-            param = self.service.params[name]
-            increment = param.data - last[name]
-            last[name] = param.data.copy()
-            result = context.compress(increment)
-            if result is None:  # deferred (local-steps); buffered in context
-                continue
-            deltas[name] = result.reconstruction
-            record.pull_bytes_shared += result.message.wire_size
-            record.pull_elements += result.message.element_count
-            record.pull_messages += 1
-            if recording:
-                pulls.append(
-                    TransmissionRecord(
-                        name=name,
-                        params=(name,),
-                        wire_bytes=result.message.wire_size,
-                        elements=result.message.element_count,
-                        route=self._routes[name],
-                        worker=wid,
-                        phase="pull",
-                    )
-                )
-        # This worker's fused pull stream: one frame per bucket carrying
-        # the member increments since its last pull. Increments are built
-        # in bucket order (the `last` snapshots mutate as we go), then all
-        # buckets compress through one vectorized codec pass.
-        fused_pull_items = []
-        for index, context in self._fused_pull_contexts[wid].items():
-            increments = {}
-            for name in context.bucket.names:
-                param = self.service.params[name]
-                increments[name] = param.data - last[name]
-                last[name] = param.data.copy()
-            fused_pull_items.append((index, context, increments))
-        fused_pull_results = compress_fused_batch(
-            (context, increments) for _, context, increments in fused_pull_items
-        )
-        for (index, context, _), result in zip(fused_pull_items, fused_pull_results):
-            bucket = context.bucket
-            if result is None:  # deferred: whole bucket rides the buffer
-                continue
-            deltas.update(result.parts)
-            record.pull_bytes_shared += result.message.wire_size
-            record.pull_elements += result.message.element_count
-            record.pull_messages += 1
-            if recording:
-                pulls.append(
-                    TransmissionRecord(
-                        name=f"bucket:{index}",
-                        params=bucket.names,
-                        wire_bytes=result.message.wire_size,
-                        elements=result.message.element_count,
-                        route=self._routes[bucket.names[0]],
-                        worker=wid,
-                        phase="pull",
-                    )
-                )
-        pull_compress_seconds = time.perf_counter() - t0
-        self._pull_step[wid] = self.service.global_step
-        worker.apply_pull(deltas)
-        # Honest per-update accounting: this scheduling quantum computed on
-        # one worker and serialized one apply on the server (the discarded
-        # shared-pull compression stays uncharged).
-        record.compute_seconds = compute_seconds
-        record.codec_seconds = (
-            batch.compress_seconds
-            + pull_batch.decompress_seconds
-            + pull_compress_seconds
-        )
-        self.traffic.record(record)
-        if recording:
-            self.update_events.append(
-                UpdateTransmissions(
-                    update=self.update_count - 1,
-                    worker=wid,
-                    local_step=local_step,
-                    global_step=step,
-                    staleness=staleness,
-                    clock_seconds=self._clock[wid],
-                    compute_seconds=compute_seconds,
-                    push_compress_seconds=batch.compress_seconds,
-                    server_seconds=pull_batch.decompress_seconds,
-                    pull_compress_seconds=pull_compress_seconds,
-                    records=tuple(pushes + pulls),
-                )
-            )
-
-        lr = self.service.schedule(step)
-        if self.telemetry.enabled:
-            self._tel_async_update(
-                unit=wid,
-                update=self.update_count - 1,
-                step=step,
-                t0=tel_t0,
-                compute=compute_seconds,
-                phases=[
-                    (None, "compress", batch.compress_seconds),
-                    ("server", "apply", pull_batch.decompress_seconds),
-                    ("server", "pull-compress", pull_compress_seconds),
-                ],
-                staleness=staleness,
-                record=record,
-                loss=batch.loss,
-                lr=lr,
-            )
-        return StepLog(step=step, train_loss=batch.loss, learning_rate=lr)
-
-    def _hier_async_update(self) -> StepLog:
-        """One rack's asynchronous update: the rack steps synchronously
-        (ring all-reduce over its members), then exchanges with the
-        cross-rack service on its own clock — intra-rack BSP, inter-rack
-        async/SSP, with staleness observed at rack granularity."""
-        rack = self._next_worker()
-        workers = self._rack_workers(rack)
-        batches = [worker.train_step_raw() for worker in workers]
-
-        config = self.engine_config
-        rack_size = config.rack_size
-        local_step = self._local_steps[rack]
-        straggler = config.straggler
-        # The rack commits when its slowest member finishes computing.
+        The unit commits when its slowest member finishes. Returns its
+        local step index, the compute seconds, and the clock it started at.
+        """
+        local_step = self._local_steps[unit]
+        straggler = self.engine_config.straggler
         compute_seconds = max(
             self._compute_base(batch)
             * (
@@ -1753,155 +1466,175 @@ class ExchangeEngine:
             )
             for worker, batch in zip(workers, batches)
         )
-        tel_t0 = self._clock[rack]
-        self._clock[rack] += compute_seconds
-        self._local_steps[rack] += 1
+        started = self._clock[unit]
+        self._clock[unit] += compute_seconds
+        self._local_steps[unit] += 1
+        return local_step, compute_seconds, started
+
+    def _individual_pull(self, unit: int):
+        """Compress ``unit``'s personal delta stream since its last pull.
+
+        Each tensor's increment ``global - unit_view`` goes through the
+        unit's own error-feedback context (whatever compression defers
+        rides its buffer), then the fused buckets share one vectorized
+        codec pass. Returns the reconstructed deltas the unit applies,
+        the transmitted ``(label, params, message)`` frames in wire order,
+        and the compression seconds.
+        """
+        params = self.service.params
+        last = self._last_global[unit]
+
+        def increment(name: str) -> np.ndarray:
+            data = params[name].data
+            delta = data - last[name]
+            last[name] = data.copy()
+            return delta
+
+        deltas: dict[str, np.ndarray] = {}
+        frames = []
+        t0 = time.perf_counter()
+        for name, context in self._pull_contexts[unit].items():
+            result = context.compress(increment(name))
+            if result is None:  # deferred (local-steps); buffered in context
+                continue
+            deltas[name] = result.reconstruction
+            frames.append((name, (name,), result.message))
+        fused = self._fused_pull_contexts[unit]
+        results = compress_fused_batch(
+            (context, {name: increment(name) for name in context.bucket.names})
+            for context in fused.values()
+        )
+        for (index, context), result in zip(fused.items(), results):
+            if result is None:  # deferred: whole bucket rides the buffer
+                continue
+            deltas.update(result.parts)
+            frames.append((f"bucket:{index}", context.bucket.names, result.message))
+        seconds = time.perf_counter() - t0
+        self._pull_step[unit] = self.service.global_step
+        return deltas, frames, seconds
+
+    def _async_update(self) -> _Quantum:
+        """One worker's asynchronous update against a parameter service."""
+        wid = self._next_unit()
+        worker = self.workers[wid]
+        batch = worker.train_step()
+        local_step, compute_seconds, started = self._commit_compute(
+            wid, [worker], [batch]
+        )
+
+        # The service applies this worker's (stale) gradient immediately.
+        step = self.service.global_step
+        staleness = step - self._pull_step[wid]
+        pull_batch = self.service.step(
+            [batch.messages], divisor=1, fused_pushes=[batch.fused]
+        )
+        deltas, pulls, pull_compress_seconds = self._individual_pull(wid)
+        worker.apply_pull(deltas)
+
+        ledger = self._open_ledger(self.update_count, pull_fanout=1, num_workers=1)
+        self._post_flat(
+            ledger, "push", self._frames(batch.messages, batch.fused), worker=wid
+        )
+        self._post_flat(ledger, "pull", pulls, worker=wid)
+        # Honest per-update accounting: this scheduling quantum computed on
+        # one worker and serialized one apply on the server (the discarded
+        # shared-pull compression stays uncharged).
+        transmissions = ledger.close(
+            UpdateTransmissions,
+            compute_seconds,
+            dict(
+                push_compress_seconds=batch.compress_seconds,
+                server_seconds=pull_batch.decompress_seconds,
+                pull_compress_seconds=pull_compress_seconds,
+            ),
+            update=self.update_count,
+            worker=wid,
+            local_step=local_step,
+            global_step=step,
+            staleness=staleness,
+            clock_seconds=self._clock[wid],
+        )
+        return _Quantum(
+            step=step,
+            loss=batch.loss,
+            lr=self.service.schedule(step),
+            traffic=ledger.traffic,
+            transmissions=transmissions,
+            layout=dict(
+                track=f"worker{wid}",
+                t0=started,
+                phases=[
+                    (f"worker{wid}", "compress", batch.compress_seconds),
+                    ("server", "apply", pull_batch.decompress_seconds),
+                    ("server", "pull-compress", pull_compress_seconds),
+                ],
+                staleness=staleness,
+            ),
+        )
+
+    def _hier_async_update(self) -> _Quantum:
+        """One rack's asynchronous update: the rack steps synchronously
+        (ring all-reduce over its members), then exchanges with the
+        cross-rack service on its own clock — intra-rack BSP, inter-rack
+        async/SSP, with staleness observed at rack granularity."""
+        rack = self._next_unit()
+        workers = self._rack_workers(rack)
+        batches = [worker.train_step_raw() for worker in workers]
+        local_step, compute_seconds, started = self._commit_compute(
+            rack, workers, batches
+        )
 
         step = self.service.global_step
         staleness = step - self._pull_step[rack]
         outcome = self.service.rack_exchange(rack, [b.grads for b in batches])
-        self.update_count += 1
+        # The rack's individual pull crosses the uplink once and circulates
+        # the rack ring, like any shared delta.
+        deltas, pulls, pull_compress_seconds = self._individual_pull(rack)
+        for worker in workers:
+            worker.apply_pull(deltas)
 
-        record = StepTraffic(
-            step=self.update_count - 1,
+        rack_size = self.engine_config.rack_size
+        ledger = self._open_ledger(
+            self.update_count,
             # This rack's pull: one copy over the uplink plus the
             # rack-internal re-broadcast — one physical copy per member.
             pull_fanout=rack_size,
             num_workers=rack_size,
-            model_elements=self._model_elements(),
         )
-        record.push_bytes = outcome.intra_wire_bytes + outcome.cross_push_bytes
-        record.push_elements = outcome.intra_elements + outcome.cross_push_elements
-        record.push_messages = outcome.ring_frames + outcome.cross_push_count
-        record.intra_rack_bytes = outcome.intra_wire_bytes
-        record.cross_rack_bytes = outcome.cross_push_bytes
-
-        recording = config.record_transmissions
-        pushes: list[TransmissionRecord] = (
-            self._hier_push_records(outcome) if recording else []
+        self._post_hier_push(ledger, outcome)
+        self._post_hier_pull(ledger, pulls, (rack,), unit=rack)
+        transmissions = ledger.close(
+            UpdateTransmissions,
+            compute_seconds,
+            dict(
+                push_compress_seconds=outcome.push_compress_seconds,
+                server_seconds=outcome.server_decompress_seconds,
+                pull_compress_seconds=pull_compress_seconds,
+            ),
+            update=self.update_count,
+            worker=rack,
+            local_step=local_step,
+            global_step=step,
+            staleness=staleness,
+            clock_seconds=self._clock[rack],
         )
-
-        # Individual pull: compress (global - rack_view) deltas for this
-        # rack only, via its personal error-feedback contexts; the result
-        # crosses the uplink once and circulates the rack ring.
-        deltas: dict[str, np.ndarray] = {}
-        pulls: list[TransmissionRecord] = []
-        last = self._last_global[rack]
-        t0 = time.perf_counter()
-
-        def account_pull(
-            label: str, params: tuple[str, ...], message
-        ) -> None:
-            record.pull_bytes_shared += message.wire_size
-            record.pull_elements += message.element_count
-            record.pull_messages += 1
-            record.cross_rack_bytes += message.wire_size
-            record.intra_rack_bytes += message.wire_size * (rack_size - 1)
-            if recording:
-                pulls.append(
-                    TransmissionRecord(
-                        name=f"{label}@down{rack}",
-                        params=params,
-                        wire_bytes=message.wire_size,
-                        elements=message.element_count,
-                        route=self._cross_route(params[0], rack),
-                        worker=rack,
-                        phase="pull",
-                    )
-                )
-                pulls.append(
-                    TransmissionRecord(
-                        name=f"{label}@bcast{rack}",
-                        params=params,
-                        wire_bytes=message.wire_size,
-                        elements=message.element_count,
-                        route=f"rack{rack}",
-                        worker=rack,
-                        phase="pull",
-                        frames=rack_size - 1,
-                        depends_on=(f"{label}@down{rack}",),
-                    )
-                )
-
-        for name, context in self._pull_contexts[rack].items():
-            param = self.service.params[name]
-            increment = param.data - last[name]
-            last[name] = param.data.copy()
-            result = context.compress(increment)
-            if result is None:  # deferred (local-steps); buffered in context
-                continue
-            deltas[name] = result.reconstruction
-            account_pull(name, (name,), result.message)
-        # This rack's fused pull stream: one frame per bucket crosses the
-        # uplink and circulates the rack ring, like any shared delta.
-        # Increments are built in bucket order (the `last` snapshots mutate
-        # as we go), then all buckets share one vectorized codec pass.
-        fused_pull_items = []
-        for index, context in self._fused_pull_contexts[rack].items():
-            increments = {}
-            for name in context.bucket.names:
-                param = self.service.params[name]
-                increments[name] = param.data - last[name]
-                last[name] = param.data.copy()
-            fused_pull_items.append((index, context, increments))
-        fused_pull_results = compress_fused_batch(
-            (context, increments) for _, context, increments in fused_pull_items
-        )
-        for (index, context, _), result in zip(fused_pull_items, fused_pull_results):
-            if result is None:  # deferred: whole bucket rides the buffer
-                continue
-            deltas.update(result.parts)
-            account_pull(f"bucket:{index}", context.bucket.names, result.message)
-        pull_compress_seconds = time.perf_counter() - t0
-        self._pull_step[rack] = self.service.global_step
-        for worker in workers:
-            worker.apply_pull(deltas)
-
-        record.compute_seconds = compute_seconds
-        record.codec_seconds = (
-            outcome.push_compress_seconds
-            + outcome.server_decompress_seconds
-            + pull_compress_seconds
-        )
-        self.traffic.record(record)
-        if recording:
-            self.update_events.append(
-                UpdateTransmissions(
-                    update=self.update_count - 1,
-                    worker=rack,
-                    local_step=local_step,
-                    global_step=step,
-                    staleness=staleness,
-                    clock_seconds=self._clock[rack],
-                    compute_seconds=compute_seconds,
-                    push_compress_seconds=outcome.push_compress_seconds,
-                    server_seconds=outcome.server_decompress_seconds,
-                    pull_compress_seconds=pull_compress_seconds,
-                    records=tuple(pushes + pulls),
-                )
-            )
-
-        loss = float(np.mean([b.loss for b in batches]))
-        lr = self.service.schedule(step)
-        if self.telemetry.enabled:
-            self._tel_async_update(
-                unit=rack,
-                update=self.update_count - 1,
-                step=step,
-                t0=tel_t0,
-                compute=compute_seconds,
+        return _Quantum(
+            step=step,
+            loss=float(np.mean([b.loss for b in batches])),
+            lr=self.service.schedule(step),
+            traffic=ledger.traffic,
+            transmissions=transmissions,
+            layout=dict(
+                track=f"rack{rack}",
+                t0=started,
                 phases=[
-                    (None, "rack-pipeline", outcome.push_compress_seconds),
+                    (f"rack{rack}", "rack-pipeline", outcome.push_compress_seconds),
                     ("server", "apply", outcome.server_decompress_seconds),
                     ("server", "pull-compress", pull_compress_seconds),
                 ],
                 staleness=staleness,
-                record=record,
-                loss=loss,
-                lr=lr,
-                track_prefix="rack",
-            )
-        return StepLog(step=step, train_loss=loss, learning_rate=lr)
+            ),
+        )
 
     def max_staleness_observed(self) -> int:
         """Largest local-step lead any worker currently holds (async/SSP)."""

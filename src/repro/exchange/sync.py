@@ -17,8 +17,8 @@ family:
 * :class:`SSPMode` — async with eligibility bounded by a staleness
   threshold (``k = 0`` degenerates to lock-step execution).
 
-A mode also pins the RNG stream labels and pull-context key prefix its
-legacy facade used, so refactored and seed trainers stay bit-identical.
+A mode also pins the RNG stream labels and pull-context key prefix the
+seed's trainer for that mode used, so the engine stays bit-identical to it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class SyncMode(abc.ABC):
     #: True when the engine should run lock-step global steps.
     synchronous: bool = True
     #: RNG stream labels for batcher / augmenter construction. These differ
-    #: between the historical BSP and async clusters; preserving them keeps
-    #: refactored trainers reproducing seed trajectories exactly.
+    #: between the seed's BSP and async trainers; preserving them keeps the
+    #: engine reproducing seed trajectories exactly.
     batch_stream: str = "batch"
     augment_stream: str = "augment"
     #: Key prefix for engine-owned per-worker pull contexts (async modes).
@@ -96,7 +96,7 @@ class SSPMode(AsyncMode):
 
     def __init__(self, staleness: int):
         if staleness < 0:
-            raise ValueError("staleness must be >= 0")
+            raise ValueError(f"staleness must be >= 0, got {staleness}")
         self.staleness = int(staleness)
         self.name = f"ssp(staleness={staleness})"
 
@@ -119,13 +119,20 @@ def make_sync_mode(
     """Construct a sync mode from its registry name and knobs."""
     if name == "bsp":
         if staleness is not None:
-            raise ValueError("staleness only applies to SSP, not 'bsp'")
+            raise ValueError(
+                f"staleness={staleness} only applies to SSP, not 'bsp'"
+            )
         return BSPMode(backup_workers)
     if backup_workers:
-        raise ValueError(f"backup workers only apply to BSP, not {name!r}")
+        raise ValueError(
+            f"backup_workers={backup_workers} only apply to BSP, not {name!r}"
+        )
     if name == "async":
         if staleness is not None:
-            raise ValueError("fully async mode has no staleness bound; use 'ssp'")
+            raise ValueError(
+                f"fully async mode has no staleness bound (got {staleness}); "
+                "use 'ssp'"
+            )
         return AsyncMode()
     if name == "ssp":
         if staleness is None:

@@ -378,8 +378,10 @@ class HierarchicalOutcome:
     Intra-rack quantities follow the ring conventions: ``intra_wire_bytes``
     is the all-links sum while ``per_rack_link_bytes`` holds each rack's
     busiest-single-link bytes per tensor (the honest per-channel volume
-    the simulator schedules). Cross-rack quantities are point-to-point:
-    compressed rack aggregates up, shared compressed deltas down.
+    the simulator schedules). Cross-rack traffic is point-to-point —
+    compressed rack aggregates up, shared compressed deltas down — and
+    comes back as the messages themselves: the engine posts each one to
+    its wire ledger, so no byte totals are kept here.
     """
 
     #: Model deltas every worker applies (``None`` for async rack
@@ -401,20 +403,15 @@ class HierarchicalOutcome:
     cross_push_results: tuple[dict[str, CompressionResult | None], ...]
     #: Per participating rack: uplink compression seconds.
     cross_compress_seconds: tuple[float, ...]
-    cross_push_bytes: int
-    cross_push_elements: int
     #: Shared cross-rack pull messages (BSP only; empty for rack updates).
     pull_messages: dict[str, CompressionResult | None] = field(
         default_factory=dict
     )
-    cross_pull_bytes: int = 0
-    cross_pull_elements: int = 0
     server_decompress_seconds: float = 0.0
     server_compress_seconds: float = 0.0
     pull_decompress_seconds: float = 0.0
     #: Per participating rack: fused cross-push results keyed by (global)
     #: bucket index — empty tuples/dicts when the run has no fusion plan.
-    #: Fused bytes are already folded into the cross byte totals above.
     cross_fused_results: tuple[
         dict[int, FusedCompressionResult | None], ...
     ] = ()
@@ -429,28 +426,6 @@ class HierarchicalOutcome:
     down_rack_grads: dict[int, dict[str, np.ndarray]] = field(
         default_factory=dict
     )
-
-    @property
-    def cross_push_count(self) -> int:
-        """Transmitted cross-push wire frames (named + fused, non-``None``)."""
-        return sum(
-            1
-            for messages in self.cross_push_results
-            for result in messages.values()
-            if result is not None
-        ) + sum(
-            1
-            for fused in self.cross_fused_results
-            for result in fused.values()
-            if result is not None
-        )
-
-    @property
-    def pull_message_count(self) -> int:
-        """Compressed shared-pull messages (named + fused, non-``None``)."""
-        return sum(
-            1 for result in self.pull_messages.values() if result is not None
-        ) + sum(1 for result in self.pull_fused.values() if result is not None)
 
     @property
     def push_compress_seconds(self) -> float:
@@ -772,8 +747,6 @@ class HierarchicalExchangeService:
                 rack_codec_seconds=(out.codec_seconds,),
                 cross_push_results=(),
                 cross_compress_seconds=(0.0,),
-                cross_push_bytes=0,
-                cross_push_elements=0,
             )
 
         rack_grads: list[dict[str, np.ndarray]] = []
@@ -811,7 +784,6 @@ class HierarchicalExchangeService:
         cross_results: list[dict[str, CompressionResult | None]] = []
         cross_fused: list[dict[int, FusedCompressionResult | None]] = []
         cross_compress: list[float] = []
-        cross_bytes = cross_elements = 0
         for rack in up_racks:
             messages, fused, seconds = self._compress_uplink(
                 rack, rack_grads[rack]
@@ -819,44 +791,26 @@ class HierarchicalExchangeService:
             cross_results.append(messages)
             cross_fused.append(fused)
             cross_compress.append(seconds)
-            for result in messages.values():
-                if result is None:
-                    continue
-                cross_bytes += result.message.wire_size
-                cross_elements += result.message.element_count
-            for result in fused.values():
-                if result is None:
-                    continue
-                cross_bytes += result.message.wire_size
-                cross_elements += result.message.element_count
         # Down racks pay no uplink compression; pad so the critical-path
         # zip in ``push_compress_seconds`` stays position-aligned.
         cross_compress.extend(0.0 for _ in down_racks)
 
-        if self.fusion_plan is not None:
-            pull_batch = self.upper.step(
-                cross_results, divisor=len(up_racks), fused_pushes=cross_fused
-            )
-        else:
-            pull_batch = self.upper.step(cross_results, divisor=len(up_racks))
+        pull_batch = self.upper.step(
+            cross_results, divisor=len(up_racks), fused_pushes=cross_fused
+        )
 
         t0 = time.perf_counter()
         deltas: dict[str, np.ndarray] = {}
-        pull_bytes = pull_elements = 0
         for name, result in pull_batch.messages.items():
             if result is None:
                 continue
             deltas[name] = self.upper.decompress_pull(name, result.message)
-            pull_bytes += result.message.wire_size
-            pull_elements += result.message.element_count
         for index, result in pull_batch.fused.items():
             if result is None:
                 continue
             deltas.update(
                 self.upper.decompress_fused_pull(index, result.message)
             )
-            pull_bytes += result.message.wire_size
-            pull_elements += result.message.element_count
         pull_decompress = time.perf_counter() - t0
 
         return HierarchicalOutcome(
@@ -870,11 +824,7 @@ class HierarchicalExchangeService:
             rack_codec_seconds=tuple(rack_codec[r] for r in order),
             cross_push_results=tuple(cross_results),
             cross_compress_seconds=tuple(cross_compress),
-            cross_push_bytes=cross_bytes,
-            cross_push_elements=cross_elements,
             pull_messages=pull_batch.messages,
-            cross_pull_bytes=pull_bytes,
-            cross_pull_elements=pull_elements,
             server_decompress_seconds=pull_batch.decompress_seconds,
             server_compress_seconds=pull_batch.compress_seconds,
             pull_decompress_seconds=pull_decompress,
@@ -904,18 +854,7 @@ class HierarchicalExchangeService:
         per_tensor_elements = self._per_tensor_elements()
         reduced, link_bytes, wire, codec = self._reduce_rack(rack, grad_dicts)
         messages, fused, compress_seconds = self._compress_uplink(rack, reduced)
-        cross_bytes = cross_elements = 0
-        for result in list(messages.values()) + list(fused.values()):
-            if result is None:
-                continue
-            cross_bytes += result.message.wire_size
-            cross_elements += result.message.element_count
-        if self.fusion_plan is not None:
-            pull_batch = self.upper.step(
-                [messages], divisor=1, fused_pushes=[fused]
-            )
-        else:
-            pull_batch = self.upper.step([messages], divisor=1)
+        pull_batch = self.upper.step([messages], divisor=1, fused_pushes=[fused])
         return HierarchicalOutcome(
             deltas=None,
             rack_indices=(rack,),
@@ -927,8 +866,6 @@ class HierarchicalExchangeService:
             rack_codec_seconds=(codec,),
             cross_push_results=(messages,),
             cross_compress_seconds=(compress_seconds,),
-            cross_push_bytes=cross_bytes,
-            cross_push_elements=cross_elements,
             # Async convention (matching the flat parameter server): the
             # discarded shared-pull compression stays uncharged.
             server_decompress_seconds=pull_batch.decompress_seconds,

@@ -3,13 +3,14 @@
 One :class:`ExperimentConfig` pins everything an experiment needs — model,
 dataset, cluster shape, step budget, learning-rate schedule, and the
 hardware-substitution time model — so that every table and figure is
-regenerated from a single declarative object recorded in EXPERIMENTS.md.
+regenerated from a single declarative object (ARCHITECTURE.md shows where
+it sits in the layer stack).
 
-Scale notes (DESIGN.md substitutions): the paper trains ResNet-110 on
-CIFAR-10 with 10 GPU workers for 25,600 steps; the reproduction defaults to
-a ResNet-14 on the synthetic 16×16 task with 4 workers and a few hundred
-steps, preserving the architecture family, optimizer, schedule, and
-measurement protocol.
+Scale notes (ARCHITECTURE.md, "The nn substrate and the compute scale"):
+the paper trains ResNet-110 on CIFAR-10 with 10 GPU workers for 25,600
+steps; the reproduction defaults to a ResNet-14 on the synthetic 16×16
+task with 4 workers and a few hundred steps, preserving the architecture
+family, optimizer, schedule, and measurement protocol.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ from dataclasses import dataclass, field, replace
 
 from repro.data.synthetic import DatasetSpec, SyntheticImageDataset
 from repro.distributed.barriers import StragglerSpec
-from repro.distributed.cluster import ClusterConfig
 from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
 from repro.distributed.faults import FaultSpec
 from repro.exchange.engine import EngineConfig
-from repro.exchange.sync import SYNC_MODES
-from repro.exchange.topology import TOPOLOGIES
-from repro.exchange.wireplan import fusion_incompatibility
 from repro.network.timing import StepTimeModel
 from repro.nn.resnet import build_mlp, build_resnet
 from repro.nn.schedule import CosineDecay, scale_lr_for_workers
@@ -75,8 +72,8 @@ class ExperimentConfig:
     #: sweep-replay fingerprint — never canonicalized away.
     straggler: StragglerSpec | None = None
     #: Injected churn (worker crash/restart, rack uplink flaps, permanent
-    #: departures). Validated against topology/sync mode by the engine;
-    #: like ``straggler`` it invalidates cached recordings.
+    #: departures). Validated against topology/sync mode by
+    #: ``EngineConfig``; like ``straggler`` it invalidates cached recordings.
     fault: FaultSpec | None = None
     #: Hierarchical topology shape: ``racks`` racks of ``rack_size``
     #: workers (must multiply to ``num_workers``), with the cross-rack
@@ -154,24 +151,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.standard_steps < 4:
             raise ValueError("standard_steps must be >= 4")
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}"
-            )
-        if self.sync_mode not in SYNC_MODES:
-            raise ValueError(
-                f"unknown sync mode {self.sync_mode!r}; expected one of {SYNC_MODES}"
-            )
-        if self.sync_mode == "ssp" and self.staleness is None:
-            raise ValueError("sync_mode='ssp' requires a staleness bound")
-        if self.bucket_elements < 1:
-            raise ValueError(
-                f"bucket_elements must be >= 1, got {self.bucket_elements}"
-            )
-        if self.fuse_lossy and not self.fuse_small_tensors:
-            raise ValueError("fuse_lossy requires fuse_small_tensors")
-        if self.bucket_boundaries and not self.fuse_small_tensors:
-            raise ValueError("bucket_boundaries requires fuse_small_tensors")
         if self.model_family not in ("resnet", "mlp"):
             raise ValueError(
                 f"unknown model_family {self.model_family!r}; "
@@ -183,31 +162,7 @@ class ExperimentConfig:
                 f"{self.transmission_priority!r}; "
                 "expected 'registration' or 'smallest'"
             )
-        if self.fuse_small_tensors:
-            reason = fusion_incompatibility(
-                self.topology,
-                racks=self.racks if self.topology == "hier" else None,
-            )
-            if reason is not None:
-                raise ValueError(reason)
         if self.topology == "hier":
-            if self.racks < 1:
-                raise ValueError(f"racks must be >= 1, got {self.racks}")
-            if self.rack_size < 2:
-                raise ValueError(
-                    f"a rack ring needs >= 2 workers, got rack_size={self.rack_size}"
-                )
-            if self.hier_upper not in ("single", "sharded"):
-                raise ValueError(
-                    f"unknown upper tier {self.hier_upper!r}; "
-                    "expected 'single' or 'sharded'"
-                )
-            if self.racks * self.rack_size != self.num_workers:
-                raise ValueError(
-                    f"num_workers={self.num_workers} is not divisible into "
-                    f"{self.racks} racks of {self.rack_size} "
-                    "(racks * rack_size must equal num_workers)"
-                )
             if self.cross_bw_fraction <= 0:
                 raise ValueError(
                     f"cross_bw_fraction must be > 0, got {self.cross_bw_fraction!r}"
@@ -216,6 +171,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"cross_rtt_seconds must be >= 0, got {self.cross_rtt_seconds!r}"
                 )
+        # Everything about the exchange plan itself — topology, sync mode,
+        # cluster shape, fusion, faults — has one rule set: EngineConfig's.
+        self.engine_config()
 
     # -- factories ---------------------------------------------------------
 
@@ -251,20 +209,6 @@ class ExperimentConfig:
             )
 
         return factory
-
-    def cluster_config(self) -> ClusterConfig:
-        return ClusterConfig(
-            num_workers=self.num_workers,
-            batch_size=self.batch_size,
-            shard_size=self.shard_size,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            small_tensor_threshold=self.small_tensor_threshold,
-            augment_pad=self.augment_pad,
-            seed=self.cluster_seed,
-            backup_workers=self.backup_workers,
-            fuse_small_tensors=self.fuse_small_tensors,
-        )
 
     def engine_config(self) -> EngineConfig:
         """The unified-engine configuration for this experiment family."""

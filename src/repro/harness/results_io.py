@@ -13,8 +13,8 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+from repro.exchange.engine import EvalResult
 from repro.harness.runner import RunResult
-from repro.distributed.cluster import EvalResult
 from repro.network.traffic import StepTraffic, TrafficMeter
 
 __all__ = [

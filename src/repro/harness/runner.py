@@ -261,10 +261,10 @@ class ExperimentRunner:
             recording = self.replay_cache.recording(rec_key)
         if recording is None:
             scheme = make_compressor(scheme_name, seed=config.scheme_seed)
-            # The unified engine: the default single-server BSP configuration
-            # reproduces the historical Cluster byte-for-byte; the topology /
-            # sync_mode knobs swap the exchange plan without touching the
-            # measurement protocol.
+            # The default single-server BSP configuration reproduces the
+            # seed trainer byte-for-byte (tests/exchange/test_engine_parity);
+            # the topology / sync_mode knobs swap the exchange plan without
+            # touching the measurement protocol.
             cluster = ExchangeEngine(
                 config.model_factory(),
                 self._dataset,

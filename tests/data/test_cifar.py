@@ -101,17 +101,17 @@ class TestShards:
         assert x.shape[0] == 15
 
     def test_cluster_trains_on_cifar_shards(self, cifar_dir):
-        """The adapter plugs straight into the Cluster."""
+        """The adapter plugs straight into the engine."""
         from repro.compression import make_compressor
-        from repro.distributed import Cluster, ClusterConfig
+        from repro.exchange import EngineConfig, ExchangeEngine
         from repro.nn import ConstantLR, build_resnet
 
-        cluster = Cluster(
+        cluster = ExchangeEngine(
             lambda: build_resnet(8, base_width=4, seed=3),
             Cifar10Shards(cifar_dir, num_shards=2),
             make_compressor("3LC (s=1.00)"),
             ConstantLR(0.01),
-            ClusterConfig(num_workers=2, batch_size=8, shard_size=64),
+            EngineConfig(num_workers=2, batch_size=8, shard_size=64),
         )
         log = cluster.train_step()
         assert np.isfinite(log.train_loss)

@@ -5,13 +5,8 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import (
-    BackupWorkerBarrier,
-    Cluster,
-    ClusterConfig,
-    FullBarrier,
-    StragglerSpec,
-)
+from repro.distributed import BackupWorkerBarrier, FullBarrier, StragglerSpec
+from repro.exchange import EngineConfig, ExchangeEngine
 from repro.nn import CosineDecay, build_resnet
 
 
@@ -79,12 +74,12 @@ class TestBarrierPolicies:
 def make_cluster(**cfg_overrides):
     defaults = dict(num_workers=3, batch_size=8, shard_size=32, seed=0)
     defaults.update(cfg_overrides)
-    return Cluster(
+    return ExchangeEngine(
         lambda: build_resnet(8, base_width=4, seed=7),
         SyntheticImageDataset(DatasetSpec(image_size=12, seed=0)),
         make_compressor("3LC (s=1.00)", seed=0),
         CosineDecay(0.05, 10),
-        ClusterConfig(**defaults),
+        EngineConfig(**defaults),
     )
 
 
@@ -126,4 +121,4 @@ class TestClusterIntegration:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="backup_workers"):
-            ClusterConfig(num_workers=2, backup_workers=2)
+            EngineConfig(num_workers=2, backup_workers=2)

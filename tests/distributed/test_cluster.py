@@ -5,7 +5,7 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import Cluster, ClusterConfig
+from repro.exchange import EngineConfig, ExchangeEngine
 from repro.nn import ConstantLR, CosineDecay, build_mlp, build_resnet
 
 
@@ -20,11 +20,11 @@ def tiny_factory():
 def tiny_config(**overrides):
     defaults = dict(num_workers=2, batch_size=8, shard_size=32, seed=0)
     defaults.update(overrides)
-    return ClusterConfig(**defaults)
+    return EngineConfig(**defaults)
 
 
 def make_cluster(scheme_name="32-bit float", steps_for_schedule=10, **cfg):
-    return Cluster(
+    return ExchangeEngine(
         tiny_factory(),
         tiny_dataset(),
         make_compressor(scheme_name, seed=0),
@@ -86,7 +86,7 @@ class TestClusterMechanics:
         # Error feedback keeps drift around/below the weight scale.
         global_norm = float(
             np.sqrt(
-                sum(np.sum(v**2) for v in cluster.server.state_dict().values())
+                sum(np.sum(v**2) for v in cluster.service.state_dict().values())
             )
         )
         assert divergence < global_norm
@@ -104,25 +104,25 @@ class TestClusterMechanics:
 
     def test_small_tensors_bypass_compression(self):
         cluster = make_cluster("3LC (s=1.00)")
-        bn_names = [n for n in cluster.server.params if "/bn" in n or "gamma" in n]
+        bn_names = [n for n in cluster.service.params if "/bn" in n or "gamma" in n]
         assert bn_names
-        assert all(n in cluster.server.bypassed for n in bn_names)
+        assert all(n in cluster.service.bypassed for n in bn_names)
         # Large conv tensors must NOT bypass.
         big = [
             n
-            for n, p in cluster.server.params.items()
-            if p.size >= cluster.config.small_tensor_threshold
+            for n, p in cluster.service.params.items()
+            if p.size >= cluster.engine_config.small_tensor_threshold
         ]
         assert big
-        assert all(n not in cluster.server.bypassed for n in big)
+        assert all(n not in cluster.service.bypassed for n in big)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ClusterConfig(num_workers=0)
+            EngineConfig(num_workers=0)
         with pytest.raises(ValueError):
-            ClusterConfig(batch_size=0)
+            EngineConfig(batch_size=0)
         with pytest.raises(ValueError):
-            ClusterConfig(shard_size=4, batch_size=8)
+            EngineConfig(shard_size=4, batch_size=8)
 
 
 class TestLocalStepsIntegration:
@@ -142,9 +142,9 @@ class TestLocalStepsIntegration:
 
     def test_model_still_updates(self):
         cluster = make_cluster("2 local steps")
-        before = cluster.server.state_dict()
+        before = cluster.service.state_dict()
         cluster.train(2)
-        after = cluster.server.state_dict()
+        after = cluster.service.state_dict()
         assert any(not np.array_equal(before[k], after[k]) for k in before)
 
 
@@ -158,26 +158,26 @@ class TestGradientAggregation:
         # Capture gradients by running worker steps manually.
         batches = [w.train_step() for w in cluster.workers]
         grads = {}
-        for name in cluster.server.params:
+        for name in cluster.service.params:
             per_worker = [
-                cluster.server.scheme.decompress(b.messages[name].message)
-                if name not in cluster.server.bypassed
+                cluster.service.scheme.decompress(b.messages[name].message)
+                if name not in cluster.service.bypassed
                 else b.messages[name].reconstruction
                 for b in batches
             ]
             grads[name] = np.mean(per_worker, axis=0)
-        before = cluster.server.state_dict()
-        cluster.server.step([b.messages for b in batches])
-        after = cluster.server.state_dict()
+        before = cluster.service.state_dict()
+        cluster.service.step([b.messages for b in batches])
+        after = cluster.service.state_dict()
 
         reference = MomentumSGD(
-            cluster.config.momentum, cluster.config.weight_decay
+            cluster.engine_config.momentum, cluster.engine_config.weight_decay
         )
-        for name, param in cluster.server.params.items():
+        for name, param in cluster.service.params.items():
             expected = before[name].copy()
             grad = grads[name]
             if param.weight_decay:
-                grad = grad + cluster.config.weight_decay * before[name]
+                grad = grad + cluster.engine_config.weight_decay * before[name]
             expected -= 0.05 * grad  # first step: slot == grad, lr == 0.05
             np.testing.assert_allclose(after[name], expected, atol=1e-5)
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import Cluster, ClusterConfig
+from repro.exchange import EngineConfig, ExchangeEngine
 from repro.nn import CosineDecay, build_resnet
 
 NEW_SCHEMES = (
@@ -33,12 +33,12 @@ STEPS = 25
 
 
 def train(scheme_name: str):
-    cluster = Cluster(
+    cluster = ExchangeEngine(
         lambda: build_resnet(8, base_width=4, seed=7),
         SyntheticImageDataset(DatasetSpec(image_size=12, seed=0)),
         make_compressor(scheme_name, seed=0),
         CosineDecay(0.05, STEPS),
-        ClusterConfig(num_workers=2, batch_size=8, shard_size=64, seed=0),
+        EngineConfig(num_workers=2, batch_size=8, shard_size=64, seed=0),
     )
     losses = []
     for _ in range(STEPS):
@@ -78,8 +78,8 @@ def test_dgc_pull_contexts_degrade_to_plain_topk():
     cluster, _ = train("DGC (0.10%)")
     pulls = [
         ctx
-        for name, ctx in cluster.server.pull_contexts.items()
-        if name not in cluster.server.bypassed
+        for name, ctx in cluster.service.pull_contexts.items()
+        if name not in cluster.service.bypassed
     ]
     assert pulls
     assert all(ctx.momentum == 0.0 for ctx in pulls)

@@ -1,11 +1,11 @@
-"""Engine parity: the unified BSP path must reproduce the seed Cluster.
+"""Engine parity: the unified BSP path must reproduce the seed trainer.
 
-Two independent checks hold the refactor to the seed's numerics:
+Two independent checks hold the engine to the seed's numerics:
 
 * ``golden_bsp_trace.json`` was captured by running the *original*
-  (pre-refactor) ``Cluster`` implementation; the engine-backed ``Cluster``
-  must reproduce its per-step train loss, push/pull wire bytes, and final
-  model divergence.
+  (pre-engine) single-server BSP trainer; the engine's default
+  configuration must reproduce its per-step train loss, push/pull wire
+  bytes, and final model divergence.
 * A live re-implementation of the seed's orchestration loop — built from
   the same ``Worker`` / ``ParameterServer`` / ``FullBarrier`` primitives
   the seed composed — must match the engine step-for-step, bit-for-bit.
@@ -19,7 +19,7 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import Augmenter, DatasetSpec, ShardBatcher, SyntheticImageDataset
-from repro.distributed import Cluster, ClusterConfig, FullBarrier, ParameterServer, Worker
+from repro.distributed import FullBarrier, ParameterServer, Worker
 from repro.exchange import EngineConfig, ExchangeEngine
 from repro.nn import CosineDecay, MomentumSGD, build_resnet
 from repro.utils.seeding import SeedSequenceFactory
@@ -35,18 +35,18 @@ def model_factory():
     return build_resnet(8, base_width=4, seed=7)
 
 
-def make_cluster(scheme_name: str) -> Cluster:
-    return Cluster(
+def make_cluster(scheme_name: str) -> ExchangeEngine:
+    return ExchangeEngine(
         model_factory,
         SyntheticImageDataset(DatasetSpec(image_size=12, seed=0)),
         make_compressor(scheme_name, seed=0),
         CosineDecay(0.05, 8),
-        ClusterConfig(num_workers=2, batch_size=8, shard_size=32, seed=0),
+        EngineConfig(num_workers=2, batch_size=8, shard_size=32, seed=0),
     )
 
 
 class SeedReferenceLoop:
-    """The seed Cluster's orchestration, reassembled from the primitives.
+    """The seed trainer's orchestration, reassembled from the primitives.
 
     This is the code the engine refactored away: explicit worker
     construction, shared-pull fan-out, and per-step byte accounting, in the
@@ -54,7 +54,7 @@ class SeedReferenceLoop:
     """
 
     def __init__(self, scheme_name: str):
-        config = ClusterConfig(num_workers=2, batch_size=8, shard_size=32, seed=0)
+        config = EngineConfig(num_workers=2, batch_size=8, shard_size=32, seed=0)
         dataset = SyntheticImageDataset(DatasetSpec(image_size=12, seed=0))
         scheme = make_compressor(scheme_name, seed=0)
         seeds = SeedSequenceFactory(config.seed)
@@ -198,35 +198,7 @@ class TestLiveReference:
         cluster = make_cluster(scheme_name)
         cluster.train(4)
         ref_state = reference.server.state_dict()
-        eng_state = cluster.server.state_dict()
+        eng_state = cluster.service.state_dict()
         assert ref_state.keys() == eng_state.keys()
         for name in ref_state:
             np.testing.assert_array_equal(ref_state[name], eng_state[name])
-
-
-class TestFacadeEquivalence:
-    """Cluster facade and a directly-configured engine are the same path."""
-
-    def test_direct_engine_equals_facade(self):
-        facade = make_cluster("3LC (s=1.00)")
-        engine = ExchangeEngine(
-            model_factory,
-            SyntheticImageDataset(DatasetSpec(image_size=12, seed=0)),
-            make_compressor("3LC (s=1.00)", seed=0),
-            CosineDecay(0.05, 8),
-            EngineConfig(
-                num_workers=2,
-                batch_size=8,
-                shard_size=32,
-                seed=0,
-                topology="single",
-                sync_mode="bsp",
-            ),
-        )
-        facade.train(5)
-        engine.train(5)
-        assert [l.train_loss for l in facade.step_logs] == [
-            l.train_loss for l in engine.step_logs
-        ]
-        assert facade.traffic.total_wire_bytes == engine.traffic.total_wire_bytes
-        assert facade.model_divergence() == engine.model_divergence()

@@ -17,7 +17,6 @@ from repro.compression.fusion import (
 )
 from repro.core.packets import CodecId, FusedWireMessage, WireMessage
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import Cluster, ClusterConfig
 from repro.exchange import EngineConfig, ExchangeEngine
 from repro.nn import CosineDecay, build_resnet
 
@@ -26,13 +25,13 @@ def model_factory():
     return build_resnet(8, base_width=4, seed=7)
 
 
-def make_cluster(fuse: bool, scheme: str = "3LC (s=1.00)") -> Cluster:
-    return Cluster(
+def make_cluster(fuse: bool, scheme: str = "3LC (s=1.00)") -> ExchangeEngine:
+    return ExchangeEngine(
         model_factory,
         SyntheticImageDataset(DatasetSpec(image_size=12, seed=0)),
         make_compressor(scheme, seed=0),
         CosineDecay(0.05, 6),
-        ClusterConfig(
+        EngineConfig(
             num_workers=2,
             batch_size=8,
             shard_size=32,
@@ -210,8 +209,8 @@ class TestEngineFusionParity:
             l.train_loss for l in fused.step_logs
         ]
         assert unfused.model_divergence() == fused.model_divergence()
-        for name, value in unfused.server.state_dict().items():
-            np.testing.assert_array_equal(value, fused.server.state_dict()[name])
+        for name, value in unfused.service.state_dict().items():
+            np.testing.assert_array_equal(value, fused.service.state_dict()[name])
 
     def test_fewer_frames_and_no_byte_regression(self):
         unfused, fused = make_cluster(False), make_cluster(True)
@@ -233,7 +232,7 @@ class TestEngineFusionParity:
         cluster = make_cluster(True)
         plan = cluster.fusion_plan
         assert plan is not None and plan.fused_names
-        assert plan.fused_names <= cluster.server.bypassed
+        assert plan.fused_names <= cluster.service.bypassed
         assert plan.fused_names <= cluster.workers[0].bypassed
 
     def test_fusion_rejected_on_ring_only(self):

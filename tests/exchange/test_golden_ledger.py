@@ -1,0 +1,228 @@
+"""Golden ledger: per-quantum losses, traffic integers and record streams.
+
+``golden_ledger.json`` pins what one scheduling quantum leaves behind —
+its train loss, every integer ``StepTraffic`` field, and the recorded
+``TransmissionRecord`` stream *in order* (the vector simulator core breaks
+ties on registration order) — over the exchange cells the four older
+goldens do not cover: the six ``perf/metrics.py: EXCHANGE_CELLS`` shapes,
+a sharded lossy-fused async run, a hierarchical uplink flap with rejoin,
+and a single-server crash with a checkpointed restart. Every run pins
+``fixed_compute_seconds`` so barrier order and virtual clocks do not
+depend on wall-clock noise.
+
+The second half checks that the recording is an *observer*: switching
+``record_transmissions`` off leaves losses and the traffic log unchanged,
+and on the point-to-point tiers the recorded bytes and frames add up to
+what the meter counted.
+
+Regenerate (after an *intentional* ledger change) by running this file as
+a script: ``PYTHONPATH=src python tests/exchange/test_golden_ledger.py``.
+"""
+
+import functools
+import json
+from dataclasses import fields, replace
+from pathlib import Path
+
+import pytest
+
+from repro.compression import make_compressor
+from repro.distributed.barriers import StragglerSpec
+from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
+from repro.exchange import ExchangeEngine
+from repro.harness.config import FAST_CONFIG
+from repro.network.traffic import StepTraffic
+
+GOLDEN_PATH = Path(__file__).parent / "golden_ledger.json"
+SCHEME = "3LC (s=1.00)"
+QUANTA = 4
+
+#: cell -> ExperimentConfig overrides on the bench MLP. The first six are
+#: the shapes of ``perf/metrics.py: EXCHANGE_CELLS`` (8 workers).
+CELLS = {
+    "single_bsp": dict(topology="single"),
+    "sharded4_fused_bsp": dict(
+        topology="sharded", num_shards=4, fuse_small_tensors=True
+    ),
+    "ring_bsp": dict(topology="ring"),
+    "hier4x2_bsp": dict(topology="hier", racks=4, rack_size=2),
+    "single_async": dict(topology="single", sync_mode="async"),
+    "hier4x2_ssp2": dict(
+        topology="hier", racks=4, rack_size=2, sync_mode="ssp", staleness=2
+    ),
+    "sharded2_lossy_fused_async": dict(
+        num_workers=3,
+        topology="sharded",
+        num_shards=2,
+        fuse_small_tensors=True,
+        fuse_lossy=True,
+        sync_mode="async",
+        straggler=StragglerSpec(
+            jitter_sigma=0.0, slowdown_probability=0.35, slowdown_factor=3.0, seed=5
+        ),
+    ),
+    "hier2x2_flap_rejoin": dict(
+        num_workers=4,
+        topology="hier",
+        racks=2,
+        rack_size=2,
+        fault=FaultSpec(
+            flaps=(UplinkFlap(rack=1, step=1, rejoin_delay_seconds=0.05),)
+        ),
+    ),
+    "single_crash_restart": dict(
+        num_workers=4,
+        topology="single",
+        fault=FaultSpec(crashes=(WorkerCrash(worker=2, step=1),)),
+    ),
+}
+
+INT_FIELDS = tuple(f.name for f in fields(StepTraffic) if f.type == "int")
+
+
+def run_cell(cell: str, *, record: bool = True) -> ExchangeEngine:
+    overrides = {"num_workers": 8, **CELLS[cell]}
+    config = FAST_CONFIG.scaled(
+        model_family="mlp", base_lr=0.005, standard_steps=QUANTA, **overrides
+    )
+    engine = ExchangeEngine(
+        config.model_factory(),
+        config.dataset(),
+        make_compressor(SCHEME, seed=config.scheme_seed),
+        config.schedule(QUANTA),
+        replace(
+            config.engine_config(),
+            record_transmissions=record,
+            fixed_compute_seconds=0.01,
+        ),
+    )
+    engine.train(QUANTA)
+    return engine
+
+
+def traffic_rows(engine: ExchangeEngine) -> list[dict]:
+    return [
+        {
+            "loss": log.train_loss,
+            "compute_seconds": traffic.compute_seconds,
+            "traffic": [getattr(traffic, name) for name in INT_FIELDS],
+        }
+        for log, traffic in zip(engine.step_logs, engine.traffic.steps)
+    ]
+
+
+def ledger(engine: ExchangeEngine) -> list[dict]:
+    """One JSON-ready row per quantum (tuples become lists, as JSON would)."""
+    recorded = engine.transmissions or engine.update_events
+    rows = traffic_rows(engine)
+    assert len(recorded) == len(rows)
+    for row, quantum in zip(rows, recorded):
+        if engine.sync.synchronous:
+            row["link_down"] = [list(pair) for pair in quantum.link_down]
+        else:
+            row["update"] = [
+                quantum.update,
+                quantum.worker,
+                quantum.local_step,
+                quantum.global_step,
+                quantum.staleness,
+                quantum.clock_seconds,
+            ]
+        row["records"] = [
+            [
+                r.name,
+                list(r.params),
+                r.wire_bytes,
+                r.elements,
+                r.route,
+                r.worker,
+                r.phase,
+                r.copies,
+                r.frames,
+                list(r.depends_on),
+            ]
+            for r in quantum.records
+        ]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@functools.cache
+def recorded_engine(cell: str) -> ExchangeEngine:
+    """One recorded run per cell, shared by the tests below."""
+    return run_cell(cell)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+class TestGoldenLedger:
+    def test_ledger_matches_snapshot(self, cell, golden):
+        assert golden["traffic_fields"] == list(INT_FIELDS)
+        rows = ledger(recorded_engine(cell))
+        expected = golden["cells"][cell]
+        assert len(rows) == len(expected) == QUANTA
+        for index, (row, want) in enumerate(zip(rows, expected)):
+            assert row == want, f"{cell}: quantum {index} diverged"
+
+    def test_recording_is_an_observer(self, cell):
+        recorded = recorded_engine(cell)
+        plain = run_cell(cell, record=False)
+        assert not plain.transmissions and not plain.update_events
+        assert traffic_rows(plain) == traffic_rows(recorded)
+
+
+# Ring records are per-link by design (tests/netsim pins that relation).
+@pytest.mark.parametrize(
+    "cell", [cell for cell in CELLS if CELLS[cell]["topology"] != "ring"]
+)
+def test_point_to_point_records_reconcile_with_the_meter(cell):
+    engine = recorded_engine(cell)
+    quanta = engine.transmissions or engine.update_events
+    for quantum, traffic in zip(quanta, engine.traffic.steps):
+        records = quantum.records
+        if CELLS[cell]["topology"] == "hier":
+            cross = sum(
+                r.total_bytes for r in records if r.route.startswith("cross")
+            )
+            assert cross == traffic.cross_rack_bytes
+            continue
+        push = sum(r.total_bytes for r in records if r.phase == "push")
+        pull = sum(r.total_bytes for r in records if r.phase == "pull")
+        assert push == traffic.push_bytes
+        assert pull == traffic.pull_bytes_total + traffic.resync_bytes
+        frames = sum(r.frames for r in records if not r.name.startswith("resync:"))
+        assert frames == traffic.frames
+
+
+def test_snapshot_covers_the_fault_paths(golden):
+    """Guard against regenerating the fault cells into fault-free runs."""
+    flap = golden["cells"]["hier2x2_flap_rejoin"]
+    assert any(row["link_down"] for row in flap)
+    names = [record[0] for row in flap for record in row["records"]]
+    assert "resync:rack1:bcast" in names
+    crash = golden["cells"]["single_crash_restart"]
+    resync = INT_FIELDS.index("resync_bytes")
+    assert [row["traffic"][resync] > 0 for row in crash] == [
+        False,
+        False,
+        True,
+        False,
+    ]
+
+
+if __name__ == "__main__":  # regenerate the snapshot
+    cells = {cell: ledger(run_cell(cell)) for cell in CELLS}
+    lines = ["{", f' "traffic_fields": {json.dumps(list(INT_FIELDS))},', ' "cells": {']
+    for c, (cell, rows) in enumerate(cells.items()):
+        lines.append(f"  {json.dumps(cell)}: [")
+        lines.extend(
+            "   " + json.dumps(row) + ("," if r < len(rows) - 1 else "")
+            for r, row in enumerate(rows)
+        )
+        lines.append("  ]" + ("," if c < len(cells) - 1 else ""))
+    lines += [" }", "}"]
+    GOLDEN_PATH.write_text("\n".join(lines) + "\n")
+    print(f"wrote {GOLDEN_PATH}")

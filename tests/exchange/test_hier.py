@@ -217,7 +217,7 @@ class TestRecording:
                 seed=3,
             ),
         )
-        engine.run_updates(10)
+        engine.train(10)
         assert engine.max_staleness_observed() <= 2
 
 

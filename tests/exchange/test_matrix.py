@@ -135,25 +135,6 @@ def test_unknown_names_rejected():
         make_sync_mode("semi-sync")
 
 
-def test_async_facade_train_collects_eval_results():
-    """AsyncCluster narrows evaluate() to a float (historical contract),
-    but the inherited train() must still collect full EvalResults."""
-    from repro.data import DatasetSpec, SyntheticImageDataset
-    from repro.distributed import AsyncCluster, AsyncConfig
-    from repro.exchange import EvalResult
-
-    cluster = AsyncCluster(
-        lambda: build_resnet(8, base_width=4, seed=7),
-        SyntheticImageDataset(DatasetSpec(image_size=12, seed=0)),
-        make_compressor("32-bit float", seed=0),
-        CosineDecay(0.05, 4),
-        AsyncConfig(num_workers=2, batch_size=8, shard_size=32, seed=0),
-    )
-    evals = cluster.train(4, eval_every=2, test_size=50)
-    assert evals and all(isinstance(e, EvalResult) for e in evals)
-    assert isinstance(cluster.evaluate(test_size=50), float)
-
-
 def test_ring_workers_skip_push_context_allocation():
     engine = make_engine("ring", "bsp", "3LC (s=1.00)")
     worker = engine.workers[0]
@@ -179,5 +160,5 @@ def test_ssp_staleness_bound_holds_on_sharded():
             jitter_sigma=0.0, slowdown_probability=0.5, slowdown_factor=50.0, seed=1
         ),
     )
-    engine.run_updates(18)
+    engine.train(18)
     assert engine.max_staleness_observed() <= 2  # staleness + 1 in flight

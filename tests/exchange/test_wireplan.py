@@ -386,7 +386,7 @@ class TestAsyncFusedPullStreams:
             fixed_compute_seconds=0.05,
             fuse_small_tensors=True,
         )
-        engine.run_updates(10)
+        engine.train(10)
         assert engine.max_staleness_observed() <= 2
 
     def test_hier_async_fused_records_rack_granular_buckets(self):

@@ -225,6 +225,21 @@ class TestEventDrivenSimOverlap:
         with pytest.raises(ValueError, match="staleness"):
             FAST_CONFIG.scaled(sync_mode="ssp")
 
+    @pytest.mark.parametrize(
+        "overrides, offender",
+        [
+            (dict(sync_mode="async", staleness=2), "got 2"),
+            (dict(sync_mode="async", backup_workers=1), "backup_workers=1"),
+            (dict(topology="sharded", num_shards=0), "got 0"),
+        ],
+    )
+    def test_engine_rules_fail_at_config_construction(self, overrides, offender):
+        """EngineConfig is the one rule set: combinations only the engine
+        used to reject (at the first run, after dataset synthesis) now fail
+        when the ExperimentConfig is built, naming the offending value."""
+        with pytest.raises(ValueError, match=offender):
+            FAST_CONFIG.scaled(**overrides)
+
     def test_cli_simulated_async_sweep_drops_deferring_schemes(self, capsys):
         from repro.harness.cli import main
 

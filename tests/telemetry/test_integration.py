@@ -8,10 +8,13 @@ charged to that link's busy accounting, so per-link span sums equal
 precision — well inside 1e-6.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
+from repro.distributed import StragglerSpec
 from repro.exchange import EngineConfig, ExchangeEngine
 from repro.harness.config import FAST_CONFIG
 from repro.harness.runner import ExperimentRunner
@@ -232,6 +235,40 @@ class TestEngineTelemetry:
         assert summary["histograms"]["staleness"]["count"] > 0
         assert any(t.startswith("engine/worker") for t in summary["spans"])
         assert validate_chrome_trace(chrome_trace(tel)) == []
+
+    @pytest.mark.parametrize("topology", ["single", "ring", "hier"])
+    def test_compute_spans_use_the_step_the_barrier_charged(self, topology):
+        """With stragglers, a step's traced compute spans carry the same
+        per-step multipliers its barrier decided on: the slowest worker's
+        compute span is exactly the step's charged compute time."""
+        tel = Telemetry()
+        config = FAST_CONFIG.scaled(
+            model_family="mlp",
+            num_workers=4,
+            topology=topology,
+            straggler=StragglerSpec(jitter_sigma=0.5, seed=3),
+        )
+        engine = ExchangeEngine(
+            config.model_factory(),
+            config.dataset(),
+            make_compressor("3LC (s=1.00)", seed=0),
+            config.schedule(3),
+            replace(config.engine_config(), fixed_compute_seconds=0.01),
+            telemetry=tel,
+        )
+        engine.train(3)
+        charged = [traffic.compute_seconds for traffic in engine.traffic.steps]
+        assert len(set(charged)) == 3  # the multipliers do vary by step
+        for traffic in engine.traffic.steps:
+            spans = [
+                span
+                for span in tel.tracer.spans
+                if span.name == "compute" and span.args["step"] == traffic.step
+            ]
+            assert len(spans) == 4
+            start = spans[0].start
+            assert all(span.start == start for span in spans)
+            assert max(span.end for span in spans) == start + traffic.compute_seconds
 
     def test_disabled_by_default(self):
         dataset = SyntheticImageDataset(DatasetSpec(image_size=12, seed=0))
