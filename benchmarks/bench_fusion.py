@@ -121,10 +121,16 @@ def test_fused_bucket_hot_path():
         [l.train_loss for l in fused.step_logs],
         rtol=1e-5,
     )
-    codec_unfused = unfused.traffic.mean_codec_seconds()
-    codec_fused = fused.traffic.mean_codec_seconds()
     # The point of the hot path: fewer codec calls -> less per-step codec
-    # wall time, fewer frames -> fewer wire bytes at equal payload.
+    # wall time, fewer frames -> fewer wire bytes at equal payload. The
+    # margin is ~1.2x of a few hundred microseconds on a shared box, so
+    # each side is its fastest of three runs (disturbance only adds time).
+    codec_unfused = min(
+        e.traffic.mean_codec_seconds() for e in (unfused, run(False), run(False))
+    )
+    codec_fused = min(
+        e.traffic.mean_codec_seconds() for e in (fused, run(True), run(True))
+    )
     assert codec_fused < codec_unfused, (
         f"fused codec path slower: {codec_fused:.6f}s vs {codec_unfused:.6f}s"
     )

@@ -16,6 +16,7 @@ the cluster then skips the wire entirely for that tensor.
 from __future__ import annotations
 
 import abc
+import functools
 
 import numpy as np
 
@@ -113,6 +114,18 @@ def restore_contexts(contexts: dict, snapshot: dict) -> None:
         context.load_state(snapshot[key])
 
 
+@functools.cache
+def _bypass_compressor() -> "Compressor":
+    """The one raw-float32 scheme every bypass message goes through.
+
+    Stateless, so all schemes share it; built on first use because
+    ``float32`` imports this module.
+    """
+    from repro.compression.float32 import Float32Compressor
+
+    return Float32Compressor()
+
+
 class Compressor(abc.ABC):
     """A compression scheme: factory for contexts plus a stateless decoder.
 
@@ -160,15 +173,11 @@ class Compressor(abc.ABC):
         float32 every step, but schemes that change *when* data is sent
         (N-local-steps) override this so deferral applies to every tensor.
         """
-        from repro.compression.float32 import Float32Compressor
-
-        return Float32Compressor().make_context(shape, key=key)
+        return _bypass_compressor().make_context(shape, key=key)
 
     def decompress_bypass(self, message: WireMessage) -> np.ndarray:
         """Decode a bypass message (raw float32 for every scheme)."""
-        from repro.compression.float32 import Float32Compressor
-
-        return Float32Compressor().decompress(message)
+        return _bypass_compressor().decompress(message)
 
     def make_fused_context(
         self, bucket, *, key: tuple[object, ...] = (), lossy: bool = False

@@ -19,7 +19,12 @@ import numpy as np
 
 from repro.compression.base import Compressor, CompressorContext, CompressionResult
 from repro.core.packets import CodecId, WireMessage
-from repro.core.quantization import QuantizedTensor, dequantize_3value, quantize_stochastic_ternary
+from repro.core.quantization import (
+    QuantizedTensor,
+    dequantize_3value,
+    frame_scale,
+    quantize_stochastic_ternary,
+)
 from repro.core.quartic import quartic_decode, quartic_encode
 from repro.utils.seeding import derive_rng
 
@@ -119,5 +124,4 @@ class StochasticTernaryCompressor(Compressor):
             )
         encoded = np.frombuffer(message.payload, dtype=np.uint8)
         values = quartic_decode(encoded, message.element_count, message.shape)
-        (scale,) = message.scalars
-        return dequantize_3value(QuantizedTensor(values, scale))
+        return dequantize_3value(QuantizedTensor(values, frame_scale(message.scalars)))

@@ -24,6 +24,7 @@ from repro.core.packets import CodecId, WireMessage
 from repro.core.quantization import (
     QuantizedTensor,
     dequantize_3value,
+    frame_scale,
     quantize_3value,
     quantize_3value_batch,
 )
@@ -111,17 +112,23 @@ class ThreeLCCodec:
         """
         arr = np.asarray(tensor, dtype=self.dtype)
         quantized = self.quantize(arr)
-        encoded = quartic_encode(quantized.values)
-        if self.use_zre:
-            encoded = zre_encode(encoded)
-        message = WireMessage(
-            codec_id=self.codec_id,
-            shape=arr.shape,
-            payload=encoded.tobytes(),
-            scalars=(quantized.scale,),
-            dtype=self.dtype,
+        message = self._frame(
+            arr.shape, quartic_encode(quantized.values), quantized.scale
         )
         return CompressionResult(message, dequantize_3value(quantized, self.dtype))
+
+    def _frame(
+        self, shape: tuple[int, ...], packed: np.ndarray, scale: float
+    ) -> WireMessage:
+        """Zero-run encode one tensor's quartic bytes and frame them."""
+        encoded = zre_encode(packed) if self.use_zre else packed
+        return WireMessage(
+            codec_id=self.codec_id,
+            shape=shape,
+            payload=encoded.tobytes(),
+            scalars=(scale,),
+            dtype=self.dtype,
+        )
 
     def compress_batch(self, tensors) -> list[CompressionResult]:
         """Compress many tensors with one vectorized codec pass.
@@ -144,21 +151,15 @@ class ThreeLCCodec:
         packed, byte_offsets = quartic_encode_batch(values, lengths)
         # One fused reconstruction pass: each element times its segment's
         # scale, cast exactly as the scalar dequantize does.
-        recon = values.astype(self.dtype, copy=False) * np.repeat(
-            scales, lengths
-        ).astype(self.dtype, copy=False)
+        recon = values.astype(self.dtype)
+        recon *= np.repeat(scales, lengths).astype(self.dtype, copy=False)
         starts = np.concatenate(([0], np.cumsum(lengths)))
         results = []
         for i, arr in enumerate(arrs):
-            encoded = packed[byte_offsets[i] : byte_offsets[i + 1]]
-            if self.use_zre:
-                encoded = zre_encode(encoded)
-            message = WireMessage(
-                codec_id=self.codec_id,
-                shape=arr.shape,
-                payload=encoded.tobytes(),
-                scalars=(float(scales[i]),),
-                dtype=self.dtype,
+            message = self._frame(
+                arr.shape,
+                packed[byte_offsets[i] : byte_offsets[i + 1]],
+                float(scales[i]),
             )
             results.append(
                 CompressionResult(
@@ -177,8 +178,7 @@ class ThreeLCCodec:
             encoded = zre_decode(encoded)
         count = message.element_count
         values = quartic_decode(encoded, count, message.shape)
-        (scale,) = message.scalars
-        quantized = QuantizedTensor(values, scale)
+        quantized = QuantizedTensor(values, frame_scale(message.scalars))
         return dequantize_3value(quantized, message.dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -228,8 +228,8 @@ class CompressionContext:
             raise ValueError(f"context shape {self.shape}, tensor {arr.shape}")
         if self.buffer is None:
             return self.codec.compress(arr)
-        corrected = self.buffer.add(arr)
-        result = self.codec.compress(corrected)
+        # No copy: the codec only reads the live sum and returns fresh arrays.
+        result = self.codec.compress(self.buffer.accumulate(arr))
         self.buffer.subtract(result.reconstruction)
         return result
 

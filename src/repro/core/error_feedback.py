@@ -61,12 +61,12 @@ class ErrorAccumulationBuffer:
         view.flags.writeable = False
         return view
 
-    def add(self, tensor: np.ndarray) -> np.ndarray:
+    def accumulate(self, tensor: np.ndarray) -> np.ndarray:
         """Step (1): accumulate the new input; return ``residual + input``.
 
-        The returned array is a fresh copy — mutating it does not affect the
-        buffer. The buffer temporarily holds the sum until
-        :meth:`subtract` records what was transmitted.
+        The buffer holds the sum until :meth:`subtract` records what was
+        transmitted; the returned array is a read-only view of it, for lossy
+        stages that only read. :meth:`add` hands out a copy instead.
         """
         tensor = np.asarray(tensor)
         if tensor.shape != self._residual.shape:
@@ -74,7 +74,11 @@ class ErrorAccumulationBuffer:
                 f"shape mismatch: buffer {self._residual.shape}, input {tensor.shape}"
             )
         self._residual += tensor
-        return self._residual.copy()
+        return self.residual
+
+    def add(self, tensor: np.ndarray) -> np.ndarray:
+        """:meth:`accumulate`, returning a fresh copy that is safe to mutate."""
+        return self.accumulate(tensor).copy()
 
     def subtract(self, reconstructed: np.ndarray) -> None:
         """Step (b): subtract the receiver-visible reconstruction.

@@ -26,6 +26,7 @@ quantized tensor an unbiased estimator of the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "quantize_3value",
     "quantize_3value_batch",
     "dequantize_3value",
+    "frame_scale",
     "quantize_stochastic_ternary",
     "MIN_SPARSITY_MULTIPLIER",
     "MAX_SPARSITY_MULTIPLIER",
@@ -85,6 +87,26 @@ def _validate_multiplier(s: float) -> float:
     return s
 
 
+def _max_magnitude(arr: np.ndarray) -> float:
+    """``max(|arr|)`` (0 when empty) from one ``max`` and one ``min`` pass.
+
+    NaN propagates through both and an infinity survives one of them, so the
+    non-finite check rides along with no ``isfinite`` or ``abs`` temporary.
+    """
+    if arr.size == 0:
+        return 0.0
+    magnitude = max(float(arr.max()), -float(arr.min()))
+    if not math.isfinite(magnitude):
+        raise ValueError("cannot quantize non-finite tensor")
+    return magnitude
+
+
+def _round_to_ternary(arr: np.ndarray, divisor) -> np.ndarray:
+    """``rint(arr / divisor)`` as ``int8``, rounded in the quotient's buffer."""
+    ratio = arr / divisor
+    return np.rint(ratio, out=ratio).astype(np.int8)
+
+
 def quantize_3value(tensor: np.ndarray, s: float = 1.0) -> QuantizedTensor:
     """Quantize a real tensor onto ``{-1, 0, 1}`` (Equations 1–2).
 
@@ -109,25 +131,28 @@ def quantize_3value(tensor: np.ndarray, s: float = 1.0) -> QuantizedTensor:
     """
     s = _validate_multiplier(s)
     arr = np.asarray(tensor)
-    if arr.size == 0:
-        return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot quantize non-finite tensor")
-    max_mag = float(np.max(np.abs(arr)))
-    scale = max_mag * s
+    scale = _max_magnitude(arr) * s
     if scale == 0.0:
         return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
-    values = np.rint(arr / scale).astype(np.int8)
-    return QuantizedTensor(values, scale)
+    return QuantizedTensor(_round_to_ternary(arr, scale), scale)
 
 
 def dequantize_3value(
     quantized: QuantizedTensor, dtype: np.dtype | type = np.float32
 ) -> np.ndarray:
     """Reconstruct the tensor as ``M * Q`` (Equation 3)."""
-    return (quantized.scale * quantized.values.astype(dtype, copy=False)).astype(
-        dtype, copy=False
-    )
+    out = quantized.values.astype(dtype)
+    out *= quantized.scale
+    return out
+
+
+def frame_scale(scalars: tuple[float, ...]) -> float:
+    """The scale ``M`` of a received 3-value frame, which must not be trusted."""
+    if len(scalars) != 1 or not (math.isfinite(scalars[0]) and scalars[0] >= 0.0):
+        raise ValueError(
+            f"3-value frame needs scalars=(M,), one finite M >= 0, got {scalars!r}"
+        )
+    return float(scalars[0])
 
 
 def quantize_3value_batch(
@@ -139,10 +164,10 @@ def quantize_3value_batch(
     ``lengths`` gives each segment's element count. Each segment gets its
     own scale ``M_i = max(|segment_i|) * s``, exactly as if
     :func:`quantize_3value` had been called per segment — the per-element
-    arithmetic is bit-identical: the segment maxima come from one
-    ``maximum.reduceat``, and each element divides by its segment's scale
-    cast to ``flat``'s dtype, the same cast NumPy applies to the scalar
-    divisor in the per-tensor path.
+    arithmetic is bit-identical: the segment magnitudes come from a
+    ``maximum.reduceat`` and a ``minimum.reduceat``, and each element
+    divides by its segment's scale cast to ``flat``'s dtype, the same cast
+    NumPy applies to the scalar divisor in the per-tensor path.
 
     Returns
     -------
@@ -159,23 +184,24 @@ def quantize_3value_batch(
         raise ValueError(
             f"segment lengths sum to {total}, flat array has {flat.size}"
         )
-    if flat.size and not np.all(np.isfinite(flat)):
-        raise ValueError("cannot quantize non-finite tensor")
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     mags = np.zeros(lengths.shape[0], dtype=np.float64)
     nonempty = lengths > 0
     if flat.size:
         # Zero-length segments occupy no indices, so consecutive nonempty
-        # starts bound exactly one segment each.
-        mags[nonempty] = np.maximum.reduceat(np.abs(flat), starts[nonempty])
+        # starts bound exactly one segment each (cf. _max_magnitude).
+        live = starts[nonempty]
+        lows = np.minimum.reduceat(flat, live).astype(np.float64)
+        mags[nonempty] = np.maximum(np.maximum.reduceat(flat, live), -lows)
+        if not np.isfinite(mags).all():
+            raise ValueError("cannot quantize non-finite tensor")
     scales = mags * s
     # A zero scale means the whole segment is zero, so dividing it by the
     # placeholder 1.0 still rounds to all-zero values — no masking needed.
     divisor = np.where(scales > 0.0, scales, 1.0)[
         np.repeat(np.arange(lengths.shape[0]), lengths)
     ].astype(flat.dtype, copy=False)
-    values = np.rint(flat / divisor).astype(np.int8)
-    return values, scales
+    return _round_to_ternary(flat, divisor), scales
 
 
 def quantize_stochastic_ternary(
@@ -196,11 +222,7 @@ def quantize_stochastic_ternary(
         so runs are reproducible.
     """
     arr = np.asarray(tensor)
-    if arr.size == 0:
-        return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot quantize non-finite tensor")
-    scale = float(np.max(np.abs(arr)))
+    scale = _max_magnitude(arr)
     if scale == 0.0:
         return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
     prob = np.abs(arr) / scale

@@ -46,11 +46,43 @@ MAX_QUARTIC_BYTE = 242
 
 # Powers of 3 for the five digit positions, most-significant first.
 _POWERS = np.array([81, 27, 9, 3, 1], dtype=np.uint8)
+#: Row ``b`` holds the five ternary values byte ``b`` unpacks to.
+_DECODE_TABLE = (np.arange(243)[:, None] // _POWERS % 3 - 1).astype(np.int8)
+_RANGE_ERROR = "quartic encoding requires values in {-1, 0, 1}"
 
 
 def padded_length(n: int) -> int:
     """Number of values after padding ``n`` up to a multiple of 5."""
     return -(-n // GROUP_SIZE) * GROUP_SIZE
+
+
+def _pack(values: np.ndarray, digits: np.ndarray, dest) -> np.ndarray:
+    """Shift ``values`` into ``digits[dest]`` and evaluate the quartic form.
+
+    ``digits`` is the padded ``uint8`` buffer, pre-filled with 1 — the digit
+    of a quantized zero, so padded groups stay eligible for zero-run encoding.
+    """
+    flat = np.asarray(values).reshape(-1)
+    if flat.dtype.kind not in "iu":
+        raise ValueError(
+            f"quartic encoding requires an integer dtype, got {flat.dtype}"
+        )
+    if flat.dtype != np.int8:
+        # Checked exactly before the narrowing cast can fold 255 onto -1.
+        if flat.size and (flat.min() < -1 or flat.max() > 1):
+            raise ValueError(_RANGE_ERROR)
+        flat = flat.astype(np.int8)
+    # The +1 in uint8 wraps -1 to 0 and leaves every other int8 above 2
+    # (127 lands on 128, -128 on 129): one max() is the whole range check.
+    digits[dest] = flat.view(np.uint8) + 1
+    if flat.size and digits.max() > 2:
+        raise ValueError(_RANGE_ERROR)
+    groups = digits.reshape(-1, GROUP_SIZE)
+    packed = groups[:, 0] * _POWERS[0]  # uint8 throughout: the sum is <= 242
+    for column in range(1, GROUP_SIZE - 1):
+        packed += groups[:, column] * _POWERS[column]
+    packed += groups[:, GROUP_SIZE - 1]
+    return packed
 
 
 def quartic_encode(values: np.ndarray) -> np.ndarray:
@@ -73,25 +105,11 @@ def quartic_encode(values: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If any entry lies outside ``{-1, 0, 1}``.
+        If the dtype is not an integer one, or any entry lies outside
+        ``{-1, 0, 1}``.
     """
-    arr = np.asarray(values)
-    flat = arr.reshape(-1)
-    if flat.size and (flat.min() < -1 or flat.max() > 1):
-        raise ValueError("quartic encoding requires values in {-1, 0, 1}")
-    # Steps 1-4 of the paper: +1, cast to uint8, flatten, pad to multiple of 5.
-    digits = (flat.astype(np.int16) + 1).astype(np.uint8)
-    pad = padded_length(flat.size) - flat.size
-    if pad:
-        # Padding with 1 (the digit for quantized zero) keeps padded groups
-        # eligible for zero-run encoding.
-        digits = np.concatenate([digits, np.ones(pad, dtype=np.uint8)])
-    # Step 5-6: partition into 5 columns and evaluate the quartic form.
-    groups = digits.reshape(-1, GROUP_SIZE)
-    # uint8 arithmetic would overflow (max 2*81=162 fits, but the sum 242
-    # also fits); still, accumulate in uint16 for clarity and safety.
-    packed = (groups.astype(np.uint16) * _POWERS.astype(np.uint16)).sum(axis=1)
-    return packed.astype(np.uint8)
+    n = np.size(values)
+    return _pack(values, np.ones(padded_length(n), dtype=np.uint8), slice(n))
 
 
 def quartic_encode_batch(
@@ -114,28 +132,18 @@ def quartic_encode_batch(
         ``packed[byte_offsets[i]:byte_offsets[i+1]]`` and is bit-identical
         to ``quartic_encode`` of that segment.
     """
-    flat = np.asarray(values).reshape(-1)
     lengths = np.asarray(lengths, dtype=np.intp)
     total = int(lengths.sum())
-    if flat.size != total:
+    if np.size(values) != total:
         raise ValueError(
-            f"segment lengths sum to {total}, values array has {flat.size}"
+            f"segment lengths sum to {total}, values array has {np.size(values)}"
         )
-    if flat.size and (flat.min() < -1 or flat.max() > 1):
-        raise ValueError("quartic encoding requires values in {-1, 0, 1}")
-    padded = -(-lengths // GROUP_SIZE) * GROUP_SIZE
-    padded_total = int(padded.sum())
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    padded_starts = np.concatenate(([0], np.cumsum(padded)[:-1]))
-    # Scatter each segment's digits into a ones-filled (= digit of a
-    # quantized zero, keeping padded groups ZRE-eligible) padded buffer.
-    digits = np.ones(padded_total, dtype=np.uint8)
-    dest = np.arange(total) + np.repeat(padded_starts - starts, lengths)
-    digits[dest] = (flat.astype(np.int16) + 1).astype(np.uint8)
-    groups = digits.reshape(-1, GROUP_SIZE)
-    packed = (groups.astype(np.uint16) * _POWERS.astype(np.uint16)).sum(axis=1)
-    byte_offsets = np.concatenate(([0], np.cumsum(padded // GROUP_SIZE)))
-    return packed.astype(np.uint8), byte_offsets
+    byte_offsets = np.concatenate(([0], np.cumsum(-(-lengths // GROUP_SIZE))))
+    # Element k of segment i lands at GROUP_SIZE * byte_offsets[i] + k.
+    shift = GROUP_SIZE * byte_offsets[:-1] - (np.cumsum(lengths) - lengths)
+    dest = np.arange(total) + np.repeat(shift, lengths)
+    digits = np.ones(GROUP_SIZE * byte_offsets[-1], dtype=np.uint8)
+    return _pack(values, digits, dest), byte_offsets
 
 
 def quartic_decode(
@@ -166,10 +174,8 @@ def quartic_decode(
         )
     if arr.size and arr.max() > MAX_QUARTIC_BYTE:
         raise ValueError("byte outside quartic range [0, 242]")
-    # Base-3 digit extraction: divide by powers of 3, take remainder mod 3.
-    a = arr.astype(np.uint16)
-    digits = (a[:, None] // _POWERS.astype(np.uint16)) % 3
-    flat = digits.reshape(-1)[:count].astype(np.int8) - 1
+    # Base-3 digit extraction and the -1 shift, precomputed per byte value.
+    flat = np.take(_DECODE_TABLE, arr, axis=0).reshape(-1)[:count]
     if shape is not None:
         expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if expected != count:
@@ -183,7 +189,7 @@ def quartic_encode_reference(values: np.ndarray) -> np.ndarray:
     flat = [int(v) + 1 for v in np.asarray(values).reshape(-1)]
     for v in flat:
         if v not in (0, 1, 2):
-            raise ValueError("quartic encoding requires values in {-1, 0, 1}")
+            raise ValueError(_RANGE_ERROR)
     while len(flat) % GROUP_SIZE:
         flat.append(1)
     out = []

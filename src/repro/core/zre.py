@@ -8,15 +8,15 @@ chunks of 14. A lone ``121`` is left literal.
 
 Combined with 3-value quantization and quartic encoding this yields the
 paper's headline hypothetical: an all-zero float32 tensor compresses by
-``280×`` (32 bits → 32/280 bits per value: five values per byte, fourteen
-bytes per escape byte → 32·5·14/16... see ``tests/core/test_zre.py`` for the
-exact accounting).
+``280×``. Five values share a quartic byte and one escape byte stands for
+fourteen of those: seventy values, 2240 bits, in 8
+(``tests/core/test_zre.py`` checks the accounting).
 
-ZRE is byte-level only — no bit operations, no lookup tables — matching the
-paper's low-overhead goal. The vectorized implementation decomposes the
-input into maximal equal-value runs with NumPy and emits per-run segments
-with ``np.repeat``; a byte-at-a-time reference implementation is kept for
-property tests.
+The format is byte-level only — no bit operations — matching the paper's
+low-overhead goal. The vectorized encoder works on whichever kind of byte
+is rare in the stream at hand, never on every equal-byte run (on dense
+gradients that is a run per byte); a byte-at-a-time reference
+implementation is kept for property tests.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ FIRST_ESCAPE_BYTE = 243
 #: Escape byte for a run of MAX_RUN zero-groups.
 LAST_ESCAPE_BYTE = 255
 
+# Last byte a zero run of length L emits, by (L - 1) % MAX_RUN: a literal 121
+# for one leftover group, else the escape for what the full chunks leave.
+_TAIL_BYTE = np.array(
+    [ZERO_GROUP_BYTE, *range(FIRST_ESCAPE_BYTE, LAST_ESCAPE_BYTE + 1)], dtype=np.uint8
+)
+
 
 def zre_encode(data: np.ndarray) -> np.ndarray:
     """Zero-run encode a quartic byte stream.
@@ -66,36 +72,38 @@ def zre_encode(data: np.ndarray) -> np.ndarray:
         return arr.copy()
     if int(arr.max()) > MAX_QUARTIC_BYTE:
         raise ValueError("ZRE input must be quartic bytes in [0, 242]")
-
-    # Decompose into maximal runs of equal bytes.
-    boundaries = np.flatnonzero(arr[1:] != arr[:-1]) + 1
-    starts = np.concatenate([np.zeros(1, dtype=np.int64), boundaries])
-    ends = np.concatenate([boundaries, np.array([n], dtype=np.int64)])
-    lengths = ends - starts
-    values = arr[starts]
-
-    is_zero_run = values == ZERO_GROUP_BYTE
-    # Each zero run of length L becomes (L // 14) escape bytes for full
-    # chunks plus at most one byte for the remainder (escape if >= 2,
-    # literal 121 if == 1). Non-zero runs are copied literally.
-    full_chunks = np.where(is_zero_run, lengths // MAX_RUN, 0)
-    remainder = np.where(is_zero_run, lengths % MAX_RUN, 0)
-
-    # Segment A: full-chunk escapes for zero runs, literal repeats otherwise.
-    seg_a_value = np.where(is_zero_run, LAST_ESCAPE_BYTE, values).astype(np.uint8)
-    seg_a_count = np.where(is_zero_run, full_chunks, lengths)
-    # Segment B: the remainder byte of zero runs (count 0 or 1).
-    seg_b_value = np.where(
-        remainder >= MIN_RUN,
-        FIRST_ESCAPE_BYTE + remainder - MIN_RUN,
-        ZERO_GROUP_BYTE,
-    ).astype(np.uint8)
-    seg_b_count = (is_zero_run & (remainder >= 1)).astype(np.int64)
-
-    # Interleave A then B per run and expand.
-    seg_values = np.stack([seg_a_value, seg_b_value], axis=1).reshape(-1)
-    seg_counts = np.stack([seg_a_count, seg_b_count], axis=1).reshape(-1)
-    return np.repeat(seg_values, seg_counts)
+    literal = arr != ZERO_GROUP_BYTE
+    # About a thousand evenly spaced bytes tell which kind is rarer; a wrong
+    # guess costs time, never bytes.
+    probe = literal[:: max(1, n >> 10)]
+    if 2 * np.count_nonzero(probe) < probe.size:
+        # Mostly zero groups: one scan for the literals, then work per output
+        # byte. Literal k follows zero run k (possibly empty), one more run
+        # ends the stream, and the output starts as all full-chunk escapes.
+        at = np.flatnonzero(literal)
+        bounds = np.concatenate(([-1], at, [n]))
+        gaps = bounds[1:] - bounds[:-1] - 1
+        slots = np.cumsum((gaps + (MAX_RUN - 1)) // MAX_RUN + 1) - 1
+        out = np.full(slots[-1], LAST_ESCAPE_BYTE, dtype=np.uint8)
+        out[slots[:-1]] = arr[at]
+        real = gaps > 0
+        out[slots[real] - 1] = _TAIL_BYTE[(gaps[real] - 1) % MAX_RUN]
+        return out
+    # Mostly literals: find only the zero runs (literal sentinels give each
+    # one two edges), write run j's escape bytes over its first emitted[j]
+    # positions and drop the rest of the run with one boolean extract.
+    fenced = np.concatenate(([True], literal, [True]))
+    edges = np.flatnonzero(fenced[1:] != fenced[:-1])
+    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    emitted = (lengths + (MAX_RUN - 1)) // MAX_RUN
+    heads = np.arange(emitted.sum()) + np.repeat(
+        starts + emitted - np.cumsum(emitted), emitted
+    )
+    out = arr.copy()
+    out[heads] = LAST_ESCAPE_BYTE
+    out[starts + emitted - 1] = _TAIL_BYTE[(lengths - 1) % MAX_RUN]
+    literal[heads] = True
+    return out[literal]
 
 
 def zre_decode(data: np.ndarray) -> np.ndarray:
