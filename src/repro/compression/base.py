@@ -163,6 +163,19 @@ class Compressor(abc.ABC):
     def decompress(self, message: WireMessage) -> np.ndarray:
         """Decode a wire message. Receivers carry no cross-step state."""
 
+    def compress_batch(self, items) -> list[CompressionResult | None]:
+        """Run many ``(context, tensor)`` pairs of this scheme's contexts.
+
+        Always ``[context.compress(tensor) for context, tensor in items]``,
+        result for result; a scheme whose codec vectorizes across tensors
+        overrides this to do it in fewer passes.
+        """
+        return [context.compress(tensor) for context, tensor in items]
+
+    def decompress_batch(self, messages) -> list[np.ndarray]:
+        """Decode many wire messages: ``[self.decompress(m) for m in messages]``."""
+        return [self.decompress(message) for message in messages]
+
     def make_bypass_context(
         self, shape: tuple[int, ...], *, key: tuple[object, ...] = ()
     ) -> CompressorContext:
@@ -202,7 +215,7 @@ class Compressor(abc.ABC):
             if lossy
             else self.make_bypass_context(shape, key=key)
         )
-        return FusedBucketContext(bucket, inner)
+        return FusedBucketContext(bucket, inner, self if lossy else None)
 
     def make_fused_bypass_context(self, bucket, *, key: tuple[object, ...] = ()):
         """Exact-mode fused context (kept for the historical name)."""

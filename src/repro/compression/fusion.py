@@ -254,30 +254,39 @@ class FusedBucketContext:
     per-tensor path would have done for each member individually.
     """
 
-    def __init__(self, bucket: Bucket, inner) -> None:
+    def __init__(self, bucket: Bucket, inner, compressor=None) -> None:
         self.bucket = bucket
         self.inner = inner
+        #: The scheme whose ``compress_batch`` may run ``inner`` beside other
+        #: buckets' contexts; ``None`` for a bypass context, which runs alone.
+        self.compressor = compressor
         if tuple(inner.shape) != (bucket.total_elements,):
             raise ValueError(
                 f"inner context shape {inner.shape} != bucket flat shape "
                 f"({bucket.total_elements},)"
             )
 
-    def compress(self, tensors: dict[str, np.ndarray]) -> FusedCompressionResult | None:
-        """Concatenate the bucket members and compress them in one call."""
-        flat = np.concatenate(
+    def flatten(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
+        """The bucket members, concatenated flat in bucket order."""
+        return np.concatenate(
             [
                 np.asarray(tensors[name], dtype=np.float32).reshape(-1)
                 for name in self.bucket.names
             ]
         )
-        result = self.inner.compress(flat)
+
+    def frame(self, result) -> FusedCompressionResult | None:
+        """Wrap the inner context's result (``None``: the bucket deferred)."""
         if result is None:
             return None
         message = FusedWireMessage(inner=result.message, shapes=self.bucket.shapes)
         return FusedCompressionResult(
             message, split_bucket(result.reconstruction, self.bucket)
         )
+
+    def compress(self, tensors: dict[str, np.ndarray]) -> FusedCompressionResult | None:
+        """Concatenate the bucket members and compress them in one call."""
+        return self.frame(self.inner.compress(self.flatten(tensors)))
 
     def residual_norm(self) -> float:
         return self.inner.residual_norm()
@@ -293,47 +302,26 @@ def compress_fused_batch(items) -> list[FusedCompressionResult | None]:
     """Compress many ``(FusedBucketContext, tensors)`` pairs in one pass.
 
     Semantically ``[ctx.compress(tensors) for ctx, tensors in items]``, but
-    every bucket whose inner context wraps a 3LC core funnels into a single
-    vectorized codec call (:func:`repro.core.codec.compress_context_batch`)
-    — one quantization and one quartic pass across all buckets of the step
-    instead of one per bucket. Buckets with other inner codecs (the exact
-    float32 bypass, deferring schemes) fall back to their own
-    ``compress``; results come back in input order, bit-identical to the
-    per-bucket path either way.
+    the buckets compressed by one scheme's own codec go through that
+    scheme's :meth:`~repro.compression.base.Compressor.compress_batch` —
+    for 3LC one quantization, one quartic and one zero-run pass across all
+    buckets of the step instead of one per bucket. Exact-mode buckets (the
+    float32 bypass) compress on their own; results come back in input
+    order, bit-identical to the per-bucket path either way.
     """
-    from repro.core.codec import CompressionContext as CoreContext
-    from repro.core.codec import ThreeLCCodec, compress_context_batch
-
     items = list(items)
-    results: list[FusedCompressionResult | None] = [None] * len(items)
-    batched: list[tuple[int, CoreContext, np.ndarray]] = []
+    inner_results = [None] * len(items)
+    # scheme -> (positions, (inner context, flat bucket) pairs) of its buckets
+    batches: dict[object, tuple[list[int], list[tuple]]] = {}
     for pos, (ctx, tensors) in enumerate(items):
-        flat = np.concatenate(
-            [
-                np.asarray(tensors[name], dtype=np.float32).reshape(-1)
-                for name in ctx.bucket.names
-            ]
-        )
-        core = getattr(ctx.inner, "core", None)
-        if isinstance(core, CoreContext) and isinstance(core.codec, ThreeLCCodec):
-            batched.append((pos, core, flat))
+        flat = ctx.flatten(tensors)
+        if ctx.compressor is None:
+            inner_results[pos] = ctx.inner.compress(flat)
         else:
-            inner_result = ctx.inner.compress(flat)
-            if inner_result is not None:
-                results[pos] = FusedCompressionResult(
-                    FusedWireMessage(
-                        inner=inner_result.message, shapes=ctx.bucket.shapes
-                    ),
-                    split_bucket(inner_result.reconstruction, ctx.bucket),
-                )
-    if batched:
-        core_results = compress_context_batch(
-            [(core, flat) for _, core, flat in batched]
-        )
-        for (pos, _, _), inner_result in zip(batched, core_results):
-            bucket = items[pos][0].bucket
-            results[pos] = FusedCompressionResult(
-                FusedWireMessage(inner=inner_result.message, shapes=bucket.shapes),
-                split_bucket(inner_result.reconstruction, bucket),
-            )
-    return results
+            positions, pairs = batches.setdefault(ctx.compressor, ([], []))
+            positions.append(pos)
+            pairs.append((ctx.inner, flat))
+    for compressor, (positions, pairs) in batches.items():
+        for pos, result in zip(positions, compressor.compress_batch(pairs)):
+            inner_results[pos] = result
+    return [ctx.frame(result) for (ctx, _), result in zip(items, inner_results)]

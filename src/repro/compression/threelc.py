@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.compression.base import Compressor, CompressorContext, CompressionResult
 from repro.core.codec import CompressionContext as CoreContext
-from repro.core.codec import ThreeLCCodec
+from repro.core.codec import ThreeLCCodec, compress_context_batch
 from repro.core.packets import WireMessage
 
 __all__ = ["ThreeLCCompressor"]
@@ -77,5 +77,14 @@ class ThreeLCCompressor(Compressor):
             shape, CoreContext(shape, self.codec, error_feedback=self.error_feedback)
         )
 
+    def compress_batch(self, items) -> list[CompressionResult]:
+        # The core contexts make the wrapper's shape and dtype checks.
+        return compress_context_batch(
+            (context.core, tensor) for context, tensor in items
+        )
+
     def decompress(self, message: WireMessage) -> np.ndarray:
         return self.codec.decompress(message)
+
+    def decompress_batch(self, messages) -> list[np.ndarray]:
+        return self.codec.decompress_batch(messages)

@@ -28,8 +28,20 @@ from repro.core.quantization import (
     quantize_3value,
     quantize_3value_batch,
 )
-from repro.core.quartic import quartic_decode, quartic_encode, quartic_encode_batch
-from repro.core.zre import zre_decode, zre_encode
+from repro.core.quartic import (
+    _DECODE_TABLE,
+    GROUP_SIZE,
+    MAX_QUARTIC_BYTE,
+    quartic_decode,
+    quartic_encode,
+    quartic_encode_batch,
+)
+from repro.core.zre import (
+    zre_decode,
+    zre_decode_batch,
+    zre_encode,
+    zre_encode_batch,
+)
 
 __all__ = [
     "ThreeLCCodec",
@@ -112,20 +124,22 @@ class ThreeLCCodec:
         """
         arr = np.asarray(tensor, dtype=self.dtype)
         quantized = self.quantize(arr)
+        packed = quartic_encode(quantized.values)
         message = self._frame(
-            arr.shape, quartic_encode(quantized.values), quantized.scale
+            arr.shape,
+            (zre_encode(packed) if self.use_zre else packed).tobytes(),
+            quantized.scale,
         )
         return CompressionResult(message, dequantize_3value(quantized, self.dtype))
 
     def _frame(
-        self, shape: tuple[int, ...], packed: np.ndarray, scale: float
+        self, shape: tuple[int, ...], payload: bytes, scale: float
     ) -> WireMessage:
-        """Zero-run encode one tensor's quartic bytes and frame them."""
-        encoded = zre_encode(packed) if self.use_zre else packed
+        """Frame one tensor's encoded payload."""
         return WireMessage(
             codec_id=self.codec_id,
             shape=shape,
-            payload=encoded.tobytes(),
+            payload=payload,
             scalars=(scale,),
             dtype=self.dtype,
         )
@@ -135,10 +149,11 @@ class ThreeLCCodec:
 
         Equivalent to ``[self.compress(t) for t in tensors]`` — each
         result's message and reconstruction are bit-identical to the
-        per-tensor path (the quantization and quartic stages share one
-        NumPy call across all tensors; only zero-run encoding, whose
-        output length varies per segment, stays per-tensor). This is the
-        batched-codec contract the fused engine hot paths rely on.
+        per-tensor path: quantization, quartic packing and zero-run
+        encoding each run as one NumPy pass over all tensors (no run
+        crosses a tensor boundary), and only the framing is per tensor.
+        This is the batched-codec contract the fused engine hot paths and
+        the ring's lockstep hops rely on.
         """
         arrs = [np.asarray(t, dtype=self.dtype) for t in tensors]
         if not arrs:
@@ -149,25 +164,22 @@ class ThreeLCCodec:
             flat, lengths, self.sparsity_multiplier
         )
         packed, byte_offsets = quartic_encode_batch(values, lengths)
+        if self.use_zre:
+            packed, byte_offsets = zre_encode_batch(packed, byte_offsets)
         # One fused reconstruction pass: each element times its segment's
         # scale, cast exactly as the scalar dequantize does.
         recon = values.astype(self.dtype)
-        recon *= np.repeat(scales, lengths).astype(self.dtype, copy=False)
-        starts = np.concatenate(([0], np.cumsum(lengths)))
-        results = []
-        for i, arr in enumerate(arrs):
-            message = self._frame(
-                arr.shape,
-                packed[byte_offsets[i] : byte_offsets[i + 1]],
-                float(scales[i]),
+        recon *= np.repeat(scales.astype(self.dtype, copy=False), lengths)
+        payload = packed.tobytes()
+        cuts = byte_offsets.tolist()
+        starts = np.concatenate(([0], np.cumsum(lengths))).tolist()
+        return [
+            CompressionResult(
+                self._frame(arr.shape, payload[cuts[i] : cuts[i + 1]], scale),
+                recon[starts[i] : starts[i + 1]].reshape(arr.shape),
             )
-            results.append(
-                CompressionResult(
-                    message,
-                    recon[starts[i] : starts[i + 1]].reshape(arr.shape),
-                )
-            )
-        return results
+            for i, (arr, scale) in enumerate(zip(arrs, scales.tolist()))
+        ]
 
     def decompress(self, message: WireMessage) -> np.ndarray:
         """Decode a wire message back to a dense tensor (``M · Q``)."""
@@ -180,6 +192,66 @@ class ThreeLCCodec:
         values = quartic_decode(encoded, count, message.shape)
         quantized = QuantizedTensor(values, frame_scale(message.scalars))
         return dequantize_3value(quantized, message.dtype)
+
+    def decompress_batch(self, messages) -> list[np.ndarray]:
+        """Decode many wire messages with one vectorized pass.
+
+        Equivalent to ``[self.decompress(m) for m in messages]``, bit for
+        bit: one zero-run expansion, one table lookup and one scale
+        multiply cover every frame. Each frame is still checked on its own
+        (codec id, scale, decoded length against its element count, byte
+        range), and a bad one raises the ``ValueError`` :meth:`decompress`
+        would, prefixed with the frame's position. The arrays returned are
+        views of one buffer.
+        """
+        messages = list(messages)
+        if not messages:
+            return []
+        scales = []
+        for i, message in enumerate(messages):
+            if message.codec_id not in (CodecId.THREELC, CodecId.THREELC_NO_ZRE):
+                raise ValueError(
+                    f"frame {i}: not a 3LC message: {message.codec_id!r}"
+                )
+            try:
+                scales.append(frame_scale(message.scalars))
+            except ValueError as error:
+                raise ValueError(f"frame {i}: {error}") from None
+        counts = np.array([m.element_count for m in messages], dtype=np.intp)
+        groups = -(-counts // GROUP_SIZE)
+        sizes = [len(m.payload) for m in messages]
+        zre_frames = np.array([m.codec_id is CodecId.THREELC for m in messages])
+        packed, starts = zre_decode_batch(
+            np.frombuffer(b"".join(m.payload for m in messages), dtype=np.uint8),
+            np.concatenate(([0], np.cumsum(sizes))),
+            None if zre_frames.all() else zre_frames,
+        )
+        # Frame by frame: a run that over-ran its frame's count must not
+        # pass because a short neighbour made the totals agree.
+        wrong = np.flatnonzero(np.diff(starts) != groups)
+        if wrong.size:
+            i = int(wrong[0])
+            raise ValueError(
+                f"frame {i}: encoded length {starts[i + 1] - starts[i]} "
+                f"inconsistent with count {counts[i]}"
+            )
+        if not zre_frames.all() and packed.size and packed.max() > MAX_QUARTIC_BYTE:
+            at = int(np.argmax(packed > MAX_QUARTIC_BYTE))
+            i = int(np.searchsorted(starts, at, side="right")) - 1
+            raise ValueError(f"frame {i}: byte outside quartic range [0, 242]")
+        # Padded to whole groups; each frame keeps its first ``count`` values.
+        values = np.take(_DECODE_TABLE, packed, axis=0).reshape(-1)
+        decoded_as = {}
+        for dtype in {m.dtype for m in messages}:
+            out = values.astype(dtype)
+            out *= np.repeat(np.array(scales, dtype=dtype), GROUP_SIZE * groups)
+            decoded_as[dtype] = out
+        return [
+            decoded_as[m.dtype][lo : lo + count].reshape(m.shape)
+            for m, lo, count in zip(
+                messages, (GROUP_SIZE * starts).tolist(), counts.tolist()
+            )
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -275,7 +347,8 @@ def compress_context_batch(items) -> list[CompressionResult]:
         if arr.shape != ctx.shape:
             raise ValueError(f"context shape {ctx.shape}, tensor {arr.shape}")
         if ctx.buffer is not None:
-            arr = ctx.buffer.add(arr)
+            # No copy: the batch concatenates the live sums it reads.
+            arr = ctx.buffer.accumulate(arr)
         corrected.append(arr)
         entry = by_codec.get(id(ctx.codec))
         if entry is None:

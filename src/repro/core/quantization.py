@@ -193,14 +193,18 @@ def quantize_3value_batch(
         live = starts[nonempty]
         lows = np.minimum.reduceat(flat, live).astype(np.float64)
         mags[nonempty] = np.maximum(np.maximum.reduceat(flat, live), -lows)
-        if not np.isfinite(mags).all():
-            raise ValueError("cannot quantize non-finite tensor")
+        finite = np.isfinite(mags)
+        if not finite.all():
+            raise ValueError(
+                "cannot quantize non-finite tensor "
+                f"(segment {int(np.argmin(finite))})"
+            )
     scales = mags * s
     # A zero scale means the whole segment is zero, so dividing it by the
     # placeholder 1.0 still rounds to all-zero values — no masking needed.
-    divisor = np.where(scales > 0.0, scales, 1.0)[
-        np.repeat(np.arange(lengths.shape[0]), lengths)
-    ].astype(flat.dtype, copy=False)
+    divisor = np.repeat(
+        np.where(scales > 0.0, scales, 1.0).astype(flat.dtype, copy=False), lengths
+    )
     return _round_to_ternary(flat, divisor), scales
 
 

@@ -139,11 +139,16 @@ def quartic_encode_batch(
             f"segment lengths sum to {total}, values array has {np.size(values)}"
         )
     byte_offsets = np.concatenate(([0], np.cumsum(-(-lengths // GROUP_SIZE))))
-    # Element k of segment i lands at GROUP_SIZE * byte_offsets[i] + k.
-    shift = GROUP_SIZE * byte_offsets[:-1] - (np.cumsum(lengths) - lengths)
-    dest = np.arange(total) + np.repeat(shift, lengths)
-    digits = np.ones(GROUP_SIZE * byte_offsets[-1], dtype=np.uint8)
-    return _pack(values, digits, dest), byte_offsets
+    # Every digit slot but the 0-4 that pad each segment's last group takes
+    # a value, in order: a boolean mask places them without an int64
+    # position per value.
+    ends = GROUP_SIZE * byte_offsets[1:]
+    pad = ends - GROUP_SIZE * byte_offsets[:-1] - lengths
+    holds_value = np.ones(GROUP_SIZE * byte_offsets[-1], dtype=bool)
+    for back in range(1, GROUP_SIZE):
+        holds_value[ends[pad >= back] - back] = False
+    digits = np.ones(holds_value.size, dtype=np.uint8)
+    return _pack(values, digits, holds_value), byte_offsets
 
 
 def quartic_decode(

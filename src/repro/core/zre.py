@@ -27,7 +27,9 @@ from repro.core.quartic import MAX_QUARTIC_BYTE, ZERO_GROUP_BYTE
 
 __all__ = [
     "zre_encode",
+    "zre_encode_batch",
     "zre_decode",
+    "zre_decode_batch",
     "zre_encode_reference",
     "zre_decode_reference",
     "MIN_RUN",
@@ -67,9 +69,62 @@ def zre_encode(data: np.ndarray) -> np.ndarray:
         bytes ``[243, 255]``. Never longer than the input.
     """
     arr = np.asarray(data, dtype=np.uint8).reshape(-1)
-    n = arr.size
-    if n == 0:
+    if arr.size == 0:
         return arr.copy()
+    return _encode(arr)[0]
+
+
+def zre_encode_batch(
+    packed: np.ndarray, byte_offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-run encode many concatenated quartic segments in one pass.
+
+    ``packed`` and ``byte_offsets`` are what
+    :func:`~repro.core.quartic.quartic_encode_batch` returns: segment ``i``
+    is ``packed[byte_offsets[i]:byte_offsets[i+1]]``. A run never crosses a
+    segment boundary, exactly as if :func:`zre_encode` had been called per
+    segment.
+
+    Returns
+    -------
+    (encoded, encoded_offsets)
+        Segment ``i`` occupies
+        ``encoded[encoded_offsets[i]:encoded_offsets[i+1]]`` and is
+        bit-identical to ``zre_encode`` of that segment.
+    """
+    arr = np.asarray(packed, dtype=np.uint8).reshape(-1)
+    offsets = _segment_offsets(byte_offsets, arr.size)
+    # A literal fence byte before every segment and after the last one stops
+    # each run at its segment's edge; the fences then leave the output.
+    ranks = np.arange(offsets.size)
+    out, fence_slots = _encode(np.insert(arr, offsets, 0), offsets + ranks)
+    return np.delete(out, fence_slots), fence_slots - ranks
+
+
+def _segment_offsets(byte_offsets: np.ndarray, size: int) -> np.ndarray:
+    """``byte_offsets`` as an index array, checked to partition ``size`` bytes."""
+    offsets = np.asarray(byte_offsets, dtype=np.intp).reshape(-1)
+    if (
+        offsets.size == 0
+        or offsets[0] != 0
+        or offsets[-1] != size
+        or (offsets[1:] < offsets[:-1]).any()
+    ):
+        raise ValueError(
+            f"byte offsets must rise from 0 to {size}, got {offsets.tolist()}"
+        )
+    return offsets
+
+
+def _encode(
+    arr: np.ndarray, marks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Encode a non-empty stream; also where its marked bytes land.
+
+    ``marks`` are rising input positions of literal bytes; the second result
+    is each one's position in the output.
+    """
+    n = arr.size
     if int(arr.max()) > MAX_QUARTIC_BYTE:
         raise ValueError("ZRE input must be quartic bytes in [0, 242]")
     literal = arr != ZERO_GROUP_BYTE
@@ -88,7 +143,9 @@ def zre_encode(data: np.ndarray) -> np.ndarray:
         out[slots[:-1]] = arr[at]
         real = gaps > 0
         out[slots[real] - 1] = _TAIL_BYTE[(gaps[real] - 1) % MAX_RUN]
-        return out
+        if marks is None:
+            return out, None
+        return out, slots[np.searchsorted(at, marks)]
     # Mostly literals: find only the zero runs (literal sentinels give each
     # one two edges), write run j's escape bytes over its first emitted[j]
     # positions and drop the rest of the run with one boolean extract.
@@ -103,7 +160,11 @@ def zre_encode(data: np.ndarray) -> np.ndarray:
     out[heads] = LAST_ESCAPE_BYTE
     out[starts + emitted - 1] = _TAIL_BYTE[(lengths - 1) % MAX_RUN]
     literal[heads] = True
-    return out[literal]
+    if marks is None:
+        return out[literal], None
+    # A marked byte moves left by what the runs before it dropped.
+    dropped = np.concatenate(([0], np.cumsum(lengths - emitted)))
+    return out[literal], marks - dropped[np.searchsorted(starts, marks)]
 
 
 def zre_decode(data: np.ndarray) -> np.ndarray:
@@ -119,6 +180,39 @@ def zre_decode(data: np.ndarray) -> np.ndarray:
     run_lengths = np.where(is_escape, arr.astype(np.int64) - FIRST_ESCAPE_BYTE + MIN_RUN, 1)
     out_values = np.where(is_escape, np.uint8(ZERO_GROUP_BYTE), arr)
     return np.repeat(out_values, run_lengths)
+
+
+def zre_decode_batch(
+    data: np.ndarray, byte_offsets: np.ndarray, encoded: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand many concatenated zero-run encoded segments in one pass.
+
+    Segment ``i`` is ``data[byte_offsets[i]:byte_offsets[i+1]]``; ``encoded``
+    holds one flag per segment (default: all set), and an unset one marks a
+    segment that was never zero-run encoded, whose bytes pass through as
+    they are — a batch of frames may mix both kinds.
+
+    Returns
+    -------
+    (decoded, decoded_offsets)
+        Segment ``i`` expands to
+        ``decoded[decoded_offsets[i]:decoded_offsets[i+1]]``, bit-identical
+        to :func:`zre_decode` of that segment; callers hold each length
+        against what they expect. ``decoded`` may alias ``data``.
+    """
+    arr = np.asarray(data, dtype=np.uint8).reshape(-1)
+    offsets = _segment_offsets(byte_offsets, arr.size)
+    is_escape = arr >= FIRST_ESCAPE_BYTE
+    if encoded is not None:
+        is_escape &= np.repeat(np.asarray(encoded, dtype=bool), np.diff(offsets))
+    if not is_escape.any():
+        return arr, offsets
+    run_lengths = np.where(
+        is_escape, arr.astype(np.intp) - (FIRST_ESCAPE_BYTE - MIN_RUN), 1
+    )
+    out_values = np.where(is_escape, np.uint8(ZERO_GROUP_BYTE), arr)
+    decoded_offsets = np.concatenate(([0], np.cumsum(run_lengths)))[offsets]
+    return np.repeat(out_values, run_lengths), decoded_offsets
 
 
 def zre_encode_reference(data: np.ndarray) -> np.ndarray:

@@ -30,7 +30,10 @@ __all__ = ["SyntheticImageDataset", "DatasetSpec"]
 
 
 def _upsample_bilinear(field: np.ndarray, size: int) -> np.ndarray:
-    """Bilinearly upsample a (C, h, w) field to (C, size, size)."""
+    """Bilinearly upsample a (C, h, w) field to (C, size, size).
+
+    ``C`` may be any stack of fields: each is upsampled on its own.
+    """
     c, h, w = field.shape
     # Sample positions in source coordinates (align_corners=True behaviour).
     ys = np.linspace(0, h - 1, size)
@@ -129,9 +132,10 @@ class SyntheticImageDataset:
                     spec.template_resolution,
                 ),
             )
-            structured = np.stack(
-                [_upsample_bilinear(f, spec.image_size) for f in low]
-            )
+            # One call: the upsampling treats its leading axis elementwise.
+            structured = _upsample_bilinear(
+                low.reshape(-1, *low.shape[2:]), spec.image_size
+            ).reshape(images.shape)
             images = images + structured
         if spec.pixel_noise:
             images = images + rng.normal(0.0, spec.pixel_noise, size=images.shape)

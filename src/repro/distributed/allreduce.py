@@ -23,17 +23,28 @@ ring has no bandwidth hotspot, which is exactly why compression matters
 less there and why the paper's server-centric setting is where 3LC shines
 (the comparison ``benchmarks/bench_allreduce.py`` quantifies this).
 
-Compression composes per-hop: every (sender, chunk) pair owns a persistent
-compression context, so error feedback corrects each link's quantization
-error across *training steps*. Lossy re-encoding of partial sums at every
-hop compounds (N-1 lossy stages versus 3LC's one), which the tests and
-bench surface as a reduced-fidelity sum — the quantitative argument for
-the paper's point-to-point design.
+Compression composes per-hop: every (tensor, sender, phase, chunk) owns a
+persistent compression context, so error feedback corrects each link's
+quantization error across *training steps*. Lossy re-encoding of partial
+sums at every hop compounds (N-1 lossy stages versus 3LC's one), which the
+tests and bench surface as a reduced-fidelity sum — the quantitative
+argument for the paper's point-to-point design.
+
+The hops run in lockstep. Within one hop every send is independent — its
+own sender, chunk and context — so a ring that reduces a *set* of tensors
+collects the hop's sends across all tensors and all senders and pays one
+``Compressor.compress_batch`` and one ``Compressor.decompress_batch`` for
+them: ``2 (N-1)`` codec round-trips per reduction instead of
+``2 (N-1) · N`` per tensor. Receivers still decode the wire message, and
+the bytes, outputs and residuals are those of the per-send ring, which
+``tests/distributed/ring_oracle.py`` keeps as the parity oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Collection, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,11 +114,16 @@ class RingAllReduce:
     num_nodes:
         Ring size (the paper's cluster would be 10).
     shape:
-        Shape of the tensor each node contributes.
+        Shape of the tensor each node contributes — or a mapping
+        ``name -> shape`` for a ring that reduces a named *set* of tensors
+        per call, all of them hop by hop in lockstep.
     compressor:
         Scheme applied to every hop's payload; ``None`` transmits raw
         float32 chunks. Contexts persist across calls, so error feedback
         works exactly as in the parameter-server cluster.
+    bypass:
+        Names (of a tensor set) that travel as raw float32 chunks whatever
+        the compressor — the small-tensor bypass of §5.1.
 
     Notes
     -----
@@ -128,101 +144,151 @@ class RingAllReduce:
     def __init__(
         self,
         num_nodes: int,
-        shape: tuple[int, ...],
+        shape: tuple[int, ...] | Mapping[str, tuple[int, ...]],
         compressor: Compressor | None = None,
+        *,
+        bypass: Collection[str] = (),
     ):
         if num_nodes < 2:
             raise ValueError(f"a ring needs >= 2 nodes, got {num_nodes}")
         self.num_nodes = int(num_nodes)
-        self.shape = tuple(int(d) for d in shape)
         self.compressor = compressor
-        size = int(np.prod(self.shape)) if self.shape else 1
-        self.bounds = chunk_bounds(size, self.num_nodes)
-        # One persistent context per (sender, phase, chunk): reduce-scatter
-        # payloads and all-gather payloads have different statistics.
-        self._contexts: dict[tuple[int, str, int], CompressorContext] = {}
+        #: A lone tensor is the one-entry set under the name ``None``.
+        self._lone = not isinstance(shape, Mapping)
+        shapes = {None: shape} if self._lone else shape
+        self.shapes = {
+            name: tuple(int(d) for d in dims) for name, dims in shapes.items()
+        }
+        self.bounds = {
+            name: chunk_bounds(math.prod(dims), self.num_nodes)
+            for name, dims in self.shapes.items()
+        }
+        lossy = [
+            name
+            for name in self.shapes
+            if compressor is not None and name not in bypass
+        ]
+        #: Hop order: the compressed tensors, then the raw-float ones.
+        self._names = lossy + [name for name in self.shapes if name not in lossy]
+        self._lossy_sends = len(lossy) * self.num_nodes
+        # One persistent context per (tensor, sender, phase, chunk): reduce-
+        # scatter payloads and all-gather payloads have different statistics.
+        self._contexts: dict[
+            tuple[str | None, int, str, int], CompressorContext
+        ] = {}
 
-    def _transmit(
-        self, sender: int, phase: str, chunk: int, payload: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Send one chunk across one link; returns (received, wire_bytes)."""
-        if self.compressor is None:
-            return payload.copy(), payload.size * 4
-        key = (sender, phase, chunk)
+    def _context(
+        self, name: str | None, sender: int, phase: str, chunk: int, size: int
+    ) -> CompressorContext:
+        key = (name, sender, phase, chunk)
         ctx = self._contexts.get(key)
         if ctx is None:
-            ctx = self.compressor.make_context(
-                payload.shape, key=("ring", phase, sender, chunk)
+            # No tensor name in the stream key: a stochastic scheme draws
+            # the same streams for every tensor (and rack) on this link.
+            ctx = self._contexts[key] = self.compressor.make_context(
+                (size,), key=("ring", phase, sender, chunk)
             )
-            self._contexts[key] = ctx
-        result = ctx.compress(payload)
-        if result is None:
+        return ctx
+
+    def _send_lossy(
+        self, phase: str, hop: int, sends: list[tuple]
+    ) -> tuple[list[np.ndarray], list[int]]:
+        """One hop's compressed sends: a single encode and a single decode.
+
+        ``sends`` holds ``(name, sender, chunk, payload)``; returns what
+        each receiver decodes *from the wire message* and the bytes sent.
+        """
+        items = [
+            (self._context(name, sender, phase, chunk, payload.size), payload)
+            for name, sender, chunk, payload in sends
+        ]
+        try:
+            results = self.compressor.compress_batch(items)
+        except ValueError as error:
+            for name, sender, _, payload in sends:
+                if not np.isfinite(payload).all():
+                    tensor = "" if name is None else f"tensor {name!r}, "
+                    raise ValueError(
+                        f"non-finite ring payload ({tensor}{phase} hop {hop}, "
+                        f"sender {sender}): {error}"
+                    ) from error
+            raise
+        if any(result is None for result in results):
             raise ValueError(
                 f"{self.compressor.name!r} deferred a hop transmission; "
                 "schedule-changing schemes cannot run on a ring"
             )
+        received = self.compressor.decompress_batch([r.message for r in results])
         return (
-            np.asarray(self.compressor.decompress(result.message), dtype=np.float32),
-            result.wire_size,
+            [np.asarray(chunk, dtype=np.float32) for chunk in received],
+            [result.wire_size for result in results],
         )
 
-    def reduce(
-        self, tensors: list[np.ndarray], *, average: bool = True
-    ) -> ReduceResult:
-        """All-reduce one tensor per node around the ring."""
-        if len(tensors) != self.num_nodes:
-            raise ValueError(
-                f"expected {self.num_nodes} tensors, got {len(tensors)}"
-            )
-        flats = []
-        for t in tensors:
-            arr = np.asarray(t, dtype=np.float32)
-            if arr.shape != self.shape:
-                raise ValueError(f"tensor shape {arr.shape} != ring {self.shape}")
-            flats.append(arr.reshape(-1).copy())
+    def reduce(self, tensors: list, *, average: bool = True):
+        """All-reduce one tensor (or one ``name -> tensor`` mapping) per node.
 
+        Every hop collects the sends of all tensors and all senders — they
+        share no state — and pays one batched encode and one batched decode
+        for them. Returns a :class:`ReduceResult`, or one per name for a
+        tensor set.
+        """
         n = self.num_nodes
-        wire = 0
-        link_bytes = [0] * n  # link i: node i -> node (i+1) % n
-        # Phase 1: reduce-scatter.
-        for hop in range(n - 1):
-            updates = []
-            for rank in range(n):
-                chunk = (rank - hop) % n
-                lo, hi = self.bounds[chunk]
-                received, nbytes = self._transmit(
-                    rank, "reduce", chunk, flats[rank][lo:hi]
+        if len(tensors) != n:
+            raise ValueError(f"expected {n} tensors, got {len(tensors)}")
+        # Row r of a tensor's buffer is node r's flat working copy.
+        rows: dict[str | None, np.ndarray] = {}
+        for name, shape in self.shapes.items():
+            rows[name] = buffer = np.empty((n, math.prod(shape)), dtype=np.float32)
+            for rank, contribution in enumerate(tensors):
+                arr = np.asarray(
+                    contribution if self._lone else contribution[name],
+                    dtype=np.float32,
                 )
-                wire += nbytes
-                link_bytes[rank] += nbytes
-                updates.append(((rank + 1) % n, chunk, received))
-            for dest, chunk, received in updates:
-                lo, hi = self.bounds[chunk]
-                flats[dest][lo:hi] += received
-        # Phase 2: all-gather the completed chunks.
-        for hop in range(n - 1):
-            updates = []
-            for rank in range(n):
-                chunk = (rank + 1 - hop) % n
-                lo, hi = self.bounds[chunk]
-                received, nbytes = self._transmit(
-                    rank, "gather", chunk, flats[rank][lo:hi]
-                )
-                wire += nbytes
-                link_bytes[rank] += nbytes
-                updates.append(((rank + 1) % n, chunk, received))
-            for dest, chunk, received in updates:
-                lo, hi = self.bounds[chunk]
-                flats[dest][lo:hi] = received
+                if arr.shape != shape:
+                    raise ValueError(f"tensor shape {arr.shape} != ring {shape}")
+                buffer[rank] = arr.reshape(-1)
 
-        if average:
-            for flat in flats:
-                flat /= np.float32(n)
-        size = flats[0].size
-        baseline = 2 * (n - 1) * size * 4  # sum of per-node chunk traffic
-        return ReduceResult(
-            outputs=[flat.reshape(self.shape) for flat in flats],
-            wire_bytes=wire,
-            baseline_bytes=baseline,
-            max_link_bytes=max(link_bytes) if link_bytes else 0,
-        )
+        link_bytes = {name: [0] * n for name in self.shapes}  # link i: i -> i+1
+        # Reduce-scatter, then all-gather of the completed chunks. Within a
+        # hop no chunk is both sent and received, so sends read the rows
+        # while receives land in them.
+        for phase, lead in (("reduce", 0), ("gather", 1)):
+            for hop in range(n - 1):
+                sends = []
+                for name in self._names:
+                    buffer, bounds = rows[name], self.bounds[name]
+                    for rank in range(n):
+                        chunk = (rank + lead - hop) % n
+                        lo, hi = bounds[chunk]
+                        sends.append((name, rank, chunk, buffer[rank, lo:hi]))
+                lossy = sends[: self._lossy_sends]
+                arrived, sizes = (
+                    self._send_lossy(phase, hop, lossy) if lossy else ([], [])
+                )
+                # A raw chunk arrives as it left, four bytes an element.
+                for *_, payload in sends[self._lossy_sends :]:
+                    arrived.append(payload)
+                    sizes.append(payload.size * 4)
+                for (name, rank, chunk, _), chunk_in, nbytes in zip(
+                    sends, arrived, sizes
+                ):
+                    link_bytes[name][rank] += nbytes
+                    lo, hi = self.bounds[name][chunk]
+                    if phase == "reduce":
+                        rows[name][(rank + 1) % n, lo:hi] += chunk_in
+                    else:
+                        rows[name][(rank + 1) % n, lo:hi] = chunk_in
+
+        results = {}
+        for name, shape in self.shapes.items():
+            buffer = rows[name]
+            if average:
+                buffer /= np.float32(n)
+            results[name] = ReduceResult(
+                outputs=[row.reshape(shape) for row in buffer],
+                wire_bytes=sum(link_bytes[name]),
+                # Sum of per-node chunk traffic.
+                baseline_bytes=2 * (n - 1) * buffer.shape[1] * 4,
+                max_link_bytes=max(link_bytes[name]),
+            )
+        return results[None] if self._lone else results

@@ -231,9 +231,10 @@ class RingOutcome:
 
 
 class RingExchangeService:
-    """Serverless exchange: gradients are averaged by a per-tensor ring
-    all-reduce with persistent per-hop compression contexts, and the global
-    update is applied once to a canonical model every replica mirrors.
+    """Serverless exchange: gradients are averaged by one ring all-reduce
+    over all tensors (hops in lockstep, persistent per-hop compression
+    contexts), and the global update is applied once to a canonical model
+    every replica mirrors.
 
     Small tensors travel as raw float32 chunks (the §5.1 bypass maps to an
     uncompressed ring); large tensors compress per hop, so error feedback
@@ -270,14 +271,12 @@ class RingExchangeService:
             for name, param in self.params.items()
             if param.size < self.small_tensor_threshold
         }
-        self.rings: dict[str, RingAllReduce] = {
-            name: RingAllReduce(
-                self.num_workers,
-                param.shape,
-                compressor=None if name in self.bypassed else scheme,
-            )
-            for name, param in self.params.items()
-        }
+        self.ring = RingAllReduce(
+            self.num_workers,
+            {name: param.shape for name, param in self.params.items()},
+            scheme,
+            bypass=self.bypassed,
+        )
         self.global_step = 0
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -298,10 +297,9 @@ class RingExchangeService:
         elements = 0
         per_tensor_link: dict[str, int] = {}
         per_tensor_elements: dict[str, int] = {}
+        results = self.ring.reduce(grad_dicts, average=True)
         for name, param in self.params.items():
-            result = self.rings[name].reduce(
-                [grads[name] for grads in grad_dicts], average=True
-            )
+            result = results[name]
             reduced[name] = result.outputs[0]
             wire += result.wire_bytes
             max_link = max(max_link, result.max_link_bytes)
@@ -518,7 +516,7 @@ class HierarchicalExchangeService:
                 small_tensor_threshold=small_tensor_threshold,
             )
             self.params = self._flat.params
-            self.rack_rings = [self._flat.rings]
+            self.rack_rings = [self._flat.ring]
             self.cross_push_contexts: list[dict] = []
             self.cross_fused_contexts: list[dict[int, FusedBucketContext]] = []
             return
@@ -552,15 +550,9 @@ class HierarchicalExchangeService:
             )
         self.params = self.upper.params
         bypassed = self.bypassed
+        shapes = {name: param.shape for name, param in self.params.items()}
         self.rack_rings = [
-            {
-                name: RingAllReduce(
-                    self.rack_size,
-                    param.shape,
-                    compressor=None if name in bypassed else scheme,
-                )
-                for name, param in self.params.items()
-            }
+            RingAllReduce(self.rack_size, shapes, scheme, bypass=bypassed)
             for _ in range(self.racks)
         ]
         # Persistent per-rack uplink contexts: error feedback corrects the
@@ -650,10 +642,8 @@ class HierarchicalExchangeService:
         reduced: dict[str, np.ndarray] = {}
         link_bytes: dict[str, int] = {}
         wire = 0
-        for name in self.params:
-            result = self.rack_rings[rack][name].reduce(
-                [grads[name] for grads in grad_dicts], average=True
-            )
+        results = self.rack_rings[rack].reduce(grad_dicts, average=True)
+        for name, result in results.items():
             reduced[name] = result.outputs[0]
             link_bytes[name] = result.max_link_bytes
             wire += result.wire_bytes

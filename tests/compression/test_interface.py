@@ -74,6 +74,45 @@ class TestCompressorContract:
         assert result.bits_per_value() > 0
 
 
+class TestBatchHooks:
+    """``compress_batch`` / ``decompress_batch`` are the per-item loops,
+    result for result — overridden (3LC) or not."""
+
+    SHAPES = [(33,), (4, 5), (2,), (1,), (256,)]
+
+    def test_batch_equals_the_loop_over_steps(self, scheme, rng):
+        batched, looped = (
+            [
+                make_compressor(scheme.name, seed=11).make_context(shape, key=("b", i))
+                for i, shape in enumerate(self.SHAPES)
+            ]
+            for _ in range(2)
+        )
+        for _ in range(3):
+            tensors = [rng.normal(0, 0.1, s).astype(np.float32) for s in self.SHAPES]
+            got = scheme.compress_batch(zip(batched, tensors))
+            want = [ctx.compress(t) for ctx, t in zip(looped, tensors)]
+            assert [r is None for r in got] == [r is None for r in want]
+            sent = [(a, b) for a, b in zip(got, want) if a is not None]
+            for ours, theirs in sent:
+                assert ours.message == theirs.message
+                np.testing.assert_array_equal(
+                    ours.reconstruction, theirs.reconstruction
+                )
+            decoded = scheme.decompress_batch([ours.message for ours, _ in sent])
+            for out, (_, theirs) in zip(decoded, sent, strict=True):
+                expected = scheme.decompress(theirs.message)
+                assert out.dtype == expected.dtype and out.shape == expected.shape
+                np.testing.assert_array_equal(out, expected)
+            for ours, theirs in zip(batched, looped):
+                assert ours.residual_norm() == theirs.residual_norm()
+
+    def test_shape_mismatch_rejected_in_a_batch(self, scheme):
+        ctx = scheme.make_context((4, 4), key=("bad",))
+        with pytest.raises(ValueError):
+            scheme.compress_batch([(ctx, np.zeros((4, 5), dtype=np.float32))])
+
+
 class TestRegistry:
     def test_table1_has_eleven_designs(self):
         from repro.compression import TABLE1_SCHEMES

@@ -1,19 +1,34 @@
 """Batched codec path: bit-identity with the per-tensor reference.
 
-``ThreeLCCodec.compress_batch`` and ``compress_context_batch`` are the
-engine's per-step hot path; their contract is *equivalence*, not
-approximation — every wire message, scale, reconstruction, and error
-residual must match the per-tensor calls byte for byte, or a batched
-engine would train a (subtly) different model than the reference.
+``ThreeLCCodec.compress_batch``, ``decompress_batch`` and
+``compress_context_batch`` are the engine's per-step hot path; their
+contract is *equivalence*, not approximation — every wire message, scale,
+reconstruction, decoded tensor and error residual must match the
+per-tensor calls byte for byte, or a batched engine would train a (subtly)
+different model than the reference. A hostile frame in a batch must fail
+the way it fails alone, and say which frame it was.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.codec import (
     CompressionContext,
     ThreeLCCodec,
     compress_context_batch,
+)
+from repro.core.packets import CodecId
+from repro.core.quartic import ZERO_GROUP_BYTE
+from repro.core.zre import (
+    LAST_ESCAPE_BYTE,
+    zre_decode,
+    zre_decode_batch,
+    zre_encode,
+    zre_encode_batch,
 )
 
 
@@ -123,3 +138,227 @@ def test_context_batch_groups_per_codec():
         compress_context_batch(zip(ctxs, tensors)),
         [ctx.compress(t) for ctx, t in zip(mirror, tensors)],
     )
+
+
+# -- zero-run encoding and decoding across segment boundaries -----------------
+
+RUN_LENGTHS = (1, 2, 13, 14, 15, 28, 29)
+literal_bytes = st.integers(0, 242).filter(lambda b: b != ZERO_GROUP_BYTE)
+#: One segment: literal stretches and zero-group runs in any order, so runs
+#: end at a segment's last byte and resume at the next one's first.
+zre_segment = st.lists(
+    st.one_of(
+        st.lists(literal_bytes, min_size=1, max_size=12),
+        st.sampled_from(RUN_LENGTHS).map(lambda n: [ZERO_GROUP_BYTE] * n),
+        st.integers(1, 80).map(lambda n: [ZERO_GROUP_BYTE] * n),
+    ),
+    max_size=4,
+).map(lambda parts: [b for part in parts for b in part])
+
+
+def assert_zre_batch_matches_per_segment(segments):
+    segments = [np.asarray(seg, dtype=np.uint8) for seg in segments]
+    offsets = np.concatenate(([0], np.cumsum([seg.size for seg in segments])))
+    packed = np.concatenate([np.zeros(0, np.uint8), *segments])
+    encoded, cuts = zre_encode_batch(packed, offsets)
+    assert encoded.dtype == np.uint8 and cuts[0] == 0 and cuts[-1] == encoded.size
+    for i, seg in enumerate(segments):
+        np.testing.assert_array_equal(
+            encoded[cuts[i] : cuts[i + 1]], zre_encode(seg)
+        )
+    decoded, back = zre_decode_batch(encoded, cuts)
+    np.testing.assert_array_equal(decoded, packed)
+    assert back.tolist() == offsets.tolist()
+
+
+class TestZreEncodeBatch:
+    @given(segments=st.lists(zre_segment, max_size=6))
+    def test_matches_per_segment(self, segments):
+        assert_zre_batch_matches_per_segment(segments)
+
+    @pytest.mark.parametrize("regime", ["mostly-zero", "mostly-literal"])
+    @pytest.mark.parametrize("first", RUN_LENGTHS)
+    @pytest.mark.parametrize("second", RUN_LENGTHS)
+    def test_run_ends_at_a_boundary_and_resumes(self, first, second, regime):
+        """Both encoder strategies (picked from the whole batch's literal
+        share, which the 300-byte segment decides) must stop a run at the
+        boundary, not merge the two halves."""
+        zeros = [ZERO_GROUP_BYTE]
+        fill = zeros * 300 if regime == "mostly-zero" else [7 * i % 121 for i in range(300)]
+        assert_zre_batch_matches_per_segment(
+            [[7] + zeros * first, [], zeros * second + [9], fill, zeros * first]
+        )
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 13, 14, 15, 28, 29, 500))
+    def test_all_zero_and_no_zero_segments(self, n):
+        zeros, literals = [ZERO_GROUP_BYTE] * n, [(3 * i) % 121 for i in range(n)]
+        assert_zre_batch_matches_per_segment([zeros, zeros, literals])
+        assert_zre_batch_matches_per_segment([literals, literals, zeros])
+        assert_zre_batch_matches_per_segment([zeros] * 3)
+        assert_zre_batch_matches_per_segment([literals] * 3)
+
+    def test_no_segments_and_only_empty_segments(self):
+        for offsets in ([0], [0, 0, 0]):
+            encoded, cuts = zre_encode_batch(np.zeros(0, np.uint8), offsets)
+            assert encoded.size == 0 and cuts.tolist() == offsets
+
+    @pytest.mark.parametrize("offsets", [[], [1, 3], [0, 2], [0, 2, 1, 3]])
+    def test_rejects_offsets_that_do_not_partition(self, offsets):
+        with pytest.raises(ValueError, match="byte offsets"):
+            zre_encode_batch(np.zeros(3, np.uint8), offsets)
+        with pytest.raises(ValueError, match="byte offsets"):
+            zre_decode_batch(np.zeros(3, np.uint8), offsets)
+
+    def test_decode_expands_only_the_flagged_segments(self):
+        """An escape byte in a segment sent without ZRE is data, not a run."""
+        data = np.array([5, 250, 250, 7, 243], np.uint8)
+        decoded, cuts = zre_decode_batch(data, [0, 2, 2, 5], [True, True, False])
+        assert cuts.tolist() == [0, 10, 10, 13]
+        np.testing.assert_array_equal(decoded[:10], zre_decode(data[:2]))
+        np.testing.assert_array_equal(decoded[10:], data[2:])
+
+    def test_rejects_non_quartic_bytes(self):
+        with pytest.raises(ValueError, match="quartic bytes"):
+            zre_encode_batch(np.array([1, 243, 2], np.uint8), [0, 1, 3])
+
+
+#: Tensor lengths around the group size; values sparse enough for long runs.
+tensor_lengths = st.lists(
+    st.one_of(st.sampled_from([0, 1, 4, 5, 6]), st.integers(0, 400)), max_size=7
+)
+
+
+def sparse_tensors(lengths, seed, density):
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.standard_normal(n) * (rng.random(n) < density)).astype(np.float32)
+        for n in lengths
+    ]
+
+
+def assert_decodes_identical(codec, messages):
+    batch = codec.decompress_batch(messages)
+    assert len(batch) == len(messages)
+    for got, message in zip(batch, messages):
+        want = codec.decompress(message)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+class TestDecompressBatch:
+    @given(
+        lengths=tensor_lengths,
+        seed=st.integers(0, 2**16),
+        density=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+        use_zre=st.booleans(),
+    )
+    def test_matches_per_frame(self, lengths, seed, density, use_zre):
+        codec = ThreeLCCodec(1.5, use_zre=use_zre)
+        results = codec.compress_batch(sparse_tensors(lengths, seed, density))
+        assert_decodes_identical(codec, [r.message for r in results])
+        for got, result in zip(
+            codec.decompress_batch([r.message for r in results]), results
+        ):
+            np.testing.assert_array_equal(got, result.reconstruction)
+
+    @pytest.mark.parametrize("run", RUN_LENGTHS)
+    def test_zero_runs_ending_at_frame_boundaries(self, run):
+        """``5 * run`` zeros make exactly ``run`` zero groups: the frame
+        ends on a run and the next frame starts with one."""
+        codec = ThreeLCCodec(1.0)
+        tensors = [np.zeros(5 * run, np.float32) for _ in range(3)]
+        tensors[1][0] = 1.0
+        tensors.insert(2, np.zeros((0, 3), np.float32))
+        assert_decodes_identical(
+            codec, [codec.compress(t).message for t in tensors]
+        )
+
+    def test_mixed_zre_plain_dtype_and_shape(self):
+        rng = np.random.default_rng(5)
+        codecs = [
+            ThreeLCCodec(1.0),
+            ThreeLCCodec(1.9, use_zre=False, dtype=np.float64),
+            ThreeLCCodec(1.75, dtype=np.float16),
+        ]
+        shapes = [(40,), (3, 7), (0,), (2, 2, 9), (), (61,)]
+        messages = [
+            codecs[i % 3].compress(rng.standard_normal(shape) * (i % 2)).message
+            for i, shape in enumerate(shapes)
+        ]
+        assert_decodes_identical(codecs[0], messages)
+
+    def test_empty_batch(self):
+        assert ThreeLCCodec().decompress_batch([]) == []
+
+
+class TestHostileFramesInABatch:
+    """One bad frame among good ones: the error ``decompress`` raises for it
+    alone, naming its position — never a wrong-shaped or shifted array."""
+
+    @pytest.fixture
+    def messages(self):
+        rng = np.random.default_rng(6)
+        codec = ThreeLCCodec(1.0)
+        return [
+            codec.compress(
+                (rng.standard_normal(n) * (rng.random(n) < 0.05)).astype(np.float32)
+            ).message
+            for n in (200, 35, 120)
+        ]
+
+    def check(self, messages, position, bad, match):
+        codec = ThreeLCCodec(1.0)
+        with pytest.raises(ValueError, match=match) as alone:
+            codec.decompress(bad)
+        hostile = list(messages)
+        hostile[position] = bad
+        with pytest.raises(ValueError, match=rf"frame {position}: ") as batched:
+            codec.decompress_batch(hostile)
+        assert str(batched.value) == f"frame {position}: {alone.value}"
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_truncated_payload(self, messages, position):
+        good = messages[position]
+        bad = dataclasses.replace(good, payload=good.payload[:-1])
+        self.check(messages, position, bad, "inconsistent with count")
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_escape_overrunning_into_the_next_frame(self, messages, position):
+        """A full-length run appended to a frame over-runs its count; taken
+        as one stream the surplus would shift every later frame."""
+        good = messages[position]
+        bad = dataclasses.replace(
+            good, payload=good.payload + bytes([LAST_ESCAPE_BYTE])
+        )
+        self.check(messages, position, bad, "inconsistent with count")
+
+    def test_overrun_balanced_by_a_short_neighbour_is_still_caught(self, messages):
+        """Two wrong frames whose lengths cancel must not pass as a pair."""
+        first, second = messages[0], messages[1]
+        run = bytes([ZERO_GROUP_BYTE])
+        hostile = [
+            dataclasses.replace(first, payload=first.payload + run),
+            dataclasses.replace(second, shape=(second.shape[0] + 5,)),
+            messages[2],
+        ]
+        with pytest.raises(ValueError, match=r"frame 0: .*inconsistent with count"):
+            ThreeLCCodec(1.0).decompress_batch(hostile)
+
+    @pytest.mark.parametrize("codec_id", [CodecId.FLOAT32, CodecId.STOCHASTIC_TERNARY_QE])
+    def test_foreign_codec_id(self, messages, codec_id):
+        bad = dataclasses.replace(messages[1], codec_id=codec_id)
+        self.check(messages, 1, bad, "not a 3LC message")
+
+    @pytest.mark.parametrize(
+        "scalars", [(float("nan"),), (-1.0,), (float("inf"),), (), (1.0, 2.0)]
+    )
+    def test_bad_scale(self, messages, scalars):
+        bad = dataclasses.replace(messages[2], scalars=scalars)
+        self.check(messages, 2, bad, "scalars")
+
+    def test_escape_byte_in_a_frame_sent_without_zre(self, messages):
+        plain = ThreeLCCodec(1.0, use_zre=False)
+        good = plain.compress(np.ones(10, np.float32)).message
+        bad = dataclasses.replace(good, payload=bytes([5, LAST_ESCAPE_BYTE]))
+        self.check(messages, 1, bad, "outside quartic range")
+        self.check([good, *messages], 0, bad, "outside quartic range")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data import DatasetSpec, SyntheticImageDataset
+from repro.data.synthetic import _upsample_bilinear
+from repro.utils.seeding import derive_rng
 
 
 class TestDatasetSpec:
@@ -45,6 +47,27 @@ class TestSyntheticImageDataset:
         x2, y2 = ds.train_shard(3, 64)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DatasetSpec(), DatasetSpec(seed=7, channels=1, image_size=21, template_resolution=5)],
+    )
+    def test_one_upsample_call_equals_one_per_sample(self, spec):
+        """The shard's structured noise is upsampled in one call; sample by
+        sample — the loop it replaced — must give the same bits."""
+        ds = SyntheticImageDataset(spec)
+        images, labels = ds.train_shard(2, 37)
+        rng = derive_rng(spec.seed, "train", 2)
+        assert np.array_equal(labels, rng.integers(0, spec.num_classes, size=37))
+        contrast = 1.0 + spec.contrast_jitter * rng.uniform(-1, 1, size=37)
+        res = spec.template_resolution
+        low = rng.normal(0.0, spec.structured_noise, size=(37, spec.channels, res, res))
+        expected = ds.templates[labels] * contrast[:, None, None, None]
+        expected = expected + np.stack(
+            [_upsample_bilinear(f, spec.image_size) for f in low]
+        )
+        expected = expected + rng.normal(0.0, spec.pixel_noise, size=expected.shape)
+        np.testing.assert_array_equal(images, expected.astype(np.float32))
 
     def test_shards_are_disjoint_streams(self):
         ds = SyntheticImageDataset()

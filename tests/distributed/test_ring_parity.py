@@ -1,0 +1,162 @@
+"""The lockstep ring against the per-transmit oracle, bit for bit.
+
+``RingAllReduce`` pays one batched encode and one batched decode per hop;
+``ring_oracle.OracleRingAllReduce`` is the ring it replaced — one ring per
+tensor, one codec round-trip per send. Nothing observable may differ:
+outputs, wire bytes, busiest-link bytes, and every error-feedback residual
+a context carries into the next step.
+"""
+
+import numpy as np
+import pytest
+from ring_oracle import OracleRingAllReduce
+
+from repro.compression import LocalStepsCompressor, make_compressor
+from repro.compression.base import snapshot_contexts
+from repro.distributed.allreduce import RingAllReduce
+
+SCHEMES = [
+    "3LC (s=1.00)",
+    "3LC (s=1.75)",
+    "Stoch 3-value + QE",
+    "8-bit int",
+    "32-bit float",
+]
+
+#: Sizes below the node count leave empty chunks; ``()`` is a scalar.
+SHAPES = {
+    "w0": (37, 11),
+    "tiny": (3,),
+    "b0": (5,),
+    "empty": (0,),
+    "w1": (640,),
+    "scalar": (),
+    "w2": (2, 3, 7),
+}
+BYPASS = {"b0", "scalar"}
+
+
+def assert_same_state(a: dict, b: dict) -> None:
+    assert a.keys() == b.keys()
+    for key, value in a.items():
+        if isinstance(value, dict):
+            assert_same_state(value, b[key])
+        elif isinstance(value, np.ndarray):
+            assert value.dtype == b[key].dtype
+            np.testing.assert_array_equal(value, b[key])
+        else:
+            assert value == b[key]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("nodes", [2, 3, 8])
+def test_tensor_set_matches_per_tensor_oracle(scheme, nodes):
+    ring = RingAllReduce(nodes, SHAPES, make_compressor(scheme, seed=3), bypass=BYPASS)
+    oracle_scheme = make_compressor(scheme, seed=3)
+    oracles = {
+        name: OracleRingAllReduce(
+            nodes, shape, None if name in BYPASS else oracle_scheme
+        )
+        for name, shape in SHAPES.items()
+    }
+    rng = np.random.default_rng(nodes)
+    for step in range(3):  # error feedback carries across steps
+        grads = [
+            {
+                name: (rng.standard_t(3, size=shape) * 0.01).astype(np.float32)
+                for name, shape in SHAPES.items()
+            }
+            for _ in range(nodes)
+        ]
+        results = ring.reduce(grads, average=step != 1)
+        assert list(results) == list(SHAPES)
+        for name, oracle in oracles.items():
+            expected = oracle.reduce([g[name] for g in grads], average=step != 1)
+            got = results[name]
+            assert got.wire_bytes == expected.wire_bytes
+            assert got.max_link_bytes == expected.max_link_bytes
+            assert got.baseline_bytes == expected.baseline_bytes
+            for ours, theirs in zip(got.outputs, expected.outputs, strict=True):
+                assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+                np.testing.assert_array_equal(ours, theirs)
+        theirs = {
+            (name, *key): ctx
+            for name, oracle in oracles.items()
+            for key, ctx in oracle._contexts.items()
+        }
+        assert_same_state(
+            snapshot_contexts(ring._contexts), snapshot_contexts(theirs)
+        )
+    assert all(name not in BYPASS for name, *_ in ring._contexts)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_lone_tensor_is_the_one_entry_set(scheme):
+    nodes, shape = 4, (9, 5)
+    ring = RingAllReduce(nodes, shape, make_compressor(scheme, seed=1))
+    oracle = OracleRingAllReduce(nodes, shape, make_compressor(scheme, seed=1))
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        tensors = [rng.normal(size=shape).astype(np.float32) for _ in range(nodes)]
+        got, expected = ring.reduce(tensors), oracle.reduce(tensors)
+        assert (got.wire_bytes, got.max_link_bytes) == (
+            expected.wire_bytes,
+            expected.max_link_bytes,
+        )
+        for ours, theirs in zip(got.outputs, expected.outputs, strict=True):
+            np.testing.assert_array_equal(ours, theirs)
+
+
+def test_receivers_decode_the_wire_message():
+    """A scheme whose decode differs from its reconstruction must show."""
+    scheme = make_compressor("3LC (s=1.00)")
+    decoded = []
+
+    def halved(messages):
+        out = [0.5 * arr for arr in type(scheme).decompress_batch(scheme, messages)]
+        decoded.extend(out)
+        return out
+
+    scheme.decompress_batch = halved
+    tensors = [np.full(4, 2.0, dtype=np.float32) for _ in range(2)]
+    result = RingAllReduce(2, (4,), scheme).reduce(tensors, average=False)
+    assert decoded
+    # Reduce hop: 2 + 0.5 * 2 = 3; gather hop: the other node gets 0.5 * 3.
+    assert sorted({float(v) for out in result.outputs for v in out}) == [1.5, 3.0]
+
+
+def test_set_ring_rejects_deferring_scheme():
+    ring = RingAllReduce(2, {"w": (30,)}, LocalStepsCompressor(2))
+    grads = [{"w": np.ones(30, dtype=np.float32)} for _ in range(2)]
+    with pytest.raises(ValueError, match="deferred a hop transmission"):
+        ring.reduce(grads)
+
+
+def test_set_ring_checks_node_count_and_shapes():
+    ring = RingAllReduce(3, {"w": (4,), "b": (2,)})
+    good = {"w": np.zeros(4), "b": np.zeros(2)}
+    with pytest.raises(ValueError, match="expected 3 tensors"):
+        ring.reduce([good, good])
+    with pytest.raises(ValueError, match="shape"):
+        ring.reduce([good, good, {"w": np.zeros(4), "b": np.zeros(3)}])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_names_the_offender(bad):
+    ring = RingAllReduce(
+        4, {"w": (64,), "v": (40,), "b": (3,)}, make_compressor("3LC (s=1.00)"),
+        bypass={"b"},
+    )
+    grads = [
+        {"w": np.ones(64, np.float32), "v": np.ones(40, np.float32),
+         "b": np.ones(3, np.float32)}
+        for _ in range(4)
+    ]
+    # Node 2 sends chunk 2 of every tensor on the first reduce hop.
+    grads[2]["v"][25] = bad
+    with pytest.raises(
+        ValueError,
+        match=r"tensor 'v', reduce hop 0, sender 2\): cannot quantize non-finite "
+        r"tensor \(segment 6\)",
+    ):
+        ring.reduce(grads)
