@@ -34,7 +34,11 @@ window spanning the whole run.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 
 from repro.utils.format import format_table
@@ -57,6 +61,9 @@ REPORT_SCHEMA = "repro.bottleneck-report/v1"
 
 #: Lower number wins when spans of several kinds cover one slice.
 _PRIORITY = {"compute": 0, "codec": 1, "wire": 2, "barrier": 3, "outage": 4}
+
+#: JSON numbers, exactly: ``bool`` is an ``int`` only to ``isinstance``.
+_NUMBER = (int, float)
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,15 @@ def spans_from_chrome(data: dict) -> list[TraceSpan]:
 
     Process / thread names come from the ``"M"`` metadata events the
     exporter writes; microsecond timestamps convert back to seconds.
+    A span's ``args`` is its event's own dict, not a copy. An ``"X"``
+    event whose ``pid`` / ``tid`` / ``ts`` / ``dur`` is missing or not
+    a number raises :class:`ValueError` naming both.
     """
     events = data.get("traceEvents") or []
     process_of: dict[int, str] = {}
     track_of: dict[tuple[int, int], str] = {}
     spans: list[TraceSpan] = []
-    for event in events:
+    for index, event in enumerate(events):
         phase = event.get("ph")
         if phase == "M":
             name = (event.get("args") or {}).get("name", "")
@@ -103,17 +113,29 @@ def spans_from_chrome(data: dict) -> list[TraceSpan]:
             elif event.get("name") == "thread_name":
                 track_of[(event["pid"], event["tid"])] = name
         elif phase == "X":
-            pid, tid = event["pid"], event["tid"]
-            start = float(event["ts"]) / 1e6
-            end = start + float(event.get("dur", 0.0)) / 1e6
+            pid, tid = event.get("pid"), event.get("tid")
+            ts, dur = event.get("ts"), event.get("dur")
+            numeric = type(pid) in _NUMBER and type(tid) in _NUMBER
+            if not (numeric and type(ts) in _NUMBER and type(dur) in _NUMBER):
+                bad = next(
+                    key
+                    for key in ("pid", "tid", "ts", "dur")
+                    if type(event.get(key)) not in _NUMBER
+                )
+                raise ValueError(
+                    f"traceEvents[{index}]: bad {bad!r} {event.get(bad)!r} "
+                    "(want a number)"
+                )
+            group, track = process_of.get(pid), track_of.get((pid, tid))
+            start = float(ts) / 1e6
             spans.append(
                 TraceSpan(
-                    group=process_of.get(pid, f"pid{pid}"),
-                    track=track_of.get((pid, tid), f"tid{tid}"),
-                    name=str(event.get("name", "")),
-                    start=start,
-                    end=end,
-                    args=dict(event.get("args") or {}),
+                    f"pid{pid}" if group is None else group,
+                    f"tid{tid}" if track is None else track,
+                    str(event.get("name", "")),
+                    start,
+                    start + float(dur) / 1e6,
+                    event.get("args") or {},
                 )
             )
     return spans
@@ -236,22 +258,18 @@ class RunAttribution:
         return sorted(self.buckets.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def _step_windows(spans: list[TraceSpan]) -> list[tuple[int | None, float, float]]:
-    """Derive ``(step, start, end)`` windows covering the group's clock.
+def _step_windows(
+    starts: dict[int, float], trace_start: float, trace_end: float
+) -> list[tuple[int | None, float, float]]:
+    """Tile ``(step, start, end)`` windows over the group's clock.
 
-    Steps tile contiguously (the simulators advance ``trace_offset`` by
-    each step's duration), so window *k* ends where *k+1* begins; the
+    ``starts`` is each step's earliest span start. Steps tile
+    contiguously (the simulators advance ``trace_offset`` by each
+    step's duration), so window *k* ends where *k+1* begins; the
     last window ends at the group's latest span end. Spans without a
     ``step`` arg fall into whichever window contains them.
     """
-    starts: dict[int, float] = {}
-    for span in spans:
-        step = span.args.get("step")
-        if isinstance(step, int):
-            starts[step] = min(starts.get(step, span.start), span.start)
-    trace_end = max((span.end for span in spans), default=0.0)
     if not starts:
-        trace_start = min((span.start for span in spans), default=0.0)
         return [(None, trace_start, trace_end)]
     ordered = sorted(starts)
     windows: list[tuple[int | None, float, float]] = []
@@ -262,84 +280,117 @@ def _step_windows(spans: list[TraceSpan]) -> list[tuple[int | None, float, float
     return windows
 
 
+#: ``(start, end, key)``: ``key`` is the order slice winners are picked in.
+_Record = tuple[float, float, tuple[int, float, str]]
+
+
 def _attribute_window(
-    spans: list[TraceSpan], begin: float, end: float
+    candidates: list[_Record], begin: float, end: float
 ) -> dict[str, float]:
     """Exact partition of ``[begin, end]`` into bucket seconds.
 
-    Every span boundary inside the window cuts an elementary slice;
-    each slice charges the highest-priority active kind (wire slices
-    charge the active transfer ending last — the one the critical path
-    exits through). Uncovered slices are barrier waits.
+    ``candidates`` are the spans that may overlap the window, in start
+    order. Every clipped span boundary cuts an elementary slice; each
+    slice charges the smallest ``(priority, -end, bucket)`` key covering
+    it — the highest-priority kind, and within a kind the span ending
+    last (for wire: the transfer the critical path exits through).
+    Uncovered slices are barrier waits. One sweep: spans enter a
+    min-heap at their first cut, expired ones are popped off the top
+    lazily, and each slice reads its winner off the heap top.
     """
-    clipped: list[tuple[float, float, str, str, float]] = []
-    for span in spans:
-        lo = max(span.start, begin)
-        hi = min(span.end, end)
-        if hi <= lo:
-            continue
-        kind, bucket = classify(span.track, span.name)
-        # A wire slice charges the transfer ending last; keep the
-        # span's true end (not the clipped end) as the tie-breaker key.
-        clipped.append((lo, hi, kind, bucket, span.end))
     if end <= begin:
         return {}
     cuts = {begin, end}
-    for lo, hi, _, _, _ in clipped:
-        cuts.add(lo)
-        cuts.add(hi)
+    entering: list[tuple[float, tuple[int, float, str]]] = []
+    for start, stop, key in candidates:
+        lo = start if start > begin else begin
+        hi = stop if stop < end else end
+        if hi > lo:
+            cuts.add(lo)
+            cuts.add(hi)
+            entering.append((lo, key))
     edges = sorted(cuts)
     buckets: dict[str, float] = {}
+    active: list[tuple[int, float, str]] = []
+    index, count = 0, len(entering)
     for lo, hi in zip(edges, edges[1:]):
-        if hi <= lo:
-            continue
-        # Every span endpoint is a cut, so a span either covers this
-        # whole elementary slice or none of it.
-        best: tuple[int, float, str] | None = None
-        for s_lo, s_hi, kind, bucket, true_end in clipped:
-            if s_lo > lo or s_hi < hi:
-                continue
-            # Within one priority class prefer the span ending last
-            # (meaningful for wire; harmless elsewhere).
-            key = (_PRIORITY[kind], -true_end, bucket)
-            if best is None or key < best:
-                best = key
-        bucket = best[2] if best is not None else "barrier_wait"
+        while index < count and entering[index][0] <= lo:
+            heappush(active, entering[index][1])
+            index += 1
+        # Every span endpoint is a cut, so a span still open past ``lo``
+        # covers this whole slice; and ``lo`` is before the window's end,
+        # so the key's true end decides that as the clipped end would.
+        while active and -active[0][1] <= lo:
+            heappop(active)
+        bucket = active[0][2] if active else "barrier_wait"
         buckets[bucket] = buckets.get(bucket, 0.0) + (hi - lo)
     return buckets
 
 
+def _track_facts(track: str, name: str) -> tuple[int, str, int | None, str | None]:
+    """``(priority, bucket, track's worker, track's rack)`` of a named track."""
+    kind, bucket = classify(track, name)
+    suffix = track[len("worker"):] if track.startswith("worker") else ""
+    worker = int(suffix) if suffix.isdigit() else None
+    return _PRIORITY[kind], bucket, worker, _rack_of(track)
+
+
 def attribute_group(spans: list[TraceSpan], group: str) -> RunAttribution:
-    """Attribute one group's spans across its step windows."""
-    mine = [span for span in spans if span.group == group]
-    windows = _step_windows(mine)
+    """Attribute one group's spans across its step windows.
+
+    One pass over the spans classifies each distinct ``(track, name)``
+    once, finds the step starts and accumulates the rollups. The
+    records are then sorted by start, and a window's candidates (start
+    before its end, running-max end after its beginning) are located by
+    bisection instead of scanning the group.
+    """
+    facts_of: dict[tuple[str, str], tuple] = {}
+    step_starts: dict[int, float] = {}
+    records: list[_Record] = []
+    # Busy-seconds rollups (span-duration sums, not a partition): which
+    # worker / rack each bucket's work belongs to.
+    per_worker: dict[str, dict[str, float]] = {}
+    per_rack: dict[str, dict[str, float]] = {}
+    for span in spans:
+        if span.group != group:
+            continue
+        named = (span.track, span.name)
+        if named not in facts_of:
+            facts_of[named] = _track_facts(*named)
+        priority, bucket, track_worker, rack = facts_of[named]
+        start, end, args = span.start, span.end, span.args
+        records.append((start, end, (priority, -end, bucket)))
+        step = args.get("step")
+        if isinstance(step, int):
+            step_starts[step] = min(step_starts.get(step, start), start)
+        worker = args.get("worker")
+        if worker is None:
+            worker = track_worker
+        if worker is not None:
+            row = per_worker.setdefault(f"worker{worker}", {})
+            row[bucket] = row.get(bucket, 0.0) + (end - start)
+        if rack is not None:
+            row = per_rack.setdefault(rack, {})
+            row[bucket] = row.get(bucket, 0.0) + (end - start)
+    records.sort(key=itemgetter(0))
+    starts = [record[0] for record in records]
+    # reach[i]: latest end among records[:i + 1]. Non-decreasing, so the
+    # first record that can outlast a window's beginning bisects too.
+    reach = list(accumulate((record[1] for record in records), max))
+    trace_start, trace_end = (starts[0], reach[-1]) if records else (0.0, 0.0)
     steps = tuple(
         StepAttribution(
             step=step,
             start=begin,
             end=end,
-            buckets=_attribute_window(mine, begin, end),
+            buckets=_attribute_window(
+                records[bisect_right(reach, begin):bisect_left(starts, end)],
+                begin,
+                end,
+            ),
         )
-        for step, begin, end in windows
+        for step, begin, end in _step_windows(step_starts, trace_start, trace_end)
     )
-    # Busy-seconds rollups (span-duration sums, not a partition): which
-    # worker / rack each bucket's work belongs to.
-    per_worker: dict[str, dict[str, float]] = {}
-    per_rack: dict[str, dict[str, float]] = {}
-    for span in mine:
-        _, bucket = classify(span.track, span.name)
-        worker = span.args.get("worker")
-        if worker is None and span.track.startswith("worker"):
-            suffix = span.track[len("worker"):]
-            if suffix.isdigit():
-                worker = int(suffix)
-        if worker is not None:
-            row = per_worker.setdefault(f"worker{worker}", {})
-            row[bucket] = row.get(bucket, 0.0) + span.duration
-        rack = _rack_of(span.track)
-        if rack is not None:
-            row = per_rack.setdefault(rack, {})
-            row[bucket] = row.get(bucket, 0.0) + span.duration
     return RunAttribution(
         group=group, steps=steps, per_worker=per_worker, per_rack=per_rack
     )
@@ -352,14 +403,11 @@ def attribute_trace(data_or_spans) -> list[RunAttribution]:
     skipped.
     """
     if isinstance(data_or_spans, dict):
-        spans = spans_from_chrome(data_or_spans)
-    else:
-        spans = list(data_or_spans)
-    groups: list[str] = []
-    for span in spans:
-        if span.group not in groups:
-            groups.append(span.group)
-    return [attribute_group(spans, group) for group in groups]
+        data_or_spans = spans_from_chrome(data_or_spans)
+    by_group: dict[str, list[TraceSpan]] = {}
+    for span in data_or_spans:
+        by_group.setdefault(span.group, []).append(span)
+    return [attribute_group(mine, group) for group, mine in by_group.items()]
 
 
 def bottleneck_report(

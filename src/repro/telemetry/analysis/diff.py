@@ -31,6 +31,7 @@ from repro.utils.format import format_table
 
 from repro.telemetry.analysis.attribution import (
     RunAttribution,
+    TraceSpan,
     attribute_trace,
     load_chrome_trace,
     spans_from_chrome,
@@ -41,10 +42,12 @@ __all__ = ["diff_report", "diff_text", "main"]
 DIFF_SCHEMA = "repro.trace-diff/v1"
 
 
-def _outage_routes_by_window(data: dict) -> dict[str, list[tuple[float, float, str]]]:
+def _outage_routes_by_window(
+    spans: list[TraceSpan],
+) -> dict[str, list[tuple[float, float, str]]]:
     """Per group: outage intervals ``(start, end, route)`` in the trace."""
     outages: dict[str, list[tuple[float, float, str]]] = {}
-    for span in spans_from_chrome(data):
+    for span in spans:
         if span.track.startswith("outage:"):
             route = span.track[len("outage:"):]
             outages.setdefault(span.group, []).append(
@@ -82,10 +85,12 @@ def diff_report(
     fault_summary: dict | None = None,
 ) -> dict:
     """Structured diff of two Chrome traces (``repro.trace-diff/v1``)."""
-    base_by = _by_group(attribute_trace(base_data))
-    other_by = _by_group(attribute_trace(other_data))
-    other_outages = _outage_routes_by_window(other_data)
-    base_outages = _outage_routes_by_window(base_data)
+    base_spans = spans_from_chrome(base_data)
+    other_spans = spans_from_chrome(other_data)
+    base_by = _by_group(attribute_trace(base_spans))
+    other_by = _by_group(attribute_trace(other_spans))
+    other_outages = _outage_routes_by_window(other_spans)
+    base_outages = _outage_routes_by_window(base_spans)
     groups = []
     for name in sorted(set(base_by) | set(other_by)):
         base = base_by.get(name)

@@ -63,6 +63,19 @@ def main(argv=None) -> int:
         help="--save archive to print simulated per-link totals alongside",
     )
     args = parser.parse_args(argv)
+    archive = []
+    if args.results is not None:
+        archive = json.loads(Path(args.results).read_text())
+        if not (
+            isinstance(archive, list)
+            and all(isinstance(result, dict) for result in archive)
+        ):
+            print(
+                f"{args.results}: not a results archive "
+                "(want a JSON list of run documents)",
+                file=sys.stderr,
+            )
+            return 2
     data = load_chrome_trace(args.trace)
     attributions = attribute_trace(data)
     report = bottleneck_report(attributions, top=args.top)
@@ -71,18 +84,14 @@ def main(argv=None) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(report, indent=2) + "\n")
     print(report_text(report, top=args.top))
-    if args.results is not None:
-        archive = json.loads(Path(args.results).read_text())
-        for result in archive if isinstance(archive, list) else []:
-            totals = result.get("total_seconds") or {}
-            if totals:
-                pairs = ", ".join(
-                    f"{link}={seconds:.6f}s"
-                    for link, seconds in sorted(totals.items())
-                )
-                print(
-                    f"archived totals [{result.get('scheme', '?')}]: {pairs}"
-                )
+    for result in archive:
+        totals = result.get("total_seconds") or {}
+        if totals:
+            pairs = ", ".join(
+                f"{link}={seconds:.6f}s"
+                for link, seconds in sorted(totals.items())
+            )
+            print(f"archived totals [{result.get('scheme', '?')}]: {pairs}")
     if args.check:
         worst = 0.0
         for attribution in attributions:

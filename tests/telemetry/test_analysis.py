@@ -31,6 +31,7 @@ from repro.nn import CosineDecay, build_resnet
 from repro.nn.stats import profile_backward
 from repro.telemetry import Telemetry, Tracer
 from repro.telemetry.analysis import (
+    TraceSpan,
     attribute_group,
     attribute_trace,
     bottleneck_report,
@@ -42,6 +43,7 @@ from repro.telemetry.analysis import (
     spans_from_tracer,
     MetricsServer,
 )
+from repro.telemetry.analysis import attribution, diff, report
 from repro.telemetry.export import chrome_trace
 
 TIME_MODEL = StepTimeModel(
@@ -204,6 +206,184 @@ class TestAttributionReconciles:
             )
 
 
+def _span(track, name, start, end, group="sim", **args):
+    return TraceSpan(group, track, name, float(start), float(end), args)
+
+
+class TestSliceSemantics:
+    """Hand-built windows on a dyadic grid: every expected value is exact."""
+
+    def test_compute_beats_codec_beats_wire_beats_barrier_beats_outage(self):
+        spans = [
+            _span("outage:rack0", "down", 0, 5),
+            _span("worker0", "barrier-wait", 0, 4),
+            _span("link:rack0", "push", 0, 3),
+            _span("codec:up", "compress", 0, 2),
+            _span("compute", "backward", 0, 1),
+        ]
+        (window,) = attribute_group(spans, "sim").steps
+        assert window.buckets == {
+            "compute": 1.0,
+            "codec": 1.0,
+            "wire:rack0": 1.0,
+            "barrier_wait": 1.0,
+            "outage:rack0": 1.0,
+        }
+        # Buckets are keyed in the order their first slice is reached.
+        assert list(window.buckets) == [
+            "compute", "codec", "wire:rack0", "barrier_wait", "outage:rack0",
+        ]
+
+    def test_wire_slice_charges_the_transfer_ending_last(self):
+        spans = [_span("link:a", "push", 0, 2), _span("link:b", "push", 1, 3)]
+        (window,) = attribute_group(spans, "sim").steps
+        assert window.buckets == {"wire:a": 1.0, "wire:b": 2.0}
+        # A transfer nested inside a longer one never owns a slice.
+        spans = [_span("link:a", "push", 0, 3), _span("link:b", "push", 1, 2)]
+        (window,) = attribute_group(spans, "sim").steps
+        assert window.buckets == {"wire:a": 3.0}
+
+    def test_equal_ends_break_the_tie_on_bucket_name(self):
+        spans = [_span("link:b", "push", 0, 2), _span("link:a", "push", 0, 2)]
+        (window,) = attribute_group(spans, "sim").steps
+        assert window.buckets == {"wire:a": 2.0}
+
+    def test_true_end_not_clipped_end_ranks_transfers(self):
+        # Both transfers outlive step 0's window [0, 2): clipped they tie,
+        # and the one that really ends last is the critical one.
+        spans = [
+            _span("link:a", "push", 0, 3, step=0),
+            _span("link:b", "push", 0, 4, step=0),
+            _span("compute", "backward", 2, 5, step=1),
+        ]
+        first, second = attribute_group(spans, "sim").steps
+        assert (first.start, first.end) == (0.0, 2.0)
+        assert first.buckets == {"wire:b": 2.0}
+        assert second.buckets == {"compute": 3.0}
+
+    def test_span_straddling_two_windows_is_clipped_into_both(self):
+        spans = [
+            _span("compute", "backward", 0, 1, step=0),
+            _span("link:x", "push", 0.5, 2.5, step=0),
+            _span("compute", "backward", 2.5, 3, step=1),
+            _span("codec", "decode", 2, 2, step=1),  # opens step 1 at t=2
+        ]
+        first, second = attribute_group(spans, "sim").steps
+        assert (first.step, first.start, first.end) == (0, 0.0, 2.0)
+        assert first.buckets == {"compute": 1.0, "wire:x": 1.0}
+        assert (second.step, second.start, second.end) == (1, 2.0, 3.0)
+        assert second.buckets == {"wire:x": 0.5, "compute": 0.5}
+
+    def test_trace_without_step_args_is_one_window(self):
+        spans = [_span("compute", "backward", 1, 2), _span("link:x", "push", 3, 4.5)]
+        (window,) = attribute_group(spans, "sim").steps
+        assert (window.step, window.start, window.end) == (None, 1.0, 4.5)
+        assert window.reconciliation_error == 0.0
+
+    def test_uncovered_time_is_barrier_wait(self):
+        spans = [_span("compute", "backward", 0, 1), _span("compute", "backward", 3, 4)]
+        (window,) = attribute_group(spans, "sim").steps
+        assert window.buckets == {"compute": 2.0, "barrier_wait": 2.0}
+
+    def test_empty_and_zero_length_windows_have_no_buckets(self):
+        (window,) = attribute_group([], "sim").steps
+        assert (window.start, window.end, window.buckets) == (0.0, 0.0, {})
+        (window,) = attribute_group([_span("compute", "backward", 1, 1)], "sim").steps
+        assert (window.start, window.end, window.buckets) == (1.0, 1.0, {})
+        # Two steps opening at the same instant: the first is zero-length.
+        spans = [
+            _span("codec", "decode", 0, 0, step=0),
+            _span("compute", "backward", 0, 1, step=1),
+        ]
+        first, second = attribute_group(spans, "sim").steps
+        assert first.buckets == {} and first.total_seconds == 0.0
+        assert second.buckets == {"compute": 1.0}
+
+    def test_rollups_sum_span_durations_by_worker_and_rack(self):
+        spans = [
+            _span("worker2", "compute", 0, 1),
+            _span("link:cross:rack1", "push", 0, 2, worker=2),
+            _span("outage:rack1", "down", 2, 2.5),
+            _span("rack0", "compress", 0, 0.5),
+        ]
+        run = attribute_group(spans, "sim")
+        assert run.per_worker == {"worker2": {"compute": 1.0, "wire:cross:rack1": 2.0}}
+        assert run.per_rack == {
+            "rack1": {"wire:cross:rack1": 2.0, "outage:rack1": 0.5},
+            "rack0": {"codec": 0.5},
+        }
+
+
+class TestSweepComplexity:
+    """Counts, not timings: the sweep's work is linear in the spans."""
+
+    def test_classify_once_per_span_and_windows_visit_their_own_spans(
+        self, monkeypatch
+    ):
+        steps, per_step = 12, 40
+        tracks = ["compute", "codec:up", "link:rack0", "link:cross:rack1", "worker1"]
+        spans = []
+        for step in range(steps):
+            for index in range(per_step):
+                start = step + index / (2 * per_step)
+                spans.append(
+                    _span(
+                        tracks[index % len(tracks)],
+                        "backward" if index % 2 else "push",
+                        start,
+                        start + 0.25,
+                        step=step,
+                    )
+                )
+        classified = []
+        real_classify = attribution.classify
+        monkeypatch.setattr(
+            attribution,
+            "classify",
+            lambda track, name: classified.append((track, name))
+            or real_classify(track, name),
+        )
+        visited = []
+        real_window = attribution._attribute_window
+        monkeypatch.setattr(
+            attribution,
+            "_attribute_window",
+            lambda candidates, begin, end: visited.append(len(candidates))
+            or real_window(candidates, begin, end),
+        )
+        run = attribute_group(spans, "sim")
+        assert len(run.steps) == steps and run.max_reconciliation_error <= 1e-12
+        # The quadratic version classified every span once per window and
+        # once more for the rollups: (steps + 1) x spans.
+        assert len(classified) <= len(spans)
+        # ... and handed all of the group's spans to every window.
+        assert len(visited) == steps
+        assert sum(visited) <= 2 * len(spans) + steps
+
+
+class TestLoaderRejects:
+    """``spans_from_chrome`` names the event and field it cannot use."""
+
+    GOOD = {"ph": "X", "name": "push", "pid": 1, "tid": 2, "ts": 10, "dur": 5.5}
+
+    @pytest.mark.parametrize("field", ["pid", "tid", "ts", "dur"])
+    @pytest.mark.parametrize("bad", ["missing", None, "12", [1], True])
+    def test_bad_numeric_field_names_event_and_field(self, field, bad):
+        event = dict(self.GOOD)
+        if bad == "missing":
+            del event[field]
+        else:
+            event[field] = bad
+        data = {"traceEvents": [dict(self.GOOD), {"ph": "i"}, event]}
+        with pytest.raises(ValueError, match=rf"traceEvents\[2\].*'{field}'"):
+            spans_from_chrome(data)
+
+    def test_well_formed_event_loads(self):
+        (span,) = spans_from_chrome({"traceEvents": [self.GOOD]})
+        assert (span.group, span.track, span.name) == ("pid1", "tid2", "push")
+        assert (span.start, span.end) == (10 / 1e6, 10 / 1e6 + 5.5 / 1e6)
+
+
 class TestBottleneckReport:
     def test_schema_and_ranking(self, timeline):
         engine = train_engine("hier")
@@ -221,6 +401,83 @@ class TestBottleneckReport:
         assert session["per_rack"]  # hier traces carry rack rollups
         text = report_text(report, top=3)
         assert "sim" in text and "Bucket" in text
+
+
+def _synthetic_trace(flapped: bool) -> dict:
+    """Two steps on integer µs; the flapped variant holds ``cross:rack1``
+    down for 700 µs of step 1 and the push waits behind it."""
+    tracks = ["compute", "link:cross:rack1", "codec:up", "outage:cross:rack1"]
+    events = [
+        {"ph": "M", "name": "process_name", "pid": 1, "tid": 0,
+         "args": {"name": "sim:10Mbps"}}
+    ]
+    for tid, track in enumerate(tracks, start=1):
+        events.append(
+            {"ph": "M", "name": "thread_name", "pid": 1, "tid": tid,
+             "args": {"name": track}}
+        )
+    stall = 700 if flapped else 0
+    spans = [
+        (1, "backward", 0, 300, 0),
+        (3, "compress", 300, 100, 0),
+        (2, "push", 350, 450, 0),
+        (1, "backward", 1000, 300, 1),
+        (3, "compress", 1300, 100, 1),
+        (2, "push", 1350 + stall, 450, 1),
+    ]
+    if flapped:
+        spans.append((4, "down", 1300, stall, 1))
+    for tid, name, ts, dur, step in spans:
+        events.append(
+            {"ph": "X", "name": name, "pid": 1, "tid": tid, "ts": ts, "dur": dur,
+             "args": {"step": step}}
+        )
+    return {"traceEvents": events}
+
+
+#: ``trace-diff --json`` of the synthetic pair, recorded before the spans
+#: were loaded once per trace and attribution became a sweep (14fac9d).
+SYNTHETIC_DIFF = {
+    "schema": "repro.trace-diff/v1",
+    "groups": [
+        {
+            "group": "sim:10Mbps",
+            "base_seconds": 0.0018,
+            "other_seconds": 0.0025,
+            "delta_seconds": 0.0007000000000000001,
+            "new_outage_routes": ["cross:rack1"],
+            "regressions": [
+                {
+                    "step": 1,
+                    "base_seconds": 0.0007999999999999999,
+                    "other_seconds": 0.0015,
+                    "delta_seconds": 0.0007000000000000001,
+                    "buckets": [
+                        {
+                            "bucket": "outage:cross:rack1",
+                            "base": 0.0,
+                            "other": 0.0006000000000000001,
+                            "delta": 0.0006000000000000001,
+                        },
+                        {
+                            "bucket": "barrier_wait",
+                            "base": 0.0,
+                            "other": 5.000000000000013e-05,
+                            "delta": 5.000000000000013e-05,
+                        },
+                        {
+                            "bucket": "wire:cross:rack1",
+                            "base": 0.00039999999999999996,
+                            "other": 0.0004499999999999999,
+                            "delta": 4.9999999999999914e-05,
+                        },
+                    ],
+                    "outage_routes": ["cross:rack1"],
+                }
+            ],
+        }
+    ],
+}
 
 
 class TestTraceDiff:
@@ -273,6 +530,63 @@ class TestTraceDiff:
         assert group["delta_seconds"] == 0.0
         assert group["new_outage_routes"] == []
         assert all("delta_seconds" not in e for e in group["regressions"])
+
+    def test_cli_json_is_pinned_and_each_trace_is_parsed_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        paths = []
+        for label, flapped in (("base", False), ("other", True)):
+            paths.append(tmp_path / f"{label}.json")
+            paths[-1].write_text(json.dumps(_synthetic_trace(flapped)))
+        parsed = []
+        real_loader = attribution.spans_from_chrome
+
+        def counting_loader(data):
+            parsed.append(data)
+            return real_loader(data)
+
+        # Both routes to the loader: diff's own and ``attribute_trace``'s.
+        monkeypatch.setattr(diff, "spans_from_chrome", counting_loader)
+        monkeypatch.setattr(attribution, "spans_from_chrome", counting_loader)
+        out = tmp_path / "diff.json"
+        assert diff.main([str(paths[0]), str(paths[1]), "--json", str(out)]) == 0
+        assert out.read_text() == json.dumps(SYNTHETIC_DIFF, indent=2) + "\n"
+        assert len(parsed) == 2
+        assert "cross:rack1" in capsys.readouterr().out
+
+
+class TestReportCli:
+    @pytest.fixture()
+    def trace_path(self, tmp_path):
+        events = [
+            {"ph": "X", "name": "backward", "pid": 1, "tid": 1, "ts": 0, "dur": 250},
+        ]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"traceEvents": events}))
+        return path
+
+    @pytest.mark.parametrize(
+        "archive", [{"results": []}, [{"scheme": "x"}, "not a run"], 7]
+    )
+    def test_results_archive_of_the_wrong_shape_fails_naming_the_file(
+        self, trace_path, tmp_path, capsys, archive
+    ):
+        bad = tmp_path / "not_results.json"
+        bad.write_text(json.dumps(archive))
+        assert report.main([str(trace_path), "--results", str(bad)]) != 0
+        captured = capsys.readouterr()
+        assert str(bad) in captured.err
+        assert "Bottlenecks" not in captured.out
+
+    def test_results_archive_totals_are_printed(self, trace_path, tmp_path, capsys):
+        good = tmp_path / "results.json"
+        good.write_text(
+            json.dumps([{"scheme": "3LC", "total_seconds": {"10Mbps": 1.5}}, {}])
+        )
+        assert report.main([str(trace_path), "--check", "--results", str(good)]) == 0
+        out = capsys.readouterr().out
+        assert "archived totals [3LC]: 10Mbps=1.500000s" in out
+        assert "reconciliation ok" in out
 
 
 def _parse_prometheus(body: str) -> dict[str, float]:

@@ -28,7 +28,7 @@ from repro.network.bandwidth import link
 from repro.network.timing import StepTimeModel
 from repro.nn import CosineDecay, build_resnet
 from repro.nn.stats import profile_backward
-from repro.telemetry import Telemetry, Tracer
+from repro.telemetry import Telemetry, Tracer, tracing
 from repro.telemetry.export import chrome_trace
 from repro.telemetry.validate import validate_chrome_trace
 
@@ -325,9 +325,24 @@ class TestRunnerTelemetry:
         restored = run_result_from_dict(run_result_to_dict(result))
         assert restored.telemetry_summary == result.telemetry_summary
 
-    def test_telemetry_off_leaves_result_bare(self):
-        config = FAST_CONFIG.scaled(standard_steps=4, eval_points=1)
+    def test_telemetry_off_leaves_result_bare(self, monkeypatch):
+        # Off must be free of span objects, not merely of output: count
+        # every ``Span`` any tracer constructs during the run.
+        built = []
+
+        class CountedSpan(tracing.Span):
+            def __init__(self, *fields):
+                built.append(fields)
+                super().__init__(*fields)
+
+        monkeypatch.setattr(tracing, "Span", CountedSpan)
+        config = FAST_CONFIG.scaled(standard_steps=4, eval_points=1, sim_overlap=True)
         runner = ExperimentRunner(config)
         result = runner.run("32-bit float", 1.0)
         assert result.telemetry_summary is None
         assert runner.telemetry_sessions == []
+        assert built == []
+        assert tracing.NULL_TRACER.spans == []
+        # The counter does see a live tracer's spans.
+        Tracer().span("g", "t", "n", 0.0, 1.0)
+        assert len(built) == 1
