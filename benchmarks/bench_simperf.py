@@ -241,7 +241,7 @@ def bench_config(cfg: dict, *, seed: int = 0) -> dict:
     scalar_plans = plans[: min(len(plans), SCALAR_STEP_CAP)]
     scalar_events = _events(scalar_plans)
     scalar_sim = _simulator(cfg, vectorized=False)
-    assert not scalar_sim.vectorized, "REPRO_SCALAR_SIM double-negation?"
+    assert not scalar_sim.vectorized, "vectorized=False must select the reference"
     scalar_sim.simulate_run(scalar_plans)  # same warm-up discipline
     t0 = time.perf_counter()
     scalar_run = scalar_sim.simulate_run(scalar_plans)

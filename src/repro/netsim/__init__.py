@@ -31,7 +31,6 @@ from repro.netsim.links import (
 from repro.netsim.scheduler import (
     EventDrivenSimulator,
     NetworkSimulator,
-    dependency_waves,
     per_tier_serialized_seconds,
     wire_occupancy_seconds,
 )
@@ -39,6 +38,7 @@ from repro.netsim.replay import RecordedTraining, RecordingKey, SweepReplayCache
 from repro.netsim.topology import link_model_for
 from repro.netsim.vector import (
     RecordBatch,
+    dependency_waves,
     phase_partition,
     record_batch,
     wire_occupancy_batch,

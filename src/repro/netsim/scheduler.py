@@ -37,7 +37,6 @@ barriers buy.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from dataclasses import replace
 from itertools import count
@@ -53,12 +52,10 @@ from repro.netsim.events import (
 )
 from repro.netsim.links import LinkModel
 from repro.netsim.vector import (
-    matches_signature,
+    dependency_waves,
     phase_partition,
     replay_run_vectorized,
-    replay_vectorized,
-    share_signature,
-    step_signature,
+    structure_groups,
     wire_occupancy_batch,
 )
 from repro.network.timing import StepTimeModel
@@ -67,7 +64,6 @@ from repro.nn.stats import BackwardTimeline
 __all__ = [
     "NetworkSimulator",
     "EventDrivenSimulator",
-    "dependency_waves",
     "wire_occupancy_seconds",
     "per_tier_serialized_seconds",
 ]
@@ -138,94 +134,47 @@ def per_tier_serialized_seconds(
     )
 
 
-def dependency_waves(
-    records, external_names: frozenset[str] | set[str] = frozenset()
-) -> list[list[int]]:
-    """Group record indices into dependency tiers.
-
-    Wave ``k`` holds records whose ``depends_on`` names all resolve to
-    records in earlier waves (or to ``external_names``, which count as
-    already complete — pull records may depend on push-phase records).
-    Unknown names and circular dependencies are rejected with a clear
-    error; matching is by record name, and when several records share a
-    name a dependent waits for the *last* of them.
-    """
-    known = {r.name for r in records} | set(external_names)
-    for record in records:
-        missing = [d for d in record.depends_on if d not in known]
-        if missing:
-            raise ValueError(
-                f"record {record.name!r} depends on unknown "
-                f"record(s): {missing}"
-            )
-    placed: set[str] = set(external_names)
-    unresolved = list(range(len(records)))
-    waves: list[list[int]] = []
-    while unresolved:
-        wave = [
-            index
-            for index in unresolved
-            if all(d in placed for d in records[index].depends_on)
-        ]
-        if not wave:
-            stuck = ", ".join(records[i].name for i in unresolved)
-            raise ValueError(f"circular record dependencies among: {stuck}")
-        wave_set = set(wave)
-        unresolved = [i for i in unresolved if i not in wave_set]
-        # A name "lands" only once every record bearing it is placed.
-        wave_names = {records[i].name for i in wave}
-        pending = {records[i].name for i in unresolved}
-        placed |= wave_names - pending
-        waves.append(wave)
-    return waves
-
-
-def _trace_push_codec(
+def _trace_codec_pipelines(
     tracer,
     group: str,
-    off: float,
-    step: int | None,
+    origin: float,
     push_records,
     compressed_at,
-    compute: float,
     push_cost: float,
     *,
-    overlap: bool,
+    unit: int | None = None,
+    **args,
 ) -> None:
-    """Emit push-compression spans matching ``_push_compressed_at``.
+    """Emit the push-compression spans of ``_push_compressed_at``'s
+    overlapped schedule: one span per record on its worker's
+    ``codec:w<worker>`` track, ending exactly at the record's
+    compression-done time ``origin + compressed_at[i]`` (the attribution
+    layer reads these to separate codec time from barrier wait) and
+    lasting its element-share of ``push_cost``.
 
-    Overlapped schedules run one serial codec pipeline per sending
-    worker, so each record gets its own span on a ``codec:w<worker>``
-    track ending exactly at its compression-done time (the attribution
-    layer reads these to separate codec time from barrier wait).
-    Serialized schedules charge one staged block after compute. Costs
-    are recomputed with the scalar pipeline's exact expression so the
-    scalar and vectorized replays emit bit-identical spans.
+    Spans go out in compression-done order — time order on every
+    pipeline's track. ``unit`` is the event replay's sending unit, which
+    names the track and the ``worker`` arg instead of the records' own
+    workers; ``args`` ride every span.
     """
-    args = {"step": step} if step is not None else {}
-    if not overlap:
-        if push_cost > 0.0:
-            tracer.span(
-                group, "codec", "push-compress",
-                off + compute, off + compute + push_cost, **args,
-            )
-        return
     totals: dict[int | None, int] = {}
     for record in push_records:
         totals[record.worker] = totals.get(record.worker, 0) + record.elements
-    for index, record in enumerate(push_records):
+    for index in sorted(range(len(push_records)), key=compressed_at.__getitem__):
+        record = push_records[index]
         total = totals[record.worker]
         cost = push_cost * record.elements / total if total else 0.0
         if cost <= 0.0:
             continue
-        end = float(compressed_at[index])
+        worker = record.worker if unit is None else unit
+        end = origin + compressed_at[index]
         tracer.span(
             group,
-            f"codec:w{record.worker}",
+            f"codec:w{worker}",
             f"compress:{record.name}",
-            off + end - cost,
-            off + end,
-            worker=record.worker,
+            end - cost,
+            end,
+            worker=worker,
             **args,
         )
 
@@ -255,22 +204,22 @@ class NetworkSimulator:
         times are consumed; ``serialized_seconds`` then equals
         ``step_seconds``.
     vectorized:
-        When True (the default), steps replay through the NumPy batched
-        core in :mod:`repro.netsim.vector`; ``False`` keeps the reference
-        per-record Python loop. The two schedule identical events (the
-        differential property test in ``tests/netsim/test_vector_parity``
-        holds them together); the scalar path exists for debugging and
-        as the benchmark baseline. ``REPRO_SCALAR_SIM=1`` in the
-        environment forces the scalar path regardless of this flag.
+        When True (the default), steps replay through the array kernel in
+        :mod:`repro.netsim.vector`; ``False`` replays through the
+        per-record Python loop below, the reference the kernel is held to
+        (``tests/netsim/test_vector_parity``: bit-equal schedule times
+        and critical paths) and the baseline the benchmarks time it
+        against. This argument is the only way to reach the reference.
     tracer:
         Optional :class:`repro.telemetry.Tracer`. When set, the primary
         replay of each step emits simulated-clock spans — one track per
         link (``link:<route>``, one span per transfer record whose
-        duration equals the occupancy charged to ``link_busy``), plus
-        compute / server-codec / pull-decompress phase spans — offset by
-        ``trace_offset`` so consecutive steps lay out contiguously. The
-        serialized-baseline second replay never traces. ``None`` (the
-        default) keeps the replay loops span-free.
+        duration equals the occupancy charged to ``link_busy``), one per
+        codec pipeline, plus compute / server-codec / pull-decompress
+        phase spans — at ``trace_offset``, which every traced step then
+        advances by its ``step_seconds`` so consecutive steps lay out
+        contiguously. The serialized-baseline second replay never traces.
+        ``None`` (the default) keeps the replays span-free.
     trace_group:
         Chrome-trace process name for this simulator's spans.
     """
@@ -308,9 +257,7 @@ class NetworkSimulator:
         self.trace_group = trace_group
         #: Simulated-clock origin of the next traced step (seconds).
         self.trace_offset = 0.0
-        self.vectorized = bool(vectorized) and not os.environ.get(
-            "REPRO_SCALAR_SIM"
-        )
+        self.vectorized = bool(vectorized)
         self._ready_fraction = timeline.ready_fraction()
         # Parameter -> label of the layer that produces its gradient.
         self._layer_of: dict[str, str] = {}
@@ -321,25 +268,22 @@ class NetworkSimulator:
     # -- public API --------------------------------------------------------
 
     def simulate_step(self, st: StepTransmissions) -> SimulatedStep:
-        """Replay one step; see the module docstring for the event order."""
-        overlapped = self._replay(st, overlap=self.overlap, trace=True)
-        if self.overlap and self.serialized_baseline:
-            serialized = self._replay(st, overlap=False)
-            return replace(overlapped, serialized_seconds=serialized.step_seconds)
-        return overlapped
+        """Replay one step — a one-step :meth:`simulate_run`."""
+        return self.simulate_run((st,)).steps[0]
 
     def simulate_run(self, steps) -> SimulatedRun:
-        """Replay every recorded step of a training run.
+        """Replay every recorded step of a training run; see the module
+        docstring for the event order.
 
-        Consecutive steps sharing one record *structure* (same names,
-        routes, workers, params, and dependencies — the invariant shape a
-        recorded training emits every step) are replayed as a single
-        batched pass with a leading step axis
-        (:func:`~repro.netsim.vector.replay_run_vectorized`): the waves,
-        sorts, and name/route tables are computed once per group, and the
-        per-step NumPy fixed costs amortize across the whole run. The
-        batched pass is arithmetic-identical to per-step replay, so
-        results are bit-equal either way.
+        BSP steps are independent schedules. The array kernel replays
+        each run of consecutive steps sharing one record *structure*
+        (same names, routes, workers, params, and dependencies — the
+        invariant shape a recorded training emits every step) as a single
+        pass with a leading step axis
+        (:func:`~repro.netsim.vector.replay_run_vectorized`), so layouts
+        and name/route tables are built once per group and the NumPy
+        fixed costs amortize across it; every number is computed per row,
+        so results do not depend on how the run groups.
         """
         steps = tuple(steps)
         if not steps:
@@ -347,59 +291,17 @@ class NetworkSimulator:
                 "no recorded transmissions to simulate — was the engine "
                 "built with record_transmissions=True?"
             )
-        if self.tracer is not None:
-            # Traced runs replay step by step (still vectorized): spans
-            # need per-record times laid on one contiguous simulated
-            # clock, which the run-batched fast path does not surface.
-            simulated = []
-            for st in steps:
-                sim = self.simulate_step(st)
-                self.trace_offset += sim.step_seconds
-                simulated.append(sim)
-            return SimulatedRun(tuple(simulated))
-        if (
-            not self.vectorized
-            or len(steps) < 2
-            or self.priority != "registration"
-        ):
-            # Non-registration priorities sort by per-step element counts,
-            # which vary across steps, so no single service order covers a
-            # run-batched group; replay per step (still vectorized).
-            return SimulatedRun(tuple(self.simulate_step(s) for s in steps))
         simulated: list[SimulatedStep] = []
-        i, n = 0, len(steps)
-        while i < n:
-            # Only the group leader materializes a signature tuple;
-            # followers are checked field-by-field against it (no per-step
-            # tuple allocation on the warm path) and then share the
-            # leader's tuple so the next replay compares by identity.
-            sig = step_signature(steps[i])
-            j = i + 1
-            while j < n and matches_signature(steps[j], sig):
-                share_signature(steps[j], sig)
-                j += 1
-            group = steps[i:j]
-            if len(group) >= 2:
-                simulated.extend(self._simulate_group(group))
-            else:
-                simulated.append(self.simulate_step(group[0]))
-            i = j
+        for group in structure_groups(steps) if self.vectorized else (steps,):
+            overlapped = self._replay(group, overlap=self.overlap, trace=True)
+            if self.overlap and self.serialized_baseline:
+                serialized = self._replay(group, overlap=False)
+                overlapped = [
+                    replace(o, serialized_seconds=s.step_seconds)
+                    for o, s in zip(overlapped, serialized)
+                ]
+            simulated.extend(overlapped)
         return SimulatedRun(tuple(simulated))
-
-    def _simulate_group(self, group) -> list[SimulatedStep]:
-        """Batched replay of structurally identical steps (both schedules)."""
-        overlapped = replay_run_vectorized(self, group, overlap=self.overlap)
-        if overlapped is None:
-            # A step with non-positive compute cannot share the group's
-            # compression-pipeline order; replay the group step by step.
-            return [self.simulate_step(s) for s in group]
-        if self.overlap and self.serialized_baseline:
-            serialized = replay_run_vectorized(self, group, overlap=False)
-            overlapped = [
-                replace(o, serialized_seconds=s.step_seconds)
-                for o, s in zip(overlapped, serialized)
-            ]
-        return overlapped
 
     # -- gradient readiness ------------------------------------------------
 
@@ -420,6 +322,13 @@ class NetworkSimulator:
             record.params, key=lambda name: self._ready_fraction.get(name, 1.0)
         )
         return f"backward:{self._layer_of.get(last, 'end')}"
+
+    def _tiebreak(self, record: TransmissionRecord) -> tuple:
+        """Service order among same-readiness records (see ``priority``);
+        the array kernel's ``tiebreak`` keys say the same thing."""
+        if self.priority == "smallest":
+            return (record.elements, record.name)
+        return (record.name,)
 
     def _push_compressed_at(
         self,
@@ -444,33 +353,19 @@ class NetworkSimulator:
             pipeline_elements[record.worker] = (
                 pipeline_elements.get(record.worker, 0) + record.elements
             )
+        grad_ready = [
+            self._grad_ready_seconds(record, compute) for record in push_records
+        ]
         compressed_at: dict[int, float] = {}
         pipeline_free: dict[int | None, float] = {}
-        if self.priority == "smallest":
-            ordered = sorted(
-                range(len(push_records)),
-                key=lambda i: (
-                    self._grad_ready_seconds(push_records[i], compute),
-                    push_records[i].elements,
-                    push_records[i].name,
-                ),
-            )
-        else:
-            ordered = sorted(
-                range(len(push_records)),
-                key=lambda i: (
-                    self._grad_ready_seconds(push_records[i], compute),
-                    push_records[i].name,
-                ),
-            )
-        for index in ordered:
+        for index in sorted(
+            range(len(push_records)),
+            key=lambda i: (grad_ready[i], *self._tiebreak(push_records[i])),
+        ):
             record = push_records[index]
             total = pipeline_elements[record.worker]
             cost = push_cost * record.elements / total if total else 0.0
-            start = max(
-                self._grad_ready_seconds(record, compute),
-                pipeline_free.get(record.worker, 0.0),
-            )
+            start = max(grad_ready[index], pipeline_free.get(record.worker, 0.0))
             compressed_at[index] = start + cost
             pipeline_free[record.worker] = compressed_at[index]
         return compressed_at
@@ -478,117 +373,96 @@ class NetworkSimulator:
     def _occupancy_seconds(self, record: TransmissionRecord) -> float:
         return wire_occupancy_seconds(self.link_model, self.time_model, record)
 
+    def _scaled_seconds(self, st: StepTransmissions):
+        """The step's recorded (compute, push codec, server codec, pull
+        codec) seconds under the hardware-substitution scales."""
+        tm = self.time_model
+        return (
+            tm.compute_scale * st.compute_seconds,
+            tm.codec_scale * st.push_compress_seconds,
+            tm.codec_scale
+            * (st.server_decompress_seconds + st.server_compress_seconds),
+            tm.codec_scale * st.pull_decompress_seconds,
+        )
+
     # -- the event replay --------------------------------------------------
 
-    def _replay(
-        self, st: StepTransmissions, *, overlap: bool, trace: bool = False
-    ) -> SimulatedStep:
+    def _replay(self, steps, *, overlap: bool, trace: bool = False):
+        """One schedule of every step in ``steps`` (structurally identical
+        when vectorized), traced when asked and a tracer is attached."""
         if self.vectorized:
-            return replay_vectorized(self, st, overlap=overlap, trace=trace)
-        return self._replay_scalar(st, overlap=overlap, trace=trace)
+            return replay_run_vectorized(self, steps, overlap=overlap, trace=trace)
+        return [self._replay_scalar(st, overlap=overlap, trace=trace) for st in steps]
 
     def _replay_scalar(
         self, st: StepTransmissions, *, overlap: bool, trace: bool = False
     ) -> SimulatedStep:
         """Reference per-record replay (see ``vectorized`` above)."""
-        tracer = self.tracer if trace else None
-        off = self.trace_offset
-        tm = self.time_model
-        pmo = tm.per_message_overhead
-        compute = tm.compute_scale * st.compute_seconds
+        pmo = self.time_model.per_message_overhead
+        compute, push_cost, server_cost, pull_cost = self._scaled_seconds(st)
 
         push_records, pull_records = phase_partition(st.records)
 
         # -- push compression: one serial pipeline per sending worker ------
-        push_cost = tm.codec_scale * st.push_compress_seconds
         compressed_at = self._push_compressed_at(
             push_records, compute, push_cost, overlap=overlap
         )
-        if tracer is not None:
-            _trace_push_codec(
-                tracer, self.trace_group, off, st.step,
-                push_records, compressed_at, compute, push_cost,
-                overlap=overlap,
-            )
 
         # -- push transmission: FIFO per link, in dependency tiers ---------
         # Injected-fault outage floors seed the per-route free times: a
         # route that is down until T within this step serves nothing
-        # earlier. Outage windows ride their own trace track so the
-        # link:<route> span totals still reconcile with link_busy.
+        # earlier.
         link_free: dict[str, float] = {}
         for route, down in st.link_down:
             link_free[route] = max(link_free.get(route, 0.0), down)
-            if tracer is not None and down > 0.0:
-                tracer.span(
-                    self.trace_group,
-                    f"outage:{route}",
-                    "link-down",
-                    off,
-                    off + down,
-                    step=st.step,
-                )
         link_busy: dict[str, float] = {}
         end_by_name: dict[str, float] = {}
+        # Per-record transfer [starts, ends], by phase-record index.
+        push_times = [[0.0] * len(push_records) for _ in range(2)]
+        pull_times = [[0.0] * len(pull_records) for _ in range(2)]
+
+        def transfer(record, index, ready: float, times) -> tuple[float, float]:
+            """Serve one record on its link once it is ``ready``."""
+            start = max(ready, link_free.get(record.route, 0.0))
+            duration = self._occupancy_seconds(record)
+            end = start + duration
+            link_free[record.route] = end
+            link_busy[record.route] = link_busy.get(record.route, 0.0) + duration
+            end_by_name[record.name] = max(end_by_name.get(record.name, 0.0), end)
+            times[0][index], times[1][index] = start, end
+            return start, end
+
+        def dep_end(record, tier_floor: float) -> float:
+            if overlap:
+                return max(
+                    (end_by_name.get(d, 0.0) for d in record.depends_on),
+                    default=0.0,
+                )
+            # Serialized schedules are fully staged: a tier starts only
+            # after the whole previous tier has landed, which is what makes
+            # the schedule equal the analytic per-tier sum (the
+            # hierarchical calibration test).
+            return tier_floor if record.depends_on else 0.0
+
         push_end = compute if not push_records else 0.0
         bottleneck = None  # (record, start_bound_by_link)
         tier_floor = 0.0  # serialized mode: previous tier's last transfer
         for wave in dependency_waves(push_records):
-            ready: dict[int, float] = {}
-            for index in wave:
+            ready = {
+                index: max(
+                    compressed_at[index], dep_end(push_records[index], tier_floor)
+                )
+                for index in wave
+            }
+            for index in sorted(
+                wave, key=lambda i: (ready[i], *self._tiebreak(push_records[i]))
+            ):
                 record = push_records[index]
-                if overlap:
-                    dep_end = max(
-                        (end_by_name[d] for d in record.depends_on), default=0.0
-                    )
-                else:
-                    # Serialized schedules are fully staged: a tier starts
-                    # only after the whole previous tier has landed, which
-                    # is what makes the schedule equal the analytic
-                    # per-tier sum (the hierarchical calibration test).
-                    dep_end = tier_floor if record.depends_on else 0.0
-                ready[index] = max(compressed_at[index], dep_end)
-            wave_end = 0.0
-            if self.priority == "smallest":
-                wave_order = sorted(
-                    ready,
-                    key=lambda i: (
-                        ready[i],
-                        push_records[i].elements,
-                        push_records[i].name,
-                    ),
-                )
-            else:
-                wave_order = sorted(
-                    ready, key=lambda i: (ready[i], push_records[i].name)
-                )
-            for index in wave_order:
-                record = push_records[index]
-                free = link_free.get(record.route, 0.0)
-                start = max(ready[index], free)
-                duration = self._occupancy_seconds(record)
-                end = start + duration
-                link_free[record.route] = end
-                link_busy[record.route] = link_busy.get(record.route, 0.0) + duration
-                if tracer is not None:
-                    tracer.span(
-                        self.trace_group,
-                        f"link:{record.route}",
-                        record.name,
-                        off + start,
-                        off + end,
-                        phase=record.phase,
-                        step=st.step,
-                        worker=record.worker,
-                    )
-                end_by_name[record.name] = max(
-                    end_by_name.get(record.name, 0.0), end
-                )
-                wave_end = max(wave_end, end)
+                start, end = transfer(record, index, ready[index], push_times)
+                tier_floor = max(tier_floor, end)
                 if end > push_end:
                     push_end = end
                     bottleneck = (record, start > ready[index] + 1e-15)
-            tier_floor = max(tier_floor, wave_end)
         # The barrier cannot release before the slowest worker's backward;
         # when that floor binds, the step is compute-bound, not bound by
         # the last transfer.
@@ -598,76 +472,34 @@ class NetworkSimulator:
             bottleneck = None
 
         # -- server phase and pulls ----------------------------------------
-        server_cost = tm.codec_scale * (
-            st.server_decompress_seconds + st.server_compress_seconds
-        )
         pull_ready = push_end + server_cost
         phase_end = pull_ready
         last_pull: TransmissionRecord | None = None
         push_names = frozenset(r.name for r in push_records)
         tier_floor = pull_ready
         for wave in dependency_waves(pull_records, push_names):
-            wave_end = tier_floor
-            if self.priority == "smallest":
-                pull_order = sorted(
-                    wave,
-                    key=lambda i: (
-                        pull_records[i].elements,
-                        pull_records[i].name,
-                    ),
-                )
-            else:
-                pull_order = sorted(wave, key=lambda i: pull_records[i].name)
-            for index in pull_order:
+            wave_floor = tier_floor
+            for index in sorted(wave, key=lambda i: self._tiebreak(pull_records[i])):
                 record = pull_records[index]
-                if overlap:
-                    dep_end = max(
-                        (end_by_name.get(d, 0.0) for d in record.depends_on),
-                        default=0.0,
-                    )
-                else:
-                    dep_end = tier_floor if record.depends_on else 0.0
-                free = max(pull_ready, dep_end, link_free.get(record.route, 0.0))
-                duration = self._occupancy_seconds(record)
-                end = free + duration
-                link_free[record.route] = end
-                link_busy[record.route] = link_busy.get(record.route, 0.0) + duration
-                if tracer is not None:
-                    tracer.span(
-                        self.trace_group,
-                        f"link:{record.route}",
-                        record.name,
-                        off + free,
-                        off + end,
-                        phase=record.phase,
-                        step=st.step,
-                        worker=record.worker,
-                    )
-                end_by_name[record.name] = max(
-                    end_by_name.get(record.name, 0.0), end
-                )
-                wave_end = max(wave_end, end)
+                ready = max(pull_ready, dep_end(record, wave_floor))
+                _, end = transfer(record, index, ready, pull_times)
+                tier_floor = max(tier_floor, end)
                 if end > phase_end:
                     phase_end = end
                     last_pull = record
-            tier_floor = wave_end
-        pull_cost = tm.codec_scale * st.pull_decompress_seconds
         step_seconds = phase_end + pull_cost
-        if tracer is not None:
-            tracer.span(
-                self.trace_group, "compute", "backward", off, off + compute,
-                step=st.step,
+        if trace and self.tracer is not None:
+            self._trace_step(
+                st,
+                push_records,
+                pull_records,
+                overlap=overlap,
+                compressed_at=compressed_at,
+                push_times=push_times,
+                pull_times=pull_times,
+                push_end=push_end,
+                phase_end=phase_end,
             )
-            if server_cost > 0:
-                tracer.span(
-                    self.trace_group, "server", "server-codec",
-                    off + push_end, off + pull_ready, step=st.step,
-                )
-            if pull_cost > 0:
-                tracer.span(
-                    self.trace_group, "compute", "pull-decompress",
-                    off + phase_end, off + step_seconds, step=st.step,
-                )
 
         # -- bookkeeping ----------------------------------------------------
         comm = sum(
@@ -703,6 +535,82 @@ class NetworkSimulator:
                 bottleneck, last_pull, overlap, bool(pull_records)
             ),
         )
+
+    def _trace_step(
+        self,
+        st: StepTransmissions,
+        push_records,
+        pull_records,
+        *,
+        overlap: bool,
+        compressed_at,
+        push_times,
+        pull_times,
+        push_end: float,
+        phase_end: float,
+    ) -> None:
+        """Emit one replayed step's spans at ``trace_offset`` and advance
+        the trace clock by the step's ``step_seconds``.
+
+        The one span layout of the step model, fed by the array kernel
+        and the scalar reference alike: ``compressed_at`` and the
+        ``(starts, ends)`` transfer times are indexed like the phase's
+        records, ``push_end`` is the barrier release and ``phase_end`` the
+        last pull's landing. Every track's spans go out in time order.
+        Outage windows ride their own ``outage:<route>`` tracks so the
+        ``link:<route>`` span totals still reconcile with ``link_busy``.
+        """
+        tracer, group, off = self.tracer, self.trace_group, self.trace_offset
+        compute, push_cost, server_cost, pull_cost = self._scaled_seconds(st)
+        pull_ready = push_end + server_cost
+        step_seconds = phase_end + pull_cost
+        tracer.span(group, "compute", "backward", off, off + compute, step=st.step)
+        if overlap:
+            # One serial codec pipeline per sending worker.
+            _trace_codec_pipelines(
+                tracer, group, off, push_records, compressed_at, push_cost,
+                step=st.step,
+            )
+        elif push_cost > 0.0:
+            # Serialized schedules charge one staged block after compute.
+            tracer.span(
+                group, "codec", "push-compress",
+                off + compute, off + compute + push_cost, step=st.step,
+            )
+        for route, down in st.link_down:
+            if down > 0.0:
+                tracer.span(
+                    group, f"outage:{route}", "link-down", off, off + down,
+                    step=st.step,
+                )
+        for records, (starts, ends) in (
+            (push_records, push_times),
+            (pull_records, pull_times),
+        ):
+            # Links are FIFO, so start order is service order per route.
+            for index in sorted(range(len(records)), key=starts.__getitem__):
+                record = records[index]
+                tracer.span(
+                    group,
+                    f"link:{record.route}",
+                    record.name,
+                    off + starts[index],
+                    off + ends[index],
+                    phase=record.phase,
+                    step=st.step,
+                    worker=record.worker,
+                )
+        if server_cost > 0:
+            tracer.span(
+                group, "server", "server-codec",
+                off + push_end, off + pull_ready, step=st.step,
+            )
+        if pull_cost > 0:
+            tracer.span(
+                group, "compute", "pull-decompress",
+                off + phase_end, off + step_seconds, step=st.step,
+            )
+        self.trace_offset = off + step_seconds
 
     def _critical_path(
         self,
@@ -782,7 +690,6 @@ class EventDrivenSimulator:
         *,
         staleness: int | None = None,
         overlap: bool = True,
-        vectorized: bool = True,
         tracer=None,
         trace_group: str = "netsim-events",
         priority: str = "registration",
@@ -805,7 +712,6 @@ class EventDrivenSimulator:
             self.time_model,
             overlap=overlap,
             serialized_baseline=False,
-            vectorized=vectorized,
             tracer=tracer,
             trace_group=trace_group,
             priority=priority,
@@ -864,20 +770,19 @@ class EventDrivenSimulator:
         generations: dict[int, list[UpdateTransmissions]] = {}
         for e in events:
             generations.setdefault(e.local_step, []).append(e)
+        generations = [generations[local_step] for local_step in sorted(generations)]
+        # Lock-step generations are BSP steps: one run through the step
+        # scheduler, which also lays a traced run on one contiguous clock
+        # (from 0 on every call, like the event loop's absolute times).
+        self._steps.trace_offset = 0.0
+        run = self._steps.simulate_run(
+            [self._generation_step(generation) for generation in generations]
+        )
         now = 0.0
         sim_updates: list[SimulatedUpdate] = []
         compute = codec = comm = overhead = hidden = 0.0
         busy: dict[str, float] = {}
-        for local_step in sorted(generations):
-            generation = generations[local_step]
-            # Traced lockstep generations lay out on one contiguous
-            # simulated clock via the step scheduler's trace offset.
-            self._steps.trace_offset = now
-            step = self._steps._replay(
-                self._generation_step(generation),
-                overlap=self.overlap,
-                trace=self.tracer is not None,
-            )
+        for generation, step in zip(generations, run.steps):
             end = now + step.step_seconds
             sim_updates.extend(
                 SimulatedUpdate(
@@ -1097,28 +1002,10 @@ class EventDrivenSimulator:
                         worker=w, update=e.update,
                     )
                 else:
-                    # Mirror the serial per-worker compression pipeline the
-                    # step replay traces: each record's slot ends at its
-                    # compressed_at offset and costs its share of push_cost.
-                    pipe_totals: dict[int | None, int] = {}
-                    for record in pushes:
-                        pipe_totals[record.worker] = (
-                            pipe_totals.get(record.worker, 0) + record.elements
-                        )
-                    for index, record in enumerate(pushes):
-                        total = pipe_totals[record.worker]
-                        cost = (
-                            push_cost * record.elements / total if total else 0.0
-                        )
-                        if cost <= 0.0:
-                            continue
-                        slot_end = now + compressed_at[index]
-                        tracer.span(
-                            trace_group, f"codec:w{w}",
-                            f"compress:{record.name}",
-                            slot_end - cost, slot_end,
-                            worker=w, update=e.update,
-                        )
+                    _trace_codec_pipelines(
+                        tracer, trace_group, now, pushes, compressed_at,
+                        push_cost, unit=w, update=e.update,
+                    )
             waiting: dict[int, tuple[str, ...]] = {}
 
             occ = push_occ[e.update]

@@ -1,52 +1,62 @@
-"""Struct-of-arrays record batches for the vectorized simulator core.
+"""The array replay kernel: record batches and the step-axis replay.
 
-The per-record Python event loop in :class:`~repro.netsim.scheduler.
-NetworkSimulator` is honest but slow: a fleet-scale hierarchical step
-carries thousands of :class:`~repro.netsim.events.TransmissionRecord`
-objects, and replaying a 200-step recording at three link rates touches
-every one of them dozens of times through dict lookups and attribute
-reads. This module converts a step's record tuple *once* into a
-:class:`RecordBatch` — flat NumPy arrays for bytes, frames, routes,
-workers, names, and dependencies, plus the (link-independent) dependency
-waves — and caches it on the ``StepTransmissions`` instance, so every
-subsequent replay of the same recording (an incremental sweep over link
-rates, an overlapped-plus-serialized pair, a replay-cache hit) pays only
-vector arithmetic.
+The per-record Python loop in :class:`~repro.netsim.scheduler.
+NetworkSimulator` (``vectorized=False``) is the reference semantics of
+the BSP model, but a fleet-scale hierarchical step carries thousands of
+:class:`~repro.netsim.events.TransmissionRecord` objects and a sweep
+replays every recording dozens of times. This module holds the one
+array implementation of that model, :func:`replay_run_vectorized`.
 
-The batched replay in :func:`replay_vectorized` reproduces the scalar
-scheduler's event order exactly:
+*Structure once.* A step's record tuple converts once into a
+:class:`RecordBatch` — route, worker, name and dependency codes, the
+dependency waves, and for every FIFO service pass (the push records on
+their workers' codec pipelines, each wave on its links) a
+:class:`_Layout`: the records in name order plus the depth-wise sweep
+plan of its segments. The batch is cached on the ``StepTransmissions``
+instance, and consecutive steps with one :func:`structure_signature`
+share their leader's.
 
-* per-worker compression pipelines are per-segment prefix scans — the
-  FIFO recurrence ``end_i = max(ready_i, end_{i-1}) + cost_i`` becomes
-  ``maximum.accumulate`` over ``ready - prefix_cost``, run for every
-  pipeline at once on a 2-D padded grid;
-* per-link FIFOs apply the same scan per route within each dependency
-  wave, with each link's free time carried across waves and phases;
-* ties break exactly as in the scalar path: the same stable sorts on the
-  same ``(ready, name)`` keys, and the same first-strict-maximum rule
-  selects the bottleneck record.
+*Numbers per row.* The kernel replays a group of ``S >= 1`` structurally
+identical steps with a leading step axis. BSP steps are independent
+schedules, so every quantity that varies — readiness, occupancies,
+outage floors, and each service order — is computed per row; only the
+layouts are shared, because per-worker and per-route record counts are
+structural. A single step is the ``S = 1`` group.
 
-Floating-point results can differ from the scalar path only through
-re-association inside prefix sums — orders of magnitude below the 1e-9
-closed-form parity tolerance the calibration tests enforce. The scalar
-path stays available behind ``NetworkSimulator(..., vectorized=False)``
-(or ``REPRO_SCALAR_SIM=1``) for differential testing.
+*Exact arithmetic.* Each FIFO pass (:func:`_serve`) sorts a row's
+records by the scalar loop's key and then runs a depth-wise sweep:
+iteration ``k`` serves every segment's ``k``-th queued record at once, so
+each end time comes from exactly the scalar loop's IEEE operations (one
+``max``, one add, in service order) and the loop length is the deepest
+queue, not the record count. Exactness is load-bearing: per-record codec
+costs are element-shares of one budget, so distinct pipelines finish in
+exact real-arithmetic ties, and a prefix-sum formulation (which
+re-associates the additions) can land an ulp away and flip the next
+wave's service order — a discrete schedule change, not a rounding blur.
+Schedule times and critical paths therefore equal the reference bit for
+bit; only the ``comm`` / ``overhead`` totals, summed pairwise here and
+sequentially there, differ in the last digits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.netsim.events import StepTransmissions, TransmissionRecord
+from repro.netsim.events import (
+    SimulatedStep,
+    StepTransmissions,
+    TransmissionRecord,
+)
 
 __all__ = [
     "RecordBatch",
+    "dependency_waves",
     "record_batch",
     "matches_signature",
     "phase_partition",
     "replay_run_vectorized",
-    "share_signature",
     "step_signature",
+    "structure_groups",
     "structure_signature",
     "warm_extraction",
     "wire_occupancy_batch",
@@ -88,16 +98,6 @@ def step_signature(st: StepTransmissions):
     return sig
 
 
-def share_signature(st: StepTransmissions, sig) -> None:
-    """Re-point ``st``'s cached signature at an equal step's tuple.
-
-    ``simulate_run`` compares adjacent steps' signatures; once two steps
-    are known equal, sharing one tuple object turns every later
-    comparison into an identity hit instead of an O(records) walk.
-    """
-    st.__dict__[_SIG_ATTR] = sig
-
-
 def matches_signature(st: StepTransmissions, sig) -> bool:
     """Does ``st``'s record structure equal the (leader) signature ``sig``?
 
@@ -126,6 +126,26 @@ def matches_signature(st: StepTransmissions, sig) -> bool:
     return True
 
 
+def structure_groups(steps):
+    """Yield ``steps`` (a tuple) as maximal runs of consecutive steps that
+    share one :func:`structure_signature` — the kernel's replay groups.
+
+    Only a run's leader materializes a signature tuple; followers are
+    checked field-by-field against it and then share the leader's tuple
+    object, so the next replay compares by identity instead of walking
+    the records.
+    """
+    i, n = 0, len(steps)
+    while i < n:
+        sig = step_signature(steps[i])
+        j = i + 1
+        while j < n and matches_signature(steps[j], sig):
+            steps[j].__dict__[_SIG_ATTR] = sig
+            j += 1
+        yield steps[i:j]
+        i = j
+
+
 def warm_extraction(steps) -> int:
     """Pre-extract every step's cached replay artifacts; returns the
     number of structure groups found.
@@ -139,20 +159,12 @@ def warm_extraction(steps) -> int:
     amortizes that cost across every timeline configuration the sweep or
     tuner replays the recording under.
     """
-    steps = tuple(steps)
     groups = 0
-    i, n = 0, len(steps)
-    while i < n:
-        sig = step_signature(steps[i])
-        record_batch(steps[i])
-        j = i + 1
-        while j < n and matches_signature(steps[j], sig):
-            share_signature(steps[j], sig)
-            j += 1
+    for group in structure_groups(tuple(steps)):
+        record_batch(group[0])
+        for st in group:
+            numeric_rows(st)
         groups += 1
-        i = j
-    for st in steps:
-        numeric_rows(st)
     return groups
 
 
@@ -194,43 +206,114 @@ def phase_partition(records):
     return pushes, pulls
 
 
-class _Wave:
-    """One dependency tier of a phase, with its order-independent pieces
-    precomputed: the records' indices (ascending — the scalar path's
-    iteration order), which of them carry dependencies, and the flattened
-    dependency name codes ready for a ``maximum.reduceat``."""
+def dependency_waves(
+    records, external_names: frozenset[str] | set[str] = frozenset()
+) -> list[list[int]]:
+    """Group record indices into dependency tiers.
 
-    __slots__ = ("indices", "dep_idx", "dep_flat", "dep_off")
+    Wave ``k`` holds records whose ``depends_on`` names all resolve to
+    records in earlier waves (or to ``external_names``, which count as
+    already complete — pull records may depend on push-phase records).
+    Unknown names and circular dependencies are rejected with a clear
+    error; matching is by record name, and when several records share a
+    name a dependent waits for the *last* of them.
+    """
+    known = {r.name for r in records} | set(external_names)
+    for record in records:
+        missing = [d for d in record.depends_on if d not in known]
+        if missing:
+            raise ValueError(
+                f"record {record.name!r} depends on unknown "
+                f"record(s): {missing}"
+            )
+    placed: set[str] = set(external_names)
+    unresolved = list(range(len(records)))
+    waves: list[list[int]] = []
+    while unresolved:
+        wave = [
+            index
+            for index in unresolved
+            if all(d in placed for d in records[index].depends_on)
+        ]
+        if not wave:
+            stuck = ", ".join(records[i].name for i in unresolved)
+            raise ValueError(f"circular record dependencies among: {stuck}")
+        wave_set = set(wave)
+        unresolved = [i for i in unresolved if i not in wave_set]
+        # A name "lands" only once every record bearing it is placed.
+        wave_names = {records[i].name for i in wave}
+        pending = {records[i].name for i in unresolved}
+        placed |= wave_names - pending
+        waves.append(wave)
+    return waves
 
-    def __init__(self, indices: np.ndarray, phase: "_PhaseBatch"):
-        self.indices = indices
+
+class _Layout:
+    """The structural half of one FIFO service pass: a subset of a phase's
+    records (a dependency wave, or every push record) queued on segments
+    (its links, or the workers' codec pipelines).
+
+    Columns are the records in *name order*, so a stable sort on the rest
+    of the scalar loop's key breaks ties by name exactly as that loop
+    does. ``by_seg`` groups the columns by segment (the service layout
+    when every row serves in name order), ``seg_scan`` is the sorted
+    segment row every service layout shares — per-segment record counts
+    are structural even where the order within a segment is per-step
+    data — and ``levels[k]`` lists the scan slots (and their segments) of
+    every segment's ``k``-th queued record, for the depth-wise sweep.
+    """
+
+    __slots__ = ("rec", "seg", "by_seg", "seg_scan", "seg_first", "levels")
+
+    def __init__(self, rec: np.ndarray, name_code: np.ndarray, seg_code: np.ndarray):
+        rec = rec[np.argsort(name_code[rec], kind="stable")]
+        self.rec = rec
+        self.seg = seg_code[rec]
+        self.by_seg = np.argsort(self.seg, kind="stable")
+        self.seg_scan = self.seg[self.by_seg]
+        counts = np.bincount(self.seg_scan)
+        self.seg_first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        depth = np.arange(rec.size) - self.seg_first[self.seg_scan]
+        by_depth = np.argsort(depth, kind="stable")
+        bounds = np.searchsorted(depth[by_depth], np.arange(counts.max() + 1))
+        self.levels = [
+            (by_depth[lo:hi], self.seg_scan[by_depth[lo:hi]])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+
+class _Wave(_Layout):
+    """One dependency tier of a phase on its links, plus the tier's name
+    codes and its flattened dependency name codes, ready for a
+    ``maximum.reduceat`` over the transfer ends landed so far."""
+
+    __slots__ = ("names", "names_unique", "has_deps", "dep_idx", "dep_flat", "dep_off")
+
+    def __init__(self, indices, phase: "_PhaseBatch", deps: list[list[int]]):
+        super().__init__(
+            np.array(indices, dtype=np.intp), phase.name_code, phase.route_code
+        )
+        self.names = phase.name_code[self.rec]
+        # Columns are name-sorted, so duplicate names are adjacent.
+        self.names_unique = bool((self.names[1:] != self.names[:-1]).all())
         dep_idx: list[int] = []
         dep_flat: list[int] = []
         dep_off: list[int] = []
-        for pos, i in enumerate(indices):
-            lo, hi = phase.dep_offsets[i], phase.dep_offsets[i + 1]
-            if hi > lo:
+        for pos, i in enumerate(self.rec.tolist()):
+            if deps[i]:
                 dep_idx.append(pos)
                 dep_off.append(len(dep_flat))
-                dep_flat.extend(phase.dep_codes[lo:hi])
+                dep_flat.extend(deps[i])
         self.dep_idx = np.array(dep_idx, dtype=np.intp)
         self.dep_flat = np.array(dep_flat, dtype=np.intp)
         self.dep_off = np.array(dep_off, dtype=np.intp)
+        self.has_deps = np.zeros(self.rec.size, dtype=bool)
+        self.has_deps[self.dep_idx] = True
 
     def dep_ends(self, end_by_name: np.ndarray) -> np.ndarray:
-        """Max transfer-end over each record's dependencies (0 if none),
-        aligned with ``self.indices``."""
-        out = np.zeros(self.indices.shape[0])
-        if self.dep_idx.size:
-            out[self.dep_idx] = np.maximum.reduceat(
-                end_by_name[self.dep_flat], self.dep_off
-            )
-        return out
-
-    def dep_ends_multi(self, end_by_name: np.ndarray) -> np.ndarray:
-        """Row-batched :meth:`dep_ends`: ``end_by_name`` is ``(S, names)``
-        (one row per step), the result ``(S, wave)``."""
-        out = np.zeros((end_by_name.shape[0], self.indices.shape[0]))
+        """Max transfer-end over each record's dependencies (0 if none):
+        ``end_by_name`` is ``(S, names)``, the result ``(S, wave)``."""
+        out = np.zeros((end_by_name.shape[0], self.rec.size))
         if self.dep_idx.size:
             out[:, self.dep_idx] = np.maximum.reduceat(
                 end_by_name[:, self.dep_flat], self.dep_off, axis=1
@@ -239,23 +322,9 @@ class _Wave:
 
 
 class _PhaseBatch:
-    """Arrays for one phase's records (pushes+collectives, or pulls)."""
+    """Structure of one phase's records (pushes+collectives, or pulls)."""
 
-    __slots__ = (
-        "records",
-        "n",
-        "total_bytes",
-        "frames",
-        "elements",
-        "route_code",
-        "name_code",
-        "worker_code",
-        "num_workers",
-        "has_deps",
-        "dep_codes",
-        "dep_offsets",
-        "waves",
-    )
+    __slots__ = ("records", "n", "route_code", "name_code", "waves")
 
     def __init__(
         self,
@@ -267,11 +336,6 @@ class _PhaseBatch:
         self.records = records
         n = len(records)
         self.n = n
-        self.total_bytes = np.array(
-            [r.total_bytes for r in records], dtype=np.float64
-        )
-        self.frames = np.array([r.frames for r in records], dtype=np.float64)
-        self.elements = np.array([r.elements for r in records], dtype=np.float64)
         for r in records:
             if r.route not in route_code_of:
                 route_code_of[r.route] = len(route_code_of)
@@ -281,36 +345,14 @@ class _PhaseBatch:
         self.name_code = np.array(
             [name_code_of[r.name] for r in records], dtype=np.intp
         )
-        # Compression pipelines are keyed by sending worker; the ``None``
-        # shared pipeline gets its own dense code.
-        worker_ids: dict[object, int] = {}
-        codes = []
-        for r in records:
-            codes.append(worker_ids.setdefault(r.worker, len(worker_ids)))
-        self.worker_code = np.array(codes, dtype=np.intp)
-        self.num_workers = len(worker_ids)
-
-        flat_deps: list[int] = []
-        offsets = [0]
-        for r in records:
-            flat_deps.extend(name_code_of[d] for d in r.depends_on)
-            offsets.append(len(flat_deps))
-        self.dep_codes = np.array(flat_deps, dtype=np.intp)
-        self.dep_offsets = np.array(offsets, dtype=np.intp)
-        self.has_deps = self.dep_offsets[1:] > self.dep_offsets[:-1]
-
-        if not flat_deps:
+        deps = [[name_code_of[d] for d in r.depends_on] for r in records]
+        if not any(deps):
             # Fast path: no tier coupling means a single wave and no graph
             # traversal at all (the flat topologies).
-            raw = [np.arange(n, dtype=np.intp)] if n else []
+            raw = [range(n)] if n else []
         else:
-            from repro.netsim.scheduler import dependency_waves
-
-            raw = [
-                np.array(wave, dtype=np.intp)
-                for wave in dependency_waves(records, external_names)
-            ]
-        self.waves = tuple(_Wave(w, self) for w in raw)
+            raw = dependency_waves(records, external_names)
+        self.waves = tuple(_Wave(wave, self, deps) for wave in raw)
 
 
 class RecordBatch:
@@ -330,6 +372,8 @@ class RecordBatch:
         "pull",
         "push_pos",
         "pull_pos",
+        "pipelines",
+        "num_pipelines",
         "_frac_cache",
     )
 
@@ -337,8 +381,8 @@ class RecordBatch:
         self.records = records
         pushes, pulls = phase_partition(records)
         # Positions of each phase's records in the original tuple, so the
-        # run-batched replay can slice per-step numeric payloads extracted
-        # in record order into the phase arrays' layout.
+        # kernel can slice per-step numeric payloads extracted in record
+        # order into the phase arrays' layout.
         self.push_pos = np.array(
             [i for i, r in enumerate(records) if r.phase != "pull"],
             dtype=np.intp,
@@ -362,6 +406,19 @@ class RecordBatch:
         self.push = _PhaseBatch(pushes, name_code_of, route_code_of, frozenset())
         self.pull = _PhaseBatch(pulls, name_code_of, route_code_of, push_names)
         self.route_names = tuple(route_code_of)
+        # Every push record on its sending worker's serial compression
+        # pipeline; the ``None`` shared pipeline gets its own dense code.
+        worker_ids: dict[object, int] = {}
+        worker_code = np.array(
+            [worker_ids.setdefault(r.worker, len(worker_ids)) for r in pushes],
+            dtype=np.intp,
+        )
+        self.num_pipelines = len(worker_ids)
+        self.pipelines = (
+            _Layout(np.arange(len(pushes)), self.push.name_code, worker_code)
+            if pushes
+            else None
+        )
         #: Per-timeline cache of each push record's gradient-ready compute
         #: fraction (max over the parameters the record carries). Keyed by
         #: the (hashable, frozen) BackwardTimeline.
@@ -447,430 +504,84 @@ def wire_occupancy_batch(records, link_model, time_model):
     )
 
 
-def _segmented_scan(ready, costs, seg_ids, num_segments, seg_init):
-    """FIFO scan ``end_i = max(ready_i, end_{i-1}) + cost_i`` per segment,
-    with ``end_{-1} = seg_init[segment]``.
-
-    ``seg_ids`` must be sorted ascending (records already grouped by
-    segment); within a segment, array order is service order. Runs as a
-    depth-wise sweep: iteration ``k`` serves every segment's ``k``-th
-    queued record at once, so the loop length is the deepest queue, not
-    the record count — and each end time is produced by *exactly* the
-    scalar loop's IEEE operations (one ``max``, one add, in the same
-    order). That exactness matters beyond aesthetics: per-record codec
-    costs are element-shares of one budget, so distinct pipelines finish
-    in exact real-arithmetic ties, and a prefix-sum formulation (which
-    re-associates the additions) can land an ulp away and flip the next
-    wave's (ready, name) service order — a discrete schedule change, not
-    a rounding blur.
-
-    Returns ``(ends, starts, seg_last)``: per-record end and start times
-    plus each segment's final end (``seg_init`` where a segment is empty).
-    """
-    n = ready.shape[0]
-    counts = np.bincount(seg_ids, minlength=num_segments)
-    width = int(counts.max()) if n else 0
-    seg_last = seg_init.copy()
-
-    if width <= 1:
-        # Every link serves at most one record this wave: no queueing.
-        starts = np.maximum(ready, seg_init[seg_ids])
-        ends = starts + costs
-        seg_last[seg_ids] = ends
-        return ends, starts, seg_last
-
-    seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    col = np.arange(n) - seg_starts[seg_ids]
-    # Bucket record positions by queue depth: elements at depth k across
-    # all segments are independent and serve together.
-    by_depth = np.argsort(col, kind="stable")
-    bounds = np.searchsorted(col[by_depth], np.arange(width + 1))
-    starts = np.empty(n)
-    ends = np.empty(n)
-    prev = seg_last
-    for k in range(width):
-        pk = by_depth[bounds[k] : bounds[k + 1]]
-        sk = seg_ids[pk]
-        start = np.maximum(ready[pk], prev[sk])
-        end = start + costs[pk]
-        starts[pk] = start
-        ends[pk] = end
-        prev[sk] = end
-    return ends, starts, seg_last
+def _take(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``a[s, cols[s]]`` for every row; a 1-D ``cols`` is shared by all."""
+    if cols.ndim == 1:
+        return a[:, cols]
+    return a[np.arange(len(a))[:, None], cols]
 
 
-def _segmented_scan_steps(ready, costs, seg_ids, num_segments, seg_init):
-    """Row-batched :func:`_segmented_scan`: one independent scan per row.
-
-    ``ready`` and ``costs`` are ``(S, m)`` (one row per step), ``seg_init``
-    is ``(S, num_segments)``, and ``seg_ids`` — sorted ascending, service
-    order within a segment — is *shared across rows*: every step of a
-    batched group presents the same segment layout, only the numbers
-    differ. The depth-wise sweep performs the per-step scan's exact IEEE
-    operations on every row, so a batched replay is bit-identical to
-    replaying each step alone (and to the scalar reference loop).
-
-    Returns ``(ends, starts, seg_last)`` shaped like the inputs.
-    """
-    S, m = ready.shape
-    seg_last = seg_init.copy()
-    if m == 0:
-        return ready, ready, seg_last
-    counts = np.bincount(seg_ids, minlength=num_segments)
-    width = int(counts.max())
-
-    if width <= 1:
-        starts = np.maximum(ready, seg_init[:, seg_ids])
-        ends = starts + costs
-        seg_last[:, seg_ids] = ends
-        return ends, starts, seg_last
-
-    seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    col = np.arange(m) - seg_starts[seg_ids]
-    by_depth = np.argsort(col, kind="stable")
-    bounds = np.searchsorted(col[by_depth], np.arange(width + 1))
-    starts = np.empty((S, m))
-    ends = np.empty((S, m))
-    prev = seg_last
-    for k in range(width):
-        pk = by_depth[bounds[k] : bounds[k + 1]]
-        sk = seg_ids[pk]
-        start = np.maximum(ready[:, pk], prev[:, sk])
-        end = start + costs[:, pk]
-        starts[:, pk] = start
-        ends[:, pk] = end
-        prev[:, sk] = end
-    return ends, starts, seg_last
-
-
-def _first_strict_max(values: np.ndarray, floor: float):
-    """Index of the first value (in array order) attaining the maximum,
-    if that maximum strictly exceeds ``floor`` — the scalar loop's running
-    ``end > best`` bottleneck rule restricted to one wave."""
-    if values.size == 0:
-        return None
-    peak = values.max()
-    if peak <= floor:
-        return None
-    return int(np.flatnonzero(values == peak)[0])
-
-
-def compressed_at_vectorized(
-    batch: RecordBatch,
-    compute: float,
-    push_cost: float,
-    max_frac: np.ndarray,
-    *,
-    overlap: bool,
-    priority: str = "registration",
-) -> np.ndarray:
-    """Vectorized per-worker compression pipeline (push phase).
-
-    Mirrors ``NetworkSimulator._push_compressed_at``: records enter their
-    sending worker's serial pipeline in (gradient-ready, name) order —
-    (gradient-ready, elements, name) under the "smallest" priority — and
-    cost their element-share of the step's push-compression budget.
-    """
-    push = batch.push
-    n = push.n
-    if not overlap:
-        return np.full(n, compute + push_cost)
-    grad_ready = max_frac * compute
-    if priority == "smallest":
-        order = np.lexsort((push.name_code, push.elements, grad_ready))
+def _put(cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_take`: ``out[s, cols[s, k]] = values[s, k]``."""
+    out = np.empty_like(values)
+    if cols.ndim == 1:
+        out[:, cols] = values
     else:
-        order = np.lexsort((push.name_code, grad_ready))
-    totals = np.bincount(
-        push.worker_code, weights=push.elements, minlength=push.num_workers
-    )
-    per_record_total = totals[push.worker_code]
-    costs = np.where(
-        per_record_total > 0,
-        (push_cost * push.elements)
-        / np.where(per_record_total > 0, per_record_total, 1.0),
-        0.0,
-    )
-    # Group the (ready, name)-sorted sequence by worker — stable, so each
-    # pipeline keeps its service order — then scan all pipelines at once.
-    workers_sorted = push.worker_code[order]
-    group = np.argsort(workers_sorted, kind="stable")
-    idx = order[group]
-    ends, _, _ = _segmented_scan(
-        grad_ready[idx],
-        costs[idx],
-        workers_sorted[group],
-        push.num_workers,
-        np.zeros(push.num_workers),
-    )
-    compressed = np.empty(n)
-    compressed[idx] = ends
-    return compressed
+        out[np.arange(len(out))[:, None], cols] = values
+    return out
 
 
-def replay_vectorized(
-    sim, st: StepTransmissions, *, overlap: bool, trace: bool = False
-):
-    """Vectorized counterpart of ``NetworkSimulator._replay_scalar``.
+def _serve(layout: _Layout, keys, ready, costs, free, busy=None):
+    """Serve ``layout``'s records FIFO per segment — ``end_i = max(ready_i,
+    end_{i-1}) + cost_i`` — as one independent schedule per row.
 
-    ``sim`` supplies the timeline, link model, and time model; the event
-    order is documented in :mod:`repro.netsim.scheduler`. Returns the same
-    :class:`~repro.netsim.events.SimulatedStep`. With ``trace`` and a
-    ``sim.tracer`` attached, the scan results scatter back into per-record
-    transfer spans — the same spans the scalar path emits, paid only when
-    tracing.
+    ``ready`` and ``costs`` are ``(S, m)`` in the layout's column (name)
+    order. ``keys`` — ``(S, m)`` arrays, least significant first — are
+    the scalar loop's sort key minus its trailing name, which the column
+    order supplies; with no keys every row serves in name order and the
+    whole service layout is shared. ``free`` (``(S, segments)``: when
+    each segment can next serve) is advanced in place, and ``busy``, when
+    given, accumulates each segment's served cost in service order.
+
+    Returns ``(order, starts, ends)``: each row's processing order as
+    column indices (1-D when shared), and the per-record start and end
+    times back in column order.
     """
-    from repro.netsim.events import SimulatedStep
-
-    tracer = sim.tracer if trace else None
-    trace_group = sim.trace_group
-    off = sim.trace_offset
-    tm = sim.time_model
-    batch = record_batch(st)
-    push, pull = batch.push, batch.pull
-    compute = tm.compute_scale * st.compute_seconds
-    push_cost = tm.codec_scale * st.push_compress_seconds
-
-    rates, rtts = batch.route_arrays(sim.link_model)
-    per_frame = tm.per_message_overhead + rtts
-    occ_push = (
-        8.0 * push.total_bytes / rates[push.route_code]
-        + per_frame[push.route_code] * push.frames
-    )
-    occ_pull = (
-        8.0 * pull.total_bytes / rates[pull.route_code]
-        + per_frame[pull.route_code] * pull.frames
-    )
-    max_frac = batch.max_ready_fraction(sim.timeline, sim._ready_fraction)
-    priority = sim.priority
-    compressed_at = compressed_at_vectorized(
-        batch, compute, push_cost, max_frac, overlap=overlap, priority=priority
-    )
-    if tracer is not None:
-        from repro.netsim.scheduler import _trace_push_codec
-
-        _trace_push_codec(
-            tracer, trace_group, off, st.step,
-            push.records, compressed_at, compute, push_cost,
-            overlap=overlap,
-        )
-
-    num_routes = len(batch.route_names)
-    link_free = np.zeros(num_routes)
-    if st.link_down:
-        # Injected-fault outage floors seed the per-route free times
-        # (routes carrying no records this step are timing no-ops, but
-        # their windows still trace). Same max as the scalar dict seed.
-        route_index = {route: i for i, route in enumerate(batch.route_names)}
-        for route, down in st.link_down:
-            i = route_index.get(route)
-            if i is not None:
-                link_free[i] = max(link_free[i], down)
-            if tracer is not None and down > 0.0:
-                tracer.span(
-                    trace_group,
-                    f"outage:{route}",
-                    "link-down",
-                    off,
-                    off + down,
-                    step=st.step,
-                )
-    link_busy = np.zeros(num_routes)
-    end_by_name = np.zeros(batch.num_names)
-
-    # -- push transmission: FIFO per link, in dependency tiers -------------
-    push_end = compute if push.n == 0 else 0.0
-    bottleneck = None  # (record, start_bound_by_link)
-    tier_floor = 0.0
-    for wave in push.waves:
-        w0 = wave.indices
-        if overlap:
-            dep_end = wave.dep_ends(end_by_name)
-        else:
-            # Serialized schedules are fully staged: a tier starts only
-            # after the whole previous tier has landed — what makes the
-            # schedule equal the analytic per-tier sum.
-            dep_end = np.where(push.has_deps[w0], tier_floor, 0.0)
-        ready = np.maximum(compressed_at[w0], dep_end)
-        if priority == "smallest":
-            order = np.lexsort((push.name_code[w0], push.elements[w0], ready))
-        else:
-            order = np.lexsort((push.name_code[w0], ready))
-        ready_sorted = ready[order]
-        w = w0[order]
-        group = np.argsort(push.route_code[w], kind="stable")
-        w = w[group]
-        rc = push.route_code[w]
-        ends, starts, link_free = _segmented_scan(
-            ready_sorted[group], occ_push[w], rc, num_routes, link_free
-        )
-        np.add.at(link_busy, rc, occ_push[w])
-        if tracer is not None:
-            for k in range(w.shape[0]):
-                record = push.records[int(w[k])]
-                tracer.span(
-                    trace_group,
-                    f"link:{record.route}",
-                    record.name,
-                    off + float(starts[k]),
-                    off + float(ends[k]),
-                    phase=record.phase,
-                    step=st.step,
-                    worker=record.worker,
-                )
-        np.maximum.at(end_by_name, push.name_code[w], ends)
-        # Scatter back to processing ((ready, name)-sorted) order so the
-        # first-strict-max bottleneck rule sees the scalar path's ties.
-        proc_end = np.empty_like(ends)
-        proc_end[group] = ends
-        hit = _first_strict_max(proc_end, push_end)
-        if hit is not None:
-            push_end = float(proc_end[hit])
-            proc_start = np.empty_like(starts)
-            proc_start[group] = starts
-            bound = bool(proc_start[hit] > ready_sorted[hit] + 1e-15)
-            bottleneck = (push.records[int(w0[order[hit]])], bound)
-        tier_floor = max(tier_floor, float(ends.max()))
-    # The barrier cannot release before the slowest worker's backward;
-    # when that floor binds, the step is compute-bound.
-    barrier_floor = compute + (push_cost if not overlap else 0.0)
-    if barrier_floor > push_end:
-        push_end = barrier_floor
-        bottleneck = None
-
-    # -- server phase and pulls --------------------------------------------
-    server_cost = tm.codec_scale * (
-        st.server_decompress_seconds + st.server_compress_seconds
-    )
-    pull_ready = push_end + server_cost
-    phase_end = pull_ready
-    last_pull: TransmissionRecord | None = None
-    tier_floor = pull_ready
-    for wave in pull.waves:
-        w0 = wave.indices
-        if overlap:
-            dep_end = wave.dep_ends(end_by_name)
-        else:
-            dep_end = np.where(pull.has_deps[w0], tier_floor, 0.0)
-        base = np.maximum(pull_ready, dep_end)
-        if priority == "smallest":
-            order = np.lexsort((pull.name_code[w0], pull.elements[w0]))
-        else:
-            order = np.argsort(pull.name_code[w0], kind="stable")
-        w = w0[order]
-        group = np.argsort(pull.route_code[w], kind="stable")
-        w = w[group]
-        rc = pull.route_code[w]
-        ends, starts, link_free = _segmented_scan(
-            base[order][group], occ_pull[w], rc, num_routes, link_free
-        )
-        np.add.at(link_busy, rc, occ_pull[w])
-        if tracer is not None:
-            for k in range(w.shape[0]):
-                record = pull.records[int(w[k])]
-                tracer.span(
-                    trace_group,
-                    f"link:{record.route}",
-                    record.name,
-                    off + float(starts[k]),
-                    off + float(ends[k]),
-                    phase=record.phase,
-                    step=st.step,
-                    worker=record.worker,
-                )
-        np.maximum.at(end_by_name, pull.name_code[w], ends)
-        proc_end = np.empty_like(ends)
-        proc_end[group] = ends
-        hit = _first_strict_max(proc_end, phase_end)
-        if hit is not None:
-            phase_end = float(proc_end[hit])
-            last_pull = pull.records[int(w0[order[hit]])]
-        tier_floor = max(tier_floor, float(ends.max()))
-    pull_cost = tm.codec_scale * st.pull_decompress_seconds
-    step_seconds = phase_end + pull_cost
-    if tracer is not None:
-        tracer.span(
-            trace_group, "compute", "backward", off, off + compute, step=st.step
-        )
-        if server_cost > 0:
-            tracer.span(
-                trace_group, "server", "server-codec",
-                off + push_end, off + pull_ready, step=st.step,
-            )
-        if pull_cost > 0:
-            tracer.span(
-                trace_group, "compute", "pull-decompress",
-                off + phase_end, off + step_seconds, step=st.step,
-            )
-
-    # -- bookkeeping --------------------------------------------------------
-    comm = overhead = 0.0
-    for phase in (push, pull):
-        if phase.n:
-            rc = phase.route_code
-            comm += float(np.sum(8.0 * phase.total_bytes / rates[rc]))
-            overhead += float(np.sum(per_frame[rc] * phase.frames))
-    codec = push_cost + server_cost + pull_cost
-    exposed = max(0.0, step_seconds - compute - codec - overhead)
-    if compute > 0:
-        achieved = min(1.0, max(0.0, (comm - exposed) / compute))
+    if keys:
+        order = np.lexsort(keys, axis=1)
+        slot = _take(order, np.argsort(layout.seg[order], axis=1, kind="stable"))
     else:
-        achieved = 0.0
-    busy_of = dict(zip(batch.route_names, link_busy.tolist()))
-    utilization = {
-        link_id: (busy_of.get(link_id, 0.0) / step_seconds if step_seconds else 0.0)
-        for link_id in sim.link_model.link_ids
-    }
-    return SimulatedStep(
-        step=st.step,
-        step_seconds=step_seconds,
-        serialized_seconds=step_seconds,
-        compute_seconds=compute,
-        codec_seconds=codec,
-        comm_seconds=comm,
-        overhead_seconds=overhead,
-        exposed_seconds=exposed,
-        achieved_overlap=achieved if overlap else 0.0,
-        link_utilization=utilization,
-        critical_path=sim._critical_path(bottleneck, last_pull, overlap, pull.n > 0),
-    )
+        order = np.arange(layout.rec.size)
+        slot = layout.by_seg
+    # Scan order: grouped by segment, service order within each.
+    queued_ready = _take(ready, slot)
+    queued_costs = _take(costs, slot)
+    starts = np.empty_like(queued_ready)
+    ends = np.empty_like(queued_ready)
+    for slots, segs in layout.levels:
+        start = np.maximum(queued_ready[:, slots], free[:, segs])
+        end = start + queued_costs[:, slots]
+        starts[:, slots] = start
+        ends[:, slots] = end
+        free[:, segs] = end
+    if busy is not None:
+        np.add.at(
+            busy, (np.arange(len(busy))[:, None], layout.seg_scan), queued_costs
+        )
+    return order, _put(slot, starts), _put(slot, ends)
 
 
-def replay_run_vectorized(sim, steps, *, overlap):
-    """Replay a structurally identical step group as one batched pass.
+def replay_run_vectorized(sim, steps, *, overlap: bool, trace: bool = False):
+    """Replay ``S >= 1`` structurally identical steps as one array pass.
 
-    ``steps`` must share one :func:`structure_signature` (the caller —
-    ``NetworkSimulator.simulate_run`` — groups them). BSP steps are
-    independent schedules, so the batch adds a leading step axis to every
-    array of :func:`replay_vectorized` and runs each wave's FIFO scans for
-    all steps at once: the structure (waves, sorts' segment layouts, name
-    and route tables) is computed once per group instead of once per step,
-    and the per-step NumPy fixed costs amortize across the group.
-
-    The arithmetic is elementwise identical to :func:`replay_vectorized`
-    (same gathers, same scans, same tie-breaking sorts), so the batched
-    results are bit-identical to replaying each step alone. Returns a list
-    of ``SimulatedStep``, or ``None`` when the group cannot share one
-    service order (a step with non-positive compute seconds under overlap)
-    and the caller must fall back to per-step replay.
+    ``steps`` must share one :func:`structure_signature` (see
+    :func:`structure_groups`); ``sim`` — a ``NetworkSimulator`` — supplies
+    the timeline, link model, time model and priority. The event order is
+    documented in :mod:`repro.netsim.scheduler`, whose scalar loop is the
+    reference this kernel matches bit for bit on every schedule time.
+    Returns one :class:`~repro.netsim.events.SimulatedStep` per step. With
+    ``trace`` and a tracer on ``sim``, each row's per-record times go to
+    ``sim._trace_step``, which lays the group out on the trace clock.
     """
-    from repro.netsim.events import SimulatedStep
-
-    if sim.priority != "registration":
-        # Non-registration priorities sort by per-step element counts, so
-        # the group cannot share one service order across its step axis.
-        return None
-
+    trace = trace and sim.tracer is not None
     tm = sim.time_model
     batch = record_batch(steps[0])
     push, pull = batch.push, batch.pull
     S = len(steps)
-    n_all = len(steps[0].records)
+    rows = np.arange(S)
+    smallest = sim.priority == "smallest"
 
     compute = tm.compute_scale * np.array([st.compute_seconds for st in steps])
-    # The per-worker compression pipeline sorts by (ready-fraction x
-    # compute, name); one shared order needs compute > 0 everywhere.
-    if overlap and push.n and not np.all(compute > 0.0):
-        return None
     push_cost = tm.codec_scale * np.array(
         [st.push_compress_seconds for st in steps]
     )
@@ -884,72 +595,62 @@ def replay_run_vectorized(sim, steps, *, overlap):
     # Per-step numeric payloads, extracted in record order (cached per
     # step object) and sliced into each phase's layout.
     num = np.stack([numeric_rows(st) for st in steps])
-    tb = num[:, 0, :]
-    fr = num[:, 1, :]
-    el = num[:, 2, :]
-    B_push = tb[:, batch.push_pos]
-    F_push = fr[:, batch.push_pos]
-    E_push = el[:, batch.push_pos]
-    B_pull = tb[:, batch.pull_pos]
-    F_pull = fr[:, batch.pull_pos]
-
     rates, rtts = batch.route_arrays(sim.link_model)
     per_frame = tm.per_message_overhead + rtts
-    rc_push = push.route_code
-    rc_pull = pull.route_code
-    occ_push = 8.0 * B_push / rates[rc_push] + per_frame[rc_push] * F_push
-    occ_pull = 8.0 * B_pull / rates[rc_pull] + per_frame[rc_pull] * F_pull
 
-    rows = np.arange(S)[:, None]
+    def wire(phase, pos):
+        """One phase's (elements, transfer seconds, per-frame seconds)."""
+        rc = phase.route_code
+        return (
+            num[:, 2, pos],
+            8.0 * num[:, 0, pos] / rates[rc],
+            per_frame[rc] * num[:, 1, pos],
+        )
 
-    # -- push compression pipelines (all steps at once) --------------------
-    if push.n:
-        if overlap:
-            max_frac = batch.max_ready_fraction(sim.timeline, sim._ready_fraction)
-            grad_ready = compute[:, None] * max_frac[None, :]
-            # compute > 0, so ranking by frac x compute == ranking by frac:
-            # the (ready, name) service order is shared by every step.
-            order = np.lexsort((push.name_code, max_frac))
-            # Per-worker element totals: segment-sum over a structural
-            # worker sort. The stable sort keeps each worker's elements in
-            # record order, so the additions associate exactly like the
-            # per-step bincount.
-            wsort = np.argsort(push.worker_code, kind="stable")
-            wc_sorted = push.worker_code[wsort]
-            present = np.unique(wc_sorted)
-            offs = np.searchsorted(wc_sorted, present)
-            totals = np.zeros((S, push.num_workers))
-            totals[:, present] = np.add.reduceat(E_push[:, wsort], offs, axis=1)
-            per_total = totals[:, push.worker_code]
-            costs = np.where(
-                per_total > 0,
-                (push_cost[:, None] * E_push)
-                / np.where(per_total > 0, per_total, 1.0),
-                0.0,
-            )
-            workers_sorted = push.worker_code[order]
-            group = np.argsort(workers_sorted, kind="stable")
-            idx = order[group]
-            ends, _, _ = _segmented_scan_steps(
-                grad_ready[:, idx],
-                costs[:, idx],
-                workers_sorted[group],
-                push.num_workers,
-                np.zeros((S, push.num_workers)),
-            )
-            compressed = np.empty((S, push.n))
-            compressed[:, idx] = ends
-        else:
-            compressed = np.broadcast_to(
-                (compute + push_cost)[:, None], (S, push.n)
-            )
+    def tiebreak(elements, layout):
+        """What ranks between readiness and name in a row's service order
+        (the scalar reference's ``_tiebreak``): nothing by registration,
+        the element count under the "smallest" priority."""
+        return (elements[:, layout.rec],) if smallest else ()
+
+    E_push, xfer_push, frame_push = wire(push, batch.push_pos)
+    E_pull, xfer_pull, frame_pull = wire(pull, batch.pull_pos)
+    occ_push = xfer_push + frame_push
+    occ_pull = xfer_pull + frame_pull
+
+    # -- push compression: one serial pipeline per sending worker ----------
+    if overlap and push.n:
+        pipes = batch.pipelines
+        max_frac = batch.max_ready_fraction(sim.timeline, sim._ready_fraction)
+        grad_ready = (compute[:, None] * max_frac[None, :])[:, pipes.rec]
+        # Per-pipeline element totals: whole numbers, so any summation
+        # order is exact.
+        elements = E_push[:, pipes.rec]
+        totals = np.add.reduceat(elements[:, pipes.by_seg], pipes.seg_first, axis=1)
+        per_total = totals[:, pipes.seg]
+        costs = np.where(
+            per_total > 0,
+            (push_cost[:, None] * elements)
+            / np.where(per_total > 0, per_total, 1.0),
+            0.0,
+        )
+        _, _, ends = _serve(
+            pipes,
+            (*tiebreak(E_push, pipes), grad_ready),
+            grad_ready,
+            costs,
+            np.zeros((S, batch.num_pipelines)),
+        )
+        compressed = _put(pipes.rec, ends)
+    else:
+        compressed = np.broadcast_to((compute + push_cost)[:, None], (S, push.n))
 
     num_routes = len(batch.route_names)
     link_free = np.zeros((S, num_routes))
     if any(st.link_down for st in steps):
-        # Per-row outage floors: the segmented scans take per-row initial
-        # link-free times, so steps with different injected outages batch
-        # together bit-exactly (service order is floor-independent).
+        # Injected-fault outage floors seed each row's link-free times
+        # (service order is floor-independent). Routes carrying no records
+        # this step are timing no-ops.
         route_index = {route: i for i, route in enumerate(batch.route_names)}
         for s, st in enumerate(steps):
             for route, down in st.link_down:
@@ -958,6 +659,44 @@ def replay_run_vectorized(sim, steps, *, overlap):
                     link_free[s, i] = max(link_free[s, i], down)
     link_busy = np.zeros((S, num_routes))
     end_by_name = np.zeros((S, batch.num_names))
+    # Per-record transfer (starts, ends) in record order, kept only to trace.
+    push_times = pull_times = None
+    if trace:
+        push_times = np.empty((S, push.n)), np.empty((S, push.n))
+        pull_times = np.empty((S, pull.n)), np.empty((S, pull.n))
+
+    def link_wave(wave, keys, ready, occ, best, times):
+        """Serve one dependency wave on its links. Returns the wave's last
+        end per row, the rows where it strictly exceeds ``best``, and for
+        those rows the column of the first record in processing order to
+        attain it — the scalar loop's running ``end > best`` — with that
+        record's start (unspecified elsewhere)."""
+        order, starts, ends = _serve(
+            wave, keys, ready, occ[:, wave.rec], link_free, link_busy
+        )
+        if wave.names_unique:
+            # The recorded invariant; max is exact either way.
+            end_by_name[:, wave.names] = np.maximum(
+                end_by_name[:, wave.names], ends
+            )
+        else:
+            np.maximum.at(end_by_name, (rows[:, None], wave.names), ends)
+        if times is not None:
+            times[0][:, wave.rec] = starts
+            times[1][:, wave.rec] = ends
+        peak = ends.max(axis=1)
+        better = peak > best
+        first = (_take(ends, order) == peak[:, None]).argmax(axis=1)
+        col = order[first] if order.ndim == 1 else order[rows, first]
+        return peak, better, col, starts[rows, col]
+
+    def dep_end(wave, tier_floor):
+        if overlap:
+            return wave.dep_ends(end_by_name)
+        # Serialized schedules are fully staged: a tier starts only after
+        # the whole previous tier has landed — what makes the schedule
+        # equal the analytic per-tier sum.
+        return np.where(wave.has_deps, tier_floor[:, None], 0.0)
 
     # -- push transmission: FIFO per link, in dependency tiers -------------
     push_end = compute.copy() if push.n == 0 else np.zeros(S)
@@ -965,117 +704,56 @@ def replay_run_vectorized(sim, steps, *, overlap):
     bneck_bound = np.zeros(S, dtype=bool)
     tier_floor = np.zeros(S)
     for wave in push.waves:
-        w0 = wave.indices
-        m = w0.shape[0]
-        if overlap:
-            dep_end = wave.dep_ends_multi(end_by_name)
-        else:
-            dep_end = np.where(push.has_deps[w0][None, :], tier_floor[:, None], 0.0)
-        ready = np.maximum(compressed[:, w0], dep_end)
-        # (ready, name) service order is per-step data: pre-permute the
-        # wave by name once, then one stable row-argsort on ready realizes
-        # the lexsort for every step in a single C call.
-        name_order = np.argsort(push.name_code[w0], kind="stable")
-        w_n = w0[name_order]
-        rc_n = push.route_code[w_n]
-        nc_n = push.name_code[w_n]
-        ready_n = ready[:, name_order]
-        order2 = np.argsort(ready_n, axis=1, kind="stable")
-        group2 = np.argsort(rc_n[order2], axis=1, kind="stable")
-        pos = np.take_along_axis(order2, group2, axis=1)
-        seg_row = np.sort(rc_n)  # shared: per-route counts are structural
-        ready_scan = np.take_along_axis(ready_n, pos, axis=1)
-        occ_scan = np.take_along_axis(occ_push[:, w_n], pos, axis=1)
-        ends, starts, link_free = _segmented_scan_steps(
-            ready_scan, occ_scan, seg_row, num_routes, link_free
+        ready = np.maximum(compressed[:, wave.rec], dep_end(wave, tier_floor))
+        peak, better, col, start = link_wave(
+            wave,
+            (*tiebreak(E_push, wave), ready),
+            ready,
+            occ_push,
+            push_end,
+            push_times,
         )
-        np.add.at(link_busy, (rows, seg_row[None, :]), occ_scan)
-        idx_n = nc_n[pos]
-        if np.unique(nc_n).size == nc_n.size:
-            # Unique names per wave (the recorded invariant): a gather +
-            # maximum + scatter replaces the elementwise ufunc.at loop.
-            # max is exact, so the result is identical either way.
-            end_by_name[rows, idx_n] = np.maximum(end_by_name[rows, idx_n], ends)
-        else:
-            np.maximum.at(end_by_name, (rows, idx_n), ends)
-        proc_end = np.empty((S, m))
-        np.put_along_axis(proc_end, group2, ends, axis=1)
-        peak = proc_end.max(axis=1)
-        better = peak > push_end
-        if np.any(better):
-            hit_rows = np.flatnonzero(better)
-            h = np.argmax(proc_end[hit_rows] == peak[hit_rows, None], axis=1)
-            proc_start = np.empty((S, m))
-            np.put_along_axis(proc_start, group2, starts, axis=1)
-            ready_proc = np.take_along_axis(ready_n, order2, axis=1)
-            push_end[hit_rows] = peak[hit_rows]
-            bneck_bound[hit_rows] = (
-                proc_start[hit_rows, h] > ready_proc[hit_rows, h] + 1e-15
-            )
-            bneck_idx[hit_rows] = w_n[order2[hit_rows, h]]
-        tier_floor = np.maximum(tier_floor, ends.max(axis=1))
+        push_end = np.where(better, peak, push_end)
+        bneck_idx = np.where(better, wave.rec[col], bneck_idx)
+        bneck_bound = np.where(
+            better, start > ready[rows, col] + 1e-15, bneck_bound
+        )
+        tier_floor = np.maximum(tier_floor, peak)
+    # The barrier cannot release before the slowest worker's backward;
+    # when that floor binds, the step is compute-bound.
     barrier_floor = compute if overlap else compute + push_cost
     capped = barrier_floor > push_end
     push_end = np.where(capped, barrier_floor, push_end)
     bneck_idx[capped] = -1
 
-    # -- server phase and pulls --------------------------------------------
+    # -- server phase and pulls (service order ignores readiness) ----------
     pull_ready = push_end + server_cost
     phase_end = pull_ready.copy()
     last_idx = np.full(S, -1, dtype=np.intp)
     tier_floor = pull_ready.copy()
     for wave in pull.waves:
-        w0 = wave.indices
-        m = w0.shape[0]
-        if overlap:
-            dep_end = wave.dep_ends_multi(end_by_name)
-        else:
-            dep_end = np.where(pull.has_deps[w0][None, :], tier_floor[:, None], 0.0)
-        base = np.maximum(pull_ready[:, None], dep_end)
-        # Pulls order by name alone — shared across steps.
-        order = np.argsort(pull.name_code[w0], kind="stable")
-        w = w0[order]
-        group = np.argsort(pull.route_code[w], kind="stable")
-        idx = order[group]
-        wg = w0[idx]
-        rc = pull.route_code[wg]
-        occ_scan = occ_pull[:, wg]
-        ends, _, link_free = _segmented_scan_steps(
-            base[:, idx], occ_scan, rc, num_routes, link_free
+        base = np.maximum(pull_ready[:, None], dep_end(wave, tier_floor))
+        peak, better, col, _ = link_wave(
+            wave, tiebreak(E_pull, wave), base, occ_pull, phase_end, pull_times
         )
-        np.add.at(link_busy, (rows, rc[None, :]), occ_scan)
-        nc = pull.name_code[wg]
-        if np.unique(nc).size == nc.size:
-            end_by_name[:, nc] = np.maximum(end_by_name[:, nc], ends)
-        else:
-            np.maximum.at(end_by_name, (rows, nc[None, :]), ends)
-        proc_end = np.empty((S, m))
-        proc_end[:, group] = ends
-        peak = proc_end.max(axis=1)
-        better = peak > phase_end
-        if np.any(better):
-            hit_rows = np.flatnonzero(better)
-            h = np.argmax(proc_end[hit_rows] == peak[hit_rows, None], axis=1)
-            phase_end[hit_rows] = peak[hit_rows]
-            last_idx[hit_rows] = w[h]
-        tier_floor = np.maximum(tier_floor, ends.max(axis=1))
+        phase_end = np.where(better, peak, phase_end)
+        last_idx = np.where(better, wave.rec[col], last_idx)
+        tier_floor = np.maximum(tier_floor, peak)
     step_seconds = phase_end + pull_cost
 
     # -- bookkeeping --------------------------------------------------------
     # Row-by-row 1-D sums: an axis-1 reduction blocks its pairwise
-    # summation differently and drifts a ulp from the per-step totals,
-    # which would break the batched path's bit-identity guarantee.
+    # summation differently and drifts a ulp from the per-step totals.
     comm = np.zeros(S)
     overhead = np.zeros(S)
     for terms, out in (
-        ((8.0 * B_push / rates[rc_push]) if push.n else None, comm),
-        ((per_frame[rc_push] * F_push) if push.n else None, overhead),
-        ((8.0 * B_pull / rates[rc_pull]) if pull.n else None, comm),
-        ((per_frame[rc_pull] * F_pull) if pull.n else None, overhead),
+        (xfer_push, comm),
+        (frame_push, overhead),
+        (xfer_pull, comm),
+        (frame_pull, overhead),
     ):
-        if terms is not None:
-            for s in range(S):
-                out[s] += float(np.sum(terms[s]))
+        for s in range(S):
+            out[s] += np.add.reduce(terms[s])
     codec = push_cost + server_cost + pull_cost
     exposed = np.maximum(0.0, step_seconds - compute - codec - overhead)
     safe_compute = np.where(compute > 0, compute, 1.0)
@@ -1116,4 +794,16 @@ def replay_run_vectorized(sim, steps, *, overlap):
                 ),
             )
         )
+        if trace:
+            # The step's own records: the leader's carry its numbers.
+            sim._trace_step(
+                st,
+                *phase_partition(st.records),
+                overlap=overlap,
+                compressed_at=compressed[s].tolist(),
+                push_times=[t[s].tolist() for t in push_times],
+                pull_times=[t[s].tolist() for t in pull_times],
+                push_end=float(push_end[s]),
+                phase_end=float(phase_end[s]),
+            )
     return results

@@ -14,10 +14,11 @@ nothing upstream leaked an open span into the file.)
 
 ``--strict`` adds per-track discipline checks: overlapping complete
 spans on one ``(pid, tid)`` track, and ``"X"`` timestamps that go
-backwards in file order on one track. Strict stays **opt-in** because
-some legitimate tracks interleave concurrent work (e.g. a shared
-server track serving several racks), and emission order within a
-replayed step follows schedule order, not strictly time order.
+backwards in file order on one track. Traces of BSP runs are
+strict-clean — the step simulator emits every track in time order — and
+CI validates them with ``--strict``. Strict stays **opt-in** only for
+async/SSP traces, whose shared tracks legitimately interleave concurrent
+work (one ``server`` track committing several units' updates).
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--strict", action="store_true",
         help="also flag overlapping spans and backwards timestamps "
-        "per track (opt-in: concurrent shared tracks overlap "
-        "legitimately)",
+        "per track (clean on BSP traces; opt-in because the shared "
+        "tracks of async/SSP traces overlap legitimately)",
     )
     args = parser.parse_args(argv)
     status = 0

@@ -3,9 +3,9 @@
 ``priority="smallest"`` is a simulation-side knob the plan autotuner
 searches over: at equal readiness the link serves the smallest compressed
 gradient first (elements, then name) instead of registration order. The
-scalar loop is the reference semantics; the vectorized path must match it
-bit-for-bit, and the run-batched path must fall back to per-step replay
-(one shared service order cannot represent two priorities).
+scalar loop is the reference semantics; the array kernel must match it
+bit-for-bit, whole runs included — element counts vary per step, so each
+row of a replayed group sorts into its own service order.
 """
 
 import random
@@ -110,9 +110,9 @@ def test_smallest_scalar_vector_bit_parity():
             assert_scalar_parity(vec.simulate_step(st), scalar.simulate_step(st))
 
 
-def test_simulate_run_falls_back_per_step_under_smallest():
-    """Run batching assumes one shared service order; 'smallest' replays
-    per step and must equal the per-step results exactly."""
+def test_simulate_run_equals_per_step_under_smallest():
+    """'smallest' runs replay as one group whose rows each keep their own
+    service order; the run must equal the per-step results exactly."""
     rng = random.Random(4242)
     links, steps = random_run(rng, 5)
     timeline = random_timeline(rng)

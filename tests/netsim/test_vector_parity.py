@@ -1,14 +1,16 @@
-"""Differential property tests: scalar vs vectorized vs run-batched replay.
+"""Differential property tests: the array replay kernel vs the scalar loop.
 
-The scalar per-record loop in :class:`NetworkSimulator` is the reference
-semantics; the per-step NumPy path and the run-batched path must schedule
-*identical* events. Since the segmented scans perform the scalar loop's
-exact IEEE operations (depth-wise sweep, no prefix-sum re-association),
-parity on schedule times is bit-exact, not merely within tolerance — which
-matters because per-worker codec costs are element-shares of one budget,
-so distinct pipelines finish in exact real-arithmetic ties and a 1-ulp
-perturbation can flip a (ready, name) service order into a macroscopically
-different schedule.
+The scalar per-record loop in :class:`NetworkSimulator`
+(``vectorized=False``) is the reference semantics; the array kernel must
+schedule *identical* events whatever group it is handed — one step, two,
+a whole run; either priority; rows with no compute; rows with their own
+outage floors; dependency tiers. Since its FIFO passes perform the scalar
+loop's exact IEEE operations (depth-wise sweep, no prefix-sum
+re-association), parity on schedule times is bit-exact, not merely within
+tolerance — which matters because per-worker codec costs are
+element-shares of one budget, so distinct pipelines finish in exact
+real-arithmetic ties and a 1-ulp perturbation can flip a (ready, name)
+service order into a macroscopically different schedule.
 
 Aggregate totals (``comm_seconds`` / ``overhead_seconds``) are summed
 pairwise by NumPy and sequentially by the scalar loop, so they carry a
@@ -19,17 +21,26 @@ import random
 
 import pytest
 
+from repro.netsim import link_model_for
 from repro.netsim.events import StepTransmissions, TransmissionRecord
 from repro.netsim.links import LinkModel
 from repro.netsim.scheduler import NetworkSimulator
+from repro.netsim.vector import structure_groups
 from repro.network.bandwidth import LinkSpec
 from repro.nn.stats import BackwardTimeline, LayerTiming
+from repro.telemetry import Tracer
+from repro.telemetry.export import chrome_trace
+from repro.telemetry.validate import validate_chrome_trace
 
 SUM_TOL = 1e-12
 
 
-def random_run(rng: random.Random, n_steps: int):
-    """A random small topology plus a structurally constant plan stream."""
+def random_run(rng: random.Random, n_steps: int, *, faults: bool = False):
+    """A random small topology plus a structurally constant plan stream:
+    names, routes, workers, params and dependency tiers are drawn once,
+    the numbers (bytes, frames, elements, seconds) per step. With
+    ``faults`` some steps carry their own ``link_down`` floors and one
+    step of a longer run has no compute at all."""
     n_routes = rng.randint(1, 4)
     specs = {
         f"link{r}": LinkSpec(
@@ -48,45 +59,52 @@ def random_run(rng: random.Random, n_steps: int):
         route = f"link{rng.randrange(n_routes)}"
         worker = rng.choice([None, rng.randrange(n_workers)])
         params = tuple(sorted({f"p{rng.randrange(4)}" for _ in range(rng.randint(0, 2))}))
-        layout.append((f"r{i}", phase, route, worker, params))
-    names = [spec[0] for spec in layout]
+        # Dependencies: earlier same-phase records, or (pulls) pushes.
+        candidates = [
+            other[0]
+            for other in layout
+            if other[1] == phase or (phase == "pull" and other[1] != "pull")
+        ]
+        deps = (
+            tuple(rng.sample(candidates, k=1))
+            if candidates and rng.random() < 0.4
+            else ()
+        )
+        layout.append((f"r{i}", phase, route, worker, params, deps))
+    zero_compute = rng.randrange(n_steps) if faults and n_steps > 2 else None
     steps = []
     for s in range(n_steps):
-        records = []
-        for i, (name, phase, route, worker, params) in enumerate(layout):
-            # Dependencies: earlier same-phase records, or (pulls) pushes.
-            candidates = [
-                other[0]
-                for other in layout[:i]
-                if other[1] == phase or (phase == "pull" and other[1] != "pull")
-            ]
-            deps = (
-                tuple(rng.sample(candidates, k=1))
-                if candidates and rng.random() < 0.4
-                else ()
+        records = tuple(
+            TransmissionRecord(
+                name=name,
+                phase=phase,
+                route=route,
+                worker=worker,
+                params=params,
+                depends_on=deps,
+                wire_bytes=rng.randrange(1, 10_000_000),
+                frames=rng.randrange(1, 20),
+                elements=rng.randrange(1, 100_000),
             )
-            records.append(
-                TransmissionRecord(
-                    name=name,
-                    phase=phase,
-                    route=route,
-                    worker=worker,
-                    params=params,
-                    depends_on=deps,
-                    wire_bytes=rng.randrange(1, 10_000_000),
-                    frames=rng.randrange(1, 20),
-                    elements=rng.randrange(1, 100_000),
-                )
+            for name, phase, route, worker, params, deps in layout
+        )
+        link_down = ()
+        if faults and rng.random() < 0.5:
+            # A floor on a live route, and one on a route nothing uses.
+            link_down = (
+                (f"link{rng.randrange(n_routes)}", rng.uniform(0.0, 0.08)),
+                ("idle", 0.01),
             )
         steps.append(
             StepTransmissions(
                 step=s,
-                compute_seconds=rng.uniform(0.001, 0.05),
+                compute_seconds=0.0 if s == zero_compute else rng.uniform(0.001, 0.05),
                 push_compress_seconds=rng.uniform(0.0, 0.01),
                 server_decompress_seconds=rng.uniform(0.0, 0.005),
                 server_compress_seconds=rng.uniform(0.0, 0.005),
                 pull_decompress_seconds=rng.uniform(0.0, 0.005),
-                records=tuple(records),
+                records=records,
+                link_down=link_down,
             )
         )
     return links, steps
@@ -114,22 +132,146 @@ def assert_scalar_parity(vec_step, scalar_step):
     ) <= SUM_TOL * max(1.0, scalar_step.overhead_seconds)
 
 
+@pytest.mark.parametrize("priority", ["registration", "smallest"])
 @pytest.mark.parametrize("overlap", [True, False])
-def test_randomized_topologies_bit_parity(overlap):
-    """30 random topologies: batched == per-step (full equality) and both
-    match the scalar reference bit-for-bit on schedule times."""
-    for trial in range(30):
+def test_randomized_topologies_bit_parity(overlap, priority):
+    """40 random faulted topologies replayed as one group of 1, 2 or many
+    steps: the run equals replaying each step alone (exact dataclass
+    equality — nothing depends on how a run groups) and both match the
+    scalar reference bit for bit on schedule times and critical paths."""
+    for trial in range(40):
         rng = random.Random(1000 + trial)
-        links, steps = random_run(rng, rng.randint(3, 8))
+        n_steps = (1, 2, rng.randint(3, 8))[trial % 3]
+        links, steps = random_run(rng, n_steps, faults=True)
+        assert len(list(structure_groups(tuple(steps)))) == 1
         timeline = random_timeline(rng)
-        vec = NetworkSimulator(timeline, links, overlap=overlap, vectorized=True)
-        scalar = NetworkSimulator(timeline, links, overlap=overlap, vectorized=False)
+        vec, scalar = (
+            NetworkSimulator(
+                timeline, links, overlap=overlap, priority=priority,
+                vectorized=vectorized,
+            )
+            for vectorized in (True, False)
+        )
         per_step = [vec.simulate_step(st) for st in steps]
         batched = vec.simulate_run(steps).steps
         reference = scalar.simulate_run(steps).steps
         for b, p, s in zip(batched, per_step, reference):
             assert b == p, f"trial {trial}: batched diverged from per-step"
             assert_scalar_parity(b, s)
+
+
+def hier_run(rng: random.Random, n_steps: int, racks: int = 2, rack_size: int = 3):
+    """Hier-shaped faulted steps: worker pushes on their rack channel, one
+    cross-rack aggregate per rack behind them, a down/bcast pull pipeline
+    per rack, and an uplink outage floor on every other step."""
+    steps = []
+    for s in range(n_steps):
+        records = []
+        for rack in range(racks):
+            members = range(rack * rack_size, (rack + 1) * rack_size)
+            for wid in members:
+                for t in range(2):
+                    records.append(
+                        TransmissionRecord(
+                            name=f"w{wid}:t{t}",
+                            params=(f"p{t}",),
+                            wire_bytes=rng.randrange(2_000, 40_000),
+                            elements=rng.randrange(5_000, 100_000),
+                            route=f"rack{rack}",
+                            worker=wid,
+                            frames=1 + wid % 3,
+                        )
+                    )
+            records.append(
+                TransmissionRecord(
+                    name=f"agg{rack}",
+                    params=(),
+                    wire_bytes=rng.randrange(20_000, 120_000),
+                    elements=rng.randrange(50_000, 400_000),
+                    route=f"cross:rack{rack}",
+                    worker=None,
+                    frames=2,
+                    depends_on=tuple(f"w{wid}:t{t}" for wid in members for t in range(2)),
+                )
+            )
+            records.append(
+                TransmissionRecord(
+                    name=f"down{rack}",
+                    params=(),
+                    wire_bytes=rng.randrange(20_000, 120_000),
+                    elements=rng.randrange(50_000, 400_000),
+                    route=f"cross:rack{rack}",
+                    worker=None,
+                    phase="pull",
+                    frames=2,
+                )
+            )
+            records.append(
+                TransmissionRecord(
+                    name=f"bcast{rack}",
+                    params=(),
+                    wire_bytes=rng.randrange(10_000, 60_000),
+                    elements=rng.randrange(50_000, 400_000),
+                    route=f"rack{rack}",
+                    worker=None,
+                    phase="pull",
+                    frames=rack_size - 1,
+                    depends_on=(f"down{rack}",),
+                )
+            )
+        steps.append(
+            StepTransmissions(
+                step=s,
+                compute_seconds=rng.uniform(0.04, 0.06),
+                push_compress_seconds=rng.uniform(0.001, 0.003),
+                server_decompress_seconds=rng.uniform(0.0005, 0.001),
+                pull_decompress_seconds=rng.uniform(0.0005, 0.001),
+                records=tuple(records),
+                link_down=((("cross:rack1", rng.uniform(0.01, 0.09)),) if s % 2 else ()),
+            )
+        )
+    return steps
+
+
+@pytest.mark.parametrize("priority", ["registration", "smallest"])
+def test_traced_spans_match_reference_in_time_order(priority):
+    """One span layout for both paths: on a traced faulted hier run the
+    array kernel and the scalar reference emit the same multiset of
+    (track, name, start, end, args) bit for bit, every track's spans go
+    out in time order, and the exported trace is strict-clean."""
+    rng = random.Random(31)
+    steps = hier_run(rng, 6)
+    links = link_model_for(
+        "hier", LinkSpec("100Mbps", 1e8), racks=2, rack_size=3,
+        cross_bw_fraction=0.1, cross_rtt_seconds=1e-4,
+    )
+    timeline = BackwardTimeline(
+        (LayerTiming("top", 0.7, ("p1",)), LayerTiming("bottom", 1.3, ("p0",)))
+    )
+    emitted = {}
+    for vectorized in (True, False):
+        tracer = Tracer()
+        sim = NetworkSimulator(
+            timeline, links, overlap=True, serialized_baseline=False,
+            vectorized=vectorized, priority=priority,
+            tracer=tracer, trace_group="sim",
+        )
+        run = sim.simulate_run(steps)
+        assert sim.trace_offset == run.total_seconds
+        emitted[vectorized] = sorted(
+            (
+                (s.track, s.name, s.start, s.end, tuple(s.args.items()))
+                for s in tracer.spans
+            ),
+            key=repr,
+        )
+        last_start: dict[str, float] = {}
+        for span in tracer.spans:
+            assert span.start >= last_start.get(span.track, 0.0), span
+            last_start[span.track] = span.start
+        assert {"compute", "server", "outage:cross:rack1", "codec:w0"} <= set(last_start)
+        assert validate_chrome_trace(chrome_trace(tracer), strict=True) == []
+    assert emitted[True] == emitted[False]
 
 
 def test_exact_tie_pipelines_match_scalar():
@@ -191,9 +333,10 @@ def test_mixed_structure_grouping():
     assert list(run) == per_step
 
 
-def test_zero_compute_step_falls_back():
-    """A zero-compute step cannot share the group's compression order;
-    the batched path must fall back without changing results."""
+def test_zero_compute_row_inside_a_group():
+    """A zero-compute step serves its compression pipelines in name order
+    while its neighbours serve in gradient-ready order; it is an ordinary
+    row of the group, not a reason to replay step by step."""
     rng = random.Random(11)
     links, steps = random_run(rng, 4)
     steps[1] = StepTransmissions(
@@ -202,6 +345,7 @@ def test_zero_compute_step_falls_back():
         push_compress_seconds=steps[1].push_compress_seconds,
         records=steps[1].records,
     )
+    assert len(list(structure_groups(tuple(steps)))) == 1
     timeline = random_timeline(random.Random(11))
     vec = NetworkSimulator(timeline, links, overlap=True, vectorized=True)
     scalar = NetworkSimulator(timeline, links, overlap=True, vectorized=False)
