@@ -27,7 +27,10 @@ def random_crop_flip(
         32×32; default 2 suits the smaller synthetic images).
     """
     n, c, h, w = images.shape
-    padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    # Zeroed buffer + one interior assignment: np.pad's generic machinery
+    # was half the call at training batch shapes.
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=images.dtype)
+    padded[:, :, pad : pad + h, pad : pad + w] = images
     ys = rng.integers(0, 2 * pad + 1, size=n)
     xs = rng.integers(0, 2 * pad + 1, size=n)
     # Gather crops via advanced indexing: build per-image row/col indices.

@@ -506,7 +506,6 @@ class ExchangeEngine:
             self.service
         )
         self.step_logs: list[StepLog] = []
-        self._test_cache: tuple[np.ndarray, np.ndarray] | None = None
         self.update_count = 0
 
         # -- fault-injection state (BSP only; validated in EngineConfig) ----
@@ -1645,11 +1644,6 @@ class ExchangeEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _test_set(self, test_size: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._test_cache is None or self._test_cache[0].shape[0] != test_size:
-            self._test_cache = self.dataset.test_set(test_size)
-        return self._test_cache
-
     def evaluate(self, *, test_size: int = 1000) -> EvalResult:
         """Evaluate the *global* model on the held-out test set.
 
@@ -1658,7 +1652,7 @@ class ExchangeEngine:
         """
         self._eval_model.load_state_dict(self.service.state_dict())
         self._sync_bn_stats(self.workers[0].model, self._eval_model)
-        images, labels = self._test_set(test_size)
+        images, labels = self.dataset.test_set(test_size)
         logits = self._eval_model.forward(images, training=False)
         loss = SoftmaxCrossEntropy().forward(logits, labels)
         return EvalResult(

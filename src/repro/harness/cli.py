@@ -53,6 +53,7 @@ from repro.compression.registry import (
     TABLE1_SCHEMES,
     make_compressor,
 )
+from repro.data.synthetic import input_memo
 from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
 from repro.exchange.wireplan import fusion_incompatibility
 from repro.harness.config import DEFAULT_CONFIG, FAST_CONFIG
@@ -583,6 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
 
     stats = runner.replay_cache.stats()
+    inputs = input_memo.stats()
     print(
         "replay cache: "
         f"{stats['recordings']} recordings "
@@ -591,7 +593,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{stats['simulations']} simulations "
         f"({stats['simulation_hits']} hits / "
         f"{stats['simulation_misses']} misses), "
-        f"{stats['extraction_hits']} warm extractions"
+        f"{stats['extraction_hits']} warm extractions, "
+        f"{inputs['entries']} inputs {inputs['bytes'] / 2**20:.1f} MiB "
+        f"({inputs['hits']} hits / {inputs['misses']} misses)"
     )
 
     if args.trace_out or args.metrics_out:

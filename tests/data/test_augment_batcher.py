@@ -44,6 +44,40 @@ class TestRandomCropFlip:
         flipped = (out[:, 0, 0, -1] == 1.0).mean()
         assert 0.2 < flipped < 0.8
 
+    @pytest.mark.parametrize("pad", [0, 1, 2, 4])
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            ((8, 3, 12, 12), np.float32),
+            ((5, 3, 7, 7), np.float32),
+            ((4, 2, 5, 9), np.float32),
+            ((3, 1, 6, 11), np.float64),
+        ],
+    )
+    def test_matches_np_pad_formulation(self, pad, shape, dtype):
+        """The zeroed-buffer padding gives the bytes ``np.pad`` gave."""
+
+        def reference(images, rng):
+            n, _, h, w = images.shape
+            padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+            ys = rng.integers(0, 2 * pad + 1, size=n)
+            xs = rng.integers(0, 2 * pad + 1, size=n)
+            rows = ys[:, None] + np.arange(h)[None, :]
+            cols = xs[:, None] + np.arange(w)[None, :]
+            out = padded[
+                np.arange(n)[:, None, None], :, rows[:, :, None], cols[:, None, :]
+            ].transpose(0, 3, 1, 2)
+            flip = rng.random(n) < 0.5
+            out[flip] = out[flip, :, :, ::-1]
+            return np.ascontiguousarray(out, dtype=images.dtype)
+
+        images = np.random.default_rng(3).normal(size=shape).astype(dtype)
+        out = random_crop_flip(images, np.random.default_rng(11), pad=pad)
+        expected = reference(images, np.random.default_rng(11))
+        assert out.dtype == dtype
+        assert out.shape == shape
+        assert out.tobytes() == expected.tobytes()
+
     def test_augmenter_disabled_passthrough(self, rng):
         images = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
         aug = Augmenter(rng, enabled=False)

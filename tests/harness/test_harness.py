@@ -4,6 +4,8 @@ These run on the miniature FAST_CONFIG — correctness of plumbing, not of
 paper numbers (the benchmarks cover those).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -560,7 +562,14 @@ class TestCli:
         from repro.harness.cli import main
 
         assert main(["fig9", "--fast", "--steps", "8"]) == 0
-        assert "Figure 9" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Figure 9" in out
+        # The footer shows the input memo beside the replay-cache levels.
+        assert re.search(
+            r"replay cache: .* warm extractions, "
+            r"\d+ inputs \d+\.\d MiB \(\d+ hits / \d+ misses\)",
+            out,
+        )
 
     def test_related_work_fast(self, capsys):
         from repro.harness.cli import main
