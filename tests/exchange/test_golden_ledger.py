@@ -6,9 +6,12 @@ its train loss, every integer ``StepTraffic`` field, and the recorded
 ties on registration order) — over the exchange cells the four older
 goldens do not cover: the six ``perf/metrics.py: EXCHANGE_CELLS`` shapes,
 a sharded lossy-fused async run, a hierarchical uplink flap with rejoin,
-and a single-server crash with a checkpointed restart. Every run pins
-``fixed_compute_seconds`` so barrier order and virtual clocks do not
-depend on wall-clock noise.
+a single-server crash with a checkpointed restart, and the fused-bucket
+shapes the wire stream's four owners differ on (per-rack uplink buckets
+and per-rack fused pull streams, a crash snapshot of lossy bucket
+contexts, a stochastic scheme whose bucket draws follow the stream key).
+Every run pins ``fixed_compute_seconds`` so barrier order and virtual
+clocks do not depend on wall-clock noise.
 
 The second half checks that the recording is an *observer*: switching
 ``record_transmissions`` off leaves losses and the traffic log unchanged,
@@ -75,6 +78,39 @@ CELLS = {
         topology="single",
         fault=FaultSpec(crashes=(WorkerCrash(worker=2, step=1),)),
     ),
+    "hier2x2_fused_bsp": dict(
+        num_workers=4,
+        topology="hier",
+        racks=2,
+        rack_size=2,
+        fuse_small_tensors=True,
+    ),
+    "hier2x2_fused_ssp1": dict(
+        num_workers=4,
+        topology="hier",
+        racks=2,
+        rack_size=2,
+        fuse_small_tensors=True,
+        sync_mode="ssp",
+        staleness=1,
+    ),
+    # Lossy buckets, so the crash-time snapshot holds bucket residuals.
+    "single_fused_crash_restart": dict(
+        num_workers=4,
+        topology="single",
+        fuse_small_tensors=True,
+        fuse_lossy=True,
+        fault=FaultSpec(crashes=(WorkerCrash(worker=2, step=1),)),
+    ),
+    # Stochastic quantization: a changed stream key changes the bytes.
+    "sharded2_stoch_lossy_fused_bsp": dict(
+        num_workers=4,
+        topology="sharded",
+        num_shards=2,
+        fuse_small_tensors=True,
+        fuse_lossy=True,
+        scheme="Stoch 3-value + QE",
+    ),
 }
 
 INT_FIELDS = tuple(f.name for f in fields(StepTraffic) if f.type == "int")
@@ -82,13 +118,14 @@ INT_FIELDS = tuple(f.name for f in fields(StepTraffic) if f.type == "int")
 
 def run_cell(cell: str, *, record: bool = True) -> ExchangeEngine:
     overrides = {"num_workers": 8, **CELLS[cell]}
+    scheme = overrides.pop("scheme", SCHEME)
     config = FAST_CONFIG.scaled(
         model_family="mlp", base_lr=0.005, standard_steps=QUANTA, **overrides
     )
     engine = ExchangeEngine(
         config.model_factory(),
         config.dataset(),
-        make_compressor(SCHEME, seed=config.scheme_seed),
+        make_compressor(scheme, seed=config.scheme_seed),
         config.schedule(QUANTA),
         replace(
             config.engine_config(),
