@@ -1,38 +1,30 @@
 #!/usr/bin/env python
-"""Wire-plan autotuner trajectory: search quality and parallel scaling.
+"""Wire-plan autotuner trajectory: search quality.
 
-The tuner's claim is twofold: it finds plans the default configuration
-leaves on the table, and the parallel scoring pool changes wall-clock
-only — never the answer. This benchmark runs the cost-model search on
-the bench MLP under the hierarchical base config (2 racks x 2 workers,
-scarce cross-rack uplink at 10 Mbps) and records the best-so-far
-trajectory (simulated step time vs evaluations vs wall-clock) into
+The tuner's claim is that it finds plans the default configuration leaves
+on the table. This benchmark runs the cost-model search on the bench MLP
+under the hierarchical base config (2 racks x 2 workers, scarce
+cross-rack uplink at 10 Mbps) and records the best-so-far trajectory
+(simulated step time vs evaluations vs wall-clock) into
 ``BENCH_tuner.json``.
 
-``--check`` asserts the acceptance criteria directly:
-
-* the found plan's simulated step time is >= 10% below the default
-  plan's, within <= 200 evaluations;
-* ``--jobs N`` produces a byte-identical plan artifact to ``--jobs 1``
-  (always asserted — determinism is independent of core count);
-* ``--jobs 4`` cuts wall-clock >= 2x vs serial — asserted only when the
-  machine has >= 4 cores and ``--jobs`` >= 4 (printed as SKIP
-  otherwise: the speedup is physically unavailable on fewer cores).
+``--check`` asserts the acceptance criterion directly: the found plan's
+simulated step time is >= 10% below the default plan's, within <= 200
+evaluations.
 
 Run:  python benchmarks/bench_tuner.py [--smoke] [--check] [--json PATH]
-                                       [--jobs N] [--budget N] [--seed N]
+                                       [--budget N] [--seed N]
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from repro.harness.config import FAST_CONFIG
 from repro.tuner.artifact import plan_to_dict, save_plan
-from repro.tuner.parallel import ParallelScorer
+from repro.tuner.evaluator import PlanEvaluator
 from repro.tuner.search import tune
 from repro.tuner.space import default_space
 from repro.utils.format import format_table
@@ -44,9 +36,6 @@ TARGET_IMPROVEMENT = 0.10
 
 #: Acceptance: within at most this many simulator evaluations.
 MAX_EVALUATIONS = 200
-
-#: Acceptance: parallel scaling target when the cores exist.
-TARGET_WALL_SPEEDUP = 2.0
 
 LINK = "10Mbps"
 STRATEGY = "model"
@@ -73,14 +62,17 @@ def bench_base_config(seed: int):
     )
 
 
-def run_tuner(config, *, budget: int, seed: int, jobs: int):
+def run_tuner(config, *, budget: int, seed: int):
     """One tuner run; returns (result, artifact_dict, wall_seconds)."""
     space = default_space(config)
     t0 = time.perf_counter()
-    with ParallelScorer(space, jobs=jobs, link=LINK) as scorer:
-        result = tune(
-            space, scorer, strategy=STRATEGY, budget=budget, seed=seed
-        )
+    result = tune(
+        space,
+        PlanEvaluator(space, link=LINK),
+        strategy=STRATEGY,
+        budget=budget,
+        seed=seed,
+    )
     wall = time.perf_counter() - t0
     return result, plan_to_dict(result, space, link=LINK), wall
 
@@ -93,8 +85,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="assert the acceptance criteria (improvement, budget, "
-        "parallel bit-identity, gated wall-clock scaling)",
+        help="assert the acceptance criteria (improvement, budget)",
     )
     parser.add_argument(
         "--json",
@@ -103,13 +94,6 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="write the trajectory (the committed baseline is "
         "benchmarks/BENCH_tuner.json)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        help="job count for the parallel run compared against serial "
-        "(default 2)",
     )
     parser.add_argument(
         "--budget", type=int, default=None, help="evaluation budget override"
@@ -123,19 +107,9 @@ def main(argv=None) -> int:
 
     budget = args.budget if args.budget is not None else (24 if args.smoke else 96)
     budget = min(budget, MAX_EVALUATIONS)
-    jobs = max(2, args.jobs)
     config = bench_base_config(args.seed)
 
-    result, artifact, wall_serial = run_tuner(
-        config, budget=budget, seed=args.seed, jobs=1
-    )
-    result_par, artifact_par, wall_parallel = run_tuner(
-        config, budget=budget, seed=args.seed, jobs=jobs
-    )
-
-    identical = json.dumps(artifact, sort_keys=True) == json.dumps(
-        artifact_par, sort_keys=True
-    )
+    result, artifact, wall = run_tuner(config, budget=budget, seed=args.seed)
     best = result.best
     table = format_table(
         ["evals", "wall s", "best step s", "improvement"],
@@ -163,11 +137,7 @@ def main(argv=None) -> int:
         f"fuse={best.point.fuse}) -> {best.step_seconds:.4g} s/step "
         f"({100 * result.improvement:+.1f}%)"
     )
-    print(
-        f"{result.evaluations}/{budget} evaluations; wall {wall_serial:.1f}s "
-        f"serial vs {wall_parallel:.1f}s at --jobs {jobs}; artifacts "
-        f"{'bit-identical' if identical else 'DIVERGED'}"
-    )
+    print(f"{result.evaluations}/{budget} evaluations; wall {wall:.1f}s")
 
     payload = {
         "benchmark": "tuner",
@@ -189,10 +159,7 @@ def main(argv=None) -> int:
             }
             for p in result.trajectory
         ],
-        "wall_serial_seconds": wall_serial,
-        "wall_parallel_seconds": wall_parallel,
-        "parallel_jobs": jobs,
-        "parallel_identical": identical,
+        "wall_seconds": wall,
     }
     if args.json is not None:
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
@@ -203,11 +170,6 @@ def main(argv=None) -> int:
 
     if args.check:
         failures = []
-        if not identical:
-            failures.append(
-                f"--jobs {jobs} artifact differs from the serial artifact "
-                "(parallel scoring must be bit-identical)"
-            )
         if result.evaluations > MAX_EVALUATIONS:
             failures.append(
                 f"{result.evaluations} evaluations > {MAX_EVALUATIONS} cap"
@@ -216,25 +178,6 @@ def main(argv=None) -> int:
             failures.append(
                 f"improvement {100 * result.improvement:.1f}% < "
                 f"{100 * TARGET_IMPROVEMENT:g}% target"
-            )
-        cores = os.cpu_count() or 1
-        if jobs >= 4 and cores >= 4:
-            if wall_parallel * TARGET_WALL_SPEEDUP > wall_serial:
-                failures.append(
-                    f"--jobs {jobs} wall {wall_parallel:.1f}s not "
-                    f">={TARGET_WALL_SPEEDUP:g}x faster than serial "
-                    f"{wall_serial:.1f}s"
-                )
-            else:
-                print(
-                    f"wall-clock scaling: {wall_serial / wall_parallel:.1f}x "
-                    f">= {TARGET_WALL_SPEEDUP:g}x at --jobs {jobs}"
-                )
-        else:
-            print(
-                f"SKIP wall-clock scaling check: needs --jobs >= 4 on >= 4 "
-                f"cores (have --jobs {jobs}, {cores} cores); bit-identity "
-                "was still asserted"
             )
         if failures:
             for failure in failures:

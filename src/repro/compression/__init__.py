@@ -31,8 +31,9 @@ from repro.compression.float32 import Float32Compressor
 from repro.compression.fusion import (
     Bucket,
     FusedBucketContext,
-    FusedCompressionResult,
     FusionPlan,
+    WireFrame,
+    WireStream,
     build_fusion_plan,
     split_bucket,
 )
@@ -60,7 +61,8 @@ __all__ = [
     "Bucket",
     "FusionPlan",
     "FusedBucketContext",
-    "FusedCompressionResult",
+    "WireFrame",
+    "WireStream",
     "build_fusion_plan",
     "split_bucket",
     "AdaptiveThreeLCCompressor",

@@ -217,10 +217,6 @@ class Compressor(abc.ABC):
         )
         return FusedBucketContext(bucket, inner, self if lossy else None)
 
-    def make_fused_bypass_context(self, bucket, *, key: tuple[object, ...] = ()):
-        """Exact-mode fused context (kept for the historical name)."""
-        return self.make_fused_context(bucket, key=key, lossy=False)
-
     def decompress_fused(self, message, *, lossy: bool = False) -> np.ndarray:
         """Decode a fused frame to the flat bucket (one codec call).
 
@@ -231,10 +227,6 @@ class Compressor(abc.ABC):
         if lossy:
             return self.decompress(message.inner)
         return self.decompress_bypass(message.inner)
-
-    def decompress_fused_bypass(self, message) -> np.ndarray:
-        """Decode an exact-mode fused frame (kept for the historical name)."""
-        return self.decompress_fused(message, lossy=False)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}({self.name!r})"

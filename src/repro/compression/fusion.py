@@ -32,6 +32,13 @@ Two codec modes exist per plan:
   codec applied once to the whole concatenated bucket, i.e. one *shared*
   quantization scale per bucket instead of one per tensor. Cheaper on the
   wire; the accuracy cost is measured in ``benchmarks/bench_fusion.py``.
+
+A :class:`WireStream` is what workers, servers and the engine actually
+hold: every context one sender needs for one direction under a plan — a
+per-tensor context for each tensor the plan leaves alone, a fused context
+for each bucket — behind one ``compress`` / ``decompress`` pair that speaks
+one ordered mapping of :class:`WireFrame` entries. Fusion off is the plan
+with no buckets; nothing outside this module branches on it.
 """
 
 from __future__ import annotations
@@ -42,16 +49,20 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.compression.base import restore_contexts, snapshot_contexts
 from repro.core.packets import FusedWireMessage
 
 __all__ = [
     "Bucket",
     "FusionPlan",
     "build_fusion_plan",
-    "FusedCompressionResult",
+    "WireFrame",
     "FusedBucketContext",
     "compress_fused_batch",
     "split_bucket",
+    "bucket_label",
+    "check_frame_labels",
+    "WireStream",
 ]
 
 
@@ -107,11 +118,14 @@ class FusionPlan:
     Bucket indices are global identifiers, not positions: a
     :class:`~repro.distributed.sharding.ShardedParameterService` hands each
     shard a sub-plan holding only its buckets *with their original
-    indices*, so push/pull dicts keyed by index merge without translation.
-    Use :meth:`bucket` to resolve an index.
+    indices*, so frame mappings keyed by ``bucket:<index>`` merge without
+    translation. Use :meth:`bucket` to resolve an index.
+
+    The plan with no buckets (``FusionPlan()``) is "fusion off": every
+    tensor keeps its own frame.
     """
 
-    buckets: tuple[Bucket, ...]
+    buckets: tuple[Bucket, ...] = ()
     lossy: bool = False
 
     @property
@@ -129,17 +143,12 @@ class FusionPlan:
         except KeyError:
             raise KeyError(f"plan has no bucket with index {index}") from None
 
-    def restrict(self, indices) -> "FusionPlan | None":
-        """Sub-plan holding only ``indices``, original indices preserved.
-
-        Returns ``None`` when the restriction is empty, matching the
-        "no plan" convention everywhere else.
-        """
+    def restrict(self, indices) -> "FusionPlan":
+        """Sub-plan holding only ``indices``, original indices preserved."""
         wanted = set(indices)
-        kept = tuple(b for b in self.buckets if b.index in wanted)
-        if not kept:
-            return None
-        return FusionPlan(kept, lossy=self.lossy)
+        return FusionPlan(
+            tuple(b for b in self.buckets if b.index in wanted), lossy=self.lossy
+        )
 
     def __len__(self) -> int:
         return len(self.buckets)
@@ -229,12 +238,20 @@ def split_bucket(flat: np.ndarray, bucket: Bucket) -> dict[str, np.ndarray]:
     return out
 
 
-class FusedCompressionResult:
-    """Output of one fused-bucket compression call."""
+class WireFrame:
+    """One transmitted frame of a :class:`WireStream`.
 
-    __slots__ = ("message", "parts")
+    A per-tensor frame has one member and carries the plain
+    :class:`~repro.core.packets.WireMessage` its context produced; a bucket
+    frame lists the bucket's members and carries one
+    :class:`~repro.core.packets.FusedWireMessage`.
+    """
 
-    def __init__(self, message: FusedWireMessage, parts: dict[str, np.ndarray]):
+    __slots__ = ("names", "message", "parts")
+
+    def __init__(self, names: tuple[str, ...], message, parts: dict[str, np.ndarray]):
+        #: Member tensors, in the order the frame packs them.
+        self.names = names
         self.message = message
         #: Per-tensor reconstruction (what the receiver will decode).
         self.parts = parts
@@ -275,16 +292,18 @@ class FusedBucketContext:
             ]
         )
 
-    def frame(self, result) -> FusedCompressionResult | None:
+    def frame(self, result) -> WireFrame | None:
         """Wrap the inner context's result (``None``: the bucket deferred)."""
         if result is None:
             return None
         message = FusedWireMessage(inner=result.message, shapes=self.bucket.shapes)
-        return FusedCompressionResult(
-            message, split_bucket(result.reconstruction, self.bucket)
+        return WireFrame(
+            self.bucket.names,
+            message,
+            split_bucket(result.reconstruction, self.bucket),
         )
 
-    def compress(self, tensors: dict[str, np.ndarray]) -> FusedCompressionResult | None:
+    def compress(self, tensors: dict[str, np.ndarray]) -> WireFrame | None:
         """Concatenate the bucket members and compress them in one call."""
         return self.frame(self.inner.compress(self.flatten(tensors)))
 
@@ -298,7 +317,7 @@ class FusedBucketContext:
         self.inner.load_state(state)
 
 
-def compress_fused_batch(items) -> list[FusedCompressionResult | None]:
+def compress_fused_batch(items) -> list[WireFrame | None]:
     """Compress many ``(FusedBucketContext, tensors)`` pairs in one pass.
 
     Semantically ``[ctx.compress(tensors) for ctx, tensors in items]``, but
@@ -325,3 +344,146 @@ def compress_fused_batch(items) -> list[FusedCompressionResult | None]:
         for pos, result in zip(positions, compressor.compress_batch(pairs)):
             inner_results[pos] = result
     return [ctx.frame(result) for (ctx, _), result in zip(items, inner_results)]
+
+
+def bucket_label(index: int) -> str:
+    """Frame label of fused bucket ``index`` — the name its wire records carry."""
+    return f"bucket:{index}"
+
+
+def check_frame_labels(frames, expected, sender=None) -> None:
+    """Fail unless ``frames`` holds exactly the labels of ``expected``.
+
+    A missing or unknown frame means the sender was built under a different
+    wire plan; skipping it would leave tensors silently un-updated.
+    """
+    if frames.keys() != expected.keys():
+        missing = [label for label in expected if label not in frames]
+        unknown = [label for label in frames if label not in expected]
+        origin = "" if sender is None else f" from sender {sender}"
+        raise ValueError(
+            f"frames{origin} do not match the wire plan: "
+            f"missing {missing}, unknown {unknown}"
+        )
+
+
+class WireStream:
+    """One sender's compression contexts for one direction, under a plan.
+
+    3LC keeps one context per tensor per direction (paper §3, Figure 2) and
+    routes small tensors around the lossy codec (§5.1); a
+    :class:`FusionPlan` regroups those small tensors into buckets. The
+    stream applies that rule once: tensors outside the plan get a bypass
+    context below ``threshold`` elements and the scheme's own context at or
+    above it, keyed ``(kind, *owner, name)``; each bucket gets a fused
+    context keyed ``(kind + "-fused", *owner, index)``. ``kind`` / ``owner``
+    name the direction and the sender (``"push"`` / worker, ``"pull"`` /
+    nobody, ``"hpush"`` / rack …), so stochastic schemes draw independent,
+    reproducible randomness per stream.
+
+    Frames travel as one ordered ``{label: WireFrame | None}`` mapping —
+    per-tensor frames under their tensor's name in registration order, then
+    ``bucket:<index>`` frames in plan order; ``None`` marks a frame the
+    scheme deferred this step. Decoding is stateless and depends only on
+    the layout, so a receiver decodes with its own stream of the same
+    ``(shapes, threshold, plan)``.
+    """
+
+    def __init__(
+        self,
+        scheme,
+        shapes: dict[str, tuple[int, ...]],
+        *,
+        threshold: int,
+        plan: FusionPlan,
+        kind: str,
+        owner: tuple = (),
+    ) -> None:
+        self.scheme = scheme
+        self.plan = plan
+        bypassed = set(plan.fused_names)
+        #: label -> context, in wire order.
+        self.contexts: dict[str, object] = {}
+        for name, shape in shapes.items():
+            if name in bypassed:
+                continue
+            key = (kind, *owner, name)
+            if math.prod(shape) < threshold:
+                bypassed.add(name)
+                self.contexts[name] = scheme.make_bypass_context(shape, key=key)
+            else:
+                self.contexts[name] = scheme.make_context(shape, key=key)
+        self._tensor_labels = tuple(self.contexts)
+        self._buckets = {bucket_label(b.index): b for b in plan.buckets}
+        for label, bucket in self._buckets.items():
+            self.contexts[label] = scheme.make_fused_context(
+                bucket, key=(f"{kind}-fused", *owner, bucket.index), lossy=plan.lossy
+            )
+        #: Tensors that skip the lossy per-tensor codec: bucket members and
+        #: everything below the threshold.
+        self.bypassed = frozenset(bypassed)
+
+    def compress(self, tensors: dict[str, np.ndarray]) -> dict[str, WireFrame | None]:
+        """One frame per context from this step's named tensors."""
+        frames: dict[str, WireFrame | None] = {}
+        for name in self._tensor_labels:
+            result = self.contexts[name].compress(tensors[name])
+            frames[name] = (
+                None
+                if result is None
+                else WireFrame((name,), result.message, {name: result.reconstruction})
+            )
+        # One vectorized codec pass across all of this step's buckets
+        # (bit-identical to per-bucket compression).
+        fused = compress_fused_batch(
+            (self.contexts[label], tensors) for label in self._buckets
+        )
+        frames.update(zip(self._buckets, fused))
+        return frames
+
+    def decode_tensor(self, name: str, message) -> np.ndarray:
+        """Decode one per-tensor frame's message."""
+        if name in self.bypassed:
+            return self.scheme.decompress_bypass(message)
+        return self.scheme.decompress(message)
+
+    def decode_bucket(self, index: int, message) -> dict[str, np.ndarray]:
+        """Decode one bucket frame into its named members (one codec call)."""
+        flat = self.scheme.decompress_fused(message, lossy=self.plan.lossy)
+        return split_bucket(flat, self.plan.bucket(index))
+
+    def decompress(
+        self, frames, *, sender=None, decode_tensor=None, decode_bucket=None
+    ) -> dict[str, np.ndarray]:
+        """Named tensors of every transmitted frame in ``frames``.
+
+        ``frames`` must hold exactly this stream's labels (deferred frames
+        as ``None``), see :func:`check_frame_labels`. The per-frame
+        decoders default to the stream's own; a service passes its public
+        per-frame methods to keep them the one decode path.
+        """
+        check_frame_labels(frames, self.contexts, sender)
+        decode_tensor = decode_tensor or self.decode_tensor
+        decode_bucket = decode_bucket or self.decode_bucket
+        tensors: dict[str, np.ndarray] = {}
+        for label, frame in frames.items():
+            if frame is None:
+                continue
+            bucket = self._buckets.get(label)
+            if bucket is None:
+                tensors[label] = decode_tensor(label, frame.message)
+            else:
+                tensors.update(decode_bucket(bucket.index, frame.message))
+        return tensors
+
+    def residual_norms(self) -> dict[str, float]:
+        """Per-frame error-buffer norms (diagnostics)."""
+        return {label: ctx.residual_norm() for label, ctx in self.contexts.items()}
+
+    def state_dict(self) -> dict:
+        """Checkpoint of every context's cross-step state, keyed by label."""
+        return snapshot_contexts(self.contexts)
+
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output; the label sets must match."""
+        restore_contexts(self.contexts, state)

@@ -7,15 +7,13 @@ deltas *once*, sharing the compressed copy among all workers — 3LC's pull
 optimization (paper §3, Figure 2b): "the servers compress model deltas and
 make a shared local copy of the compressed model deltas".
 
-Pull compression uses one context per tensor whose error-accumulation
-buffer carries deltas that quantization deferred; workers therefore
-converge to the global model over time rather than instantaneously, which
-is exactly the behaviour the paper's design accepts and evaluates.
-
-With a :class:`~repro.compression.fusion.FusionPlan`, the small-tensor
-bypass set is exchanged through fused buckets instead: one decompression
-per worker per bucket on the push side, one compression per bucket on the
-pull side.
+Pull compression runs through the server's
+:class:`~repro.compression.fusion.WireStream`: one context per frame whose
+error-accumulation buffer carries deltas that quantization deferred;
+workers therefore converge to the global model over time rather than
+instantaneously, which is exactly the behaviour the paper's design accepts
+and evaluates. Decoding is stateless and depends only on the frame layout,
+so the same stream decodes the workers' pushes.
 """
 
 from __future__ import annotations
@@ -24,13 +22,8 @@ import time
 
 import numpy as np
 
-from repro.compression.base import Compressor, CompressorContext, CompressionResult
-from repro.compression.fusion import (
-    FusedBucketContext,
-    FusedCompressionResult,
-    FusionPlan,
-    split_bucket,
-)
+from repro.compression.base import Compressor
+from repro.compression.fusion import FusionPlan, WireFrame, WireStream
 from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
 from repro.nn.optimizer import MomentumSGD
 from repro.nn.parameter import Parameter
@@ -42,18 +35,16 @@ __all__ = ["ParameterServer", "PullBatch"]
 class PullBatch:
     """One step's shared compressed model deltas plus server measurements."""
 
-    __slots__ = ("messages", "fused", "decompress_seconds", "compress_seconds")
+    __slots__ = ("messages", "decompress_seconds", "compress_seconds")
 
     def __init__(
         self,
-        messages: dict[str, CompressionResult | None],
+        messages: dict[str, WireFrame | None],
         decompress_seconds: float,
         compress_seconds: float,
-        fused: dict[int, FusedCompressionResult | None] | None = None,
     ):
+        #: The pull stream's frames by label (``None``: deferred this step).
         self.messages = messages
-        #: Per-bucket fused pulls (empty when fusion is off).
-        self.fused = fused or {}
         self.decompress_seconds = decompress_seconds
         self.compress_seconds = compress_seconds
 
@@ -77,8 +68,8 @@ class ParameterServer:
     small_tensor_threshold:
         Tensors below this many elements bypass compression.
     fusion_plan:
-        Optional fused-bucket plan for the bypass set (must match the plan
-        the workers were built with).
+        The wire plan (must match the plan the workers were built with;
+        no buckets: fusion off).
     """
 
     def __init__(
@@ -90,7 +81,7 @@ class ParameterServer:
         num_workers: int,
         *,
         small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
-        fusion_plan: FusionPlan | None = None,
+        fusion_plan: FusionPlan = FusionPlan(),
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers!r}")
@@ -98,36 +89,20 @@ class ParameterServer:
         self.schedule = schedule
         self.scheme = scheme
         self.num_workers = int(num_workers)
-        self.small_tensor_threshold = int(small_tensor_threshold)
-        self.fusion_plan = fusion_plan
         # The server's own Parameter copies; grads are filled by aggregation.
         self.params: dict[str, Parameter] = {
             p.name: Parameter(p.name, p.data.copy(), weight_decay=p.weight_decay)
             for p in parameters
         }
-        fused_names = fusion_plan.fused_names if fusion_plan else frozenset()
-        self.pull_contexts: dict[str, CompressorContext] = {}
-        self.bypassed: set[str] = set()
-        for name, param in self.params.items():
-            if name in fused_names:
-                self.bypassed.add(name)
-                continue
-            key = ("pull", name)
-            if param.size < self.small_tensor_threshold:
-                self.pull_contexts[name] = scheme.make_bypass_context(
-                    param.shape, key=key
-                )
-                self.bypassed.add(name)
-            else:
-                self.pull_contexts[name] = scheme.make_context(param.shape, key=key)
-        self.fused_pull_contexts: dict[int, FusedBucketContext] = {}
-        if fusion_plan is not None:
-            for bucket in fusion_plan.buckets:
-                self.fused_pull_contexts[bucket.index] = scheme.make_fused_context(
-                    bucket,
-                    key=("pull-fused", bucket.index),
-                    lossy=fusion_plan.lossy,
-                )
+        #: Shared pull contexts; also the layout pushes are decoded under.
+        self.stream = WireStream(
+            scheme,
+            {name: param.shape for name, param in self.params.items()},
+            threshold=small_tensor_threshold,
+            plan=fusion_plan,
+            kind="pull",
+        )
+        self.bypassed = self.stream.bypassed
         self.global_step = 0
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -135,52 +110,26 @@ class ParameterServer:
         node reads exactly this)."""
         return {name: p.data.copy() for name, p in self.params.items()}
 
-    def _decompress_push(self, name: str, message) -> np.ndarray:
-        if name in self.bypassed:
-            return self.scheme.decompress_bypass(message)
-        return self.scheme.decompress(message)
-
-    def _decompress_fused_pushes(
-        self, fused_pushes: list[dict[int, FusedCompressionResult | None]]
-    ) -> list[dict[str, np.ndarray]]:
-        """One decompression call per worker per bucket; split per tensor."""
-        assert self.fusion_plan is not None
-        per_worker: list[dict[str, np.ndarray]] = []
-        for worker_fused in fused_pushes:
-            grads: dict[str, np.ndarray] = {}
-            for index, result in worker_fused.items():
-                if result is None:
-                    continue
-                bucket = self.fusion_plan.bucket(index)
-                flat = self.scheme.decompress_fused(
-                    result.message, lossy=self.fusion_plan.lossy
-                )
-                grads.update(split_bucket(flat, bucket))
-            per_worker.append(grads)
-        return per_worker
-
     def step(
         self,
-        pushes: list[dict[str, CompressionResult | None]],
+        pushes: list[dict[str, WireFrame | None]],
         divisor: int | None = None,
-        fused_pushes: list[dict[int, FusedCompressionResult | None]] | None = None,
     ) -> PullBatch:
         """Run one global step: aggregate, update, compress shared pulls.
 
         Parameters
         ----------
         pushes:
-            One compressed-gradient dict per *participating* worker.
-            ``None`` entries mean the worker deferred that tensor this step
+            One frame mapping per *participating* worker, holding exactly
+            the frames the wire plan expects (anything else raises a
+            ``ValueError`` naming the frames and the push's position).
+            ``None`` entries mean the worker deferred that frame this step
             (local-steps scheme). Under a backup-worker barrier the cluster
             passes only the accepted subset.
         divisor:
             Gradient-averaging denominator. Defaults to the configured
             worker count (vanilla BSP); the backup-worker barrier passes
             the accepted count, matching SyncReplicasOptimizer.
-        fused_pushes:
-            Per-worker fused-bucket pushes, aligned with ``pushes``. Only
-            meaningful when the server was built with a fusion plan.
         """
         if not (1 <= len(pushes) <= self.num_workers):
             raise ValueError(
@@ -190,35 +139,19 @@ class ParameterServer:
             divisor = self.num_workers
         if divisor < 1:
             raise ValueError("divisor must be >= 1")
-        if fused_pushes is not None and len(fused_pushes) != len(pushes):
-            raise ValueError("fused_pushes must align with pushes")
         # -- gradient aggregation (decompression measured) ------------------
         t0 = time.perf_counter()
-        fused_grads: list[dict[str, np.ndarray]] = []
-        if self.fusion_plan is not None and fused_pushes is not None:
-            fused_grads = self._decompress_fused_pushes(fused_pushes)
-        fused_names = self.fusion_plan.fused_names if self.fusion_plan else frozenset()
-        aggregated: dict[str, np.ndarray] = {}
-        for name, param in self.params.items():
-            total: np.ndarray | None = None
-            if name in fused_names:
-                for worker_grads in fused_grads:
-                    grad = worker_grads.get(name)
-                    if grad is None:
-                        continue
-                    total = grad.copy() if total is None else total + grad
-            else:
-                for worker_push in pushes:
-                    result = worker_push[name]
-                    if result is None:
-                        continue
-                    grad = self._decompress_push(name, result.message)
-                    total = grad.copy() if total is None else total + grad
-            if total is not None:
-                # Average over the divisor: deferring workers contribute
-                # zero this step (their update arrives later via their
-                # error buffers).
-                aggregated[name] = total / divisor
+        totals: dict[str, np.ndarray] = {}
+        for position, push in enumerate(pushes):
+            grads = self.stream.decompress(push, sender=position)
+            for name, grad in grads.items():
+                total = totals.get(name)
+                totals[name] = grad.copy() if total is None else total + grad
+        # Average over the divisor: deferring workers contribute zero this
+        # step (their update arrives later via their error buffers).
+        aggregated = {
+            name: totals[name] / divisor for name in self.params if name in totals
+        }
         decompress_seconds = time.perf_counter() - t0
 
         # -- model update ----------------------------------------------------
@@ -235,48 +168,32 @@ class ParameterServer:
 
         # -- shared pull compression ------------------------------------------
         t1 = time.perf_counter()
-        messages: dict[str, CompressionResult | None] = {}
-        for name, param in self.params.items():
-            if name in fused_names:
-                continue
-            delta = self._pull_delta(name, param, aggregated, previous)
-            messages[name] = self.pull_contexts[name].compress(delta)
-        fused_messages: dict[int, FusedCompressionResult | None] = {}
-        if self.fusion_plan is not None:
-            for bucket in self.fusion_plan.buckets:
-                deltas = {
-                    name: self._pull_delta(
-                        name, self.params[name], aggregated, previous
-                    )
-                    for name in bucket.names
-                }
-                fused_messages[bucket.index] = self.fused_pull_contexts[
-                    bucket.index
-                ].compress(deltas)
+        messages = self.stream.compress(
+            {
+                name: (
+                    param.data - previous[name]
+                    if name in aggregated
+                    else np.zeros(param.shape, dtype=np.float32)
+                )
+                for name, param in self.params.items()
+            }
+        )
         compress_seconds = time.perf_counter() - t1
-        return PullBatch(messages, decompress_seconds, compress_seconds, fused_messages)
+        return PullBatch(messages, decompress_seconds, compress_seconds)
 
-    @staticmethod
-    def _pull_delta(
-        name: str,
-        param: Parameter,
-        aggregated: dict[str, np.ndarray],
-        previous: dict[str, np.ndarray],
-    ) -> np.ndarray:
-        if name in aggregated:
-            return param.data - previous[name]
-        return np.zeros(param.shape, dtype=np.float32)
+    def decompress_pulls(self, messages) -> dict[str, np.ndarray]:
+        """Decode one step's shared pull frames into named deltas (worker
+        side calls this), frame by frame through the two decoders below."""
+        return self.stream.decompress(
+            messages,
+            decode_tensor=self.decompress_pull,
+            decode_bucket=self.decompress_fused_pull,
+        )
 
     def decompress_pull(self, name: str, message) -> np.ndarray:
-        """Decode one shared pull message (worker side calls this)."""
-        if name in self.bypassed:
-            return self.scheme.decompress_bypass(message)
-        return self.scheme.decompress(message)
+        """Decode one per-tensor pull message."""
+        return self.stream.decode_tensor(name, message)
 
     def decompress_fused_pull(self, index: int, message) -> dict[str, np.ndarray]:
         """Decode one fused pull bucket into named deltas (one codec call)."""
-        if self.fusion_plan is None:
-            raise ValueError("server has no fusion plan")
-        bucket = self.fusion_plan.bucket(index)
-        flat = self.scheme.decompress_fused(message, lossy=self.fusion_plan.lossy)
-        return split_bucket(flat, bucket)
+        return self.stream.decode_bucket(index, message)

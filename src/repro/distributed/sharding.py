@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, CompressionResult
-from repro.compression.fusion import FusedCompressionResult, FusionPlan
+from repro.compression.base import Compressor
+from repro.compression.fusion import FusionPlan, WireFrame, check_frame_labels
 from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
 from repro.distributed.server import ParameterServer, PullBatch
 from repro.nn.optimizer import MomentumSGD
@@ -120,7 +120,7 @@ class ShardedParameterService:
         num_workers: int,
         num_shards: int = 2,
         small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
-        fusion_plan: FusionPlan | None = None,
+        fusion_plan: FusionPlan = FusionPlan(),
     ):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -140,18 +140,16 @@ class ShardedParameterService:
         # shard-pure: the wire-plan layer builds plans partitioned on the
         # identical greedy owner map, and this check catches any caller
         # handing in an unpartitioned (or differently partitioned) plan.
-        self.fusion_plan = fusion_plan
-        self._bucket_owner: dict[int, int] = {}
-        if fusion_plan is not None:
-            for bucket in fusion_plan.buckets:
-                owners = {self._owner[name] for name in bucket.names}
-                if len(owners) != 1:
-                    raise ValueError(
-                        f"fused bucket {bucket.index} spans shards "
-                        f"{sorted(owners)}; build the plan with the sharded "
-                        "topology's partition (see exchange.wireplan)"
-                    )
-                self._bucket_owner[bucket.index] = owners.pop()
+        bucket_owner: dict[int, int] = {}
+        for bucket in fusion_plan.buckets:
+            owners = {self._owner[name] for name in bucket.names}
+            if len(owners) != 1:
+                raise ValueError(
+                    f"fused bucket {bucket.index} spans shards "
+                    f"{sorted(owners)}; build the plan with the sharded "
+                    "topology's partition (see exchange.wireplan)"
+                )
+            bucket_owner[bucket.index] = owners.pop()
         self.shards: list[ParameterServer] = [
             ParameterServer(
                 [by_name[name] for name in shard_names],
@@ -160,14 +158,8 @@ class ShardedParameterService:
                 scheme,
                 num_workers=num_workers,
                 small_tensor_threshold=small_tensor_threshold,
-                fusion_plan=(
-                    fusion_plan.restrict(
-                        index
-                        for index, owner in self._bucket_owner.items()
-                        if owner == idx
-                    )
-                    if fusion_plan is not None
-                    else None
+                fusion_plan=fusion_plan.restrict(
+                    index for index, owner in bucket_owner.items() if owner == idx
                 ),
             )
             for idx, shard_names in enumerate(self.partition)
@@ -179,6 +171,19 @@ class ShardedParameterService:
         self.params: dict[str, Parameter] = {}
         for shard in self.shards:
             self.params.update(shard.params)
+        #: Frame label → owning shard, in the merged pull's wire order (the
+        #: order the ledger records): every shard's per-tensor frames, then
+        #: every shard's buckets.
+        self._frame_owner: dict[str, int] = dict(
+            sorted(
+                (
+                    (label, idx)
+                    for idx, shard in enumerate(self.shards)
+                    for label in shard.stream.contexts
+                ),
+                key=lambda item: item[0] not in self.params,
+            )
+        )
 
     @property
     def bypassed(self) -> set[str]:
@@ -198,13 +203,6 @@ class ShardedParameterService:
         except KeyError:
             raise KeyError(f"unknown parameter {name!r}") from None
 
-    def shard_of_bucket(self, index: int) -> int:
-        """Index of the server owning fused bucket ``index``."""
-        try:
-            return self._bucket_owner[index]
-        except KeyError:
-            raise KeyError(f"unknown fused bucket {index!r}") from None
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Merged snapshot of the partitioned global model."""
         merged: dict[str, np.ndarray] = {}
@@ -212,80 +210,59 @@ class ShardedParameterService:
             merged.update(shard.state_dict())
         return merged
 
+    def _split(self, messages, sender=None) -> list[dict[str, WireFrame | None]]:
+        """One frame mapping per shard — the wire plan guarantees every
+        frame one owner, so the split is a dict lookup. The full set is
+        checked first, so a bad push fails before any shard steps."""
+        check_frame_labels(messages, self._frame_owner, sender)
+        split: list[dict[str, WireFrame | None]] = [{} for _ in self.shards]
+        for label, frame in messages.items():
+            split[self._frame_owner[label]][label] = frame
+        return split
+
     def step(
         self,
-        pushes: list[dict[str, CompressionResult | None]],
+        pushes: list[dict[str, WireFrame | None]],
         divisor: int | None = None,
-        fused_pushes: list[dict[int, FusedCompressionResult | None]] | None = None,
     ) -> PullBatch:
         """Aggregate, update, and compress pulls across every shard.
 
-        ``fused_pushes`` (per worker, keyed by global bucket index) fan out
-        to the owning shards exactly like named pushes do — the wire plan
-        guarantees a bucket has one owner, so the split is a dict lookup.
+        Each worker's frames — per-tensor and bucket alike — fan out to
+        their owning shards.
         """
-        per_shard_pushes: list[list[dict[str, CompressionResult | None]]] = [
-            [] for _ in range(self.num_shards)
+        per_shard_pushes: list[list[dict[str, WireFrame | None]]] = [
+            [] for _ in self.shards
         ]
-        loads = [ShardLoad() for _ in range(self.num_shards)]
-        for worker_push in pushes:
-            split: list[dict[str, CompressionResult | None]] = [
-                {} for _ in range(self.num_shards)
-            ]
-            for name, result in worker_push.items():
-                owner = self.shard_of(name)
-                split[owner][name] = result
-                if result is not None:
-                    loads[owner].push_bytes += result.wire_size
-            for idx in range(self.num_shards):
-                per_shard_pushes[idx].append(split[idx])
+        loads = [ShardLoad() for _ in self.shards]
+        for position, worker_push in enumerate(pushes):
+            for idx, part in enumerate(self._split(worker_push, position)):
+                per_shard_pushes[idx].append(part)
+                loads[idx].push_bytes += sum(
+                    frame.wire_size for frame in part.values() if frame is not None
+                )
 
-        per_shard_fused: list[
-            list[dict[int, FusedCompressionResult | None]] | None
-        ] = [None] * self.num_shards
-        if fused_pushes is not None:
-            if len(fused_pushes) != len(pushes):
-                raise ValueError("fused_pushes must align with pushes")
-            per_shard_fused = [[] for _ in range(self.num_shards)]
-            for worker_fused in fused_pushes:
-                split_fused: list[dict[int, FusedCompressionResult | None]] = [
-                    {} for _ in range(self.num_shards)
-                ]
-                for index, result in worker_fused.items():
-                    owner = self.shard_of_bucket(index)
-                    split_fused[owner][index] = result
-                    if result is not None:
-                        loads[owner].push_bytes += result.wire_size
-                for idx in range(self.num_shards):
-                    per_shard_fused[idx].append(split_fused[idx])
-
-        messages: dict[str, CompressionResult | None] = {}
-        fused: dict[int, FusedCompressionResult | None] = {}
+        merged: dict[str, WireFrame | None] = {}
         decompress = compress = 0.0
         for idx, shard in enumerate(self.shards):
             if not shard.params:
                 continue
-            batch = shard.step(
-                per_shard_pushes[idx], divisor, fused_pushes=per_shard_fused[idx]
-            )
-            messages.update(batch.messages)
-            fused.update(batch.fused)
+            batch = shard.step(per_shard_pushes[idx], divisor)
+            merged.update(batch.messages)
             decompress += batch.decompress_seconds
             compress += batch.compress_seconds
             loads[idx].pull_bytes_shared = sum(
                 r.wire_size for r in batch.messages.values() if r is not None
-            ) + sum(r.wire_size for r in batch.fused.values() if r is not None)
+            )
         self.last_loads = loads
-        return PullBatch(messages, decompress, compress, fused)
+        messages = {label: merged[label] for label in self._frame_owner}
+        return PullBatch(messages, decompress, compress)
 
-    def decompress_pull(self, name: str, message) -> np.ndarray:
-        return self.shards[self.shard_of(name)].decompress_pull(name, message)
-
-    def decompress_fused_pull(self, index: int, message) -> dict[str, np.ndarray]:
-        """Decode one fused pull bucket via its owning shard."""
-        return self.shards[self.shard_of_bucket(index)].decompress_fused_pull(
-            index, message
-        )
+    def decompress_pulls(self, messages) -> dict[str, np.ndarray]:
+        """Decode one step's merged pull frames, each via its owning shard."""
+        deltas: dict[str, np.ndarray] = {}
+        for shard, part in zip(self.shards, self._split(messages)):
+            deltas.update(shard.decompress_pulls(part))
+        return deltas
 
     def hot_link_bytes(self, pull_fanout: int) -> int:
         """The most-loaded server link's bytes for the last step — the

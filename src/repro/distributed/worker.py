@@ -2,15 +2,11 @@
 
 Each worker (paper §2, Figure 1) holds a full local copy of the model and a
 disjoint training-data shard. Per step it runs the forward and backward
-passes, compresses each gradient tensor through its own per-tensor
-compression context (paper Figure 2a), and later applies the decompressed
-model deltas pulled from the server to its local replica.
-
-Small tensors (batch-norm scale/shift and similar) bypass compression via a
-float32 context, reproducing the paper's §5.1 exclusion. When a
-:class:`~repro.compression.fusion.FusionPlan` is supplied, those bypass
-tensors are instead packed into fused buckets and compressed with one codec
-call per bucket — the many-small-tensors hot path.
+passes, compresses the gradients through its push
+:class:`~repro.compression.fusion.WireStream` (one compression context per
+tensor, paper Figure 2a; small tensors bypass the lossy codec per §5.1, or
+share fused buckets when the wire plan has any), and later applies the
+decompressed model deltas pulled from the server to its local replica.
 """
 
 from __future__ import annotations
@@ -19,19 +15,8 @@ import time
 
 import numpy as np
 
-from repro.compression.base import (
-    Compressor,
-    CompressorContext,
-    CompressionResult,
-    restore_contexts,
-    snapshot_contexts,
-)
-from repro.compression.fusion import (
-    FusedBucketContext,
-    FusedCompressionResult,
-    FusionPlan,
-    compress_fused_batch,
-)
+from repro.compression.base import Compressor
+from repro.compression.fusion import FusionPlan, WireFrame, WireStream
 from repro.data.augment import Augmenter
 from repro.data.batcher import ShardBatcher
 from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
@@ -44,19 +29,17 @@ __all__ = ["Worker", "GradientBatch", "RawGradientBatch"]
 class GradientBatch:
     """One step's compressed pushes plus local measurements."""
 
-    __slots__ = ("messages", "fused", "loss", "compute_seconds", "compress_seconds")
+    __slots__ = ("messages", "loss", "compute_seconds", "compress_seconds")
 
     def __init__(
         self,
-        messages: dict[str, CompressionResult | None],
+        messages: dict[str, WireFrame | None],
         loss: float,
         compute_seconds: float,
         compress_seconds: float,
-        fused: dict[int, FusedCompressionResult | None] | None = None,
     ):
+        #: The push stream's frames by label (``None``: deferred this step).
         self.messages = messages
-        #: Per-bucket fused pushes (empty when fusion is off).
-        self.fused = fused or {}
         self.loss = loss
         self.compute_seconds = compute_seconds
         self.compress_seconds = compress_seconds
@@ -94,10 +77,10 @@ class Worker:
     small_tensor_threshold:
         Tensors with fewer elements bypass compression (paper §5.1).
     fusion_plan:
-        Optional fused-bucket plan; members of the plan share per-bucket
-        fused contexts instead of individual bypass contexts.
+        The wire plan; its members share per-bucket fused contexts instead
+        of individual bypass contexts (no buckets: fusion off).
     push_compression:
-        When False the worker builds no push contexts at all — used by
+        When False the worker builds no push stream at all — used by
         collective topologies (ring all-reduce) where compression happens
         per hop inside the collective and only :meth:`train_step_raw` is
         ever called; skipping context construction avoids allocating a
@@ -113,7 +96,7 @@ class Worker:
         scheme: Compressor,
         *,
         small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
-        fusion_plan: FusionPlan | None = None,
+        fusion_plan: FusionPlan = FusionPlan(),
         push_compression: bool = True,
     ):
         self.worker_id = int(worker_id)
@@ -122,37 +105,18 @@ class Worker:
         self.augmenter = augmenter
         self.scheme = scheme
         self.loss_fn = SoftmaxCrossEntropy()
-        self.small_tensor_threshold = int(small_tensor_threshold)
-        self.fusion_plan = fusion_plan
-        self.push_compression = bool(push_compression)
         self._params = {p.name: p for p in model.parameters()}
-        fused_names = fusion_plan.fused_names if fusion_plan else frozenset()
-        self.push_contexts: dict[str, CompressorContext] = {}
-        self.bypassed: set[str] = {
-            name
-            for name, param in self._params.items()
-            if name in fused_names or param.size < self.small_tensor_threshold
-        }
-        self.fused_contexts: dict[int, FusedBucketContext] = {}
-        if not self.push_compression:
-            return
-        for name, param in self._params.items():
-            if name in fused_names:
-                continue
-            key = ("push", self.worker_id, name)
-            if param.size < self.small_tensor_threshold:
-                self.push_contexts[name] = scheme.make_bypass_context(
-                    param.shape, key=key
-                )
-            else:
-                self.push_contexts[name] = scheme.make_context(param.shape, key=key)
-        if fusion_plan is not None:
-            for bucket in fusion_plan.buckets:
-                self.fused_contexts[bucket.index] = scheme.make_fused_context(
-                    bucket,
-                    key=("push-fused", self.worker_id, bucket.index),
-                    lossy=fusion_plan.lossy,
-                )
+        #: Push-side contexts (``None`` without push compression).
+        self.stream: WireStream | None = None
+        if push_compression:
+            self.stream = WireStream(
+                scheme,
+                {name: param.shape for name, param in self._params.items()},
+                threshold=small_tensor_threshold,
+                plan=fusion_plan,
+                kind="push",
+                owner=(self.worker_id,),
+            )
 
     def _forward_backward(self) -> tuple[float, float]:
         """One minibatch forward/backward; returns (loss, compute_seconds)."""
@@ -168,7 +132,7 @@ class Worker:
 
     def train_step(self) -> GradientBatch:
         """Forward/backward on one minibatch, then compress all gradients."""
-        if not self.push_compression:
+        if self.stream is None:
             raise RuntimeError(
                 "worker was built with push_compression=False; "
                 "use train_step_raw()"
@@ -176,29 +140,17 @@ class Worker:
         loss, compute_seconds = self._forward_backward()
 
         t1 = time.perf_counter()
-        messages: dict[str, CompressionResult | None] = {}
+        messages = self.stream.compress(self._gradients())
+        compress_seconds = time.perf_counter() - t1
+        return GradientBatch(messages, loss, compute_seconds, compress_seconds)
+
+    def _gradients(self) -> dict[str, np.ndarray]:
+        grads: dict[str, np.ndarray] = {}
         for name, param in self._params.items():
             if param.grad is None:
                 raise RuntimeError(f"missing gradient for {name}")
-            context = self.push_contexts.get(name)
-            if context is not None:
-                messages[name] = context.compress(param.grad)
-        fused: dict[int, FusedCompressionResult | None] = {}
-        if self.fusion_plan is not None:
-            # One vectorized codec pass across all of this step's buckets
-            # (bit-identical to per-bucket compression).
-            buckets = self.fusion_plan.buckets
-            results = compress_fused_batch(
-                (
-                    self.fused_contexts[bucket.index],
-                    {name: self._params[name].grad for name in bucket.names},
-                )
-                for bucket in buckets
-            )
-            for bucket, result in zip(buckets, results):
-                fused[bucket.index] = result
-        compress_seconds = time.perf_counter() - t1
-        return GradientBatch(messages, loss, compute_seconds, compress_seconds, fused)
+            grads[name] = param.grad
+        return grads
 
     def train_step_raw(self) -> RawGradientBatch:
         """Forward/backward only; hand back raw gradients uncompressed.
@@ -207,12 +159,7 @@ class Worker:
         all-reduce compresses per hop inside the collective).
         """
         loss, compute_seconds = self._forward_backward()
-        grads: dict[str, np.ndarray] = {}
-        for name, param in self._params.items():
-            if param.grad is None:
-                raise RuntimeError(f"missing gradient for {name}")
-            grads[name] = param.grad
-        return RawGradientBatch(grads, loss, compute_seconds)
+        return RawGradientBatch(self._gradients(), loss, compute_seconds)
 
     def apply_pull(self, deltas: dict[str, np.ndarray]) -> float:
         """Apply decompressed model deltas to the local replica.
@@ -235,21 +182,16 @@ class Worker:
         there); the fault-recovery layer snapshots them at crash time so
         a restarted worker rejoins without corrupting convergence.
         """
-        return {
-            "push": snapshot_contexts(self.push_contexts),
-            "fused": snapshot_contexts(self.fused_contexts),
-        }
+        return self.stream.state_dict()
 
     def restore_state(self, snapshot: dict) -> None:
         """Restore a :meth:`snapshot_state` checkpoint (bit-exact)."""
-        restore_contexts(self.push_contexts, snapshot["push"])
-        restore_contexts(self.fused_contexts, snapshot["fused"])
+        self.stream.load_state(snapshot)
 
     def residual_norms(self) -> dict[str, float]:
-        """Per-tensor push-side error-buffer norms (diagnostics)."""
-        norms = {
-            name: ctx.residual_norm() for name, ctx in self.push_contexts.items()
+        """Push-side error-buffer norms (diagnostics): per tensor, and per
+        bucket under ``fused-bucket:<index>``."""
+        return {
+            label if label in self._params else f"fused-{label}": norm
+            for label, norm in self.stream.residual_norms().items()
         }
-        for index, ctx in self.fused_contexts.items():
-            norms[f"fused-bucket:{index}"] = ctx.residual_norm()
-        return norms

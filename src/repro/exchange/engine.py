@@ -25,9 +25,11 @@ partitioned so no bucket spans a shard or rack-uplink boundary —
 compressed with one codec call per bucket (exact float32 bypass, or the
 scheme's own codec with one shared scale under ``fuse_lossy``), and framed
 as one :class:`~repro.core.packets.FusedWireMessage` per bucket per
-destination. Async/SSP modes pull fused deltas through per-worker fused
-pull streams, and the recorded event streams carry the fused frames for
-the simulators to replay.
+destination. Every sender holds one
+:class:`~repro.compression.fusion.WireStream` per direction under that
+plan (async/SSP modes add one pull stream per worker or rack), and the
+recorded event streams carry the fused frames for the simulators to
+replay.
 """
 
 from __future__ import annotations
@@ -38,11 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.base import Compressor
-from repro.compression.fusion import (
-    FusedBucketContext,
-    FusionPlan,
-    compress_fused_batch,
-)
+from repro.compression.fusion import FusionPlan, WireStream
 from repro.data.augment import Augmenter
 from repro.data.batcher import ShardBatcher
 from repro.data.synthetic import SyntheticImageDataset
@@ -422,8 +420,8 @@ class ExchangeEngine:
         reference_model = model_factory()
         # The wire plan: the topology partitions below-threshold tensors
         # into buckets that never span a wire destination (shard, rack
-        # uplink); None when fusion is off or no tensor qualifies.
-        self.fusion_plan: FusionPlan | None = None
+        # uplink); no buckets when fusion is off or no tensor qualifies.
+        self.fusion_plan = FusionPlan()
         if config.fuse_small_tensors:
             self.fusion_plan = build_wire_plan(
                 self.topology,
@@ -550,43 +548,20 @@ class ExchangeEngine:
                 if self._is_hierarchical
                 else [worker.worker_id for worker in self.workers]
             )
-            fused_names = (
-                self.fusion_plan.fused_names
-                if self.fusion_plan is not None
-                else frozenset()
-            )
-            self._pull_contexts = {
-                unit: {
-                    name: (
-                        scheme.make_bypass_context(
-                            param.shape, key=(prefix, unit, name)
-                        )
-                        if name in self.service.bypassed
-                        else scheme.make_context(
-                            param.shape, key=(prefix, unit, name)
-                        )
-                    )
-                    for name, param in self.service.params.items()
-                    if name not in fused_names
-                }
-                for unit in units
+            # Per-unit pull streams: each worker (or rack) pulls its own
+            # delta frames, compressed through personal error-feedback
+            # contexts.
+            shapes = {
+                name: param.shape for name, param in self.service.params.items()
             }
-            # Per-unit fused pull streams: each worker (or rack) decodes
-            # its own fused delta buckets — one frame per bucket per
-            # update, compressed through a personal error-feedback
-            # context, exactly as the per-tensor pull stream works.
-            self._fused_pull_contexts: dict[int, dict[int, FusedBucketContext]] = {
-                unit: (
-                    {
-                        bucket.index: scheme.make_fused_context(
-                            bucket,
-                            key=(f"{prefix}-fused", unit, bucket.index),
-                            lossy=self.fusion_plan.lossy,
-                        )
-                        for bucket in self.fusion_plan.buckets
-                    }
-                    if self.fusion_plan is not None
-                    else {}
+            self._pull_streams = {
+                unit: WireStream(
+                    scheme,
+                    shapes,
+                    threshold=config.small_tensor_threshold,
+                    plan=self.fusion_plan,
+                    kind=prefix,
+                    owner=(unit,),
                 )
                 for unit in units
             }
@@ -992,17 +967,14 @@ class ExchangeEngine:
             self.engine_config.record_transmissions,
         )
 
-    def _frames(self, messages, fused):
-        """``(label, params, message)`` for each transmitted result —
-        per-tensor messages first, then fused buckets. A ``None`` result
-        was deferred by the scheme and put nothing on the wire."""
-        for name, result in messages.items():
-            if result is not None:
-                yield name, (name,), result.message
-        for index, result in fused.items():
-            if result is not None:
-                names = self.fusion_plan.bucket(index).names
-                yield f"bucket:{index}", names, result.message
+    @staticmethod
+    def _frames(messages):
+        """``(label, params, message)`` for each transmitted frame, in wire
+        order. A ``None`` frame was deferred by the scheme and put nothing
+        on the wire."""
+        for label, frame in messages.items():
+            if frame is not None:
+                yield label, frame.names, frame.message
 
     def _post_flat(
         self, ledger: _Ledger, phase: str, items, *, bypassed=None, **routing
@@ -1058,12 +1030,8 @@ class ExchangeEngine:
                     )
         # Only racks whose uplink is alive have cross-push entries; they
         # lead ``rack_indices``.
-        for rack, messages, fused in zip(
-            outcome.rack_indices,
-            outcome.cross_push_results,
-            outcome.cross_fused_results,
-        ):
-            for label, params, message in self._frames(messages, fused):
+        for rack, messages in zip(outcome.rack_indices, outcome.cross_push_results):
+            for label, params, message in self._frames(messages):
                 traffic.cross_rack_bytes += message.wire_size
                 ledger.post(
                     "push",
@@ -1160,20 +1128,11 @@ class ExchangeEngine:
         pull_batch = self.service.step(
             [batches[i].messages for i in decision.accepted],
             divisor=len(decision.accepted),
-            fused_pushes=[batches[i].fused for i in decision.accepted],
         )
 
         # Workers pull the *shared* compressed deltas and apply them.
         t0 = time.perf_counter()
-        deltas: dict[str, np.ndarray] = {}
-        for name, result in pull_batch.messages.items():
-            if result is None:
-                continue
-            deltas[name] = self.service.decompress_pull(name, result.message)
-        for index, result in pull_batch.fused.items():
-            if result is None:
-                continue
-            deltas.update(self.service.decompress_fused_pull(index, result.message))
+        deltas = self.service.decompress_pulls(pull_batch.messages)
         pull_decompress_seconds = time.perf_counter() - t0
         for worker, _ in live:
             worker.apply_pull(deltas)
@@ -1186,7 +1145,7 @@ class ExchangeEngine:
             self._post_flat(
                 ledger,
                 "push",
-                self._frames(batch.messages, batch.fused),
+                self._frames(batch.messages),
                 bypassed=bypassed,
                 worker=worker.worker_id,
             )
@@ -1195,7 +1154,7 @@ class ExchangeEngine:
         self._post_flat(
             ledger,
             "pull",
-            self._frames(pull_batch.messages, pull_batch.fused),
+            self._frames(pull_batch.messages),
             bypassed=bypassed,
             copies=len(live),
             frames=len(live),
@@ -1365,11 +1324,7 @@ class ExchangeEngine:
             num_workers=config.num_workers,
         )
         self._post_hier_push(ledger, outcome)
-        self._post_hier_pull(
-            ledger,
-            self._frames(outcome.pull_messages, outcome.pull_fused),
-            up_racks,
-        )
+        self._post_hier_pull(ledger, self._frames(outcome.pull_messages), up_racks)
         traffic = ledger.traffic
         link_down: tuple[tuple[str, float], ...] = ()
         if rejoined:
@@ -1474,43 +1429,25 @@ class ExchangeEngine:
         """Compress ``unit``'s personal delta stream since its last pull.
 
         Each tensor's increment ``global - unit_view`` goes through the
-        unit's own error-feedback context (whatever compression defers
-        rides its buffer), then the fused buckets share one vectorized
-        codec pass. Returns the reconstructed deltas the unit applies,
-        the transmitted ``(label, params, message)`` frames in wire order,
-        and the compression seconds.
+        unit's own pull stream (whatever compression defers rides its
+        error-feedback buffers). Returns the reconstructed deltas the unit
+        applies, the transmitted ``(label, params, message)`` frames in
+        wire order, and the compression seconds.
         """
-        params = self.service.params
         last = self._last_global[unit]
-
-        def increment(name: str) -> np.ndarray:
-            data = params[name].data
-            delta = data - last[name]
-            last[name] = data.copy()
-            return delta
-
-        deltas: dict[str, np.ndarray] = {}
-        frames = []
         t0 = time.perf_counter()
-        for name, context in self._pull_contexts[unit].items():
-            result = context.compress(increment(name))
-            if result is None:  # deferred (local-steps); buffered in context
-                continue
-            deltas[name] = result.reconstruction
-            frames.append((name, (name,), result.message))
-        fused = self._fused_pull_contexts[unit]
-        results = compress_fused_batch(
-            (context, {name: increment(name) for name in context.bucket.names})
-            for context in fused.values()
-        )
-        for (index, context), result in zip(fused.items(), results):
-            if result is None:  # deferred: whole bucket rides the buffer
-                continue
-            deltas.update(result.parts)
-            frames.append((f"bucket:{index}", context.bucket.names, result.message))
+        increments: dict[str, np.ndarray] = {}
+        for name, param in self.service.params.items():
+            increments[name] = param.data - last[name]
+            last[name] = param.data.copy()
+        messages = self._pull_streams[unit].compress(increments)
+        deltas: dict[str, np.ndarray] = {}
+        for frame in messages.values():
+            if frame is not None:  # a deferred frame rides its buffer
+                deltas.update(frame.parts)
         seconds = time.perf_counter() - t0
         self._pull_step[unit] = self.service.global_step
-        return deltas, frames, seconds
+        return deltas, list(self._frames(messages)), seconds
 
     def _async_update(self) -> _Quantum:
         """One worker's asynchronous update against a parameter service."""
@@ -1524,16 +1461,12 @@ class ExchangeEngine:
         # The service applies this worker's (stale) gradient immediately.
         step = self.service.global_step
         staleness = step - self._pull_step[wid]
-        pull_batch = self.service.step(
-            [batch.messages], divisor=1, fused_pushes=[batch.fused]
-        )
+        pull_batch = self.service.step([batch.messages], divisor=1)
         deltas, pulls, pull_compress_seconds = self._individual_pull(wid)
         worker.apply_pull(deltas)
 
         ledger = self._open_ledger(self.update_count, pull_fanout=1, num_workers=1)
-        self._post_flat(
-            ledger, "push", self._frames(batch.messages, batch.fused), worker=wid
-        )
+        self._post_flat(ledger, "push", self._frames(batch.messages), worker=wid)
         self._post_flat(ledger, "pull", pulls, worker=wid)
         # Honest per-update accounting: this scheduling quantum computed on
         # one worker and serialized one apply on the server (the discarded

@@ -34,13 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compression.base import Compressor, CompressionResult
-from repro.compression.fusion import (
-    FusedBucketContext,
-    FusedCompressionResult,
-    FusionPlan,
-    compress_fused_batch,
-)
+from repro.compression.base import Compressor
+from repro.compression.fusion import FusionPlan, WireFrame, WireStream
 from repro.distributed.allreduce import RingAllReduce
 from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
 from repro.distributed.server import ParameterServer
@@ -89,7 +84,7 @@ class ExchangeTopology(abc.ABC):
         *,
         num_workers: int,
         small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
-        fusion_plan: FusionPlan | None = None,
+        fusion_plan: FusionPlan = FusionPlan(),
     ):
         """Construct the service the engine will step against."""
 
@@ -136,7 +131,7 @@ class SingleServerTopology(ExchangeTopology):
         *,
         num_workers,
         small_tensor_threshold=SMALL_TENSOR_THRESHOLD,
-        fusion_plan=None,
+        fusion_plan=FusionPlan(),
     ) -> ParameterServer:
         return ParameterServer(
             parameters,
@@ -174,7 +169,7 @@ class ShardedTopology(ExchangeTopology):
         *,
         num_workers,
         small_tensor_threshold=SMALL_TENSOR_THRESHOLD,
-        fusion_plan=None,
+        fusion_plan=FusionPlan(),
     ) -> ShardedParameterService:
         return ShardedParameterService(
             parameters,
@@ -350,9 +345,9 @@ class RingTopology(ExchangeTopology):
         *,
         num_workers,
         small_tensor_threshold=SMALL_TENSOR_THRESHOLD,
-        fusion_plan=None,
+        fusion_plan=FusionPlan(),
     ) -> RingExchangeService:
-        if fusion_plan is not None:
+        if fusion_plan.buckets:
             raise ValueError(fusion_incompatibility("ring"))
         return RingExchangeService(
             parameters,
@@ -397,26 +392,15 @@ class HierarchicalOutcome:
     ring_frames: int
     #: Per participating rack: ring-reduce codec seconds.
     rack_codec_seconds: tuple[float, ...]
-    #: Per participating rack: cross-push results keyed by tensor.
-    cross_push_results: tuple[dict[str, CompressionResult | None], ...]
+    #: Per participating rack: the uplink stream's frames by label.
+    cross_push_results: tuple[dict[str, WireFrame | None], ...]
     #: Per participating rack: uplink compression seconds.
     cross_compress_seconds: tuple[float, ...]
-    #: Shared cross-rack pull messages (BSP only; empty for rack updates).
-    pull_messages: dict[str, CompressionResult | None] = field(
-        default_factory=dict
-    )
+    #: Shared cross-rack pull frames (BSP only; empty for rack updates).
+    pull_messages: dict[str, WireFrame | None] = field(default_factory=dict)
     server_decompress_seconds: float = 0.0
     server_compress_seconds: float = 0.0
     pull_decompress_seconds: float = 0.0
-    #: Per participating rack: fused cross-push results keyed by (global)
-    #: bucket index — empty tuples/dicts when the run has no fusion plan.
-    cross_fused_results: tuple[
-        dict[int, FusedCompressionResult | None], ...
-    ] = ()
-    #: Shared fused pull messages keyed by bucket index (BSP only).
-    pull_fused: dict[int, FusedCompressionResult | None] = field(
-        default_factory=dict
-    )
     #: Rack-averaged gradients of racks whose uplink was down this step
     #: (fault injection): reduced on the healthy rack fabric but excluded
     #: from the global exchange. The engine applies them as degraded
@@ -484,7 +468,7 @@ class HierarchicalExchangeService:
         upper: str = "single",
         num_shards: int = 2,
         small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
-        fusion_plan: FusionPlan | None = None,
+        fusion_plan: FusionPlan = FusionPlan(),
     ):
         if racks < 1:
             raise ValueError(f"racks must be >= 1, got {racks}")
@@ -492,14 +476,12 @@ class HierarchicalExchangeService:
             raise ValueError(
                 f"a rack ring needs >= 2 workers, got rack_size={rack_size}"
             )
-        if fusion_plan is not None and racks < 2:
+        if fusion_plan.buckets and racks < 2:
             raise ValueError(fusion_incompatibility("hier", racks=racks))
         self.racks = int(racks)
         self.rack_size = int(rack_size)
         self.schedule = schedule
         self.scheme = scheme
-        self.small_tensor_threshold = int(small_tensor_threshold)
-        self.fusion_plan = fusion_plan
         self.upper: ParameterServer | ShardedParameterService | None = None
         self._flat: RingExchangeService | None = None
 
@@ -517,8 +499,7 @@ class HierarchicalExchangeService:
             )
             self.params = self._flat.params
             self.rack_rings = [self._flat.ring]
-            self.cross_push_contexts: list[dict] = []
-            self.cross_fused_contexts: list[dict[int, FusedBucketContext]] = []
+            self.uplinks: list[WireStream] = []
             return
 
         if upper_worker_slots is None:
@@ -555,38 +536,19 @@ class HierarchicalExchangeService:
             RingAllReduce(self.rack_size, shapes, scheme, bypass=bypassed)
             for _ in range(self.racks)
         ]
-        # Persistent per-rack uplink contexts: error feedback corrects the
+        # Persistent per-rack uplink streams: error feedback corrects the
         # scarce cross-rack link across training steps (paper Figure 2a,
-        # applied at rack granularity). Tensors owned by the fusion plan
-        # cross the uplink inside fused buckets instead, through per-rack
-        # fused contexts (one frame — and under ``lossy`` one shared
-        # quantization scale — per bucket per rack).
-        fused_names = fusion_plan.fused_names if fusion_plan else frozenset()
-        self.cross_push_contexts = [
-            {
-                name: (
-                    scheme.make_bypass_context(
-                        param.shape, key=("hpush", rack, name)
-                    )
-                    if name in bypassed
-                    else scheme.make_context(param.shape, key=("hpush", rack, name))
-                )
-                for name, param in self.params.items()
-                if name not in fused_names
-            }
-            for rack in range(self.racks)
-        ]
-        self.cross_fused_contexts = [
-            {
-                bucket.index: scheme.make_fused_context(
-                    bucket,
-                    key=("hpush-fused", rack, bucket.index),
-                    lossy=fusion_plan.lossy,
-                )
-                for bucket in fusion_plan.buckets
-            }
-            if fusion_plan is not None
-            else {}
+        # applied at rack granularity), per tensor or — for tensors the
+        # plan owns — per bucket per rack.
+        self.uplinks = [
+            WireStream(
+                scheme,
+                shapes,
+                threshold=small_tensor_threshold,
+                plan=fusion_plan,
+                kind="hpush",
+                owner=(rack,),
+            )
             for rack in range(self.racks)
         ]
 
@@ -651,32 +613,11 @@ class HierarchicalExchangeService:
 
     def _compress_uplink(
         self, rack: int, rack_grads: dict[str, np.ndarray]
-    ) -> tuple[
-        dict[str, CompressionResult | None],
-        dict[int, FusedCompressionResult | None],
-        float,
-    ]:
-        """Phase 2 (up) for one rack: compress the aggregate for the core.
-
-        Plan-owned tensors travel as fused buckets (one frame per bucket
-        per rack); everything else keeps its per-tensor uplink context.
-        """
+    ) -> tuple[dict[str, WireFrame | None], float]:
+        """Phase 2 (up) for one rack: compress the aggregate for the core."""
         t0 = time.perf_counter()
-        contexts = self.cross_push_contexts[rack]
-        messages = {
-            name: contexts[name].compress(rack_grads[name]) for name in contexts
-        }
-        # All of this rack's fused buckets share one vectorized codec pass.
-        fused_contexts = self.cross_fused_contexts[rack]
-        results = compress_fused_batch(
-            (
-                context,
-                {name: rack_grads[name] for name in context.bucket.names},
-            )
-            for context in fused_contexts.values()
-        )
-        fused = dict(zip(fused_contexts, results))
-        return messages, fused, time.perf_counter() - t0
+        messages = self.uplinks[rack].compress(rack_grads)
+        return messages, time.perf_counter() - t0
 
     def _per_tensor_elements(self) -> dict[str, int]:
         w = self.rack_size
@@ -771,36 +712,20 @@ class HierarchicalExchangeService:
         # cut-off racks. With no faults this is simply 0..racks-1.
         up_racks = [r for r in range(self.racks) if r not in down_racks]
         order = up_racks + sorted(down_racks)
-        cross_results: list[dict[str, CompressionResult | None]] = []
-        cross_fused: list[dict[int, FusedCompressionResult | None]] = []
+        cross_results: list[dict[str, WireFrame | None]] = []
         cross_compress: list[float] = []
         for rack in up_racks:
-            messages, fused, seconds = self._compress_uplink(
-                rack, rack_grads[rack]
-            )
+            messages, seconds = self._compress_uplink(rack, rack_grads[rack])
             cross_results.append(messages)
-            cross_fused.append(fused)
             cross_compress.append(seconds)
         # Down racks pay no uplink compression; pad so the critical-path
         # zip in ``push_compress_seconds`` stays position-aligned.
         cross_compress.extend(0.0 for _ in down_racks)
 
-        pull_batch = self.upper.step(
-            cross_results, divisor=len(up_racks), fused_pushes=cross_fused
-        )
+        pull_batch = self.upper.step(cross_results, divisor=len(up_racks))
 
         t0 = time.perf_counter()
-        deltas: dict[str, np.ndarray] = {}
-        for name, result in pull_batch.messages.items():
-            if result is None:
-                continue
-            deltas[name] = self.upper.decompress_pull(name, result.message)
-        for index, result in pull_batch.fused.items():
-            if result is None:
-                continue
-            deltas.update(
-                self.upper.decompress_fused_pull(index, result.message)
-            )
+        deltas = self.upper.decompress_pulls(pull_batch.messages)
         pull_decompress = time.perf_counter() - t0
 
         return HierarchicalOutcome(
@@ -818,8 +743,6 @@ class HierarchicalExchangeService:
             server_decompress_seconds=pull_batch.decompress_seconds,
             server_compress_seconds=pull_batch.compress_seconds,
             pull_decompress_seconds=pull_decompress,
-            cross_fused_results=tuple(cross_fused),
-            pull_fused=pull_batch.fused,
             down_rack_grads={r: rack_grads[r] for r in sorted(down_racks)},
         )
 
@@ -843,8 +766,8 @@ class HierarchicalExchangeService:
             )
         per_tensor_elements = self._per_tensor_elements()
         reduced, link_bytes, wire, codec = self._reduce_rack(rack, grad_dicts)
-        messages, fused, compress_seconds = self._compress_uplink(rack, reduced)
-        pull_batch = self.upper.step([messages], divisor=1, fused_pushes=[fused])
+        messages, compress_seconds = self._compress_uplink(rack, reduced)
+        pull_batch = self.upper.step([messages], divisor=1)
         return HierarchicalOutcome(
             deltas=None,
             rack_indices=(rack,),
@@ -860,7 +783,6 @@ class HierarchicalExchangeService:
             # discarded shared-pull compression stays uncharged.
             server_decompress_seconds=pull_batch.decompress_seconds,
             server_compress_seconds=0.0,
-            cross_fused_results=(fused,),
         )
 
 
@@ -915,10 +837,8 @@ class HierarchicalTopology(ExchangeTopology):
         *,
         num_workers,
         small_tensor_threshold=SMALL_TENSOR_THRESHOLD,
-        fusion_plan=None,
+        fusion_plan=FusionPlan(),
     ) -> HierarchicalExchangeService:
-        if fusion_plan is not None and self.racks < 2:
-            raise ValueError(fusion_incompatibility("hier", racks=self.racks))
         # The engine passes the sync mode's aggregation slot count:
         # the full worker count for BSP (every rack pushes each step) or 1
         # for async/SSP (racks commit one at a time).

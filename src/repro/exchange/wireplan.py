@@ -1,17 +1,16 @@
 """The wire-plan layer: how a topology frames small tensors on the wire.
 
-PR 1's fused-bucket hot path was hard-wired into the single-server BSP
-path: the engine built an unpartitioned
-:class:`~repro.compression.fusion.FusionPlan` and every other topology
-rejected ``--fuse``. This module promotes the plan to a first-class object
+The :class:`~repro.compression.fusion.FusionPlan` is a first-class object
 the *topology* owns: :func:`build_wire_plan` asks the topology for its
 partition function (:meth:`~repro.exchange.topology.ExchangeTopology.fusion_partition`)
 — which shard owns each tensor, which uplink a hierarchical aggregate
 crosses — and builds a partition-aware plan whose buckets never span a
-wire destination. Every point-to-point topology then exchanges one
-:class:`~repro.core.packets.FusedWireMessage` per bucket per destination,
-the engine's per-worker fused pull streams replay under async/SSP, and the
-simulator schedules the fused frames like any other record.
+wire destination. Every sender then holds one
+:class:`~repro.compression.fusion.WireStream` per direction under that
+plan (a plan with no buckets is fusion off), exchanges one
+:class:`~repro.core.packets.FusedWireMessage` per bucket per destination
+beside the per-tensor frames, and the simulator schedules the fused frames
+like any other record.
 
 The compatibility rules live here too, as *data* (one message per illegal
 combination), so the CLI can reject bad flag sets at parse time with the
@@ -62,14 +61,13 @@ def build_wire_plan(
     bucket_elements: int,
     lossy: bool = False,
     boundaries: frozenset[str] | None = None,
-) -> FusionPlan | None:
-    """Build the topology's partition-aware fusion plan, or ``None``.
+) -> FusionPlan:
+    """Build the topology's partition-aware fusion plan.
 
     ``topology`` is an :class:`~repro.exchange.topology.ExchangeTopology`;
     its :meth:`fusion_partition` supplies the tensor → destination map the
     buckets must respect (``None`` for single-destination topologies).
-    Returns ``None`` when no tensor falls below the threshold — the
-    engine's "fusion effectively off" convention.
+    The plan has no buckets when no tensor falls below the threshold.
     """
     if not topology.supports_fusion:
         raise ValueError(
@@ -79,7 +77,7 @@ def build_wire_plan(
     partition = topology.fusion_partition(
         {name: _size(shape) for name, shape in shapes.items()}
     )
-    plan = build_fusion_plan(
+    return build_fusion_plan(
         shapes,
         threshold=threshold,
         bucket_elements=bucket_elements,
@@ -87,7 +85,6 @@ def build_wire_plan(
         lossy=lossy,
         boundaries=boundaries,
     )
-    return plan if plan.buckets else None
 
 
 def _size(shape: tuple[int, ...]) -> int:

@@ -8,8 +8,6 @@ Layering (see ARCHITECTURE.md "Plan autotuner"):
   replay cache;
 * :mod:`repro.tuner.search` — random / successive-halving / cost-model
   strategies under one fixed-budget contract;
-* :mod:`repro.tuner.parallel` — the process pool (bit-identical to
-  serial at any ``--jobs``);
 * :mod:`repro.tuner.artifact` — the ``repro.plan/v1`` JSON the harness
   loads back with ``--plan``.
 """
@@ -28,7 +26,6 @@ from repro.tuner.evaluator import (
     deterministic_timeline,
     normalize_recording,
 )
-from repro.tuner.parallel import ParallelScorer
 from repro.tuner.search import (
     STRATEGIES,
     TrajectoryPoint,
@@ -51,7 +48,6 @@ __all__ = [
     "PlanPoint",
     "PlanScore",
     "PlanSpace",
-    "ParallelScorer",
     "STRATEGIES",
     "TrajectoryPoint",
     "TunerResult",

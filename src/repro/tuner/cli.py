@@ -2,10 +2,10 @@
 
 Examples
 --------
-Smoke-scale search on the bench MLP (fast config), 2 processes::
+Smoke-scale search on the bench MLP (fast config)::
 
-    python -m repro.tuner --fast --model mlp --budget 40 --jobs 2 \\
-        --seed 0 --out plan.json
+    python -m repro.tuner --fast --model mlp --budget 40 --seed 0 \\
+        --out plan.json
 
 The emitted ``repro.plan/v1`` artifact loads back into the harness::
 
@@ -20,7 +20,7 @@ import time
 from repro.harness.config import DEFAULT_CONFIG, FAST_CONFIG
 from repro.network.bandwidth import LINKS
 from repro.tuner.artifact import plan_to_dict, save_plan
-from repro.tuner.parallel import ParallelScorer
+from repro.tuner.evaluator import PlanEvaluator
 from repro.tuner.search import STRATEGIES, tune
 from repro.tuner.space import default_space
 from repro.utils.logging import get_logger
@@ -78,13 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="model",
         help="search strategy (default: the cost-model loop)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel scoring processes (results are bit-identical "
-        "to --jobs 1)",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--link",
@@ -109,19 +102,15 @@ def main(argv=None) -> int:
     config = base_config(args)
     space = default_space(config)
     t0 = time.perf_counter()
-    with ParallelScorer(
+    result = tune(
         space,
-        jobs=args.jobs,
-        link=args.link,
-        accuracy_floor_delta=args.accuracy_delta,
-    ) as scorer:
-        result = tune(
-            space,
-            scorer,
-            strategy=args.strategy,
-            budget=args.budget,
-            seed=args.seed,
-        )
+        PlanEvaluator(
+            space, link=args.link, accuracy_floor_delta=args.accuracy_delta
+        ),
+        strategy=args.strategy,
+        budget=args.budget,
+        seed=args.seed,
+    )
     wall = time.perf_counter() - t0
     artifact = plan_to_dict(result, space, link=args.link)
     save_plan(args.out, artifact)
@@ -139,7 +128,7 @@ def main(argv=None) -> int:
     print(
         f"{result.evaluations}/{result.budget} evaluations, "
         f"strategy={result.strategy}, seed={result.seed}, "
-        f"wall {wall:.1f}s, jobs={args.jobs}"
+        f"wall {wall:.1f}s"
     )
     print(f"plan written to {args.out}")
     return 0

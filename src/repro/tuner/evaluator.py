@@ -260,5 +260,5 @@ class PlanEvaluator:
         )
 
     def evaluate_batch(self, points, fraction: float = 1.0) -> list[PlanScore]:
-        """Serial batch scoring (the parallel pool mirrors this order)."""
+        """Score ``points`` in order."""
         return [self.evaluate(p, fraction) for p in points]

@@ -3,7 +3,7 @@
 Three strategies share one fixed-budget contract (every call to the
 scorer counts one simulator evaluation, the budget is never exceeded)
 and one determinism contract (candidate sequences depend only on the
-seed, never on timing or the parallel pool's job count):
+seed, never on timing):
 
 * :func:`random_search` — the baseline: sample legal points, score in
   fixed-size rounds.
@@ -17,10 +17,9 @@ seed, never on timing or the parallel pool's job count):
   large sampled pool, the simulator labels them, the model refits.
 
 Scoring goes through a ``scorer`` exposing ``evaluate_batch(points,
-fraction)`` — either a :class:`~repro.tuner.evaluator.PlanEvaluator` or
-the :class:`~repro.tuner.parallel.ParallelScorer` — in deterministic
-batches, so serial and parallel runs walk the identical evaluation
-sequence and return bit-identical results.
+fraction)`` and ``set_baseline(accuracy)`` — the
+:class:`~repro.tuner.evaluator.PlanEvaluator` — in deterministic batches,
+so two runs with one seed walk the identical evaluation sequence.
 """
 
 from __future__ import annotations
@@ -44,9 +43,8 @@ __all__ = [
     "STRATEGIES",
 ]
 
-#: Fixed scoring round size. Independent of the parallel pool's job
-#: count by design: the evaluation sequence (and therefore the result)
-#: is identical at any ``--jobs``.
+#: Fixed scoring round size: part of the evaluation sequence, so
+#: changing it changes which plan a seed finds.
 ROUND_SIZE = 8
 
 

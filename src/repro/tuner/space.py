@@ -20,10 +20,7 @@ operations every search strategy needs:
 Canonicalization is the cache-efficiency anchor: fields irrelevant to a
 point's topology (shard count on ``single``, rack shape on ``sharded``,
 bucket geometry with fusion off …) are reset to the base config's values,
-so equivalent points collapse to one representative — and
-``recording_signature`` further projects out the simulation-only knobs
-(cross-bandwidth, priority), grouping points that share one training
-recording in the replay cache.
+so equivalent points collapse to one representative.
 """
 
 from __future__ import annotations
@@ -179,20 +176,6 @@ class PlanSpace:
             overrides["bucket_elements"] = base.bucket_elements
             overrides["bucket_boundaries"] = ()
         return replace(point, **overrides) if overrides else point
-
-    def recording_signature(self, point: PlanPoint):
-        """Projection of the point onto the knobs the *engine* sees.
-
-        Points sharing a signature share one training recording in the
-        replay cache: cross-rack bandwidth and transmission priority are
-        simulation-only (``ExperimentRunner._SIM_ONLY_CANONICAL``), so
-        the parallel scorer groups candidates by this signature to keep
-        each worker process's cache hot.
-        """
-        canon = self.canonical(point)
-        return replace(
-            canon, cross_bw_fraction=1.0, transmission_priority="registration"
-        )
 
     # -- sampling ----------------------------------------------------------
 

@@ -162,7 +162,7 @@ class TestGradientAggregation:
             per_worker = [
                 cluster.service.scheme.decompress(b.messages[name].message)
                 if name not in cluster.service.bypassed
-                else b.messages[name].reconstruction
+                else b.messages[name].parts[name]
                 for b in batches
             ]
             grads[name] = np.mean(per_worker, axis=0)

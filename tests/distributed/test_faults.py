@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.compression import make_compressor
-from repro.compression.base import restore_contexts, snapshot_contexts
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.data.augment import Augmenter
 from repro.data.batcher import ShardBatcher
@@ -116,13 +115,13 @@ class TestCheckpointRoundTrip:
         assert worker.residual_norms() != norms_before
         worker.restore_state(snapshot)
         assert worker.residual_norms() == norms_before
-        for name, context in worker.push_contexts.items():
+        for name, context in worker.stream.contexts.items():
             state = context.state_dict()
             # Bypass (float32) contexts carry no residual; lossy ones must
             # match the checkpoint bit for bit.
-            if "residual" in snapshot["push"][name]:
+            if "residual" in snapshot[name]:
                 np.testing.assert_array_equal(
-                    state["residual"], snapshot["push"][name]["residual"]
+                    state["residual"], snapshot[name]["residual"]
                 )
 
     def test_snapshot_is_isolated_from_live_state(self):
@@ -132,34 +131,32 @@ class TestCheckpointRoundTrip:
         snapshot = worker.snapshot_state()
         frozen = {
             name: state["residual"].copy()
-            for name, state in snapshot["push"].items()
+            for name, state in snapshot.items()
             if "residual" in state
         }
         assert frozen, "expected at least one lossy context"
         worker.train_step()
         for name, residual in frozen.items():
-            np.testing.assert_array_equal(
-                snapshot["push"][name]["residual"], residual
-            )
+            np.testing.assert_array_equal(snapshot[name]["residual"], residual)
 
     def test_restore_rejects_key_mismatch(self):
         worker = make_worker()
         snapshot = worker.snapshot_state()
-        extra = dict(snapshot["push"])
-        extra["no/such/tensor"] = next(iter(snapshot["push"].values()))
+        extra = dict(snapshot)
+        extra["no/such/tensor"] = next(iter(snapshot.values()))
         with pytest.raises(ValueError, match="no/such/tensor"):
-            restore_contexts(worker.push_contexts, extra)
-        missing = dict(snapshot["push"])
+            worker.restore_state(extra)
+        missing = dict(snapshot)
         dropped = next(iter(missing))
         del missing[dropped]
         with pytest.raises(ValueError, match=dropped.replace("/", "/")):
-            restore_contexts(worker.push_contexts, missing)
+            worker.restore_state(missing)
 
     def test_restore_rejects_shape_mismatch(self):
         worker = make_worker()
-        snapshot = snapshot_contexts(worker.push_contexts)
+        snapshot = worker.snapshot_state()
         name = next(n for n, s in snapshot.items() if "residual" in s)
         bad = dict(snapshot)
         bad[name] = dict(bad[name], residual=np.zeros((1, 1), dtype=np.float32))
         with pytest.raises(ValueError):
-            restore_contexts(worker.push_contexts, bad)
+            worker.restore_state(bad)

@@ -67,8 +67,8 @@ def test_adaptive_controller_state_survives_cluster_run():
     worker = cluster.workers[0]
     adjusted = [
         ctx
-        for name, ctx in worker.push_contexts.items()
-        if name not in worker.bypassed and hasattr(ctx, "history")
+        for name, ctx in worker.stream.contexts.items()
+        if name not in worker.stream.bypassed and hasattr(ctx, "history")
     ]
     assert adjusted, "no adaptive contexts found on the worker"
     assert all(len(ctx.history) == STEPS for ctx in adjusted)
@@ -78,14 +78,14 @@ def test_dgc_pull_contexts_degrade_to_plain_topk():
     cluster, _ = train("DGC (0.10%)")
     pulls = [
         ctx
-        for name, ctx in cluster.service.pull_contexts.items()
+        for name, ctx in cluster.service.stream.contexts.items()
         if name not in cluster.service.bypassed
     ]
     assert pulls
     assert all(ctx.momentum == 0.0 for ctx in pulls)
     pushes = [
         ctx
-        for name, ctx in cluster.workers[0].push_contexts.items()
-        if name not in cluster.workers[0].bypassed
+        for name, ctx in cluster.workers[0].stream.contexts.items()
+        if name not in cluster.workers[0].stream.bypassed
     ]
     assert all(ctx.momentum == pytest.approx(0.9) for ctx in pushes)

@@ -48,8 +48,9 @@ class TestWorker:
     def test_small_tensors_use_bypass(self):
         worker = make_worker(threshold=64)
         # MLP biases (<= 32 elements) bypass; weight matrices do not.
-        assert any(name.endswith("/bias") for name in worker.bypassed)
-        assert not any(name.endswith("/weight") for name in worker.bypassed)
+        bypassed = worker.stream.bypassed
+        assert any(name.endswith("/bias") for name in bypassed)
+        assert not any(name.endswith("/weight") for name in bypassed)
 
     def test_apply_pull_updates_local_model(self):
         worker = make_worker()
@@ -67,7 +68,7 @@ class TestWorker:
         norms = worker.residual_norms()
         assert set(norms) == set(worker.parameter_names())
         # 3LC push contexts accumulate residuals on compressed tensors.
-        assert any(v > 0 for k, v in norms.items() if k not in worker.bypassed)
+        assert any(v > 0 for k, v in norms.items() if k not in worker.stream.bypassed)
 
     def test_missing_gradient_detected(self, monkeypatch):
         worker = make_worker()
@@ -137,4 +138,4 @@ class TestPushPullSymmetry:
     def test_worker_and_server_agree_on_bypass_set(self):
         worker = make_worker(threshold=64)
         server = make_server(threshold=64)
-        assert worker.bypassed == server.bypassed
+        assert worker.stream.bypassed == server.bypassed

@@ -173,7 +173,7 @@ class TestFusedBucketContext:
     def test_reconstruction_is_exact_per_tensor(self):
         scheme = make_compressor("3LC (s=1.00)", seed=0)
         bucket = Bucket(0, ("a", "b"), ((3, 2), (5,)))
-        context = scheme.make_fused_bypass_context(bucket, key=("t", 0))
+        context = scheme.make_fused_context(bucket, key=("t", 0), lossy=False)
         rng = np.random.default_rng(0)
         tensors = {
             "a": rng.normal(size=(3, 2)).astype(np.float32),
@@ -184,7 +184,7 @@ class TestFusedBucketContext:
         for name in tensors:
             np.testing.assert_array_equal(result.parts[name], tensors[name])
         # Receiver decode path: one codec call, then split.
-        flat = scheme.decompress_fused_bypass(result.message)
+        flat = scheme.decompress_fused(result.message, lossy=False)
         decoded = split_bucket(flat, bucket)
         for name in tensors:
             np.testing.assert_array_equal(decoded[name], tensors[name])
@@ -192,7 +192,7 @@ class TestFusedBucketContext:
     def test_deferring_scheme_defers_whole_bucket(self):
         scheme = make_compressor("2 local steps", seed=0)
         bucket = Bucket(0, ("a",), ((4,),))
-        context = scheme.make_fused_bypass_context(bucket, key=("t", 0))
+        context = scheme.make_fused_context(bucket, key=("t", 0), lossy=False)
         tensor = {"a": np.ones(4, dtype=np.float32)}
         assert context.compress(tensor) is None  # off-step: deferred
         result = context.compress(tensor)  # on-step: accumulated 2x
@@ -284,9 +284,9 @@ class TestEngineFusionParity:
     def test_fused_tensors_marked_bypassed(self):
         cluster = make_cluster(True)
         plan = cluster.fusion_plan
-        assert plan is not None and plan.fused_names
+        assert plan.fused_names
         assert plan.fused_names <= cluster.service.bypassed
-        assert plan.fused_names <= cluster.workers[0].bypassed
+        assert plan.fused_names <= cluster.workers[0].stream.bypassed
 
     def test_fusion_rejected_on_ring_only(self):
         """The ring has no point-to-point framing to fuse; the sharded
@@ -314,7 +314,7 @@ class TestEngineFusionParity:
                 fuse_small_tensors=True,
             ),
         )
-        assert engine.fusion_plan is not None
+        assert engine.fusion_plan.buckets
 
     def test_lossy_requires_fuse(self):
         with pytest.raises(ValueError, match="requires fuse_small_tensors"):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.compression import make_compressor
-from repro.compression.fusion import build_fusion_plan
+from repro.compression.fusion import FusionPlan, bucket_label, build_fusion_plan
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.exchange import (
     EngineConfig,
@@ -112,18 +112,19 @@ class TestPartitionAwarePlans:
         assert sub.bucket(3).names == ("t3",)
         with pytest.raises(KeyError, match="no bucket"):
             sub.bucket(0)
-        assert plan.restrict([]) is None
+        assert plan.restrict([]) == FusionPlan()
 
     def test_sharded_wire_plan_matches_service_owner_map(self):
         engine = make_engine(
             topology="sharded", num_shards=3, fuse_small_tensors=True
         )
         plan = engine.fusion_plan
-        assert plan is not None and plan.buckets
+        assert plan.buckets
         for bucket in plan.buckets:
             owners = {engine.service.shard_of(n) for n in bucket.names}
             assert owners == {bucket.group}
-            assert engine.service.shard_of_bucket(bucket.index) == bucket.group
+            owner = engine.service.shards[bucket.group]
+            assert bucket_label(bucket.index) in owner.stream.contexts
 
     def test_hier_sharded_upper_plan_matches_upper_owner_map(self):
         engine = make_engine(
@@ -131,7 +132,7 @@ class TestPartitionAwarePlans:
             hier_upper="sharded", num_shards=2, fuse_small_tensors=True,
         )
         plan = engine.fusion_plan
-        assert plan is not None and plan.buckets
+        assert plan.buckets
         upper = engine.service.upper
         for bucket in plan.buckets:
             assert {upper.shard_of(n) for n in bucket.names} == {bucket.group}
@@ -174,6 +175,47 @@ class TestPartitionAwarePlans:
                 num_shards=3,
                 fusion_plan=flat_plan,
             )
+
+
+class TestPushFrameSetIsChecked:
+    """A push must hold exactly the frames the wire plan expects: a missing
+    or unknown frame names its label and the sender's position instead of
+    silently skipping the tensor (the step used to complete and ship a
+    zero pull frame)."""
+
+    @pytest.fixture(params=["single", "sharded"])
+    def topology(self, request):
+        return request.param
+
+    @pytest.fixture(params=[False, True], ids=["plan off", "plan on"])
+    def pushes(self, request, topology):
+        engine = make_engine(
+            topology=topology, num_shards=3, fuse_small_tensors=request.param
+        )
+        assert bool(engine.fusion_plan.buckets) == request.param
+        pushes = [dict(worker.train_step().messages) for worker in engine.workers]
+        engine.service.step(pushes)  # the untampered set is accepted
+        return engine.service, pushes
+
+    def test_missing_frame_names_label_and_sender(self, pushes):
+        service, pushes = pushes
+        for label in (next(iter(pushes[1])), next(reversed(pushes[1]))):
+            tampered = [dict(push) for push in pushes]
+            del tampered[1][label]
+            before = service.state_dict()
+            with pytest.raises(ValueError, match="sender 1") as raised:
+                service.step(tampered)
+            assert repr(label) in str(raised.value)
+            for name, value in service.state_dict().items():
+                np.testing.assert_array_equal(value, before[name])
+
+    def test_unknown_frame_names_label_and_sender(self, pushes):
+        service, pushes = pushes
+        tampered = [dict(push) for push in pushes]
+        tampered[0]["bucket:99"] = next(iter(pushes[0].values()))
+        with pytest.raises(ValueError, match="sender 0") as raised:
+            service.step(tampered)
+        assert "'bucket:99'" in str(raised.value)
 
 
 class TestFusedShardedParity:

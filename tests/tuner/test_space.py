@@ -1,9 +1,8 @@
 """Plan-space properties: legality as data, canonical form, sampling.
 
 The space is the tuner's contract with the engine: ``sample`` must never
-propose a point the engine would reject, ``canonical`` must collapse
-run-equivalent points, and ``recording_signature`` must group exactly the
-points that share a training recording.
+propose a point the engine would reject and ``canonical`` must collapse
+run-equivalent points.
 """
 
 import numpy as np
@@ -86,19 +85,6 @@ class TestCanonical:
             bucket_boundaries=(),
         )
         assert space.canonical(p).bucket_elements == BASE.bucket_elements
-
-    def test_recording_signature_projects_sim_only_knobs(self, space):
-        a = point(
-            space, topology="hier", racks=2, rack_size=2,
-            cross_bw_fraction=0.05, transmission_priority="registration",
-        )
-        b = point(
-            space, topology="hier", racks=2, rack_size=2,
-            cross_bw_fraction=0.25, transmission_priority="smallest",
-        )
-        assert space.recording_signature(a) == space.recording_signature(b)
-        c = point(space, topology="ring")
-        assert space.recording_signature(a) != space.recording_signature(c)
 
 
 class TestConstruction:
