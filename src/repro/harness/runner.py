@@ -283,9 +283,9 @@ class ExperimentRunner:
             evals = cluster.train(
                 steps, eval_every=eval_every, test_size=config.eval_size
             )
-            final = cluster.evaluate(test_size=config.eval_size)
-            if not evals or evals[-1].step != final.step:
-                evals.append(final)
+            if not evals or evals[-1].step != cluster.global_step:
+                evals.append(cluster.evaluate(test_size=config.eval_size))
+            final = evals[-1]
             recording = RecordedTraining(
                 transmissions=tuple(cluster.transmissions),
                 update_events=tuple(cluster.update_events),

@@ -12,7 +12,10 @@ __all__ = ["GlobalAvgPool2d", "AvgPool2d"]
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions: ``(N,C,H,W) -> (N,C)``.
 
-    The classifier head of CIFAR ResNets.
+    The classifier head of CIFAR ResNets. The mean reads ``x`` in the
+    memory order it arrives in (C order from the last residual block), and
+    that order is part of the numerical contract: over contiguous ``H·W``
+    runs NumPy sums pairwise, over strided ones sequentially.
     """
 
     def __init__(self):

@@ -30,6 +30,8 @@ class PadShortcut(Module):
 
     Parameter-free, so it adds no state-change traffic — the reason the
     original CIFAR ResNets (and ours) prefer it over 1×1 projections.
+    ``forward`` returns a new C-contiguous array, or a strided view of
+    ``x`` when no channel is added; ``backward`` returns C order.
     """
 
     def __init__(self, in_channels: int, out_channels: int, stride: int):
@@ -45,10 +47,13 @@ class PadShortcut(Module):
         if training:
             self._in_shape = x.shape
         out = x[:, :, :: self.stride, :: self.stride]
-        pad = self.out_channels - self.in_channels
-        if pad:
-            out = np.pad(out, ((0, 0), (0, pad), (0, 0), (0, 0)))
-        return out.astype(np.float32, copy=False)
+        if self.out_channels == self.in_channels:
+            return out.astype(np.float32, copy=False)
+        padded = np.zeros(
+            (x.shape[0], self.out_channels, *out.shape[2:]), dtype=np.float32
+        )
+        padded[:, : self.in_channels] = out
+        return padded
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._in_shape is None:
@@ -62,7 +67,11 @@ class PadShortcut(Module):
 
 
 class BasicBlock(Module):
-    """Post-activation basic residual block: ``relu(F(x) + shortcut(x))``."""
+    """Post-activation basic residual block: ``relu(F(x) + shortcut(x))``.
+
+    Returns batch-minor order for a batch-minor ``x`` and an identity
+    shortcut, C order otherwise; ``backward`` returns C order.
+    """
 
     def __init__(
         self,

@@ -9,6 +9,8 @@ import re
 import numpy as np
 import pytest
 
+from repro.compression.registry import make_compressor
+from repro.exchange.engine import ExchangeEngine
 from repro.harness import (
     FAST_CONFIG,
     ExperimentConfig,
@@ -20,6 +22,7 @@ from repro.harness import (
     table1,
     table2,
 )
+from repro.harness import config as config_module
 from repro.harness.ascii_plot import Series, render_plot
 from repro.harness.tables import TABLE2_SCHEMES
 
@@ -99,6 +102,86 @@ class TestExperimentRunner:
             > result.total_seconds["100Mbps"]
             > result.total_seconds["1Gbps"]
         )
+
+
+class TestEvaluatesEachModelStateOnce:
+    """``train`` already evaluates at the last step when ``eval_every``
+    divides ``steps``; the runner takes that result instead of recomputing it."""
+
+    @pytest.mark.parametrize(
+        "steps, evaluated_at",
+        [(6, [3, 6]), (5, [2, 4, 5]), (4, [2, 4])],
+        ids=["divides", "remainder", "floor"],
+    )
+    def test_one_evaluation_per_distinct_step(self, steps, evaluated_at, monkeypatch):
+        config = FAST_CONFIG.scaled(standard_steps=steps, eval_points=2, eval_size=16)
+        calls = []
+        evaluate = ExchangeEngine.evaluate
+
+        def counting(engine, **kwargs):
+            calls.append(engine.global_step)
+            return evaluate(engine, **kwargs)
+
+        monkeypatch.setattr(ExchangeEngine, "evaluate", counting)
+        runner = ExperimentRunner(config)
+        result = runner.run("32-bit float")
+        assert calls == evaluated_at
+        assert [e.step for e in result.eval_curve] == evaluated_at
+        final = result.eval_curve[-1]
+        assert (result.final_accuracy, result.final_loss) == (
+            final.test_accuracy,
+            final.test_loss,
+        )
+
+        # What the runner used to do: evaluate the unchanged model again
+        # after training and keep the result only when its step was new.
+        engine = ExchangeEngine(
+            config.model_factory(),
+            runner._dataset,
+            make_compressor("32-bit float", seed=config.scheme_seed),
+            config.schedule(steps),
+            config.engine_config(),
+        )
+        evals = engine.train(steps, eval_every=steps // 2, test_size=16)
+        again = engine.evaluate(test_size=16)
+        if evals[-1].step != again.step:
+            evals.append(again)
+        assert result.eval_curve == tuple(evals) and again == final
+
+
+class TestNanWeightNeverReadsFinite:
+    """A model with one NaN weight used to finish with loss ~ln(10): ReLU
+    mapped every NaN activation to 0. Now the run fails loudly or says NaN."""
+
+    @staticmethod
+    def poison(monkeypatch, builder, parameter):
+        build = getattr(config_module, builder)
+
+        def poisoned(*args, **kwargs):
+            model = build(*args, **kwargs)
+            weights = {p.name: p for p in model.parameters()}
+            weights[parameter].data.flat[0] = np.nan
+            return model
+
+        monkeypatch.setattr(config_module, builder, poisoned)
+
+    def test_resnet_run_raises_on_the_first_nan_statistic(self, monkeypatch):
+        """After one step every weight and statistic is NaN; the first one
+        ``evaluate`` loads is named as a symptom of divergence, not a cause."""
+        self.poison(monkeypatch, "build_resnet", "stage0/block0/conv1/weight")
+        runner = ExperimentRunner(FAST_CONFIG.scaled(standard_steps=4, eval_size=16))
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"running_mean\[0\] = .*nan.*has training diverged\?"
+        ):
+            runner.run("32-bit float")
+
+    def test_mlp_run_reports_non_finite_losses(self, monkeypatch):
+        self.poison(monkeypatch, "build_mlp", "fc0/weight")
+        config = FAST_CONFIG.scaled(standard_steps=4, eval_size=16, model_family="mlp")
+        with np.errstate(invalid="ignore"):
+            result = ExperimentRunner(config).run("32-bit float")
+        assert not np.isfinite(result.final_loss)
+        assert not np.isfinite(result.loss_curve).any()
 
 
 class TestSimOverlap:

@@ -75,6 +75,18 @@ class TestCheckpoint:
                 value, model_a.state_dict()[name], atol=1e-6, err_msg=name
             )
 
+    def test_bn_stats_of_another_width_rejected_by_name(self, tmp_path):
+        """``bnstat/`` entries are matched by position, so only their shape
+        can tell a checkpoint of another model."""
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, build_resnet(8, base_width=4, seed=1))
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays["bnstat/0/running_var"] = np.ones(1, dtype=np.float32)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=r"stem/bn/running_var: shape \(1,\)"):
+            load_checkpoint(path, build_resnet(8, base_width=4, seed=1))
+
     def test_architecture_mismatch_rejected(self, tmp_path):
         model = build_mlp(16, (8,), num_classes=3, seed=0)
         path = tmp_path / "mlp.npz"

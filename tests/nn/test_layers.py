@@ -140,6 +140,58 @@ class TestBatchNorm2d:
         with pytest.raises(ValueError):
             BatchNorm2d(3).forward(np.zeros((2, 4, 3, 3), dtype=np.float32))
 
+    @pytest.mark.parametrize("dtype", ["float16", "int32"])
+    def test_dtype_np_mean_would_widen_rejected(self, dtype):
+        """The statistics copy ``np.mean`` / ``np.var`` for float32 / float64;
+        those sum float16 in float32 and promote integers to float64."""
+        x = np.ones((2, 3, 4, 4), dtype=dtype)
+        for training in (True, False):
+            with pytest.raises(ValueError, match=rf"float32/64 \(N, 3, .* got {dtype}"):
+                BatchNorm2d(3).forward(x, training=training)
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            # (1,) used to broadcast silently over all eight channels
+            ("running_mean", np.zeros(1), r": shape \(1,\) != \(8,\)"),
+            ("running_var", np.ones(1), r": shape \(1,\) != \(8,\)"),
+            # other lengths used to fail unnamed, at the next forward
+            ("running_var", np.ones(4), r": shape \(4,\) != \(8,\)"),
+            ("running_mean", np.zeros((8, 1)), r": shape \(8, 1\) != \(8,\)"),
+            # these used to give a NaN output and one RuntimeWarning
+            ("running_var", [1, 1, -0.5, 1, 1, 1, 1, 1], r"\[2\] = .*-0\.5"),
+            ("running_var", [1, 1, 1, np.nan, 1, 1, 1, 1], r"\[3\] = .*nan"),
+            ("running_var", [np.inf, 1, 1, 1, 1, 1, 1, 1], r"\[0\] = .*inf"),
+            ("running_mean", [0, 0, 0, 0, 0, 0, 0, np.nan], r"\[7\] = .*nan"),
+        ],
+        ids=[
+            "mean-broadcastable",
+            "var-broadcastable",
+            "var-too-short",
+            "mean-2d",
+            "var-negative",
+            "var-nan",
+            "var-inf",
+            "mean-nan",
+        ],
+    )
+    def test_load_stats_rejects_bad_statistics_by_name(self, key, value, match):
+        bn = BatchNorm2d(8, name="stem/bn")
+        before = bn.stats_dict()
+        stats = {**before, key: np.asarray(value, dtype=np.float32)}
+        with pytest.raises(ValueError, match=f"stem/bn/{key}{match}"):
+            bn.load_stats(stats)
+        np.testing.assert_array_equal(bn.running_mean, before["running_mean"])
+        np.testing.assert_array_equal(bn.running_var, before["running_var"])
+
+    def test_load_stats_copies_and_accepts_zero_variance(self):
+        bn = BatchNorm2d(2)
+        stats = {"running_mean": np.ones(2), "running_var": np.zeros(2)}
+        bn.load_stats(stats)
+        stats["running_mean"][0] = 9.0
+        assert bn.running_mean.tolist() == [1.0, 1.0]
+        assert bn.running_var.dtype == np.float32
+
 
 class TestLinear:
     def test_affine_map(self):

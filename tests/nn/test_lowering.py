@@ -13,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.harness.config import DEFAULT_CONFIG
-from repro.nn import BatchNorm2d, Conv2d, SoftmaxCrossEntropy, build_vgg
+from repro.nn import BatchNorm2d, Conv2d, SoftmaxCrossEntropy, build_resnet, build_vgg
 from repro.nn import conv as conv_module
 from repro.nn.functional import col2im, conv_output_size, im2col
+from tests.nn import layers_oracle
 from tests.nn import lowering_oracle as oracle
 
 KERNELS, STRIDES, PADS = (1, 2, 3, 5), (1, 2, 3), (0, 1, 2)
@@ -68,56 +69,76 @@ class TestOracleParity:
         check_parity(x, kernel, stride, pad, rng)
 
 
-def _train_step_and_eval(model, shape, seed):
-    """(loss, grads, BN running stats, eval logits) of one step + one eval."""
+def _train_steps_and_eval(model, shape, seed, steps=1):
+    """Everything ``steps`` SGD steps and one evaluation batch produce: losses,
+    input and parameter gradients, BN running statistics, eval logits."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=shape).astype(np.float32)
-    y = rng.integers(0, 10, size=shape[0])
     loss_fn = SoftmaxCrossEntropy()
-    loss = loss_fn.forward(model.forward(x, training=True), y)
-    model.backward(loss_fn.backward())
+    run = {}
+    for step in range(steps):
+        x = rng.normal(size=shape).astype(np.float32)
+        y = rng.integers(0, 10, size=shape[0])
+        run[f"loss/{step}"] = np.asarray(
+            loss_fn.forward(model.forward(x, training=True), y)
+        )
+        model.zero_grad()
+        run[f"input-grad/{step}"] = model.backward(loss_fn.backward())
+        for p in model.parameters():
+            run[f"grad/{step}/{p.name}"] = p.grad
+            p.data -= np.float32(0.05) * p.grad
+    bns = [m for m in model.iter_modules() if isinstance(m, BatchNorm2d)]
+    for index, bn in enumerate(bns):
+        run[f"running_mean/{index}"] = bn.running_mean
+        run[f"running_var/{index}"] = bn.running_var
     eval_x = rng.normal(size=(200, *shape[1:])).astype(np.float32)
-    return (
-        loss,
-        {p.name: p.grad for p in model.parameters()},
-        [
-            stat
-            for m in model.iter_modules()
-            if isinstance(m, BatchNorm2d)
-            for stat in (m.running_mean, m.running_var)
-        ],
-        model.forward(eval_x, training=False),
-    )
+    run["eval-logits"] = model.forward(eval_x, training=False)
+    return run
+
+
+def _assert_same_run(run, reference):
+    assert run.keys() == reference.keys() and len(run) > 20
+    for label, value in run.items():
+        assert_same_bits(value, reference[label])
+
+
+_SIZE = DEFAULT_CONFIG.image_size
+_BATCH = (DEFAULT_CONFIG.batch_size, 3, _SIZE, _SIZE)
+_RESNET14 = pytest.param(DEFAULT_CONFIG.model_factory(), _BATCH, id="resnet14")
+_VGG = pytest.param(lambda: build_vgg(image_size=_SIZE, seed=0), _BATCH, id="vgg")
 
 
 class TestEndToEndBitIdentity:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            DEFAULT_CONFIG.model_factory(),
-            lambda: build_vgg(image_size=DEFAULT_CONFIG.image_size, seed=0),
-        ],
-        ids=["resnet14", "vgg"],
-    )
-    def test_training_step_and_eval_logits(self, factory, monkeypatch):
-        size = DEFAULT_CONFIG.image_size
-        shape = (DEFAULT_CONFIG.batch_size, 3, size, size)
-        loss, grads, stats, logits = _train_step_and_eval(factory(), shape, seed=7)
-
+    @pytest.mark.parametrize("factory, shape", [_RESNET14, _VGG])
+    def test_training_step_and_eval_logits(self, factory, shape, monkeypatch):
+        run = _train_steps_and_eval(factory(), shape, seed=7)
         monkeypatch.setattr(conv_module, "im2col", oracle.im2col)
         monkeypatch.setattr(conv_module, "col2im", oracle.col2im)
-        ref_loss, ref_grads, ref_stats, ref_logits = _train_step_and_eval(
-            factory(), shape, seed=7
-        )
+        _assert_same_run(run, _train_steps_and_eval(factory(), shape, seed=7))
 
-        assert loss == ref_loss
-        assert grads.keys() == ref_grads.keys() and len(grads) > 10
-        for name, grad in grads.items():
-            assert_same_bits(grad, ref_grads[name])
-        assert len(stats) == len(ref_stats) > 0
-        for stat, ref in zip(stats, ref_stats):
-            assert_same_bits(stat, ref)
-        assert_same_bits(logits, ref_logits)
+    @pytest.mark.parametrize(
+        "factory, shape",
+        [
+            _RESNET14,
+            _VGG,
+            # the model the golden traces are recorded on
+            pytest.param(
+                lambda: build_resnet(8, base_width=4), (8, 3, 12, 12), id="resnet8w4"
+            ),
+            # odd, non-square, and an identity block after the padded one
+            pytest.param(
+                lambda: build_resnet(14, base_width=3), (5, 3, 9, 7), id="resnet14-odd"
+            ),
+        ],
+    )
+    def test_single_pass_layers_equal_the_multi_pass_oracle(self, factory, shape):
+        """Four SGD steps and one evaluation batch, against the same model
+        assembled from ``layers_oracle``: the ReLU / BatchNorm / shortcut
+        rewrite moved no bit, the order each reduction reads included."""
+        run = _train_steps_and_eval(factory(), shape, seed=7, steps=4)
+        with layers_oracle.installed():
+            reference_model = factory()
+        assert type(reference_model[2]) is layers_oracle.ReLU
+        _assert_same_run(run, _train_steps_and_eval(reference_model, shape, 7, 4))
 
 
 class TestConvMemoryOrder:
