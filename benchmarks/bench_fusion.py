@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.exchange import EngineConfig, ExchangeEngine
+from repro.exchange import MEASURED, MODELED, EngineConfig, ExchangeEngine
 from repro.nn import CosineDecay, build_mlp
 
 try:
@@ -72,9 +72,10 @@ def run(
             rack_size=2,
             fuse_small_tensors=fuse,
             fuse_lossy=lossy,
-            # Event-driven scheduling orders by compute time; pin it so
-            # fused and unfused async runs walk the identical schedule.
-            fixed_compute_seconds=0.05 if sync_mode != "bsp" else None,
+            # Event-driven scheduling orders by compute time; model it so
+            # fused and unfused async runs walk the identical schedule. BSP
+            # runs stay measured: their codec seconds are the result.
+            clock=MEASURED if sync_mode == "bsp" else MODELED,
         ),
     )
     engine.train(steps)
@@ -89,8 +90,10 @@ def comparison_rows(unfused: ExchangeEngine, fused: ExchangeEngine) -> list[str]
     frames_unfused = unfused.traffic.total_messages
     frames_fused = fused.traffic.total_messages
     plan = fused.fusion_plan
+    clock = fused.engine_config.clock.name
     return [
-        f"{'path':<12} {'codec s/step':>14} {'wire bytes':>12} {'frames':>8}",
+        f"{'path':<12} {'codec s/step':>14} {'wire bytes':>12} {'frames':>8}"
+        f"  (codec seconds: {clock})",
         f"{'per-tensor':<12} {codec_unfused:>14.6f} {bytes_unfused:>12} {frames_unfused:>8}",
         f"{'fused':<12} {codec_fused:>14.6f} {bytes_fused:>12} {frames_fused:>8}",
         "",

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.distributed.barriers import StragglerSpec
-from repro.exchange import EngineConfig, ExchangeEngine
+from repro.exchange import MODELED, EngineConfig, ExchangeEngine
 from repro.netsim import EventDrivenSimulator, NetworkSimulator, single_server_links
 from repro.network.bandwidth import link
 from repro.network.timing import StepTimeModel
@@ -199,7 +199,7 @@ def run_event_sweep(
                 seed=7,
             ),
             record_transmissions=True,
-            fixed_compute_seconds=0.05,
+            clock=MODELED,
         ),
     )
     engine.train(updates)

@@ -15,6 +15,7 @@ the only trainer: one ``train_step`` is one scheduling quantum, finalized
 in one place and accounted through one wire ledger.
 """
 
+from repro.exchange.clock import MEASURED, MODELED, Clock
 from repro.exchange.engine import EngineConfig, EvalResult, ExchangeEngine, StepLog
 from repro.exchange.sync import (
     SYNC_MODES,
@@ -44,6 +45,9 @@ __all__ = [
     "EngineConfig",
     "EvalResult",
     "StepLog",
+    "Clock",
+    "MEASURED",
+    "MODELED",
     "SyncMode",
     "BSPMode",
     "AsyncMode",

@@ -48,6 +48,7 @@ from repro.distributed.barriers import FullBarrier, StragglerSpec
 from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
 from repro.distributed.faults import FaultSpec
 from repro.distributed.worker import Worker
+from repro.exchange.clock import CODEC_RATE, MEASURED, Clock
 from repro.exchange.sync import SyncMode, make_sync_mode
 from repro.exchange.topology import (
     ExchangeTopology,
@@ -133,11 +134,12 @@ class EngineConfig:
     #: with logical timestamps and observed staleness) to
     #: ``ExchangeEngine.update_events``. Off by default.
     record_transmissions: bool = False
-    #: Replace *measured* per-batch compute time with this constant for
-    #: scheduling (virtual clocks, barrier arrivals) and recording.
-    #: Wall-clock compute noise otherwise makes async scheduling orders
-    #: run-dependent; tests that golden-trace an event stream pin this.
-    fixed_compute_seconds: float | None = None
+    #: Whether the seconds the engine *records* — compute behind virtual
+    #: clocks and barrier arrivals, each quantum's codec fields, engine
+    #: spans and counters — are measured (Table-1-class output) or modeled
+    #: (a function of the seed: anything diffed, cached or pinned; async
+    #: scheduling order no longer follows wall-clock noise).
+    clock: Clock = MEASURED
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -167,8 +169,6 @@ class EngineConfig:
             )
             if reason is not None:
                 raise ValueError(reason)
-        if self.fixed_compute_seconds is not None and self.fixed_compute_seconds <= 0:
-            raise ValueError("fixed_compute_seconds must be > 0 or None")
         # The registries own the per-knob rules (unknown names, staleness
         # vs mode, shard count, rack shape); building both here is pure
         # and makes this the one place a bad combination fails.
@@ -274,6 +274,21 @@ class StepLog:
     learning_rate: float
 
 
+#: ``(push-side, pull-side)`` codec fields of each recorded plan: under a
+#: modeled clock a field costs the per-element rate times the elements
+#: recorded on its side of the wire.
+_CODEC_FIELDS = {
+    StepTransmissions: (
+        ("push_compress_seconds", "server_decompress_seconds"),
+        ("server_compress_seconds", "pull_decompress_seconds"),
+    ),
+    UpdateTransmissions: (
+        ("push_compress_seconds", "server_seconds"),
+        ("pull_compress_seconds", "pull_decompress_seconds"),
+    ),
+}
+
+
 class _Ledger:
     """One quantum's wire ledger.
 
@@ -287,11 +302,17 @@ class _Ledger:
     frames (the links run in parallel).
     """
 
-    __slots__ = ("traffic", "records")
+    __slots__ = ("traffic", "records", "recording", "clock")
 
-    def __init__(self, traffic: StepTraffic, recording: bool):
+    def __init__(self, traffic: StepTraffic, recording: bool, clock: Clock):
         self.traffic = traffic
-        self.records: list[TransmissionRecord] | None = [] if recording else None
+        self.recording = recording
+        self.clock = clock
+        # A modeled clock prices codec work by the recorded elements, so it
+        # keeps the records whether or not the run hands them out.
+        self.records: list[TransmissionRecord] | None = (
+            [] if recording or clock.modeled else None
+        )
 
     def count(self, phase: str, message, main: bool = False) -> None:
         """Add one compressed message to the push or pull counters."""
@@ -344,18 +365,30 @@ class _Ledger:
     def close(self, plan, compute_seconds: float, codec: dict[str, float], **header):
         """Stamp the quantum's critical-path timing on the traffic record
         and wrap the records in their ``plan`` (``StepTransmissions`` or
-        ``UpdateTransmissions``, whose codec fields ``codec`` names);
-        ``None`` when the run does not record."""
+        ``UpdateTransmissions``, whose codec fields ``codec`` names as
+        measured). Returns ``(plan, codec)``: ``None`` for the plan when
+        the run does not record, and the codec seconds as *recorded* — a
+        modeled clock prices every codec field of the plan — for the
+        telemetry layout to share."""
+        if self.clock.modeled:
+            pull = sum(r.elements for r in self.records if r.phase == "pull")
+            push = sum(r.elements for r in self.records) - pull
+            push_fields, pull_fields = _CODEC_FIELDS[plan]
+            codec = {
+                **dict.fromkeys(push_fields, CODEC_RATE * push),
+                **dict.fromkeys(pull_fields, CODEC_RATE * pull),
+            }
         self.traffic.compute_seconds = compute_seconds
         self.traffic.codec_seconds = sum(codec.values())
-        if self.records is None:
-            return None
-        return plan(
+        if not self.recording:
+            return None, codec
+        recorded = plan(
             compute_seconds=compute_seconds,
             records=tuple(self.records),
             **codec,
             **header,
         )
+        return recorded, codec
 
 
 @dataclass
@@ -644,9 +677,9 @@ class ExchangeEngine:
         return evals
 
     def _compute_base(self, batch) -> float:
-        """Compute seconds used for scheduling: measured, unless pinned."""
-        fixed = self.engine_config.fixed_compute_seconds
-        return fixed if fixed is not None else batch.compute_seconds
+        """One batch's compute seconds for scheduling, by the clock."""
+        clock = self.engine_config.clock
+        return clock.compute_seconds if clock.modeled else batch.compute_seconds
 
     def _arrivals(self, batches) -> dict[int, float]:
         """Straggler-scaled push-arrival times for the barrier.
@@ -862,8 +895,8 @@ class ExchangeEngine:
         """Lay one synchronous step on the telemetry virtual clock.
 
         Per-worker tracks carry compute / compress / barrier-wait spans
-        (the straggler-scaled arrival times the barrier decided on,
-        measured codec costs); the serial middle of the step — server or
+        (the straggler-scaled arrival times the barrier decided on, the
+        recorded codec costs); the serial middle of the step — server or
         collective codec work — arrives as ordered ``(track, name,
         seconds)`` stages, and the parallel pull decode closes the step on
         every worker track.
@@ -965,6 +998,7 @@ class ExchangeEngine:
                 model_elements=self._model_elements,
             ),
             self.engine_config.record_transmissions,
+            self.engine_config.clock,
         )
 
     @staticmethod
@@ -1177,7 +1211,7 @@ class ExchangeEngine:
         # Codec work on the critical path: slowest worker's push compression,
         # the server's serialized decompress + compress, and one worker's
         # pull decompression (workers decompress in parallel).
-        transmissions = ledger.close(
+        transmissions, codec = ledger.close(
             StepTransmissions,
             decision.compute_seconds,
             dict(
@@ -1188,6 +1222,7 @@ class ExchangeEngine:
             ),
             step=step,
         )
+        modeled = self.engine_config.clock.modeled
         return _Quantum(
             step=step,
             loss=float(np.mean([batch.loss for _, batch in live])),
@@ -1197,14 +1232,16 @@ class ExchangeEngine:
             layout=dict(
                 arrivals=arrivals,
                 compress_by_worker={
-                    worker.worker_id: batch.compress_seconds
+                    worker.worker_id: codec["push_compress_seconds"]
+                    if modeled
+                    else batch.compress_seconds
                     for worker, batch in live
                 },
                 stages=[
-                    ("server", "decompress", pull_batch.decompress_seconds),
-                    ("server", "apply+compress", pull_batch.compress_seconds),
+                    ("server", "decompress", codec["server_decompress_seconds"]),
+                    ("server", "apply+compress", codec["server_compress_seconds"]),
                 ],
-                pull_decompress_seconds=pull_decompress_seconds,
+                pull_decompress_seconds=codec["pull_decompress_seconds"],
             ),
         )
 
@@ -1242,7 +1279,7 @@ class ExchangeEngine:
                 "collective",
                 frames=2 * (n - 1),
             )
-        transmissions = ledger.close(
+        transmissions, codec = ledger.close(
             StepTransmissions,
             decision.compute_seconds,
             dict(push_compress_seconds=outcome.codec_seconds),
@@ -1257,7 +1294,9 @@ class ExchangeEngine:
             layout=dict(
                 arrivals=arrivals,
                 compress_by_worker={},
-                stages=[("ring", "allreduce+codec", outcome.codec_seconds)],
+                # The ring's one stage carries all of the step's codec
+                # seconds (a modeled clock prices the hop decodes apart).
+                stages=[("ring", "allreduce+codec", sum(codec.values()))],
                 pull_decompress_seconds=0.0,
             ),
         )
@@ -1367,7 +1406,7 @@ class ExchangeEngine:
         # Critical path: the slowest rack's serial (ring + uplink codec)
         # pipeline, the upper service's serialized decompress + compress,
         # and one shared decode of the pulled deltas.
-        transmissions = ledger.close(
+        transmissions, codec = ledger.close(
             StepTransmissions,
             decision.compute_seconds,
             dict(
@@ -1389,11 +1428,11 @@ class ExchangeEngine:
                 arrivals=arrivals,
                 compress_by_worker={},
                 stages=[
-                    ("racks", "rack-pipeline", outcome.push_compress_seconds),
-                    ("server", "decompress", outcome.server_decompress_seconds),
-                    ("server", "apply+compress", outcome.server_compress_seconds),
+                    ("racks", "rack-pipeline", codec["push_compress_seconds"]),
+                    ("server", "decompress", codec["server_decompress_seconds"]),
+                    ("server", "apply+compress", codec["server_compress_seconds"]),
                 ],
-                pull_decompress_seconds=outcome.pull_decompress_seconds,
+                pull_decompress_seconds=codec["pull_decompress_seconds"],
             ),
         )
 
@@ -1471,13 +1510,16 @@ class ExchangeEngine:
         # Honest per-update accounting: this scheduling quantum computed on
         # one worker and serialized one apply on the server (the discarded
         # shared-pull compression stays uncharged).
-        transmissions = ledger.close(
+        transmissions, codec = ledger.close(
             UpdateTransmissions,
             compute_seconds,
             dict(
                 push_compress_seconds=batch.compress_seconds,
                 server_seconds=pull_batch.decompress_seconds,
                 pull_compress_seconds=pull_compress_seconds,
+                # The unit applies the compression result's reconstruction
+                # directly: there is no decode to measure.
+                pull_decompress_seconds=0.0,
             ),
             update=self.update_count,
             worker=wid,
@@ -1496,9 +1538,10 @@ class ExchangeEngine:
                 track=f"worker{wid}",
                 t0=started,
                 phases=[
-                    (f"worker{wid}", "compress", batch.compress_seconds),
-                    ("server", "apply", pull_batch.decompress_seconds),
-                    ("server", "pull-compress", pull_compress_seconds),
+                    (f"worker{wid}", "compress", codec["push_compress_seconds"]),
+                    ("server", "apply", codec["server_seconds"]),
+                    ("server", "pull-compress", codec["pull_compress_seconds"]),
+                    (f"worker{wid}", "pull-decompress", codec["pull_decompress_seconds"]),
                 ],
                 staleness=staleness,
             ),
@@ -1535,13 +1578,14 @@ class ExchangeEngine:
         )
         self._post_hier_push(ledger, outcome)
         self._post_hier_pull(ledger, pulls, (rack,), unit=rack)
-        transmissions = ledger.close(
+        transmissions, codec = ledger.close(
             UpdateTransmissions,
             compute_seconds,
             dict(
                 push_compress_seconds=outcome.push_compress_seconds,
                 server_seconds=outcome.server_decompress_seconds,
                 pull_compress_seconds=pull_compress_seconds,
+                pull_decompress_seconds=0.0,
             ),
             update=self.update_count,
             worker=rack,
@@ -1560,9 +1604,10 @@ class ExchangeEngine:
                 track=f"rack{rack}",
                 t0=started,
                 phases=[
-                    (f"rack{rack}", "rack-pipeline", outcome.push_compress_seconds),
-                    ("server", "apply", outcome.server_decompress_seconds),
-                    ("server", "pull-compress", pull_compress_seconds),
+                    (f"rack{rack}", "rack-pipeline", codec["push_compress_seconds"]),
+                    ("server", "apply", codec["server_seconds"]),
+                    ("server", "pull-compress", codec["pull_compress_seconds"]),
+                    (f"rack{rack}", "pull-decompress", codec["pull_decompress_seconds"]),
                 ],
                 staleness=staleness,
             ),

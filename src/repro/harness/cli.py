@@ -510,7 +510,8 @@ def main(argv: list[str] | None = None) -> int:
             f"loaded plan {args.plan}: scheme={plan_scheme!r} "
             f"topology={config.topology} "
             f"priority={config.transmission_priority} "
-            f"fuse={config.fuse_small_tensors}"
+            f"fuse={config.fuse_small_tensors} "
+            f"clock={config.clock.name}"
         )
     # One sweep replay cache per invocation: commands sharing a scheme and
     # budget reuse the training recording and per-link simulations.

@@ -21,6 +21,7 @@ from repro.data.synthetic import DatasetSpec, SyntheticImageDataset
 from repro.distributed.barriers import StragglerSpec
 from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
 from repro.distributed.faults import FaultSpec
+from repro.exchange.clock import MEASURED, Clock
 from repro.exchange.engine import EngineConfig
 from repro.network.timing import StepTimeModel
 from repro.nn.resnet import build_mlp, build_resnet
@@ -120,6 +121,10 @@ class ExperimentConfig:
     #: simulated-clock spans — and ``RunResult.telemetry_summary`` carries
     #: the rollup. Off by default: the instrumented paths stay no-op.
     telemetry: bool = False
+    #: Whether recorded seconds (engine compute and codec, the backward
+    #: timeline) are measured or modeled (:mod:`repro.exchange.clock`). It
+    #: changes what is recorded, so recordings and timelines are keyed on it.
+    clock: Clock = MEASURED
 
     # Training budget and schedule (paper: 25,600 steps, cosine 0.1 -> 0.001
     # scaled by worker count)
@@ -236,6 +241,7 @@ class ExperimentConfig:
             fuse_lossy=self.fuse_lossy,
             bucket_boundaries=self.bucket_boundaries,
             record_transmissions=self.sim_overlap,
+            clock=self.clock,
         )
 
     def schedule(self, total_steps: int) -> CosineDecay:

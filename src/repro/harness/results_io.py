@@ -126,9 +126,21 @@ def save_results(results: list[RunResult], path: str | Path) -> None:
 
 
 def load_results(path: str | Path) -> list[RunResult]:
-    """Load runs written by :func:`save_results`."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return [run_result_from_dict(d) for d in json.load(fh)]
+    """Load runs written by :func:`save_results`; anything else (truncated
+    JSON included) raises ``ValueError`` naming the path and the field."""
+    try:
+        documents = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(documents, list) or not all(
+            isinstance(document, dict) for document in documents
+        ):
+            raise ValueError("want a JSON list of run documents")
+        return [run_result_from_dict(document) for document in documents]
+    except KeyError as error:
+        raise ValueError(
+            f"{path}: a run is missing required field {error.args[0]!r}"
+        ) from None
+    except ValueError as error:  # a json.JSONDecodeError is one
+        raise ValueError(f"{path}: not a results archive: {error}") from None
 
 
 def save_plan(path: str | Path, data: dict) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.compression.registry import make_compressor
 from repro.exchange.engine import EvalResult, ExchangeEngine
+from repro.exchange.clock import modeled_timeline
 from repro.harness.config import ExperimentConfig
 from repro.netsim import (
     EventDrivenSimulator,
@@ -144,20 +145,9 @@ class ExperimentRunner:
         self,
         config: ExperimentConfig,
         replay_cache: SweepReplayCache | None = None,
-        *,
-        recording_filter=None,
     ):
         self.config = config
         self.replay_cache = replay_cache
-        #: Optional callable applied to a freshly trained
-        #: :class:`~repro.netsim.RecordedTraining` before it is stored or
-        #: simulated. The plan tuner normalizes the recording's *measured*
-        #: seconds (compute, codec) to modeled values so same-seed runs
-        #: are bit-identical. A filtered recording lands in the replay
-        #: cache under the same key an unfiltered run would use, so one
-        #: cache must only ever see runners with one consistent filter
-        #: (the tuner uses private cache instances).
-        self.recording_filter = recording_filter
         self._cache: dict[tuple[str, float], RunResult] = {}
         self._dataset = config.dataset()
         self._timeline: BackwardTimeline | None = None
@@ -201,15 +191,16 @@ class ExperimentRunner:
     def backward_timeline(self) -> BackwardTimeline:
         """Per-layer backward profile of the experiment's model (cached).
 
-        The timeline depends only on the architecture and batch shape, so
-        one profile serves every scheme and budget the runner simulates.
-        With a sweep replay cache it is shared *across* runners as well:
-        the profile is measured, so sweep points must reuse one profile
-        for their simulated timings to be comparable point to point.
+        The timeline depends only on the model, the profiled batch and
+        the clock, so one profile serves every scheme and budget the
+        runner simulates. With a sweep replay cache it is shared *across*
+        runners as well, keyed on exactly those: a measured profile must
+        be reused for sweep points' simulated timings to be comparable,
+        and a plan search profiles once, not once per candidate.
         """
         if self._timeline is None:
             if self.replay_cache is not None:
-                key = replace(self.config, **self._SIM_ONLY_CANONICAL)
+                key = self._timeline_key()
                 timeline = self.replay_cache.timeline(key)
                 if timeline is None:
                     timeline = self._profile_timeline()
@@ -219,10 +210,31 @@ class ExperimentRunner:
                 self._timeline = self._profile_timeline()
         return self._timeline
 
+    def _timeline_key(self) -> tuple:
+        """What a backward timeline depends on, and nothing else."""
+        config = self.config
+        return (
+            config.model_family,
+            config.depth,
+            config.base_width,
+            config.mlp_hidden,
+            config.model_seed,
+            self._dataset.spec,
+            config.batch_size,
+            config.clock,
+        )
+
     def _profile_timeline(self) -> BackwardTimeline:
-        model = self.config.model_factory()()
-        images, labels = self._dataset.train_shard(0, self.config.batch_size)
-        return profile_backward(model, images, labels)
+        config = self.config
+        model = config.model_factory()()
+        images, labels = self._dataset.train_shard(0, config.batch_size)
+        if not config.clock.modeled:
+            return profile_backward(model, images, labels)
+        # Only the layer structure of the pass is kept: one repeat is enough.
+        structure = profile_backward(model, images, labels, repeats=1)
+        return modeled_timeline(
+            structure, {p.name: p.size for p in model.parameters()}
+        )
 
     def _link_model(self, link):
         """The simulated topology's link model at one swept link rate."""
@@ -296,8 +308,6 @@ class ExperimentRunner:
                 synchronous=cluster.sync.synchronous,
                 fault_summary=cluster.fault_summary(),
             )
-            if self.recording_filter is not None:
-                recording = self.recording_filter(recording)
             if self.replay_cache is not None:
                 self.replay_cache.store_recording(rec_key, recording)
         else:

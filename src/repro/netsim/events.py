@@ -170,8 +170,9 @@ class UpdateTransmissions:
     ``push_compress`` is the worker's compression of this update's pushes,
     ``server_seconds`` the server's decompress + apply, ``pull_compress``
     the server-side compression of this worker's individual delta stream,
-    and ``pull_decompress`` the worker-side decode (zero today — the
-    engine applies the compression result's reconstruction directly).
+    and ``pull_decompress`` the worker-side decode (zero when measured —
+    the engine applies the compression result's reconstruction directly —
+    and priced like any decode by a modeled clock).
     """
 
     #: Commit index in the global update order (logical timestamp).

@@ -175,13 +175,9 @@ class SweepReplayCache:
     # -- timelines ---------------------------------------------------------
 
     def timeline(self, key: Hashable) -> Any | None:
-        """Cached backward-profile timeline for one model/batch shape.
-
-        The timeline is *measured* (wall-clock per-layer profiling), so
-        sweep points must share one profile for their simulated timings to
-        be comparable — and for a cache hit to be bit-identical to the run
-        that recorded it.
-        """
+        """Cached backward timeline for one model, profiled batch and
+        clock: sweep points must share a measured profile for their
+        simulated timings to be comparable, and need only one modeled one."""
         return self._timelines.get(key)
 
     def store_timeline(self, key: Hashable, timeline: Any) -> None:

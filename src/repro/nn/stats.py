@@ -20,7 +20,6 @@ fine-grained per-layer barriers, §2.1).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np

@@ -3,7 +3,7 @@
 One :class:`Telemetry` session bundles the two instruments a run needs —
 a :class:`~repro.telemetry.metrics.MetricsRegistry` for labeled
 counters/gauges/histograms and a :class:`~repro.telemetry.tracing.Tracer`
-for simulated- and wall-clock spans — plus per-step registry snapshots
+for simulated-clock spans — plus per-step registry snapshots
 for the JSONL exporter. The engine, the network simulators, and the
 harness all report through this seam; exporters in
 :mod:`repro.telemetry.export` turn a session into a Perfetto-loadable

@@ -165,11 +165,17 @@ def diff_report(
 def _fault_summaries_from_archive(path) -> dict | None:
     """Merge the ``fault_summary`` rollups of a ``--save`` archive."""
     data = json.loads(Path(path).read_text())
-    results = data.get("results", data) if isinstance(data, dict) else data
+    results = data.get("results") if isinstance(data, dict) else data
+    if not (
+        isinstance(results, list)
+        and all(isinstance(result, dict) for result in results)
+    ):
+        raise ValueError(
+            f"{path}: not a results archive (want a JSON list of run "
+            "documents, or an object holding one under 'results')"
+        )
     summaries = [
-        result.get("fault_summary")
-        for result in results
-        if isinstance(result, dict) and result.get("fault_summary")
+        result["fault_summary"] for result in results if result.get("fault_summary")
     ]
     if not summaries:
         return None

@@ -1,4 +1,4 @@
-"""Span tracing over simulated and wall clocks.
+"""Span tracing over simulated clocks.
 
 A :class:`Span` is a closed interval on some track's timeline. Tracks
 are named per worker / link / rack ("worker0", "link:cross", "server")
@@ -6,16 +6,12 @@ and grouped per emitting component ("engine", "sim:10Mbps"), which maps
 one-to-one onto Chrome trace_event processes (groups) and threads
 (tracks) in the exporter.
 
-Two clock disciplines coexist:
-
-* **Simulated clocks** — the engine's virtual step layout and the
-  network simulators' replay clocks. These emit *completed* spans via
-  :meth:`Tracer.span` with explicit start/end floats (seconds on the
-  emitter's virtual timeline; the simulators add their own
-  ``trace_offset`` so multi-step runs lay out contiguously).
-* **Wall clocks** — harness-level phases (training, simulation) wrap
-  real work in :meth:`Tracer.wall`, a context manager measuring
-  ``perf_counter`` deltas relative to the tracer's first wall-clock use.
+Every timestamp is simulated time, handed in by the emitter: the
+engine's virtual step layout and the network simulators' replay clocks
+emit *completed* spans via :meth:`Tracer.span` with explicit start/end
+floats (seconds on the emitter's virtual timeline; the simulators add
+their own ``trace_offset`` so multi-step runs lay out contiguously). The
+tracer never reads a clock of its own.
 
 ``begin``/``end`` keep a per-track stack so unbalanced instrumentation
 is detectable: :meth:`check_closed` raises (and the exporters call it),
@@ -24,8 +20,6 @@ which is what the CI smoke's "fail on unclosed spans" check leans on.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = ["NULL_TRACER", "Span", "Tracer"]
@@ -52,7 +46,6 @@ class Tracer:
         self.enabled = bool(enabled)
         self.spans: list[Span] = []
         self._open: dict[tuple[str, str], list[tuple[str, float, dict]]] = {}
-        self._wall_origin: float | None = None
 
     def span(
         self,
@@ -74,49 +67,22 @@ class Tracer:
         self.spans.append(Span(group, track, name, start, end, args))
 
     def begin(
-        self,
-        group: str,
-        track: str,
-        name: str,
-        start: float | None = None,
-        **args,
+        self, group: str, track: str, name: str, start: float, **args
     ) -> None:
-        """Open a nested span; ``start=None`` stamps the wall clock."""
+        """Open a nested span at simulated time ``start``."""
         if not self.enabled:
             return
-        if start is None:
-            start = self._wall_now()
         self._open.setdefault((group, track), []).append((name, start, args))
 
-    def end(self, group: str, track: str, end: float | None = None) -> None:
+    def end(self, group: str, track: str, end: float) -> None:
         """Close the innermost open span on ``(group, track)``."""
         if not self.enabled:
             return
         stack = self._open.get((group, track))
         if not stack:
             raise RuntimeError(f"end() on {group}/{track} with no open span")
-        if end is None:
-            end = self._wall_now()
         name, start, args = stack.pop()
         self.spans.append(Span(group, track, name, start, end, args))
-
-    @contextmanager
-    def wall(self, group: str, track: str, name: str, **args):
-        """Wall-clock span around real work (perf_counter deltas)."""
-        if not self.enabled:
-            yield
-            return
-        self.begin(group, track, name, **args)
-        try:
-            yield
-        finally:
-            self.end(group, track)
-
-    def _wall_now(self) -> float:
-        now = time.perf_counter()
-        if self._wall_origin is None:
-            self._wall_origin = now
-        return now - self._wall_origin
 
     def open_spans(self) -> list[str]:
         """Human-readable ``group/track/name`` of every unclosed span."""

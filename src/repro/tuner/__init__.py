@@ -20,12 +20,7 @@ from repro.tuner.artifact import (
     save_plan,
     validate_plan,
 )
-from repro.tuner.evaluator import (
-    PlanEvaluator,
-    PlanScore,
-    deterministic_timeline,
-    normalize_recording,
-)
+from repro.tuner.evaluator import PlanEvaluator, PlanScore
 from repro.tuner.search import (
     STRATEGIES,
     TrajectoryPoint,
@@ -55,9 +50,7 @@ __all__ = [
     "boundary_candidates",
     "cost_model_search",
     "default_space",
-    "deterministic_timeline",
     "load_plan",
-    "normalize_recording",
     "plan_to_dict",
     "random_search",
     "save_plan",

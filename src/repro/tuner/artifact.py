@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.exchange.clock import MODELED
 from repro.harness.config import ExperimentConfig
 
 __all__ = [
@@ -124,7 +125,9 @@ def apply_plan(config: ExperimentConfig, data: dict):
     Returns ``(config, scheme)``: the plan's fields override the config's
     (the plan wins — it is the tuned object), ``sim_overlap`` is forced
     on (plans are simulator-scored; analytic timing would misrepresent
-    them), and the plan's scheme comes back for the caller to run.
+    them) and so is the modeled clock they were scored under (a re-score
+    reproduces ``objective.mean_step_seconds`` exactly), and the plan's
+    scheme comes back for the caller to run.
     ``ExperimentConfig`` validation applies, so a plan incompatible with
     the config's cluster shape fails loudly here.
     """
@@ -142,5 +145,6 @@ def apply_plan(config: ExperimentConfig, data: dict):
         bucket_elements=int(plan["bucket_elements"]),
         bucket_boundaries=tuple(plan["bucket_boundaries"]),
         sim_overlap=True,
+        clock=MODELED,
     )
     return applied, plan["scheme"]

@@ -13,7 +13,8 @@ operations every search strategy needs:
   arithmetic, deferring schemes on collective topologies);
 * ``sample(rng)`` — rejection sampling of legal, *canonical* points;
 * ``apply(point)`` — the point as a runnable ``ExperimentConfig``
-  (``sim_overlap=True``: the simulator is the scoring oracle);
+  (``sim_overlap=True``: the simulator is the scoring oracle; the
+  modeled clock: scores are a function of the seed);
 * ``encode(points)`` — a one-hot + numeric feature matrix for the
   cost-model search.
 
@@ -30,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.compression.registry import available_schemes, make_compressor
+from repro.exchange.clock import MODELED
 from repro.exchange.wireplan import fusion_incompatibility
 from repro.harness.config import ExperimentConfig
 
@@ -242,6 +244,7 @@ class PlanSpace:
             bucket_elements=point.bucket_elements,
             bucket_boundaries=point.bucket_boundaries,
             sim_overlap=True,
+            clock=MODELED,
         )
 
     def default_point(self, scheme: str) -> PlanPoint:

@@ -4,8 +4,8 @@ Mirrors the PR 1 pattern in ``test_engine_parity.py``: the event stream of
 a fixed-seed 2-worker asynchronous run — scheduling order, logical
 timestamps, virtual clocks, observed staleness, and every push/pull
 message's wire bytes — was snapshotted into ``golden_async_trace.json``
-and must reproduce exactly. The run pins ``fixed_compute_seconds`` (the
-knob that removes wall-clock noise from the virtual clocks) and a seeded
+and must reproduce exactly. The run is on a modeled clock (which removes
+wall-clock noise from the virtual clocks) and has a seeded
 straggler, so the schedule exercises a genuinely uneven interleaving:
 worker 0 straggles at its first step and worker 1 runs three updates
 ahead before it commits (staleness 3 is in the snapshot).
@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.distributed.barriers import StragglerSpec
-from repro.exchange import EngineConfig, ExchangeEngine
+from repro.exchange import Clock, EngineConfig, ExchangeEngine
 from repro.nn import CosineDecay, build_resnet
 
 GOLDEN_PATH = Path(__file__).parent / "golden_async_trace.json"
@@ -42,7 +42,7 @@ def make_recorded_engine() -> ExchangeEngine:
             seed=0,
             sync_mode="async",
             record_transmissions=True,
-            fixed_compute_seconds=1.0,
+            clock=Clock(compute_seconds=1.0),
             straggler=StragglerSpec(
                 jitter_sigma=0.0,
                 slowdown_probability=0.35,

@@ -10,8 +10,8 @@ a single-server crash with a checkpointed restart, and the fused-bucket
 shapes the wire stream's four owners differ on (per-rack uplink buckets
 and per-rack fused pull streams, a crash snapshot of lossy bucket
 contexts, a stochastic scheme whose bucket draws follow the stream key).
-Every run pins ``fixed_compute_seconds`` so barrier order and virtual
-clocks do not depend on wall-clock noise.
+Every run is on a modeled clock (compute 0.01 s) so barrier order and
+virtual clocks do not depend on wall-clock noise.
 
 The second half checks that the recording is an *observer*: switching
 ``record_transmissions`` off leaves losses and the traffic log unchanged,
@@ -32,7 +32,7 @@ import pytest
 from repro.compression import make_compressor
 from repro.distributed.barriers import StragglerSpec
 from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
-from repro.exchange import ExchangeEngine
+from repro.exchange import Clock, ExchangeEngine
 from repro.harness.config import FAST_CONFIG
 from repro.network.traffic import StepTraffic
 
@@ -116,22 +116,28 @@ CELLS = {
 INT_FIELDS = tuple(f.name for f in fields(StepTraffic) if f.type == "int")
 
 
-def run_cell(cell: str, *, record: bool = True) -> ExchangeEngine:
+#: Compute 0.01 s a batch (codec seconds never reach the snapshot).
+CLOCK = Clock(compute_seconds=0.01)
+
+
+def cell_config(cell: str):
+    """The cell's ``(ExperimentConfig, scheme name)``."""
     overrides = {"num_workers": 8, **CELLS[cell]}
     scheme = overrides.pop("scheme", SCHEME)
     config = FAST_CONFIG.scaled(
         model_family="mlp", base_lr=0.005, standard_steps=QUANTA, **overrides
     )
+    return config, scheme
+
+
+def run_cell(cell: str, *, record: bool = True, clock: Clock = CLOCK) -> ExchangeEngine:
+    config, scheme = cell_config(cell)
     engine = ExchangeEngine(
         config.model_factory(),
         config.dataset(),
         make_compressor(scheme, seed=config.scheme_seed),
         config.schedule(QUANTA),
-        replace(
-            config.engine_config(),
-            record_transmissions=record,
-            fixed_compute_seconds=0.01,
-        ),
+        replace(config.engine_config(), record_transmissions=record, clock=clock),
     )
     engine.train(QUANTA)
     return engine

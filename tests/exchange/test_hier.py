@@ -22,6 +22,7 @@ import pytest
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.exchange import (
+    MODELED,
     EngineConfig,
     ExchangeEngine,
     HierarchicalExchangeService,
@@ -117,7 +118,7 @@ class TestTwoTierAccounting:
             assert s.intra_rack_bytes + s.cross_rack_bytes == s.wire_bytes
 
     def test_split_partitions_wire_bytes_async(self):
-        engine = make_engine(sync_mode="async", fixed_compute_seconds=0.05)
+        engine = make_engine(sync_mode="async", clock=MODELED)
         engine.train(6)
         for s in engine.traffic.steps:
             assert s.intra_rack_bytes + s.cross_rack_bytes == s.wire_bytes
@@ -180,7 +181,7 @@ class TestRecording:
     def test_async_updates_are_rack_granular(self):
         engine = make_engine(
             sync_mode="async",
-            fixed_compute_seconds=0.05,
+            clock=MODELED,
             record_transmissions=True,
         )
         engine.train(6)
@@ -208,7 +209,7 @@ class TestRecording:
         engine = make_engine(
             sync_mode="ssp",
             staleness=1,
-            fixed_compute_seconds=0.05,
+            clock=MODELED,
             record_transmissions=True,
             straggler=StragglerSpec(
                 jitter_sigma=0.0,

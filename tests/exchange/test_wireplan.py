@@ -28,6 +28,7 @@ from repro.compression import make_compressor
 from repro.compression.fusion import FusionPlan, bucket_label, build_fusion_plan
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.exchange import (
+    MODELED,
     EngineConfig,
     ExchangeEngine,
     build_wire_plan,
@@ -366,7 +367,7 @@ class TestAsyncFusedPullStreams:
     def make_async(self, fuse: bool, **overrides):
         return make_engine(
             sync_mode="async",
-            fixed_compute_seconds=0.05,
+            clock=MODELED,
             fuse_small_tensors=fuse,
             record_transmissions=True,
             **overrides,
@@ -425,7 +426,7 @@ class TestAsyncFusedPullStreams:
         engine = make_engine(
             sync_mode="ssp",
             staleness=1,
-            fixed_compute_seconds=0.05,
+            clock=MODELED,
             fuse_small_tensors=True,
         )
         engine.train(10)
@@ -434,7 +435,7 @@ class TestAsyncFusedPullStreams:
     def test_hier_async_fused_records_rack_granular_buckets(self):
         engine = make_engine(
             num_workers=4, topology="hier", racks=2, rack_size=2,
-            sync_mode="async", fixed_compute_seconds=0.05,
+            sync_mode="async", clock=MODELED,
             fuse_small_tensors=True, record_transmissions=True,
         )
         engine.train(6)
@@ -495,7 +496,7 @@ class TestLossyFusedBuckets:
         sharded.train(4)
         assert all(np.isfinite(l.train_loss) for l in sharded.step_logs)
         a = make_engine(
-            sync_mode="async", fixed_compute_seconds=0.05,
+            sync_mode="async", clock=MODELED,
             fuse_small_tensors=True, fuse_lossy=True,
         )
         a.train(6)

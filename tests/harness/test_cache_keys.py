@@ -2,8 +2,8 @@
 
 Two caches sit between a config and its numbers: the process-wide input
 memo (``repro.data.synthetic.input_memo``: templates, shards, test sets)
-and the recording level of :class:`~repro.netsim.SweepReplayCache`. For
-each, every field of the object the key is built from must either change
+and the recording and timeline levels of
+:class:`~repro.netsim.SweepReplayCache`. For each, every field of the object the key is built from must either change
 the key or provably leave the cached value byte-identical. The field
 lists come from ``dataclasses.fields()``, so a field added later fails
 here until someone says how to perturb it.
@@ -17,10 +17,11 @@ from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.data.synthetic import input_memo
 from repro.distributed.barriers import StragglerSpec
 from repro.distributed.faults import FaultSpec, UplinkFlap
+from repro.exchange import MODELED
 from repro.harness import FAST_CONFIG, ExperimentConfig, ExperimentRunner
 from repro.netsim import SweepReplayCache
 from repro.tuner import search
-from repro.tuner.evaluator import PlanEvaluator, normalize_recording
+from repro.tuner.evaluator import PlanEvaluator
 from repro.tuner.space import default_space
 from repro.utils.seeding import derive_rng
 
@@ -89,6 +90,7 @@ CONFIG_PERTURBATIONS = {
     "transmission_priority": dict(transmission_priority="smallest"),
     "sim_overlap": dict(sim_overlap=False),
     "telemetry": dict(telemetry=True),
+    "clock": dict(clock=MODELED),
     "standard_steps": dict(standard_steps=5),
     "base_lr": dict(base_lr=0.01),
     "min_lr": dict(min_lr=0.002),
@@ -112,6 +114,23 @@ INPUT_FIELDS = {
     "batch_size",
     "shard_size",
     "eval_size",
+}
+
+#: What a backward timeline depends on: the model, the profiled batch
+#: (dataset spec, batch size) and the clock.
+TIMELINE_FIELDS = {
+    "model_family",
+    "depth",
+    "base_width",
+    "mlp_hidden",
+    "model_seed",
+    "num_classes",
+    "image_size",
+    "structured_noise",
+    "pixel_noise",
+    "dataset_seed",
+    "batch_size",
+    "clock",
 }
 
 
@@ -207,11 +226,17 @@ class TestExperimentConfigFields:
         other = ExperimentRunner(config)._recording_key(SCHEME, 4)
         assert (other == key) == (name in ExperimentRunner._SIM_ONLY_CANONICAL)
 
+    @pytest.mark.parametrize("name", _names(ExperimentConfig))
+    def test_timeline_key_changes_only_with_what_a_timeline_depends_on(self, name):
+        key = ExperimentRunner(BASE)._timeline_key()
+        other = ExperimentRunner(_perturbed(BASE, name))._timeline_key()
+        assert (other == key) == (name not in TIMELINE_FIELDS)
+
 
 def _recording(config: ExperimentConfig):
-    """The normalized (measured seconds modelled) recording of one run."""
+    """The recording of one run on the modeled clock."""
     cache = SweepReplayCache()
-    runner = ExperimentRunner(config, cache, recording_filter=normalize_recording)
+    runner = ExperimentRunner(config.scaled(clock=MODELED), cache)
     runner.run(SCHEME)
     recording = cache.recording(runner._recording_key(SCHEME, config.standard_steps))
     traffic = [
@@ -235,6 +260,31 @@ class TestSimOnlyFieldsShareARecording:
             assert got[0] == transmissions, name
             assert got[1] == losses, name
             assert got[2] == traffic, name
+
+
+def test_measured_and_modeled_runners_share_one_cache():
+    """The clock is in both keys: neither runner is handed the other's
+    recording or timeline, so a tuner cache can be shared with anything."""
+    cache = SweepReplayCache()
+    measured = ExperimentRunner(BASE, cache)
+    modeled = ExperimentRunner(BASE.scaled(clock=MODELED), cache)
+    measured.run(SCHEME)
+    modeled.run(SCHEME)
+    stats = cache.stats()
+    assert (stats["recordings"], stats["recording_hits"], stats["timelines"]) == (2, 0, 2)
+    ours, theirs = (
+        cache.recording(runner._recording_key(SCHEME, 4)).transmissions
+        for runner in (measured, modeled)
+    )
+    assert [step.records for step in ours] == [step.records for step in theirs]
+    assert {step.compute_seconds for step in theirs} == {MODELED.compute_seconds}
+    assert {step.compute_seconds for step in ours} != {MODELED.compute_seconds}
+    assert measured.backward_timeline() != modeled.backward_timeline()
+    # ... and a second modeled runner is handed the first one's.
+    again = ExperimentRunner(BASE.scaled(clock=MODELED, cross_bw_fraction=0.25), cache)
+    assert again.backward_timeline() is modeled.backward_timeline()
+    assert again.run(SCHEME).loss_curve == modeled.run(SCHEME).loss_curve
+    assert cache.stats()["recordings"] == 2
 
 
 def test_plan_search_synthesizes_each_input_once():

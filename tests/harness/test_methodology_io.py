@@ -80,6 +80,25 @@ class TestResultsIo:
         with pytest.raises(ValueError, match="format version"):
             run_result_from_dict({"format_version": 99})
 
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [
+            ('{"scheme": "3LC"}', "JSON list of run documents"),
+            ('[{"format_version": 1}, "not a run"]', "JSON list of run documents"),
+            ('[{"format_version": 1, "scheme": "3LC"}]', "a run is missing required field 'traffic_steps'"),
+            ('[{"format_version": 1, "traffic_steps": []}]', "a run is missing required field 'scheme'"),
+            ('[{"format_version": 1, "traffic_st', "not a results archive"),
+        ],
+    )
+    def test_malformed_archive_fails_naming_the_path_and_field(
+        self, tmp_path, text, complaint
+    ):
+        path = tmp_path / "results.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as error:
+            load_results(path)
+        assert str(path) in str(error.value) and complaint in str(error.value)
+
     def test_telemetry_summary_roundtrip(self, runner):
         """A populated telemetry rollup survives the dict round trip."""
         from dataclasses import replace

@@ -20,7 +20,7 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.exchange import EngineConfig, ExchangeEngine
+from repro.exchange import MODELED, EngineConfig, ExchangeEngine
 from repro.netsim import (
     EventDrivenSimulator,
     NetworkSimulator,
@@ -100,7 +100,7 @@ def train_engine(topology: str = "single", sync_mode: str = "bsp", steps: int = 
         topology=topology,
         sync_mode=sync_mode,
         record_transmissions=True,
-        fixed_compute_seconds=0.05,
+        clock=MODELED,
     )
     config.update(overrides)
     engine = ExchangeEngine(

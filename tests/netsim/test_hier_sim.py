@@ -19,7 +19,7 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.exchange import EngineConfig, ExchangeEngine
+from repro.exchange import MODELED, EngineConfig, ExchangeEngine
 from repro.netsim import (
     EventDrivenSimulator,
     NetworkSimulator,
@@ -203,7 +203,7 @@ class TestRtt:
 
     def test_rtt_charged_in_event_simulator(self):
         engine, dataset = train_hier_engine(
-            sync_mode="async", fixed_compute_seconds=0.05, steps=6
+            sync_mode="async", clock=MODELED, steps=6
         )
         from repro.nn.stats import profile_backward
 

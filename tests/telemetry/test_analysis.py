@@ -16,7 +16,7 @@ import pytest
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.distributed.faults import FaultSpec, UplinkFlap
-from repro.exchange import EngineConfig, ExchangeEngine
+from repro.exchange import MODELED, EngineConfig, ExchangeEngine
 from repro.harness.config import FAST_CONFIG
 from repro.harness.runner import ExperimentRunner
 from repro.netsim import (
@@ -60,7 +60,7 @@ def train_engine(topology="single", sync_mode="bsp", steps=4, fault=None, **over
         topology=topology,
         sync_mode=sync_mode,
         record_transmissions=True,
-        fixed_compute_seconds=0.05,
+        clock=MODELED,
     )
     if topology == "hier":
         config.update(num_workers=4, racks=2, rack_size=2)
@@ -553,6 +553,33 @@ class TestTraceDiff:
         assert out.read_text() == json.dumps(SYNTHETIC_DIFF, indent=2) + "\n"
         assert len(parsed) == 2
         assert "cross:rack1" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("archive", [{"runs": []}, {"results": {"a": 1}}, ["run"], 7])
+    def test_results_archive_of_the_wrong_shape_raises_naming_the_file(
+        self, tmp_path, archive
+    ):
+        """A dict without ``results`` used to be iterated by key and read as
+        "no fault summary"."""
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(_synthetic_trace(False)))
+        bad = tmp_path / "not_results.json"
+        bad.write_text(json.dumps(archive))
+        with pytest.raises(ValueError, match="not_results.json.*results archive"):
+            diff.main([str(trace), str(trace), "--results", str(bad)])
+
+    def test_results_archive_fault_summaries_are_merged(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(_synthetic_trace(False)))
+        out = tmp_path / "diff.json"
+        for number, archive in enumerate(
+            [[{"fault_summary": {"flaps": 1}}, {}], {"results": [{"fault_summary": {"flaps": 1}}]}]
+        ):
+            good = tmp_path / f"results{number}.json"
+            good.write_text(json.dumps(archive))
+            argv = [str(trace), str(trace), "--results", str(good), "--json", str(out)]
+            assert diff.main(argv) == 0
+            assert json.loads(out.read_text())["fault_summary"] == {"flaps": 1}
 
 
 class TestReportCli:

@@ -15,7 +15,7 @@ import pytest
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.distributed import StragglerSpec
-from repro.exchange import EngineConfig, ExchangeEngine
+from repro.exchange import MEASURED, MODELED, Clock, EngineConfig, ExchangeEngine
 from repro.harness.config import FAST_CONFIG
 from repro.harness.runner import ExperimentRunner
 from repro.netsim import (
@@ -253,7 +253,7 @@ class TestEngineTelemetry:
             config.dataset(),
             make_compressor("3LC (s=1.00)", seed=0),
             config.schedule(3),
-            replace(config.engine_config(), fixed_compute_seconds=0.01),
+            replace(config.engine_config(), clock=Clock(compute_seconds=0.01)),
             telemetry=tel,
         )
         engine.train(3)
@@ -325,7 +325,8 @@ class TestRunnerTelemetry:
         restored = run_result_from_dict(run_result_to_dict(result))
         assert restored.telemetry_summary == result.telemetry_summary
 
-    def test_telemetry_off_leaves_result_bare(self, monkeypatch):
+    @pytest.mark.parametrize("clock", [MEASURED, MODELED])
+    def test_telemetry_off_leaves_result_bare(self, monkeypatch, clock):
         # Off must be free of span objects, not merely of output: count
         # every ``Span`` any tracer constructs during the run.
         built = []
@@ -336,7 +337,9 @@ class TestRunnerTelemetry:
                 super().__init__(*fields)
 
         monkeypatch.setattr(tracing, "Span", CountedSpan)
-        config = FAST_CONFIG.scaled(standard_steps=4, eval_points=1, sim_overlap=True)
+        config = FAST_CONFIG.scaled(
+            standard_steps=4, eval_points=1, sim_overlap=True, clock=clock
+        )
         runner = ExperimentRunner(config)
         result = runner.run("32-bit float", 1.0)
         assert result.telemetry_summary is None

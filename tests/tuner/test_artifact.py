@@ -11,8 +11,9 @@ import json
 
 import pytest
 
+from repro.exchange import MODELED
+from repro.harness import ExperimentRunner, results_io
 from repro.harness.config import FAST_CONFIG
-from repro.harness import results_io
 from repro.tuner.artifact import (
     PLAN_SCHEMA,
     apply_plan,
@@ -97,6 +98,32 @@ class TestRoundTrip:
     def test_save_rejects_invalid(self, artifact, tmp_path):
         with pytest.raises(ValueError):
             save_plan(tmp_path / "bad.json", dict(artifact, plan={}))
+
+    def test_truncated_artifact_rejected(self, artifact, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(artifact)[:-20])
+        with pytest.raises(ValueError):
+            load_plan(path)
+
+    def test_loaded_plan_rescores_to_the_artifacts_objective(self, artifact, tmp_path):
+        """Through the harness, not the evaluator: the modeled clock rides
+        on the applied config, so the score is reproduced exactly."""
+        path = tmp_path / "plan.json"
+        save_plan(path, artifact)
+        config, scheme = apply_plan(BASE, load_plan(path))
+        assert config.clock is MODELED
+        result = ExperimentRunner(config).run(scheme)
+        objective = artifact["objective"]
+        assert result.mean_step_seconds[objective["link"]] == objective["mean_step_seconds"]
+
+    def test_cli_names_the_clock_of_a_loaded_plan(self, artifact, tmp_path, capsys):
+        from repro.harness.cli import main
+
+        path = tmp_path / "plan.json"
+        save_plan(path, artifact)
+        assert main(["fig9", "--fast", "--steps", "4", "--workers", "4", "--plan", str(path)]) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("loaded plan")]
+        assert line.endswith("clock=modeled")
 
     def test_apply_plan_reproduces_winning_config(self, space, artifact):
         applied, scheme = apply_plan(BASE, artifact)
