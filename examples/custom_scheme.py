@@ -30,7 +30,7 @@ class _SignContext(CompressorContext):
 
     def compress(self, tensor):
         arr = self._check_shape(tensor)
-        corrected = self.buffer.add(arr)
+        corrected = self.buffer.accumulate(arr)
         magnitude = float(np.abs(corrected).mean())
         positive = corrected >= 0
         message = WireMessage(

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import Compressor, CompressorContext, CompressionResult
-from repro.compression.topk import sampled_threshold
+from repro.compression.topk import sampled_threshold, scatter_dense
 from repro.core.packets import CodecId, WireMessage
 from repro.utils.seeding import derive_rng
 
@@ -114,8 +114,7 @@ class _DGCContext(CompressorContext):
         selected = magnitudes >= threshold
         if threshold == 0.0:
             selected &= self._v != 0
-        flat = selected.reshape(-1)
-        indices = np.flatnonzero(flat).astype("<u4")
+        indices = np.flatnonzero(selected).astype("<u4")
         values = self._v.reshape(-1)[indices].astype("<f4")
         message = WireMessage(
             codec_id=CodecId.DGC_SPARSE,
@@ -123,9 +122,7 @@ class _DGCContext(CompressorContext):
             payload=indices.tobytes() + values.tobytes(),
             dtype=np.float32,
         )
-        reconstruction = np.where(selected, self._v, np.float32(0.0)).astype(
-            np.float32
-        )
+        reconstruction = scatter_dense(indices, values, grad.shape)
         # Momentum factor masking: transmitted coordinates restart both the
         # velocity and the momentum accumulator.
         self._v[selected] = 0.0
@@ -225,6 +222,4 @@ class DGCCompressor(Compressor):
         values = np.frombuffer(message.payload[4 * n :], dtype="<f4")
         if indices.size and int(indices.max()) >= count:
             raise ValueError("DGC index out of range (corrupted frame?)")
-        out = np.zeros(count, dtype=np.float32)
-        out[indices] = values
-        return out.reshape(message.shape)
+        return scatter_dense(indices, values, message.shape)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import Compressor, CompressorContext, CompressionResult
+from repro.compression.topk import decode_bitmap_sparse, encode_bitmap_sparse
 from repro.core.error_feedback import ErrorAccumulationBuffer
 from repro.core.packets import CodecId, WireMessage
 
@@ -61,7 +62,7 @@ class _GaiaContext(CompressorContext):
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
         arr = self._check_shape(tensor)
-        accumulated = self.buffer.add(arr)
+        accumulated = self.buffer.accumulate(arr)
         threshold = self.threshold_at(self._step)
         self._step += 1
 
@@ -69,24 +70,13 @@ class _GaiaContext(CompressorContext):
             np.sqrt(np.mean(np.square(accumulated))) or 1.0
         )
         selected = np.abs(accumulated) >= threshold * scale
-        flat = selected.reshape(-1)
-        values = accumulated.reshape(-1)[flat].astype("<f4")
-        bitmap = np.packbits(flat)
-        message = WireMessage(
-            codec_id=CodecId.GAIA_SPARSE,
-            shape=arr.shape,
-            payload=bitmap.tobytes() + values.tobytes(),
-            dtype=np.float32,
-        )
-        reconstruction = np.where(selected, accumulated, np.float32(0.0)).astype(
-            np.float32
-        )
-        self.buffer.subtract(reconstruction)
+        result = encode_bitmap_sparse(CodecId.GAIA_SPARSE, accumulated, selected)
+        self.buffer.subtract(result.reconstruction)
         # Update the significance base from what was actually applied so the
         # relative criterion tracks the decaying update scale.
-        applied_rms = float(np.sqrt(np.mean(np.square(reconstruction))))
+        applied_rms = float(np.sqrt(np.mean(np.square(result.reconstruction))))
         self._rms = 0.9 * self._rms + 0.1 * applied_rms if self._rms else applied_rms
-        return CompressionResult(message, reconstruction)
+        return result
 
     def residual_norm(self) -> float:
         return self.buffer.l2_norm()
@@ -145,15 +135,4 @@ class GaiaCompressor(Compressor):
         )
 
     def decompress(self, message: WireMessage) -> np.ndarray:
-        if message.codec_id is not CodecId.GAIA_SPARSE:
-            raise ValueError(f"not a Gaia message: {message.codec_id!r}")
-        count = message.element_count
-        bitmap_bytes = -(-count // 8)
-        bitmap = np.frombuffer(message.payload[:bitmap_bytes], dtype=np.uint8)
-        selected = np.unpackbits(bitmap, count=count).astype(bool)
-        values = np.frombuffer(message.payload[bitmap_bytes:], dtype="<f4")
-        if values.size != int(np.count_nonzero(selected)):
-            raise ValueError("selected-value count mismatch")
-        out = np.zeros(count, dtype=np.float32)
-        out[selected] = values
-        return out.reshape(message.shape)
+        return decode_bitmap_sparse(message, CodecId.GAIA_SPARSE)

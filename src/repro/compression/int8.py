@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.compression.base import Compressor, CompressorContext, CompressionResult
 from repro.core.packets import CodecId, WireMessage
+from repro.core.quantization import max_magnitude
 
 __all__ = ["Int8Compressor", "INT8_LEVELS"]
 
@@ -21,18 +22,28 @@ __all__ = ["Int8Compressor", "INT8_LEVELS"]
 INT8_LEVELS = 127
 
 
+def _dequantize(quantized: np.ndarray, scale: float) -> np.ndarray:
+    """``quantized * scale`` in float32, scaled in the buffer of the widening cast."""
+    out = quantized.astype(np.float32)
+    out *= np.float32(scale)
+    return out
+
+
 class _Int8Context(CompressorContext):
     def compress(self, tensor: np.ndarray) -> CompressionResult:
         arr = self._check_shape(tensor)
-        max_mag = float(np.max(np.abs(arr))) if arr.size else 0.0
+        max_mag = max_magnitude(arr)
         if max_mag == 0.0:
             quantized = np.zeros(arr.shape, dtype=np.int8)
             scale = 0.0
         else:
             scale = max_mag / INT8_LEVELS
-            quantized = np.clip(
-                np.rint(arr / scale), -INT8_LEVELS, INT8_LEVELS
-            ).astype(np.int8)
+            # ``out=`` keeps a 0-d tensor an array through the in-place steps.
+            ratio = np.divide(arr, scale, out=np.empty_like(arr))
+            np.rint(ratio, out=ratio)
+            quantized = np.clip(ratio, -INT8_LEVELS, INT8_LEVELS, out=ratio).astype(
+                np.int8
+            )
         message = WireMessage(
             codec_id=CodecId.INT8,
             shape=arr.shape,
@@ -40,10 +51,7 @@ class _Int8Context(CompressorContext):
             scalars=(scale,),
             dtype=np.float32,
         )
-        reconstruction = (quantized.astype(np.float32) * np.float32(scale)).astype(
-            np.float32
-        )
-        return CompressionResult(message, reconstruction)
+        return CompressionResult(message, _dequantize(quantized, scale))
 
 
 class Int8Compressor(Compressor):
@@ -62,7 +70,6 @@ class Int8Compressor(Compressor):
         quantized = np.frombuffer(message.payload, dtype=np.int8)
         if quantized.size != message.element_count:
             raise ValueError("payload size mismatch")
-        (scale,) = message.scalars
-        return (
-            quantized.reshape(message.shape).astype(np.float32) * np.float32(scale)
-        ).astype(np.float32)
+        # A forged payload byte can be -128, one past the encoder's levels.
+        (scale,) = message.checked_scalars(1, nonnegative=True, times=128.0)
+        return _dequantize(quantized.reshape(message.shape), scale)

@@ -36,7 +36,7 @@ class _LocalStepsContext(CompressorContext):
 
     def compress(self, tensor: np.ndarray) -> CompressionResult | None:
         arr = self._check_shape(tensor)
-        accumulated = self.buffer.add(arr)
+        accumulated = self.buffer.accumulate(arr)
         self._step += 1
         if self._step % self.period != 0:
             return None

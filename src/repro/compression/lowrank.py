@@ -55,7 +55,7 @@ class _LowRankContext(CompressorContext):
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
         arr = self._check_shape(tensor)
-        accumulated = self.buffer.add(arr)
+        accumulated = self.buffer.accumulate(arr)
         if self.matrix_shape is None:
             # Generality fallback: biases and scalars go uncompressed.
             payload = accumulated.astype("<f4").tobytes()
@@ -126,7 +126,7 @@ class SufficientFactorCompressor(Compressor):
     def decompress(self, message: WireMessage) -> np.ndarray:
         if message.codec_id is not CodecId.LOW_RANK:
             raise ValueError(f"not a low-rank message: {message.codec_id!r}")
-        (rank_f,) = message.scalars
+        (rank_f,) = message.checked_scalars(1, nonnegative=True)
         rank = int(rank_f)
         if rank == 0:
             flat = np.frombuffer(message.payload, dtype="<f4")

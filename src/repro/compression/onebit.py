@@ -26,15 +26,23 @@ from repro.core.packets import CodecId, WireMessage
 __all__ = ["OneBitCompressor"]
 
 
-def _mqe_quantize(arr: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Split by sign; return (bitmap, mean_negative, mean_nonnegative)."""
-    nonneg = arr >= 0
-    n_pos = int(np.count_nonzero(nonneg))
-    n_neg = arr.size - n_pos
-    # Partition means minimize sum of squared errors within each partition.
-    mean_pos = float(arr[nonneg].mean()) if n_pos else 0.0
-    mean_neg = float(arr[~nonneg].mean()) if n_neg else 0.0
-    return nonneg, mean_neg, mean_pos
+def _partition_mean(flat: np.ndarray, mask: np.ndarray) -> float:
+    """The mean of ``flat[mask]`` (0 when empty): the partition's MQE level.
+
+    Gathered by index — the same elements in the same order, so ``mean``
+    rounds the same — because a boolean extract branches per element and a
+    sign mask is a coin flip.
+    """
+    at = np.flatnonzero(mask)
+    return float(flat.take(at).mean()) if at.size else 0.0
+
+
+def _two_level(bits: np.ndarray, mean_neg: float, mean_pos: float) -> np.ndarray:
+    """``mean_pos`` where ``bits`` is set, ``mean_neg`` elsewhere, as float32.
+
+    ``bits`` holds only 0 and 1, so ``take`` may skip its bounds-check pass.
+    """
+    return np.array([mean_neg, mean_pos], dtype=np.float32).take(bits, mode="wrap")
 
 
 class _OneBitContext(CompressorContext):
@@ -50,19 +58,18 @@ class _OneBitContext(CompressorContext):
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
         arr = self._check_shape(tensor)
-        corrected = self.buffer.add(arr)
-        nonneg, mean_neg, mean_pos = _mqe_quantize(corrected)
-        bitmap = np.packbits(nonneg.reshape(-1))
+        flat = self.buffer.accumulate(arr).reshape(-1)
+        nonneg = flat >= 0
+        mean_pos = _partition_mean(flat, nonneg)
+        mean_neg = _partition_mean(flat, ~nonneg)
         message = WireMessage(
             codec_id=CodecId.ONEBIT_MQE,
             shape=arr.shape,
-            payload=bitmap.tobytes(),
+            payload=np.packbits(nonneg).tobytes(),
             scalars=(mean_neg, mean_pos),
             dtype=np.float32,
         )
-        reconstruction = np.where(
-            nonneg, np.float32(mean_pos), np.float32(mean_neg)
-        ).astype(np.float32)
+        reconstruction = _two_level(nonneg, mean_neg, mean_pos).reshape(arr.shape)
         self.buffer.subtract(reconstruction)
         return CompressionResult(message, reconstruction)
 
@@ -87,8 +94,6 @@ class OneBitCompressor(Compressor):
         bitmap = np.frombuffer(message.payload, dtype=np.uint8)
         if bitmap.size != -(-count // 8):
             raise ValueError("bitmap size mismatch")
-        nonneg = np.unpackbits(bitmap, count=count).astype(bool)
-        mean_neg, mean_pos = message.scalars
-        return np.where(
-            nonneg, np.float32(mean_pos), np.float32(mean_neg)
-        ).astype(np.float32).reshape(message.shape)
+        mean_neg, mean_pos = message.checked_scalars(2)
+        bits = np.unpackbits(bitmap, count=count)
+        return _two_level(bits, mean_neg, mean_pos).reshape(message.shape)

@@ -157,12 +157,11 @@ class QSGDCompressor(Compressor):
     def decompress(self, message: WireMessage) -> np.ndarray:
         if message.codec_id is not CodecId.QSGD:
             raise ValueError(f"not a QSGD message: {message.codec_id!r}")
-        if len(message.scalars) == 2:  # frames from before the coding field
-            norm, levels_f = message.scalars
-            coding_id = 0
-        else:
-            norm, levels_f, coding_f = message.scalars
-            coding_id = int(coding_f)
+        # Frames from before the coding field carry two scalars (gamma coding).
+        norm, levels_f, *coding_f = message.checked_scalars(
+            2 if len(message.scalars) == 2 else 3, nonnegative=True
+        )
+        coding_id = int(coding_f[0]) if coding_f else 0
         if coding_id not in _CODING_BY_ID:
             raise ValueError(f"unknown QSGD coding id {coding_id}")
         _, decode = _CODING_BY_ID[coding_id]

@@ -48,7 +48,7 @@ class _RoundRobinContext(CompressorContext):
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
         arr = self._check_shape(tensor)
-        accumulated = self.buffer.add(arr)
+        accumulated = self.buffer.accumulate(arr)
         index = self._step % self.partitions
         self._step += 1
         start, end = partition_bounds(arr.size, self.partitions, index)
@@ -94,7 +94,7 @@ class RoundRobinCompressor(Compressor):
     def decompress(self, message: WireMessage) -> np.ndarray:
         if message.codec_id is not CodecId.ROUND_ROBIN:
             raise ValueError(f"not a round-robin message: {message.codec_id!r}")
-        partitions, index = (int(s) for s in message.scalars)
+        partitions, index = map(int, message.checked_scalars(2, nonnegative=True))
         count = message.element_count
         start, end = partition_bounds(count, partitions, index)
         values = np.frombuffer(message.payload, dtype="<f4")

@@ -22,7 +22,6 @@ from repro.core.packets import CodecId, WireMessage
 from repro.core.quantization import (
     QuantizedTensor,
     dequantize_3value,
-    frame_scale,
     quantize_stochastic_ternary,
 )
 from repro.core.quartic import quartic_decode, quartic_encode
@@ -124,4 +123,5 @@ class StochasticTernaryCompressor(Compressor):
             )
         encoded = np.frombuffer(message.payload, dtype=np.uint8)
         values = quartic_decode(encoded, message.element_count, message.shape)
-        return dequantize_3value(QuantizedTensor(values, frame_scale(message.scalars)))
+        (scale,) = message.checked_scalars(1, nonnegative=True)
+        return dequantize_3value(QuantizedTensor(values, scale))

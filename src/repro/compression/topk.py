@@ -23,7 +23,14 @@ from repro.core.error_feedback import ErrorAccumulationBuffer
 from repro.core.packets import CodecId, WireMessage
 from repro.utils.seeding import derive_rng
 
-__all__ = ["TopKCompressor", "sampled_threshold", "DEFAULT_SAMPLE_SIZE"]
+__all__ = [
+    "TopKCompressor",
+    "sampled_threshold",
+    "scatter_dense",
+    "encode_bitmap_sparse",
+    "decode_bitmap_sparse",
+    "DEFAULT_SAMPLE_SIZE",
+]
 
 #: Number of entries sampled when estimating the selection threshold.
 DEFAULT_SAMPLE_SIZE = 4096
@@ -55,6 +62,51 @@ def sampled_threshold(
     return float(np.quantile(sample, 1.0 - fraction, method="lower"))
 
 
+def scatter_dense(
+    indices: np.ndarray, values: np.ndarray, shape: tuple[int, ...]
+) -> np.ndarray:
+    """A float32 tensor of ``shape``: ``values`` at flat ``indices``, +0.0 elsewhere."""
+    out = np.zeros(shape, dtype=np.float32)
+    out.reshape(-1)[indices] = values
+    return out
+
+
+def encode_bitmap_sparse(
+    codec_id: CodecId, tensor: np.ndarray, selected: np.ndarray
+) -> CompressionResult:
+    """Frame the ``selected`` entries of a float32 ``tensor``.
+
+    The one bitmap-sparse wire format (top-k and Gaia): a selection bitmap,
+    1 bit per entry, then the selected values as float32. The values are
+    gathered once, by index, and the reconstruction is those same values
+    scattered over zeros.
+    """
+    indices = np.flatnonzero(selected)
+    values = tensor.reshape(-1).take(indices)
+    message = WireMessage(
+        codec_id=codec_id,
+        shape=tensor.shape,
+        payload=np.packbits(selected.reshape(-1)).tobytes()
+        + values.astype("<f4", copy=False).tobytes(),
+        dtype=np.float32,
+    )
+    return CompressionResult(message, scatter_dense(indices, values, tensor.shape))
+
+
+def decode_bitmap_sparse(message: WireMessage, codec_id: CodecId) -> np.ndarray:
+    """Invert :func:`encode_bitmap_sparse` for a ``codec_id`` frame."""
+    if message.codec_id is not codec_id:
+        raise ValueError(f"not a {codec_id.name} message: {message.codec_id!r}")
+    count = message.element_count
+    bitmap_bytes = -(-count // 8)
+    bitmap = np.frombuffer(message.payload[:bitmap_bytes], dtype=np.uint8)
+    indices = np.flatnonzero(np.unpackbits(bitmap, count=count).view(bool))
+    values = np.frombuffer(message.payload[bitmap_bytes:], dtype="<f4")
+    if values.size != indices.size:
+        raise ValueError("selected-value count mismatch")
+    return scatter_dense(indices, values, message.shape)
+
+
 class _TopKContext(CompressorContext):
     def __init__(
         self, shape: tuple[int, ...], fraction: float, rng: np.random.Generator
@@ -66,7 +118,7 @@ class _TopKContext(CompressorContext):
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
         arr = self._check_shape(tensor)
-        corrected = self.buffer.add(arr)
+        corrected = self.buffer.accumulate(arr)
         magnitudes = np.abs(corrected)
         threshold = sampled_threshold(magnitudes, self.fraction, self.rng)
         selected = magnitudes >= threshold
@@ -74,20 +126,9 @@ class _TopKContext(CompressorContext):
         # in that degenerate case transmit only true non-zeros.
         if threshold == 0.0:
             selected &= corrected != 0
-        flat_selected = selected.reshape(-1)
-        values = corrected.reshape(-1)[flat_selected].astype("<f4")
-        bitmap = np.packbits(flat_selected)
-        message = WireMessage(
-            codec_id=CodecId.TOPK_SPARSE,
-            shape=arr.shape,
-            payload=bitmap.tobytes() + values.tobytes(),
-            dtype=np.float32,
-        )
-        reconstruction = np.where(selected, corrected, np.float32(0.0)).astype(
-            np.float32
-        )
-        self.buffer.subtract(reconstruction)
-        return CompressionResult(message, reconstruction)
+        result = encode_bitmap_sparse(CodecId.TOPK_SPARSE, corrected, selected)
+        self.buffer.subtract(result.reconstruction)
+        return result
 
     def residual_norm(self) -> float:
         return self.buffer.l2_norm()
@@ -121,15 +162,4 @@ class TopKCompressor(Compressor):
         )
 
     def decompress(self, message: WireMessage) -> np.ndarray:
-        if message.codec_id is not CodecId.TOPK_SPARSE:
-            raise ValueError(f"not a top-k message: {message.codec_id!r}")
-        count = message.element_count
-        bitmap_bytes = -(-count // 8)
-        bitmap = np.frombuffer(message.payload[:bitmap_bytes], dtype=np.uint8)
-        selected = np.unpackbits(bitmap, count=count).astype(bool)
-        values = np.frombuffer(message.payload[bitmap_bytes:], dtype="<f4")
-        if values.size != int(np.count_nonzero(selected)):
-            raise ValueError("selected-value count mismatch")
-        out = np.zeros(count, dtype=np.float32)
-        out[selected] = values
-        return out.reshape(message.shape)
+        return decode_bitmap_sparse(message, CodecId.TOPK_SPARSE)

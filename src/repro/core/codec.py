@@ -24,7 +24,6 @@ from repro.core.packets import CodecId, WireMessage
 from repro.core.quantization import (
     QuantizedTensor,
     dequantize_3value,
-    frame_scale,
     quantize_3value,
     quantize_3value_batch,
 )
@@ -190,8 +189,8 @@ class ThreeLCCodec:
             encoded = zre_decode(encoded)
         count = message.element_count
         values = quartic_decode(encoded, count, message.shape)
-        quantized = QuantizedTensor(values, frame_scale(message.scalars))
-        return dequantize_3value(quantized, message.dtype)
+        (scale,) = message.checked_scalars(1, nonnegative=True)
+        return dequantize_3value(QuantizedTensor(values, scale), message.dtype)
 
     def decompress_batch(self, messages) -> list[np.ndarray]:
         """Decode many wire messages with one vectorized pass.
@@ -214,7 +213,7 @@ class ThreeLCCodec:
                     f"frame {i}: not a 3LC message: {message.codec_id!r}"
                 )
             try:
-                scales.append(frame_scale(message.scalars))
+                scales.extend(message.checked_scalars(1, nonnegative=True))
             except ValueError as error:
                 raise ValueError(f"frame {i}: {error}") from None
         counts = np.array([m.element_count for m in messages], dtype=np.intp)

@@ -17,8 +17,6 @@ coordination among nodes.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 __all__ = ["ErrorAccumulationBuffer"]
@@ -38,7 +36,8 @@ class ErrorAccumulationBuffer:
     Examples
     --------
     >>> buf = ErrorAccumulationBuffer((2, 2))
-    >>> outgoing = buf.add(np.array([[0.4, -0.1], [0.0, 0.2]], dtype=np.float32))
+    >>> update = np.array([[0.4, -0.1], [0.0, 0.2]], dtype=np.float32)
+    >>> outgoing = buf.accumulate(update)
     >>> # ... lossy-compress `outgoing`, producing `reconstructed` ...
     >>> # buf.subtract(reconstructed) stores what the receiver did not get.
     """
@@ -66,7 +65,7 @@ class ErrorAccumulationBuffer:
 
         The buffer holds the sum until :meth:`subtract` records what was
         transmitted; the returned array is a read-only view of it, for lossy
-        stages that only read. :meth:`add` hands out a copy instead.
+        stages that only read (one that must write takes a ``.copy()``).
         """
         tensor = np.asarray(tensor)
         if tensor.shape != self._residual.shape:
@@ -75,10 +74,6 @@ class ErrorAccumulationBuffer:
             )
         self._residual += tensor
         return self.residual
-
-    def add(self, tensor: np.ndarray) -> np.ndarray:
-        """:meth:`accumulate`, returning a fresh copy that is safe to mutate."""
-        return self.accumulate(tensor).copy()
 
     def subtract(self, reconstructed: np.ndarray) -> None:
         """Step (b): subtract the receiver-visible reconstruction.
@@ -93,30 +88,6 @@ class ErrorAccumulationBuffer:
                 f"reconstruction {reconstructed.shape}"
             )
         self._residual -= reconstructed
-
-    def transact(
-        self, tensor: np.ndarray, lossy: Callable[[np.ndarray], tuple[object, np.ndarray]]
-    ) -> object:
-        """Run one full accumulate → compress → correct cycle.
-
-        Parameters
-        ----------
-        tensor:
-            The new state change to transmit.
-        lossy:
-            Function mapping the error-corrected tensor to a pair
-            ``(message, reconstruction)`` where ``reconstruction`` is what
-            the receiver will decode.
-
-        Returns
-        -------
-        object
-            The ``message`` produced by ``lossy``.
-        """
-        corrected = self.add(tensor)
-        message, reconstruction = lossy(corrected)
-        self.subtract(reconstruction)
-        return message
 
     def reset(self) -> None:
         """Zero the residual (used when a training run restarts)."""

@@ -117,6 +117,24 @@ class WireMessage:
             count *= int(dim)
         return count
 
+    def checked_scalars(
+        self, count: int, *, nonnegative: bool = False, times: float = 1.0
+    ) -> tuple[float, ...]:
+        """The header scalars, checked before a decoder multiplies by them.
+
+        Exactly ``count`` values, each finite in the frame's ``dtype`` even
+        once multiplied by ``times`` (the largest factor the decoder applies)
+        and, with ``nonnegative`` (scales, norms, counts), none below zero.
+        """
+        high = float(np.finfo(self.dtype).max) / times
+        low = 0.0 if nonnegative else -high
+        if len(self.scalars) != count or not all(low <= s <= high for s in self.scalars):
+            raise ValueError(
+                f"{self.codec_id.name} frame needs {count} header value(s) in "
+                f"[{low}, {high}], got scalars={self.scalars!r}"
+            )
+        return tuple(map(float, self.scalars))
+
     @property
     def wire_size(self) -> int:
         """Total frame size in bytes, headers and CRC included."""

@@ -36,8 +36,8 @@ __all__ = [
     "quantize_3value",
     "quantize_3value_batch",
     "dequantize_3value",
-    "frame_scale",
     "quantize_stochastic_ternary",
+    "max_magnitude",
     "MIN_SPARSITY_MULTIPLIER",
     "MAX_SPARSITY_MULTIPLIER",
 ]
@@ -87,7 +87,7 @@ def _validate_multiplier(s: float) -> float:
     return s
 
 
-def _max_magnitude(arr: np.ndarray) -> float:
+def max_magnitude(arr: np.ndarray) -> float:
     """``max(|arr|)`` (0 when empty) from one ``max`` and one ``min`` pass.
 
     NaN propagates through both and an infinity survives one of them, so the
@@ -131,7 +131,7 @@ def quantize_3value(tensor: np.ndarray, s: float = 1.0) -> QuantizedTensor:
     """
     s = _validate_multiplier(s)
     arr = np.asarray(tensor)
-    scale = _max_magnitude(arr) * s
+    scale = max_magnitude(arr) * s
     if scale == 0.0:
         return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
     return QuantizedTensor(_round_to_ternary(arr, scale), scale)
@@ -144,15 +144,6 @@ def dequantize_3value(
     out = quantized.values.astype(dtype)
     out *= quantized.scale
     return out
-
-
-def frame_scale(scalars: tuple[float, ...]) -> float:
-    """The scale ``M`` of a received 3-value frame, which must not be trusted."""
-    if len(scalars) != 1 or not (math.isfinite(scalars[0]) and scalars[0] >= 0.0):
-        raise ValueError(
-            f"3-value frame needs scalars=(M,), one finite M >= 0, got {scalars!r}"
-        )
-    return float(scalars[0])
 
 
 def quantize_3value_batch(
@@ -189,7 +180,7 @@ def quantize_3value_batch(
     nonempty = lengths > 0
     if flat.size:
         # Zero-length segments occupy no indices, so consecutive nonempty
-        # starts bound exactly one segment each (cf. _max_magnitude).
+        # starts bound exactly one segment each (cf. max_magnitude).
         live = starts[nonempty]
         lows = np.minimum.reduceat(flat, live).astype(np.float64)
         mags[nonempty] = np.maximum(np.maximum.reduceat(flat, live), -lows)
@@ -226,7 +217,7 @@ def quantize_stochastic_ternary(
         so runs are reproducible.
     """
     arr = np.asarray(tensor)
-    scale = _max_magnitude(arr)
+    scale = max_magnitude(arr)
     if scale == 0.0:
         return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
     prob = np.abs(arr) / scale

@@ -53,6 +53,15 @@ _TAIL_BYTE = np.array(
     [ZERO_GROUP_BYTE, *range(FIRST_ESCAPE_BYTE, LAST_ESCAPE_BYTE + 1)], dtype=np.uint8
 )
 
+# Decoding is two lookups per byte: what it expands to and how many times.
+# Keys from _PASS_THROUGH up are the bytes of a segment that was never
+# zero-run encoded: each stands for itself, once.
+_PASS_THROUGH = 256
+_DECODED_BYTE = np.tile(np.arange(_PASS_THROUGH, dtype=np.uint8), 2)
+_DECODED_BYTE[FIRST_ESCAPE_BYTE:_PASS_THROUGH] = ZERO_GROUP_BYTE
+_RUN_LENGTH = np.ones(2 * _PASS_THROUGH, dtype=np.intp)
+_RUN_LENGTH[FIRST_ESCAPE_BYTE:_PASS_THROUGH] = np.arange(MIN_RUN, MAX_RUN + 1)
+
 
 def zre_encode(data: np.ndarray) -> np.ndarray:
     """Zero-run encode a quartic byte stream.
@@ -167,19 +176,23 @@ def _encode(
     return out[literal], marks - dropped[np.searchsorted(starts, marks)]
 
 
+def _expand(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded stream and per-byte run lengths for ``intp`` table keys."""
+    run_lengths = _RUN_LENGTH.take(keys)
+    return np.repeat(_DECODED_BYTE.take(keys), run_lengths), run_lengths
+
+
 def zre_decode(data: np.ndarray) -> np.ndarray:
     """Invert :func:`zre_encode`.
 
     Escape bytes ``243 + j`` expand to ``j + 2`` copies of the zero-group
-    byte ``121``; all other bytes pass through.
+    byte ``121``; all other bytes pass through. A stream without escape
+    bytes is returned as it is (the result may alias ``data``).
     """
     arr = np.asarray(data, dtype=np.uint8).reshape(-1)
-    if arr.size == 0:
-        return arr.copy()
-    is_escape = arr >= FIRST_ESCAPE_BYTE
-    run_lengths = np.where(is_escape, arr.astype(np.int64) - FIRST_ESCAPE_BYTE + MIN_RUN, 1)
-    out_values = np.where(is_escape, np.uint8(ZERO_GROUP_BYTE), arr)
-    return np.repeat(out_values, run_lengths)
+    if arr.size == 0 or arr.max() < FIRST_ESCAPE_BYTE:
+        return arr
+    return _expand(arr.astype(np.intp))[0]
 
 
 def zre_decode_batch(
@@ -204,15 +217,15 @@ def zre_decode_batch(
     offsets = _segment_offsets(byte_offsets, arr.size)
     is_escape = arr >= FIRST_ESCAPE_BYTE
     if encoded is not None:
-        is_escape &= np.repeat(np.asarray(encoded, dtype=bool), np.diff(offsets))
+        literal = np.repeat(~np.asarray(encoded, dtype=bool), np.diff(offsets))
+        is_escape &= ~literal
     if not is_escape.any():
         return arr, offsets
-    run_lengths = np.where(
-        is_escape, arr.astype(np.intp) - (FIRST_ESCAPE_BYTE - MIN_RUN), 1
-    )
-    out_values = np.where(is_escape, np.uint8(ZERO_GROUP_BYTE), arr)
-    decoded_offsets = np.concatenate(([0], np.cumsum(run_lengths)))[offsets]
-    return np.repeat(out_values, run_lengths), decoded_offsets
+    keys = arr.astype(np.intp)
+    if encoded is not None:
+        keys += _PASS_THROUGH * literal
+    decoded, run_lengths = _expand(keys)
+    return decoded, np.concatenate(([0], np.cumsum(run_lengths)))[offsets]
 
 
 def zre_encode_reference(data: np.ndarray) -> np.ndarray:

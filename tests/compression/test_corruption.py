@@ -10,6 +10,8 @@ Two layers of defence are exercised for every registered scheme:
   no silent shape corruption, no unhandled IndexError, no hang.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,69 @@ class TestPayloadForgery:
             assert out.shape == t.shape
 
 
+# 1e300 and 3e38 are finite doubles that overflow float32 (3e38 once scaled).
+FORGED_VALUES = (float("nan"), float("inf"), -float("inf"), -1.0, 1e300, 3e38)
+
+
+class TestScalarForgery:
+    """A valid frame around a forged header: no scheme decodes it to NaN."""
+
+    def test_forged_scalars_raise_or_decode_finite(self, scheme, rng):
+        t = rng.normal(0, 0.1, size=(9, 11)).astype(np.float32)
+        ctx = scheme.make_context(t.shape, key=("header",))
+        message = _first_transmission(ctx, t).message
+        genuine = message.scalars
+        forgeries = [genuine[:-1], genuine + (1.0,)] if genuine else [(1.0,)]
+        forgeries += [
+            genuine[:i] + (bad,) + genuine[i + 1 :]
+            for i in range(len(genuine))
+            for bad in FORGED_VALUES
+        ]
+        for scalars in forgeries:
+            try:
+                out = scheme.decompress(replace(message, scalars=scalars))
+            except ValueError:
+                continue  # detected: acceptable
+            assert out.shape == t.shape and np.isfinite(out).all(), scalars
+
+    @pytest.mark.parametrize(
+        "name, scalars",
+        [
+            ("MQE 1-bit int", (float("nan"), 1.0)),
+            ("MQE 1-bit int", (float("inf"), -float("inf"))),
+            ("MQE 1-bit int", (1.0,)),
+            ("MQE 1-bit int", (1.0, 2.0, 3.0)),
+            ("8-bit int", (float("nan"),)),
+            ("8-bit int", (float("inf"),)),
+            ("8-bit int", (-1.0,)),
+            ("8-bit int", (3e38,)),
+            ("8-bit int", (1e300,)),
+            ("MQE 1-bit int", (1e300, 1.0)),
+            ("Stoch 3-value + QE", (1e300,)),
+            ("8-bit int", ()),
+            ("3LC (s=1.00)", (-1.0,)),
+        ],
+    )
+    def test_the_error_names_scheme_and_scalars(self, name, scalars, rng):
+        scheme = make_compressor(name)
+        t = rng.normal(size=24).astype(np.float32)
+        message = scheme.make_context(t.shape).compress(t).message
+        with pytest.raises(ValueError) as error:
+            scheme.decompress(replace(message, scalars=scalars))
+        assert message.codec_id.name in str(error.value)
+        assert f"scalars={scalars!r}" in str(error.value)
+
+    def test_int8_scale_is_checked_against_a_forged_minus_128(self):
+        # The encoder stops at +-127; 128 * scale must still fit float32.
+        scheme = make_compressor("8-bit int")
+        t = np.linspace(-1.0, 1.0, 24, dtype=np.float32)
+        message = scheme.make_context(t.shape).compress(t).message
+        scale = float(np.finfo(np.float32).max) / 127.5
+        forged = replace(message, payload=b"\x80" * 24, scalars=(scale,))
+        with pytest.raises(ValueError, match="INT8"):
+            scheme.decompress(forged)
+
+
 class TestWireMessageFuzz:
     @given(st.binary(min_size=0, max_size=200))
     @settings(max_examples=100)
@@ -111,3 +176,9 @@ class TestWireMessageFuzz:
             WireMessage.unpack(blob)
         except ValueError:
             pass
+
+
+def test_a_runtime_warning_fails_this_suite():
+    # tests/conftest.py marks this directory and tests/core ``error::RuntimeWarning``.
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        np.array([np.nan], dtype=np.float32).astype(np.int8)

@@ -96,7 +96,7 @@ class TestGaia:
 
     def test_rejects_foreign_message(self):
         bad = WireMessage(codec_id=CodecId.FLOAT32, shape=(4,), payload=b"")
-        with pytest.raises(ValueError, match="Gaia"):
+        with pytest.raises(ValueError, match="GAIA_SPARSE"):
             GaiaCompressor().decompress(bad)
 
     def test_value_count_mismatch_detected(self):

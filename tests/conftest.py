@@ -1,5 +1,7 @@
 """Shared test configuration."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -13,6 +15,16 @@ settings.register_profile(
     max_examples=50,
 )
 settings.load_profile("repro")
+
+# A NaN in a codec is an error: "invalid value encountered" (or an overflow,
+# or a division by zero) from an encoder or decoder fails these suites.
+_WARNING_FREE = tuple(Path(__file__).parent / name for name in ("compression", "core"))
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if any(root in item.path.parents for root in _WARNING_FREE):
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 @pytest.fixture
