@@ -42,7 +42,6 @@ from repro.network.timing import StepTimeModel
 from repro.nn import CosineDecay, build_resnet
 from repro.nn.stats import profile_backward
 from repro.utils.format import format_table
-from repro.utils.profiling import maybe_profile
 
 TIME_MODEL = StepTimeModel(
     overlap=0.0, per_message_overhead=25e-6, compute_scale=0.05, codec_scale=0.5
@@ -415,16 +414,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--link", default="100Mbps", choices=["10Mbps", "100Mbps", "1Gbps"]
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a cProfile top-20 of the sweep hot path "
-        "(REPRO_PROFILE=1 works too)",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="PATH", default=None,
-        help="dump raw cProfile stats to PATH (implies --profile)",
-    )
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -435,25 +424,22 @@ def main(argv=None) -> int:
 
     crash_steps = args.steps if args.steps is not None else 80
     flap_steps = args.steps if args.steps is not None else 40
-    with maybe_profile(
-        args.profile or None, label="bench_churn sweep", out=args.profile_out
-    ):
-        crash_report = churn_tables(
-            steps=crash_steps,
-            depth=8,
-            base_width=4,
-            eval_size=2000,
-            link_name=args.link,
-            # The calibrated drift bounds assume the default budget.
-            assert_bounds=args.steps is None,
-        )
-        flap_report = flap_table(
-            steps=flap_steps,
-            depth=8,
-            base_width=4,
-            eval_size=1000,
-            link_name=args.link,
-        )
+    crash_report = churn_tables(
+        steps=crash_steps,
+        depth=8,
+        base_width=4,
+        eval_size=2000,
+        link_name=args.link,
+        # The calibrated drift bounds assume the default budget.
+        assert_bounds=args.steps is None,
+    )
+    flap_report = flap_table(
+        steps=flap_steps,
+        depth=8,
+        base_width=4,
+        eval_size=1000,
+        link_name=args.link,
+    )
     print(crash_report)
     print()
     print(flap_report)

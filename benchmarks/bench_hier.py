@@ -36,7 +36,6 @@ from repro.network.timing import StepTimeModel
 from repro.nn import CosineDecay, build_resnet
 from repro.nn.stats import profile_backward
 from repro.utils.format import format_table
-from repro.utils.profiling import maybe_profile
 
 TIME_MODEL = StepTimeModel(
     overlap=0.0, per_message_overhead=25e-6, compute_scale=0.05, codec_scale=0.5
@@ -185,17 +184,6 @@ def main(argv=None) -> int:
         "--link", default="100Mbps", choices=["10Mbps", "100Mbps", "1Gbps"]
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a cProfile top-20 of the sweep hot path "
-        "(REPRO_PROFILE=1 works too)",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="PATH", default=None,
-        help="dump raw cProfile stats to PATH (pstats/snakeviz-loadable; "
-        "implies --profile; REPRO_PROFILE_OUT works too)",
-    )
-    parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="write a Chrome trace_event JSON timeline of the overlapped "
         "replays (one trace group per cross-bw fraction and scheme)",
@@ -215,16 +203,13 @@ def main(argv=None) -> int:
 
         tracer = Tracer()
 
-    with maybe_profile(
-        args.profile or None, label="bench_hier sweep", out=args.profile_out
-    ):
-        report = run_sweep(
-            steps=steps,
-            depth=depth,
-            base_width=width,
-            link_name=args.link,
-            tracer=tracer,
-        )
+    report = run_sweep(
+        steps=steps,
+        depth=depth,
+        base_width=width,
+        link_name=args.link,
+        tracer=tracer,
+    )
     print(report)
     if tracer is not None:
         from repro.telemetry.export import write_chrome_trace

@@ -39,7 +39,6 @@ from repro.network.timing import StepTimeModel
 from repro.nn import CosineDecay, build_resnet
 from repro.nn.stats import profile_backward
 from repro.utils.format import format_table
-from repro.utils.profiling import maybe_profile
 
 TIME_MODEL = StepTimeModel(
     overlap=0.0, per_message_overhead=25e-6, compute_scale=0.05, codec_scale=0.5
@@ -306,17 +305,6 @@ def main(argv=None) -> int:
         help="staleness bound for --sync-mode ssp",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a cProfile top-20 of the sweep hot path "
-        "(REPRO_PROFILE=1 works too)",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="PATH", default=None,
-        help="dump raw cProfile stats to PATH (pstats/snakeviz-loadable; "
-        "implies --profile; REPRO_PROFILE_OUT works too)",
-    )
-    parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="write a Chrome trace_event JSON timeline of the simulated "
         "replays (one trace group per barrier granularity or link)",
@@ -342,30 +330,22 @@ def main(argv=None) -> int:
         tracer = Tracer()
 
     if args.sync_mode != "bsp":
-        with maybe_profile(
-            args.profile or None,
-            label="bench_overlap event sweep",
-            out=args.profile_out,
-        ):
-            report = run_event_sweep(
-                updates=max(steps, 6),
-                depth=depth,
-                base_width=width,
-                staleness=args.staleness,
-                tracer=tracer,
-            )
+        report = run_event_sweep(
+            updates=max(steps, 6),
+            depth=depth,
+            base_width=width,
+            staleness=args.staleness,
+            tracer=tracer,
+        )
         print(report)
     else:
-        with maybe_profile(
-            args.profile or None, label="bench_overlap sweep", out=args.profile_out
-        ):
-            rows, serialized, analytic = run_sweep(
-                steps=steps,
-                depth=depth,
-                base_width=width,
-                link_name=args.link,
-                tracer=tracer,
-            )
+        rows, serialized, analytic = run_sweep(
+            steps=steps,
+            depth=depth,
+            base_width=width,
+            link_name=args.link,
+            tracer=tracer,
+        )
         print(check_and_render(rows, serialized, analytic, args.link))
 
     if tracer is not None:

@@ -19,7 +19,6 @@ vectorized core's events/sec regressed more than 2× against the committed
 baseline.
 
 Run:  python benchmarks/bench_simperf.py [--smoke] [--check] [--json PATH]
-                                         [--profile]
 """
 
 import argparse
@@ -37,7 +36,6 @@ from repro.network.bandwidth import LinkSpec
 from repro.network.timing import StepTimeModel
 from repro.nn.stats import BackwardTimeline, LayerTiming
 from repro.utils.format import format_table
-from repro.utils.profiling import maybe_profile
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_simperf.json"
 
@@ -331,26 +329,10 @@ def main(argv=None) -> int:
         help="write the results (the committed baseline is "
         "benchmarks/BENCH_simperf.json)",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print a cProfile top-20 of the simulator hot path "
-        "(REPRO_PROFILE=1 works too)",
-    )
-    parser.add_argument(
-        "--profile-out", metavar="PATH", default=None,
-        help="dump raw cProfile stats to PATH (pstats/snakeviz-loadable; "
-        "implies --profile; REPRO_PROFILE_OUT works too)",
-    )
     args = parser.parse_args(argv)
 
     grid = [cfg for cfg in GRID if cfg["smoke"] or not args.smoke]
-    rows = []
-    with maybe_profile(
-        args.profile or None, label="bench_simperf grid", out=args.profile_out
-    ):
-        for cfg in grid:
-            rows.append(bench_config(cfg))
+    rows = [bench_config(cfg) for cfg in grid]
 
     table = format_table(
         [

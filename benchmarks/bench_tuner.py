@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     print(
         f"best plan:    {best.point.scheme} / {best.point.topology} "
         f"(priority={best.point.transmission_priority}, "
-        f"fuse={best.point.fuse}) -> {best.step_seconds:.4g} s/step "
+        f"fuse={best.point.fuse_small_tensors}) -> {best.step_seconds:.4g} s/step "
         f"({100 * result.improvement:+.1f}%)"
     )
     print(f"{result.evaluations}/{budget} evaluations; wall {wall:.1f}s")

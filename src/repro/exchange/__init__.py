@@ -16,7 +16,13 @@ in one place and accounted through one wire ledger.
 """
 
 from repro.exchange.clock import MEASURED, MODELED, Clock
-from repro.exchange.engine import EngineConfig, EvalResult, ExchangeEngine, StepLog
+from repro.exchange.engine import (
+    EngineConfig,
+    EvalResult,
+    ExchangeEngine,
+    StepLog,
+    scheme_incompatibility,
+)
 from repro.exchange.sync import (
     SYNC_MODES,
     AsyncMode,
@@ -45,6 +51,7 @@ __all__ = [
     "EngineConfig",
     "EvalResult",
     "StepLog",
+    "scheme_incompatibility",
     "Clock",
     "MEASURED",
     "MODELED",

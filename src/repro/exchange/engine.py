@@ -70,7 +70,13 @@ from repro.nn.optimizer import MomentumSGD
 from repro.nn.schedule import Schedule
 from repro.utils.seeding import SeedSequenceFactory
 
-__all__ = ["EngineConfig", "ExchangeEngine", "EvalResult", "StepLog"]
+__all__ = [
+    "EngineConfig",
+    "ExchangeEngine",
+    "EvalResult",
+    "StepLog",
+    "scheme_incompatibility",
+]
 
 
 @dataclass(frozen=True)
@@ -256,6 +262,32 @@ class EngineConfig:
         )
 
 
+def scheme_incompatibility(config: EngineConfig, scheme: Compressor) -> str | None:
+    """Why ``scheme`` cannot run under ``config``, or ``None``.
+
+    The one legality rule that needs the scheme; every scheme-free rule is
+    ``EngineConfig.__post_init__``'s. A scheme that defers transmissions
+    (N local steps) leaves some quanta with nothing on the wire: a ring hop
+    must carry a payload for the reduction to proceed, and a recorded
+    async/SSP event stream carries a push per update. Plain async/SSP
+    training tolerates deferral (updates ride the error buffers).
+    """
+    if not scheme.defers_transmission:
+        return None
+    if config.make_topology().wants_raw_gradients:
+        return (
+            f"scheme {scheme.name!r} defers transmissions, but topology "
+            f"{config.topology!r} reduces over ring hops and every hop must "
+            "carry a payload"
+        )
+    if config.record_transmissions and not config.make_sync().synchronous:
+        return (
+            f"scheme {scheme.name!r} defers transmissions, but recording "
+            f"{config.sync_mode!r} event streams needs a push every update"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """Global-model evaluation snapshot."""
@@ -436,6 +468,9 @@ class ExchangeEngine:
         telemetry: Telemetry | None = None,
     ):
         config = config or EngineConfig()
+        reason = scheme_incompatibility(config, scheme)
+        if reason is not None:
+            raise ValueError(reason)
         self.engine_config = config
         self.dataset = dataset
         self.scheme = scheme
@@ -515,16 +550,6 @@ class ExchangeEngine:
             if self.sync.synchronous
             else None
         )
-        if (
-            config.record_transmissions
-            and not self.sync.synchronous
-            and scheme.defers_transmission
-        ):
-            raise ValueError(
-                f"scheme defers transmissions, but recording "
-                f"{self.sync.name!r} event streams needs a push every "
-                "update; drop deferring schemes from async/SSP sweeps"
-            )
         self.traffic = TrafficMeter()
         #: Per-step transmission plans for the network simulator (filled
         #: only when ``record_transmissions`` is on and the mode is BSP).

@@ -13,8 +13,8 @@ beside the per-tensor frames, and the simulator schedules the fused frames
 like any other record.
 
 The compatibility rules live here too, as *data* (one message per illegal
-combination), so the CLI can reject bad flag sets at parse time with the
-same words the engine uses at construction time.
+combination): ``EngineConfig`` raises them at construction time, and the
+CLI and the plan tuner report whatever the config raised.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def fusion_incompatibility(
 ) -> str | None:
     """Why fused buckets cannot run on this configuration, or ``None``.
 
-    Shared by :class:`~repro.exchange.engine.EngineConfig` validation and
-    the CLI's parse-time checks so both fail with identical, actionable
+    Raised by :class:`~repro.exchange.engine.EngineConfig` validation and
+    by the ring and hierarchical topologies themselves, with identical
     wording. Fusion composes with every sync mode (BSP shared pulls,
     async/SSP per-worker fused pull streams), so only topology shape can
     rule it out:

@@ -21,8 +21,15 @@ per-topology links — two dependent tiers for ``hier``) instead of the
 calibrated overlap constant; ``--priority smallest`` serves the
 smallest compressed gradient first inside the simulator. ``--plan
 FILE`` overlays a tuned ``repro.plan/v1`` artifact from
-``python -m repro.tuner`` (the plan's fields win, its scheme joins
-every sweep).
+``python -m repro.tuner`` (its scheme joins every sweep; a flag for a
+field the plan sets is refused, every other flag composes with it).
+
+Which combinations are legal is the configuration's own rule set
+(``ExperimentConfig`` / ``EngineConfig``): :func:`parse_config` builds the
+config once and reports whatever it raises, followed by the flags the
+error depends on. The one thing checked here is observability
+(:data:`~repro.harness.config.OBSERVED_UNDER`): a flag for a knob the
+selected topology, sync mode or fusion switch cannot observe is refused.
 
 Churn: ``--backup-workers N`` arms the paper's §2.1 backup-worker
 barrier; ``--crash W:STEP[:DOWN][:depart]`` and
@@ -36,10 +43,8 @@ simulated-clock spans; ``--trace-out PATH`` writes a Chrome
 one track per worker, link, and server tier) and ``--metrics-out PATH``
 writes JSONL per-step metric snapshots — both imply ``--telemetry``.
 ``--report-out PATH`` runs critical-path attribution over every traced
-run and writes the ranked ``repro.bottleneck-report/v1`` artifact;
-``--serve-metrics PORT`` exposes live Prometheus text (``/metrics``)
-and an NDJSON snapshot feed (``/stream``) while the command runs —
-all imply ``--telemetry``. ``--log-level`` tunes the shared stderr
+run and writes the ranked ``repro.bottleneck-report/v1`` artifact
+(implies ``--telemetry``). ``--log-level`` tunes the shared stderr
 logger (default ``info``).
 """
 
@@ -55,8 +60,8 @@ from repro.compression.registry import (
 )
 from repro.data.synthetic import input_memo
 from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
-from repro.exchange.wireplan import fusion_incompatibility
-from repro.harness.config import DEFAULT_CONFIG, FAST_CONFIG
+from repro.exchange.engine import scheme_incompatibility
+from repro.harness.config import DEFAULT_CONFIG, FAST_CONFIG, OBSERVED_UNDER
 from repro.harness.figures import (
     FAST_SCHEMES,
     FIGURE7_SCHEMES,
@@ -69,30 +74,49 @@ from repro.harness.figures import (
 from repro.harness.runner import ExperimentRunner
 from repro.netsim.replay import SweepReplayCache
 from repro.harness.tables import related_work_table, table1, table2
+from repro.tuner.artifact import apply_plan, load_plan
+from repro.tuner.space import PLAN_FIELDS
 from repro.utils.logging import LOG_LEVELS, set_level
 
-__all__ = ["main"]
+__all__ = ["main", "parse_config", "FIELD_FLAGS"]
 
 _FIGURE_LINKS = {"fig4": "10Mbps", "fig5": "100Mbps", "fig6": "1Gbps"}
 
+#: ``ExperimentConfig`` field -> the flag that sets it. A flag left off the
+#: command line leaves its field to the base config (or a loaded plan).
+FIELD_FLAGS = {
+    "standard_steps": "--steps",
+    "num_workers": "--workers",
+    "topology": "--topology",
+    "sync_mode": "--sync-mode",
+    "num_shards": "--shards",
+    "staleness": "--staleness",
+    "backup_workers": "--backup-workers",
+    "racks": "--racks",
+    "rack_size": "--rack-size",
+    "cross_bw_fraction": "--cross-bw",
+    "cross_rtt_seconds": "--cross-rtt",
+    "fuse_small_tensors": "--fuse",
+    "bucket_elements": "--bucket-elements",
+    "fuse_lossy": "--fuse-lossy",
+    "transmission_priority": "--priority",
+    "sim_overlap": "--sim-overlap",
+}
 
-def _drop_deferring(schemes: tuple[str, ...]) -> tuple[str, ...]:
-    """Schemes that transmit every step (collective/event-recording subset).
+#: The scheme tuple behind each sweep a command prints.
+_SWEEPS = {
+    "table1": TABLE1_SCHEMES,
+    "related-work": RELATED_WORK_SCHEMES,
+    "overview": OVERVIEW_SCHEMES,
+    "fast": FAST_SCHEMES,
+    "fig7": FIGURE7_SCHEMES,
+}
 
-    A ring hop must carry *something* for the reduction to proceed — this
-    covers the flat ring and the hierarchical topology's rack rings — and
-    an async/SSP *event stream* records a push per update, so
-    schedule-changing schemes (``defers_transmission``) are dropped from
-    those sweeps and from simulated (``--sim-overlap``) async/SSP sweeps
-    instead of crashing mid-command. Plain async/SSP training tolerates
-    deferral (updates ride the error buffers), so unsimulated sweeps keep
-    those rows.
-    """
-    return tuple(
-        name
-        for name in schemes
-        if not make_compressor(name, seed=0).defers_transmission
-    )
+
+def _spell(field: str, value) -> str:
+    """A field's value as the flag that would set it."""
+    flag = FIELD_FLAGS[field]
+    return flag if value is True else f"{flag} {value}"
 
 
 def _parse_crash(text: str) -> WorkerCrash:
@@ -168,7 +192,7 @@ def _emit_time_accuracy(
     print(fast.text)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-3lc",
         description="Regenerate tables and figures of the 3LC paper (MLSys 2019).",
@@ -259,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         "(default 0; --topology hier only)",
     )
     parser.add_argument(
-        "--fuse", action="store_true",
+        "--fuse", action="store_true", default=None,
         help="exchange small tensors through fused buckets (one frame per "
         "bucket per destination; buckets never span shard or rack-uplink "
         "boundaries, and async/SSP runs pull through per-worker fused "
@@ -270,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         help="fused-bucket capacity in elements (>= 1; --fuse only)",
     )
     parser.add_argument(
-        "--fuse-lossy", action="store_true",
+        "--fuse-lossy", action="store_true", default=None,
         help="compress each fused bucket through the scheme's own codec "
         "with one shared scale (instead of the exact float32 bypass); "
         "--fuse only",
@@ -285,12 +309,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--plan", metavar="PATH", default=None,
         help="load a repro.plan/v1 artifact (python -m repro.tuner) and "
-        "overlay its tuned plan on the configuration — the plan's "
-        "topology/fusion/priority fields win over flags, sim-overlap is "
-        "forced on, and the plan's scheme joins every sweep",
+        "overlay its tuned plan on the configuration — a flag for a "
+        "topology/fusion/priority field the plan sets is an error, "
+        "sim-overlap is forced on, and the plan's scheme joins every sweep",
     )
     parser.add_argument(
-        "--sim-overlap", action="store_true",
+        "--sim-overlap", action="store_true", default=None,
         help="derive per-link step times from the discrete-event network "
         "simulator (per-layer overlap scheduling, honest per-topology "
         "link bottlenecks) instead of the calibrated overlap constant; "
@@ -321,12 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         "ranked bucket tables; implies --telemetry",
     )
     parser.add_argument(
-        "--serve-metrics", type=int, default=None, metavar="PORT",
-        help="serve live metrics on 127.0.0.1:PORT while the command "
-        "runs (Prometheus text on /metrics, NDJSON snapshots on "
-        "/stream); implies --telemetry",
-    )
-    parser.add_argument(
         "--log-level", choices=list(LOG_LEVELS), default=None,
         help="stderr logger verbosity (default: info)",
     )
@@ -334,77 +352,32 @@ def main(argv: list[str] | None = None) -> int:
         "--save", metavar="PATH", default=None,
         help="archive every training run to a JSON file after the command",
     )
+    return parser
+
+
+def parse_config(argv: list[str] | None = None):
+    """The command line as ``(args, config, plan_scheme)``; trains nothing.
+
+    Exits through ``parser.error`` — naming the flags involved — on a flag
+    its selector cannot observe, a flag for a field ``--plan`` sets, and
+    anything the configuration's own validation raises.
+    """
+    parser = _build_parser()
     args = parser.parse_args(argv)
+    base = FAST_CONFIG if args.fast else DEFAULT_CONFIG
 
-    if args.log_level is not None:
-        set_level(args.log_level)
-
-    config = FAST_CONFIG if args.fast else DEFAULT_CONFIG
-    if args.steps is not None:
-        config = config.scaled(standard_steps=args.steps)
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error(f"--workers must be >= 1, got {args.workers}")
-        config = config.scaled(num_workers=args.workers)
-    # Flag/topology coherence checks name the offending value so a long
-    # sweep command fails with an actionable message, not a bare rule.
-    if args.shards is not None and args.topology != "sharded":
-        parser.error(
-            f"--shards {args.shards} requires --topology sharded "
-            f"(got --topology {args.topology or 'single'})"
-        )
-    if args.staleness is not None and args.sync_mode != "ssp":
-        parser.error(
-            f"--staleness {args.staleness} requires --sync-mode ssp "
-            f"(got --sync-mode {args.sync_mode or 'bsp'})"
-        )
-    if args.sync_mode == "ssp" and args.staleness is None:
-        parser.error("--sync-mode ssp requires --staleness")
-    if args.backup_workers is not None:
-        # The engine would reject these too, but only after the sweep
-        # starts training; fail at parse time with the value spelled out.
-        if not (0 <= args.backup_workers < config.num_workers):
-            parser.error(
-                f"--backup-workers {args.backup_workers} must be in "
-                f"[0, num_workers={config.num_workers})"
-            )
-        if args.topology == "ring":
-            parser.error(
-                f"--backup-workers {args.backup_workers} is incompatible "
-                "with --topology ring (a ring reduction needs every "
-                "node's chunk)"
-            )
-    if (args.max_restarts is not None or args.no_checkpoint_state) and not (
-        args.crash or args.flap
-    ):
-        offender = (
-            f"--max-restarts {args.max_restarts}"
-            if args.max_restarts is not None
-            else "--no-checkpoint-state"
-        )
-        parser.error(f"{offender} requires --crash or --flap")
-    if (args.crash or args.flap) and args.sync_mode not in (None, "bsp"):
-        parser.error(
-            "--crash/--flap require BSP (the barrier is where membership "
-            f"changes are decided; got --sync-mode {args.sync_mode})"
-        )
-    if args.crash and (args.topology or "single") not in ("single", "sharded"):
-        parser.error(
-            f"--crash requires --topology single|sharded "
-            f"(got --topology {args.topology})"
-        )
-    if args.flap and args.topology != "hier":
-        parser.error(
-            f"--flap requires --topology hier "
-            f"(got --topology {args.topology or 'single'})"
-        )
-    fault = None
+    # What the command line sets, and how to spell each source in a message.
+    overrides, spelled = {}, {}
+    for field, flag in FIELD_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            overrides[field], spelled[field] = value, _spell(field, value)
     if args.crash or args.flap:
         fault_kwargs = {}
         if args.max_restarts is not None:
             fault_kwargs["max_restarts"] = args.max_restarts
         try:
-            fault = FaultSpec(
+            overrides["fault"] = FaultSpec(
                 crashes=tuple(_parse_crash(text) for text in args.crash or ()),
                 flaps=tuple(_parse_flap(text) for text in args.flap or ()),
                 checkpoint_state=not args.no_checkpoint_state,
@@ -412,164 +385,136 @@ def main(argv: list[str] | None = None) -> int:
             )
         except ValueError as error:
             parser.error(str(error))
-    for flag, value in (
-        ("--racks", args.racks),
-        ("--rack-size", args.rack_size),
-        ("--cross-bw", args.cross_bw),
-        ("--cross-rtt", args.cross_rtt),
-    ):
-        if value is not None and args.topology != "hier":
-            parser.error(
-                f"{flag} {value} requires --topology hier "
-                f"(got --topology {args.topology or 'single'})"
-            )
-    # Fusion compatibility fails at parse time with the engine's own
-    # wording, so an overnight sweep command dies immediately — not three
-    # topologies deep — and names the offending flags.
-    if args.fuse:
-        reason = fusion_incompatibility(
-            args.topology or "single", racks=args.racks
+        spelled["fault"] = " ".join(
+            [f"--crash {text}" for text in args.crash or ()]
+            + [f"--flap {text}" for text in args.flap or ()]
         )
-        if reason is not None:
-            offender = f"--topology {args.topology}" + (
-                f" --racks {args.racks}" if args.racks is not None else ""
-            )
-            parser.error(f"--fuse is incompatible with {offender}: {reason}")
-    if args.bucket_elements is not None:
-        if not args.fuse:
-            parser.error(
-                f"--bucket-elements {args.bucket_elements} requires --fuse "
-                "(it sizes the fused-bucket plan)"
-            )
-        if args.bucket_elements < 1:
-            parser.error(
-                f"--bucket-elements must be >= 1, got {args.bucket_elements}"
-            )
-    if args.fuse_lossy and not args.fuse:
-        parser.error(
-            "--fuse-lossy selects the fused-bucket codec mode; it requires --fuse"
+    elif args.max_restarts is not None or args.no_checkpoint_state:
+        offender = (
+            f"--max-restarts {args.max_restarts}"
+            if args.max_restarts is not None
+            else "--no-checkpoint-state"
         )
-    overrides = {}
-    if args.topology is not None:
-        overrides["topology"] = args.topology
-    if args.sync_mode is not None:
-        overrides["sync_mode"] = args.sync_mode
-    if args.shards is not None:
-        overrides["num_shards"] = args.shards
-    if args.staleness is not None:
-        overrides["staleness"] = args.staleness
-    if args.backup_workers is not None:
-        overrides["backup_workers"] = args.backup_workers
-    if fault is not None:
-        overrides["fault"] = fault
-    if args.racks is not None:
-        overrides["racks"] = args.racks
-    if args.rack_size is not None:
-        overrides["rack_size"] = args.rack_size
-    if args.cross_bw is not None:
-        overrides["cross_bw_fraction"] = args.cross_bw
-    if args.cross_rtt is not None:
-        overrides["cross_rtt_seconds"] = args.cross_rtt
-    if args.fuse:
-        overrides["fuse_small_tensors"] = True
-    if args.bucket_elements is not None:
-        overrides["bucket_elements"] = args.bucket_elements
-    if args.fuse_lossy:
-        overrides["fuse_lossy"] = True
-    if args.sim_overlap:
-        overrides["sim_overlap"] = True
-    if args.priority is not None:
-        overrides["transmission_priority"] = args.priority
-    if (
-        args.telemetry
-        or args.trace_out
-        or args.metrics_out
-        or args.report_out
-        or args.serve_metrics is not None
-    ):
+        parser.error(f"{offender} requires --crash or --flap")
+    if args.telemetry or args.trace_out or args.metrics_out or args.report_out:
         overrides["telemetry"] = True
-    if overrides:
-        try:
-            config = config.scaled(**overrides)
-        except ValueError as error:
-            # e.g. a worker count not divisible into racks of rack-size.
-            parser.error(str(error))
-    plan_scheme = None
-    if args.plan is not None:
-        from repro.tuner.artifact import apply_plan, load_plan
 
+    plan = None
+    if args.plan is not None:
         try:
-            config, plan_scheme = apply_plan(config, load_plan(args.plan))
-        except OSError as error:
+            plan = load_plan(args.plan)
+        except (OSError, ValueError) as error:
             parser.error(f"--plan {args.plan}: {error}")
+        spelled["plan"] = f"--plan {args.plan}"
+        for field in PLAN_FIELDS:
+            if field in overrides:
+                parser.error(
+                    f"--plan {args.plan} sets {field}={plan['plan'][field]!r}; "
+                    f"it cannot be combined with {spelled[field]}"
+                )
+
+    # Observability: a flag whose selector (given, planned or the base's)
+    # holds another value would be accepted and then read by nothing.
+    chosen = (plan["plan"] if plan else {}) | overrides
+    for field in overrides:
+        if field not in OBSERVED_UNDER:
+            continue
+        selector, wanted = OBSERVED_UNDER[field]
+        actual = chosen.get(selector, getattr(base, selector))
+        if actual != wanted:
+            got = "" if wanted is True else f" (got {_spell(selector, actual)})"
+            parser.error(
+                f"{spelled[field]} requires {_spell(selector, wanted)}{got}"
+            )
+
+    # Legality is the configuration's own rule set: build it once, in one
+    # construction, so a plan and the flags that complete it are judged
+    # together.
+    def outcome(fields: dict, plan: dict | None):
+        """``(config, plan_scheme)``, or the message the construction raised."""
+        try:
+            if plan is None:
+                return base.scaled(**fields), None
+            return apply_plan(base, plan, **fields)
         except ValueError as error:
-            # Malformed artifact, or a plan the config's cluster shape
-            # rejects (ExperimentConfig validation wording).
-            parser.error(f"--plan {args.plan}: {error}")
+            return str(error)
+
+    built = outcome(overrides, plan)
+    if isinstance(built, str):
+        # Name the sources the error depends on: those whose removal
+        # changes the outcome.
+        def without(field: str) -> dict:
+            return {k: v for k, v in overrides.items() if k != field}
+
+        involved = [
+            spelled[field]
+            for field in overrides
+            if field in spelled and outcome(without(field), plan) != built
+        ]
+        if plan is not None and outcome(overrides, None) != built:
+            involved.append(spelled["plan"])
+        parser.error(f"{built} (set by {', '.join(involved or spelled.values())})")
+    config, plan_scheme = built
+    if plan_scheme is not None:
+        try:
+            reason = scheme_incompatibility(
+                config.engine_config(), make_compressor(plan_scheme, seed=0)
+            )
+        except KeyError as error:
+            reason = error.args[0]
+        if reason is not None:
+            parser.error(f"--plan {args.plan}: {reason}")
+    return args, config, plan_scheme
+
+
+def main(argv: list[str] | None = None) -> int:
+    args, config, plan_scheme = parse_config(argv)
+    if args.log_level is not None:
+        set_level(args.log_level)
+    if args.plan is not None:
+        fields = " ".join(
+            f"{name}={getattr(config, name)}" for name in PLAN_FIELDS if name != "scheme"
+        )
         print(
-            f"loaded plan {args.plan}: scheme={plan_scheme!r} "
-            f"topology={config.topology} "
-            f"priority={config.transmission_priority} "
-            f"fuse={config.fuse_small_tensors} "
+            f"loaded plan {args.plan}: scheme={plan_scheme!r} {fields} "
             f"clock={config.clock.name}"
         )
     # One sweep replay cache per invocation: commands sharing a scheme and
     # budget reuse the training recording and per-link simulations.
     runner = ExperimentRunner(config, replay_cache=SweepReplayCache())
 
-    metrics_server = None
-    if args.serve_metrics is not None:
-        from repro.telemetry.analysis.serve import MetricsServer
-
-        metrics_server = MetricsServer(
-            lambda: list(runner.telemetry_sessions), port=args.serve_metrics
-        ).start()
-        print(
-            f"serving metrics on {metrics_server.url}/metrics "
-            f"(NDJSON feed on {metrics_server.url}/stream)"
-        )
-
     commands = (
         ["table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "related-work"]
         if args.command == "all"
         else [args.command]
     )
-    table1_schemes = TABLE1_SCHEMES
-    related_schemes = RELATED_WORK_SCHEMES
-    overview_schemes = OVERVIEW_SCHEMES
-    fast_schemes = FAST_SCHEMES
-    figure7_schemes = FIGURE7_SCHEMES
-    if plan_scheme is not None:
-        # The tuned scheme joins every sweep (the plan is pointless
-        # without it); deferring-scheme filtering below still applies.
-        def _with_plan(schemes: tuple[str, ...]) -> tuple[str, ...]:
-            return schemes if plan_scheme in schemes else schemes + (plan_scheme,)
-
-        table1_schemes = _with_plan(table1_schemes)
-        related_schemes = _with_plan(related_schemes)
-        overview_schemes = _with_plan(overview_schemes)
-        fast_schemes = _with_plan(fast_schemes)
-        figure7_schemes = _with_plan(figure7_schemes)
-    if config.topology in ("ring", "hier") or (
-        config.sim_overlap and config.sync_mode in ("async", "ssp")
-    ):
-        table1_schemes = _drop_deferring(table1_schemes)
-        related_schemes = _drop_deferring(related_schemes)
-        overview_schemes = _drop_deferring(overview_schemes)
-        fast_schemes = _drop_deferring(fast_schemes)
-        figure7_schemes = _drop_deferring(figure7_schemes)
+    # The tuned scheme joins every sweep (the plan is pointless without
+    # it). Schemes the configuration cannot run — deferring ones on ring
+    # hops or in a recorded async/SSP event stream — lose their rows
+    # instead of crashing mid-command.
+    engine_config = config.engine_config()
+    sweeps = {}
+    for sweep, schemes in _SWEEPS.items():
+        if plan_scheme is not None and plan_scheme not in schemes:
+            schemes += (plan_scheme,)
+        sweeps[sweep] = tuple(
+            name
+            for name in schemes
+            if scheme_incompatibility(engine_config, make_compressor(name, seed=0))
+            is None
+        )
 
     for command in commands:
         if command == "table1":
-            _, text = table1(runner, table1_schemes)
+            _, text = table1(runner, sweeps["table1"])
             print(text)
         elif command == "table2":
             _, text = table2(runner)
             print(text)
         elif command in _FIGURE_LINKS:
-            _emit_time_accuracy(runner, command, overview_schemes, fast_schemes)
+            _emit_time_accuracy(runner, command, sweeps["overview"], sweeps["fast"])
         elif command == "fig7":
-            loss_fig, acc_fig = figure7_curves(runner, figure7_schemes)
+            loss_fig, acc_fig = figure7_curves(runner, sweeps["fig7"])
             print(loss_fig.text)
             print()
             print(acc_fig.text)
@@ -580,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(figure9_compressed_size(runner, "3LC (s=1.75)").text)
         elif command == "related-work":
-            _, text = related_work_table(runner, related_schemes)
+            _, text = related_work_table(runner, sweeps["related-work"])
             print(text)
         print()
 
@@ -632,8 +577,6 @@ def main(argv: list[str] | None = None) -> int:
         out.write_text(_json.dumps(report, indent=2) + "\n")
         print(report_text(report))
         print(f"wrote bottleneck report to {args.report_out}")
-    if metrics_server is not None:
-        metrics_server.stop()
     if args.save:
         from repro.harness.results_io import save_results
 

@@ -15,7 +15,7 @@ family, optimizer, schedule, and measurement protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.data.synthetic import DatasetSpec, SyntheticImageDataset
 from repro.distributed.barriers import StragglerSpec
@@ -27,7 +27,32 @@ from repro.network.timing import StepTimeModel
 from repro.nn.resnet import build_mlp, build_resnet
 from repro.nn.schedule import CosineDecay, scale_lr_for_workers
 
-__all__ = ["ExperimentConfig", "DEFAULT_CONFIG", "FAST_CONFIG"]
+__all__ = ["ExperimentConfig", "OBSERVED_UNDER", "DEFAULT_CONFIG", "FAST_CONFIG"]
+
+#: Which knob is observable under which selector: ``field -> (selector
+#: field, value)``. A run reads the field only while the selector holds
+#: that value, so the plan tuner resets it elsewhere (equivalent points
+#: collapse to one) and the CLI refuses an explicit flag for it. A field
+#: not listed here is always observable.
+OBSERVED_UNDER: dict[str, tuple[str, object]] = {
+    "num_shards": ("topology", "sharded"),
+    "racks": ("topology", "hier"),
+    "rack_size": ("topology", "hier"),
+    "hier_upper": ("topology", "hier"),
+    "cross_bw_fraction": ("topology", "hier"),
+    "cross_rtt_seconds": ("topology", "hier"),
+    "staleness": ("sync_mode", "ssp"),
+    "bucket_elements": ("fuse_small_tensors", True),
+    "fuse_lossy": ("fuse_small_tensors", True),
+    "bucket_boundaries": ("fuse_small_tensors", True),
+}
+
+#: ``EngineConfig`` field -> the ``ExperimentConfig`` field it is read
+#: from: the same name but for two renames.
+_ENGINE_FIELDS = {f.name: f.name for f in fields(EngineConfig)} | {
+    "seed": "cluster_seed",
+    "record_transmissions": "sim_overlap",
+}
 
 
 @dataclass(frozen=True)
@@ -218,30 +243,7 @@ class ExperimentConfig:
     def engine_config(self) -> EngineConfig:
         """The unified-engine configuration for this experiment family."""
         return EngineConfig(
-            num_workers=self.num_workers,
-            batch_size=self.batch_size,
-            shard_size=self.shard_size,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            small_tensor_threshold=self.small_tensor_threshold,
-            augment_pad=self.augment_pad,
-            seed=self.cluster_seed,
-            topology=self.topology,
-            sync_mode=self.sync_mode,
-            num_shards=self.num_shards,
-            backup_workers=self.backup_workers,
-            staleness=self.staleness,
-            straggler=self.straggler,
-            fault=self.fault,
-            racks=self.racks,
-            rack_size=self.rack_size,
-            hier_upper=self.hier_upper,
-            fuse_small_tensors=self.fuse_small_tensors,
-            bucket_elements=self.bucket_elements,
-            fuse_lossy=self.fuse_lossy,
-            bucket_boundaries=self.bucket_boundaries,
-            record_transmissions=self.sim_overlap,
-            clock=self.clock,
+            **{name: getattr(self, own) for name, own in _ENGINE_FIELDS.items()}
         )
 
     def schedule(self, total_steps: int) -> CosineDecay:

@@ -1,4 +1,4 @@
-"""Run analysis: critical-path attribution, trace diffing, live metrics.
+"""Run analysis: critical-path attribution and trace diffing.
 
 This package turns the raw telemetry a run records into answers:
 
@@ -14,9 +14,6 @@ This package turns the raw telemetry a run records into answers:
   (group, step) identity and localizes regressions, naming flapped
   links from outage tracks and correlating against archived
   ``fault_summary`` rollups.
-* :mod:`~repro.telemetry.analysis.serve` exposes live registries over
-  stdlib HTTP: Prometheus text format on ``/metrics`` and an NDJSON
-  snapshot feed on ``/stream`` (the harness's ``--serve-metrics``).
 """
 
 from __future__ import annotations
@@ -34,13 +31,11 @@ from repro.telemetry.analysis.attribution import (
     spans_from_tracer,
 )
 
-# diff/serve import lazily so `python -m repro.telemetry.analysis.diff`
+# diff imports lazily so `python -m repro.telemetry.analysis.diff`
 # doesn't trip runpy's found-in-sys.modules warning.
 _LAZY = {
     "diff_report": "repro.telemetry.analysis.diff",
     "diff_text": "repro.telemetry.analysis.diff",
-    "MetricsServer": "repro.telemetry.analysis.serve",
-    "prometheus_text": "repro.telemetry.analysis.serve",
 }
 
 
@@ -54,7 +49,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "MetricsServer",
     "RunAttribution",
     "StepAttribution",
     "TraceSpan",
@@ -64,7 +58,6 @@ __all__ = [
     "classify",
     "diff_report",
     "diff_text",
-    "prometheus_text",
     "report_text",
     "spans_from_chrome",
     "spans_from_tracer",

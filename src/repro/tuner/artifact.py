@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.exchange.clock import MODELED
 from repro.harness.config import ExperimentConfig
+from repro.tuner.space import PLAN_FIELDS, PlanPoint
 
 __all__ = [
     "PLAN_SCHEMA",
@@ -27,19 +27,8 @@ __all__ = [
 
 PLAN_SCHEMA = "repro.plan/v1"
 
-_PLAN_FIELDS = {
-    "scheme": str,
-    "topology": str,
-    "num_shards": int,
-    "racks": int,
-    "rack_size": int,
-    "cross_bw_fraction": (int, float),
-    "transmission_priority": str,
-    "fuse_small_tensors": bool,
-    "fuse_lossy": bool,
-    "bucket_elements": int,
-    "bucket_boundaries": list,
-}
+#: JSON type(s) a plan field of each Python type is written as.
+_JSON_TYPES = {str: str, int: int, float: (int, float), bool: bool, tuple: list}
 
 
 def plan_to_dict(result, space, *, link: str = "10Mbps") -> dict:
@@ -90,18 +79,18 @@ def validate_plan(data: dict) -> None:
     plan = data.get("plan")
     if not isinstance(plan, dict):
         raise ValueError("plan artifact is missing the 'plan' object")
-    for key, types in _PLAN_FIELDS.items():
+    for key, kind in PLAN_FIELDS.items():
         if key not in plan:
             raise ValueError(f"plan is missing required field {key!r}")
         value = plan[key]
-        if isinstance(value, bool) and types is int:
+        if isinstance(value, bool) and kind is int:
             raise ValueError(f"plan field {key!r} must be an integer")
-        if not isinstance(value, types):
+        if not isinstance(value, _JSON_TYPES[kind]):
             raise ValueError(
                 f"plan field {key!r} has type {type(value).__name__}"
             )
-    if not all(isinstance(n, str) for n in plan["bucket_boundaries"]):
-        raise ValueError("bucket_boundaries must be a list of names")
+        if kind is tuple and not all(isinstance(n, str) for n in value):
+            raise ValueError(f"{key} must be a list of names")
     for section in ("objective", "search"):
         if not isinstance(data.get(section), dict):
             raise ValueError(f"plan artifact is missing {section!r}")
@@ -119,7 +108,7 @@ def load_plan(path) -> dict:
     return data
 
 
-def apply_plan(config: ExperimentConfig, data: dict):
+def apply_plan(config: ExperimentConfig, data: dict, **overrides):
     """Overlay a loaded plan onto a config.
 
     Returns ``(config, scheme)``: the plan's fields override the config's
@@ -127,24 +116,12 @@ def apply_plan(config: ExperimentConfig, data: dict):
     on (plans are simulator-scored; analytic timing would misrepresent
     them) and so is the modeled clock they were scored under (a re-score
     reproduces ``objective.mean_step_seconds`` exactly), and the plan's
-    scheme comes back for the caller to run.
+    scheme comes back for the caller to run. ``overrides`` are further
+    config fields set in the same construction (a worker count or a fault
+    the plan needs to be legal); where both name a field the plan wins.
     ``ExperimentConfig`` validation applies, so a plan incompatible with
     the config's cluster shape fails loudly here.
     """
     validate_plan(data)
-    plan = data["plan"]
-    applied = config.scaled(
-        topology=plan["topology"],
-        num_shards=int(plan["num_shards"]),
-        racks=int(plan["racks"]),
-        rack_size=int(plan["rack_size"]),
-        cross_bw_fraction=float(plan["cross_bw_fraction"]),
-        transmission_priority=plan["transmission_priority"],
-        fuse_small_tensors=bool(plan["fuse_small_tensors"]),
-        fuse_lossy=bool(plan["fuse_lossy"]),
-        bucket_elements=int(plan["bucket_elements"]),
-        bucket_boundaries=tuple(plan["bucket_boundaries"]),
-        sim_overlap=True,
-        clock=MODELED,
-    )
-    return applied, plan["scheme"]
+    point = PlanPoint.from_dict(data["plan"])
+    return config.scaled(**(overrides | point.config_overrides())), point.scheme

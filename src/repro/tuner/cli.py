@@ -118,7 +118,7 @@ def main(argv=None) -> int:
     print(
         f"best plan: {best.point.scheme} / {best.point.topology} "
         f"(priority={best.point.transmission_priority}, "
-        f"fuse={best.point.fuse})"
+        f"fuse={best.point.fuse_small_tensors})"
     )
     print(
         f"step time @{args.link}: {best.step_seconds:.4g}s vs default "

@@ -7,10 +7,10 @@ per-layer bucket boundaries, and the simulator's transmission priority.
 :class:`~repro.harness.config.ExperimentConfig` and supplies the four
 operations every search strategy needs:
 
-* ``legal_reason(point)`` — the constraint set as *data* (one message per
-  illegal combination), built from the same rules the engine enforces
-  (:func:`~repro.exchange.wireplan.fusion_incompatibility`, hier rack
-  arithmetic, deferring schemes on collective topologies);
+* ``legal_reason(point)`` — why a point cannot run, in the engine's own
+  words: the point is built into a config (``EngineConfig.__post_init__``
+  holds every scheme-free rule) and the scheme is put to
+  :func:`~repro.exchange.engine.scheme_incompatibility`;
 * ``sample(rng)`` — rejection sampling of legal, *canonical* points;
 * ``apply(point)`` — the point as a runnable ``ExperimentConfig``
   (``sim_overlap=True``: the simulator is the scoring oracle; the
@@ -18,44 +18,45 @@ operations every search strategy needs:
 * ``encode(points)`` — a one-hot + numeric feature matrix for the
   cost-model search.
 
-Canonicalization is the cache-efficiency anchor: fields irrelevant to a
-point's topology (shard count on ``single``, rack shape on ``sharded``,
-bucket geometry with fusion off …) are reset to the base config's values,
-so equivalent points collapse to one representative.
+Canonicalization is the cache-efficiency anchor: fields the point's
+topology or fusion switch cannot observe
+(:data:`~repro.harness.config.OBSERVED_UNDER`: shard count on ``single``,
+rack shape on ``sharded``, bucket geometry with fusion off …) are reset, so
+equivalent points collapse to one representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
 from repro.compression.registry import available_schemes, make_compressor
 from repro.exchange.clock import MODELED
-from repro.exchange.wireplan import fusion_incompatibility
-from repro.harness.config import ExperimentConfig
+from repro.exchange.engine import scheme_incompatibility
+from repro.harness.config import OBSERVED_UNDER, ExperimentConfig
 
-__all__ = ["PlanPoint", "PlanSpace", "default_space", "boundary_candidates"]
+__all__ = [
+    "PLAN_FIELDS",
+    "PlanPoint",
+    "PlanSpace",
+    "default_space",
+    "boundary_candidates",
+]
 
 TOPOLOGY_CHOICES = ("single", "sharded", "ring", "hier")
 PRIORITY_CHOICES = ("registration", "smallest")
-
-_DEFERS: dict[str, bool] = {}
-
-
-def _defers(scheme: str) -> bool:
-    """Does the scheme defer transmission (local-steps style)?"""
-    cached = _DEFERS.get(scheme)
-    if cached is None:
-        cached = bool(make_compressor(scheme, seed=0).defers_transmission)
-        _DEFERS[scheme] = cached
-    return cached
 
 
 @dataclass(frozen=True)
 class PlanPoint:
     """One candidate wire plan (hashable, orderable for deterministic
-    tie-breaks)."""
+    tie-breaks): a scheme plus the ``ExperimentConfig`` fields the tuner
+    searches, under the config's own names. These fields are the one
+    declaration of what a plan is — the ``repro.plan/v1`` schema, the
+    config overlay and the CLI's ``--plan`` handling are derived from them.
+    """
 
     scheme: str
     topology: str
@@ -64,25 +65,46 @@ class PlanPoint:
     rack_size: int
     cross_bw_fraction: float
     transmission_priority: str
-    fuse: bool
+    fuse_small_tensors: bool
     fuse_lossy: bool
     bucket_elements: int
     bucket_boundaries: tuple[str, ...]
 
     def as_dict(self) -> dict:
+        """The point as the ``plan`` object of a ``repro.plan/v1`` artifact."""
         return {
-            "scheme": self.scheme,
-            "topology": self.topology,
-            "num_shards": self.num_shards,
-            "racks": self.racks,
-            "rack_size": self.rack_size,
-            "cross_bw_fraction": self.cross_bw_fraction,
-            "transmission_priority": self.transmission_priority,
-            "fuse_small_tensors": self.fuse,
-            "fuse_lossy": self.fuse_lossy,
-            "bucket_elements": self.bucket_elements,
-            "bucket_boundaries": list(self.bucket_boundaries),
+            name: list(getattr(self, name)) if kind is tuple else getattr(self, name)
+            for name, kind in PLAN_FIELDS.items()
         }
+
+    @classmethod
+    def from_dict(cls, plan: dict) -> "PlanPoint":
+        """Inverse of :meth:`as_dict` (artifact loading)."""
+        return cls(**{name: kind(plan[name]) for name, kind in PLAN_FIELDS.items()})
+
+    def config_overrides(self) -> dict:
+        """What running this plan sets on an ``ExperimentConfig``: its own
+        fields, the simulator as the timing oracle, and the modeled clock
+        (scores are a function of the seed)."""
+        own = {name: getattr(self, name) for name in PLAN_FIELDS if name != "scheme"}
+        return own | {"sim_overlap": True, "clock": MODELED}
+
+
+#: Plan field -> its constructor (``tuple`` for ``tuple[str, ...]``), in
+#: declaration order.
+PLAN_FIELDS: dict[str, type] = {
+    name: get_origin(hint) or hint
+    for name, hint in get_type_hints(PlanPoint).items()
+}
+
+#: What :meth:`PlanSpace.canonical` resets an unobservable field to where
+#: the base config's own value will not do: the base may run fused and
+#: lossy while the point does not, and a flat topology has no scarcer tier.
+_CANONICAL_RESET = {
+    "cross_bw_fraction": 1.0,
+    "fuse_lossy": False,
+    "bucket_boundaries": (),
+}
 
 
 @dataclass(frozen=True)
@@ -120,40 +142,24 @@ class PlanSpace:
 
     # -- legality ----------------------------------------------------------
 
+    def _config_or_reason(self, point: PlanPoint):
+        """``(config, None)`` for a legal point, ``(None, reason)`` otherwise."""
+        try:
+            config = self.base.scaled(**point.config_overrides())
+        except ValueError as error:
+            return None, str(error)
+        reason = scheme_incompatibility(
+            config.engine_config(), make_compressor(point.scheme, seed=0)
+        )
+        return (config, None) if reason is None else (None, reason)
+
     def legal_reason(self, point: PlanPoint) -> str | None:
         """Why the point cannot run, or ``None`` when it is legal.
 
-        Mirrors the engine's own constraint set so an illegal point is
-        rejected here — cheaply, before any training — with the same
-        rules ``EngineConfig`` enforces at construction time.
+        The engine's own answer, asked before any training: whatever
+        building the point's config raises, else the scheme rule.
         """
-        if point.fuse_lossy and not point.fuse:
-            return "fuse_lossy requires fuse"
-        if point.bucket_boundaries and not point.fuse:
-            return "bucket_boundaries require fuse"
-        if point.fuse:
-            reason = fusion_incompatibility(
-                point.topology,
-                racks=point.racks if point.topology == "hier" else None,
-            )
-            if reason is not None:
-                return reason
-        if point.topology == "hier":
-            if point.rack_size < 2:
-                return "a rack ring needs rack_size >= 2"
-            if point.racks * point.rack_size != self.base.num_workers:
-                return (
-                    f"racks x rack_size must equal num_workers="
-                    f"{self.base.num_workers}"
-                )
-        if point.topology in ("ring", "hier") and _defers(point.scheme):
-            return (
-                f"scheme {point.scheme!r} defers transmission; collective "
-                "topologies exchange every step"
-            )
-        if point.topology == "sharded" and point.num_shards < 1:
-            return "sharded topology needs num_shards >= 1"
-        return None
+        return self._config_or_reason(point)[1]
 
     # -- canonical form ----------------------------------------------------
 
@@ -165,19 +171,14 @@ class PlanSpace:
         canonicalizing them to one representative dedupes the search and
         maximizes recording reuse in the replay cache.
         """
-        base = self.base
-        overrides: dict = {}
-        if point.topology != "sharded":
-            overrides["num_shards"] = base.num_shards
-        if point.topology != "hier":
-            overrides["racks"] = base.racks
-            overrides["rack_size"] = base.rack_size
-            overrides["cross_bw_fraction"] = 1.0
-        if not point.fuse:
-            overrides["fuse_lossy"] = False
-            overrides["bucket_elements"] = base.bucket_elements
-            overrides["bucket_boundaries"] = ()
-        return replace(point, **overrides) if overrides else point
+        return replace(
+            point,
+            **{
+                name: _CANONICAL_RESET.get(name, getattr(self.base, name))
+                for name, (selector, value) in OBSERVED_UNDER.items()
+                if name in PLAN_FIELDS and getattr(point, selector) != value
+            },
+        )
 
     # -- sampling ----------------------------------------------------------
 
@@ -208,7 +209,7 @@ class PlanSpace:
                 transmission_priority=self.priority_choices[
                     rng.integers(len(self.priority_choices))
                 ],
-                fuse=fuse,
+                fuse_small_tensors=fuse,
                 fuse_lossy=bool(rng.integers(2)) if fuse else False,
                 bucket_elements=int(
                     self.bucket_choices[rng.integers(len(self.bucket_choices))]
@@ -229,58 +230,22 @@ class PlanSpace:
 
     def apply(self, point: PlanPoint) -> ExperimentConfig:
         """The point as a runnable simulated-overlap experiment config."""
-        reason = self.legal_reason(point)
+        config, reason = self._config_or_reason(point)
         if reason is not None:
             raise ValueError(f"illegal plan point: {reason}")
-        return self.base.scaled(
-            topology=point.topology,
-            num_shards=point.num_shards,
-            racks=point.racks,
-            rack_size=point.rack_size,
-            cross_bw_fraction=point.cross_bw_fraction,
-            transmission_priority=point.transmission_priority,
-            fuse_small_tensors=point.fuse,
-            fuse_lossy=point.fuse_lossy,
-            bucket_elements=point.bucket_elements,
-            bucket_boundaries=point.bucket_boundaries,
-            sim_overlap=True,
-            clock=MODELED,
-        )
+        return config
 
     def default_point(self, scheme: str) -> PlanPoint:
         """The base config as a plan point (the tuner's comparison anchor)."""
-        base = self.base
-        return self.canonical(
-            PlanPoint(
-                scheme=scheme,
-                topology=base.topology,
-                num_shards=base.num_shards,
-                racks=base.racks,
-                rack_size=base.rack_size,
-                cross_bw_fraction=base.cross_bw_fraction,
-                transmission_priority="registration",
-                fuse=base.fuse_small_tensors,
-                fuse_lossy=base.fuse_lossy,
-                bucket_elements=base.bucket_elements,
-                bucket_boundaries=base.bucket_boundaries,
-            )
-        )
+        values = {
+            name: getattr(self.base, name) for name in PLAN_FIELDS if name != "scheme"
+        }
+        values["transmission_priority"] = "registration"
+        return self.canonical(PlanPoint(scheme=scheme, **values))
 
     def point_from_dict(self, plan: dict) -> PlanPoint:
         """Inverse of :meth:`PlanPoint.as_dict` (artifact loading)."""
-        return PlanPoint(
-            scheme=plan["scheme"],
-            topology=plan["topology"],
-            num_shards=int(plan["num_shards"]),
-            racks=int(plan["racks"]),
-            rack_size=int(plan["rack_size"]),
-            cross_bw_fraction=float(plan["cross_bw_fraction"]),
-            transmission_priority=plan["transmission_priority"],
-            fuse=bool(plan["fuse_small_tensors"]),
-            fuse_lossy=bool(plan["fuse_lossy"]),
-            bucket_elements=int(plan["bucket_elements"]),
-            bucket_boundaries=tuple(plan["bucket_boundaries"]),
-        )
+        return PlanPoint.from_dict(plan)
 
     # -- features ----------------------------------------------------------
 
@@ -307,7 +272,7 @@ class PlanSpace:
             rows[r, o + 2] = p.rack_size / 4.0
             rows[r, o + 3] = p.cross_bw_fraction
             rows[r, o + 4] = 1.0 if p.transmission_priority == "smallest" else 0.0
-            rows[r, o + 5] = 1.0 if p.fuse else 0.0
+            rows[r, o + 5] = 1.0 if p.fuse_small_tensors else 0.0
             rows[r, o + 6] = 1.0 if p.fuse_lossy else 0.0
             rows[r, o + 7] = np.log2(float(p.bucket_elements)) / 16.0
         return rows

@@ -1,9 +1,8 @@
-"""Shared utilities: seeding, logging, formatting, and profiling."""
+"""Shared utilities: seeding, logging, and formatting."""
 
 from repro.utils.seeding import SeedSequenceFactory, derive_rng
 from repro.utils.format import human_bytes, human_rate, format_table
 from repro.utils.logging import get_logger
-from repro.utils.profiling import maybe_profile, profiling_requested
 
 __all__ = [
     "SeedSequenceFactory",
@@ -12,6 +11,4 @@ __all__ = [
     "human_rate",
     "format_table",
     "get_logger",
-    "maybe_profile",
-    "profiling_requested",
 ]

@@ -249,9 +249,9 @@ class TestValidation:
             make_engine(backup_workers=1)
 
     def test_deferring_scheme_rejected_on_rack_ring(self):
-        engine = make_engine("2 local steps")
-        with pytest.raises(ValueError, match="deferred a hop"):
-            engine.train(1)
+        # At construction (the hop-level check stays as the backstop).
+        with pytest.raises(ValueError, match="'2 local steps' defers transmissions"):
+            make_engine("2 local steps")
 
     def test_make_topology(self):
         topo = make_topology("hier", racks=3, rack_size=2)

@@ -483,7 +483,8 @@ class TestHierarchicalHarness:
             ),
             (
                 ["table1", "--fast", "--fuse", "--topology", "ring"],
-                "--fuse is incompatible with --topology ring",
+                "raw gradients per hop; fused buckets only apply to point-to-point "
+                "push/pull framing (set by --topology ring, --fuse)",
             ),
             (
                 # One rack degenerates to the ring: same parse-time rule.
@@ -499,12 +500,11 @@ class TestHierarchicalHarness:
             ),
             (
                 ["table1", "--fast", "--fuse", "--bucket-elements", "0"],
-                "--bucket-elements must be >= 1, got 0",
+                "bucket_elements must be >= 1 (set by --bucket-elements 0)",
             ),
             (
                 ["table1", "--fast", "--fuse-lossy"],
-                "--fuse-lossy selects the fused-bucket codec mode; it "
-                "requires --fuse",
+                "--fuse-lossy requires --fuse",
             ),
         ]
         for argv, fragment in cases:

@@ -1,6 +1,5 @@
 """Analysis-layer tests: attribution reconciliation across the topology ×
-sync-mode matrix, trace diffing with fault localization, and the live
-exposition endpoints.
+sync-mode matrix and trace diffing with fault localization.
 
 The acceptance invariant: attribution is an exact partition of each
 step window, so bucket sums equal the simulated step time to 1e-6 on
@@ -8,8 +7,6 @@ every topology (single / sharded / ring / hier) under every sync mode
 (bsp / async / ssp)."""
 
 import json
-import threading
-import urllib.request
 
 import pytest
 
@@ -17,8 +14,6 @@ from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.distributed.faults import FaultSpec, UplinkFlap
 from repro.exchange import MODELED, EngineConfig, ExchangeEngine
-from repro.harness.config import FAST_CONFIG
-from repro.harness.runner import ExperimentRunner
 from repro.netsim import (
     EventDrivenSimulator,
     NetworkSimulator,
@@ -29,7 +24,7 @@ from repro.network.bandwidth import link
 from repro.network.timing import StepTimeModel
 from repro.nn import CosineDecay, build_resnet
 from repro.nn.stats import profile_backward
-from repro.telemetry import Telemetry, Tracer
+from repro.telemetry import Tracer
 from repro.telemetry.analysis import (
     TraceSpan,
     attribute_group,
@@ -37,11 +32,9 @@ from repro.telemetry.analysis import (
     bottleneck_report,
     diff_report,
     diff_text,
-    prometheus_text,
     report_text,
     spans_from_chrome,
     spans_from_tracer,
-    MetricsServer,
 )
 from repro.telemetry.analysis import attribution, diff, report
 from repro.telemetry.export import chrome_trace
@@ -614,95 +607,3 @@ class TestReportCli:
         out = capsys.readouterr().out
         assert "archived totals [3LC]: 10Mbps=1.500000s" in out
         assert "reconciliation ok" in out
-
-
-def _parse_prometheus(body: str) -> dict[str, float]:
-    """Minimal exposition-format parser: sample name+labels -> value."""
-    samples = {}
-    for line in body.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.rpartition(" ")
-        assert name, f"malformed sample line: {line!r}"
-        samples[name] = float(value)
-    return samples
-
-
-class TestExposition:
-    def test_prometheus_text_renders_all_kinds(self):
-        tel = Telemetry()
-        tel.registry.counter("wire_bytes", phase="push", scheme="3lc").inc(64)
-        tel.registry.gauge("loss").set(1.25)
-        tel.registry.histogram("staleness").observe(1)
-        tel.registry.histogram("staleness").observe(3)
-        body = prometheus_text([("run A", tel)])
-        samples = _parse_prometheus(body)
-        assert (
-            samples['wire_bytes{phase="push",scheme="3lc",session="run A"}']
-            == 64.0
-        )
-        assert samples['loss{session="run A"}'] == 1.25
-        assert samples['staleness_count{session="run A"}'] == 2.0
-        assert samples['staleness_sum{session="run A"}'] == 4.0
-        assert samples['staleness_bucket{le="+Inf",session="run A"}'] == 2.0
-        # Cumulative bucket counts never decrease.
-        buckets = [
-            value
-            for key, value in samples.items()
-            if key.startswith("staleness_bucket")
-        ]
-        assert buckets == sorted(buckets)
-        assert "# TYPE wire_bytes counter" in body
-        assert "# TYPE staleness histogram" in body
-
-    def test_metrics_endpoint_during_live_sweep(self):
-        config = FAST_CONFIG.scaled(standard_steps=4, telemetry=True)
-        runner = ExperimentRunner(config)
-        done = threading.Event()
-
-        def sweep():
-            try:
-                runner.run("3LC (s=1.00)")
-            finally:
-                done.set()
-
-        with MetricsServer(lambda: list(runner.telemetry_sessions)) as server:
-            thread = threading.Thread(target=sweep, daemon=True)
-            thread.start()
-            # Poll /metrics while the sweep runs; the feed must parse at
-            # every point, and carry series once the run registers.
-            saw_series = False
-            while not done.is_set() or not saw_series:
-                body = (
-                    urllib.request.urlopen(f"{server.url}/metrics", timeout=10)
-                    .read()
-                    .decode()
-                )
-                samples = _parse_prometheus(body)
-                if samples:
-                    saw_series = True
-                if done.is_set() and saw_series:
-                    break
-            thread.join(timeout=30)
-            assert done.is_set()
-            body = (
-                urllib.request.urlopen(f"{server.url}/metrics", timeout=10)
-                .read()
-                .decode()
-            )
-            samples = _parse_prometheus(body)
-            assert any(key.startswith("wire_bytes") for key in samples)
-            stream = urllib.request.urlopen(f"{server.url}/stream", timeout=10)
-            first = json.loads(stream.readline())
-            stream.close()
-            assert first["session"].startswith("3LC")
-            assert "metrics" in first
-
-    def test_unknown_path_is_404(self):
-        with MetricsServer(lambda: []) as server:
-            try:
-                urllib.request.urlopen(f"{server.url}/nope", timeout=10)
-            except urllib.error.HTTPError as error:
-                assert error.code == 404
-            else:  # pragma: no cover - fail loudly
-                pytest.fail("expected 404")

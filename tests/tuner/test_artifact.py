@@ -116,6 +116,27 @@ class TestRoundTrip:
         objective = artifact["objective"]
         assert result.mean_step_seconds[objective["link"]] == objective["mean_step_seconds"]
 
+    def test_scored_point_is_the_config_that_runs(self, space, artifact):
+        """as_dict -> point_from_dict -> apply is the identity on what was
+        scored: the point survives the dictionary, its config is the one
+        ``apply_plan`` builds, and re-scoring it gives the objective."""
+        point = space.point_from_dict(artifact["plan"])
+        assert point.as_dict() == artifact["plan"]
+        assert space.canonical(point) == point and space.legal_reason(point) is None
+        config = space.apply(point)
+        assert (config, point.scheme) == apply_plan(BASE, artifact)
+        rescored = PlanEvaluator(space, link=artifact["objective"]["link"]).evaluate(point)
+        assert rescored.step_seconds == artifact["objective"]["mean_step_seconds"]
+
+    def test_apply_plan_composes_overrides_in_one_construction(self, artifact):
+        """A worker count the plan needs is validated together with it."""
+        plan = dict(artifact["plan"], topology="hier", racks=3, rack_size=2)
+        data = dict(artifact, plan=plan)
+        with pytest.raises(ValueError, match="not divisible into 3 racks"):
+            apply_plan(BASE, data)
+        config, _ = apply_plan(BASE, data, num_workers=6)
+        assert (config.num_workers, config.racks) == (6, 3)
+
     def test_cli_names_the_clock_of_a_loaded_plan(self, artifact, tmp_path, capsys):
         from repro.harness.cli import main
 

@@ -27,7 +27,6 @@ def space() -> PlanSpace:
 def point(space, **overrides) -> PlanPoint:
     base = space.default_point("32-bit float")
     fields = base.as_dict()
-    fields["fuse"] = fields.pop("fuse_small_tensors")
     fields["bucket_boundaries"] = tuple(fields["bucket_boundaries"])
     fields.update(overrides)
     return PlanPoint(**fields)
@@ -43,11 +42,11 @@ class TestLegality:
             assert space.canonical(p) == p
 
     def test_fuse_lossy_requires_fuse(self, space):
-        p = point(space, fuse=False, fuse_lossy=True)
+        p = point(space, fuse_small_tensors=False, fuse_lossy=True)
         assert "fuse" in space.legal_reason(p)
 
     def test_boundaries_require_fuse(self, space):
-        p = point(space, fuse=False, bucket_boundaries=("x",))
+        p = point(space, fuse_small_tensors=False, bucket_boundaries=("x",))
         assert "fuse" in space.legal_reason(p)
 
     def test_hier_rack_arithmetic(self, space):
@@ -63,7 +62,7 @@ class TestLegality:
             assert "defers" in space.legal_reason(p)
 
     def test_apply_rejects_illegal(self, space):
-        p = point(space, fuse=False, fuse_lossy=True)
+        p = point(space, fuse_small_tensors=False, fuse_lossy=True)
         with pytest.raises(ValueError, match="illegal plan point"):
             space.apply(p)
 
@@ -81,7 +80,7 @@ class TestCanonical:
 
     def test_resets_bucket_geometry_without_fuse(self, space):
         p = point(
-            space, fuse=False, bucket_elements=4096,
+            space, fuse_small_tensors=False, bucket_elements=4096,
             bucket_boundaries=(),
         )
         assert space.canonical(p).bucket_elements == BASE.bucket_elements
@@ -100,7 +99,7 @@ class TestConstruction:
         p = point(
             space, scheme="MQE 1-bit int", topology="hier", racks=2,
             rack_size=2, cross_bw_fraction=0.1,
-            transmission_priority="smallest", fuse=True, fuse_lossy=True,
+            transmission_priority="smallest", fuse_small_tensors=True, fuse_lossy=True,
             bucket_elements=1024,
         )
         assert space.legal_reason(p) is None
