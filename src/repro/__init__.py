@@ -11,13 +11,21 @@ Package layout:
 * :mod:`repro.nn` — pure-NumPy neural-network substrate (conv, batch norm,
   residual networks, SGD with momentum, LR schedules).
 * :mod:`repro.data` — deterministic synthetic CIFAR-like dataset with
-  crop/flip augmentation.
-* :mod:`repro.distributed` — in-process parameter-server training simulator
-  (BSP, async/SSP, and ring all-reduce topologies).
-* :mod:`repro.network` — link bandwidth / step-time model, traffic meter,
-  and geo-distributed WAN topology.
-* :mod:`repro.trace` — state-change trace capture and offline codec replay.
+  crop/flip augmentation (no real CIFAR-10 loader: the dataset files are
+  not in the repository).
+* :mod:`repro.distributed` — workers, parameter servers, sharding, ring
+  all-reduce, barriers and fault specs: the exchange primitives.
+* :mod:`repro.exchange` — the one trainer, ``ExchangeEngine``, over a
+  topology (single, sharded, ring, hier) and a sync mode (BSP, async, SSP).
+* :mod:`repro.netsim` — discrete-event replay of recorded steps.
+* :mod:`repro.network` — link specs, step-time model and traffic meter.
+* :mod:`repro.telemetry` — metrics, simulated-clock spans, trace export and
+  critical-path analysis.
+* :mod:`repro.tuner` — wire-plan search against the simulator.
 * :mod:`repro.harness` — experiment runner and table/figure regeneration.
+
+Figure 9's compressed sizes come from the engine's traffic meter; there is
+no offline trace format.
 """
 
 from repro.core import CompressionContext, ThreeLCCodec

@@ -29,20 +29,9 @@ import numpy as np
 __all__ = [
     "elias_gamma_encode",
     "elias_gamma_decode",
-    "elias_gamma_bit_length",
     "elias_delta_encode",
     "elias_delta_decode",
-    "elias_delta_bit_length",
 ]
-
-
-def elias_gamma_bit_length(values: np.ndarray) -> int:
-    """Total bits Elias gamma spends on ``values`` (all must be >= 1)."""
-    arr = _checked(values)
-    if arr.size == 0:
-        return 0
-    k = np.floor(np.log2(arr)).astype(np.int64)
-    return int(np.sum(2 * k + 1))
 
 
 def _checked(values: np.ndarray) -> np.ndarray:
@@ -83,16 +72,6 @@ def elias_gamma_encode(values: np.ndarray) -> bytes:
         np.uint64(0),
     ).astype(np.uint8)
     return np.packbits(bits).tobytes()
-
-
-def elias_delta_bit_length(values: np.ndarray) -> int:
-    """Total bits Elias delta spends on ``values`` (all must be >= 1)."""
-    arr = _checked(values)
-    if arr.size == 0:
-        return 0
-    k = np.floor(np.log2(arr)).astype(np.int64)
-    kg = np.floor(np.log2(k + 1)).astype(np.int64)
-    return int(np.sum(2 * kg + 1 + k))
 
 
 def elias_delta_encode(values: np.ndarray) -> bytes:

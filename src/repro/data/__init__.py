@@ -1,17 +1,12 @@
-"""Data substrate: synthetic CIFAR-like dataset, real CIFAR-10 loader,
-augmentation, batching."""
+"""Data substrate: synthetic CIFAR-like dataset, augmentation, batching."""
 
 from repro.data.augment import Augmenter, random_crop_flip
 from repro.data.batcher import ShardBatcher
-from repro.data.cifar import Cifar10Shards, load_cifar10, load_cifar10_batch
 from repro.data.synthetic import DatasetSpec, SyntheticImageDataset
 
 __all__ = [
     "DatasetSpec",
     "SyntheticImageDataset",
-    "Cifar10Shards",
-    "load_cifar10",
-    "load_cifar10_batch",
     "Augmenter",
     "random_crop_flip",
     "ShardBatcher",

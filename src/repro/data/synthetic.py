@@ -1,6 +1,7 @@
 """Deterministic synthetic image-classification dataset.
 
-Stand-in for CIFAR-10 (unavailable offline; see DESIGN.md substitutions).
+Stand-in for CIFAR-10: the dataset files are not in the repository, so
+no run trains on real CIFAR-10 images.
 Each of the ``num_classes`` classes is defined by a smooth random template
 per channel (a low-resolution random field upsampled bilinearly — natural
 images are dominated by low spatial frequencies). A sample is::
@@ -38,8 +39,7 @@ assignment destination is read-only``) — copy before mutating.
   re-request after eviction is a fresh, byte-identical synthesis.
 * **Not memoized.** :meth:`SyntheticImageDataset.sample` with a caller's
   generator — its result depends on the generator's state, which is not a
-  key — and :class:`~repro.data.cifar.Cifar10Shards`, whose shards are
-  already slices of one loaded array.
+  key.
 
 The memo is process-wide rather than owned by a runner or a
 :class:`~repro.netsim.SweepReplayCache` because sweep cells and tuner

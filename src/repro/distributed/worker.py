@@ -105,6 +105,8 @@ class Worker:
         self.augmenter = augmenter
         self.scheme = scheme
         self.loss_fn = SoftmaxCrossEntropy()
+        #: Training loss of the last minibatch (read when a step diverges).
+        self.last_loss = 0.0
         self._params = {p.name: p for p in model.parameters()}
         #: Push-side contexts (``None`` without push compression).
         self.stream: WireStream | None = None
@@ -125,7 +127,7 @@ class Worker:
 
         t0 = time.perf_counter()
         logits = self.model.forward(images, training=True)
-        loss = self.loss_fn.forward(logits, labels)
+        loss = self.last_loss = self.loss_fn.forward(logits, labels)
         self.model.zero_grad()
         self.model.backward(self.loss_fn.backward())
         return loss, time.perf_counter() - t0

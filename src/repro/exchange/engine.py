@@ -34,6 +34,7 @@ replay.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -169,10 +170,7 @@ class EngineConfig:
                 "require fuse_small_tensors=True"
             )
         if self.fuse_small_tensors:
-            reason = fusion_incompatibility(
-                self.topology,
-                racks=self.racks if self.topology == "hier" else None,
-            )
+            reason = fusion_incompatibility(self.topology)
             if reason is not None:
                 raise ValueError(reason)
         # The registries own the per-knob rules (unknown names, staleness
@@ -191,16 +189,16 @@ class EngineConfig:
                 "only apply to parameter-server topologies"
             )
         if self.topology == "hier":
+            if self.racks < 2:
+                raise ValueError(
+                    "topology 'hier' needs racks >= 2; one rack is "
+                    "--topology ring"
+                )
             if self.racks * self.rack_size != self.num_workers:
                 raise ValueError(
                     f"num_workers={self.num_workers} is not divisible into "
                     f"{self.racks} racks of {self.rack_size} "
                     "(racks * rack_size must equal num_workers)"
-                )
-            if not sync.synchronous and self.racks < 2:
-                raise ValueError(
-                    "async/SSP hierarchical runs need >= 2 racks; one rack "
-                    "has no cross-rack tier to relax"
                 )
         if self.fault is not None and not self.fault.empty:
             if self.sync_mode != "bsp":
@@ -230,11 +228,6 @@ class EngineConfig:
                         "uplink flap faults model a rack losing its cross-"
                         "rack uplink; they require topology='hier', got "
                         f"{self.topology!r}"
-                    )
-                if self.racks < 2:
-                    raise ValueError(
-                        "uplink flap faults need >= 2 racks; one rack has "
-                        "no uplink to lose"
                     )
                 for flap in self.fault.flaps:
                     if flap.rack >= self.racks:
@@ -670,6 +663,8 @@ class ExchangeEngine:
             quantum = self._ring_step()
         else:
             quantum = self._ps_step()
+        if not math.isfinite(quantum.loss):
+            raise FloatingPointError(self._divergence(quantum.step))
         self.traffic.record(quantum.traffic)
         if quantum.transmissions is not None:
             recorded = (
@@ -689,6 +684,23 @@ class ExchangeEngine:
         )
         self.step_logs.append(log)
         return log
+
+    def _divergence(self, step: int) -> str:
+        """Name the first worker whose last loss is not finite.
+
+        Losses are non-negative, so a quantum's mean is non-finite exactly
+        when one of its workers' is, and a worker that computed in an
+        earlier quantum would have raised then.
+        """
+        worker = next(w for w in self.workers if not math.isfinite(w.last_loss))
+        where = f"worker {worker.worker_id}"
+        if self._is_hierarchical:
+            rack = worker.worker_id // self.engine_config.rack_size
+            where = f"rack {rack} ({where})"
+        return (
+            f"training loss {worker.last_loss} at step {step} from {where}: "
+            "has training diverged?"
+        )
 
     def train(
         self, steps: int, *, eval_every: int | None = None, test_size: int = 1000
@@ -1384,7 +1396,7 @@ class ExchangeEngine:
             # Every member of an up rack receives one physical copy of
             # each shared cross-rack pull: one copy per up rack crosses
             # the uplink, then rack_size - 1 more circulate the rack ring.
-            pull_fanout=len(up_racks) * rack_size if racks > 1 else 0,
+            pull_fanout=len(up_racks) * rack_size,
             num_workers=config.num_workers,
         )
         self._post_hier_push(ledger, outcome)

@@ -441,16 +441,10 @@ class HierarchicalExchangeService:
        model, and compresses shared model deltas that flow back down one
        copy per rack and are then re-broadcast over the rack rings.
 
-    With a single rack no cross-rack tier exists (the service *is* in the
-    rack), so the exchange degenerates to a wrapped
-    :class:`RingExchangeService` — bit-exact with ``RingTopology`` by
-    construction, which the hierarchical parity test pins.
-
     Per-rack ring contexts are independent objects but share stream keys
     across racks (the underlying :class:`RingAllReduce` keys by
     ``(phase, sender, chunk)``); stochastic schemes therefore draw the
-    same per-hop streams in every rack, which is deterministic and keeps
-    the 1-rack case exactly the plain ring.
+    same per-hop streams in every rack, which is deterministic.
     """
 
     wants_raw_gradients = True
@@ -470,37 +464,14 @@ class HierarchicalExchangeService:
         small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
         fusion_plan: FusionPlan = FusionPlan(),
     ):
-        if racks < 1:
-            raise ValueError(f"racks must be >= 1, got {racks}")
         if rack_size < 2:
             raise ValueError(
                 f"a rack ring needs >= 2 workers, got rack_size={rack_size}"
             )
-        if fusion_plan.buckets and racks < 2:
-            raise ValueError(fusion_incompatibility("hier", racks=racks))
         self.racks = int(racks)
         self.rack_size = int(rack_size)
         self.schedule = schedule
         self.scheme = scheme
-        self.upper: ParameterServer | ShardedParameterService | None = None
-        self._flat: RingExchangeService | None = None
-
-        if self.racks == 1:
-            # One rack: every worker shares the fast fabric with the
-            # parameter state; no bytes cross a rack boundary and the
-            # exchange IS the plain ring.
-            self._flat = RingExchangeService(
-                parameters,
-                optimizer_factory(),
-                schedule,
-                scheme,
-                num_workers=self.rack_size,
-                small_tensor_threshold=small_tensor_threshold,
-            )
-            self.params = self._flat.params
-            self.rack_rings = [self._flat.ring]
-            self.uplinks: list[WireStream] = []
-            return
 
         if upper_worker_slots is None:
             upper_worker_slots = self.racks
@@ -556,22 +527,14 @@ class HierarchicalExchangeService:
 
     @property
     def bypassed(self) -> set[str]:
-        return self._flat.bypassed if self._flat is not None else self.upper.bypassed
+        return self.upper.bypassed
 
     @property
     def global_step(self) -> int:
-        return (
-            self._flat.global_step
-            if self._flat is not None
-            else self.upper.global_step
-        )
+        return self.upper.global_step
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return (
-            self._flat.state_dict()
-            if self._flat is not None
-            else self.upper.state_dict()
-        )
+        return self.upper.state_dict()
 
     def cross_routes(self) -> dict[str, str]:
         """Map each tensor to the cross-rack tier its aggregate traverses.
@@ -581,8 +544,6 @@ class HierarchicalExchangeService:
         qualifies per rack (``cross:rack<r>``) when it emits records —
         each rack reaches the core over its own uplink.
         """
-        if self._flat is not None:
-            return {name: "rack0" for name in self.params}
         if isinstance(self.upper, ShardedParameterService):
             return {
                 name: f"cross:shard{self.upper.shard_of(name)}"
@@ -661,25 +622,6 @@ class HierarchicalExchangeService:
                 "every rack is cut off from the core; no exchange possible"
             )
         per_tensor_elements = self._per_tensor_elements()
-        if self._flat is not None:
-            if down_racks or catch_up:
-                raise ValueError(
-                    "a single rack has no cross uplink to take down"
-                )
-            out = self._flat.exchange(grad_dicts)
-            return HierarchicalOutcome(
-                deltas=out.deltas,
-                rack_indices=(0,),
-                per_rack_link_bytes=(out.per_tensor_link_bytes,),
-                per_tensor_elements=per_tensor_elements,
-                intra_wire_bytes=out.wire_bytes,
-                intra_elements=out.elements,
-                ring_frames=self._ring_frames(1),
-                rack_codec_seconds=(out.codec_seconds,),
-                cross_push_results=(),
-                cross_compress_seconds=(0.0,),
-            )
-
         rack_grads: list[dict[str, np.ndarray]] = []
         per_rack_link_bytes: list[dict[str, int]] = []
         rack_codec: list[float] = []
@@ -752,11 +694,6 @@ class HierarchicalExchangeService:
         """One rack's asynchronous update: the rack reduces internally and
         pushes its aggregate alone (``divisor=1``); the engine handles the
         per-rack pull stream through its own error-feedback contexts."""
-        if self._flat is not None:
-            raise RuntimeError(
-                "asynchronous hierarchical exchange needs >= 2 racks; "
-                "a single rack is plain (synchronous) ring training"
-            )
         if not (0 <= rack < self.racks):
             raise ValueError(f"rack must be in [0, {self.racks}), got {rack}")
         if len(grad_dicts) != self.rack_size:
@@ -793,7 +730,7 @@ class HierarchicalTopology(ExchangeTopology):
     supports_event_modes = True
     #: Fused buckets apply to the point-to-point cross-rack tier: rack
     #: aggregates of plan-owned tensors cross the uplink as one frame per
-    #: bucket per rack (requires >= 2 racks — one rack has no uplink).
+    #: bucket per rack.
     supports_fusion = True
 
     def __init__(
@@ -804,8 +741,6 @@ class HierarchicalTopology(ExchangeTopology):
         upper: str = "single",
         num_shards: int = 2,
     ):
-        if racks < 1:
-            raise ValueError(f"racks must be >= 1, got {racks}")
         if rack_size < 2:
             raise ValueError(
                 f"a rack ring needs >= 2 workers, got rack_size={rack_size}"
@@ -843,11 +778,6 @@ class HierarchicalTopology(ExchangeTopology):
         # the full worker count for BSP (every rack pushes each step) or 1
         # for async/SSP (racks commit one at a time).
         if num_workers == 1:
-            if self.racks < 2:
-                raise ValueError(
-                    "async/SSP hierarchical runs need >= 2 racks; one rack "
-                    "has no cross-rack tier to relax"
-                )
             upper_slots = 1
         else:
             if num_workers != self.racks * self.rack_size:

@@ -24,31 +24,19 @@ from repro.compression.fusion import FusionPlan, build_fusion_plan
 __all__ = ["build_wire_plan", "fusion_incompatibility"]
 
 
-def fusion_incompatibility(
-    topology: str, *, racks: int | None = None
-) -> str | None:
-    """Why fused buckets cannot run on this configuration, or ``None``.
+def fusion_incompatibility(topology: str) -> str | None:
+    """Why fused buckets cannot run on this topology, or ``None``.
 
     Raised by :class:`~repro.exchange.engine.EngineConfig` validation and
-    by the ring and hierarchical topologies themselves, with identical
-    wording. Fusion composes with every sync mode (BSP shared pulls,
-    async/SSP per-worker fused pull streams), so only topology shape can
-    rule it out:
-
-    * the flat ring exchanges raw gradients per hop — there is no
-      point-to-point framing to fuse;
-    * a one-rack hierarchical run degenerates to that same ring (no
-      cross-rack tier exists, so no uplink to frame fused buckets on).
+    by the ring topology itself, with identical wording. Fusion composes
+    with every sync mode (BSP shared pulls, async/SSP per-worker fused
+    pull streams), so only the flat ring rules it out: it exchanges raw
+    gradients per hop, and there is no point-to-point framing to fuse.
     """
     if topology == "ring":
         return (
             "the ring exchanges raw gradients per hop; fused buckets only "
             "apply to point-to-point push/pull framing"
-        )
-    if topology == "hier" and racks is not None and racks < 2:
-        return (
-            "a one-rack hierarchical run is a plain ring collective with "
-            "no cross-rack uplink; fused buckets need >= 2 racks"
         )
     return None
 

@@ -264,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--racks", type=int, default=None,
-        help="rack count for --topology hier (racks * rack-size must "
-        "equal the worker count)",
+        help="rack count for --topology hier (>= 2; racks * rack-size "
+        "must equal the worker count)",
     )
     parser.add_argument(
         "--rack-size", type=int, default=None,
@@ -403,8 +403,10 @@ def parse_config(argv: list[str] | None = None):
     if args.plan is not None:
         try:
             plan = load_plan(args.plan)
-        except (OSError, ValueError) as error:
-            parser.error(f"--plan {args.plan}: {error}")
+        except OSError as error:
+            parser.error(f"--plan {args.plan}: {error.strerror}")
+        except ValueError as error:
+            parser.error(f"--plan {error}")
         spelled["plan"] = f"--plan {args.plan}"
         for field in PLAN_FIELDS:
             if field in overrides:

@@ -1,9 +1,12 @@
-"""Network substrate: link specs, traffic metering, step-time model."""
+"""Network substrate: link specs, traffic metering, step-time model.
+
+Geo-distributed (WAN) placement is out of scope: the scarce link modeled
+is the cross-rack uplink of ``--topology hier``.
+"""
 
 from repro.network.bandwidth import LINKS, LinkSpec, link
 from repro.network.timing import StepTimeModel, extrapolate_training_time
 from repro.network.traffic import StepTraffic, TrafficMeter
-from repro.network.wan import Region, WanStepCost, WanTopology
 
 __all__ = [
     "LinkSpec",
@@ -13,7 +16,4 @@ __all__ = [
     "TrafficMeter",
     "StepTimeModel",
     "extrapolate_training_time",
-    "Region",
-    "WanTopology",
-    "WanStepCost",
 ]

@@ -3,13 +3,12 @@
 Implements everything the paper's workload needs without TensorFlow:
 convolution (strided-slice im2col + one GEMM), batch normalization, ReLU,
 pooling, linear layers, identity-mapping residual networks, softmax
-cross-entropy, momentum SGD with weight decay, and cosine/stepwise LR
+cross-entropy, momentum SGD with weight decay, and cosine/constant LR
 schedules. Each layer carries an analytic backward pass; there is no
 autograd tape.
 """
 
 from repro.nn.activations import Identity, ReLU
-from repro.nn.checkpoint import load_checkpoint, save_checkpoint
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Flatten, Linear
 from repro.nn.loss import SoftmaxCrossEntropy, accuracy, softmax
@@ -19,12 +18,7 @@ from repro.nn.optimizer import MomentumSGD
 from repro.nn.parameter import Parameter
 from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d
 from repro.nn.resnet import BasicBlock, PadShortcut, build_mlp, build_resnet
-from repro.nn.schedule import (
-    ConstantLR,
-    CosineDecay,
-    StepwiseDecay,
-    scale_lr_for_workers,
-)
+from repro.nn.schedule import ConstantLR, CosineDecay, scale_lr_for_workers
 from repro.nn.stats import (
     BackwardTimeline,
     LayerTiming,
@@ -56,11 +50,8 @@ __all__ = [
     "accuracy",
     "MomentumSGD",
     "CosineDecay",
-    "StepwiseDecay",
     "ConstantLR",
     "scale_lr_for_workers",
-    "save_checkpoint",
-    "load_checkpoint",
     "ModelStats",
     "model_stats",
     "BackwardHookHandle",

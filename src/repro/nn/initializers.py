@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "xavier_uniform", "zeros", "ones"]
+__all__ = ["he_normal", "zeros", "ones"]
 
 
 def he_normal(
@@ -20,16 +20,6 @@ def he_normal(
         raise ValueError(f"fan_in must be positive, got {fan_in!r}")
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot uniform: U(±sqrt(6 / (fan_in + fan_out)))."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fans must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

@@ -3,16 +3,15 @@
 The paper trains with cosine decay without restarts (Loshchilov & Hutter)
 over the *adjusted* total step budget — when an experiment runs 25/50/75%
 of standard steps, the schedule still sweeps the full learning-rate range
-(paper §5.2, Measurement Methodology). The stepwise schedule of the
-original ResNet paper is included for the ablation comparison.
+(paper §5.2, Measurement Methodology).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
-__all__ = ["Schedule", "CosineDecay", "StepwiseDecay", "ConstantLR", "scale_lr_for_workers"]
+__all__ = ["Schedule", "CosineDecay", "ConstantLR", "scale_lr_for_workers"]
 
 Schedule = Callable[[int], float]
 
@@ -37,26 +36,6 @@ class CosineDecay:
         t = min(max(step, 0), self.total_steps)
         cos = 0.5 * (1.0 + math.cos(math.pi * t / self.total_steps))
         return self.min_lr + (self.base_lr - self.min_lr) * cos
-
-
-class StepwiseDecay:
-    """Piecewise-constant decay: multiply by ``factor`` at each boundary."""
-
-    def __init__(
-        self, base_lr: float, boundaries: Sequence[int], factor: float = 0.1
-    ):
-        if sorted(boundaries) != list(boundaries):
-            raise ValueError("boundaries must be sorted ascending")
-        self.base_lr = float(base_lr)
-        self.boundaries = tuple(int(b) for b in boundaries)
-        self.factor = float(factor)
-
-    def __call__(self, step: int) -> float:
-        lr = self.base_lr
-        for boundary in self.boundaries:
-            if step >= boundary:
-                lr *= self.factor
-        return lr
 
 
 class ConstantLR:

@@ -87,8 +87,12 @@ class TraceSpan:
 
 
 def load_chrome_trace(path) -> dict:
-    """Read a Chrome ``traceEvents`` JSON file."""
-    return json.loads(Path(path).read_text())
+    """Read a Chrome ``traceEvents`` JSON file; malformed JSON (truncated
+    included) raises ``ValueError`` naming the path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path}: not a Chrome trace: {error}") from None
 
 
 def spans_from_chrome(data: dict) -> list[TraceSpan]:

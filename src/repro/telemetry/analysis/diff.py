@@ -27,6 +27,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.harness.results_io import load_results
 from repro.utils.format import format_table
 
 from repro.telemetry.analysis.attribution import (
@@ -164,18 +165,8 @@ def diff_report(
 
 def _fault_summaries_from_archive(path) -> dict | None:
     """Merge the ``fault_summary`` rollups of a ``--save`` archive."""
-    data = json.loads(Path(path).read_text())
-    results = data.get("results") if isinstance(data, dict) else data
-    if not (
-        isinstance(results, list)
-        and all(isinstance(result, dict) for result in results)
-    ):
-        raise ValueError(
-            f"{path}: not a results archive (want a JSON list of run "
-            "documents, or an object holding one under 'results')"
-        )
     summaries = [
-        result["fault_summary"] for result in results if result.get("fault_summary")
+        result.fault_summary for result in load_results(path) if result.fault_summary
     ]
     if not summaries:
         return None
@@ -268,14 +259,16 @@ def main(argv=None) -> int:
         "rollup rides into the report",
     )
     args = parser.parse_args(argv)
-    fault_summary = None
-    if args.results is not None:
-        fault_summary = _fault_summaries_from_archive(args.results)
+    try:
+        fault_summary = None
+        if args.results is not None:
+            fault_summary = _fault_summaries_from_archive(args.results)
+        base, other = load_chrome_trace(args.base), load_chrome_trace(args.other)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     report = diff_report(
-        load_chrome_trace(args.base),
-        load_chrome_trace(args.other),
-        threshold=args.threshold,
-        fault_summary=fault_summary,
+        base, other, threshold=args.threshold, fault_summary=fault_summary
     )
     if args.json:
         path = Path(args.json)

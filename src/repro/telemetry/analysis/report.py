@@ -28,6 +28,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.harness.results_io import load_results
 from repro.telemetry.analysis.attribution import (
     attribute_trace,
     bottleneck_report,
@@ -63,20 +64,12 @@ def main(argv=None) -> int:
         help="--save archive to print simulated per-link totals alongside",
     )
     args = parser.parse_args(argv)
-    archive = []
-    if args.results is not None:
-        archive = json.loads(Path(args.results).read_text())
-        if not (
-            isinstance(archive, list)
-            and all(isinstance(result, dict) for result in archive)
-        ):
-            print(
-                f"{args.results}: not a results archive "
-                "(want a JSON list of run documents)",
-                file=sys.stderr,
-            )
-            return 2
-    data = load_chrome_trace(args.trace)
+    try:
+        archive = [] if args.results is None else load_results(args.results)
+        data = load_chrome_trace(args.trace)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     attributions = attribute_trace(data)
     report = bottleneck_report(attributions, top=args.top)
     if args.json:
@@ -85,13 +78,12 @@ def main(argv=None) -> int:
         path.write_text(json.dumps(report, indent=2) + "\n")
     print(report_text(report, top=args.top))
     for result in archive:
-        totals = result.get("total_seconds") or {}
-        if totals:
+        if result.total_seconds:
             pairs = ", ".join(
                 f"{link}={seconds:.6f}s"
-                for link, seconds in sorted(totals.items())
+                for link, seconds in sorted(result.total_seconds.items())
             )
-            print(f"archived totals [{result.get('scheme', '?')}]: {pairs}")
+            print(f"archived totals [{result.scheme}]: {pairs}")
     if args.check:
         worst = 0.0
         for attribution in attributions:

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace_event JSON, JSONL metric snapshots, text summary.
+"""Exporters: Chrome trace_event JSON and JSONL metric snapshots.
 
 The Chrome exporter emits the legacy ``traceEvents`` JSON object format
 (loadable in Perfetto and chrome://tracing): one *process* per span
@@ -21,12 +21,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.utils.format import format_table
-
 __all__ = [
     "chrome_trace",
     "metric_rows",
-    "summary_text",
     "write_chrome_trace",
     "write_metric_snapshots",
 ]
@@ -136,59 +133,3 @@ def write_metric_snapshots(path, sessions) -> int:
         for row in rows:
             handle.write(json.dumps(row) + "\n")
     return len(rows)
-
-
-def summary_text(summary: dict, *, title: str = "Telemetry summary") -> str:
-    """Table-1-style text rendering of a ``Telemetry.summary()`` dict."""
-    sections = []
-    counters = summary.get("counters") or {}
-    if counters:
-        sections.append(
-            format_table(
-                ["Counter", "Total"],
-                [[key, f"{value:g}"] for key, value in counters.items()],
-                title=title,
-            )
-        )
-    gauges = summary.get("gauges") or {}
-    if gauges:
-        sections.append(
-            format_table(
-                ["Gauge", "Last value"],
-                [[key, f"{value:g}"] for key, value in gauges.items()],
-                title="Gauges",
-            )
-        )
-    histograms = summary.get("histograms") or {}
-    if histograms:
-        sections.append(
-            format_table(
-                ["Histogram", "Count", "Mean", "Min", "Max"],
-                [
-                    [
-                        key,
-                        str(stats["count"]),
-                        "-" if stats["mean"] is None else f"{stats['mean']:.4g}",
-                        "-" if stats["min"] is None else f"{stats['min']:.4g}",
-                        "-" if stats["max"] is None else f"{stats['max']:.4g}",
-                    ]
-                    for key, stats in histograms.items()
-                ],
-                title="Histograms",
-            )
-        )
-    spans = summary.get("spans") or {}
-    if spans:
-        sections.append(
-            format_table(
-                ["Track", "Spans", "Busy seconds"],
-                [
-                    [key, str(stats["count"]), f"{stats['busy_seconds']:.6f}"]
-                    for key, stats in spans.items()
-                ],
-                title="Span tracks",
-            )
-        )
-    if not sections:
-        return f"{title}: empty"
-    return "\n\n".join(sections)

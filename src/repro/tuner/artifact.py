@@ -103,8 +103,13 @@ def save_plan(path, data: dict) -> None:
 
 
 def load_plan(path) -> dict:
-    data = json.loads(Path(path).read_text())
-    validate_plan(data)
+    """Read and validate a plan; malformed JSON (truncated included) or a
+    malformed plan raises ``ValueError`` naming the path."""
+    try:
+        data = json.loads(Path(path).read_text())
+        validate_plan(data)
+    except ValueError as error:  # a json.JSONDecodeError is one
+        raise ValueError(f"{path}: not a plan artifact: {error}") from None
     return data
 
 

@@ -316,8 +316,8 @@ def default_space(
 ) -> PlanSpace:
     """The standard search space over one base config.
 
-    Rack shapes are every ``racks x rack_size == num_workers`` split with
-    ``rack_size >= 2`` and ``racks >= 2`` (the fusion-legal hier shapes);
+    Rack shapes are every ``racks x rack_size == num_workers`` split into
+    at least two racks of at least two workers (the legal hier shapes);
     ``hier`` drops out of the topology choices when no such split exists.
     """
     if schemes is None:

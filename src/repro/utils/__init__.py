@@ -1,14 +1,13 @@
 """Shared utilities: seeding, logging, and formatting."""
 
 from repro.utils.seeding import SeedSequenceFactory, derive_rng
-from repro.utils.format import human_bytes, human_rate, format_table
+from repro.utils.format import human_bytes, format_table
 from repro.utils.logging import get_logger
 
 __all__ = [
     "SeedSequenceFactory",
     "derive_rng",
     "human_bytes",
-    "human_rate",
     "format_table",
     "get_logger",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["human_bytes", "human_rate", "format_table"]
+__all__ = ["human_bytes", "format_table"]
 
 _BYTE_UNITS = ["B", "KiB", "MiB", "GiB", "TiB"]
 
@@ -17,16 +17,6 @@ def human_bytes(n: float) -> str:
             return f"{n:.2f} {unit}"
         n /= 1024.0
     return f"{n:.2f} {_BYTE_UNITS[-1]}"
-
-
-def human_rate(bits_per_second: float) -> str:
-    """Format a link rate with a decimal-prefix unit, e.g. ``10.0 Mbps``."""
-    value = float(bits_per_second)
-    for unit in ["bps", "Kbps", "Mbps", "Gbps"]:
-        if abs(value) < 1000.0:
-            return f"{value:.1f} {unit}"
-        value /= 1000.0
-    return f"{value:.1f} Tbps"
 
 
 def format_table(

@@ -5,7 +5,6 @@ import pytest
 
 from repro.compression.adaptive import S_MAX, S_MIN, AdaptiveThreeLCCompressor
 from repro.compression.threelc import ThreeLCCompressor
-from repro.core.packets import WireMessage
 
 
 def _stream(rng, shape, scale=0.1):
@@ -77,13 +76,6 @@ class TestController:
         np.testing.assert_array_equal(
             ThreeLCCompressor(1.0).decompress(result.message), result.reconstruction
         )
-
-    def test_wire_roundtrip(self, rng):
-        t = rng.normal(size=64).astype(np.float32)
-        c = AdaptiveThreeLCCompressor(0.5)
-        result = c.make_context(t.shape).compress(t)
-        again = WireMessage.unpack(result.message.pack())
-        np.testing.assert_array_equal(c.decompress(again), result.reconstruction)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="target_bits"):

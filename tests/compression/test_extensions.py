@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.compression.float16 import Float16Compressor
 from repro.compression.roundrobin import RoundRobinCompressor, partition_bounds
-from repro.core.packets import WireMessage
 
 
 class TestFloat16:
@@ -25,13 +24,6 @@ class TestFloat16:
         np.testing.assert_array_equal(
             c.decompress(result.message), result.reconstruction
         )
-
-    def test_wire_roundtrip(self, rng):
-        t = rng.normal(size=(7, 5)).astype(np.float32)
-        c = Float16Compressor()
-        result = c.make_context(t.shape).compress(t)
-        again = WireMessage.unpack(result.message.pack())
-        np.testing.assert_array_equal(c.decompress(again), result.reconstruction)
 
 
 class TestPartitionBounds:

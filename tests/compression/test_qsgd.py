@@ -51,19 +51,6 @@ class TestQuantize:
 
 
 class TestCompressor:
-    def test_roundtrip_matches_reconstruction(self, rng):
-        t = rng.normal(0, 0.1, size=(31, 17)).astype(np.float32)
-        c = QSGDCompressor(bits=2, seed=3)
-        result = c.make_context(t.shape).compress(t)
-        np.testing.assert_array_equal(c.decompress(result.message), result.reconstruction)
-
-    def test_wire_roundtrip(self, rng):
-        t = rng.normal(size=100).astype(np.float32)
-        c = QSGDCompressor(bits=4)
-        result = c.make_context(t.shape).compress(t)
-        again = WireMessage.unpack(result.message.pack())
-        np.testing.assert_array_equal(c.decompress(again), result.reconstruction)
-
     def test_traffic_well_below_float32(self, rng):
         t = rng.normal(size=10000).astype(np.float32)
         result = QSGDCompressor(bits=2).make_context(t.shape).compress(t)
@@ -85,12 +72,6 @@ class TestCompressor:
         ctx = QSGDCompressor(bits=2).make_context(t.shape)
         ctx.compress(t)
         assert ctx.residual_norm() == 0.0
-
-    def test_zero_tensor_roundtrip(self):
-        t = np.zeros((5, 5), dtype=np.float32)
-        c = QSGDCompressor(bits=2)
-        result = c.make_context(t.shape).compress(t)
-        np.testing.assert_array_equal(c.decompress(result.message), t)
 
     def test_deterministic_per_key(self):
         t = np.linspace(-1, 1, 64).astype(np.float32)

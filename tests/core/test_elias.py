@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.elias import (
-    elias_gamma_bit_length,
+    elias_delta_encode,
     elias_gamma_decode,
     elias_gamma_encode,
 )
@@ -41,29 +41,14 @@ class TestRoundTrip:
         decoded = elias_gamma_decode(elias_gamma_encode(arr), arr.size)
         np.testing.assert_array_equal(decoded.astype(np.int64), arr)
 
-    @given(st.lists(st.integers(min_value=1, max_value=10**6), max_size=100))
-    def test_stream_length_matches_bit_length(self, values):
-        arr = np.array(values, dtype=np.int64)
-        stream = elias_gamma_encode(arr)
-        bits = elias_gamma_bit_length(arr)
-        assert len(stream) == -(-bits // 8)
-
 
 class TestBitLength:
-    def test_known_lengths(self):
-        # gamma(1)=1 bit, gamma(2..3)=3, gamma(4..7)=5, gamma(8..15)=7.
-        assert elias_gamma_bit_length(np.array([1])) == 1
-        assert elias_gamma_bit_length(np.array([2])) == 3
-        assert elias_gamma_bit_length(np.array([3])) == 3
-        assert elias_gamma_bit_length(np.array([4])) == 5
-        assert elias_gamma_bit_length(np.array([15])) == 7
-
     def test_skewed_input_beats_fixed_width(self):
         # A 99%-ones stream costs close to 1 bit/value — the property QSGD
         # exploits for near-sparse gradients.
         values = np.ones(1000, dtype=np.int64)
         values[::100] = 7
-        bits = elias_gamma_bit_length(values)
+        bits = 8 * len(elias_gamma_encode(values))
         assert bits / values.size < 1.1
 
 
@@ -109,36 +94,19 @@ class TestDelta:
         decoded = elias_delta_decode(elias_delta_encode(values), values.size)
         np.testing.assert_array_equal(decoded.astype(np.int64), values)
 
-    def test_known_lengths(self):
-        from repro.core.elias import elias_delta_bit_length
-
-        # delta(1) = '1' (1 bit); delta(2) = gamma(2)+1 low bit = 4 bits;
-        # delta(4..7) = gamma(3)+2 = 5 bits.
-        assert elias_delta_bit_length(np.array([1])) == 1
-        assert elias_delta_bit_length(np.array([2])) == 4
-        assert elias_delta_bit_length(np.array([3])) == 4
-        assert elias_delta_bit_length(np.array([4])) == 5
-        assert elias_delta_bit_length(np.array([7])) == 5
-
     def test_delta_beats_gamma_on_large_values(self):
-        from repro.core.elias import elias_delta_bit_length
-
         large = np.full(50, 10**9, dtype=np.int64)
-        assert elias_delta_bit_length(large) < elias_gamma_bit_length(large)
+        assert len(elias_delta_encode(large)) < len(elias_gamma_encode(large))
 
     def test_gamma_matches_delta_on_ones(self):
-        from repro.core.elias import elias_delta_bit_length
-
         ones = np.ones(64, dtype=np.int64)
-        assert elias_delta_bit_length(ones) == elias_gamma_bit_length(ones) == 64
+        assert len(elias_delta_encode(ones)) == len(elias_gamma_encode(ones)) == 8
 
     def test_gamma_beats_delta_on_quantization_levels(self):
         # Ternary-like levels (mostly 1, some 2): gamma's practical niche.
-        from repro.core.elias import elias_delta_bit_length
-
         levels = np.ones(1000, dtype=np.int64)
         levels[::7] = 2
-        assert elias_gamma_bit_length(levels) <= elias_delta_bit_length(levels)
+        assert len(elias_gamma_encode(levels)) <= len(elias_delta_encode(levels))
 
     @given(
         st.lists(st.integers(min_value=1, max_value=2**40), min_size=1, max_size=150)
@@ -149,12 +117,6 @@ class TestDelta:
         arr = np.array(values, dtype=np.int64)
         decoded = elias_delta_decode(elias_delta_encode(arr), arr.size)
         np.testing.assert_array_equal(decoded.astype(np.int64), arr)
-
-    def test_stream_length_matches_bit_length(self):
-        from repro.core.elias import elias_delta_bit_length, elias_delta_encode
-
-        arr = np.arange(1, 300, dtype=np.int64)
-        assert len(elias_delta_encode(arr)) == -(-elias_delta_bit_length(arr) // 8)
 
     def test_truncation_detected(self):
         from repro.core.elias import elias_delta_decode, elias_delta_encode

@@ -4,9 +4,8 @@ The load-bearing assertions:
 
 * ``golden_hier_trace.json`` pins the fixed-seed hierarchical BSP schedule
   (per-step losses, per-tier byte split) against regressions;
-* a 1-rack hierarchical run is **bit-exact** with the plain ring topology
-  — one rack has no cross-rack tier, so the exchange must degenerate to
-  the ring, not merely approximate it;
+* a one-rack hierarchy is refused by one rule, whatever it is combined
+  with: it has no cross-rack tier, so it would be the plain ring;
 * intra- and cross-rack bytes partition the wire total exactly, in BSP
   and async modes;
 * the recorded transmission plans carry the tier coupling
@@ -14,6 +13,7 @@ The load-bearing assertions:
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
+from repro.distributed.faults import FaultSpec, UplinkFlap
 from repro.exchange import (
     MODELED,
     EngineConfig,
@@ -29,6 +30,7 @@ from repro.exchange import (
     HierarchicalTopology,
     make_topology,
 )
+from repro.harness.cli import parse_config
 from repro.nn import CosineDecay, build_resnet
 
 GOLDEN_PATH = Path(__file__).parent / "golden_hier_trace.json"
@@ -75,37 +77,6 @@ class TestGoldenTrace:
         assert [s.pull_bytes_shared for s in steps] == expected["pull_bytes_shared"]
         assert [s.intra_rack_bytes for s in steps] == expected["intra_rack_bytes"]
         assert [s.cross_rack_bytes for s in steps] == expected["cross_rack_bytes"]
-
-
-class TestOneRackParity:
-    """racks=1 has no cross-rack tier: it IS the plain ring, bit for bit."""
-
-    @pytest.mark.parametrize("scheme", ["3LC (s=1.00)", "Stoch 3-value + QE"])
-    def test_bit_exact_with_plain_ring(self, scheme):
-        hier = make_engine(scheme, num_workers=2, racks=1, rack_size=2)
-        ring = make_engine(scheme, num_workers=2, topology="ring")
-        hier.train(6)
-        ring.train(6)
-        assert [l.train_loss for l in hier.step_logs] == [
-            l.train_loss for l in ring.step_logs
-        ]
-        hier_state = hier.service.state_dict()
-        ring_state = ring.service.state_dict()
-        assert all(
-            np.array_equal(hier_state[k], ring_state[k]) for k in hier_state
-        )
-        assert [s.wire_bytes for s in hier.traffic.steps] == [
-            s.wire_bytes for s in ring.traffic.steps
-        ]
-        assert [s.push_messages for s in hier.traffic.steps] == [
-            s.push_messages for s in ring.traffic.steps
-        ]
-
-    def test_one_rack_has_no_cross_traffic(self):
-        engine = make_engine(num_workers=2, racks=1, rack_size=2)
-        engine.train(2)
-        assert all(s.cross_rack_bytes == 0 for s in engine.traffic.steps)
-        assert all(s.pull_fanout == 0 for s in engine.traffic.steps)
 
 
 class TestTwoTierAccounting:
@@ -231,18 +202,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="rack ring needs >= 2"):
             make_engine(num_workers=2, racks=2, rack_size=1)
 
-    def test_async_needs_multiple_racks(self):
-        with pytest.raises(ValueError, match=">= 2 racks"):
-            make_engine(sync_mode="async", num_workers=2, racks=1, rack_size=2)
-
-    def test_fusion_rejected_with_one_rack(self):
-        # A one-rack hierarchical run degenerates to the flat ring: no
-        # cross-rack uplink exists for fused frames to travel on. Two or
-        # more racks carry fused buckets (tests/exchange/test_wireplan.py).
-        with pytest.raises(ValueError, match="fused buckets need >= 2 racks"):
-            make_engine(
-                num_workers=2, racks=1, rack_size=2, fuse_small_tensors=True
-            )
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [
+            ({}, []),
+            (dict(sync_mode="async"), ["--sync-mode", "async"]),
+            (
+                dict(sync_mode="ssp", staleness=1),
+                ["--sync-mode", "ssp", "--staleness", "1"],
+            ),
+            (dict(fuse_small_tensors=True), ["--fuse"]),
+            (
+                dict(fault=FaultSpec(flaps=(UplinkFlap(rack=0, step=1),))),
+                ["--flap", "0:1"],
+            ),
+        ],
+        ids=["bsp", "async", "ssp", "fuse", "flap"],
+    )
+    def test_one_rack_is_refused_by_one_rule(self, overrides, flags, capsys):
+        rule = "topology 'hier' needs racks >= 2; one rack is --topology ring"
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            make_engine(num_workers=2, racks=1, rack_size=2, **overrides)
+        argv = ["fig9", "--fast", "--topology", "hier", "--racks", "1"]
+        with pytest.raises(SystemExit) as exit_info:
+            parse_config(argv + ["--rack-size", "2", *flags])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert rule in err and "--racks 1" in err
 
     def test_backup_workers_rejected(self):
         with pytest.raises(ValueError, match="backup"):

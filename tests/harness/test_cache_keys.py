@@ -49,6 +49,10 @@ BASE = FAST_CONFIG.scaled(
     sim_overlap=True,
 )
 
+#: With 4 workers the only legal rack shape is 2 x 2, so the two rack
+#: fields are perturbed on a 6-worker twin of the base (2 x 3 -> 3 x 2).
+SIX_WORKERS = BASE.scaled(num_workers=6, rack_size=3)
+
 #: field -> overrides. The field itself is always among them; a companion
 #: appears only where the config would otherwise be rejected (the rack
 #: shape must multiply to the worker count, staleness needs SSP, ...).
@@ -78,8 +82,8 @@ CONFIG_PERTURBATIONS = {
     "staleness": dict(staleness=2, sync_mode="ssp"),
     "straggler": dict(straggler=StragglerSpec(jitter_sigma=0.2)),
     "fault": dict(fault=FaultSpec(flaps=(UplinkFlap(rack=1, step=1),))),
-    "racks": dict(racks=1, rack_size=4),
-    "rack_size": dict(rack_size=4, racks=1),
+    "racks": dict(racks=3, rack_size=2),
+    "rack_size": dict(rack_size=2, racks=3),
     "hier_upper": dict(hier_upper="sharded"),
     "cross_bw_fraction": dict(cross_bw_fraction=0.25),
     "cross_rtt_seconds": dict(cross_rtt_seconds=1e-3),
@@ -134,12 +138,14 @@ TIMELINE_FIELDS = {
 }
 
 
-def _perturbed(config: ExperimentConfig, name: str) -> ExperimentConfig:
+def _perturbed(name: str) -> tuple[ExperimentConfig, ExperimentConfig]:
+    """``(base, perturbed)`` for one field."""
     overrides = CONFIG_PERTURBATIONS.get(name)
     if overrides is None:
         pytest.fail(f"add a perturbation for {name}")
+    config = SIX_WORKERS if name in ("racks", "rack_size") else BASE
     assert name in overrides and overrides[name] != getattr(config, name)
-    return replace(config, **overrides)
+    return config, replace(config, **overrides)
 
 
 def _names(cls) -> list[str]:
@@ -204,16 +210,16 @@ class TestExperimentConfigFields:
 
     @pytest.mark.parametrize("name", _names(ExperimentConfig))
     def test_memo_warm_from_the_base_never_changes_the_inputs(self, name):
-        config = _perturbed(BASE, name)
+        base, config = _perturbed(name)
         input_memo.clear()
-        base_inputs = _inputs(BASE)
+        base_inputs = _inputs(base)
         warm = _inputs(config)  # free to hit anything the base left behind
         input_memo.clear()
         cold = _inputs(config)
         assert warm == cold
         same_key = (
-            config.dataset().spec == BASE.dataset().spec
-            and _requests(config) == _requests(BASE)
+            config.dataset().spec == base.dataset().spec
+            and _requests(config) == _requests(base)
         )
         assert same_key == (name not in INPUT_FIELDS)
         if same_key:
@@ -221,15 +227,16 @@ class TestExperimentConfigFields:
 
     @pytest.mark.parametrize("name", _names(ExperimentConfig))
     def test_recording_key_changes_unless_sim_only(self, name):
-        config = _perturbed(BASE, name)
-        key = ExperimentRunner(BASE)._recording_key(SCHEME, 4)
+        base, config = _perturbed(name)
+        key = ExperimentRunner(base)._recording_key(SCHEME, 4)
         other = ExperimentRunner(config)._recording_key(SCHEME, 4)
         assert (other == key) == (name in ExperimentRunner._SIM_ONLY_CANONICAL)
 
     @pytest.mark.parametrize("name", _names(ExperimentConfig))
     def test_timeline_key_changes_only_with_what_a_timeline_depends_on(self, name):
-        key = ExperimentRunner(BASE)._timeline_key()
-        other = ExperimentRunner(_perturbed(BASE, name))._timeline_key()
+        base, config = _perturbed(name)
+        key = ExperimentRunner(base)._timeline_key()
+        other = ExperimentRunner(config)._timeline_key()
         assert (other == key) == (name not in TIMELINE_FIELDS)
 
 
@@ -256,7 +263,7 @@ class TestSimOnlyFieldsShareARecording:
         transmissions, losses, traffic = _recording(BASE)
         assert len(transmissions) == 4 and sum(s.wire_bytes for s in traffic) > 0
         for name in ExperimentRunner._SIM_ONLY_CANONICAL:
-            got = _recording(_perturbed(BASE, name))
+            got = _recording(_perturbed(name)[1])
             assert got[0] == transmissions, name
             assert got[1] == losses, name
             assert got[2] == traffic, name

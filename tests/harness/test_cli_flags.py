@@ -230,6 +230,16 @@ class TestPlanFlagConflicts:
         assert "backup" in message and "--backup-workers 1" in message
         assert f"--plan {path}" in message
 
+    def test_an_unreadable_plan_file_is_named_once(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan_artifact())[:15])
+        message = rejection(["fig9", "--fast", "--plan", str(path)], capsys)
+        assert f"--plan {path}: not a plan artifact" in message
+        assert message.count(str(path)) == 1
+        missing = tmp_path / "absent.json"
+        message = rejection(["fig9", "--fast", "--plan", str(missing)], capsys)
+        assert f"--plan {missing}: No such file or directory" in message
+
     def test_a_scheme_the_config_cannot_run_is_refused(self, tmp_path, capsys):
         path = tmp_path / "ring.json"
         path.write_text(
@@ -247,7 +257,7 @@ class TestFailAtTheCause:
         "overrides",
         [
             dict(topology="ring"),
-            dict(topology="hier", racks=1, rack_size=2),
+            dict(topology="hier", num_workers=4),
             dict(sync_mode="async", sim_overlap=True),
         ],
     )

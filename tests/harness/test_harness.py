@@ -151,7 +151,8 @@ class TestEvaluatesEachModelStateOnce:
 
 class TestNanWeightNeverReadsFinite:
     """A model with one NaN weight used to finish with loss ~ln(10): ReLU
-    mapped every NaN activation to 0. Now the run fails loudly or says NaN."""
+    mapped every NaN activation to 0. Now the quantum that computed the
+    non-finite loss raises, naming its step, worker and value."""
 
     @staticmethod
     def poison(monkeypatch, builder, parameter):
@@ -165,23 +166,42 @@ class TestNanWeightNeverReadsFinite:
 
         monkeypatch.setattr(config_module, builder, poisoned)
 
-    def test_resnet_run_raises_on_the_first_nan_statistic(self, monkeypatch):
-        """After one step every weight and statistic is NaN; the first one
-        ``evaluate`` loads is named as a symptom of divergence, not a cause."""
-        self.poison(monkeypatch, "build_resnet", "stage0/block0/conv1/weight")
-        runner = ExperimentRunner(FAST_CONFIG.scaled(standard_steps=4, eval_size=16))
+    @pytest.mark.parametrize(
+        "family, builder, parameter",
+        [
+            ("resnet", "build_resnet", "stage0/block0/conv1/weight"),
+            ("mlp", "build_mlp", "fc0/weight"),
+        ],
+    )
+    def test_run_raises_at_the_first_non_finite_loss(
+        self, monkeypatch, family, builder, parameter
+    ):
+        self.poison(monkeypatch, builder, parameter)
+        config = FAST_CONFIG.scaled(
+            standard_steps=4, eval_size=16, model_family=family
+        )
+        runner = ExperimentRunner(config)
         with np.errstate(invalid="ignore"), pytest.raises(
-            ValueError, match=r"running_mean\[0\] = .*nan.*has training diverged\?"
+            FloatingPointError,
+            match=r"training loss nan at step 0 from worker 0: has training diverged\?",
         ):
             runner.run("32-bit float")
 
-    def test_mlp_run_reports_non_finite_losses(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            (dict(topology="hier", num_workers=4), "rack 0 (worker 0)"),
+            (dict(sync_mode="async"), "worker "),
+        ],
+    )
+    def test_the_message_names_the_unit(self, monkeypatch, overrides, where):
         self.poison(monkeypatch, "build_mlp", "fc0/weight")
-        config = FAST_CONFIG.scaled(standard_steps=4, eval_size=16, model_family="mlp")
-        with np.errstate(invalid="ignore"):
-            result = ExperimentRunner(config).run("32-bit float")
-        assert not np.isfinite(result.final_loss)
-        assert not np.isfinite(result.loss_curve).any()
+        config = FAST_CONFIG.scaled(
+            standard_steps=4, eval_size=16, model_family="mlp", **overrides
+        )
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError) as error:
+            ExperimentRunner(config).run("32-bit float")
+        assert f"from {where}" in str(error.value)
 
 
 class TestSimOverlap:
@@ -487,14 +507,6 @@ class TestHierarchicalHarness:
                 "push/pull framing (set by --topology ring, --fuse)",
             ),
             (
-                # One rack degenerates to the ring: same parse-time rule.
-                [
-                    "table1", "--fast", "--fuse", "--topology", "hier",
-                    "--racks", "1", "--rack-size", "2",
-                ],
-                "fused buckets need >= 2 racks",
-            ),
-            (
                 ["table1", "--fast", "--bucket-elements", "512"],
                 "--bucket-elements 512 requires --fuse",
             ),
@@ -518,8 +530,8 @@ class TestHierarchicalHarness:
         assert (
             main(
                 [
-                    "fig7", "--fast", "--steps", "4",
-                    "--topology", "hier", "--racks", "1", "--rack-size", "2",
+                    "fig7", "--fast", "--steps", "4", "--workers", "4",
+                    "--topology", "hier", "--racks", "2", "--rack-size", "2",
                 ]
             )
             == 0

@@ -10,7 +10,6 @@ from repro.nn import (
     CosineDecay,
     MomentumSGD,
     Parameter,
-    StepwiseDecay,
     scale_lr_for_workers,
 )
 from repro.nn.loss import SoftmaxCrossEntropy, accuracy, softmax
@@ -153,16 +152,6 @@ class TestSchedules:
             CosineDecay(0.1, 0)
         with pytest.raises(ValueError):
             CosineDecay(0.0001, 10, min_lr=0.001)
-
-    def test_stepwise(self):
-        sched = StepwiseDecay(1.0, [10, 20], factor=0.1)
-        assert sched(5) == pytest.approx(1.0)
-        assert sched(10) == pytest.approx(0.1)
-        assert sched(25) == pytest.approx(0.01)
-
-    def test_stepwise_requires_sorted(self):
-        with pytest.raises(ValueError):
-            StepwiseDecay(1.0, [20, 10])
 
     def test_constant(self):
         assert ConstantLR(0.3)(123) == 0.3

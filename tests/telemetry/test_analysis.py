@@ -473,6 +473,37 @@ SYNTHETIC_DIFF = {
 }
 
 
+#: Results archives ``load_results`` refuses: not a list of runs, an
+#: object holding one, a run missing its fields, truncated JSON.
+MALFORMED_ARCHIVES = {
+    "object": json.dumps({"results": []}),
+    "not-a-run": json.dumps([{"scheme": "x"}, "not a run"]),
+    "missing-field": json.dumps([{"format_version": 1, "scheme": "x"}]),
+    "number": "7",
+    "truncated": '[{"format_version": 1, "sch',
+}
+
+
+def _run_document(**fields) -> dict:
+    """One run as ``save_results`` archives it."""
+    document = {
+        "format_version": 1,
+        "scheme": "3LC",
+        "fraction": 1.0,
+        "steps": 1,
+        "final_accuracy": 0.1,
+        "final_loss": 2.3,
+        "eval_curve": [],
+        "loss_curve": [],
+        "compression_ratio": 1.0,
+        "bits_per_value": 32.0,
+        "mean_step_seconds": {},
+        "total_seconds": {},
+        "traffic_steps": [],
+    }
+    return document | fields
+
+
 class TestTraceDiff:
     def test_flapped_run_names_the_link(self, timeline):
         clean = train_engine("hier", steps=6)
@@ -548,31 +579,40 @@ class TestTraceDiff:
         assert "cross:rack1" in capsys.readouterr().out
 
 
-    @pytest.mark.parametrize("archive", [{"runs": []}, {"results": {"a": 1}}, ["run"], 7])
-    def test_results_archive_of_the_wrong_shape_raises_naming_the_file(
-        self, tmp_path, archive
+    @pytest.mark.parametrize(
+        "archive", MALFORMED_ARCHIVES.values(), ids=MALFORMED_ARCHIVES
+    )
+    def test_malformed_results_archive_fails_naming_the_file(
+        self, tmp_path, capsys, archive
     ):
         """A dict without ``results`` used to be iterated by key and read as
-        "no fault summary"."""
+        "no fault summary"; a truncated one ended in a bare traceback."""
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps(_synthetic_trace(False)))
         bad = tmp_path / "not_results.json"
-        bad.write_text(json.dumps(archive))
-        with pytest.raises(ValueError, match="not_results.json.*results archive"):
-            diff.main([str(trace), str(trace), "--results", str(bad)])
+        bad.write_text(archive)
+        assert diff.main([str(trace), str(trace), "--results", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"{bad}: ")
 
-    def test_results_archive_fault_summaries_are_merged(self, tmp_path, capsys):
+    def test_truncated_trace_fails_naming_the_file(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(_synthetic_trace(False)))
+        cut = tmp_path / "cut.json"
+        cut.write_text(trace.read_text()[:15])
+        assert diff.main([str(trace), str(cut)]) == 2
+        assert f"{cut}: not a Chrome trace" in capsys.readouterr().err
+
+    def test_results_archive_fault_summaries_are_merged(self, tmp_path):
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps(_synthetic_trace(False)))
         out = tmp_path / "diff.json"
-        for number, archive in enumerate(
-            [[{"fault_summary": {"flaps": 1}}, {}], {"results": [{"fault_summary": {"flaps": 1}}]}]
-        ):
-            good = tmp_path / f"results{number}.json"
-            good.write_text(json.dumps(archive))
-            argv = [str(trace), str(trace), "--results", str(good), "--json", str(out)]
-            assert diff.main(argv) == 0
-            assert json.loads(out.read_text())["fault_summary"] == {"flaps": 1}
+        good = tmp_path / "results.json"
+        good.write_text(
+            json.dumps([_run_document(fault_summary={"flaps": 1}), _run_document()])
+        )
+        argv = [str(trace), str(trace), "--results", str(good), "--json", str(out)]
+        assert diff.main(argv) == 0
+        assert json.loads(out.read_text())["fault_summary"] == {"flaps": 1}
 
 
 class TestReportCli:
@@ -586,22 +626,29 @@ class TestReportCli:
         return path
 
     @pytest.mark.parametrize(
-        "archive", [{"results": []}, [{"scheme": "x"}, "not a run"], 7]
+        "archive", MALFORMED_ARCHIVES.values(), ids=MALFORMED_ARCHIVES
     )
-    def test_results_archive_of_the_wrong_shape_fails_naming_the_file(
+    def test_malformed_results_archive_fails_naming_the_file(
         self, trace_path, tmp_path, capsys, archive
     ):
         bad = tmp_path / "not_results.json"
-        bad.write_text(json.dumps(archive))
-        assert report.main([str(trace_path), "--results", str(bad)]) != 0
+        bad.write_text(archive)
+        assert report.main([str(trace_path), "--results", str(bad)]) == 2
         captured = capsys.readouterr()
-        assert str(bad) in captured.err
+        assert captured.err.startswith(f"{bad}: ")
         assert "Bottlenecks" not in captured.out
+
+    def test_truncated_trace_fails_naming_the_file(self, trace_path, capsys):
+        trace_path.write_text(trace_path.read_text()[:15])
+        assert report.main([str(trace_path)]) == 2
+        assert f"{trace_path}: not a Chrome trace" in capsys.readouterr().err
 
     def test_results_archive_totals_are_printed(self, trace_path, tmp_path, capsys):
         good = tmp_path / "results.json"
         good.write_text(
-            json.dumps([{"scheme": "3LC", "total_seconds": {"10Mbps": 1.5}}, {}])
+            json.dumps(
+                [_run_document(total_seconds={"10Mbps": 1.5}), _run_document()]
+            )
         )
         assert report.main([str(trace_path), "--check", "--results", str(good)]) == 0
         out = capsys.readouterr().out

@@ -16,7 +16,6 @@ from repro.telemetry import (
 from repro.telemetry.export import (
     chrome_trace,
     metric_rows,
-    summary_text,
     write_chrome_trace,
     write_metric_snapshots,
 )
@@ -233,14 +232,6 @@ class TestTelemetrySession:
             "busy_seconds": pytest.approx(1.5),
         }
         assert json.dumps(summary)  # JSON-ready for results_io
-
-    def test_summary_renders_as_text(self):
-        tel = Telemetry()
-        tel.registry.counter("messages", phase="push").inc(3)
-        tel.tracer.span("engine", "server", "apply", 0.0, 0.5)
-        text = summary_text(tel.summary(), title="Run rollup")
-        assert "Run rollup" in text
-        assert "messages{phase=push}" in text
 
     def test_null_telemetry_is_disabled(self):
         assert not NULL_TELEMETRY.enabled

@@ -32,43 +32,10 @@ def test_distributed_training():
     assert "traffic" in out
 
 
-def test_wan_deployment_planner():
-    out = run_example("wan_deployment_planner.py", "--steps", "4")
-    assert "32-bit float" in out
-    assert "bytes/1k steps" in out
-
-
 def test_custom_scheme():
     out = run_example("custom_scheme.py")
     assert "signSGD" in out
     assert "zero framework changes" in out
-
-
-def test_geo_distributed():
-    out = run_example("geo_distributed.py", "--steps", "4")
-    assert "Best placement" in out
-    assert "3LC (s=1.00)" in out
-    assert "Egress bill" in out
-
-
-def test_topology_study():
-    out = run_example("topology_study.py", "--nodes", "4", "--size", "4096")
-    assert "ring" in out
-    assert "param server" in out
-    assert "Hot-link bytes" in out
-
-
-def test_codec_lab():
-    out = run_example("codec_lab.py", "--steps", "3")
-    assert "Offline codec ranking" in out
-    assert "3LC (s=1.00)" in out
-    assert "32-bit float" in out
-
-
-def test_sharded_servers():
-    out = run_example("sharded_servers.py", "--workers", "2")
-    assert "Hottest server link" in out
-    assert "3LC (s=1.00)" in out
 
 
 def test_overlap_sweep():

@@ -11,7 +11,6 @@ from repro.utils import (
     format_table,
     get_logger,
     human_bytes,
-    human_rate,
 )
 
 
@@ -57,11 +56,6 @@ class TestFormatting:
         assert human_bytes(1536) == "1.50 KiB"
         assert human_bytes(3 * 1024**2) == "3.00 MiB"
         assert "TiB" in human_bytes(2.0 * 1024**4)
-
-    def test_human_rate(self):
-        assert human_rate(10e6) == "10.0 Mbps"
-        assert human_rate(1e9) == "1.0 Gbps"
-        assert human_rate(500) == "500.0 bps"
 
     def test_format_table_alignment(self):
         text = format_table(

@@ -4,7 +4,7 @@ Before the space asked the engine ("build the config, then the scheme
 rule") and read ``OBSERVED_UNDER``, ``PlanSpace.legal_reason`` and
 ``PlanSpace.canonical`` restated both as the bodies below.
 ``test_space_parity.py`` holds the derived versions to them: same legal
-set, same canonical point.
+set, same canonical point — except on the points :func:`one_rack` names.
 """
 
 from dataclasses import replace
@@ -19,12 +19,11 @@ def legal_reason(space, point):
     if point.bucket_boundaries and not point.fuse_small_tensors:
         return "bucket_boundaries require fuse"
     if point.fuse_small_tensors:
-        reason = fusion_incompatibility(
-            point.topology,
-            racks=point.racks if point.topology == "hier" else None,
-        )
+        reason = fusion_incompatibility(point.topology)
         if reason is not None:
             return reason
+        if point.topology == "hier" and point.racks < 2:
+            return "a one-rack hierarchy has no uplink to fuse buckets on"
     if point.topology == "hier":
         if point.rack_size < 2:
             return "a rack ring needs rack_size >= 2"
@@ -44,6 +43,16 @@ def legal_reason(space, point):
     if point.topology == "sharded" and point.num_shards < 1:
         return "sharded topology needs num_shards >= 1"
     return None
+
+
+def one_rack(point) -> bool:
+    """The one deliberate legality change since these bodies were written.
+
+    A one-rack ``hier`` point was legal here (a ring in disguise, bit-exact
+    with ``topology="ring"``); ``EngineConfig`` now refuses it ("topology
+    'hier' needs racks >= 2"), so the derived rules call it illegal.
+    """
+    return point.topology == "hier" and point.racks == 1
 
 
 def canonical(space, point):

@@ -101,9 +101,11 @@ class TestRoundTrip:
 
     def test_truncated_artifact_rejected(self, artifact, tmp_path):
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(artifact)[:-20])
-        with pytest.raises(ValueError):
+        path.write_text(json.dumps(artifact)[:15])
+        with pytest.raises(ValueError) as error:
             load_plan(path)
+        assert type(error.value) is ValueError
+        assert str(error.value).startswith(f"{path}: not a plan artifact")
 
     def test_loaded_plan_rescores_to_the_artifacts_objective(self, artifact, tmp_path):
         """Through the harness, not the evaluator: the modeled clock rides

@@ -6,6 +6,8 @@ spelled out rule by rule (``space_oracle.py``). Over a cross product of
 every dimension of ``default_space`` — widened with shard counts, rack
 shapes and a scheme the engine refuses — the two must agree on *whether*
 each point is legal, raw and canonical, and on the canonical point itself.
+The one exception is a one-rack ``hier`` point (``space_oracle.one_rack``):
+the engine now refuses every one of them.
 """
 
 import itertools
@@ -41,7 +43,7 @@ BASES = {
 def grid(space):
     workers = space.base.num_workers
     rack_shapes = space.rack_shapes + (
-        (1, workers),  # one rack: no cross-rack tier
+        (1, workers),  # one rack: the one exception
         (workers, 1),  # one-worker racks: no ring
         (3, 3),  # never the worker count
     )
@@ -67,15 +69,21 @@ def grid(space):
 @pytest.mark.parametrize("base", BASES.values(), ids=BASES.keys())
 def test_derived_rules_match_the_handwritten_ones(base):
     space = default_space(base)
-    points = legal = 0
+    points = legal = moved = 0
     for raw in grid(space):
         canonical = space.canonical(raw)
         assert canonical == space_oracle.canonical(space, raw), raw
         for point in (raw, canonical):
             new = space.legal_reason(point)
             old = space_oracle.legal_reason(space, point)
-            assert (new is None) == (old is None), (point, new, old)
+            if space_oracle.one_rack(point):
+                assert new is not None, point
+                moved += old is None
+            else:
+                assert (new is None) == (old is None), (point, new, old)
         points += 1
         legal += new is None
-    # Both outcomes are well represented: the grid is not vacuous.
+    # Both outcomes are well represented: the grid is not vacuous, and the
+    # exception really moved points that used to be legal.
     assert points > 4000 and 0.02 < legal / points < 0.9, (points, legal)
+    assert moved > 0
