@@ -10,11 +10,7 @@ from repro.distributed.barriers import (
 )
 from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
 from repro.distributed.server import ParameterServer, PullBatch
-from repro.distributed.sharding import (
-    ShardedParameterService,
-    ShardLoad,
-    partition_parameters,
-)
+from repro.distributed.sharding import ShardedParameterService, partition_parameters
 from repro.distributed.worker import GradientBatch, RawGradientBatch, Worker
 
 __all__ = [
@@ -28,7 +24,6 @@ __all__ = [
     "BackupWorkerBarrier",
     "BarrierDecision",
     "ShardedParameterService",
-    "ShardLoad",
     "partition_parameters",
     "RingAllReduce",
     "ReduceResult",

@@ -10,9 +10,10 @@ subset — exactly the per-tensor independence that makes 3LC's
 point-to-point contexts shard-trivial (a compression context never spans
 servers, so sharding needs no codec changes at all).
 
-What sharding buys, and what this module measures, is *uplink load
-spreading*: the single server's hot link carries all push and pull bytes;
-K shards divide that by roughly the partition balance. The greedy
+What sharding buys is *uplink load spreading*: the single server's hot
+link carries all push and pull bytes; K shards divide that by roughly the
+partition balance. The bytes are counted once, on each frame's recorded
+``shard<k>`` route (see :mod:`repro.netsim.links`). The greedy
 largest-first partitioner keeps shard loads within one largest-tensor of
 each other — adequate for DNN models whose tensor-size distribution is a
 few large conv/FC tensors plus many small ones.
@@ -26,7 +27,6 @@ from repro.compression.base import Compressor
 from repro.compression.fusion import FusionPlan, WireFrame, check_frame_labels
 from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
 from repro.distributed.server import ParameterServer, PullBatch
-from repro.nn.optimizer import MomentumSGD
 from repro.nn.parameter import Parameter
 from repro.nn.schedule import Schedule
 
@@ -34,7 +34,6 @@ __all__ = [
     "partition_parameters",
     "shard_owner_map",
     "ShardedParameterService",
-    "ShardLoad",
 ]
 
 
@@ -63,29 +62,15 @@ def partition_parameters(
 def shard_owner_map(sizes: dict[str, int], num_shards: int) -> dict[str, int]:
     """Tensor name → owning shard index, from the greedy partition.
 
-    The single derivation shared by the sharded service itself and by the
-    wire-plan layer's partition functions — shard-purity of fused buckets
-    depends on both sides agreeing on this map exactly.
+    The wire-plan layer's view of the partition the sharded service holds
+    (its ``partition``, inverted the same way) — shard-purity of fused
+    buckets depends on both sides agreeing on this map exactly.
     """
     return {
         name: idx
         for idx, names in enumerate(partition_parameters(sizes, num_shards))
         for name in names
     }
-
-
-class ShardLoad:
-    """Per-shard byte accounting for one training step."""
-
-    __slots__ = ("push_bytes", "pull_bytes_shared")
-
-    def __init__(self, push_bytes: int = 0, pull_bytes_shared: int = 0):
-        self.push_bytes = push_bytes
-        self.pull_bytes_shared = pull_bytes_shared
-
-    def uplink_bytes(self, pull_fanout: int) -> int:
-        """Bytes this shard's network link carries in one step."""
-        return self.push_bytes + self.pull_bytes_shared * pull_fanout
 
 
 class ShardedParameterService:
@@ -133,9 +118,9 @@ class ShardedParameterService:
             {p.name: p.size for p in parameters}, num_shards
         )
         self.num_shards = num_shards
-        self._owner: dict[str, int] = shard_owner_map(
-            {p.name: p.size for p in parameters}, num_shards
-        )
+        self._owner: dict[str, int] = {
+            name: idx for idx, names in enumerate(self.partition) for name in names
+        }
         # A fused frame has one wire destination, so a bucket must be
         # shard-pure: the wire-plan layer builds plans partitioned on the
         # identical greedy owner map, and this check catches any caller
@@ -164,7 +149,6 @@ class ShardedParameterService:
             )
             for idx, shard_names in enumerate(self.partition)
         ]
-        self.last_loads: list[ShardLoad] = [ShardLoad() for _ in range(num_shards)]
         #: Merged name → parameter view across all shards. Shard membership
         #: is fixed at construction and Parameter objects are stable, so
         #: the merge is computed once (the engine reads this per step).
@@ -233,13 +217,9 @@ class ShardedParameterService:
         per_shard_pushes: list[list[dict[str, WireFrame | None]]] = [
             [] for _ in self.shards
         ]
-        loads = [ShardLoad() for _ in self.shards]
         for position, worker_push in enumerate(pushes):
             for idx, part in enumerate(self._split(worker_push, position)):
                 per_shard_pushes[idx].append(part)
-                loads[idx].push_bytes += sum(
-                    frame.wire_size for frame in part.values() if frame is not None
-                )
 
         merged: dict[str, WireFrame | None] = {}
         decompress = compress = 0.0
@@ -250,10 +230,6 @@ class ShardedParameterService:
             merged.update(batch.messages)
             decompress += batch.decompress_seconds
             compress += batch.compress_seconds
-            loads[idx].pull_bytes_shared = sum(
-                r.wire_size for r in batch.messages.values() if r is not None
-            )
-        self.last_loads = loads
         messages = {label: merged[label] for label in self._frame_owner}
         return PullBatch(messages, decompress, compress)
 
@@ -263,8 +239,3 @@ class ShardedParameterService:
         for shard, part in zip(self.shards, self._split(messages)):
             deltas.update(shard.decompress_pulls(part))
         return deltas
-
-    def hot_link_bytes(self, pull_fanout: int) -> int:
-        """The most-loaded server link's bytes for the last step — the
-        quantity sharding exists to divide."""
-        return max(load.uplink_bytes(pull_fanout) for load in self.last_loads)

@@ -52,6 +52,7 @@ from repro.netsim.events import (
 )
 from repro.netsim.links import LinkModel
 from repro.netsim.vector import (
+    _utilization,
     dependency_waves,
     phase_partition,
     replay_run_vectorized,
@@ -370,9 +371,6 @@ class NetworkSimulator:
             pipeline_free[record.worker] = compressed_at[index]
         return compressed_at
 
-    def _occupancy_seconds(self, record: TransmissionRecord) -> float:
-        return wire_occupancy_seconds(self.link_model, self.time_model, record)
-
     def _scaled_seconds(self, st: StepTransmissions):
         """The step's recorded (compute, push codec, server codec, pull
         codec) seconds under the hardware-substitution scales."""
@@ -412,9 +410,7 @@ class NetworkSimulator:
         # Injected-fault outage floors seed the per-route free times: a
         # route that is down until T within this step serves nothing
         # earlier.
-        link_free: dict[str, float] = {}
-        for route, down in st.link_down:
-            link_free[route] = max(link_free.get(route, 0.0), down)
+        link_free = _merge_floors((st,))
         link_busy: dict[str, float] = {}
         end_by_name: dict[str, float] = {}
         # Per-record transfer [starts, ends], by phase-record index.
@@ -424,7 +420,7 @@ class NetworkSimulator:
         def transfer(record, index, ready: float, times) -> tuple[float, float]:
             """Serve one record on its link once it is ``ready``."""
             start = max(ready, link_free.get(record.route, 0.0))
-            duration = self._occupancy_seconds(record)
+            duration = wire_occupancy_seconds(self.link_model, self.time_model, record)
             end = start + duration
             link_free[record.route] = end
             link_busy[record.route] = link_busy.get(record.route, 0.0) + duration
@@ -516,10 +512,6 @@ class NetworkSimulator:
             achieved = min(1.0, max(0.0, (comm - exposed) / compute))
         else:
             achieved = 0.0
-        utilization = {
-            link_id: (link_busy.get(link_id, 0.0) / step_seconds if step_seconds else 0.0)
-            for link_id in self.link_model.link_ids
-        }
         return SimulatedStep(
             step=st.step,
             step_seconds=step_seconds,
@@ -530,7 +522,9 @@ class NetworkSimulator:
             overhead_seconds=overhead,
             exposed_seconds=exposed,
             achieved_overlap=achieved if overlap else 0.0,
-            link_utilization=utilization,
+            link_utilization=_utilization(
+                self.link_model.link_ids, link_busy, step_seconds
+            ),
             critical_path=self._critical_path(
                 bottleneck, last_pull, overlap, bool(pull_records)
             ),
@@ -749,10 +743,6 @@ class EventDrivenSimulator:
         is idempotent). The inverse of
         :func:`~repro.netsim.events.updates_from_bsp_steps`.
         """
-        down: dict[str, float] = {}
-        for e in generation:
-            for route, floor in e.link_down:
-                down[route] = max(down.get(route, 0.0), floor)
         return StepTransmissions(
             step=generation[0].local_step,
             compute_seconds=max(e.compute_seconds for e in generation),
@@ -763,7 +753,7 @@ class EventDrivenSimulator:
                 e.pull_decompress_seconds for e in generation
             ),
             records=tuple(r for e in generation for r in e.records),
-            link_down=tuple(sorted(down.items())),
+            link_down=tuple(sorted(_merge_floors(generation).items())),
         )
 
     def _simulate_lockstep(self, events) -> SimulatedExchange:
@@ -814,10 +804,7 @@ class EventDrivenSimulator:
             overhead_seconds=overhead,
             serialized_seconds=compute + codec + comm + overhead,
             achieved_overlap=(hidden / comm) if comm > 0 else 0.0,
-            link_utilization={
-                link_id: (busy.get(link_id, 0.0) / now if now else 0.0)
-                for link_id in self.link_model.link_ids
-            },
+            link_utilization=_utilization(self.link_model.link_ids, busy, now),
         )
 
     # -- async / staleness>0: the discrete-event loop ----------------------
@@ -832,34 +819,24 @@ class EventDrivenSimulator:
         # pass (and bank the comm/overhead totals from the same arrays);
         # the event loop then reads plain floats instead of re-deriving
         # link specs per enqueue.
-        flat_records: list[TransmissionRecord] = []
-        shape: list[tuple[int, int]] = []
-        for e in events:
-            pushes, pulls = e.push_records, e.pull_records
-            flat_records.extend(pushes)
-            flat_records.extend(pulls)
-            shape.append((len(pushes), len(pulls)))
         occ_all, comm, overhead = wire_occupancy_batch(
-            flat_records, self.link_model, tm
+            [r for e in events for r in (*e.push_records, *e.pull_records)],
+            self.link_model,
+            tm,
         )
         occ_list = occ_all.tolist()
-        push_occ: dict[int, list[float]] = {}
-        pull_occ: dict[int, list[float]] = {}
+        occupancy: dict[int, list[float]] = {}  # pushes first, then pulls
         pos = 0
-        for e, (n_push, n_pull) in zip(events, shape):
-            push_occ[e.update] = occ_list[pos : pos + n_push]
-            pos += n_push
-            pull_occ[e.update] = occ_list[pos : pos + n_pull]
-            pos += n_pull
+        for e in events:
+            end = pos + len(e.push_records) + len(e.pull_records)
+            occupancy[e.update] = occ_list[pos:end]
+            pos = end
 
         # Injected-fault outage floors (absolute simulated time): a route
         # serves nothing before its floor. Windows ride dedicated
         # outage:<route> tracks so link:<route> span totals still
         # reconcile with link_busy.
-        down_until: dict[str, float] = {}
-        for e in events:
-            for route, floor in e.link_down:
-                down_until[route] = max(down_until.get(route, 0.0), floor)
+        down_until = _merge_floors(events)
         if tracer is not None:
             for route, floor in sorted(down_until.items()):
                 if floor > 0.0:
@@ -877,8 +854,10 @@ class EventDrivenSimulator:
         committed = {w: 0 for w in workers}
         blocked: set[int] = set()
 
+        # A link's queue keeps the record it is serving at its head until
+        # that record lands: a link is busy exactly when its queue is not
+        # empty.
         link_queue: dict[str, deque] = {}
-        link_serving: dict[str, bool] = {}
         link_busy: dict[str, float] = {}
         server_free = 0.0
 
@@ -904,35 +883,17 @@ class EventDrivenSimulator:
             )
 
         # -- shared links: FIFO service in arrival order -------------------
-        def enqueue(
-            route: str,
-            duration: float,
-            on_done,
-            now: float,
-            label: str = "xfer",
-            span_args: dict | None = None,
-        ) -> None:
-            queue = link_queue.setdefault(route, deque())
-            queue.append((duration, on_done, label, span_args))
-            if not link_serving.get(route, False):
-                serve_next(route, now)
-
-        def serve_next(route: str, now: float) -> None:
-            queue = link_queue[route]
-            if not queue:
-                link_serving[route] = False
-                return
-            link_serving[route] = True
+        def serve(route: str, now: float) -> None:
+            """Start the head of ``route``'s queue."""
             floor = down_until.get(route, 0.0)
             if now < floor:
-                # The route is down: hold the head of the queue (keeping
-                # the link marked serving so no other enqueue races past)
-                # and retry when the outage lifts.
-                schedule(
-                    floor, _P_ENQUEUE, lambda t, r=route: serve_next(r, t)
-                )
+                # The route is down: hold the head of the queue and retry
+                # at the floor. Starting it at max(now, floor) right away
+                # would fire its landing, and emit its span, at another
+                # place among same-time events.
+                schedule(floor, _P_ENQUEUE, lambda t: serve(route, t))
                 return
-            duration, on_done, label, span_args = queue.popleft()
+            update, record, duration, arrived = link_queue[route][0]
             end = now + duration
             transfer_intervals.append((now, end))
             link_busy[route] = link_busy.get(route, 0.0) + duration
@@ -940,15 +901,71 @@ class EventDrivenSimulator:
                 # Span duration equals the occupancy charged to link_busy,
                 # so per-link span sums reconcile with link_utilization.
                 tracer.span(
-                    trace_group, f"link:{route}", label, now, end,
-                    **(span_args or {}),
+                    trace_group, f"link:{route}", record.name, now, end,
+                    phase=record.phase, worker=record.worker, update=update,
                 )
+            schedule(end, _P_XFER, lambda t: land(route, t))
 
-            def finish(t: float) -> None:
-                on_done(t)
-                serve_next(route, t)
+        def land(route: str, now: float) -> None:
+            queue = link_queue[route]
+            # Arrive before leaving the head, so a record the arrival
+            # releases onto this route queues instead of starting now.
+            arrived = queue[0][3]
+            arrived(now)
+            queue.popleft()
+            if queue:
+                serve(route, now)
 
-            schedule(end, _P_XFER, finish)
+        # -- the one send path ---------------------------------------------
+        def send(e, records, occ, landed: set, slot, now: float, then) -> None:
+            """Put one phase of update ``e`` on the wire.
+
+            A record enters its link queue once every name in its
+            ``depends_on`` is in ``landed`` (names land as their transfers
+            complete). A push also waits for its compression slot
+            (``slot[i]``, absolute) and enters through a scheduled event;
+            a pull (``slot=None``) enters at once. ``then(t)`` runs when
+            the phase's last record lands.
+            """
+            if not records:
+                then(now)
+                return
+            waiting: set[int] = set()
+            left = len(records)
+
+            def enqueue(i: int, t: float) -> None:
+                route = records[i].route
+                queue = link_queue.setdefault(route, deque())
+                queue.append(
+                    (e.update, records[i], occ[i], lambda td: arrived(i, td))
+                )
+                if len(queue) == 1:
+                    serve(route, t)
+
+            def release(i: int, t: float) -> None:
+                if slot is None:
+                    enqueue(i, t)
+                else:
+                    schedule(
+                        max(t, slot[i]), _P_ENQUEUE, lambda tq: enqueue(i, tq)
+                    )
+
+            def arrived(i: int, t: float) -> None:
+                nonlocal left
+                landed.add(records[i].name)
+                left -= 1
+                for j in sorted(waiting):
+                    if landed.issuperset(records[j].depends_on):
+                        waiting.discard(j)
+                        release(j, t)
+                if not left:
+                    then(t)
+
+            for i, record in enumerate(records):
+                if landed.issuperset(record.depends_on):
+                    release(i, now)
+                else:
+                    waiting.add(i)
 
         # -- worker state machine ------------------------------------------
         def start_update(w: int, now: float) -> None:
@@ -967,105 +984,40 @@ class EventDrivenSimulator:
                 e.server_seconds + e.pull_compress_seconds + e.pull_decompress_seconds
             )
             pushes = e.push_records
-            flight = {
-                "event": e,
-                "start": now,
-                "pushes_left": len(pushes),
-                "push_done": {},
-            }
-
-            if not pushes:
-                if tracer is not None and push_cost > 0.0:
-                    tracer.span(
-                        trace_group, f"codec:w{w}", f"push-compress:u{e.update}",
-                        compute_end, compute_end + push_cost,
-                        worker=w, update=e.update,
-                    )
-                schedule(
-                    compute_end + push_cost,
-                    _P_ENQUEUE,
-                    lambda t, f=flight: pushes_arrived(f, t),
-                )
-                return
             # Same per-worker compression pipeline as the step replay,
-            # offset to this update's compute start. Records with
-            # dependencies (hierarchical tier coupling) enter their link
-            # queue only once every named record's transfer completed.
+            # offset to this update's compute start.
             compressed_at = self._steps._push_compressed_at(
                 pushes, compute, push_cost, overlap=self.overlap
             )
             if tracer is not None and push_cost > 0.0:
-                if not self.overlap:
+                if self.overlap and pushes:
+                    _trace_codec_pipelines(
+                        tracer, trace_group, now, pushes, compressed_at,
+                        push_cost, unit=w, update=e.update,
+                    )
+                else:
                     tracer.span(
                         trace_group, f"codec:w{w}", f"push-compress:u{e.update}",
                         compute_end, compute_end + push_cost,
                         worker=w, update=e.update,
                     )
-                else:
-                    _trace_codec_pipelines(
-                        tracer, trace_group, now, pushes, compressed_at,
-                        push_cost, unit=w, update=e.update,
-                    )
-            waiting: dict[int, tuple[str, ...]] = {}
-
-            occ = push_occ[e.update]
-
-            def enqueue_push(index: int, t: float) -> None:
-                record = pushes[index]
-                enqueue(
-                    record.route,
-                    occ[index],
-                    lambda td, i=index: push_arrived(flight, i, td),
-                    t,
-                    record.name,
-                    {
-                        "phase": record.phase,
-                        "worker": record.worker,
-                        "update": e.update,
-                    },
+            if not pushes:
+                schedule(
+                    compute_end + push_cost,
+                    _P_ENQUEUE,
+                    lambda t: pushes_arrived(e, now, t),
                 )
+                return
+            send(
+                e, pushes, occupancy[e.update], set(),
+                [now + compressed_at[i] for i in range(len(pushes))],
+                now, lambda t: pushes_arrived(e, now, t),
+            )
 
-            def release_ready(now_t: float) -> None:
-                done = flight["push_done"]
-                for index in sorted(waiting):
-                    if all(d in done for d in waiting[index]):
-                        del waiting[index]
-                        # The record enters its link queue only once both
-                        # its dependencies landed (now_t) and its own
-                        # compression slot passed — schedule the enqueue
-                        # rather than queueing early, so a busy link does
-                        # not serve it before it is compressed.
-                        schedule(
-                            max(now_t, now + compressed_at[index]),
-                            _P_ENQUEUE,
-                            lambda t, i=index: enqueue_push(i, t),
-                        )
-
-            flight["release_pushes"] = release_ready
-            for index, record in enumerate(pushes):
-                if record.depends_on:
-                    waiting[index] = record.depends_on
-                else:
-                    schedule(
-                        now + compressed_at[index],
-                        _P_ENQUEUE,
-                        lambda t, i=index: enqueue_push(i, t),
-                    )
-
-        def push_arrived(flight: dict, index: int, now: float) -> None:
-            record = flight["event"].push_records[index]
-            done = flight["push_done"]
-            done[record.name] = max(done.get(record.name, 0.0), now)
-            flight["pushes_left"] -= 1
-            flight["release_pushes"](now)
-            if flight["pushes_left"] == 0:
-                pushes_arrived(flight, now)
-
-        def pushes_arrived(flight: dict, now: float) -> None:
+        def pushes_arrived(e, start: float, now: float) -> None:
             """All of this update's pushes reached the server: serialize
             the apply (commit) and the per-worker pull compression."""
             nonlocal server_free
-            e = flight["event"]
             begin = max(now, server_free)
             commit = begin + codec_scale * e.server_seconds
             pulls_ready = commit + codec_scale * e.pull_compress_seconds
@@ -1075,12 +1027,22 @@ class EventDrivenSimulator:
                     trace_group, "server", f"commit:u{e.update}",
                     begin, pulls_ready, worker=e.worker,
                 )
-            flight["commit"] = commit
-            schedule(commit, _P_COMMIT, lambda t, f=flight: committed_at(f, t))
-            schedule(pulls_ready, _P_PULLS, lambda t, f=flight: send_pulls(f, t))
+            schedule(commit, _P_COMMIT, lambda t: committed_at(e.worker, t))
+            # Push transfers all landed before the server phase, so every
+            # push name counts as landed for the pulls; a pull depending
+            # on another pull (the intra-rack broadcast of a cross-rack
+            # delta) waits for that transfer.
+            schedule(
+                pulls_ready,
+                _P_PULLS,
+                lambda t: send(
+                    e, e.pull_records, occupancy[e.update][len(e.push_records):],
+                    {r.name for r in e.push_records}, None, t,
+                    lambda td: update_done(e, start, commit, td),
+                ),
+            )
 
-        def committed_at(flight: dict, now: float) -> None:
-            w = flight["event"].worker
+        def committed_at(w: int, now: float) -> None:
             committed[w] += 1
             for v in sorted(blocked):
                 if gate_open(v):
@@ -1089,63 +1051,7 @@ class EventDrivenSimulator:
                         max(ready[v], now), _P_START, lambda t, v=v: start_update(v, t)
                     )
 
-        def send_pulls(flight: dict, now: float) -> None:
-            e = flight["event"]
-            pulls = e.pull_records
-            flight["pulls_left"] = len(pulls)
-            if not pulls:
-                update_done(flight, now)
-                return
-            # Push transfers all landed before the server phase, so a pull
-            # depending on a push-phase record is immediately ready; a
-            # pull depending on another pull (the intra-rack broadcast of
-            # a cross-rack delta) waits for that transfer.
-            satisfied = {r.name for r in e.push_records}
-            waiting: dict[int, tuple[str, ...]] = {}
-
-            occ = pull_occ[e.update]
-
-            def enqueue_pull(index: int, t: float) -> None:
-                record = pulls[index]
-                enqueue(
-                    record.route,
-                    occ[index],
-                    lambda td, i=index: pull_arrived(flight, i, td),
-                    t,
-                    record.name,
-                    {
-                        "phase": record.phase,
-                        "worker": record.worker,
-                        "update": e.update,
-                    },
-                )
-
-            def release_ready(now_t: float) -> None:
-                for index in sorted(waiting):
-                    if all(d in satisfied for d in waiting[index]):
-                        del waiting[index]
-                        enqueue_pull(index, now_t)
-
-            flight["release_pulls"] = release_ready
-            flight["pull_satisfied"] = satisfied
-            for index, record in enumerate(pulls):
-                if record.depends_on and not all(
-                    d in satisfied for d in record.depends_on
-                ):
-                    waiting[index] = record.depends_on
-                else:
-                    enqueue_pull(index, now)
-
-        def pull_arrived(flight: dict, index: int, now: float) -> None:
-            record = flight["event"].pull_records[index]
-            flight["pull_satisfied"].add(record.name)
-            flight["pulls_left"] -= 1
-            flight["release_pulls"](now)
-            if flight["pulls_left"] == 0:
-                update_done(flight, now)
-
-        def update_done(flight: dict, now: float) -> None:
-            e = flight["event"]
+        def update_done(e, start: float, commit: float, now: float) -> None:
             w = e.worker
             done = now + codec_scale * e.pull_decompress_seconds
             if tracer is not None and done > now:
@@ -1158,8 +1064,8 @@ class EventDrivenSimulator:
                 SimulatedUpdate(
                     update=e.update,
                     worker=w,
-                    start_seconds=flight["start"],
-                    commit_seconds=flight["commit"],
+                    start_seconds=start,
+                    commit_seconds=commit,
                     done_seconds=done,
                     staleness=e.staleness,
                 )
@@ -1167,15 +1073,13 @@ class EventDrivenSimulator:
             next_index[w] += 1
             if next_index[w] < len(by_worker[w]):
                 if gate_open(w):
-                    schedule(done, _P_START, lambda t, w=w: start_update(w, t))
+                    schedule(done, _P_START, lambda t: start_update(w, t))
                 else:
                     blocked.add(w)
 
+        # No first step is gated: every floor k - staleness is negative.
         for w in workers:
-            if gate_open(w):
-                schedule(0.0, _P_START, lambda t, w=w: start_update(w, t))
-            else:  # pragma: no cover - first steps are never gated
-                blocked.add(w)
+            schedule(0.0, _P_START, lambda t, w=w: start_update(w, t))
 
         while heap:
             time, _, _, fn = heapq.heappop(heap)
@@ -1197,11 +1101,19 @@ class EventDrivenSimulator:
             overhead_seconds=overhead,
             serialized_seconds=totals["compute"] + totals["codec"] + comm + overhead,
             achieved_overlap=_hidden_fraction(compute_intervals, transfer_intervals),
-            link_utilization={
-                link_id: (link_busy.get(link_id, 0.0) / total if total else 0.0)
-                for link_id in self.link_model.link_ids
-            },
+            link_utilization=_utilization(self.link_model.link_ids, link_busy, total),
         )
+
+
+def _merge_floors(streams) -> dict[str, float]:
+    """Each route's latest ``link_down`` floor over ``streams`` (steps or
+    updates): the step model's per-step floors, a lock-step generation's
+    merged ones, and the event loop's absolute outage windows."""
+    down: dict[str, float] = {}
+    for stream in streams:
+        for route, floor in stream.link_down:
+            down[route] = max(down.get(route, 0.0), floor)
+    return down
 
 
 def _hidden_fraction(

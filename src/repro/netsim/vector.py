@@ -504,6 +504,15 @@ def wire_occupancy_batch(records, link_model, time_model):
     )
 
 
+def _utilization(link_ids, busy, seconds: float) -> dict[str, float]:
+    """Each link's busy seconds (``busy``: link id → seconds) as a share
+    of ``seconds``; every simulator core reports utilization through it."""
+    return {
+        link_id: (busy.get(link_id, 0.0) / seconds if seconds else 0.0)
+        for link_id in link_ids
+    }
+
+
 def _take(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``a[s, cols[s]]`` for every row; a 1-D ``cols`` is shared by all."""
     if cols.ndim == 1:
@@ -769,10 +778,6 @@ def replay_run_vectorized(sim, steps, *, overlap: bool, trace: bool = False):
     for s, st in enumerate(steps):
         ss = float(step_seconds[s])
         busy_of = dict(zip(route_names, link_busy[s].tolist()))
-        utilization = {
-            link_id: (busy_of.get(link_id, 0.0) / ss if ss else 0.0)
-            for link_id in link_ids
-        }
         bi = int(bneck_idx[s])
         bottleneck = (push.records[bi], bool(bneck_bound[s])) if bi >= 0 else None
         li = int(last_idx[s])
@@ -788,7 +793,7 @@ def replay_run_vectorized(sim, steps, *, overlap: bool, trace: bool = False):
                 overhead_seconds=float(overhead[s]),
                 exposed_seconds=float(exposed[s]),
                 achieved_overlap=float(achieved[s]) if overlap else 0.0,
-                link_utilization=utilization,
+                link_utilization=_utilization(link_ids, busy_of, ss),
                 critical_path=sim._critical_path(
                     bottleneck, last_pull, overlap, pull.n > 0
                 ),

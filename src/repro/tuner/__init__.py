@@ -6,8 +6,8 @@ Layering (see ARCHITECTURE.md "Plan autotuner"):
   canonical form, features);
 * :mod:`repro.tuner.evaluator` — deterministic scoring through the
   replay cache;
-* :mod:`repro.tuner.search` — random / successive-halving / cost-model
-  strategies under one fixed-budget contract;
+* :mod:`repro.tuner.search` — random / cost-model strategies
+  under one fixed-budget contract;
 * :mod:`repro.tuner.artifact` — the ``repro.plan/v1`` JSON the harness
   loads back with ``--plan``.
 """
@@ -27,7 +27,6 @@ from repro.tuner.search import (
     TunerResult,
     cost_model_search,
     random_search,
-    successive_halving,
     tune,
 )
 from repro.tuner.space import (
@@ -54,7 +53,6 @@ __all__ = [
     "plan_to_dict",
     "random_search",
     "save_plan",
-    "successive_halving",
     "tune",
     "validate_plan",
 ]

@@ -99,14 +99,14 @@ class PlanEvaluator:
     def set_baseline(self, accuracy: float) -> None:
         self.baseline_accuracy = float(accuracy)
 
-    def evaluate(self, point: PlanPoint, fraction: float = 1.0) -> PlanScore:
+    def evaluate(self, point: PlanPoint) -> PlanScore:
         """Train-or-replay the point and score it at the objective link."""
         config = self.space.apply(point)
         runner = self._runners.get(config)
         if runner is None:
             runner = ExperimentRunner(config, replay_cache=self.cache)
             self._runners[config] = runner
-        result = runner.run(point.scheme, fraction)
+        result = runner.run(point.scheme)
         self.evaluations += 1
         step_seconds = result.mean_step_seconds[self.link]
         accuracy = result.final_accuracy
@@ -131,6 +131,6 @@ class PlanEvaluator:
             reason=reason,
         )
 
-    def evaluate_batch(self, points, fraction: float = 1.0) -> list[PlanScore]:
+    def evaluate_batch(self, points) -> list[PlanScore]:
         """Score ``points`` in order."""
-        return [self.evaluate(p, fraction) for p in points]
+        return [self.evaluate(p) for p in points]

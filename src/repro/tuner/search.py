@@ -1,30 +1,25 @@
 """Search strategies over the wire-plan space.
 
-Three strategies share one fixed-budget contract (every call to the
+Two strategies share one fixed-budget contract (every call to the
 scorer counts one simulator evaluation, the budget is never exceeded)
 and one determinism contract (candidate sequences depend only on the
 seed, never on timing):
 
 * :func:`random_search` — the baseline: sample legal points, score in
   fixed-size rounds.
-* :func:`successive_halving` — multi-fidelity: a wide first rung at a
-  small step-budget fraction, survivors promoted to higher fractions
-  (the runner's ``fraction`` axis is the fidelity knob — fewer trained
-  steps, same plan).
 * :func:`cost_model_search` — the CAMAL-style active-learning loop: a
   ridge-regression cost model (plain ``numpy`` least squares, no
   external deps) fit on evaluated points proposes the next batch from a
   large sampled pool, the simulator labels them, the model refits.
 
-Scoring goes through a ``scorer`` exposing ``evaluate_batch(points,
-fraction)`` and ``set_baseline(accuracy)`` — the
+Scoring goes through a ``scorer`` exposing ``evaluate_batch(points)``
+and ``set_baseline(accuracy)`` — the
 :class:`~repro.tuner.evaluator.PlanEvaluator` — in deterministic batches,
 so two runs with one seed walk the identical evaluation sequence.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -37,7 +32,6 @@ __all__ = [
     "TrajectoryPoint",
     "TunerResult",
     "random_search",
-    "successive_halving",
     "cost_model_search",
     "tune",
     "STRATEGIES",
@@ -140,88 +134,13 @@ def random_search(
         )
         if not batch:
             break
-        tracker.record(scorer.evaluate_batch(batch, 1.0))
+        tracker.record(scorer.evaluate_batch(batch))
     return TunerResult(
         best=tracker.best,
         default=default,
         trajectory=tuple(tracker.trajectory),
         evaluations=tracker.evaluations,
         strategy="random",
-        budget=budget,
-        seed=seed,
-    )
-
-
-def successive_halving(
-    space: PlanSpace,
-    scorer,
-    *,
-    budget: int,
-    seed: int,
-    default: PlanScore,
-    eta: int = 3,
-    fractions: tuple[float, ...] = (0.25, 0.5, 1.0),
-) -> TunerResult:
-    """Multi-fidelity elimination over the runner's step-budget fractions.
-
-    The initial rung width ``n0`` is the largest satisfying
-    ``sum(ceil(n0 / eta**k) for k rungs) <= budget - 1`` (one evaluation
-    is reserved for the default plan), so the budget is honored exactly;
-    each rung keeps its top ``1/eta`` by (objective, arrival index) and
-    promotes them to the next fraction. Only full-fraction scores can
-    become the returned best — low-fidelity scores use a shorter cosine
-    schedule and are not comparable to the default plan's.
-    """
-    if eta < 2:
-        raise ValueError(f"eta must be >= 2, got {eta}")
-    rungs = len(fractions)
-    n0 = 1
-    while True:
-        cost = sum(math.ceil((n0 + 1) / eta**k) for k in range(rungs))
-        if cost > budget - 1:
-            break
-        n0 += 1
-    rng = np.random.default_rng(seed)
-    tracker = _Tracker(budget)
-    tracker.record([default])
-    seen: set[PlanPoint] = {default.point}
-    candidates = _sample_unique(space, rng, n0, seen)
-    full_best: PlanScore | None = None
-    for k, fraction in enumerate(fractions):
-        if not candidates or tracker.remaining <= 0:
-            break
-        candidates = candidates[: tracker.remaining]
-        scores: list[PlanScore] = []
-        for lo in range(0, len(candidates), ROUND_SIZE):
-            batch = candidates[lo : lo + ROUND_SIZE]
-            got = scorer.evaluate_batch(batch, fraction)
-            scores.extend(got)
-            if fraction >= 1.0:
-                tracker.record(got)
-            else:
-                # Low-fidelity evaluations spend budget but cannot set
-                # the best (their schedules differ); count them only.
-                tracker.evaluations += len(got)
-        if fraction >= 1.0:
-            for score in scores:
-                if full_best is None or score.objective < full_best.objective:
-                    full_best = score
-        keep = max(1, math.ceil(len(scores) / eta))
-        ranked = sorted(
-            range(len(scores)), key=lambda i: (scores[i].objective, i)
-        )
-        candidates = [scores[i].point for i in ranked[:keep]]
-    best = tracker.best if full_best is None else (
-        full_best if full_best.objective < default.objective else default
-    )
-    if best is None or default.objective <= best.objective:
-        best = default
-    return TunerResult(
-        best=best,
-        default=default,
-        trajectory=tuple(tracker.trajectory),
-        evaluations=tracker.evaluations,
-        strategy="halving",
         budget=budget,
         seed=seed,
     )
@@ -258,7 +177,7 @@ def cost_model_search(
 
     init = _sample_unique(space, rng, min(2 * ROUND_SIZE, tracker.remaining), seen)
     for lo in range(0, len(init), ROUND_SIZE):
-        got = scorer.evaluate_batch(init[lo : lo + ROUND_SIZE], 1.0)
+        got = scorer.evaluate_batch(init[lo : lo + ROUND_SIZE])
         tracker.record(got)
         labeled.extend(got)
 
@@ -283,7 +202,7 @@ def cost_model_search(
         for i, point in enumerate(pool):
             if i not in set(int(j) for j in picks):
                 seen.discard(point)
-        got = scorer.evaluate_batch(chosen, 1.0)
+        got = scorer.evaluate_batch(chosen)
         tracker.record(got)
         labeled.extend(got)
     return TunerResult(
@@ -299,7 +218,6 @@ def cost_model_search(
 
 STRATEGIES = {
     "random": random_search,
-    "halving": successive_halving,
     "model": cost_model_search,
 }
 
@@ -330,6 +248,6 @@ def tune(
         raise ValueError(f"budget must be >= 2, got {budget}")
     scheme = default_scheme or space.schemes[0]
     default_point = space.default_point(scheme)
-    default = scorer.evaluate_batch([default_point], 1.0)[0]
+    default = scorer.evaluate_batch([default_point])[0]
     scorer.set_baseline(default.accuracy)
     return run(space, scorer, budget=budget, seed=seed, default=default)

@@ -131,8 +131,15 @@ class TestLoadSpreading:
                 small_tensor_threshold=1,
             )
             pushes = _make_pushes(params, scheme, workers, steps=1)[0]
-            service.step(pushes)
-            return service.hot_link_bytes(pull_fanout=workers)
+            pulls = service.step(pushes).messages
+            # Each shard's link carries its tensors' pushes from every
+            # worker and one copy of its shared pull per worker.
+            link_bytes = [0] * num_shards
+            for fanout, frames in [(1, push) for push in pushes] + [(workers, pulls)]:
+                for name, frame in frames.items():
+                    if frame is not None:
+                        link_bytes[service.shard_of(name)] += fanout * frame.wire_size
+            return max(link_bytes)
 
         one, three = hot_link(1), hot_link(3)
         # Three servers split the uplink; balance is within one tensor.

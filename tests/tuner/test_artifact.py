@@ -99,6 +99,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             save_plan(tmp_path / "bad.json", dict(artifact, plan={}))
 
+    def test_retired_strategy_still_loads(self, artifact, tmp_path):
+        """Successive halving is gone; a plan it found is still a plan."""
+        old = dict(artifact, search=dict(artifact["search"], strategy="halving"))
+        path = tmp_path / "plan.json"
+        save_plan(path, old)
+        assert apply_plan(BASE, load_plan(path)) == apply_plan(BASE, artifact)
+
     def test_truncated_artifact_rejected(self, artifact, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(artifact)[:15])

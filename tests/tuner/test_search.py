@@ -1,9 +1,8 @@
 """Search-strategy contracts: budget accounting, determinism, quality.
 
 A fake scorer with a closed-form objective stands in for the simulator,
-so these tests pin the *search* behavior (budget never exceeded,
-low-fidelity rungs spend but cannot win, the cost model exploits a
-learnable landscape) without training anything.
+so these tests pin the *search* behavior (budget never exceeded, the
+cost model exploits a learnable landscape) without training anything.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from repro.tuner.search import (
     ROUND_SIZE,
     cost_model_search,
     random_search,
-    successive_halving,
     tune,
 )
 from repro.tuner.space import default_space
@@ -31,15 +29,15 @@ class FakeScorer:
         self.fn = fn
         self.accuracy = accuracy
         self.evaluations = 0
-        self.calls: list[tuple[int, float]] = []
+        self.calls: list[int] = []
 
     def set_baseline(self, accuracy):
         pass
 
-    def evaluate_batch(self, points, fraction=1.0):
+    def evaluate_batch(self, points):
         points = list(points)
         self.evaluations += len(points)
-        self.calls.append((len(points), fraction))
+        self.calls.append(len(points))
         return [
             PlanScore(
                 point=p,
@@ -74,9 +72,7 @@ def default_score(space, fn):
 
 
 class TestBudgets:
-    @pytest.mark.parametrize(
-        "strategy", [random_search, successive_halving, cost_model_search]
-    )
+    @pytest.mark.parametrize("strategy", [random_search, cost_model_search])
     def test_budget_never_exceeded(self, space, strategy):
         fn = linear_objective(space)
         for budget in (3, 9, 26):
@@ -90,37 +86,9 @@ class TestBudgets:
             assert result.evaluations <= budget
             assert scorer.evaluations <= budget - 1
 
-    def test_halving_spends_low_fidelity_from_budget(self, space):
-        fn = linear_objective(space)
-        scorer = FakeScorer(space, fn)
-        result = successive_halving(
-            space, scorer, budget=30, seed=2, default=default_score(space, fn)
-        )
-        fractions = {fraction for _, fraction in scorer.calls}
-        assert 1.0 in fractions and min(fractions) < 1.0
-        assert result.evaluations <= 30
-
-    def test_halving_best_comes_from_full_fidelity(self, space):
-        # Low-fidelity scores are not comparable across schedules; the
-        # returned best must carry a full-fraction (or default) score.
-        fn = linear_objective(space)
-        scorer = FakeScorer(space, fn)
-        result = successive_halving(
-            space, scorer, budget=30, seed=2, default=default_score(space, fn)
-        )
-        full_points = {
-            id_
-            for (count, fraction) in scorer.calls
-            if fraction >= 1.0
-            for id_ in range(count)
-        }
-        assert full_points or result.best.point == result.default.point
-
 
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "strategy", [random_search, successive_halving, cost_model_search]
-    )
+    @pytest.mark.parametrize("strategy", [random_search, cost_model_search])
     def test_same_seed_same_result(self, space, strategy):
         fn = linear_objective(space)
         results = [
@@ -170,8 +138,8 @@ class TestQuality:
         fn = linear_objective(space)
 
         class Infeasible(FakeScorer):
-            def evaluate_batch(self, points, fraction=1.0):
-                scores = super().evaluate_batch(points, fraction)
+            def evaluate_batch(self, points):
+                scores = super().evaluate_batch(points)
                 return [
                     PlanScore(
                         point=s.point, step_seconds=s.step_seconds / 100,
@@ -202,6 +170,6 @@ class TestTuneDriver:
         result = tune(
             space, scorer, strategy="random", budget=10, seed=0
         )
-        assert scorer.calls[0][0] == 1  # the default plan, alone
+        assert scorer.calls[0] == 1  # the default plan, alone
         assert result.default.point == space.default_point(space.schemes[0])
         assert result.evaluations <= 10
