@@ -9,8 +9,8 @@ a sharded lossy-fused async run, a hierarchical uplink flap with rejoin,
 a single-server crash with a checkpointed restart, and the fused-bucket
 shapes the wire stream's four owners differ on (per-rack uplink buckets
 and per-rack fused pull streams, a crash snapshot of lossy bucket
-contexts, a stochastic scheme whose bucket draws follow the stream key).
-Every run is on a modeled clock (compute 0.01 s) so barrier order and
+contexts, a stochastic scheme whose bucket draws follow the stream key),
+and stragglers under a backup-worker barrier. Every run is on a modeled clock (compute 0.01 s) so barrier order and
 virtual clocks do not depend on wall-clock noise.
 
 The second half checks that the recording is an *observer*: switching
@@ -18,7 +18,14 @@ The second half checks that the recording is an *observer*: switching
 and on the point-to-point tiers the recorded bytes and frames add up to
 what the meter counted.
 
-Regenerate (after an *intentional* ledger change) by running this file as
+``golden_engine_telemetry.json`` pins what the engine tells telemetry
+about the same runs: every engine span (track, name, start, end, args —
+the per-worker compute / compress / push+wait spans, the server,
+``allreduce+codec`` and ``rack-pipeline`` stages, the pull decodes) and
+the last metric snapshot. Telemetry is an observer too: a traced run's
+ledger equals the untraced one.
+
+Regenerate both (after an *intentional* change) by running this file as
 a script: ``PYTHONPATH=src python tests/exchange/test_golden_ledger.py``.
 """
 
@@ -35,8 +42,10 @@ from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
 from repro.exchange import Clock, ExchangeEngine
 from repro.harness.config import FAST_CONFIG
 from repro.network.traffic import StepTraffic
+from repro.telemetry import Telemetry
 
 GOLDEN_PATH = Path(__file__).parent / "golden_ledger.json"
+TELEMETRY_PATH = Path(__file__).parent / "golden_engine_telemetry.json"
 SCHEME = "3LC (s=1.00)"
 QUANTA = 4
 
@@ -111,6 +120,16 @@ CELLS = {
         fuse_lossy=True,
         scheme="Stoch 3-value + QE",
     ),
+    # Stragglers under a backup-worker barrier: the only cell whose BSP
+    # workers arrive apart, so the only one with push+wait spans.
+    "single_straggler_backup_bsp": dict(
+        num_workers=4,
+        topology="single",
+        backup_workers=1,
+        straggler=StragglerSpec(
+            jitter_sigma=0.0, slowdown_probability=0.35, slowdown_factor=3.0, seed=5
+        ),
+    ),
 }
 
 INT_FIELDS = tuple(f.name for f in fields(StepTraffic) if f.type == "int")
@@ -130,7 +149,9 @@ def cell_config(cell: str):
     return config, scheme
 
 
-def run_cell(cell: str, *, record: bool = True, clock: Clock = CLOCK) -> ExchangeEngine:
+def run_cell(
+    cell: str, *, record: bool = True, clock: Clock = CLOCK, traced: bool = False
+) -> ExchangeEngine:
     config, scheme = cell_config(cell)
     engine = ExchangeEngine(
         config.model_factory(),
@@ -138,6 +159,7 @@ def run_cell(cell: str, *, record: bool = True, clock: Clock = CLOCK) -> Exchang
         make_compressor(scheme, seed=config.scheme_seed),
         config.schedule(QUANTA),
         replace(config.engine_config(), record_transmissions=record, clock=clock),
+        telemetry=Telemetry() if traced else None,
     )
     engine.train(QUANTA)
     return engine
@@ -189,15 +211,39 @@ def ledger(engine: ExchangeEngine) -> list[dict]:
     return rows
 
 
+def engine_telemetry(engine: ExchangeEngine) -> dict:
+    """The engine's spans as JSON-ready rows, and its last metric snapshot."""
+    tel = engine.telemetry
+    assert {span.group for span in tel.tracer.spans} == {"engine"}
+    return {
+        "spans": [
+            [span.track, span.name, span.start, span.end, span.args]
+            for span in tel.tracer.spans
+        ],
+        "snapshot": tel.step_snapshots[-1],
+    }
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_telemetry() -> dict:
+    return json.loads(TELEMETRY_PATH.read_text())
 
 
 @functools.cache
 def recorded_engine(cell: str) -> ExchangeEngine:
     """One recorded run per cell, shared by the tests below."""
     return run_cell(cell)
+
+
+@functools.cache
+def traced_engine(cell: str) -> ExchangeEngine:
+    """The same recorded run with telemetry on."""
+    return run_cell(cell, traced=True)
 
 
 @pytest.mark.parametrize("cell", CELLS)
@@ -215,6 +261,19 @@ class TestGoldenLedger:
         plain = run_cell(cell, record=False)
         assert not plain.transmissions and not plain.update_events
         assert traffic_rows(plain) == traffic_rows(recorded)
+
+    def test_engine_telemetry_matches_snapshot(self, cell, golden_telemetry):
+        got = engine_telemetry(traced_engine(cell))
+        want = golden_telemetry[cell]
+        for index, (span, expected) in enumerate(zip(got["spans"], want["spans"])):
+            args = expected[4]
+            quantum = args.get("update", args.get("step"))
+            assert span == expected, f"{cell}: quantum {quantum}, span {index} diverged"
+        assert len(got["spans"]) == len(want["spans"]), f"{cell}: span count"
+        assert got["snapshot"] == want["snapshot"], f"{cell}: final metric snapshot"
+
+    def test_telemetry_is_an_observer(self, cell):
+        assert ledger(traced_engine(cell)) == ledger(recorded_engine(cell))
 
 
 # Ring records are per-link by design (tests/netsim pins that relation).
@@ -269,3 +328,17 @@ if __name__ == "__main__":  # regenerate the snapshot
     lines += [" }", "}"]
     GOLDEN_PATH.write_text("\n".join(lines) + "\n")
     print(f"wrote {GOLDEN_PATH}")
+
+    lines = ["{"]
+    for c, cell in enumerate(CELLS):
+        pinned = engine_telemetry(run_cell(cell, traced=True))
+        lines.append(f'  {json.dumps(cell)}: {{"spans": [')
+        lines.extend(
+            "   " + json.dumps(span) + ("," if s < len(pinned["spans"]) - 1 else "")
+            for s, span in enumerate(pinned["spans"])
+        )
+        lines.append(f'  ], "snapshot": {json.dumps(pinned["snapshot"])}}}')
+        lines[-1] += "," if c < len(CELLS) - 1 else ""
+    lines.append("}")
+    TELEMETRY_PATH.write_text("\n".join(lines) + "\n")
+    print(f"wrote {TELEMETRY_PATH}")
