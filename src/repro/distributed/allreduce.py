@@ -163,6 +163,16 @@ class RingAllReduce:
             name: chunk_bounds(math.prod(dims), self.num_nodes)
             for name, dims in self.shapes.items()
         }
+        # The ring's wire geometry per tensor and reduction: each node sends
+        # 2 (N-1)/N of the tensor (floored), as 2 (N-1) chunk frames on its
+        # hop link — 2 (N-1) N frames over the whole ring.
+        n = self.num_nodes
+        self.sent_elements = {
+            name: math.prod(dims) * 2 * (n - 1) // n
+            for name, dims in self.shapes.items()
+        }
+        self.link_frames = 2 * (n - 1)
+        self.frames = self.link_frames * n
         lossy = [
             name
             for name in self.shapes

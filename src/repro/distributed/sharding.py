@@ -62,9 +62,9 @@ def partition_parameters(
 def shard_owner_map(sizes: dict[str, int], num_shards: int) -> dict[str, int]:
     """Tensor name → owning shard index, from the greedy partition.
 
-    The wire-plan layer's view of the partition the sharded service holds
-    (its ``partition``, inverted the same way) — shard-purity of fused
-    buckets depends on both sides agreeing on this map exactly.
+    The wire plan's view of the partition the sharded service holds (its
+    ``partition``, inverted the same way) — shard-purity of fused buckets
+    depends on both sides agreeing on this map exactly.
     """
     return {
         name: idx
@@ -122,9 +122,9 @@ class ShardedParameterService:
             name: idx for idx, names in enumerate(self.partition) for name in names
         }
         # A fused frame has one wire destination, so a bucket must be
-        # shard-pure: the wire-plan layer builds plans partitioned on the
-        # identical greedy owner map, and this check catches any caller
-        # handing in an unpartitioned (or differently partitioned) plan.
+        # shard-pure: the engine builds plans partitioned on the identical
+        # greedy owner map, and this check catches any caller handing in
+        # an unpartitioned (or differently partitioned) plan.
         bucket_owner: dict[int, int] = {}
         for bucket in fusion_plan.buckets:
             owners = {self._owner[name] for name in bucket.names}
@@ -132,7 +132,7 @@ class ShardedParameterService:
                 raise ValueError(
                     f"fused bucket {bucket.index} spans shards "
                     f"{sorted(owners)}; build the plan with the sharded "
-                    "topology's partition (see exchange.wireplan)"
+                    "topology's partition (shard_owner_map)"
                 )
             bucket_owner[bucket.index] = owners.pop()
         self.shards: list[ParameterServer] = [

@@ -1,12 +1,14 @@
 """Unified gradient/delta exchange: topology × sync mode × fused codec path.
 
 The exchange subsystem separates three concerns (the MLSys layering
-argument — see ARCHITECTURE.md):
+argument — see ARCHITECTURE.md), each decided in one place:
 
 * **what travels** — per-tensor compression contexts or fused buckets
   (:mod:`repro.compression.fusion`);
-* **where it travels** — :class:`~repro.exchange.topology.ExchangeTopology`
-  (single server, sharded service, ring all-reduce);
+* **where it travels** — a topology name (single server, sharded service,
+  ring all-reduce, hierarchical) whose rules are
+  :class:`~repro.exchange.engine.EngineConfig`'s and whose service
+  :func:`~repro.exchange.topology.build_service` makes;
 * **when it travels** — :class:`~repro.exchange.sync.SyncMode`
   (BSP with full/backup barriers, fully async, SSP).
 
@@ -31,19 +33,14 @@ from repro.exchange.sync import (
     SyncMode,
     make_sync_mode,
 )
-from repro.exchange.wireplan import build_wire_plan, fusion_incompatibility
 from repro.exchange.topology import (
     TOPOLOGIES,
-    ExchangeTopology,
     HierarchicalExchangeService,
     HierarchicalOutcome,
-    HierarchicalTopology,
     RingExchangeService,
     RingOutcome,
-    RingTopology,
-    ShardedTopology,
-    SingleServerTopology,
-    make_topology,
+    build_service,
+    transmission_routes,
 )
 
 __all__ = [
@@ -61,17 +58,11 @@ __all__ = [
     "SSPMode",
     "make_sync_mode",
     "SYNC_MODES",
-    "ExchangeTopology",
-    "SingleServerTopology",
-    "ShardedTopology",
-    "RingTopology",
+    "build_service",
+    "transmission_routes",
     "RingExchangeService",
     "RingOutcome",
-    "HierarchicalTopology",
     "HierarchicalExchangeService",
     "HierarchicalOutcome",
-    "make_topology",
     "TOPOLOGIES",
-    "build_wire_plan",
-    "fusion_incompatibility",
 ]

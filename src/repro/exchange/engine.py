@@ -1,10 +1,11 @@
 """The unified exchange engine: one trainer, any topology × sync mode.
 
 :class:`ExchangeEngine` runs the paper's point-to-point design and its
-alternatives through one loop, parameterized by an
-:class:`~repro.exchange.topology.ExchangeTopology` (where state changes
-travel) and a :class:`~repro.exchange.sync.SyncMode` (when they travel).
-The BSP single-server path is op-for-op identical to the seed trainer (the
+alternatives through one loop, parameterized by a topology name (where
+state changes travel; :func:`~repro.exchange.topology.build_service`
+makes its service) and a :class:`~repro.exchange.sync.SyncMode` (when
+they travel). :class:`EngineConfig` holds every rule on both. The BSP
+single-server path is op-for-op identical to the seed trainer (the
 parity tests in ``tests/exchange`` assert bit-identical loss trajectories
 and wire bytes).
 
@@ -18,8 +19,8 @@ quantum's ledger, which feeds the ``StepTraffic`` counters and — when
 recording — the ``TransmissionRecord`` stream the simulators replay from
 the same values.
 
-On top of the unified paths sits the **wire-plan layer**
-(``fuse_small_tensors=True``, :mod:`repro.exchange.wireplan`):
+On top of the unified paths sits the **wire plan**
+(``fuse_small_tensors=True``, built in :meth:`ExchangeEngine.__init__`):
 below-threshold tensors are flattened into capacity-bounded buckets —
 partitioned so no bucket spans a shard or rack-uplink boundary —
 compressed with one codec call per bucket (exact float32 bypass, or the
@@ -35,28 +36,25 @@ replay.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.compression.base import Compressor
-from repro.compression.fusion import FusionPlan, WireStream
+from repro.compression.fusion import FusionPlan, WireStream, build_fusion_plan
 from repro.data.augment import Augmenter
 from repro.data.batcher import ShardBatcher
 from repro.data.synthetic import SyntheticImageDataset
 from repro.distributed.barriers import FullBarrier, StragglerSpec
 from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
 from repro.distributed.faults import FaultSpec
+from repro.distributed.sharding import shard_owner_map
 from repro.distributed.worker import Worker
 from repro.exchange.clock import CODEC_RATE, MEASURED, Clock
 from repro.exchange.sync import SyncMode, make_sync_mode
-from repro.exchange.topology import (
-    ExchangeTopology,
-    HierarchicalExchangeService,
-    make_topology,
-)
-from repro.exchange.wireplan import build_wire_plan, fusion_incompatibility
+from repro.exchange.topology import TOPOLOGIES, build_service, transmission_routes
 from repro.netsim.events import (
     StepTransmissions,
     TransmissionRecord,
@@ -169,21 +167,46 @@ class EngineConfig:
                 "bucket_boundaries shape the fused-bucket packing; they "
                 "require fuse_small_tensors=True"
             )
-        if self.fuse_small_tensors:
-            reason = fusion_incompatibility(self.topology)
-            if reason is not None:
-                raise ValueError(reason)
-        # The registries own the per-knob rules (unknown names, staleness
-        # vs mode, shard count, rack shape); building both here is pure
-        # and makes this the one place a bad combination fails.
-        sync = self.make_sync()
-        topology = self.make_topology()
-        if not topology.supports_event_modes and not sync.synchronous:
+        # Fusion composes with every sync mode; only the flat ring has no
+        # point-to-point framing to fuse.
+        if self.fuse_small_tensors and self.topology == "ring":
             raise ValueError(
-                f"topology {topology.name!r} is a synchronous collective; "
-                f"it cannot run under sync mode {sync.name!r}"
+                "the ring exchanges raw gradients per hop; fused buckets only "
+                "apply to point-to-point push/pull framing"
             )
-        if topology.wants_raw_gradients and self.backup_workers:
+        # The sync registry owns its per-knob rules (unknown name, staleness
+        # vs mode); building it here is pure.
+        sync = self.make_sync()
+        for name in ("num_shards", "racks", "rack_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(
+                f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}"
+            )
+        if self.topology == "hier":
+            if self.rack_size < 2:
+                raise ValueError(
+                    "a rack ring needs >= 2 workers, got "
+                    f"rack_size={self.rack_size}"
+                )
+            if self.hier_upper not in ("single", "sharded"):
+                raise ValueError(
+                    f"unknown upper tier {self.hier_upper!r}; expected "
+                    "'single' or 'sharded'"
+                )
+        if self.topology == "ring":
+            if not sync.synchronous:
+                raise ValueError(
+                    "topology 'ring' is a synchronous collective; it cannot "
+                    f"run under sync mode {sync.name!r}"
+                )
+            if self.num_workers < 2:
+                raise ValueError(
+                    f"a ring needs >= 2 workers, got {self.num_workers}"
+                )
+        if self.wants_raw_gradients and self.backup_workers:
             raise ValueError(
                 "a ring reduction needs every node's chunk; backup workers "
                 "only apply to parameter-server topologies"
@@ -200,6 +223,8 @@ class EngineConfig:
                     f"{self.racks} racks of {self.rack_size} "
                     "(racks * rack_size must equal num_workers)"
                 )
+        if self.wire_destination == "sharded" and self.num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
         if self.fault is not None and not self.fault.empty:
             if self.sync_mode != "bsp":
                 raise ValueError(
@@ -244,15 +269,17 @@ class EngineConfig:
             staleness=self.staleness,
         )
 
-    def make_topology(self) -> ExchangeTopology:
-        """The exchange topology this configuration selects."""
-        return make_topology(
-            self.topology,
-            num_shards=self.num_shards,
-            racks=self.racks,
-            rack_size=self.rack_size,
-            hier_upper=self.hier_upper,
-        )
+    @property
+    def wants_raw_gradients(self) -> bool:
+        """Workers hand the engine raw gradients: compression happens per
+        ring hop (``ring``, and the rack rings of ``hier``)."""
+        return self.topology in ("ring", "hier")
+
+    @property
+    def wire_destination(self) -> str:
+        """The service point-to-point frames travel to: the upper tier
+        under ``hier``, the topology itself otherwise."""
+        return self.hier_upper if self.topology == "hier" else self.topology
 
 
 def scheme_incompatibility(config: EngineConfig, scheme: Compressor) -> str | None:
@@ -267,7 +294,7 @@ def scheme_incompatibility(config: EngineConfig, scheme: Compressor) -> str | No
     """
     if not scheme.defers_transmission:
         return None
-    if config.make_topology().wants_raw_gradients:
+    if config.wants_raw_gradients:
         return (
             f"scheme {scheme.name!r} defers transmissions, but topology "
             f"{config.topology!r} reduces over ring hops and every hop must "
@@ -476,19 +503,25 @@ class ExchangeEngine:
         self._tel_clock = 0.0
 
         self.sync: SyncMode = config.make_sync()
-        self.topology: ExchangeTopology = config.make_topology()
 
         reference_model = model_factory()
-        # The wire plan: the topology partitions below-threshold tensors
-        # into buckets that never span a wire destination (shard, rack
-        # uplink); no buckets when fusion is off or no tensor qualifies.
+        parameters = reference_model.parameters()
+        # The wire plan: below-threshold tensors packed into buckets that
+        # never span a wire destination — a shard's NIC when frames go to a
+        # sharded service (flat, or the upper tier under "hier"), one
+        # destination otherwise; no buckets when fusion is off or no tensor
+        # qualifies.
         self.fusion_plan = FusionPlan()
         if config.fuse_small_tensors:
-            self.fusion_plan = build_wire_plan(
-                self.topology,
-                {p.name: p.shape for p in reference_model.parameters()},
+            partition = None
+            if config.wire_destination == "sharded":
+                sizes = {p.name: p.size for p in parameters}
+                partition = shard_owner_map(sizes, config.num_shards).__getitem__
+            self.fusion_plan = build_fusion_plan(
+                {p.name: p.shape for p in parameters},
                 threshold=config.small_tensor_threshold,
                 bucket_elements=config.bucket_elements,
+                partition=partition,
                 lossy=config.fuse_lossy,
                 boundaries=frozenset(config.bucket_boundaries),
             )
@@ -520,21 +553,15 @@ class ExchangeEngine:
                     fusion_plan=self.fusion_plan,
                     # Collectives compress per hop; skip the (model-sized)
                     # per-worker push-context allocation entirely.
-                    push_compression=not self.topology.wants_raw_gradients,
+                    push_compression=not config.wants_raw_gradients,
                 )
             )
 
         def optimizer_factory() -> MomentumSGD:
             return MomentumSGD(config.momentum, config.weight_decay)
 
-        self.service = self.topology.build_service(
-            reference_model.parameters(),
-            optimizer_factory,
-            schedule,
-            scheme,
-            num_workers=self.sync.service_worker_slots(config.num_workers),
-            small_tensor_threshold=config.small_tensor_threshold,
-            fusion_plan=self.fusion_plan,
+        self.service = build_service(
+            config, parameters, optimizer_factory, schedule, scheme, self.fusion_plan
         )
         self._eval_model = model_factory()
         self._model_elements = sum(p.size for p in self.service.params.values())
@@ -551,9 +578,7 @@ class ExchangeEngine:
         #: only when ``record_transmissions`` is on and the mode is
         #: async/SSP).
         self.update_events: list[UpdateTransmissions] = []
-        self._routes: dict[str, str] = self.topology.transmission_routes(
-            self.service
-        )
+        self._routes: dict[str, str] = transmission_routes(self.service)
         self.step_logs: list[StepLog] = []
         self.update_count = 0
 
@@ -596,7 +621,7 @@ class ExchangeEngine:
             prefix = self.sync.pull_key_prefix
             units = (
                 list(range(config.racks))
-                if self._is_hierarchical
+                if config.topology == "hier"
                 else [worker.worker_id for worker in self.workers]
             )
             # Per-unit pull streams: each worker (or rack) pulls its own
@@ -634,10 +659,6 @@ class ExchangeEngine:
     def global_step(self) -> int:
         return self.service.global_step
 
-    @property
-    def _is_hierarchical(self) -> bool:
-        return isinstance(self.service, HierarchicalExchangeService)
-
     def _rack_workers(self, rack: int) -> list[Worker]:
         """The contiguous worker group forming one rack."""
         size = self.engine_config.rack_size
@@ -651,15 +672,16 @@ class ExchangeEngine:
         The strategy does the exchange; everything that observes a
         finished quantum happens here, once.
         """
+        topology = self.engine_config.topology
         if not self.sync.synchronous:
             quantum = (
                 self._hier_async_update()
-                if self._is_hierarchical
+                if topology == "hier"
                 else self._async_update()
             )
-        elif self._is_hierarchical:
+        elif topology == "hier":
             quantum = self._hier_step()
-        elif self.topology.wants_raw_gradients:
+        elif topology == "ring":
             quantum = self._ring_step()
         else:
             quantum = self._ps_step()
@@ -694,7 +716,7 @@ class ExchangeEngine:
         """
         worker = next(w for w in self.workers if not math.isfinite(w.last_loss))
         where = f"worker {worker.worker_id}"
-        if self._is_hierarchical:
+        if self.engine_config.topology == "hier":
             rack = worker.worker_id // self.engine_config.rack_size
             where = f"rack {rack} ({where})"
         return (
@@ -1097,7 +1119,7 @@ class ExchangeEngine:
                         f"rack{rack}",
                         "collective",
                         worker=rack * rack_size,
-                        frames=2 * (rack_size - 1),
+                        frames=self.service.rack_rings[rack].link_frames,
                     )
         # Only racks whose uplink is alive have cross-push entries; they
         # lead ``rack_indices``.
@@ -1285,7 +1307,7 @@ class ExchangeEngine:
     def _ring_step(self) -> _Quantum:
         """One BSP step over the ring: raw gradients, per-hop compression."""
         step = self.service.global_step
-        n = self.engine_config.num_workers
+        ring = self.service.ring
 
         batches = [worker.train_step_raw() for worker in self.workers]
         arrivals = self._arrivals(batches)
@@ -1295,12 +1317,12 @@ class ExchangeEngine:
             worker.apply_pull(outcome.deltas)
 
         # No pull phase: the all-gather already fanned out.
-        ledger = self._open_ledger(step, pull_fanout=0, num_workers=n)
+        ledger = self._open_ledger(step, pull_fanout=0, num_workers=ring.num_nodes)
         traffic = ledger.traffic
         traffic.push_bytes = outcome.wire_bytes
         traffic.push_elements = outcome.elements
         # Every (node, hop) chunk transmission is one framed message.
-        traffic.push_messages = len(self.service.params) * 2 * (n - 1) * n
+        traffic.push_messages = len(self.service.params) * ring.frames
         # One collective record per tensor, accounted *per link*: bytes are
         # what one hop link carries and frames are one chunk message per
         # hop (all N links run their 2(N-1) hops in parallel; the meter's
@@ -1314,7 +1336,7 @@ class ExchangeEngine:
                 outcome.per_tensor_elements.get(name, 0),
                 self._routes[name],
                 "collective",
-                frames=2 * (n - 1),
+                frames=ring.link_frames,
             )
         transmissions, codec = ledger.close(
             StepTransmissions,

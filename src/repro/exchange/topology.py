@@ -1,36 +1,39 @@
 """Exchange topologies: where gradients travel (paper §2, Figure 1).
 
-An :class:`ExchangeTopology` builds the *parameter service* an
-:class:`~repro.exchange.engine.ExchangeEngine` steps against. Three
-topologies ship:
+A topology is a name in :class:`~repro.exchange.engine.EngineConfig`
+(:data:`TOPOLOGIES`), and :func:`build_service` turns it into the
+*parameter service* an :class:`~repro.exchange.engine.ExchangeEngine`
+steps against:
 
-* :class:`SingleServerTopology` — the paper's evaluated setting: one
+* ``single`` — the paper's evaluated setting: one
   :class:`~repro.distributed.server.ParameterServer` holds the whole model.
-* :class:`ShardedTopology` — the multi-server half of Figure 1: the model
-  is partitioned across ``num_shards`` independent servers
+* ``sharded`` — the multi-server half of Figure 1: the model is
+  partitioned across ``num_shards`` independent servers
   (:class:`~repro.distributed.sharding.ShardedParameterService`), spreading
   the hot uplink.
-* :class:`RingTopology` — bandwidth-optimal ring all-reduce with per-hop
-  compression, the serverless alternative the paper contrasts against.
-  Workers hand over *raw* gradients (``wants_raw_gradients``); compression
+* ``ring`` — :class:`RingExchangeService`: bandwidth-optimal ring
+  all-reduce with per-hop compression, the serverless alternative the
+  paper contrasts against. Workers hand over *raw* gradients; compression
   happens inside the collective, so per-worker push contexts do not exist.
-* :class:`HierarchicalTopology` — the first *composed* topology: workers
-  are grouped into racks, each rack runs a ring all-reduce over its fast
-  local links, and one 3LC-compressed aggregate per rack crosses the
-  scarce uplink to a cross-rack parameter service (a single server or a
-  sharded service, reused as the upper tier). This is the regime the
-  paper targets — compression matters most where bandwidth is scarcest.
+* ``hier`` — :class:`HierarchicalExchangeService`, the first *composed*
+  topology: workers are grouped into racks, each rack runs a ring
+  all-reduce over its fast local links, and one 3LC-compressed aggregate
+  per rack crosses the scarce uplink to a cross-rack parameter service
+  (``hier_upper``: a single server or a sharded service, built by
+  :func:`build_service` itself). This is the regime the paper targets —
+  compression matters most where bandwidth is scarcest.
 
-All services expose the :class:`~repro.distributed.server.ParameterServer`
-surface the engine relies on: ``step``/``exchange``, ``state_dict``,
-``params``, ``bypassed``, ``schedule``, and ``global_step``.
+Every rule on a name and its shape knobs is ``EngineConfig``'s; nothing
+here re-checks one. All services expose the
+:class:`~repro.distributed.server.ParameterServer` surface the engine
+relies on: ``step``/``exchange``, ``state_dict``, ``params``,
+``bypassed``, ``schedule``, and ``global_step``.
 """
 
 from __future__ import annotations
 
-import abc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,190 +42,130 @@ from repro.compression.fusion import FusionPlan, WireFrame, WireStream
 from repro.distributed.allreduce import RingAllReduce
 from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
 from repro.distributed.server import ParameterServer
-from repro.distributed.sharding import ShardedParameterService, shard_owner_map
-from repro.exchange.wireplan import fusion_incompatibility
+from repro.distributed.sharding import ShardedParameterService
 from repro.nn.parameter import Parameter
 from repro.nn.schedule import Schedule
 
 __all__ = [
-    "ExchangeTopology",
-    "SingleServerTopology",
-    "ShardedTopology",
-    "RingTopology",
+    "TOPOLOGIES",
+    "build_service",
+    "transmission_routes",
     "RingExchangeService",
     "RingOutcome",
-    "HierarchicalTopology",
     "HierarchicalExchangeService",
     "HierarchicalOutcome",
-    "make_topology",
-    "TOPOLOGIES",
 ]
 
-
-class ExchangeTopology(abc.ABC):
-    """Factory for the parameter service behind one gradient-exchange plan."""
-
-    name: str = "abstract"
-    #: True when workers should skip push compression and hand the engine
-    #: raw gradients (collectives compress per hop, not per worker).
-    wants_raw_gradients: bool = False
-    #: True when the topology can exchange fused small-tensor buckets.
-    supports_fusion: bool = False
-    #: True when the topology can run under async/SSP scheduling. A flat
-    #: ring cannot (the collective is globally synchronous); the
-    #: hierarchical topology can — racks are synchronous internally but
-    #: exchange with the cross-rack service asynchronously.
-    supports_event_modes: bool = True
-
-    @abc.abstractmethod
-    def build_service(
-        self,
-        parameters: list[Parameter],
-        optimizer_factory,
-        schedule: Schedule,
-        scheme: Compressor,
-        *,
-        num_workers: int,
-        small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
-        fusion_plan: FusionPlan = FusionPlan(),
-    ):
-        """Construct the service the engine will step against."""
-
-    def fusion_partition(self, sizes: dict[str, int]):
-        """Tensor-name → wire-destination key for the fused-bucket plan.
-
-        The wire-plan layer (:mod:`repro.exchange.wireplan`) calls this
-        before any service exists, so the returned function must be
-        derivable from the parameter sizes alone — which it is: the
-        sharded partition is the deterministic greedy owner map, and the
-        hierarchical cross tier reuses it for a sharded upper service.
-        ``None`` means every fused frame shares one destination (the
-        single server, a single cross-rack uplink service).
-        """
-        return None
-
-    def transmission_routes(self, service) -> dict[str, str]:
-        """Map each parameter tensor to the link its messages traverse.
-
-        This is the topology half of the exchange plan the network
-        simulator (:mod:`repro.netsim`) replays: the engine stamps every
-        recorded transmission with its route, and the simulator serializes
-        transfers per route instead of assuming one shared server NIC.
-        The default sends everything through the single ``"server"`` link.
-        """
-        return {name: "server" for name in service.params}
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"{type(self).__name__}({self.name!r})"
+#: Registry of topology names accepted by the engine and the harness.
+TOPOLOGIES = ("single", "sharded", "ring", "hier")
 
 
-class SingleServerTopology(ExchangeTopology):
-    """One parameter server owns the whole model (paper §5.2)."""
+def build_service(config, parameters, optimizer_factory, schedule, scheme, fusion_plan):
+    """The parameter service ``config.topology`` names.
 
-    name = "single"
-    supports_fusion = True
-
-    def build_service(
-        self,
-        parameters,
-        optimizer_factory,
-        schedule,
-        scheme,
-        *,
-        num_workers,
-        small_tensor_threshold=SMALL_TENSOR_THRESHOLD,
-        fusion_plan=FusionPlan(),
-    ) -> ParameterServer:
+    ``hier`` builds its upper tier through this same function: the
+    ``hier_upper`` topology with one worker per rack (rack faults are the
+    hierarchy's own, so the upper tier runs none).
+    """
+    threshold = config.small_tensor_threshold
+    # Async/SSP services aggregate one push at a time.
+    slots = config.make_sync().service_worker_slots(config.num_workers)
+    if config.topology == "single":
         return ParameterServer(
             parameters,
             optimizer_factory(),
             schedule,
             scheme,
-            num_workers,
-            small_tensor_threshold=small_tensor_threshold,
+            slots,
+            small_tensor_threshold=threshold,
             fusion_plan=fusion_plan,
         )
-
-
-class ShardedTopology(ExchangeTopology):
-    """The model is partitioned across independent parameter servers."""
-
-    supports_fusion = True
-
-    def __init__(self, num_shards: int = 2):
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.num_shards = int(num_shards)
-        self.name = f"sharded(shards={num_shards})"
-
-    def fusion_partition(self, sizes: dict[str, int]):
-        """Buckets must not span shards: partition by the greedy owner map
-        — the same deterministic map the service itself derives."""
-        return shard_owner_map(sizes, self.num_shards).__getitem__
-
-    def build_service(
-        self,
-        parameters,
-        optimizer_factory,
-        schedule,
-        scheme,
-        *,
-        num_workers,
-        small_tensor_threshold=SMALL_TENSOR_THRESHOLD,
-        fusion_plan=FusionPlan(),
-    ) -> ShardedParameterService:
+    if config.topology == "sharded":
         return ShardedParameterService(
             parameters,
             optimizer_factory,
             schedule,
             scheme,
-            num_workers=num_workers,
-            num_shards=self.num_shards,
-            small_tensor_threshold=small_tensor_threshold,
+            num_workers=slots,
+            num_shards=config.num_shards,
+            small_tensor_threshold=threshold,
             fusion_plan=fusion_plan,
         )
+    if config.topology == "ring":
+        return RingExchangeService(
+            parameters,
+            optimizer_factory(),
+            schedule,
+            scheme,
+            num_workers=config.num_workers,
+            small_tensor_threshold=threshold,
+        )
+    upper = replace(
+        config, topology=config.hier_upper, num_workers=config.racks, fault=None
+    )
+    return HierarchicalExchangeService(
+        build_service(
+            upper, parameters, optimizer_factory, schedule, scheme, fusion_plan
+        ),
+        scheme,
+        racks=config.racks,
+        rack_size=config.rack_size,
+        small_tensor_threshold=threshold,
+        fusion_plan=fusion_plan,
+    )
 
-    def transmission_routes(self, service) -> dict[str, str]:
-        """Each tensor travels through its owning shard's independent NIC."""
+
+def transmission_routes(service) -> dict[str, str]:
+    """Map each parameter tensor to the link its messages traverse.
+
+    This is the topology half of the exchange plan the network simulator
+    (:mod:`repro.netsim`) replays: the engine stamps every recorded
+    transmission with its route, and the simulator serializes transfers
+    per route. A single server is one ``"server"`` NIC, a sharded service
+    one ``shard<k>`` NIC per owning shard, and the ring its lockstep hop
+    links. Under ``hier`` these name the cross-rack tier: a sharded upper
+    tier's NICs (``cross:shard<k>``), or the ``"cross"`` marker for a
+    single upper server, which the engine qualifies per rack
+    (``cross:rack<r>``) — each rack reaches the core over its own uplink.
+    Intra-rack records are stamped ``rack<r>`` by the engine.
+    """
+    if isinstance(service, HierarchicalExchangeService):
         return {
-            name: f"shard{service.shard_of(name)}" for name in service.params
+            name: "cross" if route == "server" else f"cross:{route}"
+            for name, route in transmission_routes(service.upper).items()
         }
+    if isinstance(service, ShardedParameterService):
+        return {name: f"shard{service.shard_of(name)}" for name in service.params}
+    route = "ring" if isinstance(service, RingExchangeService) else "server"
+    return dict.fromkeys(service.params, route)
 
 
+def _reduce(ring: RingAllReduce, grad_dicts: list[dict[str, np.ndarray]]):
+    """One ring reduction's bookkeeping, shared by the flat ring and every
+    rack ring: the averaged gradients, each tensor's busiest-link bytes,
+    the all-links wire bytes, and the codec seconds."""
+    t0 = time.perf_counter()
+    results = ring.reduce(grad_dicts, average=True)
+    reduced = {name: result.outputs[0] for name, result in results.items()}
+    link_bytes = {name: result.max_link_bytes for name, result in results.items()}
+    wire = sum(result.wire_bytes for result in results.values())
+    return reduced, link_bytes, wire, time.perf_counter() - t0
+
+
+@dataclass
 class RingOutcome:
     """Result of one ring exchange round."""
 
-    __slots__ = (
-        "deltas",
-        "wire_bytes",
-        "codec_seconds",
-        "elements",
-        "max_link_bytes",
-        "per_tensor_link_bytes",
-        "per_tensor_elements",
-    )
-
-    def __init__(
-        self,
-        deltas: dict[str, np.ndarray],
-        wire_bytes: int,
-        codec_seconds: float,
-        elements: int,
-        max_link_bytes: int,
-        per_tensor_link_bytes: dict[str, int] | None = None,
-        per_tensor_elements: dict[str, int] | None = None,
-    ):
-        self.deltas = deltas
-        self.wire_bytes = wire_bytes
-        self.codec_seconds = codec_seconds
-        self.elements = elements
-        self.max_link_bytes = max_link_bytes
-        #: Per-tensor bytes the *busiest single link* carried — the honest
-        #: quantity for ring step time (every link works in parallel; the
-        #: server-NIC model would wrongly charge the all-links sum).
-        self.per_tensor_link_bytes = per_tensor_link_bytes or {}
-        #: Per-tensor transmitted element counts (2 (N-1)/N of the size).
-        self.per_tensor_elements = per_tensor_elements or {}
+    deltas: dict[str, np.ndarray]
+    wire_bytes: int
+    codec_seconds: float
+    elements: int
+    #: Per-tensor bytes the *busiest single link* carried — the honest
+    #: quantity for ring step time (every link works in parallel; the
+    #: server-NIC model would wrongly charge the all-links sum).
+    per_tensor_link_bytes: dict[str, int]
+    #: Per-tensor transmitted element counts (2 (N-1)/N of the size).
+    per_tensor_elements: dict[str, int]
 
 
 class RingExchangeService:
@@ -236,8 +179,6 @@ class RingExchangeService:
     corrects each *link* across training steps.
     """
 
-    wants_raw_gradients = True
-
     def __init__(
         self,
         parameters: list[Parameter],
@@ -248,15 +189,8 @@ class RingExchangeService:
         num_workers: int,
         small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
     ):
-        if num_workers < 2:
-            raise ValueError(
-                f"a ring needs >= 2 workers, got {num_workers}"
-            )
         self.optimizer = optimizer
         self.schedule = schedule
-        self.scheme = scheme
-        self.num_workers = int(num_workers)
-        self.small_tensor_threshold = int(small_tensor_threshold)
         self.params: dict[str, Parameter] = {
             p.name: Parameter(p.name, p.data.copy(), weight_decay=p.weight_decay)
             for p in parameters
@@ -264,10 +198,10 @@ class RingExchangeService:
         self.bypassed: set[str] = {
             name
             for name, param in self.params.items()
-            if param.size < self.small_tensor_threshold
+            if param.size < small_tensor_threshold
         }
         self.ring = RingAllReduce(
-            self.num_workers,
+            num_workers,
             {name: param.shape for name, param in self.params.items()},
             scheme,
             bypass=self.bypassed,
@@ -281,29 +215,7 @@ class RingExchangeService:
         """Ring-reduce every tensor, update the canonical model, and return
         the model deltas each replica applies locally (no pull traffic —
         after the all-gather phase every node already holds the result)."""
-        if len(grad_dicts) != self.num_workers:
-            raise ValueError(
-                f"expected {self.num_workers} gradient sets, got {len(grad_dicts)}"
-            )
-        t0 = time.perf_counter()
-        reduced: dict[str, np.ndarray] = {}
-        wire = 0
-        max_link = 0
-        elements = 0
-        per_tensor_link: dict[str, int] = {}
-        per_tensor_elements: dict[str, int] = {}
-        results = self.ring.reduce(grad_dicts, average=True)
-        for name, param in self.params.items():
-            result = results[name]
-            reduced[name] = result.outputs[0]
-            wire += result.wire_bytes
-            max_link = max(max_link, result.max_link_bytes)
-            per_tensor_link[name] = result.max_link_bytes
-            per_tensor_elements[name] = (
-                param.size * 2 * (self.num_workers - 1) // self.num_workers
-            )
-            elements += per_tensor_elements[name]
-        codec_seconds = time.perf_counter() - t0
+        reduced, link_bytes, wire, codec_seconds = _reduce(self.ring, grad_dicts)
 
         lr = self.schedule(self.global_step)
         previous = {name: p.data.copy() for name, p in self.params.items()}
@@ -318,49 +230,10 @@ class RingExchangeService:
         deltas = {
             name: param.data - previous[name] for name, param in self.params.items()
         }
+        sent = self.ring.sent_elements
         return RingOutcome(
-            deltas,
-            wire,
-            codec_seconds,
-            elements,
-            max_link,
-            per_tensor_link,
-            per_tensor_elements,
+            deltas, wire, codec_seconds, sum(sent.values()), link_bytes, sent
         )
-
-
-class RingTopology(ExchangeTopology):
-    """Ring all-reduce: no server, per-hop compression, no pull phase."""
-
-    name = "ring"
-    wants_raw_gradients = True
-    supports_event_modes = False
-
-    def build_service(
-        self,
-        parameters,
-        optimizer_factory,
-        schedule,
-        scheme,
-        *,
-        num_workers,
-        small_tensor_threshold=SMALL_TENSOR_THRESHOLD,
-        fusion_plan=FusionPlan(),
-    ) -> RingExchangeService:
-        if fusion_plan.buckets:
-            raise ValueError(fusion_incompatibility("ring"))
-        return RingExchangeService(
-            parameters,
-            optimizer_factory(),
-            schedule,
-            scheme,
-            num_workers=num_workers,
-            small_tensor_threshold=small_tensor_threshold,
-        )
-
-    def transmission_routes(self, service) -> dict[str, str]:
-        """Every tensor circulates the ring's (lockstep) hop links."""
-        return {name: "ring" for name in service.params}
 
 
 @dataclass
@@ -434,7 +307,7 @@ class HierarchicalExchangeService:
        gradient per rack;
     2. **cross-rack** — each rack compresses its aggregate through a
        persistent per-rack uplink context (3LC error feedback corrects
-       the scarce link across steps) and pushes it to the upper
+       the scarce link across steps) and pushes it to the ``upper``
        parameter service — a :class:`~repro.distributed.server.ParameterServer`
        or a :class:`~repro.distributed.sharding.ShardedParameterService`
        reused unchanged — which aggregates over racks, updates the global
@@ -447,65 +320,26 @@ class HierarchicalExchangeService:
     same per-hop streams in every rack, which is deterministic.
     """
 
-    wants_raw_gradients = True
-
     def __init__(
         self,
-        parameters: list[Parameter],
-        optimizer_factory,
-        schedule: Schedule,
+        upper,
         scheme: Compressor,
         *,
         racks: int,
         rack_size: int,
-        upper_worker_slots: int | None = None,
-        upper: str = "single",
-        num_shards: int = 2,
         small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
         fusion_plan: FusionPlan = FusionPlan(),
     ):
-        if rack_size < 2:
-            raise ValueError(
-                f"a rack ring needs >= 2 workers, got rack_size={rack_size}"
-            )
-        self.racks = int(racks)
-        self.rack_size = int(rack_size)
-        self.schedule = schedule
-        self.scheme = scheme
-
-        if upper_worker_slots is None:
-            upper_worker_slots = self.racks
-        if upper == "single":
-            self.upper = ParameterServer(
-                parameters,
-                optimizer_factory(),
-                schedule,
-                scheme,
-                upper_worker_slots,
-                small_tensor_threshold=small_tensor_threshold,
-                fusion_plan=fusion_plan,
-            )
-        elif upper == "sharded":
-            self.upper = ShardedParameterService(
-                parameters,
-                optimizer_factory,
-                schedule,
-                scheme,
-                num_workers=upper_worker_slots,
-                num_shards=num_shards,
-                small_tensor_threshold=small_tensor_threshold,
-                fusion_plan=fusion_plan,
-            )
-        else:
-            raise ValueError(
-                f"unknown upper tier {upper!r}; expected 'single' or 'sharded'"
-            )
-        self.params = self.upper.params
+        self.upper = upper
+        self.racks = racks
+        self.rack_size = rack_size
+        self.schedule = upper.schedule
+        self.params = upper.params
         bypassed = self.bypassed
         shapes = {name: param.shape for name, param in self.params.items()}
         self.rack_rings = [
-            RingAllReduce(self.rack_size, shapes, scheme, bypass=bypassed)
-            for _ in range(self.racks)
+            RingAllReduce(rack_size, shapes, scheme, bypass=bypassed)
+            for _ in range(racks)
         ]
         # Persistent per-rack uplink streams: error feedback corrects the
         # scarce cross-rack link across training steps (paper Figure 2a,
@@ -520,7 +354,7 @@ class HierarchicalExchangeService:
                 kind="hpush",
                 owner=(rack,),
             )
-            for rack in range(self.racks)
+            for rack in range(racks)
         ]
 
     # -- ParameterServer surface -------------------------------------------
@@ -536,41 +370,7 @@ class HierarchicalExchangeService:
     def state_dict(self) -> dict[str, np.ndarray]:
         return self.upper.state_dict()
 
-    def cross_routes(self) -> dict[str, str]:
-        """Map each tensor to the cross-rack tier its aggregate traverses.
-
-        Sharded uppers name the owning shard's NIC directly; a single
-        upper server returns the ``"cross"`` marker, which the engine
-        qualifies per rack (``cross:rack<r>``) when it emits records —
-        each rack reaches the core over its own uplink.
-        """
-        if isinstance(self.upper, ShardedParameterService):
-            return {
-                name: f"cross:shard{self.upper.shard_of(name)}"
-                for name in self.params
-            }
-        return {name: "cross" for name in self.params}
-
     # -- the two-phase exchange --------------------------------------------
-
-    def _reduce_rack(
-        self, rack: int, grad_dicts: list[dict[str, np.ndarray]]
-    ) -> tuple[dict[str, np.ndarray], dict[str, int], int, float]:
-        """Phase 1 for one rack: ring-reduce its members' gradients.
-
-        Returns (rack-averaged gradients, per-tensor busiest-link bytes,
-        all-links wire bytes, codec seconds).
-        """
-        t0 = time.perf_counter()
-        reduced: dict[str, np.ndarray] = {}
-        link_bytes: dict[str, int] = {}
-        wire = 0
-        results = self.rack_rings[rack].reduce(grad_dicts, average=True)
-        for name, result in results.items():
-            reduced[name] = result.outputs[0]
-            link_bytes[name] = result.max_link_bytes
-            wire += result.wire_bytes
-        return reduced, link_bytes, wire, time.perf_counter() - t0
 
     def _compress_uplink(
         self, rack: int, rack_grads: dict[str, np.ndarray]
@@ -580,16 +380,8 @@ class HierarchicalExchangeService:
         messages = self.uplinks[rack].compress(rack_grads)
         return messages, time.perf_counter() - t0
 
-    def _per_tensor_elements(self) -> dict[str, int]:
-        w = self.rack_size
-        return {
-            name: param.size * 2 * (w - 1) // w
-            for name, param in self.params.items()
-        }
-
     def _ring_frames(self, racks: int) -> int:
-        w = self.rack_size
-        return len(self.params) * 2 * (w - 1) * w * racks
+        return len(self.params) * self.rack_rings[0].frames * racks
 
     def exchange(
         self,
@@ -621,14 +413,14 @@ class HierarchicalExchangeService:
             raise RuntimeError(
                 "every rack is cut off from the core; no exchange possible"
             )
-        per_tensor_elements = self._per_tensor_elements()
+        per_tensor_elements = self.rack_rings[0].sent_elements
         rack_grads: list[dict[str, np.ndarray]] = []
         per_rack_link_bytes: list[dict[str, int]] = []
         rack_codec: list[float] = []
         intra_wire = 0
         for rack in range(self.racks):
             group = grad_dicts[rack * self.rack_size : (rack + 1) * self.rack_size]
-            reduced, link_bytes, wire, codec = self._reduce_rack(rack, group)
+            reduced, link_bytes, wire, codec = _reduce(self.rack_rings[rack], group)
             rack_grads.append(reduced)
             per_rack_link_bytes.append(link_bytes)
             rack_codec.append(codec)
@@ -701,8 +493,8 @@ class HierarchicalExchangeService:
                 f"expected {self.rack_size} gradient sets for one rack, "
                 f"got {len(grad_dicts)}"
             )
-        per_tensor_elements = self._per_tensor_elements()
-        reduced, link_bytes, wire, codec = self._reduce_rack(rack, grad_dicts)
+        per_tensor_elements = self.rack_rings[rack].sent_elements
+        reduced, link_bytes, wire, codec = _reduce(self.rack_rings[rack], grad_dicts)
         messages, compress_seconds = self._compress_uplink(rack, reduced)
         pull_batch = self.upper.step([messages], divisor=1)
         return HierarchicalOutcome(
@@ -721,113 +513,3 @@ class HierarchicalExchangeService:
             server_decompress_seconds=pull_batch.decompress_seconds,
             server_compress_seconds=0.0,
         )
-
-
-class HierarchicalTopology(ExchangeTopology):
-    """Rack-local rings feeding a cross-rack parameter service."""
-
-    wants_raw_gradients = True
-    supports_event_modes = True
-    #: Fused buckets apply to the point-to-point cross-rack tier: rack
-    #: aggregates of plan-owned tensors cross the uplink as one frame per
-    #: bucket per rack.
-    supports_fusion = True
-
-    def __init__(
-        self,
-        racks: int = 2,
-        rack_size: int = 2,
-        *,
-        upper: str = "single",
-        num_shards: int = 2,
-    ):
-        if rack_size < 2:
-            raise ValueError(
-                f"a rack ring needs >= 2 workers, got rack_size={rack_size}"
-            )
-        if upper not in ("single", "sharded"):
-            raise ValueError(
-                f"unknown upper tier {upper!r}; expected 'single' or 'sharded'"
-            )
-        self.racks = int(racks)
-        self.rack_size = int(rack_size)
-        self.upper = upper
-        self.num_shards = int(num_shards)
-        suffix = f", upper={upper}" if upper != "single" else ""
-        self.name = f"hier(racks={racks}, rack={rack_size}{suffix})"
-
-    def fusion_partition(self, sizes: dict[str, int]):
-        """Buckets cross the rack uplink whole: one destination for a
-        single upper service, the upper shard owner map otherwise."""
-        if self.upper != "sharded":
-            return None
-        return shard_owner_map(sizes, self.num_shards).__getitem__
-
-    def build_service(
-        self,
-        parameters,
-        optimizer_factory,
-        schedule,
-        scheme,
-        *,
-        num_workers,
-        small_tensor_threshold=SMALL_TENSOR_THRESHOLD,
-        fusion_plan=FusionPlan(),
-    ) -> HierarchicalExchangeService:
-        # The engine passes the sync mode's aggregation slot count:
-        # the full worker count for BSP (every rack pushes each step) or 1
-        # for async/SSP (racks commit one at a time).
-        if num_workers == 1:
-            upper_slots = 1
-        else:
-            if num_workers != self.racks * self.rack_size:
-                raise ValueError(
-                    f"num_workers={num_workers} is not {self.racks} racks of "
-                    f"{self.rack_size} (racks * rack_size must equal the "
-                    "worker count)"
-                )
-            upper_slots = self.racks
-        return HierarchicalExchangeService(
-            parameters,
-            optimizer_factory,
-            schedule,
-            scheme,
-            racks=self.racks,
-            rack_size=self.rack_size,
-            upper_worker_slots=upper_slots,
-            upper=self.upper,
-            num_shards=self.num_shards,
-            small_tensor_threshold=small_tensor_threshold,
-            fusion_plan=fusion_plan,
-        )
-
-    def transmission_routes(self, service) -> dict[str, str]:
-        """Cross-rack route per tensor (intra-rack collective and
-        broadcast records are stamped ``rack<r>`` by the engine)."""
-        return service.cross_routes()
-
-
-#: Registry of topology names accepted by the engine and the harness.
-TOPOLOGIES = ("single", "sharded", "ring", "hier")
-
-
-def make_topology(
-    name: str,
-    *,
-    num_shards: int = 2,
-    racks: int = 2,
-    rack_size: int = 2,
-    hier_upper: str = "single",
-) -> ExchangeTopology:
-    """Construct a topology from its registry name and knobs."""
-    if name == "single":
-        return SingleServerTopology()
-    if name == "sharded":
-        return ShardedTopology(num_shards)
-    if name == "ring":
-        return RingTopology()
-    if name == "hier":
-        return HierarchicalTopology(
-            racks, rack_size, upper=hier_upper, num_shards=num_shards
-        )
-    raise ValueError(f"unknown topology {name!r}; expected one of {TOPOLOGIES}")

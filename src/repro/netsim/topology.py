@@ -1,10 +1,10 @@
 """Topology adapters: from an exchange plan to a link model.
 
 The exchange layer stamps every recorded transmission with a *route*
-(:meth:`repro.exchange.topology.ExchangeTopology.transmission_routes`);
-this module builds the matching :class:`~repro.netsim.links.LinkModel`
-from the topology's registry name, so the harness can simulate any
-configuration it can train.
+(:func:`repro.exchange.topology.transmission_routes`); this module builds
+the matching :class:`~repro.netsim.links.LinkModel` from the topology's
+registry name, so the harness can simulate any configuration it can
+train.
 """
 
 from __future__ import annotations

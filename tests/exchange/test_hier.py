@@ -27,8 +27,7 @@ from repro.exchange import (
     EngineConfig,
     ExchangeEngine,
     HierarchicalExchangeService,
-    HierarchicalTopology,
-    make_topology,
+    transmission_routes,
 )
 from repro.harness.cli import parse_config
 from repro.nn import CosineDecay, build_resnet
@@ -239,13 +238,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="'2 local steps' defers transmissions"):
             make_engine("2 local steps")
 
-    def test_make_topology(self):
-        topo = make_topology("hier", racks=3, rack_size=2)
-        assert isinstance(topo, HierarchicalTopology)
-        assert topo.name == "hier(racks=3, rack=2)"
-        with pytest.raises(ValueError, match="upper tier"):
-            make_topology("hier", hier_upper="mesh")
-
 
 class TestShardedUpperTier:
     def test_sharded_upper_trains_and_routes_per_shard(self):
@@ -256,7 +248,7 @@ class TestShardedUpperTier:
         assert all(np.isfinite(l.train_loss) for l in engine.step_logs)
         service = engine.service
         assert isinstance(service, HierarchicalExchangeService)
-        routes = set(service.cross_routes().values())
+        routes = set(transmission_routes(service).values())
         assert routes == {"cross:shard0", "cross:shard1"}
         st = engine.transmissions[0]
         cross_routes = {

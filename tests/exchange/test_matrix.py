@@ -18,8 +18,8 @@ from repro.exchange import (
     EngineConfig,
     ExchangeEngine,
     make_sync_mode,
-    make_topology,
 )
+from repro.harness.cli import parse_config
 from repro.nn import CosineDecay, build_resnet
 
 SCHEMES = ["32-bit float", "3LC (s=1.00)"]  # one lossless + one lossy
@@ -128,11 +128,105 @@ def test_async_rejects_staleness():
         make_engine("single", "async", "32-bit float", staleness=2)
 
 
-def test_unknown_names_rejected():
-    with pytest.raises(ValueError, match="unknown topology"):
-        make_topology("hypercube")
+def test_unknown_sync_mode_rejected():
     with pytest.raises(ValueError, match="unknown sync mode"):
         make_sync_mode("semi-sync")
+
+
+#: (EngineConfig overrides, the exact message, and the ``(flags, named
+#: flag)`` of a CLI line that reaches the same rule — None where no flag
+#: does: ``hier_upper`` has none, and ``--topology`` and the shape flags are
+#: parsed as choices or integers before any configuration is built).
+TOPOLOGY_RULES = {
+    "unknown-name": (
+        dict(topology="hypercube"),
+        "unknown topology 'hypercube'; expected one of "
+        "('single', 'sharded', 'ring', 'hier')",
+        None,
+    ),
+    "no-shards": (
+        dict(topology="sharded", num_shards=0),
+        "num_shards must be >= 1, got 0",
+        (["--topology", "sharded", "--shards", "0"], "--shards 0"),
+    ),
+    "no-upper-shards": (
+        dict(topology="hier", hier_upper="sharded", num_shards=0, num_workers=4),
+        "num_shards must be >= 1, got 0",
+        None,
+    ),
+    "one-worker-rack": (
+        dict(topology="hier", racks=2, rack_size=1),
+        "a rack ring needs >= 2 workers, got rack_size=1",
+        (
+            ["--topology", "hier", "--racks", "2", "--rack-size", "1"],
+            "--rack-size 1",
+        ),
+    ),
+    "unknown-upper": (
+        dict(topology="hier", hier_upper="mesh", num_workers=4),
+        "unknown upper tier 'mesh'; expected 'single' or 'sharded'",
+        None,
+    ),
+    "async-ring": (
+        dict(topology="ring", sync_mode="async"),
+        "topology 'ring' is a synchronous collective; it cannot run under "
+        "sync mode 'async'",
+        (["--topology", "ring", "--sync-mode", "async"], "--sync-mode async"),
+    ),
+    "ssp-ring": (
+        dict(topology="ring", sync_mode="ssp", staleness=1),
+        "topology 'ring' is a synchronous collective; it cannot run under "
+        "sync mode 'ssp(staleness=1)'",
+        (
+            ["--topology", "ring", "--sync-mode", "ssp", "--staleness", "1"],
+            "--sync-mode ssp",
+        ),
+    ),
+    "fused-ring": (
+        dict(topology="ring", fuse_small_tensors=True),
+        "the ring exchanges raw gradients per hop; fused buckets only apply "
+        "to point-to-point push/pull framing",
+        (["--fuse", "--topology", "ring"], "--fuse"),
+    ),
+    "one-worker-ring": (
+        dict(topology="ring", num_workers=1),
+        "a ring needs >= 2 workers, got 1",
+        (["--workers", "1", "--topology", "ring"], "--workers 1"),
+    ),
+    "fractional-shards": (
+        dict(topology="sharded", num_shards=2.5),
+        "num_shards must be an integer, got 2.5",
+        None,
+    ),
+    "float-rack-size": (
+        dict(topology="hier", racks=2, rack_size=2.0, num_workers=4),
+        "rack_size must be an integer, got 2.0",
+        None,
+    ),
+    "bool-racks": (
+        dict(topology="hier", racks=True, rack_size=2),
+        "racks must be an integer, got True",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TOPOLOGY_RULES)
+def test_topology_rule_is_the_configs(case, capsys):
+    """Each topology rule fails once, in ``EngineConfig``, with its exact
+    message; the CLI exits 2 quoting it and naming the flag."""
+    overrides, message, cli = TOPOLOGY_RULES[case]
+    with pytest.raises(ValueError) as raised:
+        EngineConfig(**{"num_workers": 2, **overrides})
+    assert str(raised.value) == message
+    if cli is None:
+        return
+    flags, named = cli
+    with pytest.raises(SystemExit) as exit_info:
+        parse_config(["table1", "--fast", *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and named in err
 
 
 def test_ring_workers_skip_push_context_allocation():

@@ -1,4 +1,4 @@
-"""The wire-plan layer: partition-aware fused buckets on every topology.
+"""The wire plan: partition-aware fused buckets on every topology.
 
 The load-bearing assertions:
 
@@ -27,14 +27,7 @@ import pytest
 from repro.compression import make_compressor
 from repro.compression.fusion import FusionPlan, bucket_label, build_fusion_plan
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.exchange import (
-    MODELED,
-    EngineConfig,
-    ExchangeEngine,
-    build_wire_plan,
-    fusion_incompatibility,
-    make_topology,
-)
+from repro.exchange import MODELED, EngineConfig, ExchangeEngine
 from repro.netsim import EventDrivenSimulator, link_model_for
 from repro.network.bandwidth import link
 from repro.nn import CosineDecay, build_resnet
@@ -137,20 +130,6 @@ class TestPartitionAwarePlans:
         upper = engine.service.upper
         for bucket in plan.buckets:
             assert {upper.shard_of(n) for n in bucket.names} == {bucket.group}
-
-    def test_incompatibility_messages(self):
-        assert "raw gradients per hop" in fusion_incompatibility("ring")
-        for topology in ("single", "sharded", "hier"):
-            assert fusion_incompatibility(topology) is None
-
-    def test_build_wire_plan_rejects_ring(self):
-        with pytest.raises(ValueError, match="does not support"):
-            build_wire_plan(
-                make_topology("ring"),
-                {"t": (10,)},
-                threshold=256,
-                bucket_elements=1024,
-            )
 
     def test_spanning_plan_rejected_by_sharded_service(self):
         # A plan built without the topology's partition must be refused:

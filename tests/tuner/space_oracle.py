@@ -10,7 +10,6 @@ set, same canonical point — except on the points :func:`one_rack` names.
 from dataclasses import replace
 
 from repro.compression.registry import make_compressor
-from repro.exchange.wireplan import fusion_incompatibility
 
 
 def legal_reason(space, point):
@@ -19,9 +18,11 @@ def legal_reason(space, point):
     if point.bucket_boundaries and not point.fuse_small_tensors:
         return "bucket_boundaries require fuse"
     if point.fuse_small_tensors:
-        reason = fusion_incompatibility(point.topology)
-        if reason is not None:
-            return reason
+        if point.topology == "ring":
+            return (
+                "the ring exchanges raw gradients per hop; fused buckets only "
+                "apply to point-to-point push/pull framing"
+            )
         if point.topology == "hier" and point.racks < 2:
             return "a one-rack hierarchy has no uplink to fuse buckets on"
     if point.topology == "hier":
