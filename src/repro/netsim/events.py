@@ -16,8 +16,11 @@ so the engine can populate them the same way it populates
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 
 __all__ = [
     "TransmissionRecord",
@@ -35,9 +38,58 @@ __all__ = [
 PHASES = ("push", "collective", "pull")
 
 
-@dataclass(frozen=True)
+def _names(name: str, field_name: str, value) -> tuple[str, ...]:
+    """A ``params`` / ``depends_on`` value as a tuple of interned names."""
+    if type(value) is tuple:
+        try:
+            return tuple(map(sys.intern, value))
+        except TypeError:  # an element that is not a str
+            pass
+    raise ValueError(
+        f"record {name!r}: {field_name} must be a tuple of str, got {value!r}"
+    )
+
+
+def _check_seconds(owner: str, plan, fields: tuple[str, ...]) -> None:
+    """Refuse a plan whose seconds could invent a step time: every named
+    field and every ``link_down`` floor must be finite and >= 0."""
+    values = [(f, getattr(plan, f)) for f in fields]
+    values += [(f"link_down[{route!r}]", down) for route, down in plan.link_down]
+    for field_name, value in values:
+        if not 0.0 <= value < math.inf:
+            raise ValueError(
+                f"{owner}: {field_name} must be finite and >= 0, got {value!r}"
+            )
+
+
+def _check_count(name: str, field_name: str, value, minimum: int) -> None:
+    """Refuse anything but an integer (``bool`` excluded) >= ``minimum``."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(
+            f"record {name!r}: {field_name} must be an integer >= {minimum}, "
+            f"got {value!r}"
+        )
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TransmissionRecord:
     """One wire transmission within a training step.
+
+    Records are most of a recording's memory (one per message per step,
+    and the replay cache keeps whole recordings), so a record pays for its
+    numbers, not its strings. It is slotted: no instance ``__dict__``, so
+    no ad-hoc attributes. It is canonical: the constructor interns
+    ``name``, ``route``, ``phase`` and every ``params`` / ``depends_on``
+    name with :func:`sys.intern`, so every step's freshly formatted
+    ``f"rack{r}"`` collapses to one shared string, and the vector
+    kernel's signature checks meet equal fields as the same object. The
+    constructor is written out rather than generated plus a
+    ``__post_init__``, so that each field is checked and stored once.
+    ``__reduce__`` rebuilds through that constructor, so a copied or
+    unpickled record is validated and interned exactly like a built one
+    (an unpickled string is not interned by itself), and pickling calls
+    no per-record ``__getstate__``. Make a record with the constructor or
+    :func:`dataclasses.replace`.
 
     Attributes
     ----------
@@ -90,17 +142,65 @@ class TransmissionRecord:
     frames: int = 1
     depends_on: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.phase not in PHASES:
-            raise ValueError(f"phase must be one of {PHASES}, got {self.phase!r}")
-        if self.wire_bytes < 0 or self.elements < 0:
-            raise ValueError(f"{self.name}: negative size")
-        if self.copies < 1:
-            raise ValueError(f"{self.name}: copies must be >= 1")
-        if self.frames < 1:
-            raise ValueError(f"{self.name}: frames must be >= 1")
-        if self.name in self.depends_on:
-            raise ValueError(f"{self.name}: record cannot depend on itself")
+    def __init__(
+        self,
+        name: str,
+        params: tuple[str, ...],
+        wire_bytes: int,
+        elements: int,
+        route: str,
+        worker: int | None = None,
+        copies: int = 1,
+        phase: str = "push",
+        frames: int = 1,
+        depends_on: tuple[str, ...] = (),
+    ) -> None:
+        # Each rule tests the plain case inline and leaves anything else (a
+        # numpy integer, a wrong type) to a helper that accepts it or
+        # raises naming the field and the value.
+        intern = sys.intern
+        if type(name) is not str:
+            raise ValueError(f"record: name must be a str, got {name!r}")
+        name = intern(name)
+        if type(route) is not str:
+            raise ValueError(f"record {name!r}: route must be a str, got {route!r}")
+        if phase not in PHASES:
+            raise ValueError(
+                f"record {name!r}: phase must be one of {PHASES}, got {phase!r}"
+            )
+        params = _names(name, "params", params)
+        depends_on = _names(name, "depends_on", depends_on)
+        if type(wire_bytes) is not int or wire_bytes < 0:
+            _check_count(name, "wire_bytes", wire_bytes, 0)
+        if type(elements) is not int or elements < 0:
+            _check_count(name, "elements", elements, 0)
+        if worker is not None and (type(worker) is not int or worker < 0):
+            _check_count(name, "worker", worker, 0)
+        if type(copies) is not int or copies < 1:
+            _check_count(name, "copies", copies, 1)
+        if type(frames) is not int or frames < 1:
+            _check_count(name, "frames", frames, 1)
+        if name in depends_on:
+            raise ValueError(f"record {name!r}: record cannot depend on itself")
+        store = object.__setattr__
+        store(self, "name", name)
+        store(self, "params", params)
+        store(self, "wire_bytes", wire_bytes)
+        store(self, "elements", elements)
+        store(self, "route", intern(route))
+        store(self, "worker", worker)
+        store(self, "copies", copies)
+        store(self, "phase", PHASES[PHASES.index(phase)])  # its interned literal
+        store(self, "frames", frames)
+        store(self, "depends_on", depends_on)
+
+    def __reduce__(self):
+        # Rebuild through the constructor: a copied or unpickled record is
+        # validated and interned like a built one.
+        return TransmissionRecord, (
+            self.name, self.params, self.wire_bytes, self.elements, self.route,
+            self.worker, self.copies, self.phase, self.frames, self.depends_on,
+        )
 
     @property
     def total_bytes(self) -> int:
@@ -133,12 +233,17 @@ class StepTransmissions:
     link_down: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        for route, down in self.link_down:
-            if down < 0.0:
-                raise ValueError(
-                    f"step {self.step}: link_down[{route!r}] must be >= 0, "
-                    f"got {down}"
-                )
+        _check_seconds(
+            f"step {self.step}",
+            self,
+            (
+                "compute_seconds",
+                "push_compress_seconds",
+                "server_decompress_seconds",
+                "server_compress_seconds",
+                "pull_decompress_seconds",
+            ),
+        )
 
     @property
     def codec_seconds(self) -> float:
@@ -203,12 +308,18 @@ class UpdateTransmissions:
     def __post_init__(self) -> None:
         if self.staleness < 0:
             raise ValueError(f"update {self.update}: negative staleness")
-        for route, down in self.link_down:
-            if down < 0.0:
-                raise ValueError(
-                    f"update {self.update}: link_down[{route!r}] must be "
-                    f">= 0, got {down}"
-                )
+        _check_seconds(
+            f"update {self.update}",
+            self,
+            (
+                "clock_seconds",
+                "compute_seconds",
+                "push_compress_seconds",
+                "server_seconds",
+                "pull_compress_seconds",
+                "pull_decompress_seconds",
+            ),
+        )
 
     @property
     def codec_seconds(self) -> float:

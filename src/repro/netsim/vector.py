@@ -104,8 +104,13 @@ def matches_signature(st: StepTransmissions, sig) -> bool:
     The cold-replay fast path: group followers are checked field-by-field
     against the group leader's tuple — early-exiting on the first
     mismatch, allocating no per-step tuples — instead of materializing
-    their own signatures first. A step that already carries a cached
-    signature compares by identity, then by equality.
+    their own signatures first. Records intern their names, routes,
+    phases and the names inside ``params`` / ``depends_on`` (see
+    :class:`~repro.netsim.events.TransmissionRecord`), so on a matching
+    step every string test succeeds by identity without reading
+    characters, and each name tuple — a distinct object per record —
+    compares element by element, by identity. A step that already carries
+    a cached signature compares by identity, then by equality.
     """
     cached = st.__dict__.get(_SIG_ATTR)
     if cached is not None:

@@ -18,11 +18,13 @@ from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.exchange import EngineConfig, ExchangeEngine
 from repro.netsim import (
+    EventDrivenSimulator,
     LinkModel,
     NetworkSimulator,
     SimulatedRun,
     StepTransmissions,
     TransmissionRecord,
+    UpdateTransmissions,
     link_model_for,
     ring_links,
     sharded_links,
@@ -409,3 +411,124 @@ class TestSimulatedRunAggregates:
                 name="x", params=(), wire_bytes=1, elements=1, route="server",
                 copies=0,
             )
+        # Every size is a whole count a wire carries: integers only (bool
+        # refused), sizes >= 0, fan-out and frames >= 1; names are str.
+        rows = [
+            ({"wire_bytes": 2.5}, "wire_bytes must be an integer >= 0, got 2.5"),
+            ({"wire_bytes": float("nan")}, "wire_bytes must be an integer >= 0, got nan"),
+            ({"wire_bytes": -1}, "wire_bytes must be an integer >= 0, got -1"),
+            ({"wire_bytes": True}, "wire_bytes must be an integer >= 0, got True"),
+            ({"elements": 1.0}, "elements must be an integer >= 0, got 1.0"),
+            ({"elements": -3}, "elements must be an integer >= 0, got -3"),
+            ({"copies": True}, "copies must be an integer >= 1, got True"),
+            ({"copies": 2.0}, "copies must be an integer >= 1, got 2.0"),
+            ({"frames": 1.5}, "frames must be an integer >= 1, got 1.5"),
+            ({"frames": 0}, "frames must be an integer >= 1, got 0"),
+            ({"worker": -1}, "worker must be an integer >= 0, got -1"),
+            ({"worker": 0.0}, "worker must be an integer >= 0, got 0.0"),
+            ({"worker": False}, "worker must be an integer >= 0, got False"),
+            ({"name": 7}, "record: name must be a str, got 7"),
+            ({"route": None}, "route must be a str, got None"),
+            ({"params": ["p"]}, "params must be a tuple of str, got ['p']"),
+            ({"params": ("p", 1)}, "params must be a tuple of str, got ('p', 1)"),
+            ({"depends_on": ["a"]}, "depends_on must be a tuple of str, got ['a']"),
+            ({"depends_on": (None,)}, "depends_on must be a tuple of str, got (None,)"),
+            ({"depends_on": ("x",)}, "record 'x': record cannot depend on itself"),
+        ]
+        base = dict(name="x", params=("p",), wire_bytes=1, elements=1, route="server")
+        for change, message in rows:
+            with pytest.raises(ValueError) as raised:
+                TransmissionRecord(**{**base, **change})
+            assert message in str(raised.value), change
+        # The example from the wire: 2.5 bytes in 1.5 frames, copied True
+        # times, names the first bad field.
+        with pytest.raises(ValueError, match="wire_bytes must be an integer"):
+            TransmissionRecord(**{**base, "wire_bytes": 2.5, "frames": 1.5, "copies": True})
+        # Integral types that are not int are whole counts too.
+        record = TransmissionRecord(
+            **{**base, "wire_bytes": np.int64(8), "worker": np.int32(2)}
+        )
+        assert record.wire_bytes == 8 and record.worker == 2
+
+
+class TestPlanSeconds:
+    """A plan's seconds are finite and >= 0, so no simulator can read a
+    step time the plan did not carry. On a 10 Mbps server link one
+    1000-byte push after 0.01 s of compute takes 0.010825 s; before the
+    rule, ``compute_seconds=nan`` simulated to 0.0 s, ``-1.0`` to
+    0.000825 s, and a NaN outage floor silently vanished."""
+
+    LINKS = single_server_links(link("10Mbps"))
+    TIMELINE = make_timeline([("layer", 1.0, ("p",))])
+    RECORD = TransmissionRecord(
+        name="p", params=("p",), wire_bytes=1000, elements=250, route="server",
+        worker=0,
+    )
+
+    def bsp(self, **seconds) -> float:
+        step = StepTransmissions(step=0, records=(self.RECORD,), **seconds)
+        return NetworkSimulator(
+            self.TIMELINE, self.LINKS, StepTimeModel(), overlap=True
+        ).simulate_step(step).step_seconds
+
+    def event(self, **seconds) -> float:
+        update = UpdateTransmissions(
+            update=0, worker=0, local_step=0, global_step=0, staleness=0,
+            records=(self.RECORD,), **{"clock_seconds": 0.0, **seconds},
+        )
+        return EventDrivenSimulator(
+            self.TIMELINE, self.LINKS, StepTimeModel(), staleness=None
+        ).simulate([update]).total_seconds
+
+    @pytest.mark.parametrize("simulate", ["bsp", "event"])
+    def test_finite_seconds_simulate(self, simulate):
+        run = getattr(self, simulate)
+        assert run(compute_seconds=0.01) == pytest.approx(0.010825, rel=1e-12)
+        floored = run(compute_seconds=0.01, link_down=(("server", 0.05),))
+        assert floored == pytest.approx(0.050825, rel=1e-12)
+
+    SECONDS = {
+        "bsp": (
+            "step",
+            [
+                "compute_seconds",
+                "push_compress_seconds",
+                "server_decompress_seconds",
+                "server_compress_seconds",
+                "pull_decompress_seconds",
+                "link_down",
+            ],
+        ),
+        "event": (
+            "update",
+            [
+                "clock_seconds",
+                "compute_seconds",
+                "push_compress_seconds",
+                "server_seconds",
+                "pull_compress_seconds",
+                "pull_decompress_seconds",
+                "link_down",
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")], ids=str)
+    @pytest.mark.parametrize(
+        "simulate, field",
+        [(simulate, f) for simulate, (_, fields) in SECONDS.items() for f in fields],
+    )
+    def test_bad_seconds_are_refused(self, simulate, field, value):
+        seconds = {"compute_seconds": 0.01}
+        if field == "link_down":
+            seconds["link_down"] = (("server", value),)
+            named = "link_down['server']"
+        else:
+            seconds[field] = value
+            named = field
+        with pytest.raises(ValueError) as raised:
+            getattr(self, simulate)(**seconds)
+        owner = self.SECONDS[simulate][0]
+        assert str(raised.value) == (
+            f"{owner} 0: {named} must be finite and >= 0, got {value!r}"
+        )
