@@ -10,12 +10,13 @@ parity tests in ``tests/exchange`` assert bit-identical loss trajectories
 and wire bytes).
 
 One call of :meth:`ExchangeEngine.train_step` is one *scheduling quantum*
-— a full BSP step, or one async/SSP update. Five strategies (parameter
-service / ring / hierarchical, each BSP; worker / rack, each event-driven)
-do the exchange and hand back a single quantum value; ``train_step`` alone
-finalizes it (traffic meter, recording, update count, telemetry, step
-log). Inside a strategy every wire message is *posted once* to the
-quantum's ledger, which feeds the ``StepTraffic`` counters and — when
+— a full BSP step, or one async/SSP update. A step body reads compute →
+barrier → exchange → apply → post → close and hands back a single quantum
+value; ``train_step`` alone finalizes it (traffic meter, recording, update
+count, telemetry, step log). Churn is the
+:class:`~repro.distributed.faults.Churn` runtime's, and every outcome is
+posted once, by the service's :class:`~repro.exchange.topology.Wire`, to
+the quantum's ledger, which feeds the ``StepTraffic`` counters and — when
 recording — the ``TransmissionRecord`` stream the simulators replay from
 the same values.
 
@@ -47,14 +48,14 @@ from repro.compression.fusion import FusionPlan, WireStream, build_fusion_plan
 from repro.data.augment import Augmenter
 from repro.data.batcher import ShardBatcher
 from repro.data.synthetic import SyntheticImageDataset
-from repro.distributed.barriers import FullBarrier, StragglerSpec
+from repro.distributed.barriers import StragglerSpec
 from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
-from repro.distributed.faults import FaultSpec
+from repro.distributed.faults import Churn, FaultSpec
 from repro.distributed.sharding import shard_owner_map
 from repro.distributed.worker import Worker
 from repro.exchange.clock import CODEC_RATE, MEASURED, Clock
 from repro.exchange.sync import SyncMode, make_sync_mode
-from repro.exchange.topology import TOPOLOGIES, build_service, transmission_routes
+from repro.exchange.topology import TOPOLOGIES, Wire, build_service
 from repro.netsim.events import (
     StepTransmissions,
     TransmissionRecord,
@@ -147,6 +148,14 @@ class EngineConfig:
     clock: Clock = MEASURED
 
     def __post_init__(self) -> None:
+        for name in (
+            "num_workers", "batch_size", "shard_size", "backup_workers",
+            "bucket_elements", "small_tensor_threshold", "num_shards", "racks",
+            "rack_size",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if self.batch_size < 1:
@@ -177,10 +186,6 @@ class EngineConfig:
         # The sync registry owns its per-knob rules (unknown name, staleness
         # vs mode); building it here is pure.
         sync = self.make_sync()
-        for name in ("num_shards", "racks", "rack_size"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}"
@@ -225,41 +230,37 @@ class EngineConfig:
                 )
         if self.wire_destination == "sharded" and self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.fault is not None and not self.fault.empty:
+        fault = self.fault
+        if fault is not None and not fault.empty:
             if self.sync_mode != "bsp":
                 raise ValueError(
                     "fault injection is BSP-only (the barrier is where "
                     f"membership changes are decided); got sync_mode="
                     f"{self.sync_mode!r}"
                 )
-            if self.fault.crashes:
-                if self.topology not in ("single", "sharded"):
+            if fault.crashes and self.topology not in ("single", "sharded"):
+                raise ValueError(
+                    "worker crash/restart faults need a parameter-service "
+                    "topology (single or sharded) — a ring reduction needs "
+                    "every node's chunk and a rack ring needs every member; "
+                    f"got topology={self.topology!r}"
+                )
+            for crash in fault.crashes:
+                if crash.worker >= self.num_workers:
                     raise ValueError(
-                        "worker crash/restart faults need a parameter-"
-                        "service topology (single or sharded) — a ring "
-                        "reduction needs every node's chunk and a rack "
-                        "ring needs every member; got topology="
-                        f"{self.topology!r}"
+                        f"crash worker {crash.worker} out of range for "
+                        f"{self.num_workers} workers"
                     )
-                for crash in self.fault.crashes:
-                    if crash.worker >= self.num_workers:
-                        raise ValueError(
-                            f"crash worker {crash.worker} out of range for "
-                            f"{self.num_workers} workers"
-                        )
-            if self.fault.flaps:
-                if self.topology != "hier":
+            if fault.flaps and self.topology != "hier":
+                raise ValueError(
+                    "uplink flap faults model a rack losing its cross-rack "
+                    f"uplink; they require topology='hier', got {self.topology!r}"
+                )
+            for flap in fault.flaps:
+                if flap.rack >= self.racks:
                     raise ValueError(
-                        "uplink flap faults model a rack losing its cross-"
-                        "rack uplink; they require topology='hier', got "
-                        f"{self.topology!r}"
+                        f"flap rack {flap.rack} out of range for {self.racks} racks"
                     )
-                for flap in self.fault.flaps:
-                    if flap.rack >= self.racks:
-                        raise ValueError(
-                            f"flap rack {flap.rack} out of range for "
-                            f"{self.racks} racks"
-                        )
 
     def make_sync(self) -> SyncMode:
         """The sync mode this configuration selects."""
@@ -578,40 +579,14 @@ class ExchangeEngine:
         #: only when ``record_transmissions`` is on and the mode is
         #: async/SSP).
         self.update_events: list[UpdateTransmissions] = []
-        self._routes: dict[str, str] = transmission_routes(self.service)
+        self.wire = Wire(self.service)
         self.step_logs: list[StepLog] = []
         self.update_count = 0
 
-        # -- fault-injection state (BSP only; validated in EngineConfig) ----
-        fault = config.fault
-        self._fault = fault if fault is not None and not fault.empty else None
-        #: Chronological churn events: crash / restart / departure / flap /
-        #: rejoin dicts, each tagged with the step it happened at.
-        self.fault_log: list[dict] = []
-        # Worker churn: wid -> step it may rejoin at; entries present mean
-        # the worker is down *this* step once `_apply_worker_faults` ran.
-        self._down_until: dict[int, int] = {}
-        self._departed: set[int] = set()
-        self._restart_counts: dict[int, int] = {}
-        # Crash-time error-feedback checkpoints, restored on rejoin.
-        self._checkpoints: dict[int, dict] = {}
-        self._pristine: dict[int, dict] = {}
-        # Rack churn (hier): rack -> rejoin step, banked outage gradients,
-        # and the rejoin step's link-down floor.
-        self._rack_down_until: dict[int, int] = {}
-        self._rack_backlog: dict[int, dict[str, np.ndarray]] = {}
-        self._rack_rejoin_delay: dict[int, float] = {}
-        self._degraded_steps = 0
-        if self._fault is not None:
-            for crash in self._fault.crashes:
-                if crash.worker not in self._pristine:
-                    # Zero-residual snapshot taken at init: a crash wipes
-                    # the worker's in-memory error feedback, so its live
-                    # contexts reset to this until recovery restores the
-                    # crash-time checkpoint.
-                    self._pristine[crash.worker] = self.workers[
-                        crash.worker
-                    ].snapshot_state()
+        #: The churn runtime (BSP only; validated in EngineConfig) and its
+        #: chronological crash / restart / departure / flap / rejoin log.
+        self.churn = Churn(config.fault or FaultSpec(), self.workers, self.service)
+        self.fault_log: list[dict] = self.churn.log
 
         # Event-driven state (async / SSP modes). The scheduling unit is
         # one worker — or one *rack* under the hierarchical topology,
@@ -674,11 +649,7 @@ class ExchangeEngine:
         """
         topology = self.engine_config.topology
         if not self.sync.synchronous:
-            quantum = (
-                self._hier_async_update()
-                if topology == "hier"
-                else self._async_update()
-            )
+            quantum = self._async_update()
         elif topology == "hier":
             quantum = self._hier_step()
         elif topology == "ring":
@@ -740,171 +711,24 @@ class ExchangeEngine:
         clock = self.engine_config.clock
         return clock.compute_seconds if clock.modeled else batch.compute_seconds
 
-    def _arrivals(self, batches) -> dict[int, float]:
-        """Straggler-scaled push-arrival times for the barrier.
+    def _arrivals(self, live) -> dict[int, float]:
+        """Straggler-scaled push-arrival times of the ``(worker, batch)``
+        pairs that computed, for the barrier.
 
-        Down/departed workers carry a ``None`` batch (fault injection)
-        and never arrive; with no faults every batch is present. The
-        multipliers are keyed on the service's *pre-exchange* step: call
-        this once per step, before the exchange advances it.
+        The multipliers are keyed on the service's *pre-exchange* step:
+        call this once per step, before the exchange advances it.
         """
         step = self.service.global_step
         straggler = self.engine_config.straggler
         return {
-            worker.worker_id: self._compute_base(batches[i])
+            worker.worker_id: self._compute_base(batch)
             * (straggler.multiplier(worker.worker_id, step) if straggler else 1.0)
-            for i, worker in enumerate(self.workers)
-            if batches[i] is not None
+            for worker, batch in live
         }
-
-    # -- fault injection ---------------------------------------------------
-
-    def _barrier_decide(self, arrivals: dict[int, float]):
-        """Barrier decision tolerant of a fault-shrunk arrival set.
-
-        A backup-worker barrier demands ``num_workers - backup_workers``
-        arrivals; when churn leaves fewer live workers the step degrades
-        to waiting for everyone still alive instead of deadlocking.
-        """
-        required = getattr(self.barrier, "required", None)
-        if required is not None and len(arrivals) < required:
-            return FullBarrier().decide(arrivals)
-        return self.barrier.decide(arrivals)
-
-    def _apply_worker_faults(self, step: int) -> list[int]:
-        """Process crash/restart events due at ``step``.
-
-        Returns the workers rejoining this step with a full-model resync
-        (checkpointed recovery only — the naive baseline restarts with a
-        stale replica and transfers nothing).
-        """
-        resynced: list[int] = []
-        fault = self._fault
-        if fault is None:
-            return resynced
-        for worker in self.workers:
-            wid = worker.worker_id
-            if wid in self._departed:
-                continue
-            crash = fault.crash_at(wid, step)
-            if crash is not None:
-                self._crash_worker(worker, crash, step)
-            elif wid in self._down_until and step >= self._down_until[wid]:
-                del self._down_until[wid]
-                if self._recover_worker(worker, step):
-                    resynced.append(wid)
-        return resynced
-
-    def _crash_worker(self, worker: Worker, crash, step: int) -> None:
-        wid = worker.worker_id
-        count = self._restart_counts.get(wid, 0) + 1
-        self._restart_counts[wid] = count
-        # Checkpoint the push-side error feedback *at crash time* — the
-        # state a recovery protocol would have persisted — then wipe the
-        # live contexts: an in-memory crash loses them either way.
-        self._checkpoints[wid] = worker.snapshot_state()
-        worker.restore_state(self._pristine[wid])
-        self.fault_log.append({"event": "crash", "step": step, "worker": wid})
-        if crash.depart or count > self._fault.max_restarts:
-            self._departed.add(wid)
-            self.fault_log.append(
-                {"event": "departure", "step": step, "worker": wid}
-            )
-        else:
-            self._down_until[wid] = step + crash.down_steps
-
-    def _recover_worker(self, worker: Worker, step: int) -> bool:
-        """Rejoin one restarted worker; True when it resynced the model."""
-        wid = worker.worker_id
-        if self._fault.checkpoint_state:
-            worker.restore_state(self._checkpoints.pop(wid))
-            worker.model.load_state_dict(self.service.state_dict())
-            recovery = "checkpoint"
-        else:
-            # Naive baseline: no recovery protocol at all. The worker
-            # keeps zeroed residuals and a replica frozen at crash time —
-            # every pull it missed is permanently lost.
-            self._checkpoints.pop(wid, None)
-            recovery = "none"
-        self.fault_log.append(
-            {"event": "restart", "step": step, "worker": wid, "recovery": recovery}
-        )
-        return recovery == "checkpoint"
-
-    def _apply_rack_faults(self, step: int) -> tuple[frozenset, list[int]]:
-        """Process uplink-flap events due at ``step``.
-
-        Returns ``(down_racks, rejoined)``: racks cut off from the cross
-        tier this step, and racks whose uplink just came back (their
-        members resync after the exchange).
-        """
-        rejoined: list[int] = []
-        fault = self._fault
-        if fault is None:
-            return frozenset(), rejoined
-        for rack in range(self.engine_config.racks):
-            flap = fault.flap_at(rack, step)
-            if flap is not None:
-                self._rack_down_until[rack] = step + flap.down_steps
-                self._rack_rejoin_delay[rack] = flap.rejoin_delay_seconds
-                self._rack_backlog.setdefault(
-                    rack,
-                    {
-                        name: np.zeros(param.shape, dtype=np.float32)
-                        for name, param in self.service.params.items()
-                    },
-                )
-                self.fault_log.append(
-                    {"event": "flap", "step": step, "rack": rack}
-                )
-            elif (
-                rack in self._rack_down_until
-                and step >= self._rack_down_until[rack]
-            ):
-                del self._rack_down_until[rack]
-                rejoined.append(rack)
-        return frozenset(self._rack_down_until), rejoined
-
-    def _cross_route(self, name: str, rack: int) -> str:
-        """Cross-tier route for ``name``'s aggregate from ``rack``.
-
-        A single upper server sits behind one per-rack uplink
-        (``cross:rack<r>``), so the route depends on which rack the
-        transfer serves; a sharded upper's NICs (``cross:shard<k>``)
-        are owned by the destination shard and shared by every rack.
-        """
-        route = self._routes[name]
-        return f"cross:rack{rack}" if route == "cross" else route
-
-    def _resync_route_elements(self, rack: int = 0) -> dict[str, int]:
-        """Per-route element counts of one full-model resync transfer.
-
-        ``rack`` qualifies hier single-upper routes to that rack's own
-        uplink; flat topologies' routes pass through unchanged.
-        """
-        route_elems: dict[str, int] = {}
-        for name, param in self.service.params.items():
-            route = self._cross_route(name, rack)
-            route_elems[route] = route_elems.get(route, 0) + param.size
-        return route_elems
 
     def fault_summary(self) -> dict | None:
         """Aggregate churn telemetry for results archives (None = no faults)."""
-        if self._fault is None:
-            return None
-        counts = {"crash": 0, "restart": 0, "departure": 0, "flap": 0, "rejoin": 0}
-        for event in self.fault_log:
-            counts[event["event"]] += 1
-        return {
-            "crashes": counts["crash"],
-            "restarts": counts["restart"],
-            "departures": counts["departure"],
-            "flaps": counts["flap"],
-            "rejoins": counts["rejoin"],
-            "resync_bytes": sum(s.resync_bytes for s in self.traffic.steps),
-            "degraded_steps": self._degraded_steps,
-            "checkpoint_state": self._fault.checkpoint_state,
-        }
+        return self.churn.summary(sum(s.resync_bytes for s in self.traffic.steps))
 
     # -- telemetry ----------------------------------------------------------
 
@@ -1045,170 +869,26 @@ class ExchangeEngine:
 
     # -- the wire ledger -----------------------------------------------------
 
-    def _open_ledger(
-        self, index: int, *, pull_fanout: int, num_workers: int
-    ) -> _Ledger:
+    def _open_ledger(self, index: int, pull_fanout: int, num_workers: int) -> _Ledger:
         """A fresh ledger for quantum ``index`` (a step, or an update)."""
-        return _Ledger(
-            StepTraffic(
-                step=index,
-                pull_fanout=pull_fanout,
-                num_workers=num_workers,
-                model_elements=self._model_elements,
-            ),
-            self.engine_config.record_transmissions,
-            self.engine_config.clock,
+        traffic = StepTraffic(
+            step=index,
+            pull_fanout=pull_fanout,
+            num_workers=num_workers,
+            model_elements=self._model_elements,
         )
-
-    @staticmethod
-    def _frames(messages):
-        """``(label, params, message)`` for each transmitted frame, in wire
-        order. A ``None`` frame was deferred by the scheme and put nothing
-        on the wire."""
-        for label, frame in messages.items():
-            if frame is not None:
-                yield label, frame.names, frame.message
-
-    def _post_flat(
-        self, ledger: _Ledger, phase: str, items, *, bypassed=None, **routing
-    ) -> None:
-        """Post parameter-service frames on their tensors' routes.
-
-        ``bypassed`` feeds Figure 9's series: given the service's bypass
-        set, frames of the other tensors — the ones that went through the
-        lossy codec — are also counted apart.
-        """
-        routes = self._routes
-        for label, params, message in items:
-            ledger.post(
-                phase,
-                label,
-                params,
-                message,
-                routes[params[0]],
-                main=bypassed is not None and params[0] not in bypassed,
-                **routing,
-            )
-
-    def _post_hier_push(self, ledger: _Ledger, outcome) -> None:
-        """Post one hierarchical exchange's upward traffic.
-
-        Rack rings follow the ring convention — the meter takes the
-        all-links totals, the records one collective per tensor per rack
-        at the busiest link's bytes — then each rack's compressed
-        aggregate crosses its uplink, depending on the rack collectives
-        of the tensors it carries (a fused frame leaves only once every
-        member's collective landed).
-        """
-        rack_size = self.engine_config.rack_size
-        traffic = ledger.traffic
-        traffic.push_bytes += outcome.intra_wire_bytes
-        traffic.push_elements += outcome.intra_elements
-        traffic.push_messages += outcome.ring_frames
-        traffic.intra_rack_bytes += outcome.intra_wire_bytes
-        if ledger.records is not None:
-            for rack, link_bytes in zip(
-                outcome.rack_indices, outcome.per_rack_link_bytes
-            ):
-                for name in self.service.params:
-                    ledger.emit(
-                        f"{name}@rack{rack}",
-                        (name,),
-                        link_bytes.get(name, 0),
-                        outcome.per_tensor_elements.get(name, 0),
-                        f"rack{rack}",
-                        "collective",
-                        worker=rack * rack_size,
-                        frames=self.service.rack_rings[rack].link_frames,
-                    )
-        # Only racks whose uplink is alive have cross-push entries; they
-        # lead ``rack_indices``.
-        for rack, messages in zip(outcome.rack_indices, outcome.cross_push_results):
-            for label, params, message in self._frames(messages):
-                traffic.cross_rack_bytes += message.wire_size
-                ledger.post(
-                    "push",
-                    f"{label}@up{rack}",
-                    params,
-                    message,
-                    self._cross_route(params[0], rack),
-                    worker=rack * rack_size,
-                    depends_on=tuple(f"{name}@rack{rack}" for name in params),
-                )
-
-    def _post_hier_pull(
-        self,
-        ledger: _Ledger,
-        items,
-        racks: tuple[int, ...],
-        *,
-        unit: int | None = None,
-    ) -> None:
-        """Post delta frames flowing down to ``racks``.
-
-        Each frame crosses the core tier once per rack, then circulates
-        that rack's ring (``rack_size - 1`` more copies) as a broadcast
-        depending on the crossing. ``unit`` is the rack pulling its own
-        individual (async/SSP) stream. A BSP step's shared pull
-        (``unit=None``) reaches every up rack: behind a single upper
-        server each rack pulls its copy down its own uplink, while a
-        sharded upper's NIC carries all the copies itself.
-        """
-        rack_size = self.engine_config.rack_size
-        traffic = ledger.traffic
-        for label, params, message in items:
-            ledger.count("pull", message)
-            traffic.cross_rack_bytes += message.wire_size * len(racks)
-            traffic.intra_rack_bytes += (
-                message.wire_size * len(racks) * (rack_size - 1)
-            )
-            if ledger.records is None:
-                continue
-            wire = (message.wire_size, message.element_count)
-            route = self._routes[params[0]]
-            if unit is None and route != "cross":
-                ledger.emit(
-                    label, params, *wire, route, "pull",
-                    copies=len(racks), frames=len(racks),
-                )
-                crossing = dict.fromkeys(racks, label)
-            else:
-                crossing = {rack: f"{label}@down{rack}" for rack in racks}
-                for rack in racks:
-                    ledger.emit(
-                        crossing[rack], params, *wire,
-                        self._cross_route(params[0], rack), "pull", worker=unit,
-                    )
-            for rack in racks:
-                ledger.emit(
-                    f"{label}@bcast{rack}", params, *wire, f"rack{rack}", "pull",
-                    worker=unit,
-                    frames=rack_size - 1,
-                    depends_on=(crossing[rack],),
-                )
+        config = self.engine_config
+        return _Ledger(traffic, config.record_transmissions, config.clock)
 
     # -- synchronous strategies (BSP) ----------------------------------------
 
     def _ps_step(self) -> _Quantum:
         """One BSP step against a parameter service (single or sharded)."""
         step = self.service.global_step
-
-        # Fault processing first: crashes due this step take their worker
-        # out *before* compute; rejoins resync from the pre-step global
-        # model and compute normally. Down/departed workers carry a None
-        # batch through the whole step.
-        resynced = self._apply_worker_faults(step)
-        batches = [
-            worker.train_step()
-            if worker.worker_id not in self._down_until
-            and worker.worker_id not in self._departed
-            else None
-            for worker in self.workers
-        ]
+        # Crashes due this step take their worker out before compute;
+        # rejoins resync from the pre-step global model and compute.
         live = [
-            (worker, batch)
-            for worker, batch in zip(self.workers, batches)
-            if batch is not None
+            (worker, worker.train_step()) for worker in self.churn.live_workers(step)
         ]
         if not live:
             raise RuntimeError(f"step {step}: no live workers remain")
@@ -1216,10 +896,11 @@ class ExchangeEngine:
         # Barrier: decide whose pushes enter aggregation. Straggler-scaled
         # compute time determines arrival order; dropped pushes were still
         # transmitted (they consumed bandwidth) but are discarded.
-        arrivals = self._arrivals(batches)
-        decision = self._barrier_decide(arrivals)
+        arrivals = self._arrivals(live)
+        decision = self.churn.decide(self.barrier, arrivals)
+        pushes = {worker.worker_id: batch.messages for worker, batch in live}
         pull_batch = self.service.step(
-            [batches[i].messages for i in decision.accepted],
+            [pushes[wid] for wid in decision.accepted],
             divisor=len(decision.accepted),
         )
 
@@ -1230,41 +911,21 @@ class ExchangeEngine:
         for worker, _ in live:
             worker.apply_pull(deltas)
 
-        ledger = self._open_ledger(
-            step, pull_fanout=len(live), num_workers=len(live)
-        )
+        ledger = self._open_ledger(step, pull_fanout=len(live), num_workers=len(live))
         bypassed = self.service.bypassed
         for worker, batch in live:
-            self._post_flat(
-                ledger,
-                "push",
-                self._frames(batch.messages),
-                bypassed=bypassed,
+            self.wire.post(
+                ledger, "push", batch.messages, bypassed=bypassed,
                 worker=worker.worker_id,
             )
         # A shared pull is compressed once but physically transmitted to
         # every worker: one frame (and one payload copy) per subscriber.
-        self._post_flat(
-            ledger,
-            "pull",
-            self._frames(pull_batch.messages),
-            bypassed=bypassed,
-            copies=len(live),
-            frames=len(live),
+        self.wire.post(
+            ledger, "pull", pull_batch.messages, bypassed=bypassed,
+            copies=len(live), frames=len(live),
         )
-        traffic = ledger.traffic
-        if resynced:
-            # Checkpointed rejoin: each restarted worker pulls the full
-            # float32 model once before computing — raw records on the
-            # step's pull phase, one per service route.
-            traffic.resync_bytes = 4 * traffic.model_elements * len(resynced)
-            for wid in resynced:
-                for route, elements in sorted(self._resync_route_elements().items()):
-                    ledger.emit(
-                        f"resync:w{wid}:{route}", (), 4 * elements, elements,
-                        route, "pull", worker=wid,
-                    )
-        traffic.dropped_pushes = len(decision.dropped)
+        link_down = self.churn.post(ledger, self.wire)
+        ledger.traffic.dropped_pushes = len(decision.dropped)
         # Workers run in parallel: the barrier charges the slowest worker it
         # actually waited for (straggler-scaled; backup workers excluded).
         # Codec work on the critical path: slowest worker's push compression,
@@ -1280,13 +941,14 @@ class ExchangeEngine:
                 pull_decompress_seconds=pull_decompress_seconds,
             ),
             step=step,
+            link_down=link_down,
         )
         modeled = self.engine_config.clock.modeled
         return _Quantum(
             step=step,
             loss=float(np.mean([batch.loss for _, batch in live])),
             lr=self.service.schedule(step),
-            traffic=traffic,
+            traffic=ledger.traffic,
             transmissions=transmissions,
             layout=dict(
                 arrivals=arrivals,
@@ -1307,37 +969,17 @@ class ExchangeEngine:
     def _ring_step(self) -> _Quantum:
         """One BSP step over the ring: raw gradients, per-hop compression."""
         step = self.service.global_step
-        ring = self.service.ring
-
         batches = [worker.train_step_raw() for worker in self.workers]
-        arrivals = self._arrivals(batches)
+        arrivals = self._arrivals(zip(self.workers, batches))
         decision = self.barrier.decide(arrivals)
         outcome = self.service.exchange([b.grads for b in batches])
         for worker in self.workers:
             worker.apply_pull(outcome.deltas)
 
-        # No pull phase: the all-gather already fanned out.
-        ledger = self._open_ledger(step, pull_fanout=0, num_workers=ring.num_nodes)
-        traffic = ledger.traffic
-        traffic.push_bytes = outcome.wire_bytes
-        traffic.push_elements = outcome.elements
-        # Every (node, hop) chunk transmission is one framed message.
-        traffic.push_messages = len(self.service.params) * ring.frames
-        # One collective record per tensor, accounted *per link*: bytes are
-        # what one hop link carries and frames are one chunk message per
-        # hop (all N links run their 2(N-1) hops in parallel; the meter's
-        # aggregate count stays all-links). The per-hop codec time rides in
-        # the push-compression pipeline.
-        for name in self.service.params:
-            ledger.emit(
-                name,
-                (name,),
-                outcome.per_tensor_link_bytes.get(name, 0),
-                outcome.per_tensor_elements.get(name, 0),
-                self._routes[name],
-                "collective",
-                frames=ring.link_frames,
-            )
+        # No pull phase: the all-gather already fanned out. The per-hop
+        # codec time rides in the push-compression pipeline.
+        ledger = self._open_ledger(step, pull_fanout=0, num_workers=len(self.workers))
+        self.wire.post_ring(ledger, outcome)
         transmissions, codec = ledger.close(
             StepTransmissions,
             decision.compute_seconds,
@@ -1348,7 +990,7 @@ class ExchangeEngine:
             step=step,
             loss=float(np.mean([b.loss for b in batches])),
             lr=self.service.schedule(step),
-            traffic=traffic,
+            traffic=ledger.traffic,
             transmissions=transmissions,
             layout=dict(
                 arrivals=arrivals,
@@ -1364,104 +1006,32 @@ class ExchangeEngine:
         """One BSP step over the two-tier exchange: rack rings, then the
         cross-rack service, then the shared deltas fan back down."""
         step = self.service.global_step
-        config = self.engine_config
-        racks, rack_size = config.racks, config.rack_size
-
-        down_racks, rejoined = self._apply_rack_faults(step)
-
         batches = [worker.train_step_raw() for worker in self.workers]
-        arrivals = self._arrivals(batches)
-        decision = self._barrier_decide(arrivals)
+        arrivals = self._arrivals(zip(self.workers, batches))
+        decision = self.churn.decide(self.barrier, arrivals)
+        # Racks cut off from the core ring-reduce but do not cross; a
+        # rejoining rack catches up.
         outcome = self.service.exchange(
-            [b.grads for b in batches],
-            down_racks=down_racks,
-            catch_up={r: self._rack_backlog[r] for r in rejoined},
+            [b.grads for b in batches], **self.churn.cut_racks(step)
         )
         lr = self.service.schedule(step)
-        for rack in range(racks):
-            members = self._rack_workers(rack)
-            if rack in down_racks:
-                # Degraded local-only step: the rack ring-reduced its
-                # members' gradients but the aggregate cannot reach the
-                # core. Members apply a plain SGD step on the rack average
-                # (no momentum or weight decay — the core owns the
-                # optimizer state) and the gradient is banked for the
-                # rejoin catch-up push.
-                grads = outcome.down_rack_grads[rack]
-                backlog = self._rack_backlog[rack]
-                local_delta = {name: -lr * grad for name, grad in grads.items()}
-                for name, grad in grads.items():
-                    backlog[name] += grad
-                for worker in members:
-                    worker.apply_pull(local_delta)
-            else:
-                for worker in members:
-                    worker.apply_pull(outcome.deltas)
-        if down_racks:
-            self._degraded_steps += 1
-        if rejoined:
-            # The rejoining rack's banked catch-up went up this step; its
-            # members now resync their replicas from the post-step global
-            # model, replacing the outage-window local drift.
-            global_state = self.service.state_dict()
-            for rack in rejoined:
-                for worker in self._rack_workers(rack):
-                    worker.model.load_state_dict(global_state)
-                self._rack_backlog.pop(rack, None)
-                self.fault_log.append(
-                    {"event": "rejoin", "step": step, "rack": rack}
-                )
+        for rack in outcome.up_racks:
+            for worker in self._rack_workers(rack):
+                worker.apply_pull(outcome.deltas)
+        self.churn.settle(outcome, lr)
 
-        up_racks = tuple(r for r in range(racks) if r not in down_racks)
+        rack_size = self.engine_config.rack_size
         ledger = self._open_ledger(
             step,
             # Every member of an up rack receives one physical copy of
             # each shared cross-rack pull: one copy per up rack crosses
             # the uplink, then rack_size - 1 more circulate the rack ring.
-            pull_fanout=len(up_racks) * rack_size,
-            num_workers=config.num_workers,
+            pull_fanout=len(outcome.up_racks) * rack_size,
+            num_workers=len(self.workers),
         )
-        self._post_hier_push(ledger, outcome)
-        self._post_hier_pull(ledger, self._frames(outcome.pull_messages), up_racks)
-        traffic = ledger.traffic
-        link_down: tuple[tuple[str, float], ...] = ()
-        if rejoined:
-            # Rejoin resync: one full float32 model per rejoined rack —
-            # one copy over the uplink, rack_size - 1 over the rack ring.
-            model_bytes = 4 * traffic.model_elements
-            traffic.resync_bytes = model_bytes * rack_size * len(rejoined)
-            traffic.cross_rack_bytes += model_bytes * len(rejoined)
-            traffic.intra_rack_bytes += (
-                model_bytes * (rack_size - 1) * len(rejoined)
-            )
-            # The rejoining rack's uplink is back but still re-converging:
-            # floor only that rack's cross routes, each with its own
-            # rejoin delay. (Sharded uppers share their NICs across racks,
-            # so those floors still bleed over.)
-            floors: dict[str, float] = {}
-            for rack in rejoined:
-                delay = self._rack_rejoin_delay.pop(rack, 0.0)
-                route_elems = sorted(self._resync_route_elements(rack).items())
-                for route, elements in route_elems:
-                    if delay > 0.0:
-                        floors[route] = max(floors.get(route, 0.0), delay)
-                    ledger.emit(
-                        f"resync:rack{rack}:{route}", (), 4 * elements, elements,
-                        route, "pull",
-                    )
-                ledger.emit(
-                    f"resync:rack{rack}:bcast",
-                    (),
-                    model_bytes,
-                    traffic.model_elements,
-                    f"rack{rack}",
-                    "pull",
-                    frames=rack_size - 1,
-                    depends_on=tuple(
-                        f"resync:rack{rack}:{route}" for route, _ in route_elems
-                    ),
-                )
-            link_down = tuple(sorted(floors.items()))
+        self.wire.post_hier_push(ledger, outcome)
+        self.wire.post_hier_pull(ledger, outcome.pull_messages, outcome.up_racks)
+        link_down = self.churn.post(ledger, self.wire)
         # Critical path: the slowest rack's serial (ring + uplink codec)
         # pipeline, the upper service's serialized decompress + compress,
         # and one shared decode of the pulled deltas.
@@ -1481,7 +1051,7 @@ class ExchangeEngine:
             step=step,
             loss=float(np.mean([b.loss for b in batches])),
             lr=lr,
-            traffic=traffic,
+            traffic=ledger.traffic,
             transmissions=transmissions,
             layout=dict(
                 arrivals=arrivals,
@@ -1529,8 +1099,7 @@ class ExchangeEngine:
         Each tensor's increment ``global - unit_view`` goes through the
         unit's own pull stream (whatever compression defers rides its
         error-feedback buffers). Returns the reconstructed deltas the unit
-        applies, the transmitted ``(label, params, message)`` frames in
-        wire order, and the compression seconds.
+        applies, the pull frames by label, and the compression seconds.
         """
         last = self._last_global[unit]
         t0 = time.perf_counter()
@@ -1545,114 +1114,72 @@ class ExchangeEngine:
                 deltas.update(frame.parts)
         seconds = time.perf_counter() - t0
         self._pull_step[unit] = self.service.global_step
-        return deltas, list(self._frames(messages)), seconds
+        return deltas, messages, seconds
 
     def _async_update(self) -> _Quantum:
-        """One worker's asynchronous update against a parameter service."""
-        wid = self._next_unit()
-        worker = self.workers[wid]
-        batch = worker.train_step()
+        """One unit's asynchronous update against the service.
+
+        The unit is a worker, or a rack under ``hier``: the rack steps
+        synchronously (ring all-reduce over its members), then exchanges
+        with the cross-rack service on its own clock — intra-rack BSP,
+        inter-rack async/SSP, with staleness observed at rack granularity.
+        """
+        unit = self._next_unit()
+        hier = self.engine_config.topology == "hier"
+        workers = self._rack_workers(unit) if hier else [self.workers[unit]]
+        batches = [w.train_step_raw() if hier else w.train_step() for w in workers]
         local_step, compute_seconds, started = self._commit_compute(
-            wid, [worker], [batch]
+            unit, workers, batches
         )
 
-        # The service applies this worker's (stale) gradient immediately.
+        # The service applies this unit's (stale) gradient immediately.
         step = self.service.global_step
-        staleness = step - self._pull_step[wid]
-        pull_batch = self.service.step([batch.messages], divisor=1)
-        deltas, pulls, pull_compress_seconds = self._individual_pull(wid)
-        worker.apply_pull(deltas)
+        staleness = step - self._pull_step[unit]
+        if hier:
+            outcome = self.service.rack_exchange(unit, [b.grads for b in batches])
+            push_seconds = outcome.push_compress_seconds
+            server_seconds = outcome.server_decompress_seconds
+        else:
+            pull_batch = self.service.step([batches[0].messages], divisor=1)
+            push_seconds = batches[0].compress_seconds
+            server_seconds = pull_batch.decompress_seconds
+        deltas, pulls, pull_compress_seconds = self._individual_pull(unit)
+        for worker in workers:
+            worker.apply_pull(deltas)
 
-        ledger = self._open_ledger(self.update_count, pull_fanout=1, num_workers=1)
-        self._post_flat(ledger, "push", self._frames(batch.messages), worker=wid)
-        self._post_flat(ledger, "pull", pulls, worker=wid)
+        # One physical pull copy per member: a rack's crosses the uplink
+        # once and circulates the rack ring, like any shared delta.
+        ledger = self._open_ledger(
+            self.update_count, pull_fanout=len(workers), num_workers=len(workers)
+        )
+        if hier:
+            self.wire.post_hier_push(ledger, outcome)
+            self.wire.post_hier_pull(ledger, pulls, (unit,), unit=unit)
+        else:
+            self.wire.post(ledger, "push", batches[0].messages, worker=unit)
+            self.wire.post(ledger, "pull", pulls, worker=unit)
         # Honest per-update accounting: this scheduling quantum computed on
-        # one worker and serialized one apply on the server (the discarded
+        # one unit and serialized one apply on the server (the discarded
         # shared-pull compression stays uncharged).
         transmissions, codec = ledger.close(
             UpdateTransmissions,
             compute_seconds,
             dict(
-                push_compress_seconds=batch.compress_seconds,
-                server_seconds=pull_batch.decompress_seconds,
+                push_compress_seconds=push_seconds,
+                server_seconds=server_seconds,
                 pull_compress_seconds=pull_compress_seconds,
                 # The unit applies the compression result's reconstruction
                 # directly: there is no decode to measure.
                 pull_decompress_seconds=0.0,
             ),
             update=self.update_count,
-            worker=wid,
+            worker=unit,
             local_step=local_step,
             global_step=step,
             staleness=staleness,
-            clock_seconds=self._clock[wid],
+            clock_seconds=self._clock[unit],
         )
-        return _Quantum(
-            step=step,
-            loss=batch.loss,
-            lr=self.service.schedule(step),
-            traffic=ledger.traffic,
-            transmissions=transmissions,
-            layout=dict(
-                track=f"worker{wid}",
-                t0=started,
-                phases=[
-                    (f"worker{wid}", "compress", codec["push_compress_seconds"]),
-                    ("server", "apply", codec["server_seconds"]),
-                    ("server", "pull-compress", codec["pull_compress_seconds"]),
-                    (f"worker{wid}", "pull-decompress", codec["pull_decompress_seconds"]),
-                ],
-                staleness=staleness,
-            ),
-        )
-
-    def _hier_async_update(self) -> _Quantum:
-        """One rack's asynchronous update: the rack steps synchronously
-        (ring all-reduce over its members), then exchanges with the
-        cross-rack service on its own clock — intra-rack BSP, inter-rack
-        async/SSP, with staleness observed at rack granularity."""
-        rack = self._next_unit()
-        workers = self._rack_workers(rack)
-        batches = [worker.train_step_raw() for worker in workers]
-        local_step, compute_seconds, started = self._commit_compute(
-            rack, workers, batches
-        )
-
-        step = self.service.global_step
-        staleness = step - self._pull_step[rack]
-        outcome = self.service.rack_exchange(rack, [b.grads for b in batches])
-        # The rack's individual pull crosses the uplink once and circulates
-        # the rack ring, like any shared delta.
-        deltas, pulls, pull_compress_seconds = self._individual_pull(rack)
-        for worker in workers:
-            worker.apply_pull(deltas)
-
-        rack_size = self.engine_config.rack_size
-        ledger = self._open_ledger(
-            self.update_count,
-            # This rack's pull: one copy over the uplink plus the
-            # rack-internal re-broadcast — one physical copy per member.
-            pull_fanout=rack_size,
-            num_workers=rack_size,
-        )
-        self._post_hier_push(ledger, outcome)
-        self._post_hier_pull(ledger, pulls, (rack,), unit=rack)
-        transmissions, codec = ledger.close(
-            UpdateTransmissions,
-            compute_seconds,
-            dict(
-                push_compress_seconds=outcome.push_compress_seconds,
-                server_seconds=outcome.server_decompress_seconds,
-                pull_compress_seconds=pull_compress_seconds,
-                pull_decompress_seconds=0.0,
-            ),
-            update=self.update_count,
-            worker=rack,
-            local_step=local_step,
-            global_step=step,
-            staleness=staleness,
-            clock_seconds=self._clock[rack],
-        )
+        track = self.wire.unit_name(unit)
         return _Quantum(
             step=step,
             loss=float(np.mean([b.loss for b in batches])),
@@ -1660,13 +1187,17 @@ class ExchangeEngine:
             traffic=ledger.traffic,
             transmissions=transmissions,
             layout=dict(
-                track=f"rack{rack}",
+                track=track,
                 t0=started,
                 phases=[
-                    (f"rack{rack}", "rack-pipeline", codec["push_compress_seconds"]),
+                    (
+                        track,
+                        "rack-pipeline" if hier else "compress",
+                        codec["push_compress_seconds"],
+                    ),
                     ("server", "apply", codec["server_seconds"]),
                     ("server", "pull-compress", codec["pull_compress_seconds"]),
-                    (f"rack{rack}", "pull-decompress", codec["pull_decompress_seconds"]),
+                    (track, "pull-decompress", codec["pull_decompress_seconds"]),
                 ],
                 staleness=staleness,
             ),

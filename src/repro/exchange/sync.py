@@ -24,6 +24,7 @@ seed's trainer for that mode used, so the engine stays bit-identical to it.
 from __future__ import annotations
 
 import abc
+import numbers
 
 from repro.distributed.barriers import BackupWorkerBarrier, FullBarrier
 
@@ -95,6 +96,8 @@ class SSPMode(AsyncMode):
     """Stale synchronous parallel: async bounded by a staleness threshold."""
 
     def __init__(self, staleness: int):
+        if not isinstance(staleness, numbers.Integral) or isinstance(staleness, bool):
+            raise ValueError(f"staleness must be an integer, got {staleness!r}")
         if staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {staleness}")
         self.staleness = int(staleness)

@@ -28,6 +28,12 @@ here re-checks one. All services expose the
 :class:`~repro.distributed.server.ParameterServer` surface the engine
 relies on: ``step``/``exchange``, ``state_dict``, ``params``,
 ``bypassed``, ``schedule``, and ``global_step``.
+
+This module also names everything on the wire: :func:`transmission_routes`
+maps each tensor to its route, and a :class:`Wire` posts every exchange
+outcome (frames, collectives, uplink crossings, rack broadcasts, resyncs)
+to the engine's ledger, qualifying cross-tier routes per rack and stamping
+intra-rack records with their rack. No other module builds a record name.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ __all__ = [
     "TOPOLOGIES",
     "build_service",
     "transmission_routes",
+    "Wire",
     "RingExchangeService",
     "RingOutcome",
     "HierarchicalExchangeService",
@@ -125,9 +132,9 @@ def transmission_routes(service) -> dict[str, str]:
     one ``shard<k>`` NIC per owning shard, and the ring its lockstep hop
     links. Under ``hier`` these name the cross-rack tier: a sharded upper
     tier's NICs (``cross:shard<k>``), or the ``"cross"`` marker for a
-    single upper server, which the engine qualifies per rack
+    single upper server, which :meth:`Wire.cross_route` qualifies per rack
     (``cross:rack<r>``) — each rack reaches the core over its own uplink.
-    Intra-rack records are stamped ``rack<r>`` by the engine.
+    Intra-rack records are stamped ``rack<r>`` by the :class:`Wire`.
     """
     if isinstance(service, HierarchicalExchangeService):
         return {
@@ -138,6 +145,187 @@ def transmission_routes(service) -> dict[str, str]:
         return {name: f"shard{service.shard_of(name)}" for name in service.params}
     route = "ring" if isinstance(service, RingExchangeService) else "server"
     return dict.fromkeys(service.params, route)
+
+
+def _frames(messages):
+    """``(label, params, message)`` for each transmitted frame, in wire
+    order. A ``None`` frame was deferred by the scheme and put nothing on
+    the wire."""
+    for label, frame in messages.items():
+        if frame is not None:
+            yield label, frame.names, frame.message
+
+
+class Wire:
+    """Posts one service's exchange outcomes to an engine quantum's ledger.
+
+    Each method counts what went on the wire on the ledger's
+    ``StepTraffic`` and records it (when the ledger records) under the
+    names and routes the simulators replay. Collectives keep the ring
+    convention: the meter takes their all-links totals, the records one
+    link's bytes and frames (the links run in parallel).
+    """
+
+    def __init__(self, service):
+        self.service = service
+        self.routes = transmission_routes(service)
+        hier = isinstance(service, HierarchicalExchangeService)
+        self.rack_size = service.rack_size if hier else 0
+
+    def cross_route(self, name: str, rack: int | None) -> str:
+        """``name``'s route for a transfer serving ``rack``: a single upper
+        server's marker becomes that rack's own uplink; every other route
+        (a sharded upper's shared NICs included) passes through."""
+        route = self.routes[name]
+        return f"cross:rack{rack}" if route == "cross" else route
+
+    def unit_name(self, unit: int) -> str:
+        """An async/SSP scheduling unit's name: its rack's ring route
+        under ``hier``, ``worker<w>`` otherwise."""
+        return f"rack{unit}" if self.rack_size else f"worker{unit}"
+
+    def post(self, ledger, phase: str, messages, *, bypassed=None, **routing) -> None:
+        """Post parameter-service frames on their tensors' routes.
+
+        ``bypassed`` feeds Figure 9's series: given the service's bypass
+        set, frames of the other tensors — the ones that went through the
+        lossy codec — are also counted apart.
+        """
+        for label, params, message in _frames(messages):
+            main = bypassed is not None and params[0] not in bypassed
+            route = self.routes[params[0]]
+            ledger.post(phase, label, params, message, route, main=main, **routing)
+
+    def post_ring(self, ledger, outcome: RingOutcome) -> None:
+        """Post one flat ring all-reduce: one collective record per tensor.
+
+        Bytes are what one hop link carries and frames are one chunk
+        message per hop (all N links run their 2(N-1) hops in parallel;
+        the meter counts every (node, hop) chunk as one framed message).
+        """
+        ring = self.service.ring
+        traffic = ledger.traffic
+        traffic.push_bytes = outcome.wire_bytes
+        traffic.push_elements = sum(ring.sent_elements.values())
+        traffic.push_messages = len(self.service.params) * ring.frames
+        for name, elements in ring.sent_elements.items():
+            ledger.emit(
+                name, (name,), outcome.link_bytes.get(name, 0), elements,
+                self.routes[name], "collective", frames=ring.link_frames,
+            )
+
+    def post_hier_push(self, ledger, outcome: HierarchicalOutcome) -> None:
+        """Post one hierarchical exchange's upward traffic.
+
+        Rack rings follow the ring convention — one collective per tensor
+        per rack at the busiest link's bytes — then each up rack's
+        compressed aggregate crosses its uplink, depending on the rack
+        collectives of the tensors it carries (a fused frame leaves only
+        once every member's collective landed).
+        """
+        ring = self.service.rack_rings[0]  # every rack ring has one shape
+        racks = len(outcome.rack_indices)
+        traffic = ledger.traffic
+        traffic.push_bytes += outcome.intra_wire_bytes
+        traffic.push_elements += racks * sum(ring.sent_elements.values())
+        traffic.push_messages += len(self.service.params) * ring.frames * racks
+        traffic.intra_rack_bytes += outcome.intra_wire_bytes
+        if ledger.records is not None:
+            for rack, link_bytes in zip(
+                outcome.rack_indices, outcome.per_rack_link_bytes
+            ):
+                for name, elements in ring.sent_elements.items():
+                    ledger.emit(
+                        f"{name}@rack{rack}", (name,), link_bytes.get(name, 0),
+                        elements, f"rack{rack}", "collective",
+                        worker=rack * self.rack_size, frames=ring.link_frames,
+                    )
+        for rack, messages in zip(outcome.up_racks, outcome.cross_push_results):
+            for label, params, message in _frames(messages):
+                traffic.cross_rack_bytes += message.wire_size
+                ledger.post(
+                    "push", f"{label}@up{rack}", params, message,
+                    self.cross_route(params[0], rack),
+                    worker=rack * self.rack_size,
+                    depends_on=tuple(f"{name}@rack{rack}" for name in params),
+                )
+
+    def post_hier_pull(self, ledger, messages, racks, *, unit=None) -> None:
+        """Post delta frames flowing down to ``racks``.
+
+        Each frame crosses the core tier once per rack, then circulates
+        that rack's ring (``rack_size - 1`` more copies) as a broadcast
+        depending on the crossing. ``unit`` is the rack pulling its own
+        individual (async/SSP) stream. A BSP step's shared pull
+        (``unit=None``) reaches every up rack: behind a single upper
+        server each rack pulls its copy down its own uplink, while a
+        sharded upper's NIC carries all the copies itself.
+        """
+        rack_size = self.rack_size
+        traffic = ledger.traffic
+        for label, params, message in _frames(messages):
+            ledger.count("pull", message)
+            traffic.cross_rack_bytes += message.wire_size * len(racks)
+            traffic.intra_rack_bytes += (
+                message.wire_size * len(racks) * (rack_size - 1)
+            )
+            if ledger.records is None:
+                continue
+            wire = (message.wire_size, message.element_count)
+            route = self.routes[params[0]]
+            if unit is None and route != "cross":
+                ledger.emit(
+                    label, params, *wire, route, "pull",
+                    copies=len(racks), frames=len(racks),
+                )
+                crossing = dict.fromkeys(racks, label)
+            else:
+                crossing = {rack: f"{label}@down{rack}" for rack in racks}
+                for rack in racks:
+                    ledger.emit(
+                        crossing[rack], params, *wire,
+                        self.cross_route(params[0], rack), "pull", worker=unit,
+                    )
+            for rack in racks:
+                ledger.emit(
+                    f"{label}@bcast{rack}", params, *wire, f"rack{rack}", "pull",
+                    worker=unit,
+                    frames=rack_size - 1,
+                    depends_on=(crossing[rack],),
+                )
+
+    def post_resync(self, ledger, *, worker=None, rack=None) -> list[str]:
+        """Post one full float32 model resync; return the routes it took.
+
+        Raw records on the step's pull phase, one per route: a rejoining
+        ``worker`` pulls over the service's routes, a rejoining ``rack``
+        over its own uplink, then re-broadcasts over its ring.
+        """
+        traffic = ledger.traffic
+        model_bytes = 4 * traffic.model_elements
+        owner = f"w{worker}" if rack is None else f"rack{rack}"
+        elements: dict[str, int] = {}
+        for name, param in self.service.params.items():
+            route = self.cross_route(name, rack)
+            elements[route] = elements.get(route, 0) + param.size
+        routes = sorted(elements)
+        for route in routes:
+            ledger.emit(
+                f"resync:{owner}:{route}", (), 4 * elements[route],
+                elements[route], route, "pull", worker=worker,
+            )
+        if rack is None:
+            traffic.resync_bytes += model_bytes
+            return routes
+        traffic.resync_bytes += model_bytes * self.rack_size
+        traffic.cross_rack_bytes += model_bytes
+        traffic.intra_rack_bytes += model_bytes * (self.rack_size - 1)
+        ledger.emit(
+            f"resync:rack{rack}:bcast", (), model_bytes, traffic.model_elements,
+            f"rack{rack}", "pull", frames=self.rack_size - 1,
+            depends_on=tuple(f"resync:rack{rack}:{route}" for route in routes),
+        )
+        return routes
 
 
 def _reduce(ring: RingAllReduce, grad_dicts: list[dict[str, np.ndarray]]):
@@ -159,13 +347,10 @@ class RingOutcome:
     deltas: dict[str, np.ndarray]
     wire_bytes: int
     codec_seconds: float
-    elements: int
     #: Per-tensor bytes the *busiest single link* carried — the honest
     #: quantity for ring step time (every link works in parallel; the
     #: server-NIC model would wrongly charge the all-links sum).
-    per_tensor_link_bytes: dict[str, int]
-    #: Per-tensor transmitted element counts (2 (N-1)/N of the size).
-    per_tensor_elements: dict[str, int]
+    link_bytes: dict[str, int]
 
 
 class RingExchangeService:
@@ -230,10 +415,7 @@ class RingExchangeService:
         deltas = {
             name: param.data - previous[name] for name, param in self.params.items()
         }
-        sent = self.ring.sent_elements
-        return RingOutcome(
-            deltas, wire, codec_seconds, sum(sent.values()), link_bytes, sent
-        )
+        return RingOutcome(deltas, wire, codec_seconds, link_bytes)
 
 
 @dataclass
@@ -246,8 +428,8 @@ class HierarchicalOutcome:
     busiest-single-link bytes per tensor (the honest per-channel volume
     the simulator schedules). Cross-rack traffic is point-to-point —
     compressed rack aggregates up, shared compressed deltas down — and
-    comes back as the messages themselves: the engine posts each one to
-    its wire ledger, so no byte totals are kept here.
+    comes back as the messages themselves for :class:`Wire` to post, so no
+    byte totals are kept here.
     """
 
     #: Model deltas every worker applies (``None`` for async rack
@@ -257,18 +439,12 @@ class HierarchicalOutcome:
     rack_indices: tuple[int, ...]
     #: Per participating rack: tensor -> busiest-hop-link bytes.
     per_rack_link_bytes: tuple[dict[str, int], ...]
-    #: Per-tensor transmitted elements on one rack ring (2 (W-1)/W of it).
-    per_tensor_elements: dict[str, int]
     intra_wire_bytes: int
-    intra_elements: int
-    #: Total intra-rack wire frames (all hop links of all racks).
-    ring_frames: int
-    #: Per participating rack: ring-reduce codec seconds.
-    rack_codec_seconds: tuple[float, ...]
-    #: Per participating rack: the uplink stream's frames by label.
+    #: Per up rack: the uplink stream's frames by label.
     cross_push_results: tuple[dict[str, WireFrame | None], ...]
-    #: Per participating rack: uplink compression seconds.
-    cross_compress_seconds: tuple[float, ...]
+    #: Slowest rack's serial (ring codec + uplink compress) pipeline —
+    #: the critical-path push-compression convention.
+    push_compress_seconds: float
     #: Shared cross-rack pull frames (BSP only; empty for rack updates).
     pull_messages: dict[str, WireFrame | None] = field(default_factory=dict)
     server_decompress_seconds: float = 0.0
@@ -283,15 +459,10 @@ class HierarchicalOutcome:
     )
 
     @property
-    def push_compress_seconds(self) -> float:
-        """Slowest rack's serial (ring codec + uplink compress) pipeline —
-        the critical-path push-compression convention."""
-        return max(
-            codec + compress
-            for codec, compress in zip(
-                self.rack_codec_seconds, self.cross_compress_seconds
-            )
-        )
+    def up_racks(self) -> tuple[int, ...]:
+        """Racks whose aggregate crossed the uplink: they lead
+        ``rack_indices``, one per cross-push entry."""
+        return self.rack_indices[: len(self.cross_push_results)]
 
 
 class HierarchicalExchangeService:
@@ -380,9 +551,6 @@ class HierarchicalExchangeService:
         messages = self.uplinks[rack].compress(rack_grads)
         return messages, time.perf_counter() - t0
 
-    def _ring_frames(self, racks: int) -> int:
-        return len(self.params) * self.rack_rings[0].frames * racks
-
     def exchange(
         self,
         grad_dicts: list[dict[str, np.ndarray]],
@@ -413,7 +581,6 @@ class HierarchicalExchangeService:
             raise RuntimeError(
                 "every rack is cut off from the core; no exchange possible"
             )
-        per_tensor_elements = self.rack_rings[0].sent_elements
         rack_grads: list[dict[str, np.ndarray]] = []
         per_rack_link_bytes: list[dict[str, int]] = []
         rack_codec: list[float] = []
@@ -425,7 +592,6 @@ class HierarchicalExchangeService:
             per_rack_link_bytes.append(link_bytes)
             rack_codec.append(codec)
             intra_wire += wire
-        intra_elements = self.racks * sum(per_tensor_elements.values())
 
         if catch_up:
             # Late rejoin push: fold the banked outage-window gradients
@@ -441,20 +607,18 @@ class HierarchicalExchangeService:
                 for name, banked in backlog.items():
                     grads[name] = grads[name] + banked
 
-        # Positions in every per-rack tuple follow ``rack_indices``: up
-        # racks first (the only ones with cross-push entries), then the
-        # cut-off racks. With no faults this is simply 0..racks-1.
+        # ``rack_indices`` lists the up racks first (the only ones with
+        # cross-push entries), then the cut-off racks, which pay no uplink
+        # compression. With no faults this is simply 0..racks-1.
         up_racks = [r for r in range(self.racks) if r not in down_racks]
         order = up_racks + sorted(down_racks)
         cross_results: list[dict[str, WireFrame | None]] = []
-        cross_compress: list[float] = []
+        cross_compress: dict[int, float] = {}
         for rack in up_racks:
-            messages, seconds = self._compress_uplink(rack, rack_grads[rack])
+            messages, cross_compress[rack] = self._compress_uplink(
+                rack, rack_grads[rack]
+            )
             cross_results.append(messages)
-            cross_compress.append(seconds)
-        # Down racks pay no uplink compression; pad so the critical-path
-        # zip in ``push_compress_seconds`` stays position-aligned.
-        cross_compress.extend(0.0 for _ in down_racks)
 
         pull_batch = self.upper.step(cross_results, divisor=len(up_racks))
 
@@ -466,13 +630,11 @@ class HierarchicalExchangeService:
             deltas=deltas,
             rack_indices=tuple(order),
             per_rack_link_bytes=tuple(per_rack_link_bytes[r] for r in order),
-            per_tensor_elements=per_tensor_elements,
             intra_wire_bytes=intra_wire,
-            intra_elements=intra_elements,
-            ring_frames=self._ring_frames(self.racks),
-            rack_codec_seconds=tuple(rack_codec[r] for r in order),
             cross_push_results=tuple(cross_results),
-            cross_compress_seconds=tuple(cross_compress),
+            push_compress_seconds=max(
+                rack_codec[r] + cross_compress.get(r, 0.0) for r in order
+            ),
             pull_messages=pull_batch.messages,
             server_decompress_seconds=pull_batch.decompress_seconds,
             server_compress_seconds=pull_batch.compress_seconds,
@@ -493,7 +655,6 @@ class HierarchicalExchangeService:
                 f"expected {self.rack_size} gradient sets for one rack, "
                 f"got {len(grad_dicts)}"
             )
-        per_tensor_elements = self.rack_rings[rack].sent_elements
         reduced, link_bytes, wire, codec = _reduce(self.rack_rings[rack], grad_dicts)
         messages, compress_seconds = self._compress_uplink(rack, reduced)
         pull_batch = self.upper.step([messages], divisor=1)
@@ -501,13 +662,9 @@ class HierarchicalExchangeService:
             deltas=None,
             rack_indices=(rack,),
             per_rack_link_bytes=(link_bytes,),
-            per_tensor_elements=per_tensor_elements,
             intra_wire_bytes=wire,
-            intra_elements=sum(per_tensor_elements.values()),
-            ring_frames=self._ring_frames(1),
-            rack_codec_seconds=(codec,),
             cross_push_results=(messages,),
-            cross_compress_seconds=(compress_seconds,),
+            push_compress_seconds=codec + compress_seconds,
             # Async convention (matching the flat parameter server): the
             # discarded shared-pull compression stays uncharged.
             server_decompress_seconds=pull_batch.decompress_seconds,

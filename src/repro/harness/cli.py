@@ -122,8 +122,8 @@ def _spell(field: str, value) -> str:
 def _parse_crash(text: str) -> WorkerCrash:
     """``WORKER:STEP[:DOWN_STEPS][:depart]`` → :class:`WorkerCrash`.
 
-    Raises :class:`ValueError` naming the malformed flag value; range
-    errors come from the spec's own validation.
+    Raises :class:`ValueError` naming the flag value: a malformed one, or
+    one the spec's own validation refuses (quoting its message).
     """
     parts = text.split(":")
     depart = False
@@ -141,13 +141,17 @@ def _parse_crash(text: str) -> WorkerCrash:
             f"--crash {text!r}: WORKER/STEP/DOWN_STEPS must be integers"
         ) from None
     down_steps = numbers[2] if len(numbers) == 3 else 1
-    return WorkerCrash(
-        worker=numbers[0], step=numbers[1], down_steps=down_steps, depart=depart
-    )
+    try:
+        return WorkerCrash(
+            worker=numbers[0], step=numbers[1], down_steps=down_steps, depart=depart
+        )
+    except ValueError as error:
+        raise ValueError(f"--crash {text!r}: {error}") from None
 
 
 def _parse_flap(text: str) -> UplinkFlap:
-    """``RACK:STEP[:DOWN_STEPS[:DELAY_SECONDS]]`` → :class:`UplinkFlap`."""
+    """``RACK:STEP[:DOWN_STEPS[:DELAY_SECONDS]]`` → :class:`UplinkFlap`
+    (errors as :func:`_parse_crash`)."""
     parts = text.split(":")
     if not 2 <= len(parts) <= 4:
         raise ValueError(
@@ -162,9 +166,12 @@ def _parse_flap(text: str) -> UplinkFlap:
             f"--flap {text!r}: RACK/STEP/DOWN_STEPS must be integers, "
             "DELAY_SECONDS a number"
         ) from None
-    return UplinkFlap(
-        rack=rack, step=step, down_steps=down_steps, rejoin_delay_seconds=delay
-    )
+    try:
+        return UplinkFlap(
+            rack=rack, step=step, down_steps=down_steps, rejoin_delay_seconds=delay
+        )
+    except ValueError as error:
+        raise ValueError(f"--flap {text!r}: {error}") from None
 
 
 def _emit_time_accuracy(

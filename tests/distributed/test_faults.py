@@ -75,6 +75,67 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError):
             FaultSpec(max_restarts=-1)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: WorkerCrash(worker=1, step=0.5),
+                "WorkerCrash.step must be an integer, got 0.5",
+            ),
+            (
+                lambda: WorkerCrash(worker=True, step=1),
+                "WorkerCrash.worker must be an integer, got True",
+            ),
+            (
+                lambda: WorkerCrash(worker=0, step=1, down_steps=1.5),
+                "WorkerCrash.down_steps must be an integer, got 1.5",
+            ),
+            (
+                lambda: WorkerCrash(worker=0, step=1, depart=1),
+                "WorkerCrash.depart must be a bool, got 1",
+            ),
+            (
+                lambda: UplinkFlap(rack=1.0, step=1),
+                "UplinkFlap.rack must be an integer, got 1.0",
+            ),
+            (
+                lambda: UplinkFlap(rack=1, step=1, down_steps=1.5),
+                "UplinkFlap.down_steps must be an integer, got 1.5",
+            ),
+            (
+                lambda: UplinkFlap(rack=1, step=1, rejoin_delay_seconds=float("nan")),
+                "UplinkFlap.rejoin_delay_seconds must be finite and >= 0, got nan",
+            ),
+            (
+                lambda: UplinkFlap(rack=1, step=1, rejoin_delay_seconds=float("inf")),
+                "UplinkFlap.rejoin_delay_seconds must be finite and >= 0, got inf",
+            ),
+            (
+                lambda: UplinkFlap(rack=1, step=1, rejoin_delay_seconds="0.05"),
+                "UplinkFlap.rejoin_delay_seconds must be finite and >= 0, "
+                "got '0.05'",
+            ),
+            (
+                lambda: FaultSpec(max_restarts=1.5),
+                "FaultSpec.max_restarts must be an integer, got 1.5",
+            ),
+            (
+                lambda: FaultSpec(checkpoint_state="no"),
+                "FaultSpec.checkpoint_state must be a bool, got 'no'",
+            ),
+        ],
+    )
+    def test_a_field_of_the_wrong_kind_is_refused_by_name(self, build, message):
+        """A fractional step never fires, a fractional down time runs
+        long, and a NaN rejoin delay drops its floor: refused, not run."""
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        crash = WorkerCrash(worker=np.int64(1), step=np.int32(2))
+        assert FaultSpec(crashes=(crash,)).crash_at(1, 2) is crash
+
     def test_hashable_for_fingerprints(self):
         a = FaultSpec(crashes=(WorkerCrash(worker=0, step=1),))
         b = FaultSpec(crashes=(WorkerCrash(worker=0, step=1),))

@@ -82,7 +82,7 @@ class TestNoFaultParity:
         plain.train(4)
         empty = make_engine(topology=topology, fault=FaultSpec())
         empty.train(4)
-        assert empty._fault is None
+        assert empty.churn.spec.empty
         assert empty.fault_summary() is None
         assert empty.fault_log == []
         for a, b in zip(plain.traffic.steps, empty.traffic.steps):

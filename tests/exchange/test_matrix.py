@@ -135,8 +135,9 @@ def test_unknown_sync_mode_rejected():
 
 #: (EngineConfig overrides, the exact message, and the ``(flags, named
 #: flag)`` of a CLI line that reaches the same rule — None where no flag
-#: does: ``hier_upper`` has none, and ``--topology`` and the shape flags are
-#: parsed as choices or integers before any configuration is built).
+#: does: ``hier_upper`` has none, and ``--topology`` and the shape and count
+#: flags are parsed as choices or integers before any configuration is
+#: built).
 TOPOLOGY_RULES = {
     "unknown-name": (
         dict(topology="hypercube"),
@@ -206,6 +207,41 @@ TOPOLOGY_RULES = {
     "bool-racks": (
         dict(topology="hier", racks=True, rack_size=2),
         "racks must be an integer, got True",
+        None,
+    ),
+    "fractional-workers": (
+        dict(num_workers=2.5),
+        "num_workers must be an integer, got 2.5",
+        None,
+    ),
+    "fractional-batch": (
+        dict(batch_size=16.5),
+        "batch_size must be an integer, got 16.5",
+        None,
+    ),
+    "fractional-shard-size": (
+        dict(shard_size=600.5),
+        "shard_size must be an integer, got 600.5",
+        None,
+    ),
+    "fractional-backup": (
+        dict(num_workers=4, backup_workers=1.5),
+        "backup_workers must be an integer, got 1.5",
+        None,
+    ),
+    "fractional-bucket": (
+        dict(fuse_small_tensors=True, bucket_elements=2.5),
+        "bucket_elements must be an integer, got 2.5",
+        None,
+    ),
+    "fractional-threshold": (
+        dict(small_tensor_threshold=10.5),
+        "small_tensor_threshold must be an integer, got 10.5",
+        None,
+    ),
+    "fractional-staleness": (
+        dict(sync_mode="ssp", staleness=1.5),
+        "staleness must be an integer, got 1.5",
         None,
     ),
 }

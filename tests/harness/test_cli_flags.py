@@ -253,6 +253,15 @@ class TestPlanFlagConflicts:
 
 
 class TestFailAtTheCause:
+    @pytest.mark.parametrize("flap", ["1:2:1:nan", "1:2:1:inf", "1:2:1:-1"])
+    def test_a_bad_rejoin_delay_is_refused_naming_the_flag(self, flap, capsys):
+        argv = [
+            "fig9", "--fast", "--workers", "4", "--topology", "hier",
+            "--racks", "2", "--rack-size", "2", "--flap", flap,
+        ]
+        message = rejection(argv, capsys)
+        assert f"--flap {flap!r}: UplinkFlap.rejoin_delay_seconds" in message
+
     @pytest.mark.parametrize(
         "overrides",
         [
