@@ -68,11 +68,10 @@ class Telemetry:
         round-trips through ``results_io``.
         """
         snapshot = self.registry.snapshot()
-        span_stats: dict[str, dict] = {}
-        for (group, track), busy in sorted(self.tracer.busy_seconds().items()):
-            span_stats[f"{group}/{track}"] = {"count": 0, "busy_seconds": busy}
-        for span in self.tracer.spans:
-            span_stats[f"{span.group}/{span.track}"]["count"] += 1
+        span_stats = {
+            f"{group}/{track}": {"count": count, "busy_seconds": busy}
+            for (group, track), count, busy in sorted(self.tracer.track_totals())
+        }
         return {
             "counters": snapshot["counters"],
             "gauges": snapshot["gauges"],

@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 
+from repro.telemetry.tracing import Span
 from repro.utils.format import format_table
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "classify",
     "load_chrome_trace",
     "report_text",
+    "rows_from_chrome",
     "spans_from_chrome",
     "spans_from_tracer",
 ]
@@ -66,49 +68,38 @@ _PRIORITY = {"compute": 0, "codec": 1, "wire": 2, "barrier": 3, "outage": 4}
 _NUMBER = (int, float)
 
 
-@dataclass(frozen=True)
-class TraceSpan:
-    """One closed span, loader-normalized to seconds.
-
-    ``group`` is the emitting component (Chrome process, minus any
-    session label prefix), ``track`` the timeline it rode on.
-    """
-
-    group: str
-    track: str
-    name: str
-    start: float
-    end: float
-    args: dict = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+#: The named view of a span row ``(group, track, name, start, end, args)``:
+#: ``group`` is the Chrome process (session label included), ``track`` its thread.
+TraceSpan = Span
 
 
 def load_chrome_trace(path) -> dict:
     """Read a Chrome ``traceEvents`` JSON file; malformed JSON (truncated
-    included) raises ``ValueError`` naming the path."""
+    included) or a top level that is not an object raises ``ValueError``
+    naming the path."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as error:
         raise ValueError(f"{path}: not a Chrome trace: {error}") from None
+    if not isinstance(data, dict):
+        kind = type(data).__name__
+        raise ValueError(f"{path}: not a Chrome trace: top level is a {kind}")
+    return data
 
 
-def spans_from_chrome(data: dict) -> list[TraceSpan]:
-    """Complete (``"X"``) events of a Chrome trace as :class:`TraceSpan`.
+def rows_from_chrome(data: dict):
+    """Complete (``"X"``) events of a Chrome trace as span rows
+    ``(group, track, name, start, end, args)``, in file order.
 
     Process / thread names come from the ``"M"`` metadata events the
     exporter writes; microsecond timestamps convert back to seconds.
-    A span's ``args`` is its event's own dict, not a copy. An ``"X"``
+    A row's ``args`` is its event's own dict, not a copy. An ``"X"``
     event whose ``pid`` / ``tid`` / ``ts`` / ``dur`` is missing or not
     a number raises :class:`ValueError` naming both.
     """
-    events = data.get("traceEvents") or []
     process_of: dict[int, str] = {}
     track_of: dict[tuple[int, int], str] = {}
-    spans: list[TraceSpan] = []
-    for index, event in enumerate(events):
+    for index, event in enumerate(data.get("traceEvents") or []):
         phase = event.get("ph")
         if phase == "M":
             name = (event.get("args") or {}).get("name", "")
@@ -132,37 +123,29 @@ def spans_from_chrome(data: dict) -> list[TraceSpan]:
                 )
             group, track = process_of.get(pid), track_of.get((pid, tid))
             start = float(ts) / 1e6
-            spans.append(
-                TraceSpan(
-                    f"pid{pid}" if group is None else group,
-                    f"tid{tid}" if track is None else track,
-                    str(event.get("name", "")),
-                    start,
-                    start + float(dur) / 1e6,
-                    event.get("args") or {},
-                )
+            yield (
+                f"pid{pid}" if group is None else group,
+                f"tid{tid}" if track is None else track,
+                str(event.get("name", "")),
+                start,
+                start + float(dur) / 1e6,
+                event.get("args") or {},
             )
-    return spans
 
 
-def spans_from_tracer(tracer, label: str = "") -> list[TraceSpan]:
-    """A live :class:`~repro.telemetry.tracing.Tracer`'s spans.
+def spans_from_chrome(data: dict) -> list[TraceSpan]:
+    """:func:`rows_from_chrome` as :class:`TraceSpan` views."""
+    return list(map(TraceSpan._make, rows_from_chrome(data)))
 
-    ``label`` prefixes group names the way the Chrome exporter prefixes
-    process names, so live and exported attributions key identically.
-    """
+
+def spans_from_tracer(tracer, label: str = "") -> list[tuple]:
+    """A live :class:`~repro.telemetry.tracing.Tracer`'s span rows. ``label``
+    prefixes group names as the Chrome exporter prefixes process names, so
+    live and exported attributions key identically."""
     prefix = f"{label}:" if label else ""
-    return [
-        TraceSpan(
-            group=f"{prefix}{span.group}",
-            track=span.track,
-            name=span.name,
-            start=span.start,
-            end=span.end,
-            args=dict(span.args),
-        )
-        for span in tracer.spans
-    ]
+    tracks = [(f"{prefix}{group}", track) for group, track in tracer.tracks]
+    rows = tracer.rows()
+    return [(*tracks[t], name, start, end, args) for t, name, start, end, args in rows]
 
 
 def classify(track: str, name: str) -> tuple[str, str]:
@@ -172,14 +155,10 @@ def classify(track: str, name: str) -> tuple[str, str]:
     is the report key — per-route for wire and outage kinds.
     """
     if track.startswith("link:"):
-        route = track[len("link:"):]
-        return "wire", f"wire:{route}"
+        return "wire", track.replace("link:", "wire:", 1)
     if track.startswith("outage:"):
-        route = track[len("outage:"):]
-        return "outage", f"outage:{route}"
-    if track.startswith("codec"):
-        return "codec", "codec"
-    if track.startswith("server"):
+        return "outage", track
+    if track.startswith(("codec", "server")):
         return "codec", "codec"
     if track == "compute":
         # The replay's shared compute track carries "backward" plus the
@@ -253,9 +232,7 @@ class RunAttribution:
 
     @property
     def max_reconciliation_error(self) -> float:
-        return max(
-            (step.reconciliation_error for step in self.steps), default=0.0
-        )
+        return max((step.reconciliation_error for step in self.steps), default=0.0)
 
     def ranked(self) -> list[tuple[str, float]]:
         """Buckets by descending seconds (the bottleneck order)."""
@@ -355,14 +332,13 @@ def attribute_group(spans: list[TraceSpan], group: str) -> RunAttribution:
     # worker / rack each bucket's work belongs to.
     per_worker: dict[str, dict[str, float]] = {}
     per_rack: dict[str, dict[str, float]] = {}
-    for span in spans:
-        if span.group != group:
+    for span_group, track, name, start, end, args in spans:
+        if span_group != group:
             continue
-        named = (span.track, span.name)
+        named = (track, name)
         if named not in facts_of:
-            facts_of[named] = _track_facts(*named)
+            facts_of[named] = _track_facts(track, name)
         priority, bucket, track_worker, rack = facts_of[named]
-        start, end, args = span.start, span.end, span.args
         records.append((start, end, (priority, -end, bucket)))
         step = args.get("step")
         if isinstance(step, int):
@@ -407,10 +383,10 @@ def attribute_trace(data_or_spans) -> list[RunAttribution]:
     skipped.
     """
     if isinstance(data_or_spans, dict):
-        data_or_spans = spans_from_chrome(data_or_spans)
-    by_group: dict[str, list[TraceSpan]] = {}
-    for span in data_or_spans:
-        by_group.setdefault(span.group, []).append(span)
+        data_or_spans = rows_from_chrome(data_or_spans)
+    by_group: dict[str, list[tuple]] = {}
+    for row in data_or_spans:
+        by_group.setdefault(row[0], []).append(row)
     return [attribute_group(mine, group) for group, mine in by_group.items()]
 
 
@@ -472,9 +448,7 @@ def report_text(report: dict, *, top: int = 5) -> str:
             f"Bottlenecks: {session['group']} "
             f"({total:.6f} s over {len(session['steps'])} windows)"
         )
-        sections.append(
-            format_table(["Bucket", "Seconds", "Share"], rows, title=title)
-        )
+        sections.append(format_table(["Bucket", "Seconds", "Share"], rows, title=title))
     if not sections:
         return "Bottleneck report: no attributable groups"
     return "\n\n".join(sections)

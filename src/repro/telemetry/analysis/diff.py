@@ -32,10 +32,9 @@ from repro.utils.format import format_table
 
 from repro.telemetry.analysis.attribution import (
     RunAttribution,
-    TraceSpan,
     attribute_trace,
     load_chrome_trace,
-    spans_from_chrome,
+    rows_from_chrome,
 )
 
 __all__ = ["diff_report", "diff_text", "main"]
@@ -43,22 +42,15 @@ __all__ = ["diff_report", "diff_text", "main"]
 DIFF_SCHEMA = "repro.trace-diff/v1"
 
 
-def _outage_routes_by_window(
-    spans: list[TraceSpan],
-) -> dict[str, list[tuple[float, float, str]]]:
-    """Per group: outage intervals ``(start, end, route)`` in the trace."""
+def _attributed(data: dict) -> tuple[dict[str, RunAttribution], dict]:
+    """A trace's attributions and its outage intervals ``(start, end,
+    route)``, both by group, from one read of its span rows."""
+    rows = list(rows_from_chrome(data))
     outages: dict[str, list[tuple[float, float, str]]] = {}
-    for span in spans:
-        if span.track.startswith("outage:"):
-            route = span.track[len("outage:"):]
-            outages.setdefault(span.group, []).append(
-                (span.start, span.end, route)
-            )
-    return outages
-
-
-def _by_group(attributions: list[RunAttribution]) -> dict[str, RunAttribution]:
-    return {attribution.group: attribution for attribution in attributions}
+    for group, track, _, start, end, _ in rows:
+        if track.startswith("outage:"):
+            outages.setdefault(group, []).append((start, end, track[len("outage:"):]))
+    return {run.group: run for run in attribute_trace(rows)}, outages
 
 
 def _bucket_moves(
@@ -86,23 +78,15 @@ def diff_report(
     fault_summary: dict | None = None,
 ) -> dict:
     """Structured diff of two Chrome traces (``repro.trace-diff/v1``)."""
-    base_spans = spans_from_chrome(base_data)
-    other_spans = spans_from_chrome(other_data)
-    base_by = _by_group(attribute_trace(base_spans))
-    other_by = _by_group(attribute_trace(other_spans))
-    other_outages = _outage_routes_by_window(other_spans)
-    base_outages = _outage_routes_by_window(base_spans)
+    base_by, base_outages = _attributed(base_data)
+    other_by, other_outages = _attributed(other_data)
     groups = []
     for name in sorted(set(base_by) | set(other_by)):
         base = base_by.get(name)
         other = other_by.get(name)
         if base is None or other is None:
-            groups.append(
-                {
-                    "group": name,
-                    "only_in": "base" if other is None else "other",
-                }
-            )
+            only_in = "base" if other is None else "other"
+            groups.append({"group": name, "only_in": only_in})
             continue
         base_steps = {step.step: step for step in base.steps}
         other_steps = {step.step: step for step in other.steps}
@@ -114,12 +98,8 @@ def diff_report(
             before = base_steps.get(step)
             after = other_steps.get(step)
             if before is None or after is None:
-                regressions.append(
-                    {
-                        "step": step,
-                        "only_in": "base" if after is None else "other",
-                    }
-                )
+                only_in = "base" if after is None else "other"
+                regressions.append({"step": step, "only_in": only_in})
                 continue
             delta = after.total_seconds - before.total_seconds
             if abs(delta) <= threshold:

@@ -85,9 +85,7 @@ def main(argv=None) -> int:
             )
             print(f"archived totals [{result.scheme}]: {pairs}")
     if args.check:
-        worst = 0.0
-        for attribution in attributions:
-            worst = max(worst, attribution.max_reconciliation_error)
+        worst = max((a.max_reconciliation_error for a in attributions), default=0.0)
         if worst > RECONCILE_TOLERANCE:
             print(
                 f"RECONCILIATION FAILED: max |sum(buckets) - window| = "

@@ -19,94 +19,106 @@ dangling ``begin()`` spans fails loudly instead of exporting a lie.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
 __all__ = [
-    "chrome_trace",
-    "metric_rows",
-    "write_chrome_trace",
-    "write_metric_snapshots",
+    "chrome_trace", "metric_rows", "write_chrome_trace", "write_metric_snapshots"
 ]
 
 
 def _sessions(sessions_or_tracer) -> list[tuple[str, object]]:
-    """Normalize to ``[(label, tracer_or_telemetry)]``.
+    """Normalize to ``[(label, tracer_or_telemetry)]``; a tracer with an
+    unclosed span raises (:meth:`Tracer.check_closed`).
 
     Accepts a bare :class:`Tracer`, a :class:`Telemetry` bundle, or an
     iterable of ``(label, tracer_or_telemetry)`` pairs.
     """
-    if hasattr(sessions_or_tracer, "spans") or hasattr(
-        sessions_or_tracer, "tracer"
-    ):
-        return [("", sessions_or_tracer)]
-    return [(label, session) for label, session in sessions_or_tracer]
+    if hasattr(sessions_or_tracer, "rows") or hasattr(sessions_or_tracer, "tracer"):
+        sessions_or_tracer = [("", sessions_or_tracer)]
+    sessions = [(label, session) for label, session in sessions_or_tracer]
+    for _, session in sessions:
+        _tracer(session).check_closed()
+    return sessions
 
 
 def _tracer(session):
     return session.tracer if hasattr(session, "tracer") else session
 
 
-def chrome_trace(sessions) -> dict:
-    """Build the ``{"traceEvents": [...]}`` object for Perfetto.
+def _name_event(kind: str, pid: int, tid: int, name: str) -> dict:
+    """A ``"M"`` metadata event naming a process or a thread."""
+    return {"name": kind, "ph": "M", "pid": pid, "tid": tid, "args": {"name": name}}
 
-    ``sessions`` is anything :func:`_sessions` accepts; session labels
-    prefix process names so several runs share one timeline file.
-    """
-    events: list[dict] = []
+
+def _events(sessions):
+    """Every Chrome event of ``sessions`` in file order, off the tracers' rows:
+    a ``"M"`` name event where a group / track first appears, an ``"X"`` per span."""
     pid_of: dict[str, int] = {}
     tid_of: dict[tuple[int, str], int] = {}
+    threads: dict[int, int] = {}
     for label, session in _sessions(sessions):
         tracer = _tracer(session)
-        tracer.check_closed()
-        for span in tracer.spans:
-            process = f"{label}:{span.group}" if label else span.group
-            pid = pid_of.get(process)
-            if pid is None:
-                pid = pid_of[process] = len(pid_of) + 1
-                events.append(
-                    {
-                        "name": "process_name",
-                        "ph": "M",
-                        "pid": pid,
-                        "tid": 0,
-                        "args": {"name": process},
-                    }
-                )
-            tid = tid_of.get((pid, span.track))
-            if tid is None:
-                tid = tid_of[(pid, span.track)] = (
-                    sum(1 for key in tid_of if key[0] == pid) + 1
-                )
-                events.append(
-                    {
-                        "name": "thread_name",
-                        "ph": "M",
-                        "pid": pid,
-                        "tid": tid,
-                        "args": {"name": span.track},
-                    }
-                )
+        tracks = list(tracer.tracks)
+        place_of: list[tuple[int, int] | None] = [None] * len(tracks)
+        for track_id, name, start, end, args in tracer.rows():
+            place = place_of[track_id]
+            if place is None:
+                group, track = tracks[track_id]
+                process = f"{label}:{group}" if label else group
+                pid = pid_of.get(process)
+                if pid is None:
+                    pid = pid_of[process] = len(pid_of) + 1
+                    yield _name_event("process_name", pid, 0, process)
+                tid = tid_of.get((pid, track))
+                if tid is None:
+                    tid = threads[pid] = threads.get(pid, 0) + 1
+                    tid_of[(pid, track)] = tid
+                    yield _name_event("thread_name", pid, tid, track)
+                place = place_of[track_id] = (pid, tid)
             event = {
-                "name": span.name,
+                "name": name,
                 "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": span.duration * 1e6,
-                "pid": pid,
-                "tid": tid,
+                "ts": start * 1e6,
+                "dur": (end - start) * 1e6,
+                "pid": place[0],
+                "tid": place[1],
             }
-            if span.args:
-                event["args"] = dict(span.args)
-            events.append(event)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+            if args:
+                event["args"] = dict(args)
+            yield event
+
+
+def chrome_trace(sessions) -> dict:
+    """The ``{"traceEvents": [...]}`` object for Perfetto, whole. Session
+    labels prefix process names, so several runs share one timeline file."""
+    return {"traceEvents": list(_events(sessions)), "displayTimeUnit": "ms"}
+
+
+#: Events per ``json.dumps`` call of the streamed writer.
+_CHUNK_EVENTS = 1024
 
 
 def write_chrome_trace(path, sessions) -> int:
-    """Write the Chrome trace JSON; returns the event count."""
-    data = chrome_trace(sessions)
+    """Write ``json.dumps(chrome_trace(sessions)) + "\\n"``, streamed a
+    chunk of events at a time; returns the event count. A ``NaN`` /
+    ``Infinity`` arg fails the write instead of reaching the file."""
+    sessions = _sessions(sessions)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data) + "\n")
-    return len(data["traceEvents"])
+    events, count = _events(sessions), 0
+    try:
+        with path.open("w") as handle:
+            handle.write('{"traceEvents": [')
+            while chunk := list(islice(events, _CHUNK_EVENTS)):
+                text = json.dumps(chunk, allow_nan=False)[1:-1]
+                handle.write(f", {text}" if count else text)
+                count += len(chunk)
+            handle.write('], "displayTimeUnit": "ms"}\n')
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    return count
 
 
 def metric_rows(sessions) -> list[dict]:
@@ -124,8 +136,6 @@ def metric_rows(sessions) -> list[dict]:
 
 def write_metric_snapshots(path, sessions) -> int:
     """Write JSONL metric snapshots; returns the row count."""
-    for _, session in _sessions(sessions):
-        _tracer(session).check_closed()
     rows = metric_rows(sessions)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -5,8 +5,8 @@ Prometheus-style series name — ``wire_bytes{link=cross,scheme=3lc}`` —
 with labels sorted so the same logical series always lands on the same
 instrument regardless of call-site keyword order.
 
-A disabled registry hands out shared no-op singletons instead of real
-instruments, so instrumented hot paths pay one attribute lookup and an
+A disabled registry hands out one shared no-op instrument instead of real
+ones, so instrumented hot paths pay one attribute lookup and an
 empty method call when telemetry is off (the engine and simulators
 additionally gate whole blocks on ``telemetry.enabled`` / a ``None``
 tracer, so replay loops pay nothing at all).
@@ -91,16 +91,12 @@ class Histogram:
 
     def snapshot(self) -> dict:
         """JSON-ready stats; only occupied buckets are listed."""
-        buckets = {}
-        for index, occupancy in enumerate(self.bucket_counts):
-            if not occupancy:
-                continue
-            upper = (
-                f"le={self.bounds[index]:g}"
-                if index < len(self.bounds)
-                else f"gt={self.bounds[-1]:g}"
-            )
-            buckets[upper] = occupancy
+        labels = [f"le={b:g}" for b in self.bounds] + [f"gt={self.bounds[-1]:g}"]
+        buckets = {
+            label: occupancy
+            for label, occupancy in zip(labels, self.bucket_counts)
+            if occupancy
+        }
         return {
             "count": self.count,
             "sum": self.total,
@@ -111,30 +107,18 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
+class _NullInstrument:
+    """The one shared no-op counter, gauge and histogram."""
+
     __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
+    set = observe = inc
 
 
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
+_NULL = _NullInstrument()
 
 
 class MetricsRegistry:
@@ -157,17 +141,17 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels) -> Counter:
         if not self.enabled:
-            return _NULL_COUNTER
+            return _NULL
         return self._get(Counter, series_key(name, labels))
 
     def gauge(self, name: str, **labels) -> Gauge:
         if not self.enabled:
-            return _NULL_GAUGE
+            return _NULL
         return self._get(Gauge, series_key(name, labels))
 
     def histogram(self, name: str, **labels) -> Histogram:
         if not self.enabled:
-            return _NULL_HISTOGRAM
+            return _NULL
         return self._get(Histogram, series_key(name, labels))
 
     def snapshot(self) -> dict:

@@ -5,10 +5,11 @@ Usage::
     python -m repro.telemetry.validate [--strict] trace.json [more.json ...]
 
 Validates the ``traceEvents`` object format structurally — required
-keys, known phases, non-negative microsecond timestamps/durations — and
-fails on unclosed spans: every ``"B"`` begin event must have a matching
-``"E"`` end on the same ``(pid, tid)`` track. (Our own exporter only
-emits complete ``"X"`` events and refuses to export a tracer with
+keys, known phases, numbers by attribution's rule (``int`` / ``float``,
+finite; ``ts`` / ``dur`` non-negative, so what validates attributes) —
+and fails on unclosed spans: every ``"B"`` begin event must have a
+matching ``"E"`` end on the same ``(pid, tid)`` track. (Our own exporter
+only emits complete ``"X"`` events and refuses to export a tracer with
 dangling ``begin()`` calls, so this doubles as an end-to-end check that
 nothing upstream leaked an open span into the file.)
 
@@ -28,15 +29,23 @@ import json
 import sys
 from pathlib import Path
 
+from repro.telemetry.analysis.attribution import _NUMBER
+
 __all__ = ["main", "validate_chrome_trace"]
 
 _REQUIRED_KEYS = ("name", "ph", "pid", "tid")
 _KNOWN_PHASES = frozenset("XMBEiC")
+_INF = float("inf")
 
 
 #: Overlap slack in microseconds: spans touching at a shared boundary
 #: (end == next start) are not overlapping.
 _STRICT_OVERLAP_SLACK_US = 1e-3
+
+
+def _finite(value) -> bool:
+    """Attribution's number rule (``int`` or ``float``, not ``bool``), finite."""
+    return type(value) in _NUMBER and -_INF < value < _INF
 
 
 def validate_chrome_trace(data, *, strict: bool = False) -> list[str]:
@@ -65,15 +74,22 @@ def validate_chrome_trace(data, *, strict: bool = False) -> list[str]:
         if phase not in _KNOWN_PHASES:
             errors.append(f"{where}: unknown phase {phase!r}")
             continue
+        if not (_finite(event["pid"]) and _finite(event["tid"])):
+            errors.extend(
+                f"{where}: bad {key!r} {event[key]!r} (want a finite number)"
+                for key in ("pid", "tid")
+                if not _finite(event[key])
+            )
+            continue
         if phase in ("X", "B", "E", "i"):
             ts = event.get("ts")
-            if not isinstance(ts, (int, float)) or ts < 0:
-                errors.append(f"{where}: bad 'ts' {ts!r} (want number >= 0)")
+            if not (_finite(ts) and ts >= 0):
+                errors.append(f"{where}: bad 'ts' {ts!r} (want finite number >= 0)")
         if phase == "X":
             dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                errors.append(f"{where}: bad 'dur' {dur!r} (want number >= 0)")
-            elif strict and isinstance(event.get("ts"), (int, float)):
+            if not (_finite(dur) and dur >= 0):
+                errors.append(f"{where}: bad 'dur' {dur!r} (want finite number >= 0)")
+            elif strict and _finite(event.get("ts")):
                 track = (event["pid"], event["tid"])
                 ts = float(event["ts"])
                 complete.setdefault(track, []).append(

@@ -563,15 +563,15 @@ class TestTraceDiff:
             paths.append(tmp_path / f"{label}.json")
             paths[-1].write_text(json.dumps(_synthetic_trace(flapped)))
         parsed = []
-        real_loader = attribution.spans_from_chrome
+        real_loader = attribution.rows_from_chrome
 
         def counting_loader(data):
             parsed.append(data)
             return real_loader(data)
 
-        # Both routes to the loader: diff's own and ``attribute_trace``'s.
-        monkeypatch.setattr(diff, "spans_from_chrome", counting_loader)
-        monkeypatch.setattr(attribution, "spans_from_chrome", counting_loader)
+        # Both routes to the row reader: diff's own and ``attribute_trace``'s.
+        monkeypatch.setattr(diff, "rows_from_chrome", counting_loader)
+        monkeypatch.setattr(attribution, "rows_from_chrome", counting_loader)
         out = tmp_path / "diff.json"
         assert diff.main([str(paths[0]), str(paths[1]), "--json", str(out)]) == 0
         assert out.read_text() == json.dumps(SYNTHETIC_DIFF, indent=2) + "\n"
@@ -640,6 +640,16 @@ class TestReportCli:
 
     def test_truncated_trace_fails_naming_the_file(self, trace_path, capsys):
         trace_path.write_text(trace_path.read_text()[:15])
+        assert report.main([str(trace_path)]) == 2
+        assert f"{trace_path}: not a Chrome trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["[1, 2]", "3", '"trace"', "null"])
+    def test_non_object_trace_fails_naming_the_file(self, trace_path, capsys, top):
+        """A JSON list used to load and then die in attribution with an
+        ``AttributeError`` on its first element."""
+        trace_path.write_text(top)
+        with pytest.raises(ValueError, match="not a Chrome trace: top level is"):
+            attribution.load_chrome_trace(trace_path)
         assert report.main([str(trace_path)]) == 2
         assert f"{trace_path}: not a Chrome trace" in capsys.readouterr().err
 

@@ -327,16 +327,20 @@ class TestRunnerTelemetry:
 
     @pytest.mark.parametrize("clock", [MEASURED, MODELED])
     def test_telemetry_off_leaves_result_bare(self, monkeypatch, clock):
-        # Off must be free of span objects, not merely of output: count
-        # every ``Span`` any tracer constructs during the run.
-        built = []
+        # Off must be free of span rows, not merely of output: count the
+        # rows every tracer (the shared disabled one included) appends
+        # during the run.
+        tracers = [tracing.NULL_TRACER]
+        real_init = tracing.Tracer.__init__
 
-        class CountedSpan(tracing.Span):
-            def __init__(self, *fields):
-                built.append(fields)
-                super().__init__(*fields)
+        def counted_init(self, *args, **kwargs):
+            tracers.append(self)
+            real_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(tracing, "Span", CountedSpan)
+        def rows_appended():
+            return sum(len(list(tracer.rows())) for tracer in tracers)
+
+        monkeypatch.setattr(tracing.Tracer, "__init__", counted_init)
         config = FAST_CONFIG.scaled(
             standard_steps=4, eval_points=1, sim_overlap=True, clock=clock
         )
@@ -344,8 +348,8 @@ class TestRunnerTelemetry:
         result = runner.run("32-bit float", 1.0)
         assert result.telemetry_summary is None
         assert runner.telemetry_sessions == []
-        assert built == []
+        assert rows_appended() == 0
         assert tracing.NULL_TRACER.spans == []
-        # The counter does see a live tracer's spans.
+        # The counter does see a live tracer's rows.
         Tracer().span("g", "t", "n", 0.0, 1.0)
-        assert len(built) == 1
+        assert rows_appended() == 1

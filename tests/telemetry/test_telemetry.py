@@ -1,6 +1,8 @@
 """Unit tests for the telemetry subsystem: registry, tracer, exporters."""
 
 import json
+import math
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.telemetry import (
     NULL_TELEMETRY,
     NULL_TRACER,
     MetricsRegistry,
+    Span,
     Telemetry,
     Tracer,
     series_key,
@@ -91,8 +94,110 @@ class TestTracer:
         assert span.args == {"phase": "push"}
 
     def test_span_rejects_negative_duration(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="g/t/n ends before it starts"):
             Tracer().span("g", "t", "n", 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "start,end",
+        [
+            (math.nan, 1.0),
+            (0.0, math.nan),
+            (math.nan, math.nan),
+            (0.0, math.inf),
+            (-math.inf, 0.0),
+            (math.inf, math.inf),
+            (-math.inf, -math.inf),
+        ],
+    )
+    def test_span_rejects_non_finite_times(self, start, end):
+        """They used to be recorded and written as ``NaN`` / ``Infinity``
+        tokens, which are not JSON."""
+        tr = Tracer()
+        with pytest.raises(ValueError, match="g/t/n has a non-finite time"):
+            tr.span("g", "t", "n", start, end)
+        assert tr.spans == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_begin_and_end_reject_non_finite_times(self, bad):
+        tr = Tracer()
+        with pytest.raises(ValueError, match="g/t/n begins at "):
+            tr.begin("g", "t", "n", bad)
+        tr.begin("g", "t", "n", 0.0)
+        with pytest.raises(ValueError, match="g/t/n has a non-finite time"):
+            tr.end("g", "t", bad)
+        # The refused end leaves the span open, to be closed properly.
+        assert tr.open_spans() == ["g/t/n"]
+        tr.end("g", "t", 1.0)
+        assert [(s.name, s.start, s.end) for s in tr.spans] == [("n", 0.0, 1.0)]
+
+    def test_end_before_start_is_refused(self):
+        tr = Tracer()
+        tr.begin("g", "t", "n", 2.0)
+        with pytest.raises(ValueError, match="g/t/n ends before it starts"):
+            tr.end("g", "t", 1.0)
+
+    def test_rows_share_interned_names_and_equal_args(self):
+        tr = Tracer()
+        for index in range(3):
+            tr.span("sim", "link:a", f"layer{index % 2}", 0.0, 1.0, step=1, worker=None)
+        tr.span("sim", "link:b", "layer0", 0.0, 1.0, worker=None, step=1)
+        tr.span("sim", "link:b", "layer0", 0.0, 1.0, step=True)
+        tr.span("sim", "link:b", "layer0", 0.0, 1.0, step=1.0)
+        tr.span("sim", "link:b", "layer0", 0.0, 1.0)
+        tr.span("sim", "link:b", "layer0", 0.0, 1.0)
+        assert list(tr.tracks) == [("sim", "link:a"), ("sim", "link:b")]
+        tracks, names, _, _, args = zip(*tr.rows())
+        assert tracks == (0, 0, 0, 1, 1, 1, 1, 1)
+        assert names[0] is names[2] is names[3]
+        # Equal args share one row; key order, bool and float do not.
+        assert args[0] is args[1] is args[2]
+        assert args[3] == args[0] and args[3] is not args[0]
+        assert args[4] == {"step": True} and args[5] == {"step": 1.0}
+        assert type(args[4]["step"]) is bool and type(args[5]["step"]) is float
+        assert args[6] is args[7] and args[6] == {}
+        # The Span view copies: mutating it leaves the row alone.
+        tr.spans[0].args["step"] = 99
+        assert args[0] == {"step": 1, "worker": None}
+
+    def test_refused_span_leaves_the_columns_in_step(self):
+        tr = Tracer()
+        with pytest.raises(TypeError):
+            tr.span("g", "t", ["unhashable"], 0.0, 1.0)
+        with pytest.raises(OverflowError):
+            tr.span("g", "t", "n", 0.0, 10**400)
+        tr.span("g", "t", "n", 0.0, 1.0, step=1)
+        assert tr.spans == [Span("g", "t", "n", 0.0, 1.0, {"step": 1})]
+
+    def test_span_memory_is_a_row_not_an_object(self):
+        """A scheduler-shaped stream: fresh f-string names and fresh
+        kwargs per call, few distinct names and args. An object per span
+        (``Span`` + its args dict + its name) took ~480 B."""
+        count = 20_000
+
+        def emit(tracer):
+            for index in range(count):
+                start = index * 1e-3
+                tracer.span(
+                    "sim:10Mbps",
+                    f"link:cross:rack{index % 4}",
+                    f"layer{index % 60}.weight",
+                    start,
+                    start + 5e-4,
+                    phase="push" if index % 2 else "pull",
+                    step=index // 500,
+                    worker=index % 8,
+                )
+
+        tracemalloc.start()
+        try:
+            tracer = Tracer()
+            before = tracemalloc.get_traced_memory()[0]
+            emit(tracer)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tracer.spans) == count
+        assert held / count <= 96, f"{held / count:.1f} B/span"
 
     def test_begin_end_stack(self):
         tr = Tracer()

@@ -2,8 +2,12 @@
 discipline under ``--strict``, and malformed files through the CLI."""
 
 import json
+import math
+
+import pytest
 
 from repro.telemetry import Tracer
+from repro.telemetry.analysis import attribute_trace
 from repro.telemetry.export import chrome_trace
 from repro.telemetry.validate import main, validate_chrome_trace
 
@@ -126,3 +130,49 @@ class TestMalformedInput:
         errors = validate_chrome_trace(data)
         assert len(errors) == 1
         assert "missing keys" in errors[0]
+
+
+class TestNumberRule:
+    """Validation uses attribution's number rule, so a trace that
+    validates also attributes: each row below used to validate."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ts", True),
+            ("ts", math.nan),
+            ("ts", math.inf),
+            ("dur", math.inf),
+            ("dur", math.nan),
+            ("dur", False),
+            ("pid", "x"),
+            ("pid", True),
+            ("pid", math.nan),
+            ("tid", "1"),
+            ("tid", None),
+            ("tid", -math.inf),
+        ],
+    )
+    def test_bad_number_is_flagged_and_named(self, field, value):
+        event = _x(1, 1, "a", 0.0, 1.0)
+        event[field] = value
+        errors = validate_chrome_trace({"traceEvents": [event]})
+        assert len(errors) == 1
+        assert errors[0].startswith(f"traceEvents[0]: bad {field!r} {value!r}")
+
+    def test_bad_pid_on_a_name_event_is_flagged(self):
+        event = {"name": "process_name", "ph": "M", "pid": "x", "tid": 0}
+        assert validate_chrome_trace({"traceEvents": [event]}) == [
+            "traceEvents[0]: bad 'pid' 'x' (want a finite number)"
+        ]
+
+    def test_unhashable_pid_is_flagged_not_a_crash(self):
+        event = {"name": "a", "ph": "B", "pid": [1], "tid": 1, "ts": 0}
+        errors = validate_chrome_trace({"traceEvents": [event]}, strict=True)
+        assert errors == ["traceEvents[0]: bad 'pid' [1] (want a finite number)"]
+
+    def test_what_validates_attributes(self):
+        events = [_x(1, 1, "a", 0, 1), _x(2.0, 1, "b", 0.5, 2.5)]
+        data = {"traceEvents": events}
+        assert validate_chrome_trace(data) == []
+        assert [a.total_seconds for a in attribute_trace(data)] == [1e-6, 2.5e-6]
