@@ -227,9 +227,8 @@ def bench_config(cfg: dict, *, seed: int = 0) -> dict:
     vec_run = vec_sim.simulate_run(plans)
     vec_cold_seconds = time.perf_counter() - t0
     # Steady state: a sweep replays one recording under many link and
-    # time-model configs, and the per-step caches (record batch,
-    # structure signature, numeric rows) live on the plan objects — only
-    # the first replay walks the record objects. Throughput and the
+    # time-model configs, and the record batch rides the recording's
+    # shared skeleton — only the first replay builds it. Throughput and the
     # speedup target are measured on the warmed replay (the sweep
     # regime); the cold first-replay time is reported alongside.
     t0 = time.perf_counter()

@@ -115,10 +115,13 @@ def elias_delta_encode(values: np.ndarray) -> bytes:
 
 
 def elias_delta_decode(stream: bytes, count: int) -> np.ndarray:
-    """Decode ``count`` delta codewords from ``stream``."""
+    """Decode ``count`` delta codewords from ``stream``; like
+    :func:`elias_gamma_decode`, refuses a short stream or a whole byte
+    after the last codeword."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
+        _check_tail("delta", stream, 0, count)
         return np.zeros(0, dtype=np.uint64)
     bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))
     ones = np.flatnonzero(bits)
@@ -145,6 +148,7 @@ def elias_delta_decode(stream: bytes, count: int) -> np.ndarray:
             value |= np.uint64(low @ powers[64 - k :])
         out[i] = value
         pos = end
+    _check_tail("delta", stream, pos, count)
     return out
 
 
@@ -152,11 +156,14 @@ def elias_gamma_decode(stream: bytes, count: int) -> np.ndarray:
     """Decode ``count`` gamma codewords from ``stream``.
 
     Raises :class:`ValueError` when the stream is exhausted before ``count``
-    values are read (truncated or corrupted input).
+    values are read (truncated or corrupted input), or when a whole byte
+    follows the last codeword (appended junk): only the zero padding of
+    the final byte may remain.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
+        _check_tail("gamma", stream, 0, count)
         return np.zeros(0, dtype=np.uint64)
     bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))
     ones = np.flatnonzero(bits)
@@ -176,4 +183,14 @@ def elias_gamma_decode(stream: bytes, count: int) -> np.ndarray:
         code_bits = bits[first_one:end].astype(np.uint64)
         out[i] = int(code_bits @ powers[63 - k :][: k + 1])
         pos = end
+    _check_tail("gamma", stream, pos, count)
     return out
+
+
+def _check_tail(code: str, stream: bytes, bits: int, count: int) -> None:
+    """Refuse whole bytes after the ``bits`` that ``count`` codewords used."""
+    extra = len(stream) - (bits + 7) // 8
+    if extra > 0:
+        raise ValueError(
+            f"{code} stream has {extra} extra byte(s) after its {count} values"
+        )

@@ -20,10 +20,15 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from numbers import Integral
+from operator import attrgetter, ne
+
+import numpy as np
 
 __all__ = [
     "TransmissionRecord",
+    "StepSkeleton",
     "StepTransmissions",
     "UpdateTransmissions",
     "SimulatedStep",
@@ -52,37 +57,51 @@ def _names(name: str, field_name: str, value) -> tuple[str, ...]:
 
 def _check_seconds(owner: str, plan, fields: tuple[str, ...]) -> None:
     """Refuse a plan whose seconds could invent a step time: every named
-    field and every ``link_down`` floor must be finite and >= 0."""
+    field and every ``link_down`` floor must be a finite number >= 0 (not
+    a ``bool``), and ``link_down`` a tuple of ``(str, seconds)`` pairs."""
     values = [(f, getattr(plan, f)) for f in fields]
-    values += [(f"link_down[{route!r}]", down) for route, down in plan.link_down]
-    for field_name, value in values:
-        if not 0.0 <= value < math.inf:
+    down = plan.link_down
+    for pair in down if type(down) is tuple else (down,):
+        if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not str:
             raise ValueError(
-                f"{owner}: {field_name} must be finite and >= 0, got {value!r}"
+                f"{owner}: link_down must be a tuple of (str, seconds) pairs, "
+                f"got {down!r}"
             )
+        values.append((f"link_down[{pair[0]!r}]", pair[1]))
+    for name, value in values:
+        if isinstance(value, bool) or not 0.0 <= value < math.inf:
+            raise ValueError(f"{owner}: {name} must be finite and >= 0, got {value!r}")
 
 
-def _check_count(name: str, field_name: str, value, minimum: int) -> None:
-    """Refuse anything but an integer (``bool`` excluded) >= ``minimum``."""
+def _check_count(owner: str, field_name: str, value, minimum: int) -> None:
+    """Refuse anything but an integer (``bool`` excluded) >= ``minimum``;
+    the error names ``owner`` (a record or a plan) and the field."""
     if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
         raise ValueError(
-            f"record {name!r}: {field_name} must be an integer >= {minimum}, "
-            f"got {value!r}"
+            f"{owner}: {field_name} must be an integer >= {minimum}, got {value!r}"
         )
+
+
+def _check_records(owner: str, records) -> None:
+    """Refuse a plan's ``records`` unless it is a tuple of records."""
+    if type(records) is not tuple:
+        raise ValueError(f"{owner}: records must be a tuple, got {records!r}")
+    for index, r in enumerate(records):
+        if type(r) is not TransmissionRecord:
+            raise ValueError(f"{owner}: records[{index}] is not a record: {r!r}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class TransmissionRecord:
     """One wire transmission within a training step.
 
-    Records are most of a recording's memory (one per message per step,
-    and the replay cache keeps whole recordings), so a record pays for its
-    numbers, not its strings. It is slotted: no instance ``__dict__``, so
-    no ad-hoc attributes. It is canonical: the constructor interns
-    ``name``, ``route``, ``phase`` and every ``params`` / ``depends_on``
-    name with :func:`sys.intern`, so every step's freshly formatted
-    ``f"rack{r}"`` collapses to one shared string, and the vector
-    kernel's signature checks meet equal fields as the same object. The
+    The validated row type: a :class:`StepTransmissions` is built from
+    records and viewed as records, though it stores them as columns. It
+    is slotted: no instance ``__dict__``, so no ad-hoc attributes. It is
+    canonical: the constructor interns ``name``, ``route``, ``phase`` and
+    every ``params`` / ``depends_on`` name with :func:`sys.intern`, so
+    every step's freshly formatted ``f"rack{r}"`` collapses to one shared
+    string and skeleton comparisons meet equal names as one object. The
     constructor is written out rather than generated plus a
     ``__post_init__``, so that each field is checked and stored once.
     ``__reduce__`` rebuilds through that constructor, so a copied or
@@ -143,17 +162,8 @@ class TransmissionRecord:
     depends_on: tuple[str, ...] = ()
 
     def __init__(
-        self,
-        name: str,
-        params: tuple[str, ...],
-        wire_bytes: int,
-        elements: int,
-        route: str,
-        worker: int | None = None,
-        copies: int = 1,
-        phase: str = "push",
-        frames: int = 1,
-        depends_on: tuple[str, ...] = (),
+        self, name, params, wire_bytes, elements, route, worker=None, copies=1,
+        phase="push", frames=1, depends_on=(),
     ) -> None:
         # Each rule tests the plain case inline and leaves anything else (a
         # numpy integer, a wrong type) to a helper that accepts it or
@@ -171,15 +181,15 @@ class TransmissionRecord:
         params = _names(name, "params", params)
         depends_on = _names(name, "depends_on", depends_on)
         if type(wire_bytes) is not int or wire_bytes < 0:
-            _check_count(name, "wire_bytes", wire_bytes, 0)
+            _check_count(f"record {name!r}", "wire_bytes", wire_bytes, 0)
         if type(elements) is not int or elements < 0:
-            _check_count(name, "elements", elements, 0)
+            _check_count(f"record {name!r}", "elements", elements, 0)
         if worker is not None and (type(worker) is not int or worker < 0):
-            _check_count(name, "worker", worker, 0)
+            _check_count(f"record {name!r}", "worker", worker, 0)
         if type(copies) is not int or copies < 1:
-            _check_count(name, "copies", copies, 1)
+            _check_count(f"record {name!r}", "copies", copies, 1)
         if type(frames) is not int or frames < 1:
-            _check_count(name, "frames", frames, 1)
+            _check_count(f"record {name!r}", "frames", frames, 1)
         if name in depends_on:
             raise ValueError(f"record {name!r}: record cannot depend on itself")
         store = object.__setattr__
@@ -208,7 +218,74 @@ class TransmissionRecord:
         return self.wire_bytes * self.copies
 
 
-@dataclass(frozen=True)
+#: The rows of a step's ``numbers`` array, and each row's least value.
+NUMBER_ROWS = ("wire_bytes", "elements", "copies", "frames")
+_MINIMA = np.array([[0], [0], [1], [1]])
+_STRUCTURE = ("name", "phase", "route", "worker", "params", "depends_on")
+_structure_of = attrgetter(*_STRUCTURE)
+_numbers_of = attrgetter(*NUMBER_ROWS)
+
+
+class StepSkeleton:
+    """A step's records without their numbers: six ``columns`` (names,
+    phases, routes, workers, params, depends_on) in record order, shared
+    by consecutive steps of equal structure (the array kernel's replay
+    groups; its ``RecordBatch`` rides ``batch``). Pickling carries only
+    the columns, so pickle's memo keeps the sharing within a dump, each
+    load builds its own skeleton, and the first step holding it runs
+    :meth:`check`.
+    """
+
+    __slots__ = ("columns", "checked", "batch")
+
+    def __init__(self, columns) -> None:
+        self.columns, self.checked, self.batch = columns, False, None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StepSkeleton):
+            return NotImplemented
+        return self is other or self.columns == other.columns
+
+    def __reduce__(self):
+        return StepSkeleton, (self.columns,)
+
+    @classmethod
+    def of(cls, records) -> StepSkeleton:
+        """The (checked) skeleton of validated records; equal ``params``
+        and ``depends_on`` tuples are stored once."""
+        shared: dict = {}
+        skeleton = cls(tuple(
+            tuple(map(attrgetter(f), records)) if f not in ("params", "depends_on")
+            else tuple(shared.setdefault(v, v) for v in map(attrgetter(f), records))
+            for f in _STRUCTURE
+        ))
+        skeleton.checked = True
+        return skeleton
+
+    def check(self, owner: str) -> None:
+        """Validate the columns (once) through the record constructor; an
+        error names ``owner`` and the record."""
+        if self.checked:
+            return
+        columns = self.columns
+        if (type(columns) is not tuple or tuple(map(type, columns)) != (tuple,) * 6
+                or len(set(map(len, columns))) != 1):
+            raise ValueError(f"{owner}: skeleton columns must be six equal-length "
+                             f"tuples, got {columns!r}")
+        for name, phase, route, worker, params, deps in zip(*columns):
+            try:
+                TransmissionRecord(name, params, 0, 0, route, worker, 1, phase, 1, deps)
+            except ValueError as error:
+                raise ValueError(f"{owner}: {error}") from None
+        self.checked = True
+
+
+#: The last built step's skeleton, which the next step reuses when equal
+#: (a skeleton is a value, safe to share). Unpickling never consults it.
+_last_skeleton: StepSkeleton | None = None
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class StepTransmissions:
     """Everything the simulator needs to replay one training step.
 
@@ -217,6 +294,13 @@ class StepTransmissions:
     exactly ``push_compress + server_decompress + server_compress +
     pull_decompress``, so a serialized replay reproduces the analytic
     model's step time.
+
+    A step is built from ``records`` but stores columns, since recordings
+    are most of a sweep's memory: a :class:`StepSkeleton` (the previous
+    built step's when equal) and ``numbers``, one read-only ``(4, n)``
+    int64 array of the :data:`NUMBER_ROWS` in record order. ``records``
+    rebuilds the records on each access. Building, copying or unpickling
+    refuses whatever a record would, naming the step and the record.
     """
 
     step: int
@@ -225,24 +309,87 @@ class StepTransmissions:
     server_decompress_seconds: float = 0.0
     server_compress_seconds: float = 0.0
     pull_decompress_seconds: float = 0.0
-    records: tuple[TransmissionRecord, ...] = ()
+    records: tuple[TransmissionRecord, ...]  # a view: the property below
     #: Injected-fault outage floors: ``(route, seconds)`` pairs meaning
     #: the route is unavailable until ``seconds`` into *this step* (a
     #: rejoin delay while the fabric re-converges). All three simulator
     #: cores seed the route's link-free time from the floor.
     link_down: tuple[tuple[str, float], ...] = ()
+    skeleton: StepSkeleton = field(init=False, repr=False)
+    numbers: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _check_seconds(
-            f"step {self.step}",
-            self,
-            (
-                "compute_seconds",
-                "push_compress_seconds",
-                "server_decompress_seconds",
-                "server_compress_seconds",
-                "pull_decompress_seconds",
-            ),
+    def __init__(
+        self, step, compute_seconds, push_compress_seconds=0.0,
+        server_decompress_seconds=0.0, server_compress_seconds=0.0,
+        pull_decompress_seconds=0.0, records=(), link_down=(),
+    ) -> None:
+        global _last_skeleton
+        owner = _step_owner(step)
+        _check_records(owner, records)
+        last = _last_skeleton
+        if last is None or len(last.columns[0]) != len(records) or any(
+            map(ne, zip(*last.columns), map(_structure_of, records))
+        ):
+            _last_skeleton = StepSkeleton.of(records)
+        try:
+            numbers = np.fromiter(
+                chain.from_iterable(map(_numbers_of, records)), np.int64
+            )
+        except OverflowError:
+            raise ValueError(f"{owner}: a record size overflows int64") from None
+        self._store(
+            owner, step, compute_seconds, push_compress_seconds,
+            server_decompress_seconds, server_compress_seconds,
+            pull_decompress_seconds, _last_skeleton,
+            np.ascontiguousarray(numbers.reshape(-1, len(NUMBER_ROWS)).T), link_down,
+        )
+
+    def _store(self, owner: str, *values) -> None:
+        """Check the columns — refusing what a record would, naming it —
+        and the seconds, then set every field."""
+        skeleton, numbers = values[6:8]
+        if type(skeleton) is not StepSkeleton:
+            raise ValueError(f"{owner}: not a skeleton: {skeleton!r}")
+        skeleton.check(owner)
+        shape = (len(NUMBER_ROWS), len(skeleton.columns[0]))
+        if not (type(numbers) is np.ndarray and numbers.dtype == np.int64
+                and numbers.shape == shape):
+            raise ValueError(f"{owner}: numbers must be {shape} int64, got {numbers!r}")
+        low = numbers < _MINIMA
+        if low.any():
+            index, row = np.argwhere(low.T)[0]
+            raise ValueError(
+                f"{owner}: record {skeleton.columns[0][index]!r}: {NUMBER_ROWS[row]} "
+                f"must be an integer >= {_MINIMA[row, 0]}, got {numbers[row, index]}"
+            )
+        numbers.flags.writeable = False
+        for name, value in zip(_STEP_STATE, values):
+            object.__setattr__(self, name, value)
+        _check_seconds(owner, self, _STEP_STATE[1:6])
+
+    def __reduce__(self):
+        return _load_step, tuple(getattr(self, name) for name in _STEP_STATE)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        seconds = (getattr(self, name) for name in _STEP_STATE[:6])
+        return (*seconds, self.link_down, self.skeleton.columns, self.numbers.tobytes())
+
+    @property
+    def records(self) -> tuple[TransmissionRecord, ...]:
+        """The step's records, rebuilt from the columns on every access."""
+        return tuple(
+            TransmissionRecord(name, params, w, e, route, worker, c, phase, f, deps)
+            for name, phase, route, worker, params, deps, w, e, c, f in zip(
+                *self.skeleton.columns, *self.numbers.tolist()
+            )
         )
 
     @property
@@ -256,7 +403,25 @@ class StepTransmissions:
 
     @property
     def total_frames(self) -> int:
-        return sum(r.frames for r in self.records)
+        return int(self.numbers[3].sum())
+
+
+#: What a step stores and pickles, in order.
+_STEP_STATE = ("step", "compute_seconds", "push_compress_seconds",
+               "server_decompress_seconds", "server_compress_seconds",
+               "pull_decompress_seconds", "skeleton", "numbers", "link_down")
+
+
+def _step_owner(step) -> str:
+    _check_count("StepTransmissions", "step", step, 0)
+    return f"step {step}"
+
+
+def _load_step(step, *values) -> StepTransmissions:
+    """Rebuild a pickled step from its columns, checked like a built one."""
+    st = object.__new__(StepTransmissions)
+    st._store(_step_owner(step), step, *values)
+    return st
 
 
 @dataclass(frozen=True)
@@ -306,20 +471,15 @@ class UpdateTransmissions:
     link_down: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.staleness < 0:
-            raise ValueError(f"update {self.update}: negative staleness")
-        _check_seconds(
-            f"update {self.update}",
-            self,
-            (
-                "clock_seconds",
-                "compute_seconds",
-                "push_compress_seconds",
-                "server_seconds",
-                "pull_compress_seconds",
-                "pull_decompress_seconds",
-            ),
-        )
+        _check_count("UpdateTransmissions", "update", self.update, 0)
+        owner = f"update {self.update}"
+        for name in ("worker", "local_step", "global_step", "staleness"):
+            _check_count(owner, name, getattr(self, name), 0)
+        _check_records(owner, self.records)
+        _check_seconds(owner, self, (
+            "clock_seconds", "compute_seconds", "push_compress_seconds",
+            "server_seconds", "pull_compress_seconds", "pull_decompress_seconds",
+        ))
 
     @property
     def codec_seconds(self) -> float:
@@ -363,9 +523,10 @@ def updates_from_bsp_steps(
         raise ValueError("num_workers must be >= 1")
     updates: list[UpdateTransmissions] = []
     for local_step, st in enumerate(steps):
+        step_records = st.records
         for worker in range(num_workers):
             records: list[TransmissionRecord] = []
-            for r in st.records:
+            for r in step_records:
                 if r.phase == "pull":
                     if r.frames < r.copies:
                         raise ValueError(
@@ -538,12 +699,6 @@ class SimulatedExchange:
         return self.total_seconds / len(self.updates)
 
     @property
-    def updates_per_second(self) -> float:
-        if self.total_seconds <= 0:
-            return 0.0
-        return len(self.updates) / self.total_seconds
-
-    @property
     def per_worker_updates(self) -> dict[int, int]:
         counts: dict[int, int] = {}
         for u in self.updates:
@@ -567,10 +722,6 @@ class SimulatedExchange:
         for u in self.updates:
             histogram[u.staleness] = histogram.get(u.staleness, 0) + 1
         return dict(sorted(histogram.items()))
-
-    @property
-    def mean_staleness(self) -> float:
-        return sum(u.staleness for u in self.updates) / len(self.updates)
 
     @property
     def max_staleness(self) -> int:

@@ -153,15 +153,12 @@ class SweepReplayCache:
     def prepare_extraction(self, key: RecordingKey, steps) -> None:
         """Warm a recording's replay artifacts once per :class:`RecordingKey`.
 
-        The first simulation of a new timeline config used to pay the full
-        cold-extraction cost (structure signatures, record batches,
-        numeric payloads — see ``BENCH_simperf.json``'s
-        ``vector_cold_seconds`` ≈ 3–6× warm). Extraction depends only on
-        the recording, never on the link or time model, so it is keyed
-        here: the first caller extracts (a miss), every later timeline
-        config replays warm (a hit). The artifacts live on the step
-        objects themselves (:func:`~repro.netsim.vector.warm_extraction`),
-        so this set only tracks which recordings already paid.
+        Extraction (each skeleton's record batch, see
+        :func:`~repro.netsim.vector.warm_extraction`) depends only on the
+        recording, never on the link or time model: the first caller
+        extracts (a miss), every later timeline config replays warm (a
+        hit). The batches ride the recording's skeletons, so this set only
+        tracks which recordings already paid.
         """
         if key in self._extracted:
             self.extraction_hits += 1

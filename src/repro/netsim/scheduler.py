@@ -106,22 +106,11 @@ def per_tier_serialized_seconds(
             ) + wire_occupancy_seconds(link_model, time_model, record)
         return max(by_route.values(), default=0.0)
 
-    # Partition the records into the four tiers in one pass instead of
-    # re-filtering the full tuple per phase (the old hot-path cost on
-    # fleet-scale hierarchical steps).
-    collectives: list[TransmissionRecord] = []
-    pushes: list[TransmissionRecord] = []
-    free_pulls: list[TransmissionRecord] = []
-    dep_pulls: list[TransmissionRecord] = []
-    for record in st.records:
-        if record.phase == "collective":
-            collectives.append(record)
-        elif record.phase == "push":
-            pushes.append(record)
-        elif record.depends_on:
-            dep_pulls.append(record)
-        else:
-            free_pulls.append(record)
+    # The four tiers in one pass: pulls split on having dependencies.
+    tiers = {"collective": [], "push": [], False: [], True: []}
+    for r in st.records:
+        tiers[r.phase if r.phase != "pull" else bool(r.depends_on)].append(r)
+    collectives, pushes, free_pulls, dep_pulls = tiers.values()
     return (
         time_model.compute_scale * st.compute_seconds
         + time_model.codec_scale * st.push_compress_seconds
@@ -399,7 +388,8 @@ class NetworkSimulator:
         pmo = self.time_model.per_message_overhead
         compute, push_cost, server_cost, pull_cost = self._scaled_seconds(st)
 
-        push_records, pull_records = phase_partition(st.records)
+        records = st.records
+        push_records, pull_records = phase_partition(records)
 
         # -- push compression: one serial pipeline per sending worker ------
         compressed_at = self._push_compressed_at(
@@ -499,12 +489,11 @@ class NetworkSimulator:
 
         # -- bookkeeping ----------------------------------------------------
         comm = sum(
-            self.link_model.transfer_seconds(r.route, r.total_bytes)
-            for r in st.records
+            self.link_model.transfer_seconds(r.route, r.total_bytes) for r in records
         )
         overhead = sum(
             (pmo + self.link_model.spec(r.route).rtt_seconds) * r.frames
-            for r in st.records
+            for r in records
         )
         codec = push_cost + server_cost + pull_cost
         exposed = max(0.0, step_seconds - compute - codec - overhead)

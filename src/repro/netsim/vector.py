@@ -3,18 +3,18 @@
 The per-record Python loop in :class:`~repro.netsim.scheduler.
 NetworkSimulator` (``vectorized=False``) is the reference semantics of
 the BSP model, but a fleet-scale hierarchical step carries thousands of
-:class:`~repro.netsim.events.TransmissionRecord` objects and a sweep
-replays every recording dozens of times. This module holds the one
-array implementation of that model, :func:`replay_run_vectorized`.
+records and a sweep replays each recording dozens of times; this module
+holds the one array implementation of that model, :func:`replay_run_vectorized`.
 
-*Structure once.* A step's record tuple converts once into a
-:class:`RecordBatch` — route, worker, name and dependency codes, the
-dependency waves, and for every FIFO service pass (the push records on
-their workers' codec pipelines, each wave on its links) a
-:class:`_Layout`: the records in name order plus the depth-wise sweep
-plan of its segments. The batch is cached on the ``StepTransmissions``
-instance, and consecutive steps with one :func:`structure_signature`
-share their leader's.
+*Structure once.* A step's records are a shared
+:class:`~repro.netsim.events.StepSkeleton` plus the step's own int64
+``numbers``. The skeleton converts once into a :class:`RecordBatch` —
+route, worker, name and dependency codes, the dependency waves, and for
+every FIFO service pass (the push records on their workers' codec
+pipelines, each wave on its links) a :class:`_Layout`: the records in
+name order plus the depth-wise sweep plan of its segments. The batch
+rides the skeleton, and a replay group is a run of consecutive steps
+holding one skeleton object, so nothing is cached on the plans.
 
 *Numbers per row.* The kernel replays a group of ``S >= 1`` structurally
 identical steps with a leading step axis. BSP steps are independent
@@ -40,171 +40,50 @@ sequentially there, differ in the last digits.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from itertools import groupby
+
 import numpy as np
 
-from repro.netsim.events import (
-    SimulatedStep,
-    StepTransmissions,
-    TransmissionRecord,
-)
+from repro.netsim.events import SimulatedStep, StepTransmissions
 
 __all__ = [
     "RecordBatch",
     "dependency_waves",
     "record_batch",
-    "matches_signature",
     "phase_partition",
     "replay_run_vectorized",
-    "step_signature",
     "structure_groups",
-    "structure_signature",
     "warm_extraction",
     "wire_occupancy_batch",
 ]
 
-_BATCH_ATTR = "_repro_record_batch"
-_SIG_ATTR = "_repro_structure_sig"
-_NUM_ATTR = "_repro_numeric_rows"
-
-
-def structure_signature(records):
-    """Hashable projection of a record tuple's *structure*.
-
-    Two steps with equal signatures share everything the batched replay
-    precomputes — phase split, routes, per-worker pipelines, name table,
-    and dependency waves — and differ only in numeric payloads (bytes,
-    frames, elements) and the step's measured seconds. Recorded training
-    runs emit the same record skeleton every step, so whole runs collapse
-    to one signature and replay as a single batched pass (see
-    :func:`replay_run_vectorized`).
-    """
-    return tuple(
-        (r.name, r.phase, r.route, r.worker, r.params, r.depends_on)
-        for r in records
-    )
-
-
-def step_signature(st: StepTransmissions):
-    """:func:`structure_signature` of a step, cached on the instance.
-
-    Sweeps replay one recording many times (per link config, per time
-    model); the signature depends only on the immutable records tuple, so
-    it is computed once per step object, like :func:`record_batch`.
-    """
-    sig = st.__dict__.get(_SIG_ATTR)
-    if sig is None:
-        sig = structure_signature(st.records)
-        st.__dict__[_SIG_ATTR] = sig
-    return sig
-
-
-def matches_signature(st: StepTransmissions, sig) -> bool:
-    """Does ``st``'s record structure equal the (leader) signature ``sig``?
-
-    The cold-replay fast path: group followers are checked field-by-field
-    against the group leader's tuple — early-exiting on the first
-    mismatch, allocating no per-step tuples — instead of materializing
-    their own signatures first. Records intern their names, routes,
-    phases and the names inside ``params`` / ``depends_on`` (see
-    :class:`~repro.netsim.events.TransmissionRecord`), so on a matching
-    step every string test succeeds by identity without reading
-    characters, and each name tuple — a distinct object per record —
-    compares element by element, by identity. A step that already carries
-    a cached signature compares by identity, then by equality.
-    """
-    cached = st.__dict__.get(_SIG_ATTR)
-    if cached is not None:
-        return cached is sig or cached == sig
-    records = st.records
-    if len(records) != len(sig):
-        return False
-    for r, row in zip(records, sig):
-        if (
-            r.name != row[0]
-            or r.phase != row[1]
-            or r.route != row[2]
-            or r.worker != row[3]
-            or r.params != row[4]
-            or r.depends_on != row[5]
-        ):
-            return False
-    return True
+#: One skeleton row with named fields, the structural half of a record.
+_Row = namedtuple("_Row", "name phase route worker params depends_on")
 
 
 def structure_groups(steps):
-    """Yield ``steps`` (a tuple) as maximal runs of consecutive steps that
-    share one :func:`structure_signature` — the kernel's replay groups.
-
-    Only a run's leader materializes a signature tuple; followers are
-    checked field-by-field against it and then share the leader's tuple
-    object, so the next replay compares by identity instead of walking
-    the records.
-    """
-    i, n = 0, len(steps)
-    while i < n:
-        sig = step_signature(steps[i])
-        j = i + 1
-        while j < n and matches_signature(steps[j], sig):
-            steps[j].__dict__[_SIG_ATTR] = sig
-            j += 1
-        yield steps[i:j]
-        i = j
+    """Yield ``steps`` as maximal runs of consecutive steps that hold one
+    :class:`~repro.netsim.events.StepSkeleton` object (tuples) — the
+    kernel's replay groups."""
+    for _, group in groupby(steps, key=lambda st: id(st.skeleton)):
+        yield tuple(group)
 
 
 def warm_extraction(steps) -> int:
-    """Pre-extract every step's cached replay artifacts; returns the
-    number of structure groups found.
-
-    The first simulation of a freshly recorded training pays the full
-    "cold" extraction cost — structure signatures, the group leaders'
-    :class:`RecordBatch` conversions (phase split, name/route tables,
-    dependency waves), and each step's :func:`numeric_rows` payload.
-    Doing it once per recording, keyed by the replay cache's
-    ``RecordingKey`` (see ``SweepReplayCache.prepare_extraction``),
-    amortizes that cost across every timeline configuration the sweep or
-    tuner replays the recording under.
+    """Build every replay group's :class:`RecordBatch` — the "cold"
+    extraction a fresh recording's first replay pays — and return the
+    number of groups. ``SweepReplayCache.prepare_extraction`` calls it once
+    per ``RecordingKey``, for every timeline config to replay warm.
     """
-    groups = 0
-    for group in structure_groups(tuple(steps)):
+    groups = list(structure_groups(steps))
+    for group in groups:
         record_batch(group[0])
-        for st in group:
-            numeric_rows(st)
-        groups += 1
-    return groups
-
-
-def numeric_rows(st: StepTransmissions) -> np.ndarray:
-    """The step's per-record numeric payload as a ``(3, n)`` float array
-    (total bytes, frames, elements in record order), cached on the
-    instance.
-
-    This is the batched replay's only per-record Python touch; caching it
-    means a re-simulated recording (sweep replay, overlap-plus-serialized
-    pairs) never walks the record objects again.
-    """
-    num = st.__dict__.get(_NUM_ATTR)
-    if num is None:
-        rec = st.records
-        num = np.array(
-            [
-                [r.total_bytes for r in rec],
-                [r.frames for r in rec],
-                [r.elements for r in rec],
-            ],
-            dtype=np.float64,
-        )
-        st.__dict__[_NUM_ATTR] = num
-    return num
+    return len(groups)
 
 
 def phase_partition(records):
-    """Split a record tuple into (push+collective, pull) in one pass.
-
-    The scalar scheduler and the per-tier closed form both consume this
-    partition; doing it once per step (instead of one list comprehension
-    per phase per call) removes the repeated O(n) re-filtering from the
-    hierarchical hot path.
-    """
+    """Split records into (push+collective, pull) lists in one pass."""
     pushes, pulls = [], []
     for record in records:
         (pulls if record.phase == "pull" else pushes).append(record)
@@ -333,7 +212,7 @@ class _PhaseBatch:
 
     def __init__(
         self,
-        records: list[TransmissionRecord],
+        records: list[_Row],
         name_code_of: dict[str, int],
         route_code_of: dict[str, int],
         external_names: frozenset[str],
@@ -361,41 +240,28 @@ class _PhaseBatch:
 
 
 class RecordBatch:
-    """Link-model-independent struct-of-arrays view of one step's records.
+    """Link-model-independent struct-of-arrays view of one skeleton.
 
-    Built once per :class:`~repro.netsim.events.StepTransmissions` (see
-    :func:`record_batch`) and shared by every simulator replaying it: the
-    arrays depend only on the recording, while per-link quantities (wire
+    Built once per :class:`~repro.netsim.events.StepSkeleton` (see
+    :func:`record_batch`) and shared by every step holding it and every
+    simulator replaying them: the arrays depend only on the structure,
+    while the numbers are each step's own and per-link quantities (wire
     occupancies) are computed per replay from the cached route codes.
     """
 
     __slots__ = (
-        "records",
-        "route_names",
-        "num_names",
-        "push",
-        "pull",
-        "push_pos",
-        "pull_pos",
-        "pipelines",
-        "num_pipelines",
-        "_frac_cache",
+        "route_names", "num_names", "push", "pull", "push_pos", "pull_pos",
+        "pipelines", "num_pipelines", "_frac_cache",
     )
 
-    def __init__(self, records: tuple[TransmissionRecord, ...]):
-        self.records = records
+    def __init__(self, columns):
+        records = tuple(map(_Row, *columns))
         pushes, pulls = phase_partition(records)
-        # Positions of each phase's records in the original tuple, so the
-        # kernel can slice per-step numeric payloads extracted in record
-        # order into the phase arrays' layout.
-        self.push_pos = np.array(
-            [i for i, r in enumerate(records) if r.phase != "pull"],
-            dtype=np.intp,
-        )
-        self.pull_pos = np.array(
-            [i for i, r in enumerate(records) if r.phase == "pull"],
-            dtype=np.intp,
-        )
+        # Positions of each phase's records in the skeleton, so the kernel
+        # can slice each step's numbers (in record order) into the phase
+        # arrays' layout.
+        is_pull = np.array([r.phase == "pull" for r in records], dtype=bool)
+        self.push_pos, self.pull_pos = np.flatnonzero(~is_pull), np.flatnonzero(is_pull)
         # One global name table spanning both phases: pull dependencies may
         # name push-phase records, and transfer-end times are keyed by
         # name. Codes are assigned in *sorted* name order, so the codes
@@ -458,19 +324,12 @@ class RecordBatch:
 
 
 def record_batch(st: StepTransmissions) -> RecordBatch:
-    """The step's cached :class:`RecordBatch` (built on first use).
-
-    ``StepTransmissions`` is a frozen dataclass without slots, so the
-    batch rides the instance ``__dict__``: recordings are replayed many
-    times (link sweeps, overlapped-plus-serialized pairs, replay-cache
-    hits) and the SoA conversion plus dependency waves dominate the
-    per-step setup cost.
-    """
-    batch = st.__dict__.get(_BATCH_ATTR)
-    if batch is None:
-        batch = RecordBatch(st.records)
-        st.__dict__[_BATCH_ATTR] = batch
-    return batch
+    """The :class:`RecordBatch` of the step's skeleton (built on first
+    use, then shared by every step holding that skeleton)."""
+    skeleton = st.skeleton
+    if skeleton.batch is None:
+        skeleton.batch = RecordBatch(skeleton.columns)
+    return skeleton.batch
 
 
 def wire_occupancy_batch(records, link_model, time_model):
@@ -578,8 +437,8 @@ def _serve(layout: _Layout, keys, ready, costs, free, busy=None):
 def replay_run_vectorized(sim, steps, *, overlap: bool, trace: bool = False):
     """Replay ``S >= 1`` structurally identical steps as one array pass.
 
-    ``steps`` must share one :func:`structure_signature` (see
-    :func:`structure_groups`); ``sim`` — a ``NetworkSimulator`` — supplies
+    ``steps`` must hold one skeleton (see :func:`structure_groups`);
+    ``sim`` — a ``NetworkSimulator`` — supplies
     the timeline, link model, time model and priority. The event order is
     documented in :mod:`repro.netsim.scheduler`, whose scalar loop is the
     reference this kernel matches bit for bit on every schedule time.
@@ -606,9 +465,13 @@ def replay_run_vectorized(sim, steps, *, overlap: bool, trace: bool = False):
         [st.pull_decompress_seconds for st in steps]
     )
 
-    # Per-step numeric payloads, extracted in record order (cached per
-    # step object) and sliced into each phase's layout.
-    num = np.stack([numeric_rows(st) for st in steps])
+    # Each step's numbers (wire bytes, elements, copies, frames in record
+    # order), sliced into each phase's layout below. Below 2**53 a float
+    # product of bytes and copies is the records' int product, rounded once.
+    wire_bytes, elements, copies, frames = np.stack(
+        [st.numbers for st in steps], axis=1
+    ).astype(np.float64)
+    total_bytes = wire_bytes * copies
     rates, rtts = batch.route_arrays(sim.link_model)
     per_frame = tm.per_message_overhead + rtts
 
@@ -616,9 +479,9 @@ def replay_run_vectorized(sim, steps, *, overlap: bool, trace: bool = False):
         """One phase's (elements, transfer seconds, per-frame seconds)."""
         rc = phase.route_code
         return (
-            num[:, 2, pos],
-            8.0 * num[:, 0, pos] / rates[rc],
-            per_frame[rc] * num[:, 1, pos],
+            elements[:, pos],
+            8.0 * total_bytes[:, pos] / rates[rc],
+            per_frame[rc] * frames[:, pos],
         )
 
     def tiebreak(elements, layout):
@@ -805,7 +668,7 @@ def replay_run_vectorized(sim, steps, *, overlap: bool, trace: bool = False):
             )
         )
         if trace:
-            # The step's own records: the leader's carry its numbers.
+            # The step's own records carry its numbers.
             sim._trace_step(
                 st,
                 *phase_partition(st.records),

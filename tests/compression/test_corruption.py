@@ -103,6 +103,25 @@ class TestPayloadForgery:
             assert out.shape == t.shape
 
 
+@pytest.mark.parametrize("name", ALL_SCHEMES, ids=lambda s: s.replace(" ", "_"))
+@pytest.mark.parametrize(
+    "cut, appended",
+    [(1, b""), (2, b""), (3, b""), (0, b"\x00\x01\x02\x03")],
+    ids=["cut1", "cut2", "cut3", "append4"],
+)
+def test_a_payload_with_bytes_cut_off_or_appended_is_refused(name, cut, appended, rng):
+    """Every registered scheme's ``decompress`` refuses a payload missing
+    its last 1-3 bytes, or carrying 4 bytes past its end."""
+    scheme = make_compressor(name, seed=5)
+    t = rng.normal(0, 0.1, size=(16, 16)).astype(np.float32)
+    context = scheme.make_context(t.shape, key=("tail",))
+    message = _first_transmission(context, t).message
+    assert len(message.payload) > cut
+    forged = message.payload[: len(message.payload) - cut] + appended
+    with pytest.raises(ValueError):
+        scheme.decompress(replace(message, payload=forged))
+
+
 # 1e300 and 3e38 are finite doubles that overflow float32 (3e38 once scaled).
 FORGED_VALUES = (float("nan"), float("inf"), -float("inf"), -1.0, 1e300, 3e38)
 

@@ -84,6 +84,23 @@ class TestValidation:
             elias_gamma_decode(b"", -1)
 
 
+@pytest.mark.parametrize("code", ["gamma", "delta"])
+@pytest.mark.parametrize("extra", [1, 4])
+def test_whole_bytes_after_the_last_codeword_are_refused(code, extra):
+    from repro.core import elias
+
+    encode = getattr(elias, f"elias_{code}_encode")
+    decode = getattr(elias, f"elias_{code}_decode")
+    values = np.array([3, 1, 9], dtype=np.int64)
+    stream = encode(values)
+    # The final byte's zero padding is part of the stream; a byte more is not.
+    np.testing.assert_array_equal(decode(stream, 3).astype(np.int64), values)
+    with pytest.raises(ValueError, match=f"{code} stream has {extra} extra byte"):
+        decode(stream + b"\x00" * extra, 3)
+    with pytest.raises(ValueError, match=f"has {extra} extra byte"):
+        decode(b"\x80" * extra, 0)
+
+
 class TestDelta:
     """Elias delta: gamma-coded length + raw low bits."""
 

@@ -25,7 +25,6 @@ from repro.netsim import link_model_for
 from repro.netsim.events import StepTransmissions, TransmissionRecord
 from repro.netsim.links import LinkModel
 from repro.netsim.scheduler import NetworkSimulator
-from repro.netsim.vector import structure_groups
 from repro.network.bandwidth import LinkSpec
 from repro.nn.stats import BackwardTimeline, LayerTiming
 from repro.telemetry import Tracer
@@ -143,7 +142,7 @@ def test_randomized_topologies_bit_parity(overlap, priority):
         rng = random.Random(1000 + trial)
         n_steps = (1, 2, rng.randint(3, 8))[trial % 3]
         links, steps = random_run(rng, n_steps, faults=True)
-        assert len(list(structure_groups(tuple(steps)))) == 1
+        assert all(st.skeleton is steps[0].skeleton for st in steps)
         timeline = random_timeline(rng)
         vec, scalar = (
             NetworkSimulator(
@@ -345,7 +344,7 @@ def test_zero_compute_row_inside_a_group():
         push_compress_seconds=steps[1].push_compress_seconds,
         records=steps[1].records,
     )
-    assert len(list(structure_groups(tuple(steps)))) == 1
+    assert all(st.skeleton is steps[0].skeleton for st in steps)
     timeline = random_timeline(random.Random(11))
     vec = NetworkSimulator(timeline, links, overlap=True, vectorized=True)
     scalar = NetworkSimulator(timeline, links, overlap=True, vectorized=False)
@@ -357,8 +356,8 @@ def test_zero_compute_row_inside_a_group():
 
 
 def test_repeat_simulation_is_stable():
-    """Warm per-step caches (record batch, signature, numeric rows) must
-    not change results: a second simulate_run is equal to the first."""
+    """The record batch warmed on the shared skeleton must not change
+    results: a second simulate_run is equal to the first."""
     rng = random.Random(23)
     links, steps = random_run(rng, 6)
     timeline = random_timeline(rng)
