@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import math
 
 import numpy as np
 
@@ -79,10 +80,14 @@ class CompressorContext(abc.ABC):
             )
         return arr
 
-    def _check_shape(self, tensor: np.ndarray) -> np.ndarray:
+    def _check_shape(self, tensor: np.ndarray, *, finite: bool = False) -> np.ndarray:
         arr = np.asarray(tensor, dtype=np.float32)
         if arr.shape != self.shape:
             raise ValueError(f"context shape {self.shape}, tensor {arr.shape}")
+        # A stateful lossy scheme would keep a NaN or an infinity in its
+        # residual for good: ``finite`` refuses one as 3LC's quantizer does.
+        if finite and arr.size and not math.isfinite(float(arr.max()) - float(arr.min())):
+            raise ValueError("cannot compress non-finite tensor")
         return arr
 
 
@@ -175,6 +180,20 @@ class Compressor(abc.ABC):
     def decompress_batch(self, messages) -> list[np.ndarray]:
         """Decode many wire messages: ``[self.decompress(m) for m in messages]``."""
         return [self.decompress(message) for message in messages]
+
+    def round_trip(self, items) -> tuple[list[np.ndarray], list[int]]:
+        """One ring hop: ``(context, tensor)`` pairs in; what each receiver
+        decodes from the wire, as float32, and each frame's size out. A
+        scheme may override it to skip the frame objects."""
+        results = self.compress_batch(items)
+        if any(result is None for result in results):
+            raise ValueError(
+                f"{self.name!r} deferred a hop transmission; "
+                "schedule-changing schemes cannot run on a ring"
+            )
+        received = self.decompress_batch([result.message for result in results])
+        sizes = [result.wire_size for result in results]
+        return [np.asarray(tensor, dtype=np.float32) for tensor in received], sizes
 
     def make_bypass_context(
         self, shape: tuple[int, ...], *, key: tuple[object, ...] = ()

@@ -97,7 +97,7 @@ class _DGCContext(CompressorContext):
         self._step = 0
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
-        grad = self._check_shape(tensor)
+        grad = self._check_shape(tensor, finite=True)
         if self.clip_norm is not None:
             norm = float(np.linalg.norm(grad))
             if norm > self.clip_norm:

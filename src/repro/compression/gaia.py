@@ -61,7 +61,7 @@ class _GaiaContext(CompressorContext):
         )
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
-        arr = self._check_shape(tensor)
+        arr = self._check_shape(tensor, finite=True)
         accumulated = self.buffer.accumulate(arr)
         threshold = self.threshold_at(self._step)
         self._step += 1

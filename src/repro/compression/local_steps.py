@@ -35,7 +35,7 @@ class _LocalStepsContext(CompressorContext):
         self._step = 0
 
     def compress(self, tensor: np.ndarray) -> CompressionResult | None:
-        arr = self._check_shape(tensor)
+        arr = self._check_shape(tensor, finite=True)
         accumulated = self.buffer.accumulate(arr)
         self._step += 1
         if self._step % self.period != 0:

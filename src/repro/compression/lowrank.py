@@ -54,7 +54,7 @@ class _LowRankContext(CompressorContext):
         self.buffer = ErrorAccumulationBuffer(self.shape)
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
-        arr = self._check_shape(tensor)
+        arr = self._check_shape(tensor, finite=True)
         accumulated = self.buffer.accumulate(arr)
         if self.matrix_shape is None:
             # Generality fallback: biases and scalars go uncompressed.

@@ -57,7 +57,7 @@ class _OneBitContext(CompressorContext):
         self.buffer.load_residual(self._checked_residual(state))
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
-        arr = self._check_shape(tensor)
+        arr = self._check_shape(tensor, finite=True)
         flat = self.buffer.accumulate(arr).reshape(-1)
         nonneg = flat >= 0
         mean_pos = _partition_mean(flat, nonneg)

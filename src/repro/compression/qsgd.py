@@ -92,7 +92,7 @@ class _QSGDContext(CompressorContext):
         self.coding_id, self._encode, _ = _CODINGS[coding]
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
-        arr = self._check_shape(tensor)
+        arr = self._check_shape(tensor, finite=True)
         norm, signs, level = qsgd_quantize(arr, self.levels, self.rng)
         sign_bytes = np.packbits(signs.reshape(-1)).tobytes()
         coded = self._encode(level.reshape(-1) + 1)

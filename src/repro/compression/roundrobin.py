@@ -47,7 +47,7 @@ class _RoundRobinContext(CompressorContext):
         self._step = 0
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
-        arr = self._check_shape(tensor)
+        arr = self._check_shape(tensor, finite=True)
         accumulated = self.buffer.accumulate(arr)
         index = self._step % self.partitions
         self._step += 1

@@ -64,7 +64,8 @@ class _StochTernaryContext(CompressorContext):
         self.clip_factor = clip_factor
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
-        arr = self._check_shape(tensor)
+        # Clipping would hide an infinity from the quantizer's own check.
+        arr = self._check_shape(tensor, finite=self.clip_factor is not None)
         if self.clip_factor is not None:
             arr = clip_gradient(arr, self.clip_factor)
         quantized = quantize_stochastic_ternary(arr, self.rng)

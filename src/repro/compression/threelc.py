@@ -11,7 +11,11 @@ import numpy as np
 
 from repro.compression.base import Compressor, CompressorContext, CompressionResult
 from repro.core.codec import CompressionContext as CoreContext
-from repro.core.codec import ThreeLCCodec, compress_context_batch
+from repro.core.codec import (
+    ThreeLCCodec,
+    compress_context_batch,
+    round_trip_context_batch,
+)
 from repro.core.packets import WireMessage
 
 __all__ = ["ThreeLCCompressor"]
@@ -82,6 +86,10 @@ class ThreeLCCompressor(Compressor):
         return compress_context_batch(
             (context.core, tensor) for context, tensor in items
         )
+
+    def round_trip(self, items) -> tuple[list[np.ndarray], list[int]]:
+        # Frame-free: flat passes over the hop, no message per send.
+        return round_trip_context_batch([(c.core, tensor) for c, tensor in items])
 
     def decompress(self, message: WireMessage) -> np.ndarray:
         return self.codec.decompress(message)

@@ -16,6 +16,8 @@ change regardless of input size, plus the selected values as float32.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.compression.base import Compressor, CompressorContext, CompressionResult
@@ -56,10 +58,13 @@ def sampled_threshold(
     if flat.size > sample_size:
         sample = rng.choice(flat, size=sample_size, replace=False)
     else:
-        sample = flat
-    # The (1 - fraction) quantile of |values| is the smallest transmitted
-    # magnitude. "lower" keeps the selected share >= fraction on ties.
-    return float(np.quantile(sample, 1.0 - fraction, method="lower"))
+        sample = flat.copy()  # partitioned below; ``magnitudes`` is read again
+    # The smallest transmitted magnitude is the order statistic
+    # ``np.quantile(sample, 1 - fraction, method="lower")`` picks, at the
+    # same floored float64 index; "lower" keeps the share >= fraction on ties.
+    k = math.floor((sample.size - 1) * (1.0 - fraction))
+    sample.partition(k)
+    return float(sample[k])
 
 
 def scatter_dense(
@@ -117,7 +122,7 @@ class _TopKContext(CompressorContext):
         self.buffer = ErrorAccumulationBuffer(self.shape)
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
-        arr = self._check_shape(tensor)
+        arr = self._check_shape(tensor, finite=True)
         corrected = self.buffer.accumulate(arr)
         magnitudes = np.abs(corrected)
         threshold = sampled_threshold(magnitudes, self.fraction, self.rng)

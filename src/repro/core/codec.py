@@ -15,6 +15,7 @@ its own push context.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
     "CompressionContext",
     "CompressionResult",
     "compress_context_batch",
+    "round_trip_context_batch",
 ]
 
 
@@ -111,10 +113,6 @@ class ThreeLCCodec:
     def codec_id(self) -> CodecId:
         return CodecId.THREELC if self.use_zre else CodecId.THREELC_NO_ZRE
 
-    def quantize(self, tensor: np.ndarray) -> QuantizedTensor:
-        """Run only the lossy stage (exposed for tests and diagnostics)."""
-        return quantize_3value(tensor, self.sparsity_multiplier)
-
     def compress(self, tensor: np.ndarray) -> CompressionResult:
         """Compress a tensor into a wire message.
 
@@ -122,7 +120,7 @@ class ThreeLCCodec:
         tests assert this identity.
         """
         arr = np.asarray(tensor, dtype=self.dtype)
-        quantized = self.quantize(arr)
+        quantized = quantize_3value(arr, self.sparsity_multiplier)
         packed = quartic_encode(quantized.values)
         message = self._frame(
             arr.shape,
@@ -143,6 +141,54 @@ class ThreeLCCodec:
             dtype=self.dtype,
         )
 
+    def encode(self, flat: np.ndarray, lengths: np.ndarray) -> tuple:
+        """The array-level encode core, no frame built: segments of
+        ``lengths`` elements concatenated in ``flat`` to the encoded bytes,
+        each segment's byte offsets in them, the float64 scales, and the
+        flat reconstruction a receiver decodes."""
+        values, scales = quantize_3value_batch(
+            flat, lengths, self.sparsity_multiplier
+        )
+        encoded, byte_offsets = quartic_encode_batch(values, lengths)
+        if self.use_zre:
+            encoded, byte_offsets = zre_encode_batch(encoded, byte_offsets)
+        # One fused reconstruction pass: each element times its segment's
+        # scale, cast exactly as the scalar dequantize does.
+        recon = values.astype(self.dtype)
+        recon *= np.repeat(scales.astype(self.dtype, copy=False), lengths)
+        return encoded, byte_offsets, scales, recon
+
+    def decode(
+        self, encoded, byte_offsets, counts, scales, zre, dtype
+    ) -> list[np.ndarray]:
+        """The array-level decode core, :meth:`encode`'s inverse: one flat
+        view per segment, all of one buffer in ``dtype``. ``zre`` flags the
+        zero-run encoded segments (``None``: all); a bad segment raises
+        naming it as a frame.
+        """
+        groups = -(-counts // GROUP_SIZE)
+        packed, starts = zre_decode_batch(encoded, byte_offsets, zre)
+        # Frame by frame: a run that over-ran its frame's count must not pass
+        # because a short neighbour made the totals agree.
+        wrong = np.flatnonzero(np.diff(starts) != groups)
+        if wrong.size:
+            i = int(wrong[0])
+            raise ValueError(
+                f"frame {i}: encoded length {starts[i + 1] - starts[i]} "
+                f"inconsistent with count {counts[i]}"
+            )
+        if zre is not None and packed.size and packed.max() > MAX_QUARTIC_BYTE:
+            at = int(np.argmax(packed > MAX_QUARTIC_BYTE))
+            i = int(np.searchsorted(starts, at, side="right")) - 1
+            raise ValueError(f"frame {i}: byte outside quartic range [0, 242]")
+        # Padded to whole groups; each frame keeps its first ``count`` values.
+        out = np.take(_DECODE_TABLE, packed, axis=0).reshape(-1).astype(dtype)
+        out *= np.repeat(np.asarray(scales, dtype=dtype), GROUP_SIZE * groups)
+        return [
+            out[lo : lo + count]
+            for lo, count in zip((GROUP_SIZE * starts).tolist(), counts.tolist())
+        ]
+
     def compress_batch(self, tensors) -> list[CompressionResult]:
         """Compress many tensors with one vectorized codec pass.
 
@@ -158,17 +204,9 @@ class ThreeLCCodec:
         if not arrs:
             return []
         lengths = np.array([a.size for a in arrs], dtype=np.intp)
-        flat = np.concatenate([a.reshape(-1) for a in arrs])
-        values, scales = quantize_3value_batch(
-            flat, lengths, self.sparsity_multiplier
+        packed, byte_offsets, scales, recon = self.encode(
+            np.concatenate([a.reshape(-1) for a in arrs]), lengths
         )
-        packed, byte_offsets = quartic_encode_batch(values, lengths)
-        if self.use_zre:
-            packed, byte_offsets = zre_encode_batch(packed, byte_offsets)
-        # One fused reconstruction pass: each element times its segment's
-        # scale, cast exactly as the scalar dequantize does.
-        recon = values.astype(self.dtype)
-        recon *= np.repeat(scales.astype(self.dtype, copy=False), lengths)
         payload = packed.tobytes()
         cuts = byte_offsets.tolist()
         starts = np.concatenate(([0], np.cumsum(lengths))).tolist()
@@ -196,12 +234,11 @@ class ThreeLCCodec:
         """Decode many wire messages with one vectorized pass.
 
         Equivalent to ``[self.decompress(m) for m in messages]``, bit for
-        bit: one zero-run expansion, one table lookup and one scale
-        multiply cover every frame. Each frame is still checked on its own
-        (codec id, scale, decoded length against its element count, byte
-        range), and a bad one raises the ``ValueError`` :meth:`decompress`
-        would, prefixed with the frame's position. The arrays returned are
-        views of one buffer.
+        bit: one :meth:`decode` covers every frame of a dtype. Each frame is
+        still checked on its own (codec id, scale, decoded length against
+        its element count, byte range), and a bad one raises the
+        ``ValueError`` :meth:`decompress` would, prefixed with the frame's
+        position. The arrays returned are views of one buffer per dtype.
         """
         messages = list(messages)
         if not messages:
@@ -217,40 +254,14 @@ class ThreeLCCodec:
             except ValueError as error:
                 raise ValueError(f"frame {i}: {error}") from None
         counts = np.array([m.element_count for m in messages], dtype=np.intp)
-        groups = -(-counts // GROUP_SIZE)
-        sizes = [len(m.payload) for m in messages]
-        zre_frames = np.array([m.codec_id is CodecId.THREELC for m in messages])
-        packed, starts = zre_decode_batch(
+        offsets = np.concatenate(([0], np.cumsum([len(m.payload) for m in messages])))
+        zre = np.array([m.codec_id is CodecId.THREELC for m in messages])
+        frames = (
             np.frombuffer(b"".join(m.payload for m in messages), dtype=np.uint8),
-            np.concatenate(([0], np.cumsum(sizes))),
-            None if zre_frames.all() else zre_frames,
+            offsets, counts, scales, None if zre.all() else zre,
         )
-        # Frame by frame: a run that over-ran its frame's count must not
-        # pass because a short neighbour made the totals agree.
-        wrong = np.flatnonzero(np.diff(starts) != groups)
-        if wrong.size:
-            i = int(wrong[0])
-            raise ValueError(
-                f"frame {i}: encoded length {starts[i + 1] - starts[i]} "
-                f"inconsistent with count {counts[i]}"
-            )
-        if not zre_frames.all() and packed.size and packed.max() > MAX_QUARTIC_BYTE:
-            at = int(np.argmax(packed > MAX_QUARTIC_BYTE))
-            i = int(np.searchsorted(starts, at, side="right")) - 1
-            raise ValueError(f"frame {i}: byte outside quartic range [0, 242]")
-        # Padded to whole groups; each frame keeps its first ``count`` values.
-        values = np.take(_DECODE_TABLE, packed, axis=0).reshape(-1)
-        decoded_as = {}
-        for dtype in {m.dtype for m in messages}:
-            out = values.astype(dtype)
-            out *= np.repeat(np.array(scales, dtype=dtype), GROUP_SIZE * groups)
-            decoded_as[dtype] = out
-        return [
-            decoded_as[m.dtype][lo : lo + count].reshape(m.shape)
-            for m, lo, count in zip(
-                messages, (GROUP_SIZE * starts).tolist(), counts.tolist()
-            )
-        ]
+        decoded_as = {d: self.decode(*frames, d) for d in {m.dtype for m in messages}}
+        return [decoded_as[m.dtype][i].reshape(m.shape) for i, m in enumerate(messages)]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -291,6 +302,7 @@ class CompressionContext:
             if error_feedback
             else None
         )
+        self._hop: _Hop | None = None  # the last hop it travelled in
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
         """Compress one step's state change, applying error feedback."""
@@ -363,3 +375,65 @@ def compress_context_batch(items) -> list[CompressionResult]:
         if ctx.buffer is not None:
             ctx.buffer.subtract(result.reconstruction)
     return results
+
+
+class _Hop:
+    """Contexts that travel together, laid out once: with error feedback
+    their residuals move, values unchanged, into consecutive slices of one
+    flat array. A hop is reused only for the same contexts in the same order
+    while each still points to it; it keeps their ids, not the contexts, so
+    it makes no reference cycle."""
+
+    def __init__(self, contexts: tuple[CompressionContext, ...], ids: tuple):
+        self.ids = ids
+        self.codec = contexts[0].codec
+        self.shapes = [context.shape for context in contexts]
+        self.lengths = np.array([math.prod(s) for s in self.shapes], dtype=np.intp)
+        # Frame bytes but the payload, from one frame per hop layout, and
+        # the largest scale a frame may carry (a receiver refuses more).
+        frames = [self.codec._frame(s, b"", 0.0) for s in self.shapes]
+        self.headers = np.array([frame.wire_size for frame in frames])
+        self.high = float(np.finfo(self.codec.dtype).max)
+        self.zre = None if self.codec.use_zre else np.zeros(len(contexts), dtype=bool)
+        self.residual = None
+        if contexts[0].buffer is not None:
+            self.residual = np.empty(int(self.lengths.sum()), dtype=self.codec.dtype)
+        ends = np.cumsum(self.lengths).tolist()
+        for context, start, end in zip(contexts, [0] + ends, ends):
+            if self.residual is not None:
+                context.buffer.keep_in(self.residual[start:end].reshape(context.shape))
+            context._hop = self
+
+
+def round_trip_context_batch(items) -> tuple[list[np.ndarray], list[int]]:
+    """Send ``(CompressionContext, tensor)`` pairs of one codec and decode them.
+
+    Bit for bit the tensors and ``wire_size`` values that
+    :func:`compress_context_batch` and a ``decompress_batch`` of its messages
+    give, from one pass per stage and no frame object. Tensors are arrays.
+    """
+    items = list(items)
+    if not items:
+        return [], []
+    contexts, tensors = zip(*items)
+    ids, hop = tuple(map(id, contexts)), contexts[0]._hop
+    if hop is None or hop.ids != ids or any(c._hop is not hop for c in contexts):
+        hop = _Hop(contexts, ids)
+    shapes = [tensor.shape for tensor in tensors]
+    if shapes != hop.shapes:
+        raise ValueError(f"context shapes {hop.shapes}, tensors {shapes}")
+    flat = np.concatenate(tensors, axis=None, dtype=hop.codec.dtype)
+    if hop.residual is not None:
+        hop.residual += flat
+        flat = hop.residual
+    encoded, byte_offsets, scales, recon = hop.codec.encode(flat, hop.lengths)
+    if hop.residual is not None:
+        hop.residual -= recon
+    if scales.max() > hop.high:
+        i = int(np.argmax(scales > hop.high))
+        raise ValueError(f"frame {i}: scale {scales[i]!r} beyond {hop.high}")
+    received = hop.codec.decode(
+        encoded, byte_offsets, hop.lengths, scales, hop.zre, hop.codec.dtype
+    )
+    received = [arr.reshape(shape) for arr, shape in zip(received, hop.shapes)]
+    return received, (np.diff(byte_offsets) + hop.headers).tolist()

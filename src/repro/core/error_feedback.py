@@ -107,6 +107,13 @@ class ErrorAccumulationBuffer:
             )
         self._residual[...] = residual
 
+    def keep_in(self, storage: np.ndarray) -> None:
+        """Hold the residual in ``storage`` (a view into a batch's array)."""
+        if storage.shape != self.shape or storage.dtype != self.dtype:
+            raise ValueError(f"storage {storage.shape} {storage.dtype} != buffer")
+        storage[...] = self._residual
+        self._residual = storage
+
     def l2_norm(self) -> float:
         """Euclidean norm of the residual — a diagnostics hook."""
         return float(np.linalg.norm(self._residual))

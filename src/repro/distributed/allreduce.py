@@ -32,11 +32,15 @@ argument for the paper's point-to-point design.
 
 The hops run in lockstep. Within one hop every send is independent — its
 own sender, chunk and context — so a ring that reduces a *set* of tensors
-collects the hop's sends across all tensors and all senders and pays one
-``Compressor.compress_batch`` and one ``Compressor.decompress_batch`` for
-them: ``2 (N-1)`` codec round-trips per reduction instead of
-``2 (N-1) · N`` per tensor. Receivers still decode the wire message, and
-the bytes, outputs and residuals are those of the per-send ring, which
+follows a send plan built once (contexts resolved, raw chunks' link bytes
+fixed) and pays one ``Compressor.round_trip`` per hop for the sends of all
+tensors and all senders: ``2 (N-1)`` codec round-trips per reduction
+instead of ``2 (N-1) · N`` per tensor. By default a round trip is one
+batched encode and one batched decode of the framed messages; 3LC's runs
+as flat array passes over the hop — error feedback on one residual its
+contexts share, one encode, one decode of the encoded bytes — and builds
+no frame object. Receivers still decode what was sent, and the bytes,
+outputs and residuals are those of the per-send ring, which
 ``tests/distributed/ring_oracle.py`` keeps as the parity oracle.
 """
 
@@ -173,74 +177,50 @@ class RingAllReduce:
         }
         self.link_frames = 2 * (n - 1)
         self.frames = self.link_frames * n
-        lossy = [
-            name
-            for name in self.shapes
-            if compressor is not None and name not in bypass
+        lossy = [] if compressor is None else [
+            name for name in self.shapes if name not in bypass
         ]
-        #: Hop order: the compressed tensors, then the raw-float ones.
-        self._names = lossy + [name for name in self.shapes if name not in lossy]
-        self._lossy_sends = len(lossy) * self.num_nodes
-        # One persistent context per (tensor, sender, phase, chunk): reduce-
-        # scatter payloads and all-gather payloads have different statistics.
-        self._contexts: dict[
-            tuple[str | None, int, str, int], CompressorContext
-        ] = {}
-
-    def _context(
-        self, name: str | None, sender: int, phase: str, chunk: int, size: int
-    ) -> CompressorContext:
-        key = (name, sender, phase, chunk)
-        ctx = self._contexts.get(key)
-        if ctx is None:
-            # No tensor name in the stream key: a stochastic scheme draws
-            # the same streams for every tensor (and rack) on this link.
-            ctx = self._contexts[key] = self.compressor.make_context(
-                (size,), key=("ring", phase, sender, chunk)
-            )
-        return ctx
-
-    def _send_lossy(
-        self, phase: str, hop: int, sends: list[tuple]
-    ) -> tuple[list[np.ndarray], list[int]]:
-        """One hop's compressed sends: a single encode and a single decode.
-
-        ``sends`` holds ``(name, sender, chunk, payload)``; returns what
-        each receiver decodes *from the wire message* and the bytes sent.
-        """
-        items = [
-            (self._context(name, sender, phase, chunk, payload.size), payload)
-            for name, sender, chunk, payload in sends
-        ]
-        try:
-            results = self.compressor.compress_batch(items)
-        except ValueError as error:
-            for name, sender, _, payload in sends:
-                if not np.isfinite(payload).all():
-                    tensor = "" if name is None else f"tensor {name!r}, "
-                    raise ValueError(
-                        f"non-finite ring payload ({tensor}{phase} hop {hop}, "
-                        f"sender {sender}): {error}"
-                    ) from error
-            raise
-        if any(result is None for result in results):
-            raise ValueError(
-                f"{self.compressor.name!r} deferred a hop transmission; "
-                "schedule-changing schemes cannot run on a ring"
-            )
-        received = self.compressor.decompress_batch([r.message for r in results])
-        return (
-            [np.asarray(chunk, dtype=np.float32) for chunk in received],
-            [result.wire_size for result in results],
-        )
+        # The send plan per (phase, hop): the compressed sends, name-major,
+        # then the raw ones, as moves between ``reduce``'s node rows; one
+        # context per (tensor, sender, phase, chunk) — reduce-scatter and
+        # all-gather payloads have different statistics.
+        self._contexts: dict[tuple, CompressorContext] = {}
+        self._hops = []
+        self._lossy = lossy
+        #: A raw chunk costs four bytes an element: its link bytes are fixed.
+        self._raw_link_bytes = {name: [0] * n for name in self.shapes}
+        names = lossy + [name for name in self.shapes if name not in lossy]
+        row = {name: n * i for i, name in enumerate(self.shapes)}
+        for phase, lead in (("reduce", 0), ("gather", 1)):
+            for hop in range(n - 1):
+                sends, contexts, moves = [], [], []
+                for name in names:
+                    for rank in range(n):
+                        chunk = (rank + lead - hop) % n
+                        lo, hi = self.bounds[name][chunk]
+                        dest = row[name] + (rank + 1) % n
+                        moves.append((row[name] + rank, dest, slice(lo, hi)))
+                        if name not in lossy:
+                            self._raw_link_bytes[name][rank] += (hi - lo) * 4
+                            continue
+                        sends.append((name, rank))
+                        # No tensor name in the stream key: a stochastic
+                        # scheme draws the same streams for every tensor
+                        # (and rack) on this link.
+                        context = compressor.make_context(
+                            (hi - lo,), key=("ring", phase, rank, chunk)
+                        )
+                        self._contexts[name, rank, phase, chunk] = context
+                        contexts.append(context)
+                self._hops.append((phase, hop, sends, contexts, moves))
 
     def reduce(self, tensors: list, *, average: bool = True):
         """All-reduce one tensor (or one ``name -> tensor`` mapping) per node.
 
         Every hop collects the sends of all tensors and all senders — they
-        share no state — and pays one batched encode and one batched decode
-        for them. Returns a :class:`ReduceResult`, or one per name for a
-        tensor set.
+        share no state — and pays one :meth:`Compressor.round_trip` for
+        them. Returns a :class:`ReduceResult`, or one per name for a tensor
+        set.
         """
         n = self.num_nodes
         if len(tensors) != n:
@@ -258,36 +238,40 @@ class RingAllReduce:
                     raise ValueError(f"tensor shape {arr.shape} != ring {shape}")
                 buffer[rank] = arr.reshape(-1)
 
-        link_bytes = {name: [0] * n for name in self.shapes}  # link i: i -> i+1
         # Reduce-scatter, then all-gather of the completed chunks. Within a
         # hop no chunk is both sent and received, so sends read the rows
-        # while receives land in them.
-        for phase, lead in (("reduce", 0), ("gather", 1)):
-            for hop in range(n - 1):
-                sends = []
-                for name in self._names:
-                    buffer, bounds = rows[name], self.bounds[name]
-                    for rank in range(n):
-                        chunk = (rank + lead - hop) % n
-                        lo, hi = bounds[chunk]
-                        sends.append((name, rank, chunk, buffer[rank, lo:hi]))
-                lossy = sends[: self._lossy_sends]
-                arrived, sizes = (
-                    self._send_lossy(phase, hop, lossy) if lossy else ([], [])
-                )
-                # A raw chunk arrives as it left, four bytes an element.
-                for *_, payload in sends[self._lossy_sends :]:
-                    arrived.append(payload)
-                    sizes.append(payload.size * 4)
-                for (name, rank, chunk, _), chunk_in, nbytes in zip(
-                    sends, arrived, sizes
-                ):
-                    link_bytes[name][rank] += nbytes
-                    lo, hi = self.bounds[name][chunk]
-                    if phase == "reduce":
-                        rows[name][(rank + 1) % n, lo:hi] += chunk_in
-                    else:
-                        rows[name][(rank + 1) % n, lo:hi] = chunk_in
+        # while receives land in them; a raw chunk arrives as it left.
+        node_rows = [row for buffer in rows.values() for row in buffer]
+        hop_sizes = []
+        for phase, hop, sends, contexts, moves in self._hops:
+            arrived = [node_rows[src][chunk] for src, _, chunk in moves]
+            if contexts:
+                items = list(zip(contexts, arrived))
+                try:
+                    received, sizes = self.compressor.round_trip(items)
+                except ValueError as error:  # name a non-finite sender
+                    for (name, rank), (_, payload) in zip(sends, items):
+                        if not np.isfinite(payload).all():
+                            tensor = "" if name is None else f"tensor {name!r}, "
+                            raise ValueError(
+                                f"non-finite ring payload ({tensor}{phase} hop "
+                                f"{hop}, sender {rank}): {error}"
+                            ) from error
+                    raise
+                arrived[: len(received)] = received
+                hop_sizes.append(sizes)
+            if phase == "reduce":
+                for (_, dest, chunk), chunk_in in zip(moves, arrived):
+                    target = node_rows[dest][chunk]
+                    target += chunk_in  # in place: no copy back
+            else:
+                for (_, dest, chunk), chunk_in in zip(moves, arrived):
+                    node_rows[dest][chunk] = chunk_in
+        # Every hop sends the same (tensor, sender) slots, name-major.
+        link_bytes = dict(self._raw_link_bytes)
+        if hop_sizes:
+            totals = np.sum(hop_sizes, axis=0).reshape(-1, n).tolist()
+            link_bytes.update(zip(self._lossy, totals))
 
         results = {}
         for name, shape in self.shapes.items():
@@ -302,3 +286,4 @@ class RingAllReduce:
                 max_link_bytes=max(link_bytes[name]),
             )
         return results[None] if self._lone else results
+

@@ -23,7 +23,11 @@ from repro.compression.dgc import DGCCompressor
 from repro.compression.gaia import GaiaCompressor
 from repro.compression.int8 import Int8Compressor
 from repro.compression.onebit import OneBitCompressor
-from repro.compression.topk import TopKCompressor
+from repro.compression.topk import (
+    DEFAULT_SAMPLE_SIZE,
+    TopKCompressor,
+    sampled_threshold,
+)
 from repro.core.zre import zre_decode, zre_decode_batch
 
 SHAPES = ((1,), (7,), (8,), (9,), (3, 3, 16, 16), (3, 3, 64, 64))
@@ -109,6 +113,30 @@ def test_int8_refuses_a_non_finite_tensor(bad):
     tensor[5] = bad
     with pytest.raises(ValueError, match="non-finite"):
         Int8Compressor().make_context(tensor.shape).compress(tensor)
+
+
+@given(
+    size=st.integers(DEFAULT_SAMPLE_SIZE - 40, DEFAULT_SAMPLE_SIZE + 40)
+    | st.integers(1, 40),
+    fraction=st.sampled_from([1.0, 0.25, 0.05, 0.001, 1e-6, 1e-300])
+    | st.floats(0.0, 1.0, exclude_min=True),
+    levels=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_threshold_is_numpys_lower_quantile(size, fraction, levels, seed):
+    # ``levels`` distinct magnitudes make ties; zero makes them all equal.
+    magnitudes = np.abs(np.random.default_rng(seed).standard_normal(size))
+    magnitudes = (np.floor(magnitudes * levels) + 0.5).astype(np.float32)
+    before = magnitudes.copy()
+    sample = magnitudes
+    if size > DEFAULT_SAMPLE_SIZE:
+        sample = np.random.default_rng(seed).choice(
+            magnitudes, size=DEFAULT_SAMPLE_SIZE, replace=False
+        )
+    want = float(np.quantile(sample, 1.0 - fraction, method="lower"))
+    got = sampled_threshold(magnitudes, fraction, np.random.default_rng(seed))
+    assert got == want
+    np.testing.assert_array_equal(magnitudes, before)
 
 
 class TestZreDecodeParity:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compression import available_schemes, make_compressor
 from repro.compression.float32 import Float32Compressor
 from repro.compression.int8 import INT8_LEVELS, Int8Compressor
 from repro.compression.local_steps import LocalStepsCompressor
@@ -282,3 +283,28 @@ class TestTernGradClipping:
             StochasticTernaryCompressor(clip_factor=0.0)
         with pytest.raises(ValueError, match="clip_factor"):
             clip_gradient(np.ones(3, dtype=np.float32), -1.0)
+
+
+#: Registry schemes that carry a NaN or an infinity to the receiver as it
+#: is, with the reason; every other scheme must refuse one.
+PASS_THROUGH = {
+    "32-bit float": "lossless and stateless: the receiver decodes the value",
+    "16-bit float": "a stateless cast: NaN and infinities survive it",
+}
+
+
+@pytest.mark.parametrize("size", [64, 10_000])  # below and above the sample
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", available_schemes())
+def test_non_finite_input_is_refused_or_passed_through(name, bad, size):
+    for position in (0, size // 2, size - 1):
+        scheme = make_compressor(name)
+        context = scheme.make_context((size,), key=("push", 0))
+        tensor = np.full(size, 0.01, dtype=np.float32)
+        tensor[position] = bad
+        if name in PASS_THROUGH:
+            decoded = scheme.decompress(context.compress(tensor).message)
+            assert not np.isfinite(decoded[position]), position
+            continue
+        with pytest.raises(ValueError, match="non-finite tensor"):
+            context.compress(tensor)

@@ -20,6 +20,7 @@ from repro.core.codec import (
     CompressionContext,
     ThreeLCCodec,
     compress_context_batch,
+    round_trip_context_batch,
 )
 from repro.core.packets import CodecId
 from repro.core.quartic import ZERO_GROUP_BYTE
@@ -362,3 +363,32 @@ class TestHostileFramesInABatch:
         bad = dataclasses.replace(good, payload=bytes([5, LAST_ESCAPE_BYTE]))
         self.check(messages, 1, bad, "outside quartic range")
         self.check([good, *messages], 0, bad, "outside quartic range")
+
+
+def test_frame_free_round_trip_is_the_framed_batch_across_layouts():
+    """``round_trip_context_batch`` keeps one flat residual per tuple of
+    contexts; reordering them, or moving one into another tuple, lays the
+    hop out again and must not change a byte."""
+    codec = ThreeLCCodec(1.0)
+    shapes = [(7,), (3, 4), (0,), (30,), ()]
+    ours = [CompressionContext(shape, codec) for shape in shapes]
+    theirs = [CompressionContext(shape, codec) for shape in shapes]
+    rng = np.random.default_rng(3)
+    every = [0, 1, 2, 3, 4]
+    # [1] moves one context out of ``every``'s hop, which must not be reused.
+    for order in (every, every, [3, 1, 0, 4, 2], [1, 2], every, [2, 0], every,
+                  [1], every):
+        tensors = [rng.standard_normal(shapes[i]).astype(np.float32) for i in order]
+        got, sizes = round_trip_context_batch(
+            [(ours[i], tensor) for i, tensor in zip(order, tensors)]
+        )
+        results = compress_context_batch(
+            [(theirs[i], tensor) for i, tensor in zip(order, tensors)]
+        )
+        assert sizes == [result.wire_size for result in results]
+        want = codec.decompress_batch([result.message for result in results])
+        for ours_out, theirs_out in zip(got, want, strict=True):
+            assert ours_out.shape == theirs_out.shape
+            assert ours_out.tobytes() == theirs_out.tobytes()
+        for a, b in zip(ours, theirs):
+            assert a.buffer.residual.tobytes() == b.buffer.residual.tobytes()

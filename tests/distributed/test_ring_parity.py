@@ -1,27 +1,41 @@
 """The lockstep ring against the per-transmit oracle, bit for bit.
 
-``RingAllReduce`` pays one batched encode and one batched decode per hop;
+``RingAllReduce`` pays one ``Compressor.round_trip`` per hop — the default
+batched encode and decode, or 3LC's frame-free flat passes;
 ``ring_oracle.OracleRingAllReduce`` is the ring it replaced — one ring per
-tensor, one codec round-trip per send. Nothing observable may differ:
-outputs, wire bytes, busiest-link bytes, and every error-feedback residual
-a context carries into the next step.
+tensor, one codec round-trip per send. For every scheme a ring can run,
+nothing observable may differ: outputs, wire bytes, busiest-link bytes,
+and every error-feedback residual a context carries into the next step.
 """
 
 import numpy as np
 import pytest
 from ring_oracle import OracleRingAllReduce
 
-from repro.compression import LocalStepsCompressor, make_compressor
+from repro.compression import (
+    LocalStepsCompressor,
+    ThreeLCCompressor,
+    available_schemes,
+    make_compressor,
+)
 from repro.compression.base import snapshot_contexts
 from repro.distributed.allreduce import RingAllReduce
 
-SCHEMES = [
-    "3LC (s=1.00)",
-    "3LC (s=1.75)",
-    "Stoch 3-value + QE",
-    "8-bit int",
-    "32-bit float",
-]
+#: Every scheme a ring can run, by the factory the ring and the oracle
+#: each build theirs with; 3LC without error feedback pins the flat hop's
+#: no-residual branch.
+FACTORIES = {
+    name: lambda seed, name=name: make_compressor(name, seed=seed)
+    for name in available_schemes()
+    if not make_compressor(name).defers_transmission
+}
+FACTORIES["3LC (s=1.00, no error feedback)"] = lambda seed: ThreeLCCompressor(
+    error_feedback=False
+)
+#: Error feedback carries across steps; the slow codecs take fewer.
+STEPS = dict.fromkeys(FACTORIES, 3) | dict.fromkeys(
+    ("QSGD (2-bit)", "QSGD (4-bit)"), 2
+)
 
 #: Sizes below the node count leave empty chunks; ``()`` is a scalar.
 SHAPES = {
@@ -45,14 +59,15 @@ def assert_same_state(a: dict, b: dict) -> None:
             assert value.dtype == b[key].dtype
             np.testing.assert_array_equal(value, b[key])
         else:
-            assert value == b[key]
+            # Gaia's running RMS over an empty chunk is NaN on both sides.
+            np.testing.assert_equal(value, b[key])
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", FACTORIES)
 @pytest.mark.parametrize("nodes", [2, 3, 8])
 def test_tensor_set_matches_per_tensor_oracle(scheme, nodes):
-    ring = RingAllReduce(nodes, SHAPES, make_compressor(scheme, seed=3), bypass=BYPASS)
-    oracle_scheme = make_compressor(scheme, seed=3)
+    ring = RingAllReduce(nodes, SHAPES, FACTORIES[scheme](3), bypass=BYPASS)
+    oracle_scheme = FACTORIES[scheme](3)
     oracles = {
         name: OracleRingAllReduce(
             nodes, shape, None if name in BYPASS else oracle_scheme
@@ -60,7 +75,7 @@ def test_tensor_set_matches_per_tensor_oracle(scheme, nodes):
         for name, shape in SHAPES.items()
     }
     rng = np.random.default_rng(nodes)
-    for step in range(3):  # error feedback carries across steps
+    for step in range(STEPS[scheme]):
         grads = [
             {
                 name: (rng.standard_t(3, size=shape) * 0.01).astype(np.float32)
@@ -90,11 +105,14 @@ def test_tensor_set_matches_per_tensor_oracle(scheme, nodes):
     assert all(name not in BYPASS for name, *_ in ring._contexts)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize(
+    "scheme",
+    ["3LC (s=1.00)", "3LC (s=1.75)", "Stoch 3-value + QE", "8-bit int", "32-bit float"],
+)
 def test_lone_tensor_is_the_one_entry_set(scheme):
     nodes, shape = 4, (9, 5)
-    ring = RingAllReduce(nodes, shape, make_compressor(scheme, seed=1))
-    oracle = OracleRingAllReduce(nodes, shape, make_compressor(scheme, seed=1))
+    ring = RingAllReduce(nodes, shape, FACTORIES[scheme](1))
+    oracle = OracleRingAllReduce(nodes, shape, FACTORIES[scheme](1))
     rng = np.random.default_rng(7)
     for _ in range(2):
         tensors = [rng.normal(size=shape).astype(np.float32) for _ in range(nodes)]
@@ -107,17 +125,33 @@ def test_lone_tensor_is_the_one_entry_set(scheme):
             np.testing.assert_array_equal(ours, theirs)
 
 
-def test_receivers_decode_the_wire_message():
-    """A scheme whose decode differs from its reconstruction must show."""
-    scheme = make_compressor("3LC (s=1.00)")
-    decoded = []
+def _halving(owner, attribute: str, decoded: list) -> None:
+    """Make ``owner.attribute`` decode to half of what it used to."""
+    decode = getattr(owner, attribute)
 
-    def halved(messages):
-        out = [0.5 * arr for arr in type(scheme).decompress_batch(scheme, messages)]
+    def halved(*args):
+        out = [0.5 * arr for arr in decode(*args)]
         decoded.extend(out)
         return out
 
-    scheme.decompress_batch = halved
+    setattr(owner, attribute, halved)
+
+
+@pytest.mark.parametrize(
+    "scheme, seam",
+    [
+        # The 3LC hop decodes the encoded bytes with the codec's decode core.
+        ("3LC (s=1.00)", lambda scheme: (scheme.codec, "decode")),
+        # The default hop decodes the frames it built.
+        ("32-bit float", lambda scheme: (scheme, "decompress_batch")),
+    ],
+    ids=["3lc-decode-core", "default-decompress-batch"],
+)
+def test_receivers_decode_the_wire_message(scheme, seam):
+    """A scheme whose decode differs from its reconstruction must show."""
+    scheme = make_compressor(scheme)
+    decoded = []
+    _halving(*seam(scheme), decoded)
     tensors = [np.full(4, 2.0, dtype=np.float32) for _ in range(2)]
     result = RingAllReduce(2, (4,), scheme).reduce(tensors, average=False)
     assert decoded
@@ -158,5 +192,19 @@ def test_non_finite_payload_names_the_offender(bad):
         ValueError,
         match=r"tensor 'v', reduce hop 0, sender 2\): cannot quantize non-finite "
         r"tensor \(segment 6\)",
+    ):
+        ring.reduce(grads)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    ["25% sparsification", "DGC (0.10%)", "Gaia", "MQE 1-bit int", "QSGD (2-bit)"],
+)
+def test_sparsifiers_and_quantizers_name_a_non_finite_sender(scheme):
+    ring = RingAllReduce(3, {"w": (30,)}, make_compressor(scheme))
+    grads = [{"w": np.ones(30, np.float32)} for _ in range(3)]
+    grads[1]["w"][12] = np.nan  # chunk 1: node 1 sends it on the first hop
+    with pytest.raises(
+        ValueError, match=r"tensor 'w', reduce hop 0, sender 1\): .*non-finite"
     ):
         ring.reduce(grads)
