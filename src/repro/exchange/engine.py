@@ -17,8 +17,8 @@ count, telemetry, step log). Churn is the
 :class:`~repro.distributed.faults.Churn` runtime's, and every outcome is
 posted once, by the service's :class:`~repro.exchange.topology.Wire`, to
 the quantum's ledger, which feeds the ``StepTraffic`` counters and — when
-recording — the ``TransmissionRecord`` stream the simulators replay from
-the same values.
+recording — the columns (one structure row and four numbers per send)
+the quantum's plan is built from, for the simulators to replay.
 
 On top of the unified paths sits the **wire plan**
 (``fuse_small_tensors=True``, built in :meth:`ExchangeEngine.__init__`):
@@ -56,11 +56,7 @@ from repro.distributed.worker import Worker
 from repro.exchange.clock import CODEC_RATE, MEASURED, Clock
 from repro.exchange.sync import SyncMode, make_sync_mode
 from repro.exchange.topology import TOPOLOGIES, Wire, build_service
-from repro.netsim.events import (
-    StepTransmissions,
-    TransmissionRecord,
-    UpdateTransmissions,
-)
+from repro.netsim.events import SkeletonRow, StepTransmissions, UpdateTransmissions
 from repro.network.traffic import StepTraffic, TrafficMeter
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.nn.loss import SoftmaxCrossEntropy, accuracy
@@ -327,45 +323,29 @@ class StepLog:
     learning_rate: float
 
 
-#: ``(push-side, pull-side)`` codec fields of each recorded plan: under a
-#: modeled clock a field costs the per-element rate times the elements
-#: recorded on its side of the wire.
-_CODEC_FIELDS = {
-    StepTransmissions: (
-        ("push_compress_seconds", "server_decompress_seconds"),
-        ("server_compress_seconds", "pull_decompress_seconds"),
-    ),
-    UpdateTransmissions: (
-        ("push_compress_seconds", "server_seconds"),
-        ("pull_compress_seconds", "pull_decompress_seconds"),
-    ),
-}
-
-
 class _Ledger:
     """One quantum's wire ledger.
 
     Every message is posted once: :meth:`count` adds it to the
     :class:`~repro.network.traffic.StepTraffic` counters and :meth:`emit`
-    — a no-op unless the run records transmissions — appends the
-    :class:`~repro.netsim.events.TransmissionRecord` the simulators
-    replay, so the meter and the recording cannot drift apart.
-    Collectives are the deliberate exception: the meter takes their
-    all-links totals while their records carry one link's bytes and
-    frames (the links run in parallel).
+    — a no-op unless the run records transmissions — appends its
+    structure row and its four numbers, the columns :meth:`close` builds
+    the quantum's plan from, so the meter and the recording cannot drift
+    apart. Collectives are the deliberate exception: the meter takes
+    their all-links totals while their records carry one link's bytes
+    and frames (the links run in parallel).
     """
 
-    __slots__ = ("traffic", "records", "recording", "clock")
+    __slots__ = ("traffic", "rows", "numbers", "recording", "clock")
 
     def __init__(self, traffic: StepTraffic, recording: bool, clock: Clock):
         self.traffic = traffic
         self.recording = recording
         self.clock = clock
         # A modeled clock prices codec work by the recorded elements, so it
-        # keeps the records whether or not the run hands them out.
-        self.records: list[TransmissionRecord] | None = (
-            [] if recording or clock.modeled else None
-        )
+        # keeps the columns whether or not the run hands them out.
+        self.rows: list[SkeletonRow] | None = [] if recording or clock.modeled else None
+        self.numbers: list[int] = []
 
     def count(self, phase: str, message, main: bool = False) -> None:
         """Add one compressed message to the push or pull counters."""
@@ -387,46 +367,39 @@ class _Ledger:
                 traffic.push_elements_main += elements
 
     def emit(
-        self, name, params, wire_bytes, elements, route, phase, **routing
+        self, name, params, wire_bytes, elements, route, phase, worker=None,
+        copies=1, frames=1, depends_on=(),
     ) -> None:
-        """Record one transmission (``routing``: worker / copies / frames /
-        depends_on) when recording."""
-        if self.records is not None:
-            self.records.append(
-                TransmissionRecord(
-                    name=name,
-                    params=params,
-                    wire_bytes=wire_bytes,
-                    elements=elements,
-                    route=route,
-                    phase=phase,
-                    **routing,
-                )
+        """Record one transmission when recording."""
+        if self.rows is not None:
+            self.rows.append(
+                SkeletonRow(name, phase, route, worker, params, depends_on)
             )
+            self.numbers += (wire_bytes, elements, copies, frames)
 
     def post(
         self, phase, name, params, message, route, *, main=False, **routing
     ) -> None:
         """Count one point-to-point message and record it as sent."""
         self.count(phase, message, main)
-        if self.records is not None:
-            self.emit(
-                name, params, message.wire_size, message.element_count, route,
-                phase, **routing,
-            )
+        self.emit(
+            name, params, message.wire_size, message.element_count, route, phase,
+            **routing,
+        )
 
     def close(self, plan, compute_seconds: float, codec: dict[str, float], **header):
         """Stamp the quantum's critical-path timing on the traffic record
-        and wrap the records in their ``plan`` (``StepTransmissions`` or
+        and build its ``plan`` (``StepTransmissions`` or
         ``UpdateTransmissions``, whose codec fields ``codec`` names as
-        measured). Returns ``(plan, codec)``: ``None`` for the plan when
-        the run does not record, and the codec seconds as *recorded* — a
-        modeled clock prices every codec field of the plan — for the
-        telemetry layout to share."""
+        measured) from the columns. Returns ``(plan, codec)``: ``None``
+        for the plan when the run does not record, and the codec seconds
+        as *recorded* — a modeled clock prices every codec field of the
+        plan — for the telemetry layout to share."""
         if self.clock.modeled:
-            pull = sum(r.elements for r in self.records if r.phase == "pull")
-            push = sum(r.elements for r in self.records) - pull
-            push_fields, pull_fields = _CODEC_FIELDS[plan]
+            elements = self.numbers[1::4]
+            pull = sum(e for e, row in zip(elements, self.rows) if row.phase == "pull")
+            push = sum(elements) - pull
+            push_fields, pull_fields = plan.CODEC_FIELDS
             codec = {
                 **dict.fromkeys(push_fields, CODEC_RATE * push),
                 **dict.fromkeys(pull_fields, CODEC_RATE * pull),
@@ -435,13 +408,10 @@ class _Ledger:
         self.traffic.codec_seconds = sum(codec.values())
         if not self.recording:
             return None, codec
-        recorded = plan(
-            compute_seconds=compute_seconds,
-            records=tuple(self.records),
-            **codec,
-            **header,
-        )
-        return recorded, codec
+        return plan._of(
+            tuple(zip(*self.rows)), self.numbers, compute_seconds=compute_seconds,
+            **codec, **header,
+        ), codec
 
 
 @dataclass

@@ -230,16 +230,13 @@ class Wire:
         traffic.push_elements += racks * sum(ring.sent_elements.values())
         traffic.push_messages += len(self.service.params) * ring.frames * racks
         traffic.intra_rack_bytes += outcome.intra_wire_bytes
-        if ledger.records is not None:
-            for rack, link_bytes in zip(
-                outcome.rack_indices, outcome.per_rack_link_bytes
-            ):
-                for name, elements in ring.sent_elements.items():
-                    ledger.emit(
-                        f"{name}@rack{rack}", (name,), link_bytes.get(name, 0),
-                        elements, f"rack{rack}", "collective",
-                        worker=rack * self.rack_size, frames=ring.link_frames,
-                    )
+        for rack, link_bytes in zip(outcome.rack_indices, outcome.per_rack_link_bytes):
+            for name, elements in ring.sent_elements.items():
+                ledger.emit(
+                    f"{name}@rack{rack}", (name,), link_bytes.get(name, 0),
+                    elements, f"rack{rack}", "collective",
+                    worker=rack * self.rack_size, frames=ring.link_frames,
+                )
         for rack, messages in zip(outcome.up_racks, outcome.cross_push_results):
             for label, params, message in _frames(messages):
                 traffic.cross_rack_bytes += message.wire_size
@@ -269,8 +266,6 @@ class Wire:
             traffic.intra_rack_bytes += (
                 message.wire_size * len(racks) * (rack_size - 1)
             )
-            if ledger.records is None:
-                continue
             wire = (message.wire_size, message.element_count)
             route = self.routes[params[0]]
             if unit is None and route != "cross":

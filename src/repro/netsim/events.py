@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from collections import namedtuple
+from dataclasses import dataclass, field
 from itertools import chain
-from numbers import Integral
-from operator import attrgetter, ne
+from numbers import Integral, Real
+from operator import attrgetter
+from weakref import WeakValueDictionary
 
 import numpy as np
 
 __all__ = [
     "TransmissionRecord",
+    "SkeletonRow",
     "StepSkeleton",
     "StepTransmissions",
     "UpdateTransmissions",
@@ -57,8 +59,8 @@ def _names(name: str, field_name: str, value) -> tuple[str, ...]:
 
 def _check_seconds(owner: str, plan, fields: tuple[str, ...]) -> None:
     """Refuse a plan whose seconds could invent a step time: every named
-    field and every ``link_down`` floor must be a finite number >= 0 (not
-    a ``bool``), and ``link_down`` a tuple of ``(str, seconds)`` pairs."""
+    field and every ``link_down`` floor must be a finite real number >= 0
+    (not a ``bool``), and ``link_down`` a tuple of ``(str, seconds)`` pairs."""
     values = [(f, getattr(plan, f)) for f in fields]
     down = plan.link_down
     for pair in down if type(down) is tuple else (down,):
@@ -69,7 +71,8 @@ def _check_seconds(owner: str, plan, fields: tuple[str, ...]) -> None:
             )
         values.append((f"link_down[{pair[0]!r}]", pair[1]))
     for name, value in values:
-        if isinstance(value, bool) or not 0.0 <= value < math.inf:
+        if (isinstance(value, bool) or not isinstance(value, Real)
+                or not 0.0 <= value < math.inf):
             raise ValueError(f"{owner}: {name} must be finite and >= 0, got {value!r}")
 
 
@@ -82,32 +85,19 @@ def _check_count(owner: str, field_name: str, value, minimum: int) -> None:
         )
 
 
-def _check_records(owner: str, records) -> None:
-    """Refuse a plan's ``records`` unless it is a tuple of records."""
-    if type(records) is not tuple:
-        raise ValueError(f"{owner}: records must be a tuple, got {records!r}")
-    for index, r in enumerate(records):
-        if type(r) is not TransmissionRecord:
-            raise ValueError(f"{owner}: records[{index}] is not a record: {r!r}")
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class TransmissionRecord:
     """One wire transmission within a training step.
 
-    The validated row type: a :class:`StepTransmissions` is built from
-    records and viewed as records, though it stores them as columns. It
-    is slotted: no instance ``__dict__``, so no ad-hoc attributes. It is
-    canonical: the constructor interns ``name``, ``route``, ``phase`` and
-    every ``params`` / ``depends_on`` name with :func:`sys.intern`, so
-    every step's freshly formatted ``f"rack{r}"`` collapses to one shared
-    string and skeleton comparisons meet equal names as one object. The
-    constructor is written out rather than generated plus a
-    ``__post_init__``, so that each field is checked and stored once.
-    ``__reduce__`` rebuilds through that constructor, so a copied or
-    unpickled record is validated and interned exactly like a built one
-    (an unpickled string is not interned by itself), and pickling calls
-    no per-record ``__getstate__``. Make a record with the constructor or
+    The validated row type and the view of a plan's rows: a plan checks
+    each distinct structure once through this constructor and rebuilds
+    records from its columns on request. Slotted, so no ad-hoc
+    attributes; canonical, since the constructor (written out, so each
+    field is checked and stored once) interns ``name``, ``route``,
+    ``phase`` and every ``params`` / ``depends_on`` name, so equal names
+    meet as one object. ``__reduce__`` rebuilds through the constructor,
+    so a copied or unpickled record is validated and interned like a
+    built one. Make a record with the constructor or
     :func:`dataclasses.replace`.
 
     Attributes
@@ -218,53 +208,45 @@ class TransmissionRecord:
         return self.wire_bytes * self.copies
 
 
-#: The rows of a step's ``numbers`` array, and each row's least value.
+#: The rows of a plan's ``numbers`` array, and each row's least value.
 NUMBER_ROWS = ("wire_bytes", "elements", "copies", "frames")
 _MINIMA = np.array([[0], [0], [1], [1]])
 _STRUCTURE = ("name", "phase", "route", "worker", "params", "depends_on")
-_structure_of = attrgetter(*_STRUCTURE)
+#: One skeleton row: a record's structure without its numbers.
+SkeletonRow = namedtuple("SkeletonRow", _STRUCTURE)
 _numbers_of = attrgetter(*NUMBER_ROWS)
 
 
 class StepSkeleton:
-    """A step's records without their numbers: six ``columns`` (names,
-    phases, routes, workers, params, depends_on) in record order, shared
-    by consecutive steps of equal structure (the array kernel's replay
-    groups; its ``RecordBatch`` rides ``batch``). Pickling carries only
-    the columns, so pickle's memo keeps the sharing within a dump, each
-    load builds its own skeleton, and the first step holding it runs
-    :meth:`check`.
+    """A plan's records without their numbers: six ``columns`` (names,
+    phases, routes, workers, params, depends_on) in record order, also
+    read as named ``rows``. Every plan built in this process holds the one
+    live skeleton of its structure, so equal structures share one object
+    (a replay group is a run of steps holding one; the array kernel's
+    ``RecordBatch`` rides ``batch``). Pickling carries only the columns:
+    pickle's memo keeps the sharing within a dump, each load builds its
+    own skeletons, and the first plan holding one runs :meth:`check`.
     """
 
-    __slots__ = ("columns", "checked", "batch")
+    __slots__ = ("columns", "checked", "batch", "_rows", "__weakref__")
 
     def __init__(self, columns) -> None:
-        self.columns, self.checked, self.batch = columns, False, None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StepSkeleton):
-            return NotImplemented
-        return self is other or self.columns == other.columns
+        self.columns, self.checked, self.batch, self._rows = columns, False, None, None
 
     def __reduce__(self):
         return StepSkeleton, (self.columns,)
 
-    @classmethod
-    def of(cls, records) -> StepSkeleton:
-        """The (checked) skeleton of validated records; equal ``params``
-        and ``depends_on`` tuples are stored once."""
-        shared: dict = {}
-        skeleton = cls(tuple(
-            tuple(map(attrgetter(f), records)) if f not in ("params", "depends_on")
-            else tuple(shared.setdefault(v, v) for v in map(attrgetter(f), records))
-            for f in _STRUCTURE
-        ))
-        skeleton.checked = True
-        return skeleton
+    @property
+    def rows(self) -> tuple:
+        """The records' structure as named rows (built on first use)."""
+        if self._rows is None:
+            self._rows = tuple(map(SkeletonRow, *self.columns))
+        return self._rows
 
     def check(self, owner: str) -> None:
-        """Validate the columns (once) through the record constructor; an
-        error names ``owner`` and the record."""
+        """Validate the columns (once) through the record constructor and
+        intern them, storing equal ``params`` and ``depends_on`` tuples
+        once; an error names ``owner`` and the record."""
         if self.checked:
             return
         columns = self.columns
@@ -272,82 +254,84 @@ class StepSkeleton:
                 or len(set(map(len, columns))) != 1):
             raise ValueError(f"{owner}: skeleton columns must be six equal-length "
                              f"tuples, got {columns!r}")
-        for name, phase, route, worker, params, deps in zip(*columns):
-            try:
+        try:
+            records = [
                 TransmissionRecord(name, params, 0, 0, route, worker, 1, phase, 1, deps)
-            except ValueError as error:
-                raise ValueError(f"{owner}: {error}") from None
+                for name, phase, route, worker, params, deps in zip(*columns)
+            ]
+        except ValueError as error:
+            raise ValueError(f"{owner}: {error}") from None
+        shared: dict = {}
+        self.columns = tuple(
+            tuple(map(attrgetter(f), records)) if f not in ("params", "depends_on")
+            else tuple(shared.setdefault(v, v) for v in map(attrgetter(f), records))
+            for f in _STRUCTURE
+        )
         self.checked = True
 
 
-#: The last built step's skeleton, which the next step reuses when equal
-#: (a skeleton is a value, safe to share). Unpickling never consults it.
-_last_skeleton: StepSkeleton | None = None
+#: Every live built skeleton, by its columns: a plan of equal structure
+#: holds that one, already checked. Loads never consult it.
+_SKELETONS: WeakValueDictionary = WeakValueDictionary()
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class StepTransmissions:
-    """Everything the simulator needs to replay one training step.
-
-    The codec components mirror the engine's critical-path convention: the
-    recorded :attr:`~repro.network.traffic.StepTraffic.codec_seconds` is
-    exactly ``push_compress + server_decompress + server_compress +
-    pull_decompress``, so a serialized replay reproduces the analytic
-    model's step time.
-
-    A step is built from ``records`` but stores columns, since recordings
-    are most of a sweep's memory: a :class:`StepSkeleton` (the previous
-    built step's when equal) and ``numbers``, one read-only ``(4, n)``
-    int64 array of the :data:`NUMBER_ROWS` in record order. ``records``
-    rebuilds the records on each access. Building, copying or unpickling
-    refuses whatever a record would, naming the step and the record.
+class _Plan:
+    """A recorded step's or update's storage (recordings are most of a
+    sweep's memory): a :class:`StepSkeleton` and ``numbers``, one
+    read-only ``(4, n)`` int64 array of the :data:`NUMBER_ROWS` in record
+    order. ``records`` rebuilds the records on every access, for the
+    scalar reference and callers outside this package; cache nothing on
+    a plan. :meth:`_of` is the one construction path — the engine's
+    ledger, the records constructors and readers that re-cut plans all
+    build through it — so a structure is validated and interned once,
+    when its skeleton is first built; unpickling checks the same way.
+    A subclass names its fields in ``_FIELDS`` (pickle order; the ones
+    its constructor does not require are seconds defaulting to 0.0), its
+    seconds in ``_SECONDS`` and its codec sides in ``CODEC_FIELDS``; its
+    slots are ``_FIELDS``, then ``skeleton``, ``numbers``, ``link_down``.
     """
 
-    step: int
-    compute_seconds: float
-    push_compress_seconds: float = 0.0
-    server_decompress_seconds: float = 0.0
-    server_compress_seconds: float = 0.0
-    pull_decompress_seconds: float = 0.0
-    records: tuple[TransmissionRecord, ...]  # a view: the property below
-    #: Injected-fault outage floors: ``(route, seconds)`` pairs meaning
-    #: the route is unavailable until ``seconds`` into *this step* (a
-    #: rejoin delay while the fabric re-converges). All three simulator
-    #: cores seed the route's link-free time from the floor.
-    link_down: tuple[tuple[str, float], ...] = ()
-    skeleton: StepSkeleton = field(init=False, repr=False)
-    numbers: np.ndarray = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __init__(
-        self, step, compute_seconds, push_compress_seconds=0.0,
-        server_decompress_seconds=0.0, server_compress_seconds=0.0,
-        pull_decompress_seconds=0.0, records=(), link_down=(),
-    ) -> None:
-        global _last_skeleton
-        owner = _step_owner(step)
-        _check_records(owner, records)
-        last = _last_skeleton
-        if last is None or len(last.columns[0]) != len(records) or any(
-            map(ne, zip(*last.columns), map(_structure_of, records))
-        ):
-            _last_skeleton = StepSkeleton.of(records)
-        try:
-            numbers = np.fromiter(
-                chain.from_iterable(map(_numbers_of, records)), np.int64
-            )
-        except OverflowError:
-            raise ValueError(f"{owner}: a record size overflows int64") from None
-        self._store(
-            owner, step, compute_seconds, push_compress_seconds,
-            server_decompress_seconds, server_compress_seconds,
-            pull_decompress_seconds, _last_skeleton,
-            np.ascontiguousarray(numbers.reshape(-1, len(NUMBER_ROWS)).T), link_down,
-        )
+    @classmethod
+    def _of(cls, columns, numbers, link_down=(), **fields):
+        """A plan of structure ``columns`` (names, phases, routes, workers,
+        params, depends_on; ``()`` for no records) and their ``numbers``
+        (a ``(4, n)`` int64 array, or four ints per record in order)."""
+        values = [fields.get(name, 0.0) for name in cls._FIELDS]
+        owner = cls._owner(*values)
+        columns = columns or ((),) * len(_STRUCTURE)
+        skeleton = _SKELETONS.get(columns)
+        if skeleton is None:
+            skeleton = StepSkeleton(columns)
+            skeleton.check(owner)
+            _SKELETONS[skeleton.columns] = skeleton
+        if type(numbers) is not np.ndarray:
+            try:
+                numbers = np.fromiter(numbers, np.int64)
+            except OverflowError:
+                raise ValueError(f"{owner}: a record size overflows int64") from None
+            numbers = np.ascontiguousarray(numbers.reshape(-1, len(NUMBER_ROWS)).T)
+        return cls._load(*values, skeleton, numbers, link_down)
 
-    def _store(self, owner: str, *values) -> None:
-        """Check the columns — refusing what a record would, naming it —
-        and the seconds, then set every field."""
-        skeleton, numbers = values[6:8]
+    @classmethod
+    def _from_records(cls, values, records, link_down):
+        """:meth:`_of` from a records constructor's ``values`` and records."""
+        owner = cls._owner(*values)
+        if type(records) is not tuple:
+            raise ValueError(f"{owner}: records must be a tuple, got {records!r}")
+        for index, r in enumerate(records):
+            if type(r) is not TransmissionRecord:
+                raise ValueError(f"{owner}: records[{index}] is not a record: {r!r}")
+        columns = tuple(tuple(map(attrgetter(f), records)) for f in _STRUCTURE)
+        numbers = chain.from_iterable(map(_numbers_of, records))
+        return cls._of(columns, numbers, link_down, **dict(zip(cls._FIELDS, values)))
+
+    @classmethod
+    def _load(cls, *state):
+        """The plan of ``state`` (slot order), its columns and seconds checked:
+        the end of :meth:`_of`, and how a pickled plan is rebuilt."""
+        owner, skeleton, numbers = cls._owner(*state), state[-3], state[-2]
         if type(skeleton) is not StepSkeleton:
             raise ValueError(f"{owner}: not a skeleton: {skeleton!r}")
         skeleton.check(owner)
@@ -363,12 +347,14 @@ class StepTransmissions:
                 f"must be an integer >= {_MINIMA[row, 0]}, got {numbers[row, index]}"
             )
         numbers.flags.writeable = False
-        for name, value in zip(_STEP_STATE, values):
-            object.__setattr__(self, name, value)
-        _check_seconds(owner, self, _STEP_STATE[1:6])
+        plan = object.__new__(cls)
+        for name, value in zip(cls.__slots__, state):
+            object.__setattr__(plan, name, value)
+        _check_seconds(owner, plan, cls._SECONDS)
+        return plan
 
     def __reduce__(self):
-        return _load_step, tuple(getattr(self, name) for name in _STEP_STATE)
+        return self._load, tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -379,12 +365,12 @@ class StepTransmissions:
         return hash(self._key())
 
     def _key(self) -> tuple:
-        seconds = (getattr(self, name) for name in _STEP_STATE[:6])
-        return (*seconds, self.link_down, self.skeleton.columns, self.numbers.tobytes())
+        values = (getattr(self, name) for name in self._FIELDS)
+        return (*values, self.link_down, self.skeleton.columns, self.numbers.tobytes())
 
     @property
     def records(self) -> tuple[TransmissionRecord, ...]:
-        """The step's records, rebuilt from the columns on every access."""
+        """The plan's records, rebuilt from the columns on every access."""
         return tuple(
             TransmissionRecord(name, params, w, e, route, worker, c, phase, f, deps)
             for name, phase, route, worker, params, deps, w, e, c, f in zip(
@@ -394,39 +380,66 @@ class StepTransmissions:
 
     @property
     def codec_seconds(self) -> float:
-        return (
-            self.push_compress_seconds
-            + self.server_decompress_seconds
-            + self.server_compress_seconds
-            + self.pull_decompress_seconds
-        )
+        a, b, c, d = (getattr(self, f) for side in self.CODEC_FIELDS for f in side)
+        return a + b + c + d
 
     @property
     def total_frames(self) -> int:
         return int(self.numbers[3].sum())
 
 
-#: What a step stores and pickles, in order.
-_STEP_STATE = ("step", "compute_seconds", "push_compress_seconds",
+@dataclass(frozen=True, init=False, eq=False)
+class StepTransmissions(_Plan):
+    """Everything the simulator needs to replay one training step, stored
+    as columns (see ``_Plan``).
+
+    The codec components mirror the engine's critical-path convention: the
+    recorded :attr:`~repro.network.traffic.StepTraffic.codec_seconds` is
+    exactly ``push_compress + server_decompress + server_compress +
+    pull_decompress``, so a serialized replay reproduces the analytic
+    model's step time.
+    """
+
+    _FIELDS = ("step", "compute_seconds", "push_compress_seconds",
                "server_decompress_seconds", "server_compress_seconds",
-               "pull_decompress_seconds", "skeleton", "numbers", "link_down")
+               "pull_decompress_seconds")
+    _SECONDS = _FIELDS[1:]
+    CODEC_FIELDS = (_FIELDS[2:4], _FIELDS[4:])
+    __slots__ = (*_FIELDS, "skeleton", "numbers", "link_down")
+
+    step: int
+    compute_seconds: float
+    push_compress_seconds: float
+    server_decompress_seconds: float
+    server_compress_seconds: float
+    pull_decompress_seconds: float
+    records: tuple[TransmissionRecord, ...]  # a view
+    #: Injected-fault outage floors: ``(route, seconds)`` pairs meaning
+    #: the route is unavailable until ``seconds`` into *this step* (a
+    #: rejoin delay while the fabric re-converges). All three simulator
+    #: cores seed the route's link-free time from the floor.
+    link_down: tuple[tuple[str, float], ...]
+
+    def __new__(
+        cls, step, compute_seconds, push_compress_seconds=0.0,
+        server_decompress_seconds=0.0, server_compress_seconds=0.0,
+        pull_decompress_seconds=0.0, records=(), link_down=(),
+    ):
+        return cls._from_records((
+            step, compute_seconds, push_compress_seconds, server_decompress_seconds,
+            server_compress_seconds, pull_decompress_seconds,
+        ), records, link_down)
+
+    @staticmethod
+    def _owner(step, *_) -> str:
+        _check_count("StepTransmissions", "step", step, 0)
+        return f"step {step}"
 
 
-def _step_owner(step) -> str:
-    _check_count("StepTransmissions", "step", step, 0)
-    return f"step {step}"
-
-
-def _load_step(step, *values) -> StepTransmissions:
-    """Rebuild a pickled step from its columns, checked like a built one."""
-    st = object.__new__(StepTransmissions)
-    st._store(_step_owner(step), step, *values)
-    return st
-
-
-@dataclass(frozen=True)
-class UpdateTransmissions:
-    """Everything the simulator needs to replay one async/SSP update.
+@dataclass(frozen=True, init=False, eq=False)
+class UpdateTransmissions(_Plan):
+    """Everything the simulator needs to replay one async/SSP update,
+    stored as columns like a step.
 
     Event-driven modes have no global step: the scheduling quantum is one
     worker's push/apply/pull round-trip, so the engine records one event
@@ -445,6 +458,13 @@ class UpdateTransmissions:
     and priced like any decode by a modeled clock).
     """
 
+    _FIELDS = ("update", "worker", "local_step", "global_step", "staleness",
+               "clock_seconds", "compute_seconds", "push_compress_seconds",
+               "server_seconds", "pull_compress_seconds", "pull_decompress_seconds")
+    _SECONDS = _FIELDS[5:]
+    CODEC_FIELDS = (_FIELDS[7:9], _FIELDS[9:])
+    __slots__ = (*_FIELDS, "skeleton", "numbers", "link_down")
+
     #: Commit index in the global update order (logical timestamp).
     update: int
     worker: int
@@ -458,51 +478,46 @@ class UpdateTransmissions:
     #: the engine) when the update was dispatched.
     clock_seconds: float
     compute_seconds: float
-    push_compress_seconds: float = 0.0
-    server_seconds: float = 0.0
-    pull_compress_seconds: float = 0.0
-    pull_decompress_seconds: float = 0.0
-    records: tuple[TransmissionRecord, ...] = ()
+    push_compress_seconds: float
+    server_seconds: float
+    pull_compress_seconds: float
+    pull_decompress_seconds: float
+    records: tuple[TransmissionRecord, ...]  # a view
     #: Injected-fault outage floors: ``(route, seconds)`` pairs. For a
     #: direct event stream the floor is *absolute* simulated time; when
     #: updates are folded back into lock-step generations the floors
     #: become step-local (max-merged per route), matching
     #: :attr:`StepTransmissions.link_down`.
-    link_down: tuple[tuple[str, float], ...] = ()
+    link_down: tuple[tuple[str, float], ...]
 
-    def __post_init__(self) -> None:
-        _check_count("UpdateTransmissions", "update", self.update, 0)
-        owner = f"update {self.update}"
-        for name in ("worker", "local_step", "global_step", "staleness"):
-            _check_count(owner, name, getattr(self, name), 0)
-        _check_records(owner, self.records)
-        _check_seconds(owner, self, (
-            "clock_seconds", "compute_seconds", "push_compress_seconds",
-            "server_seconds", "pull_compress_seconds", "pull_decompress_seconds",
-        ))
+    def __new__(
+        cls, update, worker, local_step, global_step, staleness, clock_seconds,
+        compute_seconds, push_compress_seconds=0.0, server_seconds=0.0,
+        pull_compress_seconds=0.0, pull_decompress_seconds=0.0, records=(),
+        link_down=(),
+    ):
+        return cls._from_records((
+            update, worker, local_step, global_step, staleness, clock_seconds,
+            compute_seconds, push_compress_seconds, server_seconds,
+            pull_compress_seconds, pull_decompress_seconds,
+        ), records, link_down)
+
+    @classmethod
+    def _owner(cls, update, *counts) -> str:
+        _check_count("UpdateTransmissions", "update", update, 0)
+        for name, value in zip(cls._FIELDS[1:5], counts):
+            _check_count(f"update {update}", name, value, 0)
+        return f"update {update}"
 
     @property
-    def codec_seconds(self) -> float:
-        return (
-            self.push_compress_seconds
-            + self.server_seconds
-            + self.pull_compress_seconds
-            + self.pull_decompress_seconds
-        )
-
-    @cached_property
     def push_records(self) -> tuple[TransmissionRecord, ...]:
-        # Cached: the event loop indexes into this tuple once per push
-        # arrival, and the records tuple is immutable.
-        return tuple(r for r in self.records if r.phase in ("push", "collective"))
-
-    @cached_property
-    def pull_records(self) -> tuple[TransmissionRecord, ...]:
-        return tuple(r for r in self.records if r.phase == "pull")
+        """The push and collective records (a view, like ``records``)."""
+        return tuple(r for r in self.records if r.phase != "pull")
 
     @property
-    def total_frames(self) -> int:
-        return sum(r.frames for r in self.records)
+    def pull_records(self) -> tuple[TransmissionRecord, ...]:
+        """The pull records (a view, like ``records``)."""
+        return tuple(r for r in self.records if r.phase == "pull")
 
 
 def updates_from_bsp_steps(
@@ -513,54 +528,54 @@ def updates_from_bsp_steps(
 
     Each BSP step becomes one update per worker: push records keep their
     recorded sending worker (collective records, which have none, ride
-    with worker 0), every worker receives one copy of each shared pull,
-    and the serialized server costs are split evenly so regrouping the
-    generation reproduces the step's totals exactly. This is the bridge
-    the staleness-0 parity test walks: feeding the result to the
+    with worker 0), each of a shared pull's ``copies`` goes to one of the
+    first ``copies`` workers with its share of the frames, and the
+    serialized server costs are split evenly, so regrouping the
+    generation reproduces the step's totals — bytes and frames included —
+    exactly. A record the split cannot carry whole (a pull with more
+    copies than workers or fewer frames than copies, a push from a worker
+    past ``num_workers``) is refused, naming the record. This is the
+    bridge the staleness-0 parity test walks: feeding the result to the
     event-driven scheduler must reproduce the BSP schedule.
     """
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
+    _check_count("updates_from_bsp_steps", "num_workers", num_workers, 1)
     updates: list[UpdateTransmissions] = []
     for local_step, st in enumerate(steps):
-        step_records = st.records
+        rows = st.skeleton.rows
+        _, _, copies, frames = st.numbers
+        pull = np.array([r.phase == "pull" for r in rows], dtype=bool)
+        sender = np.array([-1 if r.phase == "pull" else r.worker or 0 for r in rows])
+        for refused, message in (
+            (pull & (frames < copies), "pull record {name!r} has {f} frames for "
+             "{c} copies; cannot split one physical copy per worker"),
+            (pull & (copies > num_workers), "step {step}: record {name!r}: {c} "
+             "copies cannot split over num_workers={n}"),
+            (sender >= num_workers, "step {step}: record {name!r}: sent by worker "
+             "{w}, past num_workers={n}"),
+        ):
+            for i in np.flatnonzero(refused)[:1]:
+                raise ValueError(message.format(
+                    name=rows[i].name, f=frames[i], c=copies[i], w=sender[i],
+                    step=st.step, n=num_workers,
+                ))
         for worker in range(num_workers):
-            records: list[TransmissionRecord] = []
-            for r in step_records:
-                if r.phase == "pull":
-                    if r.frames < r.copies:
-                        raise ValueError(
-                            f"pull record {r.name!r} has {r.frames} frames "
-                            f"for {r.copies} copies; cannot split one "
-                            "physical copy per worker"
-                        )
-                    if worker < r.copies:
-                        # Conserve the frame total across the split so the
-                        # regrouped generation pays identical per-frame
-                        # overhead (remainder frames ride the first copies).
-                        frames = r.frames // r.copies + (
-                            1 if worker < r.frames % r.copies else 0
-                        )
-                        records.append(replace(r, copies=1, frames=frames))
-                elif (r.worker if r.worker is not None else 0) == worker:
-                    records.append(r)
-            updates.append(
-                UpdateTransmissions(
-                    update=local_step * num_workers + worker,
-                    worker=worker,
-                    local_step=local_step,
-                    global_step=local_step,
-                    staleness=0,
-                    clock_seconds=0.0,
-                    compute_seconds=st.compute_seconds,
-                    push_compress_seconds=st.push_compress_seconds,
-                    server_seconds=st.server_decompress_seconds / num_workers,
-                    pull_compress_seconds=st.server_compress_seconds / num_workers,
-                    pull_decompress_seconds=st.pull_decompress_seconds,
-                    records=tuple(records),
-                    link_down=st.link_down,
-                )
-            )
+            take = np.flatnonzero((sender == worker) | (pull & (copies > worker)))
+            numbers = st.numbers.take(take, axis=1)
+            split = pull[take]
+            shared, total = copies[take][split], frames[take][split]
+            # Remainder frames ride the first copies.
+            numbers[3, split] = total // shared + (worker < total % shared)
+            numbers[2, split] = 1
+            updates.append(UpdateTransmissions._of(
+                tuple(zip(*[rows[i] for i in take.tolist()])), numbers, st.link_down,
+                update=local_step * num_workers + worker, worker=worker,
+                local_step=local_step, global_step=local_step, staleness=0,
+                compute_seconds=st.compute_seconds,
+                push_compress_seconds=st.push_compress_seconds,
+                server_seconds=st.server_decompress_seconds / num_workers,
+                pull_compress_seconds=st.server_compress_seconds / num_workers,
+                pull_decompress_seconds=st.pull_decompress_seconds,
+            ))
     return tuple(updates)
 
 

@@ -37,9 +37,9 @@ barriers buy.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import replace
-from itertools import count
+from itertools import chain, count
 
 from repro.netsim.events import (
     SimulatedExchange,
@@ -61,6 +61,9 @@ from repro.netsim.vector import (
 )
 from repro.network.timing import StepTimeModel
 from repro.nn.stats import BackwardTimeline
+
+#: What :func:`~repro.netsim.vector.wire_occupancy_batch` reads of a record.
+_Sent = namedtuple("_Sent", "route total_bytes frames")
 
 __all__ = [
     "NetworkSimulator",
@@ -98,28 +101,28 @@ def per_tier_serialized_seconds(
     ``tests/netsim/test_hier_sim.py`` and ``benchmarks/bench_hier.py``.
     """
 
-    def staged(records) -> float:
-        by_route: dict[str, float] = {}
-        for record in records:
-            by_route[record.route] = by_route.get(
-                record.route, 0.0
-            ) + wire_occupancy_seconds(link_model, time_model, record)
-        return max(by_route.values(), default=0.0)
-
-    # The four tiers in one pass: pulls split on having dependencies.
-    tiers = {"collective": [], "push": [], False: [], True: []}
-    for r in st.records:
-        tiers[r.phase if r.phase != "pull" else bool(r.depends_on)].append(r)
-    collectives, pushes, free_pulls, dep_pulls = tiers.values()
+    # The four tiers in one pass over the columns (pulls split on having
+    # dependencies), each a per-route sum of wire occupancies.
+    _, phases, routes, _, _, depends = st.skeleton.columns
+    rows = zip(routes, st.numbers.T.tolist())
+    sent = [_Sent(route, w * c, f) for route, (w, _, c, f) in rows]
+    occupancy = wire_occupancy_batch(sent, link_model, time_model)[0].tolist()
+    tiers = {"collective": {}, "push": {}, False: {}, True: {}}
+    for phase, route, deps, occ in zip(phases, routes, depends, occupancy):
+        by_route = tiers[phase if phase != "pull" else bool(deps)]
+        by_route[route] = by_route.get(route, 0.0) + occ
+    collectives, pushes, free_pulls, dep_pulls = (
+        max(by_route.values(), default=0.0) for by_route in tiers.values()
+    )
     return (
         time_model.compute_scale * st.compute_seconds
         + time_model.codec_scale * st.push_compress_seconds
-        + staged(collectives)
-        + staged(pushes)
+        + collectives
+        + pushes
         + time_model.codec_scale
         * (st.server_decompress_seconds + st.server_compress_seconds)
-        + staged(free_pulls)
-        + staged(dep_pulls)
+        + free_pulls
+        + dep_pulls
         + time_model.codec_scale * st.pull_decompress_seconds
     )
 
@@ -132,6 +135,7 @@ def _trace_codec_pipelines(
     compressed_at,
     push_cost: float,
     *,
+    elements=None,
     unit: int | None = None,
     **args,
 ) -> None:
@@ -143,17 +147,20 @@ def _trace_codec_pipelines(
     lasting its element-share of ``push_cost``.
 
     Spans go out in compression-done order — time order on every
-    pipeline's track. ``unit`` is the event replay's sending unit, which
-    names the track and the ``worker`` arg instead of the records' own
-    workers; ``args`` ride every span.
+    pipeline's track. ``elements`` are the records' element counts (read
+    off them when ``None``; skeleton rows carry none). ``unit`` is the
+    event replay's sending unit, which names the track and the ``worker``
+    arg instead of the records' own workers; ``args`` ride every span.
     """
+    if elements is None:
+        elements = [record.elements for record in push_records]
     totals: dict[int | None, int] = {}
-    for record in push_records:
-        totals[record.worker] = totals.get(record.worker, 0) + record.elements
+    for record, count in zip(push_records, elements):
+        totals[record.worker] = totals.get(record.worker, 0) + count
     for index in sorted(range(len(push_records)), key=compressed_at.__getitem__):
         record = push_records[index]
         total = totals[record.worker]
-        cost = push_cost * record.elements / total if total else 0.0
+        cost = push_cost * elements[index] / total if total else 0.0
         if cost <= 0.0:
             continue
         worker = record.worker if unit is None else unit
@@ -313,11 +320,11 @@ class NetworkSimulator:
         )
         return f"backward:{self._layer_of.get(last, 'end')}"
 
-    def _tiebreak(self, record: TransmissionRecord) -> tuple:
+    def _tiebreak(self, record, elements: int) -> tuple:
         """Service order among same-readiness records (see ``priority``);
         the array kernel's ``tiebreak`` keys say the same thing."""
         if self.priority == "smallest":
-            return (record.elements, record.name)
+            return (elements, record.name)
         return (record.name,)
 
     def _push_compressed_at(
@@ -327,6 +334,7 @@ class NetworkSimulator:
         push_cost: float,
         *,
         overlap: bool,
+        elements=None,
     ) -> dict[int, float]:
         """Compression-done times (relative to compute start) per record.
 
@@ -334,14 +342,17 @@ class NetworkSimulator:
         gradient-ready order and cost their element-share of the push
         compression budget. Shared by the step replay and the per-update
         event replay — the staleness-0 parity anchor requires the two to
-        schedule compression identically.
+        schedule compression identically. ``elements`` are as in
+        :func:`_trace_codec_pipelines`.
         """
         if not overlap:
             return {i: compute + push_cost for i in range(len(push_records))}
+        if elements is None:
+            elements = [record.elements for record in push_records]
         pipeline_elements: dict[int | None, int] = {}
-        for record in push_records:
+        for record, n in zip(push_records, elements):
             pipeline_elements[record.worker] = (
-                pipeline_elements.get(record.worker, 0) + record.elements
+                pipeline_elements.get(record.worker, 0) + n
             )
         grad_ready = [
             self._grad_ready_seconds(record, compute) for record in push_records
@@ -350,11 +361,13 @@ class NetworkSimulator:
         pipeline_free: dict[int | None, float] = {}
         for index in sorted(
             range(len(push_records)),
-            key=lambda i: (grad_ready[i], *self._tiebreak(push_records[i])),
+            key=lambda i: (
+                grad_ready[i], *self._tiebreak(push_records[i], elements[i])
+            ),
         ):
             record = push_records[index]
             total = pipeline_elements[record.worker]
-            cost = push_cost * record.elements / total if total else 0.0
+            cost = push_cost * elements[index] / total if total else 0.0
             start = max(grad_ready[index], pipeline_free.get(record.worker, 0.0))
             compressed_at[index] = start + cost
             pipeline_free[record.worker] = compressed_at[index]
@@ -418,6 +431,9 @@ class NetworkSimulator:
             times[0][index], times[1][index] = start, end
             return start, end
 
+        def tiebreak(record) -> tuple:
+            return self._tiebreak(record, record.elements)
+
         def dep_end(record, tier_floor: float) -> float:
             if overlap:
                 return max(
@@ -441,7 +457,7 @@ class NetworkSimulator:
                 for index in wave
             }
             for index in sorted(
-                wave, key=lambda i: (ready[i], *self._tiebreak(push_records[i]))
+                wave, key=lambda i: (ready[i], *tiebreak(push_records[i]))
             ):
                 record = push_records[index]
                 start, end = transfer(record, index, ready[index], push_times)
@@ -465,7 +481,7 @@ class NetworkSimulator:
         tier_floor = pull_ready
         for wave in dependency_waves(pull_records, push_names):
             wave_floor = tier_floor
-            for index in sorted(wave, key=lambda i: self._tiebreak(pull_records[i])):
+            for index in sorted(wave, key=lambda i: tiebreak(pull_records[i])):
                 record = pull_records[index]
                 ready = max(pull_ready, dep_end(record, wave_floor))
                 _, end = transfer(record, index, ready, pull_times)
@@ -478,6 +494,7 @@ class NetworkSimulator:
             self._trace_step(
                 st,
                 push_records,
+                [r.elements for r in push_records],
                 pull_records,
                 overlap=overlap,
                 compressed_at=compressed_at,
@@ -523,6 +540,7 @@ class NetworkSimulator:
         self,
         st: StepTransmissions,
         push_records,
+        push_elements,
         pull_records,
         *,
         overlap: bool,
@@ -536,12 +554,13 @@ class NetworkSimulator:
         the trace clock by the step's ``step_seconds``.
 
         The one span layout of the step model, fed by the array kernel
-        and the scalar reference alike: ``compressed_at`` and the
-        ``(starts, ends)`` transfer times are indexed like the phase's
-        records, ``push_end`` is the barrier release and ``phase_end`` the
-        last pull's landing. Every track's spans go out in time order.
-        Outage windows ride their own ``outage:<route>`` tracks so the
-        ``link:<route>`` span totals still reconcile with ``link_busy``.
+        (skeleton rows) and the scalar reference (records) alike:
+        ``push_elements``, ``compressed_at`` and the ``(starts, ends)``
+        transfer times are indexed like the phase's records, ``push_end``
+        is the barrier release and ``phase_end`` the last pull's landing.
+        Every track's spans go out in time order. Outage windows ride
+        their own ``outage:<route>`` tracks so the ``link:<route>`` span
+        totals still reconcile with ``link_busy``.
         """
         tracer, group, off = self.tracer, self.trace_group, self.trace_offset
         compute, push_cost, server_cost, pull_cost = self._scaled_seconds(st)
@@ -552,7 +571,7 @@ class NetworkSimulator:
             # One serial codec pipeline per sending worker.
             _trace_codec_pipelines(
                 tracer, group, off, push_records, compressed_at, push_cost,
-                step=st.step,
+                elements=push_elements, step=st.step,
             )
         elif push_cost > 0.0:
             # Serialized schedules charge one staged block after compute.
@@ -714,7 +733,7 @@ class EventDrivenSimulator:
             # Surface unknown/circular record dependencies up front with
             # the step scheduler's error messages instead of deadlocking
             # the event loop.
-            dependency_waves(e.records)
+            dependency_waves(e.skeleton.rows)
         if self.staleness == 0:
             return self._simulate_lockstep(events)
         return self._simulate_events(events)
@@ -732,7 +751,9 @@ class EventDrivenSimulator:
         is idempotent). The inverse of
         :func:`~repro.netsim.events.updates_from_bsp_steps`.
         """
-        return StepTransmissions(
+        return StepTransmissions._of(
+            tuple(zip(*chain.from_iterable(e.skeleton.rows for e in generation))),
+            chain.from_iterable(e.numbers.T.ravel().tolist() for e in generation),
             step=generation[0].local_step,
             compute_seconds=max(e.compute_seconds for e in generation),
             push_compress_seconds=max(e.push_compress_seconds for e in generation),
@@ -741,7 +762,6 @@ class EventDrivenSimulator:
             pull_decompress_seconds=max(
                 e.pull_decompress_seconds for e in generation
             ),
-            records=tuple(r for e in generation for r in e.records),
             link_down=tuple(sorted(_merge_floors(generation).items())),
         )
 
@@ -804,22 +824,26 @@ class EventDrivenSimulator:
         tracer = self.tracer
         trace_group = self.trace_group
 
-        # Resolve every record's wire occupancy up front in one batched
-        # pass (and bank the comm/overhead totals from the same arrays);
-        # the event loop then reads plain floats instead of re-deriving
-        # link specs per enqueue.
-        occ_all, comm, overhead = wire_occupancy_batch(
-            [r for e in events for r in (*e.push_records, *e.pull_records)],
-            self.link_model,
-            tm,
-        )
-        occ_list = occ_all.tolist()
-        occupancy: dict[int, list[float]] = {}  # pushes first, then pulls
-        pos = 0
+        # Each update's push side (pushes and collectives: skeleton rows and
+        # their elements) and pull rows. Every wire occupancy is resolved
+        # up front in one batched pass (banking the comm/overhead totals),
+        # so the event loop reads plain floats, not link specs.
+        sides: dict[int, tuple] = {}
+        sent: list[_Sent] = []  # pushes first, then pulls
         for e in events:
-            end = pos + len(e.push_records) + len(e.pull_records)
-            occupancy[e.update] = occ_list[pos:end]
-            pos = end
+            rows, (wire, elements, copies, frames) = e.skeleton.rows, e.numbers.tolist()
+            push = [i for i, r in enumerate(rows) if r.phase != "pull"]
+            pull = [i for i, r in enumerate(rows) if r.phase == "pull"]
+            sides[e.update] = (
+                [rows[i] for i in push], [elements[i] for i in push],
+                [rows[i] for i in pull], len(sent),
+            )
+            sent += (
+                _Sent(rows[i].route, wire[i] * copies[i], frames[i])
+                for i in push + pull
+            )
+        occ_all, comm, overhead = wire_occupancy_batch(sent, self.link_model, tm)
+        occupancy = occ_all.tolist()
 
         # Injected-fault outage floors (absolute simulated time): a route
         # serves nothing before its floor. Windows ride dedicated
@@ -906,8 +930,9 @@ class EventDrivenSimulator:
                 serve(route, now)
 
         # -- the one send path ---------------------------------------------
-        def send(e, records, occ, landed: set, slot, now: float, then) -> None:
-            """Put one phase of update ``e`` on the wire.
+        def send(e, records, first, landed: set, slot, now: float, then) -> None:
+            """Put one phase of update ``e`` on the wire (``first``: its
+            first record's index into ``occupancy``).
 
             A record enters its link queue once every name in its
             ``depends_on`` is in ``landed`` (names land as their transfers
@@ -926,7 +951,8 @@ class EventDrivenSimulator:
                 route = records[i].route
                 queue = link_queue.setdefault(route, deque())
                 queue.append(
-                    (e.update, records[i], occ[i], lambda td: arrived(i, td))
+                    (e.update, records[i], occupancy[first + i],
+                     lambda td: arrived(i, td))
                 )
                 if len(queue) == 1:
                     serve(route, t)
@@ -972,17 +998,17 @@ class EventDrivenSimulator:
             totals["codec"] += push_cost + codec_scale * (
                 e.server_seconds + e.pull_compress_seconds + e.pull_decompress_seconds
             )
-            pushes = e.push_records
+            pushes, elements, _, first = sides[e.update]
             # Same per-worker compression pipeline as the step replay,
             # offset to this update's compute start.
             compressed_at = self._steps._push_compressed_at(
-                pushes, compute, push_cost, overlap=self.overlap
+                pushes, compute, push_cost, overlap=self.overlap, elements=elements
             )
             if tracer is not None and push_cost > 0.0:
                 if self.overlap and pushes:
                     _trace_codec_pipelines(
                         tracer, trace_group, now, pushes, compressed_at,
-                        push_cost, unit=w, update=e.update,
+                        push_cost, elements=elements, unit=w, update=e.update,
                     )
                 else:
                     tracer.span(
@@ -998,7 +1024,7 @@ class EventDrivenSimulator:
                 )
                 return
             send(
-                e, pushes, occupancy[e.update], set(),
+                e, pushes, first, set(),
                 [now + compressed_at[i] for i in range(len(pushes))],
                 now, lambda t: pushes_arrived(e, now, t),
             )
@@ -1021,12 +1047,13 @@ class EventDrivenSimulator:
             # push name counts as landed for the pulls; a pull depending
             # on another pull (the intra-rack broadcast of a cross-rack
             # delta) waits for that transfer.
+            pushes, _, pulls, first = sides[e.update]
             schedule(
                 pulls_ready,
                 _P_PULLS,
                 lambda t: send(
-                    e, e.pull_records, occupancy[e.update][len(e.push_records):],
-                    {r.name for r in e.push_records}, None, t,
+                    e, pulls, first + len(pushes),
+                    {r.name for r in pushes}, None, t,
                     lambda td: update_done(e, start, commit, td),
                 ),
             )

@@ -40,7 +40,6 @@ sequentially there, differ in the last digits.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import groupby
 
 import numpy as np
@@ -57,10 +56,6 @@ __all__ = [
     "warm_extraction",
     "wire_occupancy_batch",
 ]
-
-#: One skeleton row with named fields, the structural half of a record.
-_Row = namedtuple("_Row", "name phase route worker params depends_on")
-
 
 def structure_groups(steps):
     """Yield ``steps`` as maximal runs of consecutive steps that hold one
@@ -212,7 +207,7 @@ class _PhaseBatch:
 
     def __init__(
         self,
-        records: list[_Row],
+        records: list,
         name_code_of: dict[str, int],
         route_code_of: dict[str, int],
         external_names: frozenset[str],
@@ -254,8 +249,7 @@ class RecordBatch:
         "pipelines", "num_pipelines", "_frac_cache",
     )
 
-    def __init__(self, columns):
-        records = tuple(map(_Row, *columns))
+    def __init__(self, records):
         pushes, pulls = phase_partition(records)
         # Positions of each phase's records in the skeleton, so the kernel
         # can slice each step's numbers (in record order) into the phase
@@ -328,7 +322,7 @@ def record_batch(st: StepTransmissions) -> RecordBatch:
     use, then shared by every step holding that skeleton)."""
     skeleton = st.skeleton
     if skeleton.batch is None:
-        skeleton.batch = RecordBatch(skeleton.columns)
+        skeleton.batch = RecordBatch(skeleton.rows)
     return skeleton.batch
 
 
@@ -668,10 +662,8 @@ def replay_run_vectorized(sim, steps, *, overlap: bool, trace: bool = False):
             )
         )
         if trace:
-            # The step's own records carry its numbers.
             sim._trace_step(
-                st,
-                *phase_partition(st.records),
+                st, push.records, st.numbers[1, batch.push_pos].tolist(), pull.records,
                 overlap=overlap,
                 compressed_at=compressed[s].tolist(),
                 push_times=[t[s].tolist() for t in push_times],

@@ -33,6 +33,7 @@ a script: ``PYTHONPATH=src python tests/exchange/test_golden_ledger.py``.
 
 import functools
 import json
+import pickle
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from repro.distributed.barriers import StragglerSpec
 from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
 from repro.exchange import Clock, ExchangeEngine
 from repro.harness.config import FAST_CONFIG
+from repro.netsim import TransmissionRecord
 from repro.network.traffic import StepTraffic
 from repro.telemetry import Telemetry
 
@@ -323,6 +325,42 @@ def test_point_to_point_records_reconcile_with_the_meter(cell):
         assert pull == traffic.pull_bytes_total + traffic.resync_bytes
         frames = sum(r.frames for r in records if not r.name.startswith("resync:"))
         assert frames == traffic.frames
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_recorded_plans_equal_their_records_rebuilt(cell):
+    """The engine's ledger builds a plan through the same path as the
+    public records constructor: rebuilding each recorded plan from its own
+    ``records`` gives an equal plan with the same hash, before and after
+    a pickle round trip."""
+    engine = recorded_engine(cell)
+    for quantum in engine.transmissions or engine.update_events:
+        given = {f.name: getattr(quantum, f.name) for f in fields(quantum)}
+        rebuilt = type(quantum)(**given)
+        for plan in (quantum, pickle.loads(pickle.dumps(quantum))):
+            assert plan == rebuilt and hash(plan) == hash(rebuilt)
+
+
+@pytest.mark.parametrize(
+    "cell", ["single_bsp", "ring_bsp", "hier4x2_bsp", "single_async", "hier4x2_ssp2"]
+)
+def test_rows_are_validated_once_per_structure(cell, monkeypatch):
+    """A recording validates each distinct skeleton's rows once through the
+    record constructor, not one record per send."""
+    calls = []
+    init = TransmissionRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransmissionRecord, "__init__", counted)
+    engine = run_cell(cell)
+    monkeypatch.undo()
+    recorded = engine.transmissions or engine.update_events
+    skeletons = {id(plan.skeleton): plan.skeleton for plan in recorded}
+    rows = sum(len(skeleton.columns[0]) for skeleton in skeletons.values())
+    assert len(calls) <= rows, f"{cell}: {len(calls)} validations for {rows} rows"
 
 
 def test_snapshot_covers_the_fault_paths(golden):

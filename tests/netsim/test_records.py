@@ -261,6 +261,36 @@ PLAN_ROWS = [
     (UpdateTransmissions, {"worker": 1.5}, f"update 0: worker {INTEGER} 1.5"),
     (UpdateTransmissions, {"local_step": -1}, f"update 0: local_step {INTEGER} -1"),
     (UpdateTransmissions, {"records": (make(), 7)}, "update 0: records[1] is not a"),
+    (
+        StepTransmissions,
+        {"compute_seconds": "1"},
+        "step 0: compute_seconds must be finite and >= 0, got '1'",
+    ),
+    (
+        StepTransmissions,
+        {"compute_seconds": None},
+        "step 0: compute_seconds must be finite and >= 0, got None",
+    ),
+    (
+        UpdateTransmissions,
+        {"compute_seconds": "1"},
+        "update 0: compute_seconds must be finite and >= 0, got '1'",
+    ),
+    (
+        UpdateTransmissions,
+        {"compute_seconds": None},
+        "update 0: compute_seconds must be finite and >= 0, got None",
+    ),
+    (
+        StepTransmissions,
+        {"link_down": (("server", "x"),)},
+        "step 0: link_down['server'] must be finite and >= 0, got 'x'",
+    ),
+    (
+        UpdateTransmissions,
+        {"link_down": (("server", "x"),)},
+        "update 0: link_down['server'] must be finite and >= 0, got 'x'",
+    ),
 ]
 
 

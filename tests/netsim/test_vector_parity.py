@@ -18,13 +18,18 @@ float-association tolerance; they feed no ordering decisions.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.netsim import link_model_for
-from repro.netsim.events import StepTransmissions, TransmissionRecord
+from repro.netsim.events import (
+    StepTransmissions,
+    TransmissionRecord,
+    updates_from_bsp_steps,
+)
 from repro.netsim.links import LinkModel
-from repro.netsim.scheduler import NetworkSimulator
+from repro.netsim.scheduler import EventDrivenSimulator, NetworkSimulator
 from repro.network.bandwidth import LinkSpec
 from repro.nn.stats import BackwardTimeline, LayerTiming
 from repro.telemetry import Tracer
@@ -365,3 +370,72 @@ def test_repeat_simulation_is_stable():
     first = vec.simulate_run(steps)
     second = vec.simulate_run(steps)
     assert first == second
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_splitting_into_updates_and_regrouping_keeps_bytes_and_frames(seed):
+    """``updates_from_bsp_steps`` then ``_generation_step`` gives each
+    step back its total bytes and frames exactly: pushes ride their
+    workers, and a shared pull's copies and frames spread over the first
+    ``copies`` workers (remainder frames on the first ones)."""
+    rng = random.Random(seed)
+    racks, rack_size = 2, 3
+    workers = racks * rack_size
+    steps = hier_run(rng, 4, racks=racks, rack_size=rack_size)
+
+    def spread(record):
+        """The pull shared by up to every worker, with spare frames."""
+        copies = rng.randint(1, workers)
+        return replace(record, copies=copies, frames=copies + rng.randrange(4))
+
+    shared = [
+        replace(st, records=tuple(
+            spread(r) if r.phase == "pull" else r for r in st.records
+        ))
+        for st in steps
+    ]
+    for run in (steps, shared):
+        updates = updates_from_bsp_steps(run, workers)
+        assert len(updates) == len(run) * workers
+        for index, st in enumerate(run):
+            generation = list(updates[index * workers:(index + 1) * workers])
+            regrouped = EventDrivenSimulator._generation_step(generation)
+            assert sum(r.total_bytes for r in regrouped.records) == sum(
+                r.total_bytes for r in st.records
+            )
+            assert regrouped.total_frames == st.total_frames
+
+
+def _one_step(*records):
+    return (StepTransmissions(step=0, compute_seconds=0.1, records=records),)
+
+
+_PUSH = TransmissionRecord("g", ("p0",), 10, 5, "server", worker=0)
+_PULL = TransmissionRecord("d", ("p0",), 10, 5, "server", phase="pull")
+
+
+@pytest.mark.parametrize(
+    "steps, num_workers, message",
+    [
+        (
+            _one_step(_PUSH, replace(_PULL, copies=4, frames=4)),
+            2,
+            "step 0: record 'd': 4 copies cannot split over num_workers=2",
+        ),
+        (
+            _one_step(replace(_PUSH, worker=3), _PULL),
+            2,
+            "step 0: record 'g': sent by worker 3, past num_workers=2",
+        ),
+        (
+            _one_step(_PUSH, _PULL),
+            True,
+            "updates_from_bsp_steps: num_workers must be an integer >= 1, got True",
+        ),
+    ],
+    ids=["pull-copies", "push-worker", "bool-workers"],
+)
+def test_splitting_refuses_what_it_would_drop(steps, num_workers, message):
+    with pytest.raises(ValueError) as raised:
+        updates_from_bsp_steps(steps, num_workers)
+    assert str(raised.value) == message
