@@ -10,8 +10,10 @@ a single-server crash with a checkpointed restart, and the fused-bucket
 shapes the wire stream's four owners differ on (per-rack uplink buckets
 and per-rack fused pull streams, a crash snapshot of lossy bucket
 contexts, a stochastic scheme whose bucket draws follow the stream key),
-stragglers under a backup-worker barrier, and a sharded upper tier
-under ``hier`` (an uplink flap with rejoin, and SSP(1)). Every run is on
+stragglers under a backup-worker barrier, a sharded upper tier under
+``hier`` (an uplink flap with rejoin, and SSP(1)), and stragglers on the
+ring and the rack rings (collectives reduce in rank order, not arrival
+order). Every run is on
 a modeled clock (compute 0.01 s) so barrier order and virtual clocks do
 not depend on wall-clock noise.
 
@@ -124,8 +126,8 @@ CELLS = {
         fuse_lossy=True,
         scheme="Stoch 3-value + QE",
     ),
-    # Stragglers under a backup-worker barrier: the only cell whose BSP
-    # workers arrive apart, so the only one with push+wait spans.
+    # Stragglers under a backup-worker barrier: BSP workers arrive apart,
+    # so the barrier's order is not rank order, and push+wait spans show.
     "single_straggler_backup_bsp": dict(
         num_workers=4,
         topology="single",
@@ -157,6 +159,23 @@ CELLS = {
         num_shards=2,
         sync_mode="ssp",
         staleness=1,
+    ),
+    # Collectives whose workers arrive apart: the ring and the rack rings
+    # take every worker's gradients in rank order, never the barrier's.
+    "ring_straggler_bsp": dict(
+        topology="ring",
+        straggler=StragglerSpec(
+            jitter_sigma=0.0, slowdown_probability=0.35, slowdown_factor=3.0, seed=5
+        ),
+    ),
+    "hier2x2_straggler_bsp": dict(
+        num_workers=4,
+        topology="hier",
+        racks=2,
+        rack_size=2,
+        straggler=StragglerSpec(
+            jitter_sigma=0.0, slowdown_probability=0.35, slowdown_factor=3.0, seed=5
+        ),
     ),
 }
 
