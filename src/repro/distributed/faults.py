@@ -157,9 +157,9 @@ class Churn:
 
     It owns all fault state, so an engine step only asks it which workers
     compute (:meth:`live_workers`), which racks reach the core
-    (:meth:`cut_racks`, then :meth:`settle`), how the barrier decides
-    (:meth:`decide`) and what the step's rejoins put on the wire
-    (:meth:`post`). With an empty spec every call is a no-op.
+    (:meth:`cut_racks`, :meth:`reached`, then :meth:`settle`), how the
+    barrier decides (:meth:`decide`) and what the step's rejoins put on the
+    wire (:meth:`post`). With an empty spec every call is a no-op.
     """
 
     def __init__(self, spec: FaultSpec, workers, service):
@@ -242,11 +242,14 @@ class Churn:
 
     def cut_racks(self, step: int) -> dict:
         """Process the flap and rejoin events due at ``step``; return the
-        ``down_racks`` / ``catch_up`` arguments of the step's exchange.
+        ``down_racks`` / ``catch_up`` arguments of the step's exchange
+        (none without flaps, which only a hierarchy has).
 
         A rack whose uplink comes back pushes its banked outage-window
         gradients this step; its members resync in :meth:`settle`.
         """
+        if not self.spec.flaps:
+            return {}
         self.step, self.rejoined = step, []
         for rack in range(self.service.racks):
             flap = self.spec.flap_at(rack, step)
@@ -269,8 +272,16 @@ class Churn:
             catch_up={rack: self.backlog[rack] for rack in self.rejoined},
         )
 
+    def reached(self, workers: list) -> list:
+        """The ``workers`` a step's shared deltas reach: all but the members
+        of racks cut off from the core."""
+        if not self.rack_down_until:
+            return workers
+        size = self.service.rack_size
+        return [w for w in workers if w.worker_id // size not in self.rack_down_until]
+
     def settle(self, outcome, lr: float) -> None:
-        """Finish a hierarchical step's churn once its exchange ran.
+        """Finish a step's rack churn once its exchange ran.
 
         A cut-off rack ring-reduced its members' gradients but the
         aggregate could not reach the core: members apply a plain SGD step

@@ -14,11 +14,17 @@ workers therefore converge to the global model over time rather than
 instantaneously, which is exactly the behaviour the paper's design accepts
 and evaluates. Decoding is stateless and depends only on the frame layout,
 so the same stream decodes the workers' pushes.
+
+One BSP step is :meth:`ParameterServer.exchange`: :meth:`~ParameterServer.step`
+on the accepted pushes, then the shared pull decoded as every worker
+decodes it, answered as one :class:`ExchangeOutcome` — the form every
+synchronous service of :mod:`repro.exchange` answers in.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +35,9 @@ from repro.nn.optimizer import MomentumSGD
 from repro.nn.parameter import Parameter
 from repro.nn.schedule import Schedule
 
-__all__ = ["ParameterServer", "PullBatch"]
+__all__ = ["ParameterServer", "PullBatch", "ExchangeOutcome"]
+
+Frames = dict[str, WireFrame | None]
 
 
 class PullBatch:
@@ -47,6 +55,41 @@ class PullBatch:
         self.messages = messages
         self.decompress_seconds = decompress_seconds
         self.compress_seconds = compress_seconds
+
+
+@dataclass
+class ExchangeOutcome:
+    """One synchronous exchange, as every service answers it: the deltas
+    to apply, what went on the wire, and what the codec work cost.
+
+    Collectives follow the ring convention: ``ring_bytes`` is the
+    all-links sum, ``link_bytes`` each ring's busiest-single-link bytes
+    per tensor (the honest per-channel volume the simulator schedules).
+    Point-to-point traffic comes back as the frames themselves.
+    """
+
+    #: Model deltas every worker the step reaches applies (``None`` for an
+    #: async rack update: the engine compresses per-rack pulls itself).
+    deltas: dict[str, np.ndarray] | None
+    #: Codec seconds as measured, by ``StepTransmissions`` field (an
+    #: absent field is 0).
+    codec: dict[str, float]
+    #: Each codec field's telemetry ``(track, stage)``; track ``worker``
+    #: is every worker's own track (work the workers do in parallel).
+    stages: dict[str, tuple[str, str]]
+    #: Point-to-point pushes by sender, in wire order: every worker that
+    #: computed (the dropped included), or every up rack's uplink.
+    pushes: dict[int, Frames] = field(default_factory=dict)
+    #: The shared pull's frames (none after a ring's all-gather).
+    pulls: Frames = field(default_factory=dict)
+    #: Per ring — the flat ring is ring 0, a rack ring its rack (up racks
+    #: first) — tensor -> busiest-hop-link bytes.
+    link_bytes: dict[int, dict[str, int]] = field(default_factory=dict)
+    ring_bytes: int = 0
+    #: Rack-averaged gradients of racks whose uplink was down this step
+    #: (fault injection): reduced on the healthy rack fabric but excluded
+    #: from the global exchange, for the engine to apply locally and bank.
+    down_rack_grads: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
 
 
 class ParameterServer:
@@ -71,6 +114,14 @@ class ParameterServer:
         The wire plan (must match the plan the workers were built with;
         no buckets: fusion off).
     """
+
+    #: Telemetry of a parameter service's codec fields.
+    STAGES = {
+        "push_compress_seconds": ("worker", "compress"),
+        "server_decompress_seconds": ("server", "decompress"),
+        "server_compress_seconds": ("server", "apply+compress"),
+        "pull_decompress_seconds": ("worker", "pull-decompress"),
+    }
 
     def __init__(
         self,
@@ -180,6 +231,33 @@ class ParameterServer:
         )
         compress_seconds = time.perf_counter() - t1
         return PullBatch(messages, decompress_seconds, compress_seconds)
+
+    def exchange(self, batches, accepted) -> ExchangeOutcome:
+        """One BSP step: :meth:`step` on the ``accepted`` senders' pushes,
+        in that (arrival) order, then the shared pull decoded once, timed.
+
+        ``batches`` maps every sender that pushed — accepted or dropped by
+        the barrier — to its push: the ``messages`` and the sender's
+        ``compress_seconds`` (the slowest sender's is the step's).
+        """
+        pull = self.step(
+            [batches[sender].messages for sender in accepted], divisor=len(accepted)
+        )
+        t0 = time.perf_counter()
+        deltas = self.decompress_pulls(pull.messages)
+        pull_decompress_seconds = time.perf_counter() - t0
+        return ExchangeOutcome(
+            deltas,
+            dict(
+                push_compress_seconds=max(b.compress_seconds for b in batches.values()),
+                server_decompress_seconds=pull.decompress_seconds,
+                server_compress_seconds=pull.compress_seconds,
+                pull_decompress_seconds=pull_decompress_seconds,
+            ),
+            self.STAGES,
+            pushes={sender: batch.messages for sender, batch in batches.items()},
+            pulls=pull.messages,
+        )
 
     def decompress_pulls(self, messages) -> dict[str, np.ndarray]:
         """Decode one step's shared pull frames into named deltas (worker

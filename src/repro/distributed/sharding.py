@@ -233,6 +233,11 @@ class ShardedParameterService:
         messages = {label: merged[label] for label in self._frame_owner}
         return PullBatch(messages, decompress, compress)
 
+    #: One BSP step, as a single server runs it: :meth:`step`, then a
+    #: timed :meth:`decompress_pulls`.
+    STAGES = ParameterServer.STAGES
+    exchange = ParameterServer.exchange
+
     def decompress_pulls(self, messages) -> dict[str, np.ndarray]:
         """Decode one step's merged pull frames, each via its owning shard."""
         deltas: dict[str, np.ndarray] = {}

@@ -17,6 +17,7 @@ the only trainer: one ``train_step`` is one scheduling quantum, finalized
 in one place and accounted through one wire ledger.
 """
 
+from repro.distributed.server import ExchangeOutcome
 from repro.exchange.clock import MEASURED, MODELED, Clock
 from repro.exchange.engine import (
     EngineConfig,
@@ -36,9 +37,7 @@ from repro.exchange.sync import (
 from repro.exchange.topology import (
     TOPOLOGIES,
     HierarchicalExchangeService,
-    HierarchicalOutcome,
     RingExchangeService,
-    RingOutcome,
     build_service,
     transmission_routes,
 )
@@ -60,9 +59,8 @@ __all__ = [
     "SYNC_MODES",
     "build_service",
     "transmission_routes",
+    "ExchangeOutcome",
     "RingExchangeService",
-    "RingOutcome",
     "HierarchicalExchangeService",
-    "HierarchicalOutcome",
     "TOPOLOGIES",
 ]

@@ -10,10 +10,14 @@ parity tests in ``tests/exchange`` assert bit-identical loss trajectories
 and wire bytes).
 
 One call of :meth:`ExchangeEngine.train_step` is one *scheduling quantum*
-— a full BSP step, or one async/SSP update. A step body reads compute →
-barrier → exchange → apply → post → close and hands back a single quantum
-value; ``train_step`` alone finalizes it (traffic meter, recording, update
-count, telemetry, step log). Churn is the
+— a full BSP step, or one async/SSP update — and ``train_step`` chooses
+only between the two bodies. The one BSP body runs every topology: it
+reads compute → barrier → ``service.exchange`` → apply → settle → post →
+close, and every synchronous service answers its ``exchange`` with one
+:class:`~repro.distributed.server.ExchangeOutcome` (the deltas, what goes
+on the wire, the codec seconds and their telemetry stages). A body hands
+back a single quantum value; ``train_step`` alone finalizes it (traffic
+meter, recording, update count, telemetry, step log). Churn is the
 :class:`~repro.distributed.faults.Churn` runtime's, and every outcome is
 posted once, by the service's :class:`~repro.exchange.topology.Wire`, to
 the quantum's ledger, which feeds the ``StepTraffic`` counters and — when
@@ -152,6 +156,26 @@ class EngineConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("fuse_small_tensors", "fuse_lossy", "record_transmissions"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        for name, kind, optional in (
+            ("clock", Clock, False),
+            ("fault", FaultSpec, True),
+            ("straggler", StragglerSpec, True),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, kind) or optional and value is None):
+                expected = f"a {kind.__name__}" + (" or None" if optional else "")
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
+        boundaries = self.bucket_boundaries
+        if not isinstance(boundaries, tuple) or not all(
+            isinstance(name, str) for name in boundaries
+        ):
+            raise ValueError(
+                f"bucket_boundaries must be a tuple of str, got {boundaries!r}"
+            )
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if self.batch_size < 1:
@@ -617,15 +641,7 @@ class ExchangeEngine:
         The strategy does the exchange; everything that observes a
         finished quantum happens here, once.
         """
-        topology = self.engine_config.topology
-        if not self.sync.synchronous:
-            quantum = self._async_update()
-        elif topology == "hier":
-            quantum = self._hier_step()
-        elif topology == "ring":
-            quantum = self._ring_step()
-        else:
-            quantum = self._ps_step()
+        quantum = self._bsp_step() if self.sync.synchronous else self._async_update()
         if not math.isfinite(quantum.loss):
             raise FloatingPointError(self._divergence(quantum.step))
         self.traffic.record(quantum.traffic)
@@ -741,22 +757,34 @@ class ExchangeEngine:
         quantum: _Quantum,
         *,
         arrivals: dict[int, float],
-        compress_by_worker: dict[int, float],
-        stages: list[tuple[str, str, float]],
-        pull_decompress_seconds: float,
+        batches: dict,
+        codec: dict[str, float],
+        stages: dict[str, tuple[str, str]],
     ) -> None:
         """Lay one synchronous step on the telemetry virtual clock.
 
         Per-worker tracks carry compute / compress / barrier-wait spans
         (the straggler-scaled arrival times the barrier decided on, the
-        recorded codec costs); the serial middle of the step — server or
-        collective codec work — arrives as ordered ``(track, name,
-        seconds)`` stages, and the parallel pull decode closes the step on
-        every worker track.
+        recorded codec costs). ``codec`` holds the step's recorded codec
+        seconds by field and ``stages`` each field's ``(track, stage)``.
+        Stages on track ``worker`` run on every worker track in parallel —
+        push compression before the barrier wait, the pull decode closing
+        the step; the others are the step's serial middle (server or
+        collective codec work), one span per stage in field order.
         """
         tel = self.telemetry
         tracer = tel.tracer
         step = quantum.step
+        codec_phases: dict[str, float] = {}
+        serial: dict[tuple[str, str], float] = {}
+        for field, seconds in codec.items():
+            track, stage = stages[field]
+            codec_phases[stage] = codec_phases.get(stage, 0.0) + seconds
+            if track != "worker":
+                serial[track, stage] = serial.get((track, stage), 0.0) + seconds
+        push_track, push_stage = stages["push_compress_seconds"]
+        pull_track, pull_stage = stages["pull_decompress_seconds"]
+        measured = not self.engine_config.clock.modeled
         t0 = self._tel_clock
         barrier = t0 + quantum.traffic.compute_seconds
         codec_end: dict[int, float] = {}
@@ -764,11 +792,16 @@ class ExchangeEngine:
         for wid in sorted(arrivals):
             c0 = t0 + arrivals[wid]
             tracer.span("engine", f"worker{wid}", "compute", t0, c0, step=step)
-            c1 = c0 + compress_by_worker.get(wid, 0.0)
-            if c1 > c0:
-                tracer.span(
-                    "engine", f"worker{wid}", "compress", c0, c1, step=step
+            c1 = c0
+            if push_track == "worker":
+                # Each worker's own compression, when measured.
+                c1 += (
+                    batches[wid].compress_seconds
+                    if measured
+                    else codec["push_compress_seconds"]
                 )
+            if c1 > c0:
+                tracer.span("engine", f"worker{wid}", push_stage, c0, c1, step=step)
             codec_end[wid] = c1
             top = max(top, c1)
         for wid, c1 in codec_end.items():
@@ -777,30 +810,23 @@ class ExchangeEngine:
                     "engine", f"worker{wid}", "push+wait", c1, top, step=step
                 )
         cursor = top
-        for track, name, seconds in stages:
+        for (track, stage), seconds in serial.items():
             if seconds > 0:
                 tracer.span(
-                    "engine", track, name, cursor, cursor + seconds, step=step
+                    "engine", track, stage, cursor, cursor + seconds, step=step
                 )
             cursor += seconds
-        if pull_decompress_seconds > 0:
+        pull = 0.0
+        if pull_track == "worker":
+            pull = codec.get("pull_decompress_seconds", 0.0)
+        if pull > 0:
             for wid in sorted(arrivals):
                 tracer.span(
-                    "engine",
-                    f"worker{wid}",
-                    "pull-decompress",
-                    cursor,
-                    cursor + pull_decompress_seconds,
+                    "engine", f"worker{wid}", pull_stage, cursor, cursor + pull,
                     step=step,
                 )
-        cursor += pull_decompress_seconds
+        cursor += pull
         self._tel_clock = cursor
-        codec_phases = {
-            "compress": max(compress_by_worker.values(), default=0.0),
-            "pull-decompress": pull_decompress_seconds,
-        }
-        for _, name, seconds in stages:
-            codec_phases[name] = codec_phases.get(name, 0.0) + seconds
         self._tel_metrics(quantum, codec_phases)
         tel.snapshot_step(step=step, clock_seconds=cursor)
 
@@ -852,186 +878,63 @@ class ExchangeEngine:
 
     # -- synchronous strategies (BSP) ----------------------------------------
 
-    def _ps_step(self) -> _Quantum:
-        """One BSP step against a parameter service (single or sharded)."""
+    def _bsp_step(self) -> _Quantum:
+        """One BSP step against any synchronous service."""
         step = self.service.global_step
+        raw = self.engine_config.wants_raw_gradients
         # Crashes due this step take their worker out before compute;
         # rejoins resync from the pre-step global model and compute.
-        live = [
-            (worker, worker.train_step()) for worker in self.churn.live_workers(step)
-        ]
+        live = self.churn.live_workers(step)
         if not live:
             raise RuntimeError(f"step {step}: no live workers remain")
+        batches = {
+            worker.worker_id: worker.train_step_raw() if raw else worker.train_step()
+            for worker in live
+        }
 
         # Barrier: decide whose pushes enter aggregation. Straggler-scaled
         # compute time determines arrival order; dropped pushes were still
-        # transmitted (they consumed bandwidth) but are discarded.
-        arrivals = self._arrivals(live)
+        # transmitted (they consumed bandwidth) but are discarded. Racks
+        # cut off from the core ring-reduce but do not cross; a rejoining
+        # rack catches up.
+        arrivals = self._arrivals(zip(live, batches.values()))
         decision = self.churn.decide(self.barrier, arrivals)
-        pushes = {worker.worker_id: batch.messages for worker, batch in live}
-        pull_batch = self.service.step(
-            [pushes[wid] for wid in decision.accepted],
-            divisor=len(decision.accepted),
+        outcome = self.service.exchange(
+            batches, decision.accepted, **self.churn.cut_racks(step)
         )
+        lr = self.service.schedule(step)
+        reached = self.churn.reached(live)
+        for worker in reached:
+            worker.apply_pull(outcome.deltas)
+        self.churn.settle(outcome, lr)
 
-        # Workers pull the *shared* compressed deltas and apply them.
-        t0 = time.perf_counter()
-        deltas = self.service.decompress_pulls(pull_batch.messages)
-        pull_decompress_seconds = time.perf_counter() - t0
-        for worker, _ in live:
-            worker.apply_pull(deltas)
-
-        ledger = self._open_ledger(step, pull_fanout=len(live), num_workers=len(live))
-        bypassed = self.service.bypassed
-        for worker, batch in live:
-            self.wire.post(
-                ledger, "push", batch.messages, bypassed=bypassed,
-                worker=worker.worker_id,
-            )
-        # A shared pull is compressed once but physically transmitted to
-        # every worker: one frame (and one payload copy) per subscriber.
-        self.wire.post(
-            ledger, "pull", pull_batch.messages, bypassed=bypassed,
-            copies=len(live), frames=len(live),
+        # Every reached worker receives one physical copy of each shared
+        # pull (a ring's all-gather already fanned out).
+        ledger = self._open_ledger(
+            step, pull_fanout=len(reached) if outcome.pulls else 0,
+            num_workers=len(live),
         )
+        self.wire.post_exchange(ledger, outcome)
         link_down = self.churn.post(ledger, self.wire)
         ledger.traffic.dropped_pushes = len(decision.dropped)
         # Workers run in parallel: the barrier charges the slowest worker it
-        # actually waited for (straggler-scaled; backup workers excluded).
-        # Codec work on the critical path: slowest worker's push compression,
-        # the server's serialized decompress + compress, and one worker's
-        # pull decompression (workers decompress in parallel).
+        # actually waited for (straggler-scaled; backup workers excluded),
+        # and the outcome the codec work on the critical path.
         transmissions, codec = ledger.close(
             StepTransmissions,
             decision.compute_seconds,
-            dict(
-                push_compress_seconds=max(b.compress_seconds for _, b in live),
-                server_decompress_seconds=pull_batch.decompress_seconds,
-                server_compress_seconds=pull_batch.compress_seconds,
-                pull_decompress_seconds=pull_decompress_seconds,
-            ),
-            step=step,
-            link_down=link_down,
-        )
-        modeled = self.engine_config.clock.modeled
-        return _Quantum(
-            step=step,
-            loss=float(np.mean([batch.loss for _, batch in live])),
-            lr=self.service.schedule(step),
-            traffic=ledger.traffic,
-            transmissions=transmissions,
-            layout=dict(
-                arrivals=arrivals,
-                compress_by_worker={
-                    worker.worker_id: codec["push_compress_seconds"]
-                    if modeled
-                    else batch.compress_seconds
-                    for worker, batch in live
-                },
-                stages=[
-                    ("server", "decompress", codec["server_decompress_seconds"]),
-                    ("server", "apply+compress", codec["server_compress_seconds"]),
-                ],
-                pull_decompress_seconds=codec["pull_decompress_seconds"],
-            ),
-        )
-
-    def _ring_step(self) -> _Quantum:
-        """One BSP step over the ring: raw gradients, per-hop compression."""
-        step = self.service.global_step
-        batches = [worker.train_step_raw() for worker in self.workers]
-        arrivals = self._arrivals(zip(self.workers, batches))
-        decision = self.barrier.decide(arrivals)
-        outcome = self.service.exchange([b.grads for b in batches])
-        for worker in self.workers:
-            worker.apply_pull(outcome.deltas)
-
-        # No pull phase: the all-gather already fanned out. The per-hop
-        # codec time rides in the push-compression pipeline.
-        ledger = self._open_ledger(step, pull_fanout=0, num_workers=len(self.workers))
-        self.wire.post_ring(ledger, outcome)
-        transmissions, codec = ledger.close(
-            StepTransmissions,
-            decision.compute_seconds,
-            dict(push_compress_seconds=outcome.codec_seconds),
-            step=step,
-        )
-        return _Quantum(
-            step=step,
-            loss=float(np.mean([b.loss for b in batches])),
-            lr=self.service.schedule(step),
-            traffic=ledger.traffic,
-            transmissions=transmissions,
-            layout=dict(
-                arrivals=arrivals,
-                compress_by_worker={},
-                # The ring's one stage carries all of the step's codec
-                # seconds (a modeled clock prices the hop decodes apart).
-                stages=[("ring", "allreduce+codec", sum(codec.values()))],
-                pull_decompress_seconds=0.0,
-            ),
-        )
-
-    def _hier_step(self) -> _Quantum:
-        """One BSP step over the two-tier exchange: rack rings, then the
-        cross-rack service, then the shared deltas fan back down."""
-        step = self.service.global_step
-        batches = [worker.train_step_raw() for worker in self.workers]
-        arrivals = self._arrivals(zip(self.workers, batches))
-        decision = self.churn.decide(self.barrier, arrivals)
-        # Racks cut off from the core ring-reduce but do not cross; a
-        # rejoining rack catches up.
-        outcome = self.service.exchange(
-            [b.grads for b in batches], **self.churn.cut_racks(step)
-        )
-        lr = self.service.schedule(step)
-        for rack in outcome.up_racks:
-            for worker in self._rack_workers(rack):
-                worker.apply_pull(outcome.deltas)
-        self.churn.settle(outcome, lr)
-
-        rack_size = self.engine_config.rack_size
-        ledger = self._open_ledger(
-            step,
-            # Every member of an up rack receives one physical copy of
-            # each shared cross-rack pull: one copy per up rack crosses
-            # the uplink, then rack_size - 1 more circulate the rack ring.
-            pull_fanout=len(outcome.up_racks) * rack_size,
-            num_workers=len(self.workers),
-        )
-        self.wire.post_hier_push(ledger, outcome)
-        self.wire.post_hier_pull(ledger, outcome.pull_messages, outcome.up_racks)
-        link_down = self.churn.post(ledger, self.wire)
-        # Critical path: the slowest rack's serial (ring + uplink codec)
-        # pipeline, the upper service's serialized decompress + compress,
-        # and one shared decode of the pulled deltas.
-        transmissions, codec = ledger.close(
-            StepTransmissions,
-            decision.compute_seconds,
-            dict(
-                push_compress_seconds=outcome.push_compress_seconds,
-                server_decompress_seconds=outcome.server_decompress_seconds,
-                server_compress_seconds=outcome.server_compress_seconds,
-                pull_decompress_seconds=outcome.pull_decompress_seconds,
-            ),
+            outcome.codec,
             step=step,
             link_down=link_down,
         )
         return _Quantum(
             step=step,
-            loss=float(np.mean([b.loss for b in batches])),
+            loss=float(np.mean([batch.loss for batch in batches.values()])),
             lr=lr,
             traffic=ledger.traffic,
             transmissions=transmissions,
             layout=dict(
-                arrivals=arrivals,
-                compress_by_worker={},
-                stages=[
-                    ("racks", "rack-pipeline", codec["push_compress_seconds"]),
-                    ("server", "decompress", codec["server_decompress_seconds"]),
-                    ("server", "apply+compress", codec["server_compress_seconds"]),
-                ],
-                pull_decompress_seconds=codec["pull_decompress_seconds"],
+                arrivals=arrivals, batches=batches, codec=codec, stages=outcome.stages
             ),
         )
 
@@ -1106,9 +1009,9 @@ class ExchangeEngine:
         step = self.service.global_step
         staleness = step - self._pull_step[unit]
         if hier:
-            outcome = self.service.rack_exchange(unit, [b.grads for b in batches])
-            push_seconds = outcome.push_compress_seconds
-            server_seconds = outcome.server_decompress_seconds
+            outcome = self.service.rack_exchange(unit, batches)
+            push_seconds = outcome.codec["push_compress_seconds"]
+            server_seconds = outcome.codec["server_decompress_seconds"]
         else:
             pull_batch = self.service.step([batches[0].messages], divisor=1)
             push_seconds = batches[0].compress_seconds
@@ -1123,7 +1026,7 @@ class ExchangeEngine:
             self.update_count, pull_fanout=len(workers), num_workers=len(workers)
         )
         if hier:
-            self.wire.post_hier_push(ledger, outcome)
+            self.wire.post_exchange(ledger, outcome)
             self.wire.post_hier_pull(ledger, pulls, (unit,), unit=unit)
         else:
             self.wire.post(ledger, "push", batches[0].messages, worker=unit)

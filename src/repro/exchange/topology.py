@@ -26,8 +26,13 @@ steps against:
 Every rule on a name and its shape knobs is ``EngineConfig``'s; nothing
 here re-checks one. All services expose the
 :class:`~repro.distributed.server.ParameterServer` surface the engine
-relies on: ``step``/``exchange``, ``state_dict``, ``params``,
-``bypassed``, ``schedule``, and ``global_step``.
+relies on: ``state_dict``, ``params``, ``bypassed``, ``schedule``,
+``global_step``, and one BSP step, ``exchange(batches, accepted)``, which
+answers an :class:`~repro.distributed.server.ExchangeOutcome`. A parameter
+service aggregates the ``accepted`` pushes in that (arrival) order; the
+ring and the rack rings reduce every worker's gradients in rank order.
+Async/SSP updates call a parameter service's ``step`` directly, or
+:meth:`HierarchicalExchangeService.rack_exchange`.
 
 This module also names everything on the wire: :func:`transmission_routes`
 maps each tensor to its route, and a :class:`Wire` posts every exchange
@@ -38,8 +43,10 @@ intra-rack records with their rack. No other module builds a record name.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +54,7 @@ from repro.compression.base import Compressor
 from repro.compression.fusion import FusionPlan, WireFrame, WireStream
 from repro.distributed.allreduce import RingAllReduce
 from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
-from repro.distributed.server import ParameterServer
+from repro.distributed.server import ExchangeOutcome, ParameterServer
 from repro.distributed.sharding import ShardedParameterService
 from repro.nn.parameter import Parameter
 from repro.nn.schedule import Schedule
@@ -58,9 +65,7 @@ __all__ = [
     "transmission_routes",
     "Wire",
     "RingExchangeService",
-    "RingOutcome",
     "HierarchicalExchangeService",
-    "HierarchicalOutcome",
 ]
 
 #: Registry of topology names accepted by the engine and the harness.
@@ -196,55 +201,72 @@ class Wire:
             route = self.routes[params[0]]
             ledger.post(phase, label, params, message, route, main=main, **routing)
 
-    def post_ring(self, ledger, outcome: RingOutcome) -> None:
-        """Post one flat ring all-reduce: one collective record per tensor.
+    def post_exchange(self, ledger, outcome: ExchangeOutcome) -> None:
+        """Post one exchange outcome: its ring collectives, its pushes, then
+        its shared pull.
 
-        Bytes are what one hop link carries and frames are one chunk
-        message per hop (all N links run their 2(N-1) hops in parallel;
-        the meter counts every (node, hop) chunk as one framed message).
+        A parameter service's pushes and shared pull go on their tensors'
+        routes; a shared pull is compressed once but physically sent to
+        every pushing worker, one frame (and one payload copy) each. Under
+        ``hier`` each up rack's compressed aggregate crosses its uplink,
+        depending on the rack collectives of the tensors it carries (a
+        fused frame leaves only once every member's collective landed),
+        and the shared pull flows down to the up racks.
         """
-        ring = self.service.ring
-        traffic = ledger.traffic
-        traffic.push_bytes = outcome.wire_bytes
-        traffic.push_elements = sum(ring.sent_elements.values())
-        traffic.push_messages = len(self.service.params) * ring.frames
-        for name, elements in ring.sent_elements.items():
-            ledger.emit(
-                name, (name,), outcome.link_bytes.get(name, 0), elements,
-                self.routes[name], "collective", frames=ring.link_frames,
-            )
-
-    def post_hier_push(self, ledger, outcome: HierarchicalOutcome) -> None:
-        """Post one hierarchical exchange's upward traffic.
-
-        Rack rings follow the ring convention — one collective per tensor
-        per rack at the busiest link's bytes — then each up rack's
-        compressed aggregate crosses its uplink, depending on the rack
-        collectives of the tensors it carries (a fused frame leaves only
-        once every member's collective landed).
-        """
-        ring = self.service.rack_rings[0]  # every rack ring has one shape
-        racks = len(outcome.rack_indices)
-        traffic = ledger.traffic
-        traffic.push_bytes += outcome.intra_wire_bytes
-        traffic.push_elements += racks * sum(ring.sent_elements.values())
-        traffic.push_messages += len(self.service.params) * ring.frames * racks
-        traffic.intra_rack_bytes += outcome.intra_wire_bytes
-        for rack, link_bytes in zip(outcome.rack_indices, outcome.per_rack_link_bytes):
-            for name, elements in ring.sent_elements.items():
-                ledger.emit(
-                    f"{name}@rack{rack}", (name,), link_bytes.get(name, 0),
-                    elements, f"rack{rack}", "collective",
-                    worker=rack * self.rack_size, frames=ring.link_frames,
+        if outcome.link_bytes:
+            self._post_rings(ledger, outcome)
+        rack_size = self.rack_size
+        if not rack_size:
+            bypassed = self.service.bypassed
+            for sender, messages in outcome.pushes.items():
+                self.post(ledger, "push", messages, bypassed=bypassed, worker=sender)
+            if outcome.pulls:
+                fanout = len(outcome.pushes)
+                self.post(
+                    ledger, "pull", outcome.pulls, bypassed=bypassed,
+                    copies=fanout, frames=fanout,
                 )
-        for rack, messages in zip(outcome.up_racks, outcome.cross_push_results):
+            return
+        traffic = ledger.traffic
+        for rack, messages in outcome.pushes.items():
             for label, params, message in _frames(messages):
                 traffic.cross_rack_bytes += message.wire_size
                 ledger.post(
                     "push", f"{label}@up{rack}", params, message,
                     self.cross_route(params[0], rack),
-                    worker=rack * self.rack_size,
+                    worker=rack * rack_size,
                     depends_on=tuple(f"{name}@rack{rack}" for name in params),
+                )
+        if outcome.pulls:
+            self.post_hier_pull(ledger, outcome.pulls, tuple(outcome.pushes))
+
+    def _post_rings(self, ledger, outcome: ExchangeOutcome) -> None:
+        """Post ring all-reduces: one collective record per tensor per ring.
+
+        Bytes are what the busiest hop link carries and frames are one
+        chunk message per hop (all links run their hops in parallel); the
+        meter counts every (node, hop) chunk as one framed message. A rack
+        ring's records are stamped with their rack.
+        """
+        hier = bool(self.rack_size)
+        # Every rack ring has one shape.
+        ring = self.service.rack_rings[0] if hier else self.service.ring
+        rings = len(outcome.link_bytes)
+        traffic = ledger.traffic
+        traffic.push_bytes += outcome.ring_bytes
+        traffic.push_elements += rings * sum(ring.sent_elements.values())
+        traffic.push_messages += len(self.service.params) * ring.frames * rings
+        if hier:
+            traffic.intra_rack_bytes += outcome.ring_bytes
+        for rack, link_bytes in outcome.link_bytes.items():
+            suffix, worker = ("", None)
+            if hier:
+                suffix, worker = f"@rack{rack}", rack * self.rack_size
+            for name, elements in ring.sent_elements.items():
+                ledger.emit(
+                    name + suffix, (name,), link_bytes.get(name, 0), elements,
+                    f"rack{rack}" if hier else self.routes[name], "collective",
+                    worker=worker, frames=ring.link_frames,
                 )
 
     def post_hier_pull(self, ledger, messages, racks, *, unit=None) -> None:
@@ -335,19 +357,6 @@ def _reduce(ring: RingAllReduce, grad_dicts: list[dict[str, np.ndarray]]):
     return reduced, link_bytes, wire, time.perf_counter() - t0
 
 
-@dataclass
-class RingOutcome:
-    """Result of one ring exchange round."""
-
-    deltas: dict[str, np.ndarray]
-    wire_bytes: int
-    codec_seconds: float
-    #: Per-tensor bytes the *busiest single link* carried — the honest
-    #: quantity for ring step time (every link works in parallel; the
-    #: server-NIC model would wrongly charge the all-links sum).
-    link_bytes: dict[str, int]
-
-
 class RingExchangeService:
     """Serverless exchange: gradients are averaged by one ring all-reduce
     over all tensors (hops in lockstep, persistent per-hop compression
@@ -358,6 +367,10 @@ class RingExchangeService:
     uncompressed ring); large tensors compress per hop, so error feedback
     corrects each *link* across training steps.
     """
+
+    #: One stage carries all of a step's codec seconds (a modeled clock
+    #: prices the hop decodes apart).
+    STAGES = dict.fromkeys(ParameterServer.STAGES, ("ring", "allreduce+codec"))
 
     def __init__(
         self,
@@ -391,11 +404,15 @@ class RingExchangeService:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
 
-    def exchange(self, grad_dicts: list[dict[str, np.ndarray]]) -> RingOutcome:
-        """Ring-reduce every tensor, update the canonical model, and return
-        the model deltas each replica applies locally (no pull traffic —
-        after the all-gather phase every node already holds the result)."""
-        reduced, link_bytes, wire, codec_seconds = _reduce(self.ring, grad_dicts)
+    def exchange(self, batches, accepted) -> ExchangeOutcome:
+        """Ring-reduce every worker's gradients (``batches`` by worker, in
+        rank order; the barrier's ``accepted`` order is not the ring's),
+        update the canonical model, and return the model deltas each
+        replica applies locally (no pull traffic — after the all-gather
+        phase every node already holds the result)."""
+        reduced, link_bytes, wire, codec_seconds = _reduce(
+            self.ring, [batches[worker].grads for worker in sorted(batches)]
+        )
 
         lr = self.schedule(self.global_step)
         previous = {name: p.data.copy() for name, p in self.params.items()}
@@ -410,54 +427,20 @@ class RingExchangeService:
         deltas = {
             name: param.data - previous[name] for name, param in self.params.items()
         }
-        return RingOutcome(deltas, wire, codec_seconds, link_bytes)
+        return ExchangeOutcome(
+            deltas,
+            dict(push_compress_seconds=codec_seconds),
+            self.STAGES,
+            link_bytes={0: link_bytes},
+            ring_bytes=wire,
+        )
 
 
-@dataclass
-class HierarchicalOutcome:
-    """Result of one hierarchical exchange (a full BSP step, or one
-    rack's asynchronous update).
+class _Uplink(NamedTuple):
+    """One rack's compressed aggregate, as the upper tier takes a push."""
 
-    Intra-rack quantities follow the ring conventions: ``intra_wire_bytes``
-    is the all-links sum while ``per_rack_link_bytes`` holds each rack's
-    busiest-single-link bytes per tensor (the honest per-channel volume
-    the simulator schedules). Cross-rack traffic is point-to-point —
-    compressed rack aggregates up, shared compressed deltas down — and
-    comes back as the messages themselves for :class:`Wire` to post, so no
-    byte totals are kept here.
-    """
-
-    #: Model deltas every worker applies (``None`` for async rack
-    #: updates — the engine compresses per-rack pull increments itself).
-    deltas: dict[str, np.ndarray] | None
-    #: Which racks participated (all of them for a BSP step).
-    rack_indices: tuple[int, ...]
-    #: Per participating rack: tensor -> busiest-hop-link bytes.
-    per_rack_link_bytes: tuple[dict[str, int], ...]
-    intra_wire_bytes: int
-    #: Per up rack: the uplink stream's frames by label.
-    cross_push_results: tuple[dict[str, WireFrame | None], ...]
-    #: Slowest rack's serial (ring codec + uplink compress) pipeline —
-    #: the critical-path push-compression convention.
-    push_compress_seconds: float
-    #: Shared cross-rack pull frames (BSP only; empty for rack updates).
-    pull_messages: dict[str, WireFrame | None] = field(default_factory=dict)
-    server_decompress_seconds: float = 0.0
-    server_compress_seconds: float = 0.0
-    pull_decompress_seconds: float = 0.0
-    #: Rack-averaged gradients of racks whose uplink was down this step
-    #: (fault injection): reduced on the healthy rack fabric but excluded
-    #: from the global exchange. The engine applies them as degraded
-    #: local-only steps and banks them for the rejoin catch-up push.
-    down_rack_grads: dict[int, dict[str, np.ndarray]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def up_racks(self) -> tuple[int, ...]:
-        """Racks whose aggregate crossed the uplink: they lead
-        ``rack_indices``, one per cross-push entry."""
-        return self.rack_indices[: len(self.cross_push_results)]
+    messages: dict[str, WireFrame | None]
+    compress_seconds: float
 
 
 class HierarchicalExchangeService:
@@ -485,6 +468,12 @@ class HierarchicalExchangeService:
     ``(phase, sender, chunk)``); stochastic schemes therefore draw the
     same per-hop streams in every rack, which is deterministic.
     """
+
+    #: The slowest rack's serial ring + uplink pipeline is the push side.
+    STAGES = {
+        **ParameterServer.STAGES,
+        "push_compress_seconds": ("racks", "rack-pipeline"),
+    }
 
     def __init__(
         self,
@@ -538,130 +527,139 @@ class HierarchicalExchangeService:
 
     # -- the two-phase exchange --------------------------------------------
 
-    def _compress_uplink(
-        self, rack: int, rack_grads: dict[str, np.ndarray]
-    ) -> tuple[dict[str, WireFrame | None], float]:
+    def _is_rack(self, rack) -> bool:
+        """Whether ``rack`` names a rack: an integer (not a ``bool``) in
+        ``[0, racks)``."""
+        return (
+            isinstance(rack, numbers.Integral)
+            and not isinstance(rack, bool)
+            and 0 <= rack < self.racks
+        )
+
+    def _compress_uplink(self, rack: int, rack_grads: dict[str, np.ndarray]) -> _Uplink:
         """Phase 2 (up) for one rack: compress the aggregate for the core."""
         t0 = time.perf_counter()
         messages = self.uplinks[rack].compress(rack_grads)
-        return messages, time.perf_counter() - t0
+        return _Uplink(messages, time.perf_counter() - t0)
 
     def exchange(
         self,
-        grad_dicts: list[dict[str, np.ndarray]],
+        batches,
+        accepted,
         *,
         down_racks: frozenset[int] = frozenset(),
         catch_up: dict[int, dict[str, np.ndarray]] | None = None,
-    ) -> HierarchicalOutcome:
-        """One full BSP step: every rack reduces, then the core aggregates.
+    ) -> ExchangeOutcome:
+        """One full BSP step: every rack reduces its members' gradients
+        (``batches`` by worker, in rank order; the barrier's ``accepted``
+        order is not the rings'), then the upper tier's own ``exchange``
+        aggregates the up racks' uplink pushes.
 
         ``down_racks`` (fault injection) are racks whose cross uplink is
         out this step: their members still ring-reduce over the healthy
         rack fabric, but the aggregate never reaches the core — it comes
-        back in :attr:`HierarchicalOutcome.down_rack_grads` for the engine
-        to apply locally. ``catch_up`` maps a rejoining rack to its banked
-        outage-window gradient sum, folded into that rack's uplink push
-        (through the persistent uplink error-feedback context) this step.
+        back in :attr:`~repro.distributed.server.ExchangeOutcome.down_rack_grads`
+        for the engine to apply locally. ``catch_up`` maps a rejoining rack
+        to its banked outage-window gradient sum, folded into that rack's
+        uplink push (through the persistent uplink error-feedback context)
+        this step.
         """
         expected = self.racks * self.rack_size
-        if len(grad_dicts) != expected:
+        if len(batches) != expected:
             raise ValueError(
                 f"expected {expected} gradient sets "
-                f"({self.racks} racks x {self.rack_size}), got {len(grad_dicts)}"
+                f"({self.racks} racks x {self.rack_size}), got {len(batches)}"
             )
         for rack in down_racks:
-            if not (0 <= rack < self.racks):
-                raise ValueError(f"down rack {rack} out of range")
+            if not self._is_rack(rack):
+                raise ValueError(
+                    f"down rack {rack!r} out of range: down_racks must hold "
+                    f"racks in [0, {self.racks})"
+                )
+        catch_up = catch_up or {}
+        for rack in catch_up:
+            if not self._is_rack(rack):
+                raise ValueError(
+                    f"catch_up rack {rack!r} out of range: catch_up must be "
+                    f"keyed by racks in [0, {self.racks})"
+                )
+            if rack in down_racks:
+                raise ValueError(
+                    f"rack {rack} cannot catch up while its uplink is down"
+                )
         if len(down_racks) >= self.racks:
             raise RuntimeError(
                 "every rack is cut off from the core; no exchange possible"
             )
+        grads = [batches[worker].grads for worker in sorted(batches)]
+        size = self.rack_size
         rack_grads: list[dict[str, np.ndarray]] = []
-        per_rack_link_bytes: list[dict[str, int]] = []
-        rack_codec: list[float] = []
-        intra_wire = 0
-        for rack in range(self.racks):
-            group = grad_dicts[rack * self.rack_size : (rack + 1) * self.rack_size]
-            reduced, link_bytes, wire, codec = _reduce(self.rack_rings[rack], group)
+        link_bytes: list[dict[str, int]] = []
+        pipeline: list[float] = []
+        ring_bytes = 0
+        for rack, ring in enumerate(self.rack_rings):
+            reduced, busiest, wire, seconds = _reduce(
+                ring, grads[rack * size : (rack + 1) * size]
+            )
             rack_grads.append(reduced)
-            per_rack_link_bytes.append(link_bytes)
-            rack_codec.append(codec)
-            intra_wire += wire
+            link_bytes.append(busiest)
+            pipeline.append(seconds)
+            ring_bytes += wire
 
-        if catch_up:
-            # Late rejoin push: fold the banked outage-window gradients
-            # into the rejoining rack's aggregate before it crosses the
-            # uplink — compression errors land in the uplink's persistent
-            # error-feedback residual like any other step.
-            for rack, backlog in catch_up.items():
-                if rack in down_racks:
-                    raise ValueError(
-                        f"rack {rack} cannot catch up while its uplink is down"
-                    )
-                grads = rack_grads[rack]
-                for name, banked in backlog.items():
-                    grads[name] = grads[name] + banked
+        # Late rejoin push: fold the banked outage-window gradients into the
+        # rejoining rack's aggregate before it crosses the uplink —
+        # compression errors land in the uplink's persistent error-feedback
+        # residual like any other step.
+        for rack, backlog in catch_up.items():
+            reduced = rack_grads[rack]
+            for name, banked in backlog.items():
+                reduced[name] = reduced[name] + banked
 
-        # ``rack_indices`` lists the up racks first (the only ones with
-        # cross-push entries), then the cut-off racks, which pay no uplink
+        # Up racks push (and list first); cut-off racks pay no uplink
         # compression. With no faults this is simply 0..racks-1.
         up_racks = [r for r in range(self.racks) if r not in down_racks]
-        order = up_racks + sorted(down_racks)
-        cross_results: list[dict[str, WireFrame | None]] = []
-        cross_compress: dict[int, float] = {}
+        uplinks = {}
         for rack in up_racks:
-            messages, cross_compress[rack] = self._compress_uplink(
-                rack, rack_grads[rack]
-            )
-            cross_results.append(messages)
-
-        pull_batch = self.upper.step(cross_results, divisor=len(up_racks))
-
-        t0 = time.perf_counter()
-        deltas = self.upper.decompress_pulls(pull_batch.messages)
-        pull_decompress = time.perf_counter() - t0
-
-        return HierarchicalOutcome(
-            deltas=deltas,
-            rack_indices=tuple(order),
-            per_rack_link_bytes=tuple(per_rack_link_bytes[r] for r in order),
-            intra_wire_bytes=intra_wire,
-            cross_push_results=tuple(cross_results),
-            push_compress_seconds=max(
-                rack_codec[r] + cross_compress.get(r, 0.0) for r in order
-            ),
-            pull_messages=pull_batch.messages,
-            server_decompress_seconds=pull_batch.decompress_seconds,
-            server_compress_seconds=pull_batch.compress_seconds,
-            pull_decompress_seconds=pull_decompress,
-            down_rack_grads={r: rack_grads[r] for r in sorted(down_racks)},
+            uplinks[rack] = self._compress_uplink(rack, rack_grads[rack])
+            pipeline[rack] += uplinks[rack].compress_seconds
+        outcome = self.upper.exchange(uplinks, up_racks)
+        order = up_racks + sorted(down_racks)
+        return replace(
+            outcome,
+            codec={**outcome.codec, "push_compress_seconds": max(pipeline)},
+            stages=self.STAGES,
+            link_bytes={rack: link_bytes[rack] for rack in order},
+            ring_bytes=ring_bytes,
+            down_rack_grads={rack: rack_grads[rack] for rack in sorted(down_racks)},
         )
 
-    def rack_exchange(
-        self, rack: int, grad_dicts: list[dict[str, np.ndarray]]
-    ) -> HierarchicalOutcome:
-        """One rack's asynchronous update: the rack reduces internally and
-        pushes its aggregate alone (``divisor=1``); the engine handles the
-        per-rack pull stream through its own error-feedback contexts."""
-        if not (0 <= rack < self.racks):
-            raise ValueError(f"rack must be in [0, {self.racks}), got {rack}")
-        if len(grad_dicts) != self.rack_size:
+    def rack_exchange(self, rack: int, batches) -> ExchangeOutcome:
+        """One rack's asynchronous update: the rack reduces its members'
+        gradients (``batches`` in rank order) and pushes its aggregate alone
+        (``divisor=1``); the engine handles the per-rack pull stream through
+        its own error-feedback contexts."""
+        if not self._is_rack(rack):
+            raise ValueError(f"rack must be in [0, {self.racks}), got {rack!r}")
+        if len(batches) != self.rack_size:
             raise ValueError(
                 f"expected {self.rack_size} gradient sets for one rack, "
-                f"got {len(grad_dicts)}"
+                f"got {len(batches)}"
             )
-        reduced, link_bytes, wire, codec = _reduce(self.rack_rings[rack], grad_dicts)
-        messages, compress_seconds = self._compress_uplink(rack, reduced)
-        pull_batch = self.upper.step([messages], divisor=1)
-        return HierarchicalOutcome(
-            deltas=None,
-            rack_indices=(rack,),
-            per_rack_link_bytes=(link_bytes,),
-            intra_wire_bytes=wire,
-            cross_push_results=(messages,),
-            push_compress_seconds=codec + compress_seconds,
-            # Async convention (matching the flat parameter server): the
-            # discarded shared-pull compression stays uncharged.
-            server_decompress_seconds=pull_batch.decompress_seconds,
-            server_compress_seconds=0.0,
+        reduced, link_bytes, wire, seconds = _reduce(
+            self.rack_rings[rack], [batch.grads for batch in batches]
+        )
+        uplink = self._compress_uplink(rack, reduced)
+        pull = self.upper.step([uplink.messages], divisor=1)
+        # Async convention (matching the flat parameter server): the
+        # discarded shared-pull compression stays uncharged.
+        return ExchangeOutcome(
+            None,
+            dict(
+                push_compress_seconds=seconds + uplink.compress_seconds,
+                server_decompress_seconds=pull.decompress_seconds,
+            ),
+            self.STAGES,
+            pushes={rack: uplink.messages},
+            link_bytes={rack: link_bytes},
+            ring_bytes=wire,
         )

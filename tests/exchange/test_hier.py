@@ -229,6 +229,61 @@ class TestValidation:
         err = capsys.readouterr().err
         assert rule in err and "--racks 1" in err
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                dict(catch_up={-1: "backlog"}),
+                "catch_up rack -1 out of range: catch_up must be keyed by "
+                "racks in [0, 2)",
+            ),
+            (
+                dict(catch_up={5: "backlog"}),
+                "catch_up rack 5 out of range: catch_up must be keyed by "
+                "racks in [0, 2)",
+            ),
+            (
+                dict(catch_up={True: "backlog"}),
+                "catch_up rack True out of range: catch_up must be keyed by "
+                "racks in [0, 2)",
+            ),
+            (
+                dict(down_racks=frozenset({True})),
+                "down rack True out of range: down_racks must hold racks in [0, 2)",
+            ),
+            (
+                dict(down_racks=frozenset({2})),
+                "down rack 2 out of range: down_racks must hold racks in [0, 2)",
+            ),
+            (
+                dict(down_racks=frozenset({1}), catch_up={1: "backlog"}),
+                "rack 1 cannot catch up while its uplink is down",
+            ),
+            (dict(rack=True), "rack must be in [0, 2), got True"),
+            (dict(rack=2), "rack must be in [0, 2), got 2"),
+            (dict(rack=-1), "rack must be in [0, 2), got -1"),
+        ],
+        ids=[
+            "catch-up-negative", "catch-up-past-end", "catch-up-bool",
+            "down-bool", "down-past-end", "catch-up-while-down",
+            "rack-bool", "rack-past-end", "rack-negative",
+        ],
+    )
+    def test_rack_arguments_are_checked_before_any_work(self, call, message):
+        """A rack is an ``int`` (not a ``bool``) in ``[0, racks)``: anything
+        else is refused by name before a ring or the core steps."""
+        engine = make_engine()
+        service = engine.service
+        batches = {w.worker_id: w.train_step_raw() for w in engine.workers}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if "rack" in call:
+                service.rack_exchange(call["rack"], [batches[0], batches[1]])
+            else:
+                service.exchange(batches, None, **call)
+        assert service.global_step == 0
+        service.exchange(batches, None)  # the rings still run in lockstep
+        assert service.global_step == 1
+
     def test_backup_workers_rejected(self):
         with pytest.raises(ValueError, match="backup"):
             make_engine(backup_workers=1)

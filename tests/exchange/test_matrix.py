@@ -244,6 +244,46 @@ TOPOLOGY_RULES = {
         "staleness must be an integer, got 1.5",
         None,
     ),
+    "string-record-flag": (
+        dict(record_transmissions="no"),
+        "record_transmissions must be a bool, got 'no'",
+        None,
+    ),
+    "int-fuse-flag": (
+        dict(fuse_small_tensors=1),
+        "fuse_small_tensors must be a bool, got 1",
+        None,
+    ),
+    "string-lossy-flag": (
+        dict(fuse_small_tensors=True, fuse_lossy="yes"),
+        "fuse_lossy must be a bool, got 'yes'",
+        None,
+    ),
+    "string-clock": (
+        dict(clock="modeled"),
+        "clock must be a Clock, got 'modeled'",
+        None,
+    ),
+    "float-straggler": (
+        dict(straggler=2.0),
+        "straggler must be a StragglerSpec or None, got 2.0",
+        None,
+    ),
+    "string-fault": (
+        dict(fault="crash"),
+        "fault must be a FaultSpec or None, got 'crash'",
+        None,
+    ),
+    "string-boundaries": (
+        dict(fuse_small_tensors=True, bucket_boundaries="fc1.w"),
+        "bucket_boundaries must be a tuple of str, got 'fc1.w'",
+        None,
+    ),
+    "non-string-boundary": (
+        dict(fuse_small_tensors=True, bucket_boundaries=("fc1.w", 3)),
+        "bucket_boundaries must be a tuple of str, got ('fc1.w', 3)",
+        None,
+    ),
 }
 
 
