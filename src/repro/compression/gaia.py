@@ -35,6 +35,12 @@ from repro.core.packets import CodecId, WireMessage
 __all__ = ["GaiaCompressor"]
 
 
+def _rms(values: np.ndarray) -> float:
+    """Root mean square; 0.0 for an empty tensor (where ``np.mean`` warns
+    and gives NaN, which the running RMS would then keep forever)."""
+    return float(np.sqrt(np.mean(np.square(values)))) if values.size else 0.0
+
+
 class _GaiaContext(CompressorContext):
     def __init__(
         self,
@@ -66,15 +72,13 @@ class _GaiaContext(CompressorContext):
         threshold = self.threshold_at(self._step)
         self._step += 1
 
-        scale = self._rms if self._rms > 0.0 else float(
-            np.sqrt(np.mean(np.square(accumulated))) or 1.0
-        )
+        scale = self._rms if self._rms > 0.0 else _rms(accumulated) or 1.0
         selected = np.abs(accumulated) >= threshold * scale
         result = encode_bitmap_sparse(CodecId.GAIA_SPARSE, accumulated, selected)
         self.buffer.subtract(result.reconstruction)
         # Update the significance base from what was actually applied so the
         # relative criterion tracks the decaying update scale.
-        applied_rms = float(np.sqrt(np.mean(np.square(result.reconstruction))))
+        applied_rms = _rms(result.reconstruction)
         self._rms = 0.9 * self._rms + 0.1 * applied_rms if self._rms else applied_rms
         return result
 

@@ -45,7 +45,7 @@ def clip_gradient(
     if clip_factor <= 0:
         raise ValueError(f"clip_factor must be > 0, got {clip_factor!r}")
     arr = np.asarray(tensor, dtype=np.float32)
-    sigma = float(np.std(arr))
+    sigma = float(np.std(arr)) if arr.size else 0.0
     if sigma == 0.0:
         return arr
     bound = np.float32(clip_factor * sigma)

@@ -14,8 +14,8 @@ hands out is a no-op, so instrumented code paths can hold an
 unconditional reference and stay overhead-free when telemetry is off.
 
 The :mod:`repro.telemetry.analysis` subpackage consumes what this layer
-records: critical-path attribution and bottleneck reports, trace
-diffing, and live Prometheus/NDJSON exposition.
+records: critical-path attribution and bottleneck reports, and trace
+diffing.
 """
 
 from __future__ import annotations

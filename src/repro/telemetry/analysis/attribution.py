@@ -41,7 +41,7 @@ from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 
-from repro.telemetry.tracing import Span
+from repro.telemetry.tracing import _SHAREABLE, Span
 from repro.utils.format import format_table
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "attribute_trace",
     "bottleneck_report",
     "classify",
+    "load_chrome_rows",
     "load_chrome_trace",
     "report_text",
     "rows_from_chrome",
@@ -66,6 +67,10 @@ _PRIORITY = {"compute": 0, "codec": 1, "wire": 2, "barrier": 3, "outage": 4}
 
 #: JSON numbers, exactly: ``bool`` is an ``int`` only to ``isinstance``.
 _NUMBER = (int, float)
+_INF = float("inf")
+_REQUIRED = frozenset(("name", "ph", "pid", "tid"))
+#: Known phase -> its keys that must be a time (finite number >= 0).
+_TIMED = {"X": ("ts", "dur"), **dict.fromkeys("BEi", ("ts",)), "M": (), "C": ()}
 
 
 #: The named view of a span row ``(group, track, name, start, end, args)``:
@@ -73,12 +78,72 @@ _NUMBER = (int, float)
 TraceSpan = Span
 
 
+def _finite(value) -> bool:
+    """A JSON number (``int`` or ``float``, not ``bool``) and finite."""
+    return type(value) in _NUMBER and -_INF < value < _INF
+
+
+def _problems(event) -> list[str]:
+    """Why one ``traceEvents`` element is malformed (empty: it is not) — the
+    one per-event rule. Only an ``"X"`` event it passes becomes a row."""
+    if not isinstance(event, dict):
+        return ["not an object"]
+    if not event.keys() >= _REQUIRED:
+        return [f"missing keys {sorted(_REQUIRED - event.keys())}"]
+    phase = event["ph"]
+    if not (isinstance(phase, str) and phase in _TIMED):
+        return [f"unknown phase {phase!r}"]
+    if not (_finite(event["pid"]) and _finite(event["tid"])):
+        bad = [key for key in ("pid", "tid") if not _finite(event[key])]
+        return [f"bad {key!r} {event[key]!r} (want a finite number)" for key in bad]
+    problems = []  # a loop and inline tests: every span of a load runs this
+    for key in _TIMED[phase]:
+        value = event.get(key)
+        if not (type(value) in _NUMBER and 0 <= value < _INF):
+            problems.append(f"bad {key!r} {value!r} (want finite number >= 0)")
+    if "args" in event and not isinstance(event["args"], dict):
+        problems.append(f"bad 'args' {event['args']!r} (want an object)")
+    return problems
+
+
+def _row(event, shared: dict) -> tuple | None:
+    """``(name, ts, dur, pid, tid, args)`` of an ``"X"`` event that passes
+    :func:`_problems`, else ``None``. ``shared`` is one load's table: a name
+    interns under itself, ``args`` of ``int`` / ``str`` / ``None`` values
+    under its items (``1``, ``1.0`` and ``True`` are equal but never share)."""
+    if not (isinstance(event, dict) and event.get("ph") == "X") or _problems(event):
+        return None
+    name, args = str(event["name"]), event.get("args") or {}
+    if _SHAREABLE.issuperset(map(type, args.values())):
+        args = shared.setdefault(tuple(args.items()), args)
+    name = shared.setdefault(name, name)
+    return name, event["ts"], event["dur"], event["pid"], event["tid"], args
+
+
 def load_chrome_trace(path) -> dict:
-    """Read a Chrome ``traceEvents`` JSON file; malformed JSON (truncated
-    included) or a top level that is not an object raises ``ValueError``
-    naming the path."""
+    """Read a Chrome ``traceEvents`` JSON file, building each element of the
+    top-level list that :func:`_row` accepts into its row while the JSON
+    parses; the rest (metadata, other phases, malformed events) stay dicts.
+    Malformed JSON (truncated included) or a top level that is not an
+    object raises ``ValueError`` naming the path."""
+    text, shared, built = Path(path).read_text(), {}, 0
+
+    def hook(obj: dict):
+        nonlocal built
+        row = _row(obj, shared)
+        built += row is not None
+        return obj if row is None else row
+
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(text, object_hook=hook)
+        events = data.get("traceEvents") if isinstance(data, dict) else None
+        listed = sum(type(e) is tuple for e in events) if type(events) is list else 0
+        if built != listed:
+            # The hook sees every object: one outside the list became a row.
+            data = json.loads(text)
+            events = data.get("traceEvents") if isinstance(data, dict) else None
+            if type(events) is list:
+                events[:] = [_row(event, shared) or event for event in events]
     except json.JSONDecodeError as error:
         raise ValueError(f"{path}: not a Chrome trace: {error}") from None
     if not isinstance(data, dict):
@@ -87,50 +152,55 @@ def load_chrome_trace(path) -> dict:
     return data
 
 
+def load_chrome_rows(path) -> list[tuple]:
+    """:func:`rows_from_chrome` of :func:`load_chrome_trace` as a list; a bad
+    event's ``ValueError`` names the path too."""
+    data = load_chrome_trace(path)
+    try:
+        return list(rows_from_chrome(data))
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
+
+
+def _elements(data: dict):
+    """``(index, row, event)`` per ``traceEvents`` element; ``row`` is the
+    element if :func:`load_chrome_trace` built it, else :func:`_row`'s."""
+    events, shared = data.get("traceEvents"), {}
+    for index, event in enumerate(events if isinstance(events, list) else ()):
+        yield index, event if type(event) is tuple else _row(event, shared), event
+
+
 def rows_from_chrome(data: dict):
     """Complete (``"X"``) events of a Chrome trace as span rows
     ``(group, track, name, start, end, args)``, in file order.
 
     Process / thread names come from the ``"M"`` metadata events the
-    exporter writes; microsecond timestamps convert back to seconds.
-    A row's ``args`` is its event's own dict, not a copy. An ``"X"``
-    event whose ``pid`` / ``tid`` / ``ts`` / ``dur`` is missing or not
-    a number raises :class:`ValueError` naming both.
+    exporter writes; microsecond timestamps convert back to seconds. Equal
+    ``args`` may be one shared dict: read it only. An ``"X"`` or ``"M"``
+    event that fails the validator's rule raises its ``ValueError``.
     """
     process_of: dict[int, str] = {}
     track_of: dict[tuple[int, int], str] = {}
-    for index, event in enumerate(data.get("traceEvents") or []):
-        phase = event.get("ph")
-        if phase == "M":
-            name = (event.get("args") or {}).get("name", "")
-            if event.get("name") == "process_name":
-                process_of[event["pid"]] = name
-            elif event.get("name") == "thread_name":
-                track_of[(event["pid"], event["tid"])] = name
-        elif phase == "X":
-            pid, tid = event.get("pid"), event.get("tid")
-            ts, dur = event.get("ts"), event.get("dur")
-            numeric = type(pid) in _NUMBER and type(tid) in _NUMBER
-            if not (numeric and type(ts) in _NUMBER and type(dur) in _NUMBER):
-                bad = next(
-                    key
-                    for key in ("pid", "tid", "ts", "dur")
-                    if type(event.get(key)) not in _NUMBER
-                )
-                raise ValueError(
-                    f"traceEvents[{index}]: bad {bad!r} {event.get(bad)!r} "
-                    "(want a number)"
-                )
-            group, track = process_of.get(pid), track_of.get((pid, tid))
-            start = float(ts) / 1e6
-            yield (
-                f"pid{pid}" if group is None else group,
-                f"tid{tid}" if track is None else track,
-                str(event.get("name", "")),
-                start,
-                start + float(dur) / 1e6,
-                event.get("args") or {},
-            )
+    for index, row, event in _elements(data):
+        if row is None:
+            if isinstance(event, dict) and event.get("ph") in ("X", "M"):
+                problems = _problems(event)
+                if problems:
+                    raise ValueError(f"traceEvents[{index}]: {problems[0]}")
+                name = (event.get("args") or {}).get("name", "")
+                if event["name"] == "process_name":
+                    process_of[event["pid"]] = name
+                elif event["name"] == "thread_name":
+                    track_of[(event["pid"], event["tid"])] = name
+            continue
+        name, ts, dur, pid, tid, args = row
+        group, track = process_of.get(pid), track_of.get((pid, tid))
+        start = float(ts) / 1e6
+        yield (
+            f"pid{pid}" if group is None else group,
+            f"tid{tid}" if track is None else track,
+            name, start, start + float(dur) / 1e6, args,
+        )
 
 
 def spans_from_chrome(data: dict) -> list[TraceSpan]:

@@ -33,7 +33,7 @@ from repro.utils.format import format_table
 from repro.telemetry.analysis.attribution import (
     RunAttribution,
     attribute_trace,
-    load_chrome_trace,
+    load_chrome_rows,
     rows_from_chrome,
 )
 
@@ -42,10 +42,10 @@ __all__ = ["diff_report", "diff_text", "main"]
 DIFF_SCHEMA = "repro.trace-diff/v1"
 
 
-def _attributed(data: dict) -> tuple[dict[str, RunAttribution], dict]:
-    """A trace's attributions and its outage intervals ``(start, end,
-    route)``, both by group, from one read of its span rows."""
-    rows = list(rows_from_chrome(data))
+def _attributed(data) -> tuple[dict[str, RunAttribution], dict]:
+    """A trace's (or row list's) attributions and its outage intervals
+    ``(start, end, route)``, both by group, from one read of its span rows."""
+    rows = list(rows_from_chrome(data)) if isinstance(data, dict) else data
     outages: dict[str, list[tuple[float, float, str]]] = {}
     for group, track, _, start, end, _ in rows:
         if track.startswith("outage:"):
@@ -71,13 +71,13 @@ def _bucket_moves(
 
 
 def diff_report(
-    base_data: dict,
-    other_data: dict,
+    base_data: dict | list,
+    other_data: dict | list,
     *,
     threshold: float = 1e-9,
     fault_summary: dict | None = None,
 ) -> dict:
-    """Structured diff of two Chrome traces (``repro.trace-diff/v1``)."""
+    """Structured diff of two Chrome traces or row lists (``repro.trace-diff/v1``)."""
     base_by, base_outages = _attributed(base_data)
     other_by, other_outages = _attributed(other_data)
     groups = []
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
         fault_summary = None
         if args.results is not None:
             fault_summary = _fault_summaries_from_archive(args.results)
-        base, other = load_chrome_trace(args.base), load_chrome_trace(args.other)
+        base, other = load_chrome_rows(args.base), load_chrome_rows(args.other)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ from repro.harness.results_io import load_results
 from repro.telemetry.analysis.attribution import (
     attribute_trace,
     bottleneck_report,
-    load_chrome_trace,
+    load_chrome_rows,
     report_text,
 )
 
@@ -66,11 +66,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         archive = [] if args.results is None else load_results(args.results)
-        data = load_chrome_trace(args.trace)
+        rows = load_chrome_rows(args.trace)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    attributions = attribute_trace(data)
+    attributions = attribute_trace(rows)
     report = bottleneck_report(attributions, top=args.top)
     if args.json:
         path = Path(args.json)

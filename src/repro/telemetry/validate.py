@@ -5,10 +5,11 @@ Usage::
     python -m repro.telemetry.validate [--strict] trace.json [more.json ...]
 
 Validates the ``traceEvents`` object format structurally — required
-keys, known phases, numbers by attribution's rule (``int`` / ``float``,
-finite; ``ts`` / ``dur`` non-negative, so what validates attributes) —
-and fails on unclosed spans: every ``"B"`` begin event must have a
-matching ``"E"`` end on the same ``(pid, tid)`` track. (Our own exporter
+keys, known phases, numbers (``int`` / ``float``, finite; ``ts`` /
+``dur`` non-negative), ``args`` an object: attribution's one per-event
+rule, so what validates attributes — and fails on unclosed spans: every
+``"B"`` begin event must have a matching ``"E"`` end on the same
+``(pid, tid)`` track. (Our own exporter
 only emits complete ``"X"`` events and refuses to export a tracer with
 dangling ``begin()`` calls, so this doubles as an end-to-end check that
 nothing upstream leaked an open span into the file.)
@@ -25,31 +26,22 @@ work (one ``server`` track committing several units' updates).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.telemetry.analysis.attribution import _NUMBER
+from repro.telemetry.analysis.attribution import _elements, _problems, load_chrome_trace
 
 __all__ = ["main", "validate_chrome_trace"]
-
-_REQUIRED_KEYS = ("name", "ph", "pid", "tid")
-_KNOWN_PHASES = frozenset("XMBEiC")
-_INF = float("inf")
-
 
 #: Overlap slack in microseconds: spans touching at a shared boundary
 #: (end == next start) are not overlapping.
 _STRICT_OVERLAP_SLACK_US = 1e-3
 
 
-def _finite(value) -> bool:
-    """Attribution's number rule (``int`` or ``float``, not ``bool``), finite."""
-    return type(value) in _NUMBER and -_INF < value < _INF
-
-
 def validate_chrome_trace(data, *, strict: bool = False) -> list[str]:
-    """Return a list of schema violations (empty means valid)."""
+    """Schema violations of a Chrome trace object or of
+    :func:`load_chrome_trace`'s (empty means valid); rows the load built
+    passed the per-event rule already and are not checked again."""
     errors: list[str] = []
     if not isinstance(data, dict):
         return [f"top level must be an object, got {type(data).__name__}"]
@@ -61,58 +53,31 @@ def validate_chrome_trace(data, *, strict: bool = False) -> list[str]:
     complete: dict[tuple, list[tuple[float, float, str, int]]] = {}
     last_ts: dict[tuple, tuple[float, int]] = {}
     open_stacks: dict[tuple, list[str]] = {}
-    for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
-        if not isinstance(event, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        missing = [key for key in _REQUIRED_KEYS if key not in event]
-        if missing:
-            errors.append(f"{where}: missing keys {missing}")
-            continue
-        phase = event["ph"]
-        if phase not in _KNOWN_PHASES:
-            errors.append(f"{where}: unknown phase {phase!r}")
-            continue
-        if not (_finite(event["pid"]) and _finite(event["tid"])):
-            errors.extend(
-                f"{where}: bad {key!r} {event[key]!r} (want a finite number)"
-                for key in ("pid", "tid")
-                if not _finite(event[key])
-            )
-            continue
-        if phase in ("X", "B", "E", "i"):
-            ts = event.get("ts")
-            if not (_finite(ts) and ts >= 0):
-                errors.append(f"{where}: bad 'ts' {ts!r} (want finite number >= 0)")
-        if phase == "X":
-            dur = event.get("dur")
-            if not (_finite(dur) and dur >= 0):
-                errors.append(f"{where}: bad 'dur' {dur!r} (want finite number >= 0)")
-            elif strict and _finite(event.get("ts")):
-                track = (event["pid"], event["tid"])
-                ts = float(event["ts"])
-                complete.setdefault(track, []).append(
-                    (ts, ts + float(dur), str(event["name"]), index)
+    for index, row, event in _elements(data):
+        if row is None:
+            where = f"traceEvents[{index}]"
+            problems = _problems(event)
+            errors.extend(f"{where}: {problem}" for problem in problems)
+            track = None if problems else (event["pid"], event["tid"])
+            if track and event["ph"] == "B":
+                open_stacks.setdefault(track, []).append(str(event["name"]))
+            elif track and event["ph"] == "E":
+                stack = open_stacks.get(track)
+                if not stack:
+                    errors.append(f"{where}: 'E' event with no open 'B' span")
+                else:
+                    stack.pop()
+        elif strict:
+            name, ts, dur, pid, tid, _ = row
+            track, ts = (pid, tid), float(ts)
+            complete.setdefault(track, []).append((ts, ts + float(dur), name, index))
+            prev = last_ts.get(track)
+            if prev is not None and ts < prev[0]:
+                errors.append(
+                    f"traceEvents[{index}]: out-of-order 'ts' {ts:g} on pid={pid} "
+                    f"tid={tid} (follows traceEvents[{prev[1]}] at ts {prev[0]:g})"
                 )
-                prev = last_ts.get(track)
-                if prev is not None and ts < prev[0]:
-                    errors.append(
-                        f"{where}: out-of-order 'ts' {ts:g} on "
-                        f"pid={track[0]} tid={track[1]} (follows "
-                        f"traceEvents[{prev[1]}] at ts {prev[0]:g})"
-                    )
-                last_ts[track] = (ts, index)
-        elif phase == "B":
-            open_stacks.setdefault((event["pid"], event["tid"]), []).append(
-                str(event["name"])
-            )
-        elif phase == "E":
-            stack = open_stacks.get((event["pid"], event["tid"]))
-            if not stack:
-                errors.append(f"{where}: 'E' event with no open 'B' span")
-            else:
-                stack.pop()
+            last_ts[track] = (ts, index)
     for (pid, tid), stack in sorted(open_stacks.items()):
         for name in stack:
             errors.append(f"unclosed span {name!r} on pid={pid} tid={tid}")
@@ -142,9 +107,10 @@ def main(argv=None) -> int:
     status = 0
     for path in args.paths:
         try:
-            data = json.loads(path.read_text())
+            data = load_chrome_trace(path)
         except (OSError, ValueError) as error:
-            print(f"{path}: unreadable trace: {error}")
+            reason = str(error).removeprefix(f"{path}: ")
+            print(f"{path}: unreadable trace: {reason}")
             status = 1
             continue
         errors = validate_chrome_trace(data, strict=args.strict)
@@ -155,7 +121,7 @@ def main(argv=None) -> int:
                 print(f"  - {error}")
         else:
             events = data["traceEvents"]
-            spans = sum(1 for event in events if event.get("ph") == "X")
+            spans = sum(type(event) is tuple for event in events)
             print(f"{path}: ok ({len(events)} events, {spans} spans)")
     return status
 

@@ -21,6 +21,12 @@ class TestThresholdDecay:
 
 
 class TestGaia:
+    def test_empty_tensor_keeps_a_zero_rms(self):
+        ctx = GaiaCompressor().make_context((0,))
+        for _ in range(3):
+            ctx.compress(np.zeros((0,), dtype=np.float32))
+        assert ctx.state_dict()["rms"] == 0.0
+
     def test_significant_values_pass_insignificant_accumulate(self, rng):
         t = rng.normal(0, 0.01, size=1000).astype(np.float32)
         t[3] = 5.0  # hugely significant relative to the rest

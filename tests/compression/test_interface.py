@@ -1,5 +1,7 @@
 """Cross-scheme contract tests: every compressor honours the interface."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,19 @@ class TestCompressorContract:
         np.testing.assert_array_equal(
             scheme.decompress(result.message), result.reconstruction
         )
+
+    def test_empty_tensor_compresses_without_a_warning(self, scheme):
+        """A ring's chunks can be empty; Gaia's running RMS and the clipped
+        ternary's sigma used to warn there, and Gaia kept the NaN."""
+        t = np.zeros((0,), dtype=np.float32)
+        ctx = scheme.make_context(t.shape, key=("empty",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = _first_transmission(ctx, t)
+            out = scheme.decompress(WireMessage.unpack(result.message.pack()))
+            ctx.compress(t)
+        assert out.shape == result.reconstruction.shape == (0,)
+        assert np.isfinite(ctx.residual_norm())
 
     def test_residual_norm_finite(self, scheme, rng):
         ctx = scheme.make_context((32,), key=("res",))

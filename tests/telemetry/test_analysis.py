@@ -7,6 +7,7 @@ every topology (single / sharded / ring / hier) under every sync mode
 (bsp / async / ssp)."""
 
 import json
+import math
 
 import pytest
 
@@ -38,6 +39,7 @@ from repro.telemetry.analysis import (
 )
 from repro.telemetry.analysis import attribution, diff, report
 from repro.telemetry.export import chrome_trace
+from repro.telemetry.validate import validate_chrome_trace
 
 TIME_MODEL = StepTimeModel(
     overlap=0.0, per_message_overhead=25e-6, compute_scale=0.05, codec_scale=0.5
@@ -370,6 +372,33 @@ class TestLoaderRejects:
         data = {"traceEvents": [dict(self.GOOD), {"ph": "i"}, event]}
         with pytest.raises(ValueError, match=rf"traceEvents\[2\].*'{field}'"):
             spans_from_chrome(data)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ts", math.nan),
+            ("ts", math.inf),
+            ("ts", -5),
+            ("dur", math.inf),
+            ("dur", math.nan),
+            ("dur", -3),
+            ("dur", -0.5),
+        ],
+    )
+    def test_impossible_time_is_refused_with_the_validators_message(
+        self, field, value
+    ):
+        """A NaN ``ts`` used to drop the span, an infinite ``dur`` to make the
+        run infinite, a negative ``ts`` to widen the window."""
+        event = dict(self.GOOD, **{field: value})
+        data = {"traceEvents": [dict(self.GOOD), event]}
+        (error,) = validate_chrome_trace(data)
+        assert error == (
+            f"traceEvents[1]: bad {field!r} {value!r} (want finite number >= 0)"
+        )
+        with pytest.raises(ValueError) as raised:
+            attribute_trace(data)
+        assert str(raised.value) == error
 
     def test_well_formed_event_loads(self):
         (span,) = spans_from_chrome({"traceEvents": [self.GOOD]})
