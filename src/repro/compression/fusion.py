@@ -61,7 +61,6 @@ __all__ = [
     "compress_fused_batch",
     "split_bucket",
     "bucket_label",
-    "check_frame_labels",
     "WireStream",
 ]
 
@@ -115,11 +114,11 @@ class FusionPlan:
     flag travels with the plan instead of being threaded separately through
     workers, servers, and shards.
 
-    Bucket indices are global identifiers, not positions: a
-    :class:`~repro.distributed.sharding.ShardedParameterService` hands each
-    shard a sub-plan holding only its buckets *with their original
-    indices*, so frame mappings keyed by ``bucket:<index>`` merge without
-    translation. Use :meth:`bucket` to resolve an index.
+    Bucket indices are identifiers, not positions: a
+    :class:`~repro.distributed.sharding.ShardedParameterService` sorts the
+    buckets by owning shard (its pull's wire order) and each keeps its
+    ``bucket:<index>`` label, so its frames match the workers' own plan's.
+    Use :meth:`bucket` to resolve an index.
 
     The plan with no buckets (``FusionPlan()``) is "fusion off": every
     tensor keeps its own frame.
@@ -142,13 +141,6 @@ class FusionPlan:
             return self._by_index[index]
         except KeyError:
             raise KeyError(f"plan has no bucket with index {index}") from None
-
-    def restrict(self, indices) -> "FusionPlan":
-        """Sub-plan holding only ``indices``, original indices preserved."""
-        wanted = set(indices)
-        return FusionPlan(
-            tuple(b for b in self.buckets if b.index in wanted), lossy=self.lossy
-        )
 
     def __len__(self) -> int:
         return len(self.buckets)
@@ -351,22 +343,6 @@ def bucket_label(index: int) -> str:
     return f"bucket:{index}"
 
 
-def check_frame_labels(frames, expected, sender=None) -> None:
-    """Fail unless ``frames`` holds exactly the labels of ``expected``.
-
-    A missing or unknown frame means the sender was built under a different
-    wire plan; skipping it would leave tensors silently un-updated.
-    """
-    if frames.keys() != expected.keys():
-        missing = [label for label in expected if label not in frames]
-        unknown = [label for label in frames if label not in expected]
-        origin = "" if sender is None else f" from sender {sender}"
-        raise ValueError(
-            f"frames{origin} do not match the wire plan: "
-            f"missing {missing}, unknown {unknown}"
-        )
-
-
 class WireStream:
     """One sender's compression contexts for one direction, under a plan.
 
@@ -458,11 +434,21 @@ class WireStream:
         """Named tensors of every transmitted frame in ``frames``.
 
         ``frames`` must hold exactly this stream's labels (deferred frames
-        as ``None``), see :func:`check_frame_labels`. The per-frame
-        decoders default to the stream's own; a service passes its public
-        per-frame methods to keep them the one decode path.
+        as ``None``): a missing or unknown frame means the sender was built
+        under a different wire plan, and skipping it would leave tensors
+        silently un-updated, so it raises naming the labels and ``sender``.
+        The per-frame decoders default to the stream's own; a service
+        passes its public per-frame methods to keep them the one decode
+        path.
         """
-        check_frame_labels(frames, self.contexts, sender)
+        if frames.keys() != self.contexts.keys():
+            missing = [label for label in self.contexts if label not in frames]
+            unknown = [label for label in frames if label not in self.contexts]
+            origin = "" if sender is None else f" from sender {sender}"
+            raise ValueError(
+                f"frames{origin} do not match the wire plan: "
+                f"missing {missing}, unknown {unknown}"
+            )
         decode_tensor = decode_tensor or self.decode_tensor
         decode_bucket = decode_bucket or self.decode_bucket
         tensors: dict[str, np.ndarray] = {}

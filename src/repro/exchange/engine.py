@@ -552,11 +552,9 @@ class ExchangeEngine:
                 )
             )
 
-        def optimizer_factory() -> MomentumSGD:
-            return MomentumSGD(config.momentum, config.weight_decay)
-
+        optimizer = MomentumSGD(config.momentum, config.weight_decay)
         self.service = build_service(
-            config, parameters, optimizer_factory, schedule, scheme, self.fusion_plan
+            config, parameters, optimizer, schedule, scheme, self.fusion_plan
         )
         self._eval_model = model_factory()
         self._model_elements = sum(p.size for p in self.service.params.values())

@@ -8,9 +8,11 @@ steps against:
 * ``single`` — the paper's evaluated setting: one
   :class:`~repro.distributed.server.ParameterServer` holds the whole model.
 * ``sharded`` — the multi-server half of Figure 1: the model is
-  partitioned across ``num_shards`` independent servers
-  (:class:`~repro.distributed.sharding.ShardedParameterService`), spreading
-  the hot uplink.
+  partitioned across ``num_shards`` server NICs, spreading the hot uplink.
+  A shard is a route, not a server:
+  :class:`~repro.distributed.sharding.ShardedParameterService` is one
+  :class:`~repro.distributed.server.ParameterServer` plus an owner map,
+  and :func:`transmission_routes` puts each frame on ``shard<owner>``.
 * ``ring`` — :class:`RingExchangeService`: bandwidth-optimal ring
   all-reduce with per-hop compression, the serverless alternative the
   paper contrasts against. Workers hand over *raw* gradients; compression
@@ -72,7 +74,7 @@ __all__ = [
 TOPOLOGIES = ("single", "sharded", "ring", "hier")
 
 
-def build_service(config, parameters, optimizer_factory, schedule, scheme, fusion_plan):
+def build_service(config, parameters, optimizer, schedule, scheme, fusion_plan):
     """The parameter service ``config.topology`` names.
 
     ``hier`` builds its upper tier through this same function: the
@@ -85,7 +87,7 @@ def build_service(config, parameters, optimizer_factory, schedule, scheme, fusio
     if config.topology == "single":
         return ParameterServer(
             parameters,
-            optimizer_factory(),
+            optimizer,
             schedule,
             scheme,
             slots,
@@ -95,7 +97,7 @@ def build_service(config, parameters, optimizer_factory, schedule, scheme, fusio
     if config.topology == "sharded":
         return ShardedParameterService(
             parameters,
-            optimizer_factory,
+            optimizer,
             schedule,
             scheme,
             num_workers=slots,
@@ -106,7 +108,7 @@ def build_service(config, parameters, optimizer_factory, schedule, scheme, fusio
     if config.topology == "ring":
         return RingExchangeService(
             parameters,
-            optimizer_factory(),
+            optimizer,
             schedule,
             scheme,
             num_workers=config.num_workers,
@@ -116,9 +118,7 @@ def build_service(config, parameters, optimizer_factory, schedule, scheme, fusio
         config, topology=config.hier_upper, num_workers=config.racks, fault=None
     )
     return HierarchicalExchangeService(
-        build_service(
-            upper, parameters, optimizer_factory, schedule, scheme, fusion_plan
-        ),
+        build_service(upper, parameters, optimizer, schedule, scheme, fusion_plan),
         scheme,
         racks=config.racks,
         rack_size=config.rack_size,
@@ -457,11 +457,11 @@ class HierarchicalExchangeService:
     2. **cross-rack** — each rack compresses its aggregate through a
        persistent per-rack uplink context (3LC error feedback corrects
        the scarce link across steps) and pushes it to the ``upper``
-       parameter service — a :class:`~repro.distributed.server.ParameterServer`
-       or a :class:`~repro.distributed.sharding.ShardedParameterService`
-       reused unchanged — which aggregates over racks, updates the global
-       model, and compresses shared model deltas that flow back down one
-       copy per rack and are then re-broadcast over the rack rings.
+       parameter service — a :class:`~repro.distributed.server.ParameterServer`,
+       sharded or not, reused unchanged — which aggregates over racks,
+       updates the global model, and compresses shared model deltas that
+       flow back down one copy per rack and are then re-broadcast over the
+       rack rings.
 
     Per-rack ring contexts are independent objects but share stream keys
     across racks (the underlying :class:`RingAllReduce` keys by

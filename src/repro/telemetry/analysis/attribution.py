@@ -71,6 +71,8 @@ _INF = float("inf")
 _REQUIRED = frozenset(("name", "ph", "pid", "tid"))
 #: Known phase -> its keys that must be a time (finite number >= 0).
 _TIMED = {"X": ("ts", "dur"), **dict.fromkeys("BEi", ("ts",)), "M": (), "C": ()}
+#: ``"M"`` events whose ``args.name`` names a process / a thread.
+_NAMING = ("process_name", "thread_name")
 
 
 #: The named view of a span row ``(group, track, name, start, end, args)``:
@@ -97,12 +99,20 @@ def _problems(event) -> list[str]:
         bad = [key for key in ("pid", "tid") if not _finite(event[key])]
         return [f"bad {key!r} {event[key]!r} (want a finite number)" for key in bad]
     problems = []  # a loop and inline tests: every span of a load runs this
+    name = event["name"]
+    if type(name) is not str:
+        problems.append(f"bad 'name' {name!r} (want a string)")
     for key in _TIMED[phase]:
         value = event.get(key)
         if not (type(value) in _NUMBER and 0 <= value < _INF):
             problems.append(f"bad {key!r} {value!r} (want finite number >= 0)")
     if "args" in event and not isinstance(event["args"], dict):
         problems.append(f"bad 'args' {event['args']!r} (want an object)")
+    elif phase == "M" and name in _NAMING:
+        # A process / thread name keys the rows' groups and tracks.
+        value = event.get("args", {}).get("name")
+        if type(value) is not str:
+            problems.append(f"bad 'args.name' {value!r} (want a string)")
     return problems
 
 
@@ -113,7 +123,7 @@ def _row(event, shared: dict) -> tuple | None:
     under its items (``1``, ``1.0`` and ``True`` are equal but never share)."""
     if not (isinstance(event, dict) and event.get("ph") == "X") or _problems(event):
         return None
-    name, args = str(event["name"]), event.get("args") or {}
+    name, args = event["name"], event.get("args") or {}
     if _SHAREABLE.issuperset(map(type, args.values())):
         args = shared.setdefault(tuple(args.items()), args)
     name = shared.setdefault(name, name)
@@ -187,11 +197,10 @@ def rows_from_chrome(data: dict):
                 problems = _problems(event)
                 if problems:
                     raise ValueError(f"traceEvents[{index}]: {problems[0]}")
-                name = (event.get("args") or {}).get("name", "")
                 if event["name"] == "process_name":
-                    process_of[event["pid"]] = name
+                    process_of[event["pid"]] = event["args"]["name"]
                 elif event["name"] == "thread_name":
-                    track_of[(event["pid"], event["tid"])] = name
+                    track_of[(event["pid"], event["tid"])] = event["args"]["name"]
             continue
         name, ts, dur, pid, tid, args = row
         group, track = process_of.get(pid), track_of.get((pid, tid))

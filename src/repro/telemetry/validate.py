@@ -6,7 +6,8 @@ Usage::
 
 Validates the ``traceEvents`` object format structurally — required
 keys, known phases, numbers (``int`` / ``float``, finite; ``ts`` /
-``dur`` non-negative), ``args`` an object: attribution's one per-event
+``dur`` non-negative), names strings (a process / thread name event's
+``args.name`` too), ``args`` an object: attribution's one per-event
 rule, so what validates attributes — and fails on unclosed spans: every
 ``"B"`` begin event must have a matching ``"E"`` end on the same
 ``(pid, tid)`` track. (Our own exporter
@@ -60,7 +61,7 @@ def validate_chrome_trace(data, *, strict: bool = False) -> list[str]:
             errors.extend(f"{where}: {problem}" for problem in problems)
             track = None if problems else (event["pid"], event["tid"])
             if track and event["ph"] == "B":
-                open_stacks.setdefault(track, []).append(str(event["name"]))
+                open_stacks.setdefault(track, []).append(event["name"])
             elif track and event["ph"] == "E":
                 stack = open_stacks.get(track)
                 if not stack:

@@ -102,7 +102,7 @@ def test_sharded_service_matches_single_server(scheme_name, num_shards, rng):
     )
     sharded = ShardedParameterService(
         params,
-        lambda: MomentumSGD(0.9, 1e-4),
+        MomentumSGD(0.9, 1e-4),
         ConstantLR(0.1),
         scheme,
         num_workers=workers,
@@ -126,7 +126,7 @@ class TestLoadSpreading:
 
         def hot_link(num_shards):
             service = ShardedParameterService(
-                params, lambda: MomentumSGD(0.9, 1e-4), ConstantLR(0.1), scheme,
+                params, MomentumSGD(0.9, 1e-4), ConstantLR(0.1), scheme,
                 num_workers=workers, num_shards=num_shards,
                 small_tensor_threshold=1,
             )
@@ -149,7 +149,7 @@ class TestLoadSpreading:
         scheme = make_compressor("3LC (s=1.00)")
         params = _make_params(rng)
         service = ShardedParameterService(
-            params, lambda: MomentumSGD(0.9, 1e-4), ConstantLR(0.1), scheme,
+            params, MomentumSGD(0.9, 1e-4), ConstantLR(0.1), scheme,
             num_workers=2, num_shards=2, small_tensor_threshold=8,
         )
         pushes = _make_pushes(params, scheme, 2, steps=1)[0]
@@ -159,7 +159,7 @@ class TestLoadSpreading:
     def test_shard_of_and_validation(self, rng):
         params = _make_params(rng)
         service = ShardedParameterService(
-            params, lambda: MomentumSGD(0.9, 1e-4), ConstantLR(0.1),
+            params, MomentumSGD(0.9, 1e-4), ConstantLR(0.1),
             make_compressor("32-bit float"), num_workers=2, num_shards=2,
         )
         for p in params:
@@ -168,6 +168,6 @@ class TestLoadSpreading:
             service.shard_of("nope")
         with pytest.raises(ValueError, match="num_shards"):
             ShardedParameterService(
-                params, lambda: MomentumSGD(0.9, 1e-4), ConstantLR(0.1),
+                params, MomentumSGD(0.9, 1e-4), ConstantLR(0.1),
                 make_compressor("32-bit float"), num_workers=2, num_shards=0,
             )

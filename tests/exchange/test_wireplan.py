@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.compression import make_compressor
-from repro.compression.fusion import FusionPlan, bucket_label, build_fusion_plan
+from repro.compression.fusion import bucket_label, build_fusion_plan
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.exchange import MODELED, EngineConfig, ExchangeEngine
 from repro.netsim import EventDrivenSimulator, link_model_for
@@ -95,30 +95,32 @@ class TestPartitionAwarePlans:
         ]
         assert [b.index for b in plan.buckets] == [0, 1, 2, 3]
 
-    def test_restrict_preserves_global_indices(self):
-        plan = build_fusion_plan(
-            {f"t{i}": (10,) for i in range(4)},
-            threshold=256,
-            bucket_elements=10,
-        )
-        sub = plan.restrict([1, 3])
-        assert [b.index for b in sub.buckets] == [1, 3]
-        assert sub.bucket(3).names == ("t3",)
-        with pytest.raises(KeyError, match="no bucket"):
-            sub.bucket(0)
-        assert plan.restrict([]) == FusionPlan()
-
     def test_sharded_wire_plan_matches_service_owner_map(self):
         engine = make_engine(
-            topology="sharded", num_shards=3, fuse_small_tensors=True
+            topology="sharded", num_shards=3, fuse_small_tensors=True,
+            record_transmissions=True,
         )
-        plan = engine.fusion_plan
+        engine.train(1)
+        plan, service = engine.fusion_plan, engine.service
+        records = engine.transmissions[0].records
+        routes = {record.name: record.route for record in records}
         assert plan.buckets
         for bucket in plan.buckets:
-            owners = {engine.service.shard_of(n) for n in bucket.names}
-            assert owners == {bucket.group}
-            owner = engine.service.shards[bucket.group]
-            assert bucket_label(bucket.index) in owner.stream.contexts
+            assert {service.shard_of(n) for n in bucket.names} == {bucket.group}
+            assert routes[bucket_label(bucket.index)] == f"shard{bucket.group}"
+        # The shared pull is shard-major: every shard's per-tensor frames,
+        # then every shard's buckets.
+        pulls = [record.name for record in records if record.phase == "pull"]
+        assert pulls == list(service.stream.contexts)
+        tensors = [label for label in pulls if label in service.params]
+        buckets = pulls[len(tensors):]
+        assert sorted(buckets) == sorted(bucket_label(b.index) for b in plan.buckets)
+        for part, owner in (
+            (tensors, service.shard_of),
+            (buckets, lambda label: plan.bucket(int(label.split(":")[1])).group),
+        ):
+            owners = [owner(label) for label in part]
+            assert owners == sorted(owners)
 
     def test_hier_sharded_upper_plan_matches_upper_owner_map(self):
         engine = make_engine(
@@ -146,7 +148,7 @@ class TestPartitionAwarePlans:
         with pytest.raises(ValueError, match="spans shards"):
             ShardedParameterService(
                 params,
-                lambda: MomentumSGD(0.9, 1e-4),
+                MomentumSGD(0.9, 1e-4),
                 CosineDecay(0.05, 4),
                 make_compressor("3LC (s=1.00)", seed=0),
                 num_workers=2,

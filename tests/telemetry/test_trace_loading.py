@@ -274,3 +274,62 @@ def test_validator_cli_reads_through_the_loader(tmp_path, monkeypatch, capsys):
     assert validate_main([str(path)]) == 0
     assert loads == [path]
     assert capsys.readouterr().out == f"{path}: ok (2 events, 1 spans)\n"
+
+
+def _span(name="a"):
+    return {"name": name, "ph": "X", "ts": 0, "dur": 1, "pid": 1, "tid": 1}
+
+
+def _naming(kind, name):
+    return {"name": kind, "ph": "M", "pid": 1, "tid": 1, "args": {"name": name}}
+
+
+#: Two-event traces whose one name is not a string, and the validator's
+#: message. Each used to validate "ok (2 events, 1 spans)"; the report then
+#: died on an unhashable group name or printed a span named ``['x']``.
+BAD_NAMES = {
+    "process [1]": (
+        [_naming("process_name", [1]), _span()],
+        "traceEvents[0]: bad 'args.name' [1] (want a string)",
+    ),
+    "thread {'a': 1}": (
+        [_naming("thread_name", {"a": 1}), _span()],
+        "traceEvents[0]: bad 'args.name' {'a': 1} (want a string)",
+    ),
+    "span ['x']": (
+        [_naming("process_name", "g"), _span(["x"])],
+        "traceEvents[1]: bad 'name' ['x'] (want a string)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NAMES)
+class TestNamesAreStrings:
+    def test_validator_names_the_event(self, tmp_path, capsys, case):
+        events, error = BAD_NAMES[case]
+        assert validate_chrome_trace({"traceEvents": events}) == [error]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"traceEvents": events}))
+        assert validate_main([str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"{path}: INVALID (1 problems)\n  - {error}\n"
+        )
+
+    def test_rows_refuse_it(self, tmp_path, case):
+        events, error = BAD_NAMES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"traceEvents": events}))
+        for data in ({"traceEvents": events}, load_chrome_trace(path)):
+            with pytest.raises(ValueError) as raised:
+                _rows(data)
+            assert str(raised.value) == error
+
+    def test_report_and_diff_exit_2_naming_the_file(self, tmp_path, capsys, case):
+        events, error = BAD_NAMES[case]
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"traceEvents": [_span()]}))
+        bad.write_text(json.dumps({"traceEvents": events}))
+        assert report.main([str(bad)]) == 2
+        assert capsys.readouterr().err.strip() == f"{bad}: {error}"
+        assert diff.main([str(good), str(bad)]) == 2
+        assert capsys.readouterr().err.strip() == f"{bad}: {error}"
