@@ -17,7 +17,6 @@ from repro.exchange import (
     TOPOLOGIES,
     EngineConfig,
     ExchangeEngine,
-    make_sync_mode,
 )
 from repro.harness.cli import parse_config
 from repro.nn import CosineDecay, build_resnet
@@ -130,14 +129,15 @@ def test_async_rejects_staleness():
 
 def test_unknown_sync_mode_rejected():
     with pytest.raises(ValueError, match="unknown sync mode"):
-        make_sync_mode("semi-sync")
+        EngineConfig(sync_mode="semi-sync")
 
 
 #: (EngineConfig overrides, the exact message, and the ``(flags, named
 #: flag)`` of a CLI line that reaches the same rule — None where no flag
-#: does: ``hier_upper`` has none, and ``--topology`` and the shape and count
-#: flags are parsed as choices or integers before any configuration is
-#: built).
+#: does: ``hier_upper`` has none, ``--topology`` / ``--sync-mode`` and the
+#: shape and count flags are parsed as choices or integers before any
+#: configuration is built, and ``--staleness`` outside ``--sync-mode ssp``
+#: is refused as unobservable first).
 TOPOLOGY_RULES = {
     "unknown-name": (
         dict(topology="hypercube"),
@@ -242,6 +242,54 @@ TOPOLOGY_RULES = {
     "fractional-staleness": (
         dict(sync_mode="ssp", staleness=1.5),
         "staleness must be an integer, got 1.5",
+        None,
+    ),
+    "unknown-sync-mode": (
+        dict(sync_mode="semi-sync"),
+        "unknown sync mode 'semi-sync'; expected one of ('bsp', 'async', 'ssp')",
+        None,
+    ),
+    "unknown-sync-mode-with-backups": (
+        dict(sync_mode="semi-sync", backup_workers=1),
+        "backup_workers=1 only apply to BSP, not 'semi-sync'",
+        None,
+    ),
+    "bsp-staleness": (
+        dict(staleness=2),
+        "staleness=2 only applies to SSP, not 'bsp'",
+        None,
+    ),
+    "async-staleness": (
+        dict(sync_mode="async", staleness=2),
+        "fully async mode has no staleness bound (got 2); use 'ssp'",
+        None,
+    ),
+    "async-backups": (
+        dict(sync_mode="async", backup_workers=1),
+        "backup_workers=1 only apply to BSP, not 'async'",
+        (["--sync-mode", "async", "--backup-workers", "1"], "--backup-workers 1"),
+    ),
+    "ssp-backups": (
+        dict(sync_mode="ssp", staleness=1, backup_workers=1),
+        "backup_workers=1 only apply to BSP, not 'ssp'",
+        (
+            ["--sync-mode", "ssp", "--staleness", "1", "--backup-workers", "1"],
+            "--backup-workers 1",
+        ),
+    ),
+    "unbounded-ssp": (
+        dict(sync_mode="ssp"),
+        "SSP requires a staleness bound",
+        (["--sync-mode", "ssp"], "--sync-mode ssp"),
+    ),
+    "negative-staleness": (
+        dict(sync_mode="ssp", staleness=-1),
+        "staleness must be >= 0, got -1",
+        (["--sync-mode", "ssp", "--staleness", "-1"], "--staleness -1"),
+    ),
+    "bool-staleness": (
+        dict(sync_mode="ssp", staleness=True),
+        "staleness must be an integer, got True",
         None,
     ),
     "string-record-flag": (
