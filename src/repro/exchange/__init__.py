@@ -9,8 +9,9 @@ argument — see ARCHITECTURE.md), each decided in one place:
   ring all-reduce, hierarchical) whose rules are
   :class:`~repro.exchange.engine.EngineConfig`'s and whose service
   :func:`~repro.exchange.topology.build_service` makes;
-* **when it travels** — :class:`~repro.exchange.sync.SyncMode`
-  (BSP with full/backup barriers, fully async, SSP).
+* **when it travels** — a sync-mode name (BSP with full/backup barriers,
+  fully async, SSP; one of ``SYNC_MODES``) whose rules are also
+  ``EngineConfig``'s.
 
 :class:`~repro.exchange.engine.ExchangeEngine` composes the three and is
 the only trainer: one ``train_step`` is one scheduling quantum, finalized
@@ -20,19 +21,12 @@ in one place and accounted through one wire ledger.
 from repro.distributed.server import ExchangeOutcome
 from repro.exchange.clock import MEASURED, MODELED, Clock
 from repro.exchange.engine import (
+    SYNC_MODES,
     EngineConfig,
     EvalResult,
     ExchangeEngine,
     StepLog,
     scheme_incompatibility,
-)
-from repro.exchange.sync import (
-    SYNC_MODES,
-    AsyncMode,
-    BSPMode,
-    SSPMode,
-    SyncMode,
-    make_sync_mode,
 )
 from repro.exchange.topology import (
     TOPOLOGIES,
@@ -51,11 +45,6 @@ __all__ = [
     "Clock",
     "MEASURED",
     "MODELED",
-    "SyncMode",
-    "BSPMode",
-    "AsyncMode",
-    "SSPMode",
-    "make_sync_mode",
     "SYNC_MODES",
     "build_service",
     "transmission_routes",

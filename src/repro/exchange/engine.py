@@ -3,9 +3,9 @@
 :class:`ExchangeEngine` runs the paper's point-to-point design and its
 alternatives through one loop, parameterized by a topology name (where
 state changes travel; :func:`~repro.exchange.topology.build_service`
-makes its service) and a :class:`~repro.exchange.sync.SyncMode` (when
-they travel). :class:`EngineConfig` holds every rule on both. The BSP
-single-server path is op-for-op identical to the seed trainer (the
+makes its service) and a sync-mode name (when they travel: ``bsp``,
+``async`` or ``ssp``). :class:`EngineConfig` holds every rule on both.
+The BSP single-server path is op-for-op identical to the seed trainer (the
 parity tests in ``tests/exchange`` assert bit-identical loss trajectories
 and wire bytes).
 
@@ -52,13 +52,12 @@ from repro.compression.fusion import FusionPlan, WireStream, build_fusion_plan
 from repro.data.augment import Augmenter
 from repro.data.batcher import ShardBatcher
 from repro.data.synthetic import SyntheticImageDataset
-from repro.distributed.barriers import StragglerSpec
+from repro.distributed.barriers import BackupWorkerBarrier, FullBarrier, StragglerSpec
 from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
 from repro.distributed.faults import Churn, FaultSpec
 from repro.distributed.sharding import shard_owner_map
 from repro.distributed.worker import Worker
 from repro.exchange.clock import CODEC_RATE, MEASURED, Clock
-from repro.exchange.sync import SyncMode, make_sync_mode
 from repro.exchange.topology import TOPOLOGIES, Wire, build_service
 from repro.netsim.events import SkeletonRow, StepTransmissions, UpdateTransmissions
 from repro.network.traffic import StepTraffic, TrafficMeter
@@ -71,12 +70,22 @@ from repro.nn.schedule import Schedule
 from repro.utils.seeding import SeedSequenceFactory
 
 __all__ = [
+    "SYNC_MODES",
     "EngineConfig",
     "ExchangeEngine",
     "EvalResult",
     "StepLog",
     "scheme_incompatibility",
 ]
+
+
+#: Registry of sync-mode names accepted by the engine and the harness.
+SYNC_MODES = ("bsp", "async", "ssp")
+
+#: The seed trainers' RNG stream labels (batcher, augmenter) and pull-context
+#: key prefix, by ``EngineConfig.synchronous``; keeping them reproduces the
+#: seed trajectories exactly.
+_STREAM_LABELS = {True: ("batch", "augment", "pull"), False: ("b", "a", "apull")}
 
 
 @dataclass(frozen=True)
@@ -203,9 +212,38 @@ class EngineConfig:
                 "the ring exchanges raw gradients per hop; fused buckets only "
                 "apply to point-to-point push/pull framing"
             )
-        # The sync registry owns its per-knob rules (unknown name, staleness
-        # vs mode); building it here is pure.
-        sync = self.make_sync()
+        # Backup workers are a BSP knob, a staleness bound an SSP one.
+        mode, staleness = self.sync_mode, self.staleness
+        if mode == "bsp":
+            if staleness is not None:
+                raise ValueError(
+                    f"staleness={staleness} only applies to SSP, not 'bsp'"
+                )
+        elif self.backup_workers:
+            raise ValueError(
+                f"backup_workers={self.backup_workers} only apply to BSP, "
+                f"not {mode!r}"
+            )
+        elif mode == "async":
+            if staleness is not None:
+                raise ValueError(
+                    f"fully async mode has no staleness bound (got {staleness}); "
+                    "use 'ssp'"
+                )
+        elif mode == "ssp":
+            if staleness is None:
+                raise ValueError("SSP requires a staleness bound")
+            if not isinstance(staleness, numbers.Integral) or isinstance(
+                staleness, bool
+            ):
+                raise ValueError(f"staleness must be an integer, got {staleness!r}")
+            if staleness < 0:
+                raise ValueError(f"staleness must be >= 0, got {staleness}")
+            mode = f"ssp(staleness={staleness})"
+        else:
+            raise ValueError(
+                f"unknown sync mode {mode!r}; expected one of {SYNC_MODES}"
+            )
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}"
@@ -222,10 +260,10 @@ class EngineConfig:
                     "'single' or 'sharded'"
                 )
         if self.topology == "ring":
-            if not sync.synchronous:
+            if not self.synchronous:
                 raise ValueError(
                     "topology 'ring' is a synchronous collective; it cannot "
-                    f"run under sync mode {sync.name!r}"
+                    f"run under sync mode {mode!r}"
                 )
             if self.num_workers < 2:
                 raise ValueError(
@@ -282,13 +320,11 @@ class EngineConfig:
                         f"flap rack {flap.rack} out of range for {self.racks} racks"
                     )
 
-    def make_sync(self) -> SyncMode:
-        """The sync mode this configuration selects."""
-        return make_sync_mode(
-            self.sync_mode,
-            backup_workers=self.backup_workers,
-            staleness=self.staleness,
-        )
+    @property
+    def synchronous(self) -> bool:
+        """Lock-step global steps behind a barrier (``bsp``), rather than
+        event-driven updates (``async`` / ``ssp``)."""
+        return self.sync_mode == "bsp"
 
     @property
     def wants_raw_gradients(self) -> bool:
@@ -321,7 +357,7 @@ def scheme_incompatibility(config: EngineConfig, scheme: Compressor) -> str | No
             f"{config.topology!r} reduces over ring hops and every hop must "
             "carry a payload"
         )
-    if config.record_transmissions and not config.make_sync().synchronous:
+    if config.record_transmissions and not config.synchronous:
         return (
             f"scheme {scheme.name!r} defers transmissions, but recording "
             f"{config.sync_mode!r} event streams needs a push every update"
@@ -497,7 +533,8 @@ class ExchangeEngine:
         # telemetry timeline (async modes reuse the per-unit clocks).
         self._tel_clock = 0.0
 
-        self.sync: SyncMode = config.make_sync()
+        self.synchronous = config.synchronous
+        batch_stream, augment_stream, pull_prefix = _STREAM_LABELS[self.synchronous]
 
         reference_model = model_factory()
         parameters = reference_model.parameters()
@@ -531,10 +568,10 @@ class ExchangeEngine:
                 images,
                 labels,
                 config.batch_size,
-                self.seeds.rng(self.sync.batch_stream, worker_id),
+                self.seeds.rng(batch_stream, worker_id),
             )
             augmenter = Augmenter(
-                self.seeds.rng(self.sync.augment_stream, worker_id),
+                self.seeds.rng(augment_stream, worker_id),
                 pad=config.augment_pad,
             )
             self.workers.append(
@@ -558,11 +595,14 @@ class ExchangeEngine:
         )
         self._eval_model = model_factory()
         self._model_elements = sum(p.size for p in self.service.params.values())
-        self.barrier = (
-            self.sync.make_barrier(config.num_workers)
-            if self.sync.synchronous
-            else None
-        )
+        self.barrier = None
+        if self.synchronous:
+            backups = config.backup_workers
+            self.barrier = (
+                BackupWorkerBarrier(config.num_workers - backups)
+                if backups
+                else FullBarrier()
+            )
         self.traffic = TrafficMeter()
         #: Per-step transmission plans for the network simulator (filled
         #: only when ``record_transmissions`` is on and the mode is BSP).
@@ -584,8 +624,7 @@ class ExchangeEngine:
         # one worker — or one *rack* under the hierarchical topology,
         # which is synchronous inside a rack and asynchronous across
         # racks (racks push their ring-reduced aggregate independently).
-        if not self.sync.synchronous:
-            prefix = self.sync.pull_key_prefix
+        if not self.synchronous:
             units = (
                 list(range(config.racks))
                 if config.topology == "hier"
@@ -603,7 +642,7 @@ class ExchangeEngine:
                     shapes,
                     threshold=config.small_tensor_threshold,
                     plan=self.fusion_plan,
-                    kind=prefix,
+                    kind=pull_prefix,
                     owner=(unit,),
                 )
                 for unit in units
@@ -639,22 +678,16 @@ class ExchangeEngine:
         The strategy does the exchange; everything that observes a
         finished quantum happens here, once.
         """
-        quantum = self._bsp_step() if self.sync.synchronous else self._async_update()
+        quantum = self._bsp_step() if self.synchronous else self._async_update()
         if not math.isfinite(quantum.loss):
             raise FloatingPointError(self._divergence(quantum.step))
         self.traffic.record(quantum.traffic)
         if quantum.transmissions is not None:
-            recorded = (
-                self.transmissions if self.sync.synchronous else self.update_events
-            )
+            recorded = self.transmissions if self.synchronous else self.update_events
             recorded.append(quantum.transmissions)
         self.update_count += 1
         if self.telemetry.enabled:
-            emit = (
-                self._tel_bsp_step
-                if self.sync.synchronous
-                else self._tel_async_update
-            )
+            emit = self._tel_bsp_step if self.synchronous else self._tel_async_update
             emit(quantum, **quantum.layout)
         log = StepLog(
             step=quantum.step, train_loss=quantum.loss, learning_rate=quantum.lr
@@ -939,7 +972,14 @@ class ExchangeEngine:
     # -- event-driven strategies (async / SSP) -------------------------------
 
     def _next_unit(self) -> int:
-        eligible = self.sync.eligible(self._local_steps)
+        # SSP: a unit may run while it leads the slowest by <= staleness.
+        bound = self.engine_config.staleness
+        slowest = min(self._local_steps.values())
+        eligible = [
+            unit
+            for unit, k in self._local_steps.items()
+            if bound is None or k - slowest <= bound
+        ]
         return min(eligible, key=lambda unit: (self._clock[unit], unit))
 
     def _commit_compute(self, unit: int, workers, batches) -> tuple[int, float, float]:
@@ -1076,7 +1116,7 @@ class ExchangeEngine:
 
     def max_staleness_observed(self) -> int:
         """Largest local-step lead any worker currently holds (async/SSP)."""
-        if self.sync.synchronous:
+        if self.synchronous:
             return 0
         steps = self._local_steps.values()
         return max(steps) - min(steps)

@@ -83,7 +83,7 @@ def build_service(config, parameters, optimizer, schedule, scheme, fusion_plan):
     """
     threshold = config.small_tensor_threshold
     # Async/SSP services aggregate one push at a time.
-    slots = config.make_sync().service_worker_slots(config.num_workers)
+    slots = config.num_workers if config.synchronous else 1
     if config.topology == "single":
         return ParameterServer(
             parameters,

@@ -305,7 +305,7 @@ class ExperimentRunner:
                 final=final,
                 loss_curve=tuple(log.train_loss for log in cluster.step_logs),
                 traffic=cluster.traffic,
-                synchronous=cluster.sync.synchronous,
+                synchronous=cluster.synchronous,
                 fault_summary=cluster.fault_summary(),
             )
             if self.replay_cache is not None:

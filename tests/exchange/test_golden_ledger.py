@@ -229,7 +229,7 @@ def ledger(engine: ExchangeEngine) -> list[dict]:
     rows = traffic_rows(engine)
     assert len(recorded) == len(rows)
     for row, quantum in zip(rows, recorded):
-        if engine.sync.synchronous:
+        if engine.synchronous:
             row["link_down"] = [list(pair) for pair in quantum.link_down]
         else:
             row["update"] = [
