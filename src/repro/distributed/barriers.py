@@ -26,6 +26,8 @@ time model should charge.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +59,23 @@ class StragglerSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
-        if not (0.0 <= self.slowdown_probability <= 1.0):
-            raise ValueError("slowdown_probability must be in [0, 1]")
-        if self.slowdown_factor < 1.0:
-            raise ValueError("slowdown_factor must be >= 1")
+        # Every value flows into step times: a NaN or inf would too.
+        for name, low, high in (
+            ("jitter_sigma", 0, math.inf),
+            ("slowdown_probability", 0, 1),
+            ("slowdown_factor", 1, math.inf),
+        ):
+            value = getattr(self, name)
+            if not (
+                isinstance(value, numbers.Real)
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and low <= value <= high
+            ):
+                bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+                raise ValueError(
+                    f"{name} must be a finite number {bounds}, got {value!r}"
+                )
 
     def multiplier(self, worker_id: int, step: int) -> float:
         """Deterministic compute-time multiplier for one worker-step."""

@@ -192,7 +192,10 @@ class EngineConfig:
         if self.shard_size < self.batch_size:
             raise ValueError("shard_size must be >= batch_size")
         if not (0 <= self.backup_workers < self.num_workers):
-            raise ValueError("backup_workers must be in [0, num_workers)")
+            raise ValueError(
+                f"backup_workers must be in [0, num_workers={self.num_workers}), "
+                f"got {self.backup_workers}"
+            )
         if self.bucket_elements < 1:
             raise ValueError("bucket_elements must be >= 1")
         if self.fuse_lossy and not self.fuse_small_tensors:

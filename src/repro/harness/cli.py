@@ -60,7 +60,8 @@ from repro.compression.registry import (
 )
 from repro.data.synthetic import input_memo
 from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
-from repro.exchange.engine import scheme_incompatibility
+from repro.exchange.engine import SYNC_MODES, scheme_incompatibility
+from repro.exchange.topology import TOPOLOGIES
 from repro.harness.config import DEFAULT_CONFIG, FAST_CONFIG, OBSERVED_UNDER
 from repro.harness.figures import (
     FAST_SCHEMES,
@@ -223,11 +224,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "multiple racks: --workers 4 --racks 2 --rack-size 2)",
     )
     parser.add_argument(
-        "--topology", choices=["single", "sharded", "ring", "hier"], default=None,
+        "--topology", choices=TOPOLOGIES, default=None,
         help="exchange topology (default: single parameter server)",
     )
     parser.add_argument(
-        "--sync-mode", choices=["bsp", "async", "ssp"], default=None,
+        "--sync-mode", choices=SYNC_MODES, default=None,
         help="synchronization mode (default: BSP)",
     )
     parser.add_argument(

@@ -37,6 +37,7 @@ barriers buy.
 from __future__ import annotations
 
 import heapq
+import numbers
 from collections import deque, namedtuple
 from dataclasses import replace
 from itertools import chain, count
@@ -696,8 +697,15 @@ class EventDrivenSimulator:
         trace_group: str = "netsim-events",
         priority: str = "registration",
     ):
-        if staleness is not None and staleness < 0:
-            raise ValueError("staleness must be >= 0 or None")
+        # EngineConfig's rule: a bound is a non-negative integer, not a bool.
+        if staleness is not None and (
+            not isinstance(staleness, numbers.Integral)
+            or isinstance(staleness, bool)
+            or staleness < 0
+        ):
+            raise ValueError(
+                f"staleness must be None or an integer >= 0, got {staleness!r}"
+            )
         self.staleness = staleness
         self.overlap = bool(overlap)
         self.link_model = link_model

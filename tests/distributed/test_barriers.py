@@ -40,6 +40,29 @@ class TestStragglerSpec:
         with pytest.raises(ValueError):
             StragglerSpec(slowdown_factor=0.5)
 
+    @pytest.mark.parametrize(
+        "field,value,bounds",
+        [
+            ("jitter_sigma", float("nan"), ">= 0"),
+            ("jitter_sigma", float("inf"), ">= 0"),
+            ("jitter_sigma", -0.5, ">= 0"),
+            ("jitter_sigma", "0.1", ">= 0"),
+            ("slowdown_probability", float("nan"), "in [0, 1]"),
+            ("slowdown_probability", 1.5, "in [0, 1]"),
+            ("slowdown_probability", True, "in [0, 1]"),
+            ("slowdown_factor", float("inf"), ">= 1"),
+            ("slowdown_factor", float("nan"), ">= 1"),
+            ("slowdown_factor", 0.5, ">= 1"),
+        ],
+        ids=repr,
+    )
+    def test_refusal_names_field_and_value(self, field, value, bounds):
+        with pytest.raises(ValueError) as raised:
+            StragglerSpec(**{field: value})
+        assert str(raised.value) == (
+            f"{field} must be a finite number {bounds}, got {value!r}"
+        )
+
 
 class TestBarrierPolicies:
     def test_full_barrier_accepts_everyone(self):

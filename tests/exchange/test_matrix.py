@@ -287,6 +287,16 @@ TOPOLOGY_RULES = {
         "staleness must be >= 0, got -1",
         (["--sync-mode", "ssp", "--staleness", "-1"], "--staleness -1"),
     ),
+    "backups-past-range": (
+        dict(num_workers=4, backup_workers=4),
+        "backup_workers must be in [0, num_workers=4), got 4",
+        (["--workers", "4", "--backup-workers", "4"], "--backup-workers 4"),
+    ),
+    "negative-backups": (
+        dict(backup_workers=-1),
+        "backup_workers must be in [0, num_workers=2), got -1",
+        (["--backup-workers", "-1"], "--backup-workers -1"),
+    ),
     "bool-staleness": (
         dict(sync_mode="ssp", staleness=True),
         "staleness must be an integer, got True",

@@ -291,6 +291,16 @@ class TestEventLoop:
         with pytest.raises(ValueError, match="staleness"):
             self.sim(staleness=-1)
 
+    @pytest.mark.parametrize(
+        "staleness", [-1, 1.5, True, float("nan"), "2"], ids=repr
+    )
+    def test_staleness_outside_the_engine_rule_rejected(self, staleness):
+        with pytest.raises(ValueError) as raised:
+            self.sim(staleness=staleness)
+        assert str(raised.value) == (
+            f"staleness must be None or an integer >= 0, got {staleness!r}"
+        )
+
 
 class TestEngineEventStreamThroughSimulator:
     """End to end: recorded async/SSP engine streams replay cleanly."""
