@@ -59,7 +59,7 @@ class StragglerSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Every value flows into step times: a NaN or inf would too.
+        # Each value scales compute times, so NaN or inf must not pass.
         for name, low, high in (
             ("jitter_sigma", 0, math.inf),
             ("slowdown_probability", 0, 1),
