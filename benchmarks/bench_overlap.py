@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.distributed.barriers import StragglerSpec
-from repro.exchange import MODELED, EngineConfig, ExchangeEngine
+from repro.exchange import MODELED, SYNC_MODES, EngineConfig, ExchangeEngine
 from repro.netsim import EventDrivenSimulator, NetworkSimulator, single_server_links
 from repro.network.bandwidth import link
 from repro.network.timing import StepTimeModel
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--link", default="10Mbps", choices=["10Mbps", "100Mbps", "1Gbps"])
     parser.add_argument(
-        "--sync-mode", default="bsp", choices=["bsp", "async", "ssp"],
+        "--sync-mode", default="bsp", choices=SYNC_MODES,
         help="bsp sweeps barrier granularity; async/ssp replay a recorded "
         "per-update event stream through the event-driven simulator",
     )
@@ -311,10 +311,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.staleness is not None and args.sync_mode != "ssp":
-        parser.error("--staleness requires --sync-mode ssp")
-    if args.sync_mode == "ssp" and args.staleness is None:
-        parser.error("--sync-mode ssp requires --staleness")
+    # The sync-mode rules are EngineConfig's; refuse a bad pair before training.
+    try:
+        EngineConfig(sync_mode=args.sync_mode, staleness=args.staleness)
+    except ValueError as error:
+        spelled = f"--sync-mode {args.sync_mode}"
+        if args.staleness is not None:
+            spelled += f" --staleness {args.staleness}"
+        parser.error(f"{error} (set by {spelled})")
 
     if args.smoke:
         steps, depth, width = 4, 8, 4

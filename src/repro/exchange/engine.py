@@ -88,6 +88,12 @@ SYNC_MODES = ("bsp", "async", "ssp")
 _STREAM_LABELS = {True: ("batch", "augment", "pull"), False: ("b", "a", "apull")}
 
 
+def check_count(name: str, value) -> None:
+    """Refuse anything but an integer >= 1 (a ``bool`` included), by name."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Static configuration of a unified exchange engine.
@@ -1132,6 +1138,7 @@ class ExchangeEngine:
         Batch-norm running statistics come from worker 0's replica — the
         paper makes one worker responsible for batch-norm updates (§5.2).
         """
+        check_count("test_size", test_size)
         self._eval_model.load_state_dict(self.service.state_dict())
         self._sync_bn_stats(self.workers[0].model, self._eval_model)
         images, labels = self.dataset.test_set(test_size)

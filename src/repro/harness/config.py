@@ -22,7 +22,7 @@ from repro.distributed.barriers import StragglerSpec
 from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
 from repro.distributed.faults import FaultSpec
 from repro.exchange.clock import MEASURED, Clock
-from repro.exchange.engine import EngineConfig
+from repro.exchange.engine import EngineConfig, check_count
 from repro.network.timing import StepTimeModel
 from repro.nn.resnet import build_mlp, build_resnet
 from repro.nn.schedule import CosineDecay, scale_lr_for_workers
@@ -181,6 +181,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.standard_steps < 4:
             raise ValueError("standard_steps must be >= 4")
+        check_count("eval_size", self.eval_size)
+        check_count("eval_points", self.eval_points)
         if self.model_family not in ("resnet", "mlp"):
             raise ValueError(
                 f"unknown model_family {self.model_family!r}; "

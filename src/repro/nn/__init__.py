@@ -1,7 +1,7 @@
 """Pure-NumPy neural-network substrate.
 
 Implements everything the paper's workload needs without TensorFlow:
-convolution (strided-slice im2col + one GEMM), batch normalization, ReLU,
+convolution (strided-copy im2col + GEMM), batch normalization, ReLU,
 pooling, linear layers, identity-mapping residual networks, softmax
 cross-entropy, momentum SGD with weight decay, and cosine/constant LR
 schedules. Each layer carries an analytic backward pass; there is no

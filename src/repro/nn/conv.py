@@ -1,4 +1,4 @@
-"""2-D convolution layer: strided-slice im2col + one GEMM, NCHW in and out."""
+"""2-D convolution layer: strided-copy im2col + GEMM, NCHW in and out."""
 
 from __future__ import annotations
 
@@ -10,6 +10,13 @@ from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 
 __all__ = ["Conv2d"]
+
+#: Column bytes an inference forward lowers at once (at least one output
+#: row): its peak is the padded input, the output and one such block, not
+#: the ``k·k``-times-the-input column matrix. A block holds over a quarter
+#: of it: with >= 4 filters, above OpenBLAS's small-product cutoff (~10⁶
+#: multiply-adds), so each block rounds like the whole GEMM.
+BLOCK_BYTES = 1 << 22
 
 
 class Conv2d(Module):
@@ -82,12 +89,18 @@ class Conv2d(Module):
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
         out_h = conv_output_size(h, self.kernel, self.stride, self.pad)
         out_w = conv_output_size(w, self.kernel, self.stride, self.pad)
-        cols = im2col(x, self.kernel, self.stride, self.pad)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         # No transposed copy: batch stays innermost in memory, which is also
-        # the order the next conv's im2col reads fastest.
-        out = (w_mat @ cols).reshape(self.out_channels, out_h, out_w, n)
-        out = out.transpose(3, 0, 1, 2)
+        # the order the next conv's im2col reads fastest. Inference lowers
+        # and multiplies a block of output rows at a time; every output
+        # column is the same dot product either way.
+        out = np.empty(
+            (self.out_channels, out_h * out_w * n), np.result_type(w_mat, x)
+        )
+        budget = None if training else BLOCK_BYTES
+        for start, cols in im2col(x, self.kernel, self.stride, self.pad, budget):
+            np.matmul(w_mat, cols, out=out[:, start : start + cols.shape[1]])
+        out = out.reshape(self.out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)
         if self.bias is not None:
             out = out + self.bias.data.reshape(1, -1, 1, 1)
         if training:

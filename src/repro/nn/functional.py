@@ -1,13 +1,14 @@
-"""Building blocks for convolution: im2col / col2im by strided slices.
+"""Building blocks for convolution: im2col / col2im by strided copies.
 
 Convolution is one matrix product over patch columns — the standard im2col
-lowering. The columns are built from a channel-major ``(C, H+2p, W+2p, N)``
-copy of the zero-padded input by ``k·k`` basic-slice copies, one per kernel
-offset ``(ki, kj)``, into a ``(C, k, k, OH, OW, N)`` buffer; with the batch
-axis innermost every copy moves contiguous runs, and the buffer *is* the
-``(C·k·k, OH·OW·N)`` GEMM operand. ``col2im`` is the adjoint: ``k·k``
-in-place slice adds into a zeroed channel-major buffer. The only Python
-loop is over the ``k·k`` offsets.
+lowering. The columns are copied from a channel-major ``(C, H+2p, W+2p, N)``
+copy of the zero-padded input through one strided ``(C, k, k, OH, OW, N)``
+view of it (every kernel offset ``(ki, kj)`` at once); with the batch axis
+innermost the copy moves contiguous runs, and the destination *is* the
+``(C·k·k, OH·OW·N)`` GEMM operand, or a block of whole output rows of it.
+``col2im`` is the adjoint: ``k·k`` in-place slice adds into a zeroed
+channel-major buffer. The only Python loops are over the blocks and the
+``k·k`` offsets.
 
 Accumulation order: each input position receives its (up to ``k·k``)
 contributions in ascending ``(ki, kj)`` order onto an initial ``+0.0``.
@@ -15,13 +16,14 @@ That is the per-element order of an unbuffered scatter-add over the
 ``(c, ki, kj)``-major patch rows, so results are bit-identical to that
 reference (``tests/nn/lowering_oracle.py``), not merely close.
 
-Arguments and results are ``(N, C, H, W)``-shaped; only the two internal
+Arguments and results are ``(N, C, H, W)``-shaped; only the internal
 buffers are channel-major.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = ["check_conv_geometry", "conv_output_size", "im2col", "col2im"]
 
@@ -56,29 +58,56 @@ def _offset_slices(kernel: int, stride: int, out_h: int, out_w: int):
             yield ki, kj, rows, slice(kj, kj + stride * out_w, stride)
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """Extract sliding patches as columns.
+def im2col(
+    x: np.ndarray, kernel: int, stride: int, pad: int, max_bytes: int | None = None
+):
+    """Extract sliding patches as columns, in blocks of whole output rows.
 
     Parameters
     ----------
     x:
         Input of shape ``(N, C, H, W)``.
+    max_bytes:
+        Column bytes per block: the fewest blocks of whole output rows that
+        fit (a row never splits), of balanced row counts. ``None`` yields
+        the whole matrix as one block.
 
-    Returns
-    -------
-    numpy.ndarray
-        C-contiguous, shape ``(C*kernel*kernel, out_h*out_w*N)``: rows in
-        ``(c, ki, kj)`` order, columns spatial-major and batch-minor.
+    Yields
+    ------
+    (int, numpy.ndarray)
+        ``(start, cols)``: ``cols`` is columns ``start:start + cols.shape[1]``
+        of the C-contiguous ``(C*kernel*kernel, out_h*out_w*N)`` matrix — rows
+        in ``(c, ki, kj)`` order, columns spatial-major and batch-minor. All
+        blocks share one buffer: a block is valid until the next is taken.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, pad)
     out_w = conv_output_size(w, kernel, stride, pad)
     padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
     padded[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
-    cols = np.empty((c, kernel, kernel, out_h, out_w, n), dtype=x.dtype)
-    for ki, kj, rows, columns in _offset_slices(kernel, stride, out_h, out_w):
-        cols[:, ki, kj] = padded[:, rows, columns]
-    return cols.reshape(c * kernel * kernel, -1)
+    sc, sh, sw, sn = padded.strides
+    patches = as_strided(
+        padded,
+        (c, kernel, kernel, out_h, out_w, n),
+        (sc, sh, sw, sh * stride, sw * stride, sn),
+        writeable=False,
+    )
+    depth = c * kernel * kernel
+    row_columns = out_w * n
+    blocks = 1
+    if max_bytes is not None:
+        row_bytes = depth * row_columns * x.itemsize
+        blocks = -(-out_h // max(1, max_bytes // max(row_bytes, 1)))
+    # Balanced row counts: no block holds under a quarter of the budget, so
+    # none drops to the BLAS's small-product kernels, which round unlike its
+    # blocked GEMM.
+    bounds = [out_h * i // blocks for i in range(blocks + 1)]
+    buffer = np.empty(patches[:, :, :, : -(-out_h // blocks)].size, dtype=x.dtype)
+    for top, bottom in zip(bounds, bounds[1:]):
+        block = patches[:, :, :, top:bottom]
+        cols = buffer[: block.size].reshape(block.shape)
+        cols[...] = block
+        yield top * row_columns, cols.reshape(depth, -1)
 
 
 def col2im(

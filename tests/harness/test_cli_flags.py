@@ -9,7 +9,11 @@ and a knob missing from one of the declaration tables fails here first.
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,30 @@ class TestFailAtTheCause:
         # Before any worker, service or forward/backward exists.
         assert error.traceback[-1].name == "__init__"
         assert error.traceback[-1].path.name == "engine.py"
+
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sync-mode", "ssp", "--staleness", "-1"], "staleness must be >= 0, got -1"),
+        (["--sync-mode", "ssp"], "SSP requires a staleness bound"),
+        (["--sync-mode", "async", "--staleness", "2"], "has no staleness bound"),
+    ],
+)
+def test_bench_overlap_quotes_the_engine_config_refusal(argv, message):
+    """``bench_overlap.py`` keeps no sync-mode rules of its own: a bad pair is
+    ``EngineConfig``'s ``ValueError`` as an argparse error, before training."""
+    result = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "bench_overlap.py"), "--smoke", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert result.returncode == 2, result.stderr
+    assert message in result.stderr and "(set by --sync-mode" in result.stderr
+    assert result.stdout == ""

@@ -55,6 +55,33 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(standard_steps=2)
 
+    @pytest.mark.parametrize("value", [0, -5, -3, True, 2.5])
+    @pytest.mark.parametrize("field", ["eval_size", "eval_points"])
+    def test_bad_evaluation_setting_is_refused_by_name(self, field, value):
+        """Refused when the config is built, not after training to the end."""
+        message = f"{field} must be an integer >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FAST_CONFIG.scaled(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -5, True, 2.5])
+    def test_evaluate_refuses_bad_test_size_before_loading_state(self, value):
+        config = FAST_CONFIG
+        engine = ExchangeEngine(
+            config.model_factory(),
+            config.dataset(),
+            make_compressor("32-bit float"),
+            config.schedule(config.standard_steps),
+            config.engine_config(),
+        )
+
+        def load_state_dict(state):
+            raise AssertionError("state loaded before test_size was checked")
+
+        engine._eval_model.load_state_dict = load_state_dict
+        message = f"test_size must be an integer >= 1, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            engine.evaluate(test_size=value)
+
     def test_factories(self):
         config = FAST_CONFIG
         model = config.model_factory()()

@@ -76,7 +76,7 @@ class TestIm2Col:
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        cols = im2col(x, kernel=3, stride=2, pad=1)
+        ((_, cols),) = im2col(x, kernel=3, stride=2, pad=1)
         y = rng.normal(size=cols.shape).astype(np.float32)
         back = col2im(y, x.shape, kernel=3, stride=2, pad=1)
         assert float((cols * y).sum()) == pytest.approx(

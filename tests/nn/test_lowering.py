@@ -6,6 +6,7 @@ model family.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from repro.harness.config import DEFAULT_CONFIG
 from repro.nn import BatchNorm2d, Conv2d, SoftmaxCrossEntropy, build_resnet, build_vgg
 from repro.nn import conv as conv_module
+from repro.nn import functional
 from repro.nn.functional import col2im, conv_output_size, im2col
 from tests.nn import layers_oracle
 from tests.nn import lowering_oracle as oracle
@@ -27,8 +29,15 @@ def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
     assert actual.tobytes() == expected.tobytes()  # tobytes() is C order
 
 
+def full_cols(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
+    """The whole column matrix: ``im2col``'s one block without a budget."""
+    ((start, cols),) = im2col(x, kernel, stride, pad)
+    assert start == 0
+    return cols
+
+
 def check_parity(x: np.ndarray, kernel: int, stride: int, pad: int, rng) -> None:
-    cols = im2col(x, kernel, stride, pad)
+    cols = full_cols(x, kernel, stride, pad)
     assert cols.flags.c_contiguous  # the GEMM operand, not a view of one
     assert_same_bits(cols, oracle.im2col(x, kernel, stride, pad))
     grad_cols = rng.normal(size=cols.shape).astype(x.dtype)
@@ -60,7 +69,7 @@ class TestOracleParity:
         n, c, h, w = shape
         if min(h, w) + 2 * pad < kernel:
             with pytest.raises(ValueError, match="non-positive conv output"):
-                im2col(np.zeros(shape, dtype=np.float32), kernel, stride, pad)
+                full_cols(np.zeros(shape, dtype=np.float32), kernel, stride, pad)
             return
         rng = np.random.default_rng(seed)
         x = rng.normal(size=shape).astype(np.float32)
@@ -107,11 +116,16 @@ _RESNET14 = pytest.param(DEFAULT_CONFIG.model_factory(), _BATCH, id="resnet14")
 _VGG = pytest.param(lambda: build_vgg(image_size=_SIZE, seed=0), _BATCH, id="vgg")
 
 
+def oracle_blocks(x, kernel, stride, pad, max_bytes=None):
+    """The oracle lowering in ``im2col``'s block protocol: always one block."""
+    yield 0, oracle.im2col(x, kernel, stride, pad)
+
+
 class TestEndToEndBitIdentity:
     @pytest.mark.parametrize("factory, shape", [_RESNET14, _VGG])
     def test_training_step_and_eval_logits(self, factory, shape, monkeypatch):
         run = _train_steps_and_eval(factory(), shape, seed=7)
-        monkeypatch.setattr(conv_module, "im2col", oracle.im2col)
+        monkeypatch.setattr(conv_module, "im2col", oracle_blocks)
         monkeypatch.setattr(conv_module, "col2im", oracle.col2im)
         _assert_same_run(run, _train_steps_and_eval(factory(), shape, seed=7))
 
@@ -167,3 +181,132 @@ class TestGeometryValidation:
             conv_output_size(8, **geometry)
         with pytest.raises(ValueError, match=match):
             Conv2d(2, 2, rng=np.random.default_rng(0), **geometry)
+
+
+class TestBlockedLowering:
+    """``im2col``'s blocks are pure copies: for any budget they tile the
+    oracle's column matrix exactly, in balanced runs of whole output rows."""
+
+    @pytest.mark.parametrize("budget", [1, 3000, 1 << 40])
+    def test_blocks_tile_the_column_matrix(self, budget):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(7, 3, 9, 7)).astype(np.float32)
+        for kernel, stride, pad in itertools.product(KERNELS, STRIDES, PADS):
+            out_h = conv_output_size(9, kernel, stride, pad)
+            row = conv_output_size(7, kernel, stride, pad) * 7
+            blocks = []
+            for start, cols in im2col(x, kernel, stride, pad, budget):
+                assert cols.flags.c_contiguous
+                assert start == sum(block.shape[1] for block in blocks)
+                blocks.append(cols.copy())  # the next block reuses the buffer
+            assert_same_bits(
+                np.concatenate(blocks, axis=1), oracle.im2col(x, kernel, stride, pad)
+            )
+            rows = [block.shape[1] // row for block in blocks]
+            assert all(block.shape[1] % row == 0 for block in blocks)
+            assert max(rows) - min(rows) <= 1
+            if budget == 1:
+                assert rows == [1] * out_h
+            if budget == 1 << 40:
+                assert rows == [out_h]
+
+
+def oracle_forward(conv: Conv2d, x: np.ndarray) -> np.ndarray:
+    cols = oracle.im2col(x, conv.kernel, conv.stride, conv.pad)
+    n, out_w = x.shape[0], conv_output_size(x.shape[3], conv.kernel, conv.stride, conv.pad)
+    out = conv.weight.data.reshape(conv.out_channels, -1) @ cols
+    return out.reshape(conv.out_channels, -1, out_w, n).transpose(3, 0, 1, 2)
+
+
+def check_inference(conv: Conv2d, x: np.ndarray, monkeypatch) -> list[int]:
+    """Inference equals a training forward and the oracle GEMM, memory order
+    included; returns the column count of each block inference multiplied."""
+    widths = []
+
+    def counting(*args):
+        for start, cols in functional.im2col(*args):
+            widths.append(cols.shape[1])
+            yield start, cols
+
+    monkeypatch.setattr(conv_module, "im2col", counting)
+    evaluated = conv.forward(x, training=False)
+    blocks = list(widths)
+    trained = conv.forward(x, training=True)
+    assert len(widths) == len(blocks) + 1  # training lowers one block
+    assert evaluated.strides == trained.strides
+    assert_same_bits(evaluated, trained)
+    assert_same_bits(evaluated, oracle_forward(conv, x))
+    return blocks
+
+
+def batch_minor(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+class TestBlockedInference:
+    """``Conv2d.forward(training=False)`` multiplies blocks of output rows
+    into one batch-minor buffer and equals the whole-matrix GEMM bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 200])
+    @pytest.mark.parametrize(
+        "kernel, stride, pad", list(itertools.product((1, 3), (1, 2), (0, 1)))
+    )
+    @pytest.mark.parametrize("budget", ["module", "larger-than-layer"])
+    def test_geometry_grid(self, kernel, stride, pad, batch, budget, monkeypatch):
+        if budget != "module":
+            monkeypatch.setattr(conv_module, "BLOCK_BYTES", 1 << 40)
+        rng = np.random.default_rng(batch)
+        conv = Conv2d(5, 6, kernel, stride=stride, pad=pad, rng=rng)
+        x = batch_minor(rng.normal(size=(batch, 5, 9, 7)).astype(np.float32))
+        assert len(check_inference(conv, x, monkeypatch)) == 1
+
+    @pytest.mark.parametrize(
+        "channels, kernel, stride, pad, shape, rows_per_block",
+        [
+            # one output row per block: a row is over the module budget
+            pytest.param(16, 3, 1, 1, (1000, 16, 16, 16), [1] * 16, id="one-row"),
+            pytest.param(16, 3, 2, 1, (1000, 16, 16, 16), [1] * 8, id="one-row-s2"),
+            # 13 output rows in 5 blocks: the block does not divide the rows
+            pytest.param(16, 3, 1, 0, (200, 16, 15, 13), [2, 3, 2, 3, 3], id="uneven"),
+            pytest.param(32, 1, 1, 0, (1000, 32, 16, 16), [2] * 8, id="pointwise"),
+        ],
+    )
+    def test_blocks_at_the_module_budget(
+        self, channels, kernel, stride, pad, shape, rows_per_block, monkeypatch
+    ):
+        rng = np.random.default_rng(11)
+        conv = Conv2d(shape[1], channels, kernel, stride=stride, pad=pad, rng=rng)
+        x = batch_minor(rng.normal(size=shape).astype(np.float32))
+        row = conv_output_size(shape[3], kernel, stride, pad) * shape[0]
+        blocks = check_inference(conv, x, monkeypatch)
+        assert [width // row for width in blocks] == rows_per_block
+
+    @pytest.mark.parametrize(
+        "factory, size",
+        [
+            pytest.param(lambda: build_resnet(8, base_width=4), 12, id="resnet8w4"),
+            pytest.param(
+                lambda: build_vgg(image_size=16, base_width=4, seed=0), 16, id="vgg"
+            ),
+        ],
+    )
+    def test_whole_model_eval_logits(self, factory, size, monkeypatch):
+        x = np.random.default_rng(5).normal(size=(1000, 3, size, size))
+        x = x.astype(np.float32)
+        logits = factory().forward(x, training=False)
+        monkeypatch.setattr(conv_module, "im2col", oracle_blocks)
+        assert_same_bits(logits, factory().forward(x, training=False))
+
+    def test_peak_memory_is_bounded_by_the_block_budget(self):
+        """The columns never exist whole: peak is the output, the padded
+        input and at most one block (the whole matrix would be 9x the output)."""
+        conv = Conv2d(8, 8, 3, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(1000, 8, 16, 16)).astype(np.float32)
+        padded_bytes = 8 * 18 * 18 * 1000 * 4
+        tracemalloc.start()
+        try:
+            out = conv.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + padded_bytes + 2 * conv_module.BLOCK_BYTES
