@@ -43,7 +43,4 @@ class Float16Compressor(Compressor):
     def decompress(self, message: WireMessage) -> np.ndarray:
         if message.codec_id is not CodecId.FLOAT16:
             raise ValueError(f"not a float16 message: {message.codec_id!r}")
-        half = np.frombuffer(message.payload, dtype="<f2")
-        if half.size != message.element_count:
-            raise ValueError("payload size mismatch")
-        return half.reshape(message.shape).astype(np.float32)
+        return message.payload_array("<f2", "float16").astype(np.float32)

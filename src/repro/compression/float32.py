@@ -1,7 +1,9 @@
 """Uncompressed 32-bit float transmission — the paper's baseline (§5.1).
 
 The payload is the raw little-endian float32 buffer. Lossless, so no error
-feedback is needed and the reconstruction equals the input bit-for-bit.
+feedback is needed and the reconstruction equals the input bit-for-bit. A
+frame holds one copy of the tensor, its payload: the sender's reconstruction
+and the receiver's decode are read-only views of it.
 """
 
 from __future__ import annotations
@@ -17,14 +19,11 @@ __all__ = ["Float32Compressor"]
 class _Float32Context(CompressorContext):
     def compress(self, tensor: np.ndarray) -> CompressionResult:
         arr = self._check_shape(tensor)
-        contiguous = np.ascontiguousarray(arr, dtype="<f4")
+        payload = np.asarray(arr, dtype="<f4").tobytes()
         message = WireMessage(
-            codec_id=CodecId.FLOAT32,
-            shape=arr.shape,
-            payload=contiguous.tobytes(),
-            dtype=np.float32,
+            codec_id=CodecId.FLOAT32, shape=arr.shape, payload=payload, dtype=np.float32
         )
-        return CompressionResult(message, contiguous.copy())
+        return CompressionResult(message, np.ndarray(arr.shape, "<f4", payload))
 
 
 class Float32Compressor(Compressor):
@@ -40,7 +39,4 @@ class Float32Compressor(Compressor):
     def decompress(self, message: WireMessage) -> np.ndarray:
         if message.codec_id is not CodecId.FLOAT32:
             raise ValueError(f"not a float32 message: {message.codec_id!r}")
-        flat = np.frombuffer(message.payload, dtype="<f4")
-        if flat.size != message.element_count:
-            raise ValueError("payload size mismatch")
-        return flat.reshape(message.shape).astype(np.float32)
+        return message.payload_array("<f4", "float32")

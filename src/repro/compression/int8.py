@@ -67,9 +67,7 @@ class Int8Compressor(Compressor):
     def decompress(self, message: WireMessage) -> np.ndarray:
         if message.codec_id is not CodecId.INT8:
             raise ValueError(f"not an int8 message: {message.codec_id!r}")
-        quantized = np.frombuffer(message.payload, dtype=np.int8)
-        if quantized.size != message.element_count:
-            raise ValueError("payload size mismatch")
+        quantized = message.payload_array(np.int8, "int8")
         # A forged payload byte can be -128, one past the encoder's levels.
         (scale,) = message.checked_scalars(1, nonnegative=True, times=128.0)
-        return _dequantize(quantized.reshape(message.shape), scale)
+        return _dequantize(quantized, scale)

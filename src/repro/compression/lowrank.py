@@ -129,10 +129,8 @@ class SufficientFactorCompressor(Compressor):
         (rank_f,) = message.checked_scalars(1, nonnegative=True)
         rank = int(rank_f)
         if rank == 0:
-            flat = np.frombuffer(message.payload, dtype="<f4")
-            if flat.size != message.element_count:
-                raise ValueError("raw fallback payload size mismatch")
-            return flat.reshape(message.shape).astype(np.float32)
+            raw = message.payload_array("<f4", "low-rank raw fallback")
+            return raw.astype(np.float32)
         matrix_shape = _matrix_shape(message.shape)
         if matrix_shape is None:
             raise ValueError("factored message for a non-factorable shape")

@@ -18,13 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import Compressor, CompressorContext, CompressionResult
+from repro.core.codec import pack_ternary, unpack_frame
 from repro.core.packets import CodecId, WireMessage
-from repro.core.quantization import (
-    QuantizedTensor,
-    dequantize_3value,
-    quantize_stochastic_ternary,
-)
-from repro.core.quartic import quartic_decode, quartic_encode
+from repro.core.quantization import max_magnitude
 from repro.utils.seeding import derive_rng
 
 __all__ = ["StochasticTernaryCompressor", "clip_gradient"]
@@ -68,16 +64,25 @@ class _StochTernaryContext(CompressorContext):
         arr = self._check_shape(tensor, finite=self.clip_factor is not None)
         if self.clip_factor is not None:
             arr = clip_gradient(arr, self.clip_factor)
-        quantized = quantize_stochastic_ternary(arr, self.rng)
-        encoded = quartic_encode(quantized.values)
+        # + 0.0: an all-zero tensor's scale is +0.0, even if its zeros are -0.0.
+        scale = max_magnitude(arr) + 0.0
+        packed, _, recon = pack_ternary(
+            arr.reshape(-1), np.array([arr.size]), [scale], self._draw
+        )
         message = WireMessage(
             codec_id=CodecId.STOCHASTIC_TERNARY_QE,
             shape=arr.shape,
-            payload=encoded.tobytes(),
-            scalars=(quantized.scale,),
+            payload=packed.tobytes(),
+            scalars=(scale,),
             dtype=np.float32,
         )
-        return CompressionResult(message, dequantize_3value(quantized))
+        return CompressionResult(message, recon.reshape(arr.shape))
+
+    def _draw(self, segment: np.ndarray, scale: float, out: np.ndarray) -> None:
+        """``sign(t)`` with probability ``|t| / scale``, else 0, into ``out``
+        (as :func:`~repro.core.quantization.quantize_stochastic_ternary`)."""
+        keep = self.rng.random(segment.shape) < np.abs(segment) / scale
+        np.copysign(keep, segment, out=out)
 
     def state_dict(self) -> dict:
         return {"rng": self.rng.bit_generator.state}
@@ -122,7 +127,5 @@ class StochasticTernaryCompressor(Compressor):
             raise ValueError(
                 f"not a stochastic-ternary message: {message.codec_id!r}"
             )
-        encoded = np.frombuffer(message.payload, dtype=np.uint8)
-        values = quartic_decode(encoded, message.element_count, message.shape)
         (scale,) = message.checked_scalars(1, nonnegative=True)
-        return dequantize_3value(QuantizedTensor(values, scale))
+        return unpack_frame(message, scale, False, np.float32)

@@ -15,6 +15,7 @@ its own push context.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,26 +23,14 @@ import numpy as np
 
 from repro.core.error_feedback import ErrorAccumulationBuffer
 from repro.core.packets import CodecId, WireMessage
-from repro.core.quantization import (
-    QuantizedTensor,
-    dequantize_3value,
-    quantize_3value,
-    quantize_3value_batch,
-)
+from repro.core.quantization import max_magnitude, quantize_3value, segment_scales
 from repro.core.quartic import (
     _DECODE_TABLE,
     GROUP_SIZE,
     MAX_QUARTIC_BYTE,
-    quartic_decode,
-    quartic_encode,
-    quartic_encode_batch,
+    ZERO_GROUP_BYTE,
 )
-from repro.core.zre import (
-    zre_decode,
-    zre_decode_batch,
-    zre_encode,
-    zre_encode_batch,
-)
+from repro.core.zre import _RUN_LENGTH, zre_encode, zre_encode_batch
 
 __all__ = [
     "ThreeLCCodec",
@@ -49,7 +38,116 @@ __all__ = [
     "CompressionResult",
     "compress_context_batch",
     "round_trip_context_batch",
+    "pack_ternary",
+    "unpack_ternary",
+    "unpack_frame",
 ]
+
+# The quartic weights (81, 27, 9, 3, 1): a group's byte is one dot product.
+_WEIGHTS = (3 ** np.arange(GROUP_SIZE - 1, -1, -1)).astype(np.float32)
+
+
+def pack_ternary(flat, lengths, scales, fill) -> tuple:
+    """The pack kernel of both ternary codecs: segments of ``lengths``
+    elements concatenated in ``flat`` to their quartic bytes, each segment's
+    byte offsets in them, and the flat reconstruction ``values * scale``.
+
+    ``fill(segment, scale, out)`` writes a segment's values over its nonzero
+    float64 ``scale``, each within [-1, 1] (3LC: ``np.divide``), into
+    ``out``: a slice of one float buffer, zero-padded to whole groups per
+    segment. The buffer is rounded in place, its zeros made +0.0 (so no
+    reconstruction holds a -0.0) and packed by one
+    ``(G, 5) @ (81, 27, 9, 3, 1)`` product, exact because every sum lies in
+    [-121, 121]. A scale that receivers would refuse, beyond the dtype's
+    largest value, is refused first, naming its segment as a frame.
+    """
+    high = float(np.finfo(flat.dtype).max)
+    segments, end, at = [], 0, 0
+    scales = np.asarray(scales, dtype=np.float64).tolist()
+    for i, (n, scale) in enumerate(zip(np.asarray(lengths).tolist(), scales)):
+        if scale > high:
+            raise ValueError(f"frame {i}: scale {scale!r} beyond {high}")
+        segments.append((end, n, at, scale))
+        end, at = end + n, at - (-n // GROUP_SIZE) * GROUP_SIZE
+    values = np.zeros(at, dtype=flat.dtype)
+    for lo, n, at, scale in segments:
+        if scale:
+            fill(flat[lo : lo + n], scale, values[at : at + n])
+    np.rint(values, out=values)
+    values += 0.0
+    packed = np.empty(values.size // GROUP_SIZE, dtype=np.uint8)
+    product = values.reshape(-1, GROUP_SIZE) @ _WEIGHTS
+    np.add(product, ZERO_GROUP_BYTE, out=packed, casting="unsafe")
+    recon = np.empty_like(flat)
+    for lo, n, at, scale in segments:
+        np.multiply(values[at : at + n], scale, out=recon[lo : lo + n])
+    byte_offsets = np.array([at // GROUP_SIZE for _, _, at, _ in segments] + [packed.size])
+    return packed, byte_offsets, recon
+
+
+@functools.cache
+def _value_table(dtype: np.dtype) -> np.ndarray:
+    """Row ``b``: the five values byte ``b`` stands for in ``dtype``; the
+    escape rows 243-255 hold the zero group, which their run repeats."""
+    table = np.zeros((256, GROUP_SIZE), dtype=dtype)
+    table[: MAX_QUARTIC_BYTE + 1] = _DECODE_TABLE
+    return table
+
+
+def unpack_ternary(encoded, byte_offsets, counts, scales, zre, dtype) -> list:
+    """The decode kernel of both ternary codecs: one flat view per segment
+    of ``encoded[byte_offsets[i]:byte_offsets[i + 1]]``, all of one buffer
+    in ``dtype``. ``zre`` flags the zero-run encoded segments (``None``:
+    all); a bad segment raises naming it as a frame. Zero-run expansion and
+    quartic lookup are one ``take`` of :func:`_value_table` by the bytes
+    repeated by their run lengths, then each segment is scaled in place.
+    """
+    arr = np.asarray(encoded, dtype=np.uint8).reshape(-1)
+    offsets = np.asarray(byte_offsets, dtype=np.intp)
+    if zre is not None and arr.size and arr.max() > MAX_QUARTIC_BYTE:
+        # A frame sent without zero-run encoding holds quartic bytes only.
+        plain = np.repeat(~np.asarray(zre, dtype=bool), np.diff(offsets))
+        wrong = np.flatnonzero(plain & (arr > MAX_QUARTIC_BYTE))
+        if wrong.size:
+            i = int(np.searchsorted(offsets, wrong[0], side="right")) - 1
+            raise ValueError(f"frame {i}: byte outside quartic range [0, 242]")
+    runs = _RUN_LENGTH.take(arr)
+    groups = np.zeros(arr.size + 1, dtype=np.intp)
+    np.cumsum(runs, out=groups[1:])
+    starts = groups[offsets].tolist()
+    segments = list(
+        zip(starts, np.asarray(counts).tolist(), np.asarray(scales, float).tolist())
+    )
+    # Frame by frame: a run that over-ran its frame's count must not pass
+    # because a short neighbour made the totals agree.
+    for i, ((start, count, _), stop) in enumerate(zip(segments, starts[1:])):
+        if stop - start != -(-count // GROUP_SIZE):
+            raise ValueError(
+                f"frame {i}: encoded length {stop - start} "
+                f"inconsistent with count {count}"
+            )
+    out = _value_table(np.dtype(dtype)).take(np.repeat(arr, runs), axis=0).ravel()
+    views = [out[GROUP_SIZE * start : GROUP_SIZE * start + n] for start, n, _ in segments]
+    for view, (_, _, scale) in zip(views, segments):
+        view *= scale
+    return views
+
+
+def unpack_frame(message: WireMessage, scale: float, zre: bool, dtype) -> np.ndarray:
+    """Decode one ternary frame, its ``scale`` checked, to ``dtype`` with
+    :func:`unpack_ternary`; a refusal names no frame position."""
+    try:
+        (out,) = unpack_ternary(
+            np.frombuffer(message.payload, dtype=np.uint8),
+            [0, len(message.payload)],
+            [message.element_count],
+            [scale],
+            None if zre else [False],
+            dtype,
+        )
+    except ValueError as error:
+        raise ValueError(str(error).removeprefix("frame 0: ")) from None
+    return out.reshape(message.shape)
 
 
 @dataclass(frozen=True)
@@ -120,14 +218,14 @@ class ThreeLCCodec:
         tests assert this identity.
         """
         arr = np.asarray(tensor, dtype=self.dtype)
-        quantized = quantize_3value(arr, self.sparsity_multiplier)
-        packed = quartic_encode(quantized.values)
-        message = self._frame(
-            arr.shape,
-            (zre_encode(packed) if self.use_zre else packed).tobytes(),
-            quantized.scale,
+        # + 0.0: an all-zero tensor's scale is +0.0, even if its zeros are -0.0.
+        scale = max_magnitude(arr) * self.sparsity_multiplier + 0.0
+        packed, _, recon = pack_ternary(
+            arr.reshape(-1), np.array([arr.size]), [scale], np.divide
         )
-        return CompressionResult(message, dequantize_3value(quantized, self.dtype))
+        payload = (zre_encode(packed) if self.use_zre else packed).tobytes()
+        message = self._frame(arr.shape, payload, scale)
+        return CompressionResult(message, recon.reshape(arr.shape))
 
     def _frame(
         self, shape: tuple[int, ...], payload: bytes, scale: float
@@ -146,17 +244,11 @@ class ThreeLCCodec:
         ``lengths`` elements concatenated in ``flat`` to the encoded bytes,
         each segment's byte offsets in them, the float64 scales, and the
         flat reconstruction a receiver decodes."""
-        values, scales = quantize_3value_batch(
-            flat, lengths, self.sparsity_multiplier
-        )
-        encoded, byte_offsets = quartic_encode_batch(values, lengths)
+        flat, lengths, scales = segment_scales(flat, lengths, self.sparsity_multiplier)
+        packed, byte_offsets, recon = pack_ternary(flat, lengths, scales, np.divide)
         if self.use_zre:
-            encoded, byte_offsets = zre_encode_batch(encoded, byte_offsets)
-        # One fused reconstruction pass: each element times its segment's
-        # scale, cast exactly as the scalar dequantize does.
-        recon = values.astype(self.dtype)
-        recon *= np.repeat(scales.astype(self.dtype, copy=False), lengths)
-        return encoded, byte_offsets, scales, recon
+            packed, byte_offsets = zre_encode_batch(packed, byte_offsets)
+        return packed, byte_offsets, scales, recon
 
     def decode(
         self, encoded, byte_offsets, counts, scales, zre, dtype
@@ -166,28 +258,7 @@ class ThreeLCCodec:
         zero-run encoded segments (``None``: all); a bad segment raises
         naming it as a frame.
         """
-        groups = -(-counts // GROUP_SIZE)
-        packed, starts = zre_decode_batch(encoded, byte_offsets, zre)
-        # Frame by frame: a run that over-ran its frame's count must not pass
-        # because a short neighbour made the totals agree.
-        wrong = np.flatnonzero(np.diff(starts) != groups)
-        if wrong.size:
-            i = int(wrong[0])
-            raise ValueError(
-                f"frame {i}: encoded length {starts[i + 1] - starts[i]} "
-                f"inconsistent with count {counts[i]}"
-            )
-        if zre is not None and packed.size and packed.max() > MAX_QUARTIC_BYTE:
-            at = int(np.argmax(packed > MAX_QUARTIC_BYTE))
-            i = int(np.searchsorted(starts, at, side="right")) - 1
-            raise ValueError(f"frame {i}: byte outside quartic range [0, 242]")
-        # Padded to whole groups; each frame keeps its first ``count`` values.
-        out = np.take(_DECODE_TABLE, packed, axis=0).reshape(-1).astype(dtype)
-        out *= np.repeat(np.asarray(scales, dtype=dtype), GROUP_SIZE * groups)
-        return [
-            out[lo : lo + count]
-            for lo, count in zip((GROUP_SIZE * starts).tolist(), counts.tolist())
-        ]
+        return unpack_ternary(encoded, byte_offsets, counts, scales, zre, dtype)
 
     def compress_batch(self, tensors) -> list[CompressionResult]:
         """Compress many tensors with one vectorized codec pass.
@@ -222,13 +293,9 @@ class ThreeLCCodec:
         """Decode a wire message back to a dense tensor (``M · Q``)."""
         if message.codec_id not in (CodecId.THREELC, CodecId.THREELC_NO_ZRE):
             raise ValueError(f"not a 3LC message: {message.codec_id!r}")
-        encoded = np.frombuffer(message.payload, dtype=np.uint8)
-        if message.codec_id is CodecId.THREELC:
-            encoded = zre_decode(encoded)
-        count = message.element_count
-        values = quartic_decode(encoded, count, message.shape)
         (scale,) = message.checked_scalars(1, nonnegative=True)
-        return dequantize_3value(QuantizedTensor(values, scale), message.dtype)
+        zre = message.codec_id is CodecId.THREELC
+        return unpack_frame(message, scale, zre, message.dtype)
 
     def decompress_batch(self, messages) -> list[np.ndarray]:
         """Decode many wire messages with one vectorized pass.
@@ -389,11 +456,9 @@ class _Hop:
         self.codec = contexts[0].codec
         self.shapes = [context.shape for context in contexts]
         self.lengths = np.array([math.prod(s) for s in self.shapes], dtype=np.intp)
-        # Frame bytes but the payload, from one frame per hop layout, and
-        # the largest scale a frame may carry (a receiver refuses more).
+        # Frame bytes but the payload, from one frame per hop layout.
         frames = [self.codec._frame(s, b"", 0.0) for s in self.shapes]
         self.headers = np.array([frame.wire_size for frame in frames])
-        self.high = float(np.finfo(self.codec.dtype).max)
         self.zre = None if self.codec.use_zre else np.zeros(len(contexts), dtype=bool)
         self.residual = None
         if contexts[0].buffer is not None:
@@ -429,9 +494,6 @@ def round_trip_context_batch(items) -> tuple[list[np.ndarray], list[int]]:
     encoded, byte_offsets, scales, recon = hop.codec.encode(flat, hop.lengths)
     if hop.residual is not None:
         hop.residual -= recon
-    if scales.max() > hop.high:
-        i = int(np.argmax(scales > hop.high))
-        raise ValueError(f"frame {i}: scale {scales[i]!r} beyond {hop.high}")
     received = hop.codec.decode(
         encoded, byte_offsets, hop.lengths, scales, hop.zre, hop.codec.dtype
     )

@@ -135,6 +135,18 @@ class WireMessage:
             )
         return tuple(map(float, self.scalars))
 
+    def payload_array(self, dtype, kind: str) -> np.ndarray:
+        """The payload as a read-only ``shape`` array of ``dtype`` whose
+        ``base`` is the payload; any other byte count is refused, naming
+        the ``kind`` of frame and the sizes."""
+        need = self.element_count * np.dtype(dtype).itemsize
+        if len(self.payload) != need:
+            raise ValueError(
+                f"{kind} frame of shape {self.shape} needs {need} payload bytes, "
+                f"got {len(self.payload)}"
+            )
+        return np.ndarray(self.shape, dtype, buffer=self.payload)
+
     @property
     def wire_size(self) -> int:
         """Total frame size in bytes, headers and CRC included."""

@@ -35,6 +35,7 @@ __all__ = [
     "QuantizedTensor",
     "quantize_3value",
     "quantize_3value_batch",
+    "segment_scales",
     "dequantize_3value",
     "quantize_stochastic_ternary",
     "max_magnitude",
@@ -167,6 +168,20 @@ def quantize_3value_batch(
         ``{-1, 0, 1}``; ``scales``: float64 array of per-segment ``M``
         (0.0 exactly for all-zero or empty segments).
     """
+    flat, lengths, scales = segment_scales(flat, lengths, s)
+    # A zero scale means the whole segment is zero, so dividing it by the
+    # placeholder 1.0 still rounds to all-zero values — no masking needed.
+    divisor = np.repeat(
+        np.where(scales > 0.0, scales, 1.0).astype(flat.dtype, copy=False), lengths
+    )
+    return _round_to_ternary(flat, divisor), scales
+
+
+def segment_scales(
+    flat: np.ndarray, lengths: np.ndarray, s: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``flat`` and ``lengths`` as flat arrays, and the float64 scale
+    ``M_i = max(|segment_i|) * s`` of each segment (:func:`quantize_3value_batch`)."""
     s = _validate_multiplier(s)
     flat = np.asarray(flat).reshape(-1)
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -190,13 +205,7 @@ def quantize_3value_batch(
                 "cannot quantize non-finite tensor "
                 f"(segment {int(np.argmin(finite))})"
             )
-    scales = mags * s
-    # A zero scale means the whole segment is zero, so dividing it by the
-    # placeholder 1.0 still rounds to all-zero values — no masking needed.
-    divisor = np.repeat(
-        np.where(scales > 0.0, scales, 1.0).astype(flat.dtype, copy=False), lengths
-    )
-    return _round_to_ternary(flat, divisor), scales
+    return flat, lengths, mags * s
 
 
 def quantize_stochastic_ternary(
