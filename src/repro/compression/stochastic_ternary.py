@@ -64,11 +64,8 @@ class _StochTernaryContext(CompressorContext):
         arr = self._check_shape(tensor, finite=self.clip_factor is not None)
         if self.clip_factor is not None:
             arr = clip_gradient(arr, self.clip_factor)
-        # + 0.0: an all-zero tensor's scale is +0.0, even if its zeros are -0.0.
-        scale = max_magnitude(arr) + 0.0
-        packed, _, recon = pack_ternary(
-            arr.reshape(-1), np.array([arr.size]), [scale], self._draw
-        )
+        scale = max_magnitude(arr)
+        packed, _, recon = pack_ternary(arr.reshape(-1), [arr.size], [scale], self._draw)
         message = WireMessage(
             codec_id=CodecId.STOCHASTIC_TERNARY_QE,
             shape=arr.shape,

@@ -15,7 +15,6 @@ its own push context.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,23 +42,21 @@ __all__ = [
     "unpack_frame",
 ]
 
-# The quartic weights (81, 27, 9, 3, 1): a group's byte is one dot product.
 _WEIGHTS = (3 ** np.arange(GROUP_SIZE - 1, -1, -1)).astype(np.float32)
+#: Groups per product: OpenBLAS threads a longer gemv, which stalls on a busy host.
+_PACK_GROUPS = 1 << 14
 
 
 def pack_ternary(flat, lengths, scales, fill) -> tuple:
     """The pack kernel of both ternary codecs: segments of ``lengths``
     elements concatenated in ``flat`` to their quartic bytes, each segment's
-    byte offsets in them, and the flat reconstruction ``values * scale``.
+    byte offsets in them, and the flat reconstruction.
 
-    ``fill(segment, scale, out)`` writes a segment's values over its nonzero
-    float64 ``scale``, each within [-1, 1] (3LC: ``np.divide``), into
-    ``out``: a slice of one float buffer, zero-padded to whole groups per
-    segment. The buffer is rounded in place, its zeros made +0.0 (so no
-    reconstruction holds a -0.0) and packed by one
-    ``(G, 5) @ (81, 27, 9, 3, 1)`` product, exact because every sum lies in
-    [-121, 121]. A scale that receivers would refuse, beyond the dtype's
-    largest value, is refused first, naming its segment as a frame.
+    ``fill(segment, scale, out)`` writes a segment over its nonzero scale,
+    within [-1, 1], into one float buffer zero-padded to whole groups per
+    segment; rounded in place, its zeros +0.0, the buffer times the scale is
+    the reconstruction and an exact ``(G, 5) @ (81, 27, 9, 3, 1)`` product
+    the bytes. A scale beyond the dtype is refused first, as a receiver would.
     """
     high = float(np.finfo(flat.dtype).max)
     segments, end, at = [], 0, 0
@@ -75,9 +72,11 @@ def pack_ternary(flat, lengths, scales, fill) -> tuple:
             fill(flat[lo : lo + n], scale, values[at : at + n])
     np.rint(values, out=values)
     values += 0.0
-    packed = np.empty(values.size // GROUP_SIZE, dtype=np.uint8)
-    product = values.reshape(-1, GROUP_SIZE) @ _WEIGHTS
-    np.add(product, ZERO_GROUP_BYTE, out=packed, casting="unsafe")
+    rows = values.reshape(-1, GROUP_SIZE)
+    packed = np.empty(len(rows), dtype=np.uint8)
+    for lo in range(0, len(rows), _PACK_GROUPS):
+        product = rows[lo : lo + _PACK_GROUPS] @ _WEIGHTS
+        np.add(product, ZERO_GROUP_BYTE, out=packed[lo : lo + _PACK_GROUPS], casting="unsafe")
     recon = np.empty_like(flat)
     for lo, n, at, scale in segments:
         np.multiply(values[at : at + n], scale, out=recon[lo : lo + n])
@@ -85,22 +84,17 @@ def pack_ternary(flat, lengths, scales, fill) -> tuple:
     return packed, byte_offsets, recon
 
 
-@functools.cache
-def _value_table(dtype: np.dtype) -> np.ndarray:
-    """Row ``b``: the five values byte ``b`` stands for in ``dtype``; the
-    escape rows 243-255 hold the zero group, which their run repeats."""
-    table = np.zeros((256, GROUP_SIZE), dtype=dtype)
-    table[: MAX_QUARTIC_BYTE + 1] = _DECODE_TABLE
-    return table
+# Row b: byte b's five values per dtype; an escape's row is the zero group.
+_ROWS = np.concatenate((_DECODE_TABLE, np.zeros((13, GROUP_SIZE), np.int8)))
+_VALUES = {np.dtype(t): _ROWS.astype(t) for t in (np.float16, np.float32, np.float64)}
 
 
 def unpack_ternary(encoded, byte_offsets, counts, scales, zre, dtype) -> list:
-    """The decode kernel of both ternary codecs: one flat view per segment
-    of ``encoded[byte_offsets[i]:byte_offsets[i + 1]]``, all of one buffer
-    in ``dtype``. ``zre`` flags the zero-run encoded segments (``None``:
-    all); a bad segment raises naming it as a frame. Zero-run expansion and
-    quartic lookup are one ``take`` of :func:`_value_table` by the bytes
-    repeated by their run lengths, then each segment is scaled in place.
+    """The decode kernel of both ternary codecs, :func:`pack_ternary`'s
+    inverse: one flat view per segment, all of one buffer in ``dtype``.
+    ``zre`` flags the zero-run encoded segments (``None``: all); a bad
+    segment raises naming it as a frame. Zero-run expansion and quartic
+    lookup are one ``take`` by the bytes repeated by their run lengths.
     """
     arr = np.asarray(encoded, dtype=np.uint8).reshape(-1)
     offsets = np.asarray(byte_offsets, dtype=np.intp)
@@ -115,36 +109,30 @@ def unpack_ternary(encoded, byte_offsets, counts, scales, zre, dtype) -> list:
     groups = np.zeros(arr.size + 1, dtype=np.intp)
     np.cumsum(runs, out=groups[1:])
     starts = groups[offsets].tolist()
-    segments = list(
-        zip(starts, np.asarray(counts).tolist(), np.asarray(scales, float).tolist())
-    )
-    # Frame by frame: a run that over-ran its frame's count must not pass
-    # because a short neighbour made the totals agree.
-    for i, ((start, count, _), stop) in enumerate(zip(segments, starts[1:])):
+    out = _VALUES[np.dtype(dtype)].take(np.repeat(arr, runs), axis=0).ravel()
+    views = []
+    counts, scales = np.asarray(counts).tolist(), np.asarray(scales, float).tolist()
+    for i, (start, stop, count, scale) in enumerate(
+        zip(starts, starts[1:], counts, scales)
+    ):
+        # Frame by frame: a run that over-ran its frame's count must not pass
+        # because a short neighbour made the totals agree.
         if stop - start != -(-count // GROUP_SIZE):
             raise ValueError(
                 f"frame {i}: encoded length {stop - start} "
                 f"inconsistent with count {count}"
             )
-    out = _value_table(np.dtype(dtype)).take(np.repeat(arr, runs), axis=0).ravel()
-    views = [out[GROUP_SIZE * start : GROUP_SIZE * start + n] for start, n, _ in segments]
-    for view, (_, _, scale) in zip(views, segments):
-        view *= scale
+        views.append(out[GROUP_SIZE * start : GROUP_SIZE * start + count])
+        views[-1] *= scale
     return views
 
 
 def unpack_frame(message: WireMessage, scale: float, zre: bool, dtype) -> np.ndarray:
-    """Decode one ternary frame, its ``scale`` checked, to ``dtype`` with
-    :func:`unpack_ternary`; a refusal names no frame position."""
+    """One ternary frame, its ``scale`` checked, decoded; refusals name no frame."""
+    encoded = np.frombuffer(message.payload, dtype=np.uint8)
+    count, flags = [message.element_count], None if zre else [False]
     try:
-        (out,) = unpack_ternary(
-            np.frombuffer(message.payload, dtype=np.uint8),
-            [0, len(message.payload)],
-            [message.element_count],
-            [scale],
-            None if zre else [False],
-            dtype,
-        )
+        (out,) = unpack_ternary(encoded, [0, encoded.size], count, [scale], flags, dtype)
     except ValueError as error:
         raise ValueError(str(error).removeprefix("frame 0: ")) from None
     return out.reshape(message.shape)
@@ -218,11 +206,8 @@ class ThreeLCCodec:
         tests assert this identity.
         """
         arr = np.asarray(tensor, dtype=self.dtype)
-        # + 0.0: an all-zero tensor's scale is +0.0, even if its zeros are -0.0.
-        scale = max_magnitude(arr) * self.sparsity_multiplier + 0.0
-        packed, _, recon = pack_ternary(
-            arr.reshape(-1), np.array([arr.size]), [scale], np.divide
-        )
+        scale = max_magnitude(arr) * self.sparsity_multiplier
+        packed, _, recon = pack_ternary(arr.reshape(-1), [arr.size], [scale], np.divide)
         payload = (zre_encode(packed) if self.use_zre else packed).tobytes()
         message = self._frame(arr.shape, payload, scale)
         return CompressionResult(message, recon.reshape(arr.shape))
@@ -250,15 +235,8 @@ class ThreeLCCodec:
             packed, byte_offsets = zre_encode_batch(packed, byte_offsets)
         return packed, byte_offsets, scales, recon
 
-    def decode(
-        self, encoded, byte_offsets, counts, scales, zre, dtype
-    ) -> list[np.ndarray]:
-        """The array-level decode core, :meth:`encode`'s inverse: one flat
-        view per segment, all of one buffer in ``dtype``. ``zre`` flags the
-        zero-run encoded segments (``None``: all); a bad segment raises
-        naming it as a frame.
-        """
-        return unpack_ternary(encoded, byte_offsets, counts, scales, zre, dtype)
+    #: The array-level decode core, :meth:`encode`'s inverse.
+    decode = staticmethod(unpack_ternary)
 
     def compress_batch(self, tensors) -> list[CompressionResult]:
         """Compress many tensors with one vectorized codec pass.

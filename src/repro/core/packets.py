@@ -136,9 +136,7 @@ class WireMessage:
         return tuple(map(float, self.scalars))
 
     def payload_array(self, dtype, kind: str) -> np.ndarray:
-        """The payload as a read-only ``shape`` array of ``dtype`` whose
-        ``base`` is the payload; any other byte count is refused, naming
-        the ``kind`` of frame and the sizes."""
+        """The payload as a read-only ``shape`` view in ``dtype``, its size checked."""
         need = self.element_count * np.dtype(dtype).itemsize
         if len(self.payload) != need:
             raise ValueError(

@@ -89,14 +89,15 @@ def _validate_multiplier(s: float) -> float:
 
 
 def max_magnitude(arr: np.ndarray) -> float:
-    """``max(|arr|)`` (0 when empty) from one ``max`` and one ``min`` pass.
+    """``max(|arr|)`` (+0.0 when empty or all zeros, even -0.0 ones) from one
+    ``max`` and one ``min`` pass.
 
     NaN propagates through both and an infinity survives one of them, so the
     non-finite check rides along with no ``isfinite`` or ``abs`` temporary.
     """
     if arr.size == 0:
         return 0.0
-    magnitude = max(float(arr.max()), -float(arr.min()))
+    magnitude = max(float(arr.max()), -float(arr.min())) + 0.0
     if not math.isfinite(magnitude):
         raise ValueError("cannot quantize non-finite tensor")
     return magnitude

@@ -15,7 +15,8 @@ __all__ = ["Conv2d"]
 #: row): its peak is the padded input, the output and one such block, not
 #: the ``k·k``-times-the-input column matrix. A block holds over a quarter
 #: of it: with >= 4 filters, above OpenBLAS's small-product cutoff (~10⁶
-#: multiply-adds), so each block rounds like the whole GEMM.
+#: multiply-adds), so each block rounds like the whole GEMM. A layer of
+#: fewer filters lowers in one block, as training does.
 BLOCK_BYTES = 1 << 22
 
 
@@ -97,7 +98,7 @@ class Conv2d(Module):
         out = np.empty(
             (self.out_channels, out_h * out_w * n), np.result_type(w_mat, x)
         )
-        budget = None if training else BLOCK_BYTES
+        budget = None if training or self.out_channels < 4 else BLOCK_BYTES
         for start, cols in im2col(x, self.kernel, self.stride, self.pad, budget):
             np.matmul(w_mat, cols, out=out[:, start : start + cols.shape[1]])
         out = out.reshape(self.out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)

@@ -10,6 +10,7 @@ the way it fails alone, and say which frame it was.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -392,3 +393,37 @@ def test_frame_free_round_trip_is_the_framed_batch_across_layouts():
             assert ours_out.tobytes() == theirs_out.tobytes()
         for a, b in zip(ours, theirs):
             assert a.buffer.residual.tobytes() == b.buffer.residual.tobytes()
+
+
+# A scale the receivers refuse is refused by the sender, before any residual
+# moves: error feedback would otherwise subtract an infinite reconstruction.
+BEYOND = np.array([3e38, -1e38, 1.0, 0.0], dtype=np.float32)
+SCALE = float(BEYOND[0]) * 1.75
+HIGH = float(np.finfo(np.float32).max)
+
+
+def _compress(contexts, tensors):
+    return [context.compress(tensor) for context, tensor in zip(contexts, tensors)]
+
+
+def _compress_batch(contexts, tensors):
+    return compress_context_batch(zip(contexts, tensors))
+
+
+def _round_trip(contexts, tensors):
+    return round_trip_context_batch(list(zip(contexts, tensors)))
+
+
+@pytest.mark.parametrize("path", [_compress, _compress_batch, _round_trip])
+def test_scale_beyond_the_dtype_is_refused_before_the_residual_moves(path):
+    codec = ThreeLCCodec(1.75)
+    good = np.linspace(-1.0, 1.0, 4, dtype=np.float32)
+    contexts = [CompressionContext((4,), codec) for _ in range(3)]
+    tensors = [good, BEYOND, good]
+    frame = 0 if path is _compress else 1
+    expected = f"frame {frame}: scale {SCALE!r} beyond {HIGH}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        path(contexts, tensors)
+    for context in contexts:
+        assert np.isfinite(context.buffer.residual).all()
+    assert SCALE > HIGH

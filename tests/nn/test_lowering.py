@@ -282,6 +282,26 @@ class TestBlockedInference:
         assert [width // row for width in blocks] == rows_per_block
 
     @pytest.mark.parametrize(
+        "channels, kernel, batch",
+        [
+            pytest.param(5, 3, 1671, id="c5k3"),
+            pytest.param(4, 1, 8657, id="c4k1"),
+        ],
+    )
+    @pytest.mark.parametrize("filters", [1, 2, 3])
+    def test_layers_of_fewer_than_four_filters_lower_in_one_block(
+        self, channels, kernel, batch, filters, monkeypatch
+    ):
+        """Their columns exceed the budget, but a block GEMM of so few rows
+        rounds unlike the whole one (a 1-filter product is a ``gemv``)."""
+        rng = np.random.default_rng(filters)
+        conv = Conv2d(channels, filters, kernel, rng=rng)
+        x = rng.normal(size=(batch, channels, 7, 7)).astype(np.float32)
+        out_h = conv_output_size(7, kernel, 1, 0)
+        assert 4 * channels * kernel**2 * out_h**2 * batch > conv_module.BLOCK_BYTES
+        assert len(check_inference(conv, x, monkeypatch)) == 1
+
+    @pytest.mark.parametrize(
         "factory, size",
         [
             pytest.param(lambda: build_resnet(8, base_width=4), 12, id="resnet8w4"),
