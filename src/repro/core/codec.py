@@ -97,24 +97,23 @@ def unpack_ternary(encoded, byte_offsets, counts, scales, zre, dtype) -> list:
     lookup are one ``take`` by the bytes repeated by their run lengths.
     """
     arr = np.asarray(encoded, dtype=np.uint8).reshape(-1)
-    offsets = np.asarray(byte_offsets, dtype=np.intp)
-    if zre is not None and arr.size and arr.max() > MAX_QUARTIC_BYTE:
-        # A frame sent without zero-run encoding holds quartic bytes only.
-        plain = np.repeat(~np.asarray(zre, dtype=bool), np.diff(offsets))
-        wrong = np.flatnonzero(plain & (arr > MAX_QUARTIC_BYTE))
-        if wrong.size:
-            i = int(np.searchsorted(offsets, wrong[0], side="right")) - 1
-            raise ValueError(f"frame {i}: byte outside quartic range [0, 242]")
-    runs = _RUN_LENGTH.take(arr)
-    groups = np.zeros(arr.size + 1, dtype=np.intp)
-    np.cumsum(runs, out=groups[1:])
-    starts = groups[offsets].tolist()
-    out = _VALUES[np.dtype(dtype)].take(np.repeat(arr, runs), axis=0).ravel()
+    starts = offsets = np.asarray(byte_offsets, dtype=np.intp)
+    if arr.size and arr.max() > MAX_QUARTIC_BYTE:
+        if zre is not None:
+            # A frame sent without zero-run encoding holds quartic bytes only.
+            plain = np.repeat(~np.asarray(zre, dtype=bool), np.diff(offsets))
+            wrong = np.flatnonzero(plain & (arr > MAX_QUARTIC_BYTE))
+            if wrong.size:
+                i = int(np.searchsorted(offsets, wrong[0], side="right")) - 1
+                raise ValueError(f"frame {i}: byte outside quartic range [0, 242]")
+        runs = _RUN_LENGTH.take(arr)
+        starts = np.concatenate(([0], np.cumsum(runs)))[offsets]
+        arr = np.repeat(arr, runs)
+    starts = starts.tolist()
+    out = _VALUES[np.dtype(dtype)].take(arr, axis=0).ravel()
     views = []
     counts, scales = np.asarray(counts).tolist(), np.asarray(scales, float).tolist()
-    for i, (start, stop, count, scale) in enumerate(
-        zip(starts, starts[1:], counts, scales)
-    ):
+    for i, (start, stop, count, scale) in enumerate(zip(starts, starts[1:], counts, scales)):
         # Frame by frame: a run that over-ran its frame's count must not pass
         # because a short neighbour made the totals agree.
         if stop - start != -(-count // GROUP_SIZE):
