@@ -22,7 +22,7 @@ def test_every_step_parses_and_has_a_command():
 
 def test_benchmark_contract_assertions_compile():
     contracts = [s for s in steps() if s.get("name", "").startswith("Benchmark contract")]
-    assert len(contracts) == 8
+    assert len(contracts) == 9
     for step in contracts:
         (snippet,) = re.findall(r'python3 -c "(.*)"$', step["run"].strip(), re.S)
         compile(snippet, step["name"], "exec")
