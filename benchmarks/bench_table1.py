@@ -1,7 +1,7 @@
 """Regenerates Table 1: speedups over the baseline and test accuracy.
 
 Paper's Table 1 (10 workers, ResNet-110, CIFAR-10; reproduction scale in
-EXPERIMENTS.md):
+``benchmarks/conftest.py``'s ``BENCH_CONFIG``):
 
     Design               @10Mbps @100Mbps @1Gbps  Accuracy  Diff
     32-bit float          1.00     1.00    1.00    93.37

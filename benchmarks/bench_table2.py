@@ -11,9 +11,6 @@ Paper's Table 2 (ResNet-110 training traffic):
 
 Shape assertions: ratio is monotone increasing in ``s``; ZRE roughly
 doubles the no-ZRE ratio at s=1.00; bits/value = 32/ratio by construction.
-Absolute ratios run lower than the paper's because our model is ~20×
-smaller, so per-tensor frame headers take a visible share of the wire —
-EXPERIMENTS.md quantifies the gap.
 """
 
 import pytest

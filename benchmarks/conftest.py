@@ -6,7 +6,7 @@ the paper reuses its full-measurement results across Table 1 and
 Figures 4–7.
 
 The benchmark configuration (`BENCH_CONFIG`) is the reproduction's
-"standard training" setting recorded in EXPERIMENTS.md. Set the environment
+"standard training" setting. Set the environment
 variable ``REPRO_BENCH_STEPS`` to override the step budget (useful for a
 quick smoke pass).
 """
@@ -21,7 +21,7 @@ from repro.harness import ExperimentConfig, ExperimentRunner
 _STEPS = int(os.environ.get("REPRO_BENCH_STEPS", "200"))
 
 #: Time/accuracy experiment scale: Table 1 and Figures 4-8. A narrower
-#: model keeps the 4-budget × 9-scheme sweep tractable (see EXPERIMENTS.md).
+#: model keeps the 4-budget × 9-scheme sweep tractable.
 BENCH_CONFIG = ExperimentConfig(
     depth=8,
     base_width=8,

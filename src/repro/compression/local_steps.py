@@ -6,8 +6,8 @@ and folded into the next transmitted step. With ``period=2`` this halves
 the traffic and effectively doubles the global batch size — the federated-
 learning-style design the paper evaluates.
 
-The wrapped inner compressor defaults to uncompressed float32, matching the
-paper's design (it isolates the effect of *infrequency*, not encoding).
+The transmitted steps are uncompressed float32, matching the paper's
+design (it isolates the effect of *infrequency*, not encoding).
 On off-steps :meth:`compress` returns ``None``; the cluster transmits
 nothing for the tensor and the server applies no update.
 """
@@ -41,8 +41,6 @@ class _LocalStepsContext(CompressorContext):
         if self._step % self.period != 0:
             return None
         result = self.inner.compress(accumulated)
-        if result is None:  # pragma: no cover - inner schemes always transmit
-            raise RuntimeError("inner compressor deferred on a transmit step")
         self.buffer.subtract(result.reconstruction)
         return result
 
@@ -65,16 +63,13 @@ class _LocalStepsContext(CompressorContext):
 class LocalStepsCompressor(Compressor):
     """``N local steps``: transmit every ``period`` steps, accumulate between."""
 
-    def __init__(self, period: int = 2, inner: Compressor | None = None):
+    def __init__(self, period: int = 2):
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period!r}")
         self.period = int(period)
-        self.inner = inner if inner is not None else Float32Compressor()
+        self.inner = Float32Compressor()
         self.defers_transmission = self.period > 1
         self.name = f"{period} local steps"
-        if inner is not None and not isinstance(inner, Float32Compressor):
-            # Compositions (e.g. local steps over 3LC) carry both labels.
-            self.name += f" + {inner.name}"
 
     def make_context(
         self, shape: tuple[int, ...], *, key: tuple[object, ...] = ()
@@ -87,10 +82,8 @@ class LocalStepsCompressor(Compressor):
         self, shape: tuple[int, ...], *, key: tuple[object, ...] = ()
     ) -> CompressorContext:
         # Local-steps changes the transmission *schedule*, which applies to
-        # small tensors too — they are merely exempt from lossy encoding.
-        return _LocalStepsContext(
-            shape, self.period, Float32Compressor().make_context(shape, key=key)
-        )
+        # small tensors too; its transmitted steps are float32 already.
+        return self.make_context(shape, key=key)
 
     def decompress(self, message: WireMessage) -> np.ndarray:
         return self.inner.decompress(message)

@@ -1,26 +1,19 @@
 """Name-based registry of compression schemes.
 
-Maps the scheme labels used throughout the paper's evaluation (Table 1) to
-constructed :class:`~repro.compression.base.Compressor` instances, so the
-harness, examples, and CLI can select designs by string.
+Maps the scheme labels of the paper's evaluation (Table 1, plus Table 2's
+no-ZRE ablation) to constructed :class:`~repro.compression.base.Compressor`
+instances, so the harness, examples, and CLI can select designs by string.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.compression.adaptive import AdaptiveThreeLCCompressor
 from repro.compression.base import Compressor
-from repro.compression.dgc import DGCCompressor
-from repro.compression.float16 import Float16Compressor
 from repro.compression.float32 import Float32Compressor
-from repro.compression.gaia import GaiaCompressor
 from repro.compression.int8 import Int8Compressor
 from repro.compression.local_steps import LocalStepsCompressor
-from repro.compression.lowrank import SufficientFactorCompressor
 from repro.compression.onebit import OneBitCompressor
-from repro.compression.qsgd import QSGDCompressor
-from repro.compression.roundrobin import RoundRobinCompressor
 from repro.compression.stochastic_ternary import StochasticTernaryCompressor
 from repro.compression.threelc import ThreeLCCompressor
 from repro.compression.topk import TopKCompressor
@@ -29,7 +22,6 @@ __all__ = [
     "make_compressor",
     "available_schemes",
     "TABLE1_SCHEMES",
-    "RELATED_WORK_SCHEMES",
 ]
 
 _FACTORIES: dict[str, Callable[[int], Compressor]] = {
@@ -45,68 +37,22 @@ _FACTORIES: dict[str, Callable[[int], Compressor]] = {
     "3LC (s=1.50)": lambda seed: ThreeLCCompressor(1.50),
     "3LC (s=1.75)": lambda seed: ThreeLCCompressor(1.75),
     "3LC (s=1.90)": lambda seed: ThreeLCCompressor(1.90),
-    # Extension baselines beyond the paper's Table 1 (see DESIGN.md).
-    "16-bit float": lambda seed: Float16Compressor(),
-    "round-robin 1/4": lambda seed: RoundRobinCompressor(4),
-    # Related-work designs the paper positions 3LC against (§6).
-    "Stoch 3-value + QE (clip 2.5)": lambda seed: StochasticTernaryCompressor(
-        seed=seed, clip_factor=2.5
-    ),
-    "QSGD (2-bit)": lambda seed: QSGDCompressor(2, seed=seed),
-    "QSGD (4-bit)": lambda seed: QSGDCompressor(4, seed=seed),
-    # Warmup sized to the reproduction's standard 200-step runs (DGC's
-    # paper uses ~4 epochs of warmup out of ~70: the same ~10% of budget).
-    "DGC (0.10%)": lambda seed: DGCCompressor(0.001, warmup_steps=20, seed=seed),
-    "Gaia": lambda seed: GaiaCompressor(),
-    "sufficient factors (rank 1)": lambda seed: SufficientFactorCompressor(1),
-    "sufficient factors (rank 4)": lambda seed: SufficientFactorCompressor(4),
-    # Extensions built on 3LC itself.
-    "3LC (adaptive, 0.5 bits)": lambda seed: AdaptiveThreeLCCompressor(0.5),
-    "4 local steps": lambda seed: LocalStepsCompressor(4),
-    "8 local steps": lambda seed: LocalStepsCompressor(8),
-    "2 local steps + 3LC (s=1.00)": lambda seed: LocalStepsCompressor(
-        2, inner=ThreeLCCompressor(1.00)
-    ),
 }
 
-_TABLE1_EXCLUDED = frozenset(
-    name
-    for name in (
-        "3LC (s=1.00, no ZRE)",
-        "16-bit float",
-        "round-robin 1/4",
-        "Stoch 3-value + QE (clip 2.5)",
-        "QSGD (2-bit)",
-        "QSGD (4-bit)",
-        "DGC (0.10%)",
-        "Gaia",
-        "sufficient factors (rank 1)",
-        "sufficient factors (rank 4)",
-        "3LC (adaptive, 0.5 bits)",
-        "4 local steps",
-        "8 local steps",
-        "2 local steps + 3LC (s=1.00)",
-    )
-)
-
-#: The eleven compared designs of Table 1, in paper order.
-TABLE1_SCHEMES: tuple[str, ...] = tuple(
-    name for name in _FACTORIES if name not in _TABLE1_EXCLUDED
-)
-
-#: §6 related-work designs plus the 3LC extensions, for the extended
-#: comparison (``benchmarks/bench_related_work.py``). The float32 baseline
-#: and reference 3LC rows anchor the comparison.
-RELATED_WORK_SCHEMES: tuple[str, ...] = (
+#: The eleven compared designs of Table 1, in paper order. The twelfth
+#: registered name, ``3LC (s=1.00, no ZRE)``, is Table 2's ablation.
+TABLE1_SCHEMES: tuple[str, ...] = (
     "32-bit float",
-    "QSGD (2-bit)",
-    "QSGD (4-bit)",
-    "DGC (0.10%)",
-    "Gaia",
-    "sufficient factors (rank 4)",
-    "3LC (adaptive, 0.5 bits)",
-    "2 local steps + 3LC (s=1.00)",
+    "8-bit int",
+    "Stoch 3-value + QE",
+    "MQE 1-bit int",
+    "25% sparsification",
+    "5% sparsification",
+    "2 local steps",
     "3LC (s=1.00)",
+    "3LC (s=1.50)",
+    "3LC (s=1.75)",
+    "3LC (s=1.90)",
 )
 
 

@@ -23,47 +23,16 @@ from repro.core.packets import CodecId, WireMessage
 from repro.core.quantization import max_magnitude
 from repro.utils.seeding import derive_rng
 
-__all__ = ["StochasticTernaryCompressor", "clip_gradient"]
-
-
-def clip_gradient(
-    tensor: np.ndarray, clip_factor: float
-) -> np.ndarray:
-    """TernGrad's layer-wise gradient clipping (Wen et al. §4.1).
-
-    Clamps each value to ``clip_factor`` standard deviations of the tensor.
-    Ternary quantization's scale is ``max|T|``; one outlier therefore
-    collapses every other value's quantization resolution, and clipping
-    restores it. The §5.1 baseline omits this ("without gradient
-    clipping") — the ablation in ``benchmarks/bench_ablation.py`` measures
-    what that omission costs.
-    """
-    if clip_factor <= 0:
-        raise ValueError(f"clip_factor must be > 0, got {clip_factor!r}")
-    arr = np.asarray(tensor, dtype=np.float32)
-    sigma = float(np.std(arr)) if arr.size else 0.0
-    if sigma == 0.0:
-        return arr
-    bound = np.float32(clip_factor * sigma)
-    return np.clip(arr, -bound, bound)
+__all__ = ["StochasticTernaryCompressor"]
 
 
 class _StochTernaryContext(CompressorContext):
-    def __init__(
-        self,
-        shape: tuple[int, ...],
-        rng: np.random.Generator,
-        clip_factor: float | None,
-    ):
+    def __init__(self, shape: tuple[int, ...], rng: np.random.Generator):
         super().__init__(shape)
         self.rng = rng
-        self.clip_factor = clip_factor
 
     def compress(self, tensor: np.ndarray) -> CompressionResult:
-        # Clipping would hide an infinity from the quantizer's own check.
-        arr = self._check_shape(tensor, finite=self.clip_factor is not None)
-        if self.clip_factor is not None:
-            arr = clip_gradient(arr, self.clip_factor)
+        arr = self._check_shape(tensor)
         scale = max_magnitude(arr)
         packed, _, recon = pack_ternary(arr.reshape(-1), [arr.size], [scale], self._draw)
         message = WireMessage(
@@ -95,28 +64,18 @@ class StochasticTernaryCompressor(Compressor):
     ----------
     seed:
         Root seed for per-context stochastic rounding streams.
-    clip_factor:
-        ``None`` (default) reproduces the paper's §5.1 baseline, which
-        omits TernGrad's gradient clipping; a positive value (TernGrad
-        uses 2.5) enables layer-wise sigma clipping before quantization.
     """
 
-    def __init__(self, seed: int = 0, *, clip_factor: float | None = None):
+    name = "Stoch 3-value + QE"
+
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        if clip_factor is not None and clip_factor <= 0:
-            raise ValueError(f"clip_factor must be > 0, got {clip_factor!r}")
-        self.clip_factor = clip_factor
-        self.name = (
-            "Stoch 3-value + QE"
-            if clip_factor is None
-            else f"Stoch 3-value + QE (clip {clip_factor:g})"
-        )
 
     def make_context(
         self, shape: tuple[int, ...], *, key: tuple[object, ...] = ()
     ) -> CompressorContext:
         return _StochTernaryContext(
-            shape, derive_rng(self.seed, "stoch-ternary", *key), self.clip_factor
+            shape, derive_rng(self.seed, "stoch-ternary", *key)
         )
 
     def decompress(self, message: WireMessage) -> np.ndarray:

@@ -76,20 +76,17 @@ def scatter_dense(
     return out
 
 
-def encode_bitmap_sparse(
-    codec_id: CodecId, tensor: np.ndarray, selected: np.ndarray
-) -> CompressionResult:
+def encode_bitmap_sparse(tensor: np.ndarray, selected: np.ndarray) -> CompressionResult:
     """Frame the ``selected`` entries of a float32 ``tensor``.
 
-    The one bitmap-sparse wire format (top-k and Gaia): a selection bitmap,
-    1 bit per entry, then the selected values as float32. The values are
-    gathered once, by index, and the reconstruction is those same values
-    scattered over zeros.
+    The top-k wire format: a selection bitmap, 1 bit per entry, then the
+    selected values as float32. The values are gathered once, by index, and
+    the reconstruction is those same values scattered over zeros.
     """
     indices = np.flatnonzero(selected)
     values = tensor.reshape(-1).take(indices)
     message = WireMessage(
-        codec_id=codec_id,
+        codec_id=CodecId.TOPK_SPARSE,
         shape=tensor.shape,
         payload=np.packbits(selected.reshape(-1)).tobytes()
         + values.astype("<f4", copy=False).tobytes(),
@@ -98,10 +95,10 @@ def encode_bitmap_sparse(
     return CompressionResult(message, scatter_dense(indices, values, tensor.shape))
 
 
-def decode_bitmap_sparse(message: WireMessage, codec_id: CodecId) -> np.ndarray:
-    """Invert :func:`encode_bitmap_sparse` for a ``codec_id`` frame."""
-    if message.codec_id is not codec_id:
-        raise ValueError(f"not a {codec_id.name} message: {message.codec_id!r}")
+def decode_bitmap_sparse(message: WireMessage) -> np.ndarray:
+    """Invert :func:`encode_bitmap_sparse`."""
+    if message.codec_id is not CodecId.TOPK_SPARSE:
+        raise ValueError(f"not a TOPK_SPARSE message: {message.codec_id!r}")
     count = message.element_count
     bitmap_bytes = -(-count // 8)
     bitmap = np.frombuffer(message.payload[:bitmap_bytes], dtype=np.uint8)
@@ -131,7 +128,7 @@ class _TopKContext(CompressorContext):
         # in that degenerate case transmit only true non-zeros.
         if threshold == 0.0:
             selected &= corrected != 0
-        result = encode_bitmap_sparse(CodecId.TOPK_SPARSE, corrected, selected)
+        result = encode_bitmap_sparse(corrected, selected)
         self.buffer.subtract(result.reconstruction)
         return result
 
@@ -167,4 +164,4 @@ class TopKCompressor(Compressor):
         )
 
     def decompress(self, message: WireMessage) -> np.ndarray:
-        return decode_bitmap_sparse(message, CodecId.TOPK_SPARSE)
+        return decode_bitmap_sparse(message)

@@ -55,7 +55,11 @@ _DTYPE_TO_CODE = {v: k for k, v in _DTYPE_CODES.items()}
 
 
 class CodecId(IntEnum):
-    """Registry of compression schemes appearing on the wire."""
+    """Registry of compression schemes appearing on the wire.
+
+    Numbers are never reused: 8, 9 and 11-14 belonged to codecs that are
+    no longer modelled, and :meth:`WireMessage.unpack` refuses them.
+    """
 
     FLOAT32 = 0
     INT8 = 1
@@ -65,14 +69,11 @@ class CodecId(IntEnum):
     THREELC = 5
     THREELC_NO_ZRE = 6
     TWO_BIT_TERNARY = 7
-    FLOAT16 = 8
-    ROUND_ROBIN = 9
     THREELC_HUFFMAN = 10
-    QSGD = 11
-    DGC_SPARSE = 12
-    GAIA_SPARSE = 13
-    LOW_RANK = 14
     FUSED_BUCKET = 15
+
+
+_CODEC_IDS = frozenset(CodecId)
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,8 @@ class WireMessage:
             raise ValueError("bad magic")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported format version {version}")
+        if codec_id not in _CODEC_IDS:
+            raise ValueError(f"unknown codec id {codec_id}")
         if dtype_code not in _DTYPE_CODES:
             raise ValueError(f"unknown dtype code {dtype_code}")
         offset = _HEADER.size

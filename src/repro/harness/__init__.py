@@ -13,10 +13,8 @@ from repro.harness.methodology import TwoPhaseEstimate, two_phase_estimate
 from repro.harness.results_io import load_results, save_results
 from repro.harness.runner import ExperimentRunner, RunResult
 from repro.harness.tables import (
-    RelatedWorkRow,
     Table1Row,
     Table2Row,
-    related_work_table,
     table1,
     table2,
 )
@@ -29,10 +27,8 @@ __all__ = [
     "RunResult",
     "Table1Row",
     "Table2Row",
-    "RelatedWorkRow",
     "table1",
     "table2",
-    "related_work_table",
     "FigureData",
     "figure_time_accuracy",
     "figure7_curves",

@@ -5,7 +5,6 @@ Usage::
     repro-3lc table1 [--fast]
     repro-3lc table2 [--fast]
     repro-3lc fig4 | fig5 | fig6 | fig7 | fig8 | fig9 [--fast]
-    repro-3lc related-work [--fast]     # §6 designs under Table 1 protocol
     repro-3lc all [--fast]
 
 ``--fast`` uses the miniature configuration (seconds instead of minutes;
@@ -53,11 +52,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.compression.registry import (
-    RELATED_WORK_SCHEMES,
-    TABLE1_SCHEMES,
-    make_compressor,
-)
+from repro.compression.registry import TABLE1_SCHEMES, make_compressor
 from repro.data.synthetic import input_memo
 from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
 from repro.exchange.engine import SYNC_MODES, scheme_incompatibility
@@ -74,7 +69,7 @@ from repro.harness.figures import (
 )
 from repro.harness.runner import ExperimentRunner
 from repro.netsim.replay import SweepReplayCache
-from repro.harness.tables import related_work_table, table1, table2
+from repro.harness.tables import table1, table2
 from repro.tuner.artifact import apply_plan, load_plan
 from repro.tuner.space import PLAN_FIELDS
 from repro.utils.logging import LOG_LEVELS, set_level
@@ -107,7 +102,6 @@ FIELD_FLAGS = {
 #: The scheme tuple behind each sweep a command prints.
 _SWEEPS = {
     "table1": TABLE1_SCHEMES,
-    "related-work": RELATED_WORK_SCHEMES,
     "overview": OVERVIEW_SCHEMES,
     "fast": FAST_SCHEMES,
     "fig7": FIGURE7_SCHEMES,
@@ -208,8 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "command",
         choices=[
-            "table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8",
-            "fig9", "related-work", "all",
+            "table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "all",
         ],
     )
     parser.add_argument(
@@ -494,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     runner = ExperimentRunner(config, replay_cache=SweepReplayCache())
 
     commands = (
-        ["table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "related-work"]
+        ["table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"]
         if args.command == "all"
         else [args.command]
     )
@@ -534,9 +527,6 @@ def main(argv: list[str] | None = None) -> int:
             print(figure9_compressed_size(runner, "3LC (s=1.00)").text)
             print()
             print(figure9_compressed_size(runner, "3LC (s=1.75)").text)
-        elif command == "related-work":
-            _, text = related_work_table(runner, sweeps["related-work"])
-            print(text)
         print()
 
     stats = runner.replay_cache.stats()

@@ -2,8 +2,8 @@
 
 Each ``figure*`` function trains (or reuses) the relevant runs, returns the
 underlying data series, and renders an ASCII chart. The series are the
-reproduction's ground truth; EXPERIMENTS.md compares their shape against
-the paper's plots.
+reproduction's ground truth; ``benchmarks/bench_fig*.py`` check their shape
+against the paper's plots.
 """
 
 from __future__ import annotations

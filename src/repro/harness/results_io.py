@@ -1,7 +1,7 @@
 """Persisting experiment results to JSON.
 
 The benchmark harness and CLI can archive every :class:`RunResult` so that
-EXPERIMENTS.md numbers are regenerable and diffable. The format is plain
+reported numbers are regenerable and diffable. The format is plain
 JSON: one document per run with scalar metrics, curves, and the per-step
 traffic log (bytes and element counts only — reconstructions are not
 state worth archiving).

@@ -4,29 +4,24 @@
   100 Mbps, and 1 Gbps plus final test accuracy (paper Table 1).
 * :func:`table2` — average traffic compression of 3LC for varied sparsity
   multipliers, with and without zero-run encoding (paper Table 2).
-* :func:`related_work_table` — the §6 designs (QSGD, DGC, Gaia, sufficient
-  factors) and this repo's 3LC extensions, measured under the identical
-  protocol (an extension beyond the paper's own evaluation).
 
-All return structured rows and a formatted text table; the benchmark
-harness prints the text and EXPERIMENTS.md records paper-vs-measured.
+Both return structured rows and a formatted text table; the CLI and
+``benchmarks/bench_table{1,2}.py`` print the text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compression.registry import RELATED_WORK_SCHEMES, TABLE1_SCHEMES
+from repro.compression.registry import TABLE1_SCHEMES
 from repro.harness.runner import ExperimentRunner, RunResult
 from repro.utils.format import format_table
 
 __all__ = [
     "Table1Row",
     "Table2Row",
-    "RelatedWorkRow",
     "table1",
     "table2",
-    "related_work_table",
     "TABLE2_SCHEMES",
 ]
 
@@ -214,62 +209,5 @@ def table2(
             for r in rows
         ],
         title="Table 2: average traffic compression of 3LC (standard steps)",
-    )
-    return rows, text
-
-
-@dataclass(frozen=True)
-class RelatedWorkRow:
-    """One §6 design's traffic, speed, and accuracy under our protocol."""
-
-    scheme: str
-    compression_ratio: float
-    bits_per_value: float
-    speedup_10mbps: float
-    accuracy: float
-    accuracy_difference: float
-
-
-def related_work_table(
-    runner: ExperimentRunner, schemes: tuple[str, ...] = RELATED_WORK_SCHEMES
-) -> tuple[list[RelatedWorkRow], str]:
-    """Extended comparison: related-work designs under the Table 1 protocol.
-
-    The paper compares against re-implementations of these designs only
-    qualitatively (§6); this table puts them through the same measured
-    pipeline as Table 1 so the trade-off space — traffic vs. accuracy vs.
-    speed — is directly inspectable.
-    """
-    if BASELINE not in schemes:
-        raise ValueError(f"schemes must include the {BASELINE!r} baseline")
-    results = {name: runner.run(name, 1.0) for name in schemes}
-    base = results[BASELINE]
-    rows = []
-    for name in schemes:
-        result = results[name]
-        rows.append(
-            RelatedWorkRow(
-                scheme=name,
-                compression_ratio=result.compression_ratio,
-                bits_per_value=result.bits_per_value,
-                speedup_10mbps=_speedup(base, result, "10Mbps"),
-                accuracy=result.final_accuracy,
-                accuracy_difference=result.final_accuracy - base.final_accuracy,
-            )
-        )
-    text = format_table(
-        ["Design", "Ratio", "bits/value", "@10Mbps", "Accuracy(%)", "Diff"],
-        [
-            [
-                r.scheme,
-                f"{r.compression_ratio:.1f}x",
-                f"{r.bits_per_value:.3f}",
-                f"{r.speedup_10mbps:.2f}x",
-                f"{100 * r.accuracy:.2f}",
-                f"{100 * r.accuracy_difference:+.2f}",
-            ]
-            for r in rows
-        ],
-        title="Related work (§6) under the Table 1 protocol",
     )
     return rows, text

@@ -52,7 +52,7 @@ class StepTimeModel:
         cannot exceed ~1.55×. Steps recorded without frame counts pay no
         overhead.
     compute_scale / codec_scale:
-        Hardware-substitution factors (DESIGN.md): the paper's workers are
+        Hardware-substitution factors: the paper's workers are
         GPUs, ours is NumPy on CPU, so measured compute seconds are scaled
         down to restore the paper's communication-to-computation ratio;
         codec seconds (CPU-bound in both settings) get their own factor.

@@ -1,18 +1,17 @@
 """The baseline codecs as they were before the branch-free rewrite.
 
 Parity oracle for ``test_codec_parity.py``: the ``compress`` / ``decompress``
-bodies of MQE 1-bit, top-k, Gaia, DGC and int8 and ``zre_decode``, kept as the
+bodies of MQE 1-bit, top-k and int8 and ``zre_decode``, kept as the
 parent commit had them — boolean-mask extracts, ``np.where`` reconstructions,
 a copied error-feedback sum — so that the rewritten kernels are held to the
 old kernels' bytes, not only to their own round trip. Nothing here is
 imported by ``src``; only what the rewrite left alone (framing, the buffer,
-the seeded generator, DGC's warmup schedule) is imported from it.
+the seeded generator) is imported from it.
 """
 
 import numpy as np
 
 from repro.compression.base import CompressionResult, CompressorContext
-from repro.compression.dgc import WarmupSchedule
 from repro.core.error_feedback import ErrorAccumulationBuffer
 from repro.core.packets import CodecId, WireMessage
 from repro.utils.seeding import derive_rng
@@ -55,12 +54,12 @@ class _BufferedContext(CompressorContext):
         return {"residual": self.buffer.residual.copy()}
 
 
-def _sparse_result(codec_id, corrected, selected, buffer):
+def _sparse_result(corrected, selected, buffer):
     flat_selected = selected.reshape(-1)
     values = corrected.reshape(-1)[flat_selected].astype("<f4")
     bitmap = np.packbits(flat_selected)
     message = WireMessage(
-        codec_id=codec_id,
+        codec_id=CodecId.TOPK_SPARSE,
         shape=corrected.shape,
         payload=bitmap.tobytes() + values.tobytes(),
         dtype=np.float32,
@@ -139,9 +138,7 @@ class TopKOracle:
             selected = magnitudes >= threshold
             if threshold == 0.0:
                 selected &= corrected != 0
-            return _sparse_result(
-                CodecId.TOPK_SPARSE, corrected, selected, self.buffer
-            )
+            return _sparse_result(corrected, selected, self.buffer)
 
         def state_dict(self):
             return {**super().state_dict(), "rng": self.rng.bit_generator.state}
@@ -152,116 +149,6 @@ class TopKOracle:
         )
 
     decompress = staticmethod(_sparse_decode)
-
-
-class GaiaOracle:
-    name = "Gaia"
-
-    def __init__(self, initial_threshold=2.0, final_threshold=0.5, decay_steps=200):
-        self.thresholds = (initial_threshold, final_threshold, decay_steps)
-
-    class Context(_BufferedContext):
-        def __init__(self, shape, initial, final, decay_steps):
-            super().__init__(shape)
-            self.initial, self.final, self.decay_steps = initial, final, decay_steps
-            self._rms = 0.0
-            self._step = 0
-
-        def compress(self, tensor):
-            arr = self._check_shape(tensor)
-            accumulated = self.add(arr)
-            if self.decay_steps == 0 or self._step >= self.decay_steps:
-                threshold = self.final
-            else:
-                frac = self._step / self.decay_steps
-                threshold = self.initial + frac * (self.final - self.initial)
-            self._step += 1
-            scale = self._rms if self._rms > 0.0 else float(
-                np.sqrt(np.mean(np.square(accumulated))) or 1.0
-            )
-            selected = np.abs(accumulated) >= threshold * scale
-            result = _sparse_result(
-                CodecId.GAIA_SPARSE, accumulated, selected, self.buffer
-            )
-            applied_rms = float(np.sqrt(np.mean(np.square(result.reconstruction))))
-            self._rms = (
-                0.9 * self._rms + 0.1 * applied_rms if self._rms else applied_rms
-            )
-            return result
-
-        def state_dict(self):
-            return {**super().state_dict(), "rms": self._rms, "step": self._step}
-
-    def make_context(self, shape, *, key=()):
-        return self.Context(shape, *self.thresholds)
-
-    decompress = staticmethod(_sparse_decode)
-
-
-class DGCOracle:
-    def __init__(self, fraction=0.001, momentum=0.9, warmup_steps=40, seed=0):
-        self.schedule = WarmupSchedule(max(0.25, fraction), fraction, warmup_steps)
-        self.fraction, self.momentum, self.seed = fraction, momentum, seed
-        self.name = f"DGC ({fraction:.2%})"
-
-    class Context(CompressorContext):
-        def __init__(self, shape, schedule, momentum, rng):
-            super().__init__(shape)
-            self.schedule, self.momentum, self.rng = schedule, momentum, rng
-            self._u = np.zeros(shape, dtype=np.float32)
-            self._v = np.zeros(shape, dtype=np.float32)
-            self._step = 0
-
-        def compress(self, tensor):
-            grad = self._check_shape(tensor)
-            self._u = self.momentum * self._u + grad
-            self._v += self._u
-            fraction = self.schedule.fraction_at(self._step)
-            self._step += 1
-            magnitudes = np.abs(self._v)
-            threshold = _sampled_threshold(magnitudes, fraction, self.rng)
-            selected = magnitudes >= threshold
-            if threshold == 0.0:
-                selected &= self._v != 0
-            flat = selected.reshape(-1)
-            indices = np.flatnonzero(flat).astype("<u4")
-            values = self._v.reshape(-1)[indices].astype("<f4")
-            message = WireMessage(
-                codec_id=CodecId.DGC_SPARSE,
-                shape=grad.shape,
-                payload=indices.tobytes() + values.tobytes(),
-                dtype=np.float32,
-            )
-            reconstruction = np.where(selected, self._v, np.float32(0.0)).astype(
-                np.float32
-            )
-            self._v[selected] = 0.0
-            self._u[selected] = 0.0
-            return CompressionResult(message, reconstruction)
-
-        def state_dict(self):
-            return {
-                "u": self._u.copy(),
-                "v": self._v.copy(),
-                "step": self._step,
-                "rng": self.rng.bit_generator.state,
-            }
-
-    def make_context(self, shape, *, key=()):
-        return self.Context(
-            shape,
-            self.schedule,
-            self.momentum,
-            derive_rng(self.seed, "dgc", self.fraction, *key),
-        )
-
-    def decompress(self, message):
-        n = len(message.payload) // 8
-        indices = np.frombuffer(message.payload[: 4 * n], dtype="<u4")
-        values = np.frombuffer(message.payload[4 * n :], dtype="<f4")
-        out = np.zeros(message.element_count, dtype=np.float32)
-        out[indices] = values
-        return out.reshape(message.shape)
 
 
 class Int8Oracle:

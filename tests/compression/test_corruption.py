@@ -106,12 +106,12 @@ class TestPayloadForgery:
 @pytest.mark.parametrize("name", ALL_SCHEMES, ids=lambda s: s.replace(" ", "_"))
 @pytest.mark.parametrize(
     "cut, appended",
-    [(1, b""), (2, b""), (3, b""), (0, b"\x00\x01\x02\x03")],
-    ids=["cut1", "cut2", "cut3", "append4"],
+    [(1, b""), (2, b""), (3, b""), (0, b"\x00"), (0, b"\x00\x01\x02\x03")],
+    ids=["cut1", "cut2", "cut3", "append1", "append4"],
 )
 def test_a_payload_with_bytes_cut_off_or_appended_is_refused(name, cut, appended, rng):
     """Every registered scheme's ``decompress`` refuses a payload missing
-    its last 1-3 bytes, or carrying 4 bytes past its end."""
+    its last 1-3 bytes, or carrying 1 or 4 bytes past its end."""
     scheme = make_compressor(name, seed=5)
     t = rng.normal(0, 0.1, size=(16, 16)).astype(np.float32)
     context = scheme.make_context(t.shape, key=("tail",))

@@ -1,9 +1,11 @@
 """Cross-scheme contract tests: every compressor honours the interface."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+from retired_schemes import RETIRED_SCHEMES
 
 from repro.compression import available_schemes, make_compressor
 from repro.core.packets import WireMessage
@@ -27,7 +29,11 @@ def _first_transmission(ctx, tensor):
 
 class TestCompressorContract:
     @pytest.mark.parametrize(
-        "shape", [(1,), (7,), (300,), (2, 2), (3, 50), (20, 17), (3, 5, 7), (8, 4, 3, 3)]
+        "shape",
+        [(1,), (7,), (300,), (2, 2), (3, 50), (20, 17), (3, 5, 7), (8, 4, 3, 3)]
+        # Either side of a quartic byte (5 values), a bitmap byte (8 values)
+        # and top-k's 4096-entry threshold sample.
+        + [(n,) for n in (2, 4, 5, 6, 8, 9, 10, 11, 16, 17, 4096, 4097)],
     )
     def test_packed_frame_decodes_to_the_reconstruction(self, scheme, shape, rng):
         t = rng.normal(size=shape).astype(np.float32)
@@ -53,8 +59,8 @@ class TestCompressorContract:
         )
 
     def test_empty_tensor_compresses_without_a_warning(self, scheme):
-        """A ring's chunks can be empty; Gaia's running RMS and the clipped
-        ternary's sigma used to warn there, and Gaia kept the NaN."""
+        """A ring's chunks can be empty: no scheme warns on one or keeps a
+        NaN from it."""
         t = np.zeros((0,), dtype=np.float32)
         ctx = scheme.make_context(t.shape, key=("empty",))
         with warnings.catch_warnings():
@@ -125,9 +131,47 @@ class TestRegistry:
         assert len(TABLE1_SCHEMES) == 11
         assert TABLE1_SCHEMES[0] == "32-bit float"
 
+    def test_registry_holds_exactly_the_names_the_tables_read(self):
+        """Registration is not a consumer: every name is a Table 1 or Table 2
+        row."""
+        from repro.compression import TABLE1_SCHEMES
+        from repro.harness.tables import TABLE2_SCHEMES
+
+        assert set(ALL_SCHEMES) == set(TABLE1_SCHEMES) | set(TABLE2_SCHEMES)
+        assert len(ALL_SCHEMES) == 12
+
+    @pytest.mark.parametrize(
+        "readers",
+        [
+            "OVERVIEW_SCHEMES",
+            "FAST_SCHEMES",
+            "FIGURE7_SCHEMES",
+            "FIGURE8_SCHEMES",
+            "default_space",
+            "STREAM_SCHEMES",
+        ],
+    )
+    def test_every_scheme_set_the_repo_reads_is_registered(self, readers):
+        from test_codec_parity import STREAM_SCHEMES
+
+        from repro.harness import figures
+        from repro.harness.config import FAST_CONFIG
+        from repro.tuner.space import default_space
+
+        names = {
+            "default_space": default_space(FAST_CONFIG).schemes,
+            "STREAM_SCHEMES": STREAM_SCHEMES,
+        }.get(readers) or getattr(figures, readers)
+        assert set(names) <= set(ALL_SCHEMES), names
+
     def test_unknown_scheme_raises(self):
         with pytest.raises(KeyError, match="unknown scheme"):
             make_compressor("gzip")
+
+    @pytest.mark.parametrize("name", RETIRED_SCHEMES)
+    def test_a_retired_scheme_is_unknown_by_name(self, name):
+        with pytest.raises(KeyError, match=re.escape(f"unknown scheme {name!r};")):
+            make_compressor(name)
 
     def test_all_names_resolve(self):
         for name in ALL_SCHEMES:

@@ -14,11 +14,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.compression.float16 import Float16Compressor
 from repro.compression.float32 import Float32Compressor
 from repro.compression.fusion import Bucket
 from repro.compression.int8 import Int8Compressor
-from repro.compression.lowrank import SufficientFactorCompressor
 from repro.compression.registry import make_compressor
 from repro.core.packets import CodecId, WireMessage
 
@@ -28,13 +26,6 @@ SHAPE = (7, 9)
 DECODERS = {
     "float32": (Float32Compressor(), CodecId.FLOAT32, 4, ()),
     "int8": (Int8Compressor(), CodecId.INT8, 1, (0.5,)),
-    "float16": (Float16Compressor(), CodecId.FLOAT16, 2, ()),
-    "low-rank raw fallback": (
-        SufficientFactorCompressor(),
-        CodecId.LOW_RANK,
-        4,
-        (0.0,),
-    ),
 }
 
 

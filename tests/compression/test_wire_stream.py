@@ -1,11 +1,11 @@
 """Stream-level properties of :class:`~repro.compression.fusion.WireStream`.
 
-Every registered scheme × {no buckets, exact buckets, lossy buckets}: what
-a stream compresses, any stream of the same layout decodes to exactly the
-frames' reconstructions; frames come in registration order then plan
-order; per-tensor frames are the plain messages a bare context under the
-documented stream key would produce; deferral and checkpoints work per
-frame.
+Every registered scheme × {no buckets, two exact or lossy buckets, one
+exact or lossy bucket}: what a stream compresses, any stream of the same
+layout decodes to exactly the frames' reconstructions; frames come in
+registration order then plan order; per-tensor frames are the plain
+messages a bare context under the documented stream key would produce;
+deferral and checkpoints work per frame.
 """
 
 import numpy as np
@@ -37,6 +37,13 @@ PLANS = {
     ),
     "lossy buckets": build_fusion_plan(
         SHAPES, threshold=THRESHOLD, bucket_elements=20, lossy=True
+    ),
+    # b0 + b1 + gain: every small tensor in one bucket.
+    "one exact bucket": build_fusion_plan(
+        SHAPES, threshold=THRESHOLD, bucket_elements=THRESHOLD
+    ),
+    "one lossy bucket": build_fusion_plan(
+        SHAPES, threshold=THRESHOLD, bucket_elements=THRESHOLD, lossy=True
     ),
 }
 

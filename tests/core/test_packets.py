@@ -1,5 +1,8 @@
 """Tests for the wire format (frame pack/unpack, integrity checks)."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +21,18 @@ def make_message(**overrides):
     )
     defaults.update(overrides)
     return WireMessage(**defaults)
+
+
+#: Frame bytes that name no codec: the retired ids and every unused one.
+UNASSIGNED_CODEC_BYTES = sorted(set(range(256)) - {c.value for c in CodecId})
+
+
+def with_codec_byte(frame: bytes, codec_byte: int) -> bytes:
+    """``frame`` with its codec id byte replaced and its CRC re-signed."""
+    data = bytearray(frame)
+    data[5] = codec_byte
+    data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+    return bytes(data)
 
 
 class TestWireMessage:
@@ -88,6 +103,33 @@ class TestWireMessage:
     def test_codec_ids_distinct(self):
         values = [c.value for c in CodecId]
         assert len(values) == len(set(values))
+
+    def test_codec_id_numbers_are_pinned(self):
+        # A number is a frame byte: no member may move, and a retired
+        # number (8, 9, 11-14) is never handed to another codec.
+        assert {c.name: c.value for c in CodecId} == {
+            "FLOAT32": 0,
+            "INT8": 1,
+            "ONEBIT_MQE": 2,
+            "STOCHASTIC_TERNARY_QE": 3,
+            "TOPK_SPARSE": 4,
+            "THREELC": 5,
+            "THREELC_NO_ZRE": 6,
+            "TWO_BIT_TERNARY": 7,
+            "THREELC_HUFFMAN": 10,
+            "FUSED_BUCKET": 15,
+        }
+
+    @pytest.mark.parametrize("codec_byte", UNASSIGNED_CODEC_BYTES)
+    def test_retired_or_unknown_codec_id_refused(self, codec_byte):
+        # Every byte no member holds, retired (8, 9, 11-14) or never used.
+        with pytest.raises(ValueError, match=f"^unknown codec id {codec_byte}$"):
+            WireMessage.unpack(with_codec_byte(make_message().pack(), codec_byte))
+
+    @pytest.mark.parametrize("codec", list(CodecId), ids=lambda c: c.name)
+    def test_every_assigned_codec_byte_unpacks_as_its_member(self, codec):
+        data = with_codec_byte(make_message().pack(), codec.value)
+        assert WireMessage.unpack(data) == make_message(codec_id=codec)
 
     @given(
         shape=st.lists(st.integers(0, 100), max_size=4).map(tuple),

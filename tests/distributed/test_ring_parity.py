@@ -32,10 +32,8 @@ FACTORIES = {
 FACTORIES["3LC (s=1.00, no error feedback)"] = lambda seed: ThreeLCCompressor(
     error_feedback=False
 )
-#: Error feedback carries across steps; the slow codecs take fewer.
-STEPS = dict.fromkeys(FACTORIES, 3) | dict.fromkeys(
-    ("QSGD (2-bit)", "QSGD (4-bit)"), 2
-)
+#: Error feedback carries across steps.
+STEPS = 3
 
 #: Sizes below the node count leave empty chunks; ``()`` is a scalar.
 SHAPES = {
@@ -59,12 +57,11 @@ def assert_same_state(a: dict, b: dict) -> None:
             assert value.dtype == b[key].dtype
             np.testing.assert_array_equal(value, b[key])
         else:
-            # Gaia's running RMS over an empty chunk is NaN on both sides.
             np.testing.assert_equal(value, b[key])
 
 
 @pytest.mark.parametrize("scheme", FACTORIES)
-@pytest.mark.parametrize("nodes", [2, 3, 8])
+@pytest.mark.parametrize("nodes", [2, 3, 5, 8])  # 5: b0's chunks hold one value
 def test_tensor_set_matches_per_tensor_oracle(scheme, nodes):
     ring = RingAllReduce(nodes, SHAPES, FACTORIES[scheme](3), bypass=BYPASS)
     oracle_scheme = FACTORIES[scheme](3)
@@ -75,7 +72,7 @@ def test_tensor_set_matches_per_tensor_oracle(scheme, nodes):
         for name, shape in SHAPES.items()
     }
     rng = np.random.default_rng(nodes)
-    for step in range(STEPS[scheme]):
+    for step in range(STEPS):
         grads = [
             {
                 name: (rng.standard_t(3, size=shape) * 0.01).astype(np.float32)
@@ -197,11 +194,11 @@ def test_non_finite_payload_names_the_offender(bad):
 
 
 @pytest.mark.parametrize(
-    "scheme",
-    ["25% sparsification", "DGC (0.10%)", "Gaia", "MQE 1-bit int", "QSGD (2-bit)"],
+    "scheme", [name for name in FACTORIES if name != "32-bit float"]
 )
 def test_sparsifiers_and_quantizers_name_a_non_finite_sender(scheme):
-    ring = RingAllReduce(3, {"w": (30,)}, make_compressor(scheme))
+    # 32-bit float carries the value through (test_schemes.PASS_THROUGH).
+    ring = RingAllReduce(3, {"w": (30,)}, FACTORIES[scheme](0))
     grads = [{"w": np.ones(30, np.float32)} for _ in range(3)]
     grads[1]["w"][12] = np.nan  # chunk 1: node 1 sends it on the first hop
     with pytest.raises(

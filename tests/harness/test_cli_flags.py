@@ -16,6 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from retired_schemes import RETIRED_SCHEMES
 
 from repro.distributed.faults import FaultSpec
 from repro.exchange import MODELED
@@ -254,6 +255,24 @@ class TestPlanFlagConflicts:
         path.write_text(json.dumps(plan_artifact(scheme="no such scheme")))
         argv = ["fig9", "--fast", "--workers", "4", "--plan", str(path)]
         assert "unknown scheme" in rejection(argv, capsys)
+
+    @pytest.mark.parametrize("scheme", RETIRED_SCHEMES)
+    def test_a_plan_naming_a_retired_scheme_exits_through_the_parser(
+        self, scheme, tmp_path, capsys
+    ):
+        # The scheme is no longer modelled; a plan tuned over it is a usage
+        # error, not a traceback.
+        from repro.harness.cli import main
+
+        artifact = plan_artifact(scheme=scheme)
+        validate_plan(artifact)
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(artifact))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--fast", "--plan", str(path)])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err
+        assert f"--plan {path}: unknown scheme {scheme!r}" in message
 
 
 class TestFailAtTheCause:

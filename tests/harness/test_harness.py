@@ -573,9 +573,6 @@ class TestRingSchemeFilter:
         from repro.compression.registry import make_compressor
 
         assert make_compressor("2 local steps", seed=0).defers_transmission
-        assert make_compressor(
-            "2 local steps + 3LC (s=1.00)", seed=0
-        ).defers_transmission
         assert not make_compressor("3LC (s=1.00)", seed=0).defers_transmission
         assert not make_compressor("32-bit float", seed=0).defers_transmission
 
@@ -692,12 +689,3 @@ class TestCli:
             r"\d+ inputs \d+\.\d MiB \(\d+ hits / \d+ misses\)",
             out,
         )
-
-    def test_related_work_fast(self, capsys):
-        from repro.harness.cli import main
-
-        assert main(["related-work", "--fast", "--steps", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "Related work" in out
-        assert "QSGD (2-bit)" in out
-        assert "DGC (0.10%)" in out

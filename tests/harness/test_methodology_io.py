@@ -1,6 +1,7 @@
 """Tests for the two-phase measurement protocol and results persistence."""
 
 import pytest
+from retired_schemes import RETIRED_SCHEMES
 
 from repro.harness import (
     FAST_CONFIG,
@@ -16,6 +17,11 @@ from repro.harness.results_io import run_result_from_dict, run_result_to_dict
 @pytest.fixture(scope="module")
 def runner():
     return ExperimentRunner(FAST_CONFIG)
+
+
+@pytest.fixture(scope="module")
+def float32_run(runner):
+    return runner.run("32-bit float", 1.0)
 
 
 class TestAcceleratedFraction:
@@ -75,6 +81,24 @@ class TestResultsIo:
         loaded = load_results(path)
         assert [r.scheme for r in loaded] == [r.scheme for r in results]
         assert loaded[1].compression_ratio == results[1].compression_ratio
+
+    @pytest.mark.parametrize("scheme", RETIRED_SCHEMES)
+    def test_an_archive_naming_a_retired_scheme_loads_byte_for_byte(
+        self, scheme, float32_run, tmp_path, monkeypatch
+    ):
+        """The scheme is no longer modelled, yet its archived rows still
+        load: loading never consults the scheme registry."""
+        from dataclasses import replace
+
+        from repro.compression import registry
+
+        path = tmp_path / "legacy.json"
+        save_results([replace(float32_run, scheme=scheme)], path)
+        monkeypatch.setattr(registry, "_FACTORIES", {})
+        (loaded,) = load_results(path)
+        assert loaded.scheme == scheme
+        save_results([loaded], tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_version_check(self):
         with pytest.raises(ValueError, match="format version"):

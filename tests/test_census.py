@@ -3,7 +3,8 @@
 Every ``src/repro/**/*.py`` and ``examples/*.py`` has exactly one row; a
 kept row names an existing file, its line count and its consumer, a
 deleted row a path that is gone. A new module fails here until its row
-exists, and a changed one until its count does.
+exists, and a changed one until its count does. Being registered as a
+scheme is not a consumer, and every document the code cites exists.
 """
 
 import re
@@ -56,3 +57,26 @@ def test_kept_rows_name_a_consumer_and_deleted_rows_are_gone():
             assert consumer and not consumer.startswith("none"), path
         else:
             assert not (ROOT / path).exists(), path
+
+
+def test_registration_is_not_a_consumer():
+    """A scheme module is kept by the table that reads its label."""
+    from repro.compression import available_schemes, make_compressor
+
+    kept = {path: consumer for path, consumer, status, _ in rows() if status == "kept"}
+    assert [p for p, c in kept.items() if "compression/registry.py" in c] == []
+    for name in available_schemes():
+        module = type(make_compressor(name)).__module__
+        path = f"src/{module.replace('.', '/')}.py"
+        assert re.search(r"\bTable [12]\b", kept[path]), (name, path)
+
+
+def test_documents_cited_by_the_code_exist():
+    cited = {
+        (str(path.relative_to(ROOT)), name)
+        for folder in ("src", "benchmarks", "examples")
+        for path in (ROOT / folder).rglob("*.py")
+        for name in re.findall(r"[\w./-]+\.md\b", path.read_text())
+    }
+    assert cited, "no citation found: the pattern is broken"
+    assert sorted(c for c in cited if not (ROOT / c[1]).is_file()) == []
