@@ -129,7 +129,7 @@ def main() -> None:
     print(
         "\nthe cross column is the scarce tier's busy fraction; when it"
         "\napproaches 1.0 the core sets the step time and compressing the"
-        "\nper-rack aggregate is what buys speed (bench_hier.py sweeps this)."
+        "\nper-rack aggregate is what buys speed (ledger rows hier.* sweep this)."
     )
 
 

@@ -31,7 +31,7 @@ Two codec modes exist per plan:
 * **lossy** (``lossy=True``) — the inner context is the scheme's own lossy
   codec applied once to the whole concatenated bucket, i.e. one *shared*
   quantization scale per bucket instead of one per tensor. Cheaper on the
-  wire; the accuracy cost is measured in ``benchmarks/bench_fusion.py``.
+  wire; the claims ledger's ``fusion.lossy_accuracy`` row measures the cost.
 
 A :class:`WireStream` is what workers, servers and the engine actually
 hold: every context one sender needs for one direction under a plan — a

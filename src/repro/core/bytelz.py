@@ -6,7 +6,7 @@ knowing the one byte value that matters (121 — five quantized zeros),
 while an LZ coder must discover repetition generically. This module is
 that comparator: a small LZ77 in the Snappy family — greedy hash-table
 matching, byte-aligned tokens, no entropy stage — used by
-``benchmarks/bench_zre_vs_entropy.py`` to put numbers on the claim.
+the claims ledger's ``entropy.*`` rows to put numbers on the claim.
 
 Format (byte-aligned, two token kinds)::
 

@@ -21,7 +21,7 @@ Each node transmits ``2 (N-1)/N`` of the tensor per reduction versus the
 parameter server's ``2×`` per *worker* plus ``2N×`` at the server — the
 ring has no bandwidth hotspot, which is exactly why compression matters
 less there and why the paper's server-centric setting is where 3LC shines
-(the comparison ``benchmarks/bench_allreduce.py`` quantifies this).
+(the claims ledger's ``allreduce.*`` rows quantify this).
 
 Compression composes per-hop: every (tensor, sender, phase, chunk) owns a
 persistent compression context, so error feedback corrects each link's

@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-checkpoint-state", action="store_true",
         help="disable error-feedback checkpointing on crash recovery "
         "(restarted workers rejoin with zeroed residuals and a stale "
-        "replica -- the ablation bench_churn measures)",
+        "replica -- the ablation ledger row churn.naive_worse measures)",
     )
     parser.add_argument(
         "--racks", type=int, default=None,

@@ -2,8 +2,8 @@
 
 Each ``figure*`` function trains (or reuses) the relevant runs, returns the
 underlying data series, and renders an ASCII chart. The series are the
-reproduction's ground truth; ``benchmarks/bench_fig*.py`` check their shape
-against the paper's plots.
+reproduction's ground truth; the claims ledger's ``fig4.*``-``fig9.*`` rows
+check their shape against the paper's plots.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@
 * :func:`table2` — average traffic compression of 3LC for varied sparsity
   multipliers, with and without zero-run encoding (paper Table 2).
 
-Both return structured rows and a formatted text table; the CLI and
-``benchmarks/bench_table{1,2}.py`` print the text.
+Both return structured rows and a formatted text table; the CLI prints
+the text and the claims ledger reads the rows (``table1.*``, ``table2.*``).
 """
 
 from __future__ import annotations

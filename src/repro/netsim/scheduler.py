@@ -99,7 +99,7 @@ def per_tier_serialized_seconds(
 
     The serialized dependency-wave replay reproduces this exactly; the
     equality (to 1e-9) is the hierarchical calibration test, shared by
-    ``tests/netsim/test_hier_sim.py`` and ``benchmarks/bench_hier.py``.
+    ``tests/netsim/test_hier_sim.py`` and the ledger row ``hier.closed_form``.
     """
 
     # The four tiers in one pass over the columns (pulls split on having

@@ -199,7 +199,7 @@ class TestCrashRestart:
         (0.25 — an order of magnitude above run-to-run BLAS jitter,
         an order below the divergence a corrupted rejoin produces).
         The percent-accuracy version of this bound at benchmark scale
-        is asserted by ``benchmarks/bench_churn.py`` in full mode."""
+        is the claims ledger's ``churn.checkpointed_drift`` row (full scale)."""
         plain = make_engine(steps=12)
         plain.train(12)
         fault = FaultSpec(crashes=(WorkerCrash(worker=1, step=3, down_steps=2),))

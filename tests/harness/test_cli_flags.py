@@ -9,11 +9,7 @@ and a knob missing from one of the declaration tables fails here first.
 
 import itertools
 import json
-import os
-import subprocess
-import sys
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 from retired_schemes import RETIRED_SCHEMES
@@ -275,15 +271,31 @@ class TestPlanFlagConflicts:
         assert f"--plan {path}: unknown scheme {scheme!r}" in message
 
 
+HIER_FLAGS = ["--workers", "4", "--topology", "hier", "--racks", "2", "--rack-size", "2"]
+
+
 class TestFailAtTheCause:
-    @pytest.mark.parametrize("flap", ["1:2:1:nan", "1:2:1:inf", "1:2:1:-1"])
-    def test_a_bad_rejoin_delay_is_refused_naming_the_flag(self, flap, capsys):
-        argv = [
-            "fig9", "--fast", "--workers", "4", "--topology", "hier",
-            "--racks", "2", "--rack-size", "2", "--flap", flap,
-        ]
-        message = rejection(argv, capsys)
-        assert f"--flap {flap!r}: UplinkFlap.rejoin_delay_seconds" in message
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            *[
+                (HIER_FLAGS + ["--flap", flap], f"--flap {flap!r}: UplinkFlap.rejoin_delay_seconds")
+                for flap in ("1:2:1:nan", "1:2:1:inf", "1:2:1:-1")
+            ],
+            # The config's sync-mode rules, quoted with the flags that set them.
+            (["--sync-mode", "ssp", "--staleness", "-1"],
+             "staleness must be >= 0, got -1 (set by --sync-mode ssp, --staleness -1)"),
+            (["--sync-mode", "ssp"], "SSP requires a staleness bound (set by --sync-mode ssp)"),
+            # A bound under async: the observability rule answers first (the
+            # config's own message is pinned in tests/exchange/test_matrix.py).
+            (["--sync-mode", "async", "--staleness", "2"],
+             "--staleness 2 requires --sync-mode ssp (got --sync-mode async)"),
+        ],
+        ids=["flap-nan", "flap-inf", "flap-negative", "ssp-negative", "ssp-unbounded",
+             "async-staleness"],
+    )
+    def test_a_bad_value_is_refused_naming_the_flag(self, argv, expected, capsys):
+        assert expected in rejection(["fig9", "--fast", *argv], capsys)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -301,29 +313,3 @@ class TestFailAtTheCause:
         assert error.traceback[-1].name == "__init__"
         assert error.traceback[-1].path.name == "engine.py"
 
-
-REPO = Path(__file__).resolve().parents[2]
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--sync-mode", "ssp", "--staleness", "-1"], "staleness must be >= 0, got -1"),
-        (["--sync-mode", "ssp"], "SSP requires a staleness bound"),
-        (["--sync-mode", "async", "--staleness", "2"], "has no staleness bound"),
-    ],
-)
-def test_bench_overlap_quotes_the_engine_config_refusal(argv, message):
-    """``bench_overlap.py`` keeps no sync-mode rules of its own: a bad pair is
-    ``EngineConfig``'s ``ValueError`` as an argparse error, before training."""
-    result = subprocess.run(
-        [sys.executable, str(REPO / "benchmarks" / "bench_overlap.py"), "--smoke", *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        cwd=REPO,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-    )
-    assert result.returncode == 2, result.stderr
-    assert message in result.stderr and "(set by --sync-mode" in result.stderr
-    assert result.stdout == ""

@@ -4,7 +4,9 @@ Every ``src/repro/**/*.py`` and ``examples/*.py`` has exactly one row; a
 kept row names an existing file, its line count and its consumer, a
 deleted row a path that is gone. A new module fails here until its row
 exists, and a changed one until its count does. Being registered as a
-scheme is not a consumer, and every document the code cites exists.
+scheme is not a consumer, every document the code cites and every script
+cited anywhere exists, and a claim row names the ledger rows that measure
+it.
 """
 
 import re
@@ -80,3 +82,40 @@ def test_documents_cited_by_the_code_exist():
     }
     assert cited, "no citation found: the pattern is broken"
     assert sorted(c for c in cited if not (ROOT / c[1]).is_file()) == []
+
+
+#: Every text that names a script: the code, the tests, the architecture
+#: notes (less the census's deleted rows, which name what is gone) and the
+#: verification recipes kept with the repo.
+CITING = (
+    *(ROOT / "src").rglob("*.py"),
+    *(ROOT / "tests").rglob("*.py"),
+    *(ROOT / "benchmarks").glob("*.py"),
+    *(ROOT / "examples").glob("*.py"),
+    ROOT / "ARCHITECTURE.md",
+    *ROOT.glob(".*/skills/*/SKILL.md"),
+)
+
+
+def test_scripts_cited_anywhere_exist():
+    cited = set()
+    for path in CITING:
+        text = re.sub(r"(?m)^\| `.*\| deleted \|$", "", path.read_text())
+        for name in re.findall(r"\b((?:benchmarks|examples)/\w+\.py|bench_\w+\.py)\b", text):
+            script = name if "/" in name else f"benchmarks/{name}"
+            cited.add((str(path.relative_to(ROOT)), script))
+    assert cited, "no citation found: the pattern is broken"
+    assert sorted(c for c in cited if not (ROOT / c[1]).is_file()) == []
+
+
+def test_claim_rows_name_ledger_rows():
+    """A module kept for a paper claim names the ledger row that measures it
+    (``benchmarks/claims.py``; ARCHITECTURE.md, "Claims ledger")."""
+    from test_claims import claims as ledger
+
+    ids = {claim.id for claim in ledger.LEDGER}
+    claims = {p: c for p, c, status, _ in rows() if status == "kept" and c.startswith("claim:")}
+    assert claims, "no claim row found"
+    for path, consumer in claims.items():
+        named = re.findall(r"`([a-z0-9_]+\.[a-z0-9_.]+)`", consumer)
+        assert named and set(named) <= ids, (path, named)
