@@ -45,8 +45,8 @@ class _StochTernaryContext(CompressorContext):
         return CompressionResult(message, recon.reshape(arr.shape))
 
     def _draw(self, segment: np.ndarray, scale: float, out: np.ndarray) -> None:
-        """``sign(t)`` with probability ``|t| / scale``, else 0, into ``out``
-        (as :func:`~repro.core.quantization.quantize_stochastic_ternary`)."""
+        """``sign(t)`` with probability ``|t| / scale``, else 0, into ``out``:
+        with ``scale = max|T|`` the draw is unbiased, ``E[scale · Q] = T``."""
         keep = self.rng.random(segment.shape) < np.abs(segment) / scale
         np.copysign(keep, segment, out=out)
 

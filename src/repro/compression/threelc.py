@@ -1,17 +1,18 @@
 """3LC adapted to the common :class:`Compressor` interface.
 
-Thin wrapper around :class:`repro.core.codec.ThreeLCCodec` /
-:class:`repro.core.codec.CompressionContext` so the parameter-server
-simulator and the harness treat 3LC exactly like every baseline.
+A :class:`repro.core.codec.ThreeLCCodec` behind the scheme interface: its
+contexts are :class:`repro.core.codec.CompressionContext` objects, so the
+parameter-server simulator and the harness treat 3LC exactly like every
+baseline.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, CompressorContext, CompressionResult
-from repro.core.codec import CompressionContext as CoreContext
+from repro.compression.base import Compressor, CompressionResult
 from repro.core.codec import (
+    CompressionContext,
     ThreeLCCodec,
     compress_context_batch,
     round_trip_context_batch,
@@ -19,30 +20,6 @@ from repro.core.codec import (
 from repro.core.packets import WireMessage
 
 __all__ = ["ThreeLCCompressor"]
-
-
-class _ThreeLCContext(CompressorContext):
-    def __init__(self, shape: tuple[int, ...], core: CoreContext):
-        super().__init__(shape)
-        self.core = core
-
-    def compress(self, tensor: np.ndarray) -> CompressionResult:
-        return self.core.compress(self._check_shape(tensor))
-
-    def residual_norm(self) -> float:
-        return self.core.residual_norm()
-
-    def state_dict(self) -> dict:
-        return self.core.state_dict()
-
-    def load_state(self, state: dict) -> None:
-        if "residual" in state:
-            # Validate against *this* context's shape before touching the
-            # core buffer: a checkpoint restored into the wrong tensor's
-            # context must fail loudly, not silently corrupt error
-            # feedback.
-            state = dict(state, residual=self._checked_residual(state))
-        self.core.load_state(state)
 
 
 class ThreeLCCompressor(Compressor):
@@ -76,20 +53,15 @@ class ThreeLCCompressor(Compressor):
 
     def make_context(
         self, shape: tuple[int, ...], *, key: tuple[object, ...] = ()
-    ) -> CompressorContext:
-        return _ThreeLCContext(
-            shape, CoreContext(shape, self.codec, error_feedback=self.error_feedback)
-        )
+    ) -> CompressionContext:
+        return CompressionContext(shape, self.codec, error_feedback=self.error_feedback)
 
     def compress_batch(self, items) -> list[CompressionResult]:
-        # The core contexts make the wrapper's shape and dtype checks.
-        return compress_context_batch(
-            (context.core, tensor) for context, tensor in items
-        )
+        return compress_context_batch(items)
 
     def round_trip(self, items) -> tuple[list[np.ndarray], list[int]]:
         # Frame-free: flat passes over the hop, no message per send.
-        return round_trip_context_batch([(c.core, tensor) for c, tensor in items])
+        return round_trip_context_batch(items)
 
     def decompress(self, message: WireMessage) -> np.ndarray:
         return self.codec.decompress(message)

@@ -16,12 +16,7 @@ wire format (:mod:`repro.core.packets`), and the assembled codec
 from repro.core.codec import CompressionContext, CompressionResult, ThreeLCCodec
 from repro.core.error_feedback import ErrorAccumulationBuffer
 from repro.core.packets import CodecId, WireMessage
-from repro.core.quantization import (
-    QuantizedTensor,
-    dequantize_3value,
-    quantize_3value,
-    quantize_stochastic_ternary,
-)
+from repro.core.quantization import QuantizedTensor, quantize_3value
 from repro.core.quartic import quartic_decode, quartic_encode
 from repro.core.twobit import twobit_decode, twobit_encode
 from repro.core.zre import zre_decode, zre_encode
@@ -35,8 +30,6 @@ __all__ = [
     "WireMessage",
     "QuantizedTensor",
     "quantize_3value",
-    "dequantize_3value",
-    "quantize_stochastic_ternary",
     "quartic_encode",
     "quartic_decode",
     "zre_encode",

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.error_feedback import ErrorAccumulationBuffer
 from repro.core.packets import CodecId, WireMessage
-from repro.core.quantization import max_magnitude, quantize_3value, segment_scales
+from repro.core.quantization import _validate_multiplier, max_magnitude, segment_scales
 from repro.core.quartic import (
     _DECODE_TABLE,
     GROUP_SIZE,
@@ -189,8 +189,7 @@ class ThreeLCCodec:
         dtype: np.dtype | type = np.float32,
     ):
         # Validate eagerly so misconfiguration fails at construction.
-        quantize_3value(np.zeros(1, dtype=np.float32), sparsity_multiplier)
-        self.sparsity_multiplier = float(sparsity_multiplier)
+        self.sparsity_multiplier = _validate_multiplier(sparsity_multiplier)
         self.use_zre = bool(use_zre)
         self.dtype = np.dtype(dtype)
 

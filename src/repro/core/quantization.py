@@ -17,11 +17,6 @@ the magnitude of the surviving values.
 
 The paper's convergence argument (§3.1 "Convergence") follows from the error
 bound enforced here: ``max|T - M·Q| <= M/2 < max|T|`` for ``1 <= s < 2``.
-
-This module also provides the *stochastic* ternary quantizer used by the
-``Stoch 3-value + QE`` baseline (TernGrad-like, §5.1): each entry is mapped
-to ``sign(t)`` with probability ``|t|/M`` and to 0 otherwise, making the
-quantized tensor an unbiased estimator of the input.
 """
 
 from __future__ import annotations
@@ -34,10 +29,7 @@ import numpy as np
 __all__ = [
     "QuantizedTensor",
     "quantize_3value",
-    "quantize_3value_batch",
     "segment_scales",
-    "dequantize_3value",
-    "quantize_stochastic_ternary",
     "max_magnitude",
     "MIN_SPARSITY_MULTIPLIER",
     "MAX_SPARSITY_MULTIPLIER",
@@ -63,21 +55,6 @@ class QuantizedTensor:
     values: np.ndarray
     scale: float
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    @property
-    def sparsity(self) -> float:
-        """Fraction of zero entries in the quantized values."""
-        if self.values.size == 0:
-            return 1.0
-        return float(np.count_nonzero(self.values == 0)) / self.values.size
-
-    def dequantize(self, dtype: np.dtype | type = np.float32) -> np.ndarray:
-        """Reconstruct ``M * Q`` as a floating-point tensor."""
-        return dequantize_3value(self, dtype=dtype)
-
 
 def _validate_multiplier(s: float) -> float:
     s = float(s)
@@ -101,12 +78,6 @@ def max_magnitude(arr: np.ndarray) -> float:
     if not math.isfinite(magnitude):
         raise ValueError("cannot quantize non-finite tensor")
     return magnitude
-
-
-def _round_to_ternary(arr: np.ndarray, divisor) -> np.ndarray:
-    """``rint(arr / divisor)`` as ``int8``, rounded in the quotient's buffer."""
-    ratio = arr / divisor
-    return np.rint(ratio, out=ratio).astype(np.int8)
 
 
 def quantize_3value(tensor: np.ndarray, s: float = 1.0) -> QuantizedTensor:
@@ -136,53 +107,16 @@ def quantize_3value(tensor: np.ndarray, s: float = 1.0) -> QuantizedTensor:
     scale = max_magnitude(arr) * s
     if scale == 0.0:
         return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
-    return QuantizedTensor(_round_to_ternary(arr, scale), scale)
-
-
-def dequantize_3value(
-    quantized: QuantizedTensor, dtype: np.dtype | type = np.float32
-) -> np.ndarray:
-    """Reconstruct the tensor as ``M * Q`` (Equation 3)."""
-    out = quantized.values.astype(dtype)
-    out *= quantized.scale
-    return out
-
-
-def quantize_3value_batch(
-    flat: np.ndarray, lengths: np.ndarray, s: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize many concatenated tensors in one vectorized pass.
-
-    ``flat`` is the concatenation of the segments' flattened values;
-    ``lengths`` gives each segment's element count. Each segment gets its
-    own scale ``M_i = max(|segment_i|) * s``, exactly as if
-    :func:`quantize_3value` had been called per segment — the per-element
-    arithmetic is bit-identical: the segment magnitudes come from a
-    ``maximum.reduceat`` and a ``minimum.reduceat``, and each element
-    divides by its segment's scale cast to ``flat``'s dtype, the same cast
-    NumPy applies to the scalar divisor in the per-tensor path.
-
-    Returns
-    -------
-    (values, scales)
-        ``values``: ``int8`` array of ``flat``'s length with entries in
-        ``{-1, 0, 1}``; ``scales``: float64 array of per-segment ``M``
-        (0.0 exactly for all-zero or empty segments).
-    """
-    flat, lengths, scales = segment_scales(flat, lengths, s)
-    # A zero scale means the whole segment is zero, so dividing it by the
-    # placeholder 1.0 still rounds to all-zero values — no masking needed.
-    divisor = np.repeat(
-        np.where(scales > 0.0, scales, 1.0).astype(flat.dtype, copy=False), lengths
-    )
-    return _round_to_ternary(flat, divisor), scales
+    ratio = arr / scale  # rounded in its own buffer
+    return QuantizedTensor(np.rint(ratio, out=ratio).astype(np.int8), scale)
 
 
 def segment_scales(
     flat: np.ndarray, lengths: np.ndarray, s: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``flat`` and ``lengths`` as flat arrays, and the float64 scale
-    ``M_i = max(|segment_i|) * s`` of each segment (:func:`quantize_3value_batch`)."""
+    ``M_i = max(|segment_i|) * s`` of each segment: :func:`quantize_3value`'s
+    scale per segment, from a ``maximum.reduceat`` and a ``minimum.reduceat``."""
     s = _validate_multiplier(s)
     flat = np.asarray(flat).reshape(-1)
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -207,30 +141,3 @@ def segment_scales(
                 f"(segment {int(np.argmin(finite))})"
             )
     return flat, lengths, mags * s
-
-
-def quantize_stochastic_ternary(
-    tensor: np.ndarray, rng: np.random.Generator
-) -> QuantizedTensor:
-    """TernGrad-style stochastic ternary quantization (baseline, §5.1).
-
-    Each entry ``t`` becomes ``sign(t)`` with probability ``|t| / M`` where
-    ``M = max(|T|)``, else 0, so ``E[M·Q] = T`` (unbiased). No sparsity
-    multiplier: TernGrad has no compression-level knob (paper §6).
-
-    Parameters
-    ----------
-    tensor:
-        Input array.
-    rng:
-        Source of randomness; callers pass a derived, per-context generator
-        so runs are reproducible.
-    """
-    arr = np.asarray(tensor)
-    scale = max_magnitude(arr)
-    if scale == 0.0:
-        return QuantizedTensor(np.zeros(arr.shape, dtype=np.int8), 0.0)
-    prob = np.abs(arr) / scale
-    keep = rng.random(arr.shape) < prob
-    values = (np.sign(arr) * keep).astype(np.int8)
-    return QuantizedTensor(values, scale)

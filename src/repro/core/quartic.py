@@ -18,8 +18,10 @@ Two useful structural facts exploited downstream by zero-run encoding:
   codes, and
 * a group of five zeros encodes to the byte ``121`` (``1·81+1·27+1·9+1·3+1``).
 
-Both the vectorized NumPy implementation and a digit-at-a-time reference
-implementation are provided; tests cross-check them.
+The codecs do not call this module's encoder: their pack kernel,
+:func:`repro.core.codec.pack_ternary`, evaluates the same form as a float
+product. :func:`quartic_encode` and :func:`quartic_decode` are the stand-alone
+stage, each held to its digit-at-a-time reference by the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "quartic_encode",
-    "quartic_encode_batch",
     "quartic_decode",
     "quartic_encode_reference",
     "quartic_decode_reference",
@@ -56,35 +57,6 @@ def padded_length(n: int) -> int:
     return -(-n // GROUP_SIZE) * GROUP_SIZE
 
 
-def _pack(values: np.ndarray, digits: np.ndarray, dest) -> np.ndarray:
-    """Shift ``values`` into ``digits[dest]`` and evaluate the quartic form.
-
-    ``digits`` is the padded ``uint8`` buffer, pre-filled with 1 — the digit
-    of a quantized zero, so padded groups stay eligible for zero-run encoding.
-    """
-    flat = np.asarray(values).reshape(-1)
-    if flat.dtype.kind not in "iu":
-        raise ValueError(
-            f"quartic encoding requires an integer dtype, got {flat.dtype}"
-        )
-    if flat.dtype != np.int8:
-        # Checked exactly before the narrowing cast can fold 255 onto -1.
-        if flat.size and (flat.min() < -1 or flat.max() > 1):
-            raise ValueError(_RANGE_ERROR)
-        flat = flat.astype(np.int8)
-    # The +1 in uint8 wraps -1 to 0 and leaves every other int8 above 2
-    # (127 lands on 128, -128 on 129): one max() is the whole range check.
-    digits[dest] = flat.view(np.uint8) + 1
-    if flat.size and digits.max() > 2:
-        raise ValueError(_RANGE_ERROR)
-    groups = digits.reshape(-1, GROUP_SIZE)
-    packed = groups[:, 0] * _POWERS[0]  # uint8 throughout: the sum is <= 242
-    for column in range(1, GROUP_SIZE - 1):
-        packed += groups[:, column] * _POWERS[column]
-    packed += groups[:, GROUP_SIZE - 1]
-    return packed
-
-
 def quartic_encode(values: np.ndarray) -> np.ndarray:
     """Pack a ternary tensor into quartic bytes.
 
@@ -108,47 +80,30 @@ def quartic_encode(values: np.ndarray) -> np.ndarray:
         If the dtype is not an integer one, or any entry lies outside
         ``{-1, 0, 1}``.
     """
-    n = np.size(values)
-    return _pack(values, np.ones(padded_length(n), dtype=np.uint8), slice(n))
-
-
-def quartic_encode_batch(
-    values: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack many concatenated ternary segments in one vectorized pass.
-
-    ``values`` is the concatenation of the segments' ternary entries;
-    ``lengths`` gives each segment's element count. Each segment is padded
-    to a multiple of :data:`GROUP_SIZE` *independently* (runs never span a
-    segment boundary, exactly as if :func:`quartic_encode` had been called
-    per segment) and all groups are evaluated with a single quartic-form
-    pass.
-
-    Returns
-    -------
-    (packed, byte_offsets)
-        ``packed``: 1-D ``uint8`` array holding every segment's bytes
-        back to back; segment ``i`` occupies
-        ``packed[byte_offsets[i]:byte_offsets[i+1]]`` and is bit-identical
-        to ``quartic_encode`` of that segment.
-    """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    total = int(lengths.sum())
-    if np.size(values) != total:
+    flat = np.asarray(values).reshape(-1)
+    if flat.dtype.kind not in "iu":
         raise ValueError(
-            f"segment lengths sum to {total}, values array has {np.size(values)}"
+            f"quartic encoding requires an integer dtype, got {flat.dtype}"
         )
-    byte_offsets = np.concatenate(([0], np.cumsum(-(-lengths // GROUP_SIZE))))
-    # Every digit slot but the 0-4 that pad each segment's last group takes
-    # a value, in order: a boolean mask places them without an int64
-    # position per value.
-    ends = GROUP_SIZE * byte_offsets[1:]
-    pad = ends - GROUP_SIZE * byte_offsets[:-1] - lengths
-    holds_value = np.ones(GROUP_SIZE * byte_offsets[-1], dtype=bool)
-    for back in range(1, GROUP_SIZE):
-        holds_value[ends[pad >= back] - back] = False
-    digits = np.ones(holds_value.size, dtype=np.uint8)
-    return _pack(values, digits, holds_value), byte_offsets
+    if flat.dtype != np.int8:
+        # Checked exactly before the narrowing cast can fold 255 onto -1.
+        if flat.size and (flat.min() < -1 or flat.max() > 1):
+            raise ValueError(_RANGE_ERROR)
+        flat = flat.astype(np.int8)
+    # Padding digits are 1, a quantized zero's, so padded groups stay
+    # eligible for zero-run encoding. The +1 in uint8 wraps -1 to 0 and
+    # leaves every other int8 above 2 (127 lands on 128, -128 on 129): one
+    # max() is the whole range check.
+    digits = np.ones(padded_length(flat.size), dtype=np.uint8)
+    digits[: flat.size] = flat.view(np.uint8) + 1
+    if flat.size and digits.max() > 2:
+        raise ValueError(_RANGE_ERROR)
+    groups = digits.reshape(-1, GROUP_SIZE)
+    packed = groups[:, 0] * _POWERS[0]  # uint8 throughout: the sum is <= 242
+    for column in range(1, GROUP_SIZE - 1):
+        packed += groups[:, column] * _POWERS[column]
+    packed += groups[:, GROUP_SIZE - 1]
+    return packed
 
 
 def quartic_decode(

@@ -29,7 +29,6 @@ __all__ = [
     "zre_encode",
     "zre_encode_batch",
     "zre_decode",
-    "zre_decode_batch",
     "zre_encode_reference",
     "zre_decode_reference",
     "MIN_RUN",
@@ -53,14 +52,12 @@ _TAIL_BYTE = np.array(
     [ZERO_GROUP_BYTE, *range(FIRST_ESCAPE_BYTE, LAST_ESCAPE_BYTE + 1)], dtype=np.uint8
 )
 
-# Decoding is two lookups per byte: what it expands to and how many times.
-# Keys from _PASS_THROUGH up are the bytes of a segment that was never
-# zero-run encoded: each stands for itself, once.
-_PASS_THROUGH = 256
-_DECODED_BYTE = np.tile(np.arange(_PASS_THROUGH, dtype=np.uint8), 2)
-_DECODED_BYTE[FIRST_ESCAPE_BYTE:_PASS_THROUGH] = ZERO_GROUP_BYTE
-_RUN_LENGTH = np.ones(2 * _PASS_THROUGH, dtype=np.intp)
-_RUN_LENGTH[FIRST_ESCAPE_BYTE:_PASS_THROUGH] = np.arange(MIN_RUN, MAX_RUN + 1)
+# Decoding is two lookups by byte value: what the byte expands to and how
+# many times (the codecs' decode kernel reads only the second).
+_DECODED_BYTE = np.arange(256, dtype=np.uint8)
+_DECODED_BYTE[FIRST_ESCAPE_BYTE:] = ZERO_GROUP_BYTE
+_RUN_LENGTH = np.ones(256, dtype=np.intp)
+_RUN_LENGTH[FIRST_ESCAPE_BYTE:] = np.arange(MIN_RUN, MAX_RUN + 1)
 
 
 def zre_encode(data: np.ndarray) -> np.ndarray:
@@ -88,9 +85,9 @@ def zre_encode_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-run encode many concatenated quartic segments in one pass.
 
-    ``packed`` and ``byte_offsets`` are what
-    :func:`~repro.core.quartic.quartic_encode_batch` returns: segment ``i``
-    is ``packed[byte_offsets[i]:byte_offsets[i+1]]``. A run never crosses a
+    ``packed`` and ``byte_offsets`` are the first two results of
+    :func:`~repro.core.codec.pack_ternary`: segment ``i`` is
+    ``packed[byte_offsets[i]:byte_offsets[i+1]]``. A run never crosses a
     segment boundary, exactly as if :func:`zre_encode` had been called per
     segment.
 
@@ -102,27 +99,21 @@ def zre_encode_batch(
         bit-identical to ``zre_encode`` of that segment.
     """
     arr = np.asarray(packed, dtype=np.uint8).reshape(-1)
-    offsets = _segment_offsets(byte_offsets, arr.size)
+    offsets = np.asarray(byte_offsets, dtype=np.intp).reshape(-1)
+    if (
+        offsets.size == 0
+        or offsets[0] != 0
+        or offsets[-1] != arr.size
+        or (offsets[1:] < offsets[:-1]).any()
+    ):
+        raise ValueError(
+            f"byte offsets must rise from 0 to {arr.size}, got {offsets.tolist()}"
+        )
     # A literal fence byte before every segment and after the last one stops
     # each run at its segment's edge; the fences then leave the output.
     ranks = np.arange(offsets.size)
     out, fence_slots = _encode(np.insert(arr, offsets, 0), offsets + ranks)
     return np.delete(out, fence_slots), fence_slots - ranks
-
-
-def _segment_offsets(byte_offsets: np.ndarray, size: int) -> np.ndarray:
-    """``byte_offsets`` as an index array, checked to partition ``size`` bytes."""
-    offsets = np.asarray(byte_offsets, dtype=np.intp).reshape(-1)
-    if (
-        offsets.size == 0
-        or offsets[0] != 0
-        or offsets[-1] != size
-        or (offsets[1:] < offsets[:-1]).any()
-    ):
-        raise ValueError(
-            f"byte offsets must rise from 0 to {size}, got {offsets.tolist()}"
-        )
-    return offsets
 
 
 def _encode(
@@ -176,12 +167,6 @@ def _encode(
     return out[literal], marks - dropped[np.searchsorted(starts, marks)]
 
 
-def _expand(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded stream and per-byte run lengths for ``intp`` table keys."""
-    run_lengths = _RUN_LENGTH.take(keys)
-    return np.repeat(_DECODED_BYTE.take(keys), run_lengths), run_lengths
-
-
 def zre_decode(data: np.ndarray) -> np.ndarray:
     """Invert :func:`zre_encode`.
 
@@ -192,40 +177,8 @@ def zre_decode(data: np.ndarray) -> np.ndarray:
     arr = np.asarray(data, dtype=np.uint8).reshape(-1)
     if arr.size == 0 or arr.max() < FIRST_ESCAPE_BYTE:
         return arr
-    return _expand(arr.astype(np.intp))[0]
-
-
-def zre_decode_batch(
-    data: np.ndarray, byte_offsets: np.ndarray, encoded: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand many concatenated zero-run encoded segments in one pass.
-
-    Segment ``i`` is ``data[byte_offsets[i]:byte_offsets[i+1]]``; ``encoded``
-    holds one flag per segment (default: all set), and an unset one marks a
-    segment that was never zero-run encoded, whose bytes pass through as
-    they are — a batch of frames may mix both kinds.
-
-    Returns
-    -------
-    (decoded, decoded_offsets)
-        Segment ``i`` expands to
-        ``decoded[decoded_offsets[i]:decoded_offsets[i+1]]``, bit-identical
-        to :func:`zre_decode` of that segment; callers hold each length
-        against what they expect. ``decoded`` may alias ``data``.
-    """
-    arr = np.asarray(data, dtype=np.uint8).reshape(-1)
-    offsets = _segment_offsets(byte_offsets, arr.size)
-    is_escape = arr >= FIRST_ESCAPE_BYTE
-    if encoded is not None:
-        literal = np.repeat(~np.asarray(encoded, dtype=bool), np.diff(offsets))
-        is_escape &= ~literal
-    if not is_escape.any():
-        return arr, offsets
     keys = arr.astype(np.intp)
-    if encoded is not None:
-        keys += _PASS_THROUGH * literal
-    decoded, run_lengths = _expand(keys)
-    return decoded, np.concatenate(([0], np.cumsum(run_lengths)))[offsets]
+    return np.repeat(_DECODED_BYTE.take(keys), _RUN_LENGTH.take(keys))
 
 
 def zre_encode_reference(data: np.ndarray) -> np.ndarray:

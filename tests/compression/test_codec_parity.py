@@ -26,7 +26,9 @@ from repro.compression.topk import (
     TopKCompressor,
     sampled_threshold,
 )
-from repro.core.zre import zre_decode, zre_decode_batch
+from repro.core.codec import unpack_ternary
+from repro.core.quartic import quartic_decode
+from repro.core.zre import zre_decode
 
 SHAPES = ((1,), (7,), (8,), (9,), (3, 3, 16, 16), (3, 3, 64, 64))
 #: ``SHAPES`` plus both sides of a bitmap byte (8 values) and of top-k's
@@ -163,21 +165,32 @@ class TestZreDecodeParity:
             max_size=6,
         )
     )
-    def test_batch_equals_per_segment_with_pass_through_segments(self, segments):
-        # An escape-range byte in a segment that was never zero-run encoded
-        # passes through as it is; the frame decoder refuses it afterwards.
+    def test_decode_kernel_equals_oracle_per_segment_with_plain_segments(
+        self, segments
+    ):
+        # Only a flagged segment's runs expand; an escape-range byte in a
+        # segment sent without zero-run encoding is refused, naming it.
         data = np.concatenate([segment for segment, _ in segments])
         offsets = np.concatenate(([0], np.cumsum([s.size for s, _ in segments])))
         flags = [flag for _, flag in segments]
-        for encoded in (np.array(flags), None):
-            decoded, starts = zre_decode_batch(data, offsets, encoded)
-            assert starts[-1] == decoded.size
-            for i, (segment, flag) in enumerate(segments):
-                expanded = flag or encoded is None
-                np.testing.assert_array_equal(
-                    decoded[starts[i] : starts[i + 1]],
-                    oracle_zre_decode(segment) if expanded else segment,
-                )
+        scales = [1.0] * len(segments)
+        for encoded in (flags, None):
+            expanded = [
+                oracle_zre_decode(s) if flag or encoded is None else s
+                for s, flag in segments
+            ]
+            counts = [5 * e.size for e in expanded]
+            plain_escapes = [
+                i for i, (s, flag) in enumerate(segments)
+                if encoded is not None and not flag and (s > 242).any()
+            ]
+            if plain_escapes:
+                with pytest.raises(ValueError, match=f"frame {plain_escapes[0]}:"):
+                    unpack_ternary(data, offsets, counts, scales, encoded, np.float32)
+                continue
+            views = unpack_ternary(data, offsets, counts, scales, encoded, np.float32)
+            for view, e, count in zip(views, expanded, counts):
+                np.testing.assert_array_equal(view, quartic_decode(e, count))
 
 
 # sha256 over pack() bytes, reconstruction, decoded tensor and residual of the

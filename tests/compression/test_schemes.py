@@ -120,6 +120,48 @@ class TestStochasticTernary:
         result = c.make_context(t.shape).compress(t)
         assert len(result.message.payload) == 200  # ceil(1000/5), no ZRE
 
+    # The draw's laws (TernGrad-like, §5.1): sign(t) with probability
+    # |t| / max|T|, else 0.
+
+    @staticmethod
+    def draws(t, count, seed=0):
+        ctx = StochasticTernaryCompressor(seed).make_context(t.shape, key=("laws",))
+        return [ctx.compress(t) for _ in range(count)]
+
+    def test_unbiased_in_expectation(self):
+        t = np.array([0.5, -0.25, 0.1, 0.0], dtype=np.float32)
+        (result,) = self.draws(np.tile(t, 4000), 1)
+        mean = result.reconstruction.reshape(4000, 4).mean(axis=0, dtype=np.float64)
+        np.testing.assert_allclose(mean, t, atol=0.03)
+
+    def test_zero_stays_zero(self):
+        for result in self.draws(np.array([0.0, 0.0, 1.0], dtype=np.float32), 50):
+            assert not result.reconstruction[:2].any()
+
+    def test_max_magnitude_always_selected(self):
+        for result in self.draws(np.array([0.2, -1.0, 0.1], dtype=np.float32), 50):
+            assert result.reconstruction[1] == -1.0  # probability |t|/M = 1
+
+    def test_scale_has_no_sparsity_multiplier(self, rng):
+        t = rng.normal(size=100).astype(np.float32)
+        (result,) = self.draws(t, 1)
+        assert result.message.scalars == (float(np.max(np.abs(t))),)
+
+    def test_zero_tensor(self):
+        (result,) = self.draws(np.zeros(5, dtype=np.float32), 1)
+        assert result.message.scalars == (0.0,)
+        assert not result.reconstruction.any()
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            self.draws(np.array([np.nan], dtype=np.float32), 1)
+
+    def test_same_draws_for_one_seed(self):
+        t = np.linspace(-1, 1, 50).astype(np.float32)
+        (a,), (b,) = self.draws(t, 1, seed=7), self.draws(t, 1, seed=7)
+        assert a.message.payload == b.message.payload
+        np.testing.assert_array_equal(a.reconstruction, b.reconstruction)
+
 
 class TestTopK:
     def test_selects_approximately_target_fraction(self, rng):

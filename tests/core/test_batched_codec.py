@@ -28,7 +28,6 @@ from repro.core.quartic import ZERO_GROUP_BYTE
 from repro.core.zre import (
     LAST_ESCAPE_BYTE,
     zre_decode,
-    zre_decode_batch,
     zre_encode,
     zre_encode_batch,
 )
@@ -165,12 +164,9 @@ def assert_zre_batch_matches_per_segment(segments):
     encoded, cuts = zre_encode_batch(packed, offsets)
     assert encoded.dtype == np.uint8 and cuts[0] == 0 and cuts[-1] == encoded.size
     for i, seg in enumerate(segments):
-        np.testing.assert_array_equal(
-            encoded[cuts[i] : cuts[i + 1]], zre_encode(seg)
-        )
-    decoded, back = zre_decode_batch(encoded, cuts)
-    np.testing.assert_array_equal(decoded, packed)
-    assert back.tolist() == offsets.tolist()
+        piece = encoded[cuts[i] : cuts[i + 1]]
+        np.testing.assert_array_equal(piece, zre_encode(seg))
+        np.testing.assert_array_equal(zre_decode(piece), seg)
 
 
 class TestZreEncodeBatch:
@@ -208,16 +204,6 @@ class TestZreEncodeBatch:
     def test_rejects_offsets_that_do_not_partition(self, offsets):
         with pytest.raises(ValueError, match="byte offsets"):
             zre_encode_batch(np.zeros(3, np.uint8), offsets)
-        with pytest.raises(ValueError, match="byte offsets"):
-            zre_decode_batch(np.zeros(3, np.uint8), offsets)
-
-    def test_decode_expands_only_the_flagged_segments(self):
-        """An escape byte in a segment sent without ZRE is data, not a run."""
-        data = np.array([5, 250, 250, 7, 243], np.uint8)
-        decoded, cuts = zre_decode_batch(data, [0, 2, 2, 5], [True, True, False])
-        assert cuts.tolist() == [0, 10, 10, 13]
-        np.testing.assert_array_equal(decoded[:10], zre_decode(data[:2]))
-        np.testing.assert_array_equal(decoded[10:], data[2:])
 
     def test_rejects_non_quartic_bytes(self):
         with pytest.raises(ValueError, match="quartic bytes"):

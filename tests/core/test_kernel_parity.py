@@ -3,10 +3,11 @@
 The vectorized ``core`` kernels were rewritten for speed under a
 bit-identity contract. Three things pin it: the digit-/byte-at-a-time
 ``*_reference`` implementations (hypothesis properties plus the boundary
-lengths named in the ISSUE), the per-segment calls the batched kernels
-must equal, and a SHA-256 over ``ThreeLCCodec.compress`` outputs that was
-generated on the commit *before* the rewrite — so the new kernels are held
-to the old kernels' bytes, not only to the oracles'.
+lengths: empty, one value, either side of a group and of a run chunk), the
+per-segment stage-function calls the batched kernels must equal, and a
+SHA-256 over ``ThreeLCCodec.compress`` outputs that was generated on the
+commit *before* the rewrite — so the new kernels are held to the old
+kernels' bytes, not only to the oracles'.
 """
 
 import hashlib
@@ -23,17 +24,12 @@ from repro.compression.stochastic_ternary import StochasticTernaryCompressor
 from repro.compression.threelc import ThreeLCCompressor
 from repro.core.codec import ThreeLCCodec
 from repro.core.packets import CodecId, WireMessage
-from repro.core.quantization import (
-    quantize_3value,
-    quantize_3value_batch,
-    quantize_stochastic_ternary,
-)
+from repro.core.quantization import quantize_3value
 from repro.core.quartic import (
     ZERO_GROUP_BYTE,
     quartic_decode,
     quartic_decode_reference,
     quartic_encode,
-    quartic_encode_batch,
     quartic_encode_reference,
 )
 from repro.core.zre import zre_decode, zre_encode, zre_encode_reference
@@ -159,7 +155,7 @@ class TestZreParity:
                 zre_encode(np.array(stream, dtype=np.uint8))
 
 
-# -- (b) batched kernels == per-segment calls --------------------------------
+# -- (b) the batched kernels == the stage functions per segment ---------------
 
 segment_lengths = st.lists(
     st.one_of(st.just(0), st.integers(0, 23)), min_size=1, max_size=8
@@ -167,50 +163,72 @@ segment_lengths = st.lists(
 
 
 class TestBatchParity:
-    @given(lengths=segment_lengths, seed=st.integers(0, 2**16))
-    def test_quartic_encode_batch(self, lengths, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.integers(-1, 2, size=sum(lengths)).astype(np.int8)
-        packed, offsets = quartic_encode_batch(values, lengths)
-        assert packed.dtype == np.uint8
-        start = 0
-        for i, n in enumerate(lengths):
-            np.testing.assert_array_equal(
-                packed[offsets[i] : offsets[i + 1]],
-                quartic_encode(values[start : start + n]),
-            )
-            start += n
-        assert offsets[-1] == packed.size
-
     @given(
         lengths=segment_lengths,
         seed=st.integers(0, 2**16),
         s=st.sampled_from([1.0, 1.5, 1.75]),
+        use_zre=st.booleans(),
     )
-    def test_quantize_3value_batch(self, lengths, seed, s):
+    def test_encode_equals_the_stage_functions(self, lengths, seed, s, use_zre):
         rng = np.random.default_rng(seed)
         flat = rng.standard_normal(sum(lengths)).astype(np.float32)
         flat[rng.random(flat.size) < 0.2] = 0.0
-        values, scales = quantize_3value_batch(flat, lengths, s)
-        assert values.dtype == np.int8
+        packed, offsets, scales, _ = ThreeLCCodec(s, use_zre=use_zre).encode(flat, lengths)
+        assert packed.dtype == np.uint8 and offsets[-1] == packed.size
         start = 0
         for i, n in enumerate(lengths):
             single = quantize_3value(flat[start : start + n], s)
-            np.testing.assert_array_equal(values[start : start + n], single.values)
+            quartic = quartic_encode(single.values)
+            np.testing.assert_array_equal(
+                packed[offsets[i] : offsets[i + 1]],
+                zre_encode(quartic) if use_zre else quartic,
+            )
             assert scales[i] == single.scale
             start += n
 
-    def test_batches_of_only_empty_segments(self):
-        packed, offsets = quartic_encode_batch(np.zeros(0, dtype=np.int8), [0, 0])
-        assert packed.size == 0 and offsets.tolist() == [0, 0, 0]
-        values, scales = quantize_3value_batch(np.zeros(0, dtype=np.float32), [0, 0])
-        assert values.size == 0 and scales.tolist() == [0.0, 0.0]
+    @given(
+        lengths=segment_lengths,
+        seed=st.integers(0, 2**16),
+        use_zre=st.booleans(),
+    )
+    def test_decode_equals_the_stage_functions(self, lengths, seed, use_zre):
+        rng = np.random.default_rng(seed)
+        flat = rng.standard_normal(sum(lengths)).astype(np.float32)
+        flat[rng.random(flat.size) < 0.5] = 0.0
+        codec = ThreeLCCodec(1.0, use_zre=use_zre)
+        packed, offsets, scales, recon = codec.encode(flat, lengths)
+        flags = None if use_zre else [False] * len(lengths)
+        views = codec.decode(packed, offsets, lengths, scales, flags, np.float32)
+        start = 0
+        for i, n in enumerate(lengths):
+            piece = packed[offsets[i] : offsets[i + 1]]
+            values = quartic_decode(zre_decode(piece) if use_zre else piece, n)
+            np.testing.assert_array_equal(views[i], values * np.float32(scales[i]))
+            np.testing.assert_array_equal(views[i], recon[start : start + n])
+            start += n
 
-    def test_quartic_encode_batch_range_check(self):
-        with pytest.raises(ValueError, match=r"\{-1, 0, 1\}"):
-            quartic_encode_batch(np.array([0, 1, 2], dtype=np.int8), [1, 2])
+    def test_batches_of_only_empty_segments(self):
+        codec = ThreeLCCodec(1.0)
+        packed, offsets, scales, recon = codec.encode(np.zeros(0, np.float32), [0, 0])
+        assert packed.size == 0 and recon.size == 0
+        assert offsets.tolist() == [0, 0, 0] and scales.tolist() == [0.0, 0.0]
+        views = codec.decode(packed, offsets, [0, 0], scales, None, np.float32)
+        assert [v.size for v in views] == [0, 0]
+
+    def test_decode_expands_only_the_flagged_segments(self):
+        """A segment sent with ZRE has its runs expanded, a plain one is read as it is."""
+        data = np.array([5, 250, 7, 121, 0], np.uint8)
+        flagged = zre_decode(data[:2])
+        counts = [flagged.size * 5, 15]
+        views = ThreeLCCodec.decode(
+            data, [0, 2, 5], counts, [2.0, 0.5], [True, False], np.float64
+        )
+        np.testing.assert_array_equal(views[0], quartic_decode(flagged, counts[0]) * 2.0)
+        np.testing.assert_array_equal(views[1], quartic_decode(data[2:], 15) * 0.5)
+
+    def test_encode_refuses_lengths_that_do_not_partition(self):
         with pytest.raises(ValueError, match="segment lengths"):
-            quartic_encode_batch(np.array([0, 1, 2], dtype=np.int8), [1, 1])
+            ThreeLCCodec(1.0).encode(np.zeros(3, np.float32), [1, 1])
 
 
 # -- (c) the non-finite check rides on the max/min passes -------------------
@@ -228,18 +246,18 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="non-finite"):
             quantize_3value(self.tensor(bad, position), 1.0)
 
-    def test_quantize_3value_batch(self, bad, position):
+    def test_batched_encode_names_the_segment(self, bad, position):
+        segment = {0: 0, 18: 2, 36: 3}[position]  # of the lengths below
+        with pytest.raises(ValueError, match=rf"non-finite tensor \(segment {segment}\)"):
+            ThreeLCCodec(1.0).encode(self.tensor(bad, position), [10, 0, 20, 7])
+
+    def test_stochastic_ternary_context(self, bad, position):
+        context = StochasticTernaryCompressor(0).make_context((37,), key=("nf",))
         with pytest.raises(ValueError, match="non-finite"):
-            quantize_3value_batch(self.tensor(bad, position), [10, 0, 20, 7], 1.0)
-
-    def test_quantize_stochastic_ternary(self, bad, position):
-        with pytest.raises(ValueError, match="non-finite"):
-            quantize_stochastic_ternary(
-                self.tensor(bad, position), np.random.default_rng(0)
-            )
+            context.compress(self.tensor(bad, position))
 
 
-# -- (d) bit-identity with the kernels this PR replaced ----------------------
+# -- (d) bit-identity with the nine-pass kernels they replaced --------------
 
 # sha256 over payload, scale and reconstruction of ThreeLCCodec.compress on
 # the grid below, computed on the parent commit (old nine-pass kernels).
@@ -271,7 +289,7 @@ def test_codec_outputs_match_the_old_kernels():
     assert codec_grid_digest() == GOLDEN_CODEC_SHA256
 
 
-# -- (e) the satellite fixes ---------------------------------------------------
+# -- (e) input and scale checks ---------------------------------------------
 
 
 class TestQuarticInputChecks:
@@ -280,8 +298,6 @@ class TestQuarticInputChecks:
         values = np.array([1, 0, 1], dtype=dtype)
         with pytest.raises(ValueError, match=np.dtype(dtype).name):
             quartic_encode(values)
-        with pytest.raises(ValueError, match=np.dtype(dtype).name):
-            quartic_encode_batch(values, [3])
 
     def test_float_input_is_no_longer_truncated(self):
         with pytest.raises(ValueError, match="float64"):
@@ -294,8 +310,6 @@ class TestQuarticInputChecks:
         values[position] = bad
         with pytest.raises(ValueError, match=r"\{-1, 0, 1\}"):
             quartic_encode(values)
-        with pytest.raises(ValueError, match=r"\{-1, 0, 1\}"):
-            quartic_encode_batch(values, [3, 4])
 
     @pytest.mark.parametrize(
         "dtype, bad",

@@ -1,17 +1,15 @@
 """Tests for 3-value quantization with sparsity multiplication (paper §3.1)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.quantization import (
-    QuantizedTensor,
-    dequantize_3value,
-    quantize_3value,
-    quantize_stochastic_ternary,
-)
+from repro.core.codec import ThreeLCCodec
+from repro.core.quantization import quantize_3value
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32
@@ -58,7 +56,7 @@ class TestQuantize3Value:
         q = quantize_3value(np.zeros((3, 3), dtype=np.float32), 1.5)
         assert q.scale == 0.0
         assert not q.values.any()
-        assert dequantize_3value(q).sum() == 0.0
+        assert (q.values * q.scale).sum() == 0.0
 
     def test_empty_tensor(self):
         q = quantize_3value(np.zeros((0,), dtype=np.float32))
@@ -67,12 +65,15 @@ class TestQuantize3Value:
 
     def test_shape_preserved(self, rng):
         t = rng.normal(size=(2, 3, 4)).astype(np.float32)
-        assert quantize_3value(t).shape == (2, 3, 4)
+        assert quantize_3value(t).values.shape == (2, 3, 4)
 
-    @pytest.mark.parametrize("s", [0.5, 0.99, 2.0, 2.5, -1.0])
+    @pytest.mark.parametrize("s", [0.5, 0.99, 2.0, 2.5, -1.0, float("nan")])
     def test_invalid_multiplier_rejected(self, s):
-        with pytest.raises(ValueError, match="sparsity multiplier"):
+        message = re.escape(f"sparsity multiplier must satisfy 1 <= s < 2, got {s!r}")
+        with pytest.raises(ValueError, match=message):
             quantize_3value(np.ones(3, dtype=np.float32), s)
+        with pytest.raises(ValueError, match=message):
+            ThreeLCCodec(s)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -84,8 +85,11 @@ class TestQuantize3Value:
 
     def test_larger_s_never_less_sparse(self, rng):
         t = rng.normal(size=1000).astype(np.float32)
-        sparsities = [quantize_3value(t, s).sparsity for s in (1.0, 1.3, 1.6, 1.9)]
-        assert sparsities == sorted(sparsities)
+        zeros = [
+            np.count_nonzero(quantize_3value(t, s).values == 0)
+            for s in (1.0, 1.3, 1.6, 1.9)
+        ]
+        assert zeros == sorted(zeros)
 
     def test_s_close_to_2_zeroes_all_but_extremes(self, rng):
         t = rng.uniform(-1, 1, size=1000).astype(np.float32)
@@ -98,7 +102,7 @@ class TestQuantize3Value:
     def test_error_bound_holds(self, tensor, s):
         """Paper §3.1 convergence bound: max|T - out| <= M/2 < max|T|."""
         q = quantize_3value(tensor, s)
-        out = dequantize_3value(q, dtype=np.float64)
+        out = q.values * q.scale  # float64
         err = np.max(np.abs(tensor.astype(np.float64) - out)) if tensor.size else 0.0
         assert err <= q.scale / 2 + 1e-4 * max(1.0, q.scale)
         if q.scale > 0:
@@ -115,64 +119,6 @@ class TestQuantize3Value:
     def test_dequantize_roundtrip_signs(self, rng):
         t = rng.normal(size=500).astype(np.float32)
         q = quantize_3value(t, 1.0)
-        out = dequantize_3value(q)
+        out = q.values * q.scale
         nonzero = q.values != 0
         np.testing.assert_array_equal(np.sign(out[nonzero]), np.sign(t[nonzero]))
-
-
-class TestQuantizedTensor:
-    def test_sparsity_of_empty(self):
-        q = QuantizedTensor(np.zeros((0,), dtype=np.int8), 0.0)
-        assert q.sparsity == 1.0
-
-    def test_sparsity_counts_zeros(self):
-        q = QuantizedTensor(np.array([-1, 0, 0, 1], dtype=np.int8), 1.0)
-        assert q.sparsity == 0.5
-
-    def test_dequantize_method_matches_function(self, rng):
-        t = rng.normal(size=64).astype(np.float32)
-        q = quantize_3value(t, 1.25)
-        np.testing.assert_array_equal(q.dequantize(), dequantize_3value(q))
-
-
-class TestStochasticTernary:
-    def test_unbiased_in_expectation(self, rng):
-        t = np.array([0.5, -0.25, 0.1, 0.0], dtype=np.float32)
-        trials = 4000
-        total = np.zeros_like(t, dtype=np.float64)
-        for _ in range(trials):
-            q = quantize_stochastic_ternary(t, rng)
-            total += q.scale * q.values
-        mean = total / trials
-        np.testing.assert_allclose(mean, t, atol=0.03)
-
-    def test_zero_stays_zero(self, rng):
-        t = np.array([0.0, 0.0, 1.0], dtype=np.float32)
-        for _ in range(50):
-            q = quantize_stochastic_ternary(t, rng)
-            assert q.values[0] == 0 and q.values[1] == 0
-
-    def test_max_magnitude_always_selected(self, rng):
-        t = np.array([0.2, -1.0, 0.1], dtype=np.float32)
-        for _ in range(50):
-            q = quantize_stochastic_ternary(t, rng)
-            assert q.values[1] == -1  # probability |t|/M = 1
-
-    def test_scale_has_no_sparsity_multiplier(self, rng):
-        t = rng.normal(size=100).astype(np.float32)
-        q = quantize_stochastic_ternary(t, rng)
-        assert q.scale == pytest.approx(float(np.max(np.abs(t))))
-
-    def test_zero_tensor(self, rng):
-        q = quantize_stochastic_ternary(np.zeros(5, dtype=np.float32), rng)
-        assert q.scale == 0.0 and not q.values.any()
-
-    def test_nan_rejected(self, rng):
-        with pytest.raises(ValueError, match="non-finite"):
-            quantize_stochastic_ternary(np.array([np.nan], dtype=np.float32), rng)
-
-    def test_deterministic_given_rng(self):
-        t = np.linspace(-1, 1, 50).astype(np.float32)
-        a = quantize_stochastic_ternary(t, np.random.default_rng(7))
-        b = quantize_stochastic_ternary(t, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.values, b.values)

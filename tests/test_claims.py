@@ -8,6 +8,7 @@ ledger").
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -63,3 +64,18 @@ def test_a_miss_fails_the_run_and_an_unbanded_row_does_not(monkeypatch, capsys):
     assert "| c | §0 | breaks | m | - | ZeroDivisionError: division by zero | ERROR |" in (
         capsys.readouterr().out
     )
+
+
+@pytest.mark.parametrize("s190_best", [True, False])
+def test_s190_rows_miss_when_s190_is_the_most_accurate(monkeypatch, s190_best):
+    """``table1.s190_accuracy`` and ``fig8.s190_not_best`` compare s=1.90 with
+    the other designs only, so each can miss."""
+    accuracy = {"3LC (s=1.00)": 0.80, "3LC (s=1.50)": 0.78, "3LC (s=1.75)": 0.77,
+                "3LC (s=1.90)": 0.85 if s190_best else 0.70}
+    monkeypatch.setattr(claims, "t1", lambda s: {
+        name: SimpleNamespace(accuracy=a) for name, a in accuracy.items()})
+    monkeypatch.setattr(claims, "fig8", lambda s: {
+        name: [(1.0, 50.0), (4.0, 100 * a)] for name, a in accuracy.items()})
+    for row_id in ("table1.s190_accuracy", "fig8.s190_not_best"):
+        verdict = claims.judge(BY_ID[row_id], "full").verdict
+        assert verdict == ("MISSES" if s190_best else "holds"), row_id
