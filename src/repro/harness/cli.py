@@ -27,8 +27,10 @@ Which combinations are legal is the configuration's own rule set
 (``ExperimentConfig`` / ``EngineConfig``): :func:`parse_config` builds the
 config once and reports whatever it raises, followed by the flags the
 error depends on. The one thing checked here is observability
-(:data:`~repro.harness.config.OBSERVED_UNDER`): a flag for a knob the
-selected topology, sync mode or fusion switch cannot observe is refused.
+(:data:`~repro.harness.config.OBSERVED_UNDER` and
+:data:`~repro.harness.config.SIMULATED_ONLY`): a flag for a knob the
+selected topology, sync mode, fusion switch or timing model cannot
+observe is refused.
 
 Churn: ``--backup-workers N`` arms the paper's §2.1 backup-worker
 barrier; ``--crash W:STEP[:DOWN][:depart]`` and
@@ -57,7 +59,12 @@ from repro.data.synthetic import input_memo
 from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
 from repro.exchange.engine import SYNC_MODES, scheme_incompatibility
 from repro.exchange.topology import TOPOLOGIES
-from repro.harness.config import DEFAULT_CONFIG, FAST_CONFIG, OBSERVED_UNDER
+from repro.harness.config import (
+    DEFAULT_CONFIG,
+    FAST_CONFIG,
+    OBSERVED_UNDER,
+    SIMULATED_ONLY,
+)
 from repro.harness.figures import (
     FAST_SCHEMES,
     FIGURE7_SCHEMES,
@@ -68,7 +75,6 @@ from repro.harness.figures import (
     figure_time_accuracy,
 )
 from repro.harness.runner import ExperimentRunner
-from repro.netsim.replay import SweepReplayCache
 from repro.harness.tables import table1, table2
 from repro.tuner.artifact import apply_plan, load_plan
 from repro.tuner.space import PLAN_FIELDS
@@ -417,18 +423,20 @@ def parse_config(argv: list[str] | None = None):
                 )
 
     # Observability: a flag whose selector (given, planned or the base's)
-    # holds another value would be accepted and then read by nothing.
-    chosen = (plan["plan"] if plan else {}) | overrides
+    # holds another value would be accepted and then read by nothing. A
+    # plan sets its own fields and turns the simulator on.
+    chosen = (plan["plan"] | {"sim_overlap": True} if plan else {}) | overrides
     for field in overrides:
-        if field not in OBSERVED_UNDER:
-            continue
-        selector, wanted = OBSERVED_UNDER[field]
-        actual = chosen.get(selector, getattr(base, selector))
-        if actual != wanted:
-            got = "" if wanted is True else f" (got {_spell(selector, actual)})"
-            parser.error(
-                f"{spelled[field]} requires {_spell(selector, wanted)}{got}"
-            )
+        rules = [OBSERVED_UNDER[field]] if field in OBSERVED_UNDER else []
+        if field in SIMULATED_ONLY:
+            rules.append(("sim_overlap", True))
+        for selector, wanted in rules:
+            actual = chosen.get(selector, getattr(base, selector))
+            if actual != wanted:
+                got = "" if wanted is True else f" (got {_spell(selector, actual)})"
+                parser.error(
+                    f"{spelled[field]} requires {_spell(selector, wanted)}{got}"
+                )
 
     # Legality is the configuration's own rule set: build it once, in one
     # construction, so a plan and the flags that complete it are judged
@@ -482,9 +490,9 @@ def main(argv: list[str] | None = None) -> int:
             f"loaded plan {args.plan}: scheme={plan_scheme!r} {fields} "
             f"clock={config.clock.name}"
         )
-    # One sweep replay cache per invocation: commands sharing a scheme and
-    # budget reuse the training recording and per-link simulations.
-    runner = ExperimentRunner(config, replay_cache=SweepReplayCache())
+    # One runner per invocation: commands sharing a scheme and budget get
+    # its cached RunResult, so no sweep replay cache is needed.
+    runner = ExperimentRunner(config)
 
     commands = (
         ["table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"]
@@ -529,18 +537,9 @@ def main(argv: list[str] | None = None) -> int:
             print(figure9_compressed_size(runner, "3LC (s=1.75)").text)
         print()
 
-    stats = runner.replay_cache.stats()
     inputs = input_memo.stats()
     print(
-        "replay cache: "
-        f"{stats['recordings']} recordings "
-        f"({stats['recording_hits']} hits / "
-        f"{stats['recording_misses']} misses), "
-        f"{stats['simulations']} simulations "
-        f"({stats['simulation_hits']} hits / "
-        f"{stats['simulation_misses']} misses), "
-        f"{stats['extraction_hits']} warm extractions, "
-        f"{inputs['entries']} inputs {inputs['bytes'] / 2**20:.1f} MiB "
+        f"input memo: {inputs['entries']} inputs {inputs['bytes'] / 2**20:.1f} MiB "
         f"({inputs['hits']} hits / {inputs['misses']} misses)"
     )
 

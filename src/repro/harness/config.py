@@ -27,7 +27,13 @@ from repro.network.timing import StepTimeModel
 from repro.nn.resnet import build_mlp, build_resnet
 from repro.nn.schedule import CosineDecay, scale_lr_for_workers
 
-__all__ = ["ExperimentConfig", "OBSERVED_UNDER", "DEFAULT_CONFIG", "FAST_CONFIG"]
+__all__ = [
+    "ExperimentConfig",
+    "OBSERVED_UNDER",
+    "SIMULATED_ONLY",
+    "DEFAULT_CONFIG",
+    "FAST_CONFIG",
+]
 
 #: Which knob is observable under which selector: ``field -> (selector
 #: field, value)``. A run reads the field only while the selector holds
@@ -46,6 +52,11 @@ OBSERVED_UNDER: dict[str, tuple[str, object]] = {
     "fuse_lossy": ("fuse_small_tensors", True),
     "bucket_boundaries": ("fuse_small_tensors", True),
 }
+
+#: Knobs only the network simulator reads: the analytic step-time model
+#: ignores them, so they are observable only with ``sim_overlap`` (which
+#: a loaded plan forces on). The CLI checks this after ``OBSERVED_UNDER``.
+SIMULATED_ONLY = ("cross_bw_fraction", "cross_rtt_seconds", "transmission_priority")
 
 #: ``EngineConfig`` field -> the ``ExperimentConfig`` field it is read
 #: from: the same name but for two renames.

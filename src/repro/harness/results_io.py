@@ -79,35 +79,55 @@ def run_result_to_dict(result: RunResult) -> dict:
     }
 
 
+def _field(data: dict, name: str, parse, optional: bool = False):
+    """``parse`` of one field: a malformed value raises ``ValueError``
+    naming the field; a missing required one stays a ``KeyError``."""
+    value = data.get(name) if optional else data[name]
+    if value is None and optional:
+        return None
+    try:
+        return parse(value)
+    except (TypeError, AttributeError, ValueError) as error:
+        raise ValueError(f"field {name!r}: {error}") from None
+
+
 def run_result_from_dict(data: dict) -> RunResult:
     """Reconstruct a run from :func:`run_result_to_dict` output."""
     version = data.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported results format version {version!r}")
-    meter = TrafficMeter(steps=[StepTraffic(**s) for s in data["traffic_steps"]])
+    traffic = _field(data, "traffic_steps", lambda rows: [StepTraffic(**s) for s in rows])
     # JSON object keys are strings; worker ids and staleness values are ints.
-    per_worker = data.get("per_worker_throughput")
-    if per_worker is not None:
-        per_worker = {
+    per_worker = _field(
+        data,
+        "per_worker_throughput",
+        lambda links: {
             link: {int(worker): value for worker, value in throughput.items()}
-            for link, throughput in per_worker.items()
-        }
-    staleness = data.get("staleness_distribution")
-    if staleness is not None:
-        staleness = {int(k): v for k, v in staleness.items()}
+            for link, throughput in links.items()
+        },
+        optional=True,
+    )
+    staleness = _field(
+        data,
+        "staleness_distribution",
+        lambda histogram: {int(k): v for k, v in histogram.items()},
+        optional=True,
+    )
     return RunResult(
         scheme=data["scheme"],
         fraction=data["fraction"],
         steps=data["steps"],
         final_accuracy=data["final_accuracy"],
         final_loss=data["final_loss"],
-        eval_curve=tuple(EvalResult(**e) for e in data["eval_curve"]),
-        loss_curve=tuple(data["loss_curve"]),
+        eval_curve=_field(
+            data, "eval_curve", lambda evals: tuple(EvalResult(**e) for e in evals)
+        ),
+        loss_curve=_field(data, "loss_curve", tuple),
         compression_ratio=data["compression_ratio"],
         bits_per_value=data["bits_per_value"],
         mean_step_seconds=data["mean_step_seconds"],
         total_seconds=data["total_seconds"],
-        traffic=meter,
+        traffic=TrafficMeter(steps=traffic),
         achieved_overlap=data.get("achieved_overlap"),
         per_worker_throughput=per_worker,
         staleness_distribution=staleness,

@@ -167,27 +167,6 @@ class ExperimentRunner:
         canonical = replace(self.config, **self._SIM_ONLY_CANONICAL)
         return RecordingKey(scheme_name, steps, canonical)
 
-    def _simulate_cached(self, rec_key, kind: str, link, produce):
-        """Run ``produce`` through the sweep cache's simulation level."""
-        if self.replay_cache is None or rec_key is None:
-            return produce()
-        # The recording key covers everything else; add back the
-        # network-model knobs it canonicalized away, plus the LinkSpec.
-        sim_key = (
-            rec_key,
-            kind,
-            link,
-            self.config.time_model,
-            self.config.cross_bw_fraction,
-            self.config.cross_rtt_seconds,
-            self.config.transmission_priority,
-        )
-        sim = self.replay_cache.simulation(sim_key)
-        if sim is None:
-            sim = produce()
-            self.replay_cache.store_simulation(sim_key, sim)
-        return sim
-
     def backward_timeline(self) -> BackwardTimeline:
         """Per-layer backward profile of the experiment's model (cached).
 
@@ -299,8 +278,7 @@ class ExperimentRunner:
                 evals.append(cluster.evaluate(test_size=config.eval_size))
             final = evals[-1]
             recording = RecordedTraining(
-                transmissions=tuple(cluster.transmissions),
-                update_events=tuple(cluster.update_events),
+                plans=tuple(cluster.transmissions or cluster.update_events),
                 evals=tuple(evals),
                 final=final,
                 loss_curve=tuple(log.train_loss for log in cluster.step_logs),
@@ -321,90 +299,61 @@ class ExperimentRunner:
         per_worker: dict[str, dict[int, float]] | None = None
         staleness_distribution: dict[int, int] | None = None
         link_utilization: dict[str, dict[str, float]] | None = None
-        if config.sim_overlap and not recording.synchronous:
-            # Event-driven modes: replay the recorded per-update event
-            # stream (virtual clocks, FIFO links, blocking SSP barriers).
-            # "Step" here is the scheduling quantum — one update.
+        if config.sim_overlap:
+            # Honest per-link timing: replay the recorded plans through the
+            # discrete-event simulator — each step's transmissions for BSP,
+            # the per-update event stream (virtual clocks, FIFO links,
+            # blocking SSP barriers) for async/SSP, where "step" is the
+            # scheduling quantum, one update.
             timeline = self.backward_timeline()
-            mean_step, total, achieved = {}, {}, {}
-            per_worker, link_utilization = {}, {}
-            for name, link in LINKS.items():
-
-                def run_event_sim(link=link, name=name):
-                    simulator = EventDrivenSimulator(
-                        timeline,
-                        self._link_model(link),
-                        config.time_model,
-                        staleness=(
-                            config.staleness if config.sync_mode == "ssp" else None
-                        ),
-                        overlap=True,
-                        tracer=tel.tracer if tel is not None else None,
-                        trace_group=f"sim:{name}",
-                        priority=config.transmission_priority,
-                    )
-                    return simulator.simulate(recording.update_events)
-
-                if tel is not None:
-                    # A cached simulation carries no spans; tracing
-                    # forces a live replay so the timeline is complete.
-                    exchange = run_event_sim()
-                else:
-                    exchange = self._simulate_cached(
-                        rec_key, "event", link, run_event_sim
-                    )
-                mean_step[name] = exchange.mean_update_seconds
-                total[name] = exchange.total_seconds
-                achieved[name] = exchange.achieved_overlap
-                per_worker[name] = exchange.per_worker_throughput
-                link_utilization[name] = exchange.link_utilization
-                if staleness_distribution is None:
-                    # Observed staleness comes from the recording; it does
-                    # not depend on the link rate.
-                    staleness_distribution = exchange.staleness_histogram
-        elif config.sim_overlap:
-            # Honest per-link timing: replay each step's recorded
-            # transmissions through the discrete-event simulator.
-            timeline = self.backward_timeline()
-            if self.replay_cache is not None and rec_key is not None:
+            synchronous = recording.synchronous
+            if self.replay_cache is not None and synchronous:
                 # Warm the recording's replay artifacts once per recording
                 # key: every link config below (and every later sweep or
                 # tuner point sharing the recording) then replays warm.
-                self.replay_cache.prepare_extraction(
-                    rec_key, recording.transmissions
-                )
-            mean_step, total, achieved = {}, {}, {}
-            link_utilization = {}
+                self.replay_cache.prepare_extraction(rec_key, recording.plans)
+            mean_step, total, achieved, link_utilization = {}, {}, {}, {}
+            per_worker = None if synchronous else {}
+            staleness = config.staleness if config.sync_mode == "ssp" else None
             for name, link in LINKS.items():
-
-                def run_bsp_sim(link=link, name=name):
-                    simulator = NetworkSimulator(
+                replay = dict(
+                    overlap=True,
+                    tracer=tel.tracer if tel is not None else None,
+                    trace_group=f"sim:{name}",
+                    priority=config.transmission_priority,
+                )
+                if synchronous:
+                    # Tables consume only the overlapped times; skip the
+                    # serialized-baseline replay (it would double sim cost).
+                    sim = NetworkSimulator(
                         timeline,
                         self._link_model(link),
                         config.time_model,
-                        overlap=True,
-                        # Tables consume only the overlapped times; skip the
-                        # serialized-baseline replay (it would double sim
-                        # cost).
                         serialized_baseline=False,
-                        tracer=tel.tracer if tel is not None else None,
-                        trace_group=f"sim:{name}",
-                        priority=config.transmission_priority,
-                    )
-                    return simulator.simulate_run(recording.transmissions)
-
-                if tel is not None:
-                    # A cached simulation carries no spans; tracing
-                    # forces a live replay so the timeline is complete.
-                    sim_run = run_bsp_sim()
+                        **replay,
+                    ).simulate_run(recording.plans)
+                    mean_step[name] = sim.mean_step_seconds
+                    achieved[name] = sim.mean_overlap
+                    link_utilization[name] = sim.mean_link_utilization
                 else:
-                    sim_run = self._simulate_cached(
-                        rec_key, "bsp", link, run_bsp_sim
-                    )
-                mean_step[name] = sim_run.mean_step_seconds
-                total[name] = sim_run.total_seconds
-                achieved[name] = sim_run.mean_overlap
-                link_utilization[name] = sim_run.mean_link_utilization
+                    sim = EventDrivenSimulator(
+                        timeline,
+                        self._link_model(link),
+                        config.time_model,
+                        staleness=staleness,
+                        **replay,
+                    ).simulate(recording.plans)
+                    mean_step[name] = sim.mean_update_seconds
+                    achieved[name] = sim.achieved_overlap
+                    link_utilization[name] = sim.link_utilization
+                    per_worker[name] = sim.per_worker_throughput
+                    if staleness_distribution is None:
+                        # Observed staleness comes from the recording; it
+                        # does not depend on the link rate.
+                        staleness_distribution = sim.staleness_histogram
+                total[name] = sim.total_seconds
+                if self.replay_cache is not None:
+                    self.replay_cache.simulation_misses += 1
         else:
             mean_step = {
                 name: config.time_model.mean_step_seconds(meter, link)

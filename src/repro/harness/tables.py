@@ -169,14 +169,12 @@ def table1(
     text = format_table(headers, body, title=title)
     if runner.replay_cache is not None:
         # Footer: how much of the sweep the replay cache absorbed — the
-        # reuse a tuner or repeated-command invocation banks on.
+        # reuse a tuner or a sweep banks on.
         stats = runner.replay_cache.stats()
         text += (
             "\nReplay cache: "
             f"{stats['recordings']} recordings "
             f"({stats['recording_hits']} hits), "
-            f"{stats['simulations']} simulations "
-            f"({stats['simulation_hits']} hits), "
             f"{stats['extraction_hits']}/"
             f"{stats['extraction_hits'] + stats['extraction_misses']} "
             "warm extractions"

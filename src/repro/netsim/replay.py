@@ -7,31 +7,25 @@ bit-identical at every point. Re-training the cluster per point makes
 sweep cost scale with training time instead of simulator time, which the
 vectorized event core just made cheap.
 
-:class:`SweepReplayCache` breaks that coupling with two explicit cache
-levels, each guarded by a hashable invalidation key:
+:class:`SweepReplayCache` breaks that coupling by caching **recordings**
+under an exact-match :class:`RecordingKey`: the outcome of one training
+run — transmission plans, traffic accounting, and evaluation metrics.
+The key's ``fingerprint`` must capture every knob that can change what
+the engine records: scheme, step budget, topology, sync mode and
+staleness bound, fusion plan (including bucket capacity), cluster shape,
+and all seeds. Harness code builds the fingerprint by *canonicalizing*
+the simulation-only knobs of its config (link rate, cross-rack bandwidth
+fraction and RTT, time model, transmission priority) so that sweep
+points differing only in those knobs map to the same key — a hit skips
+training and replays the recorded plans through the simulator.
 
-* **Recordings** (:class:`RecordingKey`): the outcome of one training run —
-  transmission plans, per-update event streams, traffic accounting, and
-  evaluation metrics. The key's ``fingerprint`` must capture every knob
-  that can change what the engine records: scheme, step budget, topology,
-  sync mode and staleness bound, fusion plan (including bucket capacity),
-  cluster shape, and all seeds. Harness code builds the fingerprint by
-  *canonicalizing* the simulation-only knobs of its config (link rate,
-  cross-rack bandwidth fraction and RTT, time model) so that sweep points
-  differing only in those knobs map to the same key — a cache hit replays
-  the recorded plans through the simulator and skips training entirely.
-* **Simulations**: per-link simulator outputs
-  (:class:`~repro.netsim.scheduler.SimulatedRun`, event-driven exchange
-  reports), keyed by the recording key *plus* every network-model knob the
-  recording key canonicalized away — the
-  :class:`~repro.network.bandwidth.LinkSpec`, the
-  :class:`~repro.network.timing.StepTimeModel`, and the topology's link
-  composition parameters. Two sweep points that share both the recording
-  and the link model get the identical simulation object back.
-
-Both levels are exact-match caches over frozen keys: there is no fuzzy
-reuse, so a hit is bit-identical to a cold run by construction. Counters
-(``hits`` / ``misses`` per level) make sweep drivers' savings observable.
+Simulator output is never stored: every sweep point re-simulates its
+recording (a replay is cheap, and a traced one must emit its spans), so
+a hit's result is bit-identical to a cold run's by construction — but
+for telemetry: a hit trains nothing, so it traces its replay alone.
+Beside the recordings the cache shares backward timelines and tracks
+which recordings already paid their replay extraction. Counters
+(``hits`` / ``misses``) make sweep drivers' savings observable.
 """
 
 from __future__ import annotations
@@ -76,11 +70,9 @@ class RecordedTraining:
     mutated by one sweep point and corrupt the next.
     """
 
-    #: Per-step BSP transmission plans (``StepTransmissions`` tuple).
-    transmissions: tuple
-    #: Per-update event stream (``UpdateTransmissions`` tuple; empty for
-    #: synchronous runs).
-    update_events: tuple
+    #: The recorded plans: per-step ``StepTransmissions`` for a
+    #: synchronous run, per-update ``UpdateTransmissions`` otherwise.
+    plans: tuple
     #: Periodic evaluations, final evaluation included.
     evals: tuple
     #: Final global-model evaluation.
@@ -100,21 +92,22 @@ class RecordedTraining:
 
 
 class SweepReplayCache:
-    """Two-level exact-match cache shared across a sweep's runners.
+    """Exact-match recording cache shared across a sweep's runners.
 
     One instance is passed to every
     :class:`~repro.harness.runner.ExperimentRunner` of a sweep; runners
-    consult it before training (recordings) and before each per-link
-    simulator replay (simulations).
+    consult it before training and count each per-link replay on it.
     """
 
     def __init__(self) -> None:
         self._recordings: dict[RecordingKey, RecordedTraining] = {}
-        self._simulations: dict[Hashable, Any] = {}
         self._timelines: dict[Hashable, Any] = {}
         self._extracted: set[RecordingKey] = set()
         self.recording_hits = 0
         self.recording_misses = 0
+        # Read by perf/workloads/plan_search.py (``tuner.sim_replays`` and
+        # ``netsim.replay.simulation_hit_ratio``): no simulation is stored,
+        # so every per-link replay counts as a miss.
         self.simulation_hits = 0
         self.simulation_misses = 0
         self.extraction_hits = 0
@@ -133,20 +126,6 @@ class SweepReplayCache:
 
     def store_recording(self, key: RecordingKey, rec: RecordedTraining) -> None:
         self._recordings[key] = rec
-
-    # -- simulations -------------------------------------------------------
-
-    def simulation(self, key: Hashable) -> Any | None:
-        """Cached simulator output, or ``None`` (counts a hit/miss)."""
-        entry = self._simulations.get(key)
-        if entry is None:
-            self.simulation_misses += 1
-        else:
-            self.simulation_hits += 1
-        return entry
-
-    def store_simulation(self, key: Hashable, sim: Any) -> None:
-        self._simulations[key] = sim
 
     # -- extraction --------------------------------------------------------
 
@@ -192,7 +171,6 @@ class SweepReplayCache:
             "extraction_hits": self.extraction_hits,
             "extraction_misses": self.extraction_misses,
             "recordings": len(self._recordings),
-            "simulations": len(self._simulations),
             "timelines": len(self._timelines),
         }
 

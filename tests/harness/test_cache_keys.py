@@ -250,7 +250,7 @@ def _recording(config: ExperimentConfig):
         replace(step, compute_seconds=0.0, codec_seconds=0.0)
         for step in recording.traffic.steps
     ]
-    return recording.transmissions, recording.loss_curve, traffic
+    return recording.plans, recording.loss_curve, traffic
 
 
 class TestSimOnlyFieldsShareARecording:
@@ -260,11 +260,11 @@ class TestSimOnlyFieldsShareARecording:
     def test_perturbing_them_leaves_the_recording_identical(self):
         """Hier BSP is bit-reproducible, so what the sim-only knobs share
         can be checked exactly: records, losses and traffic bytes."""
-        transmissions, losses, traffic = _recording(BASE)
-        assert len(transmissions) == 4 and sum(s.wire_bytes for s in traffic) > 0
+        plans, losses, traffic = _recording(BASE)
+        assert len(plans) == 4 and sum(s.wire_bytes for s in traffic) > 0
         for name in ExperimentRunner._SIM_ONLY_CANONICAL:
             got = _recording(_perturbed(name)[1])
-            assert got[0] == transmissions, name
+            assert got[0] == plans, name
             assert got[1] == losses, name
             assert got[2] == traffic, name
 
@@ -280,7 +280,7 @@ def test_measured_and_modeled_runners_share_one_cache():
     stats = cache.stats()
     assert (stats["recordings"], stats["recording_hits"], stats["timelines"]) == (2, 0, 2)
     ours, theirs = (
-        cache.recording(runner._recording_key(SCHEME, 4)).transmissions
+        cache.recording(runner._recording_key(SCHEME, 4)).plans
         for runner in (measured, modeled)
     )
     assert [step.records for step in ours] == [step.records for step in theirs]

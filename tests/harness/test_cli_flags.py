@@ -298,6 +298,29 @@ class TestFailAtTheCause:
         assert expected in rejection(["fig9", "--fast", *argv], capsys)
 
     @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--priority", "smallest"], "--priority smallest requires --sim-overlap"),
+            (HIER_FLAGS + ["--cross-bw", "0.5"], "--cross-bw 0.5 requires --sim-overlap"),
+            (HIER_FLAGS + ["--cross-rtt", "0.01"],
+             "--cross-rtt 0.01 requires --sim-overlap"),
+            # The topology rule answers first.
+            (["--cross-bw", "0.5"],
+             "--cross-bw 0.5 requires --topology hier (got --topology single)"),
+        ],
+        ids=["priority", "cross-bw", "cross-rtt", "cross-bw-flat"],
+    )
+    def test_a_simulator_knob_requires_the_simulator(self, argv, expected, capsys):
+        message = rejection(["table1", "--fast", *argv], capsys)
+        assert message.endswith(f"repro-3lc: error: {expected}\n"), message
+
+    def test_with_the_simulator_they_compose(self):
+        argv = ["table1", "--fast", "--sim-overlap", "--priority", "smallest", *HIER_FLAGS]
+        _, config, _ = parse_config(argv + ["--cross-bw", "0.5", "--cross-rtt", "0.01"])
+        assert config.transmission_priority == "smallest"
+        assert (config.cross_bw_fraction, config.cross_rtt_seconds) == (0.5, 0.01)
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             dict(topology="ring"),

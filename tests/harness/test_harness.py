@@ -683,9 +683,9 @@ class TestCli:
         assert main(["fig9", "--fast", "--steps", "8"]) == 0
         out = capsys.readouterr().out
         assert "Figure 9" in out
-        # The footer shows the input memo beside the replay-cache levels.
+        # The footer shows the input memo; the CLI keeps no replay cache.
         assert re.search(
-            r"replay cache: .* warm extractions, "
-            r"\d+ inputs \d+\.\d MiB \(\d+ hits / \d+ misses\)",
+            r"\ninput memo: \d+ inputs \d+\.\d MiB \(\d+ hits / \d+ misses\)\n",
             out,
         )
+        assert "replay cache" not in out.lower()

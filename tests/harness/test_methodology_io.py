@@ -123,6 +123,32 @@ class TestResultsIo:
             load_results(path)
         assert str(path) in str(error.value) and complaint in str(error.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("traffic_steps", "unknown-key"),
+            ("traffic_steps", 5),
+            ("eval_curve", [{"step": 0}]),
+            ("per_worker_throughput", [1]),
+        ],
+        ids=["traffic-unknown-key", "traffic-not-a-list", "eval-missing-keys",
+             "throughput-not-a-mapping"],
+    )
+    def test_malformed_field_fails_naming_the_path_and_field(
+        self, float32_run, tmp_path, field, value
+    ):
+        import json
+
+        document = run_result_to_dict(float32_run)
+        if value == "unknown-key":
+            value = [document["traffic_steps"][0] | {"bogus": 1}]
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps([document | {field: value}]))
+        with pytest.raises(ValueError) as error:
+            load_results(path)
+        message = str(error.value)
+        assert message.startswith(f"{path}: not a results archive: field {field!r}: ")
+
     def test_telemetry_summary_roundtrip(self, runner):
         """A populated telemetry rollup survives the dict round trip."""
         from dataclasses import replace

@@ -25,7 +25,7 @@ from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.distributed.barriers import StragglerSpec
 from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
-from repro.exchange import EngineConfig, ExchangeEngine
+from repro.exchange import MODELED, EngineConfig, ExchangeEngine
 from repro.harness.config import FAST_CONFIG
 from repro.harness.results_io import run_result_from_dict, run_result_to_dict
 from repro.harness.runner import ExperimentRunner
@@ -153,7 +153,9 @@ class TestOutageReplay:
         rack-collective records), so hier is excluded by design.
         """
         fault = FaultSpec(crashes=(WorkerCrash(worker=1, step=2, down_steps=2),))
-        engine = train_faulted(topology, fault)
+        # Modeled clock: the recorded compute and codec seconds are a
+        # function of the seed, so host load cannot outweigh the resync.
+        engine = train_faulted(topology, fault, clock=MODELED)
         rejoin = engine.transmissions[4]
         resync = [r for r in rejoin.records if r.name.startswith("resync:")]
         assert resync and all(r.phase == "pull" for r in resync)

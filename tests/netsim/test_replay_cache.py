@@ -1,18 +1,23 @@
 """Incremental sweep replay: cache semantics and bit-identical reuse.
 
 Covers the :class:`SweepReplayCache` contract directly (exact-match keys,
-hit/miss counters, the recording/simulation/timeline levels) and through
-the harness: sweep points differing only in simulation-only knobs share
-one training recording, while anything recording-relevant — scheme, step
-budget, fusion bucket capacity, topology — invalidates it.
+hit/miss counters, the recording and timeline levels) and through the
+harness: sweep points differing only in simulation-only knobs share one
+training recording, while anything recording-relevant — scheme, step
+budget, fusion bucket capacity, topology — invalidates it. A recording
+hit re-simulates, and its result is byte-identical to a cold run's (a
+traced hit's telemetry holds the replay's spans alone).
 """
 
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
+from repro.exchange import MODELED
 from repro.harness import FAST_CONFIG, ExperimentRunner
+from repro.harness.results_io import run_result_to_dict
 from repro.netsim import (
     NetworkSimulator,
     RecordedTraining,
@@ -24,8 +29,7 @@ from tests.netsim.test_vector_parity import random_run, random_timeline
 
 def make_recording(tag: str) -> RecordedTraining:
     return RecordedTraining(
-        transmissions=(tag,),
-        update_events=(),
+        plans=(tag,),
         evals=(),
         final=None,
         loss_curve=(),
@@ -59,18 +63,6 @@ class TestCacheSemantics:
         cache.store_recording(key, make_recording("a"))
         assert cache.recording(other) is None
 
-    def test_simulation_level_is_exact_match(self):
-        cache = SweepReplayCache()
-        key = RecordingKey("3LC (s=1.00)", 4, "fp")
-        sim_key = (key, "bsp", "100Mbps", 1.0, 0.0)
-        assert cache.simulation(sim_key) is None
-        cache.store_simulation(sim_key, "sim-object")
-        assert cache.simulation(sim_key) == "sim-object"
-        # Any varied network knob is a different key.
-        assert cache.simulation((key, "bsp", "100Mbps", 0.1, 0.0)) is None
-        assert cache.stats()["simulation_hits"] == 1
-        assert cache.stats()["simulation_misses"] == 2
-
     def test_timeline_level(self):
         cache = SweepReplayCache()
         assert cache.timeline("cfg") is None
@@ -80,13 +72,12 @@ class TestCacheSemantics:
     def test_len_and_stats_count_entries(self):
         cache = SweepReplayCache()
         cache.store_recording(RecordingKey("a", 1, ()), make_recording("a"))
-        cache.store_simulation("s", 1)
         cache.store_timeline("t", 2)
         assert len(cache) == 1  # recordings are the expensive level
         stats = cache.stats()
         assert stats["recordings"] == 1
-        assert stats["simulations"] == 1
         assert stats["timelines"] == 1
+        assert "simulations" not in stats  # no simulator output is stored
 
 
 class TestBitIdenticalReplay:
@@ -97,11 +88,7 @@ class TestBitIdenticalReplay:
         links, steps = random_run(rng, 5)
         timeline = random_timeline(rng)
         plans = tuple(steps)  # what a RecordedTraining would carry
-        sim = NetworkSimulator(timeline, links, vectorized=True)
-        cold = sim.simulate_run(plans)
-        cache = SweepReplayCache()
-        cache.store_simulation("point", cold)
-        assert cache.simulation("point") is cold
+        cold = NetworkSimulator(timeline, links, vectorized=True).simulate_run(plans)
         # A different sweep point re-simulates the same recording and must
         # reproduce the schedule exactly (per-step caches included).
         again = NetworkSimulator(timeline, links, vectorized=True).simulate_run(plans)
@@ -131,10 +118,11 @@ class TestHarnessSweepReuse:
             replace(base, cross_bw_fraction=0.25), replay_cache=cache
         )
         narrow.run("3LC (s=1.00)")
-        # Recording reused (no second training run), simulations distinct.
+        # Recording reused (no second training run); every per-link
+        # replay of both points ran.
         assert cache.recording_hits == 1
         assert cache.stats()["recordings"] == 1
-        assert cache.stats()["simulation_misses"] >= 2
+        assert cache.stats()["simulation_misses"] == 6
 
     def test_bucket_capacity_invalidates_recording(self):
         """Fusion bucket capacity changes recorded frames: a swept
@@ -149,3 +137,42 @@ class TestHarnessSweepReuse:
         ).run("3LC (s=1.00)")
         assert cache.recording_hits == 0
         assert cache.stats()["recordings"] == 2
+
+
+class TestRecordingHitIsAColdRun:
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "traced"])
+    @pytest.mark.parametrize(
+        "cell",
+        [{}, dict(sync_mode="async"), dict(sync_mode="ssp", staleness=0)],
+        ids=["bsp", "async", "ssp0"],
+    )
+    def test_hit_after_a_sim_only_repoint_matches_a_cold_run(self, cell, telemetry):
+        """A sim-only re-point served from a shared cache's recording and
+        the same point run cold give the same archive, byte for byte.
+
+        A traced hit trains nothing, so its telemetry holds the replay's
+        ``sim:`` spans alone: exactly the cold run's ``sim:`` spans.
+        """
+        config = FAST_CONFIG.scaled(
+            clock=MODELED, sim_overlap=True, standard_steps=4, telemetry=telemetry,
+            **cell,
+        )
+        repoint = config.scaled(
+            transmission_priority="smallest",
+            time_model=replace(config.time_model, per_message_overhead=1e-3),
+        )
+        cache = SweepReplayCache()
+        first = ExperimentRunner(config, cache).run("3LC (s=1.00)")
+        hit = run_result_to_dict(ExperimentRunner(repoint, cache).run("3LC (s=1.00)"))
+        assert cache.recording_hits == 1
+        assert hit["total_seconds"] != first.total_seconds
+        cold = run_result_to_dict(ExperimentRunner(repoint).run("3LC (s=1.00)"))
+        if telemetry:
+            spans = cold.pop("telemetry_summary")["spans"]
+            traced = hit.pop("telemetry_summary")
+            assert traced == {
+                "counters": {}, "gauges": {}, "histograms": {},
+                "spans": {k: v for k, v in spans.items() if k.startswith("sim:")},
+            }
+            assert traced["spans"]
+        assert json.dumps(hit) == json.dumps(cold)
