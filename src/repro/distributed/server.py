@@ -74,9 +74,6 @@ class ExchangeOutcome:
     #: Codec seconds as measured, by ``StepTransmissions`` field (an
     #: absent field is 0).
     codec: dict[str, float]
-    #: Each codec field's telemetry ``(track, stage)``; track ``worker``
-    #: is every worker's own track (work the workers do in parallel).
-    stages: dict[str, tuple[str, str]]
     #: Point-to-point pushes by sender, in wire order: every worker that
     #: computed (the dropped included), or every up rack's uplink.
     pushes: dict[int, Frames] = field(default_factory=dict)
@@ -115,7 +112,8 @@ class ParameterServer:
         no buckets: fusion off).
     """
 
-    #: Telemetry of a parameter service's codec fields.
+    #: Each codec field's telemetry ``(track, stage)``; track ``worker``
+    #: is every worker's own track (work the workers do in parallel).
     STAGES = {
         "push_compress_seconds": ("worker", "compress"),
         "server_decompress_seconds": ("server", "decompress"),
@@ -233,15 +231,18 @@ class ParameterServer:
         return PullBatch(messages, decompress_seconds, compress_seconds)
 
     def exchange(self, batches, accepted) -> ExchangeOutcome:
-        """One BSP step: :meth:`step` on the ``accepted`` senders' pushes,
-        in that (arrival) order, then the shared pull decoded once, timed.
+        """One BSP step: :meth:`step` on the ``accepted`` senders' pushes in
+        sender-id order — arrival decides only who is accepted, or measured
+        compute times would move the model's last bits — then the shared
+        pull decoded once, timed.
 
         ``batches`` maps every sender that pushed — accepted or dropped by
         the barrier — to its push: the ``messages`` and the sender's
         ``compress_seconds`` (the slowest sender's is the step's).
         """
         pull = self.step(
-            [batches[sender].messages for sender in accepted], divisor=len(accepted)
+            [batches[sender].messages for sender in sorted(accepted)],
+            divisor=len(accepted),
         )
         t0 = time.perf_counter()
         deltas = self.decompress_pulls(pull.messages)
@@ -254,7 +255,6 @@ class ParameterServer:
                 server_compress_seconds=pull.compress_seconds,
                 pull_decompress_seconds=pull_decompress_seconds,
             ),
-            self.STAGES,
             pushes={sender: batch.messages for sender, batch in batches.items()},
             pulls=pull.messages,
         )

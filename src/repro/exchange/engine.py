@@ -15,9 +15,11 @@ only between the two bodies. The one BSP body runs every topology: it
 reads compute → barrier → ``service.exchange`` → apply → settle → post →
 close, and every synchronous service answers its ``exchange`` with one
 :class:`~repro.distributed.server.ExchangeOutcome` (the deltas, what goes
-on the wire, the codec seconds and their telemetry stages). A body hands
-back a single quantum value; ``train_step`` alone finalizes it (traffic
-meter, recording, update count, telemetry, step log). Churn is the
+on the wire, the codec seconds). A body hands back the quantum's
+:class:`StepLog`, traffic record and plan; ``train_step`` alone finalizes
+them (traffic meter, recording, update count, step log). The engine keeps
+no telemetry: ``trace_training`` (``telemetry/training.py``) reads the
+step logs and traffic records after training. Churn is the
 :class:`~repro.distributed.faults.Churn` runtime's, and every outcome is
 posted once, by the service's :class:`~repro.exchange.topology.Wire`, to
 the quantum's ledger, which feeds the ``StepTraffic`` counters and — when
@@ -61,7 +63,6 @@ from repro.exchange.clock import CODEC_RATE, MEASURED, Clock
 from repro.exchange.topology import TOPOLOGIES, Wire, build_service
 from repro.netsim.events import SkeletonRow, StepTransmissions, UpdateTransmissions
 from repro.network.traffic import StepTraffic, TrafficMeter
-from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.nn.loss import SoftmaxCrossEntropy, accuracy
 from repro.nn.module import Module
 from repro.nn.norm import BatchNorm2d
@@ -156,10 +157,10 @@ class EngineConfig:
     #: ``ExchangeEngine.update_events``. Off by default.
     record_transmissions: bool = False
     #: Whether the seconds the engine *records* — compute behind virtual
-    #: clocks and barrier arrivals, each quantum's codec fields, engine
-    #: spans and counters — are measured (Table-1-class output) or modeled
-    #: (a function of the seed: anything diffed, cached or pinned; async
-    #: scheduling order no longer follows wall-clock noise).
+    #: clocks and barrier arrivals, each quantum's codec fields, and so the
+    #: engine's spans and counters — are measured (Table-1-class output)
+    #: or modeled (a function of the seed: anything diffed, cached or
+    #: pinned; async scheduling order no longer follows wall-clock noise).
     clock: Clock = MEASURED
 
     def __post_init__(self) -> None:
@@ -383,13 +384,29 @@ class EvalResult:
     test_loss: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepLog:
-    """Per-step training telemetry."""
+    """One scheduling quantum as the engine keeps it: its loss and learning
+    rate, and what its telemetry reads after training (``trace_training``
+    in ``telemetry/training.py``).
+
+    ``codec`` is the quantum's codec seconds by plan field as recorded (a
+    modeled clock prices them). A BSP step keeps each computing worker's
+    straggler-scaled barrier ``arrivals`` and, under a parameter service,
+    its push-compression seconds (``compress``: measured, or the modeled
+    push field). An async/SSP update keeps its unit's ``track``, the unit
+    clock it ``started`` at and its observed ``staleness``.
+    """
 
     step: int
     train_loss: float
     learning_rate: float
+    codec: dict[str, float]
+    arrivals: dict[int, float] | None = None
+    compress: dict[int, float] | None = None
+    track: str | None = None
+    started: float = 0.0
+    staleness: int | None = None
 
 
 class _Ledger:
@@ -463,7 +480,7 @@ class _Ledger:
         measured) from the columns. Returns ``(plan, codec)``: ``None``
         for the plan when the run does not record, and the codec seconds
         as *recorded* — a modeled clock prices every codec field of the
-        plan — for the telemetry layout to share."""
+        plan — for the step log to keep."""
         if self.clock.modeled:
             elements = self.numbers[1::4]
             pull = sum(e for e, row in zip(elements, self.rows) if row.phase == "pull")
@@ -481,21 +498,6 @@ class _Ledger:
             tuple(zip(*self.rows)), self.numbers, compute_seconds=compute_seconds,
             **codec, **header,
         ), codec
-
-
-@dataclass
-class _Quantum:
-    """What a strategy hands :meth:`ExchangeEngine.train_step`."""
-
-    #: Global model version the quantum was applied at.
-    step: int
-    loss: float
-    lr: float
-    traffic: StepTraffic
-    #: The recorded plan (``None`` when the run does not record).
-    transmissions: StepTransmissions | UpdateTransmissions | None
-    #: Keyword arguments of the sync family's telemetry emitter.
-    layout: dict
 
 
 class ExchangeEngine:
@@ -524,8 +526,6 @@ class ExchangeEngine:
         scheme: Compressor,
         schedule: Schedule,
         config: EngineConfig | None = None,
-        *,
-        telemetry: Telemetry | None = None,
     ):
         config = config or EngineConfig()
         reason = scheme_incompatibility(config, scheme)
@@ -535,12 +535,6 @@ class ExchangeEngine:
         self.dataset = dataset
         self.scheme = scheme
         self.seeds = SeedSequenceFactory(config.seed)
-        #: Telemetry session (metrics + spans); the shared disabled
-        #: singleton when None, so hot paths gate on one bool.
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # Virtual clock laying synchronous steps end to end on the
-        # telemetry timeline (async modes reuse the per-unit clocks).
-        self._tel_clock = 0.0
 
         self.synchronous = config.synchronous
         batch_stream, augment_stream, pull_prefix = _STREAM_LABELS[self.synchronous]
@@ -687,20 +681,15 @@ class ExchangeEngine:
         The strategy does the exchange; everything that observes a
         finished quantum happens here, once.
         """
-        quantum = self._bsp_step() if self.synchronous else self._async_update()
-        if not math.isfinite(quantum.loss):
-            raise FloatingPointError(self._divergence(quantum.step))
-        self.traffic.record(quantum.traffic)
-        if quantum.transmissions is not None:
+        body = self._bsp_step if self.synchronous else self._async_update
+        log, traffic, transmissions = body()
+        if not math.isfinite(log.train_loss):
+            raise FloatingPointError(self._divergence(log.step))
+        self.traffic.record(traffic)
+        if transmissions is not None:
             recorded = self.transmissions if self.synchronous else self.update_events
-            recorded.append(quantum.transmissions)
+            recorded.append(transmissions)
         self.update_count += 1
-        if self.telemetry.enabled:
-            emit = self._tel_bsp_step if self.synchronous else self._tel_async_update
-            emit(quantum, **quantum.layout)
-        log = StepLog(
-            step=quantum.step, train_loss=quantum.loss, learning_rate=quantum.lr
-        )
         self.step_logs.append(log)
         return log
 
@@ -753,155 +742,9 @@ class ExchangeEngine:
         }
 
     def fault_summary(self) -> dict | None:
-        """Aggregate churn telemetry for results archives (None = no faults)."""
+        """Churn event counts and resync bytes for results archives (None =
+        no faults)."""
         return self.churn.summary(sum(s.resync_bytes for s in self.traffic.steps))
-
-    # -- telemetry ----------------------------------------------------------
-
-    def _tel_metrics(
-        self,
-        quantum: _Quantum,
-        codec_phases: dict[str, float],
-        staleness: int | None = None,
-    ) -> None:
-        """Fold one quantum's traffic record into the registry."""
-        record = quantum.traffic
-        reg = self.telemetry.registry
-        scheme = getattr(self.scheme, "name", type(self.scheme).__name__)
-        reg.counter("wire_bytes", phase="push", scheme=scheme).inc(
-            record.push_bytes
-        )
-        reg.counter("wire_bytes", phase="pull", scheme=scheme).inc(
-            record.pull_bytes_shared
-        )
-        if record.intra_rack_bytes or record.cross_rack_bytes:
-            reg.counter("wire_bytes", link="intra", scheme=scheme).inc(
-                record.intra_rack_bytes
-            )
-            reg.counter("wire_bytes", link="cross", scheme=scheme).inc(
-                record.cross_rack_bytes
-            )
-        reg.counter("messages", phase="push").inc(record.push_messages)
-        reg.counter("messages", phase="pull").inc(record.pull_messages)
-        reg.counter("compute_seconds").inc(record.compute_seconds)
-        for phase, seconds in codec_phases.items():
-            if seconds:
-                reg.counter("codec_seconds", phase=phase).inc(seconds)
-        if staleness is not None:
-            reg.histogram("staleness").observe(staleness)
-        reg.gauge("train_loss").set(quantum.loss)
-        reg.gauge("learning_rate").set(quantum.lr)
-
-    def _tel_bsp_step(
-        self,
-        quantum: _Quantum,
-        *,
-        arrivals: dict[int, float],
-        batches: dict,
-        codec: dict[str, float],
-        stages: dict[str, tuple[str, str]],
-    ) -> None:
-        """Lay one synchronous step on the telemetry virtual clock.
-
-        Per-worker tracks carry compute / compress / barrier-wait spans
-        (the straggler-scaled arrival times the barrier decided on, the
-        recorded codec costs). ``codec`` holds the step's recorded codec
-        seconds by field and ``stages`` each field's ``(track, stage)``.
-        Stages on track ``worker`` run on every worker track in parallel —
-        push compression before the barrier wait, the pull decode closing
-        the step; the others are the step's serial middle (server or
-        collective codec work), one span per stage in field order.
-        """
-        tel = self.telemetry
-        tracer = tel.tracer
-        step = quantum.step
-        codec_phases: dict[str, float] = {}
-        serial: dict[tuple[str, str], float] = {}
-        for field, seconds in codec.items():
-            track, stage = stages[field]
-            codec_phases[stage] = codec_phases.get(stage, 0.0) + seconds
-            if track != "worker":
-                serial[track, stage] = serial.get((track, stage), 0.0) + seconds
-        push_track, push_stage = stages["push_compress_seconds"]
-        pull_track, pull_stage = stages["pull_decompress_seconds"]
-        measured = not self.engine_config.clock.modeled
-        t0 = self._tel_clock
-        barrier = t0 + quantum.traffic.compute_seconds
-        codec_end: dict[int, float] = {}
-        top = barrier
-        for wid in sorted(arrivals):
-            c0 = t0 + arrivals[wid]
-            tracer.span("engine", f"worker{wid}", "compute", t0, c0, step=step)
-            c1 = c0
-            if push_track == "worker":
-                # Each worker's own compression, when measured.
-                c1 += (
-                    batches[wid].compress_seconds
-                    if measured
-                    else codec["push_compress_seconds"]
-                )
-            if c1 > c0:
-                tracer.span("engine", f"worker{wid}", push_stage, c0, c1, step=step)
-            codec_end[wid] = c1
-            top = max(top, c1)
-        for wid, c1 in codec_end.items():
-            if top > c1:
-                tracer.span(
-                    "engine", f"worker{wid}", "push+wait", c1, top, step=step
-                )
-        cursor = top
-        for (track, stage), seconds in serial.items():
-            if seconds > 0:
-                tracer.span(
-                    "engine", track, stage, cursor, cursor + seconds, step=step
-                )
-            cursor += seconds
-        pull = 0.0
-        if pull_track == "worker":
-            pull = codec.get("pull_decompress_seconds", 0.0)
-        if pull > 0:
-            for wid in sorted(arrivals):
-                tracer.span(
-                    "engine", f"worker{wid}", pull_stage, cursor, cursor + pull,
-                    step=step,
-                )
-        cursor += pull
-        self._tel_clock = cursor
-        self._tel_metrics(quantum, codec_phases)
-        tel.snapshot_step(step=step, clock_seconds=cursor)
-
-    def _tel_async_update(
-        self,
-        quantum: _Quantum,
-        *,
-        track: str,
-        t0: float,
-        phases: list[tuple[str, str, float]],
-        staleness: int,
-    ) -> None:
-        """One async/SSP update on the emitting unit's virtual clock.
-
-        The compute span opens at ``t0`` on the unit's own ``track``;
-        ``phases`` are ordered ``(track, name, seconds)`` laid after it.
-        """
-        tel = self.telemetry
-        tracer = tel.tracer
-        update = quantum.traffic.step
-        cursor = t0 + quantum.traffic.compute_seconds
-        tracer.span(
-            "engine", track, "compute", t0, cursor,
-            update=update, staleness=staleness,
-        )
-        codec_phases: dict[str, float] = {}
-        for track, name, seconds in phases:
-            if seconds > 0:
-                tracer.span(
-                    "engine", track, name, cursor, cursor + seconds, update=update
-                )
-            cursor += seconds
-            codec_phases[name] = codec_phases.get(name, 0.0) + seconds
-        self._tel_metrics(quantum, codec_phases, staleness)
-        tel.snapshot_step(update=update, step=quantum.step, clock_seconds=cursor)
 
     # -- the wire ledger -----------------------------------------------------
 
@@ -918,7 +761,7 @@ class ExchangeEngine:
 
     # -- synchronous strategies (BSP) ----------------------------------------
 
-    def _bsp_step(self) -> _Quantum:
+    def _bsp_step(self) -> tuple[StepLog, StepTraffic, StepTransmissions | None]:
         """One BSP step against any synchronous service."""
         step = self.service.global_step
         raw = self.engine_config.wants_raw_gradients
@@ -967,16 +810,22 @@ class ExchangeEngine:
             step=step,
             link_down=link_down,
         )
-        return _Quantum(
-            step=step,
-            loss=float(np.mean([batch.loss for batch in batches.values()])),
-            lr=lr,
-            traffic=ledger.traffic,
-            transmissions=transmissions,
-            layout=dict(
-                arrivals=arrivals, batches=batches, codec=codec, stages=outcome.stages
-            ),
+        compress = None
+        if not raw:
+            modeled = self.engine_config.clock.modeled
+            compress = {
+                wid: codec["push_compress_seconds"] if modeled else b.compress_seconds
+                for wid, b in batches.items()
+            }
+        log = StepLog(
+            step,
+            float(np.mean([batch.loss for batch in batches.values()])),
+            lr,
+            codec,
+            arrivals=arrivals,
+            compress=compress,
         )
+        return log, ledger.traffic, transmissions
 
     # -- event-driven strategies (async / SSP) -------------------------------
 
@@ -1036,7 +885,7 @@ class ExchangeEngine:
         self._pull_step[unit] = self.service.global_step
         return deltas, messages, seconds
 
-    def _async_update(self) -> _Quantum:
+    def _async_update(self) -> tuple[StepLog, StepTraffic, UpdateTransmissions | None]:
         """One unit's asynchronous update against the service.
 
         The unit is a worker, or a rack under ``hier``: the rack steps
@@ -1099,29 +948,16 @@ class ExchangeEngine:
             staleness=staleness,
             clock_seconds=self._clock[unit],
         )
-        track = self.wire.unit_name(unit)
-        return _Quantum(
-            step=step,
-            loss=float(np.mean([b.loss for b in batches])),
-            lr=self.service.schedule(step),
-            traffic=ledger.traffic,
-            transmissions=transmissions,
-            layout=dict(
-                track=track,
-                t0=started,
-                phases=[
-                    (
-                        track,
-                        "rack-pipeline" if hier else "compress",
-                        codec["push_compress_seconds"],
-                    ),
-                    ("server", "apply", codec["server_seconds"]),
-                    ("server", "pull-compress", codec["pull_compress_seconds"]),
-                    (track, "pull-decompress", codec["pull_decompress_seconds"]),
-                ],
-                staleness=staleness,
-            ),
+        log = StepLog(
+            step,
+            float(np.mean([b.loss for b in batches])),
+            self.service.schedule(step),
+            codec,
+            track=self.wire.unit_name(unit),
+            started=started,
+            staleness=staleness,
         )
+        return log, ledger.traffic, transmissions
 
     def max_staleness_observed(self) -> int:
         """Largest local-step lead any worker currently holds (async/SSP)."""

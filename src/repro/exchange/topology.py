@@ -31,10 +31,11 @@ here re-checks one. All services expose the
 relies on: ``state_dict``, ``params``, ``bypassed``, ``schedule``,
 ``global_step``, and one BSP step, ``exchange(batches, accepted)``, which
 answers an :class:`~repro.distributed.server.ExchangeOutcome`. A parameter
-service aggregates the ``accepted`` pushes in that (arrival) order; the
-ring and the rack rings reduce every worker's gradients in rank order.
-Async/SSP updates call a parameter service's ``step`` directly, or
-:meth:`HierarchicalExchangeService.rack_exchange`.
+service aggregates the ``accepted`` pushes in sender-id order (arrival
+decides only who is accepted); the ring and the rack rings reduce every
+worker's gradients in rank order. Async/SSP updates call a parameter
+service's ``step`` directly, or :meth:`HierarchicalExchangeService.rack_exchange`,
+one at a time: their schedule's order is the model under test.
 
 This module also names everything on the wire: :func:`transmission_routes`
 maps each tensor to its route, and a :class:`Wire` posts every exchange
@@ -430,7 +431,6 @@ class RingExchangeService:
         return ExchangeOutcome(
             deltas,
             dict(push_compress_seconds=codec_seconds),
-            self.STAGES,
             link_bytes={0: link_bytes},
             ring_bytes=wire,
         )
@@ -627,7 +627,6 @@ class HierarchicalExchangeService:
         return replace(
             outcome,
             codec={**outcome.codec, "push_compress_seconds": max(pipeline)},
-            stages=self.STAGES,
             link_bytes={rack: link_bytes[rack] for rack in order},
             ring_bytes=ring_bytes,
             down_rack_grads={rack: rack_grads[rack] for rack in sorted(down_racks)},
@@ -658,7 +657,6 @@ class HierarchicalExchangeService:
                 push_compress_seconds=seconds + uplink.compress_seconds,
                 server_decompress_seconds=pull.decompress_seconds,
             ),
-            self.STAGES,
             pushes={rack: uplink.messages},
             link_bytes={rack: link_bytes},
             ring_bytes=wire,

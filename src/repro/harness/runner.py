@@ -29,7 +29,7 @@ from repro.network.timing import StepTimeModel
 from repro.network.bandwidth import LINKS
 from repro.network.traffic import TrafficMeter
 from repro.nn.stats import BackwardTimeline, profile_backward
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, trace_training
 from repro.utils.logging import get_logger
 
 __all__ = ["RunResult", "ExperimentRunner"]
@@ -239,12 +239,6 @@ class ExperimentRunner:
 
         config = self.config
         steps = config.steps_for_fraction(fraction)
-        tel: Telemetry | None = None
-        if config.telemetry:
-            tel = Telemetry()
-            self.telemetry_sessions.append(
-                (f"{scheme_name} @{int(round(100 * fraction))}%", tel)
-            )
         rec_key = None
         recording = None
         if self.replay_cache is not None:
@@ -262,7 +256,6 @@ class ExperimentRunner:
                 scheme,
                 config.schedule(steps),
                 config.engine_config(),
-                telemetry=tel,
             )
             eval_every = max(1, steps // max(1, config.eval_points))
             logger.info(
@@ -281,7 +274,8 @@ class ExperimentRunner:
                 plans=tuple(cluster.transmissions or cluster.update_events),
                 evals=tuple(evals),
                 final=final,
-                loss_curve=tuple(log.train_loss for log in cluster.step_logs),
+                step_logs=tuple(cluster.step_logs),
+                stages=cluster.service.STAGES,
                 traffic=cluster.traffic,
                 synchronous=cluster.synchronous,
                 fault_summary=cluster.fault_summary(),
@@ -295,6 +289,16 @@ class ExperimentRunner:
         final = recording.final
 
         meter = recording.traffic
+        tel: Telemetry | None = None
+        if config.telemetry:
+            # A hit traces its recording exactly as the cold run did.
+            tel = Telemetry()
+            self.telemetry_sessions.append(
+                (f"{scheme_name} @{int(round(100 * fraction))}%", tel)
+            )
+            trace_training(
+                tel, scheme_name, recording.step_logs, meter.steps, recording.stages
+            )
         achieved: dict[str, float] | None = None
         per_worker: dict[str, dict[int, float]] | None = None
         staleness_distribution: dict[int, int] | None = None
@@ -370,7 +374,7 @@ class ExperimentRunner:
             final_accuracy=final.test_accuracy,
             final_loss=final.test_loss,
             eval_curve=recording.evals,
-            loss_curve=recording.loss_curve,
+            loss_curve=tuple(log.train_loss for log in recording.step_logs),
             compression_ratio=meter.compression_ratio(),
             bits_per_value=meter.average_bits_per_value(),
             mean_step_seconds=mean_step,

@@ -21,8 +21,8 @@ training and replays the recorded plans through the simulator.
 
 Simulator output is never stored: every sweep point re-simulates its
 recording (a replay is cheap, and a traced one must emit its spans), so
-a hit's result is bit-identical to a cold run's by construction — but
-for telemetry: a hit trains nothing, so it traces its replay alone.
+a hit's result is bit-identical to a cold run's by construction, telemetry
+included: the engine's spans and metrics are built from the recording.
 Beside the recordings the cache shares backward timelines and tracks
 which recordings already paid their replay extraction. Counters
 (``hits`` / ``misses``) make sweep drivers' savings observable.
@@ -77,8 +77,11 @@ class RecordedTraining:
     evals: tuple
     #: Final global-model evaluation.
     final: Any
-    #: Per-step mean training loss.
-    loss_curve: tuple
+    #: The engine's ``StepLog`` per quantum (losses, and what the engine's
+    #: telemetry reads: arrivals, codec seconds, async clocks).
+    step_logs: tuple
+    #: The service's ``STAGES``: each codec field's telemetry stage.
+    stages: dict
     #: The run's traffic meter (byte/frame accounting for every step).
     traffic: Any
     #: Whether the exchange plan was synchronous (selects the simulator).

@@ -5,11 +5,9 @@ Prometheus-style series name — ``wire_bytes{link=cross,scheme=3lc}`` —
 with labels sorted so the same logical series always lands on the same
 instrument regardless of call-site keyword order.
 
-A disabled registry hands out one shared no-op instrument instead of real
-ones, so instrumented hot paths pay one attribute lookup and an
-empty method call when telemetry is off (the engine and simulators
-additionally gate whole blocks on ``telemetry.enabled`` / a ``None``
-tracer, so replay loops pay nothing at all).
+Nothing on a hot path holds a registry: the engine's series are built
+after training (:func:`~repro.telemetry.training.trace_training`), and
+the simulators gate their tracing on a ``None`` tracer.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "series_key",
 ]
 
@@ -107,25 +104,10 @@ class Histogram:
         }
 
 
-class _NullInstrument:
-    """The one shared no-op counter, gauge and histogram."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    set = observe = inc
-
-
-_NULL = _NullInstrument()
-
-
 class MetricsRegistry:
     """Get-or-create instrument store keyed by labeled series name."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._series: dict[str, Counter | Gauge | Histogram] = {}
 
     def _get(self, cls, key: str):
@@ -140,18 +122,12 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str, **labels) -> Counter:
-        if not self.enabled:
-            return _NULL
         return self._get(Counter, series_key(name, labels))
 
     def gauge(self, name: str, **labels) -> Gauge:
-        if not self.enabled:
-            return _NULL
         return self._get(Gauge, series_key(name, labels))
 
     def histogram(self, name: str, **labels) -> Histogram:
-        if not self.enabled:
-            return _NULL
         return self._get(Histogram, series_key(name, labels))
 
     def snapshot(self) -> dict:
@@ -165,6 +141,3 @@ class MetricsRegistry:
             else:
                 counters[key] = instrument.value
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-NULL_REGISTRY = MetricsRegistry(enabled=False)

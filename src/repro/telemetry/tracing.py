@@ -29,7 +29,7 @@ from array import array
 from types import MappingProxyType
 from typing import NamedTuple
 
-__all__ = ["NULL_TRACER", "Span", "Tracer"]
+__all__ = ["Span", "Tracer"]
 
 _INF = float("inf")
 #: Arg types whose ``==`` is their JSON identity (unlike ``1 == 1.0 == True``).
@@ -52,10 +52,9 @@ class Span(NamedTuple):
 
 
 class Tracer:
-    """Collects spans as rows; disabled instances ignore every call."""
+    """Collects spans as rows."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self.tracks: dict[tuple[str, str], int] = {}
         self._names: dict[str, str] = {}
         self._shared_args: dict[tuple, dict] = {}
@@ -70,8 +69,6 @@ class Tracer:
         self, group: str, track: str, name: str, start: float, end: float, **args
     ) -> None:
         """Record a completed span with explicit (simulated) timestamps."""
-        if not self.enabled:
-            return
         start, end = float(start), float(end)
         if not -_INF < start <= end < _INF:
             finite = -_INF < start < _INF and -_INF < end < _INF
@@ -90,16 +87,12 @@ class Tracer:
 
     def begin(self, group: str, track: str, name: str, start: float, **args) -> None:
         """Open a nested span at simulated time ``start``."""
-        if not self.enabled:
-            return
         if not -_INF < start < _INF:
             raise ValueError(f"span {group}/{track}/{name} begins at {start}")
         self._open.setdefault((group, track), []).append((name, start, args))
 
     def end(self, group: str, track: str, end: float) -> None:
         """Close the innermost open span on ``(group, track)``."""
-        if not self.enabled:
-            return
         stack = self._open.get((group, track))
         if not stack:
             raise RuntimeError(f"end() on {group}/{track} with no open span")
@@ -145,6 +138,3 @@ class Tracer:
         """Total span duration per (group, track) — the trace's own
         occupancy accounting, comparable against simulator link_busy."""
         return {key: busy for key, _, busy in self.track_totals()}
-
-
-NULL_TRACER = Tracer(enabled=False)

@@ -22,12 +22,12 @@ The second half checks that the recording is an *observer*: switching
 and on the point-to-point tiers the recorded bytes and frames add up to
 what the meter counted.
 
-``golden_engine_telemetry.json`` pins what the engine tells telemetry
-about the same runs: every engine span (track, name, start, end, args —
-the per-worker compute / compress / push+wait spans, the server,
-``allreduce+codec`` and ``rack-pipeline`` stages, the pull decodes) and
-the last metric snapshot. Telemetry is an observer too: a traced run's
-ledger equals the untraced one.
+``golden_engine_telemetry.json`` pins the engine telemetry
+:func:`~repro.telemetry.trace_training` builds from the same finished
+runs: every engine span (track, name, start, end, args — the per-worker
+compute / compress / push+wait spans, the server, ``allreduce+codec`` and
+``rack-pipeline`` stages, the pull decodes) and the last metric snapshot.
+Tracing reads a run and leaves its ledger as it was.
 
 Regenerate both (after an *intentional* change) by running this file as
 a script: ``PYTHONPATH=src python tests/exchange/test_golden_ledger.py``.
@@ -48,7 +48,7 @@ from repro.exchange import Clock, ExchangeEngine
 from repro.harness.config import FAST_CONFIG
 from repro.netsim import TransmissionRecord
 from repro.network.traffic import StepTraffic
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, trace_training
 
 GOLDEN_PATH = Path(__file__).parent / "golden_ledger.json"
 TELEMETRY_PATH = Path(__file__).parent / "golden_engine_telemetry.json"
@@ -196,9 +196,7 @@ def cell_config(cell: str):
     return config, scheme
 
 
-def run_cell(
-    cell: str, *, record: bool = True, clock: Clock = CLOCK, traced: bool = False
-) -> ExchangeEngine:
+def run_cell(cell: str, *, record: bool = True, clock: Clock = CLOCK) -> ExchangeEngine:
     config, scheme = cell_config(cell)
     engine = ExchangeEngine(
         config.model_factory(),
@@ -206,7 +204,6 @@ def run_cell(
         make_compressor(scheme, seed=config.scheme_seed),
         config.schedule(QUANTA),
         replace(config.engine_config(), record_transmissions=record, clock=clock),
-        telemetry=Telemetry() if traced else None,
     )
     engine.train(QUANTA)
     return engine
@@ -259,8 +256,16 @@ def ledger(engine: ExchangeEngine) -> list[dict]:
 
 
 def engine_telemetry(engine: ExchangeEngine) -> dict:
-    """The engine's spans as JSON-ready rows, and its last metric snapshot."""
-    tel = engine.telemetry
+    """The engine's spans as JSON-ready rows, and its last metric snapshot,
+    traced from the finished run."""
+    tel = Telemetry()
+    trace_training(
+        tel,
+        engine.scheme.name,
+        engine.step_logs,
+        engine.traffic.steps,
+        engine.service.STAGES,
+    )
     assert {span.group for span in tel.tracer.spans} == {"engine"}
     return {
         "spans": [
@@ -287,12 +292,6 @@ def recorded_engine(cell: str) -> ExchangeEngine:
     return run_cell(cell)
 
 
-@functools.cache
-def traced_engine(cell: str) -> ExchangeEngine:
-    """The same recorded run with telemetry on."""
-    return run_cell(cell, traced=True)
-
-
 @pytest.mark.parametrize("cell", CELLS)
 class TestGoldenLedger:
     def test_ledger_matches_snapshot(self, cell, golden):
@@ -310,7 +309,7 @@ class TestGoldenLedger:
         assert traffic_rows(plain) == traffic_rows(recorded)
 
     def test_engine_telemetry_matches_snapshot(self, cell, golden_telemetry):
-        got = engine_telemetry(traced_engine(cell))
+        got = engine_telemetry(recorded_engine(cell))
         want = golden_telemetry[cell]
         for index, (span, expected) in enumerate(zip(got["spans"], want["spans"])):
             args = expected[4]
@@ -320,7 +319,10 @@ class TestGoldenLedger:
         assert got["snapshot"] == want["snapshot"], f"{cell}: final metric snapshot"
 
     def test_telemetry_is_an_observer(self, cell):
-        assert ledger(traced_engine(cell)) == ledger(recorded_engine(cell))
+        engine = recorded_engine(cell)
+        before = ledger(engine)
+        engine_telemetry(engine)
+        assert ledger(engine) == before
 
 
 # Ring records are per-link by design (tests/netsim pins that relation).
@@ -417,7 +419,7 @@ if __name__ == "__main__":  # regenerate the snapshot
 
     lines = ["{"]
     for c, cell in enumerate(CELLS):
-        pinned = engine_telemetry(run_cell(cell, traced=True))
+        pinned = engine_telemetry(run_cell(cell))
         lines.append(f'  {json.dumps(cell)}: {{"spans": [')
         lines.extend(
             "   " + json.dumps(span) + ("," if s < len(pinned["spans"]) - 1 else "")

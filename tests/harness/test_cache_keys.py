@@ -250,7 +250,7 @@ def _recording(config: ExperimentConfig):
         replace(step, compute_seconds=0.0, codec_seconds=0.0)
         for step in recording.traffic.steps
     ]
-    return recording.plans, recording.loss_curve, traffic
+    return recording.plans, recording.step_logs, traffic
 
 
 class TestSimOnlyFieldsShareARecording:
@@ -259,13 +259,13 @@ class TestSimOnlyFieldsShareARecording:
 
     def test_perturbing_them_leaves_the_recording_identical(self):
         """Hier BSP is bit-reproducible, so what the sim-only knobs share
-        can be checked exactly: records, losses and traffic bytes."""
-        plans, losses, traffic = _recording(BASE)
+        can be checked exactly: records, step logs and traffic bytes."""
+        plans, logs, traffic = _recording(BASE)
         assert len(plans) == 4 and sum(s.wire_bytes for s in traffic) > 0
         for name in ExperimentRunner._SIM_ONLY_CANONICAL:
             got = _recording(_perturbed(name)[1])
             assert got[0] == plans, name
-            assert got[1] == losses, name
+            assert got[1] == logs, name
             assert got[2] == traffic, name
 
 

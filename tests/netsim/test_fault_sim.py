@@ -40,7 +40,7 @@ from repro.network.bandwidth import link
 from repro.network.timing import StepTimeModel
 from repro.nn import CosineDecay, build_resnet
 from repro.nn.stats import profile_backward
-from repro.telemetry import Telemetry, Tracer
+from repro.telemetry import Telemetry, Tracer, trace_training
 from repro.telemetry.export import chrome_trace, write_chrome_trace
 from repro.telemetry.validate import validate_chrome_trace
 
@@ -75,14 +75,12 @@ def train_faulted(topology, fault, steps=6, **extra):
     if topology == "hier":
         kwargs.update(racks=2, rack_size=2)
     kwargs.update(extra)
-    telemetry = kwargs.pop("telemetry", None)
     engine = ExchangeEngine(
         lambda: build_resnet(8, base_width=4, seed=7),
         _dataset(),
         make_compressor("3LC (s=1.00)", seed=0),
         CosineDecay(0.05, steps),
         EngineConfig(**kwargs),
-        telemetry=telemetry,
     )
     engine.train(steps)
     return engine
@@ -342,15 +340,14 @@ class TestTracedFaultedRuns:
         assert validate_chrome_trace(data) == []
 
     def test_aborted_run_leaves_no_dangling_spans(self):
-        """Training that dies mid-run (every worker gone) must not leave
-        the tracer un-exportable: all engine spans are emitted completed,
-        so check_closed holds even on the abort path."""
+        """Training that dies mid-run (every worker gone) keeps the step
+        logs of the quanta it finished: tracing them leaves no span open,
+        so the trace exports even on the abort path."""
         fault = FaultSpec(
             crashes=tuple(
                 WorkerCrash(worker=w, step=2, down_steps=2) for w in range(4)
             ),
         )
-        tel = Telemetry()
         engine = ExchangeEngine(
             lambda: build_resnet(8, base_width=4, seed=7),
             _dataset(),
@@ -360,10 +357,18 @@ class TestTracedFaultedRuns:
                 num_workers=4, batch_size=8, shard_size=64, seed=0,
                 topology="single", fault=fault,
             ),
-            telemetry=tel,
         )
         with pytest.raises(RuntimeError, match="no live workers"):
             engine.train(6)
+        tel = Telemetry()
+        trace_training(
+            tel,
+            engine.scheme.name,
+            engine.step_logs,
+            engine.traffic.steps,
+            engine.service.STAGES,
+        )
+        assert len(tel.step_snapshots) == len(engine.step_logs) == 2
         tel.tracer.check_closed()
         trace = chrome_trace([("aborted", tel)])
         assert validate_chrome_trace(trace) == []

@@ -5,8 +5,8 @@ hit/miss counters, the recording and timeline levels) and through the
 harness: sweep points differing only in simulation-only knobs share one
 training recording, while anything recording-relevant — scheme, step
 budget, fusion bucket capacity, topology — invalidates it. A recording
-hit re-simulates, and its result is byte-identical to a cold run's (a
-traced hit's telemetry holds the replay's spans alone).
+hit re-simulates, and its result is byte-identical to a cold run's,
+telemetry included.
 """
 
 import json
@@ -32,7 +32,8 @@ def make_recording(tag: str) -> RecordedTraining:
         plans=(tag,),
         evals=(),
         final=None,
-        loss_curve=(),
+        step_logs=(),
+        stages={},
         traffic=None,
         synchronous=True,
     )
@@ -143,16 +144,18 @@ class TestRecordingHitIsAColdRun:
     @pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "traced"])
     @pytest.mark.parametrize(
         "cell",
-        [{}, dict(sync_mode="async"), dict(sync_mode="ssp", staleness=0)],
-        ids=["bsp", "async", "ssp0"],
+        [
+            {},
+            dict(sync_mode="async"),
+            dict(sync_mode="ssp", staleness=0),
+            dict(topology="hier", num_workers=4, racks=2, rack_size=2),
+        ],
+        ids=["bsp", "async", "ssp0", "hier"],
     )
     def test_hit_after_a_sim_only_repoint_matches_a_cold_run(self, cell, telemetry):
         """A sim-only re-point served from a shared cache's recording and
-        the same point run cold give the same archive, byte for byte.
-
-        A traced hit trains nothing, so its telemetry holds the replay's
-        ``sim:`` spans alone: exactly the cold run's ``sim:`` spans.
-        """
+        the same point run cold give the same archive, byte for byte, and
+        a traced pair the same per-quantum metric snapshots."""
         config = FAST_CONFIG.scaled(
             clock=MODELED, sim_overlap=True, standard_steps=4, telemetry=telemetry,
             **cell,
@@ -163,16 +166,21 @@ class TestRecordingHitIsAColdRun:
         )
         cache = SweepReplayCache()
         first = ExperimentRunner(config, cache).run("3LC (s=1.00)")
-        hit = run_result_to_dict(ExperimentRunner(repoint, cache).run("3LC (s=1.00)"))
+        hit_runner = ExperimentRunner(repoint, cache)
+        cold_runner = ExperimentRunner(repoint)
+        hit = run_result_to_dict(hit_runner.run("3LC (s=1.00)"))
         assert cache.recording_hits == 1
         assert hit["total_seconds"] != first.total_seconds
-        cold = run_result_to_dict(ExperimentRunner(repoint).run("3LC (s=1.00)"))
-        if telemetry:
-            spans = cold.pop("telemetry_summary")["spans"]
-            traced = hit.pop("telemetry_summary")
-            assert traced == {
-                "counters": {}, "gauges": {}, "histograms": {},
-                "spans": {k: v for k, v in spans.items() if k.startswith("sim:")},
-            }
-            assert traced["spans"]
+        cold = run_result_to_dict(cold_runner.run("3LC (s=1.00)"))
         assert json.dumps(hit) == json.dumps(cold)
+        snapshots = [
+            [session.step_snapshots for _, session in runner.telemetry_sessions]
+            for runner in (hit_runner, cold_runner)
+        ]
+        assert json.dumps(snapshots[0]) == json.dumps(snapshots[1])
+        if telemetry:
+            summary = hit["telemetry_summary"]
+            assert summary["counters"] and summary["gauges"]
+            assert any(track.startswith("engine/") for track in summary["spans"])
+            assert any(track.startswith("sim:") for track in summary["spans"])
+            assert len(snapshots[0][0]) == 4

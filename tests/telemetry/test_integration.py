@@ -28,7 +28,7 @@ from repro.network.bandwidth import link
 from repro.network.timing import StepTimeModel
 from repro.nn import CosineDecay, build_resnet
 from repro.nn.stats import profile_backward
-from repro.telemetry import Telemetry, Tracer, tracing
+from repro.telemetry import Telemetry, Tracer, trace_training, tracing
 from repro.telemetry.export import chrome_trace
 from repro.telemetry.validate import validate_chrome_trace
 
@@ -188,9 +188,21 @@ class TestSpanUtilizationParity:
             assert step_starts[later] >= step_starts[earlier]
 
 
+def engine_telemetry(engine) -> Telemetry:
+    """A finished engine run's telemetry, traced from its step logs."""
+    tel = Telemetry()
+    trace_training(
+        tel,
+        engine.scheme.name,
+        engine.step_logs,
+        engine.traffic.steps,
+        engine.service.STAGES,
+    )
+    return tel
+
+
 class TestEngineTelemetry:
     def test_bsp_hier_metrics_and_spans(self):
-        tel = Telemetry()
         dataset = SyntheticImageDataset(DatasetSpec(image_size=12, seed=0))
         engine = ExchangeEngine(
             lambda: build_resnet(8, base_width=4, seed=1),
@@ -201,9 +213,9 @@ class TestEngineTelemetry:
                 num_workers=4, batch_size=8, shard_size=64, seed=0,
                 topology="hier", racks=2, rack_size=2,
             ),
-            telemetry=tel,
         )
         engine.train(3)
+        tel = engine_telemetry(engine)
         summary = tel.summary()
         counters = summary["counters"]
         assert counters["messages{phase=push}"] > 0
@@ -217,7 +229,6 @@ class TestEngineTelemetry:
         assert validate_chrome_trace(data) == []
 
     def test_async_updates_traced(self):
-        tel = Telemetry()
         dataset = SyntheticImageDataset(DatasetSpec(image_size=12, seed=0))
         engine = ExchangeEngine(
             lambda: build_resnet(8, base_width=4, seed=1),
@@ -228,9 +239,9 @@ class TestEngineTelemetry:
                 num_workers=2, batch_size=8, shard_size=64, seed=0,
                 sync_mode="async",
             ),
-            telemetry=tel,
         )
         engine.train(4)
+        tel = engine_telemetry(engine)
         summary = tel.summary()
         assert summary["histograms"]["staleness"]["count"] > 0
         assert any(t.startswith("engine/worker") for t in summary["spans"])
@@ -241,7 +252,6 @@ class TestEngineTelemetry:
         """With stragglers, a step's traced compute spans carry the same
         per-step multipliers its barrier decided on: the slowest worker's
         compute span is exactly the step's charged compute time."""
-        tel = Telemetry()
         config = FAST_CONFIG.scaled(
             model_family="mlp",
             num_workers=4,
@@ -254,9 +264,9 @@ class TestEngineTelemetry:
             make_compressor("3LC (s=1.00)", seed=0),
             config.schedule(3),
             replace(config.engine_config(), clock=Clock(compute_seconds=0.01)),
-            telemetry=tel,
         )
         engine.train(3)
+        tel = engine_telemetry(engine)
         charged = [traffic.compute_seconds for traffic in engine.traffic.steps]
         assert len(set(charged)) == 3  # the multipliers do vary by step
         for traffic in engine.traffic.steps:
@@ -269,19 +279,6 @@ class TestEngineTelemetry:
             start = spans[0].start
             assert all(span.start == start for span in spans)
             assert max(span.end for span in spans) == start + traffic.compute_seconds
-
-    def test_disabled_by_default(self):
-        dataset = SyntheticImageDataset(DatasetSpec(image_size=12, seed=0))
-        engine = ExchangeEngine(
-            lambda: build_resnet(8, base_width=4, seed=1),
-            dataset,
-            make_compressor("3LC (s=1.00)", seed=0),
-            CosineDecay(0.05, 2),
-            EngineConfig(num_workers=2, batch_size=8, shard_size=64, seed=0),
-        )
-        engine.train(2)
-        assert not engine.telemetry.enabled
-        assert engine.telemetry.summary()["counters"] == {}
 
 
 class TestRunnerTelemetry:
@@ -328,9 +325,8 @@ class TestRunnerTelemetry:
     @pytest.mark.parametrize("clock", [MEASURED, MODELED])
     def test_telemetry_off_leaves_result_bare(self, monkeypatch, clock):
         # Off must be free of span rows, not merely of output: count the
-        # rows every tracer (the shared disabled one included) appends
-        # during the run.
-        tracers = [tracing.NULL_TRACER]
+        # rows every tracer appends during the run.
+        tracers = []
         real_init = tracing.Tracer.__init__
 
         def counted_init(self, *args, **kwargs):
@@ -349,7 +345,6 @@ class TestRunnerTelemetry:
         assert result.telemetry_summary is None
         assert runner.telemetry_sessions == []
         assert rows_appended() == 0
-        assert tracing.NULL_TRACER.spans == []
         # The counter does see a live tracer's rows.
         Tracer().span("g", "t", "n", 0.0, 1.0)
         assert rows_appended() == 1

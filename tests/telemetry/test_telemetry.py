@@ -7,9 +7,6 @@ import tracemalloc
 import pytest
 
 from repro.telemetry import (
-    NULL_REGISTRY,
-    NULL_TELEMETRY,
-    NULL_TRACER,
     MetricsRegistry,
     Span,
     Telemetry,
@@ -72,17 +69,6 @@ class TestMetricsRegistry:
         reg.counter("x")
         with pytest.raises(TypeError):
             reg.gauge("x")
-
-    def test_disabled_registry_is_noop(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("wire_bytes", phase="push").inc(10)
-        reg.gauge("g").set(1.0)
-        reg.histogram("h").observe(1.0)
-        snap = reg.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
-        # No-op instruments are shared singletons: no per-call allocation.
-        assert reg.counter("a") is reg.counter("b")
-        assert NULL_REGISTRY.snapshot()["counters"] == {}
 
 
 class TestTracer:
@@ -229,15 +215,6 @@ class TestTracer:
         assert busy[("sim", "link:a")] == pytest.approx(1.5)
         assert busy[("sim", "link:b")] == pytest.approx(0.25)
 
-    def test_disabled_tracer_records_nothing(self):
-        tr = Tracer(enabled=False)
-        tr.span("g", "t", "n", 0.0, 1.0)
-        tr.begin("g", "t", "n", 0.0)
-        tr.end("g", "t", 1.0)
-        assert tr.spans == []
-        tr.check_closed()
-        assert NULL_TRACER.spans == []
-
 
 class TestChromeExport:
     def _tracer(self):
@@ -337,10 +314,3 @@ class TestTelemetrySession:
             "busy_seconds": pytest.approx(1.5),
         }
         assert json.dumps(summary)  # JSON-ready for results_io
-
-    def test_null_telemetry_is_disabled(self):
-        assert not NULL_TELEMETRY.enabled
-        NULL_TELEMETRY.registry.counter("x").inc(1)
-        NULL_TELEMETRY.snapshot_step(step=0)
-        assert NULL_TELEMETRY.step_snapshots == []
-        assert NULL_TELEMETRY.summary()["counters"] == {}
