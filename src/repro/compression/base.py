@@ -168,32 +168,21 @@ class Compressor(abc.ABC):
     def decompress(self, message: WireMessage) -> np.ndarray:
         """Decode a wire message. Receivers carry no cross-step state."""
 
-    def compress_batch(self, items) -> list[CompressionResult | None]:
-        """Run many ``(context, tensor)`` pairs of this scheme's contexts.
-
-        Always ``[context.compress(tensor) for context, tensor in items]``,
-        result for result; a scheme whose codec vectorizes across tensors
-        overrides this to do it in fewer passes.
-        """
-        return [context.compress(tensor) for context, tensor in items]
-
-    def decompress_batch(self, messages) -> list[np.ndarray]:
-        """Decode many wire messages: ``[self.decompress(m) for m in messages]``."""
-        return [self.decompress(message) for message in messages]
-
     def round_trip(self, items) -> tuple[list[np.ndarray], list[int]]:
         """One ring hop: ``(context, tensor)`` pairs in; what each receiver
         decodes from the wire, as float32, and each frame's size out. A
         scheme may override it to skip the frame objects."""
-        results = self.compress_batch(items)
+        results = [context.compress(tensor) for context, tensor in items]
         if any(result is None for result in results):
             raise ValueError(
                 f"{self.name!r} deferred a hop transmission; "
                 "schedule-changing schemes cannot run on a ring"
             )
-        received = self.decompress_batch([result.message for result in results])
-        sizes = [result.wire_size for result in results]
-        return [np.asarray(tensor, dtype=np.float32) for tensor in received], sizes
+        received = [
+            np.asarray(self.decompress(result.message), dtype=np.float32)
+            for result in results
+        ]
+        return received, [result.wire_size for result in results]
 
     def make_bypass_context(
         self, shape: tuple[int, ...], *, key: tuple[object, ...] = ()
@@ -234,7 +223,7 @@ class Compressor(abc.ABC):
             if lossy
             else self.make_bypass_context(shape, key=key)
         )
-        return FusedBucketContext(bucket, inner, self if lossy else None)
+        return FusedBucketContext(bucket, inner)
 
     def decompress_fused(self, message, *, lossy: bool = False) -> np.ndarray:
         """Decode a fused frame to the flat bucket (one codec call).

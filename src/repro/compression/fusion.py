@@ -58,7 +58,6 @@ __all__ = [
     "build_fusion_plan",
     "WireFrame",
     "FusedBucketContext",
-    "compress_fused_batch",
     "split_bucket",
     "bucket_label",
     "WireStream",
@@ -263,29 +262,24 @@ class FusedBucketContext:
     per-tensor path would have done for each member individually.
     """
 
-    def __init__(self, bucket: Bucket, inner, compressor=None) -> None:
+    def __init__(self, bucket: Bucket, inner) -> None:
         self.bucket = bucket
         self.inner = inner
-        #: The scheme whose ``compress_batch`` may run ``inner`` beside other
-        #: buckets' contexts; ``None`` for a bypass context, which runs alone.
-        self.compressor = compressor
         if tuple(inner.shape) != (bucket.total_elements,):
             raise ValueError(
                 f"inner context shape {inner.shape} != bucket flat shape "
                 f"({bucket.total_elements},)"
             )
 
-    def flatten(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
-        """The bucket members, concatenated flat in bucket order."""
-        return np.concatenate(
+    def compress(self, tensors: dict[str, np.ndarray]) -> WireFrame | None:
+        """Concatenate the bucket members and compress them in one call."""
+        flat = np.concatenate(
             [
                 np.asarray(tensors[name], dtype=np.float32).reshape(-1)
                 for name in self.bucket.names
             ]
         )
-
-    def frame(self, result) -> WireFrame | None:
-        """Wrap the inner context's result (``None``: the bucket deferred)."""
+        result = self.inner.compress(flat)
         if result is None:
             return None
         message = FusedWireMessage(inner=result.message, shapes=self.bucket.shapes)
@@ -295,10 +289,6 @@ class FusedBucketContext:
             split_bucket(result.reconstruction, self.bucket),
         )
 
-    def compress(self, tensors: dict[str, np.ndarray]) -> WireFrame | None:
-        """Concatenate the bucket members and compress them in one call."""
-        return self.frame(self.inner.compress(self.flatten(tensors)))
-
     def residual_norm(self) -> float:
         return self.inner.residual_norm()
 
@@ -307,35 +297,6 @@ class FusedBucketContext:
 
     def load_state(self, state: dict) -> None:
         self.inner.load_state(state)
-
-
-def compress_fused_batch(items) -> list[WireFrame | None]:
-    """Compress many ``(FusedBucketContext, tensors)`` pairs in one pass.
-
-    Semantically ``[ctx.compress(tensors) for ctx, tensors in items]``, but
-    the buckets compressed by one scheme's own codec go through that
-    scheme's :meth:`~repro.compression.base.Compressor.compress_batch` —
-    for 3LC one quantization, one quartic and one zero-run pass across all
-    buckets of the step instead of one per bucket. Exact-mode buckets (the
-    float32 bypass) compress on their own; results come back in input
-    order, bit-identical to the per-bucket path either way.
-    """
-    items = list(items)
-    inner_results = [None] * len(items)
-    # scheme -> (positions, (inner context, flat bucket) pairs) of its buckets
-    batches: dict[object, tuple[list[int], list[tuple]]] = {}
-    for pos, (ctx, tensors) in enumerate(items):
-        flat = ctx.flatten(tensors)
-        if ctx.compressor is None:
-            inner_results[pos] = ctx.inner.compress(flat)
-        else:
-            positions, pairs = batches.setdefault(ctx.compressor, ([], []))
-            positions.append(pos)
-            pairs.append((ctx.inner, flat))
-    for compressor, (positions, pairs) in batches.items():
-        for pos, result in zip(positions, compressor.compress_batch(pairs)):
-            inner_results[pos] = result
-    return [ctx.frame(result) for (ctx, _), result in zip(items, inner_results)]
 
 
 def bucket_label(index: int) -> str:
@@ -409,12 +370,8 @@ class WireStream:
                 if result is None
                 else WireFrame((name,), result.message, {name: result.reconstruction})
             )
-        # One vectorized codec pass across all of this step's buckets
-        # (bit-identical to per-bucket compression).
-        fused = compress_fused_batch(
-            (self.contexts[label], tensors) for label in self._buckets
-        )
-        frames.update(zip(self._buckets, fused))
+        for label in self._buckets:
+            frames[label] = self.contexts[label].compress(tensors)
         return frames
 
     def decode_tensor(self, name: str, message) -> np.ndarray:

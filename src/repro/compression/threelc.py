@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, CompressionResult
-from repro.core.codec import (
-    CompressionContext,
-    ThreeLCCodec,
-    compress_context_batch,
-    round_trip_context_batch,
-)
+from repro.compression.base import Compressor
+from repro.core.codec import CompressionContext, ThreeLCCodec, round_trip_context_batch
 from repro.core.packets import WireMessage
 
 __all__ = ["ThreeLCCompressor"]
@@ -56,15 +51,9 @@ class ThreeLCCompressor(Compressor):
     ) -> CompressionContext:
         return CompressionContext(shape, self.codec, error_feedback=self.error_feedback)
 
-    def compress_batch(self, items) -> list[CompressionResult]:
-        return compress_context_batch(items)
-
     def round_trip(self, items) -> tuple[list[np.ndarray], list[int]]:
         # Frame-free: flat passes over the hop, no message per send.
         return round_trip_context_batch(items)
 
     def decompress(self, message: WireMessage) -> np.ndarray:
         return self.codec.decompress(message)
-
-    def decompress_batch(self, messages) -> list[np.ndarray]:
-        return self.codec.decompress_batch(messages)

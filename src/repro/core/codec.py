@@ -35,7 +35,6 @@ __all__ = [
     "ThreeLCCodec",
     "CompressionContext",
     "CompressionResult",
-    "compress_context_batch",
     "round_trip_context_batch",
     "pack_ternary",
     "unpack_ternary",
@@ -236,35 +235,6 @@ class ThreeLCCodec:
     #: The array-level decode core, :meth:`encode`'s inverse.
     decode = staticmethod(unpack_ternary)
 
-    def compress_batch(self, tensors) -> list[CompressionResult]:
-        """Compress many tensors with one vectorized codec pass.
-
-        Equivalent to ``[self.compress(t) for t in tensors]`` — each
-        result's message and reconstruction are bit-identical to the
-        per-tensor path: quantization, quartic packing and zero-run
-        encoding each run as one NumPy pass over all tensors (no run
-        crosses a tensor boundary), and only the framing is per tensor.
-        This is the batched-codec contract the fused engine hot paths and
-        the ring's lockstep hops rely on.
-        """
-        arrs = [np.asarray(t, dtype=self.dtype) for t in tensors]
-        if not arrs:
-            return []
-        lengths = np.array([a.size for a in arrs], dtype=np.intp)
-        packed, byte_offsets, scales, recon = self.encode(
-            np.concatenate([a.reshape(-1) for a in arrs]), lengths
-        )
-        payload = packed.tobytes()
-        cuts = byte_offsets.tolist()
-        starts = np.concatenate(([0], np.cumsum(lengths))).tolist()
-        return [
-            CompressionResult(
-                self._frame(arr.shape, payload[cuts[i] : cuts[i + 1]], scale),
-                recon[starts[i] : starts[i + 1]].reshape(arr.shape),
-            )
-            for i, (arr, scale) in enumerate(zip(arrs, scales.tolist()))
-        ]
-
     def decompress(self, message: WireMessage) -> np.ndarray:
         """Decode a wire message back to a dense tensor (``M · Q``)."""
         if message.codec_id not in (CodecId.THREELC, CodecId.THREELC_NO_ZRE):
@@ -272,39 +242,6 @@ class ThreeLCCodec:
         (scale,) = message.checked_scalars(1, nonnegative=True)
         zre = message.codec_id is CodecId.THREELC
         return unpack_frame(message, scale, zre, message.dtype)
-
-    def decompress_batch(self, messages) -> list[np.ndarray]:
-        """Decode many wire messages with one vectorized pass.
-
-        Equivalent to ``[self.decompress(m) for m in messages]``, bit for
-        bit: one :meth:`decode` covers every frame of a dtype. Each frame is
-        still checked on its own (codec id, scale, decoded length against
-        its element count, byte range), and a bad one raises the
-        ``ValueError`` :meth:`decompress` would, prefixed with the frame's
-        position. The arrays returned are views of one buffer per dtype.
-        """
-        messages = list(messages)
-        if not messages:
-            return []
-        scales = []
-        for i, message in enumerate(messages):
-            if message.codec_id not in (CodecId.THREELC, CodecId.THREELC_NO_ZRE):
-                raise ValueError(
-                    f"frame {i}: not a 3LC message: {message.codec_id!r}"
-                )
-            try:
-                scales.extend(message.checked_scalars(1, nonnegative=True))
-            except ValueError as error:
-                raise ValueError(f"frame {i}: {error}") from None
-        counts = np.array([m.element_count for m in messages], dtype=np.intp)
-        offsets = np.concatenate(([0], np.cumsum([len(m.payload) for m in messages])))
-        zre = np.array([m.codec_id is CodecId.THREELC for m in messages])
-        frames = (
-            np.frombuffer(b"".join(m.payload for m in messages), dtype=np.uint8),
-            offsets, counts, scales, None if zre.all() else zre,
-        )
-        decoded_as = {d: self.decode(*frames, d) for d in {m.dtype for m in messages}}
-        return [decoded_as[m.dtype][i].reshape(m.shape) for i, m in enumerate(messages)]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -382,44 +319,6 @@ class CompressionContext:
         self.buffer.load_residual(state["residual"])
 
 
-def compress_context_batch(items) -> list[CompressionResult]:
-    """Run many ``(CompressionContext, tensor)`` pairs as batched codec calls.
-
-    Semantically ``[ctx.compress(t) for ctx, t in items]`` — each context's
-    error-feedback cycle (accumulate → compress → store residual) runs
-    against its own buffer, so reordering the codec work across contexts
-    cannot change any result — but contexts sharing a codec funnel into one
-    :meth:`ThreeLCCodec.compress_batch` call. Contexts with distinct codecs
-    batch per codec; results come back in input order, bit-identical to the
-    per-context path.
-    """
-    items = list(items)
-    corrected: list[np.ndarray] = []
-    by_codec: dict[int, tuple[ThreeLCCodec, list[int]]] = {}
-    for pos, (ctx, tensor) in enumerate(items):
-        arr = np.asarray(tensor, dtype=ctx.codec.dtype)
-        if arr.shape != ctx.shape:
-            raise ValueError(f"context shape {ctx.shape}, tensor {arr.shape}")
-        if ctx.buffer is not None:
-            # No copy: the batch concatenates the live sums it reads.
-            arr = ctx.buffer.accumulate(arr)
-        corrected.append(arr)
-        entry = by_codec.get(id(ctx.codec))
-        if entry is None:
-            by_codec[id(ctx.codec)] = (ctx.codec, [pos])
-        else:
-            entry[1].append(pos)
-    results: list[CompressionResult | None] = [None] * len(items)
-    for codec, positions in by_codec.values():
-        batch = codec.compress_batch([corrected[p] for p in positions])
-        for pos, result in zip(positions, batch):
-            results[pos] = result
-    for (ctx, _), result in zip(items, results):
-        if ctx.buffer is not None:
-            ctx.buffer.subtract(result.reconstruction)
-    return results
-
-
 class _Hop:
     """Contexts that travel together, laid out once: with error feedback
     their residuals move, values unchanged, into consecutive slices of one
@@ -449,9 +348,10 @@ class _Hop:
 def round_trip_context_batch(items) -> tuple[list[np.ndarray], list[int]]:
     """Send ``(CompressionContext, tensor)`` pairs of one codec and decode them.
 
-    Bit for bit the tensors and ``wire_size`` values that
-    :func:`compress_context_batch` and a ``decompress_batch`` of its messages
-    give, from one pass per stage and no frame object. Tensors are arrays.
+    The tensors and ``wire_size`` values that each context's ``compress``
+    and a ``decompress`` of its message give, bit for bit but for the sign
+    of an all-zero segment's zeros, from one pass per stage over the whole
+    hop and no frame object. Tensors are arrays.
     """
     items = list(items)
     if not items:

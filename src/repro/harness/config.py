@@ -15,6 +15,7 @@ family, optimizer, schedule, and measurement protocol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from repro.data.synthetic import DatasetSpec, SyntheticImageDataset
@@ -206,14 +207,13 @@ class ExperimentConfig:
                 "expected 'registration' or 'smallest'"
             )
         if self.topology == "hier":
-            if self.cross_bw_fraction <= 0:
-                raise ValueError(
-                    f"cross_bw_fraction must be > 0, got {self.cross_bw_fraction!r}"
-                )
-            if self.cross_rtt_seconds < 0:
-                raise ValueError(
-                    f"cross_rtt_seconds must be >= 0, got {self.cross_rtt_seconds!r}"
-                )
+            # NaN fails both comparisons; an infinity would pass them and
+            # train before the link refuses it.
+            bw, rtt = self.cross_bw_fraction, self.cross_rtt_seconds
+            if not (bw > 0 and math.isfinite(bw)):
+                raise ValueError(f"cross_bw_fraction must be finite and > 0, got {bw!r}")
+            if not (rtt >= 0 and math.isfinite(rtt)):
+                raise ValueError(f"cross_rtt_seconds must be finite and >= 0, got {rtt!r}")
         # Everything about the exchange plan itself — topology, sync mode,
         # cluster shape, fusion, faults — has one rule set: EngineConfig's.
         self.engine_config()

@@ -1,12 +1,12 @@
 """Batched codec path: bit-identity with the per-tensor reference.
 
-``ThreeLCCodec.compress_batch``, ``decompress_batch`` and
-``compress_context_batch`` are the engine's per-step hot path; their
-contract is *equivalence*, not approximation — every wire message, scale,
-reconstruction, decoded tensor and error residual must match the
-per-tensor calls byte for byte, or a batched engine would train a (subtly)
-different model than the reference. A hostile frame in a batch must fail
-the way it fails alone, and say which frame it was.
+A ring hop runs many segments through one pass per stage:
+``ThreeLCCodec.encode``, ``zre_encode_batch`` and ``unpack_ternary``, which
+``round_trip_context_batch`` chains. Their contract is *equivalence*, not
+approximation — every byte, decoded tensor and error residual must match
+the per-tensor calls, or a ring would train a (subtly) different model than
+the reference. A hostile frame among several must fail the way it fails
+alone, and say which frame it was.
 """
 
 import dataclasses
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from repro.core.codec import (
     CompressionContext,
     ThreeLCCodec,
-    compress_context_batch,
     round_trip_context_batch,
+    unpack_ternary,
 )
 from repro.core.packets import CodecId
 from repro.core.quartic import ZERO_GROUP_BYTE
@@ -31,114 +31,6 @@ from repro.core.zre import (
     zre_encode,
     zre_encode_batch,
 )
-
-
-def random_tensors(rng, count, *, dtype=np.float32):
-    shapes = [(0,), (1,), (7,), (64,), (3, 5), (16, 16), (2, 3, 4)]
-    return [
-        rng.standard_normal(shapes[i % len(shapes)]).astype(dtype)
-        for i in range(count)
-    ]
-
-
-def assert_results_identical(batch, reference):
-    assert len(batch) == len(reference)
-    for got, want in zip(batch, reference):
-        assert got.message.codec_id == want.message.codec_id
-        assert got.message.shape == want.message.shape
-        assert got.message.payload == want.message.payload
-        assert got.message.scalars == want.message.scalars
-        assert got.message.dtype == want.message.dtype
-        assert got.reconstruction.dtype == want.reconstruction.dtype
-        assert np.array_equal(got.reconstruction, want.reconstruction)
-
-
-@pytest.mark.parametrize("s", [1.0, 1.5, 1.99])
-@pytest.mark.parametrize("use_zre", [True, False])
-def test_compress_batch_matches_sequential(s, use_zre):
-    rng = np.random.default_rng(0)
-    codec = ThreeLCCodec(s, use_zre=use_zre)
-    tensors = random_tensors(rng, 9)
-    assert_results_identical(
-        codec.compress_batch(tensors), [codec.compress(t) for t in tensors]
-    )
-
-
-def test_compress_batch_float64():
-    rng = np.random.default_rng(1)
-    codec = ThreeLCCodec(1.0, dtype=np.float64)
-    tensors = random_tensors(rng, 5, dtype=np.float64)
-    assert_results_identical(
-        codec.compress_batch(tensors), [codec.compress(t) for t in tensors]
-    )
-
-
-def test_compress_batch_empty_input():
-    assert ThreeLCCodec().compress_batch([]) == []
-
-
-def test_compress_batch_roundtrips():
-    rng = np.random.default_rng(2)
-    codec = ThreeLCCodec(1.5)
-    for result in codec.compress_batch(random_tensors(rng, 6)):
-        assert np.array_equal(
-            codec.decompress(result.message), result.reconstruction
-        )
-
-
-@pytest.mark.parametrize("error_feedback", [True, False])
-def test_context_batch_matches_sequential_over_steps(error_feedback):
-    """Error feedback accumulates across steps; batched and sequential
-    context pipelines must keep bit-identical residuals throughout."""
-    rng = np.random.default_rng(3)
-    codec = ThreeLCCodec(1.0)
-    shapes = [(32,), (4, 4), (17,)]
-    batched_ctxs = [
-        CompressionContext(sh, codec, error_feedback=error_feedback)
-        for sh in shapes
-    ]
-    sequential_ctxs = [
-        CompressionContext(sh, codec, error_feedback=error_feedback)
-        for sh in shapes
-    ]
-    for _ in range(4):
-        tensors = [rng.standard_normal(sh).astype(np.float32) for sh in shapes]
-        batch = compress_context_batch(zip(batched_ctxs, tensors))
-        reference = [
-            ctx.compress(t) for ctx, t in zip(sequential_ctxs, tensors)
-        ]
-        assert_results_identical(batch, reference)
-        for got, want in zip(batched_ctxs, sequential_ctxs):
-            assert got.residual_norm() == want.residual_norm()
-            if error_feedback:
-                assert np.array_equal(
-                    got.buffer.residual, want.buffer.residual
-                )
-
-
-def test_context_batch_groups_per_codec():
-    """Contexts with distinct codecs batch per codec, results in input
-    order and identical to the per-context path."""
-    rng = np.random.default_rng(4)
-    codec_a = ThreeLCCodec(1.0)
-    codec_b = ThreeLCCodec(1.9, use_zre=False)
-    ctxs = [
-        CompressionContext((24,), codec_a),
-        CompressionContext((24,), codec_b),
-        CompressionContext((12,), codec_a),
-    ]
-    mirror = [
-        CompressionContext((24,), codec_a),
-        CompressionContext((24,), codec_b),
-        CompressionContext((12,), codec_a),
-    ]
-    tensors = [
-        rng.standard_normal(ctx.shape).astype(np.float32) for ctx in ctxs
-    ]
-    assert_results_identical(
-        compress_context_batch(zip(ctxs, tensors)),
-        [ctx.compress(t) for ctx, t in zip(mirror, tensors)],
-    )
 
 
 # -- zero-run encoding and decoding across segment boundaries -----------------
@@ -224,16 +116,37 @@ def sparse_tensors(lengths, seed, density):
     ]
 
 
+def unpack_frames(messages, dtype=np.float32):
+    """3LC frames decoded by one ``unpack_ternary`` call, as a ring hop
+    decodes its sends: payloads concatenated, counts, scales and zero-run
+    flags beside them."""
+    payloads = [message.payload for message in messages]
+    zre = np.array([m.codec_id is CodecId.THREELC for m in messages], dtype=bool)
+    views = unpack_ternary(
+        np.frombuffer(b"".join(payloads), dtype=np.uint8),
+        np.cumsum([0] + [len(payload) for payload in payloads]),
+        [message.element_count for message in messages],
+        [message.scalars[0] for message in messages],
+        None if zre.all() else zre,
+        dtype,
+    )
+    return [view.reshape(message.shape) for view, message in zip(views, messages)]
+
+
 def assert_decodes_identical(codec, messages):
-    batch = codec.decompress_batch(messages)
-    assert len(batch) == len(messages)
-    for got, message in zip(batch, messages):
-        want = codec.decompress(message)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
+    """Per dtype, one call over every frame decodes each as ``decompress``."""
+    for dtype in {message.dtype for message in messages}:
+        batch = unpack_frames(messages, dtype)
+        assert len(batch) == len(messages)
+        for got, message in zip(batch, messages):
+            if message.dtype != dtype:
+                continue
+            want = codec.decompress(message)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
 
 
-class TestDecompressBatch:
+class TestUnpackAcrossFrames:
     @given(
         lengths=tensor_lengths,
         seed=st.integers(0, 2**16),
@@ -242,11 +155,9 @@ class TestDecompressBatch:
     )
     def test_matches_per_frame(self, lengths, seed, density, use_zre):
         codec = ThreeLCCodec(1.5, use_zre=use_zre)
-        results = codec.compress_batch(sparse_tensors(lengths, seed, density))
+        results = [codec.compress(t) for t in sparse_tensors(lengths, seed, density)]
         assert_decodes_identical(codec, [r.message for r in results])
-        for got, result in zip(
-            codec.decompress_batch([r.message for r in results]), results
-        ):
+        for got, result in zip(unpack_frames([r.message for r in results]), results):
             np.testing.assert_array_equal(got, result.reconstruction)
 
     @pytest.mark.parametrize("run", RUN_LENGTHS)
@@ -275,11 +186,11 @@ class TestDecompressBatch:
         ]
         assert_decodes_identical(codecs[0], messages)
 
-    def test_empty_batch(self):
-        assert ThreeLCCodec().decompress_batch([]) == []
+    def test_no_frames(self):
+        assert unpack_frames([]) == []
 
 
-class TestHostileFramesInABatch:
+class TestHostileFramesAmongOthers:
     """One bad frame among good ones: the error ``decompress`` raises for it
     alone, naming its position — never a wrong-shaped or shifted array."""
 
@@ -295,13 +206,12 @@ class TestHostileFramesInABatch:
         ]
 
     def check(self, messages, position, bad, match):
-        codec = ThreeLCCodec(1.0)
         with pytest.raises(ValueError, match=match) as alone:
-            codec.decompress(bad)
+            ThreeLCCodec(1.0).decompress(bad)
         hostile = list(messages)
         hostile[position] = bad
         with pytest.raises(ValueError, match=rf"frame {position}: ") as batched:
-            codec.decompress_batch(hostile)
+            unpack_frames(hostile)
         assert str(batched.value) == f"frame {position}: {alone.value}"
 
     @pytest.mark.parametrize("position", [0, 1, 2])
@@ -330,19 +240,7 @@ class TestHostileFramesInABatch:
             messages[2],
         ]
         with pytest.raises(ValueError, match=r"frame 0: .*inconsistent with count"):
-            ThreeLCCodec(1.0).decompress_batch(hostile)
-
-    @pytest.mark.parametrize("codec_id", [CodecId.FLOAT32, CodecId.STOCHASTIC_TERNARY_QE])
-    def test_foreign_codec_id(self, messages, codec_id):
-        bad = dataclasses.replace(messages[1], codec_id=codec_id)
-        self.check(messages, 1, bad, "not a 3LC message")
-
-    @pytest.mark.parametrize(
-        "scalars", [(float("nan"),), (-1.0,), (float("inf"),), (), (1.0, 2.0)]
-    )
-    def test_bad_scale(self, messages, scalars):
-        bad = dataclasses.replace(messages[2], scalars=scalars)
-        self.check(messages, 2, bad, "scalars")
+            unpack_frames(hostile)
 
     def test_escape_byte_in_a_frame_sent_without_zre(self, messages):
         plain = ThreeLCCodec(1.0, use_zre=False)
@@ -352,7 +250,7 @@ class TestHostileFramesInABatch:
         self.check([good, *messages], 0, bad, "outside quartic range")
 
 
-def test_frame_free_round_trip_is_the_framed_batch_across_layouts():
+def test_frame_free_round_trip_is_per_context_compress_across_layouts():
     """``round_trip_context_batch`` keeps one flat residual per tuple of
     contexts; reordering them, or moving one into another tuple, lays the
     hop out again and must not change a byte."""
@@ -369,11 +267,9 @@ def test_frame_free_round_trip_is_the_framed_batch_across_layouts():
         got, sizes = round_trip_context_batch(
             [(ours[i], tensor) for i, tensor in zip(order, tensors)]
         )
-        results = compress_context_batch(
-            [(theirs[i], tensor) for i, tensor in zip(order, tensors)]
-        )
+        results = [theirs[i].compress(tensor) for i, tensor in zip(order, tensors)]
         assert sizes == [result.wire_size for result in results]
-        want = codec.decompress_batch([result.message for result in results])
+        want = [codec.decompress(result.message) for result in results]
         for ours_out, theirs_out in zip(got, want, strict=True):
             assert ours_out.shape == theirs_out.shape
             assert ours_out.tobytes() == theirs_out.tobytes()
@@ -392,15 +288,11 @@ def _compress(contexts, tensors):
     return [context.compress(tensor) for context, tensor in zip(contexts, tensors)]
 
 
-def _compress_batch(contexts, tensors):
-    return compress_context_batch(zip(contexts, tensors))
-
-
 def _round_trip(contexts, tensors):
     return round_trip_context_batch(list(zip(contexts, tensors)))
 
 
-@pytest.mark.parametrize("path", [_compress, _compress_batch, _round_trip])
+@pytest.mark.parametrize("path", [_compress, _round_trip])
 def test_scale_beyond_the_dtype_is_refused_before_the_residual_moves(path):
     codec = ThreeLCCodec(1.75)
     good = np.linspace(-1.0, 1.0, 4, dtype=np.float32)

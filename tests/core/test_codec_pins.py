@@ -2,8 +2,8 @@
 
 ``GOLDEN_CODEC_SHA256`` (``test_kernel_parity.py``) covers the per-tensor
 ``ThreeLCCodec.compress`` only. The digest here covers the array-level
-core (``encode`` / ``decode``), the framed batch (``compress_batch`` /
-``decompress_batch``), two error-feedback steps of the frame-free ring hop
+core (``encode`` / ``decode``), each ``encode`` segment framed alone and
+decoded by ``decompress``, two error-feedback steps of the frame-free ring hop
 (``round_trip_context_batch``) and ``Stoch 3-value + QE`` at a fixed seed,
 over segments of every length mod 5, empty and one-element segments, an
 all-zero segment, long zero runs that cross segment boundaries, both
@@ -19,12 +19,8 @@ import numpy as np
 import pytest
 
 from repro.compression.stochastic_ternary import StochasticTernaryCompressor
-from repro.core.codec import (
-    CompressionContext,
-    ThreeLCCodec,
-    compress_context_batch,
-    round_trip_context_batch,
-)
+from repro.core.codec import CompressionContext, ThreeLCCodec, round_trip_context_batch
+from repro.core.packets import WireMessage
 
 GOLDEN_BATCH_SHA256 = "e8fa9cdc035abc549e98a191c0aa663bd63161031e11b66037b83312f4fbb878"
 
@@ -65,6 +61,25 @@ def update(digest, *arrays):
         digest.update(arr.tobytes())
 
 
+def framed(codec, tensors, encoded, offsets, scales) -> list[WireMessage]:
+    """Each segment of one ``encode`` as a frame of its own.
+
+    Not ``compress`` per tensor: an all-zero segment's ``encode`` scale can
+    be -0.0 where ``compress`` frames +0.0, and the pin holds the former.
+    """
+    cuts = np.asarray(offsets).tolist()
+    return [
+        WireMessage(
+            codec_id=codec.codec_id,
+            shape=tensor.shape,
+            payload=encoded[cuts[i] : cuts[i + 1]].tobytes(),
+            scalars=(scale,),
+            dtype=codec.dtype,
+        )
+        for i, (tensor, scale) in enumerate(zip(tensors, scales.tolist()))
+    ]
+
+
 def batch_digest() -> str:
     digest = hashlib.sha256()
     for dtype, s, tensors in grid():
@@ -78,11 +93,12 @@ def batch_digest() -> str:
             for d in (np.float32, np.float64):
                 decoded = codec.decode(encoded, offsets, lengths, scales, zre, d)
                 update(digest, *decoded)
-            results = codec.compress_batch(tensors)
-            for result in results:
-                digest.update(result.message.pack())
-                update(digest, result.reconstruction)
-            update(digest, *codec.decompress_batch([r.message for r in results]))
+            messages = framed(codec, tensors, encoded, offsets, scales)
+            starts = np.concatenate(([0], np.cumsum(lengths))).tolist()
+            for i, message in enumerate(messages):
+                digest.update(message.pack())
+                update(digest, recon[starts[i] : starts[i + 1]].reshape(message.shape))
+            update(digest, *(codec.decompress(message) for message in messages))
             for tensor in tensors:
                 result = codec.compress(tensor)
                 digest.update(result.message.pack())
@@ -139,9 +155,8 @@ def test_3lc_zeros_come_back_positive(dtype, s, use_zre):
     tensor = signed_zeros(dtype)
     result = codec.compress(tensor)
     assert_zeros_positive(result.reconstruction, codec.decompress(result.message))
-    batch = codec.compress_batch([tensor, -0.0 * tensor, tensor[:3]])
-    assert_zeros_positive(*(r.reconstruction for r in batch[:2]))
-    assert_zeros_positive(*codec.decompress_batch([r.message for r in batch])[:2])
+    negated = codec.compress(-0.0 * tensor)
+    assert_zeros_positive(negated.reconstruction, codec.decompress(negated.message))
     lengths = np.array([4, 7])
     encoded, offsets, scales, recon = codec.encode(tensor, lengths)
     assert_zeros_positive(recon)
@@ -150,8 +165,8 @@ def test_3lc_zeros_come_back_positive(dtype, s, use_zre):
     contexts = [CompressionContext(tensor.shape, codec) for _ in range(2)]
     received, _ = round_trip_context_batch([(c, tensor) for c in contexts])
     assert_zeros_positive(*received)
-    for result in compress_context_batch([(c, tensor) for c in contexts]):
-        assert_zeros_positive(result.reconstruction)
+    for context in contexts:
+        assert_zeros_positive(context.compress(tensor).reconstruction)
 
 
 def test_stochastic_ternary_zeros_come_back_positive():

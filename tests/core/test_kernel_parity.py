@@ -12,6 +12,7 @@ kernels' bytes, not only to the oracles'.
 
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from hypothesis.extra import numpy as hnp
 from repro.compression.base import _bypass_compressor
 from repro.compression.stochastic_ternary import StochasticTernaryCompressor
 from repro.compression.threelc import ThreeLCCompressor
-from repro.core.codec import ThreeLCCodec
+from repro.core.codec import _PACK_GROUPS, ThreeLCCodec, pack_ternary
 from repro.core.packets import CodecId, WireMessage
-from repro.core.quantization import quantize_3value
+from repro.core.quantization import max_magnitude, quantize_3value
 from repro.core.quartic import (
+    GROUP_SIZE,
     ZERO_GROUP_BYTE,
     quartic_decode,
     quartic_decode_reference,
@@ -229,6 +231,37 @@ class TestBatchParity:
     def test_encode_refuses_lengths_that_do_not_partition(self):
         with pytest.raises(ValueError, match="segment lengths"):
             ThreeLCCodec(1.0).encode(np.zeros(3, np.float32), [1, 1])
+
+
+#: Group counts either side of the pack product's chunks of ``_PACK_GROUPS``.
+PACK_GROUP_COUNTS = (
+    1, _PACK_GROUPS - 1, _PACK_GROUPS, _PACK_GROUPS + 1, 3 * _PACK_GROUPS + 2
+)
+
+
+@pytest.mark.parametrize("dtype", (np.float16, np.float32, np.float64))
+@pytest.mark.parametrize("s", (1.0, 1.75))
+def test_pack_bytes_are_the_integer_product_in_every_chunk(dtype, s):
+    """``pack_ternary``'s float product ``rows @ _WEIGHTS`` is exact in every
+    chunk: the bytes are ``121 + rint(values) @ (81, 27, 9, 3, 1)`` in int64,
+    which the digit-at-a-time oracle confirms. The product has been seen to
+    raise an "invalid value" RuntimeWarning; one is recorded here, not raised,
+    so the bytes are what is held."""
+    rng = np.random.default_rng(16)
+    for groups in PACK_GROUP_COUNTS:
+        # Two short of whole groups: the last group is padded.
+        flat = rng.uniform(-1.0, 1.0, GROUP_SIZE * groups - 2).astype(dtype)
+        scale = max_magnitude(flat) * s
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            packed, offsets, _ = pack_ternary(flat, [flat.size], [scale], np.divide)
+        values = np.zeros(GROUP_SIZE * groups, dtype=np.int64)
+        values[: flat.size] = np.rint(flat / scale)
+        exact = ZERO_GROUP_BYTE + values.reshape(-1, GROUP_SIZE) @ (81, 27, 9, 3, 1)
+        np.testing.assert_array_equal(quartic_encode_reference(values), exact)
+        np.testing.assert_array_equal(packed, exact)
+        assert offsets.tolist() == [0, groups]
+        assert all(w.category is RuntimeWarning for w in caught), caught
 
 
 # -- (c) the non-finite check rides on the max/min passes -------------------

@@ -123,12 +123,18 @@ def test_lone_tensor_is_the_one_entry_set(scheme):
 
 
 def _halving(owner, attribute: str, decoded: list) -> None:
-    """Make ``owner.attribute`` decode to half of what it used to."""
+    """Make ``owner.attribute`` decode to half of what it used to: one
+    array, or each of a list of them."""
     decode = getattr(owner, attribute)
 
     def halved(*args):
-        out = [0.5 * arr for arr in decode(*args)]
-        decoded.extend(out)
+        out = decode(*args)
+        if isinstance(out, list):
+            out = [0.5 * arr for arr in out]
+            decoded.extend(out)
+        else:
+            out = 0.5 * out
+            decoded.append(out)
         return out
 
     setattr(owner, attribute, halved)
@@ -139,10 +145,10 @@ def _halving(owner, attribute: str, decoded: list) -> None:
     [
         # The 3LC hop decodes the encoded bytes with the codec's decode core.
         ("3LC (s=1.00)", lambda scheme: (scheme.codec, "decode")),
-        # The default hop decodes the frames it built.
-        ("32-bit float", lambda scheme: (scheme, "decompress_batch")),
+        # The default hop decodes each frame it built.
+        ("32-bit float", lambda scheme: (scheme, "decompress")),
     ],
-    ids=["3lc-decode-core", "default-decompress-batch"],
+    ids=["3lc-decode-core", "default-decompress"],
 )
 def test_receivers_decode_the_wire_message(scheme, seam):
     """A scheme whose decode differs from its reconstruction must show."""

@@ -13,7 +13,6 @@ from repro.compression.fusion import (
     Bucket,
     FusedBucketContext,
     build_fusion_plan,
-    compress_fused_batch,
     split_bucket,
 )
 from repro.core.packets import CodecId, FusedWireMessage, WireMessage
@@ -197,58 +196,6 @@ class TestFusedBucketContext:
         assert context.compress(tensor) is None  # off-step: deferred
         result = context.compress(tensor)  # on-step: accumulated 2x
         np.testing.assert_array_equal(result.parts["a"], 2 * np.ones(4))
-
-
-class TestCompressFusedBatch:
-    """One batched pass over a step's buckets ≡ one ``compress`` per bucket:
-    frames, reconstructions, deferrals and residuals, over several steps."""
-
-    BUCKETS = (
-        Bucket(0, ("a", "b"), ((3, 2), (5,))),
-        Bucket(1, ("c",), ((40,),)),
-        Bucket(2, ("d", "e", "f"), ((1,), (2, 2), (7,))),
-    )
-
-    @pytest.mark.parametrize("lossy", [False, True])
-    @pytest.mark.parametrize(
-        "scheme",
-        ["3LC (s=1.00)", "3LC (s=1.75)", "Stoch 3-value + QE", "8-bit int", "2 local steps"],
-    )
-    def test_matches_per_bucket_compress(self, scheme, lossy):
-        batched, looped = (
-            [
-                make_compressor(scheme, seed=2).make_fused_context(
-                    bucket, key=("t", bucket.index), lossy=lossy
-                )
-                for bucket in self.BUCKETS
-            ]
-            for _ in range(2)
-        )
-        rng = np.random.default_rng(1)
-        for _ in range(3):
-            tensors = {
-                name: rng.normal(size=shape).astype(np.float32)
-                for bucket in self.BUCKETS
-                for name, shape in zip(bucket.names, bucket.shapes)
-            }
-            got = compress_fused_batch((ctx, tensors) for ctx in batched)
-            want = [ctx.compress(tensors) for ctx in looped]
-            for ours, theirs in zip(got, want, strict=True):
-                assert (ours is None) == (theirs is None)
-                if ours is None:
-                    continue
-                assert ours.message == theirs.message
-                assert ours.parts.keys() == theirs.parts.keys()
-                for name, part in ours.parts.items():
-                    np.testing.assert_array_equal(part, theirs.parts[name])
-            for ours, theirs in zip(batched, looped):
-                assert ours.residual_norm() == theirs.residual_norm()
-
-    def test_only_lossy_buckets_name_a_batching_scheme(self):
-        scheme = make_compressor("3LC (s=1.00)", seed=0)
-        bucket = self.BUCKETS[0]
-        assert scheme.make_fused_context(bucket, lossy=True).compressor is scheme
-        assert scheme.make_fused_context(bucket, lossy=False).compressor is None
 
 
 class TestEngineFusionParity:

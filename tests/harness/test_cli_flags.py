@@ -297,6 +297,25 @@ class TestFailAtTheCause:
     def test_a_bad_value_is_refused_naming_the_flag(self, argv, expected, capsys):
         assert expected in rejection(["fig9", "--fast", *argv], capsys)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--cross-bw", "cross_bw_fraction"), ("--cross-rtt", "cross_rtt_seconds")],
+    )
+    def test_a_non_finite_cross_link_is_refused_before_training(
+        self, flag, field, value, capsys
+    ):
+        from repro.harness.cli import main
+
+        argv = ["fig9", "--fast", "--steps", "4", "--sim-overlap", *HIER_FLAGS, flag, value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"repro-3lc: error: {field} must be finite" in err
+        assert err.endswith(f"{flag} {value})\n"), err
+
     @pytest.mark.parametrize(
         "argv, expected",
         [

@@ -6,9 +6,11 @@ deleted row a path that is gone. A new module fails here until its row
 exists, and a changed one until its count does. Being registered as a
 scheme is not a consumer, every document the code cites and every script
 cited anywhere exists, and a claim row names the ledger rows that measure
-it.
+it. Below modules, every public function or class has a reader outside
+``tests/`` or a line in the census's list of names read only by tests.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -119,3 +121,46 @@ def test_claim_rows_name_ledger_rows():
     for path, consumer in claims.items():
         named = re.findall(r"`([a-z0-9_]+\.[a-z0-9_.]+)`", consumer)
         assert named and set(named) <= ids, (path, named)
+
+
+#: Where a public name's reader may live: anywhere but ``tests/``.
+READERS = ("src", "perf", "benchmarks", "examples")
+#: A line of the census's "Public names read only by tests" list.
+TEST_ONLY = re.compile(r"- `(?P<name>repro\.[\w.]+)`: (?P<reason>.+)")
+
+
+def public_names() -> set[str]:
+    """``repro.module.name`` of every public module-level def and class."""
+    names = set()
+    for path in (ROOT / "src/repro").rglob("*.py"):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    names.add(f"{module}.{node.name}")
+    return names
+
+
+def read_names() -> set[str]:
+    """Every name loaded, and every attribute read, outside ``tests/``."""
+    read = set()
+    for folder in READERS:
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    return read
+
+
+def test_every_public_name_has_a_reader_or_a_reason():
+    section = (ROOT / "ARCHITECTURE.md").read_text().split("\n## Module census\n")[1]
+    section = section.split("\n## ")[0].split("\n### Public names read only by tests\n")[1]
+    listed = {m["name"] for m in map(TEST_ONLY.fullmatch, section.splitlines()) if m}
+    assert listed, "no test-only name found: the list or its pattern is broken"
+    read = read_names()
+    unread = {name for name in public_names() if name.rsplit(".", 1)[1] not in read}
+    assert sorted(unread - listed) == [], "public names no code outside tests reads"
+    assert sorted(listed - unread) == [], "listed names that are read or gone"
