@@ -85,6 +85,43 @@ class TestCompressorContract:
         assert result.bits_per_value() > 0
 
 
+class TestRoundTrip:
+    """``round_trip`` — the one batched codec path, a ring hop — is the
+    per-item ``compress`` + ``decompress`` loop, result for result,
+    overridden (3LC) or not; a deferring scheme refuses the hop."""
+
+    SHAPES = [(33,), (4, 5), (2,), (1,), (256,), (0,)]
+
+    def test_round_trip_is_the_per_item_loop_over_steps(self, scheme, rng):
+        hop, looped = (
+            [
+                make_compressor(scheme.name, seed=11).make_context(shape, key=("b", i))
+                for i, shape in enumerate(self.SHAPES)
+            ]
+            for _ in range(2)
+        )
+        for _ in range(3):
+            tensors = [rng.normal(0, 0.1, s).astype(np.float32) for s in self.SHAPES]
+            if scheme.defers_transmission:
+                with pytest.raises(ValueError, match="deferred a hop transmission"):
+                    scheme.round_trip(zip(hop, tensors))
+                return
+            received, sizes = scheme.round_trip(zip(hop, tensors))
+            results = [ctx.compress(t) for ctx, t in zip(looped, tensors)]
+            assert sizes == [result.wire_size for result in results]
+            for out, result in zip(received, results, strict=True):
+                expected = scheme.decompress(result.message)
+                assert out.dtype == np.float32 and out.shape == expected.shape
+                np.testing.assert_array_equal(out, expected)
+            for ours, theirs in zip(hop, looped):
+                assert ours.residual_norm() == theirs.residual_norm()
+
+    def test_shape_mismatch_rejected_in_a_round_trip(self, scheme):
+        ctx = scheme.make_context((4, 4), key=("bad",))
+        with pytest.raises(ValueError):
+            scheme.round_trip([(ctx, np.zeros((4, 5), dtype=np.float32))])
+
+
 class TestRegistry:
     def test_table1_has_eleven_designs(self):
         from repro.compression import TABLE1_SCHEMES

@@ -277,6 +277,74 @@ def test_frame_free_round_trip_is_per_context_compress_across_layouts():
             assert a.buffer.residual.tobytes() == b.buffer.residual.tobytes()
 
 
+def random_tensors(rng, count, *, dtype=np.float32):
+    shapes = [(0,), (1,), (7,), (64,), (3, 5), (16, 16), (2, 3, 4)]
+    return [
+        rng.standard_normal(shapes[i % len(shapes)]).astype(dtype)
+        for i in range(count)
+    ]
+
+
+def assert_round_trip_is_per_context(ours, theirs, tensors):
+    """One hop over ``ours`` decodes and sizes what each of ``theirs``
+    frames alone, and leaves the same residuals."""
+    got, sizes = round_trip_context_batch(list(zip(ours, tensors)))
+    results = [ctx.compress(t) for ctx, t in zip(theirs, tensors)]
+    assert sizes == [result.wire_size for result in results]
+    for out, result, ctx in zip(got, results, theirs, strict=True):
+        want = ctx.codec.decompress(result.message)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(out, result.reconstruction)
+    for a, b in zip(ours, theirs):
+        assert a.residual_norm() == b.residual_norm()
+        if b.buffer is not None:
+            assert a.buffer.residual.tobytes() == b.buffer.residual.tobytes()
+
+
+@pytest.mark.parametrize("s", [1.0, 1.5, 1.99])
+@pytest.mark.parametrize("use_zre", [True, False])
+def test_round_trip_matches_per_context_compress(s, use_zre):
+    rng = np.random.default_rng(0)
+    codec = ThreeLCCodec(s, use_zre=use_zre)
+    tensors = random_tensors(rng, 9)
+    ours, theirs = (
+        [CompressionContext(t.shape, codec) for t in tensors] for _ in range(2)
+    )
+    assert_round_trip_is_per_context(ours, theirs, tensors)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_round_trip_decodes_in_the_codec_dtype(dtype):
+    rng = np.random.default_rng(1)
+    codec = ThreeLCCodec(1.0, dtype=dtype)
+    tensors = random_tensors(rng, 5, dtype=dtype)
+    ours, theirs = (
+        [CompressionContext(t.shape, codec) for t in tensors] for _ in range(2)
+    )
+    assert_round_trip_is_per_context(ours, theirs, tensors)
+
+
+def test_round_trip_of_no_items():
+    assert round_trip_context_batch([]) == ([], [])
+
+
+@pytest.mark.parametrize("error_feedback", [True, False])
+def test_round_trip_matches_per_context_compress_over_steps(error_feedback):
+    """Error feedback accumulates across steps; a hop and the per-context
+    path must keep bit-identical residuals throughout."""
+    rng = np.random.default_rng(3)
+    codec = ThreeLCCodec(1.0)
+    shapes = [(32,), (4, 4), (17,)]
+    ours, theirs = (
+        [CompressionContext(sh, codec, error_feedback=error_feedback) for sh in shapes]
+        for _ in range(2)
+    )
+    for _ in range(4):
+        tensors = [rng.standard_normal(sh).astype(np.float32) for sh in shapes]
+        assert_round_trip_is_per_context(ours, theirs, tensors)
+
+
 # A scale the receivers refuse is refused by the sender, before any residual
 # moves: error feedback would otherwise subtract an infinite reconstruction.
 BEYOND = np.array([3e38, -1e38, 1.0, 0.0], dtype=np.float32)

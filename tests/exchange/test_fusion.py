@@ -198,6 +198,64 @@ class TestFusedBucketContext:
         np.testing.assert_array_equal(result.parts["a"], 2 * np.ones(4))
 
 
+class TestFusedBucketIsOneFlatCall:
+    """A bucket's ``compress`` ≡ one ``compress`` of its flat concatenation
+    by the context it wraps — the scheme's own when lossy, the bypass when
+    exact: frames, reconstructions, deferrals and residuals, over steps."""
+
+    BUCKET = Bucket(2, ("d", "e", "f"), ((1,), (2, 2), (7,)))
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    @pytest.mark.parametrize(
+        "scheme",
+        ["3LC (s=1.00)", "3LC (s=1.75)", "Stoch 3-value + QE", "8-bit int", "2 local steps"],
+    )
+    def test_matches_the_wrapped_context_over_the_flat_bucket(self, scheme, lossy):
+        scheme = make_compressor(scheme, seed=2)
+        fused = scheme.make_fused_context(self.BUCKET, key=("t", 2), lossy=lossy)
+        shape = (self.BUCKET.total_elements,)
+        flat_scheme = make_compressor(scheme.name, seed=2)
+        make = flat_scheme.make_context if lossy else flat_scheme.make_bypass_context
+        plain = make(shape, key=("t", 2))
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            tensors = {
+                name: rng.normal(size=shape).astype(np.float32)
+                for name, shape in zip(self.BUCKET.names, self.BUCKET.shapes)
+            }
+            got = fused.compress(tensors)
+            want = plain.compress(
+                np.concatenate([t.reshape(-1) for t in tensors.values()])
+            )
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            assert got.names == self.BUCKET.names
+            assert got.message == FusedWireMessage(
+                inner=want.message, shapes=self.BUCKET.shapes
+            )
+            assert got.parts.keys() == tensors.keys()
+            for name, part in split_bucket(want.reconstruction, self.BUCKET).items():
+                np.testing.assert_array_equal(got.parts[name], part)
+            flat = scheme.decompress_fused(got.message, lossy=lossy)
+            np.testing.assert_array_equal(flat, want.reconstruction)
+            assert fused.residual_norm() == plain.residual_norm()
+
+    def test_only_lossy_buckets_run_the_schemes_codec(self):
+        scheme = make_compressor("3LC (s=1.00)", seed=0)
+        tensors = {
+            name: np.full(shape, 0.5, dtype=np.float32)
+            for name, shape in zip(self.BUCKET.names, self.BUCKET.shapes)
+        }
+        codec_ids = [
+            scheme.make_fused_context(self.BUCKET, lossy=lossy)
+            .compress(tensors)
+            .message.inner.codec_id
+            for lossy in (True, False)
+        ]
+        assert codec_ids == [CodecId.THREELC, CodecId.FLOAT32]
+
+
 class TestEngineFusionParity:
     """Fusion changes framing, never numerics."""
 
