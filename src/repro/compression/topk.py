@@ -31,18 +31,17 @@ __all__ = [
     "scatter_dense",
     "encode_bitmap_sparse",
     "decode_bitmap_sparse",
-    "DEFAULT_SAMPLE_SIZE",
+    "SAMPLE_SIZE",
 ]
 
 #: Number of entries sampled when estimating the selection threshold.
-DEFAULT_SAMPLE_SIZE = 4096
+SAMPLE_SIZE = 4096
 
 
 def sampled_threshold(
     magnitudes: np.ndarray,
     fraction: float,
     rng: np.random.Generator,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
 ) -> float:
     """Estimate the magnitude threshold that keeps ``fraction`` of entries.
 
@@ -55,8 +54,8 @@ def sampled_threshold(
     flat = magnitudes.reshape(-1)
     if flat.size == 0:
         return 0.0
-    if flat.size > sample_size:
-        sample = rng.choice(flat, size=sample_size, replace=False)
+    if flat.size > SAMPLE_SIZE:
+        sample = rng.choice(flat, size=SAMPLE_SIZE, replace=False)
     else:
         sample = flat.copy()  # partitioned below; ``magnitudes`` is read again
     # The smallest transmitted magnitude is the order statistic

@@ -349,9 +349,8 @@ def round_trip_context_batch(items) -> tuple[list[np.ndarray], list[int]]:
     """Send ``(CompressionContext, tensor)`` pairs of one codec and decode them.
 
     The tensors and ``wire_size`` values that each context's ``compress``
-    and a ``decompress`` of its message give, bit for bit but for the sign
-    of an all-zero segment's zeros, from one pass per stage over the whole
-    hop and no frame object. Tensors are arrays.
+    and a ``decompress`` of its message give, bit for bit, from one pass per
+    stage over the whole hop and no frame object. Tensors are arrays.
     """
     items = list(items)
     if not items:

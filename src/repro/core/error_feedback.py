@@ -89,10 +89,6 @@ class ErrorAccumulationBuffer:
             )
         self._residual -= reconstructed
 
-    def reset(self) -> None:
-        """Zero the residual (used when a training run restarts)."""
-        self._residual.fill(0)
-
     def load_residual(self, residual: np.ndarray) -> None:
         """Restore a checkpointed residual (resumable training).
 

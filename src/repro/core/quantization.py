@@ -133,7 +133,8 @@ def segment_scales(
         # starts bound exactly one segment each (cf. max_magnitude).
         live = starts[nonempty]
         lows = np.minimum.reduceat(flat, live).astype(np.float64)
-        mags[nonempty] = np.maximum(np.maximum.reduceat(flat, live), -lows)
+        # + 0.0: an all-zero segment's scale is +0.0, as in max_magnitude.
+        mags[nonempty] = np.maximum(np.maximum.reduceat(flat, live), -lows) + 0.0
         finite = np.isfinite(mags)
         if not finite.all():
             raise ValueError(

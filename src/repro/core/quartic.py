@@ -106,9 +106,7 @@ def quartic_encode(values: np.ndarray) -> np.ndarray:
     return packed
 
 
-def quartic_decode(
-    encoded: np.ndarray, count: int, shape: tuple[int, ...] | None = None
-) -> np.ndarray:
+def quartic_decode(encoded: np.ndarray, count: int) -> np.ndarray:
     """Unpack quartic bytes back to a ternary tensor.
 
     Parameters
@@ -117,8 +115,6 @@ def quartic_decode(
         1-D ``uint8`` array produced by :func:`quartic_encode`.
     count:
         Number of original (un-padded) values.
-    shape:
-        Optional output shape; must have ``prod(shape) == count``.
 
     Returns
     -------
@@ -135,13 +131,7 @@ def quartic_decode(
     if arr.size and arr.max() > MAX_QUARTIC_BYTE:
         raise ValueError("byte outside quartic range [0, 242]")
     # Base-3 digit extraction and the -1 shift, precomputed per byte value.
-    flat = np.take(_DECODE_TABLE, arr, axis=0).reshape(-1)[:count]
-    if shape is not None:
-        expected = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if expected != count:
-            raise ValueError(f"shape {shape} incompatible with count {count}")
-        return flat.reshape(shape)
-    return flat
+    return np.take(_DECODE_TABLE, arr, axis=0).reshape(-1)[:count]
 
 
 def quartic_encode_reference(values: np.ndarray) -> np.ndarray:

@@ -48,12 +48,9 @@ def random_crop_flip(
 class Augmenter:
     """Stateful augmentation pipeline bound to a generator."""
 
-    def __init__(self, rng: np.random.Generator, *, pad: int = 2, enabled: bool = True):
+    def __init__(self, rng: np.random.Generator, *, pad: int = 2):
         self.rng = rng
         self.pad = int(pad)
-        self.enabled = bool(enabled)
 
     def __call__(self, images: np.ndarray) -> np.ndarray:
-        if not self.enabled:
-            return images
         return random_crop_flip(images, self.rng, pad=self.pad)

@@ -214,10 +214,6 @@ class SyntheticImageDataset:
     def num_classes(self) -> int:
         return self.spec.num_classes
 
-    @property
-    def image_shape(self) -> tuple[int, int, int]:
-        return (self.spec.channels, self.spec.image_size, self.spec.image_size)
-
     def sample(
         self, count: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:

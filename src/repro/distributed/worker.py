@@ -174,9 +174,6 @@ class Worker:
             self._params[name].data += delta
         return time.perf_counter() - t0
 
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(self._params)
-
     def snapshot_state(self) -> dict:
         """Checkpoint this worker's push-side error-feedback state.
 

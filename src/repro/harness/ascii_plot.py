@@ -15,6 +15,8 @@ from typing import Sequence
 __all__ = ["Series", "render_plot"]
 
 _GLYPHS = "o*x+#@%&^~"
+#: Canvas size in characters.
+_WIDTH, _HEIGHT = 72, 20
 
 
 @dataclass(frozen=True)
@@ -51,21 +53,17 @@ def render_plot(
     title: str = "",
     x_label: str = "x",
     y_label: str = "y",
-    width: int = 72,
-    height: int = 20,
 ) -> str:
     """Render series on a character canvas with axes and a legend."""
-    if width < 16 or height < 6:
-        raise ValueError("canvas too small")
     x_min, x_max, y_min, y_max = _bounds(series)
-    canvas = [[" "] * width for _ in range(height)]
+    canvas = [[" "] * _WIDTH for _ in range(_HEIGHT)]
 
     def place(x: float, y: float, glyph: str) -> None:
         if math.isnan(x) or math.isnan(y):
             return
-        col = round((x - x_min) / (x_max - x_min) * (width - 1))
-        row = round((y - y_min) / (y_max - y_min) * (height - 1))
-        canvas[height - 1 - row][col] = glyph
+        col = round((x - x_min) / (x_max - x_min) * (_WIDTH - 1))
+        row = round((y - y_min) / (y_max - y_min) * (_HEIGHT - 1))
+        canvas[_HEIGHT - 1 - row][col] = glyph
 
     for index, s in enumerate(series):
         glyph = _GLYPHS[index % len(_GLYPHS)]
@@ -76,7 +74,7 @@ def render_plot(
     if title:
         lines.append(title)
     lines.append(f"{y_label} ({y_min:.4g} .. {y_max:.4g})")
-    border = "+" + "-" * width + "+"
+    border = "+" + "-" * _WIDTH + "+"
     lines.append(border)
     lines.extend("|" + "".join(row) + "|" for row in canvas)
     lines.append(border)

@@ -168,14 +168,14 @@ def figure8_sparsity(
 
 
 def figure9_compressed_size(
-    runner: ExperimentRunner, scheme: str = "3LC (s=1.00)", *, stride: int = 1
+    runner: ExperimentRunner, scheme: str = "3LC (s=1.00)"
 ) -> FigureData:
     """Figure 9: per-step compressed bits per state change, push vs. pull.
 
     Adds the constant 1.6-bit "Without ZRE" reference line of the paper.
     """
     result = runner.run(scheme, 1.0)
-    steps = result.traffic.steps[::stride]
+    steps = result.traffic.steps
     push = Series(
         "With ZRE (push)",
         tuple((float(s.step), s.push_bits_per_value()) for s in steps),

@@ -396,13 +396,3 @@ class ExperimentRunner:
             result.mean_step_seconds["10Mbps"],
         )
         return result
-
-    def run_many(
-        self, scheme_names: list[str], fractions: tuple[float, ...] = (1.0,)
-    ) -> dict[tuple[str, float], RunResult]:
-        """Run a grid of scheme × budget cells."""
-        return {
-            (name, fraction): self.run(name, fraction)
-            for name in scheme_names
-            for fraction in fractions
-        }

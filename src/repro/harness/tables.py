@@ -186,12 +186,10 @@ def _speedup(base: RunResult, result: RunResult, link_name: str) -> float:
     return base.mean_step_seconds[link_name] / result.mean_step_seconds[link_name]
 
 
-def table2(
-    runner: ExperimentRunner, schemes: tuple[str, ...] = TABLE2_SCHEMES
-) -> tuple[list[Table2Row], str]:
+def table2(runner: ExperimentRunner) -> tuple[list[Table2Row], str]:
     """Regenerate Table 2: average 3LC traffic compression vs. ``s``."""
     rows = []
-    for name in schemes:
+    for name in TABLE2_SCHEMES:
         result = runner.run(name, 1.0)
         rows.append(
             Table2Row(

@@ -383,10 +383,6 @@ class _Plan:
         a, b, c, d = (getattr(self, f) for side in self.CODEC_FIELDS for f in side)
         return a + b + c + d
 
-    @property
-    def total_frames(self) -> int:
-        return int(self.numbers[3].sum())
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class StepTransmissions(_Plan):
@@ -509,16 +505,6 @@ class UpdateTransmissions(_Plan):
             _check_count(f"update {update}", name, value, 0)
         return f"update {update}"
 
-    @property
-    def push_records(self) -> tuple[TransmissionRecord, ...]:
-        """The push and collective records (a view, like ``records``)."""
-        return tuple(r for r in self.records if r.phase != "pull")
-
-    @property
-    def pull_records(self) -> tuple[TransmissionRecord, ...]:
-        """The pull records (a view, like ``records``)."""
-        return tuple(r for r in self.records if r.phase == "pull")
-
 
 def updates_from_bsp_steps(
     steps, num_workers: int
@@ -621,13 +607,6 @@ class SimulatedStep:
         if self.comm_seconds <= 0:
             return 0.0
         return self.hidden_seconds / self.comm_seconds
-
-    @property
-    def overlap_speedup(self) -> float:
-        """Serialized step time over overlapped step time (>= 1)."""
-        if self.step_seconds <= 0:
-            return 1.0
-        return self.serialized_seconds / self.step_seconds
 
 
 @dataclass(frozen=True)
@@ -737,14 +716,3 @@ class SimulatedExchange:
         for u in self.updates:
             histogram[u.staleness] = histogram.get(u.staleness, 0) + 1
         return dict(sorted(histogram.items()))
-
-    @property
-    def max_staleness(self) -> int:
-        return max(u.staleness for u in self.updates)
-
-    @property
-    def overlap_speedup(self) -> float:
-        """Serialized chain time over event-driven wall time (>= 1)."""
-        if self.total_seconds <= 0:
-            return 1.0
-        return self.serialized_seconds / self.total_seconds

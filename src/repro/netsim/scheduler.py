@@ -195,9 +195,9 @@ class NetworkSimulator:
         ``True`` schedules per-layer transmissions while backward still
         runs; ``False`` serializes compute, codec, and transfer.
     serialized_baseline:
-        When True (default), each overlapped ``simulate_step`` also runs
+        When True (default), each overlapped step's replay also runs
         the serialized schedule so ``SimulatedStep.serialized_seconds``
-        and ``overlap_speedup`` are meaningful. Pass False to skip that
+        is meaningful. Pass False to skip that
         second replay (halving simulation cost) when only the overlapped
         times are consumed; ``serialized_seconds`` then equals
         ``step_seconds``.
@@ -264,10 +264,6 @@ class NetworkSimulator:
                 self._layer_of[name] = layer.label
 
     # -- public API --------------------------------------------------------
-
-    def simulate_step(self, st: StepTransmissions) -> SimulatedStep:
-        """Replay one step — a one-step :meth:`simulate_run`."""
-        return self.simulate_run((st,)).steps[0]
 
     def simulate_run(self, steps) -> SimulatedRun:
         """Replay every recorded step of a training run; see the module

@@ -26,7 +26,7 @@ closed form at ``overlap=0`` exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.network.bandwidth import LinkSpec
 from repro.network.traffic import StepTraffic, TrafficMeter
@@ -88,12 +88,6 @@ class StepTimeModel:
     def overhead_seconds(self, step: StepTraffic) -> float:
         """Per-frame protocol overhead for one step's wire frames."""
         return self.per_message_overhead * step.frames
-
-    def with_overlap(self, overlap: float) -> "StepTimeModel":
-        """Copy of this model with a different overlap fraction — the hook
-        the network simulator uses to install its *measured* value in
-        place of the calibrated constant."""
-        return replace(self, overlap=overlap)
 
     def step_seconds(self, step: StepTraffic, link: LinkSpec) -> float:
         """Modelled wall-clock for one training step."""

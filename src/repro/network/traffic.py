@@ -192,11 +192,6 @@ class TrafficMeter:
             return 0.0
         return sum(s.codec_seconds for s in self.steps) / len(self.steps)
 
-    def mean_wire_bytes(self) -> float:
-        if not self.steps:
-            return 0.0
-        return self.total_wire_bytes / len(self.steps)
-
     @property
     def total_messages(self) -> int:
         """Total wire frames over the run (fused buckets count once)."""

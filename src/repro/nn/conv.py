@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.functional import check_conv_geometry, col2im, conv_output_size, im2col
-from repro.nn.initializers import he_normal, zeros
+from repro.nn.initializers import he_normal
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 
@@ -21,7 +21,9 @@ BLOCK_BYTES = 1 << 22
 
 
 class Conv2d(Module):
-    """Square-kernel 2-D convolution.
+    """Square-kernel, bias-free 2-D convolution with "same" zero padding
+    (``kernel // 2`` on each side). ResNet and VGG convs are bias-free
+    because batch norm immediately follows.
 
     ``forward`` takes ``(N, C, H, W)`` in any memory order and returns
     ``(N, F, OH, OW)`` as a batch-minor *view* of the GEMM result (memory
@@ -36,11 +38,8 @@ class Conv2d(Module):
     kernel:
         Kernel side length (square kernels only — all ResNet convs are
         3×3 or 1×1).
-    stride, pad:
-        Spatial stride and symmetric zero padding.
-    bias:
-        Whether to add a per-filter bias. ResNet convs are bias-free
-        because batch norm immediately follows.
+    stride:
+        Spatial stride.
     name:
         Parameter-name prefix, e.g. ``"stage1/block0/conv1"``.
     rng:
@@ -54,14 +53,11 @@ class Conv2d(Module):
         kernel: int,
         *,
         stride: int = 1,
-        pad: int | None = None,
-        bias: bool = False,
         name: str = "conv",
         rng: np.random.Generator,
     ):
         super().__init__()
-        if pad is None:
-            pad = kernel // 2  # "same" padding for odd kernels at stride 1
+        pad = kernel // 2  # "same" padding for odd kernels at stride 1
         check_conv_geometry(kernel, stride, pad)
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -74,13 +70,6 @@ class Conv2d(Module):
                 f"{name}/weight",
                 he_normal((out_channels, in_channels, kernel, kernel), fan_in, rng),
             )
-        )
-        self.bias = (
-            self.register_parameter(
-                Parameter(f"{name}/bias", zeros((out_channels,)), weight_decay=False)
-            )
-            if bias
-            else None
         )
         self._cache: tuple | None = None
 
@@ -102,8 +91,6 @@ class Conv2d(Module):
         for start, cols in im2col(x, self.kernel, self.stride, self.pad, budget):
             np.matmul(w_mat, cols, out=out[:, start : start + cols.shape[1]])
         out = out.reshape(self.out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)
-        if self.bias is not None:
-            out = out + self.bias.data.reshape(1, -1, 1, 1)
         if training:
             self._cache = (x.shape, cols)
         return out.astype(np.float32, copy=False)
@@ -120,8 +107,6 @@ class Conv2d(Module):
         self.weight.accumulate_grad(
             (grad_mat @ cols.T).reshape(self.weight.data.shape)
         )
-        if self.bias is not None:
-            self.bias.accumulate_grad(grad_mat.sum(axis=1))
         return col2im(
             w_mat.T @ grad_mat, x_shape, self.kernel, self.stride, self.pad
         ).astype(np.float32, copy=False)

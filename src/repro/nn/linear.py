@@ -19,7 +19,6 @@ class Linear(Module):
         in_features: int,
         out_features: int,
         *,
-        bias: bool = True,
         name: str = "fc",
         rng: np.random.Generator,
     ):
@@ -32,12 +31,8 @@ class Linear(Module):
                 he_normal((out_features, in_features), in_features, rng),
             )
         )
-        self.bias = (
-            self.register_parameter(
-                Parameter(f"{name}/bias", zeros((out_features,)), weight_decay=False)
-            )
-            if bias
-            else None
+        self.bias = self.register_parameter(
+            Parameter(f"{name}/bias", zeros((out_features,)), weight_decay=False)
         )
         self._input: np.ndarray | None = None
 
@@ -46,9 +41,7 @@ class Linear(Module):
             raise ValueError(f"expected (N, {self.in_features}), got {x.shape}")
         if training:
             self._input = x
-        out = x @ self.weight.data.T
-        if self.bias is not None:
-            out = out + self.bias.data
+        out = x @ self.weight.data.T + self.bias.data
         return out.astype(np.float32, copy=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -56,8 +49,7 @@ class Linear(Module):
             raise RuntimeError("backward before forward(training=True)")
         x, self._input = self._input, None
         self.weight.accumulate_grad(grad_output.T @ x)
-        if self.bias is not None:
-            self.bias.accumulate_grad(grad_output.sum(axis=0))
+        self.bias.accumulate_grad(grad_output.sum(axis=0))
         return (grad_output @ self.weight.data).astype(np.float32, copy=False)
 
 

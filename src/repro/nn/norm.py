@@ -36,27 +36,19 @@ class BatchNorm2d(Module):
     ----------
     channels:
         Number of feature channels.
-    momentum:
-        EMA factor for running statistics (used at evaluation time).
-    eps:
-        Numerical floor inside the square root.
     name:
         Parameter-name prefix.
     """
 
-    def __init__(
-        self,
-        channels: int,
-        *,
-        momentum: float = 0.9,
-        eps: float = 1e-5,
-        name: str = "bn",
-    ):
+    #: EMA factor for running statistics (used at evaluation time).
+    momentum = 0.9
+    #: Numerical floor inside the square root.
+    eps = 1e-5
+
+    def __init__(self, channels: int, *, name: str = "bn"):
         super().__init__()
         self.name = name
         self.channels = channels
-        self.momentum = float(momentum)
-        self.eps = float(eps)
         self.gamma = self.register_parameter(
             Parameter(f"{name}/gamma", ones((channels,)), weight_decay=False)
         )

@@ -9,8 +9,7 @@ decay 1e-4)::
 
 The optimizer keeps one accumulator slot per parameter name. In the
 distributed setup the *server* owns the optimizer (gradient aggregation and
-model update happen there, paper §2), so the class also exposes
-:meth:`apply_named` operating on plain name→array dicts.
+model update happen there, paper §2) and steps its own parameter copies.
 """
 
 from __future__ import annotations
@@ -62,28 +61,6 @@ class MomentumSGD:
             slot += grad
             param.data -= np.float32(lr) * slot
 
-    def apply_named(
-        self,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        lr: float,
-        *,
-        decay_names: frozenset[str] | set[str] = frozenset(),
-    ) -> None:
-        """Apply one update to name→array dicts in place (server-side API)."""
-        for name, value in params.items():
-            grad = grads[name]
-            if name in decay_names and self.weight_decay:
-                grad = grad + self.weight_decay * value
-            slot = self._slot(name, value.shape)
-            slot *= self.momentum
-            slot += grad
-            value -= np.float32(lr) * slot
-
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copy of accumulator slots (for checkpointing)."""
         return {name: slot.copy() for name, slot in self._slots.items()}
-
-    def reset(self) -> None:
-        """Drop all accumulator slots."""
-        self._slots.clear()

@@ -133,11 +133,10 @@ def build_resnet(
     depth: int = 20,
     *,
     num_classes: int = 10,
-    in_channels: int = 3,
     base_width: int = 16,
     seed: int = 0,
 ) -> Sequential:
-    """Build a CIFAR-style ResNet of depth ``6n+2``.
+    """Build a CIFAR-style ResNet of depth ``6n+2`` over 3-channel images.
 
     Parameters
     ----------
@@ -147,8 +146,6 @@ def build_resnet(
         trains in reasonable time while preserving the topology.
     num_classes:
         Output classes.
-    in_channels:
-        Image channels (3 for CIFAR-like inputs).
     base_width:
         Width of the first stage; stages use (w, 2w, 4w).
     seed:
@@ -157,7 +154,7 @@ def build_resnet(
     n = resnet_depth_blocks(depth)
     rng = SeedSequenceFactory(seed).rng("resnet-init")
     layers: list[Module] = [
-        Conv2d(in_channels, base_width, 3, name="stem/conv", rng=rng),
+        Conv2d(3, base_width, 3, name="stem/conv", rng=rng),
         BatchNorm2d(base_width, name="stem/bn"),
         ReLU(),
     ]

@@ -50,8 +50,6 @@ class ModelStats:
         Trainable parameter count.
     flops:
         Forward-pass floating-point operations per example.
-    bytes_per_step:
-        State-change bytes one worker pushes per step at float32.
     params_per_mflop:
         The paper's parameter-to-computation ratio (parameters per
         million FLOPs) — lower means less traffic per unit compute.
@@ -59,10 +57,6 @@ class ModelStats:
 
     parameters: int
     flops: int
-
-    @property
-    def bytes_per_step(self) -> int:
-        return 4 * self.parameters
 
     @property
     def params_per_mflop(self) -> float:

@@ -28,44 +28,33 @@ __all__ = ["build_vgg"]
 
 
 def build_vgg(
-    *,
-    num_classes: int = 10,
-    in_channels: int = 3,
-    image_size: int = 16,
-    base_width: int = 16,
-    convs_per_stage: tuple[int, ...] = (2, 2, 2),
-    fc_width: int = 256,
-    seed: int = 0,
+    *, image_size: int = 16, base_width: int = 16, fc_width: int = 256
 ) -> Sequential:
-    """Build a CIFAR-scale VGG-style network.
+    """Build a CIFAR-scale VGG-style network: 3-channel images, 10 classes,
+    three stages of two 3×3 conv layers each, weights from seed 0.
 
     Parameters
     ----------
-    num_classes / in_channels / image_size:
-        Task geometry. ``image_size`` must be divisible by
-        ``2 ** len(convs_per_stage)``.
+    image_size:
+        Image side; must be divisible by ``2 ** 3`` (one 2× pool per stage).
     base_width:
         Channels of the first stage; doubles per stage (VGG convention).
-    convs_per_stage:
-        Number of 3×3 conv layers in each stage (VGG-11 ≈ (1,1,2,2,2)).
     fc_width:
         Width of the two fully-connected head layers — the parameter-heavy
         part that drives VGG's high params-per-FLOP ratio.
-    seed:
-        Weight-initialization seed.
     """
-    stages = len(convs_per_stage)
+    stages = 3
     if image_size % (2**stages):
         raise ValueError(
             f"image_size {image_size} not divisible by 2**{stages}"
         )
-    rng = SeedSequenceFactory(seed).rng("vgg-init")
+    rng = SeedSequenceFactory(0).rng("vgg-init")
     layers: list[Module] = []
-    channels = in_channels
+    channels = 3
     width = base_width
     size = image_size
-    for stage, conv_count in enumerate(convs_per_stage):
-        for index in range(conv_count):
+    for stage in range(stages):
+        for index in range(2):
             name = f"stage{stage}/conv{index}"
             layers += [
                 Conv2d(channels, width, 3, name=name, rng=rng),
@@ -80,6 +69,6 @@ def build_vgg(
         Flatten(),
         Linear(channels * size * size, fc_width, name="head/fc0", rng=rng),
         ReLU(),
-        Linear(fc_width, num_classes, name="head/fc1", rng=rng),
+        Linear(fc_width, 10, name="head/fc1", rng=rng),
     ]
     return Sequential(*layers)

@@ -11,9 +11,6 @@ trace of a simulated run reads as "microseconds of virtual time".
 JSON object per line (JSONL) — cheap to append, trivial to load into a
 dataframe — followed by one ``"final": true`` row per session with the
 end-of-run totals.
-
-Both writers call :meth:`Tracer.check_closed` first, so a trace with
-dangling ``begin()`` spans fails loudly instead of exporting a lie.
 """
 
 from __future__ import annotations
@@ -28,18 +25,14 @@ __all__ = [
 
 
 def _sessions(sessions_or_tracer) -> list[tuple[str, object]]:
-    """Normalize to ``[(label, tracer_or_telemetry)]``; a tracer with an
-    unclosed span raises (:meth:`Tracer.check_closed`).
+    """Normalize to ``[(label, tracer_or_telemetry)]``.
 
     Accepts a bare :class:`Tracer`, a :class:`Telemetry` bundle, or an
     iterable of ``(label, tracer_or_telemetry)`` pairs.
     """
     if hasattr(sessions_or_tracer, "rows") or hasattr(sessions_or_tracer, "tracer"):
         sessions_or_tracer = [("", sessions_or_tracer)]
-    sessions = [(label, session) for label, session in sessions_or_tracer]
-    for _, session in sessions:
-        _tracer(session).check_closed()
-    return sessions
+    return [(label, session) for label, session in sessions_or_tracer]
 
 
 def _tracer(session):

@@ -59,18 +59,17 @@ class Gauge:
 
 #: Power-of-two buckets spanning microseconds to ~hundreds of units —
 #: wide enough for seconds-valued codec costs and integer staleness alike.
-DEFAULT_BOUNDS = tuple(2.0**k for k in range(-20, 11))
+BOUNDS = tuple(2.0**k for k in range(-20, 11))
 
 
 class Histogram:
     """Distribution sketch: count/sum/min/max plus bucketed counts."""
 
-    __slots__ = ("bounds", "bucket_counts", "count", "total", "min", "max")
+    __slots__ = ("bucket_counts", "count", "total", "min", "max")
 
-    def __init__(self, bounds: tuple[float, ...] = DEFAULT_BOUNDS) -> None:
-        self.bounds = tuple(sorted(bounds))
+    def __init__(self) -> None:
         # One extra overflow bucket for values above the last bound.
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
+        self.bucket_counts = [0] * (len(BOUNDS) + 1)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
@@ -84,11 +83,11 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        self.bucket_counts[bisect_right(self.bounds, value)] += 1
+        self.bucket_counts[bisect_right(BOUNDS, value)] += 1
 
     def snapshot(self) -> dict:
         """JSON-ready stats; only occupied buckets are listed."""
-        labels = [f"le={b:g}" for b in self.bounds] + [f"gt={self.bounds[-1]:g}"]
+        labels = [f"le={b:g}" for b in BOUNDS] + [f"gt={BOUNDS[-1]:g}"]
         buckets = {
             label: occupancy
             for label, occupancy in zip(labels, self.bucket_counts)

@@ -18,9 +18,9 @@ track)`` id and name, ``start`` / ``end`` in ``array('d')`` and an args
 dict shared by every span with equal args. Readers walk
 :meth:`Tracer.rows`; :attr:`Tracer.spans` materializes :class:`Span` objects.
 
-``begin``/``end`` keep a per-track stack so unbalanced instrumentation
-is detectable: :meth:`check_closed` raises (and the exporters call it),
-which is what the CI smoke's "fail on unclosed spans" check leans on.
+Only completed spans exist, so a recorded trace has no open span to
+leak; ``repro.telemetry.validate`` still checks ``"B"``/``"E"`` pairing
+for trace files written elsewhere.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class Span(NamedTuple):
     end: float
     args: dict = MappingProxyType({})
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 class Tracer:
     """Collects spans as rows."""
@@ -63,7 +59,6 @@ class Tracer:
         self._start = array("d")
         self._end = array("d")
         self._args: list[dict] = []
-        self._open: dict[tuple[str, str], list[tuple[str, float, dict]]] = {}
 
     def span(
         self, group: str, track: str, name: str, start: float, end: float, **args
@@ -85,21 +80,6 @@ class Tracer:
         self._end.append(end)
         self._args.append(args)
 
-    def begin(self, group: str, track: str, name: str, start: float, **args) -> None:
-        """Open a nested span at simulated time ``start``."""
-        if not -_INF < start < _INF:
-            raise ValueError(f"span {group}/{track}/{name} begins at {start}")
-        self._open.setdefault((group, track), []).append((name, start, args))
-
-    def end(self, group: str, track: str, end: float) -> None:
-        """Close the innermost open span on ``(group, track)``."""
-        stack = self._open.get((group, track))
-        if not stack:
-            raise RuntimeError(f"end() on {group}/{track} with no open span")
-        name, start, args = stack[-1]
-        self.span(group, track, name, start, end, **args)
-        stack.pop()
-
     def rows(self):
         """``(track id, name, start, end, args)`` per span, in record order; an
         id indexes ``list(tracks)``. ``args`` is shared: read only."""
@@ -111,20 +91,6 @@ class Tracer:
         tracks = list(self.tracks)
         return [Span(*tracks[t], n, s, e, dict(a)) for t, n, s, e, a in self.rows()]
 
-    def open_spans(self) -> list[str]:
-        """Human-readable ``group/track/name`` of every unclosed span."""
-        return [
-            f"{group}/{track}/{name}"
-            for (group, track), stack in sorted(self._open.items())
-            for (name, _, _) in stack
-        ]
-
-    def check_closed(self) -> None:
-        """Raise if any begin() never saw its end() — exporters call this."""
-        dangling = self.open_spans()
-        if dangling:
-            raise RuntimeError(f"unclosed spans: {', '.join(dangling)}")
-
     def track_totals(self) -> list[tuple[tuple[str, str], int, float]]:
         """``((group, track), span count, busy seconds)`` per track id."""
         counts = [0] * len(self.tracks)
@@ -133,8 +99,3 @@ class Tracer:
             counts[track] += 1
             busy[track] += end - start
         return list(zip(self.tracks, counts, busy))
-
-    def busy_seconds(self) -> dict[tuple[str, str], float]:
-        """Total span duration per (group, track) — the trace's own
-        occupancy accounting, comparable against simulator link_busy."""
-        return {key: busy for key, _, busy in self.track_totals()}

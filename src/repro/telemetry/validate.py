@@ -11,9 +11,8 @@ keys, known phases, numbers (``int`` / ``float``, finite; ``ts`` /
 rule, so what validates attributes — and fails on unclosed spans: every
 ``"B"`` begin event must have a matching ``"E"`` end on the same
 ``(pid, tid)`` track. (Our own exporter
-only emits complete ``"X"`` events and refuses to export a tracer with
-dangling ``begin()`` calls, so this doubles as an end-to-end check that
-nothing upstream leaked an open span into the file.)
+only emits complete ``"X"`` events, so this check is for trace files
+written by other tools.)
 
 ``--strict`` adds per-track discipline checks: overlapping complete
 spans on one ``(pid, tid)`` track, and ``"X"`` timestamps that go

@@ -7,9 +7,11 @@ the search layers above depend on:
 * **Cache reuse.** Every evaluation goes through one shared
   :class:`~repro.netsim.SweepReplayCache`: plan points differing only in
   simulation-side knobs (cross-rack bandwidth, transmission priority,
-  time model) share a recording, and re-scored points hit the simulation
-  level outright — one training run is scored across hundreds of
-  candidate plans with only timeline-level recomputation.
+  time model) share a recording. A re-scored point reuses its config's
+  runner and hits that runner's own result cache; a point whose only new
+  knob is a simulation-only one hits its recording, and its replays run
+  fresh — one training run is scored across many candidate plans, each
+  paying only its replays.
 * **Bit-determinism.** Measured seconds (wall-clock compute and codec
   timings, a profiled backward timeline) would make same-seed tuner runs
   differ, so ``PlanSpace.apply`` asks every candidate config for the
@@ -68,14 +70,12 @@ class PlanEvaluator:
         the objective is the simulated mean step seconds at this link.
     accuracy_floor_delta:
         Feasibility bound: a plan whose final accuracy falls more than
-        this below ``baseline_accuracy`` is scored infeasible (lossy
-        plans must not buy speed with model quality).
-    baseline_accuracy:
-        Anchor for the accuracy bound. ``None`` defers the bound until
-        :meth:`set_baseline` is called (the driver scores the default
-        plan first and anchors on it).
-    cache:
-        Shared replay cache; a fresh private one by default.
+        this below the baseline accuracy is scored infeasible (lossy
+        plans must not buy speed with model quality). The bound holds
+        from :meth:`set_baseline` on (the driver scores the default plan
+        first and anchors on it).
+
+    Every evaluation shares one private replay cache, ``cache``.
     """
 
     def __init__(
@@ -84,14 +84,12 @@ class PlanEvaluator:
         *,
         link: str = "10Mbps",
         accuracy_floor_delta: float = 0.05,
-        baseline_accuracy: float | None = None,
-        cache: SweepReplayCache | None = None,
     ):
         self.space = space
         self.link = link
         self.accuracy_floor_delta = float(accuracy_floor_delta)
-        self.baseline_accuracy = baseline_accuracy
-        self.cache = cache if cache is not None else SweepReplayCache()
+        self.baseline_accuracy: float | None = None
+        self.cache = SweepReplayCache()
         self._runners: dict[ExperimentConfig, ExperimentRunner] = {}
         #: Simulator evaluations performed (the search budget's unit).
         self.evaluations = 0

@@ -40,6 +40,8 @@ __all__ = [
 #: Fixed scoring round size: part of the evaluation sequence, so
 #: changing it changes which plan a seed finds.
 ROUND_SIZE = 8
+#: Candidates the cost model ranks per round; fixed for the same reason.
+POOL_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,6 @@ def cost_model_search(
     budget: int,
     seed: int,
     default: PlanScore,
-    pool_size: int = 256,
 ) -> TunerResult:
     """CAMAL-style active learning: model proposes, simulator labels.
 
@@ -191,7 +192,7 @@ def cost_model_search(
         weights = _fit_ridge(X, y)
         # Propose from a fresh pool; `seen` dedups against everything
         # already labeled so the pool never re-spends budget.
-        pool = _sample_unique(space, rng, pool_size, seen)
+        pool = _sample_unique(space, rng, POOL_SIZE, seen)
         if not pool:
             break
         preds = space.encode(pool) @ weights
@@ -229,7 +230,6 @@ def tune(
     strategy: str = "model",
     budget: int = 64,
     seed: int = 0,
-    default_scheme: str | None = None,
 ) -> TunerResult:
     """Score the default plan, anchor the accuracy bound, run a strategy.
 
@@ -246,8 +246,7 @@ def tune(
         ) from None
     if budget < 2:
         raise ValueError(f"budget must be >= 2, got {budget}")
-    scheme = default_scheme or space.schemes[0]
-    default_point = space.default_point(scheme)
+    default_point = space.default_point(space.schemes[0])
     default = scorer.evaluate_batch([default_point])[0]
     scorer.set_baseline(default.accuracy)
     return run(space, scorer, budget=budget, seed=seed, default=default)

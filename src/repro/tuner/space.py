@@ -47,6 +47,10 @@ __all__ = [
 
 TOPOLOGY_CHOICES = ("single", "sharded", "ring", "hier")
 PRIORITY_CHOICES = ("registration", "smallest")
+#: Rejection-sampling tries before :meth:`PlanSpace.sample` gives up.
+_SAMPLE_ATTEMPTS = 200
+#: Most single-name bucket boundaries a model offers the search.
+_MAX_BOUNDARY_NAMES = 4
 
 
 @dataclass(frozen=True)
@@ -182,9 +186,9 @@ class PlanSpace:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, rng: np.random.Generator, *, attempts: int = 200) -> PlanPoint:
+    def sample(self, rng: np.random.Generator) -> PlanPoint:
         """One legal canonical point, by rejection sampling."""
-        for _ in range(attempts):
+        for _ in range(_SAMPLE_ATTEMPTS):
             topology = self.topologies[rng.integers(len(self.topologies))]
             if topology == "hier":
                 racks, rack_size = self.rack_shapes[
@@ -222,7 +226,7 @@ class PlanSpace:
             if self.legal_reason(point) is None:
                 return point
         raise RuntimeError(
-            f"no legal plan point found in {attempts} sampling attempts — "
+            f"no legal plan point found in {_SAMPLE_ATTEMPTS} sampling attempts — "
             "is the space over-constrained?"
         )
 
@@ -242,10 +246,6 @@ class PlanSpace:
         }
         values["transmission_priority"] = "registration"
         return self.canonical(PlanPoint(scheme=scheme, **values))
-
-    def point_from_dict(self, plan: dict) -> PlanPoint:
-        """Inverse of :meth:`PlanPoint.as_dict` (artifact loading)."""
-        return PlanPoint.from_dict(plan)
 
     # -- features ----------------------------------------------------------
 
@@ -278,9 +278,7 @@ class PlanSpace:
         return rows
 
 
-def boundary_candidates(
-    config: ExperimentConfig, *, max_names: int = 4
-) -> tuple[tuple[str, ...], ...]:
+def boundary_candidates(config: ExperimentConfig) -> tuple[tuple[str, ...], ...]:
     """Candidate bucket-boundary sets for one model.
 
     Boundaries only matter for below-threshold (fusable) parameters;
@@ -299,8 +297,8 @@ def boundary_candidates(
     names = fusable[1:]
     if not names:
         return ((),)
-    if len(names) > max_names:
-        idx = np.linspace(0, len(names) - 1, max_names).astype(int)
+    if len(names) > _MAX_BOUNDARY_NAMES:
+        idx = np.linspace(0, len(names) - 1, _MAX_BOUNDARY_NAMES).astype(int)
         names = [names[i] for i in dict.fromkeys(idx)]
     candidates: list[tuple[str, ...]] = [()]
     candidates.extend((name,) for name in names)
@@ -309,26 +307,13 @@ def boundary_candidates(
     return tuple(candidates)
 
 
-def default_space(
-    base: ExperimentConfig,
-    *,
-    schemes: tuple[str, ...] | None = None,
-) -> PlanSpace:
+def default_space(base: ExperimentConfig) -> PlanSpace:
     """The standard search space over one base config.
 
     Rack shapes are every ``racks x rack_size == num_workers`` split into
     at least two racks of at least two workers (the legal hier shapes);
     ``hier`` drops out of the topology choices when no such split exists.
     """
-    if schemes is None:
-        schemes = (
-            "32-bit float",
-            "8-bit int",
-            "3LC (s=1.00)",
-            "3LC (s=1.75)",
-            "MQE 1-bit int",
-            "25% sparsification",
-        )
     shapes = tuple(
         (racks, base.num_workers // racks)
         for racks in range(2, base.num_workers // 2 + 1)
@@ -342,7 +327,14 @@ def default_space(
     )
     return PlanSpace(
         base=base,
-        schemes=schemes,
+        schemes=(
+            "32-bit float",
+            "8-bit int",
+            "3LC (s=1.00)",
+            "3LC (s=1.75)",
+            "MQE 1-bit int",
+            "25% sparsification",
+        ),
         topologies=topologies,
         shard_choices=shard_choices or (2,),
         rack_shapes=shapes,

@@ -60,10 +60,5 @@ class SeedSequenceFactory:
         """Return the generator for the given stream key."""
         return derive_rng(self.root_seed, *key)
 
-    def child(self, *key: object) -> "SeedSequenceFactory":
-        """Return a factory whose streams are nested under ``key``."""
-        sub = int(self.rng(*key, "__child__").integers(0, 2**31 - 1))
-        return SeedSequenceFactory(sub)
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"SeedSequenceFactory(root_seed={self.root_seed})"

@@ -22,7 +22,7 @@ from repro.compression import make_compressor
 from repro.compression.int8 import Int8Compressor
 from repro.compression.onebit import OneBitCompressor
 from repro.compression.topk import (
-    DEFAULT_SAMPLE_SIZE,
+    SAMPLE_SIZE,
     TopKCompressor,
     sampled_threshold,
 )
@@ -32,9 +32,9 @@ from repro.core.zre import zre_decode
 
 SHAPES = ((1,), (7,), (8,), (9,), (3, 3, 16, 16), (3, 3, 64, 64))
 #: ``SHAPES`` plus both sides of a bitmap byte (8 values) and of top-k's
-#: threshold sample (exact up to ``DEFAULT_SAMPLE_SIZE``, sampled above).
+#: threshold sample (exact up to ``SAMPLE_SIZE``, sampled above).
 STEP_SHAPES = SHAPES + (
-    (2,), (4,), (5,), (16,), (17,), (DEFAULT_SAMPLE_SIZE,), (DEFAULT_SAMPLE_SIZE + 1,)
+    (2,), (4,), (5,), (16,), (17,), (SAMPLE_SIZE,), (SAMPLE_SIZE + 1,)
 )
 FAMILIES = (
     "heavy",
@@ -113,7 +113,7 @@ def test_int8_refuses_a_non_finite_tensor(bad):
 
 
 @given(
-    size=st.integers(DEFAULT_SAMPLE_SIZE - 40, DEFAULT_SAMPLE_SIZE + 40)
+    size=st.integers(SAMPLE_SIZE - 40, SAMPLE_SIZE + 40)
     | st.integers(1, 40),
     fraction=st.sampled_from([1.0, 0.25, 0.05, 0.001, 1e-6, 1e-300])
     | st.floats(0.0, 1.0, exclude_min=True),
@@ -126,9 +126,9 @@ def test_sampled_threshold_is_numpys_lower_quantile(size, fraction, levels, seed
     magnitudes = (np.floor(magnitudes * levels) + 0.5).astype(np.float32)
     before = magnitudes.copy()
     sample = magnitudes
-    if size > DEFAULT_SAMPLE_SIZE:
+    if size > SAMPLE_SIZE:
         sample = np.random.default_rng(seed).choice(
-            magnitudes, size=DEFAULT_SAMPLE_SIZE, replace=False
+            magnitudes, size=SAMPLE_SIZE, replace=False
         )
     want = float(np.quantile(sample, 1.0 - fraction, method="lower"))
     got = sampled_threshold(magnitudes, fraction, np.random.default_rng(seed))

@@ -10,7 +10,9 @@ all-zero segment, long zero runs that cross segment boundaries, both
 sparsity multipliers and both codec dtypes. It was computed before the
 pack and decode kernels were rewritten, so the kernels are held to the old
 bytes, scales, reconstructions and decodes, the sign of every zero
-included (``tobytes`` tells +0.0 from -0.0).
+included (``tobytes`` tells +0.0 from -0.0). It was recorded once more when
+an all-zero segment's ``encode`` scale became +0.0, as ``compress`` frames
+it: 88 frames of the grid changed, each in the sign of a zero scale only.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ from repro.compression.stochastic_ternary import StochasticTernaryCompressor
 from repro.core.codec import CompressionContext, ThreeLCCodec, round_trip_context_batch
 from repro.core.packets import WireMessage
 
-GOLDEN_BATCH_SHA256 = "e8fa9cdc035abc549e98a191c0aa663bd63161031e11b66037b83312f4fbb878"
+GOLDEN_BATCH_SHA256 = "a012f82680cd1843fb641ba850caa1f471eda6298ad59b439be71226673782b1"
 
 LENGTHS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 0, 23, 64, 301, 2304)
 FAMILIES = ("heavy", "dense", "spiky")
@@ -62,22 +64,14 @@ def update(digest, *arrays):
 
 
 def framed(codec, tensors, encoded, offsets, scales) -> list[WireMessage]:
-    """Each segment of one ``encode`` as a frame of its own.
-
-    Not ``compress`` per tensor: an all-zero segment's ``encode`` scale can
-    be -0.0 where ``compress`` frames +0.0, and the pin holds the former.
-    """
+    """Each segment of one ``encode`` as a frame of its own: the frame
+    ``compress`` makes of that tensor, the sign of a zero scale included."""
     cuts = np.asarray(offsets).tolist()
-    return [
-        WireMessage(
-            codec_id=codec.codec_id,
-            shape=tensor.shape,
-            payload=encoded[cuts[i] : cuts[i + 1]].tobytes(),
-            scalars=(scale,),
-            dtype=codec.dtype,
-        )
-        for i, (tensor, scale) in enumerate(zip(tensors, scales.tolist()))
-    ]
+    messages = [codec.compress(tensor).message for tensor in tensors]
+    for i, (message, scale) in enumerate(zip(messages, scales.tolist())):
+        assert message.payload == encoded[cuts[i] : cuts[i + 1]].tobytes()
+        assert np.float64(message.scalars[0]).tobytes() == np.float64(scale).tobytes()
+    return messages
 
 
 def batch_digest() -> str:
@@ -167,6 +161,19 @@ def test_3lc_zeros_come_back_positive(dtype, s, use_zre):
     assert_zeros_positive(*received)
     for context in contexts:
         assert_zeros_positive(context.compress(tensor).reconstruction)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("use_zre", (True, False))
+def test_an_all_zero_segment_scales_and_decodes_to_positive_zero(dtype, use_zre):
+    codec = ThreeLCCodec(1.0, use_zre=use_zre, dtype=dtype)
+    tensors = [np.zeros(5, dtype), -0.0 * np.ones(5, dtype), signed_zeros(dtype)]
+    lengths = np.array([t.size for t in tensors])
+    _, _, scales, _ = codec.encode(np.concatenate(tensors), lengths)
+    assert scales[:2].tolist() == [0.0, 0.0] and not np.signbit(scales[:2]).any()
+    contexts = [CompressionContext(t.shape, codec) for t in tensors]
+    received, _ = round_trip_context_batch(list(zip(contexts, tensors)))
+    assert_zeros_positive(*received)
 
 
 def test_stochastic_ternary_zeros_come_back_positive():

@@ -41,13 +41,6 @@ class TestBufferBasics:
         with pytest.raises(ValueError, match="shape mismatch"):
             buf.subtract(np.zeros((3, 3), dtype=np.float32))
 
-    def test_reset(self):
-        buf = ErrorAccumulationBuffer((2,))
-        buf.accumulate(np.ones(2, dtype=np.float32))
-        buf.reset()
-        assert not buf.residual.any()
-        assert buf.l2_norm() == 0.0
-
     def test_l2_norm(self):
         buf = ErrorAccumulationBuffer((2,))
         buf.accumulate(np.array([3.0, 4.0], dtype=np.float32))

@@ -79,16 +79,6 @@ class TestDecode:
         encoded = quartic_encode(values)
         np.testing.assert_array_equal(quartic_decode(encoded, 123), values)
 
-    def test_roundtrip_with_shape(self, rng):
-        values = rng.integers(-1, 2, size=(4, 9)).astype(np.int8)
-        decoded = quartic_decode(quartic_encode(values), 36, shape=(4, 9))
-        np.testing.assert_array_equal(decoded, values)
-
-    def test_bad_shape_rejected(self):
-        encoded = quartic_encode(np.zeros(10, dtype=np.int8))
-        with pytest.raises(ValueError, match="incompatible"):
-            quartic_decode(encoded, 10, shape=(3, 4))
-
     def test_length_mismatch_rejected(self):
         encoded = quartic_encode(np.zeros(10, dtype=np.int8))
         with pytest.raises(ValueError, match="inconsistent"):
@@ -110,8 +100,8 @@ class TestProperties:
     @given(values=ternary_arrays)
     def test_roundtrip_property(self, values):
         encoded = quartic_encode(values)
-        decoded = quartic_decode(encoded, values.size, shape=values.shape)
-        np.testing.assert_array_equal(decoded, values)
+        decoded = quartic_decode(encoded, values.size)
+        np.testing.assert_array_equal(decoded, values.reshape(-1))
 
     @given(values=ternary_arrays)
     def test_vectorized_matches_reference_encoder(self, values):

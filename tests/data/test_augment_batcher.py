@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import Augmenter, ShardBatcher, random_crop_flip
+from repro.data import ShardBatcher, random_crop_flip
 
 
 class TestRandomCropFlip:
@@ -77,11 +77,6 @@ class TestRandomCropFlip:
         assert out.dtype == dtype
         assert out.shape == shape
         assert out.tobytes() == expected.tobytes()
-
-    def test_augmenter_disabled_passthrough(self, rng):
-        images = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        aug = Augmenter(rng, enabled=False)
-        assert aug(images) is images
 
 
 class TestShardBatcher:

@@ -106,9 +106,8 @@ class TestSyntheticImageDataset:
         top1 = scores.argmax(axis=1)
         assert float(np.mean(top1 == labels)) > 0.5
 
-    def test_image_shape_property(self):
+    def test_num_classes_property(self):
         ds = SyntheticImageDataset(DatasetSpec(image_size=12))
-        assert ds.image_shape == (3, 12, 12)
         assert ds.num_classes == 10
 
 

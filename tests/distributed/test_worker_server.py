@@ -40,7 +40,7 @@ class TestWorker:
     def test_train_step_produces_all_tensors(self):
         worker = make_worker()
         batch = worker.train_step()
-        assert set(batch.messages) == set(worker.parameter_names())
+        assert set(batch.messages) == {p.name for p in worker.model.parameters()}
         assert batch.compute_seconds > 0
         assert batch.compress_seconds >= 0
         assert np.isfinite(batch.loss)
@@ -54,7 +54,7 @@ class TestWorker:
 
     def test_apply_pull_updates_local_model(self):
         worker = make_worker()
-        name = worker.parameter_names()[0]
+        name = worker.model.parameters()[0].name
         before = worker.model.state_dict()[name].copy()
         delta = np.ones_like(before)
         worker.apply_pull({name: delta})
@@ -66,7 +66,7 @@ class TestWorker:
         worker = make_worker()
         worker.train_step()
         norms = worker.residual_norms()
-        assert set(norms) == set(worker.parameter_names())
+        assert set(norms) == {p.name for p in worker.model.parameters()}
         # 3LC push contexts accumulate residuals on compressed tensors.
         assert any(v > 0 for k, v in norms.items() if k not in worker.stream.bypassed)
 

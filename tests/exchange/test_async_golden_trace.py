@@ -21,6 +21,7 @@ from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.distributed.barriers import StragglerSpec
 from repro.exchange import Clock, EngineConfig, ExchangeEngine
+from repro.netsim.vector import phase_partition
 from repro.nn import CosineDecay, build_resnet
 
 GOLDEN_PATH = Path(__file__).parent / "golden_async_trace.json"
@@ -63,10 +64,12 @@ def event_stream_as_dicts(engine: ExchangeEngine) -> list[dict]:
             "staleness": e.staleness,
             "clock_seconds": e.clock_seconds,
             "pushes": [
-                [r.name, r.wire_bytes, r.elements, r.route] for r in e.push_records
+                [r.name, r.wire_bytes, r.elements, r.route]
+                for r in phase_partition(e.records)[0]
             ],
             "pulls": [
-                [r.name, r.wire_bytes, r.elements, r.route] for r in e.pull_records
+                [r.name, r.wire_bytes, r.elements, r.route]
+                for r in phase_partition(e.records)[1]
             ],
         }
         for e in engine.update_events

@@ -15,6 +15,7 @@ import pytest
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.exchange import EngineConfig, ExchangeEngine
+from repro.netsim.vector import phase_partition
 from repro.nn import CosineDecay, build_resnet
 
 
@@ -72,4 +73,4 @@ class TestDeferringSchemesInAsyncModes:
         engine = make_engine("3LC (s=1.00)", sync_mode="async", record=True)
         engine.train(4)
         assert len(engine.update_events) == 4
-        assert all(e.push_records for e in engine.update_events)
+        assert all(phase_partition(e.records)[0] for e in engine.update_events)

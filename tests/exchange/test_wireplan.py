@@ -29,6 +29,7 @@ from repro.compression.fusion import bucket_label, build_fusion_plan
 from repro.data import DatasetSpec, SyntheticImageDataset
 from repro.exchange import MODELED, EngineConfig, ExchangeEngine
 from repro.netsim import EventDrivenSimulator, link_model_for
+from repro.netsim.vector import phase_partition
 from repro.network.bandwidth import link
 from repro.nn import CosineDecay, build_resnet
 from repro.nn.stats import profile_backward
@@ -367,12 +368,9 @@ class TestAsyncFusedPullStreams:
         fused.train(6)
         assert len(fused.update_events) == 6
         for event in fused.update_events:
-            fused_pushes = [
-                r for r in event.push_records if r.name.startswith("bucket:")
-            ]
-            fused_pulls = [
-                r for r in event.pull_records if r.name.startswith("bucket:")
-            ]
+            pushes, pulls = phase_partition(event.records)
+            fused_pushes = [r for r in pushes if r.name.startswith("bucket:")]
+            fused_pulls = [r for r in pulls if r.name.startswith("bucket:")]
             assert fused_pushes and fused_pulls
             for record in fused_pushes + fused_pulls:
                 assert len(record.params) > 1
@@ -396,8 +394,8 @@ class TestAsyncFusedPullStreams:
         unfused = self.make_async(False)
         unfused.train(8)
         baseline = simulator.simulate(unfused.update_events)
-        assert sum(e.total_frames for e in fused.update_events) < sum(
-            e.total_frames for e in unfused.update_events
+        assert sum(r.frames for e in fused.update_events for r in e.records) < sum(
+            r.frames for e in unfused.update_events for r in e.records
         )
         assert exchange.overhead_seconds < baseline.overhead_seconds
 
@@ -420,18 +418,13 @@ class TestAsyncFusedPullStreams:
         engine.train(6)
         assert {e.worker for e in engine.update_events} == {0, 1}
         for event in engine.update_events:
-            ups = [
-                r for r in event.push_records if r.name.startswith("bucket:")
-            ]
+            pushes, pulls = phase_partition(event.records)
+            ups = [r for r in pushes if r.name.startswith("bucket:")]
             downs = [
-                r
-                for r in event.pull_records
-                if r.name.startswith("bucket:") and "@down" in r.name
+                r for r in pulls if r.name.startswith("bucket:") and "@down" in r.name
             ]
             bcasts = [
-                r
-                for r in event.pull_records
-                if r.name.startswith("bucket:") and "@bcast" in r.name
+                r for r in pulls if r.name.startswith("bucket:") and "@bcast" in r.name
             ]
             assert ups and downs and len(downs) == len(bcasts)
             assert all(r.depends_on for r in ups + bcasts)

@@ -19,6 +19,7 @@ from repro.distributed.barriers import StragglerSpec
 from repro.distributed.faults import FaultSpec, UplinkFlap
 from repro.exchange import MODELED
 from repro.harness import FAST_CONFIG, ExperimentConfig, ExperimentRunner
+from repro.harness.config import SIMULATED_ONLY
 from repro.netsim import SweepReplayCache
 from repro.tuner import search
 from repro.tuner.evaluator import PlanEvaluator
@@ -256,6 +257,12 @@ def _recording(config: ExperimentConfig):
 class TestSimOnlyFieldsShareARecording:
     def test_canonical_fields_exist(self):
         assert set(ExperimentRunner._SIM_ONLY_CANONICAL) <= set(_names(ExperimentConfig))
+
+    def test_every_knob_the_cli_calls_simulated_only_leaves_the_key(self):
+        """A knob the CLI refuses without ``--sim-overlap`` changes only the
+        replay; were it in the recording key, a sweep over it would
+        silently train once per value."""
+        assert set(SIMULATED_ONLY) <= set(ExperimentRunner._SIM_ONLY_CANONICAL)
 
     def test_perturbing_them_leaves_the_recording_identical(self):
         """Hier BSP is bit-reproducible, so what the sim-only knobs share

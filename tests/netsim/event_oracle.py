@@ -225,7 +225,8 @@ class EventDrivenSimulator:
         flat_records: list[TransmissionRecord] = []
         shape: list[tuple[int, int]] = []
         for e in events:
-            pushes, pulls = e.push_records, e.pull_records
+            pushes = tuple(r for r in e.records if r.phase != "pull")
+            pulls = tuple(r for r in e.records if r.phase == "pull")
             flat_records.extend(pushes)
             flat_records.extend(pulls)
             shape.append((len(pushes), len(pulls)))
@@ -356,7 +357,7 @@ class EventDrivenSimulator:
             totals["codec"] += push_cost + codec_scale * (
                 e.server_seconds + e.pull_compress_seconds + e.pull_decompress_seconds
             )
-            pushes = e.push_records
+            pushes = tuple(r for r in e.records if r.phase != "pull")
             flight = {
                 "event": e,
                 "start": now,
@@ -443,7 +444,7 @@ class EventDrivenSimulator:
                     )
 
         def push_arrived(flight: dict, index: int, now: float) -> None:
-            record = flight["event"].push_records[index]
+            record = tuple(r for r in flight["event"].records if r.phase != "pull")[index]
             done = flight["push_done"]
             done[record.name] = max(done.get(record.name, 0.0), now)
             flight["pushes_left"] -= 1
@@ -481,7 +482,7 @@ class EventDrivenSimulator:
 
         def send_pulls(flight: dict, now: float) -> None:
             e = flight["event"]
-            pulls = e.pull_records
+            pulls = tuple(r for r in e.records if r.phase == "pull")
             flight["pulls_left"] = len(pulls)
             if not pulls:
                 update_done(flight, now)
@@ -490,7 +491,7 @@ class EventDrivenSimulator:
             # depending on a push-phase record is immediately ready; a
             # pull depending on another pull (the intra-rack broadcast of
             # a cross-rack delta) waits for that transfer.
-            satisfied = {r.name for r in e.push_records}
+            satisfied = {r.name for r in e.records if r.phase != "pull"}
             waiting: dict[int, tuple[str, ...]] = {}
 
             occ = pull_occ[e.update]
@@ -527,7 +528,7 @@ class EventDrivenSimulator:
                     enqueue_pull(index, now)
 
         def pull_arrived(flight: dict, index: int, now: float) -> None:
-            record = flight["event"].pull_records[index]
+            record = tuple(r for r in flight["event"].records if r.phase == "pull")[index]
             flight["pull_satisfied"].add(record.name)
             flight["pulls_left"] -= 1
             flight["release_pulls"](now)

@@ -33,6 +33,7 @@ from repro.netsim import (
     single_server_links,
     updates_from_bsp_steps,
 )
+from repro.netsim.vector import phase_partition
 from repro.network.bandwidth import LinkSpec, link
 from repro.network.timing import StepTimeModel
 from repro.nn import CosineDecay, build_resnet
@@ -165,7 +166,9 @@ class TestStalenessZeroParity:
         for st in engine.transmissions:
             generation = [e for e in events if e.local_step == st.step]
             assert len(generation) == 2
-            assert sum(e.total_frames for e in generation) == st.total_frames
+            assert sum(
+                r.frames for e in generation for r in e.records
+            ) == sum(r.frames for r in st.records)
             assert sum(
                 r.total_bytes for e in generation for r in e.records
             ) == sum(r.total_bytes for r in st.records)
@@ -281,7 +284,6 @@ class TestEventLoop:
         assert set(exchange.link_utilization) == {"server"}
         assert 0.0 < exchange.link_utilization["server"] <= 1.0
         assert exchange.serialized_seconds >= exchange.total_seconds - 1e-12
-        assert exchange.overlap_speedup >= 1.0
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="record_transmissions"):
@@ -318,7 +320,7 @@ class TestEngineEventStreamThroughSimulator:
         ).simulate(engine.update_events)
         assert len(exchange.updates) == 6
         assert exchange.total_seconds > 0
-        assert exchange.max_staleness >= 1  # two workers interleave
+        assert max(exchange.staleness_histogram) >= 1  # two workers interleave
 
     def test_ssp_stream_simulates_with_gate(self, timeline):
         engine = train_engine(sync_mode="ssp", staleness=1, steps=6)
@@ -337,8 +339,9 @@ class TestEngineEventStreamThroughSimulator:
     def test_recorded_bytes_match_traffic_meter(self):
         engine = train_engine(sync_mode="async", steps=4)
         for event, traffic in zip(engine.update_events, engine.traffic.steps):
-            push = sum(r.total_bytes for r in event.push_records)
-            pull = sum(r.total_bytes for r in event.pull_records)
+            pushes, pulls = phase_partition(event.records)
+            push = sum(r.total_bytes for r in pushes)
+            pull = sum(r.total_bytes for r in pulls)
             assert push == traffic.push_bytes
             assert pull == traffic.pull_bytes_total
             assert event.codec_seconds == pytest.approx(traffic.codec_seconds)

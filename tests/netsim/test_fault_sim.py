@@ -121,8 +121,8 @@ class TestOutageReplay:
             serialized_baseline=False,
             vectorized=vectorized,
         )
-        plain = sim.simulate_step(base).step_seconds
-        held = sim.simulate_step(floored).step_seconds
+        plain = sim.simulate_run((base,)).steps[0].step_seconds
+        held = sim.simulate_run((floored,)).steps[0].step_seconds
         assert held >= 0.5
         assert held > plain
 
@@ -236,7 +236,6 @@ class TestOutageReplay:
         outage = [s for s in tracer.spans if s.track.startswith("outage:")]
         assert outage, "expected an outage span for the rejoin floor"
         assert all(s.name == "link-down" for s in outage)
-        tracer.check_closed()
 
 
 class TestRecordingKeyFingerprint:
@@ -369,7 +368,6 @@ class TestTracedFaultedRuns:
             engine.service.STAGES,
         )
         assert len(tel.step_snapshots) == len(engine.step_logs) == 2
-        tel.tracer.check_closed()
         trace = chrome_trace([("aborted", tel)])
         assert validate_chrome_trace(trace) == []
         assert np.isfinite([log.train_loss for log in engine.step_logs]).all()

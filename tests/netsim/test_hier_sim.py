@@ -84,7 +84,7 @@ class TestSerializedMatchesPerTierSum:
         lm = hier_model(link_name)
         sim = NetworkSimulator(SIMPLE_TIMELINE, lm, TIME_MODEL, overlap=False)
         for st in engine.transmissions:
-            step = sim.simulate_step(st)
+            step = sim.simulate_run((st,)).steps[0]
             assert step.step_seconds == pytest.approx(
                 per_tier_serialized_seconds(st, lm, TIME_MODEL), abs=1e-9
             )
@@ -114,7 +114,7 @@ class TestSerializedMatchesPerTierSum:
         shared_run = sim.simulate_run(forced)
         assert sharded_run.mean_step_seconds < shared_run.mean_step_seconds
         for st in engine.transmissions:
-            step = sim.simulate_step(st)
+            step = sim.simulate_run((st,)).steps[0]
             assert step.step_seconds == pytest.approx(
                 per_tier_serialized_seconds(st, lm, TIME_MODEL), abs=1e-9
             )
@@ -149,7 +149,7 @@ class TestSerializedMatchesPerTierSum:
         sim = NetworkSimulator(
             SIMPLE_TIMELINE, hier_model(), TIME_MODEL, overlap=False
         )
-        step = sim.simulate_step(engine.transmissions[0])
+        step = sim.simulate_run((engine.transmissions[0],)).steps[0]
         labels = " ".join(step.critical_path)
         assert "xfer:cross" in labels
         assert "xfer:rack" in labels
@@ -193,7 +193,7 @@ class TestRtt:
         for rtt in (0.0, 0.004):
             lm = LinkModel("ring-rtt", {"ring": LinkSpec("1Mbps", 1e6, rtt)})
             sim = NetworkSimulator(SIMPLE_TIMELINE, lm, tm, overlap=False)
-            step = sim.simulate_step(st)
+            step = sim.simulate_run((st,)).steps[0]
             if rtt == 0.0:
                 base = step.step_seconds
             else:
@@ -296,7 +296,7 @@ class TestDependencyWaves:
         tm = StepTimeModel(per_message_overhead=0.0)
         step = NetworkSimulator(
             SIMPLE_TIMELINE, lm, tm, overlap=True
-        ).simulate_step(st)
+        ).simulate_run((st,)).steps[0]
         # 1 s per transfer at 1 Mbps; sequential despite disjoint links.
         assert step.step_seconds == pytest.approx(2.0)
 

@@ -94,18 +94,17 @@ class TestScheduler:
         sim = NetworkSimulator(
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
         )
-        step = sim.simulate_step(simple_step(frames=1))
+        step = sim.simulate_run((simple_step(frames=1),)).steps[0]
         overhead = StepTimeModel().per_message_overhead
         assert step.step_seconds == pytest.approx(1.5 + overhead)
         assert step.serialized_seconds == pytest.approx(2.0 + overhead)
         assert step.achieved_overlap == pytest.approx(0.5)
-        assert step.overlap_speedup > 1.0
 
     def test_serialized_mode_reports_zero_overlap(self):
         sim = NetworkSimulator(
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=False
         )
-        step = sim.simulate_step(simple_step())
+        step = sim.simulate_run((simple_step(),)).steps[0]
         assert step.achieved_overlap == 0.0
         assert step.step_seconds == pytest.approx(step.serialized_seconds)
 
@@ -114,7 +113,7 @@ class TestScheduler:
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
         )
         for push_bytes in (1_000, 125_000, 10_000_000):
-            step = sim.simulate_step(simple_step(push_bytes=push_bytes))
+            step = sim.simulate_run((simple_step(push_bytes=push_bytes),)).steps[0]
             assert step.step_seconds <= step.serialized_seconds + 1e-12
 
     def test_pull_phase_cannot_overlap_compute(self):
@@ -123,7 +122,8 @@ class TestScheduler:
         sim = NetworkSimulator(
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
         )
-        step = sim.simulate_step(simple_step(push_bytes=1_000, pull_bytes=62_500))
+        st = simple_step(push_bytes=1_000, pull_bytes=62_500)
+        step = sim.simulate_run((st,)).steps[0]
         # push (8 ms) hides entirely; two pull copies take 1 s after compute.
         assert step.step_seconds > 2.0
         assert 0.0 < step.achieved_overlap <= 1.0
@@ -148,7 +148,7 @@ class TestScheduler:
         sim = NetworkSimulator(
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
         )
-        step = sim.simulate_step(bucket)
+        step = sim.simulate_run((bucket,)).steps[0]
         assert step.step_seconds >= 2.0  # no overlap possible
         assert step.achieved_overlap == pytest.approx(0.0)
 
@@ -156,7 +156,7 @@ class TestScheduler:
         sim = NetworkSimulator(
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
         )
-        step = sim.simulate_step(simple_step())
+        step = sim.simulate_run((simple_step(),)).steps[0]
         assert set(step.link_utilization) == {"server"}
         assert 0.0 < step.link_utilization["server"] <= 1.0
 
@@ -164,7 +164,7 @@ class TestScheduler:
         sim = NetworkSimulator(
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
         )
-        step = sim.simulate_step(simple_step())
+        step = sim.simulate_run((simple_step(),)).steps[0]
         assert any(label.startswith("backward:") for label in step.critical_path)
         assert any(label.startswith("xfer:server") for label in step.critical_path)
 
@@ -174,7 +174,7 @@ class TestScheduler:
         sim = NetworkSimulator(
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
         )
-        step = sim.simulate_step(simple_step(push_bytes=1))
+        step = sim.simulate_run((simple_step(push_bytes=1),)).steps[0]
         assert step.critical_path[0] == "backward:end"
         assert not any(
             label.startswith("xfer:") for label in step.critical_path
@@ -194,7 +194,7 @@ class TestScheduler:
             ),
         )
         with pytest.raises(ValueError, match="unknown link 'shard9'"):
-            sim.simulate_step(bad)
+            sim.simulate_run((bad,))
 
     def test_empty_run_rejected(self):
         sim = NetworkSimulator(
@@ -223,10 +223,10 @@ class TestScheduler:
 
         single = NetworkSimulator(
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
-        ).simulate_step(step_on("server", "server"))
+        ).simulate_run((step_on("server", "server"),)).steps[0]
         sharded = NetworkSimulator(
             SIMPLE_TIMELINE, sharded_links(MBPS, 2), StepTimeModel(), overlap=True
-        ).simulate_step(step_on("shard0", "shard1"))
+        ).simulate_run((step_on("shard0", "shard1"),)).steps[0]
         assert sharded.step_seconds < single.step_seconds
 
 
@@ -335,7 +335,7 @@ class TestAgainstAnalyticModel:
             pull = sum(r.total_bytes for r in st.records if r.phase == "pull")
             assert push == traffic.push_bytes
             assert pull == traffic.pull_bytes_total
-            assert st.total_frames == traffic.frames
+            assert sum(r.frames for r in st.records) == traffic.frames
             assert st.codec_seconds == pytest.approx(traffic.codec_seconds)
 
     def test_ring_charged_per_link_not_server_nic(self):
@@ -373,7 +373,7 @@ class TestAgainstAnalyticModel:
         workers = 2
         engine = train_engine("ring")
         for st, traffic in zip(engine.transmissions, engine.traffic.steps):
-            assert st.total_frames * workers == traffic.frames
+            assert sum(r.frames for r in st.records) * workers == traffic.frames
 
     def test_fused_run_records_buckets(self):
         engine = train_engine("single", fuse_small_tensors=True)
@@ -469,7 +469,7 @@ class TestPlanSeconds:
         step = StepTransmissions(step=0, records=(self.RECORD,), **seconds)
         return NetworkSimulator(
             self.TIMELINE, self.LINKS, StepTimeModel(), overlap=True
-        ).simulate_step(step).step_seconds
+        ).simulate_run((step,)).steps[0].step_seconds
 
     def event(self, **seconds) -> float:
         update = UpdateTransmissions(

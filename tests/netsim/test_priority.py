@@ -85,8 +85,8 @@ def test_smallest_unblocks_dependent_transfer():
     links, step = crafted_step()
     registration = make_sim(links, priority="registration", vectorized=False)
     smallest = make_sim(links, priority="smallest", vectorized=False)
-    reg = registration.simulate_step(step)
-    small = smallest.simulate_step(step)
+    reg = registration.simulate_run((step,)).steps[0]
+    small = smallest.simulate_run((step,)).steps[0]
     # Small-first lets c_out ride the second uplink while a_big is still
     # on the wire; registration order serializes them.
     assert small.step_seconds < reg.step_seconds
@@ -107,7 +107,9 @@ def test_smallest_scalar_vector_bit_parity():
             priority="smallest",
         )
         for st in steps:
-            assert_scalar_parity(vec.simulate_step(st), scalar.simulate_step(st))
+            assert_scalar_parity(
+                vec.simulate_run((st,)).steps[0], scalar.simulate_run((st,)).steps[0]
+            )
 
 
 def test_simulate_run_equals_per_step_under_smallest():
@@ -123,7 +125,7 @@ def test_simulate_run_equals_per_step_under_smallest():
     fresh = NetworkSimulator(
         timeline, links, overlap=True, vectorized=True, priority="smallest"
     )
-    per_step = [fresh.simulate_step(st) for st in steps]
+    per_step = [fresh.simulate_run((st,)).steps[0] for st in steps]
     assert list(batched) == per_step
 
 
@@ -133,6 +135,6 @@ def test_priorities_share_recordings_but_not_schedules():
     links, step = crafted_step()
     reg = make_sim(links, priority="registration", vectorized=True)
     small = make_sim(links, priority="smallest", vectorized=True)
-    a = reg.simulate_step(step)
-    b = small.simulate_step(step)
+    a = reg.simulate_run((step,)).steps[0]
+    b = small.simulate_run((step,)).steps[0]
     assert abs(a.comm_seconds - b.comm_seconds) < 1e-12

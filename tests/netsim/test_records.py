@@ -165,7 +165,6 @@ def test_a_step_stores_numbers_and_views_records():
     assert st.records == records
     assert st.numbers.dtype == np.int64 and not st.numbers.flags.writeable
     assert st.numbers.tolist() == [[1_000, 7], [250, 250], [1, 3], [1, 2]]
-    assert st.total_frames == 3
     for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         again = clone(st)
         assert again == st and hash(again) == hash(st)

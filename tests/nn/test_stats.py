@@ -17,7 +17,7 @@ class TestModelStats:
         from repro.nn import Conv2d, Sequential
 
         rng = np.random.default_rng(0)
-        model = Sequential(Conv2d(2, 3, 3, stride=1, pad=1, name="c", rng=rng))
+        model = Sequential(Conv2d(2, 3, 3, stride=1, name="c", rng=rng))
         stats = model_stats(model, (2, 8, 8))
         # 3 filters * 8*8 outputs * 2*3*3 inputs * 2 ops
         assert stats.flops == 2 * 3 * 8 * 8 * 2 * 3 * 3
@@ -32,10 +32,6 @@ class TestModelStats:
         assert deep.parameters > shallow.parameters
         assert deep.flops > shallow.flops
         assert 0.2 < deep.params_per_mflop / shallow.params_per_mflop < 5
-
-    def test_bytes_per_step(self):
-        stats = model_stats(build_resnet(8, base_width=4), (3, 8, 8))
-        assert stats.bytes_per_step == 4 * stats.parameters
 
     def test_strided_geometry_tracked(self):
         # Stage transitions halve spatial dims; FLOPs must use the reduced

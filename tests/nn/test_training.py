@@ -102,32 +102,18 @@ class TestMomentumSGD:
         with pytest.raises(RuntimeError, match="no gradient"):
             MomentumSGD().step([p], lr=0.1)
 
-    def test_apply_named_matches_step(self):
-        data = np.array([1.0, -2.0], dtype=np.float32)
-        grad = np.array([0.3, 0.1], dtype=np.float32)
-        p = Parameter("w", data.copy(), weight_decay=True)
-        p.grad = grad.copy()
-        a = MomentumSGD(0.9, 1e-2)
-        a.step([p], lr=0.1)
-        b = MomentumSGD(0.9, 1e-2)
-        named = {"w": data.copy()}
-        b.apply_named(named, {"w": grad.copy()}, 0.1, decay_names={"w"})
-        np.testing.assert_allclose(named["w"], p.data, rtol=1e-6)
-
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
             MomentumSGD(momentum=1.0)
         with pytest.raises(ValueError):
             MomentumSGD(weight_decay=-0.1)
 
-    def test_state_dict_and_reset(self):
+    def test_state_dict(self):
         p = Parameter("w", np.zeros(2, dtype=np.float32))
         p.grad = np.ones(2, dtype=np.float32)
         opt = MomentumSGD(0.9, 0.0)
         opt.step([p], lr=0.1)
         assert "w" in opt.state_dict()
-        opt.reset()
-        assert opt.state_dict() == {}
 
 
 class TestSchedules:

@@ -125,11 +125,11 @@ def oracle_attribute_group(spans: list[TraceSpan], group: str) -> RunAttribution
                 worker = int(suffix)
         if worker is not None:
             row = per_worker.setdefault(f"worker{worker}", {})
-            row[bucket] = row.get(bucket, 0.0) + span.duration
+            row[bucket] = row.get(bucket, 0.0) + (span.end - span.start)
         rack = _rack_of(span.track)
         if rack is not None:
             row = per_rack.setdefault(rack, {})
-            row[bucket] = row.get(bucket, 0.0) + span.duration
+            row[bucket] = row.get(bucket, 0.0) + (span.end - span.start)
     return RunAttribution(
         group=group, steps=steps, per_worker=per_worker, per_rack=per_rack
     )

@@ -43,7 +43,6 @@ def chrome_trace(sessions) -> dict:
     tid_of: dict[tuple[int, str], int] = {}
     for label, session in _sessions(sessions):
         tracer = _tracer(session)
-        tracer.check_closed()
         for span in tracer.spans:
             process = f"{label}:{span.group}" if label else span.group
             pid = pid_of.get(process)
@@ -76,7 +75,7 @@ def chrome_trace(sessions) -> dict:
                 "name": span.name,
                 "ph": "X",
                 "ts": span.start * 1e6,
-                "dur": span.duration * 1e6,
+                "dur": (span.end - span.start) * 1e6,
                 "pid": pid,
                 "tid": tid,
             }

@@ -66,7 +66,7 @@ def _link_span_busy(tracer, group):
     """Per-route span-duration totals for one trace group."""
     return {
         track.removeprefix("link:"): busy
-        for (g, track), busy in tracer.busy_seconds().items()
+        for (g, track), _, busy in tracer.track_totals()
         if g == group and track.startswith("link:")
     }
 

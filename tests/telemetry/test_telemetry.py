@@ -76,7 +76,7 @@ class TestTracer:
         tr = Tracer()
         tr.span("netsim", "link:server", "layer3", 0.0, 0.5, phase="push")
         (span,) = tr.spans
-        assert span.duration == 0.5
+        assert span.end - span.start == 0.5
         assert span.args == {"phase": "push"}
 
     def test_span_rejects_negative_duration(self):
@@ -102,25 +102,6 @@ class TestTracer:
         with pytest.raises(ValueError, match="g/t/n has a non-finite time"):
             tr.span("g", "t", "n", start, end)
         assert tr.spans == []
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_begin_and_end_reject_non_finite_times(self, bad):
-        tr = Tracer()
-        with pytest.raises(ValueError, match="g/t/n begins at "):
-            tr.begin("g", "t", "n", bad)
-        tr.begin("g", "t", "n", 0.0)
-        with pytest.raises(ValueError, match="g/t/n has a non-finite time"):
-            tr.end("g", "t", bad)
-        # The refused end leaves the span open, to be closed properly.
-        assert tr.open_spans() == ["g/t/n"]
-        tr.end("g", "t", 1.0)
-        assert [(s.name, s.start, s.end) for s in tr.spans] == [("n", 0.0, 1.0)]
-
-    def test_end_before_start_is_refused(self):
-        tr = Tracer()
-        tr.begin("g", "t", "n", 2.0)
-        with pytest.raises(ValueError, match="g/t/n ends before it starts"):
-            tr.end("g", "t", 1.0)
 
     def test_rows_share_interned_names_and_equal_args(self):
         tr = Tracer()
@@ -185,35 +166,14 @@ class TestTracer:
         assert len(tracer.spans) == count
         assert held / count <= 96, f"{held / count:.1f} B/span"
 
-    def test_begin_end_stack(self):
-        tr = Tracer()
-        tr.begin("engine", "worker0", "step", 0.0)
-        tr.begin("engine", "worker0", "compute", 0.0)
-        tr.end("engine", "worker0", 0.25)
-        tr.end("engine", "worker0", 1.0)
-        names = [s.name for s in tr.spans]
-        assert names == ["compute", "step"]
-        tr.check_closed()
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(RuntimeError):
-            Tracer().end("g", "t", 0.0)
-
-    def test_check_closed_names_open_spans(self):
-        tr = Tracer()
-        tr.begin("engine", "worker0", "step", 0.0)
-        assert tr.open_spans() == ["engine/worker0/step"]
-        with pytest.raises(RuntimeError, match="worker0/step"):
-            tr.check_closed()
-
-    def test_busy_seconds_groups_by_track(self):
+    def test_track_totals_group_by_track(self):
         tr = Tracer()
         tr.span("sim", "link:a", "x", 0.0, 1.0)
         tr.span("sim", "link:a", "y", 2.0, 2.5)
         tr.span("sim", "link:b", "z", 0.0, 0.25)
-        busy = tr.busy_seconds()
-        assert busy[("sim", "link:a")] == pytest.approx(1.5)
-        assert busy[("sim", "link:b")] == pytest.approx(0.25)
+        totals = {key: (count, busy) for key, count, busy in tr.track_totals()}
+        assert totals[("sim", "link:a")] == (2, pytest.approx(1.5))
+        assert totals[("sim", "link:b")] == (1, pytest.approx(0.25))
 
 
 class TestChromeExport:
@@ -235,12 +195,6 @@ class TestChromeExport:
         assert by_name["layer0"]["dur"] == pytest.approx(0.5e6)
         assert by_name["layer0"]["args"] == {"phase": "push"}
         assert by_name["layer0"]["tid"] != by_name["backward"]["tid"]
-
-    def test_export_rejects_unclosed_spans(self):
-        tr = self._tracer()
-        tr.begin("netsim", "compute", "dangling", 5.0)
-        with pytest.raises(RuntimeError, match="dangling"):
-            chrome_trace([("run", tr)])
 
     def test_written_file_validates(self, tmp_path):
         path = tmp_path / "out" / "trace.json"

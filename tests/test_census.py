@@ -6,8 +6,10 @@ deleted row a path that is gone. A new module fails here until its row
 exists, and a changed one until its count does. Being registered as a
 scheme is not a consumer, every document the code cites and every script
 cited anywhere exists, and a claim row names the ledger rows that measure
-it. Below modules, every public function or class has a reader outside
-``tests/`` or a line in the census's list of names read only by tests.
+it. Below modules, every public function or class, every public method or
+property of a public class, and every defaulted parameter of those has a
+reader (a call that sets it, for a parameter) outside ``tests/``, or a line
+in the census's list for its kind.
 """
 
 import ast
@@ -125,42 +127,160 @@ def test_claim_rows_name_ledger_rows():
 
 #: Where a public name's reader may live: anywhere but ``tests/``.
 READERS = ("src", "perf", "benchmarks", "examples")
-#: A line of the census's "Public names read only by tests" list.
-TEST_ONLY = re.compile(r"- `(?P<name>repro\.[\w.]+)`: (?P<reason>.+)")
+#: A line of one of the census's lists of names only tests use.
+TEST_ONLY = re.compile(r"- `(?P<name>repro\.[\w.]+(?:\(\w+=\))?)`: (?P<reason>.+)")
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def public_definitions():
+    """``(repro.module, node)`` of every public module-level def and class."""
+    for path in sorted((ROOT / "src/repro").rglob("*.py")):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (*FUNCTION, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    yield module, node
 
 
 def public_names() -> set[str]:
     """``repro.module.name`` of every public module-level def and class."""
-    names = set()
-    for path in (ROOT / "src/repro").rglob("*.py"):
-        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
-        module = module.removesuffix(".__init__")
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    names.add(f"{module}.{node.name}")
-    return names
+    return {f"{module}.{node.name}" for module, node in public_definitions()}
+
+
+def public_members() -> set[str]:
+    """``repro.module.Class.member`` of every public method and property of a
+    public class."""
+    return {
+        f"{module}.{node.name}.{item.name}"
+        for module, node in public_definitions()
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, FUNCTION) and not item.name.startswith("_")
+    }
+
+
+def reader_trees():
+    for folder in READERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield ast.parse(path.read_text())
 
 
 def read_names() -> set[str]:
-    """Every name loaded, and every attribute read, outside ``tests/``."""
+    """Every name loaded, every attribute read and every string constant (a
+    ``getattr`` reads its name so) outside ``tests/``; an ``__all__`` entry
+    is a re-export, not a read."""
     read = set()
-    for folder in READERS:
-        for path in (ROOT / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
+    for tree in reader_trees():
+        exported = {
+            id(entry)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            for entry in ast.walk(node.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in exported:
+                    read.add(node.value)
     return read
 
 
-def test_every_public_name_has_a_reader_or_a_reason():
+def callables():
+    """``(label, callee, def node, bound)`` per public function and per
+    public or ``__init__`` method of a public class. A call reaches it
+    through ``callee``, the class name for ``__init__``; ``bound`` is whether
+    the first parameter is ``self`` / ``cls``."""
+    for module, node in public_definitions():
+        if not isinstance(node, ast.ClassDef):
+            yield f"{module}.{node.name}", node.name, node, False
+            continue
+        for item in node.body:
+            if not isinstance(item, FUNCTION):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+            if item.name == "__init__":
+                yield f"{module}.{node.name}", node.name, item, True
+            elif not item.name.startswith("_"):
+                yield f"{module}.{node.name}.{item.name}", item.name, item, not static
+
+
+def defaulted_parameters():
+    """``(label, callee, parameter, position)`` per defaulted parameter of
+    :func:`callables`; ``position`` counts the call's positional arguments
+    (``None`` for keyword-only)."""
+    for label, callee, fn, bound in callables():
+        positional = [*fn.args.posonlyargs, *fn.args.args]
+        first = len(positional) - len(fn.args.defaults)
+        for index in range(first, len(positional)):
+            yield label, callee, positional[index].arg, index - bound
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield label, callee, arg.arg, None
+
+
+def calls_by_callee() -> dict[str, list[ast.Call]]:
+    """Every call outside ``tests/``, by the name it calls (``f`` of ``f()``
+    and of ``x.f()``)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in reader_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def sets(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether ``call`` can set the parameter (``*`` / ``**`` can set any)."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def census_list(title: str) -> set[str]:
+    """The names listed under one ``###`` heading of the census."""
     section = (ROOT / "ARCHITECTURE.md").read_text().split("\n## Module census\n")[1]
-    section = section.split("\n## ")[0].split("\n### Public names read only by tests\n")[1]
-    listed = {m["name"] for m in map(TEST_ONLY.fullmatch, section.splitlines()) if m}
+    section = section.split("\n## ")[0].split(f"\n### {title}\n")[1].split("\n### ")[0]
+    return {m["name"] for m in map(TEST_ONLY.fullmatch, section.splitlines()) if m}
+
+
+def test_every_public_name_has_a_reader_or_a_reason():
+    listed = census_list("Public names read only by tests")
     assert listed, "no test-only name found: the list or its pattern is broken"
     read = read_names()
     unread = {name for name in public_names() if name.rsplit(".", 1)[1] not in read}
     assert sorted(unread - listed) == [], "public names no code outside tests reads"
     assert sorted(listed - unread) == [], "listed names that are read or gone"
+
+
+def test_every_public_member_has_a_reader_or_a_reason():
+    """A method or property is read where its name is: an attribute, a
+    loaded name or a string (``getattr``). A name another class shares
+    hides an unread member; ARCHITECTURE.md's census says so."""
+    listed = census_list("Members read only by tests")
+    read = read_names()
+    unread = {name for name in public_members() if name.rsplit(".", 1)[1] not in read}
+    assert sorted(unread - listed) == [], "public members no code outside tests reads"
+    assert sorted(listed - unread) == [], "listed members that are read or gone"
+
+
+def test_every_defaulted_parameter_is_set_outside_tests_or_has_a_reason():
+    listed = census_list("Parameters only tests set")
+    assert listed, "no test-only parameter found: the list or its pattern is broken"
+    calls = calls_by_callee()
+    unset = {
+        f"{label}({parameter}=)"
+        for label, callee, parameter, position in defaulted_parameters()
+        if not any(sets(call, parameter, position) for call in calls.get(callee, ()))
+    }
+    assert sorted(unset - listed) == [], "defaulted parameters no call outside tests sets"
+    assert sorted(listed - unset) == [], "listed parameters that are set or gone"

@@ -35,14 +35,6 @@ class TestSeeding:
         b = derive_rng(0, "b", "a").normal(size=4)
         assert not np.array_equal(a, b)
 
-    def test_factory_child_streams_nested(self):
-        factory = SeedSequenceFactory(3)
-        child = factory.child("sub")
-        again = SeedSequenceFactory(3).child("sub")
-        np.testing.assert_array_equal(
-            child.rng("x").normal(size=4), again.rng("x").normal(size=4)
-        )
-
     def test_factory_rng_matches_derive(self):
         factory = SeedSequenceFactory(5)
         np.testing.assert_array_equal(

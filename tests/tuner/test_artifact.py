@@ -24,7 +24,7 @@ from repro.tuner.artifact import (
 )
 from repro.tuner.evaluator import PlanEvaluator
 from repro.tuner.search import tune
-from repro.tuner.space import default_space
+from repro.tuner.space import PlanPoint, default_space
 
 BASE = FAST_CONFIG.scaled(
     model_family="mlp",
@@ -126,10 +126,10 @@ class TestRoundTrip:
         assert result.mean_step_seconds[objective["link"]] == objective["mean_step_seconds"]
 
     def test_scored_point_is_the_config_that_runs(self, space, artifact):
-        """as_dict -> point_from_dict -> apply is the identity on what was
+        """as_dict -> PlanPoint.from_dict -> apply is the identity on what was
         scored: the point survives the dictionary, its config is the one
         ``apply_plan`` builds, and re-scoring it gives the objective."""
-        point = space.point_from_dict(artifact["plan"])
+        point = PlanPoint.from_dict(artifact["plan"])
         assert point.as_dict() == artifact["plan"]
         assert space.canonical(point) == point and space.legal_reason(point) is None
         config = space.apply(point)
@@ -157,7 +157,7 @@ class TestRoundTrip:
 
     def test_apply_plan_reproduces_winning_config(self, space, artifact):
         applied, scheme = apply_plan(BASE, artifact)
-        point = space.point_from_dict(artifact["plan"])
+        point = PlanPoint.from_dict(artifact["plan"])
         assert applied == space.apply(point)
         assert scheme == artifact["plan"]["scheme"]
         assert applied.sim_overlap is True

@@ -114,7 +114,7 @@ class TestConstruction:
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = space.sample(rng)
-            assert space.point_from_dict(p.as_dict()) == p
+            assert PlanPoint.from_dict(p.as_dict()) == p
 
     def test_encode_shape_and_intercept(self, space):
         rng = np.random.default_rng(1)
