@@ -654,6 +654,12 @@ class TestAsciiPlot:
         out = render_plot([Series("p", ((1.0, 1.0),))])
         assert "p" in out
 
+    def test_canvas_is_72_by_20(self):
+        out = render_plot([Series.from_xy("s", [0, 1], [0, 1])])
+        rows = [line for line in out.splitlines() if line.startswith("|")]
+        assert len(rows) == 20
+        assert {len(row) for row in rows} == {72 + 2}
+
     def test_series_length_mismatch(self):
         with pytest.raises(ValueError):
             Series.from_xy("x", [1], [1, 2])

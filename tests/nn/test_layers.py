@@ -69,6 +69,13 @@ class TestConv2d:
         conv = Conv2d(1, 1, 3, rng=_rng())
         assert [p.name for p in conv.parameters()] == ["conv/weight"]
 
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_same_padding_keeps_the_spatial_size(self, kernel):
+        conv = Conv2d(2, 3, kernel, rng=_rng())
+        assert conv.pad == kernel // 2
+        out = conv.forward(np.zeros((2, 2, 7, 6), dtype=np.float32))
+        assert out.shape == (2, 3, 7, 6)
+
 
 class TestIm2Col:
     def test_adjoint_property(self):
@@ -108,6 +115,17 @@ class TestBatchNorm2d:
             bn.forward(x, training=True)
         out = bn.forward(x, training=False)
         assert abs(float(out.mean())) < 0.05
+
+    def test_running_stats_move_a_tenth_of_the_way(self):
+        """The EMA keeps 0.9 of the running statistics per training batch."""
+        bn = BatchNorm2d(2)
+        x = np.random.default_rng(13).normal(1.0, 2.0, size=(8, 2, 3, 3)).astype(
+            np.float32
+        )
+        bn.forward(x, training=True)
+        np.testing.assert_allclose(
+            bn.running_mean, 0.1 * x.mean(axis=(0, 2, 3)), rtol=1e-5
+        )
 
     def test_input_gradient(self):
         bn = BatchNorm2d(3)
@@ -205,6 +223,13 @@ class TestLinear:
         x = np.random.default_rng(11).normal(size=(5, 4))
         check_input_gradient(fc, x)
         check_parameter_gradients(fc, x)
+
+    def test_has_a_bias_without_weight_decay(self):
+        fc = Linear(4, 2, name="head", rng=_rng())
+        assert [(p.name, p.weight_decay) for p in fc.parameters()] == [
+            ("head/weight", True),
+            ("head/bias", False),
+        ]
 
     def test_shape_check(self):
         with pytest.raises(ValueError):

@@ -251,14 +251,17 @@ class TestBlockedInference:
     into one batch-minor buffer and equals the whole-matrix GEMM bit for bit."""
 
     @pytest.mark.parametrize("batch", [1, 7, 200])
+    # an odd image and an even, non-square one: a stride-2 output rounds up
+    # on one and not the other
+    @pytest.mark.parametrize("image", [(9, 7), (8, 6)], ids=["9x7", "8x6"])
     @pytest.mark.parametrize("kernel, stride", list(itertools.product((1, 3), (1, 2))))
     @pytest.mark.parametrize("budget", ["module", "larger-than-layer"])
-    def test_geometry_grid(self, kernel, stride, batch, budget, monkeypatch):
+    def test_geometry_grid(self, kernel, stride, image, batch, budget, monkeypatch):
         if budget != "module":
             monkeypatch.setattr(conv_module, "BLOCK_BYTES", 1 << 40)
         rng = np.random.default_rng(batch)
         conv = Conv2d(5, 6, kernel, stride=stride, rng=rng)
-        x = batch_minor(rng.normal(size=(batch, 5, 9, 7)).astype(np.float32))
+        x = batch_minor(rng.normal(size=(batch, 5, *image)).astype(np.float32))
         assert len(check_inference(conv, x, monkeypatch)) == 1
 
     @pytest.mark.parametrize(
