@@ -185,7 +185,6 @@ def _simulator(plansless_cfg, *, vectorized: bool) -> NetworkSimulator:
         fleet_links(plansless_cfg["racks"], plansless_cfg["workers"] // plansless_cfg["racks"]),
         TIME_MODEL,
         overlap=True,
-        serialized_baseline=False,
         vectorized=vectorized,
     )
 

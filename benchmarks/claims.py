@@ -39,7 +39,7 @@ from repro.core.quartic import quartic_encode
 from repro.core.twobit import twobit_encode
 from repro.core.zre import zre_encode
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.distributed import StragglerSpec
+from repro.distributed import SMALL_TENSOR_THRESHOLD, StragglerSpec
 from repro.distributed.allreduce import RingAllReduce
 from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
 from repro.exchange import MEASURED, MODELED, EngineConfig, ExchangeEngine
@@ -241,7 +241,9 @@ def tail_mean(values, k=10):
 
 def train_bench(scale, scheme, *, backup_workers=0, straggler=None, steps=None):
     """One engine at the scale's benchmark config; returns (engine, eval)."""
-    config = BENCH_CONFIG.scaled(standard_steps=SIZES[scale]["steps"])
+    config = BENCH_CONFIG.scaled(
+        standard_steps=SIZES[scale]["steps"], backup_workers=backup_workers, straggler=straggler
+    )
     steps = steps or config.standard_steps
     scheme = make_compressor(scheme, seed=0) if isinstance(scheme, str) else scheme
     engine = ExchangeEngine(
@@ -249,14 +251,7 @@ def train_bench(scale, scheme, *, backup_workers=0, straggler=None, steps=None):
         config.dataset(),
         scheme,
         config.schedule(steps),
-        EngineConfig(
-            num_workers=config.num_workers,
-            batch_size=config.batch_size,
-            shard_size=config.shard_size,
-            seed=config.cluster_seed,
-            backup_workers=backup_workers,
-            straggler=straggler,
-        ),
+        config.engine_config(),
     )
     engine.train(steps)
     return engine, engine.evaluate(test_size=config.eval_size)
@@ -327,7 +322,7 @@ def real_gradient_saving():
     model.backward(loss_fn.backward())
     quartic = twobit = 0
     for p in model.parameters():
-        if p.size >= BENCH_CONFIG.small_tensor_threshold:
+        if p.size >= SMALL_TENSOR_THRESHOLD:
             values = quantize_3value(p.grad, 1.0).values
             quartic += quartic_encode(values).size
             twobit += twobit_encode(values).size
@@ -562,15 +557,15 @@ def churn_replay(engine, timeline, topology):
     kwargs = {"racks": 2, "rack_size": 2} if topology == "hier" else {}
     lm = link_model_for(topology, link("100Mbps"), num_workers=4, **kwargs)
     scalar, vector = (
-        NetworkSimulator(timeline, lm, TIME_MODEL, overlap=True, serialized_baseline=False,
+        NetworkSimulator(timeline, lm, TIME_MODEL, overlap=True,
                          vectorized=vectorized).simulate_run(engine.transmissions)
         for vectorized in (False, True)
     )
     core = max(abs(a.step_seconds - b.step_seconds) for a, b in zip(scalar.steps, vector.steps))
     event = None
     if topology != "hier":  # updates_from_bsp_steps folds flat streams only
-        serialized = NetworkSimulator(timeline, lm, TIME_MODEL, overlap=False,
-                                      serialized_baseline=False).simulate_run(engine.transmissions)
+        serialized = NetworkSimulator(timeline, lm, TIME_MODEL, overlap=False).simulate_run(
+            engine.transmissions)
         exchange = EventDrivenSimulator(timeline, lm, TIME_MODEL, staleness=0,
                                         overlap=False).simulate(
             updates_from_bsp_steps(engine.transmissions, 4))
@@ -706,7 +701,7 @@ def _fusion_run(fuse, cell, lossy, repeat):
         "async": ("single", "async", 8),
     }[cell]
     engine = ExchangeEngine(
-        lambda: build_mlp(3 * 8 * 8, (14,) * 12, num_classes=10, seed=3),
+        lambda: build_mlp(3 * 8 * 8, (14,) * 12, seed=3),
         SyntheticImageDataset(DatasetSpec(image_size=8, seed=0)),
         make_compressor("3LC (s=1.00)", seed=0),
         CosineDecay(0.05, steps),

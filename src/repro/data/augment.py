@@ -3,18 +3,23 @@
 The paper applies "the standard data augmentation that randomly crops and
 horizontally flips original images". This module reproduces it for NCHW
 batches, fully vectorized: pad by ``pad`` pixels, take a random crop of the
-original size, and flip each image left-right with probability 1/2.
+original size, and flip each image left-right with probability 1/2. Training
+pads by :data:`PAD`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["random_crop_flip", "Augmenter"]
+__all__ = ["random_crop_flip", "Augmenter", "PAD"]
+
+#: Training's crop padding (CIFAR uses 4 on 32×32; 2 suits the smaller
+#: synthetic images).
+PAD = 2
 
 
 def random_crop_flip(
-    images: np.ndarray, rng: np.random.Generator, *, pad: int = 2
+    images: np.ndarray, rng: np.random.Generator, *, pad: int
 ) -> np.ndarray:
     """Randomly crop (after zero-padding) and horizontally flip a batch.
 
@@ -23,8 +28,7 @@ def random_crop_flip(
     images:
         Batch of shape ``(N, C, H, W)``.
     pad:
-        Zero-padding on each spatial side before cropping (CIFAR uses 4 on
-        32×32; default 2 suits the smaller synthetic images).
+        Zero-padding on each spatial side before cropping.
     """
     n, c, h, w = images.shape
     # Zeroed buffer + one interior assignment: np.pad's generic machinery
@@ -48,9 +52,8 @@ def random_crop_flip(
 class Augmenter:
     """Stateful augmentation pipeline bound to a generator."""
 
-    def __init__(self, rng: np.random.Generator, *, pad: int = 2):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.pad = int(pad)
 
     def __call__(self, images: np.ndarray) -> np.ndarray:
-        return random_crop_flip(images, self.rng, pad=self.pad)
+        return random_crop_flip(images, self.rng, pad=PAD)

@@ -2,15 +2,15 @@
 
 Stand-in for CIFAR-10: the dataset files are not in the repository, so
 no run trains on real CIFAR-10 images.
-Each of the ``num_classes`` classes is defined by a smooth random template
-per channel (a low-resolution random field upsampled bilinearly — natural
+Each of the :data:`NUM_CLASSES` classes is defined by a smooth random
+template per channel (a low-resolution random field upsampled bilinearly — natural
 images are dominated by low spatial frequencies). A sample is::
 
     image = contrast * template[class]
-          + structured_noise          (a fresh smooth field per sample)
-          + pixel_noise               (iid Gaussian)
+          + STRUCTURED_NOISE          (a fresh smooth field per sample)
+          + PIXEL_NOISE               (iid Gaussian)
 
-with per-sample contrast jitter. The difficulty knobs (noise scales) are
+with per-sample contrast jitter. The difficulty constants (noise scales) are
 chosen so that a small ResNet reaches high-but-not-perfect accuracy within
 a few hundred steps: the task must be hard enough that accuracy *curves*
 separate compression schemes, which is what Figures 4–8 measure.
@@ -31,7 +31,7 @@ assignment destination is read-only``) — copy before mutating.
 
 * **Key.** The frozen :class:`DatasetSpec` object itself plus ``(split,
   shard, count)``: a field added to the spec is part of the key by
-  construction. ``shard`` and ``count`` are validated and normalized to
+  construction (the task's constants are the same for every key). ``shard`` and ``count`` are validated and normalized to
   Python ints first, because the substream is derived from their ``repr``
   (``np.int64(3)`` and ``3`` hash alike but would name different streams).
 * **Budget.** LRU-evicted against :data:`MEMO_BUDGET_BYTES`; an entry
@@ -57,7 +57,26 @@ import numpy as np
 
 from repro.utils.seeding import derive_rng
 
-__all__ = ["SyntheticImageDataset", "DatasetSpec", "MEMO_BUDGET_BYTES", "input_memo"]
+__all__ = [
+    "SyntheticImageDataset",
+    "DatasetSpec",
+    "NUM_CLASSES",
+    "CHANNELS",
+    "MEMO_BUDGET_BYTES",
+    "input_memo",
+]
+
+#: The task's label space and image channels (CIFAR-10: ten RGB classes).
+NUM_CLASSES = 10
+CHANNELS = 3
+#: Side of the low-resolution random field a template or a structured
+#: noise sample is upsampled from.
+TEMPLATE_RESOLUTION = 4
+#: Per-sample contrast jitter and the two noise scales: the difficulty
+#: that lets accuracy curves separate compression schemes.
+CONTRAST_JITTER = 0.35
+STRUCTURED_NOISE = 0.55
+PIXEL_NOISE = 0.25
 
 #: Byte budget of :data:`input_memo`. The largest shipped working set is
 #: ``DEFAULT_CONFIG`` at 10 workers: ten 512-image 3x16x16 float32 shards
@@ -153,21 +172,13 @@ def _upsample_bilinear(field: np.ndarray, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Shape and difficulty parameters of the synthetic task."""
+    """Image size and seed of the synthetic task."""
 
-    num_classes: int = 10
-    channels: int = 3
     image_size: int = 16
-    template_resolution: int = 4
-    contrast_jitter: float = 0.35
-    structured_noise: float = 0.55
-    pixel_noise: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.image_size < self.template_resolution:
+        if self.image_size < TEMPLATE_RESOLUTION:
             raise ValueError("image_size must be >= template_resolution")
 
 
@@ -200,19 +211,10 @@ class SyntheticImageDataset:
         raw = rng.normal(
             0.0,
             1.0,
-            size=(
-                spec.num_classes,
-                spec.channels,
-                spec.template_resolution,
-                spec.template_resolution,
-            ),
+            size=(NUM_CLASSES, CHANNELS, TEMPLATE_RESOLUTION, TEMPLATE_RESOLUTION),
         )
         templates = np.stack([_upsample_bilinear(f, spec.image_size) for f in raw])
         return (templates.astype(np.float32),)
-
-    @property
-    def num_classes(self) -> int:
-        return self.spec.num_classes
 
     def sample(
         self, count: int, rng: np.random.Generator
@@ -223,27 +225,20 @@ class SyntheticImageDataset:
         float32 and labels int64.
         """
         spec = self.spec
-        labels = rng.integers(0, spec.num_classes, size=count)
-        contrast = 1.0 + spec.contrast_jitter * rng.uniform(-1, 1, size=count)
+        labels = rng.integers(0, NUM_CLASSES, size=count)
+        contrast = 1.0 + CONTRAST_JITTER * rng.uniform(-1, 1, size=count)
         images = self.templates[labels] * contrast[:, None, None, None]
-        if spec.structured_noise:
-            low = rng.normal(
-                0.0,
-                spec.structured_noise,
-                size=(
-                    count,
-                    spec.channels,
-                    spec.template_resolution,
-                    spec.template_resolution,
-                ),
-            )
-            # One call: the upsampling treats its leading axis elementwise.
-            structured = _upsample_bilinear(
-                low.reshape(-1, *low.shape[2:]), spec.image_size
-            ).reshape(images.shape)
-            images = images + structured
-        if spec.pixel_noise:
-            images = images + rng.normal(0.0, spec.pixel_noise, size=images.shape)
+        low = rng.normal(
+            0.0,
+            STRUCTURED_NOISE,
+            size=(count, CHANNELS, TEMPLATE_RESOLUTION, TEMPLATE_RESOLUTION),
+        )
+        # One call: the upsampling treats its leading axis elementwise.
+        structured = _upsample_bilinear(
+            low.reshape(-1, *low.shape[2:]), spec.image_size
+        ).reshape(images.shape)
+        images = images + structured
+        images = images + rng.normal(0.0, PIXEL_NOISE, size=images.shape)
         return images.astype(np.float32), labels.astype(np.int64)
 
     def train_shard(

@@ -313,8 +313,7 @@ class Churn:
         :class:`~repro.exchange.topology.Wire`); return its link-down floors.
 
         A rejoined rack's uplink is back but still re-converging: its own
-        cross routes are floored at its flap's rejoin delay (a sharded
-        upper's NICs are shared by every rack, so those floors bleed over).
+        cross route is floored at its flap's rejoin delay.
         """
         for wid in self.resynced:
             wire.post_resync(ledger, worker=wid)

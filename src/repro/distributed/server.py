@@ -102,11 +102,10 @@ class ParameterServer:
         Learning-rate schedule indexed by global step.
     scheme:
         Compression scheme for model-delta pulls (same scheme as pushes in
-        all of the paper's experiments).
+        all of the paper's experiments); tensors below
+        ``SMALL_TENSOR_THRESHOLD`` elements bypass it (paper §5.1).
     num_workers:
         Worker count, used for gradient averaging.
-    small_tensor_threshold:
-        Tensors below this many elements bypass compression.
     fusion_plan:
         The wire plan (must match the plan the workers were built with;
         no buckets: fusion off).
@@ -129,7 +128,6 @@ class ParameterServer:
         scheme: Compressor,
         num_workers: int,
         *,
-        small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
         fusion_plan: FusionPlan = FusionPlan(),
     ):
         if num_workers < 1:
@@ -147,7 +145,7 @@ class ParameterServer:
         self.stream = WireStream(
             scheme,
             {name: param.shape for name, param in self.params.items()},
-            threshold=small_tensor_threshold,
+            threshold=SMALL_TENSOR_THRESHOLD,
             plan=fusion_plan,
             kind="pull",
         )

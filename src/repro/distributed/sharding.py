@@ -23,7 +23,6 @@ from dataclasses import replace
 
 from repro.compression.base import Compressor
 from repro.compression.fusion import FusionPlan
-from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
 from repro.distributed.server import ParameterServer
 from repro.nn.optimizer import MomentumSGD
 from repro.nn.parameter import Parameter
@@ -86,7 +85,6 @@ class ShardedParameterService(ParameterServer):
         num_workers: int,
         *,
         num_shards: int = 2,
-        small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
         fusion_plan: FusionPlan = FusionPlan(),
     ):
         by_name = {p.name: p for p in parameters}
@@ -112,7 +110,6 @@ class ShardedParameterService(ParameterServer):
         super().__init__(
             [by_name[name] for names in self.partition for name in names],
             optimizer, schedule, scheme, num_workers,
-            small_tensor_threshold=small_tensor_threshold,
             fusion_plan=replace(fusion_plan, buckets=tuple(buckets)),
         )
 

@@ -73,9 +73,8 @@ class Worker:
     augmenter:
         Training-time augmentation pipeline.
     scheme:
-        Compression scheme for gradient pushes.
-    small_tensor_threshold:
-        Tensors with fewer elements bypass compression (paper §5.1).
+        Compression scheme for gradient pushes; tensors below
+        ``SMALL_TENSOR_THRESHOLD`` elements bypass it (paper §5.1).
     fusion_plan:
         The wire plan; its members share per-bucket fused contexts instead
         of individual bypass contexts (no buckets: fusion off).
@@ -95,7 +94,6 @@ class Worker:
         augmenter: Augmenter,
         scheme: Compressor,
         *,
-        small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
         fusion_plan: FusionPlan = FusionPlan(),
         push_compression: bool = True,
     ):
@@ -114,7 +112,7 @@ class Worker:
             self.stream = WireStream(
                 scheme,
                 {name: param.shape for name, param in self._params.items()},
-                threshold=small_tensor_threshold,
+                threshold=SMALL_TENSOR_THRESHOLD,
                 plan=fusion_plan,
                 kind="push",
                 owner=(self.worker_id,),

@@ -29,7 +29,7 @@ the quantum's plan is built from, for the simulators to replay.
 On top of the unified paths sits the **wire plan**
 (``fuse_small_tensors=True``, built in :meth:`ExchangeEngine.__init__`):
 below-threshold tensors are flattened into capacity-bounded buckets —
-partitioned so no bucket spans a shard or rack-uplink boundary —
+partitioned so no bucket spans a shard boundary —
 compressed with one codec call per bucket (exact float32 bypass, or the
 scheme's own codec with one shared scale under ``fuse_lossy``), and framed
 as one :class:`~repro.core.packets.FusedWireMessage` per bucket per
@@ -107,10 +107,6 @@ class EngineConfig:
     num_workers: int = 4
     batch_size: int = 32
     shard_size: int = 512
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD
-    augment_pad: int = 2
     seed: int = 0
     #: Exchange plan: "single" | "sharded" | "ring" | "hier".
     topology: str = "single"
@@ -118,10 +114,9 @@ class EngineConfig:
     sync_mode: str = "bsp"
     #: Hierarchical topology shape: ``racks`` contiguous racks of
     #: ``rack_size`` workers (must multiply to ``num_workers``); the
-    #: cross-rack tier reuses the single-server or sharded service.
+    #: cross-rack tier is one parameter server.
     racks: int = 2
     rack_size: int = 2
-    hier_upper: str = "single"
     #: Backup workers (paper §2.1, BSP only): a global step proceeds once
     #: ``num_workers - backup_workers`` pushes arrive; the rest are dropped.
     backup_workers: int = 0
@@ -138,8 +133,8 @@ class EngineConfig:
     #: Fused-bucket hot path: pack small tensors into buckets and compress
     #: each bucket with a single codec call. Composes with every
     #: point-to-point topology (partition-aware plans keep buckets inside
-    #: shard and rack-uplink boundaries) and every sync mode (async/SSP
-    #: runs per-worker fused pull streams).
+    #: shard boundaries) and every sync mode (async/SSP runs per-worker
+    #: fused pull streams).
     fuse_small_tensors: bool = False
     #: Bucket capacity in elements for the fusion plan.
     bucket_elements: int = FUSION_BUCKET_ELEMENTS
@@ -166,8 +161,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         for name in (
             "num_workers", "batch_size", "shard_size", "backup_workers",
-            "bucket_elements", "small_tensor_threshold", "num_shards", "racks",
-            "rack_size",
+            "bucket_elements", "num_shards", "racks", "rack_size",
         ):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -264,11 +258,6 @@ class EngineConfig:
                     "a rack ring needs >= 2 workers, got "
                     f"rack_size={self.rack_size}"
                 )
-            if self.hier_upper not in ("single", "sharded"):
-                raise ValueError(
-                    f"unknown upper tier {self.hier_upper!r}; expected "
-                    "'single' or 'sharded'"
-                )
         if self.topology == "ring":
             if not self.synchronous:
                 raise ValueError(
@@ -296,7 +285,7 @@ class EngineConfig:
                     f"{self.racks} racks of {self.rack_size} "
                     "(racks * rack_size must equal num_workers)"
                 )
-        if self.wire_destination == "sharded" and self.num_shards < 1:
+        if self.topology == "sharded" and self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
         fault = self.fault
         if fault is not None and not fault.empty:
@@ -341,12 +330,6 @@ class EngineConfig:
         """Workers hand the engine raw gradients: compression happens per
         ring hop (``ring``, and the rack rings of ``hier``)."""
         return self.topology in ("ring", "hier")
-
-    @property
-    def wire_destination(self) -> str:
-        """The service point-to-point frames travel to: the upper tier
-        under ``hier``, the topology itself otherwise."""
-        return self.hier_upper if self.topology == "hier" else self.topology
 
 
 def scheme_incompatibility(config: EngineConfig, scheme: Compressor) -> str | None:
@@ -542,19 +525,18 @@ class ExchangeEngine:
         reference_model = model_factory()
         parameters = reference_model.parameters()
         # The wire plan: below-threshold tensors packed into buckets that
-        # never span a wire destination — a shard's NIC when frames go to a
-        # sharded service (flat, or the upper tier under "hier"), one
+        # never span a wire destination — a shard's NIC under "sharded", one
         # destination otherwise; no buckets when fusion is off or no tensor
         # qualifies.
         self.fusion_plan = FusionPlan()
         if config.fuse_small_tensors:
             partition = None
-            if config.wire_destination == "sharded":
+            if config.topology == "sharded":
                 sizes = {p.name: p.size for p in parameters}
                 partition = shard_owner_map(sizes, config.num_shards).__getitem__
             self.fusion_plan = build_fusion_plan(
                 {p.name: p.shape for p in parameters},
-                threshold=config.small_tensor_threshold,
+                threshold=SMALL_TENSOR_THRESHOLD,
                 bucket_elements=config.bucket_elements,
                 partition=partition,
                 lossy=config.fuse_lossy,
@@ -573,10 +555,7 @@ class ExchangeEngine:
                 config.batch_size,
                 self.seeds.rng(batch_stream, worker_id),
             )
-            augmenter = Augmenter(
-                self.seeds.rng(augment_stream, worker_id),
-                pad=config.augment_pad,
-            )
+            augmenter = Augmenter(self.seeds.rng(augment_stream, worker_id))
             self.workers.append(
                 Worker(
                     worker_id,
@@ -584,7 +563,6 @@ class ExchangeEngine:
                     batcher,
                     augmenter,
                     scheme,
-                    small_tensor_threshold=config.small_tensor_threshold,
                     fusion_plan=self.fusion_plan,
                     # Collectives compress per hop; skip the (model-sized)
                     # per-worker push-context allocation entirely.
@@ -592,7 +570,7 @@ class ExchangeEngine:
                 )
             )
 
-        optimizer = MomentumSGD(config.momentum, config.weight_decay)
+        optimizer = MomentumSGD()
         self.service = build_service(
             config, parameters, optimizer, schedule, scheme, self.fusion_plan
         )
@@ -643,7 +621,7 @@ class ExchangeEngine:
                 unit: WireStream(
                     scheme,
                     shapes,
-                    threshold=config.small_tensor_threshold,
+                    threshold=SMALL_TENSOR_THRESHOLD,
                     plan=self.fusion_plan,
                     kind=pull_prefix,
                     owner=(unit,),

@@ -20,10 +20,10 @@ steps against:
 * ``hier`` — :class:`HierarchicalExchangeService`, the first *composed*
   topology: workers are grouped into racks, each rack runs a ring
   all-reduce over its fast local links, and one 3LC-compressed aggregate
-  per rack crosses the scarce uplink to a cross-rack parameter service
-  (``hier_upper``: a single server or a sharded service, built by
-  :func:`build_service` itself). This is the regime the paper targets —
-  compression matters most where bandwidth is scarcest.
+  per rack crosses the scarce uplink to one cross-rack
+  :class:`~repro.distributed.server.ParameterServer`. This is the regime
+  the paper targets — compression matters most where bandwidth is
+  scarcest.
 
 Every rule on a name and its shape knobs is ``EngineConfig``'s; nothing
 here re-checks one. All services expose the
@@ -76,25 +76,17 @@ TOPOLOGIES = ("single", "sharded", "ring", "hier")
 
 
 def build_service(config, parameters, optimizer, schedule, scheme, fusion_plan):
-    """The parameter service ``config.topology`` names.
-
-    ``hier`` builds its upper tier through this same function: the
-    ``hier_upper`` topology with one worker per rack (rack faults are the
-    hierarchy's own, so the upper tier runs none).
-    """
-    threshold = config.small_tensor_threshold
-    # Async/SSP services aggregate one push at a time.
-    slots = config.num_workers if config.synchronous else 1
-    if config.topology == "single":
-        return ParameterServer(
-            parameters,
-            optimizer,
-            schedule,
-            scheme,
-            slots,
-            small_tensor_threshold=threshold,
-            fusion_plan=fusion_plan,
+    """The parameter service ``config.topology`` names. ``hier``'s upper
+    tier is the ``single`` server, taking one push per rack."""
+    if config.topology == "ring":
+        return RingExchangeService(
+            parameters, optimizer, schedule, scheme, num_workers=config.num_workers
         )
+    hier = config.topology == "hier"
+    # Async/SSP services aggregate one push at a time.
+    slots = 1
+    if config.synchronous:
+        slots = config.racks if hier else config.num_workers
     if config.topology == "sharded":
         return ShardedParameterService(
             parameters,
@@ -103,27 +95,18 @@ def build_service(config, parameters, optimizer, schedule, scheme, fusion_plan):
             scheme,
             num_workers=slots,
             num_shards=config.num_shards,
-            small_tensor_threshold=threshold,
             fusion_plan=fusion_plan,
         )
-    if config.topology == "ring":
-        return RingExchangeService(
-            parameters,
-            optimizer,
-            schedule,
-            scheme,
-            num_workers=config.num_workers,
-            small_tensor_threshold=threshold,
-        )
-    upper = replace(
-        config, topology=config.hier_upper, num_workers=config.racks, fault=None
+    server = ParameterServer(
+        parameters, optimizer, schedule, scheme, slots, fusion_plan=fusion_plan
     )
+    if not hier:
+        return server
     return HierarchicalExchangeService(
-        build_service(upper, parameters, optimizer, schedule, scheme, fusion_plan),
+        server,
         scheme,
         racks=config.racks,
         rack_size=config.rack_size,
-        small_tensor_threshold=threshold,
         fusion_plan=fusion_plan,
     )
 
@@ -136,17 +119,13 @@ def transmission_routes(service) -> dict[str, str]:
     transmission with its route, and the simulator serializes transfers
     per route. A single server is one ``"server"`` NIC, a sharded service
     one ``shard<k>`` NIC per owning shard, and the ring its lockstep hop
-    links. Under ``hier`` these name the cross-rack tier: a sharded upper
-    tier's NICs (``cross:shard<k>``), or the ``"cross"`` marker for a
-    single upper server, which :meth:`Wire.cross_route` qualifies per rack
+    links. Under ``hier`` every tensor names the cross-rack tier with the
+    ``"cross"`` marker, which :meth:`Wire.cross_route` qualifies per rack
     (``cross:rack<r>``) — each rack reaches the core over its own uplink.
     Intra-rack records are stamped ``rack<r>`` by the :class:`Wire`.
     """
     if isinstance(service, HierarchicalExchangeService):
-        return {
-            name: "cross" if route == "server" else f"cross:{route}"
-            for name, route in transmission_routes(service.upper).items()
-        }
+        return dict.fromkeys(service.params, "cross")
     if isinstance(service, ShardedParameterService):
         return {name: f"shard{service.shard_of(name)}" for name in service.params}
     route = "ring" if isinstance(service, RingExchangeService) else "server"
@@ -179,9 +158,9 @@ class Wire:
         self.rack_size = service.rack_size if hier else 0
 
     def cross_route(self, name: str, rack: int | None) -> str:
-        """``name``'s route for a transfer serving ``rack``: a single upper
-        server's marker becomes that rack's own uplink; every other route
-        (a sharded upper's shared NICs included) passes through."""
+        """``name``'s route for a transfer serving ``rack``: the cross-rack
+        marker becomes that rack's own uplink; every other route passes
+        through."""
         route = self.routes[name]
         return f"cross:rack{rack}" if route == "cross" else route
 
@@ -277,9 +256,8 @@ class Wire:
         that rack's ring (``rack_size - 1`` more copies) as a broadcast
         depending on the crossing. ``unit`` is the rack pulling its own
         individual (async/SSP) stream. A BSP step's shared pull
-        (``unit=None``) reaches every up rack: behind a single upper
-        server each rack pulls its copy down its own uplink, while a
-        sharded upper's NIC carries all the copies itself.
+        (``unit=None``) reaches every up rack, each pulling its copy down
+        its own uplink.
         """
         rack_size = self.rack_size
         traffic = ledger.traffic
@@ -290,26 +268,17 @@ class Wire:
                 message.wire_size * len(racks) * (rack_size - 1)
             )
             wire = (message.wire_size, message.element_count)
-            route = self.routes[params[0]]
-            if unit is None and route != "cross":
+            for rack in racks:
                 ledger.emit(
-                    label, params, *wire, route, "pull",
-                    copies=len(racks), frames=len(racks),
+                    f"{label}@down{rack}", params, *wire,
+                    self.cross_route(params[0], rack), "pull", worker=unit,
                 )
-                crossing = dict.fromkeys(racks, label)
-            else:
-                crossing = {rack: f"{label}@down{rack}" for rack in racks}
-                for rack in racks:
-                    ledger.emit(
-                        crossing[rack], params, *wire,
-                        self.cross_route(params[0], rack), "pull", worker=unit,
-                    )
             for rack in racks:
                 ledger.emit(
                     f"{label}@bcast{rack}", params, *wire, f"rack{rack}", "pull",
                     worker=unit,
                     frames=rack_size - 1,
-                    depends_on=(crossing[rack],),
+                    depends_on=(f"{label}@down{rack}",),
                 )
 
     def post_resync(self, ledger, *, worker=None, rack=None) -> list[str]:
@@ -381,7 +350,6 @@ class RingExchangeService:
         scheme: Compressor,
         *,
         num_workers: int,
-        small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
     ):
         self.optimizer = optimizer
         self.schedule = schedule
@@ -392,7 +360,7 @@ class RingExchangeService:
         self.bypassed: set[str] = {
             name
             for name, param in self.params.items()
-            if param.size < small_tensor_threshold
+            if param.size < SMALL_TENSOR_THRESHOLD
         }
         self.ring = RingAllReduce(
             num_workers,
@@ -457,8 +425,8 @@ class HierarchicalExchangeService:
     2. **cross-rack** — each rack compresses its aggregate through a
        persistent per-rack uplink context (3LC error feedback corrects
        the scarce link across steps) and pushes it to the ``upper``
-       parameter service — a :class:`~repro.distributed.server.ParameterServer`,
-       sharded or not, reused unchanged — which aggregates over racks,
+       :class:`~repro.distributed.server.ParameterServer`, reused
+       unchanged, which aggregates over racks,
        updates the global model, and compresses shared model deltas that
        flow back down one copy per rack and are then re-broadcast over the
        rack rings.
@@ -482,7 +450,6 @@ class HierarchicalExchangeService:
         *,
         racks: int,
         rack_size: int,
-        small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD,
         fusion_plan: FusionPlan = FusionPlan(),
     ):
         self.upper = upper
@@ -504,7 +471,7 @@ class HierarchicalExchangeService:
             WireStream(
                 scheme,
                 shapes,
-                threshold=small_tensor_threshold,
+                threshold=SMALL_TENSOR_THRESHOLD,
                 plan=fusion_plan,
                 kind="hpush",
                 owner=(rack,),

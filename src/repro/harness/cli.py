@@ -76,6 +76,7 @@ from repro.harness.figures import (
 )
 from repro.harness.runner import ExperimentRunner
 from repro.harness.tables import table1, table2
+from repro.netsim import PRIORITIES
 from repro.tuner.artifact import apply_plan, load_plan
 from repro.tuner.space import PLAN_FIELDS
 from repro.utils.logging import LOG_LEVELS, set_level
@@ -307,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fuse only",
     )
     parser.add_argument(
-        "--priority", choices=["registration", "smallest"], default=None,
+        "--priority", choices=PRIORITIES, default=None,
         help="transmission service order inside the simulator "
         "(simulation-side only): 'registration' (default) serves "
         "gradients in backward-pass order, 'smallest' drains the "

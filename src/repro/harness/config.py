@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from repro.data.synthetic import DatasetSpec, SyntheticImageDataset
+from repro.data.synthetic import CHANNELS, DatasetSpec, SyntheticImageDataset
 from repro.distributed.barriers import StragglerSpec
-from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS, SMALL_TENSOR_THRESHOLD
+from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS
 from repro.distributed.faults import FaultSpec
 from repro.exchange.clock import MEASURED, Clock
 from repro.exchange.engine import EngineConfig, check_count
+from repro.netsim import PRIORITIES
 from repro.network.timing import StepTimeModel
 from repro.nn.resnet import build_mlp, build_resnet
 from repro.nn.schedule import CosineDecay, scale_lr_for_workers
@@ -45,7 +46,6 @@ OBSERVED_UNDER: dict[str, tuple[str, object]] = {
     "num_shards": ("topology", "sharded"),
     "racks": ("topology", "hier"),
     "rack_size": ("topology", "hier"),
-    "hier_upper": ("topology", "hier"),
     "cross_bw_fraction": ("topology", "hier"),
     "cross_rtt_seconds": ("topology", "hier"),
     "staleness": ("sync_mode", "ssp"),
@@ -73,28 +73,22 @@ class ExperimentConfig:
 
     # Model (paper: ResNet-110, base width 16). ``model_family`` selects
     # the architecture: "resnet" (depth/base_width) or "mlp" (the bench
-    # MLP over flattened inputs, hidden widths = ``mlp_hidden``).
+    # MLP over flattened inputs, ``build_mlp``'s default hidden widths).
     model_family: str = "resnet"
     depth: int = 14
     base_width: int = 8
-    mlp_hidden: tuple[int, ...] = (64, 64)
     model_seed: int = 42
 
-    # Dataset (paper: CIFAR-10)
-    num_classes: int = 10
+    # Dataset (paper: CIFAR-10; the synthetic task's class count and noise
+    # are ``repro.data.synthetic``'s constants)
     image_size: int = 16
-    structured_noise: float = 0.55
-    pixel_noise: float = 0.25
     dataset_seed: int = 0
 
-    # Cluster (paper: 10 workers, batch 32/worker, momentum 0.9, wd 1e-4)
+    # Cluster (paper: 10 workers, batch 32/worker; the optimizer, the
+    # augmentation and the §5.1 bypass are the paper's fixed setup)
     num_workers: int = 4
     batch_size: int = 16
     shard_size: int = 512
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    small_tensor_threshold: int = SMALL_TENSOR_THRESHOLD
-    augment_pad: int = 2
     cluster_seed: int = 0
 
     # Exchange plan (paper: single parameter server, BSP). The unified
@@ -114,11 +108,10 @@ class ExperimentConfig:
     #: ``EngineConfig``; like ``straggler`` it invalidates cached recordings.
     fault: FaultSpec | None = None
     #: Hierarchical topology shape: ``racks`` racks of ``rack_size``
-    #: workers (must multiply to ``num_workers``), with the cross-rack
-    #: tier reusing the single or sharded parameter service.
+    #: workers (must multiply to ``num_workers``), with one parameter
+    #: server as the cross-rack tier.
     racks: int = 2
     rack_size: int = 2
-    hier_upper: str = "single"
     #: Cross-rack uplink rate as a fraction of the swept link rate (the
     #: Table 1 columns keep meaning "the fabric's per-link rate"; the
     #: core is this much scarcer — the regime the paper targets).
@@ -164,10 +157,9 @@ class ExperimentConfig:
     clock: Clock = MEASURED
 
     # Training budget and schedule (paper: 25,600 steps, cosine 0.1 -> 0.001
-    # scaled by worker count)
+    # scaled by worker count; the floor is ``CosineDecay``'s)
     standard_steps: int = 240
     base_lr: float = 0.02
-    min_lr: float = 0.001
 
     # Evaluation
     eval_size: int = 1000
@@ -200,11 +192,11 @@ class ExperimentConfig:
                 f"unknown model_family {self.model_family!r}; "
                 "expected 'resnet' or 'mlp'"
             )
-        if self.transmission_priority not in ("registration", "smallest"):
+        if self.transmission_priority not in PRIORITIES:
             raise ValueError(
                 "unknown transmission_priority "
                 f"{self.transmission_priority!r}; "
-                "expected 'registration' or 'smallest'"
+                f"expected {' or '.join(map(repr, PRIORITIES))}"
             )
         if self.topology == "hier":
             # NaN fails both comparisons; an infinity would pass them and
@@ -222,34 +214,23 @@ class ExperimentConfig:
 
     def dataset(self) -> SyntheticImageDataset:
         return SyntheticImageDataset(
-            DatasetSpec(
-                num_classes=self.num_classes,
-                image_size=self.image_size,
-                structured_noise=self.structured_noise,
-                pixel_noise=self.pixel_noise,
-                seed=self.dataset_seed,
-            )
+            DatasetSpec(image_size=self.image_size, seed=self.dataset_seed)
         )
 
     def model_factory(self):
-        classes, seed = self.num_classes, self.model_seed
+        seed = self.model_seed
         if self.model_family == "mlp":
-            in_features = 3 * self.image_size * self.image_size
-            hidden = self.mlp_hidden
+            in_features = CHANNELS * self.image_size * self.image_size
 
             def factory():
-                return build_mlp(
-                    in_features, hidden, num_classes=classes, seed=seed
-                )
+                return build_mlp(in_features, seed=seed)
 
             return factory
 
         depth, width = self.depth, self.base_width
 
         def factory():
-            return build_resnet(
-                depth, num_classes=classes, base_width=width, seed=seed
-            )
+            return build_resnet(depth, base_width=width, seed=seed)
 
         return factory
 
@@ -263,9 +244,7 @@ class ExperimentConfig:
         """Cosine decay over the *adjusted* budget (paper §5.2: shorter
         runs still sweep the entire learning-rate range)."""
         return CosineDecay(
-            scale_lr_for_workers(self.base_lr, self.num_workers),
-            total_steps,
-            self.min_lr,
+            scale_lr_for_workers(self.base_lr, self.num_workers), total_steps
         )
 
     def steps_for_fraction(self, fraction: float) -> int:

@@ -196,7 +196,6 @@ class ExperimentRunner:
             config.model_family,
             config.depth,
             config.base_width,
-            config.mlp_hidden,
             config.model_seed,
             self._dataset.spec,
             config.batch_size,
@@ -227,7 +226,6 @@ class ExperimentRunner:
             rack_size=config.rack_size,
             cross_bw_fraction=config.cross_bw_fraction,
             cross_rtt_seconds=config.cross_rtt_seconds,
-            hier_upper=config.hier_upper,
         )
 
     def run(self, scheme_name: str, fraction: float = 1.0) -> RunResult:
@@ -333,7 +331,6 @@ class ExperimentRunner:
                         timeline,
                         self._link_model(link),
                         config.time_model,
-                        serialized_baseline=False,
                         **replay,
                     ).simulate_run(recording.plans)
                     mean_step[name] = sim.mean_step_seconds

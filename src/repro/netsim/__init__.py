@@ -29,6 +29,7 @@ from repro.netsim.links import (
     single_server_links,
 )
 from repro.netsim.scheduler import (
+    PRIORITIES,
     EventDrivenSimulator,
     NetworkSimulator,
     per_tier_serialized_seconds,
@@ -58,6 +59,7 @@ __all__ = [
     "sharded_links",
     "ring_links",
     "hierarchical_links",
+    "PRIORITIES",
     "NetworkSimulator",
     "EventDrivenSimulator",
     "dependency_waves",

@@ -20,11 +20,10 @@ Three shapes ship, one per exchange topology:
   hop link's.
 * :func:`hierarchical_links` — the first *composed* model: one fast
   ``"rack<r>"`` channel per rack (the rack's ring hop links, collapsed
-  as for :func:`ring_links`) plus the slow cross-rack tier (one
-  ``"cross:rack<r>"`` uplink per rack for a single upper server, or
-  ``"cross:shard<k>"`` NICs when the upper tier is sharded). Intra- and
-  cross-tier specs are independent — asymmetric bandwidth and RTT is
-  the regime the paper targets.
+  as for :func:`ring_links`) plus the slow cross-rack tier, one
+  ``"cross:rack<r>"`` uplink per rack. Intra- and cross-tier specs are
+  independent — asymmetric bandwidth and RTT is the regime the paper
+  targets.
 """
 
 from __future__ import annotations
@@ -120,31 +119,19 @@ def hierarchical_links(
     *,
     racks: int,
     rack_size: int,
-    upper: str = "single",
-    num_shards: int = 2,
 ) -> LinkModel:
     """The two-tier fabric: per-rack ring channels feeding the core.
 
     Each rack's hop links collapse to one ``"rack<r>"`` channel (as in
     :func:`ring_links` — records carry per-link volume). The cross-rack
-    tier mirrors the upper parameter service: one ``"cross:rack<r>"``
-    uplink per rack for a single upper server (so an outage on one
-    rack's uplink floors only that rack's route), or independent
-    ``"cross:shard<k>"`` NICs when the upper tier is sharded.
+    tier is one ``"cross:rack<r>"`` uplink per rack to the upper
+    parameter server, so an outage on one rack's uplink floors only that
+    rack's route.
     """
     if racks < 1:
         raise ValueError(f"racks must be >= 1, got {racks}")
     if rack_size < 2:
         raise ValueError(f"a rack ring needs >= 2 workers, got {rack_size}")
     links = {f"rack{index}": intra for index in range(racks)}
-    if upper == "single":
-        links.update({f"cross:rack{index}": cross for index in range(racks)})
-    elif upper == "sharded":
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        links.update({f"cross:shard{index}": cross for index in range(num_shards)})
-    else:
-        raise ValueError(
-            f"unknown upper tier {upper!r}; expected 'single' or 'sharded'"
-        )
+    links.update({f"cross:rack{index}": cross for index in range(racks)})
     return LinkModel(f"hier(racks={racks}, rack={rack_size})", links)

@@ -67,11 +67,16 @@ from repro.nn.stats import BackwardTimeline
 _Sent = namedtuple("_Sent", "route total_bytes frames")
 
 __all__ = [
+    "PRIORITIES",
     "NetworkSimulator",
     "EventDrivenSimulator",
     "wire_occupancy_seconds",
     "per_tier_serialized_seconds",
 ]
+
+#: Service orders within a transmission wave (``priority``):
+#: "registration" (record order) or "smallest" (fewest elements first).
+PRIORITIES = ("registration", "smallest")
 
 
 def wire_occupancy_seconds(
@@ -195,11 +200,10 @@ class NetworkSimulator:
         ``True`` schedules per-layer transmissions while backward still
         runs; ``False`` serializes compute, codec, and transfer.
     serialized_baseline:
-        When True (default), each overlapped step's replay also runs
-        the serialized schedule so ``SimulatedStep.serialized_seconds``
-        is meaningful. Pass False to skip that
-        second replay (halving simulation cost) when only the overlapped
-        times are consumed; ``serialized_seconds`` then equals
+        When True, each overlapped step's replay also runs the serialized
+        schedule so ``SimulatedStep.serialized_seconds`` is meaningful.
+        False (the default) skips that second replay, which would double
+        the simulation cost; ``serialized_seconds`` then equals
         ``step_seconds``.
     vectorized:
         When True (the default), steps replay through the array kernel in
@@ -229,16 +233,16 @@ class NetworkSimulator:
         time_model: StepTimeModel | None = None,
         *,
         overlap: bool = True,
-        serialized_baseline: bool = True,
+        serialized_baseline: bool = False,
         vectorized: bool = True,
         tracer=None,
         trace_group: str = "netsim",
         priority: str = "registration",
     ):
-        if priority not in ("registration", "smallest"):
+        if priority not in PRIORITIES:
             raise ValueError(
                 f"unknown transmission priority {priority!r}; "
-                "expected 'registration' or 'smallest'"
+                f"expected {' or '.join(map(repr, PRIORITIES))}"
             )
         self.timeline = timeline
         self.link_model = link_model
@@ -717,7 +721,6 @@ class EventDrivenSimulator:
             link_model,
             self.time_model,
             overlap=overlap,
-            serialized_baseline=False,
             tracer=tracer,
             trace_group=trace_group,
             priority=priority,

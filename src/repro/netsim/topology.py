@@ -31,7 +31,6 @@ def link_model_for(
     rack_size: int = 2,
     cross_bw_fraction: float = 0.1,
     cross_rtt_seconds: float = 0.0,
-    hier_upper: str = "single",
 ) -> LinkModel:
     """Build the link model for one of the engine's exchange topologies.
 
@@ -48,7 +47,7 @@ def link_model_for(
         propagation delay — the scarce tier the paper targets.
     num_shards / num_workers:
         Shape knobs for the sharded and ring models (ignored otherwise).
-    racks / rack_size / cross_bw_fraction / cross_rtt_seconds / hier_upper:
+    racks / rack_size / cross_bw_fraction / cross_rtt_seconds:
         Shape of the hierarchical fabric (ignored otherwise).
     """
     if topology == "single":
@@ -67,15 +66,11 @@ def link_model_for(
             spec.bits_per_second * cross_bw_fraction,
             rtt_seconds=cross_rtt_seconds,
         )
-        return hierarchical_links(
-            spec,
-            cross,
-            racks=racks,
-            rack_size=rack_size,
-            upper=hier_upper,
-            num_shards=num_shards,
-        )
+        return hierarchical_links(spec, cross, racks=racks, rack_size=rack_size)
+    # The names' registry sits in the exchange layer, above this one.
+    from repro.exchange.topology import TOPOLOGIES
+
+    *names, last = map(repr, TOPOLOGIES)
     raise ValueError(
-        f"unknown topology {topology!r}; expected 'single', 'sharded', "
-        "'ring', or 'hier'"
+        f"unknown topology {topology!r}; expected {', '.join(names)}, or {last}"
     )

@@ -3,8 +3,8 @@
 Update rule (the paper's local optimizer, §5.2, momentum 0.9 and weight
 decay 1e-4)::
 
-    g     = grad + weight_decay * param        (L2, where enabled)
-    accum = momentum * accum + g
+    g     = grad + WEIGHT_DECAY * param        (L2, where enabled)
+    accum = MOMENTUM * accum + g
     param = param - lr * accum
 
 The optimizer keeps one accumulator slot per parameter name. In the
@@ -18,28 +18,19 @@ import numpy as np
 
 from repro.nn.parameter import Parameter
 
-__all__ = ["MomentumSGD"]
+__all__ = ["MomentumSGD", "MOMENTUM", "WEIGHT_DECAY"]
+
+#: Momentum factor (paper: 0.9).
+MOMENTUM = 0.9
+#: L2 coefficient applied to parameters flagged ``weight_decay=True``
+#: (paper: 1e-4).
+WEIGHT_DECAY = 1e-4
 
 
 class MomentumSGD:
-    """Momentum SGD with optional decoupled L2 weight decay.
+    """Momentum SGD with L2 weight decay, at the paper's constants."""
 
-    Parameters
-    ----------
-    momentum:
-        Momentum factor (paper: 0.9).
-    weight_decay:
-        L2 coefficient applied to parameters flagged ``weight_decay=True``
-        (paper: 1e-4).
-    """
-
-    def __init__(self, momentum: float = 0.9, weight_decay: float = 1e-4):
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {momentum!r}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay!r}")
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
+    def __init__(self):
         self._slots: dict[str, np.ndarray] = {}
 
     def _slot(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -54,10 +45,10 @@ class MomentumSGD:
             if param.grad is None:
                 raise RuntimeError(f"parameter {param.name} has no gradient")
             grad = param.grad
-            if param.weight_decay and self.weight_decay:
-                grad = grad + self.weight_decay * param.data
+            if param.weight_decay:
+                grad = grad + WEIGHT_DECAY * param.data
             slot = self._slot(param.name, param.data.shape)
-            slot *= self.momentum
+            slot *= MOMENTUM
             slot += grad
             param.data -= np.float32(lr) * slot
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.synthetic import CHANNELS, NUM_CLASSES
 from repro.nn.activations import Identity, ReLU
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Flatten, Linear
@@ -132,11 +133,11 @@ def resnet_depth_blocks(depth: int) -> int:
 def build_resnet(
     depth: int = 20,
     *,
-    num_classes: int = 10,
     base_width: int = 16,
     seed: int = 0,
 ) -> Sequential:
-    """Build a CIFAR-style ResNet of depth ``6n+2`` over 3-channel images.
+    """Build a CIFAR-style ResNet of depth ``6n+2`` over the synthetic
+    task's 3-channel images, with one output per class.
 
     Parameters
     ----------
@@ -144,8 +145,6 @@ def build_resnet(
         Total weighted-layer count (8, 14, 20, ..., 110). The paper's
         workload is depth 110; the reproduction defaults to depths NumPy
         trains in reasonable time while preserving the topology.
-    num_classes:
-        Output classes.
     base_width:
         Width of the first stage; stages use (w, 2w, 4w).
     seed:
@@ -154,7 +153,7 @@ def build_resnet(
     n = resnet_depth_blocks(depth)
     rng = SeedSequenceFactory(seed).rng("resnet-init")
     layers: list[Module] = [
-        Conv2d(3, base_width, 3, name="stem/conv", rng=rng),
+        Conv2d(CHANNELS, base_width, 3, name="stem/conv", rng=rng),
         BatchNorm2d(base_width, name="stem/bn"),
         ReLU(),
     ]
@@ -175,7 +174,7 @@ def build_resnet(
             current = width
     layers += [
         GlobalAvgPool2d(),
-        Linear(current, num_classes, name="head/fc", rng=rng),
+        Linear(current, NUM_CLASSES, name="head/fc", rng=rng),
     ]
     return Sequential(*layers)
 
@@ -184,7 +183,6 @@ def build_mlp(
     in_features: int,
     hidden: tuple[int, ...] = (64, 64),
     *,
-    num_classes: int = 10,
     seed: int = 0,
 ) -> Sequential:
     """Small ReLU MLP over flattened inputs (fast tests and examples)."""
@@ -195,5 +193,5 @@ def build_mlp(
         layers.append(Linear(prev, width, name=f"fc{i}", rng=rng))
         layers.append(ReLU())
         prev = width
-    layers.append(Linear(prev, num_classes, name="head/fc", rng=rng))
+    layers.append(Linear(prev, NUM_CLASSES, name="head/fc", rng=rng))
     return Sequential(*layers)

@@ -11,31 +11,33 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = ["Schedule", "CosineDecay", "ConstantLR", "scale_lr_for_workers"]
+__all__ = ["Schedule", "CosineDecay", "ConstantLR", "scale_lr_for_workers", "MIN_LR"]
 
 Schedule = Callable[[int], float]
 
+#: The cosine floor (paper: 0.1 -> 0.001).
+MIN_LR = 0.001
+
 
 class CosineDecay:
-    """Cosine decay from ``base_lr`` to ``min_lr`` over ``total_steps``.
+    """Cosine decay from ``base_lr`` to :data:`MIN_LR` over ``total_steps``.
 
     ``lr(t) = min + 0.5 (base - min) (1 + cos(pi t / T))``. The paper's
     range is 0.1 → 0.001.
     """
 
-    def __init__(self, base_lr: float, total_steps: int, min_lr: float = 0.001):
+    def __init__(self, base_lr: float, total_steps: int):
         if total_steps < 1:
             raise ValueError(f"total_steps must be >= 1, got {total_steps!r}")
-        if base_lr < min_lr:
+        if base_lr < MIN_LR:
             raise ValueError("base_lr must be >= min_lr")
         self.base_lr = float(base_lr)
-        self.min_lr = float(min_lr)
         self.total_steps = int(total_steps)
 
     def __call__(self, step: int) -> float:
         t = min(max(step, 0), self.total_steps)
         cos = 0.5 * (1.0 + math.cos(math.pi * t / self.total_steps))
-        return self.min_lr + (self.base_lr - self.min_lr) * cos
+        return MIN_LR + (self.base_lr - MIN_LR) * cos
 
 
 class ConstantLR:

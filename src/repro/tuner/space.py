@@ -33,9 +33,12 @@ from typing import get_origin, get_type_hints
 import numpy as np
 
 from repro.compression.registry import available_schemes, make_compressor
+from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
 from repro.exchange.clock import MODELED
 from repro.exchange.engine import scheme_incompatibility
+from repro.exchange.topology import TOPOLOGIES
 from repro.harness.config import OBSERVED_UNDER, ExperimentConfig
+from repro.netsim import PRIORITIES
 
 __all__ = [
     "PLAN_FIELDS",
@@ -45,8 +48,6 @@ __all__ = [
     "boundary_candidates",
 ]
 
-TOPOLOGY_CHOICES = ("single", "sharded", "ring", "hier")
-PRIORITY_CHOICES = ("registration", "smallest")
 #: Rejection-sampling tries before :meth:`PlanSpace.sample` gives up.
 _SAMPLE_ATTEMPTS = 200
 #: Most single-name bucket boundaries a model offers the search.
@@ -119,17 +120,20 @@ class PlanSpace:
     shape, model, step budget, seeds). The choice tuples bound the
     search; rejection sampling in :meth:`sample` never proposes an
     illegal combination (asserted by ``tests/tuner/test_space.py``).
+    The cross-rack bandwidth, priority and bucket-capacity choices are
+    the same for every base config.
     """
 
     base: ExperimentConfig
     schemes: tuple[str, ...]
-    topologies: tuple[str, ...] = TOPOLOGY_CHOICES
+    topologies: tuple[str, ...] = TOPOLOGIES
     shard_choices: tuple[int, ...] = (2, 4)
     rack_shapes: tuple[tuple[int, int], ...] = ()
-    cross_bw_choices: tuple[float, ...] = (0.05, 0.1, 0.25, 1.0)
-    priority_choices: tuple[str, ...] = PRIORITY_CHOICES
-    bucket_choices: tuple[int, ...] = (256, 1024, 4096, 16384)
     boundary_choices: tuple[tuple[str, ...], ...] = ((),)
+
+    cross_bw_choices = (0.05, 0.1, 0.25, 1.0)
+    priority_choices = PRIORITIES
+    bucket_choices = (256, 1024, 4096, 16384)
 
     def __post_init__(self) -> None:
         known = set(available_schemes())
@@ -137,7 +141,7 @@ class PlanSpace:
             if scheme not in known:
                 raise ValueError(f"unknown scheme {scheme!r}")
         for topology in self.topologies:
-            if topology not in TOPOLOGY_CHOICES:
+            if topology not in TOPOLOGIES:
                 raise ValueError(f"unknown topology {topology!r}")
         if "hier" in self.topologies and not self.rack_shapes:
             raise ValueError(
@@ -290,7 +294,7 @@ def boundary_candidates(config: ExperimentConfig) -> tuple[tuple[str, ...], ...]
     fusable = [
         p.name
         for p in model.parameters()
-        if p.size < config.small_tensor_threshold
+        if p.size < SMALL_TENSOR_THRESHOLD
     ]
     # The first fusable tensor never makes a useful boundary (the packer
     # starts a fresh bucket there anyway).
@@ -319,9 +323,7 @@ def default_space(base: ExperimentConfig) -> PlanSpace:
         for racks in range(2, base.num_workers // 2 + 1)
         if base.num_workers % racks == 0 and base.num_workers // racks >= 2
     )
-    topologies = tuple(
-        t for t in TOPOLOGY_CHOICES if t != "hier" or shapes
-    )
+    topologies = tuple(t for t in TOPOLOGIES if t != "hier" or shapes)
     shard_choices = tuple(
         s for s in (2, 4) if s <= max(2, base.num_workers)
     )

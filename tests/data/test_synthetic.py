@@ -7,21 +7,29 @@ import numpy as np
 import pytest
 
 from repro.data import DatasetSpec, SyntheticImageDataset
-from repro.data.synthetic import MEMO_BUDGET_BYTES, _upsample_bilinear, input_memo
+from repro.data.synthetic import (
+    CHANNELS,
+    CONTRAST_JITTER,
+    MEMO_BUDGET_BYTES,
+    NUM_CLASSES,
+    PIXEL_NOISE,
+    STRUCTURED_NOISE,
+    TEMPLATE_RESOLUTION,
+    _upsample_bilinear,
+    input_memo,
+)
 from repro.utils.seeding import derive_rng
 
 
 class TestDatasetSpec:
     def test_defaults_valid(self):
         spec = DatasetSpec()
-        assert spec.num_classes == 10
         assert spec.image_size == 16
+        assert (NUM_CLASSES, CHANNELS) == (10, 3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DatasetSpec(num_classes=1)
-        with pytest.raises(ValueError):
-            DatasetSpec(image_size=2, template_resolution=4)
+        with pytest.raises(ValueError, match="image_size must be >= template_resolution"):
+            DatasetSpec(image_size=TEMPLATE_RESOLUTION - 1)
 
 
 class TestSyntheticImageDataset:
@@ -64,7 +72,7 @@ class TestSyntheticImageDataset:
 
     @pytest.mark.parametrize(
         "spec",
-        [DatasetSpec(), DatasetSpec(seed=7, channels=1, image_size=21, template_resolution=5)],
+        [DatasetSpec(), DatasetSpec(seed=7, image_size=21)],
     )
     def test_one_upsample_call_equals_one_per_sample(self, spec):
         """The shard's structured noise is upsampled in one call; sample by
@@ -72,15 +80,15 @@ class TestSyntheticImageDataset:
         ds = SyntheticImageDataset(spec)
         images, labels = ds.train_shard(2, 37)
         rng = derive_rng(spec.seed, "train", 2)
-        assert np.array_equal(labels, rng.integers(0, spec.num_classes, size=37))
-        contrast = 1.0 + spec.contrast_jitter * rng.uniform(-1, 1, size=37)
-        res = spec.template_resolution
-        low = rng.normal(0.0, spec.structured_noise, size=(37, spec.channels, res, res))
+        assert np.array_equal(labels, rng.integers(0, NUM_CLASSES, size=37))
+        contrast = 1.0 + CONTRAST_JITTER * rng.uniform(-1, 1, size=37)
+        res = TEMPLATE_RESOLUTION
+        low = rng.normal(0.0, STRUCTURED_NOISE, size=(37, CHANNELS, res, res))
         expected = ds.templates[labels] * contrast[:, None, None, None]
         expected = expected + np.stack(
             [_upsample_bilinear(f, spec.image_size) for f in low]
         )
-        expected = expected + rng.normal(0.0, spec.pixel_noise, size=expected.shape)
+        expected = expected + rng.normal(0.0, PIXEL_NOISE, size=expected.shape)
         np.testing.assert_array_equal(images, expected.astype(np.float32))
 
     def test_shards_are_disjoint_streams(self):
@@ -106,9 +114,9 @@ class TestSyntheticImageDataset:
         top1 = scores.argmax(axis=1)
         assert float(np.mean(top1 == labels)) > 0.5
 
-    def test_num_classes_property(self):
+    def test_templates_hold_one_field_per_class_and_channel(self):
         ds = SyntheticImageDataset(DatasetSpec(image_size=12))
-        assert ds.num_classes == 10
+        assert ds.templates.shape == (NUM_CLASSES, CHANNELS, 12, 12)
 
 
 class TestInputMemo:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
+from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
 from repro.exchange import EngineConfig, ExchangeEngine
 from repro.nn import ConstantLR, CosineDecay, build_mlp, build_resnet
 
@@ -111,7 +112,7 @@ class TestClusterMechanics:
         big = [
             n
             for n, p in cluster.service.params.items()
-            if p.size >= cluster.engine_config.small_tensor_threshold
+            if p.size >= SMALL_TENSOR_THRESHOLD
         ]
         assert big
         assert all(n not in cluster.service.bypassed for n in big)
@@ -152,7 +153,7 @@ class TestGradientAggregation:
     def test_server_averages_worker_gradients(self):
         """With lossless compression, the server update must equal momentum
         SGD on the mean of per-worker gradients."""
-        from repro.nn import MomentumSGD
+        from repro.nn.optimizer import WEIGHT_DECAY
 
         cluster = make_cluster("32-bit float")
         # Capture gradients by running worker steps manually.
@@ -170,14 +171,11 @@ class TestGradientAggregation:
         cluster.service.step([b.messages for b in batches])
         after = cluster.service.state_dict()
 
-        reference = MomentumSGD(
-            cluster.engine_config.momentum, cluster.engine_config.weight_decay
-        )
         for name, param in cluster.service.params.items():
             expected = before[name].copy()
             grad = grads[name]
             if param.weight_decay:
-                grad = grad + cluster.engine_config.weight_decay * before[name]
+                grad = grad + WEIGHT_DECAY * before[name]
             expected -= 0.05 * grad  # first step: slot == grad, lr == 0.05
             np.testing.assert_allclose(after[name], expected, atol=1e-5)
 

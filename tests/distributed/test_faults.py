@@ -154,7 +154,7 @@ def make_worker(worker_id: int = 0) -> Worker:
             images, labels, batch_size=8,
             rng=np.random.default_rng(worker_id),
         ),
-        Augmenter(np.random.default_rng(worker_id + 100), pad=2),
+        Augmenter(np.random.default_rng(worker_id + 100)),
         make_compressor("3LC (s=1.00)", seed=0),
     )
 

@@ -59,11 +59,13 @@ class TestPartition:
 
 
 def _make_params(rng):
+    """Four tensors, each at or above ``SMALL_TENSOR_THRESHOLD`` elements:
+    every one travels through the scheme's codec."""
     return [
         Parameter("conv/kernel", rng.normal(size=(12, 27)).astype(np.float32)),
         Parameter("fc/weight", rng.normal(size=(27, 10)).astype(np.float32)),
-        Parameter("fc/bias", np.zeros(10, dtype=np.float32), weight_decay=False),
-        Parameter("head/weight", rng.normal(size=(10, 10)).astype(np.float32)),
+        Parameter("fc/bias", np.zeros(260, dtype=np.float32), weight_decay=False),
+        Parameter("head/weight", rng.normal(size=(10, 30)).astype(np.float32)),
     ]
 
 
@@ -97,17 +99,15 @@ def test_sharded_service_matches_single_server(scheme_name, num_shards, rng):
     params = _make_params(rng)
     workers = 2
     single = ParameterServer(
-        params, MomentumSGD(0.9, 1e-4), ConstantLR(0.1), scheme,
-        num_workers=workers, small_tensor_threshold=8,
+        params, MomentumSGD(), ConstantLR(0.1), scheme, num_workers=workers
     )
     sharded = ShardedParameterService(
         params,
-        MomentumSGD(0.9, 1e-4),
+        MomentumSGD(),
         ConstantLR(0.1),
         scheme,
         num_workers=workers,
         num_shards=num_shards,
-        small_tensor_threshold=8,
     )
     for step_pushes in _make_pushes(params, scheme, workers, steps=4, seed=3):
         single.step(step_pushes)
@@ -126,9 +126,8 @@ class TestLoadSpreading:
 
         def hot_link(num_shards):
             service = ShardedParameterService(
-                params, MomentumSGD(0.9, 1e-4), ConstantLR(0.1), scheme,
+                params, MomentumSGD(), ConstantLR(0.1), scheme,
                 num_workers=workers, num_shards=num_shards,
-                small_tensor_threshold=1,
             )
             pushes = _make_pushes(params, scheme, workers, steps=1)[0]
             pulls = service.step(pushes).messages
@@ -149,8 +148,8 @@ class TestLoadSpreading:
         scheme = make_compressor("3LC (s=1.00)")
         params = _make_params(rng)
         service = ShardedParameterService(
-            params, MomentumSGD(0.9, 1e-4), ConstantLR(0.1), scheme,
-            num_workers=2, num_shards=2, small_tensor_threshold=8,
+            params, MomentumSGD(), ConstantLR(0.1), scheme,
+            num_workers=2, num_shards=2,
         )
         pushes = _make_pushes(params, scheme, 2, steps=1)[0]
         batch = service.step(pushes)
@@ -159,7 +158,7 @@ class TestLoadSpreading:
     def test_shard_of_and_validation(self, rng):
         params = _make_params(rng)
         service = ShardedParameterService(
-            params, MomentumSGD(0.9, 1e-4), ConstantLR(0.1),
+            params, MomentumSGD(), ConstantLR(0.1),
             make_compressor("32-bit float"), num_workers=2, num_shards=2,
         )
         for p in params:
@@ -168,6 +167,6 @@ class TestLoadSpreading:
             service.shard_of("nope")
         with pytest.raises(ValueError, match="num_shards"):
             ShardedParameterService(
-                params, MomentumSGD(0.9, 1e-4), ConstantLR(0.1),
+                params, MomentumSGD(), ConstantLR(0.1),
                 make_compressor("32-bit float"), num_workers=2, num_shards=0,
             )

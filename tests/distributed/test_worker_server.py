@@ -10,29 +10,29 @@ from repro.nn import ConstantLR, MomentumSGD, build_mlp
 from repro.utils.seeding import derive_rng
 
 
-def make_worker(scheme_name="3LC (s=1.00)", worker_id=0, threshold=64):
+#: The MLP's weights (192x32, 32x10) are above SMALL_TENSOR_THRESHOLD
+#: elements, its biases (32, 10) below it.
+def make_worker(scheme_name="3LC (s=1.00)", worker_id=0):
     dataset = SyntheticImageDataset(DatasetSpec(image_size=8, seed=0))
     images, labels = dataset.train_shard(worker_id, 32)
-    model = build_mlp(3 * 8 * 8, (32,), num_classes=10, seed=4)
+    model = build_mlp(3 * 8 * 8, (32,), seed=4)
     return Worker(
         worker_id,
         model,
         ShardBatcher(images, labels, 8, derive_rng(0, "b", worker_id)),
-        Augmenter(derive_rng(0, "a", worker_id), pad=1),
+        Augmenter(derive_rng(0, "a", worker_id)),
         make_compressor(scheme_name, seed=0),
-        small_tensor_threshold=threshold,
     )
 
 
-def make_server(scheme_name="3LC (s=1.00)", num_workers=2, threshold=64):
-    model = build_mlp(3 * 8 * 8, (32,), num_classes=10, seed=4)
+def make_server(scheme_name="3LC (s=1.00)", num_workers=2):
+    model = build_mlp(3 * 8 * 8, (32,), seed=4)
     return ParameterServer(
         model.parameters(),
-        MomentumSGD(0.9, 1e-4),
+        MomentumSGD(),
         ConstantLR(0.05),
         make_compressor(scheme_name, seed=0),
         num_workers,
-        small_tensor_threshold=threshold,
     )
 
 
@@ -46,7 +46,7 @@ class TestWorker:
         assert np.isfinite(batch.loss)
 
     def test_small_tensors_use_bypass(self):
-        worker = make_worker(threshold=64)
+        worker = make_worker()
         # MLP biases (<= 32 elements) bypass; weight matrices do not.
         bypassed = worker.stream.bypassed
         assert any(name.endswith("/bias") for name in bypassed)
@@ -136,6 +136,6 @@ class TestParameterServer:
 
 class TestPushPullSymmetry:
     def test_worker_and_server_agree_on_bypass_set(self):
-        worker = make_worker(threshold=64)
-        server = make_server(threshold=64)
+        worker = make_worker()
+        server = make_server()
         assert worker.stream.bypassed == server.bypassed

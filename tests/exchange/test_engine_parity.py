@@ -72,18 +72,16 @@ class SeedReferenceLoop:
                     ShardBatcher(
                         images, labels, config.batch_size, seeds.rng("batch", worker_id)
                     ),
-                    Augmenter(seeds.rng("augment", worker_id), pad=config.augment_pad),
+                    Augmenter(seeds.rng("augment", worker_id)),
                     scheme,
-                    small_tensor_threshold=config.small_tensor_threshold,
                 )
             )
         self.server = ParameterServer(
             reference_model.parameters(),
-            MomentumSGD(config.momentum, config.weight_decay),
+            MomentumSGD(),
             CosineDecay(0.05, 8),
             scheme,
             config.num_workers,
-            small_tensor_threshold=config.small_tensor_threshold,
         )
         self.barrier = FullBarrier()
         self.losses: list[float] = []

@@ -10,9 +10,8 @@ a single-server crash with a checkpointed restart, and the fused-bucket
 shapes the wire stream's four owners differ on (per-rack uplink buckets
 and per-rack fused pull streams, a crash snapshot of lossy bucket
 contexts, a stochastic scheme whose bucket draws follow the stream key),
-stragglers under a backup-worker barrier, a sharded upper tier under
-``hier`` (an uplink flap with rejoin, and SSP(1)), and stragglers on the
-ring and the rack rings (collectives reduce in rank order, not arrival
+stragglers under a backup-worker barrier, and stragglers on the ring and
+the rack rings (collectives reduce in rank order, not arrival
 order). Every run is on
 a modeled clock (compute 0.01 s) so barrier order and virtual clocks do
 not depend on wall-clock noise.
@@ -135,30 +134,6 @@ CELLS = {
         straggler=StragglerSpec(
             jitter_sigma=0.0, slowdown_probability=0.35, slowdown_factor=3.0, seed=5
         ),
-    ),
-    # A sharded upper tier: the shared pull posts on a shard NIC with one
-    # copy and frame per rack, and rejoin floors land on the shared
-    # ``cross:shard<k>`` NICs.
-    "hier2x2_sharded_upper_flap_rejoin": dict(
-        num_workers=4,
-        topology="hier",
-        racks=2,
-        rack_size=2,
-        hier_upper="sharded",
-        num_shards=2,
-        fault=FaultSpec(
-            flaps=(UplinkFlap(rack=1, step=1, rejoin_delay_seconds=0.05),)
-        ),
-    ),
-    "hier2x2_sharded_upper_ssp1": dict(
-        num_workers=4,
-        topology="hier",
-        racks=2,
-        rack_size=2,
-        hier_upper="sharded",
-        num_shards=2,
-        sync_mode="ssp",
-        staleness=1,
     ),
     # Collectives whose workers arrive apart: the ring and the rack rings
     # take every worker's gradients in rank order, never the barrier's.
@@ -390,9 +365,8 @@ def test_snapshot_covers_the_fault_paths(golden):
     assert any(row["link_down"] for row in flap)
     names = [record[0] for row in flap for record in row["records"]]
     assert "resync:rack1:bcast" in names
-    sharded = golden["cells"]["hier2x2_sharded_upper_flap_rejoin"]
-    floors = [route for row in sharded for route, _ in row["link_down"]]
-    assert any(route.startswith("cross:shard") for route in floors)
+    floors = [route for row in flap for route, _ in row["link_down"]]
+    assert floors == ["cross:rack1"]
     crash = golden["cells"]["single_crash_restart"]
     resync = INT_FIELDS.index("resync_bytes")
     assert [row["traffic"][resync] > 0 for row in crash] == [

@@ -27,7 +27,6 @@ from repro.exchange import (
     EngineConfig,
     ExchangeEngine,
     HierarchicalExchangeService,
-    transmission_routes,
 )
 from repro.harness.cli import parse_config
 from repro.nn import CosineDecay, build_resnet
@@ -292,35 +291,3 @@ class TestValidation:
         # At construction (the hop-level check stays as the backstop).
         with pytest.raises(ValueError, match="'2 local steps' defers transmissions"):
             make_engine("2 local steps")
-
-
-class TestShardedUpperTier:
-    def test_sharded_upper_trains_and_routes_per_shard(self):
-        engine = make_engine(
-            hier_upper="sharded", num_shards=2, record_transmissions=True
-        )
-        engine.train(3)
-        assert all(np.isfinite(l.train_loss) for l in engine.step_logs)
-        service = engine.service
-        assert isinstance(service, HierarchicalExchangeService)
-        routes = set(transmission_routes(service).values())
-        assert routes == {"cross:shard0", "cross:shard1"}
-        st = engine.transmissions[0]
-        cross_routes = {
-            r.route for r in st.records if r.route.startswith("cross")
-        }
-        assert cross_routes == {"cross:shard0", "cross:shard1"}
-
-    def test_sharded_upper_matches_single_upper_exactly(self):
-        """Per-tensor contexts never span shards, so sharding the upper
-        tier must not change a transmitted byte or a loss value."""
-        single = make_engine()
-        sharded = make_engine(hier_upper="sharded", num_shards=3)
-        single.train(4)
-        sharded.train(4)
-        assert [l.train_loss for l in single.step_logs] == [
-            l.train_loss for l in sharded.step_logs
-        ]
-        assert [s.wire_bytes for s in single.traffic.steps] == [
-            s.wire_bytes for s in sharded.traffic.steps
-        ]

@@ -134,10 +134,10 @@ def test_unknown_sync_mode_rejected():
 
 #: (EngineConfig overrides, the exact message, and the ``(flags, named
 #: flag)`` of a CLI line that reaches the same rule — None where no flag
-#: does: ``hier_upper`` has none, ``--topology`` / ``--sync-mode`` and the
-#: shape and count flags are parsed as choices or integers before any
-#: configuration is built, and ``--staleness`` outside ``--sync-mode ssp``
-#: is refused as unobservable first).
+#: does: ``--topology`` / ``--sync-mode`` and the shape and count flags are
+#: parsed as choices or integers before any configuration is built, and
+#: ``--staleness`` outside ``--sync-mode ssp`` is refused as unobservable
+#: first).
 TOPOLOGY_RULES = {
     "unknown-name": (
         dict(topology="hypercube"),
@@ -150,11 +150,6 @@ TOPOLOGY_RULES = {
         "num_shards must be >= 1, got 0",
         (["--topology", "sharded", "--shards", "0"], "--shards 0"),
     ),
-    "no-upper-shards": (
-        dict(topology="hier", hier_upper="sharded", num_shards=0, num_workers=4),
-        "num_shards must be >= 1, got 0",
-        None,
-    ),
     "one-worker-rack": (
         dict(topology="hier", racks=2, rack_size=1),
         "a rack ring needs >= 2 workers, got rack_size=1",
@@ -162,11 +157,6 @@ TOPOLOGY_RULES = {
             ["--topology", "hier", "--racks", "2", "--rack-size", "1"],
             "--rack-size 1",
         ),
-    ),
-    "unknown-upper": (
-        dict(topology="hier", hier_upper="mesh", num_workers=4),
-        "unknown upper tier 'mesh'; expected 'single' or 'sharded'",
-        None,
     ),
     "async-ring": (
         dict(topology="ring", sync_mode="async"),
@@ -232,11 +222,6 @@ TOPOLOGY_RULES = {
     "fractional-bucket": (
         dict(fuse_small_tensors=True, bucket_elements=2.5),
         "bucket_elements must be an integer, got 2.5",
-        None,
-    ),
-    "fractional-threshold": (
-        dict(small_tensor_threshold=10.5),
-        "small_tensor_threshold must be an integer, got 10.5",
         None,
     ),
     "fractional-staleness": (

@@ -6,9 +6,6 @@ never a number. On the bench MLP with a modeled clock, for every k and
 under BSP and async, a sharded run and a single-server run agree on the
 losses, the final model, every integer ``StepTraffic`` field and — once
 ``shard<k>`` reads as ``server`` — the multiset of recorded transmissions.
-Under ``hier`` a sharded upper tier agrees with a single one on the
-losses, traffic integers and model (its records differ by design: the
-shard NICs are shared, a single upper server is reached per rack).
 """
 
 from collections import Counter
@@ -88,15 +85,3 @@ def test_sharded_moves_single_servers_bytes(sync_mode):
         assert routes == {f"shard{k}" for k in range(shards)}, shards
         assert_same_numbers(sharded, single)
         assert records(sharded) == want, shards
-
-
-@pytest.mark.parametrize(
-    "sync", [dict(sync_mode="bsp"), dict(sync_mode="ssp", staleness=1)], ids=str
-)
-def test_sharded_upper_tier_matches_single_upper(sync):
-    hier = dict(topology="hier", racks=2, rack_size=2, **sync)
-    single = run(hier_upper="single", **hier)
-    for shards in (2, 3):
-        assert_same_numbers(
-            run(hier_upper="sharded", num_shards=shards, **hier), single
-        )

@@ -123,17 +123,6 @@ class TestPartitionAwarePlans:
             owners = [owner(label) for label in part]
             assert owners == sorted(owners)
 
-    def test_hier_sharded_upper_plan_matches_upper_owner_map(self):
-        engine = make_engine(
-            num_workers=4, topology="hier", racks=2, rack_size=2,
-            hier_upper="sharded", num_shards=2, fuse_small_tensors=True,
-        )
-        plan = engine.fusion_plan
-        assert plan.buckets
-        upper = engine.service.upper
-        for bucket in plan.buckets:
-            assert {upper.shard_of(n) for n in bucket.names} == {bucket.group}
-
     def test_spanning_plan_rejected_by_sharded_service(self):
         # A plan built without the topology's partition must be refused:
         # its buckets would need two wire destinations.
@@ -149,7 +138,7 @@ class TestPartitionAwarePlans:
         with pytest.raises(ValueError, match="spans shards"):
             ShardedParameterService(
                 params,
-                MomentumSGD(0.9, 1e-4),
+                MomentumSGD(),
                 CosineDecay(0.05, 4),
                 make_compressor("3LC (s=1.00)", seed=0),
                 num_workers=2,
@@ -249,12 +238,8 @@ class TestFusedShardedParity:
 
 
 class TestFusedHierParity:
-    @pytest.mark.parametrize("hier_upper", ["single", "sharded"])
-    def test_bit_exact_with_unfused(self, hier_upper):
-        kwargs = dict(
-            num_workers=4, topology="hier", racks=2, rack_size=2,
-            hier_upper=hier_upper,
-        )
+    def test_bit_exact_with_unfused(self):
+        kwargs = dict(num_workers=4, topology="hier", racks=2, rack_size=2)
         unfused = make_engine(**kwargs)
         fused = make_engine(fuse_small_tensors=True, **kwargs)
         unfused.train(6)

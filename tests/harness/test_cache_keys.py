@@ -29,13 +29,7 @@ from repro.utils.seeding import derive_rng
 SCHEME = "3LC (s=1.00)"
 
 SPEC_PERTURBATIONS = {
-    "num_classes": 7,
-    "channels": 1,
     "image_size": 12,
-    "template_resolution": 3,
-    "contrast_jitter": 0.2,
-    "structured_noise": 0.3,
-    "pixel_noise": 0.1,
     "seed": 1,
 }
 
@@ -61,20 +55,12 @@ CONFIG_PERTURBATIONS = {
     "model_family": dict(model_family="resnet"),
     "depth": dict(depth=14),
     "base_width": dict(base_width=8),
-    "mlp_hidden": dict(mlp_hidden=(32,)),
     "model_seed": dict(model_seed=43),
-    "num_classes": dict(num_classes=5),
     "image_size": dict(image_size=16),
-    "structured_noise": dict(structured_noise=0.3),
-    "pixel_noise": dict(pixel_noise=0.1),
     "dataset_seed": dict(dataset_seed=1),
     "num_workers": dict(num_workers=6, racks=3),
     "batch_size": dict(batch_size=4),
     "shard_size": dict(shard_size=32),
-    "momentum": dict(momentum=0.8),
-    "weight_decay": dict(weight_decay=1e-3),
-    "small_tensor_threshold": dict(small_tensor_threshold=16),
-    "augment_pad": dict(augment_pad=1),
     "cluster_seed": dict(cluster_seed=1),
     "topology": dict(topology="single"),
     "sync_mode": dict(sync_mode="async"),
@@ -85,7 +71,6 @@ CONFIG_PERTURBATIONS = {
     "fault": dict(fault=FaultSpec(flaps=(UplinkFlap(rack=1, step=1),))),
     "racks": dict(racks=3, rack_size=2),
     "rack_size": dict(rack_size=2, racks=3),
-    "hier_upper": dict(hier_upper="sharded"),
     "cross_bw_fraction": dict(cross_bw_fraction=0.25),
     "cross_rtt_seconds": dict(cross_rtt_seconds=1e-3),
     "fuse_small_tensors": dict(fuse_small_tensors=True),
@@ -98,7 +83,6 @@ CONFIG_PERTURBATIONS = {
     "clock": dict(clock=MODELED),
     "standard_steps": dict(standard_steps=5),
     "base_lr": dict(base_lr=0.01),
-    "min_lr": dict(min_lr=0.002),
     "eval_size": dict(eval_size=100),
     "eval_points": dict(eval_points=1),
     "scheme_seed": dict(scheme_seed=1),
@@ -110,10 +94,7 @@ CONFIG_PERTURBATIONS = {
 #: The config fields that reach the inputs: through the dataset spec, or
 #: through which ``(shard, count)`` a run asks for.
 INPUT_FIELDS = {
-    "num_classes",
     "image_size",
-    "structured_noise",
-    "pixel_noise",
     "dataset_seed",
     "num_workers",
     "batch_size",
@@ -127,12 +108,8 @@ TIMELINE_FIELDS = {
     "model_family",
     "depth",
     "base_width",
-    "mlp_hidden",
     "model_seed",
-    "num_classes",
     "image_size",
-    "structured_noise",
-    "pixel_noise",
     "dataset_seed",
     "batch_size",
     "clock",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.compression.registry import make_compressor
+from repro.data.synthetic import NUM_CLASSES
 from repro.exchange.engine import ExchangeEngine
 from repro.harness import (
     FAST_CONFIG,
@@ -25,6 +26,7 @@ from repro.harness import (
 from repro.harness import config as config_module
 from repro.harness.ascii_plot import Series, render_plot
 from repro.harness.tables import TABLE2_SCHEMES
+from repro.nn.schedule import MIN_LR
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +46,7 @@ class TestExperimentConfig:
         config = ExperimentConfig(standard_steps=100, base_lr=0.02, num_workers=4)
         sched = config.schedule(25)  # 25% budget
         assert sched(0) == pytest.approx(0.08)  # worker-scaled
-        assert sched(25) == pytest.approx(config.min_lr)
+        assert sched(25) == pytest.approx(MIN_LR)
 
     def test_scaled_override(self):
         config = FAST_CONFIG.scaled(standard_steps=48)
@@ -87,8 +89,8 @@ class TestExperimentConfig:
         model = config.model_factory()()
         assert model.forward(
             np.zeros((1, 3, config.image_size, config.image_size), dtype=np.float32)
-        ).shape == (1, config.num_classes)
-        assert config.dataset().num_classes == config.num_classes
+        ).shape == (1, NUM_CLASSES)
+        assert len(config.dataset().templates) == NUM_CLASSES
 
 
 class TestExperimentRunner:

@@ -89,36 +89,6 @@ class TestSerializedMatchesPerTierSum:
                 per_tier_serialized_seconds(st, lm, TIME_MODEL), abs=1e-9
             )
 
-    def test_sharded_upper_tier_parallelizes_cross_nics(self):
-        from dataclasses import replace
-
-        engine, _ = train_hier_engine(hier_upper="sharded", num_shards=2)
-        lm = hier_model(hier_upper="sharded")
-        sim = NetworkSimulator(SIMPLE_TIMELINE, lm, TIME_MODEL, overlap=False)
-        sharded_run = sim.simulate_run(engine.transmissions)
-        # Baseline: the identical plan forced through one shard NIC — a
-        # shared core. Two NICs must carry the same bytes strictly faster,
-        # and the closed form still matches exactly.
-        forced = [
-            replace(
-                st,
-                records=tuple(
-                    replace(r, route="cross:shard0")
-                    if r.route.startswith("cross:")
-                    else r
-                    for r in st.records
-                ),
-            )
-            for st in engine.transmissions
-        ]
-        shared_run = sim.simulate_run(forced)
-        assert sharded_run.mean_step_seconds < shared_run.mean_step_seconds
-        for st in engine.transmissions:
-            step = sim.simulate_run((st,)).steps[0]
-            assert step.step_seconds == pytest.approx(
-                per_tier_serialized_seconds(st, lm, TIME_MODEL), abs=1e-9
-            )
-
     def test_overlap_never_slower_and_reports_tier_utilization(self):
         engine, dataset = train_hier_engine()
         from repro.nn.stats import profile_backward
@@ -312,21 +282,10 @@ class TestHierLinkFactories:
             "cross:rack1",
             "cross:rack2",
         )
-        sharded = hierarchical_links(
-            MBPS, MBPS, racks=2, rack_size=2, upper="sharded", num_shards=2
-        )
-        assert sharded.link_ids == (
-            "rack0",
-            "rack1",
-            "cross:shard0",
-            "cross:shard1",
-        )
 
     def test_validation(self):
         with pytest.raises(ValueError, match="rack ring"):
             hierarchical_links(MBPS, MBPS, racks=2, rack_size=1)
-        with pytest.raises(ValueError, match="upper tier"):
-            hierarchical_links(MBPS, MBPS, racks=2, rack_size=2, upper="mesh")
         with pytest.raises(ValueError, match="cross_bw_fraction"):
             link_model_for(
                 "hier", MBPS, racks=2, rack_size=2, cross_bw_fraction=0.0

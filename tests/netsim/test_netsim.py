@@ -92,7 +92,8 @@ class TestScheduler:
         # b's gradient is ready at t=0.5; its 1 s transfer ends at 1.5 —
         # 0.5 s hid under the remaining backward half.
         sim = NetworkSimulator(
-            SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
+            SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(),
+            overlap=True, serialized_baseline=True,
         )
         step = sim.simulate_run((simple_step(frames=1),)).steps[0]
         overhead = StepTimeModel().per_message_overhead
@@ -110,7 +111,8 @@ class TestScheduler:
 
     def test_overlap_never_slower_than_serialized(self):
         sim = NetworkSimulator(
-            SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
+            SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(),
+            overlap=True, serialized_baseline=True,
         )
         for push_bytes in (1_000, 125_000, 10_000_000):
             step = sim.simulate_run((simple_step(push_bytes=push_bytes),)).steps[0]
@@ -318,7 +320,8 @@ class TestAgainstAnalyticModel:
         engine, timeline = profiled
         model = StepTimeModel(compute_scale=0.05, codec_scale=0.5)
         sim = NetworkSimulator(
-            timeline, single_server_links(link("10Mbps")), model, overlap=True
+            timeline, single_server_links(link("10Mbps")), model, overlap=True,
+            serialized_baseline=True,
         )
         run = sim.simulate_run(engine.transmissions)
         assert 0.0 < run.mean_overlap <= 1.0

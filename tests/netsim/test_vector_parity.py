@@ -152,7 +152,7 @@ def test_randomized_topologies_bit_parity(overlap, priority):
         vec, scalar = (
             NetworkSimulator(
                 timeline, links, overlap=overlap, priority=priority,
-                vectorized=vectorized,
+                serialized_baseline=True, vectorized=vectorized,
             )
             for vectorized in (True, False)
         )
@@ -331,8 +331,10 @@ def test_exact_tie_pipelines_match_scalar():
         )
         for s in range(3)
     ]
-    vec = NetworkSimulator(timeline, links, vectorized=True)
-    scalar = NetworkSimulator(timeline, links, vectorized=False)
+    vec, scalar = (
+        NetworkSimulator(timeline, links, serialized_baseline=True, vectorized=vectorized)
+        for vectorized in (True, False)
+    )
     for b, s in zip(vec.simulate_run(steps).steps, scalar.simulate_run(steps).steps):
         assert_scalar_parity(b, s)
 
@@ -378,8 +380,10 @@ def test_zero_compute_row_inside_a_group():
     )
     assert all(st.skeleton is steps[0].skeleton for st in steps)
     timeline = random_timeline(random.Random(11))
-    vec = NetworkSimulator(timeline, links, overlap=True, vectorized=True)
-    scalar = NetworkSimulator(timeline, links, overlap=True, vectorized=False)
+    vec, scalar = (
+        NetworkSimulator(timeline, links, serialized_baseline=True, vectorized=vectorized)
+        for vectorized in (True, False)
+    )
     run = vec.simulate_run(steps).steps
     per_step = [vec.simulate_run((st,)).steps[0] for st in steps]
     assert list(run) == per_step

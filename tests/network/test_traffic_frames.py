@@ -24,7 +24,7 @@ def train(topology: str, *, fuse: bool = False, workers: int = 2, model="resnet"
     else:
         # Deep-narrow MLP: everything except the input projection is below
         # the bypass threshold, the regime fusion exists for.
-        factory = lambda: build_mlp(3 * 12 * 12, (14,) * 6, num_classes=10, seed=3)
+        factory = lambda: build_mlp(3 * 12 * 12, (14,) * 6, seed=3)
     engine = ExchangeEngine(
         factory,
         SyntheticImageDataset(DatasetSpec(image_size=12, seed=0)),

@@ -78,9 +78,9 @@ class TestBuildResnet:
         assert large > 2 * small
 
     def test_output_shape(self):
-        model = build_resnet(8, num_classes=7, base_width=4)
+        model = build_resnet(8, base_width=4)
         out = model.forward(np.zeros((3, 3, 16, 16), dtype=np.float32))
-        assert out.shape == (3, 7)
+        assert out.shape == (3, 10)
 
     def test_deterministic_initialization(self):
         a = build_resnet(8, base_width=4, seed=5).state_dict()
@@ -143,9 +143,9 @@ class TestBuildResnet:
 
 class TestBuildMlp:
     def test_shapes(self):
-        model = build_mlp(48, (16, 8), num_classes=5)
+        model = build_mlp(48, (16, 8))
         out = model.forward(np.zeros((2, 3, 4, 4), dtype=np.float32))
-        assert out.shape == (2, 5)
+        assert out.shape == (2, 10)
 
     def test_trains_on_toy_problem(self):
         from repro.nn import ConstantLR, MomentumSGD
@@ -154,8 +154,8 @@ class TestBuildMlp:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(128, 8)).astype(np.float32)
         y = (x[:, 0] > 0).astype(np.int64)
-        model = build_mlp(8, (16,), num_classes=2, seed=0)
-        optimizer = MomentumSGD(0.9, 0.0)
+        model = build_mlp(8, (16,), seed=0)
+        optimizer = MomentumSGD()
         loss_fn = SoftmaxCrossEntropy()
         for _ in range(60):
             logits = model.forward(x, training=True)

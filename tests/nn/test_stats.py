@@ -8,10 +8,10 @@ from repro.nn import build_mlp, build_resnet, model_stats
 
 class TestModelStats:
     def test_linear_flops(self):
-        model = build_mlp(16, (), num_classes=4, seed=0)  # single Linear
+        model = build_mlp(16, (), seed=0)  # single Linear onto 10 classes
         stats = model_stats(model, (1, 4, 4))
-        assert stats.parameters == 16 * 4 + 4
-        assert stats.flops == 2 * 16 * 4
+        assert stats.parameters == 16 * 10 + 10
+        assert stats.flops == 2 * 16 * 10
 
     def test_conv_flops_hand_computed(self):
         from repro.nn import Conv2d, Sequential

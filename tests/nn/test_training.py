@@ -13,6 +13,8 @@ from repro.nn import (
     scale_lr_for_workers,
 )
 from repro.nn.loss import SoftmaxCrossEntropy, accuracy, softmax
+from repro.nn.optimizer import MOMENTUM, WEIGHT_DECAY
+from repro.nn.schedule import MIN_LR
 
 
 class TestSoftmax:
@@ -76,25 +78,25 @@ class TestMomentumSGD:
     def test_first_step_is_plain_sgd(self):
         p = Parameter("w", np.array([1.0], dtype=np.float32), weight_decay=False)
         p.grad = np.array([0.5], dtype=np.float32)
-        MomentumSGD(0.9, 0.0).step([p], lr=0.1)
+        MomentumSGD().step([p], lr=0.1)
         assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
 
     def test_momentum_accumulates(self):
         p = Parameter("w", np.zeros(1, dtype=np.float32), weight_decay=False)
-        opt = MomentumSGD(0.5, 0.0)
+        opt = MomentumSGD()
         for _ in range(2):
             p.grad = np.array([1.0], dtype=np.float32)
             opt.step([p], lr=1.0)
-        # accum: 1.0 then 1.5; total update 2.5.
-        assert p.data[0] == pytest.approx(-2.5)
+        # accum: 1.0 then 1 + MOMENTUM; total update 2 + MOMENTUM.
+        assert p.data[0] == pytest.approx(-(2.0 + MOMENTUM))
 
     def test_weight_decay_applies_only_when_flagged(self):
         decayed = Parameter("a", np.array([2.0], dtype=np.float32), weight_decay=True)
         plain = Parameter("b", np.array([2.0], dtype=np.float32), weight_decay=False)
         for p in (decayed, plain):
             p.grad = np.zeros(1, dtype=np.float32)
-        MomentumSGD(0.0, 0.1).step([decayed, plain], lr=1.0)
-        assert decayed.data[0] == pytest.approx(2.0 - 0.1 * 2.0)
+        MomentumSGD().step([decayed, plain], lr=1.0)
+        assert decayed.data[0] == pytest.approx(2.0 - WEIGHT_DECAY * 2.0)
         assert plain.data[0] == pytest.approx(2.0)
 
     def test_missing_gradient_raises(self):
@@ -102,26 +104,24 @@ class TestMomentumSGD:
         with pytest.raises(RuntimeError, match="no gradient"):
             MomentumSGD().step([p], lr=0.1)
 
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            MomentumSGD(momentum=1.0)
-        with pytest.raises(ValueError):
-            MomentumSGD(weight_decay=-0.1)
+    def test_hyperparameters_are_the_papers(self):
+        assert (MOMENTUM, WEIGHT_DECAY) == (0.9, 1e-4)
 
     def test_state_dict(self):
         p = Parameter("w", np.zeros(2, dtype=np.float32))
         p.grad = np.ones(2, dtype=np.float32)
-        opt = MomentumSGD(0.9, 0.0)
+        opt = MomentumSGD()
         opt.step([p], lr=0.1)
         assert "w" in opt.state_dict()
 
 
 class TestSchedules:
     def test_cosine_endpoints(self):
-        sched = CosineDecay(0.1, 100, min_lr=0.001)
+        sched = CosineDecay(0.1, 100)
+        assert MIN_LR == 0.001
         assert sched(0) == pytest.approx(0.1)
-        assert sched(100) == pytest.approx(0.001)
-        assert sched(50) == pytest.approx((0.1 + 0.001) / 2, rel=1e-6)
+        assert sched(100) == pytest.approx(MIN_LR)
+        assert sched(50) == pytest.approx((0.1 + MIN_LR) / 2, rel=1e-6)
 
     def test_cosine_monotone_decreasing(self):
         sched = CosineDecay(0.1, 64)
@@ -137,7 +137,7 @@ class TestSchedules:
         with pytest.raises(ValueError):
             CosineDecay(0.1, 0)
         with pytest.raises(ValueError):
-            CosineDecay(0.0001, 10, min_lr=0.001)
+            CosineDecay(MIN_LR / 10, 10)
 
     def test_constant(self):
         assert ConstantLR(0.3)(123) == 0.3

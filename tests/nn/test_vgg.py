@@ -40,7 +40,7 @@ class TestBuildVgg:
         first = loss_fn.forward(model.forward(x, training=True), y)
         model.zero_grad()
         model.backward(loss_fn.backward())
-        MomentumSGD(0.9, 0.0).step(model.parameters(), 0.05)
+        MomentumSGD().step(model.parameters(), 0.05)
         second = loss_fn.forward(model.forward(x, training=True), y)
         assert np.isfinite(second)
 

@@ -7,9 +7,10 @@ exists, and a changed one until its count does. Being registered as a
 scheme is not a consumer, every document the code cites and every script
 cited anywhere exists, and a claim row names the ledger rows that measure
 it. Below modules, every public function or class, every public method or
-property of a public class, and every defaulted parameter of those has a
-reader (a call that sets it, for a parameter) outside ``tests/``, or a line
-in the census's list for its kind.
+property of a public class, every defaulted parameter of those and every
+defaulted field of a public dataclass has a reader (code that sets it, for
+a parameter or a field) outside ``tests/``, or a line in the census's list
+for its kind.
 """
 
 import ast
@@ -284,3 +285,89 @@ def test_every_defaulted_parameter_is_set_outside_tests_or_has_a_reason():
     }
     assert sorted(unset - listed) == [], "defaulted parameters no call outside tests sets"
     assert sorted(listed - unset) == [], "listed parameters that are set or gone"
+
+
+def dataclass_fields():
+    """``(label, class, field, position, frozen)`` per defaulted field of a
+    public dataclass whose ``__init__`` the decorator writes; ``position``
+    counts the constructor's positional arguments."""
+    for module, node in public_definitions():
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [ast.unparse(d) for d in node.decorator_list]
+        decorator = next((d for d in decorators if "dataclass" in d), None)
+        if decorator is None or "init=False" in decorator:
+            continue
+        own = [
+            item
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and "ClassVar" not in ast.unparse(item.annotation)
+        ]
+        for position, item in enumerate(own):
+            if item.value is not None:
+                label = f"{module}.{node.name}.{item.target.id}"
+                yield label, node.name, item.target.id, position, "frozen=True" in decorator
+
+
+def declared_keys() -> set[str]:
+    """The ``ExperimentConfig`` fields a ``**`` mapping with declared keys
+    sets: the CLI's ``FIELD_FLAGS`` and what a plan point overlays."""
+    from repro.harness.cli import FIELD_FLAGS
+    from repro.tuner.space import PLAN_FIELDS, PlanPoint
+
+    overlay = PlanPoint(**dict.fromkeys(PLAN_FIELDS)).config_overrides()
+    return set(FIELD_FLAGS) | set(overlay)
+
+
+def stored_attributes() -> set[str]:
+    """Every attribute assigned (``x.a = ...``, ``x.a += ...``) outside ``tests/``."""
+    return {
+        node.attr
+        for tree in reader_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+
+
+def set_fields() -> set[str]:
+    """Labels of the fields code outside ``tests/`` sets: by keyword or
+    position in a constructor call, by keyword in a ``replace`` or
+    ``.scaled`` copy (which names no class, so it sets the field of that
+    name on every dataclass), by assignment on a mutable instance, or
+    through a declared ``**`` mapping; an ``EngineConfig`` field is set
+    when the ``ExperimentConfig`` field it mirrors is."""
+    from repro.harness.config import _ENGINE_FIELDS
+
+    calls = calls_by_callee()
+    copies = {
+        k.arg for name in ("replace", "scaled") for call in calls.get(name, ()) for k in call.keywords
+    }
+    stored = stored_attributes()
+    done = set()
+    for label, cls, name, position, frozen in dataclass_fields():
+        built = any(
+            any(k.arg == name for k in call.keywords)
+            or len(call.args) > position
+            and not any(isinstance(arg, ast.Starred) for arg in call.args)
+            for call in calls.get(cls, ())
+        )
+        if built or name in copies or not frozen and name in stored:
+            done.add(label)
+    experiment = "repro.harness.config.ExperimentConfig"
+    done |= {f"{experiment}.{name}" for name in declared_keys()}
+    done |= {
+        f"repro.exchange.engine.EngineConfig.{name}"
+        for name, own in _ENGINE_FIELDS.items()
+        if f"{experiment}.{own}" in done
+    }
+    return done
+
+
+def test_every_defaulted_field_is_set_outside_tests_or_has_a_reason():
+    """A ``**`` of unknown keys sets nothing: it would set every field."""
+    listed = census_list("Fields only tests set")
+    defaulted = {label for label, *_ in dataclass_fields()}
+    assert len(defaulted) > 100, "few defaulted fields found: the scan is broken"
+    unset = defaulted - set_fields()
+    assert sorted(unset - listed) == [], "defaulted fields no code outside tests sets"
+    assert sorted(listed - unset) == [], "listed fields that are set or gone"

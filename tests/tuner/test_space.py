@@ -8,6 +8,7 @@ run-equivalent points.
 import numpy as np
 import pytest
 
+from repro.distributed.defaults import SMALL_TENSOR_THRESHOLD
 from repro.harness.config import FAST_CONFIG
 from repro.tuner.space import (
     PlanPoint,
@@ -143,7 +144,7 @@ class TestDefaultSpace:
         fusable = {
             p.name
             for p in model.parameters()
-            if p.size < BASE.small_tensor_threshold
+            if p.size < SMALL_TENSOR_THRESHOLD
         }
         for names in candidates:
             assert set(names) <= fusable
