@@ -9,7 +9,9 @@ The load-bearing assertions:
 * intra- and cross-rack bytes partition the wire total exactly, in BSP
   and async modes;
 * the recorded transmission plans carry the tier coupling
-  (``depends_on``) the simulator schedules.
+  (``depends_on``) the simulator schedules;
+* the upper tier is one parameter server over the racks, reached by each
+  rack on its own ``cross:rack<k>`` uplink.
 """
 
 import json
@@ -21,6 +23,7 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
+from repro.distributed import ParameterServer
 from repro.distributed.faults import FaultSpec, UplinkFlap
 from repro.exchange import (
     MODELED,
@@ -291,3 +294,29 @@ class TestValidation:
         # At construction (the hop-level check stays as the backstop).
         with pytest.raises(ValueError, match="'2 local steps' defers transmissions"):
             make_engine("2 local steps")
+
+
+class TestUpperTier:
+    @pytest.mark.parametrize(
+        "racks, rack_size, sync",
+        [
+            (2, 2, dict()),
+            (3, 2, dict()),
+            (2, 3, dict(sync_mode="ssp", staleness=1)),
+            (4, 2, dict(sync_mode="async")),
+        ],
+        ids=["2x2-bsp", "3x2-bsp", "2x3-ssp1", "4x2-async"],
+    )
+    def test_one_server_over_per_rack_uplinks(self, racks, rack_size, sync):
+        engine = make_engine(
+            num_workers=racks * rack_size, racks=racks, rack_size=rack_size,
+            record_transmissions=True, **sync,
+        )
+        engine.train(racks)
+        assert all(np.isfinite(log.train_loss) for log in engine.step_logs)
+        assert isinstance(engine.service.upper, ParameterServer)
+        quanta = engine.transmissions or engine.update_events
+        routes = {record.route for quantum in quanta for record in quantum.records}
+        assert routes == {
+            route for k in range(racks) for route in (f"rack{k}", f"cross:rack{k}")
+        }

@@ -12,6 +12,7 @@ import pytest
 
 from repro.compression import make_compressor
 from repro.data import DatasetSpec, SyntheticImageDataset
+from repro.distributed.faults import FaultSpec, UplinkFlap, WorkerCrash
 from repro.exchange import (
     SYNC_MODES,
     TOPOLOGIES,
@@ -132,12 +133,15 @@ def test_unknown_sync_mode_rejected():
         EngineConfig(sync_mode="semi-sync")
 
 
+#: Worker 1 crashes at step 1: a fault every fault rule below can place.
+CRASH = FaultSpec(crashes=(WorkerCrash(worker=1, step=1),))
+
 #: (EngineConfig overrides, the exact message, and the ``(flags, named
 #: flag)`` of a CLI line that reaches the same rule — None where no flag
 #: does: ``--topology`` / ``--sync-mode`` and the shape and count flags are
 #: parsed as choices or integers before any configuration is built, and
 #: ``--staleness`` outside ``--sync-mode ssp`` is refused as unobservable
-#: first).
+#: first; batch and shard sizes have no flag).
 TOPOLOGY_RULES = {
     "unknown-name": (
         dict(topology="hypercube"),
@@ -326,6 +330,133 @@ TOPOLOGY_RULES = {
         dict(fuse_small_tensors=True, bucket_boundaries=("fc1.w", 3)),
         "bucket_boundaries must be a tuple of str, got ('fc1.w', 3)",
         None,
+    ),
+    "no-workers": (
+        dict(num_workers=0),
+        "num_workers must be >= 1",
+        (["--workers", "0"], "--workers 0"),
+    ),
+    "no-batch": (
+        dict(batch_size=0),
+        "batch_size must be >= 1",
+        None,
+    ),
+    "shard-below-batch": (
+        dict(batch_size=16, shard_size=8),
+        "shard_size must be >= batch_size",
+        None,
+    ),
+    "empty-bucket": (
+        dict(fuse_small_tensors=True, bucket_elements=0),
+        "bucket_elements must be >= 1",
+        (["--fuse", "--bucket-elements", "0"], "--bucket-elements 0"),
+    ),
+    # The CLI refuses ``--fuse-lossy`` without ``--fuse`` as unobservable
+    # before a configuration is built.
+    "lossy-unfused": (
+        dict(fuse_lossy=True),
+        "fuse_lossy selects the codec mode of the fused-bucket path; it "
+        "requires fuse_small_tensors=True",
+        None,
+    ),
+    "boundaries-unfused": (
+        dict(bucket_boundaries=("fc1.w",)),
+        "bucket_boundaries shape the fused-bucket packing; they require "
+        "fuse_small_tensors=True",
+        None,
+    ),
+    "one-rack": (
+        dict(topology="hier", racks=1, rack_size=2),
+        "topology 'hier' needs racks >= 2; one rack is --topology ring",
+        (
+            ["--topology", "hier", "--racks", "1", "--rack-size", "2"],
+            "--racks 1",
+        ),
+    ),
+    "indivisible-racks": (
+        dict(topology="hier", num_workers=4, racks=2, rack_size=3),
+        "num_workers=4 is not divisible into 2 racks of 3 (racks * rack_size "
+        "must equal num_workers)",
+        (
+            ["--workers", "4", "--topology", "hier", "--racks", "2",
+             "--rack-size", "3"],
+            "--rack-size 3",
+        ),
+    ),
+    "ring-backups": (
+        dict(topology="ring", num_workers=3, backup_workers=1),
+        "a ring reduction needs every node's chunk; backup workers only "
+        "apply to parameter-server topologies",
+        (
+            ["--workers", "3", "--topology", "ring", "--backup-workers", "1"],
+            "--backup-workers 1",
+        ),
+    ),
+    "hier-backups": (
+        dict(topology="hier", num_workers=4, racks=2, rack_size=2, backup_workers=1),
+        "a ring reduction needs every node's chunk; backup workers only "
+        "apply to parameter-server topologies",
+        (
+            ["--workers", "4", "--topology", "hier", "--racks", "2",
+             "--rack-size", "2", "--backup-workers", "1"],
+            "--backup-workers 1",
+        ),
+    ),
+    "async-fault": (
+        dict(sync_mode="async", fault=CRASH),
+        "fault injection is BSP-only (the barrier is where membership changes "
+        "are decided); got sync_mode='async'",
+        (["--sync-mode", "async", "--crash", "1:1"], "--crash 1:1"),
+    ),
+    "ssp-fault": (
+        dict(sync_mode="ssp", staleness=1, fault=CRASH),
+        "fault injection is BSP-only (the barrier is where membership changes "
+        "are decided); got sync_mode='ssp'",
+        (
+            ["--sync-mode", "ssp", "--staleness", "1", "--crash", "1:1"],
+            "--sync-mode ssp",
+        ),
+    ),
+    "ring-crash": (
+        dict(topology="ring", fault=CRASH),
+        "worker crash/restart faults need a parameter-service topology "
+        "(single or sharded) — a ring reduction needs every node's chunk and "
+        "a rack ring needs every member; got topology='ring'",
+        (["--topology", "ring", "--crash", "1:1"], "--crash 1:1"),
+    ),
+    "hier-crash": (
+        dict(topology="hier", num_workers=4, racks=2, rack_size=2, fault=CRASH),
+        "worker crash/restart faults need a parameter-service topology "
+        "(single or sharded) — a ring reduction needs every node's chunk and "
+        "a rack ring needs every member; got topology='hier'",
+        (
+            ["--workers", "4", "--topology", "hier", "--racks", "2",
+             "--rack-size", "2", "--crash", "1:1"],
+            "--crash 1:1",
+        ),
+    ),
+    "crash-past-range": (
+        dict(fault=FaultSpec(crashes=(WorkerCrash(worker=2, step=1),))),
+        "crash worker 2 out of range for 2 workers",
+        (["--crash", "2:1"], "--crash 2:1"),
+    ),
+    "flap-off-hier": (
+        dict(fault=FaultSpec(flaps=(UplinkFlap(rack=1, step=1),))),
+        "uplink flap faults model a rack losing its cross-rack uplink; they "
+        "require topology='hier', got 'single'",
+        (["--flap", "1:1"], "--flap 1:1"),
+    ),
+    "flap-past-range": (
+        dict(
+            topology="hier", num_workers=4, racks=2, rack_size=2,
+            fault=FaultSpec(flaps=(UplinkFlap(rack=2, step=1),)),
+        ),
+        "flap rack 2 out of range for 2 racks",
+        (
+            ["--workers", "4", "--topology", "hier", "--racks", "2",
+             "--rack-size", "2", "--flap", "2:1"],
+            "--flap 2:1",
+        ),
     ),
 }
 

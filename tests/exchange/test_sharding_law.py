@@ -3,7 +3,7 @@
 3LC keeps one compression context per tensor, so partitioning the model
 across k server NICs changes only the route each frame is recorded on,
 never a number. On the bench MLP with a modeled clock, for every k and
-under BSP and async, a sharded run and a single-server run agree on the
+under BSP, async and SSP(1), a sharded run and a single-server run agree on the
 losses, the final model, every integer ``StepTraffic`` field and — once
 ``shard<k>`` reads as ``server`` — the multiset of recorded transmissions.
 """
@@ -73,13 +73,17 @@ def records(engine: ExchangeEngine) -> list[Counter]:
     ]
 
 
-@pytest.mark.parametrize("sync_mode", ["bsp", "async"])
+@pytest.mark.parametrize("sync_mode", ["bsp", "async", "ssp"])
 def test_sharded_moves_single_servers_bytes(sync_mode):
-    single = run(topology="single", sync_mode=sync_mode)
+    staleness = 1 if sync_mode == "ssp" else None
+    single = run(topology="single", sync_mode=sync_mode, staleness=staleness)
     want = records(single)
     assert len(want) == QUANTA and all(want)
     for shards in (1, 2, 3, 4):
-        sharded = run(topology="sharded", num_shards=shards, sync_mode=sync_mode)
+        sharded = run(
+            topology="sharded", num_shards=shards, sync_mode=sync_mode,
+            staleness=staleness,
+        )
         quanta = sharded.transmissions or sharded.update_events
         routes = {r.route for quantum in quanta for r in quantum.records}
         assert routes == {f"shard{k}" for k in range(shards)}, shards

@@ -238,8 +238,13 @@ class TestFusedShardedParity:
 
 
 class TestFusedHierParity:
-    def test_bit_exact_with_unfused(self):
-        kwargs = dict(num_workers=4, topology="hier", racks=2, rack_size=2)
+    @pytest.mark.parametrize(
+        "sync",
+        [dict(), dict(sync_mode="ssp", staleness=1, clock=MODELED)],
+        ids=["bsp", "ssp1"],
+    )
+    def test_bit_exact_with_unfused(self, sync):
+        kwargs = dict(num_workers=4, topology="hier", racks=2, rack_size=2, **sync)
         unfused = make_engine(**kwargs)
         fused = make_engine(fuse_small_tensors=True, **kwargs)
         unfused.train(6)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.compression.registry import make_compressor
-from repro.data.synthetic import NUM_CLASSES
+from repro.data.synthetic import CHANNELS, NUM_CLASSES
 from repro.exchange.engine import ExchangeEngine
 from repro.harness import (
     FAST_CONFIG,
@@ -91,6 +91,26 @@ class TestExperimentConfig:
             np.zeros((1, 3, config.image_size, config.image_size), dtype=np.float32)
         ).shape == (1, NUM_CLASSES)
         assert len(config.dataset().templates) == NUM_CLASSES
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(model_family="mlp", image_size=8),
+            dict(model_family="mlp", image_size=16),
+            dict(model_family="resnet", depth=8, image_size=12),
+            dict(model_family="resnet", depth=14, image_size=16),
+        ],
+        ids=["mlp-8px", "mlp-16px", "resnet8-12px", "resnet14-16px"],
+    )
+    def test_each_model_scores_its_datasets_classes(self, overrides):
+        """The config's model reads its own dataset's images (CHANNELS
+        planes at ``image_size``) and scores every class the labels span."""
+        config = FAST_CONFIG.scaled(**overrides)
+        images, labels = config.dataset().train_shard(0, 200)
+        assert images.shape[1:] == (CHANNELS, config.image_size, config.image_size)
+        assert set(labels.tolist()) == set(range(NUM_CLASSES))
+        logits = config.model_factory()().forward(images[:4])
+        assert logits.shape == (4, NUM_CLASSES)
 
 
 class TestExperimentRunner:

@@ -164,6 +164,37 @@ def test_randomized_topologies_bit_parity(overlap, priority):
             assert_scalar_parity(b, s)
 
 
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("priority", ["registration", "smallest"])
+def test_serialized_baseline_adds_only_serialized_seconds(priority, vectorized):
+    """The serialized baseline is off by default. Turned on, it replays
+    each overlapped step a second time, serialized: that replay's step
+    seconds become ``serialized_seconds``, and no other field moves."""
+    saved = []
+    for trial in range(20):
+        rng = random.Random(3000 + trial)
+        links, steps = random_run(rng, rng.randint(1, 4), faults=True)
+        timeline = random_timeline(rng)
+        plain, baseline, serialized = (
+            NetworkSimulator(
+                timeline, links, overlap=overlap, priority=priority,
+                vectorized=vectorized, **extra,
+            ).simulate_run(steps).steps
+            for overlap, extra in (
+                (True, {}),
+                (True, dict(serialized_baseline=True)),
+                (False, {}),
+            )
+        )
+        for p, b, s in zip(plain, baseline, serialized, strict=True):
+            assert p.serialized_seconds == p.step_seconds, f"trial {trial}"
+            assert b.serialized_seconds == s.step_seconds, f"trial {trial}"
+            assert replace(b, serialized_seconds=b.step_seconds) == p, f"trial {trial}"
+            saved.append(b.serialized_seconds - b.step_seconds)
+    # Overlap saves time on some steps, so the baseline is not a copy.
+    assert max(saved) > 0
+
+
 def hier_run(rng: random.Random, n_steps: int, racks: int = 2, rack_size: int = 3):
     """Hier-shaped faulted steps: worker pushes on their rack channel, one
     cross-rack aggregate per rack behind them, a down/bcast pull pipeline
