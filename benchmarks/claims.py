@@ -251,7 +251,7 @@ def train_bench(scale, scheme, *, backup_workers=0, straggler=None, steps=None):
         config.dataset(),
         scheme,
         config.schedule(steps),
-        config.engine_config(),
+        config,
     )
     engine.train(steps)
     return engine, engine.evaluate(test_size=config.eval_size)
@@ -260,7 +260,7 @@ def train_bench(scale, scheme, *, backup_workers=0, straggler=None, steps=None):
 def small_resnet_engine(scheme, steps, depth, width, **engine_fields):
     """A small recorded ResNet cluster on 12-pixel images and its timeline."""
     dataset = SyntheticImageDataset(DatasetSpec(image_size=12, seed=0))
-    fields = dict(batch_size=8, shard_size=64, seed=0, record_transmissions=True)
+    fields = dict(batch_size=8, shard_size=64, cluster_seed=0, sim_overlap=True)
     engine = ExchangeEngine(
         lambda: build_resnet(depth, base_width=width, seed=1),
         dataset,
@@ -419,7 +419,7 @@ def consistency(scale, scheme):
             make_compressor(scheme, seed=0),
             CosineDecay(0.05, updates),
             EngineConfig(
-                num_workers=4, batch_size=16, shard_size=256, seed=3, sync_mode=mode,
+                num_workers=4, batch_size=16, shard_size=256, cluster_seed=3, sync_mode=mode,
                 staleness=staleness, straggler=None if mode == "bsp" else straggler,
             ),
         )
@@ -706,7 +706,7 @@ def _fusion_run(fuse, cell, lossy, repeat):
         make_compressor("3LC (s=1.00)", seed=0),
         CosineDecay(0.05, steps),
         EngineConfig(
-            num_workers=4, batch_size=16, shard_size=64, seed=0, topology=topology,
+            num_workers=4, batch_size=16, shard_size=64, cluster_seed=0, topology=topology,
             sync_mode=sync_mode, num_shards=4, racks=2, rack_size=2,
             fuse_small_tensors=fuse, fuse_lossy=lossy,
             # Async runs walk one modelled schedule fused and unfused; BSP

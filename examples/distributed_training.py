@@ -22,7 +22,7 @@ from repro.utils.format import human_bytes
 def train_once(scheme_name: str, steps: int, workers: int) -> None:
     dataset = SyntheticImageDataset(DatasetSpec(image_size=16, seed=0))
     config = EngineConfig(
-        num_workers=workers, batch_size=16, shard_size=256, seed=0
+        num_workers=workers, batch_size=16, shard_size=256, cluster_seed=0
     )
     schedule = CosineDecay(scale_lr_for_workers(0.02, workers), steps)
     cluster = ExchangeEngine(

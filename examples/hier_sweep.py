@@ -55,11 +55,11 @@ def main() -> None:
             num_workers=num_workers,
             batch_size=8,
             shard_size=64,
-            seed=0,
+            cluster_seed=0,
             topology="hier",
             racks=args.racks,
             rack_size=args.rack_size,
-            record_transmissions=True,
+            sim_overlap=True,
         ),
     )
     engine.train(args.steps)

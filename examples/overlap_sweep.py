@@ -49,8 +49,8 @@ def main() -> None:
             num_workers=args.workers,
             batch_size=8,
             shard_size=64,
-            seed=0,
-            record_transmissions=True,
+            cluster_seed=0,
+            sim_overlap=True,
         ),
     )
     engine.train(args.steps)

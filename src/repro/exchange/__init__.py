@@ -15,7 +15,9 @@ argument — see ARCHITECTURE.md), each decided in one place:
 
 :class:`~repro.exchange.engine.ExchangeEngine` composes the three and is
 the only trainer: one ``train_step`` is one scheduling quantum, finalized
-in one place and accounted through one wire ledger.
+in one place and accounted through one wire ledger. ``EngineConfig``
+declares every field the engine reads, once; the harness's
+``ExperimentConfig`` derives from it and is handed to the engine as is.
 """
 
 from repro.distributed.server import ExchangeOutcome

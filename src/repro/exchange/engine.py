@@ -101,14 +101,19 @@ class EngineConfig:
 
     The cluster-shape attributes mirror the paper's setup (§5.2); the
     ``topology`` / ``sync_mode`` pair selects the exchange plan, and the
-    fusion knobs switch on the fused-bucket hot path.
+    fusion knobs switch on the fused-bucket hot path. Each field is
+    declared here once: the harness's ``ExperimentConfig`` derives from
+    this class and adds only what the engine never reads.
     """
 
+    # Cluster (paper: 10 workers, batch 32/worker; the optimizer, the
+    # augmentation and the §5.1 bypass are the paper's fixed setup)
     num_workers: int = 4
-    batch_size: int = 32
+    batch_size: int = 16
     shard_size: int = 512
-    seed: int = 0
-    #: Exchange plan: "single" | "sharded" | "ring" | "hier".
+    cluster_seed: int = 0
+    #: Exchange plan: "single" | "sharded" | "ring" | "hier" (paper: a
+    #: single parameter server, BSP).
     topology: str = "single"
     #: Synchronization: "bsp" | "async" | "ssp".
     sync_mode: str = "bsp"
@@ -125,6 +130,8 @@ class EngineConfig:
     #: Server count for the sharded topology.
     num_shards: int = 2
     #: Per-step compute-time jitter / straggler injection (None = uniform).
+    #: It changes what the engine records, so it is part of the harness's
+    #: sweep-replay fingerprint.
     straggler: StragglerSpec | None = None
     #: Deterministic churn scenario (worker crashes/restarts/departures
     #: under a parameter service; rack uplink flaps under "hier"). BSP
@@ -145,17 +152,22 @@ class EngineConfig:
     #: Parameter names that force-close the open fusion bucket before
     #: packing them (per-layer bucket boundaries for the plan tuner).
     bucket_boundaries: tuple[str, ...] = ()
-    #: Record transmission plans for the discrete-event network simulator.
-    #: BSP steps append per-step plans to ``ExchangeEngine.transmissions``;
-    #: async/SSP modes append per-update event streams (push/pull records
-    #: with logical timestamps and observed staleness) to
+    #: Time steps with the discrete-event network simulator
+    #: (``--sim-overlap``: per-layer overlap and per-link charging in place
+    #: of the analytic model's calibrated overlap constant), so the engine
+    #: records transmission plans for it to replay. BSP steps append
+    #: per-step plans to ``ExchangeEngine.transmissions``; async/SSP modes
+    #: append per-update event streams (push/pull records with logical
+    #: timestamps and observed staleness) to
     #: ``ExchangeEngine.update_events``. Off by default.
-    record_transmissions: bool = False
+    sim_overlap: bool = False
     #: Whether the seconds the engine *records* — compute behind virtual
     #: clocks and barrier arrivals, each quantum's codec fields, and so the
     #: engine's spans and counters — are measured (Table-1-class output)
     #: or modeled (a function of the seed: anything diffed, cached or
     #: pinned; async scheduling order no longer follows wall-clock noise).
+    #: The harness's backward timeline follows it too, so recordings and
+    #: timelines are keyed on it.
     clock: Clock = MEASURED
 
     def __post_init__(self) -> None:
@@ -166,7 +178,7 @@ class EngineConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("fuse_small_tensors", "fuse_lossy", "record_transmissions"):
+        for name in ("fuse_small_tensors", "fuse_lossy", "sim_overlap"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ValueError(f"{name} must be a bool, got {value!r}")
@@ -350,7 +362,7 @@ def scheme_incompatibility(config: EngineConfig, scheme: Compressor) -> str | No
             f"{config.topology!r} reduces over ring hops and every hop must "
             "carry a payload"
         )
-    if config.record_transmissions and not config.synchronous:
+    if config.sim_overlap and not config.synchronous:
         return (
             f"scheme {scheme.name!r} defers transmissions, but recording "
             f"{config.sync_mode!r} event streams needs a push every update"
@@ -499,7 +511,8 @@ class ExchangeEngine:
     schedule:
         Learning-rate schedule (already worker-scaled where applicable).
     config:
-        Engine shape, topology, sync mode, and hyperparameters.
+        Engine shape, topology, sync mode, and hyperparameters (the
+        harness passes its ``ExperimentConfig``, which is one).
     """
 
     def __init__(
@@ -508,16 +521,15 @@ class ExchangeEngine:
         dataset: SyntheticImageDataset,
         scheme: Compressor,
         schedule: Schedule,
-        config: EngineConfig | None = None,
+        config: EngineConfig,
     ):
-        config = config or EngineConfig()
         reason = scheme_incompatibility(config, scheme)
         if reason is not None:
             raise ValueError(reason)
         self.engine_config = config
         self.dataset = dataset
         self.scheme = scheme
-        self.seeds = SeedSequenceFactory(config.seed)
+        self.seeds = SeedSequenceFactory(config.cluster_seed)
 
         self.synchronous = config.synchronous
         batch_stream, augment_stream, pull_prefix = _STREAM_LABELS[self.synchronous]
@@ -586,10 +598,10 @@ class ExchangeEngine:
             )
         self.traffic = TrafficMeter()
         #: Per-step transmission plans for the network simulator (filled
-        #: only when ``record_transmissions`` is on and the mode is BSP).
+        #: only when ``sim_overlap`` is on and the mode is BSP).
         self.transmissions: list[StepTransmissions] = []
         #: Per-update event streams for the event-driven simulator (filled
-        #: only when ``record_transmissions`` is on and the mode is
+        #: only when ``sim_overlap`` is on and the mode is
         #: async/SSP).
         self.update_events: list[UpdateTransmissions] = []
         self.wire = Wire(self.service)
@@ -735,7 +747,7 @@ class ExchangeEngine:
             model_elements=self._model_elements,
         )
         config = self.engine_config
-        return _Ledger(traffic, config.record_transmissions, config.clock)
+        return _Ledger(traffic, config.sim_overlap, config.clock)
 
     # -- synchronous strategies (BSP) ----------------------------------------
 

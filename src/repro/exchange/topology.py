@@ -38,10 +38,10 @@ service's ``step`` directly, or :meth:`HierarchicalExchangeService.rack_exchange
 one at a time: their schedule's order is the model under test.
 
 This module also names everything on the wire: :func:`transmission_routes`
-maps each tensor to its route, and a :class:`Wire` posts every exchange
-outcome (frames, collectives, uplink crossings, rack broadcasts, resyncs)
-to the engine's ledger, qualifying cross-tier routes per rack and stamping
-intra-rack records with their rack. No other module builds a record name.
+maps each tensor of a flat service to its route, and a :class:`Wire` posts
+every exchange outcome (frames, collectives, uplink crossings, rack
+broadcasts, resyncs) to the engine's ledger, naming each rack's cross-tier
+uplink and stamping intra-rack records with their rack. No other module builds a record name.
 """
 
 from __future__ import annotations
@@ -119,13 +119,12 @@ def transmission_routes(service) -> dict[str, str]:
     transmission with its route, and the simulator serializes transfers
     per route. A single server is one ``"server"`` NIC, a sharded service
     one ``shard<k>`` NIC per owning shard, and the ring its lockstep hop
-    links. Under ``hier`` every tensor names the cross-rack tier with the
-    ``"cross"`` marker, which :meth:`Wire.cross_route` qualifies per rack
-    (``cross:rack<r>``) — each rack reaches the core over its own uplink.
-    Intra-rack records are stamped ``rack<r>`` by the :class:`Wire`.
+    links. Under ``hier`` no tensor has a route of its own: each rack
+    reaches the core over its own uplink (``cross:rack<r>``) and circulates
+    its ring (``rack<r>``), and the :class:`Wire` names both per transfer.
     """
     if isinstance(service, HierarchicalExchangeService):
-        return dict.fromkeys(service.params, "cross")
+        return {}
     if isinstance(service, ShardedParameterService):
         return {name: f"shard{service.shard_of(name)}" for name in service.params}
     route = "ring" if isinstance(service, RingExchangeService) else "server"
@@ -156,13 +155,6 @@ class Wire:
         self.routes = transmission_routes(service)
         hier = isinstance(service, HierarchicalExchangeService)
         self.rack_size = service.rack_size if hier else 0
-
-    def cross_route(self, name: str, rack: int | None) -> str:
-        """``name``'s route for a transfer serving ``rack``: the cross-rack
-        marker becomes that rack's own uplink; every other route passes
-        through."""
-        route = self.routes[name]
-        return f"cross:rack{rack}" if route == "cross" else route
 
     def unit_name(self, unit: int) -> str:
         """An async/SSP scheduling unit's name: its rack's ring route
@@ -212,8 +204,7 @@ class Wire:
             for label, params, message in _frames(messages):
                 traffic.cross_rack_bytes += message.wire_size
                 ledger.post(
-                    "push", f"{label}@up{rack}", params, message,
-                    self.cross_route(params[0], rack),
+                    "push", f"{label}@up{rack}", params, message, f"cross:rack{rack}",
                     worker=rack * rack_size,
                     depends_on=tuple(f"{name}@rack{rack}" for name in params),
                 )
@@ -270,8 +261,8 @@ class Wire:
             wire = (message.wire_size, message.element_count)
             for rack in racks:
                 ledger.emit(
-                    f"{label}@down{rack}", params, *wire,
-                    self.cross_route(params[0], rack), "pull", worker=unit,
+                    f"{label}@down{rack}", params, *wire, f"cross:rack{rack}", "pull",
+                    worker=unit,
                 )
             for rack in racks:
                 ledger.emit(
@@ -293,7 +284,7 @@ class Wire:
         owner = f"w{worker}" if rack is None else f"rack{rack}"
         elements: dict[str, int] = {}
         for name, param in self.service.params.items():
-            route = self.cross_route(name, rack)
+            route = self.routes[name] if rack is None else f"cross:rack{rack}"
             elements[route] = elements.get(route, 0) + param.size
         routes = sorted(elements)
         for route in routes:

@@ -24,9 +24,10 @@ FILE`` overlays a tuned ``repro.plan/v1`` artifact from
 field the plan sets is refused, every other flag composes with it).
 
 Which combinations are legal is the configuration's own rule set
-(``ExperimentConfig`` / ``EngineConfig``): :func:`parse_config` builds the
-config once and reports whatever it raises, followed by the flags the
-error depends on. The one thing checked here is observability
+(``ExperimentConfig``'s own checks, then those of ``EngineConfig``, the
+class it derives from): :func:`parse_config` builds the config once and
+reports whatever it raises, followed by the flags the error depends on.
+The one thing checked here is observability
 (:data:`~repro.harness.config.OBSERVED_UNDER` and
 :data:`~repro.harness.config.SIMULATED_ONLY`): a flag for a knob the
 selected topology, sync mode, fusion switch or timing model cannot
@@ -469,9 +470,7 @@ def parse_config(argv: list[str] | None = None):
     config, plan_scheme = built
     if plan_scheme is not None:
         try:
-            reason = scheme_incompatibility(
-                config.engine_config(), make_compressor(plan_scheme, seed=0)
-            )
+            reason = scheme_incompatibility(config, make_compressor(plan_scheme, seed=0))
         except KeyError as error:
             reason = error.args[0]
         if reason is not None:
@@ -504,7 +503,6 @@ def main(argv: list[str] | None = None) -> int:
     # it). Schemes the configuration cannot run — deferring ones on ring
     # hops or in a recorded async/SSP event stream — lose their rows
     # instead of crashing mid-command.
-    engine_config = config.engine_config()
     sweeps = {}
     for sweep, schemes in _SWEEPS.items():
         if plan_scheme is not None and plan_scheme not in schemes:
@@ -512,8 +510,7 @@ def main(argv: list[str] | None = None) -> int:
         sweeps[sweep] = tuple(
             name
             for name in schemes
-            if scheme_incompatibility(engine_config, make_compressor(name, seed=0))
-            is None
+            if scheme_incompatibility(config, make_compressor(name, seed=0)) is None
         )
 
     for command in commands:

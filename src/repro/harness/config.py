@@ -16,13 +16,9 @@ family, optimizer, schedule, and measurement protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from repro.data.synthetic import CHANNELS, DatasetSpec, SyntheticImageDataset
-from repro.distributed.barriers import StragglerSpec
-from repro.distributed.defaults import FUSION_BUCKET_ELEMENTS
-from repro.distributed.faults import FaultSpec
-from repro.exchange.clock import MEASURED, Clock
 from repro.exchange.engine import EngineConfig, check_count
 from repro.netsim import PRIORITIES
 from repro.network.timing import StepTimeModel
@@ -59,17 +55,16 @@ OBSERVED_UNDER: dict[str, tuple[str, object]] = {
 #: a loaded plan forces on). The CLI checks this after ``OBSERVED_UNDER``.
 SIMULATED_ONLY = ("cross_bw_fraction", "cross_rtt_seconds", "transmission_priority")
 
-#: ``EngineConfig`` field -> the ``ExperimentConfig`` field it is read
-#: from: the same name but for two renames.
-_ENGINE_FIELDS = {f.name: f.name for f in fields(EngineConfig)} | {
-    "seed": "cluster_seed",
-    "record_transmissions": "sim_overlap",
-}
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Declarative description of one experiment family."""
+class ExperimentConfig(EngineConfig):
+    """Declarative description of one experiment family.
+
+    The cluster shape and exchange plan are the inherited
+    :class:`~repro.exchange.engine.EngineConfig` fields, so the config is
+    passed to the engine as itself; declared here is only what the engine
+    never reads.
+    """
 
     # Model (paper: ResNet-110, base width 16). ``model_family`` selects
     # the architecture: "resnet" (depth/base_width) or "mlp" (the bench
@@ -84,77 +79,24 @@ class ExperimentConfig:
     image_size: int = 16
     dataset_seed: int = 0
 
-    # Cluster (paper: 10 workers, batch 32/worker; the optimizer, the
-    # augmentation and the §5.1 bypass are the paper's fixed setup)
-    num_workers: int = 4
-    batch_size: int = 16
-    shard_size: int = 512
-    cluster_seed: int = 0
-
-    # Exchange plan (paper: single parameter server, BSP). The unified
-    # engine also runs sharded, ring, and hierarchical topologies and
-    # async/SSP modes.
-    topology: str = "single"
-    sync_mode: str = "bsp"
-    num_shards: int = 2
-    backup_workers: int = 0
-    staleness: int | None = None
-    #: Per-step compute-time jitter / straggler injection (None = uniform
-    #: compute). Changes what the engine records, so it is part of the
-    #: sweep-replay fingerprint — never canonicalized away.
-    straggler: StragglerSpec | None = None
-    #: Injected churn (worker crash/restart, rack uplink flaps, permanent
-    #: departures). Validated against topology/sync mode by
-    #: ``EngineConfig``; like ``straggler`` it invalidates cached recordings.
-    fault: FaultSpec | None = None
-    #: Hierarchical topology shape: ``racks`` racks of ``rack_size``
-    #: workers (must multiply to ``num_workers``), with one parameter
-    #: server as the cross-rack tier.
-    racks: int = 2
-    rack_size: int = 2
     #: Cross-rack uplink rate as a fraction of the swept link rate (the
     #: Table 1 columns keep meaning "the fabric's per-link rate"; the
     #: core is this much scarcer — the regime the paper targets).
     cross_bw_fraction: float = 0.1
     #: Per-frame propagation delay on the cross-rack uplinks.
     cross_rtt_seconds: float = 0.0
-    #: Fused-bucket hot path for the small-tensor bypass set. Composes
-    #: with the sharded and hierarchical topologies (partition-aware wire
-    #: plans) and with async/SSP (per-worker fused pull streams).
-    fuse_small_tensors: bool = False
-    #: Fused-bucket capacity in elements (``--bucket-elements``).
-    bucket_elements: int = FUSION_BUCKET_ELEMENTS
-    #: Lossy fused buckets: the scheme's codec over each whole bucket with
-    #: one shared scale, instead of the exact float32 bypass.
-    fuse_lossy: bool = False
-    #: Parameter names that force-close the open fusion bucket *before*
-    #: packing them — per-layer bucket boundaries the tuner searches over.
-    #: Only meaningful with ``fuse_small_tensors``.
-    bucket_boundaries: tuple[str, ...] = ()
     #: Simulator service order within a transmission wave:
     #: "registration" (the engine's record order) or "smallest"
     #: (smallest-gradient-first, so short messages clear the link ahead of
     #: large ones). Simulation-only: recordings are shared across
     #: priorities by the replay cache.
     transmission_priority: str = "registration"
-    #: Per-link timing via the discrete-event simulator (``repro.netsim``):
-    #: per-layer overlap scheduling replaces the analytic model's
-    #: calibrated overlap constant, and sharded/ring runs are charged
-    #: per-link instead of through a fictitious shared server NIC.
-    #: Async/SSP runs replay per-update event streams through the
-    #: event-driven scheduler (per-worker virtual clocks, FIFO links,
-    #: blocking SSP barriers) instead of BSP step plans.
-    sim_overlap: bool = False
     #: Telemetry (``--telemetry`` / ``--trace-out`` / ``--metrics-out``):
     #: the engine and simulators report into a per-run
     #: :class:`repro.telemetry.Telemetry` session — labeled metric series,
     #: simulated-clock spans — and ``RunResult.telemetry_summary`` carries
     #: the rollup. Off by default: the instrumented paths stay no-op.
     telemetry: bool = False
-    #: Whether recorded seconds (engine compute and codec, the backward
-    #: timeline) are measured or modeled (:mod:`repro.exchange.clock`). It
-    #: changes what is recorded, so recordings and timelines are keyed on it.
-    clock: Clock = MEASURED
 
     # Training budget and schedule (paper: 25,600 steps, cosine 0.1 -> 0.001
     # scaled by worker count; the floor is ``CosineDecay``'s)
@@ -208,7 +150,7 @@ class ExperimentConfig:
                 raise ValueError(f"cross_rtt_seconds must be finite and >= 0, got {rtt!r}")
         # Everything about the exchange plan itself — topology, sync mode,
         # cluster shape, fusion, faults — has one rule set: EngineConfig's.
-        self.engine_config()
+        super().__post_init__()
 
     # -- factories ---------------------------------------------------------
 
@@ -233,12 +175,6 @@ class ExperimentConfig:
             return build_resnet(depth, base_width=width, seed=seed)
 
         return factory
-
-    def engine_config(self) -> EngineConfig:
-        """The unified-engine configuration for this experiment family."""
-        return EngineConfig(
-            **{name: getattr(self, own) for name, own in _ENGINE_FIELDS.items()}
-        )
 
     def schedule(self, total_steps: int) -> CosineDecay:
         """Cosine decay over the *adjusted* budget (paper §5.2: shorter

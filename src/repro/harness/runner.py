@@ -253,7 +253,7 @@ class ExperimentRunner:
                 self._dataset,
                 scheme,
                 config.schedule(steps),
-                config.engine_config(),
+                config,
             )
             eval_every = max(1, steps // max(1, config.eval_points))
             logger.info(

@@ -287,7 +287,7 @@ class NetworkSimulator:
         if not steps:
             raise ValueError(
                 "no recorded transmissions to simulate — was the engine "
-                "built with record_transmissions=True?"
+                "built with sim_overlap=True?"
             )
         simulated: list[SimulatedStep] = []
         for group in structure_groups(steps) if self.vectorized else (steps,):
@@ -734,7 +734,7 @@ class EventDrivenSimulator:
         if not events:
             raise ValueError(
                 "no recorded update events to simulate — was the engine "
-                "built with record_transmissions=True in an async/SSP mode?"
+                "built with sim_overlap=True in an async/SSP mode?"
             )
         for e in events:
             # Surface unknown/circular record dependencies up front with

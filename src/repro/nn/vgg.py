@@ -16,6 +16,7 @@ head — the FC head is what gives VGG its parameter bulk.
 
 from __future__ import annotations
 
+from repro.data.synthetic import CHANNELS, NUM_CLASSES
 from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Flatten, Linear
@@ -50,7 +51,7 @@ def build_vgg(
         )
     rng = SeedSequenceFactory(0).rng("vgg-init")
     layers: list[Module] = []
-    channels = 3
+    channels = CHANNELS
     width = base_width
     size = image_size
     for stage in range(stages):
@@ -69,6 +70,6 @@ def build_vgg(
         Flatten(),
         Linear(channels * size * size, fc_width, name="head/fc0", rng=rng),
         ReLU(),
-        Linear(fc_width, 10, name="head/fc1", rng=rng),
+        Linear(fc_width, NUM_CLASSES, name="head/fc1", rng=rng),
     ]
     return Sequential(*layers)

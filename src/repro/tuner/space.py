@@ -156,9 +156,7 @@ class PlanSpace:
             config = self.base.scaled(**point.config_overrides())
         except ValueError as error:
             return None, str(error)
-        reason = scheme_incompatibility(
-            config.engine_config(), make_compressor(point.scheme, seed=0)
-        )
+        reason = scheme_incompatibility(config, make_compressor(point.scheme, seed=0))
         return (config, None) if reason is None else (None, reason)
 
     def legal_reason(self, point: PlanPoint) -> str | None:

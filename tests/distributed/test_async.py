@@ -11,7 +11,7 @@ from repro.nn import ConstantLR, CosineDecay, build_resnet
 
 
 def make_async(staleness=None, scheme="32-bit float", updates_for_schedule=24, **cfg):
-    defaults = dict(num_workers=3, batch_size=8, shard_size=32, seed=0)
+    defaults = dict(num_workers=3, batch_size=8, shard_size=32, cluster_seed=0)
     defaults.update(cfg)
     return ExchangeEngine(
         lambda: build_resnet(8, base_width=4, seed=7),
@@ -92,7 +92,7 @@ class TestAsyncLearning:
             dataset,
             make_compressor("32-bit float", seed=0),
             CosineDecay(0.05, budget // workers),
-            EngineConfig(num_workers=workers, batch_size=8, shard_size=32, seed=0),
+            EngineConfig(num_workers=workers, batch_size=8, shard_size=32, cluster_seed=0),
         )
         bsp.train(budget // workers)
         bsp_acc = bsp.evaluate(test_size=300).test_accuracy

@@ -95,7 +95,7 @@ class TestBarrierPolicies:
 
 
 def make_cluster(**cfg_overrides):
-    defaults = dict(num_workers=3, batch_size=8, shard_size=32, seed=0)
+    defaults = dict(num_workers=3, batch_size=8, shard_size=32, cluster_seed=0)
     defaults.update(cfg_overrides)
     return ExchangeEngine(
         lambda: build_resnet(8, base_width=4, seed=7),

@@ -19,7 +19,7 @@ def tiny_factory():
 
 
 def tiny_config(**overrides):
-    defaults = dict(num_workers=2, batch_size=8, shard_size=32, seed=0)
+    defaults = dict(num_workers=2, batch_size=8, shard_size=32, cluster_seed=0)
     defaults.update(overrides)
     return EngineConfig(**defaults)
 

@@ -51,7 +51,7 @@ def build(**overrides) -> ExchangeEngine:
         config.dataset(),
         make_compressor("3LC (s=1.00)", seed=config.scheme_seed),
         config.schedule(STEPS),
-        replace(config.engine_config(), clock=MEASURED),
+        replace(config, clock=MEASURED),
     )
 
 

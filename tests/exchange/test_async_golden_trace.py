@@ -40,9 +40,9 @@ def make_recorded_engine() -> ExchangeEngine:
             num_workers=GOLDEN["num_workers"],
             batch_size=8,
             shard_size=32,
-            seed=0,
+            cluster_seed=0,
             sync_mode="async",
-            record_transmissions=True,
+            sim_overlap=True,
             clock=Clock(compute_seconds=1.0),
             straggler=StragglerSpec(
                 jitter_sigma=0.0,

@@ -11,7 +11,7 @@ Three claims, each checked where it could fail:
   snapshots and bottleneck reports, and ``trace-diff`` of the pair is
   empty; same for an async cell's update events;
 * the modeled values are the stated model (constant compute, per-element
-  codec rate by phase), with or without ``record_transmissions``.
+  codec rate by phase), with or without ``sim_overlap``.
 
 Run as a script this file is the child process of the second claim:
 ``python tests/exchange/test_clock.py OUT_DIR``.
@@ -134,7 +134,7 @@ class TestTheModel:
 
     @pytest.mark.parametrize("cell", ["single_bsp", "hier4x2_bsp", "single_async"])
     def test_unrecorded_runs_are_charged_the_same_seconds(self, cell):
-        """``record_transmissions=False`` never falls back to measuring."""
+        """``sim_overlap=False`` never falls back to measuring."""
         plain = run_cell(cell, record=False)
         assert not plain.transmissions and not plain.update_events
         assert plain.traffic.steps == recorded_engine(cell).traffic.steps

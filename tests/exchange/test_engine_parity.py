@@ -41,7 +41,7 @@ def make_cluster(scheme_name: str) -> ExchangeEngine:
         SyntheticImageDataset(DatasetSpec(image_size=12, seed=0)),
         make_compressor(scheme_name, seed=0),
         CosineDecay(0.05, 8),
-        EngineConfig(num_workers=2, batch_size=8, shard_size=32, seed=0),
+        EngineConfig(num_workers=2, batch_size=8, shard_size=32, cluster_seed=0),
     )
 
 
@@ -54,10 +54,10 @@ class SeedReferenceLoop:
     """
 
     def __init__(self, scheme_name: str):
-        config = EngineConfig(num_workers=2, batch_size=8, shard_size=32, seed=0)
+        config = EngineConfig(num_workers=2, batch_size=8, shard_size=32, cluster_seed=0)
         dataset = SyntheticImageDataset(DatasetSpec(image_size=12, seed=0))
         scheme = make_compressor(scheme_name, seed=0)
-        seeds = SeedSequenceFactory(config.seed)
+        seeds = SeedSequenceFactory(config.cluster_seed)
 
         reference_model = model_factory()
         self.workers = []

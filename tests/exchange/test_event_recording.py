@@ -29,10 +29,10 @@ def make_engine(scheme_name: str, *, sync_mode: str, staleness=None, record=Fals
             num_workers=2,
             batch_size=8,
             shard_size=32,
-            seed=0,
+            cluster_seed=0,
             sync_mode=sync_mode,
             staleness=staleness,
-            record_transmissions=record,
+            sim_overlap=record,
         ),
     )
 

@@ -22,7 +22,7 @@ def make_engine(scheme="3LC (s=1.00)", steps=8, **overrides):
         num_workers=4,
         batch_size=8,
         shard_size=64,
-        seed=0,
+        cluster_seed=0,
         topology="single",
     )
     if overrides.get("topology") == "hier":
@@ -250,7 +250,7 @@ class TestUplinkFlap:
                               rejoin_delay_seconds=0.5),)
         )
         engine = make_engine(topology="hier", fault=fault,
-                             record_transmissions=True)
+                             sim_overlap=True)
         engine.train(6)
         events = [(e["event"], e["step"]) for e in engine.fault_log]
         assert events == [("flap", 2), ("rejoin", 4)]

@@ -35,7 +35,7 @@ def make_cluster(fuse: bool, scheme: str = "3LC (s=1.00)") -> ExchangeEngine:
             num_workers=2,
             batch_size=8,
             shard_size=32,
-            seed=0,
+            cluster_seed=0,
             fuse_small_tensors=fuse,
         ),
     )

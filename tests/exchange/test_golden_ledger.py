@@ -17,7 +17,7 @@ a modeled clock (compute 0.01 s) so barrier order and virtual clocks do
 not depend on wall-clock noise.
 
 The second half checks that the recording is an *observer*: switching
-``record_transmissions`` off leaves losses and the traffic log unchanged,
+``sim_overlap`` off leaves losses and the traffic log unchanged,
 and on the point-to-point tiers the recorded bytes and frames add up to
 what the meter counted.
 
@@ -178,7 +178,7 @@ def run_cell(cell: str, *, record: bool = True, clock: Clock = CLOCK) -> Exchang
         config.dataset(),
         make_compressor(scheme, seed=config.scheme_seed),
         config.schedule(QUANTA),
-        replace(config.engine_config(), record_transmissions=record, clock=clock),
+        replace(config, sim_overlap=record, clock=clock),
     )
     engine.train(QUANTA)
     return engine
@@ -375,6 +375,12 @@ def test_snapshot_covers_the_fault_paths(golden):
         True,
         False,
     ]
+
+
+def test_snapshots_hold_exactly_the_cells(golden, golden_telemetry):
+    """A cell leaves ``CELLS`` with its snapshots: none is kept unread."""
+    assert list(golden["cells"]) == list(CELLS)
+    assert list(golden_telemetry) == list(CELLS)
 
 
 if __name__ == "__main__":  # regenerate the snapshot

@@ -43,7 +43,7 @@ def make_engine(scheme_name: str = "3LC (s=1.00)", steps: int = 8, **overrides):
         num_workers=4,
         batch_size=8,
         shard_size=32,
-        seed=0,
+        cluster_seed=0,
         topology="hier",
         racks=2,
         rack_size=2,
@@ -108,7 +108,7 @@ class TestTwoTierAccounting:
         )
 
     def test_codec_seconds_match_recorded_plan(self):
-        engine = make_engine(record_transmissions=True)
+        engine = make_engine(sim_overlap=True)
         engine.train(3)
         for st, traffic in zip(engine.transmissions, engine.traffic.steps):
             assert st.codec_seconds == pytest.approx(traffic.codec_seconds)
@@ -124,7 +124,7 @@ class TestTwoTierAccounting:
 
 class TestRecording:
     def test_bsp_records_carry_tier_dependencies(self):
-        engine = make_engine(record_transmissions=True)
+        engine = make_engine(sim_overlap=True)
         engine.train(2)
         st = engine.transmissions[0]
         routes = {r.route for r in st.records}
@@ -154,7 +154,7 @@ class TestRecording:
         engine = make_engine(
             sync_mode="async",
             clock=MODELED,
-            record_transmissions=True,
+            sim_overlap=True,
         )
         engine.train(6)
         events = engine.update_events
@@ -182,7 +182,7 @@ class TestRecording:
             sync_mode="ssp",
             staleness=1,
             clock=MODELED,
-            record_transmissions=True,
+            sim_overlap=True,
             straggler=StragglerSpec(
                 jitter_sigma=0.0,
                 slowdown_probability=0.5,
@@ -310,7 +310,7 @@ class TestUpperTier:
     def test_one_server_over_per_rack_uplinks(self, racks, rack_size, sync):
         engine = make_engine(
             num_workers=racks * rack_size, racks=racks, rack_size=rack_size,
-            record_transmissions=True, **sync,
+            sim_overlap=True, **sync,
         )
         engine.train(racks)
         assert all(np.isfinite(log.train_loss) for log in engine.step_logs)

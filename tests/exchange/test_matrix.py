@@ -34,7 +34,7 @@ def make_engine(topology: str, sync_mode: str, scheme: str, **overrides):
         num_workers=2,
         batch_size=8,
         shard_size=32,
-        seed=0,
+        cluster_seed=0,
         topology=topology,
         sync_mode=sync_mode,
     )
@@ -292,8 +292,8 @@ TOPOLOGY_RULES = {
         None,
     ),
     "string-record-flag": (
-        dict(record_transmissions="no"),
-        "record_transmissions must be a bool, got 'no'",
+        dict(sim_overlap="no"),
+        "sim_overlap must be a bool, got 'no'",
         None,
     ),
     "int-fuse-flag": (

@@ -34,8 +34,8 @@ def run(**overrides) -> ExchangeEngine:
         make_compressor("3LC (s=1.00)", seed=config.scheme_seed),
         config.schedule(QUANTA),
         replace(
-            config.engine_config(),
-            record_transmissions=True,
+            config,
+            sim_overlap=True,
             clock=Clock(compute_seconds=0.01),
         ),
     )

@@ -43,7 +43,7 @@ def model_factory():
 
 
 def make_engine(scheme_name: str = "3LC (s=1.00)", steps: int = 8, **overrides):
-    kwargs = dict(num_workers=2, batch_size=8, shard_size=32, seed=0)
+    kwargs = dict(num_workers=2, batch_size=8, shard_size=32, cluster_seed=0)
     kwargs.update(overrides)
     return ExchangeEngine(
         model_factory,
@@ -99,7 +99,7 @@ class TestPartitionAwarePlans:
     def test_sharded_wire_plan_matches_service_owner_map(self):
         engine = make_engine(
             topology="sharded", num_shards=3, fuse_small_tensors=True,
-            record_transmissions=True,
+            sim_overlap=True,
         )
         engine.train(1)
         plan, service = engine.fusion_plan, engine.service
@@ -224,7 +224,7 @@ class TestFusedShardedParity:
             topology="sharded",
             num_shards=3,
             fuse_small_tensors=True,
-            record_transmissions=True,
+            sim_overlap=True,
         )
         fused.train(2)
         st = fused.transmissions[0]
@@ -280,7 +280,7 @@ class TestFusedHierParity:
     def test_recorded_fused_uplink_depends_on_rack_collectives(self):
         fused = make_engine(
             num_workers=4, topology="hier", racks=2, rack_size=2,
-            fuse_small_tensors=True, record_transmissions=True,
+            fuse_small_tensors=True, sim_overlap=True,
         )
         fused.train(2)
         st = fused.transmissions[0]
@@ -339,7 +339,7 @@ class TestAsyncFusedPullStreams:
             sync_mode="async",
             clock=MODELED,
             fuse_small_tensors=fuse,
-            record_transmissions=True,
+            sim_overlap=True,
             **overrides,
         )
 
@@ -403,7 +403,7 @@ class TestAsyncFusedPullStreams:
         engine = make_engine(
             num_workers=4, topology="hier", racks=2, rack_size=2,
             sync_mode="async", clock=MODELED,
-            fuse_small_tensors=True, record_transmissions=True,
+            fuse_small_tensors=True, sim_overlap=True,
         )
         engine.train(6)
         assert {e.worker for e in engine.update_events} == {0, 1}

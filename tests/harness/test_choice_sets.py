@@ -38,7 +38,7 @@ def test_the_choice_sets():
 def test_every_surface_takes_each_topology(topology):
     flags = HIER_FLAGS if topology == "hier" else []
     _, config, _ = parse_config(["table1", "--fast", "--topology", topology, *flags])
-    assert config.topology == config.engine_config().topology == topology
+    assert isinstance(config, EngineConfig) and config.topology == topology
     assert isinstance(link_model_for(topology, LINK), LinkModel)
     assert space(topologies=(topology,)).topologies == (topology,)
 

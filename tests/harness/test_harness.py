@@ -5,14 +5,16 @@ paper numbers (the benchmarks cover those).
 """
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.compression.registry import make_compressor
 from repro.data.synthetic import CHANNELS, NUM_CLASSES
-from repro.exchange.engine import ExchangeEngine
+from repro.exchange.engine import EngineConfig, ExchangeEngine
 from repro.harness import (
+    DEFAULT_CONFIG,
     FAST_CONFIG,
     ExperimentConfig,
     ExperimentRunner,
@@ -73,7 +75,7 @@ class TestExperimentConfig:
             config.dataset(),
             make_compressor("32-bit float"),
             config.schedule(config.standard_steps),
-            config.engine_config(),
+            config,
         )
 
         def load_state_dict(state):
@@ -185,7 +187,7 @@ class TestEvaluatesEachModelStateOnce:
             runner._dataset,
             make_compressor("32-bit float", seed=config.scheme_seed),
             config.schedule(steps),
-            config.engine_config(),
+            config,
         )
         evals = engine.train(steps, eval_every=steps // 2, test_size=16)
         again = engine.evaluate(test_size=16)
@@ -370,6 +372,24 @@ class TestEventDrivenSimOverlap:
         result = runner.run("3LC (s=1.00)", 1.0)
         assert result.achieved_overlap is not None
         assert sum(result.staleness_distribution.values()) == result.steps
+
+    def test_engine_fields_are_declared_once(self):
+        """``ExperimentConfig`` inherits every engine field and declares
+        none again, and the engine keeps the config it is handed."""
+        engine_fields = {f.name for f in fields(EngineConfig)}
+        own = set(vars(ExperimentConfig)["__annotations__"])
+        assert own and not own & engine_fields
+        assert engine_fields < {f.name for f in fields(ExperimentConfig)}
+        assert DEFAULT_CONFIG.batch_size == EngineConfig().batch_size == 16
+        config = FAST_CONFIG
+        engine = ExchangeEngine(
+            config.model_factory(),
+            config.dataset(),
+            make_compressor("32-bit float", seed=0),
+            config.schedule(4),
+            config,
+        )
+        assert engine.engine_config is config
 
     def test_ssp_config_requires_staleness(self):
         with pytest.raises(ValueError, match="staleness"):

@@ -115,7 +115,7 @@ class EventDrivenSimulator:
         if not events:
             raise ValueError(
                 "no recorded update events to simulate — was the engine "
-                "built with record_transmissions=True in an async/SSP mode?"
+                "built with sim_overlap=True in an async/SSP mode?"
             )
         for e in events:
             # Surface unknown/circular record dependencies up front with

@@ -99,10 +99,10 @@ def train_engine(topology: str = "single", sync_mode: str = "bsp", steps: int = 
         num_workers=2,
         batch_size=8,
         shard_size=32,
-        seed=0,
+        cluster_seed=0,
         topology=topology,
         sync_mode=sync_mode,
-        record_transmissions=True,
+        sim_overlap=True,
         clock=MODELED,
     )
     config.update(overrides)
@@ -286,7 +286,7 @@ class TestEventLoop:
         assert exchange.serialized_seconds >= exchange.total_seconds - 1e-12
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError, match="record_transmissions"):
+        with pytest.raises(ValueError, match="sim_overlap"):
             self.sim().simulate([])
 
     def test_negative_staleness_rejected(self):

@@ -67,10 +67,10 @@ def train_faulted(topology, fault, steps=6, **extra):
         num_workers=4,
         batch_size=8,
         shard_size=64,
-        seed=0,
+        cluster_seed=0,
         topology=topology,
         fault=fault,
-        record_transmissions=True,
+        sim_overlap=True,
     )
     if topology == "hier":
         kwargs.update(racks=2, rack_size=2)
@@ -353,7 +353,7 @@ class TestTracedFaultedRuns:
             make_compressor("3LC (s=1.00)", seed=0),
             CosineDecay(0.05, 6),
             EngineConfig(
-                num_workers=4, batch_size=8, shard_size=64, seed=0,
+                num_workers=4, batch_size=8, shard_size=64, cluster_seed=0,
                 topology="single", fault=fault,
             ),
         )

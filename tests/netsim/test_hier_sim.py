@@ -49,11 +49,11 @@ def train_hier_engine(steps: int = 4, **overrides):
         num_workers=4,
         batch_size=8,
         shard_size=32,
-        seed=0,
+        cluster_seed=0,
         topology="hier",
         racks=2,
         rack_size=2,
-        record_transmissions=True,
+        sim_overlap=True,
     )
     config.update(overrides)
     dataset = SyntheticImageDataset(DatasetSpec(image_size=12, seed=0))

@@ -202,7 +202,7 @@ class TestScheduler:
         sim = NetworkSimulator(
             SIMPLE_TIMELINE, single_server_links(MBPS), StepTimeModel(), overlap=True
         )
-        with pytest.raises(ValueError, match="record_transmissions"):
+        with pytest.raises(ValueError, match="sim_overlap"):
             sim.simulate_run([])
 
     def test_sharded_links_parallelize(self):
@@ -265,9 +265,9 @@ def train_engine(topology: str, steps: int = 4, **overrides):
         num_workers=2,
         batch_size=8,
         shard_size=32,
-        seed=0,
+        cluster_seed=0,
         topology=topology,
-        record_transmissions=True,
+        sim_overlap=True,
     )
     config.update(overrides)
     engine = ExchangeEngine(

@@ -34,7 +34,7 @@ def train(topology: str, *, fuse: bool = False, workers: int = 2, model="resnet"
             num_workers=workers,
             batch_size=8,
             shard_size=32,
-            seed=0,
+            cluster_seed=0,
             topology=topology,
             fuse_small_tensors=fuse,
         ),

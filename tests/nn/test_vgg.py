@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.data.synthetic import CHANNELS, NUM_CLASSES
 from repro.nn import build_resnet, build_vgg, model_stats
 
 
 class TestBuildVgg:
     def test_output_shape(self):
+        """The builder reads the synthetic task's input channels and class
+        count, as ``build_resnet`` and ``build_mlp`` do."""
         model = build_vgg(image_size=16)
-        out = model.forward(np.zeros((2, 3, 16, 16), dtype=np.float32))
-        assert out.shape == (2, 10)
+        out = model.forward(np.zeros((2, CHANNELS, 16, 16), dtype=np.float32))
+        assert out.shape == (2, NUM_CLASSES) == (2, 10)
+        shapes = {p.name: p.shape for p in model.parameters()}
+        assert shapes["stage0/conv0/weight"][1] == CHANNELS == 3
+        assert shapes["head/fc1/weight"][0] == NUM_CLASSES
+        assert shapes["head/fc1/bias"] == (NUM_CLASSES,)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError, match="divisible"):

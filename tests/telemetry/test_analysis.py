@@ -51,10 +51,10 @@ def train_engine(topology="single", sync_mode="bsp", steps=4, fault=None, **over
         num_workers=2,
         batch_size=8,
         shard_size=32,
-        seed=0,
+        cluster_seed=0,
         topology=topology,
         sync_mode=sync_mode,
-        record_transmissions=True,
+        sim_overlap=True,
         clock=MODELED,
     )
     if topology == "hier":

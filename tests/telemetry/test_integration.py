@@ -48,11 +48,11 @@ def _train_hier(steps=4):
             num_workers=4,
             batch_size=8,
             shard_size=64,
-            seed=0,
+            cluster_seed=0,
             topology="hier",
             racks=2,
             rack_size=2,
-            record_transmissions=True,
+            sim_overlap=True,
         ),
     )
     engine.train(steps)
@@ -141,8 +141,8 @@ class TestSpanUtilizationParity:
             make_compressor("3LC (s=1.00)", seed=0),
             CosineDecay(0.05, 6),
             EngineConfig(
-                num_workers=2, batch_size=8, shard_size=64, seed=0,
-                sync_mode="async", record_transmissions=True,
+                num_workers=2, batch_size=8, shard_size=64, cluster_seed=0,
+                sync_mode="async", sim_overlap=True,
             ),
         )
         engine.train(6)
@@ -210,7 +210,7 @@ class TestEngineTelemetry:
             make_compressor("3LC (s=1.00)", seed=0),
             CosineDecay(0.05, 3),
             EngineConfig(
-                num_workers=4, batch_size=8, shard_size=64, seed=0,
+                num_workers=4, batch_size=8, shard_size=64, cluster_seed=0,
                 topology="hier", racks=2, rack_size=2,
             ),
         )
@@ -236,7 +236,7 @@ class TestEngineTelemetry:
             make_compressor("3LC (s=1.00)", seed=0),
             CosineDecay(0.05, 4),
             EngineConfig(
-                num_workers=2, batch_size=8, shard_size=64, seed=0,
+                num_workers=2, batch_size=8, shard_size=64, cluster_seed=0,
                 sync_mode="async",
             ),
         )
@@ -263,7 +263,7 @@ class TestEngineTelemetry:
             config.dataset(),
             make_compressor("3LC (s=1.00)", seed=0),
             config.schedule(3),
-            replace(config.engine_config(), clock=Clock(compute_seconds=0.01)),
+            replace(config, clock=Clock(compute_seconds=0.01)),
         )
         engine.train(3)
         tel = engine_telemetry(engine)

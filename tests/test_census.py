@@ -287,31 +287,57 @@ def test_every_defaulted_parameter_is_set_outside_tests_or_has_a_reason():
     assert sorted(listed - unset) == [], "listed parameters that are set or gone"
 
 
-def dataclass_fields():
-    """``(label, class, field, position, frozen)`` per defaulted field of a
-    public dataclass whose ``__init__`` the decorator writes; ``position``
-    counts the constructor's positional arguments."""
+def dataclasses() -> dict[str, tuple[str, ast.ClassDef, str]]:
+    """``class -> (repro.module, node, decorator)`` per public dataclass."""
+    found = {}
     for module, node in public_definitions():
-        if not isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
+            decorators = [ast.unparse(d) for d in node.decorator_list]
+            decorator = next((d for d in decorators if "dataclass" in d), None)
+            if decorator is not None:
+                found[node.name] = module, node, decorator
+    return found
+
+
+def own_fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
+    return [
+        item
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and "ClassVar" not in ast.unparse(item.annotation)
+    ]
+
+
+def lineage(name: str, found) -> list[str]:
+    """``name`` and the public dataclasses it derives from, base first."""
+    line = []
+    for base in found[name][1].bases:
+        if getattr(base, "id", None) in found:
+            line += lineage(base.id, found)
+    return [*line, name]
+
+
+def dataclass_fields():
+    """``(label, classes, field, position, frozen)`` per defaulted field of a
+    public dataclass whose ``__init__`` the decorator writes. ``classes`` is
+    the declaring class and every public dataclass derived from it (their
+    constructors take the field too); ``position`` counts the constructor's
+    positional arguments, inherited fields first."""
+    found = dataclasses()
+    derived = {name: {sub for sub in found if name in lineage(sub, found)} for name in found}
+    for name, (module, node, decorator) in found.items():
+        if "init=False" in decorator:
             continue
-        decorators = [ast.unparse(d) for d in node.decorator_list]
-        decorator = next((d for d in decorators if "dataclass" in d), None)
-        if decorator is None or "init=False" in decorator:
-            continue
-        own = [
-            item
-            for item in node.body
-            if isinstance(item, ast.AnnAssign) and "ClassVar" not in ast.unparse(item.annotation)
-        ]
-        for position, item in enumerate(own):
+        before = sum(len(own_fields(found[base][1])) for base in lineage(name, found)[:-1])
+        for position, item in enumerate(own_fields(node), before):
             if item.value is not None:
-                label = f"{module}.{node.name}.{item.target.id}"
-                yield label, node.name, item.target.id, position, "frozen=True" in decorator
+                label = f"{module}.{name}.{item.target.id}"
+                yield label, derived[name], item.target.id, position, "frozen=True" in decorator
 
 
 def declared_keys() -> set[str]:
-    """The ``ExperimentConfig`` fields a ``**`` mapping with declared keys
-    sets: the CLI's ``FIELD_FLAGS`` and what a plan point overlays."""
+    """The ``ExperimentConfig`` fields (its own or inherited) a ``**``
+    mapping with declared keys sets: the CLI's ``FIELD_FLAGS`` and what a
+    plan point overlays."""
     from repro.harness.cli import FIELD_FLAGS
     from repro.tuner.space import PLAN_FIELDS, PlanPoint
 
@@ -331,35 +357,29 @@ def stored_attributes() -> set[str]:
 
 def set_fields() -> set[str]:
     """Labels of the fields code outside ``tests/`` sets: by keyword or
-    position in a constructor call, by keyword in a ``replace`` or
-    ``.scaled`` copy (which names no class, so it sets the field of that
-    name on every dataclass), by assignment on a mutable instance, or
-    through a declared ``**`` mapping; an ``EngineConfig`` field is set
-    when the ``ExperimentConfig`` field it mirrors is."""
-    from repro.harness.config import _ENGINE_FIELDS
-
+    position in a call to the declaring class's constructor or a derived
+    one's, by keyword in a ``replace`` or ``.scaled`` copy (which names no
+    class, so it sets the field of that name on every dataclass), by
+    assignment on a mutable instance, or through a declared ``**`` mapping
+    (into ``ExperimentConfig``, so on any class it derives from)."""
     calls = calls_by_callee()
     copies = {
         k.arg for name in ("replace", "scaled") for call in calls.get(name, ()) for k in call.keywords
     }
     stored = stored_attributes()
+    declared = declared_keys()
     done = set()
-    for label, cls, name, position, frozen in dataclass_fields():
+    for label, classes, name, position, frozen in dataclass_fields():
         built = any(
             any(k.arg == name for k in call.keywords)
             or len(call.args) > position
             and not any(isinstance(arg, ast.Starred) for arg in call.args)
+            for cls in classes
             for call in calls.get(cls, ())
         )
-        if built or name in copies or not frozen and name in stored:
+        keyed = "ExperimentConfig" in classes and name in declared
+        if built or keyed or name in copies or not frozen and name in stored:
             done.add(label)
-    experiment = "repro.harness.config.ExperimentConfig"
-    done |= {f"{experiment}.{name}" for name in declared_keys()}
-    done |= {
-        f"repro.exchange.engine.EngineConfig.{name}"
-        for name, own in _ENGINE_FIELDS.items()
-        if f"{experiment}.{own}" in done
-    }
     return done
 
 
